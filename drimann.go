@@ -32,9 +32,10 @@
 // evaluate an exact algebraic decomposition instead of materializing
 // per-group LUTs, simulated costs accumulate in register-resident tallies
 // flushed to the DPU counters once per launch block (the per-op reference
-// accountant survives behind EngineOptions.PerOpAccounting), and the SQT16
-// replay is memoized per unique (query, cluster) group — all per-DPU
-// tables share one geometry, so one replay stands in for up to NumDPUs.
+// accountant survives behind EngineOptions.PerOpAccounting), and the LC
+// kernel it charges builds only the LUT entries a slice's codes reference
+// (mark-then-build, from per-slice counts cached at deployment; see
+// internal/core) rather than all M x CB of them.
 // Results and metrics (every counter, cycle and hit rate) are bit-identical
 // across the pipelined, serial, batched-tally and per-op paths; only
 // wall-clock speed differs. `drim-bench -bench` records the simulator's own
@@ -182,7 +183,12 @@
 // those failure modes to pin this, and `drim-bench -replicas R -straggler`
 // measures hedged vs unhedged tail latency into mode:"replica" entries).
 // NewClusterServerRouted exposes the routing policy; NewClusterServer uses
-// defaults.
+// defaults. The offline Cluster.SearchBatch has the matching mitigation on
+// its selective path: it runs on replica 0 of every shard, but a shard whose
+// modelled load for the batch exceeds its fair share (1/S of the total, by
+// the engines' own scheduler heat) runs the tail of its queries on replica 1
+// at the same time, so the fleet's simulated time follows the mean shard
+// load instead of whichever shard the batch's query mix happened to favour.
 //
 // # Live mutability
 //

@@ -124,9 +124,13 @@ func testEndToEndShape(t *testing.T, id string) {
 		t.Fatalf("%s rows = %d", id, len(tab.Rows))
 	}
 	for i := range tab.Rows {
+		// Re-baselined with the reference-driven LC kernel: the paper's band
+		// is for the dense kernel, and these rows are LC-bound, so building
+		// only the referenced entries lifts them (2.0-3.4 before, 4.0-5.4
+		// now at this scale).
 		speedup := cell(t, tab, i, 4)
-		if speedup < 1.0 || speedup > 5.0 {
-			t.Errorf("%s row %d: DRIM/CPU speedup %v outside [1, 5] (paper: 1.6-2.5)", id, i, speedup)
+		if speedup < 1.0 || speedup > 7.0 {
+			t.Errorf("%s row %d: DRIM/CPU speedup %v outside [1, 7] (paper, dense LC: 1.6-2.5)", id, i, speedup)
 		}
 		recall := cell(t, tab, i, 5)
 		if recall < 0.5 {
@@ -170,14 +174,30 @@ func TestFigure9Shape(t *testing.T) {
 	if last > first {
 		t.Errorf("F9: DC share should fall with nlist: %v -> %v", first, last)
 	}
+	// LUT occupancy is a real fraction, and smaller slices reference less of
+	// the LUT: the largest nlist has the lowest occupancy of its sweep (not
+	// monotone in between — at small nlist the layout splits the big
+	// clusters into slices, which shrinks them too).
+	minOcc := cell(t, tab, len(tab.Rows)-1, 7)
+	for i := range tab.Rows {
+		occ := cell(t, tab, i, 7)
+		if occ <= 0 || occ > 1 {
+			t.Errorf("F9 row %d: LUT occupancy %v outside (0, 1]", i, occ)
+		}
+		if i >= nprobes && occ < minOcc {
+			t.Errorf("F9 row %d: LUT occupancy %v below the largest nlist's %v", i, occ, minOcc)
+		}
+	}
 }
 
 func TestFigure10Shape(t *testing.T) {
 	tab := tables(t)["F10"]
 	for i := range tab.Rows {
+		// Re-baselined with the reference-driven LC kernel (see F7): the
+		// same power over a shorter run (1.3-2.2 before, 2.5-3.4 now).
 		gain := cell(t, tab, i, 4)
-		if gain < 0.8 || gain > 3.0 {
-			t.Errorf("F10 row %d: energy gain %v outside [0.8, 3] (paper: 1.10-1.58)", i, gain)
+		if gain < 0.8 || gain > 4.5 {
+			t.Errorf("F10 row %d: energy gain %v outside [0.8, 4.5] (paper, dense LC: 1.10-1.58)", i, gain)
 		}
 	}
 }
@@ -202,9 +222,12 @@ func TestFigure11aShape(t *testing.T) {
 func TestFigure11bShape(t *testing.T) {
 	tab := tables(t)["F11b"]
 	for i := range tab.Rows {
+		// Re-baselined with the reference-driven LC kernel: the model's LUT
+		// occupancy assumes uniform codes, the pessimistic case, so on
+		// LC-bound rows real (skewed) codes can beat it by up to ~20%.
 		ratio := cell(t, tab, i, 4)
-		if ratio <= 0.2 || ratio > 1.1 {
-			t.Errorf("F11b row %d: actual/model %v outside (0.2, 1.1] (paper: 0.72-1.0)", i, ratio)
+		if ratio <= 0.2 || ratio > 1.3 {
+			t.Errorf("F11b row %d: actual/model %v outside (0.2, 1.3] (paper: 0.72-1.0)", i, ratio)
 		}
 	}
 }

@@ -83,7 +83,7 @@ func Figure11b(r *Runner) (*Table, error) {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"the model is an upper bound: it ignores load imbalance, DMA setup latency and loop overheads",
+		"the model ignores load imbalance, DMA setup latency and loop overheads, but sizes the LUT for uniform codes — the pessimistic case — so LC-bound rows can land above it",
 		"paper: actual reaches 71.8%-99.9% (SIFT100M) and 73.5%-95.1% (DEEP100M) of the prediction")
 	return t, nil
 }

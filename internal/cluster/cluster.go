@@ -43,7 +43,10 @@
 // cross-shard parallel view (core.Metrics.MergeParallel): counters sum,
 // wall-like durations and per-phase critical paths take the max over
 // shards (the fleet is as slow as its slowest rank), and QPS is recomputed
-// from the merged totals.
+// from the merged totals. How slow the slowest rank is depends on where the
+// batch's queries happen to fall, so with standby replicas the selective
+// path mitigates stragglers: a shard whose modelled load exceeds its fair
+// share of the batch hands the excess tail to its replica 1 (SearchBatch).
 package cluster
 
 import (
@@ -81,8 +84,9 @@ type Options struct {
 	// replication); default 1. Engine construction is deterministic, so the
 	// replicas of a shard answer bit-identically — the serving layer
 	// (NewServer) exploits that to route each query to any one replica,
-	// hedge stragglers, and mask dead replicas, while the offline
-	// Cluster.SearchBatch always runs on replica 0.
+	// hedge stragglers, and mask dead replicas. The offline
+	// Cluster.SearchBatch runs on replica 0 and borrows replica 1 only to
+	// relieve a straggler shard (see SearchBatch).
 	Replicas int
 	// Assignment picks the partitioning policy; default AssignHash.
 	Assignment Assignment
@@ -114,7 +118,8 @@ func (o *Options) defaults() error {
 // any other backend; the IVF-only paths (selective scatter, mutation,
 // durability) discover the extra surface by type assertion.
 type Shard struct {
-	// Engine is replica 0 — the engine offline scatter-gather uses.
+	// Engine is replica 0 — the engine offline scatter-gather uses (a
+	// straggler shard's tail also runs on replica 1, see SearchBatch).
 	Engine engine.Engine
 	// Engines holds every replica engine (Engines[0] == Engine). Replicas
 	// are built from the same deployment with the same options, so they are
@@ -148,6 +153,7 @@ type ivfEngine interface {
 	CompactRemap(remap []int32) error
 	Index() *ivf.Index
 	Locator() *core.Locator
+	ProbeCycles(c int32) float64
 }
 
 // ivf returns the shard's replica-0 engine as the extended IVF surface,
@@ -722,6 +728,87 @@ func (cl *Cluster) partitionProbes(ps core.ProbeSet, nq int) ([]core.ProbeSet, [
 	return out, fanouts
 }
 
+// stragglerCuts returns, for every shard, how many leading queries of the
+// routed batch its replica 0 keeps: all nq, unless the fleet has standby
+// replicas and the shard's modelled load exceeds the fair share (the mean
+// over shards) — then the longest prefix that fits the share.
+func (cl *Cluster) stragglerCuts(perShard []core.ProbeSet, nq int) []int {
+	cuts := make([]int, len(perShard))
+	for s := range cuts {
+		cuts[s] = nq
+	}
+	if len(cl.shards[0].Engines) < 2 {
+		return cuts
+	}
+	cost := make([][]float64, len(perShard)) // modelled cycles of one probe, by shard and cluster
+	load := make([]float64, len(perShard))
+	var fair float64
+	for s, sh := range cl.shards {
+		eng := sh.ivf()
+		cost[s] = make([]float64, eng.NumClusters())
+		for c := range cost[s] {
+			cost[s][c] = eng.ProbeCycles(int32(c))
+		}
+		for _, c := range perShard[s].Clusters {
+			load[s] += cost[s][c]
+		}
+		fair += load[s] / float64(len(perShard))
+	}
+	for s, ps := range perShard {
+		if load[s] <= fair {
+			continue
+		}
+		var acc float64
+		for qi := 0; qi < nq; qi++ {
+			for _, c := range ps.Of(qi) {
+				acc += cost[s][c]
+			}
+			if acc > fair {
+				cuts[s] = qi
+				break
+			}
+		}
+	}
+	return cuts
+}
+
+// searchSplit answers one shard's routed batch: queries [0, cut) on replica
+// 0 and, when cut < queries.N, the rest concurrently on replica 1.
+func searchSplit(sh *Shard, queries dataset.U8Set, ps core.ProbeSet, cut int) (*core.Result, error) {
+	if cut == queries.N {
+		return sh.ivf().SearchBatchProbed(queries, ps, false)
+	}
+	sub := func(lo, hi int) dataset.U8Set {
+		return dataset.U8Set{N: hi - lo, D: queries.D, Data: queries.Data[lo*queries.D : hi*queries.D]}
+	}
+	split := ps.Offsets[cut]
+	tail := core.ProbeSet{Offsets: make([]int32, queries.N-cut+1), Clusters: ps.Clusters[split:]}
+	for i := range tail.Offsets {
+		tail.Offsets[i] = ps.Offsets[cut+i] - split
+	}
+	var spill *core.Result
+	var spillErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		spill, spillErr = sh.Engines[1].(ivfEngine).SearchBatchProbed(sub(cut, queries.N), tail, false)
+	}()
+	head := core.ProbeSet{Offsets: ps.Offsets[:cut+1], Clusters: ps.Clusters[:split]}
+	res, err := sh.ivf().SearchBatchProbed(sub(0, cut), head, false)
+	<-done
+	if err == nil {
+		err = spillErr
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.IDs = append(res.IDs, spill.IDs...)
+	res.Items = append(res.Items, spill.Items...)
+	res.Metrics.MergeParallel(&spill.Metrics)
+	res.Metrics.Queries = queries.N
+	return res, nil
+}
+
 // Shards exposes the fleet (for inspection, serving and tests).
 func (cl *Cluster) Shards() []*Shard { return cl.shards }
 
@@ -756,6 +843,16 @@ func (cl *Cluster) Dim() int {
 // (core.Metrics.MergeParallel), with the selective path charging the
 // front-door CL cost exactly once (overlapped with shard compute, as the
 // engine's own pipeline models it).
+//
+// Straggler mitigation (selective path, Replicas > 1): the fleet finishes
+// with its slowest shard, and which shard that is — and by how much — follows
+// the batch's query mix. Each shard's load is therefore estimated up front
+// (the engines' own scheduler heat summed over the shard's probe lists), and
+// a shard above its fair share, 1/S of the batch's total, keeps only the
+// leading queries that fit the share on replica 0; the tail runs
+// concurrently on replica 1, which the offline path otherwise leaves to
+// online traffic. Replicas answer bit-identically, so results do not change;
+// the shard's Metrics are the parallel merge of its two engines.
 func (cl *Cluster) SearchBatch(queries dataset.U8Set) (*core.Result, error) {
 	if queries.D != cl.Dim() {
 		return nil, fmt.Errorf("cluster: query dim %d != index dim %d", queries.D, cl.Dim())
@@ -770,6 +867,7 @@ func (cl *Cluster) SearchBatch(queries dataset.U8Set) (*core.Result, error) {
 		perShard, fanouts := cl.partitionProbes(ps, queries.N)
 		clSim = cl.loc.CLSeconds(queries.N)
 		cl.recordRoute(fanouts, time.Since(start).Seconds(), clSim)
+		cuts := cl.stragglerCuts(perShard, queries.N)
 		for s, sh := range cl.shards {
 			if len(perShard[s].Clusters) == 0 {
 				continue
@@ -777,7 +875,7 @@ func (cl *Cluster) SearchBatch(queries dataset.U8Set) (*core.Result, error) {
 			wg.Add(1)
 			go func(s int, sh *Shard, ps core.ProbeSet) {
 				defer wg.Done()
-				results[s], errs[s] = sh.ivf().SearchBatchProbed(queries, ps, false)
+				results[s], errs[s] = searchSplit(sh, queries, ps, cuts[s])
 			}(s, sh, perShard[s])
 		}
 	} else {

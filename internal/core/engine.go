@@ -45,22 +45,38 @@
 // where bsum (the static per-point term) is precomputed once at deployment,
 // qe_q (the per-query gather table) once per query per launch, and PTerm
 // once per group — all int32-exact, so distances are bit-identical to
-// summing a materialized LUT (vecmath.ADCResidualBatch). The DPU cost model
-// is unaffected: RC/LC/DC/TS are still charged exactly as the paper's
-// kernels would execute them. Fallback paths (LUT builder over budget, or
-// the per-op reference accountant) materialize shared per-group LUTs as
-// before.
+// summing a materialized LUT (vecmath.ADCResidualBatch). How the host
+// obtains the values is independent of what the simulated DPU is charged
+// for: the charged kernels are the ones described next. Fallback paths (LUT
+// builder over budget, or the per-op reference accountant) materialize
+// shared per-group LUTs as before.
 //
-// # SQT16 memoization invariant
+// # Reference-driven LUT construction
+//
+// The paper's LC kernel builds all M x CB LUT entries per (query, cluster)
+// group although the slice DC then scans reads at most points x M of them.
+// The simulated DPU instead runs a mark-then-build kernel, per group and
+// DPU: each tasklet owns subspaces, streams the code column of every
+// co-located slice of the cluster (append segment included) into a private
+// CB-bit bitmap in WRAM, scans it, fetches the marked codebook rows with one
+// DMA per contiguous run and builds only those entries; DC is unchanged.
+// All of it is charged to LC — bitmap clear and scan, the mark pass over a
+// second code stream, a DMA setup per run — and the build costs need x dsub
+// elements instead of CB x Dim; a slice covering every entry pays the dense
+// cost plus that overhead (there is no separate dense kernel). The per-op
+// reference executes the kernel literally, DC gathering from a poisoned LUT
+// holding only the marked entries, so bit-identical answers prove the sparse
+// LUT sufficient; the batched-tally path charges from per-slice counts
+// cached at deployment (lcdemand.go).
+//
+// # SQT16 geometry invariant
 //
 // All per-DPU sqt.SQT16 tables are built with identical geometry (hot-window
 // size, operand domain), so the hot/cold classification of a diff stream is
-// the same on every DPU. The LC replay of the 16-bit mode therefore runs
-// once per unique (query, cluster) group in buildGroups (stats-free
-// ColdCountRow), and the resulting cold count and hit/miss statistics are
-// applied arithmetically to every DPU that runs the group — up to a
-// NumDPUs-fold reduction — leaving counters bit-identical to a private
-// per-DPU replay.
+// the same on every DPU. The batched-tally path therefore replays a group's
+// marked rows against one shared table (stats-free ColdCountRow) and credits
+// the DPU's own table arithmetically (AddStats), leaving counters
+// bit-identical to the private replay of the per-op reference.
 package core
 
 import (
@@ -273,6 +289,8 @@ type Engine struct {
 	// Like bsum it is shared across replicas: the outer array is allocated
 	// once and only its elements are rewritten.
 	asums [][]int32
+	// lc is the static per-slice LC demand (lcdemand.go), shared like bsum.
+	lc *lcDemand
 
 	// freq and lcfg are the heat profile and layout configuration New
 	// resolved, retained so Compact can re-run the layout optimizer over the
@@ -295,8 +313,8 @@ type groupKey struct {
 
 // groupStore is the per-launch shared LC state: every unique (query,
 // cluster) group's residual — plus, depending on the execution mode, its
-// LUT (materialized paths) or its decomposition terms and memoized SQT16
-// cold count (algebraic path) — is built exactly once, fanned across
+// LUT (materialized paths) or its decomposition terms (algebraic path) — is
+// built exactly once, fanned across
 // workers, then read by each DPU that scans a slice of the cluster. Arenas
 // are sized for one group block at a time to bound memory.
 type groupStore struct {
@@ -310,11 +328,6 @@ type groupStore struct {
 	qe    []int32 // runs x M*CB
 	p     []int32 // block-relative per-group PTerm
 	runOf []int32 // block-relative per-group run index into qe
-
-	// cold[i] is the memoized SQT16 cold-lookup count of block-relative
-	// group i's full M x CB x dsub replay stream (set only in SQT16 mode on
-	// the batched-tally path).
-	cold []uint64
 }
 
 // dpuScratch is the reusable per-DPU kernel state: the top-k heap pool, the
@@ -334,11 +347,26 @@ type dpuScratch struct {
 	tally   upmem.Tally
 	distBuf []uint32
 
+	// marks is the group's LC mark bitmap (per-op reference, and chargeLC
+	// where cached counts do not suffice); lut the reference's sparse LUT.
+	marks []uint64
+	lut   []uint32
+
 	// Launch cursor: position in the sorted task list plus the current
 	// (query, cluster) group, preserved across group blocks.
 	taskPos    int
 	curQ, curC int32
 	curHeap    *topk.Heap[uint32]
+}
+
+// scanSegment is one contiguous run of points a task scans: ids, packed
+// codes, the algebraic path's static per-point terms, and the tombstone set
+// filtering it (nil for append segments).
+type scanSegment struct {
+	ids   []int32
+	codes []uint16
+	sums  []int32
+	tomb  map[int32]bool
 }
 
 type dpuQueryResult struct {
@@ -403,10 +431,10 @@ func New(ix *ivf.Index, profile dataset.U8Set, opts Options) (*Engine, error) {
 	}
 	freq := make([]float64, ix.NList)
 	if profile.N > 0 {
-		for qi := 0; qi < profile.N; qi++ {
-			for _, p := range ix.LocateInt(profile.Vec(qi), opts.NProbe) {
-				freq[p.ID]++
-			}
+		// The engine's own locator: the probes live queries will hit (TreeCL
+		// included), located across workers.
+		for _, c := range loc.Probes(profile).Clusters {
+			freq[c]++
 		}
 	} else {
 		for c, s := range sizes {
@@ -470,6 +498,8 @@ func New(ix *ivf.Index, profile dataset.U8Set, opts Options) (*Engine, error) {
 			e.bsum[c] = sums
 		})
 	}
+	e.lc = &lcDemand{}
+	e.rebuildDemand()
 	e.scratch = make([]dpuScratch, opts.NumDPUs)
 	return e, nil
 }
@@ -482,7 +512,7 @@ func codeBytesFor(cb, m int) int {
 }
 
 // newSQT16Tables builds one tiered 16-bit squaring table per DPU — all with
-// identical geometry, the precondition of the SQT16 memoization invariant.
+// identical geometry, the precondition of the SQT16 geometry invariant.
 // Replica engines get their own tables (they carry per-DPU hit statistics).
 func newSQT16Tables(opts Options) []*sqt.SQT16 {
 	hot := opts.SQT16HotEntries
@@ -537,11 +567,12 @@ func (e *Engine) accountMemory() error {
 		}
 	}
 
-	// Account WRAM per DPU: staging buffers are always needed; with the
-	// buffer optimization also the SQT, slice metadata, and (if it fits)
-	// the distance LUT.
+	// Account WRAM per DPU: staging buffers and the LC mark bitmaps (CB bits
+	// per subspace, in 32-bit words) are always needed; with the buffer
+	// optimization also the SQT, slice metadata, and (if it fits) the
+	// distance LUT.
 	e.lutBytes = ix.M * ix.CB * 4
-	const stagingBytes = 4096
+	stagingBytes := 4096 + e.markWords32()*4
 	const sqtBytes = 511 * 4
 	e.lutInWRAM = false
 	if opts.UseWRAM {
@@ -602,30 +633,6 @@ func (e *Engine) Dim() int { return e.ix.Dim }
 // several scheduling batches anyway).
 func (e *Engine) MaxBatch() int { return e.opts.BatchSize }
 
-// taskCostCycles predicts DC+TS cycles for scanning n points — the
-// scheduler's heat estimate (Equations 8-11 restricted to the dominant
-// terms).
-func (e *Engine) taskCostCycles(n int) float64 {
-	m := float64(e.ix.M)
-	perPoint := 2*m + (m - 1) + 1 + float64(e.opts.LockCycles)/8
-	return float64(n) * perPoint
-}
-
-// hostCLSeconds models the host-side cluster locating cost for nq queries
-// (Equations 1-3 with the CPU's #PE, frequency and vector width), delegated
-// to the engine's Locator so a front door charging the cost once computes
-// the exact same number.
-func (e *Engine) hostCLSeconds(nq int) float64 {
-	return e.loc.CLSeconds(nq)
-}
-
-// locateBatch runs the configured CL variant for queries[lo:hi) across the
-// engine's workers, writing probes into the flat out/counts layout of
-// ivf.Index.LocateBatch. This is the pipeline's first stage.
-func (e *Engine) locateBatch(queries dataset.U8Set, lo, hi int, out []topk.Item[uint32], counts []int) {
-	e.loc.LocateBatch(queries, lo, hi, out, counts)
-}
-
 // Locator exposes the engine's CL stage. It is stateless per call, so a
 // sharded front door may run it concurrently with the engine's own batches.
 func (e *Engine) Locator() *Locator { return e.loc }
@@ -635,6 +642,16 @@ func (e *Engine) hostMergeSeconds(items int) float64 {
 	h := e.opts.Host
 	ops := float64(items) * float64(log2ceil(e.opts.K)+1)
 	return ops / (float64(h.Threads) * h.FreqGHz * 1e9)
+}
+
+// bitonicSwaps is the compare-exchange count of a bitonic sorting network
+// over n candidates: size/2 per column, log(size)*(log(size)+1)/2 columns.
+func bitonicSwaps(n int) uint64 {
+	if n < 2 {
+		return 0
+	}
+	logSize := uint64(log2ceil(n))
+	return (uint64(1) << logSize) / 2 * logSize * (logSize + 1) / 2
 }
 
 func log2ceil(x int) int {
@@ -713,7 +730,7 @@ func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeC
 			}
 			return reqs
 		}
-		e.locateBatch(queries, lo, hi, probes, counts)
+		e.loc.LocateBatch(queries, lo, hi, probes, counts)
 		for qi := lo; qi < hi; qi++ {
 			base := (qi - lo) * e.opts.NProbe
 			for _, p := range probes[base : base+counts[qi-lo]] {
@@ -749,7 +766,7 @@ func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeC
 	var sb sched.Batch // schedule storage reused across launches
 	var serialReqs []sched.Request
 	scfg := sched.Config{
-		Cost:      func(points int) float64 { return e.taskCostCycles(points) },
+		Cost:      func(points int) float64 { return e.lc.heat[points] },
 		Th3:       e.opts.Th3,
 		Rebalance: e.opts.Rebalance,
 	}
@@ -770,7 +787,7 @@ func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeC
 		}
 		hostSec := 0.0
 		if chargeCL {
-			hostSec = e.hostCLSeconds(hi - lo)
+			hostSec = e.loc.CLSeconds(hi - lo)
 		}
 
 		lastBatch := hi >= queries.N
@@ -802,12 +819,19 @@ func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeC
 		m.Batches++
 	}
 
-	// Final per-query merge (already counted in host merge time above).
+	// Final per-query merge (already counted in host merge time above): the
+	// K best of the query's partial lists, selected through a K-heap — the
+	// lists hold tasks x K items, and sorting them all was a sixth of the
+	// search's host time. A query with no partials keeps nil Items.
+	sel := topk.NewHeap[uint32](e.opts.K)
 	for qi := range partials {
-		items := partials[qi]
-		topk.SortItems(items)
-		if len(items) > e.opts.K {
-			items = items[:e.opts.K]
+		var items []topk.Item[uint32]
+		if len(partials[qi]) > 0 {
+			sel.Reset()
+			for _, it := range partials[qi] {
+				sel.Push(it.ID, it.Dist)
+			}
+			items = sel.Sorted()
 		}
 		res.Items[qi] = items
 		ids := make([]int32, len(items))
@@ -911,6 +935,7 @@ func (e *Engine) runLaunch(batch *sched.Batch, queries dataset.U8Set, partials [
 		m.LockSkipped += sc.stats.lockSkipped
 		m.LUTBuilds += sc.stats.lutBuilds
 		m.LUTReuses += sc.stats.lutReuses
+		m.LUTEntries += sc.stats.lutEntries
 		m.PointsScanned += sc.stats.points
 	}
 	e.sys.TransferFromDPUs(fromDev)
@@ -938,6 +963,7 @@ func (e *Engine) runLaunch(batch *sched.Batch, queries dataset.U8Set, partials [
 type dpuRunStats struct {
 	lockAcquired, lockSkipped uint64
 	lutBuilds, lutReuses      uint64
+	lutEntries                uint64 // LUT entries the LC kernels built
 	points                    uint64
 }
 
@@ -1070,11 +1096,10 @@ func (e *Engine) collectGroups(batch *sched.Batch) int {
 // building each exactly once. On the algebraic path this is the residual,
 // the PTerm scalar and (per query run) the qe gather table; on the
 // materialized paths (per-op reference, or LUT builder over budget) it is
-// the residual and the full LUT. In SQT16 mode on the batched-tally path it
-// also memoizes each group's cold-lookup count, replayed once here instead
-// of once per DPU. Work is fanned across workers per query run so per-query
-// terms amortize over all clusters the query probes; per-worker scratches
-// keep the stage allocation-free.
+// the residual and the full LUT. The residual is skipped where nothing reads
+// it (algebraic path without the SQT16 replay). Work is fanned across
+// workers per query run so per-query terms amortize over all clusters the
+// query probes; per-worker scratches keep the stage allocation-free.
 func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 	g := &e.groups
 	ix := e.ix
@@ -1083,18 +1108,12 @@ func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 	if n <= 0 {
 		return
 	}
-	if cap(g.res) < n*dim {
+	needRes := !e.algebraic || e.sqt16 != nil
+	if needRes && cap(g.res) < n*dim {
 		g.res = make([]int16, n*dim)
 	}
 	if !e.algebraic && cap(g.lut) < n*lutLen {
 		g.lut = make([]uint32, n*lutLen)
-	}
-	memoSQT := e.sqt16 != nil && !e.opts.PerOpAccounting
-	if memoSQT {
-		if cap(g.cold) < n {
-			g.cold = make([]uint64, n)
-		}
-		g.cold = g.cold[:n]
 	}
 
 	// Query runs within the block: keys are (query, cluster)-sorted, so one
@@ -1132,8 +1151,11 @@ func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 		}
 		for i := lo; i < hi; i++ {
 			k := g.keys[i]
-			res := g.res[(i-gLo)*dim : (i-gLo+1)*dim]
-			vecmath.SubI16(res, query, ix.CentroidU8(int(k.c)))
+			var res []int16
+			if needRes {
+				res = g.res[(i-gLo)*dim : (i-gLo+1)*dim]
+				vecmath.SubI16(res, query, ix.CentroidU8(int(k.c)))
+			}
 			if e.algebraic {
 				g.p[i-gLo] = e.lut.PTermQQ(qq, query, int(k.c))
 				g.runOf[i-gLo] = int32(ri)
@@ -1148,29 +1170,18 @@ func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 					ix.IntCB.LUTIntMul(res, lut)
 				}
 			}
-			if memoSQT {
-				g.cold[i-gLo] = e.groupColdCount(res)
-			}
 		}
 	})
 }
 
-// groupColdCount replays one group's full M x CB x dsub SQT16 diff stream
-// (stats-free) and returns its cold-lookup count. All per-DPU tables share
-// one geometry and ColdCountRow only reads it, so a single table stands in
-// for every DPU — the memoization invariant from the package doc.
-func (e *Engine) groupColdCount(res []int16) uint64 {
-	ix := e.ix
-	tab := e.sqt16[0]
-	dsub := ix.Dim / ix.M
-	var cold uint64
-	for m := 0; m < ix.M; m++ {
-		sub := res[m*dsub : (m+1)*dsub]
-		for c := 0; c < ix.CB; c++ {
-			cold += tab.ColdCountRow(sub, ix.IntCB.Entry(m, c))
-		}
+// sameGroup returns the leading tasks of a DPU's sorted task list that share
+// the first one's (query, cluster): the co-located slices one LC build serves.
+func sameGroup(tasks []sched.Task) []sched.Task {
+	n := 1
+	for n < len(tasks) && tasks[n].Query == tasks[0].Query && tasks[n].Cluster == tasks[0].Cluster {
+		n++
 	}
-	return cold
+	return tasks[:n]
 }
 
 // runDPUBlock advances one DPU's kernel execution through every task whose
@@ -1178,22 +1189,23 @@ func (e *Engine) groupColdCount(res []int16) uint64 {
 // functionally scans the slice (DC + TS). The cursor in the DPU scratch
 // carries the run across blocks of the same launch.
 //
-// This is the batched-tally hot path: DC distances are computed by an
-// unrolled batch gather kernel (LUT-free on the algebraic path), the TS
-// accept pass tests a register-cached bound, and every simulated cost
-// accumulates in the scratch tally, flushed to the DPU once per block.
-// Options.PerOpAccounting swaps in the retained per-op reference.
+// On the batched-tally hot path DC distances are computed by an unrolled
+// batch gather kernel (LUT-free on the algebraic path), the TS accept pass
+// tests a register-cached bound, and every simulated cost accumulates in the
+// scratch tally, flushed to the DPU once per block. Options.PerOpAccounting
+// swaps in the retained per-op reference kernels (the ...Ref functions) on
+// the same task walk: every instruction and DMA is charged to the DPU at the
+// point it happens, the LC kernel runs literally and DC scans the sparse LUT
+// it left point by point. The tally path must reproduce the reference's
+// results and metrics exactly.
 func (e *Engine) runDPUBlock(d int, tasks []sched.Task, gLo, gHi int) {
-	if e.opts.PerOpAccounting {
-		e.runDPUBlockRef(d, tasks, gLo, gHi)
-		return
-	}
 	sc := &e.scratch[d]
 	dpu := e.sys.DPUs[d]
 	ix := e.ix
 	g := &e.groups
 	lutLen := ix.M * ix.CB
 	ta := &sc.tally
+	perOp := e.opts.PerOpAccounting
 	for sc.taskPos < len(tasks) {
 		gi := int(sc.groupIx[sc.taskPos])
 		if gi >= gHi {
@@ -1207,52 +1219,59 @@ func (e *Engine) runDPUBlock(d int, tasks []sched.Task, gLo, gHi int) {
 		}
 		if t.Query != sc.curQ || t.Cluster != sc.curC {
 			sc.curQ, sc.curC = t.Query, t.Cluster
-			e.chargeRC(ta)
-			e.chargeLC(ta, dpu, gi-gLo)
+			group := sameGroup(tasks[sc.taskPos-1:])
+			if perOp {
+				e.chargeRCRef(dpu)
+				e.chargeLCRef(dpu, sc, group, gi-gLo)
+			} else {
+				e.chargeRC(ta)
+				e.chargeLC(ta, dpu, sc, group, gi-gLo)
+			}
 			sc.stats.lutBuilds++
 		} else {
 			sc.stats.lutReuses++
 		}
+		// Up to two segments per task: the slice's base points and, on the
+		// slice that starts the cluster (slicing always begins at 0, so
+		// exactly one task per (query, cluster) carries it), the live append
+		// segment. Base-list tombstones filter in the TS accept pass while
+		// the physically-scanned points still charge DC/TS.
 		s := &e.pl.Slices[t.Slice]
-		ids := ix.Lists[t.Cluster][s.Start : s.Start+s.Count]
-		codes := ix.Codes[t.Cluster][s.Start*ix.M : (s.Start+s.Count)*ix.M]
-		// The append segment rides on the slice that starts the cluster
-		// (slicing always begins at 0, so exactly one task per (query,
-		// cluster) carries it); base-list tombstones filter in the TS accept
-		// pass while the physically-scanned points still charge DC/TS.
-		aLen := 0
-		if s.Start == 0 {
-			aLen = ix.AppendLen(int(t.Cluster))
-		}
-		if need := s.Count + aLen; cap(sc.distBuf) < need {
-			sc.distBuf = make([]uint32, need)
-		}
-		var qe []int32
-		var lut []uint32
+		c := int(t.Cluster)
+		segs := [2]scanSegment{{
+			ids:   ix.Lists[c][s.Start : s.Start+s.Count],
+			codes: ix.Codes[c][s.Start*ix.M : (s.Start+s.Count)*ix.M],
+			tomb:  ix.Tombstoned(c),
+		}}
 		if e.algebraic {
-			qe = g.qe[int(g.runOf[gi-gLo])*lutLen:][:lutLen]
-		} else {
-			lut = g.lut[(gi-gLo)*lutLen : (gi-gLo+1)*lutLen]
+			segs[0].sums = e.bsum[c][s.Start : s.Start+s.Count]
 		}
-		if s.Count > 0 {
-			dist := sc.distBuf[:s.Count]
+		if s.Start == 0 && ix.AppendLen(c) > 0 {
+			segs[1] = scanSegment{ids: ix.AppendIDs(c), codes: ix.AppendCodes(c)}
 			if e.algebraic {
-				bsum := e.bsum[t.Cluster][s.Start : s.Start+s.Count]
-				vecmath.ADCResidualBatch(dist, qe, codes, bsum, g.p[gi-gLo], ix.M, ix.CB)
-			} else {
-				vecmath.ADCBatchU32(dist, lut, codes, ix.M, ix.CB)
+				segs[1].sums = e.asums[c]
 			}
-			e.kernelTS(ta, dist, ids, ix.Tombstoned(int(t.Cluster)), sc)
 		}
-		if aLen > 0 {
-			adist := sc.distBuf[:aLen]
-			acodes := ix.AppendCodes(int(t.Cluster))
-			if e.algebraic {
-				vecmath.ADCResidualBatch(adist, qe, acodes, e.asums[t.Cluster], g.p[gi-gLo], ix.M, ix.CB)
-			} else {
-				vecmath.ADCBatchU32(adist, lut, acodes, ix.M, ix.CB)
+		for _, sg := range segs {
+			n := len(sg.ids)
+			switch {
+			case n == 0:
+			case perOp:
+				e.kernelDCTSRef(dpu, sc.lut, sg.ids, sg.codes, sg.tomb, sc.curHeap, &sc.stats)
+			default:
+				e.chargeMark(ta, n)
+				if cap(sc.distBuf) < n {
+					sc.distBuf = make([]uint32, n)
+				}
+				dist := sc.distBuf[:n]
+				if e.algebraic {
+					qe := g.qe[int(g.runOf[gi-gLo])*lutLen:][:lutLen]
+					vecmath.ADCResidualBatch(dist, qe, sg.codes, sg.sums, g.p[gi-gLo], ix.M, ix.CB)
+				} else {
+					vecmath.ADCBatchU32(dist, g.lut[(gi-gLo)*lutLen:(gi-gLo+1)*lutLen], sg.codes, ix.M, ix.CB)
+				}
+				e.kernelTS(ta, dist, sg.ids, sg.tomb, sc)
 			}
-			e.kernelTS(ta, adist, ix.AppendIDs(int(t.Cluster)), nil, sc)
 		}
 	}
 	dpu.ApplyTally(ta)
@@ -1272,48 +1291,160 @@ func (e *Engine) chargeRC(ta *upmem.Tally) {
 	ta.DMA(upmem.PhaseRC, n) // centroid bytes (uint8)
 }
 
-// chargeLC accounts the LUT-construction kernel (Equations 6-7). With
-// UseSQT each square is |a-b| + one table load; without it each square is a
-// 32-cycle multiply. The codebook streams from MRAM; LUT stores hit WRAM
-// when buffered, otherwise they become slow-path MRAM traffic. The LUT
-// values themselves are never built per DPU (buildGroups builds each group
-// once, or the algebraic path skips them); costs are still charged per DPU.
-// In SQT16 mode the group's memoized cold count (bi indexes the block) is
-// charged and credited to this DPU's tiered table — bit-identical to the
-// private replay chargeLCRef retains, per the memoization invariant.
-func (e *Engine) chargeLC(ta *upmem.Tally, dpu *upmem.DPU, bi int) {
-	ix := e.ix
-	cost := &e.sys.Cfg.Cost
-	elems := uint64(ix.CB * ix.Dim) // M * CB * dsub
-	entries := uint64(ix.M * ix.CB)
-	ta.Charge(cost, upmem.PhaseLC, upmem.OpAdd, elems)  // subtraction per element
-	ta.Charge(cost, upmem.PhaseLC, upmem.OpAdd, elems)  // accumulate per element
-	ta.Charge(cost, upmem.PhaseLC, upmem.OpLoad, elems) // codebook element loads
-	switch {
-	case e.opts.UseSQT && e.sqt16 != nil:
-		cold := e.groups.cold[bi]
-		e.sqt16[dpu.ID].AddStats(elems-cold, cold)
-		ta.Charge(cost, upmem.PhaseLC, upmem.OpAdd, elems)  // abs
-		ta.Charge(cost, upmem.PhaseLC, upmem.OpLoad, elems) // table lookup
-		ta.ChargeCycles(upmem.PhaseLC, elems*e.opts.SQTAccessCycles)
-		ta.RandomAccess(upmem.PhaseLC, cold) // cold tier lives in MRAM
+// chargeRCRef is the per-op reference twin of chargeRC.
+func (e *Engine) chargeRCRef(dpu *upmem.DPU) {
+	n := uint64(e.ix.Dim)
+	dpu.Charge(upmem.PhaseRC, upmem.OpLoad, 2*n)
+	dpu.Charge(upmem.PhaseRC, upmem.OpAdd, n)
+	dpu.Charge(upmem.PhaseRC, upmem.OpStore, n)
+	dpu.DMA(upmem.PhaseRC, n) // centroid bytes (uint8)
+}
+
+// markCyclesPerCode is the LC mark pass per scanned code element: load the
+// code, derive word index, bit index and mask, then load, or and store the
+// bitmap word (2 loads, 4 ALU ops, 1 store).
+const markCyclesPerCode = 7
+
+// markWords32 is the size of the DPU's WRAM mark bitmaps in its native
+// 32-bit words.
+func (e *Engine) markWords32() int { return e.ix.M * ((e.ix.CB + 31) / 32) }
+
+// chargeMark accounts the LC mark pass over one scanned segment of n points:
+// the segment's codes stream from MRAM a second time (DC streams them again
+// with the ids) and every code element sets its bit in the WRAM bitmap.
+func (e *Engine) chargeMark(ta *upmem.Tally, n int) {
+	ta.ChargeCycles(upmem.PhaseLC, uint64(n*e.ix.M)*markCyclesPerCode)
+	ta.DMA(upmem.PhaseLC, uint64(n*e.codeBytes))
+}
+
+// lcCosts prices the scan-and-build half of the LC kernel (Equations 6-7
+// over the referenced entries) once its data-dependent counts are known:
+// the instruction cycles, and the unbuffered MRAM access batches (zero where
+// a mode has none). The bitmaps are cleared, then scanned word by word; each
+// marked entry is extracted, tested for run continuation, built from dsub
+// elements — with UseSQT a square is |a-b| plus one table load, without it a
+// multiply — and stored. SQT16 cold lookups hit the MRAM tier, as does the
+// whole SQT without the WRAM buffer and the LUT when it does not fit WRAM.
+func (e *Engine) lcCosts(entries, cold uint64) (cycles uint64, mram [3]uint64) {
+	c := &e.sys.Cfg.Cost
+	elems := entries * uint64(e.ix.Dim/e.ix.M)
+	perElem := 2*c.AddCycles + c.LoadCycles // subtract, accumulate, codebook element load
+	if e.opts.UseSQT {
+		perElem += c.AddCycles + c.LoadCycles + e.opts.SQTAccessCycles // abs, table lookup
+		mram[0] = cold
 		if !e.opts.UseWRAM {
-			ta.RandomAccess(upmem.PhaseLC, elems-cold)
+			mram[1] = elems - cold
 		}
-	case e.opts.UseSQT:
-		ta.Charge(cost, upmem.PhaseLC, upmem.OpAdd, elems)  // abs
-		ta.Charge(cost, upmem.PhaseLC, upmem.OpLoad, elems) // SQT lookup
-		ta.ChargeCycles(upmem.PhaseLC, elems*e.opts.SQTAccessCycles)
-		if !e.opts.UseWRAM {
-			ta.RandomAccess(upmem.PhaseLC, elems) // SQT lives in MRAM without buffering
-		}
-	default:
-		ta.Charge(cost, upmem.PhaseLC, upmem.OpMul, elems)
+	} else {
+		perElem += c.MulCycles
 	}
-	ta.Charge(cost, upmem.PhaseLC, upmem.OpStore, entries) // LUT stores
-	ta.DMA(upmem.PhaseLC, 2*elems)                         // codebook stream (int16)
 	if !e.lutInWRAM {
-		ta.RandomAccess(upmem.PhaseLC, entries) // LUT spills to MRAM
+		mram[2] = entries
+	}
+	cycles = uint64(e.markWords32())*(c.StoreCycles+c.LoadCycles+c.CmpCycles) +
+		entries*(c.AddCycles+c.CmpCycles+c.StoreCycles) + elems*perElem
+	return cycles, mram
+}
+
+// replayCold replays the SQT16 diff stream of the marked rows only through
+// count (a table's CountColdRow or ColdCountRow) and totals the cold lookups.
+func (e *Engine) replayCold(count func(res, entry []int16) uint64, res []int16, bm []uint64) (cold uint64) {
+	ix := e.ix
+	dsub := ix.Dim / ix.M
+	markedRuns(bm, ix.M, ix.CB, func(m, lo, hi int) {
+		for c := lo; c < hi; c++ {
+			cold += count(res[m*dsub:(m+1)*dsub], ix.IntCB.Entry(m, c))
+		}
+	})
+	return cold
+}
+
+// chargeLC accounts the mark-then-build LC kernel (see the package doc) for
+// one group on one DPU, except its mark pass (chargeMark, per scanned
+// segment). group is the DPU's co-located tasks of the group, bi its block
+// index. The entry and run counts come from the slice's cached demand; only
+// a group spanning several slices (their union is not cached) and the SQT16
+// replay (which needs the marked rows themselves, and runs against a shared
+// table per the geometry invariant) mark the scratch bitmap here.
+func (e *Engine) chargeLC(ta *upmem.Tally, dpu *upmem.DPU, sc *dpuScratch, group []sched.Task, bi int) {
+	ix := e.ix
+	ref := e.lc.bySlice[group[0].Slice]
+	var cold uint64
+	if len(group) > 1 || e.sqt16 != nil {
+		if sc.marks == nil {
+			sc.marks = e.newMarks()
+		}
+		clear(sc.marks)
+		for _, t := range group {
+			e.markSlice(sc.marks, &e.pl.Slices[t.Slice])
+		}
+		ref = countMarks(sc.marks, markWordsPer(ix.CB))
+		if e.sqt16 != nil {
+			cold = e.replayCold(e.sqt16[0].ColdCountRow, e.groups.res[bi*ix.Dim:(bi+1)*ix.Dim], sc.marks)
+		}
+	}
+	entries := uint64(ref.need)
+	elems := entries * uint64(ix.Dim/ix.M)
+	if e.sqt16 != nil {
+		e.sqt16[dpu.ID].AddStats(elems-cold, cold)
+	}
+	sc.stats.lutEntries += entries
+	cycles, mram := e.lcCosts(entries, cold)
+	ta.ChargeCycles(upmem.PhaseLC, cycles)
+	for _, n := range mram {
+		ta.RandomAccess(upmem.PhaseLC, n)
+	}
+	ta.DMAs(upmem.PhaseLC, uint64(ref.runs), 2*elems) // marked codebook rows (int16), one DMA per run
+}
+
+// chargeLCRef is the per-op reference twin of chargeMark + chargeLC: it runs
+// the kernel literally. Every co-located slice's real codes are marked
+// segment by segment; the bitmap scan walks the marked runs, issuing one
+// codebook DMA per run and copying only marked entries from the group's
+// full LUT (the functional values) into the DPU's LUT, which is poisoned
+// first — DC gathers from that LUT, so an entry the kernel failed to build
+// corrupts the answers. In SQT16 mode the marked rows' diff stream replays
+// privately against this DPU's tiered table.
+func (e *Engine) chargeLCRef(dpu *upmem.DPU, sc *dpuScratch, group []sched.Task, bi int) {
+	ix := e.ix
+	lutLen := ix.M * ix.CB
+	full := e.groups.lut[bi*lutLen : (bi+1)*lutLen]
+	if sc.marks == nil {
+		sc.marks, sc.lut = e.newMarks(), make([]uint32, lutLen)
+	}
+	clear(sc.marks)
+	mark := func(codes []uint16) {
+		if n := len(codes) / ix.M; n > 0 {
+			dpu.ChargeCycles(upmem.PhaseLC, uint64(n*ix.M)*markCyclesPerCode)
+			dpu.DMA(upmem.PhaseLC, uint64(n*e.codeBytes)) // second code stream
+			markCodes(sc.marks, codes, ix.M, markWordsPer(ix.CB))
+		}
+	}
+	for _, t := range group {
+		s := &e.pl.Slices[t.Slice]
+		mark(ix.Codes[t.Cluster][s.Start*ix.M : (s.Start+s.Count)*ix.M])
+		if s.Start == 0 {
+			mark(ix.AppendCodes(int(t.Cluster)))
+		}
+	}
+	for i := range sc.lut {
+		sc.lut[i] = math.MaxUint32
+	}
+	var entries, cold uint64
+	rowBytes := uint64(ix.Dim / ix.M * 2)
+	markedRuns(sc.marks, ix.M, ix.CB, func(m, lo, hi int) {
+		dpu.DMA(upmem.PhaseLC, uint64(hi-lo)*rowBytes) // marked codebook rows (int16)
+		copy(sc.lut[m*ix.CB+lo:m*ix.CB+hi], full[m*ix.CB+lo:m*ix.CB+hi])
+		entries += uint64(hi - lo)
+	})
+	if e.sqt16 != nil {
+		cold = e.replayCold(e.sqt16[dpu.ID].CountColdRow, e.groups.res[bi*ix.Dim:(bi+1)*ix.Dim], sc.marks)
+	}
+	sc.stats.lutEntries += entries
+	cycles, mram := e.lcCosts(entries, cold)
+	dpu.ChargeCycles(upmem.PhaseLC, cycles)
+	for _, n := range mram {
+		dpu.RandomAccess(upmem.PhaseLC, n)
 	}
 }
 
@@ -1357,16 +1488,10 @@ func (e *Engine) kernelTS(ta *upmem.Tally, dist []uint32, ids []int32, tomb map[
 	st.points += n
 	switch {
 	case e.opts.UseBitonicTS:
-		// A bitonic network over the slice's candidates: size/2 compare-
-		// exchanges per column, log(size)*(log(size)+1)/2 columns; no shared
-		// queue, no per-accept heap updates.
-		if len(dist) > 1 {
-			size := uint64(1) << uint(log2ceil(len(dist)))
-			logSize := uint64(log2ceil(len(dist)))
-			swaps := size / 2 * logSize * (logSize + 1) / 2
-			ta.Charge(cost, upmem.PhaseTS, upmem.OpCmp, swaps)
-			ta.Charge(cost, upmem.PhaseTS, upmem.OpStore, swaps/2)
-		}
+		// No shared queue, no per-accept heap updates.
+		swaps := bitonicSwaps(len(dist))
+		ta.Charge(cost, upmem.PhaseTS, upmem.OpCmp, swaps)
+		ta.Charge(cost, upmem.PhaseTS, upmem.OpStore, swaps/2)
 	case e.opts.UseLockPruning:
 		st.lockAcquired += accepts
 		st.lockSkipped += n - accepts
@@ -1388,108 +1513,6 @@ func (e *Engine) kernelTS(ta *upmem.Tally, dist []uint32, ids []int32, tomb map[
 	ta.DMA(upmem.PhaseDC, n*uint64(e.codeBytes+4)) // codes + ids stream
 	if !e.opts.UseWRAM || !e.lutInWRAM {
 		ta.RandomAccess(upmem.PhaseDC, n*um) // LUT gathers hit MRAM
-	}
-}
-
-// runDPUBlockRef is the retained per-op reference accountant
-// (Options.PerOpAccounting): identical task walk, but every simulated
-// instruction and DMA is charged to the DPU at the point it happens and DC
-// scans a materialized group LUT point-by-point. The batched-tally path
-// must reproduce its results and metrics exactly.
-func (e *Engine) runDPUBlockRef(d int, tasks []sched.Task, gLo, gHi int) {
-	sc := &e.scratch[d]
-	dpu := e.sys.DPUs[d]
-	ix := e.ix
-	dim, lutLen := ix.Dim, ix.M*ix.CB
-	for sc.taskPos < len(tasks) {
-		gi := int(sc.groupIx[sc.taskPos])
-		if gi >= gHi {
-			return
-		}
-		t := tasks[sc.taskPos]
-		sc.taskPos++
-		if t.Query != sc.curQ {
-			sc.curHeap = sc.nextHeap(e.opts.K)
-			sc.results = append(sc.results, dpuQueryResult{q: t.Query, h: sc.curHeap})
-		}
-		res := e.groups.res[(gi-gLo)*dim : (gi-gLo+1)*dim]
-		lut := e.groups.lut[(gi-gLo)*lutLen : (gi-gLo+1)*lutLen]
-		if t.Query != sc.curQ || t.Cluster != sc.curC {
-			sc.curQ, sc.curC = t.Query, t.Cluster
-			e.chargeRCRef(dpu)
-			e.chargeLCRef(dpu, res)
-			sc.stats.lutBuilds++
-		} else {
-			sc.stats.lutReuses++
-		}
-		s := &e.pl.Slices[t.Slice]
-		ids := ix.Lists[t.Cluster][s.Start : s.Start+s.Count]
-		codes := ix.Codes[t.Cluster][s.Start*ix.M : (s.Start+s.Count)*ix.M]
-		if s.Count > 0 {
-			e.kernelDCTSRef(dpu, lut, ids, codes, ix.Tombstoned(int(t.Cluster)), sc.curHeap, &sc.stats)
-		}
-		// Append segment: same placement rule as the batched path — it rides
-		// on the cluster-starting slice.
-		if s.Start == 0 && ix.AppendLen(int(t.Cluster)) > 0 {
-			e.kernelDCTSRef(dpu, lut, ix.AppendIDs(int(t.Cluster)), ix.AppendCodes(int(t.Cluster)), nil, sc.curHeap, &sc.stats)
-		}
-	}
-}
-
-// chargeRCRef is the per-op reference twin of chargeRC.
-func (e *Engine) chargeRCRef(dpu *upmem.DPU) {
-	n := uint64(e.ix.Dim)
-	dpu.Charge(upmem.PhaseRC, upmem.OpLoad, 2*n)
-	dpu.Charge(upmem.PhaseRC, upmem.OpAdd, n)
-	dpu.Charge(upmem.PhaseRC, upmem.OpStore, n)
-	dpu.DMA(upmem.PhaseRC, n) // centroid bytes (uint8)
-}
-
-// chargeLCRef is the per-op reference twin of chargeLC: in SQT16 mode it
-// replays the group's diff stream privately against this DPU's tiered
-// table, the cost the memoized path reproduces arithmetically.
-func (e *Engine) chargeLCRef(dpu *upmem.DPU, residual []int16) {
-	ix := e.ix
-	elems := uint64(ix.CB * ix.Dim) // M * CB * dsub
-	entries := uint64(ix.M * ix.CB)
-	dpu.Charge(upmem.PhaseLC, upmem.OpAdd, elems)  // subtraction per element
-	dpu.Charge(upmem.PhaseLC, upmem.OpAdd, elems)  // accumulate per element
-	dpu.Charge(upmem.PhaseLC, upmem.OpLoad, elems) // codebook element loads
-	switch {
-	case e.opts.UseSQT && e.sqt16 != nil:
-		// Tiered 16-bit-mode table: replay the actual |diff| stream against
-		// the hot window, one subquantizer row at a time; cold lookups pay
-		// an MRAM access each.
-		tab := e.sqt16[dpu.ID]
-		dsub := ix.Dim / ix.M
-		var cold uint64
-		for m := 0; m < ix.M; m++ {
-			sub := residual[m*dsub : (m+1)*dsub]
-			for c := 0; c < ix.CB; c++ {
-				cold += tab.CountColdRow(sub, ix.IntCB.Entry(m, c))
-			}
-		}
-		dpu.Charge(upmem.PhaseLC, upmem.OpAdd, elems)  // abs
-		dpu.Charge(upmem.PhaseLC, upmem.OpLoad, elems) // table lookup
-		dpu.ChargeCycles(upmem.PhaseLC, elems*e.opts.SQTAccessCycles)
-		dpu.RandomAccess(upmem.PhaseLC, cold) // cold tier lives in MRAM
-		if !e.opts.UseWRAM {
-			dpu.RandomAccess(upmem.PhaseLC, elems-cold)
-		}
-	case e.opts.UseSQT:
-		dpu.Charge(upmem.PhaseLC, upmem.OpAdd, elems)  // abs
-		dpu.Charge(upmem.PhaseLC, upmem.OpLoad, elems) // SQT lookup
-		dpu.ChargeCycles(upmem.PhaseLC, elems*e.opts.SQTAccessCycles)
-		if !e.opts.UseWRAM {
-			dpu.RandomAccess(upmem.PhaseLC, elems) // SQT lives in MRAM without buffering
-		}
-	default:
-		dpu.Charge(upmem.PhaseLC, upmem.OpMul, elems)
-	}
-	dpu.Charge(upmem.PhaseLC, upmem.OpStore, entries) // LUT stores
-	dpu.DMA(upmem.PhaseLC, 2*elems)                   // codebook stream (int16)
-	if !e.lutInWRAM {
-		dpu.RandomAccess(upmem.PhaseLC, entries) // LUT spills to MRAM
 	}
 }
 
@@ -1530,12 +1553,8 @@ func (e *Engine) kernelDCTSRef(dpu *upmem.DPU, lut []uint32, ids []int32, codes 
 		}
 	}
 	st.points += uint64(n)
-	if e.opts.UseBitonicTS && n > 1 {
-		// A bitonic network over the slice's candidates: size/2 compare-
-		// exchanges per column, log(size)*(log(size)+1)/2 columns.
-		size := uint64(1) << uint(log2ceil(n))
-		logSize := uint64(log2ceil(n))
-		swaps := size / 2 * logSize * (logSize + 1) / 2
+	if e.opts.UseBitonicTS {
+		swaps := bitonicSwaps(n)
 		dpu.Charge(upmem.PhaseTS, upmem.OpCmp, swaps)
 		dpu.Charge(upmem.PhaseTS, upmem.OpStore, swaps/2)
 	}

@@ -1,0 +1,434 @@
+package core
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"drimann/internal/dataset"
+	"drimann/internal/ivf"
+	"drimann/internal/sched"
+	"drimann/internal/testutil"
+	"drimann/internal/upmem"
+)
+
+// requireFreshDemand fails unless the cached per-slice LC demand equals a
+// fresh recount of every slice of the current placement.
+func requireFreshDemand(t *testing.T, e *Engine, label string) {
+	t.Helper()
+	if len(e.lc.bySlice) != len(e.pl.Slices) {
+		t.Fatalf("%s: %d cached counts for %d slices", label, len(e.lc.bySlice), len(e.pl.Slices))
+	}
+	bm := e.newMarks()
+	for si := range e.pl.Slices {
+		if got, want := e.lc.bySlice[si], e.sliceDemand(bm, &e.pl.Slices[si]); got != want {
+			t.Fatalf("%s: slice %d cached demand %+v, fresh recount %+v", label, si, got, want)
+		}
+	}
+}
+
+// lcStats sums the LC phase statistics of one search.
+func lcStats(m *Metrics) upmem.PhaseStats {
+	return upmem.PhaseStats{
+		ComputeCycles: m.PhaseComputeCycles[upmem.PhaseLC],
+		DMACount:      m.PhaseDMACount[upmem.PhaseLC],
+		DMABytes:      m.PhaseDMABytes[upmem.PhaseLC],
+	}
+}
+
+// lcModes is the LC kernel's mode matrix: multiply, SQT, tiered SQT16 (with a
+// hot window small enough to go cold), and SQT without the WRAM buffers.
+func lcModes() map[string]func(*Options) {
+	return map[string]func(*Options){
+		"mul":    func(o *Options) { o.UseSQT = false },
+		"sqt":    func(o *Options) {},
+		"sqt16":  func(o *Options) { o.SQT16 = true; o.SQT16HotEntries = 64 },
+		"nowram": func(o *Options) { o.UseWRAM = false },
+	}
+}
+
+// TestMarkBitmapCountsAndRuns pins the two bitmap readers against a naive
+// per-bit scan on random bitmaps, including runs that cross word boundaries
+// and code counts that are not a multiple of the word size.
+func TestMarkBitmapCountsAndRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, cb := range []int{16, 64, 100, 256, 300} {
+		for trial := 0; trial < 50; trial++ {
+			const m = 3
+			wordsPer := markWordsPer(cb)
+			bm := make([]uint64, m*wordsPer)
+			density := rng.Float64()
+			var codes []uint16
+			for i := 0; i < cb; i++ {
+				if rng.Float64() < density {
+					for j := 0; j < m; j++ {
+						codes = append(codes, uint16(rng.Intn(cb)))
+					}
+				}
+			}
+			markCodes(bm, codes, m, wordsPer)
+			var want sliceRef
+			for mi := 0; mi < m; mi++ {
+				prev := false
+				for c := 0; c < cb; c++ {
+					set := bm[mi*wordsPer+c>>6]>>(c&63)&1 == 1
+					if set {
+						want.need++
+						if !prev {
+							want.runs++
+						}
+					}
+					prev = set
+				}
+			}
+			if got := countMarks(bm, wordsPer); got != want {
+				t.Fatalf("cb=%d: countMarks %+v, naive %+v", cb, got, want)
+			}
+			var walked sliceRef
+			lastM, lastHi := -1, 0
+			markedRuns(bm, m, cb, func(mi, lo, hi int) {
+				if lo >= hi || hi > cb || (mi == lastM && lo <= lastHi) || mi < lastM {
+					t.Fatalf("cb=%d: bad run (%d, %d, %d) after (%d, _, %d)", cb, mi, lo, hi, lastM, lastHi)
+				}
+				lastM, lastHi = mi, hi
+				walked.runs++
+				walked.need += uint32(hi - lo)
+			})
+			if walked != want {
+				t.Fatalf("cb=%d: markedRuns walked %+v, naive %+v", cb, walked, want)
+			}
+		}
+	}
+}
+
+// TestSparseLCColocatedSlices forces several slices of one cluster onto the
+// same DPU (few DPUs, small split threshold), where one LC build serves the
+// union of their referenced entries and no cached count applies: the tally
+// path must still equal the literal per-op kernel in every LC mode, and the
+// build must stay within the dense size.
+func TestSparseLCColocatedSlices(t *testing.T) {
+	f := getFixture(t)
+	for name, set := range lcModes() {
+		t.Run(name, func(t *testing.T) {
+			o := testOptions()
+			o.NumDPUs = 3
+			o.SplitThreshold = 40
+			o.EnableDup = false
+			set(&o)
+			oRef := o
+			oRef.PerOpAccounting = true
+			eBat, err := New(f.ix, dataset.U8Set{}, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eRef, err := New(f.ix, dataset.U8Set{}, oRef)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rBat, err := eBat.SearchBatch(f.s.Queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rRef, err := eRef.SearchBatch(f.s.Queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResults(t, rBat, rRef, "tally vs per-op")
+			if rBat.Metrics != rRef.Metrics {
+				t.Fatalf("metrics diverge:\ntally:     %+v\nreference: %+v", rBat.Metrics, rRef.Metrics)
+			}
+			m := &rBat.Metrics
+			if m.LUTReuses == 0 {
+				t.Fatal("fixture did not co-locate any slices")
+			}
+			if dense := m.LUTBuilds * uint64(f.ix.M*f.ix.CB); m.LUTEntries == 0 || m.LUTEntries > dense {
+				t.Fatalf("built %d entries over %d builds, dense bound %d", m.LUTEntries, m.LUTBuilds, dense)
+			}
+		})
+	}
+}
+
+// denseLC is the LC charge of the kernel this one replaced, which built all
+// M x CB entries per group: the floor a fully-referenced LUT may not beat.
+func denseLC(e *Engine, cold uint64) upmem.PhaseStats {
+	d := *e.sys.DPUs[0]
+	d.ResetCounters()
+	elems := uint64(e.ix.CB * e.ix.Dim)
+	entries := uint64(e.ix.M * e.ix.CB)
+	d.Charge(upmem.PhaseLC, upmem.OpAdd, 2*elems)
+	d.Charge(upmem.PhaseLC, upmem.OpLoad, elems)
+	switch {
+	case e.opts.UseSQT:
+		d.Charge(upmem.PhaseLC, upmem.OpAdd, elems)
+		d.Charge(upmem.PhaseLC, upmem.OpLoad, elems)
+		d.ChargeCycles(upmem.PhaseLC, elems*e.opts.SQTAccessCycles)
+		if e.sqt16 != nil {
+			d.RandomAccess(upmem.PhaseLC, cold)
+			if !e.opts.UseWRAM {
+				d.RandomAccess(upmem.PhaseLC, elems-cold)
+			}
+		} else if !e.opts.UseWRAM {
+			d.RandomAccess(upmem.PhaseLC, elems)
+		}
+	default:
+		d.Charge(upmem.PhaseLC, upmem.OpMul, elems)
+	}
+	d.Charge(upmem.PhaseLC, upmem.OpStore, entries)
+	d.DMA(upmem.PhaseLC, 2*elems)
+	if !e.lutInWRAM {
+		d.RandomAccess(upmem.PhaseLC, entries)
+	}
+	return d.Stats(upmem.PhaseLC)
+}
+
+// TestFullyReferencedLUTChargedNoLessThanDense: when every slice's codes
+// cover all M x CB entries the sparse kernel degenerates to the dense one
+// plus its own bookkeeping, so no component of the LC charge may fall below
+// the dense kernel's, in any mode.
+func TestFullyReferencedLUTChargedNoLessThanDense(t *testing.T) {
+	ix, s := testutil.Fixture(t, testutil.FixtureSpec{
+		N: 4000, D: 8, Queries: 16, NumClusters: 4, Seed: 5, Noise: 20,
+		NList: 4, M: 4, CB: 16, BuildSeed: 3,
+	})
+	// Re-code the head of every cluster so each code value occurs in each
+	// subspace (the engine derives everything else from the codes at New).
+	for c := range ix.Codes {
+		for i := 0; i < ix.CB; i++ {
+			for m := 0; m < ix.M; m++ {
+				ix.Codes[c][i*ix.M+m] = uint16(i)
+			}
+		}
+	}
+	for name, set := range lcModes() {
+		t.Run(name, func(t *testing.T) {
+			o := testOptions()
+			o.NumDPUs = 4
+			o.NProbe = 4
+			o.EnableSplit, o.EnableDup = false, false
+			set(&o)
+			e, err := New(ix, dataset.U8Set{}, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for si, r := range e.lc.bySlice {
+				if int(r.need) != ix.M*ix.CB || int(r.runs) != ix.M {
+					t.Fatalf("slice %d demand %+v: fixture must reference every entry", si, r)
+				}
+			}
+			res, err := e.SearchBatch(s.Queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := &res.Metrics
+			got := lcStats(m)
+			// Cold lookups replay the same full stream either way; the dense
+			// floor is charged the per-build mean, rounded down (an error
+			// under one DMA per build, far inside the run and mark-stream
+			// DMAs the kernel adds).
+			dense := denseLC(e, m.SQT16Cold/m.LUTBuilds)
+			if got.ComputeCycles < m.LUTBuilds*dense.ComputeCycles ||
+				got.DMACount < m.LUTBuilds*dense.DMACount ||
+				got.DMABytes < m.LUTBuilds*dense.DMABytes {
+				t.Fatalf("fully-referenced LC %+v undercuts %d dense builds of %+v", got, m.LUTBuilds, dense)
+			}
+			if m.LUTEntries != m.LUTBuilds*uint64(ix.M*ix.CB) {
+				t.Fatalf("occupancy: %d entries over %d builds", m.LUTEntries, m.LUTBuilds)
+			}
+		})
+	}
+}
+
+// TestLCChargeMonotoneInDemand drives chargeLC with synthetic cached counts:
+// more distinct entries or more runs never cost less, and strictly more
+// entries cost strictly more compute.
+func TestLCChargeMonotoneInDemand(t *testing.T) {
+	f := getFixture(t)
+	for name, set := range lcModes() {
+		if name == "sqt16" {
+			continue // replays the real marked rows; covered by the engine-level tests
+		}
+		t.Run(name, func(t *testing.T) {
+			o := testOptions()
+			set(&o)
+			e, err := New(f.ix, dataset.U8Set{}, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			charge := func(r sliceRef) upmem.PhaseStats {
+				e.lc.bySlice[0] = r
+				d := e.sys.DPUs[0]
+				d.ResetCounters()
+				var ta upmem.Tally
+				e.chargeLC(&ta, d, &e.scratch[0], []sched.Task{{Slice: 0}}, 0)
+				d.ApplyTally(&ta)
+				return d.Stats(upmem.PhaseLC)
+			}
+			maxNeed := uint32(f.ix.M * f.ix.CB)
+			prev := charge(sliceRef{})
+			for need := uint32(1); need <= maxNeed; need += 7 {
+				cur := charge(sliceRef{need: need, runs: 1})
+				if cur.ComputeCycles <= prev.ComputeCycles || cur.DMABytes <= prev.DMABytes || cur.DMACount < prev.DMACount {
+					t.Fatalf("need %d: %+v not above %+v", need, cur, prev)
+				}
+				prev = cur
+			}
+			few, many := charge(sliceRef{need: 40, runs: 2}), charge(sliceRef{need: 40, runs: 40})
+			if many.DMACount <= few.DMACount || many.ComputeCycles != few.ComputeCycles || many.DMABytes != few.DMABytes {
+				t.Fatalf("runs must add DMA setups only: %+v vs %+v", few, many)
+			}
+		})
+	}
+}
+
+// TestLCChargeIndependentOfPointOrder: shuffling the points inside every
+// cluster changes neither the cached demand nor one cycle or DMA of the LC
+// charge (the marked set is a set), in both accounting paths.
+func TestLCChargeIndependentOfPointOrder(t *testing.T) {
+	spec := testutil.FixtureSpec{
+		N: 3000, D: 16, Queries: 24, NumClusters: 16, Seed: 9, Noise: 10,
+		NList: 24, M: 8, CB: 64, BuildSeed: 4,
+	}
+	ixA, s := testutil.Fixture(t, spec)
+	ixB, _ := testutil.Fixture(t, spec)
+	rng := rand.New(rand.NewSource(11))
+	for c := range ixB.Lists {
+		ids, codes := ixB.Lists[c], ixB.Codes[c]
+		rng.Shuffle(len(ids), func(i, j int) {
+			ids[i], ids[j] = ids[j], ids[i]
+			for k := 0; k < ixB.M; k++ {
+				codes[i*ixB.M+k], codes[j*ixB.M+k] = codes[j*ixB.M+k], codes[i*ixB.M+k]
+			}
+		})
+	}
+	for _, perOp := range []bool{false, true} {
+		o := testOptions()
+		o.EnableSplit, o.EnableDup = false, false // whole clusters: the same point sets per slice
+		o.SQT16, o.SQT16HotEntries = true, 64
+		o.PerOpAccounting = perOp
+		run := func(ix *ivf.Index) (*Engine, *Result) {
+			e, err := New(ix, dataset.U8Set{}, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.SearchBatch(s.Queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e, res
+		}
+		eA, rA := run(ixA)
+		eB, rB := run(ixB)
+		requireSameResults(t, rB, rA, "shuffled clusters")
+		for si := range eA.lc.bySlice {
+			if eA.lc.bySlice[si] != eB.lc.bySlice[si] {
+				t.Fatalf("slice %d demand changed with point order: %+v vs %+v", si, eA.lc.bySlice[si], eB.lc.bySlice[si])
+			}
+		}
+		if a, b := lcStats(&rA.Metrics), lcStats(&rB.Metrics); a != b {
+			t.Fatalf("perOp=%v: LC charge changed with point order: %+v vs %+v", perOp, a, b)
+		}
+	}
+}
+
+// TestHeatProfileUsesEngineLocator: New profiles cluster heat with the
+// locator live queries will hit — the tree descent when TreeCLBranch > 0 —
+// and the flat-CL profile is what the serial flat scan always produced.
+func TestHeatProfileUsesEngineLocator(t *testing.T) {
+	f := getFixture(t)
+	for _, branch := range []int{0, 6} {
+		o := testOptions()
+		o.TreeCLBranch = branch
+		e, err := New(f.ix, f.s.Queries, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, f.ix.NList)
+		if branch == 0 {
+			for qi := 0; qi < f.s.Queries.N; qi++ {
+				for _, p := range f.ix.LocateInt(f.s.Queries.Vec(qi), o.NProbe) {
+					want[p.ID]++
+				}
+			}
+		} else {
+			for _, c := range e.loc.Probes(f.s.Queries).Clusters {
+				want[c]++
+			}
+		}
+		for c := range want {
+			if e.freq[c] != want[c] {
+				t.Fatalf("branch %d: cluster %d profiled %v times, locator hits it %v times", branch, c, e.freq[c], want[c])
+			}
+		}
+	}
+}
+
+// TestTaskCostCarriesLCTerm: the scheduler's heat estimate is the tabulated
+// model, grows with the slice size, and is dominated by the LC build for the
+// small slices of a high-nlist index (the cost the old DC+TS-only estimate
+// ignored).
+func TestTaskCostCarriesLCTerm(t *testing.T) {
+	f := getFixture(t)
+	e, err := New(f.ix, dataset.U8Set{}, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.lc.heat) < 2 {
+		t.Fatalf("heat table has %d entries", len(e.lc.heat))
+	}
+	for i := range e.pl.Slices {
+		if n := e.pl.Slices[i].Count; n >= len(e.lc.heat) {
+			t.Fatalf("slice %d has %d points, heat table ends at %d", i, n, len(e.lc.heat)-1)
+		}
+	}
+	for n, h := range e.lc.heat {
+		if h != e.modelTaskCycles(n) || (n > 0 && h <= e.lc.heat[n-1]) {
+			t.Fatalf("heat[%d] = %v: not the model's %v, or not increasing", n, h, e.modelTaskCycles(n))
+		}
+	}
+	m := float64(f.ix.M)
+	dcts := 10 * (2*m + (m - 1) + 1 + float64(e.opts.LockCycles)/8)
+	if lc := e.lc.heat[10] - dcts; lc < 5*dcts {
+		t.Fatalf("LC term %v does not dominate DC+TS %v on a 10-point slice", lc, dcts)
+	}
+}
+
+// TestProbeCyclesTracksSimulator: the load estimate a sharded front door
+// compares shards with — ProbeCycles summed over a batch's probe lists —
+// follows the simulator's LC+DC+TS instruction cycles for that batch: within
+// 25% on the whole query set and on each half of it, and by the same factor
+// on all three (a front door compares loads, so only the spread matters).
+func TestProbeCyclesTracksSimulator(t *testing.T) {
+	f := getFixture(t)
+	e, err := New(f.ix, f.s.Queries, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := e.loc.Probes(f.s.Queries)
+	half := f.s.Queries.N / 2
+	var ratios []float64
+	for _, r := range [][2]int{{0, f.s.Queries.N}, {0, half}, {half, f.s.Queries.N}} {
+		lo, hi := r[0], r[1]
+		sub := ProbeSet{Offsets: make([]int32, hi-lo+1), Clusters: ps.Clusters[ps.Offsets[lo]:ps.Offsets[hi]]}
+		for i := range sub.Offsets {
+			sub.Offsets[i] = ps.Offsets[lo+i] - ps.Offsets[lo]
+		}
+		var est float64
+		for _, c := range sub.Clusters {
+			est += e.ProbeCycles(c)
+		}
+		q := dataset.U8Set{N: hi - lo, D: f.s.Queries.D, Data: f.s.Queries.Data[lo*f.s.Queries.D : hi*f.s.Queries.D]}
+		res, err := e.SearchBatchProbed(q, sub, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc := res.Metrics.PhaseComputeCycles
+		got := float64(pc[upmem.PhaseLC] + pc[upmem.PhaseDC] + pc[upmem.PhaseTS])
+		ratios = append(ratios, est/got)
+		if ratio := est / got; ratio < 0.8 || ratio > 1.25 {
+			t.Fatalf("queries [%d, %d): estimate/simulated = %.3f, want within [0.8, 1.25]", lo, hi, ratio)
+		}
+	}
+	if lo, hi := slices.Min(ratios), slices.Max(ratios); hi > 1.03*lo {
+		t.Fatalf("estimate/simulated varies across batches: %.3f", ratios)
+	}
+}

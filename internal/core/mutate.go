@@ -1,7 +1,8 @@
 // Live mutability on the engine: Insert/Delete maintain the index's
 // append-segment/tombstone overlay (ivf/mutable.go) together with the
 // engine-side state derived from cluster contents — the algebraic per-point
-// decomposition terms (asums) and the placement's reachability of
+// decomposition terms (asums), the cached LC demand of the slice carrying
+// the append segment (lcdemand.go) and the placement's reachability of
 // previously-empty clusters — and Compact folds everything back into the
 // packed layout, re-running the layout optimizer with the inputs New
 // resolved so the result is bit-identical to a freshly deployed engine over
@@ -10,7 +11,7 @@
 // Mutations are NOT safe concurrently with SearchBatch or with each other;
 // the serving layers serialize them at launch boundaries (serve.Server
 // executes them on the batcher goroutine between launches). Replica engines
-// share ix/pl/bsum/asums with their source, so a mutation through any one
+// share ix/pl/bsum/asums/lc with their source, so a mutation through any one
 // engine is visible to all — which is also why every replica's batcher must
 // be quiesced first.
 
@@ -49,6 +50,7 @@ func (e *Engine) Insert(vecs dataset.U8Set, ids []int32) error {
 			e.asums[c] = append(e.asums[c], sum[0])
 		}
 		e.ensureReachable(c)
+		e.recountCluster(c)
 	}
 	return nil
 }
@@ -62,10 +64,14 @@ func (e *Engine) Delete(ids []int32) error {
 		if err != nil {
 			return err
 		}
-		if pos >= 0 && e.algebraic {
+		if pos < 0 {
+			continue // tombstoned base points are still scanned, and marked
+		}
+		if e.algebraic {
 			a := e.asums[c]
 			e.asums[c] = append(a[:pos], a[pos+1:]...)
 		}
+		e.recountCluster(c)
 	}
 	return nil
 }
@@ -91,6 +97,7 @@ func (e *Engine) ensureReachable(c int32) {
 	id := len(pl.Slices)
 	pl.Slices = append(pl.Slices, layout.Slice{ID: id, Cluster: c, Start: 0, Count: 0, DPUs: []int{d}})
 	pl.ByCluster[c] = append(pl.ByCluster[c], id)
+	e.lc.bySlice = append(e.lc.bySlice, sliceRef{})
 }
 
 // Compact folds append segments and tombstones back into the packed
@@ -131,6 +138,7 @@ func (e *Engine) compact(remap []int32) error {
 	// In-place assignment: replicas share the Placement pointer, so the new
 	// layout (like the rebuilt lists) is visible to every engine at once.
 	*e.pl = *pl
+	e.rebuildDemand()
 	if e.algebraic {
 		for _, c := range dirty {
 			codes := ix.Codes[c]

@@ -51,9 +51,14 @@ func requireSameResults(t *testing.T, got, want *Result, label string) {
 // Compact the engine is bit-identical to a freshly deployed engine over the
 // rebuilt logical corpus. Runs on the batched-tally path and the per-op
 // reference accountant (they share the mutation scan hook but not its
-// implementation).
+// implementation): both replay the same operation sequence, so every
+// burst's Metrics must be exactly equal between them — the tally path
+// charges LC from the cached per-slice demand Insert/Delete/Compact maintain,
+// the reference from bitmaps of the live codes — and at every check the
+// cached demand must equal a fresh recount.
 func TestEngineMutateMatchesReference(t *testing.T) {
-	for _, perOp := range []bool{false, true} {
+	var burstMetrics [2][]Metrics
+	for mode, perOp := range []bool{false, true} {
 		name := "tally"
 		if perOp {
 			name = "perop"
@@ -76,10 +81,12 @@ func TestEngineMutateMatchesReference(t *testing.T) {
 				pool[i] = int32(base + i)
 			}
 			checkReference := func() {
+				requireFreshDemand(t, e, "live engine")
 				res, err := e.SearchBatch(s.Queries)
 				if err != nil {
 					t.Fatal(err)
 				}
+				burstMetrics[mode] = append(burstMetrics[mode], res.Metrics)
 				for qi := 0; qi < s.Queries.N; qi++ {
 					want := ix.SearchInt(s.Queries.Vec(qi), opts.NProbe, opts.K)
 					if !slices.Equal(res.Items[qi], want) {
@@ -143,7 +150,14 @@ func TestEngineMutateMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameResults(t, got, want, "post-compact vs fresh engine")
+			requireFreshDemand(t, e, "compacted engine")
+			if got.Metrics != want.Metrics {
+				t.Fatalf("post-compact metrics differ from a fresh engine's:\n got %+v\nwant %+v", got.Metrics, want.Metrics)
+			}
 		})
+	}
+	if len(burstMetrics[0]) == 0 || !slices.Equal(burstMetrics[0], burstMetrics[1]) {
+		t.Fatalf("tally and per-op metrics diverge under mutation:\ntally: %+v\nperop: %+v", burstMetrics[0], burstMetrics[1])
 	}
 }
 
@@ -194,6 +208,12 @@ func TestEngineEmptyClusterRoundTrip(t *testing.T) {
 	if len(e.pl.ByCluster[victim]) == 0 {
 		t.Fatal("insert into empty cluster left it unreachable")
 	}
+	// The injected zero-count slice carries the append segment's LC demand:
+	// one point references exactly M entries.
+	requireFreshDemand(t, e, "after insert into emptied cluster")
+	if r := e.lc.bySlice[e.pl.ByCluster[victim][0]]; int(r.need) != ix.M {
+		t.Fatalf("virtual slice demand %+v, want %d entries", r, ix.M)
+	}
 	res, err := e.SearchBatch(dataset.U8Set{N: 1, D: ix.Dim, Data: cu8})
 	if err != nil {
 		t.Fatal(err)
@@ -241,6 +261,7 @@ func TestMemoryFootprintTracksOverlay(t *testing.T) {
 	if err := e.Insert(vecs, ids); err != nil {
 		t.Fatal(err)
 	}
+	requireFreshDemand(t, e, "after inserts")
 	if err := e.Delete([]int32{0, 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -252,9 +273,16 @@ func TestMemoryFootprintTracksOverlay(t *testing.T) {
 	// Restore the original logical corpus (drop the inserts, reinstate the
 	// deleted base points) — only then must the compacted footprint return
 	// exactly to its pre-mutation value.
-	if err := e.Delete(ids); err != nil {
-		t.Fatal(err)
+	// Deleting append-segment points shrinks their slices' demand again.
+	for i, id := range ids {
+		if err := e.Delete([]int32{id}); err != nil {
+			t.Fatal(err)
+		}
+		if i%5 == 0 {
+			requireFreshDemand(t, e, "after deleting an appended point")
+		}
 	}
+	requireFreshDemand(t, e, "after deleting every appended point")
 	restore := dataset.U8Set{N: 2, D: s.Base.D, Data: s.Base.Data[:2*s.Base.D]}
 	if err := e.Insert(restore, []int32{0, 1}); err != nil {
 		t.Fatal(err)
@@ -291,6 +319,10 @@ func TestReplicaSeesMutations(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameResults(t, b, a, label)
+		if a.Metrics != b.Metrics {
+			t.Fatalf("%s: replica metrics differ:\nsrc: %+v\nrep: %+v", label, a.Metrics, b.Metrics)
+		}
+		requireFreshDemand(t, rep, label)
 	}
 	one := dataset.U8Set{N: 1, D: s.Base.D, Data: s.Base.Vec(base)}
 	if err := e.Insert(one, []int32{int32(base)}); err != nil {

@@ -17,7 +17,7 @@ import "drimann/internal/dataset"
 // query.
 //
 // chargeCL controls the metrics attribution of the skipped stage: with it
-// set, every batch is charged the engine's own hostCLSeconds exactly as
+// set, every batch is charged the engine's own Locator.CLSeconds exactly as
 // SearchBatch charges it — so a caller that ran this engine's Locator
 // itself gets bit-identical Metrics to SearchBatch (the equivalence suite
 // pins this). A sharded front door that already charged CL once globally

@@ -121,7 +121,7 @@ func TestNewReplicaShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ix != src.ix || rep.pl != src.pl || rep.loc != src.loc || rep.lut != src.lut {
+	if rep.ix != src.ix || rep.pl != src.pl || rep.loc != src.loc || rep.lut != src.lut || rep.lc != src.lc {
 		t.Fatal("read-only state not shared")
 	}
 	if len(src.bsum) > 0 && &rep.bsum[0] != &src.bsum[0] {
@@ -151,5 +151,11 @@ func TestNewReplicaShares(t *testing.T) {
 	mf := src.MemoryFootprint()
 	if mf.SharedBytes <= 0 || mf.PerReplicaBytes <= 0 {
 		t.Fatalf("degenerate footprint %+v", mf)
+	}
+	// The LUT builder's per-cluster table (NList*M*CB*4 B, usually the
+	// largest shared array) and the cached LC demand are part of it.
+	lutBytes := int64(f.ix.NList*f.ix.M*f.ix.CB) * 4
+	if src.lut.Bytes() != lutBytes || mf.SharedBytes < lutBytes+int64(len(src.pl.Slices))*8 {
+		t.Fatalf("shared footprint %d omits the %d-byte LUT builder table", mf.SharedBytes, lutBytes)
 	}
 }

@@ -39,6 +39,7 @@ func NewReplica(src *Engine) (*Engine, error) {
 		// element-wise (never reallocated), and freq/lcfg let Compact re-run
 		// the layout from any engine of the deployment with identical inputs.
 		asums: src.asums,
+		lc:    src.lc,
 		freq:  src.freq,
 		lcfg:  src.lcfg,
 	}
@@ -57,7 +58,8 @@ func NewReplica(src *Engine) (*Engine, error) {
 // bytes NewReplica shares across all replicas of a deployment and the
 // private bytes every additional replica costs. For the IVF engine the
 // shared side is the centroid directory (float and integer), integer PQ
-// codebooks, inverted lists + codes and the static decomposition terms;
+// codebooks, inverted lists + codes, the LUT builder's per-cluster table,
+// the static decomposition terms and the cached LC demand;
 // the per-replica side is the SQT16 hot windows and the steady-state
 // per-DPU launch scratch. The type is shared across backends (see
 // internal/engine) so the cluster layer accounts fleets uniformly.
@@ -78,6 +80,8 @@ func (e *Engine) MemoryFootprint() MemoryFootprint {
 	for _, s := range e.bsum {
 		shared += int64(len(s)) * 4
 	}
+	shared += e.lut.Bytes()
+	shared += int64(len(e.lc.bySlice)+len(e.lc.heat)) * 8
 	// Live mutation overlay: append segments + tombstones, plus their
 	// per-point decomposition terms. Zero once compacted.
 	shared += ix.MutationBytes()

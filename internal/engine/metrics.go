@@ -34,10 +34,13 @@ type Metrics struct {
 	ImbalanceSum float64 // summed per-launch max/mean (divide by Launches)
 	Postponed    int     // tasks deferred by overheat postponement
 
-	LockAcquired  uint64
-	LockSkipped   uint64
-	LUTBuilds     uint64
-	LUTReuses     uint64
+	LockAcquired uint64
+	LockSkipped  uint64
+	LUTBuilds    uint64
+	LUTReuses    uint64
+	// LUTEntries counts the LUT entries the LC kernels built; against
+	// LUTBuilds x M x CB it is the LUT occupancy (1 = dense).
+	LUTEntries    uint64
 	PointsScanned uint64
 
 	// SQT16Hot/SQT16Cold are the tiered squaring-table lookups of this call
@@ -53,6 +56,16 @@ func (m *Metrics) SQT16HitRate() float64 {
 		return 1
 	}
 	return float64(m.SQT16Hot) / float64(m.SQT16Hot+m.SQT16Cold)
+}
+
+// LUTOccupancy returns the fraction of the dense M x CB LUT the LC kernels
+// actually built per group, for an index with m subspaces of cb entries
+// (1 when nothing was built).
+func (m *Metrics) LUTOccupancy(subspaces, cb int) float64 {
+	if m.LUTBuilds == 0 {
+		return 1
+	}
+	return float64(m.LUTEntries) / float64(m.LUTBuilds*uint64(subspaces*cb))
 }
 
 // AvgImbalance returns the mean per-launch max/mean DPU load ratio.
@@ -103,6 +116,7 @@ func (m *Metrics) Merge(o *Metrics) {
 	m.LockSkipped += o.LockSkipped
 	m.LUTBuilds += o.LUTBuilds
 	m.LUTReuses += o.LUTReuses
+	m.LUTEntries += o.LUTEntries
 	m.PointsScanned += o.PointsScanned
 	m.SQT16Hot += o.SQT16Hot
 	m.SQT16Cold += o.SQT16Cold
@@ -143,6 +157,7 @@ func (m *Metrics) MergeParallel(o *Metrics) {
 	m.LockSkipped += o.LockSkipped
 	m.LUTBuilds += o.LUTBuilds
 	m.LUTReuses += o.LUTReuses
+	m.LUTEntries += o.LUTEntries
 	m.PointsScanned += o.PointsScanned
 	m.SQT16Hot += o.SQT16Hot
 	m.SQT16Cold += o.SQT16Cold

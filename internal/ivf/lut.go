@@ -19,10 +19,11 @@ import (
 //
 // The middle term is a per-index table built once at engine deployment; the
 // last term is computed once per query and reused for every cluster that
-// query probes in a launch. Only the simulator's *functional* computation
-// changes — the DPU cost model still charges the paper's multiplier-less SQT
-// kernel (Equations 6-7), which is unaffected by how the host obtains the
-// bit-identical LUT values.
+// query probes in a launch. This is the simulator's *functional* computation
+// only: what the simulated DPU is charged for is decided by the engine's LC
+// kernel (core: mark the entries a slice's codes reference, build just those
+// with the multiplier-less SQT arithmetic of Equations 6-7), which is
+// independent of how the host obtains the bit-identical LUT values.
 //
 // All arithmetic is int32-exact: operands are bounded by |c_j + e_j| <= 510
 // and dsub <= 4096, keeping every partial sum far below overflow.
@@ -75,6 +76,14 @@ func (ix *Index) NewLUTBuilder(workers int) *LUTBuilder {
 	}
 	wg.Wait()
 	return lb
+}
+
+// Bytes reports the precomputed table's footprint (0 for a nil builder).
+func (lb *LUTBuilder) Bytes() int64 {
+	if lb == nil {
+		return 0
+	}
+	return int64(len(lb.b)) * 4
 }
 
 func (lb *LUTBuilder) fillCluster(c int) {

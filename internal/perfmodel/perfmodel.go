@@ -88,6 +88,15 @@ func log2(x int) float64 {
 	return math.Log2(float64(x))
 }
 
+// LUTOccupancy is the expected number of distinct codebook entries, out of
+// cb, that n points' codes reference in one subspace when codes are uniform:
+// cb·(1 − (1 − 1/cb)^n). The reference-driven LC kernel builds only those
+// entries, so it — not cb — is the per-subspace LUT size of Equations 6-7.
+// It approaches n for n ≪ cb and saturates at the dense cb for n ≫ cb.
+func LUTOccupancy(cb, n int) float64 {
+	return -float64(cb) * math.Expm1(float64(n)*math.Log1p(-1/float64(cb)))
+}
+
 // PhaseCost is one phase's total compute operations and memory traffic.
 type PhaseCost struct {
 	Compute float64 // operations
@@ -115,7 +124,6 @@ func Costs(p Params, mulCost float64) ([upmem.NumPhases]PhaseCost, error) {
 	pp := float64(p.P)
 	c := float64(p.C)
 	m := float64(p.M)
-	cb := float64(p.CB)
 
 	// Equation 1 & 3: cluster locating.
 	out[upmem.PhaseCL] = PhaseCost{
@@ -127,10 +135,13 @@ func Costs(p Params, mulCost float64) ([upmem.NumPhases]PhaseCost, error) {
 		Compute: q * pp * d,
 		IO:      (p.BytesC + p.BytesQ) * q * pp * d,
 	}
-	// Equations 6-7: LUT construction.
+	// Equations 6-7: LUT construction, over the entries a cluster's C points
+	// reference instead of all CB (the mark-then-build kernel; dense is the
+	// C >> CB limit).
+	occ := LUTOccupancy(p.CB, p.C)
 	out[upmem.PhaseLC] = PhaseCost{
-		Compute: q * pp * cb * Dist(p.D/p.M, mulCost) * m,
-		IO:      q * pp * cb * ((p.BytesCB+p.BytesQ)*d + p.BytesL*m),
+		Compute: q * pp * occ * Dist(p.D/p.M, mulCost) * m,
+		IO:      q * pp * occ * ((p.BytesCB+p.BytesQ)*d + p.BytesL*m),
 	}
 	// Equations 8-9: distance calculation.
 	out[upmem.PhaseDC] = PhaseCost{

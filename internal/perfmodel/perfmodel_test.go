@@ -113,6 +113,73 @@ func TestLCBottleneckShiftsWithNlist(t *testing.T) {
 	}
 }
 
+func TestLUTOccupancy(t *testing.T) {
+	// One point references exactly one entry per subspace; few points almost
+	// all reference distinct ones; many points saturate at the dense CB.
+	if got := LUTOccupancy(256, 1); math.Abs(got-1) > 1e-9 {
+		t.Fatalf("LUTOccupancy(256, 1) = %v, want 1", got)
+	}
+	if got := LUTOccupancy(256, 8); got > 8 || got < 7.8 {
+		t.Fatalf("LUTOccupancy(256, 8) = %v, want just under 8", got)
+	}
+	if got := LUTOccupancy(256, 100_000); math.Abs(got-256) > 1e-6 {
+		t.Fatalf("LUTOccupancy(256, 1e5) = %v, want 256", got)
+	}
+	if got, want := LUTOccupancy(256, 62), 256*(1-math.Pow(255.0/256, 62)); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("LUTOccupancy(256, 62) = %v, want %v", got, want)
+	}
+	prev := 0.0
+	for n := 1; n < 5000; n += 37 {
+		occ := LUTOccupancy(256, n)
+		if occ <= prev || occ > 256 {
+			t.Fatalf("occupancy not increasing toward CB at n=%d: %v after %v", n, occ, prev)
+		}
+		prev = occ
+	}
+}
+
+func TestLCCostFollowsOccupancy(t *testing.T) {
+	// Equations 6-7 over the referenced entries: per probed cluster the LC
+	// cost is the dense one scaled by occupancy/CB — about C/CB of it for
+	// tiny clusters, all of it for huge ones — and the DC-vs-LC ordering
+	// stays what Figure 9 shows at both ends: LC dominates a small cluster
+	// even at a fifth of the dense LUT, DC dominates a huge one.
+	dense := func(p Params) float64 {
+		return float64(p.Q*p.P*p.CB*p.M) * Dist(p.D/p.M, 2)
+	}
+	for _, tc := range []struct {
+		c        int
+		fraction float64 // expected LC / dense LC
+		lcOverDC bool
+	}{
+		{c: 16, fraction: LUTOccupancy(256, 16) / 256, lcOverDC: true},
+		{c: 60, fraction: LUTOccupancy(256, 60) / 256, lcOverDC: true},
+		{c: 1500, fraction: 1, lcOverDC: true},
+		{c: 50_000, fraction: 1, lcOverDC: false},
+	} {
+		p := params()
+		p.C = tc.c
+		costs, err := Costs(p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lc, dc := costs[upmem.PhaseLC], costs[upmem.PhaseDC]
+		if got := lc.Compute / dense(p); math.Abs(got-tc.fraction) > 0.01 {
+			t.Fatalf("C=%d: LC is %.3f of dense, want %.3f", tc.c, got, tc.fraction)
+		}
+		if tc.c <= 60 && lc.Compute/dense(p) > 1.05*float64(tc.c)/256 {
+			t.Fatalf("C=%d: a tiny cluster references about C entries, got %.3f of dense", tc.c, lc.Compute/dense(p))
+		}
+		if (lc.Compute > dc.Compute) != tc.lcOverDC {
+			t.Fatalf("C=%d: LC %v vs DC %v, want LC dominant = %v", tc.c, lc.Compute, dc.Compute, tc.lcOverDC)
+		}
+		// IO shrinks by the same factor as compute.
+		if denseIO := float64(p.Q*p.P*p.CB) * (3*float64(p.D) + 4*float64(p.M)); math.Abs(lc.IO/denseIO-lc.Compute/dense(p)) > 1e-9 {
+			t.Fatalf("C=%d: LC IO and compute scale differently", tc.c)
+		}
+	}
+}
+
 func TestPhaseTimeMaxForm(t *testing.T) {
 	hw := Hardware{PE: 10, FreqHz: 1e9, Lanes: 1, BWBytes: 1e9}
 	computeBound := PhaseCost{Compute: 1e12, IO: 1}
@@ -153,7 +220,11 @@ func TestBatchTimeOverlapsHostAndPIM(t *testing.T) {
 }
 
 func TestPredictQPSSQTHelps(t *testing.T) {
+	// An LC-bound point (C = 1500 fills the LUT): at params()' C = 100 the
+	// reference-driven kernel builds a third of it and this platform is
+	// bound by host CL either way, which SQT cannot help.
 	p := params()
+	p.C = 1500
 	host := FromPlatform(upmem.PlatformCPU())
 	pim := FromPlatform(upmem.PlatformUPMEM(32))
 	withSQT, err := PredictQPS(p, host, pim, true)

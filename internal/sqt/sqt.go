@@ -107,7 +107,7 @@ func (t *SQT16) Square(d int32) (uint32, bool) {
 // lookups. It is the batched twin of calling Square per element: the counters
 // end up identical, but the per-element closure of (abs, tier test, counter
 // read-modify-write) collapses into a branchless scan, which matters because
-// the engine replays the full M x CB x dsub stream per LUT build. res and
+// the engine replays every built LUT entry's row per LUT build. res and
 // entry must have equal length.
 func (t *SQT16) CountColdRow(res, entry []int16) uint64 {
 	cold := t.ColdCountRow(res, entry)
@@ -119,11 +119,11 @@ func (t *SQT16) CountColdRow(res, entry []int16) uint64 {
 // ColdCountRow is the stats-free twin of CountColdRow: it replays the
 // |res[j]-entry[j]| diff stream and returns the cold-lookup count without
 // touching the hit/miss counters. It only reads the table's geometry, so
-// concurrent calls on a shared table are safe. This is the memoization hook
-// for engines that run many DPUs with identically-shaped tables: the replay
-// runs once per unique (query, cluster) group, and the returned count is
-// applied to each DPU's table arithmetically via AddStats — exactly the
-// statistics a private per-DPU replay would accumulate.
+// concurrent calls on a shared table are safe. This is the hook for engines
+// that run many DPUs with identically-shaped tables: the replay runs against
+// one shared table, and the returned count is applied to the DPU's own table
+// arithmetically via AddStats — exactly the statistics a private per-DPU
+// replay would accumulate.
 func (t *SQT16) ColdCountRow(res, entry []int16) uint64 {
 	var cold uint64
 	hotMax, maxDiff := t.hotMax, t.maxDiff
@@ -154,7 +154,7 @@ func (t *SQT16) AddStats(hot, cold uint64) {
 // Geometry returns the parameters that determine hot/cold classification:
 // the WRAM-resident entry count and the operand domain bound. Two tables
 // with equal geometry classify every lookup identically, which is the
-// invariant behind memoized replay (ColdCountRow + AddStats).
+// invariant behind the shared-table replay (ColdCountRow + AddStats).
 func (t *SQT16) Geometry() (hotEntries int, maxDiff int32) {
 	return int(t.hotMax), t.maxDiff
 }

@@ -20,7 +20,7 @@ func TestTallyMatchesPerOpCharging(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			p := Phase(rng.Intn(int(NumPhases)))
 			n := uint64(rng.Intn(1000))
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
 			case 0:
 				op := Op(rng.Intn(6))
 				direct.Charge(p, op, n)
@@ -36,6 +36,16 @@ func TestTallyMatchesPerOpCharging(t *testing.T) {
 				// bit-identical when applied per call.
 				direct.RandomAccess(p, n)
 				tally.RandomAccess(p, n)
+			case 4:
+				// A counted burst of variable-size transfers, charged in bulk.
+				var bytes uint64
+				k := uint64(rng.Intn(8))
+				for j := uint64(0); j < k; j++ {
+					b := uint64(rng.Intn(64))
+					direct.DMA(p, b)
+					bytes += b
+				}
+				tally.DMAs(p, k, bytes)
 			}
 		}
 		tallied.ApplyTally(&tally)

@@ -273,6 +273,14 @@ func (t *Tally) DMA(p Phase, bytes uint64) {
 	t.dmaBytes[p] += bytes
 }
 
+// DMAs accounts n transfers moving bytes in total against phase p — n calls
+// of DMA whose sizes sum to bytes, for kernels that issue a counted number
+// of variable-size transfers.
+func (t *Tally) DMAs(p Phase, n, bytes uint64) {
+	t.dmaCount[p] += n
+	t.dmaBytes[p] += bytes
+}
+
 // RandomAccess accounts n fine-grained MRAM accesses against phase p with
 // the same per-call coalescing as DPU.RandomAccess (callers must keep the
 // call granularity of the per-op path for bit-identical DMA counts).
