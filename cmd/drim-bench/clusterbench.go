@@ -123,18 +123,16 @@ func runClusterBench(n, queries, dpus int, seed int64, shards int, assignment st
 	fmt.Printf("  simulated fleet QPS %.0f (max-over-shards latency), single-system %.0f\n",
 		merged.Metrics.QPS, ref.Metrics.QPS)
 
-	// Selective-scatter routing stats: the cluster accumulates them across
-	// all runs, so the mean fan-out and the front-door CL share of wall time
-	// are averages over every measured batch.
+	// Routing stats: the cluster accumulates them across all runs, so the
+	// mean fan-out and the front-door CL share of wall time are averages
+	// over every measured batch.
 	st := cl.Stats()
 	frontCLShare := 0.0
-	if st.Selective {
-		if clusterTotal > 0 {
-			frontCLShare = st.Route.FrontCLWallSeconds / clusterTotal
-		}
-		fmt.Printf("  selective scatter: mean fan-out %.2f / max %d of %d shards, front-door CL %.1f%% of wall\n",
-			st.Route.MeanFanout(), st.Route.MaxFanout, shards, 100*frontCLShare)
+	if clusterTotal > 0 {
+		frontCLShare = st.Route.FrontCLWallSeconds / clusterTotal
 	}
+	fmt.Printf("  routed scatter: mean fan-out %.2f / max %d of %d shards, front-door CL %.1f%% of wall\n",
+		st.Route.MeanFanout(), st.Route.MaxFanout, shards, 100*frontCLShare)
 
 	var trajectory []benchEntry
 	raw, err := os.ReadFile(outPath)
@@ -161,12 +159,10 @@ func runClusterBench(n, queries, dpus int, seed int64, shards int, assignment st
 		SpeedupVsSerial: singleSec / clusterSec,
 		WallQPS:         float64(queries) / clusterSec,
 		SimQPS:          merged.Metrics.QPS,
-	}
-	if st.Selective {
-		entry.Selective = true
-		entry.MeanFanout = st.Route.MeanFanout()
-		entry.MaxFanout = st.Route.MaxFanout
-		entry.FrontCLShare = frontCLShare
+		Selective:       true,
+		MeanFanout:      st.Route.MeanFanout(),
+		MaxFanout:       st.Route.MaxFanout,
+		FrontCLShare:    frontCLShare,
 	}
 	if prev := lastComparable(trajectory, entry); prev != nil && clusterSec > 0 {
 		entry.SpeedupVsPrev = prev.PipelinedSec / clusterSec

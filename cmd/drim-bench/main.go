@@ -59,11 +59,12 @@
 //
 // Cluster mode (-shards N) measures the scatter-gather sharding layer:
 // the corpus is partitioned across N shard engines (each simulating -dpus
-// DPUs, so the fleet models N x dpus devices), one query batch fans out to
-// every shard in parallel and the per-shard top-k lists merge into the
-// global answer — verified identical to the unsharded single engine on the
-// same index, then recorded as a mode:"cluster" entry (shard count,
-// assignment policy, fleet wall/sim QPS, speedup vs the single engine):
+// DPUs, so the fleet models N x dpus devices), one query batch is located
+// once and routed to the shards owning its probed clusters in parallel, and
+// the per-shard top-k lists merge into the global answer — verified
+// identical to the unsharded single engine on the same index, then recorded
+// as a mode:"cluster" entry (shard count, assignment policy, fleet wall/sim
+// QPS, speedup vs the single engine, fan-out, front-door CL share):
 //
 //	drim-bench -shards 4                             # hash partitioning
 //	drim-bench -shards 8 -assign kmeans -dpus 64

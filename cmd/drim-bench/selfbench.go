@@ -57,17 +57,13 @@ type benchEntry struct {
 
 	// SpeedupVsSerial = serial_seconds / pipelined_seconds: the engine's
 	// pipelined path against its own serial mode in the same build (≈1 on a
-	// single hardware thread, where pipelining cannot help). Omitted on
-	// legacy pre-PR-2 entries, which recorded it in Speedup.
+	// single hardware thread, where pipelining cannot help).
 	SpeedupVsSerial float64 `json:"speedup_vs_serial,omitempty"`
 	// SpeedupVsPrev = previous pipelined_seconds / this pipelined_seconds,
 	// against the most recent earlier entry with the same fixture shape and
 	// GOMAXPROCS — the cross-PR improvement on this phase. Omitted when no
 	// comparable entry exists.
 	SpeedupVsPrev float64 `json:"speedup_vs_prev_entry,omitempty"`
-	// Speedup is the legacy pre-PR-2 field (same value as
-	// speedup_vs_serial); kept so old entries round-trip unchanged.
-	Speedup float64 `json:"speedup,omitempty"`
 
 	// WallQPS is pipelined wall-clock throughput; SimQPS the modeled
 	// PIM-system throughput (unaffected by host speed).
@@ -112,15 +108,14 @@ type benchEntry struct {
 	Shards     int    `json:"shards,omitempty"`
 	Assignment string `json:"assignment,omitempty"`
 
-	// Selective-scatter routing fields (mode == "cluster" under kmeans
-	// assignment): Selective marks entries measured on the front-door-CL
-	// selective scatter path (coarse locate runs once at the front door and
-	// only shards owning probed clusters are contacted), as opposed to the
-	// broadcast path where every shard runs CL itself. MeanFanout/MaxFanout
-	// summarize the per-batch shards-contacted distribution; FrontCLShare is
-	// the front-door CL stage's share of the scatter-gather wall clock.
-	// Absent on broadcast entries; cross-PR comparisons never mix selective
-	// and broadcast entries.
+	// Routing fields (mode == "cluster"): Selective marks entries measured
+	// on the routed path (coarse locate runs once at the front door and only
+	// shards owning probed clusters are contacted) — every entry written
+	// today; hash-assignment entries from before ISSUE 15 were measured on a
+	// broadcast path (every shard ran CL itself), lack the field, and are
+	// never compared with routed ones. MeanFanout/MaxFanout summarize the
+	// per-batch shards-contacted distribution; FrontCLShare is the
+	// front-door CL stage's share of the scatter-gather wall clock.
 	Selective    bool    `json:"selective_scatter,omitempty"`
 	MeanFanout   float64 `json:"mean_fanout,omitempty"`
 	MaxFanout    int     `json:"max_fanout,omitempty"`

@@ -45,22 +45,23 @@
 //
 // # Backends
 //
-// The serving stack is not married to IVF-PQ. Every layer above the engine
-// — the micro-batching Server, the sharded Cluster, replication and
-// durability — programs against the backend contract in internal/engine: a
-// SearchEngine answers batched top-k queries (SearchBatch) and reports its
+// The serving stack is not married to IVF-PQ. The micro-batching Server and
+// its durability program against the backend contract in internal/engine
+// (the sharded Cluster does not: sharding by inverted list is an IVF-layer
+// concern, so a fleet is made of IVF-PQ engines): a SearchEngine answers batched top-k queries (SearchBatch) and reports its
 // shape (K, Dim, MaxBatch); everything else is an optional capability
 // discovered by type assertion (probed search, mutation, snapshots,
 // replication, memory reporting). Two backends implement the contract:
 //
 //   - the IVF-PQ engine (NewEngine), DRIM-ANN's own design: streaming
 //     cluster scans with PQ-compressed codes, host-side cluster locating,
-//     and every optional capability — mutable, snapshottable, shardable;
+//     and every optional capability — mutable, snapshottable — and the
+//     only backend Cluster shards;
 //   - the graph engine (NewGraphEngine), a Vamana/HNSW-style beam-search
 //     traversal over a pruned proximity graph, the competing ANN design
 //     the paper positions against. It is search-only (no mutation, no
-//     probed search); the serving layers detect this and return
-//     ErrUnsupported from the operations it cannot serve.
+//     probed search); the Server detects this and returns ErrUnsupported
+//     from the operations it cannot serve.
 //
 // How to pick: IVF-PQ compresses the corpus ~Dim/M-fold and streams
 // contiguous lists, so it fits large corpora in per-DPU MRAM and its
@@ -113,14 +114,14 @@
 // One Engine simulates one PIM system; the rack-scale deployments the paper
 // targets spread the corpus over many UPMEM ranks. BuildSharded (or
 // NewCluster over a pre-built index) partitions a corpus across S
-// independent engines behind one scatter-gather front: all shards share the
-// index's quantizers (centroid directory and PQ codebooks, replicated the
+// independent IVF-PQ engines behind one routed front door: all shards share
+// the index's quantizers (centroid directory and PQ codebooks, replicated the
 // way every rank holds the small directory), while the inverted lists are
 // split either point-wise by a deterministic ID hash (near-perfect
 // per-query balance) or whole-cluster-wise by balanced k-means bin packing
-// (each inverted list wholly on one shard, which skips non-owned probes).
+// (each inverted list wholly on one shard, spatial neighbors together).
 // Each shard runs in a compact local ID space with a monotone local→global
-// remap table, so Cluster.SearchBatch — which scatters the query batch and
+// remap table, so Cluster.SearchBatch — which routes the query batch and
 // merges the per-shard partial top-k — returns IDs and Items bit-identical
 // to a single-engine SearchBatch over the unsharded corpus (the equivalence
 // suite in internal/cluster pins this for S ∈ {1, 2, 7}, both policies,
@@ -128,20 +129,20 @@
 // counters sum, wall-like durations are max-over-shards (the fleet is as
 // slow as its slowest rank), QPS is recomputed from the merged totals.
 //
-// How the scatter routes depends on the assignment policy. Under AssignHash
-// every shard holds a slice of every inverted list, so a query must
-// broadcast to all S shards and each shard runs its own coarse locate (CL)
-// — S copies of the same directory scan, the replicated-CL bottleneck.
-// AssignKMeans keeps each inverted list whole on one shard, which enables
-// the selective-scatter front door: the cluster runs CL exactly once at the
-// front (through a Locator shared with shard 0's engine), partitions the
-// probe list by a cluster→shard owner map built at deployment, and contacts
-// only the shards owning at least one probed cluster; each contacted shard
-// skips its CL stage (Engine.SearchBatchProbed) and scans exactly the
-// probes routed to it. Results stay bit-identical to broadcast — an
-// unowned probe scans nothing anyway — but the CL work drops from S scans
-// to one and the per-query fan-out drops below S, which is what turns
-// sharding from a latency play into a throughput play. Metrics attribution
+// The assignment policy decides placement only; every fleet is searched
+// through one routed path. The front door runs coarse locate (CL) exactly
+// once (through a Locator shared with shard 0's engine), partitions the
+// probe list by a cluster→shard owner map kept current under live inserts,
+// and contacts only the shards owning at least one probed cluster; each
+// contacted shard skips its CL stage (Engine.SearchBatchProbed) and scans
+// exactly the probes routed to it — an unowned probe would scan nothing
+// anyway, so results are unchanged, while the CL work is one directory scan
+// instead of S. What the policy changes is the fan-out: under AssignHash
+// every shard holds a slice of every inverted list, so a probed cluster has
+// up to S owners and most queries reach every shard; AssignKMeans keeps each
+// list whole on one shard and a query's probes are spatial neighbors, so
+// the per-query fan-out drops well below S, which is what turns sharding
+// from a latency play into a throughput play. Metrics attribution
 // follows the hardware: per-shard metrics carry no CL cost, the merged
 // batch metrics charge the front-door CL once into HostSeconds (and into
 // SimSeconds only if CL outlasts the slowest shard, mirroring the engine's
@@ -153,16 +154,15 @@
 //
 // For online traffic, NewClusterServer puts one micro-batching Server in
 // front of every shard engine and exposes a single Search front door: the
-// query is validated and copied once, routed (front-door CL under
-// AssignKMeans, broadcast under AssignHash) to the owning shard servers
-// concurrently, and the per-shard responses are merged into the global
-// top-k; ClusterResponse.ShardsContacted reports the query's fan-out.
+// query is validated and copied once, located once, routed to the owning
+// shard servers concurrently, and the per-shard responses are merged into
+// the global top-k; ClusterResponse.ShardsContacted reports the query's
+// fan-out.
 // Per-shard batching policy, backpressure, cancellation and draining Close
 // behave exactly as for a single Server; `drim-bench -shards N` runs the
 // offline scatter-gather path and records mode:"cluster" entries in
-// BENCH_core.json (selective entries carry mean/max fan-out and the
-// front-door CL share of wall time, and never compare against broadcast
-// entries). The scatter fast-fails: the first shard to fail cancels its
+// BENCH_core.json (with mean/max fan-out and the front-door CL share of
+// wall time). The scatter fast-fails: the first shard to fail cancels its
 // siblings' in-flight work through a per-query derived context.
 //
 // Replication masks the tail. ClusterOptions.Replicas > 1 clones each
@@ -183,8 +183,8 @@
 // those failure modes to pin this, and `drim-bench -replicas R -straggler`
 // measures hedged vs unhedged tail latency into mode:"replica" entries).
 // NewClusterServerRouted exposes the routing policy; NewClusterServer uses
-// defaults. The offline Cluster.SearchBatch has the matching mitigation on
-// its selective path: it runs on replica 0 of every shard, but a shard whose
+// defaults. The offline Cluster.SearchBatch has the matching mitigation:
+// it runs on replica 0 of every shard, but a shard whose
 // modelled load for the batch exceeds its fair share (1/S of the total, by
 // the engines' own scheduler heat) runs the tail of its queries on replica 1
 // at the same time, so the fleet's simulated time follows the mean shard
@@ -198,7 +198,7 @@
 // append segment; Engine.Delete tombstones base-list points (filtered by
 // the DPU-side top-k accept pass) and removes still-appended points
 // outright. Both are visible to the next launch — inserted points are
-// findable immediately, including through the selective-scatter path (a
+// findable immediately, including through the sharded front door (a
 // previously-empty cluster gains a placement slice and an owner-map entry
 // the moment a point lands in it), and deleted points are gone. The
 // quantizers are frozen: mutations never retrain centroids or codebooks, so
@@ -500,8 +500,8 @@ func Recover(opt DurableOptions, profile Vectors, opts EngineOptions) (*Engine, 
 	return core.Recover(opt, profile, opts)
 }
 
-// Cluster is the scatter-gather sharding layer: a corpus partitioned across
-// S independent engines behind one batch front. See the "Sharded serving"
+// Cluster is the sharding layer: a corpus partitioned across S independent
+// IVF-PQ engines behind one routed front door. See the "Sharded serving"
 // section of the package documentation.
 type Cluster = cluster.Cluster
 
@@ -516,9 +516,10 @@ type ClusterShard = cluster.Shard
 // ShardAssignment selects the partitioning policy.
 type ShardAssignment = cluster.Assignment
 
-// Shard-assignment policies: AssignHash spreads points across shards by a
-// deterministic ID hash; AssignKMeans packs whole coarse clusters onto
-// shards balanced by size.
+// Shard-assignment policies decide where points live, not how the fleet is
+// searched: AssignHash spreads points across shards by a deterministic ID
+// hash; AssignKMeans packs whole coarse clusters onto shards by a balanced
+// k-means over the centroids, which keeps the routed fan-out below S.
 const (
 	AssignHash   = cluster.AssignHash
 	AssignKMeans = cluster.AssignKMeans
@@ -549,16 +550,15 @@ type ClusterServer = cluster.Server
 
 // ClusterServerStats snapshots a ClusterServer's front-door ledger, the
 // replication machinery's counters (hedges, hedge wins, failovers, breaker
-// ejections), the selective-scatter routing view, and the per-shard,
+// ejections), the routing view, and the per-shard,
 // per-replica serving stats with their aggregate.
 type ClusterServerStats = cluster.ServerStats
 
 // ClusterStats snapshots a Cluster's deployment view: per-shard
-// replica-aware memory accounting plus the selective-scatter routing stats
-// (all zeros under AssignHash, which broadcasts).
+// replica-aware memory accounting plus the front door's routing stats.
 type ClusterStats = cluster.Stats
 
-// ClusterRouteStats is the selective-scatter routing accumulator: per-query
+// ClusterRouteStats is the front door's routing accumulator: per-query
 // fan-out mean/max/histogram and the front-door coarse-locate cost. The
 // offline Cluster.SearchBatch and the online ClusterServer drive the same
 // front door and share this accumulator.

@@ -159,9 +159,9 @@ func main() {
 	cst := csrv.Stats()
 	fmt.Printf("\nsharded fleet (3 shards x 32 DPUs): %d queries, fleet QPS %.0f, imbalance %.2f, mean shard batch %.1f\n",
 		cst.Completed, cst.Agg.Sim.QPS, cst.Agg.Sim.AvgImbalance(), cst.Agg.MeanBatch)
-	// Selective scatter under AssignKMeans: the front door located each
-	// query once and contacted only the shards owning its probed clusters.
-	fmt.Printf("selective scatter: mean fan-out %.2f / max %d of 3 shards\n",
+	// The front door located each query once and contacted only the shards
+	// owning its probed clusters (AssignKMeans keeps those on few shards).
+	fmt.Printf("routed scatter: mean fan-out %.2f / max %d of 3 shards\n",
 		cst.Route.MeanFanout(), cst.Route.MaxFanout)
 
 	// Replication is load balancing across time: 2 replicas per shard mask

@@ -127,13 +127,13 @@ func main() {
 
 	// 8. Scale out: partition the same index across 4 shard engines (the
 	//    rack-scale deployment — each shard simulates its own PIM system)
-	//    and search through the scatter-gather front. Under AssignKMeans the
-	//    front door runs coarse locate once and contacts only the shards
-	//    that own probed clusters (selective scatter), so the mean fan-out
-	//    stays below the shard count. The merged top-k is bit-identical to
-	//    the single-engine batch in step 4; the metrics are the cross-shard
-	//    parallel view (the fleet is as slow as its slowest shard, counters
-	//    sum).
+	//    and search through the routed front door, which runs coarse locate
+	//    once and contacts only the shards that own probed clusters.
+	//    AssignKMeans places whole clusters, spatial neighbors together, so
+	//    the mean fan-out stays below the shard count (AssignHash: same
+	//    answers, fan-out near 4). The merged top-k is bit-identical to the
+	//    single-engine batch in step 4; the metrics are the cross-shard
+	//    parallel view (as slow as the slowest shard, counters sum).
 	cl, err := drimann.NewCluster(ix, corpus.Queries, drimann.ClusterOptions{
 		Shards: 4, Assignment: drimann.AssignKMeans, Engine: opts,
 	})
@@ -153,7 +153,7 @@ func main() {
 	fmt.Printf("sharded fleet (4 shards): %.0f QPS (simulated), results identical to single engine: %v\n",
 		cres.Metrics.QPS, identical)
 	cstats := cl.Stats()
-	fmt.Printf("selective scatter: mean fan-out %.2f / max %d of 4 shards\n",
+	fmt.Printf("routed scatter: mean fan-out %.2f / max %d of 4 shards\n",
 		cstats.Route.MeanFanout(), cstats.Route.MaxFanout)
 
 	// 9. Replication masks the tail: the same index across 2 shards with 2

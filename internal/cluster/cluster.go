@@ -1,31 +1,53 @@
-// Package cluster is DRIM-ANN's scatter-gather sharding layer: it
-// partitions one IVF-PQ corpus across S independent core.Engines (one
-// simulated PIM system each — the rack-scale deployment the paper targets,
-// where a billion-point corpus spans many UPMEM ranks), fans each query
-// batch out to every shard in parallel, and merges the per-shard partial
-// top-k lists into a global result.
+// Package cluster is DRIM-ANN's sharding layer: it partitions one IVF-PQ
+// corpus across S independent core.Engines (one simulated PIM system each —
+// the rack-scale deployment the paper targets, where a billion-point corpus
+// spans many UPMEM ranks), locates every query once at the front door, sends
+// each shard only the probes it owns, and merges the per-shard partial top-k
+// lists into a global result.
 //
-// # Partitioning
+// # IVF-only, by decision
+//
+// The fleet type is *core.Engine, not engine.Engine. Everything this layer
+// decides — which shard holds a point, which shards a query must reach, how a
+// live insert is placed, what a shard checkpoint contains — is a function of
+// the inverted-list structure: the coarse centroid directory, probe lists and
+// list ownership. A graph index has none of these; partitioning it means
+// cutting the graph and building per-part subgraphs, which belongs inside
+// internal/graph (across its DPUs first), not behind a sharding interface
+// with one real implementation. A generic layer would have to hide all of the
+// above behind capabilities only the IVF engine could provide, so it would
+// cost more code than the type assertions it removed.
+//
+// # Partitioning is placement only
 //
 // All shards share the index's quantizers — the coarse centroid directory
 // and the PQ codebooks are small and replicated, exactly as every rank of a
 // real deployment holds the full (tiny) directory — while the inverted
-// lists are partitioned:
+// lists are partitioned. The Assignment policy decides where points live and
+// nothing else; both policies are searched through the same routed path:
 //
 //   - AssignHash spreads each cluster's points across shards by a
 //     deterministic point-ID hash, so every shard holds a statistical 1/S
 //     of every inverted list. Per-query work is near-perfectly balanced
-//     across shards, at the cost of every shard touching every probed
-//     cluster.
+//     across shards, at the cost of every probed cluster having up to S
+//     owners (fan-out close to S).
 //   - AssignKMeans assigns whole coarse (k-means) clusters to shards with
 //     a balanced k-means over the centroid vectors themselves (capacity-
-//     capped, size-weighted), so each inverted list lives wholly on one
-//     shard and spatially neighboring lists share a shard. That enables
-//     selective scatter: the front door locates once, routes each query
-//     only to the shards owning its probed clusters, and — because a
-//     query's probes are spatial neighbors — the mean fan-out stays well
-//     below S, the cross-rank partition UpANNS-style systems use to cut
+//     capped, heat-weighted), so each inverted list lives wholly on one
+//     shard and spatially neighboring lists share a shard. Because a
+//     query's probes are spatial neighbors, the mean fan-out stays well
+//     below S — the cross-rank partition UpANNS-style systems use to cut
 //     fan-out traffic.
+//
+// # One routed search path
+//
+// The front door runs coarse locate (CL) once, through a Locator shared with
+// shard 0's engine, and splits each query's probe list by the owner map:
+// owners[c] lists the shards that hold points of cluster c (one shard under
+// AssignKMeans, up to S under AssignHash). A shard with no owned probe is not
+// contacted; a contacted shard skips its own CL stage (SearchBatchProbed) and
+// scans exactly the probes routed to it. The offline Cluster.SearchBatch and
+// the online Server.Search both work this way and record into one RouteStats.
 //
 // Each shard's engine runs in a compact local ID space (0..n_s-1): its
 // sub-index lists the shard's points under local IDs, and the layer keeps a
@@ -35,7 +57,7 @@
 // shard's results is preserved by the remap, and because the shards
 // partition the corpus and share every quantizer table, the merged global
 // top-k is bit-identical to a single unsharded engine's SearchBatch — the
-// equivalence suite pins this for S ∈ {1, 2, 7}.
+// equivalence suite pins this for S ∈ {1, 2, 7} under both policies.
 //
 // # Metrics
 //
@@ -44,8 +66,8 @@
 // wall-like durations and per-phase critical paths take the max over
 // shards (the fleet is as slow as its slowest rank), and QPS is recomputed
 // from the merged totals. How slow the slowest rank is depends on where the
-// batch's queries happen to fall, so with standby replicas the selective
-// path mitigates stragglers: a shard whose modelled load exceeds its fair
+// batch's queries happen to fall, so with standby replicas the offline path
+// mitigates stragglers: a shard whose modelled load exceeds its fair
 // share of the batch hands the excess tail to its replica 1 (SearchBatch).
 package cluster
 
@@ -58,7 +80,6 @@ import (
 
 	"drimann/internal/core"
 	"drimann/internal/dataset"
-	"drimann/internal/engine"
 	"drimann/internal/ivf"
 	"drimann/internal/topk"
 	"drimann/internal/vecmath"
@@ -72,7 +93,7 @@ const (
 	AssignHash Assignment = "hash"
 	// AssignKMeans assigns whole coarse clusters to shards by a balanced
 	// k-means over the centroid vectors (spatial grouping under a capacity
-	// cap), enabling the selective-scatter front door.
+	// cap), which keeps the routed fan-out well below S.
 	AssignKMeans Assignment = "kmeans"
 )
 
@@ -113,18 +134,15 @@ func (o *Options) defaults() error {
 }
 
 // Shard is one partition: its replica engines over the shard's slice of
-// the corpus plus the monotone local→global ID table. Engines are held by
-// backend contract (engine.Engine) so a fleet can run the IVF engine or
-// any other backend; the IVF-only paths (selective scatter, mutation,
-// durability) discover the extra surface by type assertion.
+// the corpus plus the monotone local→global ID table.
 type Shard struct {
 	// Engine is replica 0 — the engine offline scatter-gather uses (a
 	// straggler shard's tail also runs on replica 1, see SearchBatch).
-	Engine engine.Engine
+	Engine *core.Engine
 	// Engines holds every replica engine (Engines[0] == Engine). Replicas
 	// are built from the same deployment with the same options, so they are
 	// interchangeable: any replica's answer is the shard's answer.
-	Engines []engine.Engine
+	Engines []*core.Engine
 	// table maps shard-local point IDs to corpus-global IDs. It is
 	// copy-on-write behind an atomic pointer: the routed front door remaps
 	// merged results on caller goroutines concurrently with live mutations,
@@ -134,6 +152,12 @@ type Shard struct {
 	// break monotonicity, which only the bit-identity guarantee (not
 	// findability) depends on.
 	table atomic.Pointer[[]int32]
+	// owned lists, ascending, the clusters this shard holds points of — or
+	// has held since the last Compact: a live insert marks its cluster owned
+	// even if the point is later deleted, which index contents alone cannot
+	// reproduce, so checkpoints carry the list. The fleet's owner map is
+	// derived from these (deriveOwners). Guarded by Cluster.mu.
+	owned []int32
 	// Points is the number of corpus points this shard owns.
 	Points int
 }
@@ -144,30 +168,23 @@ func (sh *Shard) GlobalIDs() []int32 { return *sh.table.Load() }
 
 func (sh *Shard) setTable(t []int32) { sh.table.Store(&t) }
 
-// ivfEngine is the backend surface the selective-scatter, mutation and
-// durability paths need beyond the serving contract; only the IVF engine
-// provides it today.
-type ivfEngine interface {
-	engine.ProbedSearcher
-	engine.Mutable
-	CompactRemap(remap []int32) error
-	Index() *ivf.Index
-	Locator() *core.Locator
-	ProbeCycles(c int32) float64
-}
+// IVF returns the shard's replica-0 engine (inspection and tests).
+func (sh *Shard) IVF() *core.Engine { return sh.Engine }
 
-// ivf returns the shard's replica-0 engine as the extended IVF surface,
-// nil when the fleet runs a different backend.
-func (sh *Shard) ivf() ivfEngine {
-	e, _ := sh.Engine.(ivfEngine)
-	return e
-}
-
-// IVF returns the shard's replica-0 engine as the concrete IVF engine, or
-// nil when the fleet serves a different backend (inspection and tests).
-func (sh *Shard) IVF() *core.Engine {
-	e, _ := sh.Engine.(*core.Engine)
-	return e
+// growReplicas builds the shard's replica set around Engine: further
+// replicas share replica 0's deployment (layout, decomposition terms,
+// locator) read-only and only add private simulated hardware and scratch,
+// instead of cloning the deployment R times.
+func (sh *Shard) growReplicas(replicas int) error {
+	sh.Engines = []*core.Engine{sh.Engine}
+	for r := 1; r < replicas; r++ {
+		rep, err := core.NewReplica(sh.Engine)
+		if err != nil {
+			return fmt.Errorf("replica %d engine: %w", r, err)
+		}
+		sh.Engines = append(sh.Engines, rep)
+	}
+	return nil
 }
 
 // Offset returns the shard's global-ID offset — the corpus ID of its first
@@ -182,22 +199,24 @@ func (sh *Shard) Offset() int32 {
 	return t[0]
 }
 
-// Cluster is a fleet of shard engines behind one scatter-gather front.
+// Cluster is a fleet of shard engines behind one routed front door.
 type Cluster struct {
 	shards []*Shard
 	opt    Options
-	ix     *ivf.Index // the shared (unsharded) index; nil for non-IVF fleets
-	dim    int        // vector dimensionality (from ix or the engines)
+	// ix carries the shared quantizers (the unsharded index New was given,
+	// or a quantizer-only view after recovery); its lists are never read
+	// after the build.
+	ix *ivf.Index
 
 	// loc is the front-door CL stage (borrowed from shard 0's engine — all
 	// shard engines share the full centroid directory and the same options,
-	// so their locators produce identical probes). owners[c] lists the
-	// shards whose sub-index holds a non-empty inverted list for cluster c:
-	// exactly one shard under AssignKMeans, potentially all under
-	// AssignHash. Together they drive selective scatter. The owner map is
-	// copy-on-write behind an atomic pointer: the routed front door reads it
-	// per probe on caller goroutines, concurrently with mutations that make
-	// previously-empty clusters non-empty.
+	// so their locators produce identical probes). owners[c] lists, ascending,
+	// the shards that own cluster c (see Shard.owned): exactly one shard
+	// under AssignKMeans, potentially all under AssignHash. Together they
+	// route every query. The owner map is copy-on-write behind an atomic
+	// pointer: the front door reads it per probe on caller goroutines,
+	// concurrently with mutations that make previously-empty clusters
+	// non-empty.
 	loc    *core.Locator
 	owners atomic.Pointer[[][]int32]
 
@@ -226,12 +245,11 @@ type Cluster struct {
 	fstore *FleetStore
 }
 
-// RouteStats aggregates the selective-scatter routing behavior of every
-// front-door batch (offline SearchBatch and the routed Server alike record
-// here): how many shards each query actually touched, and what the
-// front-door CL phase cost.
+// RouteStats aggregates the routing behavior of every front-door batch
+// (offline SearchBatch and the routed Server alike record here): how many
+// shards each query actually touched, and what the front-door CL phase cost.
 type RouteStats struct {
-	// RoutedQueries counts queries routed through the selective front door.
+	// RoutedQueries counts queries routed through the front door.
 	RoutedQueries int
 	// Batches counts front-door CL invocations.
 	Batches int
@@ -271,13 +289,10 @@ type ShardMemStats struct {
 }
 
 // Stats is the cluster-level observability snapshot: per-shard memory and
-// the routing behavior of the selective-scatter front door.
+// the routing behavior of the front door.
 type Stats struct {
-	// Selective reports whether the fleet routes queries only to owning
-	// shards (AssignKMeans) or broadcasts (AssignHash fallback).
-	Selective bool
-	Shards    []ShardMemStats
-	Route     RouteStats
+	Shards []ShardMemStats
+	Route  RouteStats
 }
 
 // Stats snapshots the cluster's memory and routing statistics. The shard
@@ -286,13 +301,10 @@ type Stats struct {
 // post-mutation shard views (MemoryFootprint reads the live
 // append-segment/tombstone bytes, which only change under that mutex).
 func (cl *Cluster) Stats() Stats {
-	st := Stats{Selective: cl.Selective(), Shards: make([]ShardMemStats, len(cl.shards))}
+	st := Stats{Shards: make([]ShardMemStats, len(cl.shards))}
 	cl.mu.Lock()
 	for s, sh := range cl.shards {
-		var mf engine.MemoryFootprint
-		if mr, ok := sh.Engine.(engine.MemoryReporter); ok {
-			mf = mr.MemoryFootprint()
-		}
+		mf := sh.Engine.MemoryFootprint()
 		r := len(sh.Engines)
 		st.Shards[s] = ShardMemStats{
 			Points:          sh.Points,
@@ -310,12 +322,6 @@ func (cl *Cluster) Stats() Stats {
 	return st
 }
 
-// Selective reports whether the fleet uses the selective-scatter path:
-// under AssignKMeans whole clusters live on one shard, so a query only
-// needs the shards owning its probed clusters. AssignHash spreads every
-// list across all shards, so it keeps the broadcast path.
-func (cl *Cluster) Selective() bool { return cl.opt.Assignment == AssignKMeans }
-
 // Locator exposes the front-door CL stage (shared with shard 0's engine;
 // stateless per call, safe for concurrent use).
 func (cl *Cluster) Locator() *core.Locator { return cl.loc }
@@ -323,13 +329,55 @@ func (cl *Cluster) Locator() *core.Locator { return cl.loc }
 // OwnerShards returns the shards owning cluster c's inverted list or append
 // segment (view into the current copy-on-write owner map, not a copy; empty
 // for an empty cluster). Safe for concurrent use with mutations.
-func (cl *Cluster) OwnerShards(c int32) []int32 { return (*cl.owners.Load())[c] }
+func (cl *Cluster) OwnerShards(c int32) []int32 { return cl.ownersView()[c] }
 
 // ownersView returns the current owner map snapshot (one atomic load; the
 // per-probe loops index into it without re-loading).
 func (cl *Cluster) ownersView() [][]int32 { return *cl.owners.Load() }
 
-func (cl *Cluster) storeOwners(o [][]int32) { cl.owners.Store(&o) }
+// deriveOwners derives the cluster→shards owner map from every shard's owned
+// list and installs it (a fresh map each time, so readers of the previous
+// one are undisturbed). Callers hold cl.mu or are the only goroutine.
+func (cl *Cluster) deriveOwners() {
+	owners := make([][]int32, cl.ix.NList)
+	for s, sh := range cl.shards {
+		for _, c := range sh.owned {
+			owners[c] = append(owners[c], int32(s)) // shard-ascending: rows stay sorted
+		}
+	}
+	cl.owners.Store(&owners)
+}
+
+// ownPackedLists resets every shard's owned list to its non-empty packed
+// inverted lists — exact when no engine has a mutation overlay, i.e. after
+// the build and after Compact — and rederives the owner map.
+func (cl *Cluster) ownPackedLists() {
+	for _, sh := range cl.shards {
+		sh.owned = nil
+		for c, list := range sh.Engine.Index().Lists {
+			if len(list) > 0 {
+				sh.owned = append(sh.owned, int32(c))
+			}
+		}
+	}
+	cl.deriveOwners()
+}
+
+// quantizerView returns an index sharing ix's quantizer state (centroids,
+// codebooks, rotation, SQT) by reference, with empty inverted lists.
+func quantizerView(ix *ivf.Index) *ivf.Index {
+	return &ivf.Index{
+		Dim: ix.Dim, NList: ix.NList, M: ix.M, CB: ix.CB,
+		Centroids:   ix.Centroids,
+		CentroidsU8: ix.CentroidsU8,
+		PQ:          ix.PQ,
+		IntCB:       ix.IntCB,
+		OPQ:         ix.OPQ,
+		SQT:         ix.SQT,
+		Lists:       make([][]int32, ix.NList),
+		Codes:       make([][]uint16, ix.NList),
+	}
+}
 
 // recordRoute folds one front-door batch into the cluster's RouteStats.
 // fanouts[i] is query i's shards-contacted count; wall is the real time the
@@ -550,10 +598,16 @@ func assignClustersKMeans(ix *ivf.Index, shards int, heat []float64) []int32 {
 // and under AssignKMeans also weights the shard assignment itself (see
 // clusterHeat): shards balance expected query-time work, not just points.
 // The shared quantizer state (centroids, codebooks, SQT) is referenced, not
-// copied; only the inverted lists and codes are split.
+// copied; only the inverted lists and codes are split. Like core.New, it
+// refuses an index with uncompacted mutations: only the packed lists are
+// partitioned, so live inserts would be dropped and tombstoned points
+// resurrected.
 func New(ix *ivf.Index, profile dataset.U8Set, opt Options) (*Cluster, error) {
 	if err := opt.defaults(); err != nil {
 		return nil, err
+	}
+	if ix.HasMutations() {
+		return nil, fmt.Errorf("cluster: index has uncompacted mutations; Compact it before deploying")
 	}
 	nPoints := 0
 	for _, list := range ix.Lists {
@@ -576,19 +630,9 @@ func New(ix *ivf.Index, profile dataset.U8Set, opt Options) (*Cluster, error) {
 		tables[s] = append(tables[s], int32(id))
 	}
 
-	cl := &Cluster{opt: opt, ix: ix, shards: make([]*Shard, opt.Shards)}
+	cl := &Cluster{opt: opt, ix: ix, shards: make([]*Shard, opt.Shards), shardOfCluster: shardOfCluster}
 	for s := 0; s < opt.Shards; s++ {
-		sub := &ivf.Index{
-			Dim: ix.Dim, NList: ix.NList, M: ix.M, CB: ix.CB,
-			Centroids:   ix.Centroids,
-			CentroidsU8: ix.CentroidsU8,
-			PQ:          ix.PQ,
-			IntCB:       ix.IntCB,
-			OPQ:         ix.OPQ,
-			SQT:         ix.SQT,
-			Lists:       make([][]int32, ix.NList),
-			Codes:       make([][]uint16, ix.NList),
-		}
+		sub := quantizerView(ix)
 		for c, list := range ix.Lists {
 			codes := ix.Codes[c]
 			for pos, id := range list {
@@ -602,94 +646,19 @@ func New(ix *ivf.Index, profile dataset.U8Set, opt Options) (*Cluster, error) {
 		if err := core.ValidateRemapTable(tables[s]); err != nil {
 			return nil, err
 		}
-		// Replica 0 builds the deployment (layout, decomposition terms,
-		// locator); further replicas share all of that read-only state and
-		// only add private simulated hardware and scratch (the backend's
-		// engine.Replicable hook) instead of cloning the deployment R times.
-		engines := make([]engine.Engine, opt.Replicas)
-		eng0, err := core.New(sub, profile, opt.Engine)
+		eng, err := core.New(sub, profile, opt.Engine)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d engine: %w", s, err)
 		}
-		engines[0] = eng0
-		for r := 1; r < opt.Replicas; r++ {
-			if engines[r], err = eng0.NewReplica(); err != nil {
-				return nil, fmt.Errorf("cluster: shard %d replica %d engine: %w", s, r, err)
-			}
-		}
-		cl.shards[s] = &Shard{
-			Engine: engines[0], Engines: engines,
-			Points: len(tables[s]),
-		}
-		cl.shards[s].setTable(tables[s])
-	}
-	cl.shardOfCluster = shardOfCluster
-
-	// Cluster→shard owner map for selective scatter: shard s owns cluster c
-	// iff its sub-index holds a non-empty local list for c.
-	owners := make([][]int32, ix.NList)
-	for s, sh := range cl.shards {
-		sub := sh.ivf().Index()
-		for c := range sub.Lists {
-			if len(sub.Lists[c]) > 0 {
-				owners[c] = append(owners[c], int32(s))
-			}
-		}
-	}
-	cl.storeOwners(owners)
-	cl.loc = cl.shards[0].ivf().Locator()
-	return cl, nil
-}
-
-// FromEngines assembles a broadcast fleet from pre-built backend engines —
-// one replica slice per shard (replica 0 first; all slices the same
-// length) — plus each shard's strictly increasing local→global ID table.
-// This is how a non-IVF backend (the graph engine, say) runs under the
-// same scatter-gather front: each shard serves an arbitrary partition of
-// the corpus in a compact local ID space, every query broadcasts to all
-// shards (no cluster structure means no selective scatter), and the merged
-// result is bit-identical to a single engine built over the union. The
-// assembled fleet is immutable and non-durable — live mutation and the
-// fleet store need the IVF routing state only New and RecoverCluster
-// build — and Options.Engine is ignored (the engines are already built).
-func FromEngines(shardEngines [][]engine.Engine, tables [][]int32, opt Options) (*Cluster, error) {
-	if len(shardEngines) == 0 {
-		return nil, fmt.Errorf("cluster: no shard engines")
-	}
-	if len(tables) != len(shardEngines) {
-		return nil, fmt.Errorf("cluster: %d ID tables for %d shards", len(tables), len(shardEngines))
-	}
-	switch opt.Assignment {
-	case "", AssignHash:
-		opt.Assignment = AssignHash
-	default:
-		return nil, fmt.Errorf("cluster: assignment %q requires the IVF backend (use New)", opt.Assignment)
-	}
-	opt.Shards = len(shardEngines)
-	opt.Replicas = len(shardEngines[0])
-	cl := &Cluster{opt: opt, shards: make([]*Shard, len(shardEngines))}
-	for s, engines := range shardEngines {
-		if len(engines) == 0 || engines[0] == nil {
-			return nil, fmt.Errorf("cluster: shard %d has no engine", s)
-		}
-		if len(engines) != opt.Replicas {
-			return nil, fmt.Errorf("cluster: shard %d has %d replicas, shard 0 has %d", s, len(engines), opt.Replicas)
-		}
-		if d := engines[0].Dim(); d != shardEngines[0][0].Dim() {
-			return nil, fmt.Errorf("cluster: shard %d dim %d != shard 0 dim %d", s, d, shardEngines[0][0].Dim())
-		}
-		if k := engines[0].K(); k != shardEngines[0][0].K() {
-			return nil, fmt.Errorf("cluster: shard %d k %d != shard 0 k %d", s, k, shardEngines[0][0].K())
-		}
-		if err := core.ValidateRemapTable(tables[s]); err != nil {
-			return nil, err
-		}
-		sh := &Shard{Engine: engines[0], Engines: engines, Points: len(tables[s])}
+		sh := &Shard{Engine: eng, Points: len(tables[s])}
 		sh.setTable(tables[s])
+		if err := sh.growReplicas(opt.Replicas); err != nil {
+			return nil, fmt.Errorf("cluster: shard %d %w", s, err)
+		}
 		cl.shards[s] = sh
 	}
-	cl.dim = cl.shards[0].Engine.Dim()
-	cl.storeOwners(make([][]int32, 0))
+	cl.ownPackedLists()
+	cl.loc = cl.shards[0].Engine.Locator()
 	return cl, nil
 }
 
@@ -744,10 +713,9 @@ func (cl *Cluster) stragglerCuts(perShard []core.ProbeSet, nq int) []int {
 	load := make([]float64, len(perShard))
 	var fair float64
 	for s, sh := range cl.shards {
-		eng := sh.ivf()
-		cost[s] = make([]float64, eng.NumClusters())
+		cost[s] = make([]float64, cl.ix.NList)
 		for c := range cost[s] {
-			cost[s][c] = eng.ProbeCycles(int32(c))
+			cost[s][c] = sh.Engine.ProbeCycles(int32(c))
 		}
 		for _, c := range perShard[s].Clusters {
 			load[s] += cost[s][c]
@@ -776,7 +744,7 @@ func (cl *Cluster) stragglerCuts(perShard []core.ProbeSet, nq int) []int {
 // 0 and, when cut < queries.N, the rest concurrently on replica 1.
 func searchSplit(sh *Shard, queries dataset.U8Set, ps core.ProbeSet, cut int) (*core.Result, error) {
 	if cut == queries.N {
-		return sh.ivf().SearchBatchProbed(queries, ps, false)
+		return sh.Engine.SearchBatchProbed(queries, ps, false)
 	}
 	sub := func(lo, hi int) dataset.U8Set {
 		return dataset.U8Set{N: hi - lo, D: queries.D, Data: queries.Data[lo*queries.D : hi*queries.D]}
@@ -791,10 +759,10 @@ func searchSplit(sh *Shard, queries dataset.U8Set, ps core.ProbeSet, cut int) (*
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		spill, spillErr = sh.Engines[1].(ivfEngine).SearchBatchProbed(sub(cut, queries.N), tail, false)
+		spill, spillErr = sh.Engines[1].SearchBatchProbed(sub(cut, queries.N), tail, false)
 	}()
 	head := core.ProbeSet{Offsets: ps.Offsets[:cut+1], Clusters: ps.Clusters[:split]}
-	res, err := sh.ivf().SearchBatchProbed(sub(0, cut), head, false)
+	res, err := sh.Engine.SearchBatchProbed(sub(0, cut), head, false)
 	<-done
 	if err == nil {
 		err = spillErr
@@ -815,77 +783,60 @@ func (cl *Cluster) Shards() []*Shard { return cl.shards }
 // Replicas reports the configured replication factor R.
 func (cl *Cluster) Replicas() int { return cl.opt.Replicas }
 
-// Index returns the shared unsharded index the fleet was partitioned from
-// (nil for fleets assembled from non-IVF engines via FromEngines).
+// Index returns the index carrying the fleet's shared quantizers: the
+// unsharded index New partitioned, or a quantizer-only view (empty lists)
+// after RecoverCluster.
 func (cl *Cluster) Index() *ivf.Index { return cl.ix }
 
 // K reports the per-shard engines' configured neighbors-per-query.
 func (cl *Cluster) K() int { return cl.shards[0].Engine.K() }
 
 // Dim reports the vector dimensionality queries must match.
-func (cl *Cluster) Dim() int {
-	if cl.ix != nil {
-		return cl.ix.Dim
-	}
-	return cl.dim
-}
+func (cl *Cluster) Dim() int { return cl.ix.Dim }
 
-// SearchBatch scatters the query batch across the shards, gathers the
-// per-shard partial top-k lists, remaps local IDs to global IDs, and merges
-// into the global top-k. Under AssignKMeans this is the selective path: the
-// front door runs coarse locate once for the whole batch, partitions the
-// probe lists by the cluster→shard owner map, and contacts only shards with
-// non-empty probe lists (their engines skip CL entirely via
-// SearchBatchProbed); under AssignHash every shard holds a slice of every
-// list, so the batch broadcasts and each shard runs its own CL. Results
-// (IDs and Items) are bit-identical to a single-engine SearchBatch over the
-// unsharded corpus either way; Metrics is the cross-shard parallel view
-// (core.Metrics.MergeParallel), with the selective path charging the
-// front-door CL cost exactly once (overlapped with shard compute, as the
-// engine's own pipeline models it).
+// SearchBatch routes the query batch to the shards, gathers the per-shard
+// partial top-k lists, remaps local IDs to global IDs, and merges into the
+// global top-k. The front door runs coarse locate once for the whole batch,
+// partitions the probe lists by the cluster→shard owner map, and contacts
+// only shards with non-empty probe lists (their engines skip CL entirely via
+// SearchBatchProbed). Results (IDs and Items) are bit-identical to a
+// single-engine SearchBatch over the unsharded corpus under either placement
+// policy; Metrics is the cross-shard parallel view
+// (core.Metrics.MergeParallel), with the front-door CL cost charged exactly
+// once (overlapped with shard compute, as the engine's own pipeline models
+// it).
 //
-// Straggler mitigation (selective path, Replicas > 1): the fleet finishes
-// with its slowest shard, and which shard that is — and by how much — follows
-// the batch's query mix. Each shard's load is therefore estimated up front
-// (the engines' own scheduler heat summed over the shard's probe lists), and
-// a shard above its fair share, 1/S of the batch's total, keeps only the
-// leading queries that fit the share on replica 0; the tail runs
-// concurrently on replica 1, which the offline path otherwise leaves to
-// online traffic. Replicas answer bit-identically, so results do not change;
-// the shard's Metrics are the parallel merge of its two engines.
+// Straggler mitigation (Replicas > 1): the fleet finishes with its slowest
+// shard, and which shard that is — and by how much — follows the batch's
+// query mix. Each shard's load is therefore estimated up front (the engines'
+// own scheduler heat summed over the shard's probe lists), and a shard above
+// its fair share, 1/S of the batch's total, keeps only the leading queries
+// that fit the share on replica 0; the tail runs concurrently on replica 1,
+// which the offline path otherwise leaves to online traffic. Replicas answer
+// bit-identically, so results do not change; the shard's Metrics are the
+// parallel merge of its two engines.
 func (cl *Cluster) SearchBatch(queries dataset.U8Set) (*core.Result, error) {
 	if queries.D != cl.Dim() {
 		return nil, fmt.Errorf("cluster: query dim %d != index dim %d", queries.D, cl.Dim())
 	}
+	start := time.Now()
+	perShard, fanouts := cl.partitionProbes(cl.loc.Probes(queries), queries.N)
+	clSim := cl.loc.CLSeconds(queries.N)
+	cl.recordRoute(fanouts, time.Since(start).Seconds(), clSim)
+	cuts := cl.stragglerCuts(perShard, queries.N)
+
 	results := make([]*core.Result, len(cl.shards))
 	errs := make([]error, len(cl.shards))
-	var clSim float64
 	var wg sync.WaitGroup
-	if cl.Selective() {
-		start := time.Now()
-		ps := cl.loc.Probes(queries)
-		perShard, fanouts := cl.partitionProbes(ps, queries.N)
-		clSim = cl.loc.CLSeconds(queries.N)
-		cl.recordRoute(fanouts, time.Since(start).Seconds(), clSim)
-		cuts := cl.stragglerCuts(perShard, queries.N)
-		for s, sh := range cl.shards {
-			if len(perShard[s].Clusters) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(s int, sh *Shard, ps core.ProbeSet) {
-				defer wg.Done()
-				results[s], errs[s] = searchSplit(sh, queries, ps, cuts[s])
-			}(s, sh, perShard[s])
+	for s, sh := range cl.shards {
+		if len(perShard[s].Clusters) == 0 {
+			continue
 		}
-	} else {
-		for s, sh := range cl.shards {
-			wg.Add(1)
-			go func(s int, sh *Shard) {
-				defer wg.Done()
-				results[s], errs[s] = sh.Engine.SearchBatch(queries)
-			}(s, sh)
-		}
+		wg.Add(1)
+		go func(s int, sh *Shard) {
+			defer wg.Done()
+			results[s], errs[s] = searchSplit(sh, queries, perShard[s], cuts[s])
+		}(s, sh)
 	}
 	wg.Wait()
 	for s, err := range errs {
@@ -921,15 +872,13 @@ func (cl *Cluster) SearchBatch(queries dataset.U8Set) (*core.Result, error) {
 	// exactly as the engine's SimSeconds = Σ max(host, pim+xfer) pipeline
 	// model treats the CL stage — overlapped with the scattered shard work
 	// rather than added to it.
-	if clSim > 0 {
-		out.Metrics.Queries = queries.N
-		out.Metrics.HostSeconds += clSim
-		if clSim > out.Metrics.SimSeconds {
-			out.Metrics.SimSeconds = clSim
-		}
-		if out.Metrics.SimSeconds > 0 {
-			out.Metrics.QPS = float64(queries.N) / out.Metrics.SimSeconds
-		}
+	out.Metrics.Queries = queries.N
+	out.Metrics.HostSeconds += clSim
+	if clSim > out.Metrics.SimSeconds {
+		out.Metrics.SimSeconds = clSim
+	}
+	if out.Metrics.SimSeconds > 0 {
+		out.Metrics.QPS = float64(queries.N) / out.Metrics.SimSeconds
 	}
 	return out, nil
 }

@@ -40,13 +40,13 @@ func engineOpts() core.Options {
 // scan and the TreeCL descent, the merged scatter-gather top-k (IDs and
 // Items) is bit-identical to a single-engine SearchBatch over the unsharded
 // corpus. This holds because every shard shares the full quantizer state
-// (so the front door — or each shard under broadcast — locates the same
-// probe set and computes the same integer distances), the shards partition
+// (so the front door locates the same probe set and every shard computes
+// the same integer distances), the shards partition
 // the scanned points, the local→global ID tables are monotone
 // (order-preserving), and the global top-k of a partitioned multiset is the
-// merge of the per-part top-k lists. Under kmeans this exercises the
-// selective-scatter path (front-door CL + SearchBatchProbed per shard);
-// under hash, the broadcast fallback.
+// merge of the per-part top-k lists. Both policies go through the one
+// routed path (front-door CL + SearchBatchProbed per owning shard); they
+// differ only in how many shards own a probed cluster.
 func TestClusterEquivalence(t *testing.T) {
 	ix, s := testFixture(t, 6000, 64)
 	for _, branch := range []int{0, 8} {
@@ -98,27 +98,24 @@ func TestClusterEquivalence(t *testing.T) {
 					if got.Metrics.SimSeconds <= 0 {
 						t.Fatal("merged SimSeconds not positive")
 					}
-					// Routing stats: the selective path records every query
-					// with fan-out in [1, S]; broadcast records nothing.
+					// Routing stats, under either placement: every query is
+					// recorded with fan-out in [1, S] and the front-door CL
+					// is charged.
 					st := cl.Stats()
-					if assign == cluster.AssignKMeans {
-						if !st.Selective {
-							t.Fatal("kmeans fleet should report Selective")
-						}
-						if st.Route.RoutedQueries != s.Queries.N {
-							t.Fatalf("routed %d queries, want %d", st.Route.RoutedQueries, s.Queries.N)
-						}
-						if mf := st.Route.MeanFanout(); mf <= 0 || mf > float64(shards) {
-							t.Fatalf("mean fan-out %v outside (0, %d]", mf, shards)
-						}
-						if st.Route.MaxFanout > shards {
-							t.Fatalf("max fan-out %d > %d shards", st.Route.MaxFanout, shards)
-						}
-						if st.Route.FrontCLSimSeconds <= 0 {
-							t.Fatal("front-door CL sim cost not recorded")
-						}
-					} else if st.Route.RoutedQueries != 0 {
-						t.Fatalf("broadcast fleet recorded %d routed queries", st.Route.RoutedQueries)
+					if st.Route.RoutedQueries != s.Queries.N {
+						t.Fatalf("routed %d queries, want %d", st.Route.RoutedQueries, s.Queries.N)
+					}
+					if mf := st.Route.MeanFanout(); mf < 1 || mf > float64(shards) {
+						t.Fatalf("mean fan-out %v outside [1, %d]", mf, shards)
+					}
+					if st.Route.FanoutHist[0] != 0 {
+						t.Fatalf("%d queries contacted no shard", st.Route.FanoutHist[0])
+					}
+					if st.Route.MaxFanout > shards {
+						t.Fatalf("max fan-out %d > %d shards", st.Route.MaxFanout, shards)
+					}
+					if st.Route.FrontCLSimSeconds <= 0 {
+						t.Fatal("front-door CL sim cost not recorded")
 					}
 				})
 			}

@@ -12,18 +12,17 @@
 // at recovery time. Each shard's snapshot carries its local→global ID
 // table (stale entries for deleted points and all — replay computes
 // local ids as table length, so the table must round-trip exactly), the
-// shard's owner-map rows (a live insert into a cluster marks its shard
-// as an owner even if the point is later deleted; index contents alone
-// cannot reproduce that), and last the shard sub-index in the ivf v2
+// shard's owned-cluster list (Shard.owned; index contents alone cannot
+// reproduce it), and last the shard sub-index in the ivf v2
 // checkpoint format (last because ivf.Load buffers past what it
 // consumes).
 //
 // WAL records carry GLOBAL ids: one client batch fans out across
 // shards, so Cluster.Insert/Delete log each shard's applied sub-batch
 // to that shard's WAL, in per-shard application order. Replay is then
-// purely shard-local — insert assigns local id = len(table) exactly as
-// the live path did, delete routes through the rebuilt global→local
-// map — and shards can replay independently in any order.
+// purely shard-local — it runs the live path's own per-point steps
+// (applyInsert, applyDelete) on the shard the record names — and shards
+// can replay independently in any order.
 package cluster
 
 import (
@@ -38,7 +37,6 @@ import (
 	"drimann/internal/core"
 	"drimann/internal/dataset"
 	"drimann/internal/durable"
-	"drimann/internal/engine"
 	"drimann/internal/ivf"
 )
 
@@ -60,7 +58,6 @@ const (
 // routed Server additionally quiesces every replica batcher first.
 type FleetStore struct {
 	dir    string
-	fs     durable.FS
 	stores []*durable.Store
 }
 
@@ -77,9 +74,6 @@ func shardDir(dir string, s int) string {
 
 // Dir returns the fleet directory.
 func (fst *FleetStore) Dir() string { return fst.dir }
-
-// NumShards returns the number of per-shard stores.
-func (fst *FleetStore) NumShards() int { return len(fst.stores) }
 
 // Shard returns shard s's durable.Store (for inspection and tests).
 func (fst *FleetStore) Shard(s int) *durable.Store { return fst.stores[s] }
@@ -209,10 +203,9 @@ func readIDSection(data []byte, what string) (ids []int32, rest []byte, err erro
 }
 
 // shardSnapshot returns shard s's checkpoint writer: header, the
-// local→global table, the shard's owned clusters (the owner-map rows
-// naming s), then the sub-index with its live overlay in ivf v2 format.
-// Callers hold cl.mu (or are the only goroutine, during create and
-// recovery).
+// local→global table, the shard's owned clusters, then the sub-index with
+// its live overlay in ivf v2 format. Callers hold cl.mu (or are the only
+// goroutine, during create and recovery).
 func (cl *Cluster) shardSnapshot(s int) func(w io.Writer) error {
 	return func(w io.Writer) error {
 		le := binary.LittleEndian
@@ -226,20 +219,10 @@ func (cl *Cluster) shardSnapshot(s int) func(w io.Writer) error {
 		if err := writeIDSection(w, sh.GlobalIDs()); err != nil {
 			return err
 		}
-		owners := cl.ownersView()
-		var owned []int32
-		for c, row := range owners {
-			for _, o := range row {
-				if o == int32(s) {
-					owned = append(owned, int32(c))
-					break
-				}
-			}
-		}
-		if err := writeIDSection(w, owned); err != nil {
+		if err := writeIDSection(w, sh.owned); err != nil {
 			return err
 		}
-		return sh.ivf().Index().Save(w)
+		return sh.Engine.Index().Save(w)
 	}
 }
 
@@ -271,9 +254,6 @@ func parseShardSnapshot(img []byte) (table, owned []int32, ixBytes []byte, err e
 func CreateFleetStore(cl *Cluster, opt durable.Options) (*FleetStore, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if err := cl.requireIVF(); err != nil {
-		return nil, err
-	}
 	if cl.fstore != nil {
 		return nil, fmt.Errorf("cluster: fleet store already attached")
 	}
@@ -288,7 +268,7 @@ func CreateFleetStore(cl *Cluster, opt durable.Options) (*FleetStore, error) {
 	}); err != nil {
 		return nil, err
 	}
-	fst := &FleetStore{dir: opt.Dir, fs: fsys, stores: make([]*durable.Store, len(cl.shards))}
+	fst := &FleetStore{dir: opt.Dir, stores: make([]*durable.Store, len(cl.shards))}
 	for s := range cl.shards {
 		st, err := durable.Create(durable.Options{Dir: shardDir(opt.Dir, s), Policy: opt.Policy, FS: opt.FS},
 			cl.shardSnapshot(s))
@@ -301,41 +281,28 @@ func CreateFleetStore(cl *Cluster, opt durable.Options) (*FleetStore, error) {
 	return fst, nil
 }
 
-// Durability returns the attached fleet store, nil when the cluster is
-// not durable.
-func (cl *Cluster) Durability() *FleetStore { return cl.fstore }
-
-// logInserts appends each shard's applied insert sub-batch (global ids
-// + raw vectors, in application order) to that shard's WAL and marks
-// the batch durability point. Callers hold cl.mu.
-func (cl *Cluster) logInserts(pend []pendingInserts, dim int) error {
-	for s := range pend {
-		if len(pend[s].ids) == 0 {
+// logBatch appends each shard's applied sub-batch (global ids, plus the
+// raw vectors of an insert batch, in application order) to that shard's
+// WAL as one record and marks the batch durability point. A shard that
+// applied nothing logs nothing, and neither does a fleet without a store.
+// Callers hold cl.mu.
+func (cl *Cluster) logBatch(pend []durable.Mutation) error {
+	if cl.fstore == nil {
+		return nil
+	}
+	for s, m := range pend {
+		if len(m.IDs) == 0 {
 			continue
 		}
-		rec, err := durable.EncodeInsert(pend[s].ids, dim, pend[s].vecs)
-		if err != nil {
-			return err
+		rec := durable.EncodeDelete(m.IDs)
+		if m.Op == durable.OpInsert {
+			var err error
+			if rec, err = durable.EncodeInsert(m.IDs, m.Dim, m.Vecs); err != nil {
+				return err
+			}
 		}
 		st := cl.fstore.stores[s]
 		if err := st.Append(rec); err != nil {
-			return err
-		}
-		if err := st.BatchEnd(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// logDeletes is logInserts for delete sub-batches.
-func (cl *Cluster) logDeletes(pend [][]int32) error {
-	for s := range pend {
-		if len(pend[s]) == 0 {
-			continue
-		}
-		st := cl.fstore.stores[s]
-		if err := st.Append(durable.EncodeDelete(pend[s])); err != nil {
 			return err
 		}
 		if err := st.BatchEnd(); err != nil {
@@ -405,9 +372,8 @@ func RecoverCluster(opt durable.Options, profile dataset.U8Set, copt Options) (*
 		shardOfCluster: shardOfCluster,
 		g2l:            make([]map[int32]int32, S),
 	}
-	fst := &FleetStore{dir: opt.Dir, fs: fsys, stores: make([]*durable.Store, S)}
+	fst := &FleetStore{dir: opt.Dir, stores: make([]*durable.Store, S)}
 	walTails := make([][][]byte, S)
-	ownedBy := make([][]int32, S)
 	for s := 0; s < S; s++ {
 		st, err := durable.Open(durable.Options{Dir: shardDir(opt.Dir, s), Policy: opt.Policy, FS: opt.FS})
 		if err != nil {
@@ -421,6 +387,11 @@ func RecoverCluster(opt durable.Options, profile dataset.U8Set, copt Options) (*
 		table, owned, ixBytes, err := parseShardSnapshot(img)
 		if err != nil {
 			return nil, nil, fmt.Errorf("cluster: recover shard %d: %w", s, err)
+		}
+		for _, c := range owned {
+			if c < 0 || int(c) >= nlist {
+				return nil, nil, fmt.Errorf("cluster: recover shard %d: owned cluster %d out of range", s, c)
+			}
 		}
 		sub, err := ivf.Load(bytes.NewReader(ixBytes))
 		if err != nil {
@@ -450,42 +421,21 @@ func RecoverCluster(opt durable.Options, profile dataset.U8Set, copt Options) (*
 			m[table[l]] = l
 		}
 		cl.g2l[s] = m
-		sh := &Shard{Engine: eng, Points: len(m)}
+		sh := &Shard{Engine: eng, owned: owned, Points: len(m)}
 		sh.setTable(table)
 		cl.shards[s] = sh
 		if walTails[s], err = st.WALRecords(); err != nil {
 			return nil, nil, fmt.Errorf("cluster: recover shard %d WAL: %w", s, err)
 		}
-		ownedBy[s] = owned
 	}
 
 	// Shared front-door state: every shard sub-index carries the full
 	// (identical) quantizer tables, so shard 0's stand in for the
 	// original unsharded index — post-build the cluster only uses its
 	// quantizers (AssignVec, Centroid, scratch), never its lists.
-	sub0 := cl.shards[0].ivf().Index()
-	cl.ix = &ivf.Index{
-		Dim: sub0.Dim, NList: sub0.NList, M: sub0.M, CB: sub0.CB,
-		Centroids:   sub0.Centroids,
-		CentroidsU8: sub0.CentroidsU8,
-		PQ:          sub0.PQ,
-		IntCB:       sub0.IntCB,
-		OPQ:         sub0.OPQ,
-		SQT:         sub0.SQT,
-		Lists:       make([][]int32, sub0.NList),
-		Codes:       make([][]uint16, sub0.NList),
-	}
+	cl.ix = quantizerView(cl.shards[0].Engine.Index())
 	cl.esc = cl.ix.NewEncodeScratch()
-	owners := make([][]int32, nlist)
-	for s := 0; s < S; s++ {
-		for _, c := range ownedBy[s] {
-			if c < 0 || int(c) >= nlist {
-				return nil, nil, fmt.Errorf("cluster: recover shard %d: owned cluster %d out of range", s, c)
-			}
-			owners[c] = append(owners[c], int32(s)) // shard-ascending: rows stay sorted
-		}
-	}
-	cl.storeOwners(owners)
+	cl.deriveOwners()
 
 	// Replay each shard's WAL tail through the live mutation path, then
 	// grow the replica set and rotate every generation (discarding any
@@ -496,17 +446,11 @@ func RecoverCluster(opt durable.Options, profile dataset.U8Set, copt Options) (*
 		}
 	}
 	for s, sh := range cl.shards {
-		engines := make([]engine.Engine, copt.Replicas)
-		engines[0] = sh.Engine
-		rep, _ := sh.Engine.(engine.Replicable)
-		for r := 1; r < copt.Replicas; r++ {
-			if engines[r], err = rep.NewReplica(); err != nil {
-				return nil, nil, fmt.Errorf("cluster: recover shard %d replica %d: %w", s, r, err)
-			}
+		if err := sh.growReplicas(copt.Replicas); err != nil {
+			return nil, nil, fmt.Errorf("cluster: recover shard %d %w", s, err)
 		}
-		sh.Engines = engines
 	}
-	cl.loc = cl.shards[0].ivf().Locator()
+	cl.loc = cl.shards[0].Engine.Locator()
 	cl.fstore = fst
 	if err := cl.checkpointShards(); err != nil {
 		return nil, nil, err
@@ -514,13 +458,10 @@ func RecoverCluster(opt durable.Options, profile dataset.U8Set, copt Options) (*
 	return cl, fst, nil
 }
 
-// replayShardWAL applies shard s's decoded WAL tail in order: inserts
-// re-route nothing (the record already names this shard) and take the
-// next local id exactly as the live path did; deletes resolve through
-// the rebuilt global→local map. Owner rows grow through the same
-// addOwner the live insert used.
+// replayShardWAL applies shard s's decoded WAL tail in order through the
+// live path's per-point steps: inserts re-route nothing (the record already
+// names this shard), deletes resolve through the rebuilt global→local map.
 func (cl *Cluster) replayShardWAL(s int, recs [][]byte) error {
-	sh := cl.shards[s]
 	for i, rec := range recs {
 		m, err := durable.DecodeMutation(rec)
 		if err != nil {
@@ -532,35 +473,15 @@ func (cl *Cluster) replayShardWAL(s int, recs [][]byte) error {
 				return fmt.Errorf("cluster: shard %d WAL record %d: dim %d != index dim %d", s, i, m.Dim, cl.ix.Dim)
 			}
 			for j, g := range m.IDs {
-				tbl := sh.GlobalIDs()
-				local := int32(len(tbl))
-				one := dataset.U8Set{N: 1, D: m.Dim, Data: m.Vecs[j*m.Dim : (j+1)*m.Dim]}
-				if err := sh.ivf().Insert(one, []int32{local}); err != nil {
+				if err := cl.applyInsert(s, g, m.Vecs[j*m.Dim:(j+1)*m.Dim]); err != nil {
 					return fmt.Errorf("cluster: shard %d WAL record %d replay: %w", s, i, err)
 				}
-				newTbl := make([]int32, len(tbl)+1)
-				copy(newTbl, tbl)
-				newTbl[len(tbl)] = g
-				sh.setTable(newTbl)
-				sh.Points++
-				cl.g2l[s][g] = local
-				c, ok := sh.ivf().Index().WhereIs(local)
-				if !ok {
-					return fmt.Errorf("cluster: shard %d lost replayed local id %d", s, local)
-				}
-				cl.addOwner(c, int32(s))
 			}
 		case durable.OpDelete:
 			for _, g := range m.IDs {
-				local, ok := cl.g2l[s][g]
-				if !ok {
-					return fmt.Errorf("cluster: shard %d WAL record %d: delete of unknown id %d", s, i, g)
-				}
-				if err := sh.ivf().Delete([]int32{local}); err != nil {
+				if err := cl.applyDelete(s, g); err != nil {
 					return fmt.Errorf("cluster: shard %d WAL record %d replay: %w", s, i, err)
 				}
-				delete(cl.g2l[s], g)
-				sh.Points--
 			}
 		default:
 			return fmt.Errorf("cluster: shard %d WAL record %d: unknown op %d", s, i, m.Op)

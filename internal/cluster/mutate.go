@@ -1,4 +1,4 @@
-// Live mutability across the fleet: Insert routes each new point to a shard
+// Live mutability across the fleet: Insert places each new point on a shard
 // through the same assignment the build used (the retained cluster→shard map
 // under AssignKMeans, the point-ID hash under AssignHash), Delete routes by
 // the global→local table, and Compact renumbers every shard's local ID space
@@ -17,26 +17,13 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"drimann/internal/dataset"
+	"drimann/internal/durable"
 )
-
-// ErrUnsupported is returned by Insert/Delete/Compact and CreateFleetStore
-// when the fleet was assembled from a backend without the IVF routing
-// state live mutation and durability need (see FromEngines).
-var ErrUnsupported = errors.New("cluster: backend does not support this operation")
-
-// requireIVF rejects mutation/durability calls on fleets whose backend
-// lacks the extended IVF surface. Callers hold cl.mu.
-func (cl *Cluster) requireIVF() error {
-	if cl.ix == nil || cl.shards[0].ivf() == nil {
-		return fmt.Errorf("cluster: fleet over backend %T: %w", cl.shards[0].Engine, ErrUnsupported)
-	}
-	return nil
-}
 
 // ensureG2L lazily builds the per-shard global→local maps (O(N) once) and
 // the front-door encode scratch. Callers hold cl.mu.
@@ -67,13 +54,48 @@ func (cl *Cluster) findShard(id int32) int {
 	return -1
 }
 
-// pendingInserts accumulates one shard's applied insert sub-batch — the
-// WAL record a durable fleet writes once the batch finishes (or fails
-// part-way: the applied prefix is still logged, so the WAL always
-// reproduces acknowledged engine state).
-type pendingInserts struct {
-	ids  []int32
-	vecs []byte
+// applyInsert adds one point to shard s under global id g — the single
+// per-point insert step, shared by the live path and WAL replay so the two
+// cannot drift: the point takes the next shard-local id (the table's
+// length), the table grows copy-on-write, and the shard becomes an owner of
+// the cluster the engine placed the point in. Callers hold cl.mu (or are the
+// only goroutine) and have g2l built.
+func (cl *Cluster) applyInsert(s int, g int32, vec []uint8) error {
+	sh := cl.shards[s]
+	tbl := sh.GlobalIDs()
+	local := int32(len(tbl))
+	if err := sh.Engine.Insert(dataset.U8Set{N: 1, D: len(vec), Data: vec}, []int32{local}); err != nil {
+		return err
+	}
+	sh.setTable(append(slices.Clip(tbl), g)) // Clip: readers keep the old table
+	sh.Points++
+	cl.g2l[s][g] = local
+	c, ok := sh.Engine.Index().WhereIs(local)
+	if !ok {
+		return fmt.Errorf("lost inserted local id %d", local)
+	}
+	if i, found := slices.BinarySearch(sh.owned, c); !found {
+		sh.owned = slices.Insert(sh.owned, i, c)
+		cl.deriveOwners()
+	}
+	return nil
+}
+
+// applyDelete removes global id g from shard s — the single per-point
+// delete step of the live path and WAL replay. The shard stays an owner of
+// the point's cluster until Compact (routing to a shard whose list became
+// all-tombstones is harmless, just not minimal).
+func (cl *Cluster) applyDelete(s int, g int32) error {
+	local, ok := cl.g2l[s][g]
+	if !ok {
+		return fmt.Errorf("id %d not present", g)
+	}
+	if err := cl.shards[s].Engine.Delete([]int32{local}); err != nil {
+		return err
+	}
+	delete(cl.g2l[s], g)
+	cl.shards[s].Points--
+	return nil
 }
 
 // Insert adds vecs[i] under global ids[i]. Under AssignKMeans each point
@@ -81,12 +103,12 @@ type pendingInserts struct {
 // that owned no points at build time); under AssignHash on the shard its ID
 // hashes to — both exactly where a fresh build over the grown corpus would
 // place it. The owner map is updated before returning, so the very next
-// selective-scatter batch routes to the new point. With a fleet store
-// attached, each shard's applied sub-batch is WAL-logged before the call
-// returns; a logging failure is reported even when every point applied
-// ("applied but not durable" — the mutation is live in memory but not
-// acknowledged). Not safe concurrently with searches on the shard engines;
-// the routed cluster.Server serializes this at batch boundaries.
+// batch routes to the new point. With a fleet store attached, each shard's
+// applied sub-batch is WAL-logged before the call returns; a logging failure
+// is reported even when every point applied ("applied but not durable" — the
+// mutation is live in memory but not acknowledged). Not safe concurrently
+// with searches on the shard engines; the routed cluster.Server serializes
+// this at batch boundaries.
 func (cl *Cluster) Insert(vecs dataset.U8Set, ids []int32) error {
 	if vecs.N != len(ids) {
 		return fmt.Errorf("cluster: %d vectors for %d ids", vecs.N, len(ids))
@@ -96,14 +118,12 @@ func (cl *Cluster) Insert(vecs dataset.U8Set, ids []int32) error {
 	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if err := cl.requireIVF(); err != nil {
-		return err
-	}
 	cl.ensureG2L()
-	var pend []pendingInserts
-	if cl.fstore != nil {
-		pend = make([]pendingInserts, len(cl.shards))
-	}
+	// pend[s] accumulates shard s's applied sub-batch — the WAL record a
+	// durable fleet writes once the batch finishes (or fails part-way: the
+	// applied prefix is still logged, so the WAL always reproduces
+	// acknowledged engine state).
+	pend := make([]durable.Mutation, len(cl.shards))
 	var applyErr error
 	for i := 0; i < vecs.N; i++ {
 		id := ids[i]
@@ -115,81 +135,35 @@ func (cl *Cluster) Insert(vecs dataset.U8Set, ids []int32) error {
 			applyErr = fmt.Errorf("cluster: id %d already present on shard %d (delete it first)", id, s)
 			break
 		}
-		var s int32
+		var s int
 		if cl.shardOfCluster != nil {
-			c := cl.ix.AssignVec(vecs.Vec(i), cl.esc)
-			s = cl.shardOfCluster[c]
+			s = int(cl.shardOfCluster[cl.ix.AssignVec(vecs.Vec(i), cl.esc)])
 		} else {
-			s = int32(splitmix64(uint64(id)) % uint64(len(cl.shards)))
+			s = int(splitmix64(uint64(id)) % uint64(len(cl.shards)))
 		}
-		sh := cl.shards[s]
-		tbl := sh.GlobalIDs()
-		local := int32(len(tbl))
-		one := dataset.U8Set{N: 1, D: vecs.D, Data: vecs.Vec(i)}
-		if err := sh.ivf().Insert(one, []int32{local}); err != nil {
+		if err := cl.applyInsert(s, id, vecs.Vec(i)); err != nil {
 			applyErr = fmt.Errorf("cluster: shard %d: %w", s, err)
 			break
 		}
-		newTbl := make([]int32, len(tbl)+1)
-		copy(newTbl, tbl)
-		newTbl[len(tbl)] = id
-		sh.setTable(newTbl)
-		sh.Points++
-		cl.g2l[s][id] = local
-		if pend != nil {
-			pend[s].ids = append(pend[s].ids, id)
-			pend[s].vecs = append(pend[s].vecs, vecs.Vec(i)...)
-		}
-		c, ok := sh.ivf().Index().WhereIs(local)
-		if !ok {
-			applyErr = fmt.Errorf("cluster: shard %d lost inserted local id %d", s, local)
-			break
-		}
-		cl.addOwner(c, s)
+		m := &pend[s]
+		m.Op, m.Dim = durable.OpInsert, vecs.D
+		m.IDs = append(m.IDs, id)
+		m.Vecs = append(m.Vecs, vecs.Vec(i)...)
 	}
-	if pend != nil {
-		if err := cl.logInserts(pend, vecs.D); err != nil {
-			return fmt.Errorf("cluster: insert applied but not durable: %w", err)
-		}
+	if err := cl.logBatch(pend); err != nil {
+		return fmt.Errorf("cluster: insert applied but not durable: %w", err)
 	}
 	return applyErr
 }
 
-// addOwner records shard s as an owner of cluster c (copy-on-write; no-op
-// when already recorded). Callers hold cl.mu.
-func (cl *Cluster) addOwner(c, s int32) {
-	owners := cl.ownersView()
-	for _, o := range owners[c] {
-		if o == s {
-			return
-		}
-	}
-	next := make([][]int32, len(owners))
-	copy(next, owners)
-	row := make([]int32, 0, len(owners[c])+1)
-	row = append(row, owners[c]...)
-	row = append(row, s)
-	sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-	next[c] = row
-	cl.storeOwners(next)
-}
-
 // Delete removes global ids from the fleet, routing each to the shard that
-// holds it. Owner-map entries are left in place until Compact (routing to a
-// shard whose list became all-tombstones is harmless, just not minimal).
-// With a fleet store attached the applied sub-batches are WAL-logged under
-// the same applied-prefix contract as Insert.
+// holds it. With a fleet store attached the applied sub-batches are
+// WAL-logged under the same applied-prefix contract as Insert.
 func (cl *Cluster) Delete(ids []int32) error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if err := cl.requireIVF(); err != nil {
-		return err
-	}
 	cl.ensureG2L()
-	var pend [][]int32
-	if cl.fstore != nil {
-		pend = make([][]int32, len(cl.shards))
-	}
+	pend := make([]durable.Mutation, len(cl.shards))
 	var applyErr error
 	for _, id := range ids {
 		s := cl.findShard(id)
@@ -197,21 +171,15 @@ func (cl *Cluster) Delete(ids []int32) error {
 			applyErr = fmt.Errorf("cluster: id %d not present", id)
 			break
 		}
-		local := cl.g2l[s][id]
-		if err := cl.shards[s].ivf().Delete([]int32{local}); err != nil {
+		if err := cl.applyDelete(s, id); err != nil {
 			applyErr = fmt.Errorf("cluster: shard %d: %w", s, err)
 			break
 		}
-		delete(cl.g2l[s], id)
-		cl.shards[s].Points--
-		if pend != nil {
-			pend[s] = append(pend[s], id)
-		}
+		pend[s].Op = durable.OpDelete
+		pend[s].IDs = append(pend[s].IDs, id)
 	}
-	if pend != nil {
-		if err := cl.logDeletes(pend); err != nil {
-			return fmt.Errorf("cluster: delete applied but not durable: %w", err)
-		}
+	if err := cl.logBatch(pend); err != nil {
+		return fmt.Errorf("cluster: delete applied but not durable: %w", err)
 	}
 	return applyErr
 }
@@ -225,9 +193,6 @@ func (cl *Cluster) Delete(ids []int32) error {
 func (cl *Cluster) Compact() error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if err := cl.requireIVF(); err != nil {
-		return err
-	}
 	cl.ensureG2L()
 	for s, sh := range cl.shards {
 		m := cl.g2l[s]
@@ -237,14 +202,14 @@ func (cl *Cluster) Compact() error {
 		}
 		sort.Slice(globals, func(i, j int) bool { return globals[i] < globals[j] })
 		oldTbl := sh.GlobalIDs()
-		if !sh.ivf().Index().HasMutations() && len(globals) == len(oldTbl) {
+		if !sh.Engine.Index().HasMutations() && len(globals) == len(oldTbl) {
 			continue // untouched shard: table already dense and monotone
 		}
 		remap := make([]int32, len(oldTbl))
 		for newLocal, g := range globals {
 			remap[m[g]] = int32(newLocal)
 		}
-		if err := sh.ivf().CompactRemap(remap); err != nil {
+		if err := sh.Engine.CompactRemap(remap); err != nil {
 			return fmt.Errorf("cluster: shard %d compact: %w", s, err)
 		}
 		sh.setTable(globals)
@@ -253,16 +218,7 @@ func (cl *Cluster) Compact() error {
 			m[g] = int32(newLocal)
 		}
 	}
-	owners := make([][]int32, cl.ix.NList)
-	for s, sh := range cl.shards {
-		sub := sh.ivf().Index()
-		for c := range sub.Lists {
-			if len(sub.Lists[c]) > 0 {
-				owners[c] = append(owners[c], int32(s))
-			}
-		}
-	}
-	cl.storeOwners(owners)
+	cl.ownPackedLists()
 	if cl.fstore != nil {
 		// Compact is the durable rotation point: every shard's packed
 		// state becomes the new checkpoint and its WAL restarts empty.

@@ -66,6 +66,46 @@ func freshSingle(t *testing.T, ix *ivf.Index, s *dataset.Synth, live []int32, op
 	return res
 }
 
+// TestNewRejectsMutatedIndex: New partitions only the packed lists, so an
+// index with a live overlay must be refused (as core.New refuses it) instead
+// of deploying with the inserts dropped and the tombstoned points back; once
+// compacted, the same index deploys and serves the mutated corpus.
+func TestNewRejectsMutatedIndex(t *testing.T) {
+	ix, s := mutClusterFixture(t, 5000, 4200, 4)
+	if _, err := ix.Insert(4500, s.Base.Vec(4500)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ix.Delete(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, assign := range []cluster.Assignment{cluster.AssignHash, cluster.AssignKMeans} {
+		opt := cluster.Options{Shards: 2, Assignment: assign, Engine: engineOpts()}
+		if _, err := cluster.New(ix, s.Queries, opt); err == nil {
+			t.Fatalf("%s: New deployed an index with uncompacted mutations", assign)
+		}
+	}
+	if _, err := ix.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := cluster.New(ix, s.Queries, cluster.Options{Shards: 2, Assignment: cluster.AssignKMeans, Engine: engineOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top1 := func(id int) int32 {
+		res, err := cl.SearchBatch(dataset.U8Set{N: 1, D: s.Base.D, Data: s.Base.Vec(id)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.IDs[0][0]
+	}
+	if got := top1(4500); got != 4500 {
+		t.Fatalf("inserted point 4500 not served after compact+deploy: top-1 %d", got)
+	}
+	if got := top1(0); got == 0 {
+		t.Fatal("deleted point 0 served after compact+deploy")
+	}
+}
+
 // TestClusterMutateCompactEquivalence is the tentpole acceptance property:
 // for S ∈ {1, 2, 7} under both assignment policies, a fleet that lived
 // through randomized insert/delete interleavings (including delete-then-

@@ -35,96 +35,103 @@ func (c countingReplica) SearchOwned(ctx context.Context, q []uint8, k int) (ser
 	return c.Replica.SearchOwned(ctx, q, k)
 }
 
-// TestSelectiveScatterProperty pins the selective-scatter routing property
-// under AssignKMeans: a shard is contacted for a query if and only if it
+// TestSelectiveScatterProperty pins the routing property under both
+// placement policies: a shard is contacted for a query if and only if it
 // owns at least one of the query's probed clusters — a shard whose probe
-// list is empty never sees the query — and every contacted shard is reached
+// list is empty never sees the query, so the fan-out is the number of
+// distinct owners of the probes — and every contacted shard is reached
 // through SearchProbedOwned (the front door already ran CL, so the plain
 // entry point must stay cold). Hedging is disabled and R=1, so each
 // contacted shard sees exactly one replica call per query and the counter
-// deltas are exact.
+// deltas are exact. Under AssignKMeans some query must skip a shard; under
+// AssignHash every list is spread over all shards, so none need to.
 func TestSelectiveScatterProperty(t *testing.T) {
 	const shards = 3
 	ix, s := testFixture(t, 5000, 48)
-	cl, err := cluster.New(ix, s.Queries, cluster.Options{
-		Shards: shards, Assignment: cluster.AssignKMeans, Engine: engineOpts(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	probedCalls := make([]atomic.Int64, shards)
-	plainCalls := make([]atomic.Int64, shards)
-	srv, err := cluster.NewServerRouted(cl,
-		serve.Options{MaxBatch: 8, MaxWait: 100 * time.Microsecond},
-		cluster.RouteOptions{
-			DisableHedge: true,
-			WrapReplica: func(shard, replica int, r cluster.Replica) cluster.Replica {
-				return countingReplica{Replica: r, probed: &probedCalls[shard], plain: &plainCalls[shard]}
-			},
+	for _, assign := range []cluster.Assignment{cluster.AssignKMeans, cluster.AssignHash} {
+		t.Run(string(assign), func(t *testing.T) {
+			cl, err := cluster.New(ix, s.Queries, cluster.Options{
+				Shards: shards, Assignment: assign, Engine: engineOpts(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			probedCalls := make([]atomic.Int64, shards)
+			plainCalls := make([]atomic.Int64, shards)
+			srv, err := cluster.NewServerRouted(cl,
+				serve.Options{MaxBatch: 8, MaxWait: 100 * time.Microsecond},
+				cluster.RouteOptions{
+					DisableHedge: true,
+					WrapReplica: func(shard, replica int, r cluster.Replica) cluster.Replica {
+						return countingReplica{Replica: r, probed: &probedCalls[shard], plain: &plainCalls[shard]}
+					},
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+
+			loc := cl.Locator()
+			probes := make([]topk.Item[uint32], loc.NProbe())
+			counts := make([]int, 1)
+			sawPartial := false
+			for qi := 0; qi < s.Queries.N; qi++ {
+				q := s.Queries.Vec(qi)
+				// Recompute the query's probe set independently and derive the
+				// expected contact set from the cluster→shard owner map.
+				loc.LocateBatch(dataset.U8Set{N: 1, D: cl.Dim(), Data: q}, 0, 1, probes, counts)
+				expect := make(map[int32]bool)
+				for _, p := range probes[:counts[0]] {
+					for _, sh := range cl.OwnerShards(p.ID) {
+						expect[sh] = true
+					}
+				}
+				if len(expect) < shards {
+					sawPartial = true
+				}
+
+				var before [shards]int64
+				for si := range before {
+					before[si] = probedCalls[si].Load()
+				}
+				resp, err := srv.Search(context.Background(), q, 0)
+				if err != nil {
+					t.Fatalf("query %d: %v", qi, err)
+				}
+				if resp.ShardsContacted != len(expect) {
+					t.Fatalf("query %d: ShardsContacted %d, owner map says %d",
+						qi, resp.ShardsContacted, len(expect))
+				}
+				for si := 0; si < shards; si++ {
+					delta := probedCalls[si].Load() - before[si]
+					switch {
+					case expect[int32(si)] && delta != 1:
+						t.Fatalf("query %d: shard %d owns a probed cluster but saw %d calls", qi, si, delta)
+					case !expect[int32(si)] && delta != 0:
+						t.Fatalf("query %d: shard %d owns no probed cluster but saw %d calls", qi, si, delta)
+					}
+				}
+			}
+			for si := range plainCalls {
+				if n := plainCalls[si].Load(); n != 0 {
+					t.Fatalf("shard %d: %d calls through plain SearchOwned on the routed path", si, n)
+				}
+			}
+			st := srv.Stats()
+			if st.Route.RoutedQueries != s.Queries.N {
+				t.Fatalf("routed %d queries, want %d", st.Route.RoutedQueries, s.Queries.N)
+			}
+			if len(st.Route.FanoutHist) != shards+1 {
+				t.Fatalf("fan-out histogram has %d buckets, want %d", len(st.Route.FanoutHist), shards+1)
+			}
+			mf := st.Route.MeanFanout()
+			if mf < 1 || mf > shards {
+				t.Fatalf("mean fan-out %v outside [1, %d]", mf, shards)
+			}
+			if assign == cluster.AssignKMeans && (!sawPartial || mf >= shards) {
+				t.Fatalf("kmeans fleet skipped no shard (mean fan-out %v of %d) — fixture exercises nothing selective", mf, shards)
+			}
 		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	loc := cl.Locator()
-	probes := make([]topk.Item[uint32], loc.NProbe())
-	counts := make([]int, 1)
-	sawPartial := false
-	for qi := 0; qi < s.Queries.N; qi++ {
-		q := s.Queries.Vec(qi)
-		// Recompute the query's probe set independently and derive the
-		// expected contact set from the cluster→shard owner map.
-		loc.LocateBatch(dataset.U8Set{N: 1, D: cl.Dim(), Data: q}, 0, 1, probes, counts)
-		expect := make(map[int32]bool)
-		for _, p := range probes[:counts[0]] {
-			for _, sh := range cl.OwnerShards(p.ID) {
-				expect[sh] = true
-			}
-		}
-		if len(expect) < shards {
-			sawPartial = true
-		}
-
-		var before [shards]int64
-		for si := range before {
-			before[si] = probedCalls[si].Load()
-		}
-		resp, err := srv.Search(context.Background(), q, 0)
-		if err != nil {
-			t.Fatalf("query %d: %v", qi, err)
-		}
-		if resp.ShardsContacted != len(expect) {
-			t.Fatalf("query %d: ShardsContacted %d, owner map says %d",
-				qi, resp.ShardsContacted, len(expect))
-		}
-		for si := 0; si < shards; si++ {
-			delta := probedCalls[si].Load() - before[si]
-			switch {
-			case expect[int32(si)] && delta != 1:
-				t.Fatalf("query %d: shard %d owns a probed cluster but saw %d calls", qi, si, delta)
-			case !expect[int32(si)] && delta != 0:
-				t.Fatalf("query %d: shard %d owns no probed cluster but saw %d calls", qi, si, delta)
-			}
-		}
-	}
-	if !sawPartial {
-		t.Fatal("every query hit all shards — fixture exercises nothing selective")
-	}
-	for si := range plainCalls {
-		if n := plainCalls[si].Load(); n != 0 {
-			t.Fatalf("shard %d: %d calls through plain SearchOwned on the selective path", si, n)
-		}
-	}
-	st := srv.Stats()
-	if st.Route.RoutedQueries != s.Queries.N {
-		t.Fatalf("routed %d queries, want %d", st.Route.RoutedQueries, s.Queries.N)
-	}
-	if mf := st.Route.MeanFanout(); mf <= 0 || mf >= float64(shards) {
-		t.Fatalf("mean fan-out %v, want in (0, %d) for a selective fleet", mf, shards)
-	}
-	if len(st.Route.FanoutHist) != shards+1 {
-		t.Fatalf("fan-out histogram has %d buckets, want %d", len(st.Route.FanoutHist), shards+1)
 	}
 }
 

@@ -4,10 +4,11 @@
 // per-replica batching policy is exactly the single-engine one — deadline
 // EWMA, bounded admission queue, draining Close).
 //
-// The front door validates once, copies the query once, and scatters it to
-// every shard concurrently under a per-query derived context. Within a
-// shard the query is routed to one replica by power-of-two-choices on the
-// replicas' instantaneous load (queued + in-launch, serve.Server.Load); if
+// The front door validates once, copies the query once, runs coarse locate
+// once, and scatters the query to the shards owning its probed clusters
+// concurrently under a per-query derived context. Within a shard the query
+// is routed to one replica by power-of-two-choices on the replicas'
+// instantaneous load (queued + in-launch, serve.Server.Load); if
 // the chosen replica has not answered within a hedge delay derived from the
 // sibling replicas' p99 latency digests, the request is re-issued to a
 // second replica and the first reply wins (the loser is canceled through
@@ -57,29 +58,43 @@ type ShardStats struct {
 	Replicas []ReplicaStats
 }
 
-// Total sums the shard's per-replica serve ledgers (Sim is the replicas'
-// parallel metrics view).
+// statsSum folds replica serve ledgers into one: counters sum, AvgLatency
+// and MeanBatch are completed-weighted means, and Sim is the replicas'
+// parallel metrics view (core.Metrics.MergeParallel).
+type statsSum struct {
+	t                serve.Stats
+	latSum, batchSum float64
+}
+
+func (a *statsSum) add(rs *serve.Stats) {
+	a.t.Enqueued += rs.Enqueued
+	a.t.Completed += rs.Completed
+	a.t.Canceled += rs.Canceled
+	a.t.Failed += rs.Failed
+	a.t.Rejected += rs.Rejected
+	a.t.Batches += rs.Batches
+	a.t.QueueDepth += rs.QueueDepth
+	a.t.Inflight += rs.Inflight
+	a.latSum += float64(rs.AvgLatency) * float64(rs.Completed)
+	a.batchSum += rs.MeanBatch * float64(rs.Completed)
+	a.t.Sim.MergeParallel(&rs.Sim)
+}
+
+func (a *statsSum) total() serve.Stats {
+	if a.t.Completed > 0 {
+		a.t.AvgLatency = time.Duration(a.latSum / float64(a.t.Completed))
+		a.t.MeanBatch = a.batchSum / float64(a.t.Completed)
+	}
+	return a.t
+}
+
+// Total sums the shard's per-replica serve ledgers.
 func (ss ShardStats) Total() serve.Stats {
-	var t serve.Stats
-	var latSum, batchSum float64
-	for _, rs := range ss.Replicas {
-		t.Enqueued += rs.Enqueued
-		t.Completed += rs.Completed
-		t.Canceled += rs.Canceled
-		t.Failed += rs.Failed
-		t.Rejected += rs.Rejected
-		t.Batches += rs.Batches
-		t.QueueDepth += rs.QueueDepth
-		t.Inflight += rs.Inflight
-		latSum += float64(rs.AvgLatency) * float64(rs.Completed)
-		batchSum += rs.MeanBatch * float64(rs.Completed)
-		t.Sim.MergeParallel(&rs.Sim)
+	var sum statsSum
+	for i := range ss.Replicas {
+		sum.add(&ss.Replicas[i].Stats)
 	}
-	if t.Completed > 0 {
-		t.AvgLatency = time.Duration(latSum / float64(t.Completed))
-		t.MeanBatch = batchSum / float64(t.Completed)
-	}
-	return t
+	return sum.total()
 }
 
 // ServerStats is a point-in-time snapshot of a ClusterServer's serving
@@ -109,16 +124,14 @@ type ServerStats struct {
 	Failovers        uint64
 	BreakerEjections uint64
 
-	// Route is the cluster's selective-scatter routing view (fan-out
-	// distribution, front-door CL cost) — shared with the offline
-	// Cluster.SearchBatch accumulator, since both drive the same front door.
-	// All zeros under AssignHash (broadcast keeps no routing stats).
+	// Route is the cluster's routing view (fan-out distribution, front-door
+	// CL cost) — shared with the offline Cluster.SearchBatch accumulator,
+	// since both drive the same front door.
 	Route RouteStats
 
-	// Shards holds each shard's per-replica ledgers. Under selective
-	// scatter a front-door query appears once in exactly one replica of
-	// every shard it was routed to (plus hedges/failovers); under broadcast,
-	// of every shard.
+	// Shards holds each shard's per-replica ledgers. A front-door query
+	// appears once in exactly one replica of every shard it was routed to
+	// (plus hedges/failovers).
 	Shards []ShardStats
 	// Agg sums every replica's ledger — except Agg.Sim, which is the
 	// cross-replica parallel metrics view (core.Metrics.MergeParallel):
@@ -143,9 +156,9 @@ type Response struct {
 	// attempt.
 	Hedged bool
 	// ShardsContacted is this query's scatter fan-out: how many shards the
-	// front door actually sent it to. Under AssignKMeans routing this is
-	// the number of shards owning its probed clusters (usually < S); under
-	// AssignHash broadcast it is always S.
+	// front door actually sent it to — the number of shards owning its
+	// probed clusters (usually < S under AssignKMeans, close to S under
+	// AssignHash, where every list is spread over all shards).
 	ShardsContacted int
 }
 
@@ -336,13 +349,12 @@ type attemptResult struct {
 }
 
 // searchShard answers one query on one shard: route to a replica, hedge if
-// it stalls, fail over if it errors, and return the first reply. With a
-// non-nil probes list the attempt goes through the replica's
-// SearchProbedOwned (selective scatter: the front door already ran CL);
-// nil probes means the broadcast path, where the replica's engine locates
-// for itself. Loser attempts are canceled through the attempt context when
-// the function returns. An error return means the caller's context died,
-// the fleet closed, or every usable replica failed.
+// it stalls, fail over if it errors, and return the first reply. Every
+// attempt goes through the replica's SearchProbedOwned with the shard's
+// share of the probe list (the front door already ran CL). Loser attempts
+// are canceled through the attempt context when the function returns. An
+// error return means the caller's context died, the fleet closed, or every
+// usable replica failed.
 func (s *Server) searchShard(qctx context.Context, g []*replicaHandle, q []uint8, k int, probes []int32) (serve.Response, bool, error) {
 	actx, acancel := context.WithCancel(qctx)
 	defer acancel()
@@ -355,13 +367,7 @@ func (s *Server) searchShard(qctx context.Context, g []*replicaHandle, q []uint8
 		inflight++
 		go func() {
 			t0 := time.Now()
-			var resp serve.Response
-			var err error
-			if probes != nil {
-				resp, err = g[idx].rep.SearchProbedOwned(actx, q, k, probes)
-			} else {
-				resp, err = g[idx].rep.SearchOwned(actx, q, k)
-			}
+			resp, err := g[idx].rep.SearchProbedOwned(actx, q, k, probes)
 			results <- attemptResult{idx: idx, resp: resp, err: err, dur: time.Since(t0), hedge: hedge}
 		}()
 	}
@@ -425,12 +431,13 @@ func (s *Server) searchShard(qctx context.Context, g []*replicaHandle, q []uint8
 	}
 }
 
-// Search submits one query to every shard concurrently — each shard routes
-// it to one of its replicas, hedging and failing over as needed — and
-// blocks until the merged answer is ready, ctx is done, or the fleet
-// closes. The argument contract matches serve.Server.Search: q must have
-// the index dimensionality (copied once at the front door), k <= 0 selects
-// the engines' configured K, larger k is an error. The scatter fast-fails:
+// Search locates the query once, submits it concurrently to every shard
+// owning one of its probed clusters — each shard routes it to one of its
+// replicas, hedging and failing over as needed — and blocks until the
+// merged answer is ready, ctx is done, or the fleet closes. The argument
+// contract matches serve.Server.Search: q must have the index
+// dimensionality (copied once at the front door), k <= 0 selects the
+// engines' configured K, larger k is an error. The scatter fast-fails:
 // the first shard to fail cancels its siblings' in-flight work through the
 // per-query derived context (serve.ErrClosed is surfaced as such via
 // errors.Is).
@@ -449,45 +456,23 @@ func (s *Server) Search(ctx context.Context, q []uint8, k int) (Response, error)
 		return Response{}, fmt.Errorf("cluster: k %d exceeds engine K %d", k, s.cl.K())
 	}
 	// One copy at the front door; the per-replica servers use the no-copy
-	// SearchOwned hook against it (immutable until the last reply).
+	// SearchProbedOwned hook against it (immutable until the last reply).
 	owned := append([]uint8(nil), q...)
 
 	t0 := time.Now()
 
-	// Selective scatter (AssignKMeans): run coarse locate once here,
-	// partition the probe list by the cluster→shard owner map, and contact
-	// only the owning shards — each replica then skips its CL stage via
-	// SearchProbedOwned. Under AssignHash perShard stays nil and the query
-	// broadcasts with per-replica CL, as before.
-	var perShard [][]int32
-	contacted := len(s.groups)
-	if s.cl.Selective() {
-		loc := s.cl.Locator()
-		probes := make([]topk.Item[uint32], loc.NProbe())
-		counts := make([]int, 1)
-		loc.LocateBatch(dataset.U8Set{N: 1, D: s.cl.Dim(), Data: owned}, 0, 1, probes, counts)
-		perShard = make([][]int32, len(s.groups))
-		contacted = 0
-		for _, p := range probes[:counts[0]] {
-			for _, sh := range s.cl.OwnerShards(p.ID) {
-				if perShard[sh] == nil {
-					contacted++
-				}
-				perShard[sh] = append(perShard[sh], p.ID)
-			}
-		}
-		s.cl.recordRoute([]int{contacted}, time.Since(t0).Seconds(), loc.CLSeconds(1))
-		if contacted == 0 {
-			// Every probed cluster is empty fleet-wide: the answer is empty,
-			// no shard needs to hear about it. Non-nil empty IDs and nil Items
-			// match the single engine's empty-result convention bit for bit.
-			lat := time.Since(t0)
-			s.doneMu.Lock()
-			s.completed++
-			s.latencyNS += int64(lat)
-			s.doneMu.Unlock()
-			return Response{IDs: []int32{}, Latency: lat}, nil
-		}
+	// Run coarse locate once here, partition the probe list as the offline
+	// path does (a batch of one), and contact only the owning shards — each
+	// replica then skips its CL stage via SearchProbedOwned.
+	ps := s.cl.loc.Probes(dataset.U8Set{N: 1, D: s.cl.Dim(), Data: owned})
+	perShard, fanouts := s.cl.partitionProbes(ps, 1)
+	contacted := fanouts[0]
+	s.cl.recordRoute(fanouts, time.Since(t0).Seconds(), s.cl.loc.CLSeconds(1))
+	if contacted == 0 {
+		// Every probed cluster is empty fleet-wide: the answer is empty,
+		// no shard needs to hear about it. Non-nil empty IDs and nil Items
+		// match the single engine's empty-result convention bit for bit.
+		return s.complete(t0, Response{IDs: []int32{}}), nil
 	}
 
 	// The per-query context: canceling it aborts every in-flight replica
@@ -504,27 +489,27 @@ func (s *Server) Search(ctx context.Context, q []uint8, k int) (Response, error)
 	}
 	results := make(chan shardResult, len(s.groups))
 	for si, g := range s.groups {
-		if perShard != nil && perShard[si] == nil {
-			continue // selective: no probed cluster lives on this shard
+		if len(perShard[si].Clusters) == 0 {
+			continue // no probed cluster lives on this shard
 		}
-		var probes []int32
-		if perShard != nil {
-			probes = perShard[si]
-		}
-		go func(si int, g []*replicaHandle, probes []int32) {
-			resp, hedged, err := s.searchShard(qctx, g, owned, k, probes)
+		go func(si int, g []*replicaHandle) {
+			resp, hedged, err := s.searchShard(qctx, g, owned, k, perShard[si].Clusters)
 			results <- shardResult{shard: si, resp: resp, hedged: hedged, err: err}
-		}(si, g, probes)
+		}(si, g)
 	}
 
-	resps := make([]serve.Response, len(s.groups))
-	answered := make([]bool, len(s.groups))
+	// Gather: remap each reply into global IDs as it arrives. The merge
+	// orders by (dist, id) and ids are unique across shards, so arrival
+	// order does not matter.
+	parts := make([][]topk.Item[uint32], 0, contacted)
+	maxBatch := 0
 	hedgedAny := false
 	for i := 0; i < contacted; i++ {
 		r := <-results
 		if r.err == nil {
-			resps[r.shard] = r.resp
-			answered[r.shard] = true
+			core.RemapItems(r.resp.Items, s.cl.shards[r.shard].GlobalIDs())
+			parts = append(parts, r.resp.Items)
+			maxBatch = max(maxBatch, r.resp.BatchSize)
 			hedgedAny = hedgedAny || r.hedged
 			continue
 		}
@@ -546,29 +531,22 @@ func (s *Server) Search(ctx context.Context, q []uint8, k int) (Response, error)
 			return Response{}, fmt.Errorf("cluster: shard %d: %w", r.shard, r.err)
 		}
 	}
-
-	parts := make([][]topk.Item[uint32], 0, contacted)
-	maxBatch := 0
-	for i := range resps {
-		if !answered[i] {
-			continue
-		}
-		core.RemapItems(resps[i].Items, s.cl.shards[i].GlobalIDs())
-		parts = append(parts, resps[i].Items)
-		if resps[i].BatchSize > maxBatch {
-			maxBatch = resps[i].BatchSize
-		}
-	}
 	ids, items := core.MergeShardTopK(k, parts)
-	lat := time.Since(t0)
+	return s.complete(t0, Response{
+		IDs: ids, Items: items,
+		MaxShardBatch: maxBatch, Hedged: hedgedAny, ShardsContacted: contacted,
+	}), nil
+}
+
+// complete stamps resp with the front-door latency since t0 and books it in
+// the completed ledger.
+func (s *Server) complete(t0 time.Time, resp Response) Response {
+	resp.Latency = time.Since(t0)
 	s.doneMu.Lock()
 	s.completed++
-	s.latencyNS += int64(lat)
+	s.latencyNS += int64(resp.Latency)
 	s.doneMu.Unlock()
-	return Response{
-		IDs: ids, Items: items, Latency: lat,
-		MaxShardBatch: maxBatch, Hedged: hedgedAny, ShardsContacted: contacted,
-	}, nil
+	return resp
 }
 
 // exclusiveAll parks every replica batcher in the fleet at a launch
@@ -693,8 +671,7 @@ func (s *Server) Stats() ServerStats {
 		st.AvgLatency = time.Duration(s.latencyNS / int64(s.completed))
 	}
 	s.doneMu.Unlock()
-	var completedSum uint64
-	var latSum, batchSum float64
+	var agg statsSum
 	for si, g := range s.groups {
 		st.Shards[si].Replicas = make([]ReplicaStats, len(g))
 		for ri, h := range g {
@@ -705,37 +682,13 @@ func (s *Server) Stats() ServerStats {
 			}
 			rs.ConsecutiveFails, rs.Ejected = h.brk.snapshot()
 			st.Shards[si].Replicas[ri] = rs
-
-			st.Agg.Enqueued += rs.Enqueued
-			st.Agg.Completed += rs.Completed
-			st.Agg.Canceled += rs.Canceled
-			st.Agg.Failed += rs.Failed
-			st.Agg.Rejected += rs.Rejected
-			st.Agg.Batches += rs.Batches
-			st.Agg.QueueDepth += rs.QueueDepth
-			st.Agg.Inflight += rs.Inflight
-			completedSum += rs.Completed
-			latSum += float64(rs.AvgLatency) * float64(rs.Completed)
-			batchSum += rs.MeanBatch * float64(rs.Completed)
-			st.Agg.Sim.MergeParallel(&rs.Sim)
+			agg.add(&rs.Stats)
 		}
 	}
-	if completedSum > 0 {
-		st.Agg.AvgLatency = time.Duration(latSum / float64(completedSum))
-		st.Agg.MeanBatch = batchSum / float64(completedSum)
-	}
+	st.Agg = agg.total()
 	return st
 }
 
 // Metrics returns the cross-engine parallel view of the fleet's aggregated
-// simulated engine metrics.
-func (s *Server) Metrics() core.Metrics {
-	var m core.Metrics
-	for _, g := range s.groups {
-		for _, h := range g {
-			sm := h.rep.Stats().Sim
-			m.MergeParallel(&sm)
-		}
-	}
-	return m
-}
+// simulated engine metrics (Stats().Agg.Sim).
+func (s *Server) Metrics() core.Metrics { return s.Stats().Agg.Sim }

@@ -83,7 +83,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -91,6 +90,7 @@ import (
 	"sync/atomic"
 
 	"drimann/internal/dataset"
+	"drimann/internal/engine"
 	"drimann/internal/ivf"
 	"drimann/internal/layout"
 	"drimann/internal/sched"
@@ -637,28 +637,14 @@ func (e *Engine) MaxBatch() int { return e.opts.BatchSize }
 // sharded front door may run it concurrently with the engine's own batches.
 func (e *Engine) Locator() *Locator { return e.loc }
 
-// hostMergeSeconds models merging per-DPU partial top-k lists on the host.
-func (e *Engine) hostMergeSeconds(items int) float64 {
-	h := e.opts.Host
-	ops := float64(items) * float64(log2ceil(e.opts.K)+1)
-	return ops / (float64(h.Threads) * h.FreqGHz * 1e9)
-}
-
 // bitonicSwaps is the compare-exchange count of a bitonic sorting network
 // over n candidates: size/2 per column, log(size)*(log(size)+1)/2 columns.
 func bitonicSwaps(n int) uint64 {
 	if n < 2 {
 		return 0
 	}
-	logSize := uint64(log2ceil(n))
+	logSize := uint64(engine.Log2Ceil(n))
 	return (uint64(1) << logSize) / 2 * logSize * (logSize + 1) / 2
-}
-
-func log2ceil(x int) int {
-	if x <= 1 {
-		return 1
-	}
-	return bits.Len(uint(x - 1))
 }
 
 // clBatch is one produced CL stage result: the slice-level requests of the
@@ -800,7 +786,7 @@ func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeC
 
 			launchSec, mergeItems := e.runLaunch(&sb, queries, partials, m)
 			pimPlusXfer += launchSec
-			hostSec += e.hostMergeSeconds(mergeItems)
+			hostSec += engine.HostMergeSeconds(e.opts.Host, mergeItems, e.opts.K)
 
 			if !lastBatch || len(carried) == 0 {
 				break
@@ -940,23 +926,7 @@ func (e *Engine) runLaunch(batch *sched.Batch, queries dataset.U8Set, partials [
 	}
 	e.sys.TransferFromDPUs(fromDev)
 
-	pimSec := e.sys.Cfg.Seconds(e.sys.MaxDPUCycles())
-	xferSec := e.sys.TransferSeconds()
-	for p := upmem.Phase(0); p < upmem.NumPhases; p++ {
-		m.PhaseSeconds[p] += e.sys.Cfg.Seconds(e.sys.PhaseCyclesMax(p))
-	}
-	for _, d := range e.sys.DPUs {
-		for p := upmem.Phase(0); p < upmem.NumPhases; p++ {
-			st := d.Stats(p)
-			m.PhaseComputeCycles[p] += st.ComputeCycles
-			m.PhaseDMACount[p] += st.DMACount
-			m.PhaseDMABytes[p] += st.DMABytes
-		}
-	}
-	m.Launches++
-	m.XferSeconds += xferSec
-	m.PIMSeconds += pimSec
-	m.ImbalanceSum += e.sys.Imbalance()
+	pimSec, xferSec := m.AddLaunch(e.sys)
 	return math.Max(pimSec, xferSec), mergeItems
 }
 
@@ -1483,7 +1453,7 @@ func (e *Engine) kernelTS(ta *upmem.Tally, dist []uint32, ids []int32, tomb map[
 
 	cost := &e.sys.Cfg.Cost
 	n := uint64(len(dist))
-	logK := uint64(log2ceil(e.opts.K))
+	logK := uint64(engine.Log2Ceil(e.opts.K))
 	st := &sc.stats
 	st.points += n
 	switch {
@@ -1524,7 +1494,7 @@ func (e *Engine) kernelDCTSRef(dpu *upmem.DPU, lut []uint32, ids []int32, codes 
 	ix := e.ix
 	n := len(ids)
 	m := ix.M
-	logK := uint64(log2ceil(e.opts.K))
+	logK := uint64(engine.Log2Ceil(e.opts.K))
 
 	for i := 0; i < n; i++ {
 		dist := vecmath.ADCU32(lut, codes[i*m:(i+1)*m], ix.CB)

@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"drimann/internal/dataset"
+	"drimann/internal/engine"
 	"drimann/internal/ivf"
 	"drimann/internal/topk"
 	"drimann/internal/upmem"
@@ -76,7 +77,7 @@ func (l *Locator) LocateBatch(queries dataset.U8Set, lo, hi int, out []topk.Item
 // batch by batch.
 func (l *Locator) CLSeconds(nq int) float64 {
 	distOps := float64(3*l.ix.Dim - 1)
-	sortOps := float64(log2ceil(l.nprobe) + 1)
+	sortOps := float64(engine.Log2Ceil(l.nprobe) + 1)
 	scanned := float64(l.ix.NList)
 	if l.tree != nil {
 		scanned = float64(l.tree.CentroidsScanned(l.beam))
@@ -87,10 +88,10 @@ func (l *Locator) CLSeconds(nq int) float64 {
 }
 
 // Probes locates every query of the set and packs the results into a
-// ProbeSet — the convenience path for callers that front-door a whole batch
-// without per-shard partitioning (tests, single-tenant front doors).
+// ProbeSet — what a front door runs before partitioning the probes per shard
+// (the cluster layer calls it for offline batches and for single queries).
 func (l *Locator) Probes(queries dataset.U8Set) ProbeSet {
-	const chunk = 256
+	chunk := min(queries.N, 256)
 	out := make([]topk.Item[uint32], chunk*l.nprobe)
 	counts := make([]int, chunk)
 	ps := ProbeSet{

@@ -3,7 +3,7 @@
 // empty-batch behavior, determinism, result ordering, k handling through
 // the server, MaxBatch clamping, metrics mergeability — is asserted here
 // for the IVF-PQ and graph backends alike, so a new backend that passes
-// this table is known to drop into serve/cluster unmodified.
+// this table is known to drop into serve unmodified.
 
 package engine_test
 

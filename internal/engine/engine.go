@@ -3,8 +3,8 @@
 // nearest-neighbor queries over a fixed corpus while charging its work to
 // the simulated UPMEM cost model — the IVF-PQ engine of internal/core (the
 // paper's design) and the beam-search graph engine of internal/graph both
-// implement it, and internal/serve, internal/cluster and the public facade
-// run unmodified over either.
+// implement it, and internal/serve and the public facade run unmodified over
+// either. (internal/cluster shards the IVF engine only; see its package doc.)
 //
 // The contract splits in two. Engine is the mandatory serving surface:
 // batched search plus the three shape accessors the batcher needs to clamp
@@ -43,11 +43,11 @@ type Engine interface {
 	MaxBatch() int
 }
 
-// ProbedSearcher is the capability behind selective scatter: a backend
+// ProbedSearcher is the capability behind sharded routing: a backend
 // whose first stage is a cluster locate (IVF-style CL) can have that stage
 // pre-resolved at a sharded front door and be handed the probe lists
-// directly. Backends without a cluster structure (graph traversal) simply
-// don't implement it and the cluster layer falls back to broadcast.
+// directly. Backends without a cluster structure (graph traversal) don't
+// implement it; the sharding layer (internal/cluster) is IVF-only.
 type ProbedSearcher interface {
 	Engine
 	// SearchBatchProbed runs the batch with cluster probes pre-resolved;
@@ -91,8 +91,8 @@ type MemoryFootprint struct {
 	PerReplicaBytes int64
 }
 
-// MemoryReporter is the memory-accounting capability the cluster layer
-// uses for fleet-wide shared-vs-replica byte stats.
+// MemoryReporter is the memory-accounting capability: the shared-vs-replica
+// byte split of one deployment.
 type MemoryReporter interface {
 	MemoryFootprint() MemoryFootprint
 }

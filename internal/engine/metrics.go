@@ -1,6 +1,10 @@
 package engine
 
-import "drimann/internal/upmem"
+import (
+	"math/bits"
+
+	"drimann/internal/upmem"
+)
 
 // Metrics reports the simulated cost of a SearchBatch call. Every backend
 // fills the universal fields (Queries, SimSeconds, QPS, the host/PIM/xfer
@@ -90,6 +94,47 @@ func (m *Metrics) PhaseShare() [upmem.NumPhases]float64 {
 		out[p] = s / total
 	}
 	return out
+}
+
+// AddLaunch folds one finished launch of sys into m. Every backend calls it,
+// so their simulated seconds come from one recipe: PIM time is the slowest
+// DPU's cycles, a phase's critical path its slowest DPU, compute cycles and
+// DMA traffic roll up over all DPUs. It returns the launch's PIM and transfer
+// seconds for the caller's host/PIM overlap.
+func (m *Metrics) AddLaunch(sys *upmem.System) (pimSec, xferSec float64) {
+	pimSec = sys.Cfg.Seconds(sys.MaxDPUCycles())
+	xferSec = sys.TransferSeconds()
+	for p := upmem.Phase(0); p < upmem.NumPhases; p++ {
+		m.PhaseSeconds[p] += sys.Cfg.Seconds(sys.PhaseCyclesMax(p))
+	}
+	for _, d := range sys.DPUs {
+		for p := upmem.Phase(0); p < upmem.NumPhases; p++ {
+			st := d.Stats(p)
+			m.PhaseComputeCycles[p] += st.ComputeCycles
+			m.PhaseDMACount[p] += st.DMACount
+			m.PhaseDMABytes[p] += st.DMABytes
+		}
+	}
+	m.Launches++
+	m.XferSeconds += xferSec
+	m.PIMSeconds += pimSec
+	m.ImbalanceSum += sys.Imbalance()
+	return pimSec, xferSec
+}
+
+// HostMergeSeconds models the host merging items partial top-k entries
+// returned by the DPUs into k-sized results.
+func HostMergeSeconds(host upmem.Platform, items, k int) float64 {
+	ops := float64(items) * float64(Log2Ceil(k)+1)
+	return ops / (float64(host.Threads) * host.FreqGHz * 1e9)
+}
+
+// Log2Ceil is ceil(log2 x), at least 1: a heap's or sorting network's depth.
+func Log2Ceil(x int) int {
+	if x <= 1 {
+		return 1
+	}
+	return bits.Len(uint(x - 1))
 }
 
 // Merge accumulates o into m: query counts, durations and every counter

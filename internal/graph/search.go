@@ -2,17 +2,15 @@
 // query traversing the full graph held in its DPU's MRAM. The charging is
 // intentionally random-access-heavy — every adjacency fetch and every
 // candidate vector fetch is its own fixed-size DMA with full setup latency
-// (there is nothing contiguous to stream) — and the launch accounting
-// mirrors internal/core byte-for-byte: per-launch max-DPU cycles for PIM
-// time, TransferSeconds for the bus, SimSeconds += max(host, max(pim,
-// xfer)) per batch.
+// (there is nothing contiguous to stream). The launch accounting is the
+// one internal/core runs (engine.Metrics.AddLaunch, engine.HostMergeSeconds),
+// with SimSeconds += max(host, max(pim, xfer)) per batch.
 
 package graph
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 
 	"drimann/internal/dataset"
@@ -94,25 +92,8 @@ func (e *Engine) runLaunch(queries dataset.U8Set, lo, hi int, res *engine.Result
 	e.sys.TransferFromDPUs(fromDev)
 	m.PointsScanned += evals
 
-	pimSec := e.sys.Cfg.Seconds(e.sys.MaxDPUCycles())
-	xferSec := e.sys.TransferSeconds()
-	for p := upmem.Phase(0); p < upmem.NumPhases; p++ {
-		m.PhaseSeconds[p] += e.sys.Cfg.Seconds(e.sys.PhaseCyclesMax(p))
-	}
-	for _, d := range e.sys.DPUs {
-		for p := upmem.Phase(0); p < upmem.NumPhases; p++ {
-			st := d.Stats(p)
-			m.PhaseComputeCycles[p] += st.ComputeCycles
-			m.PhaseDMACount[p] += st.DMACount
-			m.PhaseDMABytes[p] += st.DMABytes
-		}
-	}
-	m.Launches++
-	m.XferSeconds += xferSec
-	m.PIMSeconds += pimSec
-	m.ImbalanceSum += e.sys.Imbalance()
-
-	hostSec := e.hostMergeSeconds(mergeItems)
+	pimSec, xferSec := m.AddLaunch(e.sys)
+	hostSec := engine.HostMergeSeconds(e.opts.Host, mergeItems, e.opts.K)
 	m.HostSeconds += hostSec
 	m.SimSeconds += math.Max(hostSec, math.Max(pimSec, xferSec))
 	m.Batches++
@@ -130,7 +111,7 @@ func (e *Engine) runDPU(queries dataset.U8Set, lo, hi, d int, res *engine.Result
 	if !e.opts.UseSQT {
 		perDim = 2 + cost.MulCycles
 	}
-	logBeam := uint64(log2ceil(beam))
+	logBeam := uint64(engine.Log2Ceil(beam))
 	for qi := lo + d; qi < hi; qi += e.opts.NumDPUs {
 		st := e.beamSearch(sc, queries.Vec(qi), e.medoid, beam, nil)
 		sc.evals += uint64(st.evals)
@@ -169,19 +150,4 @@ func (e *Engine) runDPU(queries dataset.U8Set, lo, hi, d int, res *engine.Result
 		res.IDs[qi] = ids
 		res.Items[qi] = items
 	}
-}
-
-// hostMergeSeconds models the host-side demux/merge of returned top-k
-// lists — the same formula core charges for its merge stage.
-func (e *Engine) hostMergeSeconds(items int) float64 {
-	h := e.opts.Host
-	ops := float64(items) * float64(log2ceil(e.opts.K)+1)
-	return ops / (float64(h.Threads) * h.FreqGHz * 1e9)
-}
-
-func log2ceil(x int) int {
-	if x <= 1 {
-		return 1
-	}
-	return bits.Len(uint(x - 1))
 }

@@ -18,10 +18,8 @@ import (
 // Binary index format, little-endian throughout.
 //
 // v1 (legacy): a flat header followed by centroid tables, codebooks and
-// inverted lists, no checksums, no overlay. Still loadable; only
-// writable for unmutated indexes (it cannot represent the overlay, and
-// silently dropping live inserts/tombstones is exactly the bug v2
-// fixes).
+// inverted lists, no checksums, no overlay. Still loadable (old images
+// are input); no longer written.
 //
 // v2 (current): magic u32 | version u32, then four checksummed
 // sections, each framed as len u32 | payload | crc u32 (IEEE CRC32 of
@@ -144,59 +142,7 @@ func (ix *Index) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// SaveV1 writes the legacy v1 format for compatibility with old
-// readers. v1 has no overlay section, so saving a mutated index this
-// way would silently lose live inserts and resurrect tombstoned points
-// on Load — it is an explicit error instead; Compact first, or use
-// Save (v2).
-func (ix *Index) SaveV1(w io.Writer) error {
-	if ix.HasMutations() {
-		return fmt.Errorf("ivf: v1 format cannot represent a live mutation overlay (Compact first, or Save as v2)")
-	}
-	bw := bufio.NewWriter(w)
-	head := []int32{
-		indexMagic, indexVersion1,
-		int32(ix.Dim), int32(ix.NList), int32(ix.M), int32(ix.CB),
-	}
-	if err := binary.Write(bw, binary.LittleEndian, head); err != nil {
-		return fmt.Errorf("ivf: save header: %w", err)
-	}
-	hasOPQ := int32(0)
-	if ix.OPQ != nil {
-		hasOPQ = 1
-	}
-	if err := binary.Write(bw, binary.LittleEndian, hasOPQ); err != nil {
-		return fmt.Errorf("ivf: save flags: %w", err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, ix.Centroids); err != nil {
-		return fmt.Errorf("ivf: save centroids: %w", err)
-	}
-	if _, err := bw.Write(ix.CentroidsU8); err != nil {
-		return fmt.Errorf("ivf: save u8 centroids: %w", err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, ix.PQ.Codebooks); err != nil {
-		return fmt.Errorf("ivf: save codebooks: %w", err)
-	}
-	if ix.OPQ != nil {
-		if err := binary.Write(bw, binary.LittleEndian, ix.OPQ.R.Data); err != nil {
-			return fmt.Errorf("ivf: save rotation: %w", err)
-		}
-	}
-	for c := 0; c < ix.NList; c++ {
-		if err := binary.Write(bw, binary.LittleEndian, int32(len(ix.Lists[c]))); err != nil {
-			return fmt.Errorf("ivf: save list %d len: %w", c, err)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, ix.Lists[c]); err != nil {
-			return fmt.Errorf("ivf: save list %d ids: %w", c, err)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, ix.Codes[c]); err != nil {
-			return fmt.Errorf("ivf: save list %d codes: %w", c, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// Load reads an index written by Save (v2) or SaveV1 (legacy v1).
+// Load reads an index written by Save (v2), or a legacy v1 image.
 func Load(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
 	head := make([]int32, 2)

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"drimann/internal/topk"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -131,31 +133,49 @@ func TestSaveLoadMutatedOverlay(t *testing.T) {
 	if _, ok := loaded.WhereIs(77); ok {
 		t.Fatal("tombstoned id 77 resurrected by load")
 	}
-
-	// The legacy v1 format cannot represent the overlay: writing it
-	// from a mutated index is an explicit error, not silent data loss.
-	if err := ix.SaveV1(&bytes.Buffer{}); err == nil {
-		t.Fatal("SaveV1 of a mutated index must fail")
-	}
 }
 
-// TestSaveV1LegacyRoundTrip pins that v1 images still load.
+// TestSaveV1LegacyRoundTrip pins that v1 images still load. The write
+// path is gone, so the images are golden files (300 points, D=8, NList=4,
+// M=4, CB=16, one per variant) written by the last build that had it, and
+// want holds what the in-memory index answered, before it was saved, for
+// each of its own u8 centroids as the query (nprobe 2, k 5).
 func TestSaveV1LegacyRoundTrip(t *testing.T) {
-	for _, variant := range []string{"pq", "opq"} {
-		ix, s := smallIndex(t, variant)
-		var buf bytes.Buffer
-		if err := ix.SaveV1(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Load(bytes.NewReader(buf.Bytes()))
+	it := func(id int32, d uint32) topk.Item[uint32] { return topk.Item[uint32]{ID: id, Dist: d} }
+	want := map[string][][]topk.Item[uint32]{
+		"pq": {
+			{it(133, 77), it(104, 81), it(93, 102), it(71, 116), it(137, 116)},
+			{it(228, 156), it(224, 211), it(219, 216), it(236, 216), it(239, 240)},
+			{it(286, 484), it(299, 580), it(292, 607), it(294, 618), it(295, 629)},
+			{it(174, 809), it(169, 920), it(200, 937), it(202, 949), it(170, 956)},
+		},
+		"opq": {
+			{it(61, 91), it(17, 115), it(28, 119), it(48, 122), it(93, 122)},
+			{it(236, 142), it(228, 194), it(215, 245), it(219, 250), it(224, 337)},
+			{it(299, 437), it(294, 478), it(286, 514), it(296, 635), it(293, 704)},
+			{it(174, 1000), it(169, 1019), it(167, 1031), it(200, 1121), it(151, 1202)},
+		},
+	}
+	for variant, answers := range want {
+		img, err := os.ReadFile(filepath.Join("testdata", "legacy_v1_"+variant+".drim"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for qi := 0; qi < 8; qi++ {
-			want := ix.SearchInt(s.Queries.Vec(qi), 8, 5)
-			got := loaded.SearchInt(s.Queries.Vec(qi), 8, 5)
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s query %d: v1 round trip diverges", variant, qi)
+		loaded, err := Load(bytes.NewReader(img))
+		if err != nil {
+			t.Fatalf("%s: %v", variant, err)
+		}
+		if loaded.Dim != 8 || loaded.NList != 4 || loaded.M != 4 || loaded.CB != 16 || (loaded.OPQ != nil) != (variant == "opq") {
+			t.Fatalf("%s: loaded shape wrong: dim=%d nlist=%d m=%d cb=%d opq=%v",
+				variant, loaded.Dim, loaded.NList, loaded.M, loaded.CB, loaded.OPQ != nil)
+		}
+		if n := len(loaded.LiveIDs()); n != 300 {
+			t.Fatalf("%s: loaded %d points, want 300", variant, n)
+		}
+		for c, w := range answers {
+			q := loaded.CentroidsU8[c*loaded.Dim : (c+1)*loaded.Dim]
+			if got := loaded.SearchInt(q, 2, 5); !slices.Equal(got, w) {
+				t.Fatalf("%s centroid %d: v1 round trip diverges: %v vs %v", variant, c, got, w)
 			}
 		}
 	}
