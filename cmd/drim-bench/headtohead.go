@@ -1,18 +1,15 @@
-// Head-to-head backend comparison (-headtohead) and the graph-backend
-// variant of the self-benchmark (-bench -backend graph). Both backends run
-// on the same synthetic SIFT-shaped fixture and the same simulated PIM
-// system size; head-to-head drives every query through the online serving
-// path (drimann's micro-batching server) so the recorded numbers price the
-// whole stack, not just the offline batch loop.
+// Head-to-head backend comparison (-headtohead). Both backends run on the
+// same synthetic SIFT-shaped fixture and the same simulated PIM system size,
+// and every query goes through the online serving path (the micro-batching
+// server), so the numbers price the whole stack, not just the offline batch
+// loop.
 
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
+	"io"
 	"sync"
 	"time"
 
@@ -20,14 +17,24 @@ import (
 	"drimann/internal/dataset"
 	"drimann/internal/engine"
 	"drimann/internal/graph"
-	"drimann/internal/ivf"
-	"drimann/internal/pq"
 	"drimann/internal/serve"
 )
 
-// headToHeadGraphOptions is the graph build shared by -headtohead and the
-// graph self-benchmark: wide enough to reach competitive recall on the
-// 128-dimensional fixture, small enough to build in seconds.
+// curvePoint is one row of the head-to-head table: one backend at one value
+// of its accuracy knob.
+type curvePoint struct {
+	Backend  string  `json:"backend"`
+	Param    string  `json:"param"`
+	Value    int     `json:"value"`
+	Recall10 float64 `json:"recall_at_10"`
+	SimQPS   float64 `json:"sim_qps"`
+	WallQPS  float64 `json:"wall_qps"`
+	BuildSec float64 `json:"build_s"`
+}
+
+// headToHeadGraphOptions is the graph build -headtohead compares against:
+// wide enough to reach competitive recall on the 128-dimensional fixture,
+// small enough to build in seconds.
 func headToHeadGraphOptions(dpus int) graph.Options {
 	o := graph.DefaultOptions()
 	o.NumDPUs = dpus
@@ -37,271 +44,102 @@ func headToHeadGraphOptions(dpus int) graph.Options {
 	return o
 }
 
-// serveSweep drives all queries through a fresh server over eng with
-// -clients-free defaults (32 concurrent callers, 1ms batching window) and
-// returns the per-query IDs, the best wall-clock seconds of runs
-// repetitions, and the engine metrics accumulated by the best run.
-func serveSweep(eng engine.Engine, qs dataset.U8Set, k, runs int) ([][]int32, float64, engine.Metrics, error) {
+// serveSweep drives all queries once through a fresh server over eng (32
+// concurrent callers, 1ms batching window) and returns the per-query IDs,
+// the wall-clock seconds and the engine metrics the server accumulated.
+func serveSweep(eng engine.Engine, qs dataset.U8Set, k int) ([][]int32, float64, engine.Metrics, error) {
+	srv, err := serve.New(eng, serve.Options{MaxWait: time.Millisecond})
+	if err != nil {
+		return nil, 0, engine.Metrics{}, err
+	}
+	const clients = 32
 	ids := make([][]int32, qs.N)
-	best := -1.0
-	var bestSim engine.Metrics
-	for r := 0; r < runs; r++ {
-		srv, err := serve.New(eng, serve.Options{MaxWait: time.Millisecond})
+	var wg sync.WaitGroup
+	errs := make([]error, clients)
+	t0 := time.Now()
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for qi := c; qi < qs.N; qi += clients {
+				resp, err := srv.Search(context.Background(), qs.Vec(qi), k)
+				if err != nil {
+					errs[c] = err
+					return
+				}
+				ids[qi] = resp.IDs
+			}
+		}(c)
+	}
+	wg.Wait()
+	sec := time.Since(t0).Seconds()
+	sim := srv.Metrics()
+	if err := srv.Close(); err != nil {
+		return nil, 0, engine.Metrics{}, err
+	}
+	for _, err := range errs {
 		if err != nil {
 			return nil, 0, engine.Metrics{}, err
 		}
-		const clients = 32
-		var wg sync.WaitGroup
-		errs := make([]error, clients)
-		t0 := time.Now()
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				for qi := c; qi < qs.N; qi += clients {
-					resp, err := srv.Search(context.Background(), qs.Vec(qi), k)
-					if err != nil {
-						errs[c] = err
-						return
-					}
-					ids[qi] = resp.IDs
-				}
-			}(c)
-		}
-		wg.Wait()
-		sec := time.Since(t0).Seconds()
-		m := srv.Metrics()
-		if err := srv.Close(); err != nil {
-			return nil, 0, engine.Metrics{}, err
-		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, 0, engine.Metrics{}, err
-			}
-		}
-		if best < 0 || sec < best {
-			best, bestSim = sec, m
-		}
 	}
-	return ids, best, bestSim, nil
+	return ids, sec, sim, nil
 }
 
 // runHeadToHead measures recall@10 vs simulated QPS for both backends over
 // one corpus, sweeping each backend's accuracy knob (IVF: nprobe; graph:
-// search beam), and appends one backend-tagged mode:"headtohead" entry per
-// curve point to the trajectory file.
-func runHeadToHead(n, queries, dpus int, seed int64, runs int, note, outPath string) error {
-	if n <= 0 {
-		n = 100000
-	}
-	if queries <= 0 {
-		queries = 1000
-	}
-	if dpus <= 0 {
-		dpus = core.DefaultOptions().NumDPUs
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	if runs <= 0 {
-		runs = 1
-	}
-	fmt.Printf("drim-bench head-to-head: N=%d queries=%d DPUs=%d runs=%d\n", n, queries, dpus, runs)
-	s := dataset.SIFT(n, queries, seed)
-	t0 := time.Now()
-	gt := dataset.GroundTruth(s.Base, s.Queries, 10, 0)
-	fmt.Printf("  ground truth in %.1fs\n", time.Since(t0).Seconds())
-
-	var trajectory []benchEntry
-	raw, err := os.ReadFile(outPath)
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(raw, &trajectory); err != nil {
-			return fmt.Errorf("existing %s is not a trajectory file: %w", outPath, err)
-		}
-	case !os.IsNotExist(err):
-		return fmt.Errorf("reading %s: %w", outPath, err)
-	}
-	prior := trajectory
-
-	record := func(backend, param string, value int, buildSec, recall, wallSec float64, sim engine.Metrics) {
-		entry := benchEntry{
-			Note: note, Mode: "headtohead", Backend: backend,
-			Timestamp:  time.Now().UTC().Format(time.RFC3339),
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			N:          n, D: s.Base.D, Queries: queries, Runs: runs, DPUs: dpus,
-			CurveParam: param, CurveValue: value,
-			Recall10: recall, BuildSec: buildSec,
-			WallQPS: float64(queries) / wallSec,
-			SimQPS:  sim.QPS,
-		}
-		if prev := lastComparable(prior, entry); prev != nil && prev.SimQPS > 0 {
-			entry.SpeedupVsPrev = entry.SimQPS / prev.SimQPS
-		}
-		trajectory = append(trajectory, entry)
-		fmt.Printf("    %-5s %s=%-4d recall@10=%.3f  sim %.0f q/s  wall %.0f q/s\n",
-			backend, param, value, recall, entry.SimQPS, entry.WallQPS)
-	}
-
-	// IVF-PQ backend: sweep nprobe.
-	t0 = time.Now()
-	ix, err := ivf.Build(s.Base, ivf.BuildConfig{
-		NList:       1024,
-		PQ:          pq.Config{M: 16, CB: 256},
-		KMeansIters: 4,
-		TrainSample: 8000,
-		Seed:        seed,
-	})
+// search beam), one table row per curve point.
+func runHeadToHead(cfg config, out io.Writer) error {
+	f, err := newFixture(cfg, "head-to-head", out)
 	if err != nil {
 		return err
 	}
-	ivfBuild := time.Since(t0).Seconds()
-	fmt.Printf("  ivf index built in %.1fs\n", ivfBuild)
+	qs := f.data.Queries
+	gt := dataset.GroundTruth(f.data.Base, qs, 10, 0)
+
+	var rows []curvePoint
+	sweep := func(backend, param string, value int, buildSec float64, eng engine.Engine) error {
+		ids, wallSec, sim, err := serveSweep(eng, qs, 10)
+		if err != nil {
+			return fmt.Errorf("%s %s=%d: %w", backend, param, value, err)
+		}
+		p := curvePoint{Backend: backend, Param: param, Value: value,
+			Recall10: dataset.Recall(gt, ids, 10), SimQPS: sim.QPS,
+			WallQPS: float64(qs.N) / wallSec, BuildSec: buildSec}
+		rows = append(rows, p)
+		fmt.Fprintf(out, "    %-5s %s=%-4d recall@10=%.3f  sim %.0f q/s  wall %.0f q/s\n",
+			backend, param, value, p.Recall10, p.SimQPS, p.WallQPS)
+		return nil
+	}
+
+	// IVF-PQ backend: sweep nprobe.
 	for _, np := range []int{4, 8, 16, 32, 64} {
-		opts := core.DefaultOptions()
-		opts.NumDPUs = dpus
+		opts := f.engine
 		opts.NProbe = np
-		eng, err := core.New(ix, dataset.U8Set{}, opts)
+		eng, err := core.New(f.ix, dataset.U8Set{}, opts)
 		if err != nil {
 			return err
 		}
-		ids, wallSec, sim, err := serveSweep(eng, s.Queries, 10, runs)
-		if err != nil {
+		if err := sweep("ivf", "nprobe", np, f.buildSec, eng); err != nil {
 			return err
 		}
-		record("ivf", "nprobe", np, ivfBuild, dataset.Recall(gt, ids, 10), wallSec, sim)
 	}
 
 	// Graph backend: one build, sweep the query-time beam width.
-	t0 = time.Now()
-	g, err := graph.New(s.Base, headToHeadGraphOptions(dpus))
+	t0 := time.Now()
+	g, err := graph.New(f.data.Base, headToHeadGraphOptions(f.info.DPUs))
 	if err != nil {
 		return err
 	}
 	graphBuild := time.Since(t0).Seconds()
-	fmt.Printf("  graph built in %.1fs (degree=%d)\n", graphBuild, g.Options().Degree)
+	fmt.Fprintf(out, "  graph built in %.1fs (degree=%d)\n", graphBuild, g.Options().Degree)
 	for _, beam := range []int{16, 32, 64, 128} {
 		eng, err := g.WithSearchOptions(func(o *graph.Options) { o.SearchBeam = beam })
 		if err != nil {
 			return err
 		}
-		ids, wallSec, sim, err := serveSweep(eng, s.Queries, 10, runs)
-		if err != nil {
+		if err := sweep("graph", "beam", beam, graphBuild, eng); err != nil {
 			return err
 		}
-		record("graph", "beam", beam, graphBuild, dataset.Recall(gt, ids, 10), wallSec, sim)
 	}
-
-	raw, err = json.MarshalIndent(trajectory, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(raw, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("  recorded %d entries in %s (total %d)\n",
-		len(trajectory)-len(prior), outPath, len(trajectory))
-	return nil
-}
-
-// runGraphSelfBench is the graph-backend arm of -bench: one deterministic
-// build, then the offline batch timed serially (Workers=1) and with the
-// worker pool, per GOMAXPROCS value. Entries carry backend:"graph" and the
-// build cost; the CL-stage fields stay zero (a graph traversal has no
-// cluster-locate stage).
-func runGraphSelfBench(n, queries, dpus int, seed int64, runs int, procs []int, note, outPath string) error {
-	fmt.Printf("drim-bench self-benchmark (graph backend): N=%d queries=%d DPUs=%d procs=%v runs=%d\n",
-		n, queries, dpus, procs, runs)
-	s := dataset.SIFT(n, queries, seed)
-	t0 := time.Now()
-	g, err := graph.New(s.Base, headToHeadGraphOptions(dpus))
-	if err != nil {
-		return err
-	}
-	buildSec := time.Since(t0).Seconds()
-	fmt.Printf("  graph built in %.1fs\n", buildSec)
-
-	var trajectory []benchEntry
-	raw, err := os.ReadFile(outPath)
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(raw, &trajectory); err != nil {
-			return fmt.Errorf("existing %s is not a trajectory file: %w", outPath, err)
-		}
-	case !os.IsNotExist(err):
-		return fmt.Errorf("reading %s: %w", outPath, err)
-	}
-	prior := trajectory
-
-	timeSearch := func(e *graph.Engine) (float64, float64, error) {
-		best := -1.0
-		var simQPS float64
-		for r := 0; r < runs; r++ {
-			t := time.Now()
-			res, err := e.SearchBatch(s.Queries)
-			if err != nil {
-				return 0, 0, err
-			}
-			if sec := time.Since(t).Seconds(); best < 0 || sec < best {
-				best = sec
-			}
-			simQPS = res.Metrics.QPS
-		}
-		return best, simQPS, nil
-	}
-
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0)) // restore on exit
-	for _, p := range procs {
-		runtime.GOMAXPROCS(p)
-		fmt.Printf("  GOMAXPROCS=%d\n", p)
-		serial, err := g.WithSearchOptions(func(o *graph.Options) { o.Workers = 1 })
-		if err != nil {
-			return err
-		}
-		pooled, err := g.WithSearchOptions(func(o *graph.Options) { o.Workers = p })
-		if err != nil {
-			return err
-		}
-		serialSec, _, err := timeSearch(serial)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("    serial (Workers=1):  %.3fs  (%.0f queries/s)\n",
-			serialSec, float64(queries)/serialSec)
-		poolSec, simQPS, err := timeSearch(pooled)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("    pooled (Workers=%d): %.3fs  (%.0f queries/s)  vs serial %.2fx\n",
-			p, poolSec, float64(queries)/poolSec, serialSec/poolSec)
-
-		entry := benchEntry{
-			Note: note, Backend: "graph",
-			Timestamp:  time.Now().UTC().Format(time.RFC3339),
-			GoMaxProcs: p,
-			N:          n, D: s.Base.D, Queries: queries, Runs: runs, DPUs: dpus,
-			SerialSec:       serialSec,
-			PipelinedSec:    poolSec,
-			SpeedupVsSerial: serialSec / poolSec,
-			WallQPS:         float64(queries) / poolSec,
-			SimQPS:          simQPS,
-			BuildSec:        buildSec,
-		}
-		if prev := lastComparable(prior, entry); prev != nil && poolSec > 0 {
-			entry.SpeedupVsPrev = prev.PipelinedSec / poolSec
-			fmt.Printf("    vs previous entry (%s): %.2fx\n", prev.Timestamp, entry.SpeedupVsPrev)
-		}
-		trajectory = append(trajectory, entry)
-	}
-
-	raw, err = json.MarshalIndent(trajectory, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(raw, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("  recorded %d entr%s in %s (total %d)\n",
-		len(procs), map[bool]string{true: "y", false: "ies"}[len(procs) == 1], outPath, len(trajectory))
-	return nil
+	return f.emit(out, modeHeadToHead, rows)
 }

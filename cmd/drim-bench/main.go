@@ -1,115 +1,63 @@
 // Command drim-bench regenerates the tables and figures of the DRIM-ANN
-// paper's evaluation (§5) on the simulated UPMEM system, and benchmarks the
-// simulator itself.
+// paper's evaluation (§5) on the simulated UPMEM system, and runs the two
+// comparisons the repo benchmark (BENCHMARK.json + benchmark/) cannot
+// express. Three uses, at most one per invocation:
 //
-// Usage:
+// The experiment runner reproduces the paper's T1–T3 / F2–F15 results from
+// internal/bench:
 //
 //	drim-bench                  # run every experiment at the default scale
+//	drim-bench -list            # experiment ids
 //	drim-bench -exp F7,F9       # run selected experiments
 //	drim-bench -small           # test-suite scale (seconds)
 //	drim-bench -n 100000 -dpus 128 -queries 1000
 //
-// Self-benchmark mode (-bench) measures the wall-clock throughput of the
-// engine's pipelined execution path against the serial reference path
-// (Workers=1, pipelining off) on a synthetic SIFT-shaped corpus, plus the
-// batched LocateBatch CL stage on its own. It sweeps GOMAXPROCS (1 and
-// NumCPU by default; -benchprocs overrides, e.g. -benchprocs 1,4,max) and
-// appends one entry per value to a JSON trajectory file so successive PRs
-// can track both the simulator's own speed and its multi-core scaling:
-//
-//	drim-bench -bench                          # 100k x 128d, 1k queries
-//	drim-bench -bench -n 200000 -queries 2000  # custom scale
-//	drim-bench -bench -benchout BENCH_core.json -benchruns 3 -benchprocs 1,max
-//
-// Each entry records the fixture shape, serial and pipelined seconds, the
-// explicit speedup_vs_serial (pipelined vs the same build's serial mode) and
-// speedup_vs_prev_entry (vs the most recent earlier entry with the same
-// fixture shape and GOMAXPROCS — the cross-PR improvement), wall/simulated
-// QPS and the CL stage cost; see the benchEntry schema in selfbench.go.
-// Compare runs with e.g.
-// `jq '.[] | {timestamp, go_max_procs, speedup_vs_prev_entry, wall_qps}' BENCH_core.json`.
-//
-// -backend selects the engine under test for -bench: "ivf" (default, the
-// DRIM-ANN IVF-PQ engine) or "graph" (the beam-search graph-traversal
-// backend on the same simulated hardware). Graph entries are tagged
-// backend:"graph" in the trajectory and only compare against graph
-// entries.
-//
-// Head-to-head mode (-headtohead) runs BOTH backends over one corpus and
-// records each backend's recall-vs-simulated-QPS curve, with every query
-// driven through the online serving path: the IVF engine sweeps nprobe,
-// the graph engine sweeps its search beam width over a single build. One
-// backend-tagged mode:"headtohead" entry per curve point lands in the
-// trajectory file (recall@10, simulated and wall QPS, build seconds):
+// Head-to-head (-headtohead) runs BOTH backends over one corpus and prints
+// each backend's recall@10-vs-simulated-QPS curve, every query driven
+// through the online serving path: the IVF-PQ engine sweeps nprobe, the
+// graph engine sweeps its search beam width over a single build. The
+// benchmark's offline-ivf and offline-graph workloads each hold one
+// operating point on different corpora; the iso-corpus sweep lives here:
 //
 //	drim-bench -headtohead                           # 100k x 128d, 1k queries
 //	drim-bench -headtohead -n 20000 -queries 200     # smoke scale
 //
-// Serving-layer mode (-serve) drives the online micro-batching server
-// (drimann.NewServer) with a closed-loop load generator instead of one
-// offline SearchBatch: -clients concurrent callers issue single queries
-// (optionally paced to an aggregate -qps target) for -servedur, through a
-// batcher configured by -maxwait/-maxbatch. Client-observed p50/p95/p99
-// Search latency and achieved QPS are appended to the same trajectory file
-// as mode:"serve" entries:
-//
-//	drim-bench -serve                                # unthrottled, 8 clients
-//	drim-bench -serve -clients 32 -maxwait 500us
-//	drim-bench -serve -qps 2000 -servedur 10s
-//
-// Cluster mode (-shards N) measures the scatter-gather sharding layer:
-// the corpus is partitioned across N shard engines (each simulating -dpus
-// DPUs, so the fleet models N x dpus devices), one query batch is located
-// once and routed to the shards owning its probed clusters in parallel, and
-// the per-shard top-k lists merge into the global answer — verified
-// identical to the unsharded single engine on the same index, then recorded
-// as a mode:"cluster" entry (shard count, assignment policy, fleet wall/sim
-// QPS, speedup vs the single engine, fan-out, front-door CL share):
-//
-//	drim-bench -shards 4                             # hash partitioning
-//	drim-bench -shards 8 -assign kmeans -dpus 64
-//
-// Replica mode (-replicas R) measures the tail-masking machinery of the
-// replicated serving layer: each shard (default 2, -shards overrides) is
-// served by R engine clones behind load-aware routing with hedged requests,
-// and -straggler wraps the last replica of every shard in a fault-injected
-// periodic straggler (every -stragglerevery-th call stalls by
-// -stragglerdelay). The same closed-loop load (-clients, -servedur) runs
-// twice — hedging off, then on — every response is verified bit-identical
-// to the unsharded single engine, and both latency distributions
-// (p50/p99/p999) land in one mode:"replica" trajectory entry, so the
-// hedged-vs-unhedged tail ratio is recorded alongside the fleet's history:
+// Replica mode (-replicas R) shows hedging masking a tail: each shard
+// (default 2, -shards overrides) is served by R engine clones behind
+// load-aware routing with hedged requests, and -straggler wraps the last
+// replica of every shard in a fault-injected periodic straggler (every
+// -stragglerevery-th call stalls by -stragglerdelay). The same closed loop
+// (-clients callers for -servedur) runs twice — hedging off, then on —
+// every response is verified bit-identical to the unsharded single engine,
+// and both latency distributions (p50/p99/p999) are printed. The
+// benchmark's fleet never has a fault injected, so this run lives here:
 //
 //	drim-bench -replicas 2 -straggler                # 2 shards x 2 replicas
 //	drim-bench -replicas 3 -shards 4 -straggler -stragglerdelay 50ms -stragglerevery 3
 //
-// Mutate mode (-mutate) prices the live-mutability overlay: the packed
-// index is measured as the compacted baseline, then 1% and 10% of the base
-// count are appended live (routed to their nearest clusters, PQ-encoded
-// with the frozen codebooks, served from append segments) and the offline
-// batch is re-measured at each fraction. One mode:"mutate" entry per
-// fraction records overlay vs compacted QPS; at the end the overlay is
-// compacted and the results verified bit-identical to the live answers:
+// The two wall-clock modes print a table and end with one JSON line on
+// stdout, the shape of benchmark/'s result line:
 //
-//	drim-bench -mutate
-//	drim-bench -mutate -n 200000 -benchruns 5
+//	{"mode":…, "fixture":{"n","d","queries","dpus","seed","gomaxprocs"}, "rows":[…]}
 //
-// Recovery mode (-recovery) prices the durability layer against the real
-// filesystem: ~1% of the base count is mutated through the
-// apply-then-WAL-log path twice over identical engines — fsync at every
-// batch boundary vs fsync off, recording what the sync costs in
-// acknowledged mutations/s — then the synced engine is killed, Recover is
-// timed, and the recovered results are verified bit-identical to the
-// killed engine's. One mode:"recovery" entry records the sync/no-sync
-// mutation throughputs, WAL bytes replayed and the recovery wall clock:
+// Nothing is written to disk and nothing is compared with an earlier run:
+// comparing two commits is `benchmark compare`'s job.
 //
-//	drim-bench -recovery
-//	drim-bench -recovery -n 200000 -benchruns 5
+// Modes that used to live here are answered by the benchmark's workloads,
+// with segment statistics and a wrong-answer exit code: -bench by
+// offline-ivf (and the pipelined-vs-serial ratio by BenchmarkSearchBatch /
+// BenchmarkSearchBatchSerial in core_bench_test.go), -bench -backend graph
+// by offline-graph, -serve by serve-online, -shards N / -mutate / -recovery
+// by fleet-mutate. BENCH_core.json at the repo root is the frozen diary
+// those modes wrote during PRs 1–10; no code opens it, and the meaning of
+// its fields is at `git show 5d63ab0:cmd/drim-bench/selfbench.go`.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -117,191 +65,180 @@ import (
 	"drimann/internal/bench"
 )
 
-func main() {
-	var (
-		expFlag    = flag.String("exp", "", "comma-separated experiment ids (default: all); see -list")
-		list       = flag.Bool("list", false, "list experiment ids and exit")
-		small      = flag.Bool("small", false, "use the small (test-suite) scale")
-		n          = flag.Int("n", 0, "override base vectors per dataset")
-		queries    = flag.Int("queries", 0, "override query count")
-		dpus       = flag.Int("dpus", 0, "override simulated DPU count")
-		seed       = flag.Int64("seed", 0, "override RNG seed")
-		selfBench  = flag.Bool("bench", false, "benchmark the simulator itself (wall clock) instead of running experiments")
-		backend    = flag.String("backend", "ivf", "-bench/-headtohead: engine backend (ivf or graph)")
-		headToHead = flag.Bool("headtohead", false, "head-to-head backend comparison: recall@10 vs simulated QPS for IVF-PQ and graph through the serving path")
-		benchOut   = flag.String("benchout", "BENCH_core.json", "trajectory file appended to by -bench/-serve")
-		benchRuns  = flag.Int("benchruns", 3, "repetitions per -bench measurement (best is recorded)")
-		benchProcs = flag.String("benchprocs", "1,max", "comma-separated GOMAXPROCS sweep for -bench (max = NumCPU)")
-		benchNote  = flag.String("benchnote", "", "free-form note stored in the entries recorded by -bench/-serve")
-		serveBench = flag.Bool("serve", false, "closed-loop load-generator benchmark over the online serving layer")
-		mutate     = flag.Bool("mutate", false, "live-mutability benchmark: QPS with 1%/10% live appends vs the compacted baseline")
-		recovery   = flag.Bool("recovery", false, "durability benchmark: WAL fsync overhead, recovery wall clock, bit-identical restart")
-		shards     = flag.Int("shards", 0, "cluster mode: scatter-gather benchmark over this many shard engines (-dpus is per shard)")
-		assignFlag = flag.String("assign", "hash", "-shards: partitioning policy (hash or kmeans)")
-		replicas   = flag.Int("replicas", 0, "replica mode: hedged-vs-unhedged tail benchmark over this many replicas per shard (default 2 shards; -shards overrides)")
-		straggler  = flag.Bool("straggler", false, "-replicas: fault-inject a periodic straggler into the last replica of each shard")
-		stragDelay = flag.Duration("stragglerdelay", 100*time.Millisecond, "-replicas -straggler: injected stall per straggling call")
-		stragEvery = flag.Int("stragglerevery", 3, "-replicas -straggler: every Nth call to the straggler stalls")
-		clients    = flag.Int("clients", 8, "-serve: concurrent closed-loop clients")
-		qps        = flag.Float64("qps", 0, "-serve: aggregate pacing target in queries/s (0 = unthrottled)")
-		maxWait    = flag.Duration("maxwait", 200*time.Microsecond, "-serve: micro-batcher max wait")
-		maxBatch   = flag.Int("maxbatch", 0, "-serve: micro-batcher max batch (0 = engine batch size)")
-		serveDur   = flag.Duration("servedur", 5*time.Second, "-serve: measurement window")
-	)
-	flag.Parse()
+// The three things one invocation can do, plus -list.
+const (
+	modeList        = "list"
+	modeExperiments = "experiments"
+	modeHeadToHead  = "headtohead"
+	modeReplica     = "replica"
+)
 
-	// Enum-valued flags are validated up front: a typo'd policy or backend
-	// must abort with the valid options, never fall back silently.
-	for _, c := range []struct {
-		name, value string
-		valid       []string
-	}{
-		{"-assign", *assignFlag, []string{"hash", "kmeans"}},
-		{"-backend", *backend, []string{"ivf", "graph"}},
-	} {
-		if err := validateChoice(c.name, c.value, c.valid); err != nil {
-			fmt.Fprintf(os.Stderr, "drim-bench: %v\n", err)
-			os.Exit(2)
-		}
+// config is a parsed command line: the mode, the fixture overrides every
+// mode takes (zero = the mode's default), and each mode's own settings.
+type config struct {
+	mode string
+
+	n, queries, dpus int
+	seed             int64
+
+	// Experiment runner.
+	small bool
+	exps  []bench.Experiment
+
+	// Replica mode. shards 0 = the default 2.
+	replicas, shards, clients int
+	straggler                 bool
+	stragglerDelay            time.Duration
+	stragglerEvery            int
+	serveDur                  time.Duration
+}
+
+// parseArgs turns the command line into a config or an error naming what is
+// wrong with it. At most one of the three modes may be selected — the
+// experiment runner by any of -exp/-small/-list, or by selecting nothing —
+// and a flag that belongs to one mode is rejected without that mode, so no
+// flag is ever silently ignored. Usage and flag-syntax errors go to stderr.
+func parseArgs(args []string, stderr io.Writer) (config, error) {
+	var c config
+	fs := flag.NewFlagSet("drim-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	expFlag := fs.String("exp", "", "comma-separated experiment ids (default: all); see -list")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	fs.BoolVar(&c.small, "small", false, "use the small (test-suite) scale")
+	fs.IntVar(&c.n, "n", 0, "override base vectors per dataset")
+	fs.IntVar(&c.queries, "queries", 0, "override query count")
+	fs.IntVar(&c.dpus, "dpus", 0, "override simulated DPU count")
+	fs.Int64Var(&c.seed, "seed", 0, "override RNG seed")
+	headToHead := fs.Bool("headtohead", false, "head-to-head backend comparison: recall@10 vs simulated QPS for IVF-PQ and graph through the serving path")
+	fs.IntVar(&c.replicas, "replicas", 0, "replica mode: hedged-vs-unhedged tail benchmark over this many replicas per shard")
+	fs.IntVar(&c.shards, "shards", 0, "-replicas: shard count (default 2; -dpus is per shard)")
+	fs.BoolVar(&c.straggler, "straggler", false, "-replicas: fault-inject a periodic straggler into the last replica of each shard")
+	fs.DurationVar(&c.stragglerDelay, "stragglerdelay", 100*time.Millisecond, "-replicas -straggler: injected stall per straggling call")
+	fs.IntVar(&c.stragglerEvery, "stragglerevery", 3, "-replicas -straggler: every Nth call to the straggler stalls")
+	fs.IntVar(&c.clients, "clients", 8, "-replicas: concurrent closed-loop clients")
+	fs.DurationVar(&c.serveDur, "servedur", 5*time.Second, "-replicas: measurement window of each of the two runs")
+	if err := fs.Parse(args); err != nil {
+		return config{}, err
 	}
+	if fs.NArg() > 0 {
+		return config{}, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
+	var modes []string
+	if set["exp"] || set["small"] || set["list"] {
+		modes = append(modes, "-exp/-small/-list")
+	}
 	if *headToHead {
-		if *selfBench || *serveBench || *small || *expFlag != "" {
-			fmt.Fprintln(os.Stderr, "drim-bench: -headtohead excludes -bench/-serve/-small/-exp (use -n/-queries/-dpus)")
-			os.Exit(2)
+		modes = append(modes, "-headtohead")
+	}
+	if set["replicas"] {
+		modes = append(modes, "-replicas")
+	}
+	if len(modes) > 1 {
+		return config{}, fmt.Errorf("%s select different modes; give one", strings.Join(modes, " and "))
+	}
+	if !set["replicas"] {
+		for _, name := range []string{"shards", "straggler", "stragglerdelay", "stragglerevery", "clients", "servedur"} {
+			if set[name] {
+				return config{}, fmt.Errorf("-%s applies only with -replicas", name)
+			}
 		}
-		if err := runHeadToHead(*n, *queries, *dpus, *seed, *benchRuns, *benchNote, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "drim-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	}
+	if c.n < 0 || c.queries < 0 || c.dpus < 0 {
+		return config{}, errors.New("-n, -queries and -dpus must not be negative")
 	}
 
-	if *replicas > 0 {
-		if *selfBench || *serveBench || *small || *expFlag != "" {
-			fmt.Fprintln(os.Stderr, "drim-bench: -replicas excludes -bench/-serve/-small/-exp (use -n/-queries/-dpus)")
-			os.Exit(2)
+	switch {
+	case *headToHead:
+		c.mode = modeHeadToHead
+	case set["replicas"]:
+		c.mode = modeReplica
+		if c.replicas < 2 {
+			return config{}, fmt.Errorf("-replicas %d: tail masking needs at least 2 replicas", c.replicas)
 		}
-		if err := runReplicaBench(*n, *queries, *dpus, *seed, *shards, *replicas,
-			*assignFlag, *clients, *straggler, *stragDelay, *stragEvery,
-			*maxWait, *maxBatch, *serveDur, *benchNote, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "drim-bench: %v\n", err)
-			os.Exit(1)
+		if c.shards < 0 || c.clients <= 0 || c.serveDur <= 0 || c.stragglerDelay <= 0 || c.stragglerEvery <= 0 {
+			return config{}, errors.New("-clients, -servedur, -stragglerdelay and -stragglerevery must be positive, -shards not negative")
 		}
+		if !c.straggler && (set["stragglerdelay"] || set["stragglerevery"]) {
+			return config{}, errors.New("-stragglerdelay and -stragglerevery apply only with -straggler")
+		}
+	case *list:
+		c.mode = modeList
+	default:
+		c.mode = modeExperiments
+		c.exps = bench.All()
+		if *expFlag != "" {
+			c.exps = nil
+			for _, id := range strings.Split(*expFlag, ",") {
+				e, ok := bench.ByID(strings.TrimSpace(id))
+				if !ok {
+					return config{}, fmt.Errorf("unknown experiment %q (try -list)", id)
+				}
+				c.exps = append(c.exps, e)
+			}
+		}
+	}
+	return c, nil
+}
+
+func main() {
+	cfg, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
 		return
 	}
-
-	if *shards > 0 {
-		if *selfBench || *serveBench || *small || *expFlag != "" {
-			fmt.Fprintln(os.Stderr, "drim-bench: -shards excludes -bench/-serve/-small/-exp (use -n/-queries/-dpus)")
-			os.Exit(2)
-		}
-		if err := runClusterBench(*n, *queries, *dpus, *seed, *shards, *assignFlag,
-			*benchRuns, *benchNote, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "drim-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "drim-bench: %v\n", err)
+		os.Exit(2)
 	}
-
-	if *mutate {
-		if *selfBench || *serveBench || *small || *expFlag != "" {
-			fmt.Fprintln(os.Stderr, "drim-bench: -mutate excludes -bench/-serve/-small/-exp (use -n/-queries/-dpus)")
-			os.Exit(2)
-		}
-		if err := runMutateBench(*n, *queries, *dpus, *seed, *benchRuns, *benchNote, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "drim-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *recovery {
-		if *selfBench || *serveBench || *mutate || *small || *expFlag != "" {
-			fmt.Fprintln(os.Stderr, "drim-bench: -recovery excludes -bench/-serve/-mutate/-small/-exp (use -n/-queries/-dpus)")
-			os.Exit(2)
-		}
-		if err := runRecoveryBench(*n, *queries, *dpus, *seed, *benchRuns, *benchNote, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "drim-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serveBench {
-		if *selfBench || *small || *expFlag != "" {
-			fmt.Fprintln(os.Stderr, "drim-bench: -serve excludes -bench/-small/-exp (use -n/-queries/-dpus)")
-			os.Exit(2)
-		}
-		if err := runServeBench(*n, *queries, *dpus, *seed, *clients, *qps,
-			*maxWait, *maxBatch, *serveDur, *benchNote, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "drim-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *selfBench {
-		if *small || *expFlag != "" {
-			fmt.Fprintln(os.Stderr, "drim-bench: -small and -exp do not apply to -bench (use -n/-queries/-dpus)")
-			os.Exit(2)
-		}
-		if err := runSelfBench(*n, *queries, *dpus, *seed, *benchRuns, *benchProcs, *backend, *benchNote, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "drim-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *list {
+	switch cfg.mode {
+	case modeList:
 		for _, e := range bench.All() {
 			fmt.Printf("%-5s %s\n", e.ID, e.Title)
 		}
-		return
+	case modeHeadToHead:
+		err = runHeadToHead(cfg, os.Stdout)
+	case modeReplica:
+		err = runReplica(cfg, os.Stdout)
+	default:
+		err = runExperiments(cfg, os.Stdout)
 	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "drim-bench: %v\n", err)
+		os.Exit(1)
+	}
+}
 
+// runExperiments is the paper's T/F experiment runner.
+func runExperiments(cfg config, out io.Writer) error {
 	scale := bench.DefaultScale()
-	if *small {
+	if cfg.small {
 		scale = bench.SmallScale()
 	}
-	if *n > 0 {
-		scale.N = *n
+	if cfg.n > 0 {
+		scale.N = cfg.n
 	}
-	if *queries > 0 {
-		scale.Queries = *queries
+	if cfg.queries > 0 {
+		scale.Queries = cfg.queries
 	}
-	if *dpus > 0 {
-		scale.NumDPUs = *dpus
+	if cfg.dpus > 0 {
+		scale.NumDPUs = cfg.dpus
 	}
-	if *seed != 0 {
-		scale.Seed = *seed
+	if cfg.seed != 0 {
+		scale.Seed = cfg.seed
 	}
-
-	var selected []bench.Experiment
-	if *expFlag == "" {
-		selected = bench.All()
-	} else {
-		for _, id := range strings.Split(*expFlag, ",") {
-			e, ok := bench.ByID(strings.TrimSpace(id))
-			if !ok {
-				fmt.Fprintf(os.Stderr, "drim-bench: unknown experiment %q (try -list)\n", id)
-				os.Exit(2)
-			}
-			selected = append(selected, e)
-		}
-	}
-
-	fmt.Printf("DRIM-ANN experiment harness: N=%d queries=%d DPUs=%d seed=%d\n\n",
+	fmt.Fprintf(out, "DRIM-ANN experiment harness: N=%d queries=%d DPUs=%d seed=%d\n\n",
 		scale.N, scale.Queries, scale.NumDPUs, scale.Seed)
 	runner := bench.NewRunner(scale)
-	for _, e := range selected {
+	for _, e := range cfg.exps {
 		start := time.Now()
 		table, err := e.Run(runner)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "drim-bench: %s: %v\n", e.ID, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		table.Fprint(os.Stdout)
-		fmt.Printf("  (%s in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
+		table.Fprint(out)
+		fmt.Fprintf(out, "  (%s in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
 	}
+	return nil
 }

@@ -4,8 +4,11 @@ package drimann_test
 // the ISSUE-1 acceptance suite. BenchmarkSearchBatch measures end-to-end
 // engine throughput on a 100k x 128d corpus with 1k queries and default
 // options; BenchmarkLocateBatch isolates the host-side cluster locating
-// stage. `go test -bench 'SearchBatch|LocateBatch' -run xxx .` reproduces
-// the BENCH_core.json numbers recorded by `drim-bench -bench`.
+// stage. `go test -bench 'SearchBatch|LocateBatch' -run xxx .` measures
+// what the deleted `drim-bench -bench` mode wrote into BENCH_core.json (the
+// frozen diary of PRs 1-10), the pipelined-vs-serial ratio included; the
+// repo benchmark's offline-ivf workload is the instrument for comparing
+// commits.
 
 import (
 	"sync"

@@ -38,10 +38,11 @@
 // internal/core) rather than all M x CB of them.
 // Results and metrics (every counter, cycle and hit rate) are bit-identical
 // across the pipelined, serial, batched-tally and per-op paths; only
-// wall-clock speed differs. `drim-bench -bench` records the simulator's own
-// wall-clock throughput into a BENCH_core.json trajectory file (with a
-// GOMAXPROCS sweep) for cross-PR comparison; see cmd/drim-bench for the
-// entry schema.
+// wall-clock speed differs. The repo benchmark's offline-ivf workload
+// (BENCHMARK.json, benchmark/) measures the simulator's own wall-clock
+// throughput beside the simulated one, and BenchmarkSearchBatch /
+// BenchmarkSearchBatchSerial in core_bench_test.go time the pipelined path
+// against the serial reference.
 //
 // # Backends
 //
@@ -79,9 +80,10 @@
 // not within one), and models no WRAM caching of hot nodes — each is a
 // deliberate simplification that favors neither backend's phase
 // accounting but understates what a tuned real implementation of either
-// could do. `drim-bench -headtohead` records both backends'
-// recall-vs-simulated-QPS curves through the serving path into
-// BENCH_core.json; the conformance suite in internal/engine pins the
+// could do. `drim-bench -headtohead` prints both backends'
+// recall-vs-simulated-QPS curves through the serving path over one corpus
+// (the benchmark's offline-graph workload holds the graph engine's single
+// operating point); the conformance suite in internal/engine pins the
 // contract behaviors (determinism, result order, empty batches, serving
 // integration) for every backend.
 //
@@ -106,8 +108,9 @@
 // ErrServerClosed. Per-query results are bit-identical to a single
 // SearchBatch over the same queries regardless of how arrivals split into
 // micro-batches (the equivalence suite in internal/serve pins this).
-// `drim-bench -serve` runs a closed-loop load generator against the server
-// and records p50/p95/p99 latency and achieved QPS into BENCH_core.json.
+// The benchmark's serve-online workload drives the server with an open
+// loop at a fixed rate, then a closed loop, and reports latency percentiles
+// and achieved QPS.
 //
 // # Sharded serving
 //
@@ -159,11 +162,12 @@
 // the global top-k; ClusterResponse.ShardsContacted reports the query's
 // fan-out.
 // Per-shard batching policy, backpressure, cancellation and draining Close
-// behave exactly as for a single Server; `drim-bench -shards N` runs the
-// offline scatter-gather path and records mode:"cluster" entries in
-// BENCH_core.json (with mean/max fan-out and the front-door CL share of
-// wall time). The scatter fast-fails: the first shard to fail cancels its
-// siblings' in-flight work through a per-query derived context.
+// behave exactly as for a single Server; the benchmark's fleet-mutate
+// workload runs both the offline scatter-gather path and the front door
+// over a 4-shard x 2-replica fleet (reporting mean/max fan-out and the
+// front-door CL share of wall time). The scatter fast-fails: the first
+// shard to fail cancels its siblings' in-flight work through a per-query
+// derived context.
 //
 // Replication masks the tail. ClusterOptions.Replicas > 1 clones each
 // shard's engine R ways — replicas are deterministic copies, so any
@@ -181,7 +185,7 @@
 // therefore masked — queries keep completing with bit-identical results as
 // long as any replica of each shard answers (internal/fault injects exactly
 // those failure modes to pin this, and `drim-bench -replicas R -straggler`
-// measures hedged vs unhedged tail latency into mode:"replica" entries).
+// prints hedged vs unhedged tail latency over a fault-injected fleet).
 // NewClusterServerRouted exposes the routing policy; NewClusterServer uses
 // defaults. The offline Cluster.SearchBatch has the matching mitigation:
 // it runs on replica 0 of every shard, but a shard whose
@@ -221,10 +225,9 @@
 // renumbers shard-local IDs back to the dense monotone tables the merge
 // relies on), and release the fleet. Memory accounting follows along:
 // MemoryFootprint and ClusterStats include live append-segment and
-// tombstone bytes, which return to zero at Compact. `drim-bench -mutate`
-// measures serving throughput with a live append overlay (1% and 10%
-// appended points) against the compacted baseline as mode:"mutate" entries
-// in BENCH_core.json.
+// tombstone bytes, which return to zero at Compact. The benchmark's
+// fleet-mutate workload serves reads beside a live writer and reports the
+// overlay's size and the cost of compacting it.
 //
 // # Durability and recovery
 //
@@ -261,9 +264,9 @@
 // per-shard engines bit-identically for any S and either assignment
 // policy. Crash-point matrices (a simulated filesystem that kills the
 // machine at every mutating operation, torn writes included) pin all of
-// this at the store, engine, serve and cluster layers, and
-// `drim-bench -recovery` measures WAL overhead and recovery wall time
-// into mode:"recovery" entries.
+// this at the store, engine, serve and cluster layers, and the benchmark's
+// fleet-mutate workload measures WAL overhead and recovery wall time on
+// the real filesystem (kill, recover, compare against an oracle engine).
 //
 // Quick start:
 //
