@@ -159,8 +159,8 @@ func main() {
 		}
 	}
 	fmt.Println()
-	fmt.Printf("locks: %d acquired, %d pruned; LUT builds %d, reuses %d\n",
-		m2.LockAcquired, m2.LockSkipped, m2.LUTBuilds, m2.LUTReuses)
+	fmt.Printf("locks: %d acquired, %d pruned; LUT builds %d, reuses %d; scan pruned %.1f%% of points, gathered %.1f codes per point\n",
+		m2.LockAcquired, m2.LockSkipped, m2.LUTBuilds, m2.LUTReuses, m2.PruneRate()*100, m2.CodesPerPoint())
 
 	if *showGT {
 		gt := drimann.GroundTruth(base, qs, *k, 0)

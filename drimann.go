@@ -28,14 +28,19 @@
 // is pooled, so steady-state searching allocates nothing.
 //
 // The DPU-phase simulation does O(points) arithmetic with near-zero
-// constant factor: distances come from unrolled batch ADC kernels that
-// evaluate an exact algebraic decomposition instead of materializing
+// constant factor: distances come from batch ADC kernels that evaluate an
+// exact per-subspace algebraic decomposition instead of materializing
 // per-group LUTs, simulated costs accumulate in register-resident tallies
 // flushed to the DPU counters once per launch block (the per-op reference
-// accountant survives behind EngineOptions.PerOpAccounting), and the LC
-// kernel it charges builds only the LUT entries a slice's codes reference
-// (mark-then-build, from per-slice counts cached at deployment; see
-// internal/core) rather than all M x CB of them.
+// accountant survives behind EngineOptions.PerOpAccounting), and the kernel
+// it charges is a bound-forwarded staged scan (see internal/core): every
+// scheduling batch runs as two launches, the first over each query's
+// nearest probes, whose k-th best distance the second carries as a bound;
+// a scan sums a point's subspaces a stage at a time, drops the point once
+// its partial distance exceeds the bound — exact, because LUT entries are
+// non-negative — and builds, per stage, only the LUT entries its surviving
+// points' codes reference (mark-then-build) rather than all M x CB of them.
+// Metrics reports the prune rate and the codes gathered beside the rest.
 // Results and metrics (every counter, cycle and hit rate) are bit-identical
 // across the pipelined, serial, batched-tally and per-op paths; only
 // wall-clock speed differs. The repo benchmark's offline-ivf workload

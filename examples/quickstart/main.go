@@ -55,8 +55,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("searched %d queries: %.0f QPS (simulated), %d launches, imbalance %.2f\n",
-		res.Metrics.Queries, res.Metrics.QPS, res.Metrics.Launches, res.Metrics.AvgImbalance())
+	fmt.Printf("searched %d queries: %.0f QPS (simulated), %d launches, imbalance %.2f; scan pruned %.1f%% of points, gathered %.1f codes per point\n",
+		res.Metrics.Queries, res.Metrics.QPS, res.Metrics.Launches, res.Metrics.AvgImbalance(),
+		res.Metrics.PruneRate()*100, res.Metrics.CodesPerPoint())
 
 	// 5. Verify quality against exact brute force.
 	gt := drimann.GroundTruth(corpus.Base, corpus.Queries, 10, 0)

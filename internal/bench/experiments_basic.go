@@ -257,7 +257,7 @@ func Figure9(r *Runner) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"paper: LC and DC dominate; the bottleneck moves from DC to LC as nlist grows",
-		"LUT occupancy: share of the dense M x CB LUT the reference-driven LC kernel builds per group; it falls as slices shrink (higher nlist, or big clusters split across DPUs), which is what keeps LC from swamping DC entirely")
+		"LUT occupancy: share of the dense M x CB LUT the reference-driven LC kernel builds per group — per stage, the entries the points that survived the query's bound so far read; it falls as slices shrink (higher nlist, or big clusters split across DPUs) and as bounds prune harder (more probes behind the first wave, longer lists), which is what keeps LC from swamping DC entirely")
 	return t, nil
 }
 

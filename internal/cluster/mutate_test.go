@@ -592,10 +592,14 @@ func TestStragglerMitigation(t *testing.T) {
 		if !reflect.DeepEqual(two.IDs, one.IDs) || !reflect.DeepEqual(two.Items, one.Items) {
 			t.Fatalf("%s: answers differ between the R=2 and R=1 fleets", stage)
 		}
+		// What is scanned is the probes' doing and must match; what a staged
+		// scan builds and gathers of it follows the bounds in force, and a
+		// shard split over two replicas forms its batches — hence its waves
+		// and each DPU's own heap bounds — differently.
 		a, b := &one.Metrics, &two.Metrics
-		if a.PointsScanned != b.PointsScanned || a.LUTEntries != b.LUTEntries || b.Queries != s.Queries.N {
-			t.Fatalf("%s: work differs: scanned %d vs %d, LUT entries %d vs %d, queries %d",
-				stage, a.PointsScanned, b.PointsScanned, a.LUTEntries, b.LUTEntries, b.Queries)
+		if a.PointsScanned != b.PointsScanned || b.Queries != s.Queries.N {
+			t.Fatalf("%s: work differs: scanned %d vs %d, queries %d",
+				stage, a.PointsScanned, b.PointsScanned, b.Queries)
 		}
 		if b.SimSeconds >= a.SimSeconds {
 			t.Fatalf("%s: R=2 fleet took %.6fs, the R=1 fleet's hottest shard %.6fs", stage, b.SimSeconds, a.SimSeconds)

@@ -38,18 +38,19 @@
 // # LUT-free distance calculation
 //
 // With the decomposed LUT builder available, the engine never materializes
-// per-group LUTs at all: DC evaluates, per point, the algebraic identity
+// per-group LUTs at all: a LUT entry is evaluated where DC reads it, from the
+// per-subspace form the builder holds,
 //
-//	Σ_m lut[m][code_m] = PTerm(q, c) + bsum[point] - 2 Σ_m qe_q[m][code_m]
+//	lut[m][e] = p_m(q, c) + b_c[m][e] - 2 qe_q[m][e]
 //
-// where bsum (the static per-point term) is precomputed once at deployment,
-// qe_q (the per-query gather table) once per query per launch, and PTerm
-// once per group — all int32-exact, so distances are bit-identical to
-// summing a materialized LUT (vecmath.ADCResidualBatch). How the host
-// obtains the values is independent of what the simulated DPU is charged
-// for: the charged kernels are the ones described next. Fallback paths (LUT
-// builder over budget, or the per-op reference accountant) materialize
-// shared per-group LUTs as before.
+// where b_c (the static per-cluster term) is precomputed once at deployment,
+// qe_q (the per-query gather table) once per query per scheduling batch, and
+// p_m once per group — all int32-exact, so every partial sum over a subset of
+// a point's subspaces is bit-identical to summing the same entries of a
+// materialized LUT. How the host obtains the values is independent of what
+// the simulated DPU is charged for: the charged kernels are the ones
+// described next. Fallback paths (LUT builder over budget, or the per-op
+// reference accountant) materialize shared per-group LUTs as before.
 //
 // # Reference-driven LUT construction
 //
@@ -59,15 +60,60 @@
 // DPU: each tasklet owns subspaces, streams the code column of every
 // co-located slice of the cluster (append segment included) into a private
 // CB-bit bitmap in WRAM, scans it, fetches the marked codebook rows with one
-// DMA per contiguous run and builds only those entries; DC is unchanged.
-// All of it is charged to LC — bitmap clear and scan, the mark pass over a
-// second code stream, a DMA setup per run — and the build costs need x dsub
-// elements instead of CB x Dim; a slice covering every entry pays the dense
-// cost plus that overhead (there is no separate dense kernel). The per-op
-// reference executes the kernel literally, DC gathering from a poisoned LUT
-// holding only the marked entries, so bit-identical answers prove the sparse
-// LUT sufficient; the batched-tally path charges from per-slice counts
-// cached at deployment (lcdemand.go).
+// DMA per contiguous run and builds only those entries. All of it is charged
+// to LC — bitmap clear and scan, the mark pass over a second code stream, a
+// DMA setup per run — and the build costs need x dsub elements instead of
+// CB x Dim; a slice covering every entry pays the dense cost plus that
+// overhead (there is no separate dense kernel). The per-op reference executes
+// the kernel literally, DC gathering from a poisoned LUT holding only the
+// marked entries, so bit-identical answers prove the sparse LUT sufficient;
+// the batched-tally path charges from per-slice, per-subspace counts cached
+// at deployment wherever every point of one slice is alive (lcdemand.go), and
+// counts the bitmap it marks otherwise.
+//
+// # Bound-forwarded staged scan
+//
+// LUT entries are squared distances, so they are non-negative and a point's
+// sum over any subset of its subspaces is a lower bound of its distance. A
+// query's k-th best distance so far — over any set of points already scanned
+// for it — is an upper bound of its final k-th best. A point whose partial
+// sum is strictly above that bound is therefore strictly worse than k points
+// already found, and dropping it cannot change the answer; a point that ties
+// the bound stays, so the (distance, id) order decides as it always did.
+// Answers are bit-identical to an unpruned scan.
+//
+// The kernel walks a group's subspaces in stages of stageWidth, in descending
+// residual magnitude Σ|r| (the subspaces whose entries are largest come
+// first; D absolute values and an M-key sort, charged to RC). Per stage it
+// marks the surviving points' codes of the stage's subspaces, builds the
+// marked entries, gathers them into the points' partial sums, and compacts
+// away every point above min(forwarded bound, this DPU's own heap bound for
+// the query). Codes live in MRAM as one column per subspace within a slice:
+// a stage streams the columns of its subspaces — once to mark (LC), once to
+// gather (DC) — from every segment that still has a survivor, one DMA each;
+// the tasklets share those few columns by marking private bitmap rows that
+// are merged before the scan, so the stage's bitmap clear and scan cover a
+// row per subspace or per tasklet, whichever is more; each survivor pays the
+// prune compare-and-compact once per stage. Survivors of the last stage have
+// their full distance and enter TS, which streams the id column of their
+// segments. With an infinite bound nothing is pruned and the charge is the
+// unstaged kernel's plus that per-stage bookkeeping; there is one kernel.
+//
+// The forwarded bound comes from a split of every scheduling batch into two
+// launches. Wave 1 schedules each query's leading probes in CL order — the
+// shortest prefix whose lists hold at least waveFill x K live points — and
+// the host folds the partial results into a per-call bound per query (the
+// k-th best distance so far, infinite until k points exist). Wave 2
+// schedules the remaining probes and ships each (query, DPU) pair its bound.
+// The second launch cannot start before the first's results are merged, so
+// that merge sits serially between the two launches' PIM times instead of
+// overlapping them. A postponed task rides the next launch with whatever
+// bound its query has by then. The split spends the latency of one unpruned
+// task (the first wave's critical path) to save about half of every later
+// one, so a batch that gives the DPUs fewer than two tasks each is not split:
+// a lone query's probes each have a DPU to themselves, and a second launch
+// would only add latency. The scheduler prices a task by its slice and by whether the launch carries
+// bounds (lcdemand.go).
 //
 // # SQT16 geometry invariant
 //
@@ -281,15 +327,8 @@ type Engine struct {
 	// when the decomposed builder is available and the per-op reference
 	// accountant (which materializes LUTs) is off.
 	algebraic bool
-	// bsum[c][i] is the static per-point decomposition term of point i of
-	// cluster c (ivf.LUTBuilder.ClusterADCSums), built once at deployment.
-	bsum [][]int32
-	// asums[c][i] is bsum's twin for cluster c's live append segment,
-	// maintained incrementally by Insert/Delete and cleared by Compact.
-	// Like bsum it is shared across replicas: the outer array is allocated
-	// once and only its elements are rewritten.
-	asums [][]int32
-	// lc is the static per-slice LC demand (lcdemand.go), shared like bsum.
+	// lc is the static per-slice LC demand and scheduler heat (lcdemand.go),
+	// shared with replica engines through the pointer.
 	lc *lcDemand
 
 	// freq and lcfg are the heat profile and layout configuration New
@@ -322,17 +361,39 @@ type groupStore struct {
 	res  []int16    // block arena: residuals, blockGroups x Dim
 	lut  []uint32   // block arena (materialized modes): LUTs, blockGroups x M*CB
 	runs []int32    // query-run boundaries within the current block
+	// order is each group's subspaces in descending residual magnitude — the
+	// order the staged scan visits them in; blockGroups x M.
+	order []uint16
 
-	// Algebraic-mode arenas (see the package doc): one qe gather table per
-	// query run, one scalar PTerm and run index per group.
-	qe    []int32 // runs x M*CB
-	p     []int32 // block-relative per-group PTerm
-	runOf []int32 // block-relative per-group run index into qe
+	// Algebraic-mode arenas (see the package doc): M per-subspace terms per
+	// group, and one qe gather table per query, kept for the whole scheduling
+	// batch so that its second wave reuses the first's: qeSlot[q] is query q's
+	// table in qe (-1 without one), qeHeld the queries holding one.
+	p      []int32 // block-relative per-group SubTerms, blockGroups x M
+	qe     []int32 // slots x M*CB
+	qeSlot []int32
+	qeHeld []int32
+}
+
+// releaseQE forgets every query's gather table: a new scheduling batch (or
+// call, with n its query count) begins.
+func (g *groupStore) releaseQE(n int) {
+	if len(g.qeSlot) != n {
+		g.qeSlot, g.qeHeld = make([]int32, n), g.qeHeld[:0]
+		for i := range g.qeSlot {
+			g.qeSlot[i] = -1
+		}
+	}
+	for _, q := range g.qeHeld {
+		g.qeSlot[q] = -1
+	}
+	g.qeHeld = g.qeHeld[:0]
 }
 
 // dpuScratch is the reusable per-DPU kernel state: the top-k heap pool, the
-// (query, heap) result list, the per-task group indices, and the launch
-// cursor that lets kernels resume across group blocks.
+// (query, heap) result list, the per-task group indices, the staged-scan
+// state of the group being scanned, and the launch cursor that lets kernels
+// resume across group blocks.
 type dpuScratch struct {
 	heaps   []*topk.Heap[uint32] // pool, grown on demand, Reset between uses
 	nHeaps  int                  // heaps handed out this launch
@@ -342,31 +403,37 @@ type dpuScratch struct {
 	stats   dpuRunStats
 
 	// tally batches this DPU's simulated costs; flushed to the upmem.DPU
-	// once per launch block. distBuf holds one slice's DC distances between
-	// the gather pass and the TS accept pass.
-	tally   upmem.Tally
-	distBuf []uint32
+	// once per launch block.
+	tally upmem.Tally
 
-	// marks is the group's LC mark bitmap (per-op reference, and chargeLC
+	// The group being scanned: its segments, and the points still alive with
+	// their partial distances, compacted together after every stage. alive[k]
+	// indexes into the segment whose [lo, hi) range holds k.
+	segs  []scanSegment
+	alive []int32
+	part  []uint32
+
+	// marks is the stage's LC mark bitmap (per-op reference, and chargeLC
 	// where cached counts do not suffice); lut the reference's sparse LUT.
 	marks []uint64
 	lut   []uint32
 
 	// Launch cursor: position in the sorted task list plus the current
-	// (query, cluster) group, preserved across group blocks.
-	taskPos    int
-	curQ, curC int32
-	curHeap    *topk.Heap[uint32]
+	// query and its heap, preserved across group blocks.
+	taskPos int
+	curQ    int32
+	curHeap *topk.Heap[uint32]
 }
 
-// scanSegment is one contiguous run of points a task scans: ids, packed
-// codes, the algebraic path's static per-point terms, and the tombstone set
-// filtering it (nil for append segments).
+// scanSegment is one contiguous run of points a group scans — a slice's base
+// points or a cluster's live append segment: ids, packed codes, the tombstone
+// set filtering it (nil for append segments), and the range of the scratch's
+// alive list its surviving points occupy.
 type scanSegment struct {
-	ids   []int32
-	codes []uint16
-	sums  []int32
-	tomb  map[int32]bool
+	ids    []int32
+	codes  []uint16
+	tomb   map[int32]bool
+	lo, hi int
 }
 
 type dpuQueryResult struct {
@@ -481,23 +548,12 @@ func New(ix *ivf.Index, profile dataset.U8Set, opts Options) (*Engine, error) {
 	}
 
 	// Host-side execution state: the decomposed LUT builder with one scratch
-	// per worker, and the per-DPU kernel scratch reused across launches.
+	// per worker, and the per-DPU kernel scratch reused across launches. The
+	// per-op reference accountant materializes LUTs instead of using the
+	// builder's terms directly.
 	e.lut = ix.NewLUTBuilder(opts.Workers)
 	e.lutScratch = newLUTScratches(e.lut, opts.Workers)
-	// The LUT-free DC path needs the static per-point decomposition term of
-	// every cluster; build it once here (O(N*M) gathers over the whole
-	// corpus). The per-op reference accountant materializes LUTs instead.
 	e.algebraic = e.lut != nil && !opts.PerOpAccounting
-	if e.algebraic {
-		e.bsum = make([][]int32, ix.NList)
-		e.asums = make([][]int32, ix.NList)
-		parallelFor(ix.NList, opts.Workers, func(_, c int) {
-			codes := ix.Codes[c]
-			sums := make([]int32, len(codes)/ix.M)
-			e.lut.ClusterADCSums(c, codes, sums)
-			e.bsum[c] = sums
-		})
-	}
 	e.lc = &lcDemand{}
 	e.rebuildDemand()
 	e.scratch = make([]dpuScratch, opts.NumDPUs)
@@ -572,7 +628,7 @@ func (e *Engine) accountMemory() error {
 	// optimization also the SQT, slice metadata, and (if it fits) the
 	// distance LUT.
 	e.lutBytes = ix.M * ix.CB * 4
-	stagingBytes := 4096 + e.markWords32()*4
+	stagingBytes := 4096 + ix.M*e.markWords32()*4
 	const sqtBytes = 511 * 4
 	e.lutInWRAM = false
 	if opts.UseWRAM {
@@ -637,21 +693,13 @@ func (e *Engine) MaxBatch() int { return e.opts.BatchSize }
 // sharded front door may run it concurrently with the engine's own batches.
 func (e *Engine) Locator() *Locator { return e.loc }
 
-// bitonicSwaps is the compare-exchange count of a bitonic sorting network
-// over n candidates: size/2 per column, log(size)*(log(size)+1)/2 columns.
-func bitonicSwaps(n int) uint64 {
-	if n < 2 {
-		return 0
-	}
-	logSize := uint64(engine.Log2Ceil(n))
-	return (uint64(1) << logSize) / 2 * logSize * (logSize + 1) / 2
-}
-
-// clBatch is one produced CL stage result: the slice-level requests of the
-// query range [lo, hi).
+// clBatch is one produced CL stage result: the cluster-level requests of the
+// query range [lo, hi), every query's first-wave probes — reqs[:lead], in
+// query order — ahead of all the others.
 type clBatch struct {
 	lo, hi int
 	reqs   []sched.Request
+	lead   int
 }
 
 // SearchBatch searches every query and returns neighbors plus metrics.
@@ -659,7 +707,9 @@ type clBatch struct {
 // Execution is a three-stage pipeline (paper §3: host CL overlaps the PIM
 // kernels): stage 1 locates clusters for a whole query batch across the
 // engine's workers; stage 2 schedules the resulting tasks; stage 3 runs the
-// DPU kernel simulation and host merge. Unless Options.NoPipeline is set,
+// DPU kernel simulation and host merge — twice per batch, the second launch
+// carrying the bounds the first one's merge produced (see the package doc).
+// Unless Options.NoPipeline is set,
 // stage 1 of batch i+1 runs concurrently with stages 2-3 of batch i, so the
 // host CL cost disappears from the wall-clock critical path exactly as the
 // modeled SimSeconds = Σ max(host, pim+xfer) accounting assumes. Results and
@@ -670,9 +720,10 @@ func (e *Engine) SearchBatch(queries dataset.U8Set) (*Result, error) {
 
 // searchBatch is the shared body behind SearchBatch and SearchBatchProbed.
 // With probed set, the CL stage is replaced by expanding the pre-resolved
-// probe lists of ps — in list order, which preserves the ascending-distance
-// request order the scheduler sees on the plain path, so schedules, results
-// and metrics stay bit-identical when ps came from this engine's Locator.
+// probe lists of ps — in list order, which is the ascending-distance order
+// the plain path cuts into waves and hands the scheduler, so schedules,
+// results and metrics stay bit-identical when ps came from this engine's
+// Locator.
 // chargeCL controls whether each batch's host CL cost enters the metrics.
 func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeCL bool) (*Result, error) {
 	if queries.D != e.ix.Dim {
@@ -694,7 +745,13 @@ func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeC
 		sc.Invalidate()
 	}
 
-	partials := make([][]topk.Item[uint32], queries.N)
+	// Per-query merge state: the K best partial results so far and, once K
+	// exist, their worst distance — the bound later launches forward.
+	best := make([]*topk.Heap[uint32], queries.N)
+	bounds := make([]uint32, queries.N)
+	for i := range bounds {
+		bounds[i] = math.MaxUint32
+	}
 	nBatches := (queries.N + e.opts.BatchSize - 1) / e.opts.BatchSize
 
 	// CL stage: probe storage for one batch plus the request-expansion
@@ -706,24 +763,36 @@ func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeC
 		probes = make([]topk.Item[uint32], e.opts.BatchSize*e.opts.NProbe)
 		counts = make([]int, e.opts.BatchSize)
 	}
-	runCL := func(lo, hi int, reqs []sched.Request) []sched.Request {
-		reqs = reqs[:0]
-		if probed {
-			for qi := lo; qi < hi; qi++ {
-				for _, c := range ps.Of(qi) {
-					reqs = append(reqs, sched.Request{Query: int32(qi), Cluster: c})
-				}
-			}
-			return reqs
+	var late []sched.Request // second-wave requests of the batch being expanded
+	runCL := func(lo, hi int, reqs []sched.Request) ([]sched.Request, int) {
+		reqs, late = reqs[:0], late[:0]
+		if !probed {
+			e.loc.LocateBatch(queries, lo, hi, probes, counts)
 		}
-		e.loc.LocateBatch(queries, lo, hi, probes, counts)
 		for qi := lo; qi < hi; qi++ {
+			live, fill := 0, waveFill*e.opts.K
+			add := func(c int32) {
+				r := sched.Request{Query: int32(qi), Cluster: c}
+				if live < fill {
+					reqs = append(reqs, r)
+				} else {
+					late = append(late, r)
+				}
+				live += e.ix.ListLen(int(c)) - len(e.ix.Tombstoned(int(c))) + e.ix.AppendLen(int(c))
+			}
+			if probed {
+				for _, c := range ps.Of(qi) {
+					add(c)
+				}
+				continue
+			}
 			base := (qi - lo) * e.opts.NProbe
 			for _, p := range probes[base : base+counts[qi-lo]] {
-				reqs = append(reqs, sched.Request{Query: int32(qi), Cluster: p.ID})
+				add(p.ID)
 			}
 		}
-		return reqs
+		lead := len(reqs)
+		return append(reqs, late...), lead
 	}
 
 	// Pipelined mode: a producer goroutine runs CL one batch ahead, cycling
@@ -742,7 +811,8 @@ func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeC
 				if hi > queries.N {
 					hi = queries.N
 				}
-				clOut <- clBatch{lo: lo, hi: hi, reqs: runCL(lo, hi, <-clFree)}
+				reqs, lead := runCL(lo, hi, <-clFree)
+				clOut <- clBatch{lo: lo, hi: hi, reqs: reqs, lead: lead}
 			}
 			close(clOut)
 		}()
@@ -751,10 +821,11 @@ func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeC
 	var carried []sched.Task
 	var sb sched.Batch // schedule storage reused across launches
 	var serialReqs []sched.Request
-	scfg := sched.Config{
-		Cost:      func(points int) float64 { return e.lc.heat[points] },
-		Th3:       e.opts.Th3,
-		Rebalance: e.opts.Rebalance,
+	scfg := sched.Config{Th3: e.opts.Th3, Rebalance: e.opts.Rebalance}
+	// A task is priced by its slice and by whether its launch carries bounds.
+	costs := [2]func(int) float64{
+		func(slice int) float64 { return e.lc.heat[0][slice] },
+		func(slice int) float64 { return e.lc.heat[1][slice] },
 	}
 
 	for bi := 0; bi < nBatches; bi++ {
@@ -764,30 +835,50 @@ func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeC
 			hi = queries.N
 		}
 		var reqs, clBuf []sched.Request
+		var lead int
 		if clOut != nil {
 			cb := <-clOut
-			reqs, clBuf = cb.reqs, cb.reqs
+			reqs, clBuf, lead = cb.reqs, cb.reqs, cb.lead
 		} else {
-			serialReqs = runCL(lo, hi, serialReqs)
+			serialReqs, lead = runCL(lo, hi, serialReqs)
 			reqs = serialReqs
 		}
 		hostSec := 0.0
 		if chargeCL {
 			hostSec = e.loc.CLSeconds(hi - lo)
 		}
+		e.groups.releaseQE(queries.N)
 
+		// The batch's launches: both waves, unless the DPUs average under two
+		// tasks (or there is no second wave).
+		waves := [2][]sched.Request{reqs}
+		nWaves := 1
+		if lead < len(reqs) && e.taskCount(reqs)+len(carried) >= 2*e.opts.NumDPUs {
+			waves, nWaves = [2][]sched.Request{reqs[:lead], reqs[lead:]}, 2
+		}
 		lastBatch := hi >= queries.N
-		var pimPlusXfer float64
-		for {
-			sched.GreedyInto(&sb, reqs, carried, e.pl, scfg)
-			reqs = nil
+		var pimPlusXfer, mergeSec float64
+		for w := 0; ; w++ {
+			var wave []sched.Request
+			if w < nWaves {
+				wave = waves[w]
+			}
+			scfg.Cost = costs[min(w, 1)]
+			sched.GreedyInto(&sb, wave, carried, e.pl, scfg)
 			carried = append(carried[:0], sb.Postponed...)
 			m.Postponed += len(sb.Postponed)
 
-			launchSec, mergeItems := e.runLaunch(&sb, queries, partials, m)
+			// This launch ships the bounds the previous one's merge produced,
+			// so that merge is on the PIM side's critical path.
+			pimPlusXfer += mergeSec
+			launchSec, mergeItems := e.runLaunch(&sb, queries, best, bounds, m)
 			pimPlusXfer += launchSec
-			hostSec += engine.HostMergeSeconds(e.opts.Host, mergeItems, e.opts.K)
+			mergeSec = engine.HostMergeSeconds(e.opts.Host, mergeItems, e.opts.K)
+			hostSec += mergeSec
 
+			if w+1 < nWaves {
+				continue
+			}
 			if !lastBatch || len(carried) == 0 {
 				break
 			}
@@ -805,19 +896,12 @@ func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeC
 		m.Batches++
 	}
 
-	// Final per-query merge (already counted in host merge time above): the
-	// K best of the query's partial lists, selected through a K-heap — the
-	// lists hold tasks x K items, and sorting them all was a sixth of the
-	// search's host time. A query with no partials keeps nil Items.
-	sel := topk.NewHeap[uint32](e.opts.K)
-	for qi := range partials {
+	// Final per-query results (already counted in host merge time above): a
+	// query with no partials keeps nil Items.
+	for qi, h := range best {
 		var items []topk.Item[uint32]
-		if len(partials[qi]) > 0 {
-			sel.Reset()
-			for _, it := range partials[qi] {
-				sel.Push(it.ID, it.Dist)
-			}
-			items = sel.Sorted()
+		if h != nil {
+			items = h.Sorted()
 		}
 		res.Items[qi] = items
 		ids := make([]int32, len(items))
@@ -833,6 +917,15 @@ func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeC
 	m.SQT16Hot = sqtHot1 - sqtHot0
 	m.SQT16Cold = sqtCold1 - sqtCold0
 	return res, nil
+}
+
+// taskCount is the number of slice-level tasks the scheduler expands reqs into.
+func (e *Engine) taskCount(reqs []sched.Request) int {
+	n := 0
+	for _, r := range reqs {
+		n += len(e.pl.ByCluster[r.Cluster])
+	}
+	return n
 }
 
 // sqt16Totals sums the hot/cold lookup counters over every DPU's tiered
@@ -851,8 +944,12 @@ func (e *Engine) sqt16Totals() (hot, cold uint64) {
 // while the per-block LUT builds still fan out across workers.
 const groupBlockBudget = 48 << 20
 
-// runLaunch executes one synchronous DPU launch and returns its wall time
-// max(PIM, transfer) and the number of partial items merged on the host.
+// runLaunch executes one synchronous DPU launch — every kernel reading its
+// query's entry of bounds — and returns its wall time max(PIM, transfer) and
+// the number of partial items merged on the host; the merge folds them into
+// best and tightens bounds for the launches that follow. The launches of one
+// scheduling batch share its queries' gather tables (groupStore.releaseQE
+// starts a batch).
 //
 // The launch is staged for wall-clock speed without touching the simulated
 // accounting: (1) every DPU's task list is sorted in parallel; (2) the
@@ -862,7 +959,7 @@ const groupBlockBudget = 48 << 20
 // parallel over the shared read-only LUTs, charging the per-DPU RC/LC/DC/TS
 // costs exactly as a private build would; (4) results merge deterministically
 // from reusable per-DPU heaps.
-func (e *Engine) runLaunch(batch *sched.Batch, queries dataset.U8Set, partials [][]topk.Item[uint32], m *Metrics) (float64, int) {
+func (e *Engine) runLaunch(batch *sched.Batch, queries dataset.U8Set, best []*topk.Heap[uint32], bounds []uint32, m *Metrics) (float64, int) {
 	e.sys.ResetCounters()
 	e.sys.Launch()
 
@@ -875,14 +972,15 @@ func (e *Engine) runLaunch(batch *sched.Batch, queries dataset.U8Set, partials [
 		sc.stats = dpuRunStats{}
 		sc.tally.Reset()
 		sc.taskPos = 0
-		sc.curQ, sc.curC = -1, -1
+		sc.curQ = -1
 		sc.curHeap = nil
 	})
 
 	// Stage 2: unique groups + per-task group indices + query shipments.
-	// Host -> DPU: each (query, DPU) pair ships the query vector once.
+	// Host -> DPU: each (query, DPU) pair ships the query vector and its
+	// bound once.
 	shipped := e.collectGroups(batch)
-	e.sys.TransferToDPUs(uint64(shipped * queries.D))
+	e.sys.TransferToDPUs(uint64(shipped * (queries.D + 4)))
 
 	// Stage 3: build shared residuals/LUTs one block at a time, then let
 	// every DPU consume its tasks whose groups fall inside the block.
@@ -898,7 +996,7 @@ func (e *Engine) runLaunch(batch *sched.Batch, queries dataset.U8Set, partials [
 		}
 		e.buildGroups(queries, gLo, gHi)
 		e.forEachDPU(batch, func(d int) {
-			e.runDPUBlock(d, batch.PerDPU[d], gLo, gHi)
+			e.runDPUBlock(d, batch.PerDPU[d], gLo, gHi, bounds)
 		})
 	}
 
@@ -912,8 +1010,21 @@ func (e *Engine) runLaunch(batch *sched.Batch, queries dataset.U8Set, partials [
 		}
 		sc := &e.scratch[d]
 		for _, r := range sc.results {
+			if r.h.Len() == 0 {
+				continue
+			}
+			h := best[r.q]
+			if h == nil {
+				h = topk.NewHeap[uint32](e.opts.K)
+				best[r.q] = h
+			}
 			sc.itemBuf = r.h.SortedInto(sc.itemBuf)
-			partials[r.q] = append(partials[r.q], sc.itemBuf...)
+			for _, it := range sc.itemBuf {
+				h.Push(it.ID, it.Dist)
+			}
+			if th, full := h.Threshold(); full {
+				bounds[r.q] = th
+			}
 			mergeItems += len(sc.itemBuf)
 			fromDev += uint64(len(sc.itemBuf) * 8)
 		}
@@ -923,6 +1034,8 @@ func (e *Engine) runLaunch(batch *sched.Batch, queries dataset.U8Set, partials [
 		m.LUTReuses += sc.stats.lutReuses
 		m.LUTEntries += sc.stats.lutEntries
 		m.PointsScanned += sc.stats.points
+		m.PointsPruned += sc.stats.pruned
+		m.CodesGathered += sc.stats.codes
 	}
 	e.sys.TransferFromDPUs(fromDev)
 
@@ -934,7 +1047,8 @@ type dpuRunStats struct {
 	lockAcquired, lockSkipped uint64
 	lutBuilds, lutReuses      uint64
 	lutEntries                uint64 // LUT entries the LC kernels built
-	points                    uint64
+	points, pruned            uint64 // points entering a first stage; dropped before TS
+	codes                     uint64 // code elements DC gathered
 }
 
 // forEachDPU runs f for every DPU with scheduled tasks, fanned across the
@@ -1063,13 +1177,13 @@ func (e *Engine) collectGroups(batch *sched.Batch) int {
 }
 
 // buildGroups fills the shared arenas for every group in keys[gLo:gHi),
-// building each exactly once. On the algebraic path this is the residual,
-// the PTerm scalar and (per query run) the qe gather table; on the
-// materialized paths (per-op reference, or LUT builder over budget) it is
-// the residual and the full LUT. The residual is skipped where nothing reads
-// it (algebraic path without the SQT16 replay). Work is fanned across
-// workers per query run so per-query terms amortize over all clusters the
-// query probes; per-worker scratches keep the stage allocation-free.
+// building each exactly once: the staged scan's subspace order, and on the
+// algebraic path the per-subspace SubTerms and (per query run) the qe gather
+// table; on the materialized paths (per-op reference, or LUT builder over
+// budget) the residual and the full LUT. The residual is skipped where
+// nothing reads it (algebraic path without the SQT16 replay). Work is fanned
+// across workers per query run so per-query terms amortize over all clusters
+// the query probes; per-worker scratches keep the stage allocation-free.
 func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 	g := &e.groups
 	ix := e.ix
@@ -1085,6 +1199,9 @@ func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 	if !e.algebraic && cap(g.lut) < n*lutLen {
 		g.lut = make([]uint32, n*lutLen)
 	}
+	if cap(g.order) < n*ix.M {
+		g.order = make([]uint16, n*ix.M)
+	}
 
 	// Query runs within the block: keys are (query, cluster)-sorted, so one
 	// run is one query's clusters.
@@ -1095,16 +1212,20 @@ func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 		}
 	}
 	g.runs = append(g.runs, int32(gHi))
+	// Gather tables: a slot for every query of the block that has none yet;
+	// built below, like everything else, by the worker that gets the run.
+	fresh := len(g.qeHeld)
 	if e.algebraic {
-		if cap(g.qe) < (len(g.runs)-1)*lutLen {
-			g.qe = make([]int32, (len(g.runs)-1)*lutLen)
+		for _, lo := range g.runs[:len(g.runs)-1] {
+			if q := g.keys[lo].q; g.qeSlot[q] < 0 {
+				g.qeSlot[q] = int32(len(g.qeHeld))
+				g.qeHeld = append(g.qeHeld, q)
+			}
 		}
-		if cap(g.p) < n {
-			g.p = make([]int32, n)
-			g.runOf = make([]int32, n)
+		g.qe = slices.Grow(g.qe[:fresh*lutLen], (len(g.qeHeld)-fresh)*lutLen)[:len(g.qeHeld)*lutLen]
+		if cap(g.p) < n*ix.M {
+			g.p = make([]int32, n*ix.M)
 		}
-		g.p = g.p[:n]
-		g.runOf = g.runOf[:n]
 	}
 
 	parallelFor(len(g.runs)-1, e.opts.Workers, func(w, ri int) {
@@ -1114,23 +1235,23 @@ func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 		}
 		lo, hi := int(g.runs[ri]), int(g.runs[ri+1])
 		query := queries.Vec(int(g.keys[lo].q))
-		var qq int32
 		if e.algebraic {
-			e.lut.BuildQE(query, g.qe[ri*lutLen:(ri+1)*lutLen])
-			qq = vecmath.DotU8I32(query, query) // amortized over the run's clusters
+			if slot := int(g.qeSlot[g.keys[lo].q]); slot >= fresh {
+				e.lut.BuildQE(query, g.qe[slot*lutLen:][:lutLen])
+			}
 		}
 		for i := lo; i < hi; i++ {
-			k := g.keys[i]
+			k, bi := g.keys[i], i-gLo
+			subspaceOrder(g.order[bi*ix.M:(bi+1)*ix.M], query, ix.CentroidU8(int(k.c)))
 			var res []int16
 			if needRes {
-				res = g.res[(i-gLo)*dim : (i-gLo+1)*dim]
+				res = g.res[bi*dim : (bi+1)*dim]
 				vecmath.SubI16(res, query, ix.CentroidU8(int(k.c)))
 			}
 			if e.algebraic {
-				g.p[i-gLo] = e.lut.PTermQQ(qq, query, int(k.c))
-				g.runOf[i-gLo] = int32(ri)
+				e.lut.SubTerms(query, int(k.c), g.p[bi*ix.M:(bi+1)*ix.M])
 			} else {
-				lut := g.lut[(i-gLo)*lutLen : (i-gLo+1)*lutLen]
+				lut := g.lut[bi*lutLen : (bi+1)*lutLen]
 				switch {
 				case e.lut != nil:
 					e.lut.Build(k.q, query, int(k.c), lut, sc)
@@ -1144,399 +1265,30 @@ func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 	})
 }
 
-// sameGroup returns the leading tasks of a DPU's sorted task list that share
-// the first one's (query, cluster): the co-located slices one LC build serves.
-func sameGroup(tasks []sched.Task) []sched.Task {
-	n := 1
-	for n < len(tasks) && tasks[n].Query == tasks[0].Query && tasks[n].Cluster == tasks[0].Cluster {
-		n++
+// subspaceOrder fills order (length M) with the subspaces of the residual
+// query - centroid in descending magnitude Σ_j |q_j - c_j|, ties in ascending
+// subspace order: large residuals meet large LUT entries, so a point's
+// partial distance crosses a bound soonest this way round. (Ordering by the
+// squared energy instead builds 1% fewer LUT entries on the benchmark fixture
+// and costs the DPU D squarings a group, three times that saving.)
+func subspaceOrder(order []uint16, query, centroid []uint8) {
+	var buf [64]int32
+	mag := buf[:] // magnitudes, sorted alongside order
+	if len(order) > len(buf) {
+		mag = make([]int32, len(order))
 	}
-	return tasks[:n]
-}
-
-// runDPUBlock advances one DPU's kernel execution through every task whose
-// group lies in [gLo, gHi): per group it charges the RC and LC kernels, then
-// functionally scans the slice (DC + TS). The cursor in the DPU scratch
-// carries the run across blocks of the same launch.
-//
-// On the batched-tally hot path DC distances are computed by an unrolled
-// batch gather kernel (LUT-free on the algebraic path), the TS accept pass
-// tests a register-cached bound, and every simulated cost accumulates in the
-// scratch tally, flushed to the DPU once per block. Options.PerOpAccounting
-// swaps in the retained per-op reference kernels (the ...Ref functions) on
-// the same task walk: every instruction and DMA is charged to the DPU at the
-// point it happens, the LC kernel runs literally and DC scans the sparse LUT
-// it left point by point. The tally path must reproduce the reference's
-// results and metrics exactly.
-func (e *Engine) runDPUBlock(d int, tasks []sched.Task, gLo, gHi int) {
-	sc := &e.scratch[d]
-	dpu := e.sys.DPUs[d]
-	ix := e.ix
-	g := &e.groups
-	lutLen := ix.M * ix.CB
-	ta := &sc.tally
-	perOp := e.opts.PerOpAccounting
-	for sc.taskPos < len(tasks) {
-		gi := int(sc.groupIx[sc.taskPos])
-		if gi >= gHi {
-			break
+	dsub := len(query) / len(order)
+	for m := range order {
+		var sum int32
+		csub := centroid[m*dsub : (m+1)*dsub]
+		for j, q := range query[m*dsub : (m+1)*dsub] {
+			d := int32(q) - int32(csub[j])
+			sum += (d ^ d>>31) - d>>31 // |d|, without a branch on the sign
 		}
-		t := tasks[sc.taskPos]
-		sc.taskPos++
-		if t.Query != sc.curQ {
-			sc.curHeap = sc.nextHeap(e.opts.K)
-			sc.results = append(sc.results, dpuQueryResult{q: t.Query, h: sc.curHeap})
+		i := m
+		for ; i > 0 && mag[i-1] < sum; i-- {
+			order[i], mag[i] = order[i-1], mag[i-1]
 		}
-		if t.Query != sc.curQ || t.Cluster != sc.curC {
-			sc.curQ, sc.curC = t.Query, t.Cluster
-			group := sameGroup(tasks[sc.taskPos-1:])
-			if perOp {
-				e.chargeRCRef(dpu)
-				e.chargeLCRef(dpu, sc, group, gi-gLo)
-			} else {
-				e.chargeRC(ta)
-				e.chargeLC(ta, dpu, sc, group, gi-gLo)
-			}
-			sc.stats.lutBuilds++
-		} else {
-			sc.stats.lutReuses++
-		}
-		// Up to two segments per task: the slice's base points and, on the
-		// slice that starts the cluster (slicing always begins at 0, so
-		// exactly one task per (query, cluster) carries it), the live append
-		// segment. Base-list tombstones filter in the TS accept pass while
-		// the physically-scanned points still charge DC/TS.
-		s := &e.pl.Slices[t.Slice]
-		c := int(t.Cluster)
-		segs := [2]scanSegment{{
-			ids:   ix.Lists[c][s.Start : s.Start+s.Count],
-			codes: ix.Codes[c][s.Start*ix.M : (s.Start+s.Count)*ix.M],
-			tomb:  ix.Tombstoned(c),
-		}}
-		if e.algebraic {
-			segs[0].sums = e.bsum[c][s.Start : s.Start+s.Count]
-		}
-		if s.Start == 0 && ix.AppendLen(c) > 0 {
-			segs[1] = scanSegment{ids: ix.AppendIDs(c), codes: ix.AppendCodes(c)}
-			if e.algebraic {
-				segs[1].sums = e.asums[c]
-			}
-		}
-		for _, sg := range segs {
-			n := len(sg.ids)
-			switch {
-			case n == 0:
-			case perOp:
-				e.kernelDCTSRef(dpu, sc.lut, sg.ids, sg.codes, sg.tomb, sc.curHeap, &sc.stats)
-			default:
-				e.chargeMark(ta, n)
-				if cap(sc.distBuf) < n {
-					sc.distBuf = make([]uint32, n)
-				}
-				dist := sc.distBuf[:n]
-				if e.algebraic {
-					qe := g.qe[int(g.runOf[gi-gLo])*lutLen:][:lutLen]
-					vecmath.ADCResidualBatch(dist, qe, sg.codes, sg.sums, g.p[gi-gLo], ix.M, ix.CB)
-				} else {
-					vecmath.ADCBatchU32(dist, g.lut[(gi-gLo)*lutLen:(gi-gLo+1)*lutLen], sg.codes, ix.M, ix.CB)
-				}
-				e.kernelTS(ta, dist, sg.ids, sg.tomb, sc)
-			}
-		}
-	}
-	dpu.ApplyTally(ta)
-	ta.Reset()
-}
-
-// chargeRC accounts the residual-calculation kernel (paper Equations 4-5):
-// D subtractions plus centroid DMA from MRAM. The residual value itself is
-// computed once per group in buildGroups; every DPU running the group is
-// still charged as if it ran the kernel privately, as the hardware would.
-func (e *Engine) chargeRC(ta *upmem.Tally) {
-	cost := &e.sys.Cfg.Cost
-	n := uint64(e.ix.Dim)
-	ta.Charge(cost, upmem.PhaseRC, upmem.OpLoad, 2*n)
-	ta.Charge(cost, upmem.PhaseRC, upmem.OpAdd, n)
-	ta.Charge(cost, upmem.PhaseRC, upmem.OpStore, n)
-	ta.DMA(upmem.PhaseRC, n) // centroid bytes (uint8)
-}
-
-// chargeRCRef is the per-op reference twin of chargeRC.
-func (e *Engine) chargeRCRef(dpu *upmem.DPU) {
-	n := uint64(e.ix.Dim)
-	dpu.Charge(upmem.PhaseRC, upmem.OpLoad, 2*n)
-	dpu.Charge(upmem.PhaseRC, upmem.OpAdd, n)
-	dpu.Charge(upmem.PhaseRC, upmem.OpStore, n)
-	dpu.DMA(upmem.PhaseRC, n) // centroid bytes (uint8)
-}
-
-// markCyclesPerCode is the LC mark pass per scanned code element: load the
-// code, derive word index, bit index and mask, then load, or and store the
-// bitmap word (2 loads, 4 ALU ops, 1 store).
-const markCyclesPerCode = 7
-
-// markWords32 is the size of the DPU's WRAM mark bitmaps in its native
-// 32-bit words.
-func (e *Engine) markWords32() int { return e.ix.M * ((e.ix.CB + 31) / 32) }
-
-// chargeMark accounts the LC mark pass over one scanned segment of n points:
-// the segment's codes stream from MRAM a second time (DC streams them again
-// with the ids) and every code element sets its bit in the WRAM bitmap.
-func (e *Engine) chargeMark(ta *upmem.Tally, n int) {
-	ta.ChargeCycles(upmem.PhaseLC, uint64(n*e.ix.M)*markCyclesPerCode)
-	ta.DMA(upmem.PhaseLC, uint64(n*e.codeBytes))
-}
-
-// lcCosts prices the scan-and-build half of the LC kernel (Equations 6-7
-// over the referenced entries) once its data-dependent counts are known:
-// the instruction cycles, and the unbuffered MRAM access batches (zero where
-// a mode has none). The bitmaps are cleared, then scanned word by word; each
-// marked entry is extracted, tested for run continuation, built from dsub
-// elements — with UseSQT a square is |a-b| plus one table load, without it a
-// multiply — and stored. SQT16 cold lookups hit the MRAM tier, as does the
-// whole SQT without the WRAM buffer and the LUT when it does not fit WRAM.
-func (e *Engine) lcCosts(entries, cold uint64) (cycles uint64, mram [3]uint64) {
-	c := &e.sys.Cfg.Cost
-	elems := entries * uint64(e.ix.Dim/e.ix.M)
-	perElem := 2*c.AddCycles + c.LoadCycles // subtract, accumulate, codebook element load
-	if e.opts.UseSQT {
-		perElem += c.AddCycles + c.LoadCycles + e.opts.SQTAccessCycles // abs, table lookup
-		mram[0] = cold
-		if !e.opts.UseWRAM {
-			mram[1] = elems - cold
-		}
-	} else {
-		perElem += c.MulCycles
-	}
-	if !e.lutInWRAM {
-		mram[2] = entries
-	}
-	cycles = uint64(e.markWords32())*(c.StoreCycles+c.LoadCycles+c.CmpCycles) +
-		entries*(c.AddCycles+c.CmpCycles+c.StoreCycles) + elems*perElem
-	return cycles, mram
-}
-
-// replayCold replays the SQT16 diff stream of the marked rows only through
-// count (a table's CountColdRow or ColdCountRow) and totals the cold lookups.
-func (e *Engine) replayCold(count func(res, entry []int16) uint64, res []int16, bm []uint64) (cold uint64) {
-	ix := e.ix
-	dsub := ix.Dim / ix.M
-	markedRuns(bm, ix.M, ix.CB, func(m, lo, hi int) {
-		for c := lo; c < hi; c++ {
-			cold += count(res[m*dsub:(m+1)*dsub], ix.IntCB.Entry(m, c))
-		}
-	})
-	return cold
-}
-
-// chargeLC accounts the mark-then-build LC kernel (see the package doc) for
-// one group on one DPU, except its mark pass (chargeMark, per scanned
-// segment). group is the DPU's co-located tasks of the group, bi its block
-// index. The entry and run counts come from the slice's cached demand; only
-// a group spanning several slices (their union is not cached) and the SQT16
-// replay (which needs the marked rows themselves, and runs against a shared
-// table per the geometry invariant) mark the scratch bitmap here.
-func (e *Engine) chargeLC(ta *upmem.Tally, dpu *upmem.DPU, sc *dpuScratch, group []sched.Task, bi int) {
-	ix := e.ix
-	ref := e.lc.bySlice[group[0].Slice]
-	var cold uint64
-	if len(group) > 1 || e.sqt16 != nil {
-		if sc.marks == nil {
-			sc.marks = e.newMarks()
-		}
-		clear(sc.marks)
-		for _, t := range group {
-			e.markSlice(sc.marks, &e.pl.Slices[t.Slice])
-		}
-		ref = countMarks(sc.marks, markWordsPer(ix.CB))
-		if e.sqt16 != nil {
-			cold = e.replayCold(e.sqt16[0].ColdCountRow, e.groups.res[bi*ix.Dim:(bi+1)*ix.Dim], sc.marks)
-		}
-	}
-	entries := uint64(ref.need)
-	elems := entries * uint64(ix.Dim/ix.M)
-	if e.sqt16 != nil {
-		e.sqt16[dpu.ID].AddStats(elems-cold, cold)
-	}
-	sc.stats.lutEntries += entries
-	cycles, mram := e.lcCosts(entries, cold)
-	ta.ChargeCycles(upmem.PhaseLC, cycles)
-	for _, n := range mram {
-		ta.RandomAccess(upmem.PhaseLC, n)
-	}
-	ta.DMAs(upmem.PhaseLC, uint64(ref.runs), 2*elems) // marked codebook rows (int16), one DMA per run
-}
-
-// chargeLCRef is the per-op reference twin of chargeMark + chargeLC: it runs
-// the kernel literally. Every co-located slice's real codes are marked
-// segment by segment; the bitmap scan walks the marked runs, issuing one
-// codebook DMA per run and copying only marked entries from the group's
-// full LUT (the functional values) into the DPU's LUT, which is poisoned
-// first — DC gathers from that LUT, so an entry the kernel failed to build
-// corrupts the answers. In SQT16 mode the marked rows' diff stream replays
-// privately against this DPU's tiered table.
-func (e *Engine) chargeLCRef(dpu *upmem.DPU, sc *dpuScratch, group []sched.Task, bi int) {
-	ix := e.ix
-	lutLen := ix.M * ix.CB
-	full := e.groups.lut[bi*lutLen : (bi+1)*lutLen]
-	if sc.marks == nil {
-		sc.marks, sc.lut = e.newMarks(), make([]uint32, lutLen)
-	}
-	clear(sc.marks)
-	mark := func(codes []uint16) {
-		if n := len(codes) / ix.M; n > 0 {
-			dpu.ChargeCycles(upmem.PhaseLC, uint64(n*ix.M)*markCyclesPerCode)
-			dpu.DMA(upmem.PhaseLC, uint64(n*e.codeBytes)) // second code stream
-			markCodes(sc.marks, codes, ix.M, markWordsPer(ix.CB))
-		}
-	}
-	for _, t := range group {
-		s := &e.pl.Slices[t.Slice]
-		mark(ix.Codes[t.Cluster][s.Start*ix.M : (s.Start+s.Count)*ix.M])
-		if s.Start == 0 {
-			mark(ix.AppendCodes(int(t.Cluster)))
-		}
-	}
-	for i := range sc.lut {
-		sc.lut[i] = math.MaxUint32
-	}
-	var entries, cold uint64
-	rowBytes := uint64(ix.Dim / ix.M * 2)
-	markedRuns(sc.marks, ix.M, ix.CB, func(m, lo, hi int) {
-		dpu.DMA(upmem.PhaseLC, uint64(hi-lo)*rowBytes) // marked codebook rows (int16)
-		copy(sc.lut[m*ix.CB+lo:m*ix.CB+hi], full[m*ix.CB+lo:m*ix.CB+hi])
-		entries += uint64(hi - lo)
-	})
-	if e.sqt16 != nil {
-		cold = e.replayCold(e.sqt16[dpu.ID].CountColdRow, e.groups.res[bi*ix.Dim:(bi+1)*ix.Dim], sc.marks)
-	}
-	sc.stats.lutEntries += entries
-	cycles, mram := e.lcCosts(entries, cold)
-	dpu.ChargeCycles(upmem.PhaseLC, cycles)
-	for _, n := range mram {
-		dpu.RandomAccess(upmem.PhaseLC, n)
-	}
-}
-
-// kernelTS runs the top-k accept pass (TS, Equations 10-11) over one
-// slice's DC distances against a register-cached bound (topk.Bound — the
-// predicate is exactly Heap.WouldAccept, re-captured after each Push), then
-// charges the slice's DC and TS costs in bulk: locks and heap updates are
-// counted during the scan and converted to cycles once, which is exact
-// because every per-op charge is a uint64 product.
-func (e *Engine) kernelTS(ta *upmem.Tally, dist []uint32, ids []int32, tomb map[int32]bool, sc *dpuScratch) {
-	h := sc.curHeap
-	bound := h.Bound()
-	var accepts uint64
-	if tomb == nil {
-		for i, dv := range dist {
-			if bound.Accepts(ids[i], dv) {
-				h.Push(ids[i], dv)
-				bound = h.Bound()
-				accepts++
-			}
-		}
-	} else {
-		// Tombstoned base-list points are scanned (and charged) but never
-		// accepted into the heap.
-		for i, dv := range dist {
-			if tomb[ids[i]] {
-				continue
-			}
-			if bound.Accepts(ids[i], dv) {
-				h.Push(ids[i], dv)
-				bound = h.Bound()
-				accepts++
-			}
-		}
-	}
-
-	cost := &e.sys.Cfg.Cost
-	n := uint64(len(dist))
-	logK := uint64(engine.Log2Ceil(e.opts.K))
-	st := &sc.stats
-	st.points += n
-	switch {
-	case e.opts.UseBitonicTS:
-		// No shared queue, no per-accept heap updates.
-		swaps := bitonicSwaps(len(dist))
-		ta.Charge(cost, upmem.PhaseTS, upmem.OpCmp, swaps)
-		ta.Charge(cost, upmem.PhaseTS, upmem.OpStore, swaps/2)
-	case e.opts.UseLockPruning:
-		st.lockAcquired += accepts
-		st.lockSkipped += n - accepts
-		ta.ChargeCycles(upmem.PhaseTS, accepts*e.opts.LockCycles)
-		ta.Charge(cost, upmem.PhaseTS, upmem.OpCmp, accepts*logK)
-		ta.Charge(cost, upmem.PhaseTS, upmem.OpStore, accepts*logK)
-	default:
-		st.lockAcquired += n
-		ta.ChargeCycles(upmem.PhaseTS, n*e.opts.LockCycles)
-		ta.Charge(cost, upmem.PhaseTS, upmem.OpCmp, accepts*logK)
-		ta.Charge(cost, upmem.PhaseTS, upmem.OpStore, accepts*logK)
-	}
-
-	um := uint64(e.ix.M)
-	ta.Charge(cost, upmem.PhaseDC, upmem.OpLoad, n*um) // code element loads
-	ta.Charge(cost, upmem.PhaseDC, upmem.OpLoad, n*um) // LUT gathers
-	ta.Charge(cost, upmem.PhaseDC, upmem.OpAdd, n*(um-1))
-	ta.Charge(cost, upmem.PhaseTS, upmem.OpCmp, n) // bound comparison per point
-	ta.DMA(upmem.PhaseDC, n*uint64(e.codeBytes+4)) // codes + ids stream
-	if !e.opts.UseWRAM || !e.lutInWRAM {
-		ta.RandomAccess(upmem.PhaseDC, n*um) // LUT gathers hit MRAM
-	}
-}
-
-// kernelDCTSRef is the per-op reference twin of the batch-DC + kernelTS
-// pair: per point M LUT gathers and M-1 adds (DC, Equations 8-9), then the
-// top-k update (TS, Equations 10-11) with the shared-heap lock and optional
-// lock pruning, each cost charged as it is simulated.
-func (e *Engine) kernelDCTSRef(dpu *upmem.DPU, lut []uint32, ids []int32, codes []uint16, tomb map[int32]bool, h *topk.Heap[uint32], st *dpuRunStats) {
-	ix := e.ix
-	n := len(ids)
-	m := ix.M
-	logK := uint64(engine.Log2Ceil(e.opts.K))
-
-	for i := 0; i < n; i++ {
-		dist := vecmath.ADCU32(lut, codes[i*m:(i+1)*m], ix.CB)
-		accept := (tomb == nil || !tomb[ids[i]]) && h.WouldAccept(ids[i], dist)
-		switch {
-		case e.opts.UseBitonicTS:
-			// Lock-free network: no shared queue, costs charged in bulk
-			// below.
-		case e.opts.UseLockPruning:
-			if accept {
-				st.lockAcquired++
-				dpu.ChargeCycles(upmem.PhaseTS, e.opts.LockCycles)
-			} else {
-				st.lockSkipped++
-			}
-		default:
-			st.lockAcquired++
-			dpu.ChargeCycles(upmem.PhaseTS, e.opts.LockCycles)
-		}
-		if accept {
-			h.Push(ids[i], dist)
-			if !e.opts.UseBitonicTS {
-				dpu.Charge(upmem.PhaseTS, upmem.OpCmp, logK)
-				dpu.Charge(upmem.PhaseTS, upmem.OpStore, logK)
-			}
-		}
-	}
-	st.points += uint64(n)
-	if e.opts.UseBitonicTS {
-		swaps := bitonicSwaps(n)
-		dpu.Charge(upmem.PhaseTS, upmem.OpCmp, swaps)
-		dpu.Charge(upmem.PhaseTS, upmem.OpStore, swaps/2)
-	}
-
-	un := uint64(n)
-	um := uint64(m)
-	dpu.Charge(upmem.PhaseDC, upmem.OpLoad, un*um) // code element loads
-	dpu.Charge(upmem.PhaseDC, upmem.OpLoad, un*um) // LUT gathers
-	dpu.Charge(upmem.PhaseDC, upmem.OpAdd, un*(um-1))
-	dpu.Charge(upmem.PhaseTS, upmem.OpCmp, un)       // bound comparison per point
-	dpu.DMA(upmem.PhaseDC, un*uint64(e.codeBytes+4)) // codes + ids stream
-	if !e.opts.UseWRAM || !e.lutInWRAM {
-		dpu.RandomAccess(upmem.PhaseDC, un*um) // LUT gathers hit MRAM
+		order[i], mag[i] = uint16(m), sum
 	}
 }

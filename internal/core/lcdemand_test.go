@@ -7,22 +7,37 @@ import (
 
 	"drimann/internal/dataset"
 	"drimann/internal/ivf"
+	"drimann/internal/perfmodel"
 	"drimann/internal/sched"
 	"drimann/internal/testutil"
 	"drimann/internal/upmem"
 )
 
-// requireFreshDemand fails unless the cached per-slice LC demand equals a
-// fresh recount of every slice of the current placement.
+// requireFreshDemand fails unless the cached per-slice, per-subspace LC
+// demand equals a fresh recount of every slice of the current placement, and
+// the scheduler heat is the model's at the points each slice's task scans.
 func requireFreshDemand(t *testing.T, e *Engine, label string) {
 	t.Helper()
-	if len(e.lc.bySlice) != len(e.pl.Slices) {
-		t.Fatalf("%s: %d cached counts for %d slices", label, len(e.lc.bySlice), len(e.pl.Slices))
+	m := e.ix.M
+	if len(e.lc.bySlice) != len(e.pl.Slices)*m || len(e.lc.heat[0]) != len(e.pl.Slices) || len(e.lc.heat[1]) != len(e.pl.Slices) {
+		t.Fatalf("%s: %d cached counts, %d and %d heats for %d slices of %d subspaces",
+			label, len(e.lc.bySlice), len(e.lc.heat[0]), len(e.lc.heat[1]), len(e.pl.Slices), m)
 	}
 	bm := e.newMarks()
+	want := make([]sliceRef, m)
 	for si := range e.pl.Slices {
-		if got, want := e.lc.bySlice[si], e.sliceDemand(bm, &e.pl.Slices[si]); got != want {
+		s := &e.pl.Slices[si]
+		e.sliceDemand(bm, s, want)
+		if got := e.lc.bySlice[si*m : (si+1)*m]; !slices.Equal(got, want) {
 			t.Fatalf("%s: slice %d cached demand %+v, fresh recount %+v", label, si, got, want)
+		}
+		n, need := e.scannedPoints(s), 0.0
+		for _, r := range want {
+			need += float64(r.need)
+		}
+		if e.lc.heat[0][si] != e.modelTaskCycles(n, need, false) || e.lc.heat[1][si] != e.modelTaskCycles(n, need, true) {
+			t.Fatalf("%s: slice %d heat (%v, %v) is not the model's at its %d scanned points and %v entries",
+				label, si, e.lc.heat[0][si], e.lc.heat[1][si], n, need)
 		}
 	}
 }
@@ -81,12 +96,18 @@ func TestMarkBitmapCountsAndRuns(t *testing.T) {
 					prev = set
 				}
 			}
-			if got := countMarks(bm, wordsPer); got != want {
+			var got sliceRef
+			for mi := 0; mi < m; mi++ {
+				r := countMarks(bm[mi*wordsPer : (mi+1)*wordsPer])
+				got.need += r.need
+				got.runs += r.runs
+			}
+			if got != want {
 				t.Fatalf("cb=%d: countMarks %+v, naive %+v", cb, got, want)
 			}
 			var walked sliceRef
 			lastM, lastHi := -1, 0
-			markedRuns(bm, m, cb, func(mi, lo, hi int) {
+			markedRuns(bm, []uint16{0, 1, 2}, cb, func(mi, lo, hi int) {
 				if lo >= hi || hi > cb || (mi == lastM && lo <= lastHi) || mi < lastM {
 					t.Fatalf("cb=%d: bad run (%d, %d, %d) after (%d, _, %d)", cb, mi, lo, hi, lastM, lastHi)
 				}
@@ -205,14 +226,17 @@ func TestFullyReferencedLUTChargedNoLessThanDense(t *testing.T) {
 			o.NumDPUs = 4
 			o.NProbe = 4
 			o.EnableSplit, o.EnableDup = false, false
+			// K above every point a query scans: no bound ever forms, so
+			// every stage of every scan sees its whole slice.
+			o.K = s.Base.N
 			set(&o)
 			e, err := New(ix, dataset.U8Set{}, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for si, r := range e.lc.bySlice {
-				if int(r.need) != ix.M*ix.CB || int(r.runs) != ix.M {
-					t.Fatalf("slice %d demand %+v: fixture must reference every entry", si, r)
+			for i, r := range e.lc.bySlice {
+				if int(r.need) != ix.CB || r.runs != 1 {
+					t.Fatalf("slice %d subspace %d demand %+v: fixture must reference every entry", i/ix.M, i%ix.M, r)
 				}
 			}
 			res, err := e.SearchBatch(s.Queries)
@@ -254,12 +278,21 @@ func TestLCChargeMonotoneInDemand(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// One stage over every subspace of slice 0 with all of its points
+			// alive (none, here), the demand spread over the subspaces.
+			subs := make([]uint16, f.ix.M)
+			for m := range subs {
+				subs[m] = uint16(m)
+			}
 			charge := func(r sliceRef) upmem.PhaseStats {
-				e.lc.bySlice[0] = r
+				um := uint32(f.ix.M)
+				for m := uint32(0); m < um; m++ {
+					e.lc.bySlice[m] = sliceRef{need: (r.need + m) / um, runs: (r.runs + m) / um}
+				}
 				d := e.sys.DPUs[0]
 				d.ResetCounters()
 				var ta upmem.Tally
-				e.chargeLC(&ta, d, &e.scratch[0], []sched.Task{{Slice: 0}}, 0)
+				e.chargeLC(&ta, d, &e.scratch[0], []sched.Task{{Slice: 0}}, subs, 0, true)
 				d.ApplyTally(&ta)
 				return d.Stats(upmem.PhaseLC)
 			}
@@ -319,10 +352,8 @@ func TestLCChargeIndependentOfPointOrder(t *testing.T) {
 		eA, rA := run(ixA)
 		eB, rB := run(ixB)
 		requireSameResults(t, rB, rA, "shuffled clusters")
-		for si := range eA.lc.bySlice {
-			if eA.lc.bySlice[si] != eB.lc.bySlice[si] {
-				t.Fatalf("slice %d demand changed with point order: %+v vs %+v", si, eA.lc.bySlice[si], eB.lc.bySlice[si])
-			}
+		if !slices.Equal(eA.lc.bySlice, eB.lc.bySlice) {
+			t.Fatal("cached demand changed with point order")
 		}
 		if a, b := lcStats(&rA.Metrics), lcStats(&rB.Metrics); a != b {
 			t.Fatalf("perOp=%v: LC charge changed with point order: %+v vs %+v", perOp, a, b)
@@ -362,32 +393,28 @@ func TestHeatProfileUsesEngineLocator(t *testing.T) {
 	}
 }
 
-// TestTaskCostCarriesLCTerm: the scheduler's heat estimate is the tabulated
-// model, grows with the slice size, and is dominated by the LC build for the
-// small slices of a high-nlist index (the cost the old DC+TS-only estimate
-// ignored).
+// TestTaskCostCarriesLCTerm: the scheduler's heat estimate is the model per
+// slice (requireFreshDemand), grows with the points scanned and the entries
+// they read, prices a task below its unbounded cost once bounds prune it, and
+// is dominated by the LC build for the small slices of a high-nlist index
+// (the cost the old DC+TS-only estimate ignored).
 func TestTaskCostCarriesLCTerm(t *testing.T) {
 	f := getFixture(t)
 	e, err := New(f.ix, dataset.U8Set{}, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.lc.heat) < 2 {
-		t.Fatalf("heat table has %d entries", len(e.lc.heat))
-	}
-	for i := range e.pl.Slices {
-		if n := e.pl.Slices[i].Count; n >= len(e.lc.heat) {
-			t.Fatalf("slice %d has %d points, heat table ends at %d", i, n, len(e.lc.heat)-1)
-		}
-	}
-	for n, h := range e.lc.heat {
-		if h != e.modelTaskCycles(n) || (n > 0 && h <= e.lc.heat[n-1]) {
-			t.Fatalf("heat[%d] = %v: not the model's %v, or not increasing", n, h, e.modelTaskCycles(n))
-		}
-	}
+	requireFreshDemand(t, e, "fresh deployment")
 	m := float64(f.ix.M)
+	need := func(n int) float64 { return m * perfmodel.LUTOccupancy(f.ix.CB, n) } // uniform codes
+	for n := 2; n < 500; n++ {
+		free, bounded := e.modelTaskCycles(n, need(n), false), e.modelTaskCycles(n, need(n), true)
+		if free <= e.modelTaskCycles(n-1, need(n-1), false) || bounded <= e.modelTaskCycles(n-1, need(n-1), true) || bounded >= free {
+			t.Fatalf("%d points: unbounded %v, bounded %v: not increasing, or bounds do not lower the price", n, free, bounded)
+		}
+	}
 	dcts := 10 * (2*m + (m - 1) + 1 + float64(e.opts.LockCycles)/8)
-	if lc := e.lc.heat[10] - dcts; lc < 5*dcts {
+	if lc := e.modelTaskCycles(10, need(10), false) - dcts; lc < 5*dcts {
 		t.Fatalf("LC term %v does not dominate DC+TS %v on a 10-point slice", lc, dcts)
 	}
 }
@@ -397,22 +424,23 @@ func TestTaskCostCarriesLCTerm(t *testing.T) {
 // follows the simulator's LC+DC+TS instruction cycles for that batch: within
 // 25% on the whole query set and on each half of it, and by the same factor
 // on all three (a front door compares loads, so only the spread matters).
+// And it follows the corpus as it grows: with every list half again as long
+// through live append segments, the estimate rises by what the simulator
+// does, within 10%.
 func TestProbeCyclesTracksSimulator(t *testing.T) {
-	f := getFixture(t)
+	fix := getFixture(t)
+	f := &fixture{s: fix.s, ix: cloneLists(fix.ix)} // the test inserts
 	e, err := New(f.ix, f.s.Queries, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ps := e.loc.Probes(f.s.Queries)
 	half := f.s.Queries.N / 2
-	var ratios []float64
-	for _, r := range [][2]int{{0, f.s.Queries.N}, {0, half}, {half, f.s.Queries.N}} {
-		lo, hi := r[0], r[1]
+	measure := func(lo, hi int) (est, sim float64) {
 		sub := ProbeSet{Offsets: make([]int32, hi-lo+1), Clusters: ps.Clusters[ps.Offsets[lo]:ps.Offsets[hi]]}
 		for i := range sub.Offsets {
 			sub.Offsets[i] = ps.Offsets[lo+i] - ps.Offsets[lo]
 		}
-		var est float64
 		for _, c := range sub.Clusters {
 			est += e.ProbeCycles(c)
 		}
@@ -422,13 +450,46 @@ func TestProbeCyclesTracksSimulator(t *testing.T) {
 			t.Fatal(err)
 		}
 		pc := res.Metrics.PhaseComputeCycles
-		got := float64(pc[upmem.PhaseLC] + pc[upmem.PhaseDC] + pc[upmem.PhaseTS])
+		return est, float64(pc[upmem.PhaseLC] + pc[upmem.PhaseDC] + pc[upmem.PhaseTS])
+	}
+	var ratios []float64
+	for _, r := range [][2]int{{0, f.s.Queries.N}, {0, half}, {half, f.s.Queries.N}} {
+		est, got := measure(r[0], r[1])
 		ratios = append(ratios, est/got)
 		if ratio := est / got; ratio < 0.8 || ratio > 1.25 {
-			t.Fatalf("queries [%d, %d): estimate/simulated = %.3f, want within [0.8, 1.25]", lo, hi, ratio)
+			t.Fatalf("queries [%d, %d): estimate/simulated = %.3f, want within [0.8, 1.25]", r[0], r[1], ratio)
 		}
 	}
 	if lo, hi := slices.Min(ratios), slices.Max(ratios); hi > 1.03*lo {
 		t.Fatalf("estimate/simulated varies across batches: %.3f", ratios)
 	}
+
+	// Every second point of every list again, under a new id: it lands in
+	// its original's list, in the append segment.
+	est0, sim0 := measure(0, f.s.Queries.N)
+	var vecs dataset.U8Set
+	var ids []int32
+	for _, list := range f.ix.Lists {
+		for i := 0; i < len(list); i += 2 {
+			vecs.Data = append(vecs.Data, f.s.Base.Vec(int(list[i]))...)
+			ids = append(ids, int32(f.s.Base.N+len(ids)))
+		}
+	}
+	vecs.N, vecs.D = len(ids), f.s.Base.D
+	if err := e.Insert(vecs, ids); err != nil {
+		t.Fatal(err)
+	}
+	requireFreshDemand(t, e, "after inserts")
+	est1, sim1 := measure(0, f.s.Queries.N)
+	if growth := (est1 / est0) / (sim1 / sim0); sim1 < 1.15*sim0 || growth < 0.9 || growth > 1.1 {
+		t.Fatalf("append segments grew the simulated cycles %.3fx and the estimate %.3fx", sim1/sim0, est1/est0)
+	}
+}
+
+// cloneLists copies an index deeply enough to mutate it beside the shared
+// fixture: the mutation overlay hangs off the copy, the packed lists and
+// quantizers stay shared (inserts and deletes never write them).
+func cloneLists(ix *ivf.Index) *ivf.Index {
+	c := *ix
+	return &c
 }

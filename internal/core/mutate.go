@@ -1,9 +1,9 @@
 // Live mutability on the engine: Insert/Delete maintain the index's
 // append-segment/tombstone overlay (ivf/mutable.go) together with the
-// engine-side state derived from cluster contents — the algebraic per-point
-// decomposition terms (asums), the cached LC demand of the slice carrying
-// the append segment (lcdemand.go) and the placement's reachability of
-// previously-empty clusters — and Compact folds everything back into the
+// engine-side state derived from cluster contents — the cached LC demand and
+// scheduler heat of the slice carrying the append segment (lcdemand.go) and
+// the placement's reachability of previously-empty clusters — and Compact
+// folds everything back into the
 // packed layout, re-running the layout optimizer with the inputs New
 // resolved so the result is bit-identical to a freshly deployed engine over
 // the same logical corpus.
@@ -11,7 +11,7 @@
 // Mutations are NOT safe concurrently with SearchBatch or with each other;
 // the serving layers serialize them at launch boundaries (serve.Server
 // executes them on the batcher goroutine between launches). Replica engines
-// share ix/pl/bsum/asums/lc with their source, so a mutation through any one
+// share ix/pl/lc with their source, so a mutation through any one
 // engine is visible to all — which is also why every replica's batcher must
 // be quiesced first.
 
@@ -42,13 +42,6 @@ func (e *Engine) Insert(vecs dataset.U8Set, ids []int32) error {
 		if err != nil {
 			return err
 		}
-		if e.algebraic {
-			codes := ix.AppendCodes(int(c))
-			n := len(codes) / ix.M
-			var sum [1]int32
-			e.lut.ClusterADCSums(int(c), codes[(n-1)*ix.M:], sum[:])
-			e.asums[c] = append(e.asums[c], sum[0])
-		}
 		e.ensureReachable(c)
 		e.recountCluster(c)
 	}
@@ -66,10 +59,6 @@ func (e *Engine) Delete(ids []int32) error {
 		}
 		if pos < 0 {
 			continue // tombstoned base points are still scanned, and marked
-		}
-		if e.algebraic {
-			a := e.asums[c]
-			e.asums[c] = append(a[:pos], a[pos+1:]...)
 		}
 		e.recountCluster(c)
 	}
@@ -97,7 +86,10 @@ func (e *Engine) ensureReachable(c int32) {
 	id := len(pl.Slices)
 	pl.Slices = append(pl.Slices, layout.Slice{ID: id, Cluster: c, Start: 0, Count: 0, DPUs: []int{d}})
 	pl.ByCluster[c] = append(pl.ByCluster[c], id)
-	e.lc.bySlice = append(e.lc.bySlice, sliceRef{})
+	// Room for the new slice's demand and heat; every caller recounts the
+	// cluster next.
+	e.lc.bySlice = append(e.lc.bySlice, make([]sliceRef, e.ix.M)...)
+	e.lc.heat[0], e.lc.heat[1] = append(e.lc.heat[0], 0), append(e.lc.heat[1], 0)
 }
 
 // Compact folds append segments and tombstones back into the packed
@@ -139,14 +131,5 @@ func (e *Engine) compact(remap []int32) error {
 	// layout (like the rebuilt lists) is visible to every engine at once.
 	*e.pl = *pl
 	e.rebuildDemand()
-	if e.algebraic {
-		for _, c := range dirty {
-			codes := ix.Codes[c]
-			sums := make([]int32, len(codes)/ix.M)
-			e.lut.ClusterADCSums(int(c), codes, sums)
-			e.bsum[c] = sums
-			e.asums[c] = e.asums[c][:0]
-		}
-	}
 	return nil
 }

@@ -8,11 +8,11 @@
 // lists equal a deploy-time state (engine creation, Compact, and the
 // post-replay rotation below), so re-running New over the snapshot's
 // base lists reproduces the original placement, heat profile, and
-// static decomposition terms exactly (layout.Optimize is deterministic
-// in its inputs). The snapshot's overlay section restores the append
-// segments and tombstones byte-for-byte, the per-point overlay terms
-// (asums) are order-independent per-point sums recomputed from the
-// restored codes, and WAL replay re-routes and re-encodes the logged
+// cached LC demand exactly (layout.Optimize is deterministic in its
+// inputs). The snapshot's overlay section restores the append segments
+// and tombstones byte-for-byte, the demand and scheduler heat of the
+// slices carrying them are recounted from the restored codes, and WAL
+// replay re-routes and re-encodes the logged
 // raw vectors with the frozen quantizers — the same arithmetic the
 // original Insert ran.
 package core
@@ -83,11 +83,11 @@ func Recover(opt durable.Options, profile dataset.U8Set, opts Options) (*Engine,
 
 // AdoptOverlay restores a mutation overlay detached from a checkpoint
 // snapshot (ivf.Index.DetachOverlay) onto a freshly deployed engine:
-// the index overlay itself, the per-point decomposition terms of every
-// append segment, and placement reachability for clusters whose base
-// list is empty. Sums are per-point independent, so recomputing them
-// from the restored codes yields the values the original engine built
-// incrementally.
+// the index overlay itself, placement reachability for clusters whose
+// base list is empty, and the cached LC demand and scheduler heat of
+// every slice that now carries an append segment — a count over the
+// restored codes, so it equals what the original engine refreshed
+// insert by insert.
 func (e *Engine) AdoptOverlay(log []byte) error {
 	if err := e.ix.DecodeAppendLog(log); err != nil {
 		return err
@@ -97,12 +97,8 @@ func (e *Engine) AdoptOverlay(log []byte) error {
 		if n == 0 {
 			continue
 		}
-		if e.algebraic {
-			sums := make([]int32, n)
-			e.lut.ClusterADCSums(c, e.ix.AppendCodes(c), sums)
-			e.asums[c] = sums
-		}
 		e.ensureReachable(int32(c))
+		e.recountCluster(int32(c))
 	}
 	return nil
 }

@@ -107,6 +107,12 @@ func TestEngineRecoverBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireSameResults(t, got, want, "recovered engine")
+				// The simulated cost too: a recovered overlay must reach the
+				// cached LC demand and scheduler heat (AdoptOverlay recounts).
+				requireFreshDemand(t, recovered, "recovered engine")
+				if got.Metrics != want.Metrics {
+					t.Fatalf("gen %d: recovered metrics diverge:\n got %+v\nwant %+v", gen, got.Metrics, want.Metrics)
+				}
 				if gm, wm := recovered.MemoryFootprint(), live.MemoryFootprint(); gm != wm {
 					t.Fatalf("gen %d: memory stats diverge: %+v vs %+v", gen, gm, wm)
 				}

@@ -1,7 +1,7 @@
 // Replica engines: R-way replication of one shard deployment without
 // cloning its read-only state. A replica shares the source engine's index,
-// optimized layout, Locator, decomposed LUT builder and per-point
-// decomposition terms — everything the hot path only reads — and gets its
+// optimized layout, Locator, decomposed LUT builder and cached LC demand —
+// everything the hot path only reads — and gets its
 // own simulated PIM system, SQT16 tables (they carry per-DPU hit
 // statistics) and per-launch scratch, the state a concurrently-running
 // engine mutates. Before this, every replica rebuilt the whole deployment
@@ -34,14 +34,12 @@ func NewReplica(src *Engine) (*Engine, error) {
 		loc:       src.loc,
 		lut:       src.lut,
 		algebraic: src.algebraic,
-		bsum:      src.bsum,
-		// Mutation state is shared too: asums' outer array is written
-		// element-wise (never reallocated), and freq/lcfg let Compact re-run
-		// the layout from any engine of the deployment with identical inputs.
-		asums: src.asums,
-		lc:    src.lc,
-		freq:  src.freq,
-		lcfg:  src.lcfg,
+		// Mutation state is shared too: lc is rewritten through the pointer,
+		// and freq/lcfg let Compact re-run the layout from any engine of the
+		// deployment with identical inputs.
+		lc:   src.lc,
+		freq: src.freq,
+		lcfg: src.lcfg,
 	}
 	if src.sqt16 != nil {
 		e.sqt16 = newSQT16Tables(e.opts)
@@ -58,8 +56,8 @@ func NewReplica(src *Engine) (*Engine, error) {
 // bytes NewReplica shares across all replicas of a deployment and the
 // private bytes every additional replica costs. For the IVF engine the
 // shared side is the centroid directory (float and integer), integer PQ
-// codebooks, inverted lists + codes, the LUT builder's per-cluster table,
-// the static decomposition terms and the cached LC demand;
+// codebooks, inverted lists + codes, the LUT builder's per-cluster table
+// and the cached LC demand and scheduler heat;
 // the per-replica side is the SQT16 hot windows and the steady-state
 // per-DPU launch scratch. The type is shared across backends (see
 // internal/engine) so the cluster layer accounts fleets uniformly.
@@ -77,17 +75,11 @@ func (e *Engine) MemoryFootprint() MemoryFootprint {
 	for c := range ix.Lists {
 		shared += int64(len(ix.Lists[c]))*4 + int64(len(ix.Codes[c]))*2
 	}
-	for _, s := range e.bsum {
-		shared += int64(len(s)) * 4
-	}
 	shared += e.lut.Bytes()
-	shared += int64(len(e.lc.bySlice)+len(e.lc.heat)) * 8
-	// Live mutation overlay: append segments + tombstones, plus their
-	// per-point decomposition terms. Zero once compacted.
+	shared += int64(len(e.lc.bySlice)+len(e.lc.heat[0])+len(e.lc.heat[1])) * 8
+	// Live mutation overlay: append segments + tombstones. Zero once
+	// compacted.
 	shared += ix.MutationBytes()
-	for _, s := range e.asums {
-		shared += int64(len(s)) * 4
-	}
 
 	var per int64
 	if e.sqt16 != nil {
@@ -97,15 +89,16 @@ func (e *Engine) MemoryFootprint() MemoryFootprint {
 		}
 		per += int64(e.opts.NumDPUs) * int64(hot) * 4
 	}
-	// Steady-state per-DPU scratch: K-item heaps, the distance buffer for
-	// the largest slice, and group indices for a batch's tasks.
+	// Steady-state per-DPU scratch: K-item heaps, the survivor index and
+	// partial-distance buffers for the largest slice, and group indices for a
+	// batch's tasks.
 	maxSlice := 0
 	for _, s := range e.pl.Slices {
 		if s.Count > maxSlice {
 			maxSlice = s.Count
 		}
 	}
-	per += int64(e.opts.NumDPUs) * int64(maxSlice) * 4 // distBuf
+	per += int64(e.opts.NumDPUs) * int64(maxSlice) * 8 // alive + part
 	per += int64(e.opts.NumDPUs) * int64(e.opts.K) * 16
 	return MemoryFootprint{SharedBytes: shared, PerReplicaBytes: per}
 }

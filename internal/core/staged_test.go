@@ -1,0 +1,297 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"drimann/internal/dataset"
+	"drimann/internal/ivf"
+	"drimann/internal/sched"
+	"drimann/internal/topk"
+	"drimann/internal/upmem"
+	"drimann/internal/vecmath"
+)
+
+// oneHeap is the staged scan's oracle: every live point of the given probes
+// through one heap with whole distances, nothing pruned, nothing forwarded —
+// ivf.Index.SearchInt with the probes supplied (so the TreeCL engine can be
+// checked against its own locator).
+func oneHeap(ix *ivf.Index, query []uint8, probes []int32, k int) []topk.Item[uint32] {
+	res := make([]int16, ix.Dim)
+	lut := make([]uint32, ix.M*ix.CB)
+	h := topk.NewHeap[uint32](k)
+	for _, c := range probes {
+		vecmath.SubI16(res, query, ix.CentroidU8(int(c)))
+		ix.IntCB.LUTInt(res, lut, ix.SQT)
+		tomb := ix.Tombstoned(int(c))
+		for i, id := range ix.Lists[c] {
+			if !tomb[id] {
+				h.Push(id, vecmath.ADCU32(lut, ix.Codes[c][i*ix.M:(i+1)*ix.M], ix.CB))
+			}
+		}
+		for i, id := range ix.AppendIDs(int(c)) {
+			h.Push(id, vecmath.ADCU32(lut, ix.AppendCodes(int(c))[i*ix.M:(i+1)*ix.M], ix.CB))
+		}
+	}
+	return h.Sorted()
+}
+
+// requireOneHeapAnswers searches queries on e and compares every answer —
+// ids and scores — with the one-heap oracle over the engine's own probes.
+func requireOneHeapAnswers(t *testing.T, e *Engine, queries dataset.U8Set, label string) *Result {
+	t.Helper()
+	res, err := e.SearchBatch(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := e.loc.Probes(queries)
+	for qi := 0; qi < queries.N; qi++ {
+		want := oneHeap(e.ix, queries.Vec(qi), ps.Of(qi), e.opts.K)
+		if e.opts.TreeCLBranch == 0 {
+			if ref := e.ix.SearchInt(queries.Vec(qi), e.opts.NProbe, e.opts.K); !slices.Equal(ref, want) {
+				t.Fatalf("%s: query %d: oracle disagrees with SearchInt", label, qi)
+			}
+		}
+		if !slices.Equal(res.Items[qi], want) {
+			t.Fatalf("%s: query %d:\n got %v\nwant %v", label, qi, res.Items[qi], want)
+		}
+		for j, it := range want {
+			if res.IDs[qi][j] != it.ID {
+				t.Fatalf("%s: query %d id %d: %d, want %d", label, qi, j, res.IDs[qi][j], it.ID)
+			}
+		}
+	}
+	return res
+}
+
+// TestStagedScanMatchesOneHeap: bound forwarding and staged pruning never
+// change an answer. Over the 24-combination option matrix, co-located split
+// and duplicated slices, the tree locator and an index carrying append
+// segments and tombstones, every query's ids and scores equal one heap over
+// whole distances — while the runs really do split into waves and prune.
+func TestStagedScanMatchesOneHeap(t *testing.T) {
+	f := getFixture(t)
+	check := func(name string, ix *ivf.Index, queries dataset.U8Set, o Options) {
+		t.Run(name, func(t *testing.T) {
+			e, err := New(ix, dataset.U8Set{}, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := &requireOneHeapAnswers(t, e, queries, name).Metrics
+			if m.Launches < 2*m.Batches || m.PointsPruned == 0 || m.CodesGathered >= m.PointsScanned*uint64(ix.M) {
+				t.Fatalf("run did not exercise the staged scan: %d launches over %d batches, %d of %d points pruned, %d codes gathered",
+					m.Launches, m.Batches, m.PointsPruned, m.PointsScanned, m.CodesGathered)
+			}
+		})
+	}
+	for _, sqtMode := range [][2]bool{{false, false}, {true, false}, {true, true}} {
+		for _, wram := range []bool{false, true} {
+			for _, prune := range []bool{false, true} {
+				for _, bitonic := range []bool{false, true} {
+					o := testOptions()
+					o.UseSQT, o.SQT16, o.SQT16HotEntries = sqtMode[0], sqtMode[1], 64
+					o.UseWRAM, o.UseLockPruning, o.UseBitonicTS = wram, prune, bitonic
+					check(fmt.Sprintf("sqt=%v_sqt16=%v_wram=%v_prune=%v_bitonic=%v", sqtMode[0], sqtMode[1], wram, prune, bitonic),
+						f.ix, f.s.Queries, o)
+				}
+			}
+		}
+	}
+
+	colocated := testOptions() // few DPUs, small slices: several slices of a cluster share a DPU and a scan
+	colocated.NumDPUs, colocated.SplitThreshold = 3, 40
+	check("split+dup co-located", f.ix, f.s.Queries, colocated)
+	tree := testOptions()
+	tree.TreeCLBranch = 6
+	check("TreeCL", f.ix, f.s.Queries, tree)
+
+	// A live overlay: inserts into many clusters, tombstones in base lists and
+	// a deleted-then-reinserted id (live in an append segment while its base
+	// copy is tombstoned), scanned whole-slice and co-located.
+	for name, o := range map[string]Options{"mutated": testOptions(), "mutated, co-located": colocated} {
+		t.Run(name, func(t *testing.T) {
+			ix, s, base := mutFixture(t)
+			e, err := New(ix, dataset.U8Set{}, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := s.Base.N - base
+			ids := make([]int32, n)
+			for i := range ids {
+				ids[i] = int32(base + i)
+			}
+			if err := e.Insert(dataset.U8Set{N: n, D: s.Base.D, Data: s.Base.Data[base*s.Base.D:]}, ids); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Delete([]int32{0, 3, 7, 50, 51, 52, 900, 1500, int32(base + 4)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Insert(dataset.U8Set{N: 1, D: s.Base.D, Data: s.Base.Vec(7)}, []int32{7}); err != nil {
+				t.Fatal(err)
+			}
+			m := &requireOneHeapAnswers(t, e, s.Queries, name).Metrics
+			if m.PointsPruned == 0 || m.Launches < 2*m.Batches {
+				t.Fatalf("run did not exercise the staged scan: %+v", m)
+			}
+		})
+	}
+}
+
+// TestBoundTieKeepsSmallerID constructs the one case strict pruning exists
+// for: a second-wave point whose distance equals its query's forwarded bound
+// and whose id is smaller than the id of the point holding that bound. It
+// must displace that point. Two clusters get the same centroid, so a code has
+// the same distance in both; the later one holds a single point, a copy of
+// the code that is k-th best in the earlier one, under a smaller id.
+func TestBoundTieKeepsSmallerID(t *testing.T) {
+	f := getFixture(t)
+	o := testOptions()
+	o.NProbe = 2
+	fill := waveFill * o.K
+
+	// The query, the cluster a it probes first (big enough to be its whole
+	// first wave) and a later-numbered cluster b to turn into a's twin.
+	var ix *ivf.Index
+	var q []uint8
+	a, b := -1, -1
+	for qi := 0; qi < f.s.Queries.N && a < 0; qi++ {
+		q = f.s.Queries.Vec(qi)
+		if c := int(f.ix.LocateInt(q, 1)[0].ID); f.ix.ListLen(c) >= fill && c+1 < f.ix.NList {
+			a, b = c, c+1
+		}
+	}
+	if a < 0 {
+		t.Fatal("fixture has no query whose nearest cluster fills a first wave")
+	}
+	clone := *f.ix
+	ix = &clone
+	ix.Lists, ix.Codes = slices.Clone(f.ix.Lists), slices.Clone(f.ix.Codes)
+	ix.CentroidsU8, ix.Centroids = slices.Clone(f.ix.CentroidsU8), slices.Clone(f.ix.Centroids)
+	copy(ix.CentroidU8(b), ix.CentroidU8(a))
+	copy(ix.Centroid(b), ix.Centroid(a))
+
+	kth := oneHeap(ix, q, []int32{int32(a)}, o.K)[o.K-1] // the bound after wave 1, and who holds it
+	pos := slices.Index(ix.Lists[a], kth.ID)
+	holder, twin := int32(f.s.Base.N+5), int32(f.s.Base.N+1)
+	ix.Lists[a] = slices.Clone(ix.Lists[a])
+	ix.Lists[a][pos] = holder
+	ix.Lists[b] = []int32{twin}
+	ix.Codes[b] = slices.Clone(ix.Codes[a][pos*ix.M : (pos+1)*ix.M])
+
+	want := ix.SearchInt(q, o.NProbe, o.K)
+	if last := want[o.K-1]; last.ID != twin || last.Dist != kth.Dist {
+		t.Fatalf("construction failed: k-th is %+v, want id %d at distance %d", last, twin, kth.Dist)
+	}
+	for _, perOp := range []bool{false, true} {
+		o.PerOpAccounting = perOp
+		e, err := New(ix, dataset.U8Set{}, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The query rides in a batch big enough to be split into waves.
+		batch := dataset.U8Set{N: f.s.Queries.N + 1, D: ix.Dim, Data: append(slices.Clone(q), f.s.Queries.Data...)}
+		res, err := e.SearchBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Metrics.Launches < 2 {
+			t.Fatalf("batch was not split: %d launches", res.Metrics.Launches)
+		}
+		if !slices.Equal(res.Items[0], want) {
+			t.Fatalf("perOp=%v: tie lost:\n got %v\nwant %v", perOp, res.Items[0], want)
+		}
+		if slices.Contains(res.IDs[0], holder) || res.IDs[0][o.K-1] != twin {
+			t.Fatalf("perOp=%v: the smaller id must take the k-th place: %v", perOp, res.IDs[0])
+		}
+	}
+}
+
+// TestUnboundedScanBuildsWholeDemand: with K at least the points a query
+// scans no bound ever forms, and the staged kernel builds exactly the entries
+// the unstaged one did — the distinct codes of every probed list, once per
+// probe — and gathers every code.
+func TestUnboundedScanBuildsWholeDemand(t *testing.T) {
+	f := getFixture(t)
+	for _, perOp := range []bool{false, true} {
+		o := testOptions()
+		o.EnableSplit, o.EnableDup = false, false // one task per probe: the demand is the list's
+		o.K = f.s.Base.N
+		o.PerOpAccounting = perOp
+		e, err := New(f.ix, dataset.U8Set{}, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.SearchBatch(f.s.Queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var entries, points uint64
+		for _, c := range e.loc.Probes(f.s.Queries).Clusters {
+			seen := map[[2]uint16]bool{}
+			for i, code := range f.ix.Codes[c] {
+				seen[[2]uint16{uint16(i % f.ix.M), code}] = true
+			}
+			entries += uint64(len(seen))
+			points += uint64(f.ix.ListLen(int(c)))
+		}
+		m := &res.Metrics
+		if m.LUTEntries != entries || m.PointsScanned != points || m.PointsPruned != 0 || m.CodesGathered != points*uint64(f.ix.M) {
+			t.Fatalf("perOp=%v: built %d entries (want %d), scanned %d (want %d), pruned %d, gathered %d codes",
+				perOp, m.LUTEntries, entries, m.PointsScanned, points, m.PointsPruned, m.CodesGathered)
+		}
+	}
+}
+
+// TestTighterBoundNeverCostsMore replays one launch under ever tighter
+// bounds — none, each query's true k-th distance, half of it (answers would
+// be wrong; costs are still defined): no phase's instruction cycles may rise,
+// nor its DMA count or bytes, and the work counters fall with them. One of
+// these is not an invariant of the kernel: a smaller marked set can split one
+// codebook-row run into two, so LC's DMA count is only bounded by a monotone
+// quantity (runs <= entries). On sparse bitmaps like these it falls too.
+func TestTighterBoundNeverCostsMore(t *testing.T) {
+	f := getFixture(t)
+	for _, perOp := range []bool{false, true} {
+		o := testOptions()
+		o.PerOpAccounting = perOp
+		e, err := New(f.ix, dataset.U8Set{}, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nq := o.BatchSize
+		var reqs []sched.Request
+		exact := make([]uint32, nq)
+		for qi := 0; qi < nq; qi++ {
+			ref := f.ix.SearchInt(f.s.Queries.Vec(qi), o.NProbe, o.K)
+			exact[qi] = ref[len(ref)-1].Dist
+			for _, p := range f.ix.LocateInt(f.s.Queries.Vec(qi), o.NProbe) {
+				reqs = append(reqs, sched.Request{Query: int32(qi), Cluster: p.ID})
+			}
+		}
+		var prev *Metrics
+		for step, scale := range []float64{math.Inf(1), 1, 0.5} {
+			bounds := make([]uint32, nq)
+			for qi := range bounds {
+				bounds[qi] = uint32(math.Min(math.MaxUint32, float64(exact[qi])*scale))
+			}
+			var sb sched.Batch
+			sched.GreedyInto(&sb, reqs, nil, e.pl, sched.Config{})
+			var m Metrics
+			e.groups.releaseQE(f.s.Queries.N)
+			e.runLaunch(&sb, f.s.Queries, make([]*topk.Heap[uint32], nq), bounds, &m)
+			if prev != nil {
+				for p := upmem.Phase(0); p < upmem.NumPhases; p++ {
+					if m.PhaseComputeCycles[p] > prev.PhaseComputeCycles[p] || m.PhaseDMACount[p] > prev.PhaseDMACount[p] || m.PhaseDMABytes[p] > prev.PhaseDMABytes[p] {
+						t.Fatalf("perOp=%v step %d phase %v: cost rose under a tighter bound:\n now %+v\nwas %+v", perOp, step, p, m, *prev)
+					}
+				}
+				if m.PointsScanned != prev.PointsScanned || m.PointsPruned <= prev.PointsPruned || m.CodesGathered >= prev.CodesGathered || m.LUTEntries >= prev.LUTEntries {
+					t.Fatalf("perOp=%v step %d: a tighter bound must prune more of the same points:\n now %+v\nwas %+v", perOp, step, m, *prev)
+				}
+			}
+			prev = &m
+		}
+	}
+}

@@ -126,7 +126,6 @@ func TestReferenceAccountingFallbackPath(t *testing.T) {
 	eBat.lut = nil
 	eBat.lutScratch = nil
 	eBat.algebraic = false
-	eBat.bsum = nil
 
 	oRef := o
 	oRef.PerOpAccounting = true

@@ -44,8 +44,15 @@ type Metrics struct {
 	LUTReuses    uint64
 	// LUTEntries counts the LUT entries the LC kernels built; against
 	// LUTBuilds x M x CB it is the LUT occupancy (1 = dense).
-	LUTEntries    uint64
+	LUTEntries uint64
+	// PointsScanned counts the points entering a scan's first stage;
+	// PointsPruned those of them a staged scan dropped before its last stage
+	// finished (their partial distance already exceeded the query's bound),
+	// and CodesGathered the code elements DC actually read — PointsScanned x
+	// M when nothing is pruned.
 	PointsScanned uint64
+	PointsPruned  uint64
+	CodesGathered uint64
 
 	// SQT16Hot/SQT16Cold are the tiered squaring-table lookups of this call
 	// (all DPUs), split by tier; zero when the 16-bit mode is off.
@@ -64,12 +71,35 @@ func (m *Metrics) SQT16HitRate() float64 {
 
 // LUTOccupancy returns the fraction of the dense M x CB LUT the LC kernels
 // actually built per group, for an index with m subspaces of cb entries
-// (1 when nothing was built).
+// (1 when nothing was built). A staged scan builds, per stage, the entries
+// its surviving points read, so the ratio is a property of the data and of
+// the bounds the queries carried — how many points were still alive when each
+// subspace came up — not of the code distribution alone; with nothing pruned
+// it is the distinct-code fraction of the scanned slices.
 func (m *Metrics) LUTOccupancy(subspaces, cb int) float64 {
 	if m.LUTBuilds == 0 {
 		return 1
 	}
 	return float64(m.LUTEntries) / float64(m.LUTBuilds*uint64(subspaces*cb))
+}
+
+// PruneRate returns the fraction of scanned points a staged scan dropped
+// before their distance was complete (0 when nothing was scanned).
+func (m *Metrics) PruneRate() float64 {
+	if m.PointsScanned == 0 {
+		return 0
+	}
+	return float64(m.PointsPruned) / float64(m.PointsScanned)
+}
+
+// CodesPerPoint returns the mean number of code elements DC gathered per
+// scanned point: the subspace count M when nothing is pruned (0 when nothing
+// was scanned).
+func (m *Metrics) CodesPerPoint() float64 {
+	if m.PointsScanned == 0 {
+		return 0
+	}
+	return float64(m.CodesGathered) / float64(m.PointsScanned)
 }
 
 // AvgImbalance returns the mean per-launch max/mean DPU load ratio.
@@ -163,6 +193,8 @@ func (m *Metrics) Merge(o *Metrics) {
 	m.LUTReuses += o.LUTReuses
 	m.LUTEntries += o.LUTEntries
 	m.PointsScanned += o.PointsScanned
+	m.PointsPruned += o.PointsPruned
+	m.CodesGathered += o.CodesGathered
 	m.SQT16Hot += o.SQT16Hot
 	m.SQT16Cold += o.SQT16Cold
 	if m.SimSeconds > 0 {
@@ -204,6 +236,8 @@ func (m *Metrics) MergeParallel(o *Metrics) {
 	m.LUTReuses += o.LUTReuses
 	m.LUTEntries += o.LUTEntries
 	m.PointsScanned += o.PointsScanned
+	m.PointsPruned += o.PointsPruned
+	m.CodesGathered += o.CodesGathered
 	m.SQT16Hot += o.SQT16Hot
 	m.SQT16Cold += o.SQT16Cold
 	if m.SimSeconds > 0 {

@@ -126,3 +126,54 @@ func TestMetricsAddLaunch(t *testing.T) {
 		t.Fatalf("HostMergeSeconds = %v, want %v (1000 items x (log2ceil(10)+1) ops on 4 x 2 GHz)", got, 1000*5/8e9)
 	}
 }
+
+// TestMetricsMergeSumsWorkCounters: the counters of work done — scan, LUT,
+// lock and SQT16 totals, launches, postponements — add up under both merges,
+// sequential (Merge) and across concurrent shards (MergeParallel), so the
+// ratios read off a merged Metrics (prune rate, codes gathered per point, LUT
+// occupancy) are those of the whole.
+func TestMetricsMergeSumsWorkCounters(t *testing.T) {
+	a := engine.Metrics{Queries: 10, SimSeconds: 1, Launches: 2, Postponed: 1,
+		LockAcquired: 3, LockSkipped: 4, LUTBuilds: 5, LUTReuses: 6, LUTEntries: 70,
+		PointsScanned: 800, PointsPruned: 600, CodesGathered: 5000, SQT16Hot: 9, SQT16Cold: 1}
+	b := engine.Metrics{Queries: 10, SimSeconds: 3, Launches: 1, Postponed: 2,
+		LockAcquired: 30, LockSkipped: 40, LUTBuilds: 50, LUTReuses: 60, LUTEntries: 700,
+		PointsScanned: 200, PointsPruned: 100, CodesGathered: 3000, SQT16Hot: 90, SQT16Cold: 10}
+	rows := []struct {
+		name    string
+		of      func(m *engine.Metrics) uint64
+		a, b, w uint64
+	}{
+		{"Launches", func(m *engine.Metrics) uint64 { return uint64(m.Launches) }, 2, 1, 3},
+		{"Postponed", func(m *engine.Metrics) uint64 { return uint64(m.Postponed) }, 1, 2, 3},
+		{"LockAcquired", func(m *engine.Metrics) uint64 { return m.LockAcquired }, 3, 30, 33},
+		{"LockSkipped", func(m *engine.Metrics) uint64 { return m.LockSkipped }, 4, 40, 44},
+		{"LUTBuilds", func(m *engine.Metrics) uint64 { return m.LUTBuilds }, 5, 50, 55},
+		{"LUTReuses", func(m *engine.Metrics) uint64 { return m.LUTReuses }, 6, 60, 66},
+		{"LUTEntries", func(m *engine.Metrics) uint64 { return m.LUTEntries }, 70, 700, 770},
+		{"PointsScanned", func(m *engine.Metrics) uint64 { return m.PointsScanned }, 800, 200, 1000},
+		{"PointsPruned", func(m *engine.Metrics) uint64 { return m.PointsPruned }, 600, 100, 700},
+		{"CodesGathered", func(m *engine.Metrics) uint64 { return m.CodesGathered }, 5000, 3000, 8000},
+		{"SQT16Hot", func(m *engine.Metrics) uint64 { return m.SQT16Hot }, 9, 90, 99},
+		{"SQT16Cold", func(m *engine.Metrics) uint64 { return m.SQT16Cold }, 1, 10, 11},
+	}
+	var seq, par engine.Metrics
+	seq.Merge(&a)
+	seq.Merge(&b)
+	par.MergeParallel(&a)
+	par.MergeParallel(&b)
+	for _, r := range rows {
+		if r.of(&a) != r.a || r.of(&b) != r.b {
+			t.Fatalf("%s: row does not read the field it names", r.name)
+		}
+		if got := r.of(&seq); got != r.w {
+			t.Errorf("Merge: %s = %d, want %d", r.name, got, r.w)
+		}
+		if got := r.of(&par); got != r.w {
+			t.Errorf("MergeParallel: %s = %d, want %d", r.name, got, r.w)
+		}
+	}
+	if seq.Queries != 20 || seq.SimSeconds != 4 || par.Queries != 10 || par.SimSeconds != 3 {
+		t.Fatalf("queries and seconds: sequential %d in %v s, parallel %d in %v s", seq.Queries, seq.SimSeconds, par.Queries, par.SimSeconds)
+	}
+}

@@ -19,11 +19,15 @@ import (
 //
 // The middle term is a per-index table built once at engine deployment; the
 // last term is computed once per query and reused for every cluster that
-// query probes in a launch. This is the simulator's *functional* computation
-// only: what the simulated DPU is charged for is decided by the engine's LC
-// kernel (core: mark the entries a slice's codes reference, build just those
-// with the multiplier-less SQT arithmetic of Equations 6-7), which is
-// independent of how the host obtains the bit-identical LUT values.
+// query probes in a launch. Each bracket is kept per subspace (SubTerms,
+// ClusterTerms, BuildQE), so one LUT entry is p_m + b_c[m][e] - 2 qe[m][e] and
+// a scan can sum any subset of a point's subspaces — the partial distances
+// the engine's staged scan prunes on — without materializing a LUT. This is
+// the simulator's *functional* computation only: what the simulated DPU is
+// charged for is decided by the engine's LC kernel (core: per stage, mark the
+// entries the surviving points' codes reference, build just those with the
+// multiplier-less SQT arithmetic of Equations 6-7), which is independent of
+// how the host obtains the bit-identical LUT values.
 //
 // All arithmetic is int32-exact: operands are bounded by |c_j + e_j| <= 510
 // and dsub <= 4096, keeping every partial sum far below overflow.
@@ -182,6 +186,27 @@ func (lb *LUTBuilder) PTerm(query []uint8, cluster int) int32 {
 // for callers that amortize it over every cluster the query probes.
 func (lb *LUTBuilder) PTermQQ(qq int32, query []uint8, cluster int) int32 {
 	return qq - 2*vecmath.DotU8I32(query, lb.ix.CentroidU8(cluster))
+}
+
+// SubTerms fills p (length M) with the per-(query, cluster) term of the
+// decomposition, one value per subspace: p[m] = Σ_j q_j² - 2 Σ_j q_j c_j over
+// the subspace's dsub dimensions. PTerm is their sum.
+func (lb *LUTBuilder) SubTerms(query []uint8, cluster int, p []int32) {
+	cent := lb.ix.CentroidU8(cluster)
+	for mi := range p {
+		sub := query[mi*lb.dsub : (mi+1)*lb.dsub]
+		csub := cent[mi*lb.dsub : (mi+1)*lb.dsub]
+		p[mi] = vecmath.DotU8I32(sub, sub) - 2*vecmath.DotU8I32(sub, csub)
+	}
+}
+
+// ClusterTerms returns cluster c's static per-entry term of the
+// decomposition, b_c[m*CB+e] = Σ_j (c_j + entry_{m,e}[j])² (a view of the
+// precomputed table, laid out like a LUT). With SubTerms and BuildQE it
+// yields any single LUT entry: p[m] + b_c[m*CB+e] - 2 qe[m*CB+e].
+func (lb *LUTBuilder) ClusterTerms(c int) []int32 {
+	n := lb.ix.M * lb.ix.CB
+	return lb.b[c*n : (c+1)*n : (c+1)*n]
 }
 
 // ClusterADCSums fills dst[i] = Σ_m b_c[m][code_im] over the cluster's

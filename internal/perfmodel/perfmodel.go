@@ -35,6 +35,15 @@ type Params struct {
 	BytesCB float64 // codebook element width (default 2, int16)
 	BytesL  float64 // LUT entry width (default 4, uint32)
 	BytesA  float64 // address width (default 4)
+
+	// Survival is the per-stage survival profile of a staged, pruning scan
+	// (the engine's bound-forwarded one): with S+1 entries the scan sums its
+	// M subspaces in S equal stages, Survival[s] is the fraction of the P x C
+	// scanned points still alive when stage s begins, and Survival[S] the
+	// fraction that reaches TS. Equations 6-11 then count, stage by stage, the
+	// points still alive in place of all of them. nil is one stage with every
+	// point alive — the paper's equations as written.
+	Survival []float64
 }
 
 func (p *Params) defaults() error {
@@ -66,7 +75,78 @@ func (p *Params) defaults() error {
 	if p.BytesA == 0 {
 		p.BytesA = 4
 	}
+	if p.Survival == nil {
+		p.Survival = []float64{1, 1}
+	}
+	if len(p.Survival) < 2 {
+		return fmt.Errorf("perfmodel: a survival profile needs a stage and the TS share, got %v", p.Survival)
+	}
 	return nil
+}
+
+// The staged scan the engine runs (core's package comment) and the model
+// shares with it: the subspaces summed between two prune passes, the live
+// points (in multiples of K) a query's first-wave probes must hold, and the
+// survival curve of a scan that carries a bound.
+const (
+	StageWidth = 2
+	WaveFill   = 16
+)
+
+// BoundedSurvival models a scan that carries a forwarded bound: the fraction
+// of its points still alive once a fraction f of the subspaces has been
+// summed, in descending residual magnitude. The curve is the one the benchmark
+// fixture's second wave follows (0.58, 0.09 and 0.013 after a quarter, a half
+// and three quarters of the subspaces); other corpora decay at other rates,
+// which the regime sweep (internal/bench) records.
+func BoundedSurvival(f float64) float64 {
+	return math.Min(1, math.Exp(1.6-8*f))
+}
+
+// engineProfile is a survival profile of the engine's shape at these
+// parameters: stages of StageWidth subspaces; the probes of a query's first
+// wave — the fewest whose lists of C points hold WaveFill x K — scanned
+// whole, the others surviving to stage s of S with probability bounded(s, S).
+func engineProfile(p Params, bounded func(s, stages int) float64) []float64 {
+	stages := (p.M + StageWidth - 1) / StageWidth
+	lead := math.Min(1, math.Ceil(float64(WaveFill*p.K)/float64(p.C))/float64(p.P))
+	out := make([]float64, stages+1)
+	for s := range out {
+		out[s] = lead + (1-lead)*bounded(s, stages)
+	}
+	return out
+}
+
+// EngineSurvival is the survival profile the engine is modelled with before
+// anything is measured: bounded scans follow BoundedSurvival.
+func EngineSurvival(p Params) []float64 {
+	return engineProfile(p, func(s, stages int) float64 { return BoundedSurvival(float64(s) / float64(stages)) })
+}
+
+// FitSurvival is the survival profile of the engine's shape that matches a
+// measured run: bounded scans lose a fixed share of their points per stage,
+// chosen so that the profile's mean over the stages — the share of a point's
+// codes DC gathers — is gathered (engine.Metrics: CodesGathered over
+// PointsScanned x M). How hard bounds prune is a property of the corpus; with
+// it measured, what is left to check are the cost equations.
+func FitSurvival(p Params, gathered float64) []float64 {
+	mean := func(keep float64) float64 {
+		prof := engineProfile(p, func(s, _ int) float64 { return math.Pow(keep, float64(s)) })
+		var sum float64
+		for _, a := range prof[:len(prof)-1] {
+			sum += a
+		}
+		return sum / float64(len(prof)-1)
+	}
+	lo, hi := 0.0, 1.0
+	for i := 0; i < 50; i++ {
+		if mid := (lo + hi) / 2; mean(mid) < gathered {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return engineProfile(p, func(s, _ int) float64 { return math.Pow(hi, float64(s)) })
 }
 
 // NList returns the cluster count N/C implied by the parameters.
@@ -135,23 +215,29 @@ func Costs(p Params, mulCost float64) ([upmem.NumPhases]PhaseCost, error) {
 		Compute: q * pp * d,
 		IO:      (p.BytesC + p.BytesQ) * q * pp * d,
 	}
-	// Equations 6-7: LUT construction, over the entries a cluster's C points
-	// reference instead of all CB (the mark-then-build kernel; dense is the
-	// C >> CB limit).
-	occ := LUTOccupancy(p.CB, p.C)
+	// Equations 6-9 stage by stage. occ is the mean LUT size per subspace:
+	// each stage builds the entries its surviving points reference instead of
+	// all CB (the mark-then-build kernel; dense is the C >> CB limit). gathered
+	// is the share of a point's M codes DC reads before the point is dropped.
+	stages := len(p.Survival) - 1
+	var occ, gathered float64
+	for _, alive := range p.Survival[:stages] {
+		occ += LUTOccupancy(p.CB, int(math.Ceil(alive*c))) / float64(stages)
+		gathered += alive / float64(stages)
+	}
 	out[upmem.PhaseLC] = PhaseCost{
 		Compute: q * pp * occ * Dist(p.D/p.M, mulCost) * m,
 		IO:      q * pp * occ * ((p.BytesCB+p.BytesQ)*d + p.BytesL*m),
 	}
-	// Equations 8-9: distance calculation.
 	out[upmem.PhaseDC] = PhaseCost{
-		Compute: q * pp * c * (m - 1),
-		IO:      q * pp * c * ((p.BytesA+p.BytesL)*m + p.BytesL),
+		Compute: q * pp * c * (gathered*m - 1),
+		IO:      q * pp * c * ((p.BytesA+p.BytesL)*gathered*m + p.BytesL),
 	}
-	// Equations 10-11: top-k sorting.
+	// Equations 10-11: top-k sorting, over the points that reach it.
+	ts := q * pp * c * p.Survival[stages]
 	out[upmem.PhaseTS] = PhaseCost{
-		Compute: q * pp * c * (log2(p.K) - 1),
-		IO:      (p.BytesL + p.BytesA) * q * pp * c * (log2(p.K) + 1),
+		Compute: ts * (log2(p.K) - 1),
+		IO:      (p.BytesL + p.BytesA) * ts * (log2(p.K) + 1),
 	}
 	return out, nil
 }
@@ -227,9 +313,12 @@ func QPS(p Params, batchTime float64) float64 {
 }
 
 // PredictQPS is the convenience entry point used by the DSE and the
-// experiment harness: UPMEM-side phases with the SQT cost model, CL on the
-// host.
+// experiment harness: UPMEM-side phases with the SQT cost model and, unless
+// p carries its own, the engine's survival profile; CL on the host.
 func PredictQPS(p Params, host, pim Hardware, sqt bool) (float64, error) {
+	if p.Survival == nil && p.M > 0 && p.C > 0 && p.P > 0 {
+		p.Survival = EngineSurvival(p)
+	}
 	mulCost := 32.0
 	if sqt {
 		mulCost = 2.0

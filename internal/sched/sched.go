@@ -28,9 +28,12 @@ type Task struct {
 
 // Config controls scheduling.
 type Config struct {
-	// Cost predicts the execution cycles of scanning `points` points for one
-	// query; the engine supplies the performance-model-derived estimate.
-	Cost func(points int) float64
+	// Cost predicts the execution cycles of one query's task over placement
+	// slice `slice` in the launch being scheduled; the engine supplies the
+	// performance-model-derived estimate, which knows what the slice scans
+	// beyond its Count (a live append segment) and which wave the launch is.
+	// nil costs a task its slice's Count.
+	Cost func(slice int) float64
 	// Th3 is the overheat threshold: after greedy assignment, tasks are
 	// postponed while a DPU's predicted heat exceeds Th3 x mean heat.
 	// <= 0 disables postponement.
@@ -64,7 +67,7 @@ func Greedy(reqs []Request, carried []Task, pl *layout.Placement, cfg Config) *B
 // must not alias b.Postponed from the same Batch — copy it out first.
 func GreedyInto(b *Batch, reqs []Request, carried []Task, pl *layout.Placement, cfg Config) {
 	if cfg.Cost == nil {
-		cfg.Cost = func(points int) float64 { return float64(points) }
+		cfg.Cost = func(slice int) float64 { return float64(pl.Slices[slice].Count) }
 	}
 	if cap(b.PerDPU) < pl.NumDPUs {
 		b.PerDPU = make([][]Task, pl.NumDPUs)
@@ -103,7 +106,7 @@ func GreedyInto(b *Batch, reqs []Request, carried []Task, pl *layout.Placement, 
 			}
 		}
 		t.DPU = best
-		b.Heat[best] += cfg.Cost(s.Count)
+		b.Heat[best] += cfg.Cost(t.Slice)
 		b.PerDPU[best] = append(b.PerDPU[best], *t)
 	}
 
@@ -111,7 +114,7 @@ func GreedyInto(b *Batch, reqs []Request, carried []Task, pl *layout.Placement, 
 		rebalance(b, pl, cfg)
 	}
 	if cfg.Th3 > 0 {
-		postpone(b, pl, cfg)
+		postpone(b, cfg)
 	}
 }
 
@@ -125,7 +128,7 @@ func rebalance(b *Batch, pl *layout.Placement, cfg Config) {
 		for ti := len(tasks) - 1; ti >= 0; ti-- {
 			t := tasks[ti]
 			s := &pl.Slices[t.Slice]
-			cost := cfg.Cost(s.Count)
+			cost := cfg.Cost(t.Slice)
 			for _, d := range s.DPUs {
 				if d == hot {
 					continue
@@ -151,7 +154,7 @@ func rebalance(b *Batch, pl *layout.Placement, cfg Config) {
 }
 
 // postpone defers the latest tasks of overheated DPUs to the next batch.
-func postpone(b *Batch, pl *layout.Placement, cfg Config) {
+func postpone(b *Batch, cfg Config) {
 	mean := meanHeat(b.Heat)
 	if mean == 0 {
 		return
@@ -162,8 +165,7 @@ func postpone(b *Batch, pl *layout.Placement, cfg Config) {
 			tasks := b.PerDPU[d]
 			t := tasks[len(tasks)-1]
 			b.PerDPU[d] = tasks[:len(tasks)-1]
-			cost := cfg.Cost(pl.Slices[t.Slice].Count)
-			b.Heat[d] -= cost
+			b.Heat[d] -= cfg.Cost(t.Slice)
 			t.DPU = -1
 			b.Postponed = append(b.Postponed, t)
 		}

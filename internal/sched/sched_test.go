@@ -181,9 +181,9 @@ func TestCustomCostFunction(t *testing.T) {
 	pl, _ := testPlacement(t, 2, false)
 	reqs := []Request{{Query: 0, Cluster: 0}, {Query: 1, Cluster: 0}}
 	called := false
-	b := Greedy(reqs, nil, pl, Config{Cost: func(points int) float64 {
+	b := Greedy(reqs, nil, pl, Config{Cost: func(slice int) float64 {
 		called = true
-		return float64(points) * 2
+		return float64(pl.Slices[slice].Count) * 2
 	}})
 	if !called {
 		t.Fatal("cost function not consulted")

@@ -46,11 +46,13 @@ type Heap[D cmp.Ordered] struct {
 }
 
 // NewHeap returns a heap retaining the k smallest items. k must be >= 1.
+// Storage for a large k grows as items arrive, so a k chosen to exceed
+// anything that will be pushed (keep everything) costs what is pushed.
 func NewHeap[D cmp.Ordered](k int) *Heap[D] {
 	if k < 1 {
 		panic("topk: k must be >= 1")
 	}
-	return &Heap[D]{k: k, items: make([]Item[D], 0, k)}
+	return &Heap[D]{k: k, items: make([]Item[D], 0, min(k, 1024))}
 }
 
 // Len reports how many items are currently held (<= k).

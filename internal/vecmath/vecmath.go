@@ -399,6 +399,84 @@ func ADCResidualBatch(dst []uint32, qe []int32, codes []uint16, bsum []int32, ba
 	}
 }
 
+// ADCPartialU32 adds to dst[i] the LUT entries point rows[i] of the packed
+// code matrix reads in the listed subspaces: dst[i] += Σ_{s in subs}
+// lut[s*cb+code_{rows[i],s}]. Summing it over a partition of the subspaces,
+// from zero, reproduces ADCU32 exactly — it is the partial distance a staged
+// scan compares against a bound between stages.
+func ADCPartialU32(dst []uint32, lut []uint32, codes []uint16, rows []int32, subs []uint16, m, cb int) {
+	rows = rows[:len(dst)]
+	switch {
+	case len(subs) == m && m == 16 && cb == 256: // every subspace: the order is immaterial
+		for i, r := range rows {
+			dst[i] += adcU32M16CB256(lut, codes[int(r)*16:][:16])
+		}
+		return
+	case len(subs) == m:
+		for i, r := range rows {
+			dst[i] += ADCU32(lut, codes[int(r)*m:][:m], cb)
+		}
+		return
+	case len(subs) == 2:
+		s0, s1 := int(subs[0]), int(subs[1])
+		r0, r1 := lut[s0*cb:][:cb], lut[s1*cb:][:cb]
+		for i, r := range rows {
+			code := codes[int(r)*m:][:m]
+			dst[i] += r0[code[s0]] + r1[code[s1]]
+		}
+		return
+	}
+	for i := range dst {
+		code := codes[int(rows[i])*m:][:m]
+		var s uint32
+		for _, sub := range subs {
+			s += lut[int(sub)*cb+int(code[sub])]
+		}
+		dst[i] += s
+	}
+}
+
+// ADCResidualPartial is ADCPartialU32 over the decomposed LUT (see
+// ivf.LUTBuilder): an entry is p_s + b[s*cb+e] - 2*qe[s*cb+e], and base is
+// Σ_{s in subs} p_s. Entries are squared distances, so each stage's sum is
+// non-negative and the conversion to uint32 is exact.
+func ADCResidualPartial(dst []uint32, qe, b []int32, codes []uint16, rows []int32, subs []uint16, base int32, m, cb int) {
+	rows = rows[:len(dst)]
+	switch {
+	case len(subs) == m && m == 16 && cb == 256: // every subspace: the order is immaterial
+		for i, r := range rows {
+			code := codes[int(r)*16:][:16]
+			dst[i] += uint32(base + qeSumM16CB256(b, code) - 2*qeSumM16CB256(qe, code))
+		}
+		return
+	case len(subs) == m:
+		for i, r := range rows {
+			code := codes[int(r)*m:][:m]
+			dst[i] += uint32(base + qeSum(b, code, cb) - 2*qeSum(qe, code, cb))
+		}
+		return
+	case len(subs) == 2:
+		s0, s1 := int(subs[0]), int(subs[1])
+		q0, q1 := qe[s0*cb:][:cb], qe[s1*cb:][:cb]
+		b0, b1 := b[s0*cb:][:cb], b[s1*cb:][:cb]
+		for i, r := range rows {
+			code := codes[int(r)*m:][:m]
+			e0, e1 := code[s0], code[s1]
+			dst[i] += uint32(base + (b0[e0] + b1[e1]) - 2*(q0[e0]+q1[e1]))
+		}
+		return
+	}
+	for i := range dst {
+		code := codes[int(rows[i])*m:][:m]
+		s := base
+		for _, sub := range subs {
+			o := int(sub)*cb + int(code[sub])
+			s += b[o] - 2*qe[o]
+		}
+		dst[i] += uint32(s)
+	}
+}
+
 // DotU8I32 returns the exact int32 inner product of two uint8 vectors of
 // equal length (bounded by dim * 255^2, far below overflow for dim <= 2^15).
 func DotU8I32(a, b []uint8) int32 {

@@ -3,6 +3,7 @@ package vecmath
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -387,6 +388,66 @@ func TestL2SquaredU8AbandonExact(t *testing.T) {
 			}
 			if got <= bound {
 				t.Fatalf("trial %d: abandoned with partial %d <= bound %d", trial, got, bound)
+			}
+		}
+	}
+}
+
+// TestADCPartialSumsToFullDistance: summing the partial kernels over any
+// partition of the subspaces — stages of 1, 2 (the unrolled width), 3 and all
+// at once, in a shuffled subspace order, over a subset of the rows — gives
+// every listed row's full ADC distance, from the materialized LUT and from
+// the decomposed terms alike, and leaves its running sums non-decreasing
+// (entries are non-negative, which is what lets a scan prune on them).
+func TestADCPartialSumsToFullDistance(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, m := range []int{4, 8, 16} {
+		const cb, n = 64, 31
+		qe, b, p := make([]int32, m*cb), make([]int32, m*cb), make([]int32, m)
+		lut := make([]uint32, m*cb)
+		for s := range p {
+			p[s] = int32(rng.Intn(1 << 16))
+		}
+		for i := range qe {
+			qe[i] = int32(rng.Intn(1 << 10))
+			b[i] = int32(rng.Intn(1<<20)) + 2*qe[i] // keeps every entry non-negative
+			lut[i] = uint32(p[i/cb] + b[i] - 2*qe[i])
+		}
+		codes := make([]uint16, n*m)
+		for i := range codes {
+			codes[i] = uint16(rng.Intn(cb))
+		}
+		full := make([]uint32, n)
+		ADCBatchU32(full, lut, codes, m, cb)
+		var rows []int32
+		for i := 0; i < n; i += 1 + rng.Intn(3) {
+			rows = append(rows, int32(i))
+		}
+		order := make([]uint16, m)
+		for i, s := range rng.Perm(m) {
+			order[i] = uint16(s)
+		}
+		for _, width := range []int{1, 2, 3, m} {
+			fromLUT, fromTerms := make([]uint32, len(rows)), make([]uint32, len(rows))
+			for lo := 0; lo < m; lo += width {
+				subs := order[lo:min(lo+width, m)]
+				var base int32
+				for _, s := range subs {
+					base += p[s]
+				}
+				before := slices.Clone(fromLUT)
+				ADCPartialU32(fromLUT, lut, codes, rows, subs, m, cb)
+				ADCResidualPartial(fromTerms, qe, b, codes, rows, subs, base, m, cb)
+				for i := range rows {
+					if fromLUT[i] < before[i] || fromTerms[i] != fromLUT[i] {
+						t.Fatalf("M=%d width %d row %d: partial sums %d -> %d (LUT), %d (terms)", m, width, rows[i], before[i], fromLUT[i], fromTerms[i])
+					}
+				}
+			}
+			for i, r := range rows {
+				if fromLUT[i] != full[r] {
+					t.Fatalf("M=%d width %d row %d: stages sum to %d, full distance %d", m, width, r, fromLUT[i], full[r])
+				}
 			}
 		}
 	}
