@@ -152,9 +152,9 @@
 // the per-query fan-out drops well below S, which is what turns sharding
 // from a latency play into a throughput play. Metrics attribution
 // follows the hardware: per-shard metrics carry no CL cost, the merged
-// batch metrics charge the front-door CL once into HostSeconds (and into
-// SimSeconds only if CL outlasts the slowest shard, mirroring the engine's
-// own host/PIM overlap accounting). ClusterStats reports the routing view —
+// batch metrics charge the front-door CL and gather merges into HostSeconds
+// (and into SimSeconds only where a launch had to wait for them, mirroring
+// the engine's own host/PIM overlap accounting). ClusterStats reports the routing view —
 // per-query fan-out mean/max/histogram and front-door CL cost — plus
 // replica-aware memory accounting: replicas of a shard share read-only
 // state (index, codebooks, layout, locator), so a shard costs
@@ -192,12 +192,11 @@
 // those failure modes to pin this, and `drim-bench -replicas R -straggler`
 // prints hedged vs unhedged tail latency over a fault-injected fleet).
 // NewClusterServerRouted exposes the routing policy; NewClusterServer uses
-// defaults. The offline Cluster.SearchBatch has the matching mitigation:
-// it runs on replica 0 of every shard, but a shard whose
-// modelled load for the batch exceeds its fair share (1/S of the total, by
-// the engines' own scheduler heat) runs the tail of its queries on replica 1
-// at the same time, so the fleet's simulated time follows the mean shard
-// load instead of whichever shard the batch's query mix happened to favour.
+// defaults. The offline Cluster.SearchBatch uses the replicas for throughput
+// instead: the whole fleet runs one staged scan per scheduling batch — the
+// front door cuts the waves and forwards one bound per query, merged over
+// every shard's partial results — and spreads each shard's share of a wave
+// over all R replicas by the engines' own scheduler heat.
 //
 // # Live mutability
 //

@@ -132,9 +132,13 @@ func main() {
 	//    once and contacts only the shards that own probed clusters.
 	//    AssignKMeans places whole clusters, spatial neighbors together, so
 	//    the mean fan-out stays below the shard count (AssignHash: same
-	//    answers, fan-out near 4). The merged top-k is bit-identical to the
-	//    single-engine batch in step 4; the metrics are the cross-shard
-	//    parallel view (as slow as the slowest shard, counters sum).
+	//    answers, fan-out near 4). The fleet runs one staged scan, not four:
+	//    the front door cuts every query's first wave, fewer shards still
+	//    run it unbounded, and all of them prune against the bound merged
+	//    over the fleet — so sharding costs no scan work beyond step 4's.
+	//    The merged top-k is bit-identical to the single-engine batch; the
+	//    metrics are the cross-shard view (barrier by barrier as slow as
+	//    the slowest shard, counters sum).
 	cl, err := drimann.NewCluster(ix, corpus.Queries, drimann.ClusterOptions{
 		Shards: 4, Assignment: drimann.AssignKMeans, Engine: opts,
 	})
@@ -154,8 +158,10 @@ func main() {
 	fmt.Printf("sharded fleet (4 shards): %.0f QPS (simulated), results identical to single engine: %v\n",
 		cres.Metrics.QPS, identical)
 	cstats := cl.Stats()
-	fmt.Printf("routed scatter: mean fan-out %.2f / max %d of 4 shards\n",
-		cstats.Route.MeanFanout(), cstats.Route.MaxFanout)
+	fmt.Printf("routed scatter: mean fan-out %.2f (first wave %.2f) / max %d of 4 shards\n",
+		cstats.Route.MeanFanout(), float64(cstats.Route.LeadFanoutSum)/float64(cstats.Route.RoutedQueries), cstats.Route.MaxFanout)
+	fmt.Printf("fleet staged scan: pruned %.1f%% of scanned points, %.2f codes per point (single engine: %.1f%%, %.2f)\n",
+		cres.Metrics.PruneRate()*100, cres.Metrics.CodesPerPoint(), res.Metrics.PruneRate()*100, res.Metrics.CodesPerPoint())
 
 	// 9. Replication masks the tail: the same index across 2 shards with 2
 	//    replicas each. Replicas are deterministic engine clones, so any

@@ -241,6 +241,7 @@ func All() []Experiment {
 		{"F8", "End-to-end performance on DEEP100M-shaped data (Figure 8)", Figure8},
 		{"F9", "PIM kernel latency breakdown (Figure 9)", Figure9},
 		{"RM", "Regime map: LC/DC crossover and the bound's saving vs points per list", RegimeMap},
+		{"FS", "Fleet scaling: sim QPS and scan work vs shards x replicas", FleetScaling},
 		{"F10", "End-to-end energy comparison (Figure 10)", Figure10},
 		{"F11a", "Speedup of multiplier-less (SQT) conversion (Figure 11a)", Figure11a},
 		{"F11b", "Actual performance vs the performance model (Figure 11b)", Figure11b},

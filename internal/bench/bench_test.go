@@ -51,8 +51,8 @@ func cell(t *testing.T, tab *Table, row, col int) float64 {
 
 func TestRegistry(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 16 {
-		t.Fatalf("expected 16 experiments, got %d", len(ids))
+	if len(ids) != 17 {
+		t.Fatalf("expected 17 experiments, got %d", len(ids))
 	}
 	if _, ok := ByID("f7"); !ok {
 		t.Fatal("ByID should be case-insensitive")
@@ -218,6 +218,27 @@ func TestRegimeMapShape(t *testing.T) {
 	}
 	if short, long := cell(t, tab, 0, saved), cell(t, tab, len(tab.Rows)-1, saved); short >= long {
 		t.Errorf("RM: bounds should save most where lists are short: %v at the short end, %v at the long", short, long)
+	}
+}
+
+// TestFleetScalingShape pins the fleet curve: with the front door cutting the
+// waves and one bound merged over the shards, a query costs the same cycles
+// behind 1, 2, 4 or 8 shards (within a tenth; shards cutting their own waves
+// repeated every query's unbounded wave once a shard it reached), and a
+// second replica of every shard never lowers the throughput.
+func TestFleetScalingShape(t *testing.T) {
+	tab := tables(t)["FS"]
+	const qps, vsOne = 2, 4
+	if len(tab.Rows) != 8 {
+		t.Fatalf("FS: %d rows, want 4 shard counts x 2 replica counts", len(tab.Rows))
+	}
+	for i := range tab.Rows {
+		if r := cell(t, tab, i, vsOne); r < 0.9 || r > 1.1 {
+			t.Errorf("FS row %d: %v of the one-shard fleet's cycles a query, want within a tenth", i, r)
+		}
+		if i%2 == 1 && cell(t, tab, i, qps) < cell(t, tab, i-1, qps) {
+			t.Errorf("FS row %d: a second replica lowered sim QPS from %v to %v", i, cell(t, tab, i-1, qps), cell(t, tab, i, qps))
+		}
 	}
 }
 

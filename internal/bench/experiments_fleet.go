@@ -1,0 +1,59 @@
+package bench
+
+import (
+	"fmt"
+
+	"drimann/internal/cluster"
+	"drimann/internal/core"
+)
+
+// FleetScaling tabulates the fleet-wide staged scan against fleet size: one
+// index behind S shards of the scale's DPU count each, times R replicas. The
+// front door cuts the waves and every shard prunes against one merged bound,
+// so the cycles a query costs should not grow with S; every replica scans, so
+// throughput should grow with R. To isolate what sharding itself costs, the
+// layout is held to one task a probe and nothing is postponed: how much finer
+// a smaller shard's optimizer splits its lists, and what a postponed first
+// wave does to a bound, are the engine's subjects and would swamp this one.
+func FleetScaling(r *Runner) (*Table, error) {
+	t := &Table{
+		ID: "FS", Title: "Fleet scaling: sim QPS and scan work vs shards x replicas",
+		Columns: []string{"shards", "replicas", "sim QPS", "cycles/query", "vs S=1", "fan-out", "wave-1 fan-out", "pruned"},
+	}
+	s := r.Dataset("SIFT")
+	ix, err := r.Index("SIFT", r.Scale.NLists[len(r.Scale.NLists)-1], subvectorsFor(s.Base.D), r.Scale.CB)
+	if err != nil {
+		return nil, err
+	}
+	opts := core.DefaultOptions()
+	opts.NumDPUs, opts.K, opts.NProbe = r.Scale.NumDPUs, r.Scale.K, r.Scale.NProbes[len(r.Scale.NProbes)-1]
+	opts.EnableSplit, opts.EnableDup, opts.Th3 = false, false, 0
+	var base float64
+	for _, shards := range []int{1, 2, 4, 8} {
+		for _, replicas := range []int{1, 2} {
+			cl, err := cluster.New(ix, s.Queries, cluster.Options{
+				Shards: shards, Replicas: replicas, Assignment: cluster.AssignKMeans, Engine: opts,
+			})
+			if err != nil {
+				return nil, err
+			}
+			res, err := cl.SearchBatch(s.Queries)
+			if err != nil {
+				return nil, err
+			}
+			var cycles uint64
+			for _, c := range res.Metrics.PhaseComputeCycles {
+				cycles += c
+			}
+			perQuery := float64(cycles) / float64(s.Queries.N)
+			if base == 0 {
+				base = perQuery
+			}
+			rt := cl.Stats().Route
+			t.AddRow(fmt.Sprint(shards), fmt.Sprint(replicas), f0(res.Metrics.QPS), f0(perQuery), f3(perQuery/base),
+				f2(rt.MeanFanout()), f2(float64(rt.LeadFanoutSum)/float64(rt.RoutedQueries)), f3(res.Metrics.PruneRate()))
+		}
+	}
+	t.Notes = append(t.Notes, "one task a probe, so the hottest list's DPU sets the pace whichever shard holds it: QPS grows with R, hardly with S")
+	return t, nil
+}

@@ -45,9 +45,9 @@
 // shard 0's engine, and splits each query's probe list by the owner map:
 // owners[c] lists the shards that hold points of cluster c (one shard under
 // AssignKMeans, up to S under AssignHash). A shard with no owned probe is not
-// contacted; a contacted shard skips its own CL stage (SearchBatchProbed) and
-// scans exactly the probes routed to it. The offline Cluster.SearchBatch and
-// the online Server.Search both work this way and record into one RouteStats.
+// contacted, and a contacted shard never runs CL. The offline
+// Cluster.SearchBatch and the online Server.Search both work this way and
+// record into one RouteStats.
 //
 // Each shard's engine runs in a compact local ID space (0..n_s-1): its
 // sub-index lists the shard's points under local IDs, and the layer keeps a
@@ -59,20 +59,31 @@
 // top-k is bit-identical to a single unsharded engine's SearchBatch — the
 // equivalence suite pins this for S ∈ {1, 2, 7} under both policies.
 //
+// # One staged scan, fleet-wide
+//
+// An offline batch is not S engines each running their own bound-forwarded
+// staged scan (package core): the shards never talking, every shard a query
+// reaches would repeat the query's unbounded first wave and prune against its
+// own k-th distance only. The front door holds each query's whole probe list,
+// so it cuts the waves itself, merges the shards' partial top-k into one bound
+// per query between them, and every shard scans its later probes under the
+// k-th distance found anywhere (SearchBatch has the rounds, the barriers
+// between them and why the answers cannot change). Within a round a shard's
+// requests are spread over all R of its replicas by modelled load, so standby
+// replicas scan offline batches too. The online Server sends single queries
+// to shard engines directly; each then cuts its own waves.
+//
 // # Metrics
 //
-// Shards execute concurrently, so the merged core.Metrics is the
-// cross-shard parallel view (core.Metrics.MergeParallel): counters sum,
-// wall-like durations and per-phase critical paths take the max over
-// shards (the fleet is as slow as its slowest rank), and QPS is recomputed
-// from the merged totals. How slow the slowest rank is depends on where the
-// batch's queries happen to fall, so with standby replicas the offline path
-// mitigates stragglers: a shard whose modelled load exceeds its fair
-// share of the batch hands the excess tail to its replica 1 (SearchBatch).
+// The merged core.Metrics sums counters over every engine that ran
+// (core.Metrics.MergeParallel) and takes PIM and transfer seconds from the
+// slowest; SimSeconds adds up, round by round, the slowest engine of each
+// round and the merges the next round had to wait for.
 package cluster
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -81,6 +92,7 @@ import (
 	"drimann/internal/core"
 	"drimann/internal/dataset"
 	"drimann/internal/ivf"
+	"drimann/internal/sched"
 	"drimann/internal/topk"
 	"drimann/internal/vecmath"
 )
@@ -105,9 +117,8 @@ type Options struct {
 	// replication); default 1. Engine construction is deterministic, so the
 	// replicas of a shard answer bit-identically — the serving layer
 	// (NewServer) exploits that to route each query to any one replica,
-	// hedge stragglers, and mask dead replicas. The offline
-	// Cluster.SearchBatch runs on replica 0 and borrows replica 1 only to
-	// relieve a straggler shard (see SearchBatch).
+	// hedge stragglers, and mask dead replicas, and the offline
+	// Cluster.SearchBatch to spread every shard's work over all of them.
 	Replicas int
 	// Assignment picks the partitioning policy; default AssignHash.
 	Assignment Assignment
@@ -136,8 +147,9 @@ func (o *Options) defaults() error {
 // Shard is one partition: its replica engines over the shard's slice of
 // the corpus plus the monotone local→global ID table.
 type Shard struct {
-	// Engine is replica 0 — the engine offline scatter-gather uses (a
-	// straggler shard's tail also runs on replica 1, see SearchBatch).
+	// Engine is replica 0: the engine whose state (live counts, modelled
+	// probe cost) speaks for the shard, and the one batches too small to
+	// spread run on.
 	Engine *core.Engine
 	// Engines holds every replica engine (Engines[0] == Engine). Replicas
 	// are built from the same deployment with the same options, so they are
@@ -260,6 +272,12 @@ type RouteStats struct {
 	FanoutSum  int64
 	MaxFanout  int
 	FanoutHist []int
+	// LeadFanoutSum totals the shards that ran an unbounded first wave for a
+	// query: in an offline SearchBatch those owning its leading probes (the
+	// other shards it contacts scan under the merged bound), behind the
+	// routed Server every shard contacted — a shard engine called directly
+	// cuts its own waves.
+	LeadFanoutSum int64
 	// FrontCLWallSeconds is real time spent in front-door CL;
 	// FrontCLSimSeconds is its modeled (simulated) host cost.
 	FrontCLWallSeconds float64
@@ -380,9 +398,10 @@ func quantizerView(ix *ivf.Index) *ivf.Index {
 }
 
 // recordRoute folds one front-door batch into the cluster's RouteStats.
-// fanouts[i] is query i's shards-contacted count; wall is the real time the
-// front-door CL took, sim its modeled host cost.
-func (cl *Cluster) recordRoute(fanouts []int, wall, sim float64) {
+// fanouts[i] is query i's shards-contacted count, leads[i] how many of them
+// its unbounded first wave reached; wall is the real time the front-door CL
+// took, sim its modeled host cost.
+func (cl *Cluster) recordRoute(fanouts, leads []int, wall, sim float64) {
 	cl.routeMu.Lock()
 	defer cl.routeMu.Unlock()
 	r := &cl.route
@@ -391,8 +410,9 @@ func (cl *Cluster) recordRoute(fanouts []int, wall, sim float64) {
 	}
 	r.Batches++
 	r.RoutedQueries += len(fanouts)
-	for _, f := range fanouts {
+	for i, f := range fanouts {
 		r.FanoutSum += int64(f)
+		r.LeadFanoutSum += int64(leads[i])
 		if f > r.MaxFanout {
 			r.MaxFanout = f
 		}
@@ -662,119 +682,53 @@ func New(ix *ivf.Index, profile dataset.U8Set, opt Options) (*Cluster, error) {
 	return cl, nil
 }
 
-// partitionProbes splits a front-door probe set into one shard-local probe
-// set per shard (every per-shard set spans the full query list; a query a
-// shard does not serve simply has an empty list there) and returns each
-// query's scatter fan-out. Probe order is preserved per shard, so each
-// shard still sees its clusters in ascending-distance order and schedules
-// exactly as it would after running CL itself.
-func (cl *Cluster) partitionProbes(ps core.ProbeSet, nq int) ([]core.ProbeSet, []int) {
-	S := len(cl.shards)
-	out := make([]core.ProbeSet, S)
-	for s := range out {
-		out[s].Offsets = make([]int32, 1, nq+1)
-	}
-	touched := make([]int, S)
-	for s := range touched {
-		touched[s] = -1
-	}
-	fanouts := make([]int, nq)
+// probesByShard splits one query's probe list by the owner map: each shard's
+// list keeps the ascending-distance order, so a shard engine cuts its waves
+// and schedules as it would after running CL itself. It also returns the
+// query's scatter fan-out; a shard with an empty list is not contacted.
+func (cl *Cluster) probesByShard(probes []int32) (perShard [][]int32, fanout int) {
+	perShard = make([][]int32, len(cl.shards))
 	owners := cl.ownersView()
-	for qi := 0; qi < nq; qi++ {
-		for _, c := range ps.Of(qi) {
-			for _, s := range owners[c] {
-				out[s].Clusters = append(out[s].Clusters, c)
-				if touched[s] != qi {
-					touched[s] = qi
-					fanouts[qi]++
-				}
+	for _, c := range probes {
+		for _, s := range owners[c] {
+			if perShard[s] == nil {
+				fanout++
 			}
-		}
-		for s := 0; s < S; s++ {
-			out[s].Offsets = append(out[s].Offsets, int32(len(out[s].Clusters)))
+			perShard[s] = append(perShard[s], c)
 		}
 	}
-	return out, fanouts
+	return perShard, fanout
 }
 
-// stragglerCuts returns, for every shard, how many leading queries of the
-// routed batch its replica 0 keeps: all nq, unless the fleet has standby
-// replicas and the shard's modelled load exceeds the fair share (the mean
-// over shards) — then the longest prefix that fits the share.
-func (cl *Cluster) stragglerCuts(perShard []core.ProbeSet, nq int) []int {
-	cuts := make([]int, len(perShard))
-	for s := range cuts {
-		cuts[s] = nq
-	}
-	if len(cl.shards[0].Engines) < 2 {
-		return cuts
-	}
-	cost := make([][]float64, len(perShard)) // modelled cycles of one probe, by shard and cluster
-	load := make([]float64, len(perShard))
-	var fair float64
-	for s, sh := range cl.shards {
-		cost[s] = make([]float64, cl.ix.NList)
-		for c := range cost[s] {
-			cost[s][c] = sh.Engine.ProbeCycles(int32(c))
-		}
-		for _, c := range perShard[s].Clusters {
-			load[s] += cost[s][c]
-		}
-		fair += load[s] / float64(len(perShard))
-	}
-	for s, ps := range perShard {
-		if load[s] <= fair {
-			continue
-		}
-		var acc float64
-		for qi := 0; qi < nq; qi++ {
-			for _, c := range ps.Of(qi) {
-				acc += cost[s][c]
-			}
-			if acc > fair {
-				cuts[s] = qi
-				break
-			}
-		}
-	}
-	return cuts
+// lane is one replica engine's side of a fleet search call.
+type lane struct {
+	scan  *core.Scan
+	table []int32              // the shard's local→global ids
+	part  []*topk.Heap[uint32] // a round's partial top-k by query, local ids
+	reqs  []sched.Request      // the round's requests
+	// What the round's launch returned: the queries it held, its seconds and
+	// the shard host's seconds merging its DPUs' partials.
+	seen                []int32
+	launchSec, mergeSec float64
 }
 
-// searchSplit answers one shard's routed batch: queries [0, cut) on replica
-// 0 and, when cut < queries.N, the rest concurrently on replica 1.
-func searchSplit(sh *Shard, queries dataset.U8Set, ps core.ProbeSet, cut int) (*core.Result, error) {
-	if cut == queries.N {
-		return sh.Engine.SearchBatchProbed(queries, ps, false)
+// spread hands one shard's wave — reqs, in query order, a probe of cluster c
+// modelled at cost[c] cycles — to the shard's replicas: contiguous query
+// ranges of near-equal load, so a query's tasks stay on one engine.
+func spread(lanes []*lane, reqs []sched.Request, cost []float64) {
+	var total, acc float64
+	for _, r := range reqs {
+		total += cost[r.Cluster]
 	}
-	sub := func(lo, hi int) dataset.U8Set {
-		return dataset.U8Set{N: hi - lo, D: queries.D, Data: queries.Data[lo*queries.D : hi*queries.D]}
+	i := 0
+	for r, ln := range lanes {
+		from, share := i, total*float64(r+1)/float64(len(lanes))
+		for i < len(reqs) && (r == len(lanes)-1 || acc < share || (i > from && reqs[i].Query == reqs[i-1].Query)) {
+			acc += cost[reqs[i].Cluster]
+			i++
+		}
+		ln.reqs = reqs[from:i]
 	}
-	split := ps.Offsets[cut]
-	tail := core.ProbeSet{Offsets: make([]int32, queries.N-cut+1), Clusters: ps.Clusters[split:]}
-	for i := range tail.Offsets {
-		tail.Offsets[i] = ps.Offsets[cut+i] - split
-	}
-	var spill *core.Result
-	var spillErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		spill, spillErr = sh.Engines[1].SearchBatchProbed(sub(cut, queries.N), tail, false)
-	}()
-	head := core.ProbeSet{Offsets: ps.Offsets[:cut+1], Clusters: ps.Clusters[:split]}
-	res, err := sh.Engine.SearchBatchProbed(sub(0, cut), head, false)
-	<-done
-	if err == nil {
-		err = spillErr
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.IDs = append(res.IDs, spill.IDs...)
-	res.Items = append(res.Items, spill.Items...)
-	res.Metrics.MergeParallel(&spill.Metrics)
-	res.Metrics.Queries = queries.N
-	return res, nil
 }
 
 // Shards exposes the fleet (for inspection, serving and tests).
@@ -794,91 +748,202 @@ func (cl *Cluster) K() int { return cl.shards[0].Engine.K() }
 // Dim reports the vector dimensionality queries must match.
 func (cl *Cluster) Dim() int { return cl.ix.Dim }
 
-// SearchBatch routes the query batch to the shards, gathers the per-shard
-// partial top-k lists, remaps local IDs to global IDs, and merges into the
-// global top-k. The front door runs coarse locate once for the whole batch,
-// partitions the probe lists by the cluster→shard owner map, and contacts
-// only shards with non-empty probe lists (their engines skip CL entirely via
-// SearchBatchProbed). Results (IDs and Items) are bit-identical to a
-// single-engine SearchBatch over the unsharded corpus under either placement
-// policy; Metrics is the cross-shard parallel view
-// (core.Metrics.MergeParallel), with the front-door CL cost charged exactly
-// once (overlapped with shard compute, as the engine's own pipeline models
-// it).
+// SearchBatch answers the query batch with one bound-forwarded staged scan
+// (see package core) per scheduling batch, run by the whole fleet. The front
+// door locates every query once and, holding its probes in ascending distance,
+// cuts the waves with the engine's own rule (core.LeadProbes), a cluster's
+// live points summed over the shards that hold it. It scatters wave 1 to the
+// shards owning its probes, merges their partial top-k — remapped to global
+// ids — into one heap and one bound per query, and scatters wave 2 carrying
+// those bounds: no shard repeats a query's unbounded first wave, and every
+// shard prunes against the k-th distance found anywhere. A batch with under
+// two tasks per DPU fleet-wide runs as one wave on replica 0 of each shard it
+// reaches; otherwise every round spreads a shard's requests over all its
+// replicas (spread). After the call's last batch, tasks still postponed drain
+// in further rounds.
 //
-// Straggler mitigation (Replicas > 1): the fleet finishes with its slowest
-// shard, and which shard that is — and by how much — follows the batch's
-// query mix. Each shard's load is therefore estimated up front (the engines'
-// own scheduler heat summed over the shard's probe lists), and a shard above
-// its fair share, 1/S of the batch's total, keeps only the leading queries
-// that fit the share on replica 0; the tail runs concurrently on replica 1,
-// which the offline path otherwise leaves to online traffic. Replicas answer
-// bit-identically, so results do not change; the shard's Metrics are the
-// parallel merge of its two engines.
+// Answers are bit-identical to a single engine's SearchBatch over the
+// unsharded corpus. A forwarded bound is the k-th best distance among points
+// already merged, so it is no smaller than the final one; a scan drops only
+// points strictly above its bound; and the merge orders whatever arrives by
+// (distance, global id). Replicas hold the same data and a query's tasks of a
+// round stay on one of them, so which replica scans a query changes what its
+// DPUs' own heaps prune, never what survives to the merge.
+//
+// Simulated time is barrier by barrier: a round takes as long as its slowest
+// replica — launch, then that shard host's merge of its DPUs' partials — and
+// the front door's merge follows before the next round can carry its bounds.
+// The merges after a batch's last round are, like the front-door CL, host work
+// overlapped with the PIM side, as in the engine's Σ max(host, pim+xfer).
 func (cl *Cluster) SearchBatch(queries dataset.U8Set) (*core.Result, error) {
 	if queries.D != cl.Dim() {
 		return nil, fmt.Errorf("cluster: query dim %d != index dim %d", queries.D, cl.Dim())
 	}
 	start := time.Now()
-	perShard, fanouts := cl.partitionProbes(cl.loc.Probes(queries), queries.N)
-	clSim := cl.loc.CLSeconds(queries.N)
-	cl.recordRoute(fanouts, time.Since(start).Seconds(), clSim)
-	cuts := cl.stragglerCuts(perShard, queries.N)
+	ps := cl.loc.Probes(queries)
+	clWall := time.Since(start).Seconds()
 
-	results := make([]*core.Result, len(cl.shards))
-	errs := make([]error, len(cl.shards))
-	var wg sync.WaitGroup
+	// What the front door needs of the shards' state: each cluster's live
+	// points fleet-wide (its own index may be a quantizer-only view) and the
+	// modelled cycles of one probe of it on each shard.
+	S, k, batch := len(cl.shards), cl.K(), cl.shards[0].Engine.MaxBatch()
+	live := make([]int, cl.ix.NList)
+	cost := make([][]float64, S)
+	lanes := make([][]*lane, S)
+	var all []*lane
 	for s, sh := range cl.shards {
-		if len(perShard[s].Clusters) == 0 {
-			continue
+		cost[s] = make([]float64, cl.ix.NList)
+		for c := range live {
+			live[c] += sh.Engine.LiveLen(int32(c))
+			cost[s][c] = sh.Engine.ProbeCycles(int32(c))
 		}
-		wg.Add(1)
-		go func(s int, sh *Shard) {
-			defer wg.Done()
-			results[s], errs[s] = searchSplit(sh, queries, perShard[s], cuts[s])
-		}(s, sh)
+		for _, e := range sh.Engines {
+			lanes[s] = append(lanes[s], &lane{scan: e.NewScan(queries), table: sh.GlobalIDs(), part: make([]*topk.Heap[uint32], queries.N)})
+		}
+		all = append(all, lanes[s]...)
 	}
-	wg.Wait()
-	for s, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cluster: shard %d: %w", s, err)
+	dpus := len(all) * cl.shards[0].Engine.System().Cfg.NumDPUs
+	owners := cl.ownersView()
+	liveOf := func(c int32) int { return live[c] }
+
+	best := make([]*topk.Heap[uint32], queries.N) // global ids
+	bounds := make([]uint32, queries.N)
+	fanouts, leads := make([]int, queries.N), make([]int, queries.N)
+	touched := make([]int, S) // 1 + the last query to reach the shard
+	for i := range bounds {
+		bounds[i] = math.MaxUint32
+	}
+	waves := [2][][]sched.Request{make([][]sched.Request, S), make([][]sched.Request, S)} // by wave and shard
+	var buf []topk.Item[uint32]
+	var simSec, hostSec float64
+
+	for lo := 0; lo < queries.N; lo += batch {
+		hi := min(lo+batch, queries.N)
+		for s := range cl.shards {
+			waves[0][s], waves[1][s] = waves[0][s][:0], waves[1][s][:0]
 		}
+		tasks, late := 0, false
+		for qi := lo; qi < hi; qi++ {
+			probes := ps.Of(qi)
+			lead := core.LeadProbes(probes, k, liveOf)
+			for i, c := range probes {
+				w := 0
+				if i >= lead {
+					w, late = 1, true
+				}
+				for _, s := range owners[c] {
+					waves[w][s] = append(waves[w][s], sched.Request{Query: int32(qi), Cluster: c})
+					if touched[s] != qi+1 {
+						touched[s] = qi + 1
+						fanouts[qi]++
+						leads[qi] += 1 - w // a query's leading probes come first
+					}
+				}
+			}
+		}
+		for _, ln := range all {
+			ln.scan.NextBatch()
+			tasks += ln.scan.Pending()
+		}
+		for s, sh := range cl.shards {
+			tasks += sh.Engine.TaskCount(waves[0][s]) + sh.Engine.TaskCount(waves[1][s])
+		}
+		nWaves := 1
+		if late && tasks >= 2*dpus {
+			nWaves = 2
+		} else {
+			copy(leads[lo:hi], fanouts[lo:hi]) // one wave, all of it unbounded
+		}
+
+		var pimSec, batchHost float64
+		for w, more := 0, true; more; w++ {
+			for s, ls := range lanes {
+				for _, ln := range ls {
+					ln.reqs = nil
+				}
+				switch {
+				case w >= nWaves: // a drain round: postponed tasks only
+				case nWaves == 1:
+					// Too small to split is too small to spread: replica 0
+					// gets, like an engine's own unsplit batch, every query's
+					// leading probes, then the rest.
+					ls[0].reqs = append(waves[0][s], waves[1][s]...)
+				default:
+					spread(ls, waves[w][s], cost[s])
+				}
+			}
+			var wg sync.WaitGroup
+			for _, ln := range all {
+				ln.seen = nil
+				if len(ln.reqs) == 0 && ln.scan.Pending() == 0 {
+					continue
+				}
+				wg.Add(1)
+				go func(ln *lane) {
+					defer wg.Done()
+					ln.seen, ln.launchSec, ln.mergeSec = ln.scan.Wave(ln.reqs, bounds, ln.part, w >= nWaves)
+				}(ln)
+			}
+			wg.Wait()
+
+			// The barrier, then the front-door merge: every partial top-k a
+			// shard returned, into the query's global heap and bound.
+			more = w+1 < nWaves
+			items := 0
+			var launchSec, shardSec, shardMerge float64
+			for _, ln := range all {
+				more = more || (hi >= queries.N && ln.scan.Pending() > 0)
+				for _, q := range ln.seen {
+					h := ln.part[q]
+					if h == nil || h.Len() == 0 {
+						continue
+					}
+					if best[q] == nil {
+						best[q] = topk.NewHeap[uint32](k)
+					}
+					buf = h.SortedInto(buf)
+					for _, it := range buf {
+						best[q].Push(ln.table[it.ID], it.Dist)
+					}
+					if th, full := best[q].Threshold(); full {
+						bounds[q] = th
+					}
+					items += len(buf)
+					h.Reset()
+				}
+				if ln.seen != nil {
+					launchSec = math.Max(launchSec, ln.launchSec)
+					shardSec = math.Max(shardSec, ln.launchSec+ln.mergeSec)
+					shardMerge = math.Max(shardMerge, ln.mergeSec)
+				}
+			}
+			frontSec := cl.loc.MergeSeconds(items, k)
+			batchHost += shardMerge + frontSec
+			if more {
+				pimSec += shardSec + frontSec
+			} else {
+				pimSec += launchSec
+			}
+		}
+		hostSec += batchHost
+		simSec += math.Max(batchHost, pimSec)
 	}
 
-	out := &core.Result{
-		IDs:   make([][]int32, queries.N),
-		Items: make([][]topk.Item[uint32], queries.N),
+	clSim := cl.loc.CLSeconds(queries.N)
+	cl.recordRoute(fanouts, leads, clWall, clSim)
+	out := core.NewResult(best)
+	m := &out.Metrics
+	for _, ln := range all {
+		m.MergeParallel(ln.scan.Metrics())
 	}
-	k := cl.K()
-	parts := make([][]topk.Item[uint32], 0, len(cl.shards))
-	for qi := 0; qi < queries.N; qi++ {
-		parts = parts[:0]
-		for s, r := range results {
-			if r == nil {
-				continue // shard not contacted (empty probe lists)
-			}
-			items := r.Items[qi]
-			core.RemapItems(items, cl.shards[s].GlobalIDs())
-			parts = append(parts, items)
-		}
-		out.IDs[qi], out.Items[qi] = core.MergeShardTopK(k, parts)
-	}
-	for _, r := range results {
-		if r != nil {
-			out.Metrics.MergeParallel(&r.Metrics)
-		}
-	}
-	// Front-door CL attribution: charged once for the whole batch, and —
-	// exactly as the engine's SimSeconds = Σ max(host, pim+xfer) pipeline
-	// model treats the CL stage — overlapped with the scattered shard work
-	// rather than added to it.
-	out.Metrics.Queries = queries.N
-	out.Metrics.HostSeconds += clSim
-	if clSim > out.Metrics.SimSeconds {
-		out.Metrics.SimSeconds = clSim
-	}
-	if out.Metrics.SimSeconds > 0 {
-		out.Metrics.QPS = float64(queries.N) / out.Metrics.SimSeconds
+	// The front-door CL is charged once for the whole call and — exactly as
+	// the engine's own pipeline model treats its CL stage — overlapped with
+	// the scattered work rather than added to it.
+	m.Queries, m.Batches = queries.N, (queries.N+batch-1)/batch
+	m.HostSeconds = clSim + hostSec
+	m.SimSeconds = math.Max(clSim, simSec)
+	if m.SimSeconds > 0 {
+		m.QPS = float64(queries.N) / m.SimSeconds
 	}
 	return out, nil
 }

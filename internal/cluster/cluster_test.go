@@ -211,9 +211,9 @@ func TestMergeShardTopK(t *testing.T) {
 // counters, max for wall-like durations, recomputed QPS.
 func TestMetricsMergeParallel(t *testing.T) {
 	a := core.Metrics{Queries: 100, SimSeconds: 2, HostSeconds: 1, PIMSeconds: 2,
-		Launches: 3, PointsScanned: 500, ImbalanceSum: 3.3}
+		Launches: 3, PointsScanned: 500, PointsPruned: 400, CodesGathered: 2000, ImbalanceSum: 3.3}
 	b := core.Metrics{Queries: 100, SimSeconds: 5, HostSeconds: 4, PIMSeconds: 1,
-		Launches: 2, PointsScanned: 700, ImbalanceSum: 2.2}
+		Launches: 2, PointsScanned: 700, PointsPruned: 350, CodesGathered: 5600, ImbalanceSum: 2.2}
 	var m core.Metrics
 	m.MergeParallel(&a)
 	m.MergeParallel(&b)
@@ -228,6 +228,11 @@ func TestMetricsMergeParallel(t *testing.T) {
 	}
 	if want := 100.0 / 5.0; m.QPS != want {
 		t.Fatalf("QPS %v, want %v", m.QPS, want)
+	}
+	// A fleet's waves and replicas merge this way too, so its prune rate and
+	// codes per point are those of everything every engine scanned.
+	if m.PointsPruned != 750 || m.CodesGathered != 7600 || m.PruneRate() != 750.0/1200 || m.CodesPerPoint() != 7600.0/1200 {
+		t.Fatalf("scan counters not summed: %+v", m)
 	}
 	if got := m.AvgImbalance(); got != (3.3+2.2)/5 {
 		t.Fatalf("AvgImbalance %v", got)

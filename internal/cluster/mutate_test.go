@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -557,74 +556,4 @@ func TestMutateUnderRoutedTraffic(t *testing.T) {
 	if err := srv.Compact(); err == nil {
 		t.Fatal("Compact after Close must fail")
 	}
-}
-
-// TestStragglerMitigation pins the offline straggler mitigation of the
-// selective path: with a standby replica per shard, a shard above its fair
-// share of the batch's modelled load runs the tail of its queries on replica
-// 1. Answers and scanned work must equal the single-replica fleet's bit for
-// bit — pristine, under live mutations (which the standby must see) and
-// after Compact (which replaces the placement the load estimate reads) —
-// while the fleet finishes sooner than its hottest shard alone would.
-func TestStragglerMitigation(t *testing.T) {
-	const n, base = 6000, 5600
-	ix, s := mutClusterFixture(t, n, base, 64)
-	fleets := make([]*cluster.Cluster, 2)
-	for r := range fleets {
-		cl, err := cluster.New(ix, s.Queries, cluster.Options{
-			Shards: 3, Replicas: r + 1, Assignment: cluster.AssignKMeans, Engine: engineOpts(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fleets[r] = cl
-	}
-	check := func(stage string) {
-		t.Helper()
-		one, err := fleets[0].SearchBatch(s.Queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		two, err := fleets[1].SearchBatch(s.Queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(two.IDs, one.IDs) || !reflect.DeepEqual(two.Items, one.Items) {
-			t.Fatalf("%s: answers differ between the R=2 and R=1 fleets", stage)
-		}
-		// What is scanned is the probes' doing and must match; what a staged
-		// scan builds and gathers of it follows the bounds in force, and a
-		// shard split over two replicas forms its batches — hence its waves
-		// and each DPU's own heap bounds — differently.
-		a, b := &one.Metrics, &two.Metrics
-		if a.PointsScanned != b.PointsScanned || b.Queries != s.Queries.N {
-			t.Fatalf("%s: work differs: scanned %d vs %d, queries %d",
-				stage, a.PointsScanned, b.PointsScanned, b.Queries)
-		}
-		if b.SimSeconds >= a.SimSeconds {
-			t.Fatalf("%s: R=2 fleet took %.6fs, the R=1 fleet's hottest shard %.6fs", stage, b.SimSeconds, a.SimSeconds)
-		}
-	}
-	check("pristine")
-
-	ids := make([]int32, n-base)
-	vecs := dataset.U8Set{N: len(ids), D: s.Base.D, Data: s.Base.Data[base*s.Base.D:]}
-	for i := range ids {
-		ids[i] = int32(base + i)
-	}
-	for _, cl := range fleets {
-		if err := cl.Insert(vecs, ids); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.Delete(ids[:len(ids)/2]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check("mutated")
-	for _, cl := range fleets {
-		if err := cl.Compact(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check("compacted")
 }

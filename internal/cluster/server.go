@@ -461,13 +461,14 @@ func (s *Server) Search(ctx context.Context, q []uint8, k int) (Response, error)
 
 	t0 := time.Now()
 
-	// Run coarse locate once here, partition the probe list as the offline
-	// path does (a batch of one), and contact only the owning shards — each
-	// replica then skips its CL stage via SearchProbedOwned.
+	// Run coarse locate once here, split the probe list by owning shard, and
+	// contact only those shards — each replica then skips its CL stage via
+	// SearchProbedOwned.
 	ps := s.cl.loc.Probes(dataset.U8Set{N: 1, D: s.cl.Dim(), Data: owned})
-	perShard, fanouts := s.cl.partitionProbes(ps, 1)
-	contacted := fanouts[0]
-	s.cl.recordRoute(fanouts, time.Since(t0).Seconds(), s.cl.loc.CLSeconds(1))
+	perShard, contacted := s.cl.probesByShard(ps.Clusters)
+	// Every contacted shard engine cuts its own waves, so each runs the
+	// query's first wave unbounded.
+	s.cl.recordRoute([]int{contacted}, []int{contacted}, time.Since(t0).Seconds(), s.cl.loc.CLSeconds(1))
 	if contacted == 0 {
 		// Every probed cluster is empty fleet-wide: the answer is empty,
 		// no shard needs to hear about it. Non-nil empty IDs and nil Items
@@ -489,11 +490,11 @@ func (s *Server) Search(ctx context.Context, q []uint8, k int) (Response, error)
 	}
 	results := make(chan shardResult, len(s.groups))
 	for si, g := range s.groups {
-		if len(perShard[si].Clusters) == 0 {
+		if len(perShard[si]) == 0 {
 			continue // no probed cluster lives on this shard
 		}
 		go func(si int, g []*replicaHandle) {
-			resp, hedged, err := s.searchShard(qctx, g, owned, k, perShard[si].Clusters)
+			resp, hedged, err := s.searchShard(qctx, g, owned, k, perShard[si])
 			results <- shardResult{shard: si, resp: resp, hedged: hedged, err: err}
 		}(si, g)
 	}

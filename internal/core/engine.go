@@ -102,18 +102,25 @@
 // The forwarded bound comes from a split of every scheduling batch into two
 // launches. Wave 1 schedules each query's leading probes in CL order — the
 // shortest prefix whose lists hold at least waveFill x K live points — and
-// the host folds the partial results into a per-call bound per query (the
-// k-th best distance so far, infinite until k points exist). Wave 2
-// schedules the remaining probes and ships each (query, DPU) pair its bound.
-// The second launch cannot start before the first's results are merged, so
-// that merge sits serially between the two launches' PIM times instead of
-// overlapping them. A postponed task rides the next launch with whatever
-// bound its query has by then. The split spends the latency of one unpruned
-// task (the first wave's critical path) to save about half of every later
-// one, so a batch that gives the DPUs fewer than two tasks each is not split:
-// a lone query's probes each have a DPU to themselves, and a second launch
-// would only add latency. The scheduler prices a task by its slice and by whether the launch carries
-// bounds (lcdemand.go).
+// the partial results are folded into a bound per query (the k-th best
+// distance so far, infinite until k points exist). Wave 2 schedules the
+// remaining probes and ships each (query, DPU) pair its bound. The second
+// launch cannot start before the first's results are merged, so that merge
+// sits serially between the two launches' PIM times instead of overlapping
+// them. A postponed task rides the next launch with whatever bound its query
+// has by then. The split spends the latency of one unpruned task (the first
+// wave's critical path) to save about half of every later one, so a batch that
+// gives the DPUs fewer than two tasks each is not split: a lone query's probes
+// each have a DPU to themselves, and a second launch would only add latency.
+//
+// Who cuts and who merges is the caller's business (wave.go): a launch takes
+// its requests and its bounds from outside and hands back partial top-k.
+// searchBatch cuts its own batches, as above; a sharded front door cuts them
+// for a fleet, counting a list's live points on every shard and merging every
+// shard's partials into the one bound it forwards to all of them. The
+// scheduler prices a task by its slice and by whether the launch carries
+// bounds (lcdemand.go): as bounded once a request's query has a finite bound,
+// and in a launch of postponed tasks alone.
 //
 // # SQT16 geometry invariant
 //
@@ -136,7 +143,6 @@ import (
 	"sync/atomic"
 
 	"drimann/internal/dataset"
-	"drimann/internal/engine"
 	"drimann/internal/ivf"
 	"drimann/internal/layout"
 	"drimann/internal/sched"
@@ -729,21 +735,9 @@ func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeC
 	if queries.D != e.ix.Dim {
 		return nil, fmt.Errorf("core: query dim %d != index dim %d", queries.D, e.ix.Dim)
 	}
-	res := &Result{
-		IDs:   make([][]int32, queries.N),
-		Items: make([][]topk.Item[uint32], queries.N),
-	}
-	m := &res.Metrics
+	sc := e.NewScan(queries)
+	m := &sc.m
 	m.Queries = queries.N
-	// The per-DPU SQT16 counters accumulate across the engine's lifetime;
-	// this call's share is the delta.
-	sqtHot0, sqtCold0 := e.sqt16Totals()
-
-	// Query ids are only unique within this call: drop any per-query terms
-	// the LUT scratches cached during a previous SearchBatch.
-	for _, sc := range e.lutScratch {
-		sc.Invalidate()
-	}
 
 	// Per-query merge state: the K best partial results so far and, once K
 	// exist, their worst distance — the bound later launches forward.
@@ -764,31 +758,31 @@ func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeC
 		counts = make([]int, e.opts.BatchSize)
 	}
 	var late []sched.Request // second-wave requests of the batch being expanded
+	var located []int32      // one query's probes off the locator
 	runCL := func(lo, hi int, reqs []sched.Request) ([]sched.Request, int) {
 		reqs, late = reqs[:0], late[:0]
 		if !probed {
 			e.loc.LocateBatch(queries, lo, hi, probes, counts)
 		}
 		for qi := lo; qi < hi; qi++ {
-			live, fill := 0, waveFill*e.opts.K
-			add := func(c int32) {
-				r := sched.Request{Query: int32(qi), Cluster: c}
-				if live < fill {
+			var cs []int32
+			if probed {
+				cs = ps.Of(qi)
+			} else {
+				base := (qi - lo) * e.opts.NProbe
+				located = located[:0]
+				for _, p := range probes[base : base+counts[qi-lo]] {
+					located = append(located, p.ID)
+				}
+				cs = located
+			}
+			lead := LeadProbes(cs, e.opts.K, e.LiveLen)
+			for i, c := range cs {
+				if r := (sched.Request{Query: int32(qi), Cluster: c}); i < lead {
 					reqs = append(reqs, r)
 				} else {
 					late = append(late, r)
 				}
-				live += e.ix.ListLen(int(c)) - len(e.ix.Tombstoned(int(c))) + e.ix.AppendLen(int(c))
-			}
-			if probed {
-				for _, c := range ps.Of(qi) {
-					add(c)
-				}
-				continue
-			}
-			base := (qi - lo) * e.opts.NProbe
-			for _, p := range probes[base : base+counts[qi-lo]] {
-				add(p.ID)
 			}
 		}
 		lead := len(reqs)
@@ -818,16 +812,7 @@ func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeC
 		}()
 	}
 
-	var carried []sched.Task
-	var sb sched.Batch // schedule storage reused across launches
 	var serialReqs []sched.Request
-	scfg := sched.Config{Th3: e.opts.Th3, Rebalance: e.opts.Rebalance}
-	// A task is priced by its slice and by whether its launch carries bounds.
-	costs := [2]func(int) float64{
-		func(slice int) float64 { return e.lc.heat[0][slice] },
-		func(slice int) float64 { return e.lc.heat[1][slice] },
-	}
-
 	for bi := 0; bi < nBatches; bi++ {
 		lo := bi * e.opts.BatchSize
 		hi := lo + e.opts.BatchSize
@@ -847,45 +832,34 @@ func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeC
 		if chargeCL {
 			hostSec = e.loc.CLSeconds(hi - lo)
 		}
-		e.groups.releaseQE(queries.N)
+		sc.NextBatch()
 
 		// The batch's launches: both waves, unless the DPUs average under two
-		// tasks (or there is no second wave).
-		waves := [2][]sched.Request{reqs}
-		nWaves := 1
-		if lead < len(reqs) && e.taskCount(reqs)+len(carried) >= 2*e.opts.NumDPUs {
-			waves, nWaves = [2][]sched.Request{reqs[:lead], reqs[lead:]}, 2
+		// tasks (or there is no second wave); then, after the call's last
+		// batch, one drain launch after another while tasks stay postponed.
+		waves := [][]sched.Request{reqs}
+		if lead < len(reqs) && e.TaskCount(reqs)+sc.Pending() >= 2*e.opts.NumDPUs {
+			waves = [][]sched.Request{reqs[:lead], reqs[lead:]}
 		}
-		lastBatch := hi >= queries.N
-		var pimPlusXfer, mergeSec float64
-		for w := 0; ; w++ {
+		var pimPlusXfer, waited float64
+		for w := 0; w < len(waves) || (hi >= queries.N && sc.Pending() > 0); w++ {
 			var wave []sched.Request
-			if w < nWaves {
+			if w < len(waves) {
 				wave = waves[w]
 			}
-			scfg.Cost = costs[min(w, 1)]
-			sched.GreedyInto(&sb, wave, carried, e.pl, scfg)
-			carried = append(carried[:0], sb.Postponed...)
-			m.Postponed += len(sb.Postponed)
-
-			// This launch ships the bounds the previous one's merge produced,
-			// so that merge is on the PIM side's critical path.
-			pimPlusXfer += mergeSec
-			launchSec, mergeItems := e.runLaunch(&sb, queries, best, bounds, m)
+			launched, launchSec, mergeSec := sc.Wave(wave, bounds, best, w >= len(waves))
+			// This launch shipped the bounds the previous one's merge
+			// produced, so that merge is on the PIM side's critical path.
+			pimPlusXfer += waited
 			pimPlusXfer += launchSec
-			mergeSec = engine.HostMergeSeconds(e.opts.Host, mergeItems, e.opts.K)
 			hostSec += mergeSec
-
-			if w+1 < nWaves {
-				continue
-			}
-			if !lastBatch || len(carried) == 0 {
-				break
-			}
-			// Final batch: drain postponed tasks with extra launches, but
-			// stop postponing once only carried work remains.
-			if scfg.Th3 > 0 {
-				scfg.Th3 = scfg.Th3 * 2
+			waited = mergeSec
+			for _, q := range launched {
+				if h := best[q]; h != nil {
+					if th, full := h.Threshold(); full {
+						bounds[q] = th
+					}
+				}
 			}
 		}
 		if clFree != nil {
@@ -893,34 +867,19 @@ func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeC
 		}
 		m.HostSeconds += hostSec
 		m.SimSeconds += math.Max(hostSec, pimPlusXfer)
-		m.Batches++
 	}
 
-	// Final per-query results (already counted in host merge time above): a
-	// query with no partials keeps nil Items.
-	for qi, h := range best {
-		var items []topk.Item[uint32]
-		if h != nil {
-			items = h.Sorted()
-		}
-		res.Items[qi] = items
-		ids := make([]int32, len(items))
-		for j, it := range items {
-			ids[j] = it.ID
-		}
-		res.IDs[qi] = ids
-	}
+	// The per-query answers (already counted in host merge time above).
+	res := NewResult(best)
+	res.Metrics = *sc.Metrics()
 	if m.SimSeconds > 0 {
-		m.QPS = float64(queries.N) / m.SimSeconds
+		res.Metrics.QPS = float64(queries.N) / m.SimSeconds
 	}
-	sqtHot1, sqtCold1 := e.sqt16Totals()
-	m.SQT16Hot = sqtHot1 - sqtHot0
-	m.SQT16Cold = sqtCold1 - sqtCold0
 	return res, nil
 }
 
-// taskCount is the number of slice-level tasks the scheduler expands reqs into.
-func (e *Engine) taskCount(reqs []sched.Request) int {
+// TaskCount is the number of slice-level tasks the scheduler expands reqs into.
+func (e *Engine) TaskCount(reqs []sched.Request) int {
 	n := 0
 	for _, r := range reqs {
 		n += len(e.pl.ByCluster[r.Cluster])
@@ -947,9 +906,8 @@ const groupBlockBudget = 48 << 20
 // runLaunch executes one synchronous DPU launch — every kernel reading its
 // query's entry of bounds — and returns its wall time max(PIM, transfer) and
 // the number of partial items merged on the host; the merge folds them into
-// best and tightens bounds for the launches that follow. The launches of one
-// scheduling batch share its queries' gather tables (groupStore.releaseQE
-// starts a batch).
+// best. The launches of one scheduling batch share its queries' gather tables
+// (groupStore.releaseQE starts a batch).
 //
 // The launch is staged for wall-clock speed without touching the simulated
 // accounting: (1) every DPU's task list is sorted in parallel; (2) the
@@ -1021,9 +979,6 @@ func (e *Engine) runLaunch(batch *sched.Batch, queries dataset.U8Set, best []*to
 			sc.itemBuf = r.h.SortedInto(sc.itemBuf)
 			for _, it := range sc.itemBuf {
 				h.Push(it.ID, it.Dist)
-			}
-			if th, full := h.Threshold(); full {
-				bounds[r.q] = th
 			}
 			mergeItems += len(sc.itemBuf)
 			fromDev += uint64(len(sc.itemBuf) * 8)

@@ -87,6 +87,12 @@ func (l *Locator) CLSeconds(nq int) float64 {
 	return ops / (lanes * l.host.FreqGHz * 1e9)
 }
 
+// MergeSeconds models this host merging items partial top-k entries into
+// k-sized results: a front door's gather, on the platform that runs its CL.
+func (l *Locator) MergeSeconds(items, k int) float64 {
+	return engine.HostMergeSeconds(l.host, items, k)
+}
+
 // Probes locates every query of the set and packs the results into a
 // ProbeSet — what a front door runs before partitioning the probes per shard
 // (the cluster layer calls it for offline batches and for single queries).
