@@ -34,8 +34,9 @@
 // flushed to the DPU counters once per launch block (the per-op reference
 // accountant survives behind EngineOptions.PerOpAccounting), and the kernel
 // it charges is a bound-forwarded staged scan (see internal/core): every
-// scheduling batch runs as two launches, the first over each query's
-// nearest probes, whose k-th best distance the second carries as a bound;
+// scheduling batch is cut into two waves, the first over each query's
+// nearest probes, whose k-th best distance the second carries as a bound —
+// and shares its launch with the next batch's first, one launch a batch;
 // a scan sums a point's subspaces a stage at a time, drops the point once
 // its partial distance exceeds the bound — exact, because LUT entries are
 // non-negative — and builds, per stage, only the LUT entries its surviving
@@ -193,8 +194,8 @@
 // prints hedged vs unhedged tail latency over a fault-injected fleet).
 // NewClusterServerRouted exposes the routing policy; NewClusterServer uses
 // defaults. The offline Cluster.SearchBatch uses the replicas for throughput
-// instead: the whole fleet runs one staged scan per scheduling batch — the
-// front door cuts the waves and forwards one bound per query, merged over
+// instead: the whole fleet runs the engine's staged scan, launch for launch —
+// the front door cuts the waves and forwards one bound per query, merged over
 // every shard's partial results — and spreads each shard's share of a wave
 // over all R replicas by the engines' own scheduler heat.
 //

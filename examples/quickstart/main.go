@@ -162,6 +162,10 @@ func main() {
 		cstats.Route.MeanFanout(), float64(cstats.Route.LeadFanoutSum)/float64(cstats.Route.RoutedQueries), cstats.Route.MaxFanout)
 	fmt.Printf("fleet staged scan: pruned %.1f%% of scanned points, %.2f codes per point (single engine: %.1f%%, %.2f)\n",
 		cres.Metrics.PruneRate()*100, cres.Metrics.CodesPerPoint(), res.Metrics.PruneRate()*100, res.Metrics.CodesPerPoint())
+	// A batch's second wave shares its launch with the next batch's first:
+	// batches + 1 launches an engine, each filled for the scheduler to level.
+	fmt.Printf("rolling waves: %d launches over %d batches on 4 shards, imbalance %.2f (single engine: %d over %d, %.2f)\n",
+		cres.Metrics.Launches, cres.Metrics.Batches, cres.Metrics.AvgImbalance(), res.Metrics.Launches, res.Metrics.Batches, res.Metrics.AvgImbalance())
 
 	// 9. Replication masks the tail: the same index across 2 shards with 2
 	//    replicas each. Replicas are deterministic engine clones, so any

@@ -18,7 +18,7 @@ import (
 func FleetScaling(r *Runner) (*Table, error) {
 	t := &Table{
 		ID: "FS", Title: "Fleet scaling: sim QPS and scan work vs shards x replicas",
-		Columns: []string{"shards", "replicas", "sim QPS", "cycles/query", "vs S=1", "fan-out", "wave-1 fan-out", "pruned"},
+		Columns: []string{"shards", "replicas", "sim QPS", "cycles/query", "vs S=1", "fan-out", "wave-1 fan-out", "pruned", "launches"},
 	}
 	s := r.Dataset("SIFT")
 	ix, err := r.Index("SIFT", r.Scale.NLists[len(r.Scale.NLists)-1], subvectorsFor(s.Base.D), r.Scale.CB)
@@ -51,9 +51,13 @@ func FleetScaling(r *Runner) (*Table, error) {
 			}
 			rt := cl.Stats().Route
 			t.AddRow(fmt.Sprint(shards), fmt.Sprint(replicas), f0(res.Metrics.QPS), f0(perQuery), f3(perQuery/base),
-				f2(rt.MeanFanout()), f2(float64(rt.LeadFanoutSum)/float64(rt.RoutedQueries)), f3(res.Metrics.PruneRate()))
+				f2(rt.MeanFanout()), f2(float64(rt.LeadFanoutSum)/float64(rt.RoutedQueries)), f3(res.Metrics.PruneRate()),
+				fmt.Sprint(res.Metrics.Launches))
 		}
 	}
 	t.Notes = append(t.Notes, "one task a probe, so the hottest list's DPU sets the pace whichever shard holds it: QPS grows with R, hardly with S")
+	t.Notes = append(t.Notes, "launches sum over every engine of the fleet: batches + 1 an engine that every round reaches, since a batch's second wave shares its launch with the next batch's first. "+
+		"The small scale cannot see it — its 96 queries are one scheduling batch, two launches an engine as before the waves rolled — and nothing is postponed here, so the postponement rule shows nowhere; "+
+		"the default scale's 512 queries are two batches: three launches an engine, not four")
 	return t, nil
 }

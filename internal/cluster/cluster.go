@@ -65,10 +65,11 @@
 // staged scan (package core): the shards never talking, every shard a query
 // reaches would repeat the query's unbounded first wave and prune against its
 // own k-th distance only. The front door holds each query's whole probe list,
-// so it cuts the waves itself, merges the shards' partial top-k into one bound
-// per query between them, and every shard scans its later probes under the
-// k-th distance found anywhere (SearchBatch has the rounds, the barriers
-// between them and why the answers cannot change). Within a round a shard's
+// so it cuts the waves itself, and the step loop the engine runs over itself
+// (core.Steps) runs over the fleet: the shards' partial top-k merge into one
+// bound per query at the barrier after every round, and every shard scans its
+// later probes under the k-th distance found anywhere (SearchBatch has the
+// rounds and why the answers cannot change). Within a round a shard's
 // requests are spread over all R of its replicas by modelled load, so standby
 // replicas scan offline batches too. The online Server sends single queries
 // to shard engines directly; each then cuts its own waves.
@@ -78,12 +79,11 @@
 // The merged core.Metrics sums counters over every engine that ran
 // (core.Metrics.MergeParallel) and takes PIM and transfer seconds from the
 // slowest; SimSeconds adds up, round by round, the slowest engine of each
-// round and the merges the next round had to wait for.
+// round and the merges the next round had to wait for (core.Steps).
 package cluster
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -92,7 +92,6 @@ import (
 	"drimann/internal/core"
 	"drimann/internal/dataset"
 	"drimann/internal/ivf"
-	"drimann/internal/sched"
 	"drimann/internal/topk"
 	"drimann/internal/vecmath"
 )
@@ -700,37 +699,6 @@ func (cl *Cluster) probesByShard(probes []int32) (perShard [][]int32, fanout int
 	return perShard, fanout
 }
 
-// lane is one replica engine's side of a fleet search call.
-type lane struct {
-	scan  *core.Scan
-	table []int32              // the shard's local→global ids
-	part  []*topk.Heap[uint32] // a round's partial top-k by query, local ids
-	reqs  []sched.Request      // the round's requests
-	// What the round's launch returned: the queries it held, its seconds and
-	// the shard host's seconds merging its DPUs' partials.
-	seen                []int32
-	launchSec, mergeSec float64
-}
-
-// spread hands one shard's wave — reqs, in query order, a probe of cluster c
-// modelled at cost[c] cycles — to the shard's replicas: contiguous query
-// ranges of near-equal load, so a query's tasks stay on one engine.
-func spread(lanes []*lane, reqs []sched.Request, cost []float64) {
-	var total, acc float64
-	for _, r := range reqs {
-		total += cost[r.Cluster]
-	}
-	i := 0
-	for r, ln := range lanes {
-		from, share := i, total*float64(r+1)/float64(len(lanes))
-		for i < len(reqs) && (r == len(lanes)-1 || acc < share || (i > from && reqs[i].Query == reqs[i-1].Query)) {
-			acc += cost[reqs[i].Cluster]
-			i++
-		}
-		ln.reqs = reqs[from:i]
-	}
-}
-
 // Shards exposes the fleet (for inspection, serving and tests).
 func (cl *Cluster) Shards() []*Shard { return cl.shards }
 
@@ -749,32 +717,32 @@ func (cl *Cluster) K() int { return cl.shards[0].Engine.K() }
 func (cl *Cluster) Dim() int { return cl.ix.Dim }
 
 // SearchBatch answers the query batch with one bound-forwarded staged scan
-// (see package core) per scheduling batch, run by the whole fleet. The front
-// door locates every query once and, holding its probes in ascending distance,
-// cuts the waves with the engine's own rule (core.LeadProbes), a cluster's
-// live points summed over the shards that hold it. It scatters wave 1 to the
-// shards owning its probes, merges their partial top-k — remapped to global
-// ids — into one heap and one bound per query, and scatters wave 2 carrying
-// those bounds: no shard repeats a query's unbounded first wave, and every
-// shard prunes against the k-th distance found anywhere. A batch with under
-// two tasks per DPU fleet-wide runs as one wave on replica 0 of each shard it
-// reaches; otherwise every round spreads a shard's requests over all its
-// replicas (spread). After the call's last batch, tasks still postponed drain
-// in further rounds.
+// (see package core) run by the whole fleet. The front door locates every
+// query once and, holding its probes in ascending distance, cuts each
+// scheduling batch into waves with the engine's own rule (core.Steps.Cut), a
+// cluster's live points summed over the shards that hold it; core.Steps — the
+// loop a single engine runs over itself — launches them on every replica of
+// every shard. A round is a step: it scatters a batch's first wave to the
+// shards owning those probes together with the second wave of the batch
+// before, under the bounds the last barrier merged, and at the barrier that
+// ends it the shards' partial top-k — remapped to global ids — fold into one
+// heap and one bound per query. So no shard repeats a query's unbounded first
+// wave, every shard prunes against the k-th distance found anywhere, and a
+// call of B batches takes B + 1 rounds, plus drain rounds while tasks stay
+// postponed; every round spreads a shard's requests over all its replicas
+// (a batch too small to split runs on replica 0, whatever shares its round).
 //
 // Answers are bit-identical to a single engine's SearchBatch over the
 // unsharded corpus. A forwarded bound is the k-th best distance among points
 // already merged, so it is no smaller than the final one; a scan drops only
 // points strictly above its bound; and the merge orders whatever arrives by
-// (distance, global id). Replicas hold the same data and a query's tasks of a
-// round stay on one of them, so which replica scans a query changes what its
-// DPUs' own heaps prune, never what survives to the merge.
+// (distance, global id). Replicas hold the same data, so which replica scans a
+// query changes what its DPUs' own heaps prune, never what survives to the
+// merge.
 //
-// Simulated time is barrier by barrier: a round takes as long as its slowest
-// replica — launch, then that shard host's merge of its DPUs' partials — and
-// the front door's merge follows before the next round can carry its bounds.
-// The merges after a batch's last round are, like the front-door CL, host work
-// overlapped with the PIM side, as in the engine's Σ max(host, pim+xfer).
+// Simulated time is barrier by barrier (core.Steps); the front-door CL is
+// charged once for the whole call and — exactly as the engine's own pipeline
+// model treats its CL stage — overlapped with the scattered work.
 func (cl *Cluster) SearchBatch(queries dataset.U8Set) (*core.Result, error) {
 	if queries.D != cl.Dim() {
 		return nil, fmt.Errorf("cluster: query dim %d != index dim %d", queries.D, cl.Dim())
@@ -783,167 +751,26 @@ func (cl *Cluster) SearchBatch(queries dataset.U8Set) (*core.Result, error) {
 	ps := cl.loc.Probes(queries)
 	clWall := time.Since(start).Seconds()
 
-	// What the front door needs of the shards' state: each cluster's live
-	// points fleet-wide (its own index may be a quantizer-only view) and the
-	// modelled cycles of one probe of it on each shard.
-	S, k, batch := len(cl.shards), cl.K(), cl.shards[0].Engine.MaxBatch()
-	live := make([]int, cl.ix.NList)
-	cost := make([][]float64, S)
-	lanes := make([][]*lane, S)
-	var all []*lane
+	S, batch := len(cl.shards), cl.shards[0].Engine.MaxBatch()
+	fleet, tables := make([][]*core.Engine, S), make([][]int32, S)
 	for s, sh := range cl.shards {
-		cost[s] = make([]float64, cl.ix.NList)
-		for c := range live {
-			live[c] += sh.Engine.LiveLen(int32(c))
-			cost[s][c] = sh.Engine.ProbeCycles(int32(c))
-		}
-		for _, e := range sh.Engines {
-			lanes[s] = append(lanes[s], &lane{scan: e.NewScan(queries), table: sh.GlobalIDs(), part: make([]*topk.Heap[uint32], queries.N)})
-		}
-		all = append(all, lanes[s]...)
+		fleet[s], tables[s] = sh.Engines, sh.GlobalIDs()
 	}
-	dpus := len(all) * cl.shards[0].Engine.System().Cfg.NumDPUs
+	st := core.NewSteps(queries, fleet, tables, cl.loc)
 	owners := cl.ownersView()
-	liveOf := func(c int32) int { return live[c] }
+	ownersOf := func(c int32) []int32 { return owners[c] }
 
-	best := make([]*topk.Heap[uint32], queries.N) // global ids
-	bounds := make([]uint32, queries.N)
 	fanouts, leads := make([]int, queries.N), make([]int, queries.N)
-	touched := make([]int, S) // 1 + the last query to reach the shard
-	for i := range bounds {
-		bounds[i] = math.MaxUint32
-	}
-	waves := [2][][]sched.Request{make([][]sched.Request, S), make([][]sched.Request, S)} // by wave and shard
-	var buf []topk.Item[uint32]
-	var simSec, hostSec float64
-
 	for lo := 0; lo < queries.N; lo += batch {
 		hi := min(lo+batch, queries.N)
-		for s := range cl.shards {
-			waves[0][s], waves[1][s] = waves[0][s][:0], waves[1][s][:0]
-		}
-		tasks, late := 0, false
 		for qi := lo; qi < hi; qi++ {
-			probes := ps.Of(qi)
-			lead := core.LeadProbes(probes, k, liveOf)
-			for i, c := range probes {
-				w := 0
-				if i >= lead {
-					w, late = 1, true
-				}
-				for _, s := range owners[c] {
-					waves[w][s] = append(waves[w][s], sched.Request{Query: int32(qi), Cluster: c})
-					if touched[s] != qi+1 {
-						touched[s] = qi + 1
-						fanouts[qi]++
-						leads[qi] += 1 - w // a query's leading probes come first
-					}
-				}
-			}
+			fanouts[qi], leads[qi] = st.Cut(qi, ps.Of(qi), ownersOf)
 		}
-		for _, ln := range all {
-			ln.scan.NextBatch()
-			tasks += ln.scan.Pending()
-		}
-		for s, sh := range cl.shards {
-			tasks += sh.Engine.TaskCount(waves[0][s]) + sh.Engine.TaskCount(waves[1][s])
-		}
-		nWaves := 1
-		if late && tasks >= 2*dpus {
-			nWaves = 2
-		} else {
+		if !st.Step(0) {
 			copy(leads[lo:hi], fanouts[lo:hi]) // one wave, all of it unbounded
 		}
-
-		var pimSec, batchHost float64
-		for w, more := 0, true; more; w++ {
-			for s, ls := range lanes {
-				for _, ln := range ls {
-					ln.reqs = nil
-				}
-				switch {
-				case w >= nWaves: // a drain round: postponed tasks only
-				case nWaves == 1:
-					// Too small to split is too small to spread: replica 0
-					// gets, like an engine's own unsplit batch, every query's
-					// leading probes, then the rest.
-					ls[0].reqs = append(waves[0][s], waves[1][s]...)
-				default:
-					spread(ls, waves[w][s], cost[s])
-				}
-			}
-			var wg sync.WaitGroup
-			for _, ln := range all {
-				ln.seen = nil
-				if len(ln.reqs) == 0 && ln.scan.Pending() == 0 {
-					continue
-				}
-				wg.Add(1)
-				go func(ln *lane) {
-					defer wg.Done()
-					ln.seen, ln.launchSec, ln.mergeSec = ln.scan.Wave(ln.reqs, bounds, ln.part, w >= nWaves)
-				}(ln)
-			}
-			wg.Wait()
-
-			// The barrier, then the front-door merge: every partial top-k a
-			// shard returned, into the query's global heap and bound.
-			more = w+1 < nWaves
-			items := 0
-			var launchSec, shardSec, shardMerge float64
-			for _, ln := range all {
-				more = more || (hi >= queries.N && ln.scan.Pending() > 0)
-				for _, q := range ln.seen {
-					h := ln.part[q]
-					if h == nil || h.Len() == 0 {
-						continue
-					}
-					if best[q] == nil {
-						best[q] = topk.NewHeap[uint32](k)
-					}
-					buf = h.SortedInto(buf)
-					for _, it := range buf {
-						best[q].Push(ln.table[it.ID], it.Dist)
-					}
-					if th, full := best[q].Threshold(); full {
-						bounds[q] = th
-					}
-					items += len(buf)
-					h.Reset()
-				}
-				if ln.seen != nil {
-					launchSec = math.Max(launchSec, ln.launchSec)
-					shardSec = math.Max(shardSec, ln.launchSec+ln.mergeSec)
-					shardMerge = math.Max(shardMerge, ln.mergeSec)
-				}
-			}
-			frontSec := cl.loc.MergeSeconds(items, k)
-			batchHost += shardMerge + frontSec
-			if more {
-				pimSec += shardSec + frontSec
-			} else {
-				pimSec += launchSec
-			}
-		}
-		hostSec += batchHost
-		simSec += math.Max(batchHost, pimSec)
 	}
-
 	clSim := cl.loc.CLSeconds(queries.N)
 	cl.recordRoute(fanouts, leads, clWall, clSim)
-	out := core.NewResult(best)
-	m := &out.Metrics
-	for _, ln := range all {
-		m.MergeParallel(ln.scan.Metrics())
-	}
-	// The front-door CL is charged once for the whole call and — exactly as
-	// the engine's own pipeline model treats its CL stage — overlapped with
-	// the scattered work rather than added to it.
-	m.Queries, m.Batches = queries.N, (queries.N+batch-1)/batch
-	m.HostSeconds = clSim + hostSec
-	m.SimSeconds = math.Max(clSim, simSec)
-	if m.SimSeconds > 0 {
-		m.QPS = float64(queries.N) / m.SimSeconds
-	}
-	return out, nil
+	return st.Finish(clSim), nil
 }

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -60,8 +61,9 @@ func TestFleetOfOneIsTheEngine(t *testing.T) {
 		}
 		sameAnswers(t, "S=1 fleet vs probed engine", got, want)
 		g, w := got.Metrics, want.Metrics
-		// Two launches a full batch, one for the two queries left over.
-		if drained := w.Launches - 2*(nq/opts.BatchSize) - (nq%opts.BatchSize)/2; w.Postponed == 0 || drained <= 0 {
+		// A step a full batch and one more for the last one's second wave,
+		// which the two queries left over ride.
+		if drained := w.Launches - (nq/opts.BatchSize + 1); w.Postponed == 0 || drained <= 0 {
 			t.Fatalf("%d queries: %d launches with %d tasks postponed do not exercise what the comment says", nq, w.Launches, w.Postponed)
 		}
 
@@ -324,5 +326,146 @@ func TestLoneQueryPaysNoBarrier(t *testing.T) {
 	}
 	if m.HostSeconds <= rt.FrontCLSimSeconds {
 		t.Fatalf("HostSeconds %.3g does not exceed the front-door CL's %.3g: the gather is not charged", m.HostSeconds, rt.FrontCLSimSeconds)
+	}
+}
+
+// TestFleetRollsWaves: the fleet runs the engine's step loop, so a call of B
+// scheduling batches is B + 1 rounds — every round but the first carrying the
+// second wave of the batch before beside the first wave of its own — and the
+// answers stay the single engine's: on a pristine fleet, under live mutations
+// and recovered from its stores, for one replica a shard and for two. A
+// one-shard fleet shows the rounds in its launch count (every replica launches
+// in every round); the second waves ran under bounds, or the fleet would not
+// prune what the engine prunes.
+func TestFleetRollsWaves(t *testing.T) {
+	const n, base = 6000, 5600
+	ix, s := mutClusterFixture(t, n, base, 64)
+	opts := engineOpts()
+	opts.BatchSize, opts.Th3 = 16, 0 // four batches, no drain rounds
+	single, err := core.New(ix, s.Queries, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type deployed struct {
+		cl   *cluster.Cluster
+		fs   *durable.MemFS
+		st   *cluster.FleetStore
+		copt cluster.Options
+	}
+	var fleets []*deployed
+	for _, shards := range []int{1, 3} {
+		for _, replicas := range []int{1, 2} {
+			d := &deployed{fs: durable.NewMemFS(durable.FaultPlan{}), copt: cluster.Options{
+				Shards: shards, Replicas: replicas, Assignment: cluster.AssignKMeans, Engine: opts,
+			}}
+			if d.cl, err = cluster.New(ix, s.Queries, d.copt); err != nil {
+				t.Fatal(err)
+			}
+			if d.st, err = cluster.CreateFleetStore(d.cl, durable.Options{Dir: "fleet", FS: d.fs}); err != nil {
+				t.Fatal(err)
+			}
+			fleets = append(fleets, d)
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		want, err := single.SearchBatch(s.Queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &want.Metrics
+		if w.Batches != 4 || w.Launches != w.Batches+1 {
+			t.Fatalf("%s: the engine ran %d launches over %d batches", stage, w.Launches, w.Batches)
+		}
+		for _, d := range fleets {
+			got, err := d.cl.SearchBatch(s.Queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			S, R := d.copt.Shards, d.copt.Replicas
+			sameAnswers(t, fmt.Sprintf("%s, S=%d R=%d vs single engine", stage, S, R), got, want)
+			g := &got.Metrics
+			rounds := g.Batches + 1
+			if g.Batches != w.Batches || g.Launches > S*R*rounds || (S == 1 && g.Launches != R*rounds) {
+				t.Fatalf("%s, S=%d R=%d: %d launches over %d batches, want %d rounds on every replica", stage, S, R, g.Launches, g.Batches, rounds)
+			}
+			if g.PointsScanned != w.PointsScanned || float64(g.PointsPruned) < 0.9*float64(w.PointsPruned) {
+				t.Fatalf("%s, S=%d R=%d: scanned %d points and pruned %d, the engine %d and %d", stage, S, R,
+					g.PointsScanned, g.PointsPruned, w.PointsScanned, w.PointsPruned)
+			}
+		}
+	}
+	check("pristine")
+
+	ids := make([]int32, n-base)
+	vecs := dataset.U8Set{N: len(ids), D: s.Base.D, Data: s.Base.Data[base*s.Base.D:]}
+	for i := range ids {
+		ids[i] = int32(base + i)
+	}
+	if err := single.Insert(vecs, ids); err != nil {
+		t.Fatal(err)
+	}
+	if err := single.Delete(ids[:len(ids)/2]); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range fleets {
+		if err := d.cl.Insert(vecs, ids); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.cl.Delete(ids[:len(ids)/2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("mutated")
+	for _, d := range fleets {
+		if err := d.st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if d.cl, _, err = cluster.RecoverCluster(durable.Options{Dir: "fleet", FS: d.fs}, s.Queries, d.copt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("recovered")
+}
+
+// TestFleetDrainsEveryReplica: with scheduling batches near two tasks a DPU,
+// split and unsplit batches alternate, so a replica that postponed tasks of a
+// spread second wave is handed nothing by the unsplit batches that follow —
+// through the end of the call, for some query counts. At an overheat threshold
+// that postpones, the fleet still scans every point the single engine scans
+// and returns its answers.
+func TestFleetDrainsEveryReplica(t *testing.T) {
+	ix, s := testFixture(t, 6000, 64)
+	opts := engineOpts()
+	opts.BatchSize, opts.Th3 = 7, 1.005
+	single, err := core.New(ix, s.Queries, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := cluster.New(ix, s.Queries, cluster.Options{Shards: 2, Replicas: 2, Assignment: cluster.AssignKMeans, Engine: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nq := range []int{36, 43, 50, 57, 64} {
+		queries := dataset.U8Set{N: nq, D: s.Queries.D, Data: s.Queries.Data[:nq*s.Queries.D]}
+		want, err := single.SearchBatch(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := cl.Stats().Route
+		got, err := cl.SearchBatch(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("%d queries in batches of %d, S=2 R=2 vs single engine", nq, opts.BatchSize)
+		sameAnswers(t, what, got, want)
+		g, rt := &got.Metrics, cl.Stats().Route
+		lead, fanout := rt.LeadFanoutSum-before.LeadFanoutSum, rt.FanoutSum-before.FanoutSum
+		if g.Postponed == 0 || lead == fanout {
+			t.Fatalf("%s: %d tasks postponed, %d of %d shard contacts unbounded: no batch was split and spread", what, g.Postponed, lead, fanout)
+		}
+		if g.PointsScanned != want.Metrics.PointsScanned {
+			t.Fatalf("%s: scanned %d points, the engine %d: postponed tasks were dropped", what, g.PointsScanned, want.Metrics.PointsScanned)
+		}
 	}
 }

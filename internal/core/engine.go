@@ -44,7 +44,7 @@
 //	lut[m][e] = p_m(q, c) + b_c[m][e] - 2 qe_q[m][e]
 //
 // where b_c (the static per-cluster term) is precomputed once at deployment,
-// qe_q (the per-query gather table) once per query per scheduling batch, and
+// qe_q (the per-query gather table) once per query for its two waves, and
 // p_m once per group — all int32-exact, so every partial sum over a subset of
 // a point's subspaces is bit-identical to summing the same entries of a
 // materialized LUT. How the host obtains the values is independent of what
@@ -99,28 +99,36 @@
 // segments. With an infinite bound nothing is pruned and the charge is the
 // unstaged kernel's plus that per-stage bookkeeping; there is one kernel.
 //
-// The forwarded bound comes from a split of every scheduling batch into two
-// launches. Wave 1 schedules each query's leading probes in CL order — the
-// shortest prefix whose lists hold at least waveFill x K live points — and
-// the partial results are folded into a bound per query (the k-th best
-// distance so far, infinite until k points exist). Wave 2 schedules the
-// remaining probes and ships each (query, DPU) pair its bound. The second
-// launch cannot start before the first's results are merged, so that merge
-// sits serially between the two launches' PIM times instead of overlapping
-// them. A postponed task rides the next launch with whatever bound its query
-// has by then. The split spends the latency of one unpruned task (the first
-// wave's critical path) to save about half of every later one, so a batch that
-// gives the DPUs fewer than two tasks each is not split: a lone query's probes
-// each have a DPU to themselves, and a second launch would only add latency.
+// The forwarded bound comes from cutting every scheduling batch into two
+// waves. Wave 1 is each query's leading probes in CL order — the shortest
+// prefix whose lists hold at least waveFill x K live points; its partial
+// results are folded into a bound per query (the k-th best distance so far,
+// infinite until k points exist). Wave 2 is the remaining probes, and ships
+// each (query, DPU) pair its bound. A launch is as slow as its busiest DPU, so
+// the waves are software-pipelined across batches (wave.go): step t of a call
+// launches wave 2 of batch t-1 together with wave 1 of batch t — B batches
+// take B + 1 launches, each a whole batch's worth of tasks for the scheduler to
+// level, none a handful of unbounded tasks on mostly idle DPUs. Step t+1 ships
+// the bounds the merge after step t produced, so that merge sits serially
+// between the two launches' PIM times instead of overlapping them, while CL of
+// the batches to come runs ahead on the host. A postponed task rides the next
+// step with whatever bound its query has by then. The cut spends the latency
+// of one unpruned task (the first wave's critical path) to save about half of
+// every later one, so a batch that gives the DPUs fewer than two tasks each is
+// not cut and rides its step whole: a lone query's probes each have a DPU to
+// themselves, and a second launch would only add latency. A call of one batch
+// is two launches, lead then rest.
 //
-// Who cuts and who merges is the caller's business (wave.go): a launch takes
-// its requests and its bounds from outside and hands back partial top-k.
-// searchBatch cuts its own batches, as above; a sharded front door cuts them
-// for a fleet, counting a list's live points on every shard and merging every
-// shard's partials into the one bound it forwards to all of them. The
-// scheduler prices a task by its slice and by whether the launch carries
-// bounds (lcdemand.go): as bounded once a request's query has a finite bound,
-// and in a launch of postponed tasks alone.
+// What shares a launch does not touch exactness: a forwarded bound is still
+// the k-th distance over points already merged for its query, and the kernel
+// still drops only what is strictly above it. Who holds the probe lists is
+// the caller's business — searchBatch for its own batches; a sharded front
+// door for a fleet, naming each cluster's owner shards. Steps cuts them,
+// counting a list's live points on every owner, and merges every lane's
+// partials into the one bound it forwards to all of them. A launch holds tasks with and without a bound, so the scheduler
+// gets a price per task (lcdemand.go: the slice's modelled cycles under the
+// kind of bound its query has) and may postpone only tasks that have one: a
+// first-wave task is its query's bound.
 //
 // # SQT16 geometry invariant
 //
@@ -370,30 +378,43 @@ type groupStore struct {
 	// order is each group's subspaces in descending residual magnitude — the
 	// order the staged scan visits them in; blockGroups x M.
 	order []uint16
+	build []bool // per query run of the block: its gather table is to be built
 
 	// Algebraic-mode arenas (see the package doc): M per-subspace terms per
-	// group, and one qe gather table per query, kept for the whole scheduling
-	// batch so that its second wave reuses the first's: qeSlot[q] is query q's
-	// table in qe (-1 without one), qeHeld the queries holding one.
-	p      []int32 // block-relative per-group SubTerms, blockGroups x M
-	qe     []int32 // slots x M*CB
-	qeSlot []int32
-	qeHeld []int32
+	// group, and one qe gather table per query: qeSlot[q] is query q's slot in
+	// qe (-1 without a table), qeOwner[s] the query holding slot s (-1: free),
+	// qeBorn[s] the step that built its table; step is the one being launched.
+	// A table stays until the launch is past its query — groups run in query
+	// order — and one step beyond that while the query has no bound: its
+	// second wave reuses it (expire).
+	p       []int32 // block-relative per-group SubTerms, blockGroups x M
+	qe      []int32 // slots x M*CB
+	qeSlot  []int32
+	qeOwner []int32
+	qeBorn  []int
+	step    int
 }
 
-// releaseQE forgets every query's gather table: a new scheduling batch (or
-// call, with n its query count) begins.
-func (g *groupStore) releaseQE(n int) {
-	if len(g.qeSlot) != n {
-		g.qeSlot, g.qeHeld = make([]int32, n), g.qeHeld[:0]
-		for i := range g.qeSlot {
-			g.qeSlot[i] = -1
+// resetQE forgets every query's gather table: a new call of n queries begins.
+func (g *groupStore) resetQE(n int) {
+	g.qeSlot = make([]int32, n)
+	for i := range g.qeSlot {
+		g.qeSlot[i] = -1
+	}
+	for s := range g.qeOwner {
+		g.qeOwner[s] = -1
+	}
+}
+
+// expire frees the gather tables of the queries below q — the launch is past
+// them — that carry a bound or whose table an earlier step built: they have
+// had their second wave, or were never to have one here.
+func (g *groupStore) expire(q int32, bounds []uint32) {
+	for s, owner := range g.qeOwner {
+		if owner >= 0 && owner < q && (bounds[owner] != math.MaxUint32 || g.qeBorn[s] < g.step) {
+			g.qeSlot[owner], g.qeOwner[s] = -1, -1
 		}
 	}
-	for _, q := range g.qeHeld {
-		g.qeSlot[q] = -1
-	}
-	g.qeHeld = g.qeHeld[:0]
 }
 
 // dpuScratch is the reusable per-DPU kernel state: the top-k heap pool, the
@@ -699,23 +720,13 @@ func (e *Engine) MaxBatch() int { return e.opts.BatchSize }
 // sharded front door may run it concurrently with the engine's own batches.
 func (e *Engine) Locator() *Locator { return e.loc }
 
-// clBatch is one produced CL stage result: the cluster-level requests of the
-// query range [lo, hi), every query's first-wave probes — reqs[:lead], in
-// query order — ahead of all the others.
-type clBatch struct {
-	lo, hi int
-	reqs   []sched.Request
-	lead   int
-}
-
 // SearchBatch searches every query and returns neighbors plus metrics.
 //
 // Execution is a three-stage pipeline (paper §3: host CL overlaps the PIM
 // kernels): stage 1 locates clusters for a whole query batch across the
-// engine's workers; stage 2 schedules the resulting tasks; stage 3 runs the
-// DPU kernel simulation and host merge — twice per batch, the second launch
-// carrying the bounds the first one's merge produced (see the package doc).
-// Unless Options.NoPipeline is set,
+// engine's workers; stage 2 cuts the probe lists into waves and schedules the
+// tasks; stage 3 runs the DPU kernel simulation and host merge, one step per
+// batch (Steps; see the package doc). Unless Options.NoPipeline is set,
 // stage 1 of batch i+1 runs concurrently with stages 2-3 of batch i, so the
 // host CL cost disappears from the wall-clock critical path exactly as the
 // modeled SimSeconds = Σ max(host, pim+xfer) accounting assumes. Results and
@@ -725,161 +736,58 @@ func (e *Engine) SearchBatch(queries dataset.U8Set) (*Result, error) {
 }
 
 // searchBatch is the shared body behind SearchBatch and SearchBatchProbed.
-// With probed set, the CL stage is replaced by expanding the pre-resolved
-// probe lists of ps — in list order, which is the ascending-distance order
-// the plain path cuts into waves and hands the scheduler, so schedules,
-// results and metrics stay bit-identical when ps came from this engine's
-// Locator.
+// With probed set the CL stage is skipped: ps holds the whole call's probe
+// lists, in the ascending-distance order and the form the plain path locates
+// them in batch by batch, so schedules, results and metrics stay bit-identical
+// when ps came from this engine's Locator.
 // chargeCL controls whether each batch's host CL cost enters the metrics.
 func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeCL bool) (*Result, error) {
 	if queries.D != e.ix.Dim {
 		return nil, fmt.Errorf("core: query dim %d != index dim %d", queries.D, e.ix.Dim)
 	}
-	sc := e.NewScan(queries)
-	m := &sc.m
-	m.Queries = queries.N
+	st := NewSteps(queries, [][]*Engine{{e}}, nil, e.loc)
+	batch := e.opts.BatchSize
 
-	// Per-query merge state: the K best partial results so far and, once K
-	// exist, their worst distance — the bound later launches forward.
-	best := make([]*topk.Heap[uint32], queries.N)
-	bounds := make([]uint32, queries.N)
-	for i := range bounds {
-		bounds[i] = math.MaxUint32
+	// CL stage: the probe lists of the batch starting at query lo, located
+	// here unless the caller resolved the whole call's.
+	locate := func(lo int) ProbeSet {
+		hi := min(lo+batch, queries.N)
+		return e.loc.Probes(dataset.U8Set{N: hi - lo, D: queries.D, Data: queries.Data[lo*queries.D : hi*queries.D]})
 	}
-	nBatches := (queries.N + e.opts.BatchSize - 1) / e.opts.BatchSize
+	// Pipelined mode: a producer goroutine runs CL one batch ahead, so CL of
+	// batch i+1 overlaps the DPU simulation of batch i.
+	next := locate
+	if !probed && !e.opts.NoPipeline && queries.N > batch {
+		clOut := make(chan ProbeSet, 1)
+		go func() {
+			for lo := 0; lo < queries.N; lo += batch {
+				clOut <- locate(lo)
+			}
+		}()
+		next = func(int) ProbeSet { return <-clOut }
+	}
 
-	// CL stage: probe storage for one batch plus the request-expansion
-	// closure, owned by whichever goroutine runs the stage. The probed path
-	// needs no probe buffers — it only reads ps.
-	var probes []topk.Item[uint32]
-	var counts []int
-	if !probed {
-		probes = make([]topk.Item[uint32], e.opts.BatchSize*e.opts.NProbe)
-		counts = make([]int, e.opts.BatchSize)
-	}
-	var late []sched.Request // second-wave requests of the batch being expanded
-	var located []int32      // one query's probes off the locator
-	runCL := func(lo, hi int, reqs []sched.Request) ([]sched.Request, int) {
-		reqs, late = reqs[:0], late[:0]
+	first := 0           // the query ps's first list belongs to
+	shard0 := []int32{0} // the owner of every cluster
+	for lo := 0; lo < queries.N; lo += batch {
+		hi := min(lo+batch, queries.N)
 		if !probed {
-			e.loc.LocateBatch(queries, lo, hi, probes, counts)
+			ps, first = next(lo), lo
 		}
 		for qi := lo; qi < hi; qi++ {
-			var cs []int32
-			if probed {
-				cs = ps.Of(qi)
-			} else {
-				base := (qi - lo) * e.opts.NProbe
-				located = located[:0]
-				for _, p := range probes[base : base+counts[qi-lo]] {
-					located = append(located, p.ID)
-				}
-				cs = located
-			}
-			lead := LeadProbes(cs, e.opts.K, e.LiveLen)
-			for i, c := range cs {
-				if r := (sched.Request{Query: int32(qi), Cluster: c}); i < lead {
-					reqs = append(reqs, r)
-				} else {
-					late = append(late, r)
-				}
-			}
+			st.Cut(qi, ps.Of(qi-first), func(int32) []int32 { return shard0 })
 		}
-		lead := len(reqs)
-		return append(reqs, late...), lead
-	}
-
-	// Pipelined mode: a producer goroutine runs CL one batch ahead, cycling
-	// two request buffers through a free list so steady state allocates
-	// nothing and CL of batch i+1 overlaps the DPU simulation of batch i.
-	var clOut chan clBatch
-	var clFree chan []sched.Request
-	if !e.opts.NoPipeline && nBatches > 1 {
-		clOut = make(chan clBatch, 1)
-		clFree = make(chan []sched.Request, 2)
-		clFree <- nil
-		clFree <- nil
-		go func() {
-			for lo := 0; lo < queries.N; lo += e.opts.BatchSize {
-				hi := lo + e.opts.BatchSize
-				if hi > queries.N {
-					hi = queries.N
-				}
-				reqs, lead := runCL(lo, hi, <-clFree)
-				clOut <- clBatch{lo: lo, hi: hi, reqs: reqs, lead: lead}
-			}
-			close(clOut)
-		}()
-	}
-
-	var serialReqs []sched.Request
-	for bi := 0; bi < nBatches; bi++ {
-		lo := bi * e.opts.BatchSize
-		hi := lo + e.opts.BatchSize
-		if hi > queries.N {
-			hi = queries.N
-		}
-		var reqs, clBuf []sched.Request
-		var lead int
-		if clOut != nil {
-			cb := <-clOut
-			reqs, clBuf, lead = cb.reqs, cb.reqs, cb.lead
-		} else {
-			serialReqs, lead = runCL(lo, hi, serialReqs)
-			reqs = serialReqs
-		}
-		hostSec := 0.0
+		clSec := 0.0
 		if chargeCL {
-			hostSec = e.loc.CLSeconds(hi - lo)
+			clSec = e.loc.CLSeconds(hi - lo)
 		}
-		sc.NextBatch()
-
-		// The batch's launches: both waves, unless the DPUs average under two
-		// tasks (or there is no second wave); then, after the call's last
-		// batch, one drain launch after another while tasks stay postponed.
-		waves := [][]sched.Request{reqs}
-		if lead < len(reqs) && e.TaskCount(reqs)+sc.Pending() >= 2*e.opts.NumDPUs {
-			waves = [][]sched.Request{reqs[:lead], reqs[lead:]}
-		}
-		var pimPlusXfer, waited float64
-		for w := 0; w < len(waves) || (hi >= queries.N && sc.Pending() > 0); w++ {
-			var wave []sched.Request
-			if w < len(waves) {
-				wave = waves[w]
-			}
-			launched, launchSec, mergeSec := sc.Wave(wave, bounds, best, w >= len(waves))
-			// This launch shipped the bounds the previous one's merge
-			// produced, so that merge is on the PIM side's critical path.
-			pimPlusXfer += waited
-			pimPlusXfer += launchSec
-			hostSec += mergeSec
-			waited = mergeSec
-			for _, q := range launched {
-				if h := best[q]; h != nil {
-					if th, full := h.Threshold(); full {
-						bounds[q] = th
-					}
-				}
-			}
-		}
-		if clFree != nil {
-			clFree <- clBuf
-		}
-		m.HostSeconds += hostSec
-		m.SimSeconds += math.Max(hostSec, pimPlusXfer)
+		st.Step(clSec)
 	}
-
-	// The per-query answers (already counted in host merge time above).
-	res := NewResult(best)
-	res.Metrics = *sc.Metrics()
-	if m.SimSeconds > 0 {
-		res.Metrics.QPS = float64(queries.N) / m.SimSeconds
-	}
-	return res, nil
+	return st.Finish(0), nil
 }
 
-// TaskCount is the number of slice-level tasks the scheduler expands reqs into.
-func (e *Engine) TaskCount(reqs []sched.Request) int {
+// taskCount is the number of slice-level tasks the scheduler expands reqs into.
+func (e *Engine) taskCount(reqs []sched.Request) int {
 	n := 0
 	for _, r := range reqs {
 		n += len(e.pl.ByCluster[r.Cluster])
@@ -905,9 +813,9 @@ const groupBlockBudget = 48 << 20
 
 // runLaunch executes one synchronous DPU launch — every kernel reading its
 // query's entry of bounds — and returns its wall time max(PIM, transfer) and
-// the number of partial items merged on the host; the merge folds them into
-// best. The launches of one scheduling batch share its queries' gather tables
-// (groupStore.releaseQE starts a batch).
+// the seconds the engine's host spends merging the partial items; the merge
+// folds them into best. A query's two waves, one step apart, share its gather
+// table (groupStore.expire).
 //
 // The launch is staged for wall-clock speed without touching the simulated
 // accounting: (1) every DPU's task list is sorted in parallel; (2) the
@@ -917,7 +825,7 @@ const groupBlockBudget = 48 << 20
 // parallel over the shared read-only LUTs, charging the per-DPU RC/LC/DC/TS
 // costs exactly as a private build would; (4) results merge deterministically
 // from reusable per-DPU heaps.
-func (e *Engine) runLaunch(batch *sched.Batch, queries dataset.U8Set, best []*topk.Heap[uint32], bounds []uint32, m *Metrics) (float64, int) {
+func (e *Engine) runLaunch(batch *sched.Batch, queries dataset.U8Set, best []*topk.Heap[uint32], bounds []uint32, m *Metrics) (launchSec, mergeSec float64) {
 	e.sys.ResetCounters()
 	e.sys.Launch()
 
@@ -947,16 +855,23 @@ func (e *Engine) runLaunch(batch *sched.Batch, queries dataset.U8Set, best []*to
 	if blockGroups < 1 {
 		blockGroups = 1
 	}
-	for gLo := 0; gLo < len(g.keys); gLo += blockGroups {
-		gHi := gLo + blockGroups
-		if gHi > len(g.keys) {
-			gHi = len(g.keys)
+	for gLo, gHi := 0, 0; gLo < len(g.keys); gLo = gHi {
+		gHi = min(gLo+blockGroups, len(g.keys))
+		// A block does not run on from queries that carry a bound into queries
+		// that do not: the gather tables of the former expire behind it and
+		// make room for the latter's, which stay for their second wave.
+		for i := gLo + 1; i < gHi; i++ {
+			if bounds[g.keys[i].q] == math.MaxUint32 && bounds[g.keys[i-1].q] != math.MaxUint32 {
+				gHi = i
+			}
 		}
+		g.expire(g.keys[gLo].q, bounds)
 		e.buildGroups(queries, gLo, gHi)
 		e.forEachDPU(batch, func(d int) {
 			e.runDPUBlock(d, batch.PerDPU[d], gLo, gHi, bounds)
 		})
 	}
+	g.expire(math.MaxInt32, bounds)
 
 	// Stage 4: deterministic host merge (DPU order, then query order — the
 	// per-DPU result lists are already query-sorted).
@@ -995,7 +910,7 @@ func (e *Engine) runLaunch(batch *sched.Batch, queries dataset.U8Set, best []*to
 	e.sys.TransferFromDPUs(fromDev)
 
 	pimSec, xferSec := m.AddLaunch(e.sys)
-	return math.Max(pimSec, xferSec), mergeItems
+	return math.Max(pimSec, xferSec), e.loc.MergeSeconds(mergeItems, e.opts.K)
 }
 
 type dpuRunStats struct {
@@ -1169,15 +1084,23 @@ func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 	g.runs = append(g.runs, int32(gHi))
 	// Gather tables: a slot for every query of the block that has none yet;
 	// built below, like everything else, by the worker that gets the run.
-	fresh := len(g.qeHeld)
 	if e.algebraic {
+		g.build = g.build[:0]
 		for _, lo := range g.runs[:len(g.runs)-1] {
-			if q := g.keys[lo].q; g.qeSlot[q] < 0 {
-				g.qeSlot[q] = int32(len(g.qeHeld))
-				g.qeHeld = append(g.qeHeld, q)
+			q := g.keys[lo].q
+			g.build = append(g.build, g.qeSlot[q] < 0)
+			if g.qeSlot[q] < 0 {
+				free := slices.Index(g.qeOwner, -1)
+				if free < 0 {
+					free, g.qeOwner, g.qeBorn = len(g.qeOwner), append(g.qeOwner, -1), append(g.qeBorn, 0)
+				}
+				g.qeSlot[q], g.qeOwner[free], g.qeBorn[free] = int32(free), q, g.step
 			}
 		}
-		g.qe = slices.Grow(g.qe[:fresh*lutLen], (len(g.qeHeld)-fresh)*lutLen)[:len(g.qeHeld)*lutLen]
+		if want := len(g.qeOwner) * lutLen; want > cap(g.qe) { // to the slot, not by append's factor
+			g.qe = append(make([]int32, 0, want), g.qe...)
+		}
+		g.qe = g.qe[:len(g.qeOwner)*lutLen]
 		if cap(g.p) < n*ix.M {
 			g.p = make([]int32, n*ix.M)
 		}
@@ -1190,10 +1113,8 @@ func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 		}
 		lo, hi := int(g.runs[ri]), int(g.runs[ri+1])
 		query := queries.Vec(int(g.keys[lo].q))
-		if e.algebraic {
-			if slot := int(g.qeSlot[g.keys[lo].q]); slot >= fresh {
-				e.lut.BuildQE(query, g.qe[slot*lutLen:][:lutLen])
-			}
+		if e.algebraic && g.build[ri] {
+			e.lut.BuildQE(query, g.qe[int(g.qeSlot[g.keys[lo].q])*lutLen:][:lutLen])
 		}
 		for i := lo; i < hi; i++ {
 			k, bi := g.keys[i], i-gLo

@@ -4,7 +4,7 @@
 // point of the slice is alive, which is true of a staged scan's first stage
 // always and of every stage when no bound prunes (see the package doc); later
 // stages count the bitmap they mark. Beside it, the scheduler's heat estimate
-// of one task per slice, for launches without and with forwarded bounds.
+// of one task per slice, for queries without and with a forwarded bound.
 // Both are computed once at deployment, shared across replicas through one
 // pointer, refreshed by Insert/Delete for the touched cluster's starting
 // slice (which carries the append segment) and rebuilt by Compact.
@@ -30,7 +30,7 @@ type sliceRef struct {
 type lcDemand struct {
 	bySlice []sliceRef // slice si, subspace m at si*M+m
 	// heat[w][si] is the scheduler's estimate of one task over slice si: w = 0
-	// in a launch that carries no bounds, 1 in one that does.
+	// for a query that carries no bound, 1 for one that does (heatOf).
 	heat [2][]float64
 }
 
@@ -182,15 +182,24 @@ func (e *Engine) modelTaskCycles(n int, need float64, bounded bool) float64 {
 	return cycles + alive*(1+float64(e.opts.LockCycles)/8)
 }
 
+// heatOf is the scheduler's price table for tasks whose query carries a bound
+// (bounded) or does not.
+func (lc *lcDemand) heatOf(bounded bool) []float64 {
+	if bounded {
+		return lc.heat[1]
+	}
+	return lc.heat[0]
+}
+
 // ProbeCycles is the scheduler's heat estimate of one probe of cluster c on
-// this engine — one task per placement slice of the cluster, priced as in a
-// launch that carries bounds, which is what all but a query's leading probes
-// run in. A sharded front door sums it over a batch's probe lists to compare
-// shard loads.
-func (e *Engine) ProbeCycles(c int32) float64 {
+// this engine — one task per placement slice of the cluster — for a query
+// that carries a bound or one that does not. A sharded front door sums it
+// over a step's requests to level a shard's replicas.
+func (e *Engine) ProbeCycles(c int32, bounded bool) float64 {
+	heat := e.lc.heatOf(bounded)
 	var w float64
 	for _, si := range e.pl.ByCluster[c] {
-		w += e.lc.heat[1][si]
+		w += heat[si]
 	}
 	return w
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -417,13 +418,29 @@ func TestTaskCostCarriesLCTerm(t *testing.T) {
 	if lc := e.modelTaskCycles(10, need(10), false) - dcts; lc < 5*dcts {
 		t.Fatalf("LC term %v does not dominate DC+TS %v on a 10-point slice", lc, dcts)
 	}
+	// What the scheduler is handed, task by task: the slice's model price for
+	// a query with or without a bound, and only the former may be postponed.
+	cost := e.newLane(2, []uint32{math.MaxUint32, 12345}).scfg.Cost
+	for si := range e.pl.Slices {
+		for q, bounded := range []bool{false, true} {
+			c, deferrable := cost(sched.Task{Query: int32(q), Slice: si})
+			if c != e.lc.heat[q][si] || c <= 0 || deferrable != bounded {
+				t.Fatalf("slice %d, bounded=%v: priced %v (deferrable=%v), model %v", si, bounded, c, deferrable, e.lc.heat[q][si])
+			}
+		}
+	}
 }
 
 // TestProbeCyclesTracksSimulator: the load estimate a sharded front door
-// compares shards with — ProbeCycles summed over a batch's probe lists —
-// follows the simulator's LC+DC+TS instruction cycles for that batch: within
-// 25% on the whole query set and on each half of it, and by the same factor
-// on all three (a front door compares loads, so only the spread matters).
+// levels replicas with — ProbeCycles summed over a batch's probe lists —
+// follows the simulator's LC+DC+TS instruction cycles for that batch. With
+// every probe priced as bounded: within 25% on the whole query set and on each
+// half of it, and by the same factor on all three (a front door compares
+// loads, so only the spread matters). With each probe priced for what it is —
+// a query's leading probes without a bound, the rest with one, as a step's
+// mixed launch is — the factor is as steady but larger, within [1.1, 1.45]
+// (1.36 here): the unbounded price knows no pruning at all, and a DPU's own
+// heap prunes a first-wave task once it holds K points.
 // And it follows the corpus as it grows: with every list half again as long
 // through live append segments, the estimate rises by what the simulator
 // does, within 10%.
@@ -436,13 +453,19 @@ func TestProbeCyclesTracksSimulator(t *testing.T) {
 	}
 	ps := e.loc.Probes(f.s.Queries)
 	half := f.s.Queries.N / 2
+	var mixed float64 // measure's estimate again, each probe at its own price
 	measure := func(lo, hi int) (est, sim float64) {
 		sub := ProbeSet{Offsets: make([]int32, hi-lo+1), Clusters: ps.Clusters[ps.Offsets[lo]:ps.Offsets[hi]]}
 		for i := range sub.Offsets {
 			sub.Offsets[i] = ps.Offsets[lo+i] - ps.Offsets[lo]
 		}
-		for _, c := range sub.Clusters {
-			est += e.ProbeCycles(c)
+		mixed = 0
+		for qi := 0; qi < hi-lo; qi++ {
+			lead := leadProbes(sub.Of(qi), e.opts.K, e.LiveLen)
+			for i, c := range sub.Of(qi) {
+				est += e.ProbeCycles(c, true)
+				mixed += e.ProbeCycles(c, i >= lead)
+			}
 		}
 		q := dataset.U8Set{N: hi - lo, D: f.s.Queries.D, Data: f.s.Queries.Data[lo*f.s.Queries.D : hi*f.s.Queries.D]}
 		res, err := e.SearchBatchProbed(q, sub, false)
@@ -452,16 +475,21 @@ func TestProbeCyclesTracksSimulator(t *testing.T) {
 		pc := res.Metrics.PhaseComputeCycles
 		return est, float64(pc[upmem.PhaseLC] + pc[upmem.PhaseDC] + pc[upmem.PhaseTS])
 	}
-	var ratios []float64
+	var ratios, mixedRatios []float64
 	for _, r := range [][2]int{{0, f.s.Queries.N}, {0, half}, {half, f.s.Queries.N}} {
 		est, got := measure(r[0], r[1])
-		ratios = append(ratios, est/got)
+		ratios, mixedRatios = append(ratios, est/got), append(mixedRatios, mixed/got)
 		if ratio := est / got; ratio < 0.8 || ratio > 1.25 {
 			t.Fatalf("queries [%d, %d): estimate/simulated = %.3f, want within [0.8, 1.25]", r[0], r[1], ratio)
 		}
+		if ratio := mixed / got; ratio < 1.1 || ratio > 1.45 {
+			t.Fatalf("queries [%d, %d): mixed estimate/simulated = %.3f, want within [1.1, 1.45]", r[0], r[1], ratio)
+		}
 	}
-	if lo, hi := slices.Min(ratios), slices.Max(ratios); hi > 1.03*lo {
-		t.Fatalf("estimate/simulated varies across batches: %.3f", ratios)
+	for _, rs := range [][]float64{ratios, mixedRatios} {
+		if lo, hi := slices.Min(rs), slices.Max(rs); hi > 1.03*lo {
+			t.Fatalf("estimate/simulated varies across batches: %.3f", rs)
+		}
 	}
 
 	// Every second point of every list again, under a new id: it lands in

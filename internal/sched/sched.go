@@ -2,8 +2,17 @@
 // a greedy mapper that sends each (query, cluster-slice) task to the coldest
 // DPU holding a copy of that slice, a rebalancing pass that exploits
 // duplicated slices to shave the long tail, and overheat postponement that
-// defers tasks from DPUs loaded beyond th3 times the mean to the next batch.
-// After scheduling, all DPUs are launched synchronously.
+// defers tasks from DPUs loaded beyond th3 times the mean to the next launch.
+// After scheduling, all DPUs are launched synchronously, so a launch is as
+// slow as its hottest DPU.
+//
+// Heat is summed task by task from the caller's price (Config.Cost): one
+// launch may hold tasks of different kinds — the engine's carry a query's
+// bound or do not, and a slice costs about half as much with one. The same
+// hook says which tasks postponement must leave alone: a task whose query has
+// no bound yet is the scan that produces it, and deferring it sends the rest
+// of the query's scans out unbounded. A hot DPU sheds its latest deferrable
+// tasks and keeps the others.
 package sched
 
 import (
@@ -28,12 +37,14 @@ type Task struct {
 
 // Config controls scheduling.
 type Config struct {
-	// Cost predicts the execution cycles of one query's task over placement
-	// slice `slice` in the launch being scheduled; the engine supplies the
-	// performance-model-derived estimate, which knows what the slice scans
-	// beyond its Count (a live append segment) and which wave the launch is.
-	// nil costs a task its slice's Count.
-	Cost func(slice int) float64
+	// Cost predicts the execution cycles of task t (Query, Cluster and Slice
+	// set) in the launch being scheduled, and says whether the task may be
+	// postponed. The engine supplies the performance-model-derived estimate,
+	// which knows what the slice scans beyond its Count (a live append
+	// segment) and whether t's query carries a bound — and exempts the tasks
+	// of a query that has none. nil costs a task its slice's Count and
+	// exempts nothing.
+	Cost func(t Task) (cycles float64, deferrable bool)
 	// Th3 is the overheat threshold: after greedy assignment, tasks are
 	// postponed while a DPU's predicted heat exceeds Th3 x mean heat.
 	// <= 0 disables postponement.
@@ -67,7 +78,7 @@ func Greedy(reqs []Request, carried []Task, pl *layout.Placement, cfg Config) *B
 // must not alias b.Postponed from the same Batch — copy it out first.
 func GreedyInto(b *Batch, reqs []Request, carried []Task, pl *layout.Placement, cfg Config) {
 	if cfg.Cost == nil {
-		cfg.Cost = func(slice int) float64 { return float64(pl.Slices[slice].Count) }
+		cfg.Cost = func(t Task) (float64, bool) { return float64(pl.Slices[t.Slice].Count), true }
 	}
 	if cap(b.PerDPU) < pl.NumDPUs {
 		b.PerDPU = make([][]Task, pl.NumDPUs)
@@ -106,7 +117,8 @@ func GreedyInto(b *Batch, reqs []Request, carried []Task, pl *layout.Placement, 
 			}
 		}
 		t.DPU = best
-		b.Heat[best] += cfg.Cost(t.Slice)
+		cost, _ := cfg.Cost(*t)
+		b.Heat[best] += cost
 		b.PerDPU[best] = append(b.PerDPU[best], *t)
 	}
 
@@ -128,7 +140,7 @@ func rebalance(b *Batch, pl *layout.Placement, cfg Config) {
 		for ti := len(tasks) - 1; ti >= 0; ti-- {
 			t := tasks[ti]
 			s := &pl.Slices[t.Slice]
-			cost := cfg.Cost(t.Slice)
+			cost, _ := cfg.Cost(t)
 			for _, d := range s.DPUs {
 				if d == hot {
 					continue
@@ -153,22 +165,27 @@ func rebalance(b *Batch, pl *layout.Placement, cfg Config) {
 	}
 }
 
-// postpone defers the latest tasks of overheated DPUs to the next batch.
+// postpone defers the latest deferrable tasks of overheated DPUs to the next
+// launch; a DPU keeps one task, and every task Config.Cost exempts.
 func postpone(b *Batch, cfg Config) {
 	mean := meanHeat(b.Heat)
 	if mean == 0 {
 		return
 	}
 	limit := cfg.Th3 * mean
-	for d := range b.PerDPU {
-		for b.Heat[d] > limit && len(b.PerDPU[d]) > 1 {
-			tasks := b.PerDPU[d]
-			t := tasks[len(tasks)-1]
-			b.PerDPU[d] = tasks[:len(tasks)-1]
-			b.Heat[d] -= cfg.Cost(t.Slice)
+	for d, tasks := range b.PerDPU {
+		for i := len(tasks) - 1; i >= 0 && b.Heat[d] > limit && len(tasks) > 1; i-- {
+			t := tasks[i]
+			cost, ok := cfg.Cost(t)
+			if !ok {
+				continue
+			}
+			tasks = append(tasks[:i], tasks[i+1:]...)
+			b.Heat[d] -= cost
 			t.DPU = -1
 			b.Postponed = append(b.Postponed, t)
 		}
+		b.PerDPU[d] = tasks
 	}
 	// Deterministic order for the next batch.
 	sort.Slice(b.Postponed, func(i, j int) bool {

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"drimann/internal/layout"
@@ -177,19 +179,31 @@ func TestGreedyDeterministic(t *testing.T) {
 	}
 }
 
+// TestCustomCostFunction: heat is the sum of the caller's per-task prices,
+// and a launch may mix kinds — here odd queries cost double on every slice.
 func TestCustomCostFunction(t *testing.T) {
 	pl, _ := testPlacement(t, 2, false)
-	reqs := []Request{{Query: 0, Cluster: 0}, {Query: 1, Cluster: 0}}
-	called := false
-	b := Greedy(reqs, nil, pl, Config{Cost: func(slice int) float64 {
-		called = true
-		return float64(pl.Slices[slice].Count) * 2
-	}})
-	if !called {
-		t.Fatal("cost function not consulted")
+	reqs := []Request{{Query: 0, Cluster: 0}, {Query: 1, Cluster: 0}, {Query: 2, Cluster: 1}, {Query: 3, Cluster: 1}}
+	price := func(task Task) float64 {
+		return float64(pl.Slices[task.Slice].Count) * float64(1+task.Query%2)
 	}
+	b := Greedy(reqs, nil, pl, Config{Rebalance: true, Cost: func(task Task) (float64, bool) {
+		if task.Cluster != pl.Slices[task.Slice].Cluster {
+			t.Fatalf("task %+v priced with another cluster's slice", task)
+		}
+		return price(task), true
+	}})
 	if b.TaskCount() == 0 {
 		t.Fatal("no tasks scheduled")
+	}
+	for d, tasks := range b.PerDPU {
+		var want float64
+		for _, task := range tasks {
+			want += price(task)
+		}
+		if math.Abs(b.Heat[d]-want) > 1e-9*want {
+			t.Fatalf("DPU %d heat %v, its tasks' prices sum to %v", d, b.Heat[d], want)
+		}
 	}
 }
 
@@ -200,6 +214,51 @@ func TestProfileCounts(t *testing.T) {
 	for i := range want {
 		if freq[i] != want[i] {
 			t.Fatalf("Profile = %v, want %v", freq, want)
+		}
+	}
+}
+
+// TestPostponeKeepsUnboundedTasks: postponement sheds only the tasks the cost
+// hook calls deferrable (the engine: those whose query carries a bound). A DPU
+// over Th3 holding both kinds sheds deferrable ones, latest first, until it is
+// under the limit or has none left, and keeps every exempt one in order; a DPU
+// holding exempt tasks alone sheds nothing however hot it runs.
+func TestPostponeKeepsUnboundedTasks(t *testing.T) {
+	// Every task costs 10; odd queries are deferrable. Mean heat is 30, the
+	// limit 33: DPU 0 (60) must shed three tasks, DPU 1 (50) two but holds only
+	// one it may shed, DPU 2 (40) none that it may, DPUs 3 and 4 are idle.
+	task := func(q int32) Task { return Task{Query: q, Slice: int(q)} }
+	b := &Batch{
+		PerDPU: [][]Task{
+			{task(1), task(2), task(3), task(4), task(5), task(7)},
+			{task(6), task(8), task(9), task(10), task(12)},
+			{task(14), task(16), task(18), task(20)},
+			nil, nil,
+		},
+		Heat: []float64{60, 50, 40, 0, 0},
+	}
+	postpone(b, Config{Th3: 1.1, Cost: func(t Task) (float64, bool) { return 10, t.Query%2 == 1 }})
+
+	queries := func(tasks []Task) (qs []int32) {
+		for _, t := range tasks {
+			qs = append(qs, t.Query)
+		}
+		return qs
+	}
+	for d, want := range [][]int32{{1, 2, 4}, {6, 8, 10, 12}, {14, 16, 18, 20}, nil, nil} {
+		if got := queries(b.PerDPU[d]); !slices.Equal(got, want) {
+			t.Fatalf("DPU %d keeps queries %v, want %v", d, got, want)
+		}
+		if want := 10 * float64(len(want)); b.Heat[d] != want {
+			t.Fatalf("DPU %d heat %v, want %v", d, b.Heat[d], want)
+		}
+	}
+	if got, want := queries(b.Postponed), []int32{3, 5, 7, 9}; !slices.Equal(got, want) {
+		t.Fatalf("postponed queries %v, want %v", got, want)
+	}
+	for _, t2 := range b.Postponed {
+		if t2.DPU != -1 {
+			t.Fatalf("postponed task %+v still names a DPU", t2)
 		}
 	}
 }
