@@ -149,8 +149,8 @@ func main() {
 	}
 	fmt.Printf("\nserved %d queries with %d clients in %.2fs: %.0f QPS achieved (wall), %.0f QPS simulated on %d DPUs\n",
 		qs.N, nClients, wall.Seconds(), float64(qs.N)/wall.Seconds(), m2.QPS, *dpus)
-	fmt.Printf("latency p50 %.3fms  p95 %.3fms  p99 %.3fms; %d launches, mean batch %.1f, imbalance %.2f\n",
-		pct(0.50), pct(0.95), pct(0.99), st.Batches, st.MeanBatch, m2.AvgImbalance())
+	fmt.Printf("latency p50 %.3fms  p95 %.3fms  p99 %.3fms; %d launches, mean batch %.1f, imbalance %.2f, scheduler price/simulated cycles %.3f\n",
+		pct(0.50), pct(0.95), pct(0.99), st.Batches, st.MeanBatch, m2.AvgImbalance(), m2.PriceRatio())
 	fmt.Printf("phase breakdown: ")
 	sh := m2.PhaseShare()
 	for p := upmem.Phase(0); p < upmem.NumPhases; p++ {

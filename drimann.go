@@ -41,7 +41,13 @@
 // its partial distance exceeds the bound — exact, because LUT entries are
 // non-negative — and builds, per stage, only the LUT entries its surviving
 // points' codes reference (mark-then-build) rather than all M x CB of them.
-// Metrics reports the prune rate and the codes gathered beside the rest.
+// The greedy scheduler that fills those launches prices each task for what it
+// is: a scan without a bound at its slice's modelled cycles, one with a bound
+// at the share of them its list's CL distance over the query's bound lets
+// survive — a table NewEngine measures on the profile it is given (without
+// one: a flat share). Metrics reports the prune rate, the codes gathered and
+// the scheduler's summed price (PriceRatio: price over simulated cycles)
+// beside the rest.
 // Results and metrics (every counter, cycle and hit rate) are bit-identical
 // across the pipelined, serial, batched-tally and per-op paths; only
 // wall-clock speed differs. The repo benchmark's offline-ivf workload
@@ -197,7 +203,7 @@
 // instead: the whole fleet runs the engine's staged scan, launch for launch —
 // the front door cuts the waves and forwards one bound per query, merged over
 // every shard's partial results — and spreads each shard's share of a wave
-// over all R replicas by the engines' own scheduler heat.
+// over all R replicas at the engines' own scheduler price.
 //
 // # Live mutability
 //
@@ -416,7 +422,8 @@ func DefaultEngineOptions() EngineOptions { return core.DefaultOptions() }
 
 // NewEngine deploys an index onto the simulated PIM system. The profile
 // workload (may be empty) drives the offline cluster-heat profiling used by
-// the layout optimizer.
+// the layout optimizer, and its first scheduling batch is searched once to
+// measure the scheduler's task price.
 func NewEngine(ix *Index, profile Vectors, opts EngineOptions) (*Engine, error) {
 	return core.New(ix, profile, opts)
 }

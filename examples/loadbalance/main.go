@@ -61,7 +61,7 @@ func main() {
 	}
 
 	var baseline float64
-	fmt.Println("stage                              QPS      imbalance  speedup")
+	fmt.Println("stage                              QPS      imbalance  speedup  price/cycles")
 	for i, st := range stages {
 		opts := drimann.DefaultEngineOptions()
 		opts.NumDPUs = 96
@@ -112,8 +112,8 @@ func main() {
 		if i == 0 {
 			baseline = m.QPS
 		}
-		fmt.Printf("%-32s %8.0f   %8.2f   %6.2fx\n",
-			st.name, m.QPS, m.AvgImbalance(), m.QPS/baseline)
+		fmt.Printf("%-32s %8.0f   %8.2f   %6.2fx  %8.3f\n",
+			st.name, m.QPS, m.AvgImbalance(), m.QPS/baseline, m.PriceRatio())
 	}
 	fmt.Println("\n(paper Figure 13: the full pipeline reaches 4.84x-6.19x at 2543-DPU scale)")
 
@@ -157,8 +157,8 @@ func main() {
 		log.Fatal(err)
 	}
 	cst := csrv.Stats()
-	fmt.Printf("\nsharded fleet (3 shards x 32 DPUs): %d queries, fleet QPS %.0f, imbalance %.2f, mean shard batch %.1f\n",
-		cst.Completed, cst.Agg.Sim.QPS, cst.Agg.Sim.AvgImbalance(), cst.Agg.MeanBatch)
+	fmt.Printf("\nsharded fleet (3 shards x 32 DPUs): %d queries, fleet QPS %.0f, imbalance %.2f, price/cycles %.3f, mean shard batch %.1f\n",
+		cst.Completed, cst.Agg.Sim.QPS, cst.Agg.Sim.AvgImbalance(), cst.Agg.Sim.PriceRatio(), cst.Agg.MeanBatch)
 	// The front door located each query once and contacted only the shards
 	// owning its probed clusters (AssignKMeans keeps those on few shards).
 	fmt.Printf("routed scatter: mean fan-out %.2f / max %d of 3 shards\n",

@@ -5,6 +5,7 @@ package bench
 // Absolute values are simulator-scale, so all bands are deliberately loose.
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -51,8 +52,8 @@ func cell(t *testing.T, tab *Table, row, col int) float64 {
 
 func TestRegistry(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 17 {
-		t.Fatalf("expected 17 experiments, got %d", len(ids))
+	if len(ids) != 18 {
+		t.Fatalf("expected 18 experiments, got %d", len(ids))
 	}
 	if _, ok := ByID("f7"); !ok {
 		t.Fatal("ByID should be case-insensitive")
@@ -130,10 +131,11 @@ func testEndToEndShape(t *testing.T, id string) {
 		// at this scale). And again with the bound-forwarded staged scan,
 		// which the Faiss-CPU baseline has no counterpart of: 4.8-18.8, most
 		// at the small-nlist end where lists are long and bounds prune
-		// hardest.
+		// hardest. The cap moved once more, 22 to 24, when the scheduler's
+		// measured task price levelled the launches: nlist 32 reads 22.7.
 		speedup := cell(t, tab, i, 4)
-		if speedup < 1.0 || speedup > 22.0 {
-			t.Errorf("%s row %d: DRIM/CPU speedup %v outside [1, 22] (paper, dense LC: 1.6-2.5)", id, i, speedup)
+		if speedup < 1.0 || speedup > 24.0 {
+			t.Errorf("%s row %d: DRIM/CPU speedup %v outside [1, 24] (paper, dense LC: 1.6-2.5)", id, i, speedup)
 		}
 		recall := cell(t, tab, i, 5)
 		if recall < 0.5 {
@@ -219,6 +221,58 @@ func TestRegimeMapShape(t *testing.T) {
 	if short, long := cell(t, tab, 0, saved), cell(t, tab, len(tab.Rows)-1, saved); short >= long {
 		t.Errorf("RM: bounds should save most where lists are short: %v at the short end, %v at the long", short, long)
 	}
+	// Every corpus of the sweep measures its own share table, and the
+	// scheduler's summed price lands on the simulated cycles at all of them.
+	for i := range tab.Rows {
+		if r := cell(t, tab, i, 10); r < 0.95 || r > 1.05 {
+			t.Errorf("RM row %d: the scheduler priced the bounded run at %v of its cycles, want within 5%%", i, r)
+		}
+	}
+}
+
+// TestPriceAccuracyShape pins what the measured price is for: on the single
+// engine the priced cycles follow the simulated ones down the probe list —
+// every octile of CL rank within a tenth, where one flat share for every
+// bounded task (the column beside it) is out by a factor of four at the far
+// end — and bin by bin of ρ within 15% wherever a hundredth of the bounded
+// scans fall, the summed price within 5% of the simulated cycles. (The small
+// scale's shards are too small for their own tables to be good: a 400-point
+// shard sees a handful of bounded scans in its sample, so the fleet rows are
+// only required to be there. The default scale's fleet reads within 16% bin by
+// bin.)
+func TestPriceAccuracyShape(t *testing.T) {
+	tab := tables(t)["PA"]
+	ranks, fleetRows := 0, 0
+	flatLo, flatHi := 1.0, 1.0
+	for i, row := range tab.Rows {
+		if row[0] != "engine" {
+			fleetRows++
+		}
+		if row[0] != "engine" || row[1] != "rank" {
+			continue
+		}
+		ranks++
+		if r := cell(t, tab, i, 6); r < 0.9 || r > 1.1 {
+			t.Errorf("PA engine %s: actual/priced %v, want within a tenth", row[2], r)
+		}
+		flatLo, flatHi = min(flatLo, cell(t, tab, i, 7)), max(flatHi, cell(t, tab, i, 7))
+	}
+	if ranks != 8 || fleetRows < 9 || len(tab.Notes) != 3 {
+		t.Fatalf("PA: %d rank octiles for the engine, %d fleet rows, %d notes", ranks, fleetRows, len(tab.Notes))
+	}
+	if flatLo > 0.5 {
+		t.Errorf("PA engine: a flat share prices every octile within [%v, %v] of its cycles: the fixture does not show what the table is for", flatLo, flatHi)
+	}
+	var name string
+	var imb, qps, price, worst float64
+	if _, err := fmt.Sscanf(strings.NewReplacer(";", "", ":", "", ",", "").Replace(tab.Notes[0]),
+		"%s imbalance %f sim QPS %f price/simulated cycles %f actual/priced furthest from 1 in a rho bin holding a hundredth of the bounded scans %f",
+		&name, &imb, &qps, &price, &worst); err != nil {
+		t.Fatalf("PA note %q: %v", tab.Notes[0], err)
+	}
+	if name != "engine" || worst < 0.85 || worst > 1.15 || price < 0.95 || price > 1.05 {
+		t.Errorf("PA %s: worst rho bin actual/priced %v, price/simulated cycles %v", name, worst, price)
+	}
 }
 
 // TestFleetScalingShape pins the fleet curve: with the front door cutting the
@@ -247,10 +301,11 @@ func TestFigure10Shape(t *testing.T) {
 	for i := range tab.Rows {
 		// Re-baselined with the reference-driven LC kernel and again with
 		// the staged scan (see F7): the same power over a shorter run
-		// (1.3-2.2, then 2.5-3.4, now 3.2-11.9).
+		// (1.3-2.2, then 2.5-3.4, then 3.2-12.7; 3.3-14.3 under the measured
+		// task price, which moved the cap from 14 to 15).
 		gain := cell(t, tab, i, 4)
-		if gain < 0.8 || gain > 14 {
-			t.Errorf("F10 row %d: energy gain %v outside [0.8, 14] (paper, dense LC: 1.10-1.58)", i, gain)
+		if gain < 0.8 || gain > 15 {
+			t.Errorf("F10 row %d: energy gain %v outside [0.8, 15] (paper, dense LC: 1.10-1.58)", i, gain)
 		}
 	}
 }
@@ -281,10 +336,17 @@ func TestFigure11bShape(t *testing.T) {
 		// again with the staged scan: the model sizes each stage's LUT for
 		// the mean survival over all scans, and occupancy is concave, so
 		// scans that prune unevenly build less than it predicts (up to ~65%
-		// at the small-nlist end, where bounds prune hardest).
+		// at the small-nlist end, where bounds prune hardest). The measured
+		// task price levels that row's launches (the engine gains 12%, the
+		// model, whose launches are level by assumption, nothing): 1.83, and
+		// the cap moved from 1.8 to 1.9. Feeding the model the LUT size the run
+		// built instead of uniform codes' was tried and reads 0.50-0.72 here,
+		// but 0.20-0.69 at the default scale, where the uniform guess reads
+		// 0.62-1.12 beside the paper's 0.72-1.0: its pessimism stands in for
+		// the mark and prune passes the equations leave out.
 		ratio := cell(t, tab, i, 4)
-		if ratio <= 0.2 || ratio > 1.8 {
-			t.Errorf("F11b row %d: actual/model %v outside (0.2, 1.8] (paper: 0.72-1.0)", i, ratio)
+		if ratio <= 0.2 || ratio > 1.9 {
+			t.Errorf("F11b row %d: actual/model %v outside (0.2, 1.9] (paper: 0.72-1.0)", i, ratio)
 		}
 	}
 }

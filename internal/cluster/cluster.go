@@ -70,9 +70,9 @@
 // bound per query at the barrier after every round, and every shard scans its
 // later probes under the k-th distance found anywhere (SearchBatch has the
 // rounds and why the answers cannot change). Within a round a shard's
-// requests are spread over all R of its replicas by modelled load, so standby
-// replicas scan offline batches too. The online Server sends single queries
-// to shard engines directly; each then cuts its own waves.
+// requests are spread over all R of its replicas at the scheduler's task
+// price, so standby replicas scan offline batches too. The online Server sends
+// single queries to shard engines directly; each then cuts its own waves.
 //
 // # Metrics
 //
@@ -681,22 +681,23 @@ func New(ix *ivf.Index, profile dataset.U8Set, opt Options) (*Cluster, error) {
 	return cl, nil
 }
 
-// probesByShard splits one query's probe list by the owner map: each shard's
-// list keeps the ascending-distance order, so a shard engine cuts its waves
-// and schedules as it would after running CL itself. It also returns the
-// query's scatter fan-out; a shard with an empty list is not contacted.
-func (cl *Cluster) probesByShard(probes []int32) (perShard [][]int32, fanout int) {
-	perShard = make([][]int32, len(cl.shards))
+// probesByShard splits one query's probe list, and the CL distances beside
+// it, by the owner map: each shard's list keeps the ascending-distance order,
+// so a shard engine cuts its waves, prices and schedules as it would after
+// running CL itself. It also returns the query's scatter fan-out; a shard with
+// an empty list is not contacted.
+func (cl *Cluster) probesByShard(probes []int32, dists []uint32) (perShard [][]int32, shardDists [][]uint32, fanout int) {
+	perShard, shardDists = make([][]int32, len(cl.shards)), make([][]uint32, len(cl.shards))
 	owners := cl.ownersView()
-	for _, c := range probes {
+	for i, c := range probes {
 		for _, s := range owners[c] {
 			if perShard[s] == nil {
 				fanout++
 			}
-			perShard[s] = append(perShard[s], c)
+			perShard[s], shardDists[s] = append(perShard[s], c), append(shardDists[s], dists[i])
 		}
 	}
-	return perShard, fanout
+	return perShard, shardDists, fanout
 }
 
 // Shards exposes the fleet (for inspection, serving and tests).
@@ -729,8 +730,11 @@ func (cl *Cluster) Dim() int { return cl.ix.Dim }
 // heap and one bound per query. So no shard repeats a query's unbounded first
 // wave, every shard prunes against the k-th distance found anywhere, and a
 // call of B batches takes B + 1 rounds, plus drain rounds while tasks stay
-// postponed; every round spreads a shard's requests over all its replicas
-// (a batch too small to split runs on replica 0, whatever shares its round).
+// postponed; every round spreads a shard's requests over all its replicas (a
+// batch too small to split runs on replica 0, whatever shares its round) at
+// the scheduler's own task price: the probes carry their CL distances, so a
+// request costs what its list's distance from the query's bound lets survive
+// (core.Engine.ProbeCycles).
 //
 // Answers are bit-identical to a single engine's SearchBatch over the
 // unsharded corpus. A forwarded bound is the k-th best distance among points
@@ -764,7 +768,7 @@ func (cl *Cluster) SearchBatch(queries dataset.U8Set) (*core.Result, error) {
 	for lo := 0; lo < queries.N; lo += batch {
 		hi := min(lo+batch, queries.N)
 		for qi := lo; qi < hi; qi++ {
-			fanouts[qi], leads[qi] = st.Cut(qi, ps.Of(qi), ownersOf)
+			fanouts[qi], leads[qi] = st.Cut(qi, ps.Of(qi), ps.DistsOf(qi), ownersOf)
 		}
 		if !st.Step(0) {
 			copy(leads[lo:hi], fanouts[lo:hi]) // one wave, all of it unbounded

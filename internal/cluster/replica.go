@@ -25,8 +25,9 @@ type Replica interface {
 	// SearchProbedOwned is the selective-scatter entry point: the front door
 	// already resolved this query's probe list (shard-local cluster IDs,
 	// ascending distance order), so the replica's engine skips its CL stage.
-	// probes is frozen under the same contract as q.
-	SearchProbedOwned(ctx context.Context, q []uint8, k int, probes []int32) (serve.Response, error)
+	// dists holds the probes' CL distances; both are frozen under the same
+	// contract as q.
+	SearchProbedOwned(ctx context.Context, q []uint8, k int, probes []int32, dists []uint32) (serve.Response, error)
 	Load() int
 	Stats() serve.Stats
 	Close() error

@@ -25,9 +25,9 @@ type countingReplica struct {
 	plain  *atomic.Int64
 }
 
-func (c countingReplica) SearchProbedOwned(ctx context.Context, q []uint8, k int, probes []int32) (serve.Response, error) {
+func (c countingReplica) SearchProbedOwned(ctx context.Context, q []uint8, k int, probes []int32, dists []uint32) (serve.Response, error) {
 	c.probed.Add(1)
-	return c.Replica.SearchProbedOwned(ctx, q, k, probes)
+	return c.Replica.SearchProbedOwned(ctx, q, k, probes, dists)
 }
 
 func (c countingReplica) SearchOwned(ctx context.Context, q []uint8, k int) (serve.Response, error) {

@@ -351,11 +351,11 @@ type attemptResult struct {
 // searchShard answers one query on one shard: route to a replica, hedge if
 // it stalls, fail over if it errors, and return the first reply. Every
 // attempt goes through the replica's SearchProbedOwned with the shard's
-// share of the probe list (the front door already ran CL). Loser attempts
-// are canceled through the attempt context when the function returns. An
-// error return means the caller's context died, the fleet closed, or every
-// usable replica failed.
-func (s *Server) searchShard(qctx context.Context, g []*replicaHandle, q []uint8, k int, probes []int32) (serve.Response, bool, error) {
+// share of the probe list and its CL distances (the front door already ran
+// CL). Loser attempts are canceled through the attempt context when the
+// function returns. An error return means the caller's context died, the
+// fleet closed, or every usable replica failed.
+func (s *Server) searchShard(qctx context.Context, g []*replicaHandle, q []uint8, k int, probes []int32, dists []uint32) (serve.Response, bool, error) {
 	actx, acancel := context.WithCancel(qctx)
 	defer acancel()
 
@@ -367,7 +367,7 @@ func (s *Server) searchShard(qctx context.Context, g []*replicaHandle, q []uint8
 		inflight++
 		go func() {
 			t0 := time.Now()
-			resp, err := g[idx].rep.SearchProbedOwned(actx, q, k, probes)
+			resp, err := g[idx].rep.SearchProbedOwned(actx, q, k, probes, dists)
 			results <- attemptResult{idx: idx, resp: resp, err: err, dur: time.Since(t0), hedge: hedge}
 		}()
 	}
@@ -465,7 +465,7 @@ func (s *Server) Search(ctx context.Context, q []uint8, k int) (Response, error)
 	// contact only those shards — each replica then skips its CL stage via
 	// SearchProbedOwned.
 	ps := s.cl.loc.Probes(dataset.U8Set{N: 1, D: s.cl.Dim(), Data: owned})
-	perShard, contacted := s.cl.probesByShard(ps.Clusters)
+	perShard, shardDists, contacted := s.cl.probesByShard(ps.Clusters, ps.Dists)
 	// Every contacted shard engine cuts its own waves, so each runs the
 	// query's first wave unbounded.
 	s.cl.recordRoute([]int{contacted}, []int{contacted}, time.Since(t0).Seconds(), s.cl.loc.CLSeconds(1))
@@ -494,7 +494,7 @@ func (s *Server) Search(ctx context.Context, q []uint8, k int) (Response, error)
 			continue // no probed cluster lives on this shard
 		}
 		go func(si int, g []*replicaHandle) {
-			resp, hedged, err := s.searchShard(qctx, g, owned, k, perShard[si])
+			resp, hedged, err := s.searchShard(qctx, g, owned, k, perShard[si], shardDists[si])
 			results <- shardResult{shard: si, resp: resp, hedged: hedged, err: err}
 		}(si, g)
 	}

@@ -125,10 +125,25 @@
 // the caller's business — searchBatch for its own batches; a sharded front
 // door for a fleet, naming each cluster's owner shards. Steps cuts them,
 // counting a list's live points on every owner, and merges every lane's
-// partials into the one bound it forwards to all of them. A launch holds tasks with and without a bound, so the scheduler
-// gets a price per task (lcdemand.go: the slice's modelled cycles under the
-// kind of bound its query has) and may postpone only tasks that have one: a
-// first-wave task is its query's bound.
+// partials into the one bound it forwards to all of them.
+//
+// A launch holds tasks with and without a bound, so the scheduler gets a price
+// per task (lcdemand.go). Without a bound a task costs its slice's modelled
+// no-prune cycles; with one, the share of them that survives, which falls with
+// ρ = d(q, c) ÷ B(q), the probe's CL distance over the query's bound: the
+// further a list lies beyond what the query already holds, the sooner its
+// points cross the bound. Both are squared distances in the corpus's units and
+// the host owns both before the launch — CL produced d (ProbeSet.Dists,
+// sched.Request.Dist), the last barrier B — so the price is a look-up in a
+// table over bins of ρ, which New measures: one scheduling batch of its
+// profile on a throwaway replica, a recorder on the group scan, per bin
+// simulated cycles over no-prune price. Replicas share the table, Compact
+// measures it again, Insert and Delete re-price slices only, and a recovered
+// engine — New over the same lists and profile — measures the same one;
+// without a profile every bin is perfmodel's flat prior. Steps.spread levels a
+// shard's replicas with the same price. Only tasks with a bound may be
+// postponed (a first-wave task is its query's bound), and a price decides
+// which copy of a slice scans and in which launch, never what is found.
 //
 // # SQT16 geometry invariant
 //
@@ -341,9 +356,10 @@ type Engine struct {
 	// when the decomposed builder is available and the per-op reference
 	// accountant (which materializes LUTs) is off.
 	algebraic bool
-	// lc is the static per-slice LC demand and scheduler heat (lcdemand.go),
-	// shared with replica engines through the pointer.
-	lc *lcDemand
+	// lc is the static per-slice LC demand and the scheduler's price
+	// (lcdemand.go), shared with replica engines through the pointer.
+	lc  *lcDemand
+	rec *[]ScanSample // RecordScans
 
 	// freq and lcfg are the heat profile and layout configuration New
 	// resolved, retained so Compact can re-run the layout optimizer over the
@@ -444,6 +460,7 @@ type dpuScratch struct {
 	// where cached counts do not suffice); lut the reference's sparse LUT.
 	marks []uint64
 	lut   []uint32
+	rec   []ScanSample // this DPU's scans, kept under Engine.RecordScans
 
 	// Launch cursor: position in the sorted task list plus the current
 	// query and its heap, preserved across group blocks.
@@ -581,9 +598,9 @@ func New(ix *ivf.Index, profile dataset.U8Set, opts Options) (*Engine, error) {
 	e.lut = ix.NewLUTBuilder(opts.Workers)
 	e.lutScratch = newLUTScratches(e.lut, opts.Workers)
 	e.algebraic = e.lut != nil && !opts.PerOpAccounting
-	e.lc = &lcDemand{}
-	e.rebuildDemand()
+	e.lc = &lcDemand{cal: profile}
 	e.scratch = make([]dpuScratch, opts.NumDPUs)
+	e.rebuildDemand()
 	return e, nil
 }
 
@@ -775,7 +792,7 @@ func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeC
 			ps, first = next(lo), lo
 		}
 		for qi := lo; qi < hi; qi++ {
-			st.Cut(qi, ps.Of(qi-first), func(int32) []int32 { return shard0 })
+			st.Cut(qi, ps.Of(qi-first), ps.DistsOf(qi-first), func(int32) []int32 { return shard0 })
 		}
 		clSec := 0.0
 		if chargeCL {
@@ -906,6 +923,10 @@ func (e *Engine) runLaunch(batch *sched.Batch, queries dataset.U8Set, best []*to
 		m.PointsScanned += sc.stats.points
 		m.PointsPruned += sc.stats.pruned
 		m.CodesGathered += sc.stats.codes
+		m.PricedCycles += batch.Heat[d]
+		if e.rec != nil {
+			*e.rec, sc.rec = append(*e.rec, sc.rec...), sc.rec[:0]
+		}
 	}
 	e.sys.TransferFromDPUs(fromDev)
 

@@ -3,11 +3,11 @@
 // form — all the mark-then-build LC kernel's cost depends on while every
 // point of the slice is alive, which is true of a staged scan's first stage
 // always and of every stage when no bound prunes (see the package doc); later
-// stages count the bitmap they mark. Beside it, the scheduler's heat estimate
-// of one task per slice, for queries without and with a forwarded bound.
-// Both are computed once at deployment, shared across replicas through one
-// pointer, refreshed by Insert/Delete for the touched cluster's starting
-// slice (which carries the append segment) and rebuilt by Compact.
+// stages count the bitmap they mark. Beside it, the scheduler's price of a
+// task: the slice's modelled no-prune cycles and, for tasks under a bound, the
+// share table. All of it is computed once at deployment, shared across
+// replicas through one pointer and rebuilt by Compact; Insert/Delete refresh
+// the touched cluster's starting slice (which carries the append segment).
 
 package core
 
@@ -15,8 +15,11 @@ import (
 	"math"
 	"math/bits"
 
+	"drimann/internal/dataset"
 	"drimann/internal/layout"
 	"drimann/internal/perfmodel"
+	"drimann/internal/sched"
+	"drimann/internal/upmem"
 )
 
 // sliceRef is the LC demand of one slice in one subspace (or a sum of them).
@@ -29,9 +32,25 @@ type sliceRef struct {
 // updates go through the pointer so every engine of a deployment sees them.
 type lcDemand struct {
 	bySlice []sliceRef // slice si, subspace m at si*M+m
-	// heat[w][si] is the scheduler's estimate of one task over slice si: w = 0
-	// for a query that carries no bound, 1 for one that does (heatOf).
-	heat [2][]float64
+	// heat[si] is the scheduler's estimate of one task over slice si when
+	// nothing prunes; share[b] the part of it a task costs whose query carries
+	// a bound B and whose cluster lies at CL distance d, b = ShareBin(d, B).
+	heat  []float64
+	share [ShareBins]float64
+	cal   dataset.U8Set // the deployment's profile, which share is measured on (calibrate)
+}
+
+// The share table bins ρ = dist ÷ bound in steps of 1/ShareBinsPerUnit; the
+// last bin takes everything beyond.
+const (
+	ShareBins        = 24
+	ShareBinsPerUnit = 8
+)
+
+// ShareBin is the table's bin for a probe at CL distance dist of a query whose
+// bound is bound.
+func ShareBin(dist, bound uint32) int {
+	return int(min(uint64(dist)*ShareBinsPerUnit/max(uint64(bound), 1), ShareBins-1))
 }
 
 // A mark bitmap holds one CB-bit row per subspace, padded to whole words:
@@ -115,12 +134,11 @@ func markedRuns(bm []uint64, subs []uint16, cb int, f func(m, lo, hi int)) {
 func (e *Engine) recountSlice(bm []uint64, si int) {
 	s, m := &e.pl.Slices[si], e.ix.M
 	e.sliceDemand(bm, s, e.lc.bySlice[si*m:(si+1)*m])
-	n := e.scannedPoints(s)
 	var need float64
 	for _, r := range e.lc.bySlice[si*m : (si+1)*m] {
 		need += float64(r.need)
 	}
-	e.lc.heat[0][si], e.lc.heat[1][si] = e.modelTaskCycles(n, need, false), e.modelTaskCycles(n, need, true)
+	e.lc.heat[si] = e.modelTaskCycles(e.scannedPoints(s), need)
 }
 
 // recountCluster refreshes the cached demand and heat of cluster c's
@@ -134,13 +152,11 @@ func (e *Engine) recountCluster(c int32) {
 	}
 }
 
-// rebuildDemand counts and prices every slice of the current placement.
+// rebuildDemand counts and prices every slice of the current placement, then
+// measures the share table on it.
 func (e *Engine) rebuildDemand() {
 	n := len(e.pl.Slices)
-	*e.lc = lcDemand{
-		bySlice: make([]sliceRef, n*e.ix.M),
-		heat:    [2][]float64{make([]float64, n), make([]float64, n)},
-	}
+	*e.lc = lcDemand{bySlice: make([]sliceRef, n*e.ix.M), heat: make([]float64, n), cal: e.lc.cal}
 	bms := make([][]uint64, e.opts.Workers)
 	parallelFor(n, e.opts.Workers, func(w, si int) {
 		if bms[w] == nil {
@@ -148,58 +164,100 @@ func (e *Engine) rebuildDemand() {
 		}
 		e.recountSlice(bms[w], si)
 	})
+	e.calibrate()
 }
 
 // modelTaskCycles predicts the cycles of one task scanning n points whose
-// codes read need distinct LUT entries — the scheduler's heat estimate
-// (Equations 6-11 restricted to the dominant terms), stage by stage: the LC
-// build over the stage's share of the entries, plus per surviving point the
-// LC mark pass, the DC gathers and the prune, and for the survivors of the
-// last stage the TS bound test. Without bounds every point survives every
-// stage; with them the survivors follow perfmodel.BoundedSurvival — the
-// scheduler only compares tasks, so what matters is that later stages are
-// priced far below the first, not the exact decay — and read the entries
-// that many uniform codes would. Co-located slices of one cluster share a
-// build, which the estimate ignores.
-func (e *Engine) modelTaskCycles(n int, need float64, bounded bool) float64 {
+// codes read need distinct LUT entries when no bound prunes — the scheduler's
+// heat estimate (Equations 6-11 restricted to the dominant terms), stage by
+// stage: the LC build over the stage's share of the entries, plus per point
+// the LC mark pass, the DC gathers and the prune, and after the last stage
+// the TS bound test. Co-located slices of one cluster share a build, which
+// the estimate ignores.
+func (e *Engine) modelTaskCycles(n int, need float64) float64 {
 	ix := e.ix
 	perEntry := 3 + float64(ix.Dim/ix.M)*float64(3+e.squareCycles())
 	perStage := float64(max(stageWidth, e.opts.Tasklets) * e.markWords32() * 3)
-	occ := perfmodel.LUTOccupancy(ix.CB, n)
-	alive, entries := float64(n), need
 	var cycles float64
 	for lo := 0; lo < ix.M && n > 0; lo += stageWidth {
 		w := float64(min(stageWidth, ix.M-lo))
-		if bounded {
-			alive = float64(n) * perfmodel.BoundedSurvival(float64(lo)/float64(ix.M))
-			entries = need * perfmodel.LUTOccupancy(ix.CB, int(math.Ceil(alive))) / occ
+		cycles += perStage + need*w/float64(ix.M)*perEntry + float64(n)*(w*(markCyclesPerCode+3)+pruneCyclesPerPoint)
+	}
+	return cycles + float64(n)*(1+float64(e.opts.LockCycles)/8)
+}
+
+// ScanSample is one (query, cluster) group scan on one DPU as the recorder
+// saw it: the probe's CL distance, the bound the query carried (MaxUint32:
+// none), the instruction cycles charged, and the no-prune price of its tasks.
+type ScanSample struct {
+	Query         int32
+	Dist, Bound   uint32
+	Cycles, Price float64
+}
+
+// RecordScans makes the engine append to *into (nil: stop) a sample of every
+// group it scans, folded from per-DPU scratch at each launch's barrier. Set it
+// between searches; engines that run side by side need a slice each.
+func (e *Engine) RecordScans(into *[]ScanSample) { e.rec = into }
+
+// recordScan is scanGroup under the recorder.
+func (e *Engine) recordScan(dpu *upmem.DPU, sc *dpuScratch, group []sched.Task, bi int, bound uint32) {
+	c0 := dpu.ComputeCycles() + sc.tally.ComputeCycles()
+	e.scanGroup(dpu, sc, group, bi, bound)
+	s := ScanSample{Query: group[0].Query, Dist: group[0].Dist, Bound: bound, Cycles: float64(dpu.ComputeCycles() + sc.tally.ComputeCycles() - c0)}
+	for _, t := range group {
+		s.Price += e.lc.heat[t.Slice]
+	}
+	sc.rec = append(sc.rec, s)
+}
+
+// calibrate measures the share table (see the package doc): a throwaway
+// replica answers the first scheduling batch of the deployment's profile under
+// the recorder, and perfmodel.FitShares turns the bounded scans' simulated
+// cycles and no-prune prices, summed per bin, into the table. Without a
+// profile or a bounded scan in it every bin keeps perfmodel's flat share — as
+// it does should the replica fail: a price is not worth refusing a deployment
+// or a compaction for.
+func (e *Engine) calibrate() {
+	var cycles, price [ShareBins]float64
+	fit := func() {
+		copy(e.lc.share[:], perfmodel.FitShares(cycles[:], price[:], perfmodel.BoundedShare(e.ix.M)))
+	}
+	fit() // nothing measured yet: the flat share, which schedules the measuring run
+	var scans []ScanSample
+	sample := e.lc.cal
+	if sample.N = min(sample.N, e.opts.BatchSize); sample.N > 0 {
+		if rep, err := NewReplica(e); err == nil {
+			rep.rec = &scans
+			if _, err := rep.SearchBatch(sample); err != nil {
+				return
+			}
 		}
-		cycles += perStage + entries*w/float64(ix.M)*perEntry + alive*(w*(markCyclesPerCode+3)+pruneCyclesPerPoint)
 	}
-	if bounded {
-		alive = float64(n) * perfmodel.BoundedSurvival(1)
+	for _, s := range scans {
+		if s.Bound != math.MaxUint32 {
+			b := ShareBin(s.Dist, s.Bound)
+			cycles[b], price[b] = cycles[b]+s.Cycles, price[b]+s.Price
+		}
 	}
-	return cycles + alive*(1+float64(e.opts.LockCycles)/8)
+	fit()
 }
 
-// heatOf is the scheduler's price table for tasks whose query carries a bound
-// (bounded) or does not.
-func (lc *lcDemand) heatOf(bounded bool) []float64 {
-	if bounded {
-		return lc.heat[1]
+// Share is the part of its no-prune price a task costs whose probe lies at CL
+// distance dist of a query whose bound is bound (MaxUint32, none yet: all).
+func (e *Engine) Share(dist, bound uint32) float64 {
+	if bound == math.MaxUint32 {
+		return 1
 	}
-	return lc.heat[0]
+	return e.lc.share[ShareBin(dist, bound)]
 }
 
-// ProbeCycles is the scheduler's heat estimate of one probe of cluster c on
-// this engine — one task per placement slice of the cluster — for a query
-// that carries a bound or one that does not. A sharded front door sums it
-// over a step's requests to level a shard's replicas.
-func (e *Engine) ProbeCycles(c int32, bounded bool) float64 {
-	heat := e.lc.heatOf(bounded)
-	var w float64
+// ProbeCycles is the scheduler's price of one probe of cluster c on this
+// engine: what its tasks over the cluster's placement slices cost together.
+// Steps sums it over a step's requests to level a shard's replicas.
+func (e *Engine) ProbeCycles(c int32, dist, bound uint32) (w float64) {
 	for _, si := range e.pl.ByCluster[c] {
-		w += heat[si]
+		w += e.lc.heat[si] * e.Share(dist, bound)
 	}
 	return w
 }

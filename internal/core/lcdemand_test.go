@@ -20,9 +20,9 @@ import (
 func requireFreshDemand(t *testing.T, e *Engine, label string) {
 	t.Helper()
 	m := e.ix.M
-	if len(e.lc.bySlice) != len(e.pl.Slices)*m || len(e.lc.heat[0]) != len(e.pl.Slices) || len(e.lc.heat[1]) != len(e.pl.Slices) {
-		t.Fatalf("%s: %d cached counts, %d and %d heats for %d slices of %d subspaces",
-			label, len(e.lc.bySlice), len(e.lc.heat[0]), len(e.lc.heat[1]), len(e.pl.Slices), m)
+	if len(e.lc.bySlice) != len(e.pl.Slices)*m || len(e.lc.heat) != len(e.pl.Slices) {
+		t.Fatalf("%s: %d cached counts, %d heats for %d slices of %d subspaces",
+			label, len(e.lc.bySlice), len(e.lc.heat), len(e.pl.Slices), m)
 	}
 	bm := e.newMarks()
 	want := make([]sliceRef, m)
@@ -36,9 +36,9 @@ func requireFreshDemand(t *testing.T, e *Engine, label string) {
 		for _, r := range want {
 			need += float64(r.need)
 		}
-		if e.lc.heat[0][si] != e.modelTaskCycles(n, need, false) || e.lc.heat[1][si] != e.modelTaskCycles(n, need, true) {
-			t.Fatalf("%s: slice %d heat (%v, %v) is not the model's at its %d scanned points and %v entries",
-				label, si, e.lc.heat[0][si], e.lc.heat[1][si], n, need)
+		if e.lc.heat[si] != e.modelTaskCycles(n, need) {
+			t.Fatalf("%s: slice %d heat %v is not the model's at its %d scanned points and %v entries",
+				label, si, e.lc.heat[si], n, need)
 		}
 	}
 }
@@ -396,9 +396,9 @@ func TestHeatProfileUsesEngineLocator(t *testing.T) {
 
 // TestTaskCostCarriesLCTerm: the scheduler's heat estimate is the model per
 // slice (requireFreshDemand), grows with the points scanned and the entries
-// they read, prices a task below its unbounded cost once bounds prune it, and
-// is dominated by the LC build for the small slices of a high-nlist index
-// (the cost the old DC+TS-only estimate ignored).
+// they read, prices a task at the share table's part of it once its query
+// carries a bound, and is dominated by the LC build for the small slices of a
+// high-nlist index (the cost the old DC+TS-only estimate ignored).
 func TestTaskCostCarriesLCTerm(t *testing.T) {
 	f := getFixture(t)
 	e, err := New(f.ix, dataset.U8Set{}, testOptions())
@@ -409,92 +409,111 @@ func TestTaskCostCarriesLCTerm(t *testing.T) {
 	m := float64(f.ix.M)
 	need := func(n int) float64 { return m * perfmodel.LUTOccupancy(f.ix.CB, n) } // uniform codes
 	for n := 2; n < 500; n++ {
-		free, bounded := e.modelTaskCycles(n, need(n), false), e.modelTaskCycles(n, need(n), true)
-		if free <= e.modelTaskCycles(n-1, need(n-1), false) || bounded <= e.modelTaskCycles(n-1, need(n-1), true) || bounded >= free {
-			t.Fatalf("%d points: unbounded %v, bounded %v: not increasing, or bounds do not lower the price", n, free, bounded)
+		if free := e.modelTaskCycles(n, need(n)); free <= e.modelTaskCycles(n-1, need(n-1)) {
+			t.Fatalf("%d points: price %v does not grow with the slice", n, free)
 		}
 	}
 	dcts := 10 * (2*m + (m - 1) + 1 + float64(e.opts.LockCycles)/8)
-	if lc := e.modelTaskCycles(10, need(10), false) - dcts; lc < 5*dcts {
+	if lc := e.modelTaskCycles(10, need(10)) - dcts; lc < 5*dcts {
 		t.Fatalf("LC term %v does not dominate DC+TS %v on a 10-point slice", lc, dcts)
 	}
 	// What the scheduler is handed, task by task: the slice's model price for
-	// a query with or without a bound, and only the former may be postponed.
-	cost := e.newLane(2, []uint32{math.MaxUint32, 12345}).scfg.Cost
+	// a query without a bound, the table's share of it at the probe's ρ for
+	// one with, and only the latter may be postponed.
+	const bound = 12345
+	cost := e.newLane(2, []uint32{math.MaxUint32, bound}).scfg.Cost
 	for si := range e.pl.Slices {
-		for q, bounded := range []bool{false, true} {
-			c, deferrable := cost(sched.Task{Query: int32(q), Slice: si})
-			if c != e.lc.heat[q][si] || c <= 0 || deferrable != bounded {
-				t.Fatalf("slice %d, bounded=%v: priced %v (deferrable=%v), model %v", si, bounded, c, deferrable, e.lc.heat[q][si])
+		for _, dist := range []uint32{0, bound / 2, bound, 2 * bound, 100 * bound} {
+			c, deferrable := cost(sched.Task{Query: 0, Slice: si, Dist: dist})
+			if c != e.lc.heat[si] || c <= 0 || deferrable {
+				t.Fatalf("slice %d, no bound: priced %v (deferrable=%v), model %v", si, c, deferrable, e.lc.heat[si])
+			}
+			c, deferrable = cost(sched.Task{Query: 1, Slice: si, Dist: dist})
+			if want := e.lc.heat[si] * e.Share(dist, bound); c != want || c <= 0 || c >= e.lc.heat[si] || !deferrable {
+				t.Fatalf("slice %d, ρ = %d/%d: priced %v (deferrable=%v), want %v", si, dist, bound, c, deferrable, want)
 			}
 		}
 	}
 }
 
-// TestProbeCyclesTracksSimulator: the load estimate a sharded front door
-// levels replicas with — ProbeCycles summed over a batch's probe lists —
-// follows the simulator's LC+DC+TS instruction cycles for that batch. With
-// every probe priced as bounded: within 25% on the whole query set and on each
-// half of it, and by the same factor on all three (a front door compares
-// loads, so only the spread matters). With each probe priced for what it is —
-// a query's leading probes without a bound, the rest with one, as a step's
-// mixed launch is — the factor is as steady but larger, within [1.1, 1.45]
-// (1.36 here): the unbounded price knows no pruning at all, and a DPU's own
-// heap prunes a first-wave task once it holds K points.
-// And it follows the corpus as it grows: with every list half again as long
-// through live append segments, the estimate rises by what the simulator
-// does, within 10%.
+// TestProbeCyclesTracksSimulator: the load estimate that levels DPUs and
+// replicas — ProbeCycles summed over a batch's probe lists, each probe priced
+// for what it is: a query's leading probes without a bound, the rest at their
+// distance from the bound the leading ones produce — follows the simulator's
+// LC+DC+TS instruction cycles for that batch within 8% on queries the share
+// table never saw: each half of the query set is measured on an engine
+// deployed with the other half as its profile, and the two together stand for
+// the whole set. It is what the scheduler summed (PricedCycles). And it
+// follows the corpus as it grows: with every list half again as long through
+// live append segments, the estimate rises by what the simulator does, within
+// 10%.
 func TestProbeCyclesTracksSimulator(t *testing.T) {
 	fix := getFixture(t)
 	f := &fixture{s: fix.s, ix: cloneLists(fix.ix)} // the test inserts
-	e, err := New(f.ix, f.s.Queries, testOptions())
-	if err != nil {
-		t.Fatal(err)
+	d, half := f.s.Queries.D, f.s.Queries.N/2
+	halves := [2]dataset.U8Set{
+		{N: half, D: d, Data: f.s.Queries.Data[:half*d]},
+		{N: f.s.Queries.N - half, D: d, Data: f.s.Queries.Data[half*d:]},
 	}
-	ps := e.loc.Probes(f.s.Queries)
-	half := f.s.Queries.N / 2
-	var mixed float64 // measure's estimate again, each probe at its own price
-	measure := func(lo, hi int) (est, sim float64) {
-		sub := ProbeSet{Offsets: make([]int32, hi-lo+1), Clusters: ps.Clusters[ps.Offsets[lo]:ps.Offsets[hi]]}
-		for i := range sub.Offsets {
-			sub.Offsets[i] = ps.Offsets[lo+i] - ps.Offsets[lo]
+	measure := func(e *Engine, q dataset.U8Set) (est, sim float64) {
+		// A query's bound when its later probes launch is the k-th distance
+		// over its leading ones: search those alone.
+		ps := e.loc.Probes(q)
+		leads := ProbeSet{Offsets: []int32{0}}
+		for qi := 0; qi < q.N; qi++ {
+			lead := leadProbes(ps.Of(qi), e.opts.K, e.LiveLen)
+			leads.Clusters, leads.Dists = append(leads.Clusters, ps.Of(qi)[:lead]...), append(leads.Dists, ps.DistsOf(qi)[:lead]...)
+			leads.Offsets = append(leads.Offsets, int32(len(leads.Clusters)))
 		}
-		mixed = 0
-		for qi := 0; qi < hi-lo; qi++ {
-			lead := leadProbes(sub.Of(qi), e.opts.K, e.LiveLen)
-			for i, c := range sub.Of(qi) {
-				est += e.ProbeCycles(c, true)
-				mixed += e.ProbeCycles(c, i >= lead)
-			}
-		}
-		q := dataset.U8Set{N: hi - lo, D: f.s.Queries.D, Data: f.s.Queries.Data[lo*f.s.Queries.D : hi*f.s.Queries.D]}
-		res, err := e.SearchBatchProbed(q, sub, false)
+		first, err := e.SearchBatchProbed(q, leads, false)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for qi := 0; qi < q.N; qi++ {
+			bound := uint32(math.MaxUint32)
+			if items := first.Items[qi]; len(items) == e.opts.K {
+				bound = items[e.opts.K-1].Dist
+			}
+			lead := len(leads.Of(qi))
+			for i, c := range ps.Of(qi) {
+				if i < lead {
+					est += e.ProbeCycles(c, ps.DistsOf(qi)[i], math.MaxUint32)
+				} else {
+					est += e.ProbeCycles(c, ps.DistsOf(qi)[i], bound)
+				}
+			}
+		}
+		res, err := e.SearchBatchProbed(q, ps, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if priced := res.Metrics.PricedCycles; res.Metrics.Postponed == 0 && math.Abs(priced-est) > 1e-9*est {
+			t.Fatalf("the scheduler priced its tasks at %v, their probes add up to %v", priced, est)
 		}
 		pc := res.Metrics.PhaseComputeCycles
 		return est, float64(pc[upmem.PhaseLC] + pc[upmem.PhaseDC] + pc[upmem.PhaseTS])
 	}
-	var ratios, mixedRatios []float64
-	for _, r := range [][2]int{{0, f.s.Queries.N}, {0, half}, {half, f.s.Queries.N}} {
-		est, got := measure(r[0], r[1])
-		ratios, mixedRatios = append(ratios, est/got), append(mixedRatios, mixed/got)
-		if ratio := est / got; ratio < 0.8 || ratio > 1.25 {
-			t.Fatalf("queries [%d, %d): estimate/simulated = %.3f, want within [0.8, 1.25]", r[0], r[1], ratio)
+	var e *Engine
+	var estAll, simAll float64
+	for i, q := range halves {
+		var err error
+		if e, err = New(f.ix, halves[1-i], testOptions()); err != nil {
+			t.Fatal(err)
 		}
-		if ratio := mixed / got; ratio < 1.1 || ratio > 1.45 {
-			t.Fatalf("queries [%d, %d): mixed estimate/simulated = %.3f, want within [1.1, 1.45]", r[0], r[1], ratio)
+		est, sim := measure(e, q)
+		estAll, simAll = estAll+est, simAll+sim
+		t.Logf("half %d, profile the other half: estimate/simulated = %.3f", i, est/sim)
+		if ratio := est / sim; ratio < 0.92 || ratio > 1.08 {
+			t.Fatalf("half %d: estimate/simulated = %.3f, want within [0.92, 1.08]", i, ratio)
 		}
 	}
-	for _, rs := range [][]float64{ratios, mixedRatios} {
-		if lo, hi := slices.Min(rs), slices.Max(rs); hi > 1.03*lo {
-			t.Fatalf("estimate/simulated varies across batches: %.3f", rs)
-		}
+	if ratio := estAll / simAll; ratio < 0.92 || ratio > 1.08 {
+		t.Fatalf("both halves: estimate/simulated = %.3f, want within [0.92, 1.08]", ratio)
 	}
 
 	// Every second point of every list again, under a new id: it lands in
 	// its original's list, in the append segment.
-	est0, sim0 := measure(0, f.s.Queries.N)
+	est0, sim0 := measure(e, halves[1])
 	var vecs dataset.U8Set
 	var ids []int32
 	for _, list := range f.ix.Lists {
@@ -508,7 +527,7 @@ func TestProbeCyclesTracksSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireFreshDemand(t, e, "after inserts")
-	est1, sim1 := measure(0, f.s.Queries.N)
+	est1, sim1 := measure(e, halves[1])
 	if growth := (est1 / est0) / (sim1 / sim0); sim1 < 1.15*sim0 || growth < 0.9 || growth > 1.1 {
 		t.Fatalf("append segments grew the simulated cycles %.3fx and the estimate %.3fx", sim1/sim0, est1/est0)
 	}

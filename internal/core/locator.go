@@ -17,6 +17,7 @@ import (
 	"drimann/internal/ivf"
 	"drimann/internal/topk"
 	"drimann/internal/upmem"
+	"drimann/internal/vecmath"
 )
 
 // Locator runs the configured CL variant over one index's centroid
@@ -94,8 +95,9 @@ func (l *Locator) MergeSeconds(items, k int) float64 {
 }
 
 // Probes locates every query of the set and packs the results into a
-// ProbeSet — what a front door runs before partitioning the probes per shard
-// (the cluster layer calls it for offline batches and for single queries).
+// ProbeSet, CL distances beside the cluster ids — what a front door runs
+// before partitioning the probes per shard (the cluster layer calls it for
+// offline batches and for single queries).
 func (l *Locator) Probes(queries dataset.U8Set) ProbeSet {
 	chunk := min(queries.N, 256)
 	out := make([]topk.Item[uint32], chunk*l.nprobe)
@@ -103,20 +105,29 @@ func (l *Locator) Probes(queries dataset.U8Set) ProbeSet {
 	ps := ProbeSet{
 		Offsets:  make([]int32, 1, queries.N+1),
 		Clusters: make([]int32, 0, queries.N*l.nprobe),
+		Dists:    make([]uint32, 0, queries.N*l.nprobe),
 	}
 	for lo := 0; lo < queries.N; lo += chunk {
-		hi := lo + chunk
-		if hi > queries.N {
-			hi = queries.N
-		}
+		hi := min(lo+chunk, queries.N)
 		l.LocateBatch(queries, lo, hi, out, counts)
 		for qi := lo; qi < hi; qi++ {
 			base := (qi - lo) * l.nprobe
 			for _, p := range out[base : base+counts[qi-lo]] {
-				ps.Clusters = append(ps.Clusters, p.ID)
+				ps.Clusters, ps.Dists = append(ps.Clusters, p.ID), append(ps.Dists, p.Dist)
 			}
 			ps.Offsets = append(ps.Offsets, int32(len(ps.Clusters)))
 		}
 	}
 	return ps
+}
+
+// dists is the CL distance column of a probe set that came without one.
+func (l *Locator) dists(queries dataset.U8Set, ps ProbeSet) []uint32 {
+	out := make([]uint32, len(ps.Clusters))
+	for qi := 0; qi < queries.N; qi++ {
+		for i := ps.Offsets[qi]; i < ps.Offsets[qi+1]; i++ {
+			out[i] = vecmath.L2SquaredU8(queries.Vec(qi), l.ix.CentroidU8(int(ps.Clusters[i])))
+		}
+	}
+	return out
 }

@@ -89,7 +89,7 @@ func (e *Engine) ensureReachable(c int32) {
 	// Room for the new slice's demand and heat; every caller recounts the
 	// cluster next.
 	e.lc.bySlice = append(e.lc.bySlice, make([]sliceRef, e.ix.M)...)
-	e.lc.heat[0], e.lc.heat[1] = append(e.lc.heat[0], 0), append(e.lc.heat[1], 0)
+	e.lc.heat = append(e.lc.heat, 0)
 }
 
 // Compact folds append segments and tombstones back into the packed
@@ -130,6 +130,9 @@ func (e *Engine) compact(remap []int32) error {
 	// In-place assignment: replicas share the Placement pointer, so the new
 	// layout (like the rebuilt lists) is visible to every engine at once.
 	*e.pl = *pl
+	// The share table is measured again here, not after the caller lets
+	// searches back in: lanes read it without a lock, and a launch priced
+	// with the old table would schedule differently from a fresh engine's.
 	e.rebuildDemand()
 	return nil
 }

@@ -26,5 +26,8 @@ func (e *Engine) SearchBatchProbed(queries dataset.U8Set, probes ProbeSet, charg
 	if err := probes.Validate(queries.N, e.ix.NList); err != nil {
 		return nil, err
 	}
+	if len(probes.Dists) == 0 { // a hand-built set: price it like a located one
+		probes.Dists = e.loc.dists(queries, probes)
+	}
 	return e.searchBatch(queries, probes, true, chargeCL)
 }

@@ -16,7 +16,7 @@ func TestSearchBatchProbedEquivalence(t *testing.T) {
 	for _, branch := range []int{0, 8} {
 		o := testOptions()
 		o.TreeCLBranch = branch
-		e, err := New(f.ix, dataset.U8Set{}, o)
+		e, err := New(f.ix, f.s.Queries, o) // with a profile: the price reads the distances
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,6 +41,16 @@ func TestSearchBatchProbedEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(plain.Metrics, probed.Metrics) {
 			t.Fatalf("branch=%d: metrics differ:\nplain:  %+v\nprobed: %+v",
 				branch, plain.Metrics, probed.Metrics)
+		}
+		// A set built by hand, without the distance column: the engine fills
+		// it at its door with what CL would have found, so the scheduler
+		// prices, places and charges exactly as above.
+		bare, err := e.SearchBatchProbed(f.s.Queries, ProbeSet{Offsets: ps.Offsets, Clusters: ps.Clusters}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain.Items, bare.Items) || !reflect.DeepEqual(plain.Metrics, bare.Metrics) {
+			t.Fatalf("branch=%d: a probe set without distances differs:\nplain: %+v\nbare:  %+v", branch, plain.Metrics, bare.Metrics)
 		}
 	}
 }
@@ -94,6 +104,8 @@ func TestProbeSetValidate(t *testing.T) {
 		{"non-monotone", ProbeSet{Offsets: []int32{0, 2, 1, 3}, Clusters: []int32{0, 0, 0}}, 3, false},
 		{"cluster out of range", ProbeSet{Offsets: []int32{0, 1}, Clusters: []int32{5}}, 1, false},
 		{"cluster negative", ProbeSet{Offsets: []int32{0, 1}, Clusters: []int32{-1}}, 1, false},
+		{"with distances", ProbeSet{Offsets: []int32{0, 2, 2, 3}, Clusters: []int32{1, 0, 4}, Dists: []uint32{7, 9, 3}}, 3, true},
+		{"a distance short", ProbeSet{Offsets: []int32{0, 2, 2, 3}, Clusters: []int32{1, 0, 4}, Dists: []uint32{7, 9}}, 3, false},
 	}
 	for _, c := range cases {
 		err := c.ps.Validate(c.nq, 5)

@@ -76,7 +76,7 @@ func (e *Engine) MemoryFootprint() MemoryFootprint {
 		shared += int64(len(ix.Lists[c]))*4 + int64(len(ix.Codes[c]))*2
 	}
 	shared += e.lut.Bytes()
-	shared += int64(len(e.lc.bySlice)+len(e.lc.heat[0])+len(e.lc.heat[1])) * 8
+	shared += int64(len(e.lc.bySlice)+len(e.lc.heat)+ShareBins) * 8
 	// Live mutation overlay: append segments + tombstones. Zero once
 	// compacted.
 	shared += ix.MutationBytes()

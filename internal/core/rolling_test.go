@@ -124,9 +124,9 @@ func TestRollingWavesMatchOneBatch(t *testing.T) {
 
 // TestMixedLaunchPricesEachTask: a step holds second-wave tasks, whose
 // queries carry bounds, beside first-wave tasks, whose queries do not. The
-// scheduler must see each at its own price — a DPU's heat is the bounded table
-// over its bounded tasks plus the unbounded table over the others — and may
-// postpone only the bounded ones.
+// scheduler must see each at its own price — a DPU's heat is its bounded
+// tasks' share of their no-prune price plus the whole no-prune price of the
+// others — and may postpone only the bounded ones.
 func TestMixedLaunchPricesEachTask(t *testing.T) {
 	f := getFixture(t)
 	o := testOptions()
@@ -144,7 +144,7 @@ func TestMixedLaunchPricesEachTask(t *testing.T) {
 			bounds[qi] = 1 << 20
 		}
 		for _, p := range f.ix.LocateInt(f.s.Queries.Vec(qi), o.NProbe) {
-			reqs = append(reqs, sched.Request{Query: int32(qi), Cluster: p.ID})
+			reqs = append(reqs, sched.Request{Query: int32(qi), Cluster: p.ID, Dist: p.Dist})
 		}
 	}
 	ln := e.newLane(nq, bounds)
@@ -154,8 +154,11 @@ func TestMixedLaunchPricesEachTask(t *testing.T) {
 	for d, tasks := range ln.sb.PerDPU {
 		var want float64
 		for _, task := range tasks {
-			want += e.lc.heatOf(bounded(task.Query))[task.Slice]
-			flat += e.lc.heat[0][task.Slice]
+			if _, deferrable := ln.scfg.Cost(task); deferrable != bounded(task.Query) {
+				t.Fatalf("task %+v deferrable=%v", task, deferrable)
+			}
+			want += e.lc.heat[task.Slice] * e.Share(task.Dist, bounds[task.Query])
+			flat += e.lc.heat[task.Slice]
 		}
 		if math.Abs(ln.sb.Heat[d]-want) > 1e-9*want {
 			t.Fatalf("DPU %d heat %v, its tasks' own prices sum to %v", d, ln.sb.Heat[d], want)
@@ -209,7 +212,7 @@ func TestSecondWaveWaitsForItsBound(t *testing.T) {
 	bounded, postponed := 0, 0
 	for lo, step := 0, 0; lo < f.s.Queries.N; lo, step = lo+o.BatchSize, step+1 {
 		for qi := lo; qi < lo+o.BatchSize; qi++ {
-			st.Cut(qi, ps.Of(qi), func(int32) []int32 { return []int32{0} })
+			st.Cut(qi, ps.Of(qi), ps.DistsOf(qi), func(int32) []int32 { return []int32{0} })
 		}
 		before := append([]uint32(nil), st.bounds...)
 		if !st.Step(0) {
@@ -278,7 +281,7 @@ func TestPostponedTasksOutliveUnsplitSteps(t *testing.T) {
 	st := NewSteps(queries, [][]*Engine{{e, rep}}, [][]int32{ident}, e.loc)
 	for i, b := range [][2]int{{0, 16}, {16, 17}, {17, 18}} {
 		for qi := b[0]; qi < b[1]; qi++ {
-			st.Cut(qi, ps.Of(qi), func(int32) []int32 { return []int32{0} })
+			st.Cut(qi, ps.Of(qi), ps.DistsOf(qi), func(int32) []int32 { return []int32{0} })
 		}
 		if split := st.Step(0); split != (i == 0) {
 			t.Fatalf("batch %d: split = %v", i, split)

@@ -66,7 +66,11 @@ func (e *Engine) runDPUBlock(d int, tasks []sched.Task, gLo, gHi int, bounds []u
 		}
 		sc.stats.lutBuilds++
 		sc.stats.lutReuses += uint64(len(group) - 1)
-		e.scanGroup(dpu, sc, group, gi-gLo, bounds[q])
+		if e.rec == nil {
+			e.scanGroup(dpu, sc, group, gi-gLo, bounds[q])
+		} else {
+			e.recordScan(dpu, sc, group, gi-gLo, bounds[q])
+		}
 	}
 	dpu.ApplyTally(&sc.tally)
 	sc.tally.Reset()

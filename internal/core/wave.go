@@ -103,8 +103,8 @@ func NewSteps(queries dataset.U8Set, fleet [][]*Engine, tables [][]int32, loc *L
 }
 
 // newLane starts this engine's side of a call over n queries whose bounds the
-// call keeps in bounds: the scheduler prices each task by its own query's
-// bound, and may postpone it only if it has one.
+// call keeps in bounds: the scheduler prices each task by its probe's distance
+// from its query's bound (Share) and may postpone it only if there is one.
 func (e *Engine) newLane(n int, bounds []uint32) *lane {
 	// Query ids are only unique within a call: drop any per-query terms the
 	// LUT scratches and the gather tables cached during a previous one.
@@ -114,21 +114,22 @@ func (e *Engine) newLane(n int, bounds []uint32) *lane {
 	e.groups.resetQE(n)
 	ln := &lane{e: e}
 	ln.scfg = sched.Config{Th3: e.opts.Th3, Rebalance: e.opts.Rebalance, Cost: func(t sched.Task) (float64, bool) {
-		bounded := bounds[t.Query] != math.MaxUint32
-		return e.lc.heatOf(bounded)[t.Slice], bounded
+		b := bounds[t.Query]
+		return e.lc.heat[t.Slice] * e.Share(t.Dist, b), b != math.MaxUint32
 	}}
 	ln.sqtHot0, ln.sqtCold0 = e.sqt16Totals()
 	return ln
 }
 
-// Cut adds query qi's probes, in CL order, to the scheduling batch being cut,
-// a probe of cluster c going to the shards owners(c) that hold a part of it.
+// Cut adds query qi's probes, in CL order and with their CL distances, to the
+// scheduling batch being cut, a probe of cluster c going to the shards
+// owners(c) that hold a part of it.
 // The first wave (leadProbes, a cluster's live points summed over its owners)
 // joins the step about to launch, which may already hold the second wave of
 // the batch before; the probes that wait for the bounds form the step after
 // it. It returns how many shards the query reaches, and how many of them with
 // a first-wave probe.
-func (st *Steps) Cut(qi int, probes []int32, owners func(c int32) []int32) (fanout, leadFanout int) {
+func (st *Steps) Cut(qi int, probes []int32, dists []uint32, owners func(c int32) []int32) (fanout, leadFanout int) {
 	lead := leadProbes(probes, st.lanes[0].e.opts.K, func(c int32) (live int) {
 		for _, s := range owners(c) {
 			live += st.shards[s][0].e.LiveLen(c)
@@ -141,7 +142,7 @@ func (st *Steps) Cut(qi int, probes []int32, owners func(c int32) []int32) (fano
 			wave = st.reqs[(st.t+1)&1]
 		}
 		for _, s := range owners(c) {
-			wave[s] = append(wave[s], sched.Request{Query: int32(qi), Cluster: c})
+			wave[s] = append(wave[s], sched.Request{Query: int32(qi), Cluster: c, Dist: dists[i]})
 			if st.touched[s] != qi+1 {
 				st.touched[s] = qi + 1
 				fanout++
@@ -302,19 +303,18 @@ func (st *Steps) launch(split, last bool) {
 }
 
 // spread hands one wave of a shard's step — reqs, in query order — to the
-// shard's replicas: contiguous query ranges of near-equal modelled load, so a
-// query's tasks of the wave stay on one engine. A step's two waves are spread
-// one by one: every replica gets its share of each kind, and most of a query's
-// second wave lands where its first left the gather table.
+// shard's replicas: contiguous query ranges of near-equal load at the
+// scheduler's own price (ProbeCycles), so a query's tasks of the wave stay on
+// one engine. A step's two waves are spread one by one: every replica gets its
+// share of each kind, and most of a query's second wave lands where its first
+// left the gather table.
 func (st *Steps) spread(lanes []*lane, reqs []sched.Request) {
 	if len(lanes) == 1 {
 		lanes[0].reqs = append(lanes[0].reqs, reqs...)
 		return
 	}
 	e := lanes[0].e
-	price := func(r sched.Request) float64 {
-		return e.ProbeCycles(r.Cluster, st.bounds[r.Query] != math.MaxUint32)
-	}
+	price := func(r sched.Request) float64 { return e.ProbeCycles(r.Cluster, r.Dist, st.bounds[r.Query]) }
 	var total, acc float64
 	for _, r := range reqs {
 		total += price(r)

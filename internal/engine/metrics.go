@@ -37,6 +37,9 @@ type Metrics struct {
 
 	ImbalanceSum float64 // summed per-launch max/mean (divide by Launches)
 	Postponed    int     // tasks deferred by overheat postponement
+	// PricedCycles sums the scheduler's price of every launched task; over the
+	// simulated compute cycles it says how good the scheduler's model was.
+	PricedCycles float64
 
 	LockAcquired uint64
 	LockSkipped  uint64
@@ -100,6 +103,18 @@ func (m *Metrics) CodesPerPoint() float64 {
 		return 0
 	}
 	return float64(m.CodesGathered) / float64(m.PointsScanned)
+}
+
+// PriceRatio returns the scheduler's summed task price over the instruction
+// cycles the simulator charged (every phase, every DPU): 1 is a scheduler
+// whose model is right on the whole, whatever it gets wrong task by task (0
+// when nothing ran, or the backend prices nothing).
+func (m *Metrics) PriceRatio() float64 {
+	var cycles float64
+	for _, c := range m.PhaseComputeCycles {
+		cycles += float64(c)
+	}
+	return m.PricedCycles / max(cycles, 1)
 }
 
 // AvgImbalance returns the mean per-launch max/mean DPU load ratio.
@@ -179,6 +194,14 @@ func (m *Metrics) Merge(o *Metrics) {
 	m.XferSeconds += o.XferSeconds
 	for p := range m.PhaseSeconds {
 		m.PhaseSeconds[p] += o.PhaseSeconds[p]
+	}
+	m.addCounters(o)
+}
+
+// addCounters sums into m everything of o that is a count, not a duration or
+// a query total, and recomputes QPS: the part Merge and MergeParallel share.
+func (m *Metrics) addCounters(o *Metrics) {
+	for p := range m.PhaseComputeCycles {
 		m.PhaseComputeCycles[p] += o.PhaseComputeCycles[p]
 		m.PhaseDMACount[p] += o.PhaseDMACount[p]
 		m.PhaseDMABytes[p] += o.PhaseDMABytes[p]
@@ -187,6 +210,7 @@ func (m *Metrics) Merge(o *Metrics) {
 	m.Batches += o.Batches
 	m.ImbalanceSum += o.ImbalanceSum
 	m.Postponed += o.Postponed
+	m.PricedCycles += o.PricedCycles
 	m.LockAcquired += o.LockAcquired
 	m.LockSkipped += o.LockSkipped
 	m.LUTBuilds += o.LUTBuilds
@@ -213,41 +237,13 @@ func (m *Metrics) Merge(o *Metrics) {
 // is recomputed from the merged totals. Compare Merge, the sequential
 // accumulator the serving layer uses across launches of one engine.
 func (m *Metrics) MergeParallel(o *Metrics) {
-	if o.Queries > m.Queries {
-		m.Queries = o.Queries
-	}
-	m.SimSeconds = maxf(m.SimSeconds, o.SimSeconds)
-	m.HostSeconds = maxf(m.HostSeconds, o.HostSeconds)
-	m.PIMSeconds = maxf(m.PIMSeconds, o.PIMSeconds)
-	m.XferSeconds = maxf(m.XferSeconds, o.XferSeconds)
+	m.Queries = max(m.Queries, o.Queries)
+	m.SimSeconds = max(m.SimSeconds, o.SimSeconds)
+	m.HostSeconds = max(m.HostSeconds, o.HostSeconds)
+	m.PIMSeconds = max(m.PIMSeconds, o.PIMSeconds)
+	m.XferSeconds = max(m.XferSeconds, o.XferSeconds)
 	for p := range m.PhaseSeconds {
-		m.PhaseSeconds[p] = maxf(m.PhaseSeconds[p], o.PhaseSeconds[p])
-		m.PhaseComputeCycles[p] += o.PhaseComputeCycles[p]
-		m.PhaseDMACount[p] += o.PhaseDMACount[p]
-		m.PhaseDMABytes[p] += o.PhaseDMABytes[p]
+		m.PhaseSeconds[p] = max(m.PhaseSeconds[p], o.PhaseSeconds[p])
 	}
-	m.Launches += o.Launches
-	m.Batches += o.Batches
-	m.ImbalanceSum += o.ImbalanceSum
-	m.Postponed += o.Postponed
-	m.LockAcquired += o.LockAcquired
-	m.LockSkipped += o.LockSkipped
-	m.LUTBuilds += o.LUTBuilds
-	m.LUTReuses += o.LUTReuses
-	m.LUTEntries += o.LUTEntries
-	m.PointsScanned += o.PointsScanned
-	m.PointsPruned += o.PointsPruned
-	m.CodesGathered += o.CodesGathered
-	m.SQT16Hot += o.SQT16Hot
-	m.SQT16Cold += o.SQT16Cold
-	if m.SimSeconds > 0 {
-		m.QPS = float64(m.Queries) / m.SimSeconds
-	}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+	m.addCounters(o)
 }

@@ -13,11 +13,20 @@ type ProbeSet struct {
 	Offsets []int32
 	// Clusters concatenates every query's probed cluster IDs.
 	Clusters []int32
+	// Dists holds beside every probe its CL distance (query to centroid,
+	// squared), which the scheduler prices the probe's tasks with. A set built
+	// by hand may leave it nil: the engine computes the column at its door.
+	Dists []uint32
 }
 
 // Of returns query qi's probe list (a view, not a copy).
 func (p ProbeSet) Of(qi int) []int32 {
 	return p.Clusters[p.Offsets[qi]:p.Offsets[qi+1]]
+}
+
+// DistsOf returns the CL distances of query qi's probes, aligned with Of(qi).
+func (p ProbeSet) DistsOf(qi int) []uint32 {
+	return p.Dists[p.Offsets[qi]:p.Offsets[qi+1]]
 }
 
 // Validate checks the CSR invariants against a query count and the index's
@@ -40,6 +49,9 @@ func (p ProbeSet) Validate(queries, nlist int) error {
 		if p.Offsets[i] < p.Offsets[i-1] {
 			return fmt.Errorf("engine: probe set offsets not monotone at query %d", i-1)
 		}
+	}
+	if len(p.Dists) != 0 && len(p.Dists) != len(p.Clusters) {
+		return fmt.Errorf("engine: probe set has %d distances for %d probes", len(p.Dists), len(p.Clusters))
 	}
 	for _, c := range p.Clusters {
 		if c < 0 || int(c) >= nlist {

@@ -37,7 +37,7 @@ var ErrKilled = errors.New("fault: replica killed")
 // satisfies it, as does another *Replica (wrappers nest).
 type Backend interface {
 	SearchOwned(ctx context.Context, q []uint8, k int) (serve.Response, error)
-	SearchProbedOwned(ctx context.Context, q []uint8, k int, probes []int32) (serve.Response, error)
+	SearchProbedOwned(ctx context.Context, q []uint8, k int, probes []int32, dists []uint32) (serve.Response, error)
 	Load() int
 	Stats() serve.Stats
 	Close() error
@@ -162,11 +162,11 @@ func (r *Replica) SearchOwned(ctx context.Context, q []uint8, k int) (serve.Resp
 // SearchProbedOwned applies the same injection schedule as SearchOwned (the
 // two share one call counter — the plan keys on calls, not entry points),
 // then forwards the routed probe list to the backend.
-func (r *Replica) SearchProbedOwned(ctx context.Context, q []uint8, k int, probes []int32) (serve.Response, error) {
+func (r *Replica) SearchProbedOwned(ctx context.Context, q []uint8, k int, probes []int32, dists []uint32) (serve.Response, error) {
 	if err := r.admit(ctx); err != nil {
 		return serve.Response{}, err
 	}
-	return r.inner.SearchProbedOwned(ctx, q, k, probes)
+	return r.inner.SearchProbedOwned(ctx, q, k, probes, dists)
 }
 
 // admit runs one call through the injection schedule: it takes the next

@@ -24,7 +24,7 @@ func (s *stub) SearchOwned(ctx context.Context, q []uint8, k int) (serve.Respons
 	s.mu.Unlock()
 	return serve.Response{BatchSize: 1}, nil
 }
-func (s *stub) SearchProbedOwned(ctx context.Context, q []uint8, k int, probes []int32) (serve.Response, error) {
+func (s *stub) SearchProbedOwned(ctx context.Context, q []uint8, k int, probes []int32, dists []uint32) (serve.Response, error) {
 	return s.SearchOwned(ctx, q, k)
 }
 func (s *stub) Load() int          { return 0 }

@@ -98,9 +98,58 @@ const (
 // summed, in descending residual magnitude. The curve is the one the benchmark
 // fixture's second wave follows (0.58, 0.09 and 0.013 after a quarter, a half
 // and three quarters of the subspaces); other corpora decay at other rates,
-// which the regime sweep (internal/bench) records.
+// which the regime sweep (internal/bench) records. It is the model's prior —
+// what the DSE explores with before anything is measured (EngineSurvival) — not
+// the engine's price: an engine deployed with a profile measures what a bound
+// saves (core's share table) and reads this curve only when it has none.
 func BoundedSurvival(f float64) float64 {
 	return math.Min(1, math.Exp(1.6-8*f))
+}
+
+// BoundedShare is the share of a scan's no-prune work a bounded scan over m
+// subspaces is expected to do under BoundedSurvival: the curve's mean over
+// the stages.
+func BoundedShare(m int) float64 {
+	stages := (m + StageWidth - 1) / StageWidth
+	var sum float64
+	for s := 0; s < stages; s++ {
+		sum += BoundedSurvival(float64(s) / float64(stages))
+	}
+	return sum / float64(stages)
+}
+
+// FitShares turns a measurement into a share table: cycles[b] and price[b] sum,
+// over the bounded scans whose ρ fell in bin b (bins in rising ρ), what the
+// scans cost and what they would have cost unpruned; share[b] is their ratio,
+// with bins pooled with their neighbours while one is empty or reads more than
+// the bin before it (ρ up, survivors down: a rise is noise), so the table is
+// complete, non-increasing and prices the measured scans at what they cost on
+// the whole. Nothing measured leaves prior in every bin.
+func FitShares(cycles, price []float64, prior float64) []float64 {
+	type pool struct {
+		cycles, price float64
+		lo            int // the pool's first bin
+	}
+	share := make([]float64, len(cycles))
+	for b := range share {
+		share[b] = prior
+	}
+	var pools []pool
+	for b := range cycles {
+		p := pool{cycles[b], price[b], b}
+		for n := len(pools); n > 0; n-- {
+			prev := pools[n-1]
+			if p.price > 0 && prev.price > 0 && p.cycles*prev.price <= prev.cycles*p.price {
+				break
+			}
+			p, pools = pool{p.cycles + prev.cycles, p.price + prev.price, prev.lo}, pools[:n-1]
+		}
+		pools = append(pools, p)
+		for i := p.lo; i <= b && p.price > 0; i++ {
+			share[i] = p.cycles / p.price
+		}
+	}
+	return share
 }
 
 // engineProfile is a survival profile of the engine's shape at these

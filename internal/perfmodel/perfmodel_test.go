@@ -303,3 +303,28 @@ func TestCodeBytesDefaultFollowsCB(t *testing.T) {
 		t.Fatal("Costs must not mutate the caller's copy")
 	}
 }
+
+// TestFitShares: empty bins take their neighbours' pooled share, a rise is
+// pooled away, the measured total is conserved, and nothing measured is the
+// prior everywhere.
+func TestFitShares(t *testing.T) {
+	price := []float64{100, 0, 100, 100, 0, 50}
+	cycles := []float64{60, 0, 30, 40, 0, 5}
+	share := FitShares(cycles, price, 0.4)
+	want := []float64{0.6, 0.6, 0.35, 0.35, 0.35, 0.1}
+	var priced, total float64
+	for b, s := range share {
+		if math.Abs(s-want[b]) > 1e-12 {
+			t.Fatalf("share %v, want %v", share, want)
+		}
+		priced, total = priced+s*price[b], total+cycles[b]
+	}
+	if math.Abs(priced-total) > 1e-9 {
+		t.Fatalf("the table prices the measured scans at %v, they cost %v", priced, total)
+	}
+	for _, s := range FitShares(make([]float64, 4), make([]float64, 4), 0.4) {
+		if s != 0.4 {
+			t.Fatalf("nothing measured: share %v, want the prior", s)
+		}
+	}
+}

@@ -8,11 +8,13 @@
 //
 // Heat is summed task by task from the caller's price (Config.Cost): one
 // launch may hold tasks of different kinds — the engine's carry a query's
-// bound or do not, and a slice costs about half as much with one. The same
-// hook says which tasks postponement must leave alone: a task whose query has
-// no bound yet is the scan that produces it, and deferring it sends the rest
-// of the query's scans out unbounded. A hot DPU sheds its latest deferrable
-// tasks and keeps the others.
+// bound or do not, and with one a slice costs the less the further its list
+// lies beyond the bound, which is why a task carries its probe's CL distance
+// (Dist) to the hook. The same hook says which tasks postponement must leave
+// alone: a task whose query has no bound yet is the scan that produces it, and
+// deferring it sends the rest of the query's scans out unbounded. A hot DPU
+// sheds its latest deferrable tasks and keeps the others. A price only moves
+// tasks between copies of a slice and between launches; nothing is dropped.
 package sched
 
 import (
@@ -21,18 +23,23 @@ import (
 	"drimann/internal/layout"
 )
 
-// Request asks for one query to be searched in one located cluster.
+// Request asks for one query to be searched in one located cluster, Dist the
+// CL distance between them (0: unknown). Only Config.Cost reads it.
 type Request struct {
 	Query   int32
 	Cluster int32
+	Dist    uint32
 }
 
-// Task is a scheduled unit: one query scanning one slice copy on one DPU.
+// Task is a scheduled unit: one query scanning one slice copy on one DPU,
+// with its request's Dist, which it keeps while carried from launch to launch
+// (DPU and Dist share a word: a launch sorts and copies tasks by the million).
 type Task struct {
 	Query   int32
 	Cluster int32
 	Slice   int // index into placement.Slices
-	DPU     int
+	DPU     int32
+	Dist    uint32
 }
 
 // Config controls scheduling.
@@ -41,9 +48,9 @@ type Config struct {
 	// set) in the launch being scheduled, and says whether the task may be
 	// postponed. The engine supplies the performance-model-derived estimate,
 	// which knows what the slice scans beyond its Count (a live append
-	// segment) and whether t's query carries a bound — and exempts the tasks
-	// of a query that has none. nil costs a task its slice's Count and
-	// exempts nothing.
+	// segment) and how far t.Dist lies from the bound t's query carries — and
+	// exempts the tasks of a query that has none. nil costs a task its slice's
+	// Count and exempts nothing.
 	Cost func(t Task) (cycles float64, deferrable bool)
 	// Th3 is the overheat threshold: after greedy assignment, tasks are
 	// postponed while a DPU's predicted heat exceeds Th3 x mean heat.
@@ -101,7 +108,7 @@ func GreedyInto(b *Batch, reqs []Request, carried []Task, pl *layout.Placement, 
 	tasks := append(b.scratch[:0], carried...)
 	for _, r := range reqs {
 		for _, si := range pl.ByCluster[r.Cluster] {
-			tasks = append(tasks, Task{Query: r.Query, Cluster: r.Cluster, Slice: si})
+			tasks = append(tasks, Task{Query: r.Query, Cluster: r.Cluster, Dist: r.Dist, Slice: si})
 		}
 	}
 	b.scratch = tasks
@@ -116,7 +123,7 @@ func GreedyInto(b *Batch, reqs []Request, carried []Task, pl *layout.Placement, 
 				best = d
 			}
 		}
-		t.DPU = best
+		t.DPU = int32(best)
 		cost, _ := cfg.Cost(*t)
 		b.Heat[best] += cost
 		b.PerDPU[best] = append(b.PerDPU[best], *t)
@@ -147,7 +154,7 @@ func rebalance(b *Batch, pl *layout.Placement, cfg Config) {
 				}
 				if b.Heat[d]+cost < b.Heat[hot] {
 					b.PerDPU[hot] = append(tasks[:ti], tasks[ti+1:]...)
-					t.DPU = d
+					t.DPU = int32(d)
 					b.PerDPU[d] = append(b.PerDPU[d], t)
 					b.Heat[hot] -= cost
 					b.Heat[d] += cost

@@ -270,3 +270,85 @@ func TestEmptyRequests(t *testing.T) {
 		t.Fatal("empty input should produce empty schedule")
 	}
 }
+
+// TestTasksKeepTheirDist: a task expanded from a request carries the
+// request's Dist into the price hook, on whichever slice and DPU it lands, and
+// a task carried from an earlier launch keeps the Dist it was postponed with.
+func TestTasksKeepTheirDist(t *testing.T) {
+	pl, _ := testPlacement(t, 4, false) // no copies: the skew overheats a DPU
+	reqs := skewedRequests(rand.New(rand.NewSource(3)), 90, len(pl.ByCluster))
+	dist := func(q, c int32) uint32 { return uint32(q)<<8 | uint32(c) + 1 }
+	for i := range reqs {
+		reqs[i].Dist = dist(reqs[i].Query, reqs[i].Cluster)
+	}
+	priced := 0
+	cfg := Config{Th3: 0.5, Cost: func(task Task) (float64, bool) { // every DPU is over half the mean: all shed
+		if task.Dist != dist(task.Query, task.Cluster) {
+			t.Fatalf("the price hook got task %+v, its request had Dist %d", task, dist(task.Query, task.Cluster))
+		}
+		priced++
+		return float64(pl.Slices[task.Slice].Count), true
+	}}
+	b := Greedy(reqs, nil, pl, cfg)
+	if len(b.Postponed) == 0 || priced == 0 {
+		t.Fatalf("%d tasks postponed, %d priced: the test does not bite", len(b.Postponed), priced)
+	}
+	carried := slices.Clone(b.Postponed)
+	next := Greedy(nil, carried, pl, cfg)
+	seen := 0
+	for _, tasks := range append(next.PerDPU, next.Postponed, b.Postponed) {
+		for _, task := range tasks {
+			if seen++; task.Dist != dist(task.Query, task.Cluster) {
+				t.Fatalf("task %+v lost its Dist %d", task, dist(task.Query, task.Cluster))
+			}
+		}
+	}
+	if seen != 2*len(carried) {
+		t.Fatalf("%d carried tasks came out as %d", len(carried), seen-len(carried))
+	}
+}
+
+// TestPriceNeverChangesAnswers, the scheduler's half: whatever the price hook
+// says — nothing, noise, or the opposite of the truth — every task of every
+// request is placed exactly once, launched on a DPU that holds its slice or
+// postponed, so a price decides where and when a slice is scanned, never
+// whether.
+func TestPriceNeverChangesAnswers(t *testing.T) {
+	pl, _ := testPlacement(t, 4, true)
+	reqs := skewedRequests(rand.New(rand.NewSource(5)), 120, len(pl.ByCluster))
+	rng := rand.New(rand.NewSource(6))
+	for name, cost := range map[string]func(Task) (float64, bool){
+		"zero":     func(Task) (float64, bool) { return 0, true },
+		"random":   func(Task) (float64, bool) { return rng.Float64(), rng.Intn(2) == 0 },
+		"inverted": func(task Task) (float64, bool) { return 1 / float64(1+pl.Slices[task.Slice].Count), true },
+	} {
+		b := Greedy(reqs, nil, pl, Config{Th3: 1.1, Rebalance: true, Cost: cost})
+		type key struct {
+			q     int32
+			slice int
+		}
+		got := map[key]int{}
+		for d, tasks := range b.PerDPU {
+			for _, task := range tasks {
+				if got[key{task.Query, task.Slice}]++; !slices.Contains(pl.Slices[task.Slice].DPUs, d) {
+					t.Fatalf("%s price: task %+v launched on DPU %d, which does not hold its slice", name, task, d)
+				}
+			}
+		}
+		for _, task := range b.Postponed {
+			got[key{task.Query, task.Slice}]++
+		}
+		want := 0
+		for _, r := range reqs {
+			for _, si := range pl.ByCluster[r.Cluster] {
+				if want++; got[key{r.Query, si}] == 0 {
+					t.Fatalf("%s price: query %d never scans slice %d", name, r.Query, si)
+				}
+				got[key{r.Query, si}]--
+			}
+		}
+		if b.TaskCount()+len(b.Postponed) != want {
+			t.Fatalf("%s price: %d tasks for %d requested", name, b.TaskCount()+len(b.Postponed), want)
+		}
+	}
+}

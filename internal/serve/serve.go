@@ -178,9 +178,11 @@ type request struct {
 
 	// probed requests carry a pre-resolved probe list (shard-local cluster
 	// IDs, ascending distance order) from a sharded front door; the batcher
-	// then skips the engine's CL stage (SearchBatchProbed). probes is frozen
-	// under the same contract as q.
+	// then skips the engine's CL stage (SearchBatchProbed); dists holds the
+	// probes' CL distances, or nothing. Both are frozen under the same
+	// contract as q.
 	probes []int32
+	dists  []uint32
 	probed bool
 }
 
@@ -217,6 +219,7 @@ type Server struct {
 	qbuf     []uint8
 	psOff    []int32 // pooled ProbeSet storage for all-probed launches
 	psClu    []int32
+	psDist   []uint32
 	est      time.Duration // EWMA of launch service time
 
 	enqueued   atomic.Uint64
@@ -281,7 +284,7 @@ func (s *Server) Options() Options { return s.opt }
 // copied at admission). k <= 0 selects the engine's configured K; k larger
 // than that is an error (the engine computes exactly K candidates).
 func (s *Server) Search(ctx context.Context, q []uint8, k int) (Response, error) {
-	return s.search(ctx, q, k, true, nil, false)
+	return s.search(ctx, q, k, true, nil, nil, false)
 }
 
 // SearchOwned is Search without the admission copy of q: the caller
@@ -297,25 +300,30 @@ func (s *Server) Search(ctx context.Context, q []uint8, k int) (Response, error)
 // copy to S per-shard servers); everything else about the serving contract
 // is identical.
 func (s *Server) SearchOwned(ctx context.Context, q []uint8, k int) (Response, error) {
-	return s.search(ctx, q, k, false, nil, false)
+	return s.search(ctx, q, k, false, nil, nil, false)
 }
 
 // SearchProbedOwned is SearchOwned with the CL stage pre-resolved: probes
 // carries this query's cluster list in the engine's (shard-local) ID space,
-// ascending distance order, and the batcher launches the micro-batch
+// ascending distance order, dists the CL distance of each (or nothing: the
+// engine then computes them), and the batcher launches the micro-batch
 // through Engine.SearchBatchProbed — no per-shard CL, no CL charge in this
 // server's simulated metrics (the front door that resolved the probes
-// accounts that phase once). Both q and probes are frozen under the
+// accounts that phase once). q, probes and dists are frozen under the
 // SearchOwned contract: valid and unmutated until the reply is delivered,
 // even on an error return. An empty probe list is valid and yields an empty
 // response. If a launch mixes probed and unprobed requests the batcher
 // falls back to the engine's own CL for the whole batch — results are
 // identical (the probes came from the same locator over the same shared
 // directory), only the CL attribution differs for that launch.
-func (s *Server) SearchProbedOwned(ctx context.Context, q []uint8, k int, probes []int32) (Response, error) {
+func (s *Server) SearchProbedOwned(ctx context.Context, q []uint8, k int, probes []int32, dists []uint32) (Response, error) {
 	if s.probed == nil {
 		s.rejected.Add(1)
 		return Response{}, fmt.Errorf("serve: probed search on backend %T: %w", s.eng, ErrUnsupported)
+	}
+	if len(dists) != 0 && len(dists) != len(probes) {
+		s.rejected.Add(1)
+		return Response{}, fmt.Errorf("serve: %d probe distances for %d probes", len(dists), len(probes))
 	}
 	nlist := s.probed.NumClusters()
 	for _, c := range probes {
@@ -324,10 +332,10 @@ func (s *Server) SearchProbedOwned(ctx context.Context, q []uint8, k int, probes
 			return Response{}, fmt.Errorf("serve: probe cluster %d outside [0, %d)", c, nlist)
 		}
 	}
-	return s.search(ctx, q, k, false, probes, true)
+	return s.search(ctx, q, k, false, probes, dists, true)
 }
 
-func (s *Server) search(ctx context.Context, q []uint8, k int, copyQ bool, probes []int32, probed bool) (Response, error) {
+func (s *Server) search(ctx context.Context, q []uint8, k int, copyQ bool, probes []int32, dists []uint32, probed bool) (Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -351,6 +359,7 @@ func (s *Server) search(ctx context.Context, q []uint8, k int, copyQ bool, probe
 		enq:    time.Now(),
 		reply:  make(chan reply, 1),
 		probes: probes,
+		dists:  dists,
 		probed: probed,
 	}
 
@@ -753,12 +762,16 @@ func (s *Server) launch(batch []*request) {
 		// Every member carries front-door probes: pack them (in batch order,
 		// each list already ascending-distance) and skip the CL stage.
 		s.psOff = append(s.psOff[:0], 0)
-		s.psClu = s.psClu[:0]
+		s.psClu, s.psDist = s.psClu[:0], s.psDist[:0]
 		for _, r := range batch {
-			s.psClu = append(s.psClu, r.probes...)
+			s.psClu, s.psDist = append(s.psClu, r.probes...), append(s.psDist, r.dists...)
 			s.psOff = append(s.psOff, int32(len(s.psClu)))
 		}
-		res, err = s.probed.SearchBatchProbed(qs, engine.ProbeSet{Offsets: s.psOff, Clusters: s.psClu}, false)
+		ps := engine.ProbeSet{Offsets: s.psOff, Clusters: s.psClu, Dists: s.psDist}
+		if len(ps.Dists) != len(ps.Clusters) { // some member came without: the engine fills the column
+			ps.Dists = nil
+		}
+		res, err = s.probed.SearchBatchProbed(qs, ps, false)
 	} else {
 		res, err = s.eng.SearchBatch(qs)
 	}

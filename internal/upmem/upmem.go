@@ -289,6 +289,14 @@ func (t *Tally) RandomAccess(p Phase, n uint64) {
 	t.dmaBytes[p] += 8 * n
 }
 
+// ComputeCycles is the instruction cycles the tally holds, over all phases.
+func (t *Tally) ComputeCycles() (n uint64) {
+	for _, c := range t.compute {
+		n += c
+	}
+	return n
+}
+
 // Reset zeroes the tally for reuse.
 func (t *Tally) Reset() { *t = Tally{} }
 
@@ -349,6 +357,15 @@ func (d *DPU) ResetCounters() { d.phases = [NumPhases]PhaseStats{} }
 
 // Stats returns the accumulated statistics for phase p.
 func (d *DPU) Stats(p Phase) PhaseStats { return d.phases[p] }
+
+// ComputeCycles is the instruction cycles charged so far, over all phases
+// (pre pipeline scaling).
+func (d *DPU) ComputeCycles() (n uint64) {
+	for _, s := range d.phases {
+		n += s.ComputeCycles
+	}
+	return n
+}
 
 // PhaseCycles returns the wall cycles of phase p: compute scaled by pipeline
 // occupancy, overlapped with DMA (Equation 12's max form).
