@@ -134,7 +134,9 @@
 // way every rank holds the small directory), while the inverted lists are
 // split either point-wise by a deterministic ID hash (near-perfect
 // per-query balance) or whole-cluster-wise by balanced k-means bin packing
-// (each inverted list wholly on one shard, spatial neighbors together).
+// (each inverted list wholly on one shard, spatial neighbors together; given
+// a profile, what the packing levels is each list's simulated cycles, measured
+// by answering the profile once on a throwaway engine over the whole index).
 // Each shard runs in a compact local ID space with a monotone local→global
 // remap table, so Cluster.SearchBatch — which routes the query batch and
 // merges the per-shard partial top-k — returns IDs and Items bit-identical
@@ -542,7 +544,7 @@ const (
 
 // NewCluster partitions a pre-built index across opt.Shards engines. The
 // profile workload (may be empty) drives each shard's layout heat
-// profiling, as in NewEngine.
+// profiling, as in NewEngine, and the AssignKMeans split's per-list cost.
 func NewCluster(ix *Index, profile Vectors, opt ClusterOptions) (*Cluster, error) {
 	return cluster.New(ix, profile, opt)
 }

@@ -243,6 +243,7 @@ func All() []Experiment {
 		{"RM", "Regime map: LC/DC crossover and the bound's saving vs points per list", RegimeMap},
 		{"FS", "Fleet scaling: sim QPS and scan work vs shards x replicas", FleetScaling},
 		{"PA", "Price accuracy: the scheduler's task price against simulated cycles", PriceAccuracy},
+		{"SS", "Shard split: size x (1 + probes) against measured cycles a list", ShardSplit},
 		{"F10", "End-to-end energy comparison (Figure 10)", Figure10},
 		{"F11a", "Speedup of multiplier-less (SQT) conversion (Figure 11a)", Figure11a},
 		{"F11b", "Actual performance vs the performance model (Figure 11b)", Figure11b},

@@ -52,8 +52,8 @@ func cell(t *testing.T, tab *Table, row, col int) float64 {
 
 func TestRegistry(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 18 {
-		t.Fatalf("expected 18 experiments, got %d", len(ids))
+	if len(ids) != 19 {
+		t.Fatalf("expected 19 experiments, got %d", len(ids))
 	}
 	if _, ok := ByID("f7"); !ok {
 		t.Fatal("ByID should be case-insensitive")
@@ -296,6 +296,28 @@ func TestFleetScalingShape(t *testing.T) {
 	}
 }
 
+// TestShardSplitShape pins what the SS table is for: on each of the four
+// corpora, searched with the profile it was deployed on, the measured weight
+// levels the lanes to the split's cap (a sixteenth over the mean, a list of
+// slack) whatever size x (1 + probes) leaves; the held-out column is reported,
+// not asserted — it measures the profile, not the weight.
+func TestShardSplitShape(t *testing.T) {
+	tab := tables(t)["SS"]
+	const onProfile = 4
+	if len(tab.Rows) != 8 {
+		t.Fatalf("SS: %d rows, want 4 corpora x 2 weights", len(tab.Rows))
+	}
+	for i := 1; i < len(tab.Rows); i += 2 {
+		if tab.Rows[i][1] != "measured cycles" || tab.Rows[i][0] != tab.Rows[i-1][0] {
+			t.Fatalf("SS row %d: %v after %v", i, tab.Rows[i][:2], tab.Rows[i-1][:2])
+		}
+		if m := cell(t, tab, i, onProfile); m > 1.09 {
+			t.Errorf("SS %s: lanes max/mean %v on the profile under the measured weight (%v under size x (1 + probes)), want the cap's 1.0625 and a list of slack",
+				tab.Rows[i][0], m, cell(t, tab, i-1, onProfile))
+		}
+	}
+}
+
 func TestFigure10Shape(t *testing.T) {
 	tab := tables(t)["F10"]
 	for i := range tab.Rows {
@@ -403,8 +425,9 @@ func TestFigure13Shape(t *testing.T) {
 
 func TestFigure14aShape(t *testing.T) {
 	tab := tables(t)["F14a"]
+	swept := len(tab.Rows) - 1 // the last row is the layout's own threshold
 	maxSp := 0.0
-	for i := range tab.Rows {
+	for i := 0; i < swept; i++ {
 		sp := cell(t, tab, i, 1)
 		if sp < 0.8 {
 			t.Errorf("F14a row %d: splitting should not badly hurt (%v)", i, sp)
@@ -417,8 +440,17 @@ func TestFigure14aShape(t *testing.T) {
 		t.Errorf("F14a: best split speedup %v too small (paper: up to 3.35)", maxSp)
 	}
 	// The finest granularity must beat the coarsest.
-	if cell(t, tab, 0, 1) < cell(t, tab, len(tab.Rows)-1, 1) {
+	if cell(t, tab, 0, 1) < cell(t, tab, swept-1, 1) {
 		t.Error("F14a: finest slices should beat coarsest")
+	}
+	// With no copies to level with, the threshold the layout picks by
+	// evaluation splits, and does about as well as the best of the sweep.
+	var th1, slices, lists int
+	if _, err := fmt.Sscanf(tab.Rows[swept][0], "auto: %d (%d slices of %d lists)", &th1, &slices, &lists); err != nil {
+		t.Fatalf("F14a last row %q: %v", tab.Rows[swept][0], err)
+	}
+	if auto := cell(t, tab, swept, 1); slices <= lists || auto < 0.95*maxSp {
+		t.Errorf("F14a: the evaluated threshold %d makes %d slices of %d lists and reads %vx, the best swept row %vx", th1, slices, lists, auto, maxSp)
 	}
 }
 

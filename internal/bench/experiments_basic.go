@@ -20,6 +20,8 @@ type drimRun struct {
 	QPS     float64
 	Recall  float64
 	Metrics core.Metrics
+	Th1     int // the layout's split threshold and the slices it made
+	Slices  int
 }
 
 // runDRIM builds an engine for (dataset, nlist, nprobe) with optional option
@@ -59,6 +61,8 @@ func (r *Runner) runDRIMCB(name string, nlist, nprobe, cb int, mutate func(*core
 		QPS:     res.Metrics.QPS,
 		Recall:  dataset.Recall(gt, res.IDs, r.Scale.K),
 		Metrics: res.Metrics,
+		Th1:     eng.Placement().Th1,
+		Slices:  len(eng.Placement().Slices),
 	}, nil
 }
 

@@ -33,9 +33,9 @@
 //     owners (fan-out close to S).
 //   - AssignKMeans assigns whole coarse (k-means) clusters to shards with
 //     a balanced k-means over the centroid vectors themselves (capacity-
-//     capped, heat-weighted), so each inverted list lives wholly on one
-//     shard and spatially neighboring lists share a shard. Because a
-//     query's probes are spatial neighbors, the mean fan-out stays well
+//     capped, weighted by measured cycles), so each inverted list lives
+//     wholly on one shard and spatially neighboring lists share a shard.
+//     Because a query's probes are spatial neighbors, the mean fan-out stays well
 //     below S — the cross-rank partition UpANNS-style systems use to cut
 //     fan-out traffic.
 //
@@ -92,7 +92,6 @@ import (
 	"drimann/internal/core"
 	"drimann/internal/dataset"
 	"drimann/internal/ivf"
-	"drimann/internal/topk"
 	"drimann/internal/vecmath"
 )
 
@@ -430,12 +429,12 @@ func splitmix64(x uint64) uint64 {
 }
 
 // shardOfPoints computes each corpus point's shard under the configured
-// assignment. nPoints is the corpus size (max list ID + 1); profile is the
-// optional workload that weights the kmeans balance (see clusterHeat).
-// It also returns the cluster→shard map under AssignKMeans (nil under
-// AssignHash) — the routing live inserts follow, including into clusters
-// that own no points yet.
-func shardOfPoints(ix *ivf.Index, nPoints int, profile dataset.U8Set, opt Options) ([]int32, []int32) {
+// assignment. nPoints is the corpus size (max list ID + 1); weight is the
+// per-cluster weight the kmeans balance levels (see listWeights). It also
+// returns the cluster→shard map under AssignKMeans (nil under AssignHash) —
+// the routing live inserts follow, including into clusters that own no points
+// yet.
+func shardOfPoints(ix *ivf.Index, nPoints int, weight []float64, opt Options) ([]int32, []int32) {
 	owner := make([]int32, nPoints)
 	if opt.Assignment == AssignHash {
 		for i := range owner {
@@ -443,8 +442,7 @@ func shardOfPoints(ix *ivf.Index, nPoints int, profile dataset.U8Set, opt Option
 		}
 		return owner, nil
 	}
-	heat := clusterHeat(ix, profile, opt.Engine.NProbe)
-	shardOfCluster := assignClustersKMeans(ix, opt.Shards, heat)
+	shardOfCluster := assignClustersKMeans(ix, opt.Shards, weight, core.PointCapacity(ix, opt.Engine))
 	for c, list := range ix.Lists {
 		for _, id := range list {
 			owner[id] = shardOfCluster[c]
@@ -453,53 +451,41 @@ func shardOfPoints(ix *ivf.Index, nPoints int, profile dataset.U8Set, opt Option
 	return owner, shardOfCluster
 }
 
-// clusterHeat estimates each coarse cluster's expected query-time work —
-// the weight the kmeans assignment balances across shards. With a profile
-// workload it is list size × (1 + profile probe count): the points a shard
-// actually scans are its owned clusters' points times how often queries
-// probe them, so balancing raw list sizes alone leaves the shard owning the
-// workload's hot region as the fleet's critical path (whole-corpus memory
-// stays balanced under hash; under kmeans the memory split follows the heat
-// split, the same trade the paper's intra-engine layout optimizer makes
-// with the same profile). Without a profile every cluster weighs its list
-// size — memory balance, the best available proxy.
-func clusterHeat(ix *ivf.Index, profile dataset.U8Set, nprobe int) []float64 {
-	probed := make([]float64, ix.NList)
-	if profile.N > 0 {
-		if nprobe <= 0 {
-			nprobe = core.DefaultOptions().NProbe
-		}
-		if nprobe > ix.NList {
-			nprobe = ix.NList
-		}
-		out := make([]topk.Item[uint32], profile.N*nprobe)
-		counts := make([]int, profile.N)
-		ix.LocateBatch(profile, 0, profile.N, nprobe, 0, out, counts)
-		for qi := 0; qi < profile.N; qi++ {
-			for _, it := range out[qi*nprobe : qi*nprobe+counts[qi]] {
-				probed[it.ID]++
-			}
-		}
+// listWeights is each coarse cluster's expected query-time work — the weight
+// the kmeans assignment balances across shards. With a profile workload it is
+// measured: one throwaway engine over the whole index, a shard's DPUs with the
+// fleet's MRAM, answers the profile, and a list weighs the simulated cycles
+// its scans cost (core.ListCycles). A scan builds LUT entries, which grow
+// slower than the list, and a bound prunes far probes harder than near ones, so
+// no closed form of size and probe count tracks what a lane will spend. Memory
+// follows the cost split, as it did under size x (1 + probes) — bounded by what
+// a shard's engine can hold (assignClustersKMeans), not levelled. Without a
+// profile every cluster weighs its list size: memory balance.
+func listWeights(ix *ivf.Index, profile dataset.U8Set, opt Options) ([]float64, error) {
+	if profile.N > 0 && opt.Assignment == AssignKMeans {
+		return core.ListCycles(ix, profile, opt.Engine, opt.Shards)
 	}
-	heat := make([]float64, ix.NList)
-	for c := range heat {
-		heat[c] = float64(ix.ListLen(c)) * (1 + probed[c])
+	weight := make([]float64, ix.NList)
+	for c := range weight {
+		weight[c] = float64(ix.ListLen(c))
 	}
-	return heat
+	return weight, nil
 }
 
 // assignClustersKMeans maps whole coarse clusters to shards by a balanced
 // k-means over the centroid vectors themselves: S meta-centroids are seeded
 // by farthest-point and refined by capacity-constrained Lloyd iterations
-// weighted by heat. Spatial grouping is what makes selective scatter pay
-// off — a query's NProbe nearest clusters are spatial neighbors, so when
-// neighboring clusters share a shard the probe list concentrates on few
+// weighted by heat (listWeights). Spatial grouping is what makes selective
+// scatter pay off — a query's NProbe nearest clusters are spatial neighbors, so
+// when neighboring clusters share a shard the probe list concentrates on few
 // shards and the mean scatter fan-out drops well below S — while the
 // capacity cap (~6% slack over perfect) keeps the heat split balanced
 // enough that the fleet's max-over-shards latency doesn't pay for the
-// locality. Deterministic: seeding, iteration order and tie-breaks are all
-// fixed by the index and profile.
-func assignClustersKMeans(ix *ivf.Index, shards int, heat []float64) []int32 {
+// locality, and pointCap (the points one shard's engine has MRAM for) keeps
+// the lists no query of the profile probed from piling onto one shard.
+// Deterministic: seeding, iteration order and tie-breaks are all fixed by the
+// index and profile.
+func assignClustersKMeans(ix *ivf.Index, shards int, heat []float64, pointCap int) []int32 {
 	shardOfCluster := make([]int32, ix.NList)
 	if shards <= 1 {
 		return shardOfCluster
@@ -549,14 +535,16 @@ func assignClustersKMeans(ix *ivf.Index, shards int, heat []float64) []int32 {
 	}
 
 	capLimit := total/float64(shards)*(1+1.0/16) + 1
-	load := make([]float64, shards)
+	load, held := make([]float64, shards), make([]int, shards)
 	const iters = 8
 	for it := 0; it < iters; it++ {
 		// Capacity-constrained assignment: each cluster goes to the nearest
-		// meta-centroid with room; with every shard at cap, the lightest
-		// takes it (the balance backstop).
+		// meta-centroid with room, for its heat under the cap and for its
+		// points in the shard's MRAM (a measured heat is zero on every list the
+		// profile never probed, and those lists still take memory); with
+		// every shard full, the lightest takes it (the balance backstop).
 		for s := range load {
-			load[s] = 0
+			load[s], held[s] = 0, 0
 		}
 		for _, c := range clusters {
 			best, bestD := -1, float32(0)
@@ -565,7 +553,7 @@ func assignClustersKMeans(ix *ivf.Index, shards int, heat []float64) []int32 {
 				if load[s] < load[light] {
 					light = s
 				}
-				if load[s]+c.weight > capLimit {
+				if load[s]+c.weight > capLimit || held[s]+ix.ListLen(c.id) > pointCap {
 					continue
 				}
 				d := vecmath.L2SquaredF32(ix.Centroid(c.id), metas[s])
@@ -577,7 +565,7 @@ func assignClustersKMeans(ix *ivf.Index, shards int, heat []float64) []int32 {
 				best = light
 			}
 			shardOfCluster[c.id] = int32(best)
-			load[best] += c.weight
+			load[best], held[best] = load[best]+c.weight, held[best]+ix.ListLen(c.id)
 		}
 		if it == iters-1 {
 			break
@@ -615,18 +603,34 @@ func assignClustersKMeans(ix *ivf.Index, shards int, heat []float64) []int32 {
 // New partitions ix across opt.Shards engines. The profile workload (may be
 // empty) drives each shard's layout heat profiling, exactly as in core.New,
 // and under AssignKMeans also weights the shard assignment itself (see
-// clusterHeat): shards balance expected query-time work, not just points.
+// listWeights): shards balance measured query-time work, not just points.
 // The shared quantizer state (centroids, codebooks, SQT) is referenced, not
 // copied; only the inverted lists and codes are split. Like core.New, it
 // refuses an index with uncompacted mutations: only the packed lists are
 // partitioned, so live inserts would be dropped and tombstoned points
 // resurrected.
 func New(ix *ivf.Index, profile dataset.U8Set, opt Options) (*Cluster, error) {
+	return NewWeighted(ix, profile, opt, nil)
+}
+
+// NewWeighted is New with the per-cluster weights the AssignKMeans split
+// levels given by the caller (nil: New's own, see listWeights). It exists for
+// drim-bench -exp SS and the tests that compare split rules on one corpus; the
+// public package does not expose it.
+func NewWeighted(ix *ivf.Index, profile dataset.U8Set, opt Options, weight []float64) (*Cluster, error) {
 	if err := opt.defaults(); err != nil {
 		return nil, err
 	}
 	if ix.HasMutations() {
 		return nil, fmt.Errorf("cluster: index has uncompacted mutations; Compact it before deploying")
+	}
+	if weight == nil {
+		var err error
+		if weight, err = listWeights(ix, profile, opt); err != nil {
+			return nil, fmt.Errorf("cluster: measuring list cost: %w", err)
+		}
+	} else if len(weight) != ix.NList {
+		return nil, fmt.Errorf("cluster: %d weights for %d clusters", len(weight), ix.NList)
 	}
 	nPoints := 0
 	for _, list := range ix.Lists {
@@ -636,7 +640,7 @@ func New(ix *ivf.Index, profile dataset.U8Set, opt Options) (*Cluster, error) {
 			}
 		}
 	}
-	owner, shardOfCluster := shardOfPoints(ix, nPoints, profile, opt)
+	owner, shardOfCluster := shardOfPoints(ix, nPoints, weight, opt)
 
 	// Local ID spaces: enumerate each shard's points in ascending global ID
 	// order, so the local→global table is strictly increasing and the remap

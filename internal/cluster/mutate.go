@@ -19,7 +19,7 @@ package cluster
 import (
 	"fmt"
 	"slices"
-	"sort"
+	"sync"
 
 	"drimann/internal/dataset"
 	"drimann/internal/durable"
@@ -189,34 +189,53 @@ func (cl *Cluster) Delete(ids []int32) error {
 // order of the surviving global IDs — restoring the strictly-increasing
 // remap tables that make merged results bit-identical to a freshly built
 // fleet (and to a single engine) over the same logical corpus. The owner
-// map is rebuilt exactly.
+// map is rebuilt exactly. Shards share nothing a compaction writes, so they
+// compact — and re-measure their share tables — side by side; the tables of
+// those that succeeded are installed after the last has finished, and the
+// lowest failing shard's error is returned.
 func (cl *Cluster) Compact() error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	cl.ensureG2L()
+	globals, errs := make([][]int32, len(cl.shards)), make([]error, len(cl.shards))
+	var wg sync.WaitGroup
 	for s, sh := range cl.shards {
-		m := cl.g2l[s]
-		globals := make([]int32, 0, len(m))
-		for g := range m {
-			globals = append(globals, g)
-		}
-		sort.Slice(globals, func(i, j int) bool { return globals[i] < globals[j] })
-		oldTbl := sh.GlobalIDs()
-		if !sh.Engine.Index().HasMutations() && len(globals) == len(oldTbl) {
+		m, oldTbl := cl.g2l[s], sh.GlobalIDs()
+		if !sh.Engine.Index().HasMutations() && len(m) == len(oldTbl) {
 			continue // untouched shard: table already dense and monotone
 		}
-		remap := make([]int32, len(oldTbl))
-		for newLocal, g := range globals {
-			remap[m[g]] = int32(newLocal)
+		wg.Add(1)
+		go func(s int, sh *Shard) {
+			defer wg.Done()
+			ids := make([]int32, 0, len(m))
+			for g := range m {
+				ids = append(ids, g)
+			}
+			slices.Sort(ids)
+			remap := make([]int32, len(oldTbl))
+			for newLocal, g := range ids {
+				remap[m[g]] = int32(newLocal)
+			}
+			globals[s], errs[s] = ids, sh.Engine.CompactRemap(remap)
+		}(s, sh)
+	}
+	wg.Wait()
+	var firstErr error
+	for s, sh := range cl.shards {
+		if errs[s] != nil && firstErr == nil {
+			firstErr = fmt.Errorf("cluster: shard %d compact: %w", s, errs[s])
 		}
-		if err := sh.Engine.CompactRemap(remap); err != nil {
-			return fmt.Errorf("cluster: shard %d compact: %w", s, err)
+		if errs[s] != nil || globals[s] == nil {
+			continue
 		}
-		sh.setTable(globals)
-		sh.Points = len(globals)
-		for newLocal, g := range globals {
-			m[g] = int32(newLocal)
+		sh.setTable(globals[s])
+		sh.Points = len(globals[s])
+		for newLocal, g := range globals[s] {
+			cl.g2l[s][g] = int32(newLocal)
 		}
+	}
+	if firstErr != nil {
+		return firstErr
 	}
 	cl.ownPackedLists()
 	if cl.fstore != nil {

@@ -50,6 +50,7 @@ func TestFleetOfOneIsTheEngine(t *testing.T) {
 		opts := engineOpts()
 		opts.BatchSize = 48
 		opts.Th3 = tc.th3
+		opts.SplitThreshold = 397 // one list cut in two: the launches the Th3 rows were pinned on
 		single, err := core.New(ix, s.Queries, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -94,17 +95,16 @@ func TestFleetOfOneIsTheEngine(t *testing.T) {
 // TestShardingCostsNoWork: a query's first wave runs once fleet-wide, not once
 // a shard, and every shard prunes against the bound merged over all of them,
 // so a sharded fleet spends about the single engine's cycles on the same
-// points: 1.04x at S = 2 and 1.03x at S = 7 here, where shards cutting their
+// points: 1.00x at S = 2 and at S = 7 here, where shards cutting their
 // own waves spent 1.17x and 1.72x. What is left is per DPU — more DPUs each
 // hold fewer of a query's points, so their own heaps bound later. The layout is
-// held to one task a probe: a shard's optimizer splits its smaller share of
-// the lists finer, and every slice builds its own LUT entries (with it on, the
-// same fleets read 1.34x and 1.24x, from 1.59x and 2.19x), which is the
-// layout's price for parallelism, not sharding's.
+// the default one: a shard's optimizer prices a split at the LUT entries every
+// slice builds again, so holding a smaller share of the lists no longer makes
+// it split finer (under the old threshold search the same fleets read 1.34x and
+// 1.24x unless split and copies were switched off).
 func TestShardingCostsNoWork(t *testing.T) {
 	ix, s := testFixture(t, 6000, 64)
 	opts := engineOpts()
-	opts.EnableSplit, opts.EnableDup = false, false
 	single, err := core.New(ix, s.Queries, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -350,6 +350,10 @@ func TestFleetRollsWaves(t *testing.T) {
 	ix, s := mutClusterFixture(t, n, base, 64)
 	opts := engineOpts()
 	opts.BatchSize, opts.Th3 = 16, 0 // four batches, no drain rounds
+	// Lists cut at 73 points, as the finest shard's were when this test was
+	// written: a batch's 128 probes are then some 220 tasks, the two a DPU
+	// under which the six-lane fleet would not cut a batch into waves at all.
+	opts.SplitThreshold = 73
 	single, err := core.New(ix, s.Queries, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -446,6 +450,7 @@ func TestFleetDrainsEveryReplica(t *testing.T) {
 	ix, s := testFixture(t, 6000, 64)
 	opts := engineOpts()
 	opts.BatchSize, opts.Th3 = 7, 1.005
+	opts.SplitThreshold = 102 // some 100 slices of the 64 lists, which is what puts a batch near two tasks a DPU
 	single, err := core.New(ix, s.Queries, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -476,4 +481,105 @@ func TestFleetDrainsEveryReplica(t *testing.T) {
 			t.Fatalf("%s: scanned %d points, the engine %d: postponed tasks were dropped", what, g.PointsScanned, want.Metrics.PointsScanned)
 		}
 	}
+}
+
+// TestMeasuredSplitLevelsLanes: the AssignKMeans split levels what a list's
+// scans cost on the simulator (core.ListCycles over the profile), not list
+// size x (1 + profile probes). Searched with that profile, the lanes' simulated
+// cycles — every group scan on a shard's engines — spread no wider under the
+// measured weight than under the old one, stay within the split's cap (a
+// sixteenth over the mean, and the slack of one list), and the answers are the
+// same points either way; a weight list of the wrong length is refused.
+func TestMeasuredSplitLevelsLanes(t *testing.T) {
+	ix, s := testFixture(t, 6000, 64)
+	copt := cluster.Options{Shards: 3, Replicas: 2, Assignment: cluster.AssignKMeans, Engine: engineOpts()}
+	old := make([]float64, ix.NList)
+	for c := range old {
+		old[c] = float64(ix.ListLen(c))
+	}
+	for qi := 0; qi < s.Queries.N; qi++ {
+		for _, p := range ix.LocateInt(s.Queries.Vec(qi), copt.Engine.NProbe) {
+			old[p.ID] += float64(ix.ListLen(int(p.ID)))
+		}
+	}
+	spread := func(weight []float64) (*core.Result, float64) {
+		cl, err := cluster.NewWeighted(ix, s.Queries, copt, weight)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scans := make([][]core.ScanSample, len(cl.Shards())*copt.Replicas)
+		for si, sh := range cl.Shards() {
+			for r, e := range sh.Engines {
+				e.RecordScans(&scans[si*copt.Replicas+r])
+			}
+		}
+		res, err := cl.SearchBatch(s.Queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var worst, sum float64
+		for si := range cl.Shards() {
+			var lane float64
+			for _, log := range scans[si*copt.Replicas : (si+1)*copt.Replicas] {
+				for _, sm := range log {
+					lane += sm.Cycles
+				}
+			}
+			worst, sum = max(worst, lane), sum+lane
+		}
+		return res, worst * float64(len(cl.Shards())) / sum
+	}
+	want, oldSpread := spread(old)
+	got, newSpread := spread(nil)
+	sameAnswers(t, "measured split vs size x (1 + probes) split", got, want)
+	t.Logf("lanes' cycles max/mean: %.3f under size x (1 + probes), %.3f under measured cycles", oldSpread, newSpread)
+	if newSpread > oldSpread || newSpread > 1.10 {
+		t.Fatalf("lanes' cycles max/mean %.3f under the measured weight, %.3f under size x (1 + probes)", newSpread, oldSpread)
+	}
+	if _, err := cluster.NewWeighted(ix, s.Queries, copt, old[:1]); err == nil {
+		t.Fatal("one weight for 64 clusters was accepted")
+	}
+}
+
+// TestSplitFitsTheShards: a measured weight is zero on every list the profile
+// never probed, so on a profile of a few hot queries the heat cap alone lets one
+// shard collect most of the corpus; the split also keeps every shard's points
+// within what its engine's MRAM holds (core.PointCapacity), and the measuring
+// engine has the fleet's MRAM, not one shard's. With banks that hold a quarter
+// over a shard's even share — a single engine could not hold half the corpus —
+// the fleet deploys, every shard within its capacity, and answers what an
+// engine with room for everything answers.
+func TestSplitFitsTheShards(t *testing.T) {
+	ix, s := testFixture(t, 6000, 64)
+	opts := engineOpts()
+	opts.NumDPUs, opts.NProbe, opts.CopyFootprint = 4, 4, 0 // no copies: a bank holds list data only
+	roomy, err := core.New(ix, s.Queries, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards = 3
+	for opts.MRAMBytes = 1 << 10; core.PointCapacity(ix, opts) < 6000/shards*5/4; opts.MRAMBytes += 1 << 10 {
+	}
+	if _, err := core.New(ix, s.Queries, opts); err == nil {
+		t.Fatal("fixture: the whole index fits one shard's engine")
+	}
+	hot := dataset.U8Set{N: 6, D: s.Queries.D, Data: s.Queries.Data[:6*s.Queries.D]}
+	cl, err := cluster.New(ix, hot, cluster.Options{Shards: shards, Assignment: cluster.AssignKMeans, Engine: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si, sh := range cl.Shards() {
+		if sh.Points > core.PointCapacity(ix, opts) {
+			t.Fatalf("shard %d holds %d points, its engine has MRAM for %d", si, sh.Points, core.PointCapacity(ix, opts))
+		}
+	}
+	want, err := roomy.SearchBatch(s.Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cl.SearchBatch(s.Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAnswers(t, "fleet of small banks vs one roomy engine", got, want)
 }

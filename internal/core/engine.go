@@ -145,6 +145,16 @@
 // postponed (a first-wave task is its query's bound), and a price decides
 // which copy of a slice scans and in which launch, never what is found.
 //
+// The layout is laid out against the same price. Deployment, Compact and
+// recovery all go through layout.Optimize (Engine.optimize), which is handed
+// the no-prune price as a function of slice length (the entries a slice reads
+// in perfmodel's closed form) and picks the split threshold by pricing the
+// hottest DPU of every candidate placement — so a split is charged the LUT
+// entries each slice builds again, and an LC-bound deployment with MRAM for
+// copies keeps its lists whole. ListCycles is the other thing measured at
+// deployment: per list, the cycles its scans cost over the profile, which a
+// sharded fleet levels its split on.
+//
 // # SQT16 geometry invariant
 //
 // All per-DPU sqt.SQT16 tables are built with identical geometry (hot-window
@@ -499,6 +509,12 @@ func (sc *dpuScratch) nextHeap(k int) *topk.Heap[uint32] {
 // the provided profile queries (or falls back to cluster sizes), optimizes
 // the data layout, and checks that everything fits MRAM and WRAM.
 func New(ix *ivf.Index, profile dataset.U8Set, opts Options) (*Engine, error) {
+	return deploy(ix, profile, profile, opts)
+}
+
+// deploy is New with the sample the share table is measured on (cal; none:
+// the flat table) named apart from the heat profile.
+func deploy(ix *ivf.Index, profile, cal dataset.U8Set, opts Options) (*Engine, error) {
 	opts.defaults()
 	cfg := upmem.DefaultConfig(opts.NumDPUs)
 	cfg.Tasklets = opts.Tasklets
@@ -556,9 +572,7 @@ func New(ix *ivf.Index, profile dataset.U8Set, opts Options) (*Engine, error) {
 	// Reserve per-DPU MRAM for index-wide data before the layout divides the
 	// remainder: integer codebooks plus the full centroid table (for
 	// simplicity every DPU keeps all centroids, as the directory is small).
-	codebookBytes := ix.M * ix.CB * (ix.Dim / ix.M) * 2
-	centroidBytes := ix.NList * ix.Dim
-	fixed := codebookBytes + centroidBytes
+	fixed := fixedMRAM(ix)
 	dataBudget := cfg.MRAMBytes - fixed - opts.CopyFootprint
 	if dataBudget <= 0 {
 		return nil, fmt.Errorf("core: MRAM too small: %d fixed bytes vs %d bank", fixed, cfg.MRAMBytes)
@@ -576,7 +590,8 @@ func New(ix *ivf.Index, profile dataset.U8Set, opts Options) (*Engine, error) {
 		EnableDup:      opts.EnableDup,
 		EnableBalance:  opts.EnableBalance,
 	}
-	pl, err := layout.Optimize(sizes, freq, lcfg)
+	e.freq, e.lcfg = freq, lcfg
+	pl, err := e.optimize(sizes)
 	if err != nil {
 		return nil, fmt.Errorf("core: layout: %w", err)
 	}
@@ -584,8 +599,6 @@ func New(ix *ivf.Index, profile dataset.U8Set, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("core: layout invariants: %w", err)
 	}
 	e.pl = pl
-	e.freq = freq
-	e.lcfg = lcfg
 
 	if err := e.accountMemory(); err != nil {
 		return nil, err
@@ -598,7 +611,7 @@ func New(ix *ivf.Index, profile dataset.U8Set, opts Options) (*Engine, error) {
 	e.lut = ix.NewLUTBuilder(opts.Workers)
 	e.lutScratch = newLUTScratches(e.lut, opts.Workers)
 	e.algebraic = e.lut != nil && !opts.PerOpAccounting
-	e.lc = &lcDemand{cal: profile}
+	e.lc = &lcDemand{cal: cal}
 	e.scratch = make([]dpuScratch, opts.NumDPUs)
 	e.rebuildDemand()
 	return e, nil
@@ -639,6 +652,22 @@ func newLUTScratches(lut *ivf.LUTBuilder, workers int) []*ivf.LUTScratch {
 	return scratches
 }
 
+// fixedMRAM is the index-wide data every DPU holds: the integer codebooks and
+// the full centroid table.
+func fixedMRAM(ix *ivf.Index) int { return ix.M*ix.CB*(ix.Dim/ix.M)*2 + ix.NList*ix.Dim }
+
+// PointCapacity is how many points of ix's lists an engine deployed with opts
+// has MRAM for — per DPU, the bank less the index-wide data and the copy
+// footprint, over the bytes a point takes. A sharded deployment keeps every
+// shard's share under it (cluster.New).
+func PointCapacity(ix *ivf.Index, opts Options) int {
+	opts.defaults()
+	if opts.MRAMBytes <= 0 {
+		opts.MRAMBytes = upmem.DefaultConfig(1).MRAMBytes
+	}
+	return opts.NumDPUs * max(opts.MRAMBytes-fixedMRAM(ix)-opts.CopyFootprint, 0) / (codeBytesFor(ix.CB, ix.M) + 4)
+}
+
 // accountMemory reserves the engine's per-DPU MRAM (index-wide fixed data
 // plus every placed slice) and WRAM (staging, SQT, metadata, and the LUT
 // when it fits), recording metaPerDPU and lutInWRAM. New and NewReplica both
@@ -646,9 +675,7 @@ func newLUTScratches(lut *ivf.LUTBuilder, workers int) []*ivf.LUTScratch {
 // hardware is per replica even where the host-side data is shared.
 func (e *Engine) accountMemory() error {
 	ix, sys, opts := e.ix, e.sys, e.opts
-	codebookBytes := ix.M * ix.CB * (ix.Dim / ix.M) * 2
-	centroidBytes := ix.NList * ix.Dim
-	fixed := codebookBytes + centroidBytes
+	fixed := fixedMRAM(ix)
 
 	// Account MRAM per DPU.
 	e.metaPerDPU = make([]int, opts.NumDPUs)

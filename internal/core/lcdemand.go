@@ -16,6 +16,7 @@ import (
 	"math/bits"
 
 	"drimann/internal/dataset"
+	"drimann/internal/ivf"
 	"drimann/internal/layout"
 	"drimann/internal/perfmodel"
 	"drimann/internal/sched"
@@ -186,13 +187,24 @@ func (e *Engine) modelTaskCycles(n int, need float64) float64 {
 	return cycles + float64(n)*(1+float64(e.opts.LockCycles)/8)
 }
 
+// optimize lays the lists of the given sizes out with the configuration New
+// resolved, splits priced as the scheduler prices a task no bound prunes: over
+// a slice of n points, the LUT entries they read taken in closed form.
+func (e *Engine) optimize(sizes []int) (*layout.Placement, error) {
+	cfg := e.lcfg
+	cfg.TaskCycles = func(n int) float64 {
+		return e.modelTaskCycles(n, float64(e.ix.M)*perfmodel.LUTOccupancy(e.ix.CB, n))
+	}
+	return layout.Optimize(sizes, e.freq, cfg)
+}
+
 // ScanSample is one (query, cluster) group scan on one DPU as the recorder
 // saw it: the probe's CL distance, the bound the query carried (MaxUint32:
 // none), the instruction cycles charged, and the no-prune price of its tasks.
 type ScanSample struct {
-	Query         int32
-	Dist, Bound   uint32
-	Cycles, Price float64
+	Query, Cluster int32
+	Dist, Bound    uint32
+	Cycles, Price  float64
 }
 
 // RecordScans makes the engine append to *into (nil: stop) a sample of every
@@ -204,7 +216,7 @@ func (e *Engine) RecordScans(into *[]ScanSample) { e.rec = into }
 func (e *Engine) recordScan(dpu *upmem.DPU, sc *dpuScratch, group []sched.Task, bi int, bound uint32) {
 	c0 := dpu.ComputeCycles() + sc.tally.ComputeCycles()
 	e.scanGroup(dpu, sc, group, bi, bound)
-	s := ScanSample{Query: group[0].Query, Dist: group[0].Dist, Bound: bound, Cycles: float64(dpu.ComputeCycles() + sc.tally.ComputeCycles() - c0)}
+	s := ScanSample{Query: group[0].Query, Cluster: group[0].Cluster, Dist: group[0].Dist, Bound: bound, Cycles: float64(dpu.ComputeCycles() + sc.tally.ComputeCycles() - c0)}
 	for _, t := range group {
 		s.Price += e.lc.heat[t.Slice]
 	}
@@ -241,6 +253,35 @@ func (e *Engine) calibrate() {
 		}
 	}
 	fit()
+}
+
+// ListCycles deploys ix as New does on one engine with the MRAM of a fleet of
+// that many — an index the fleet can hold fits it, and its layout levels over
+// as many DPUs as a shard's will — short of measuring a share table (the flat
+// one schedules), answers the profile under the scan recorder and returns the
+// simulated cycles the scans of each inverted list cost in total: the per-list
+// cost a sharded deployment levels its split on (cluster.New). WRAM is not
+// scaled (it decides where the LUT lives), so a DPU's slice directory covers
+// that many shards' lists.
+func ListCycles(ix *ivf.Index, profile dataset.U8Set, opts Options, shards int) ([]float64, error) {
+	if opts.MRAMBytes <= 0 {
+		opts.MRAMBytes = upmem.DefaultConfig(1).MRAMBytes
+	}
+	opts.MRAMBytes *= shards
+	e, err := deploy(ix, profile, dataset.U8Set{}, opts)
+	if err != nil {
+		return nil, err
+	}
+	var scans []ScanSample
+	e.rec = &scans
+	if _, err := e.SearchBatch(profile); err != nil {
+		return nil, err
+	}
+	cycles := make([]float64, ix.NList)
+	for _, s := range scans {
+		cycles[s.Cluster] += s.Cycles
+	}
+	return cycles, nil
 }
 
 // Share is the part of its no-prune price a task costs whose probe lies at CL

@@ -120,7 +120,7 @@ func (e *Engine) compact(remap []int32) error {
 	for c := range sizes {
 		sizes[c] = ix.ListLen(c)
 	}
-	pl, err := layout.Optimize(sizes, e.freq, e.lcfg)
+	pl, err := e.optimize(sizes)
 	if err != nil {
 		return fmt.Errorf("core: post-compaction layout: %w", err)
 	}

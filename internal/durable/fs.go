@@ -57,11 +57,11 @@ type FS interface {
 // OS is the production FS backed by the real filesystem.
 type OS struct{}
 
-func (OS) MkdirAll(dir string) error             { return os.MkdirAll(dir, 0o755) }
-func (OS) ReadFile(name string) ([]byte, error)  { return os.ReadFile(name) }
-func (OS) Rename(oldname, newname string) error  { return os.Rename(oldname, newname) }
-func (OS) Remove(name string) error              { return os.Remove(name) }
-func (OS) Create(name string) (File, error)      { return os.Create(name) }
+func (OS) MkdirAll(dir string) error            { return os.MkdirAll(dir, 0o755) }
+func (OS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+func (OS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
+func (OS) Remove(name string) error             { return os.Remove(name) }
+func (OS) Create(name string) (File, error)     { return os.Create(name) }
 func (OS) OpenAppend(name string) (File, error) {
 	return os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 }

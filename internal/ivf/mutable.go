@@ -25,8 +25,8 @@ import (
 // mutState is the mutation overlay. It is created lazily on the first
 // Insert/Delete and discarded whole by Compact.
 type mutState struct {
-	appendIDs   [][]int32  // per cluster: ids appended since last compaction
-	appendCodes [][]uint16 // per cluster: their PQ codes, M entries each
+	appendIDs   [][]int32        // per cluster: ids appended since last compaction
+	appendCodes [][]uint16       // per cluster: their PQ codes, M entries each
 	tomb        []map[int32]bool // per cluster: deleted BASE-list ids only
 	where       map[int32]int32  // live id -> owning cluster
 	nAppend     int

@@ -4,9 +4,8 @@
 //
 //  1. Cluster partition — clusters larger than a threshold th1 are split
 //     into equal-capacity slices so one hot cluster can spread over several
-//     DPUs. th1 is found by an iterative search with a dynamic learning
-//     rate, trading the extra per-slice indexing overhead against balance,
-//     under the constraint that slice metadata fits in WRAM.
+//     DPUs. th1 is chosen by evaluation (see below), under the constraint
+//     that slice metadata fits in WRAM.
 //  2. Cluster duplication — hot clusters get extra copies (all slices of a
 //     cluster are duplicated the same number of times), proportional to
 //     heat and inversely proportional to slice count, until the configured
@@ -15,11 +14,29 @@
 //     them (greedy), followed by exchange passes that co-locate slices of
 //     the same cluster for RC/LC/TS data reuse while keeping the heat
 //     balance within tolerance.
+//
+// # Th1 by evaluation
+//
+// What a split costs depends on the kernel — every slice of a list builds its
+// own LUT entries — and what it buys on everything after it: how many copies
+// duplication can afford, how many DPUs there are to level over. So no closed
+// form picks th1. Optimize walks the thresholds that cut the largest list
+// into 1, 2, 3, … equal slices (every other list in proportion), coarsest
+// first, runs all three phases for each and keeps the placement whose modelled
+// launch (Placement.launchCycles) is shortest: the hottest DPU's load, a
+// slice's load being its list's probes × Config.TaskCycles of its length,
+// shared among its copies. Splitting only adds work when the price is concave
+// (k tasks over n/k points cost no less than one over n), and the hottest DPU
+// carries at least the mean, so the walk ends at the first threshold whose
+// priced work ÷ NumDPUs already reaches the best launch found, or whose slice
+// metadata no longer fits.
 package layout
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -43,7 +60,7 @@ type Config struct {
 	// heat = w*sizeNorm + (1-w)*freqNorm. Default 0.5.
 	HeatWeight float64
 
-	// SplitThreshold forces th1 (Figure 14(a) x-axis); 0 = automatic search.
+	// SplitThreshold forces th1 (Figure 14(a) x-axis); 0 = by evaluation.
 	SplitThreshold int
 
 	// Phase toggles for the paper's ablations (Figure 13).
@@ -51,10 +68,10 @@ type Config struct {
 	EnableDup     bool
 	EnableBalance bool // false = naive round-robin allocation by cluster id
 
-	// DMALatencyCycles and PointCycles parameterize the th1 objective:
-	// per-slice fixed access overhead and per-point scan cost.
-	DMALatencyCycles float64
-	PointCycles      float64
+	// TaskCycles prices one task over a slice of n points (the engine passes
+	// its scheduler's no-prune price). It should be concave in n. Default: one
+	// DMA set-up and 16 cycles a point, a scan that builds nothing.
+	TaskCycles func(n int) float64
 }
 
 func (c *Config) defaults() error {
@@ -73,11 +90,8 @@ func (c *Config) defaults() error {
 	if c.HeatWeight <= 0 || c.HeatWeight > 1 {
 		c.HeatWeight = 0.5
 	}
-	if c.DMALatencyCycles <= 0 {
-		c.DMALatencyCycles = 77
-	}
-	if c.PointCycles <= 0 {
-		c.PointCycles = 16
+	if c.TaskCycles == nil {
+		c.TaskCycles = func(n int) float64 { return 77 + 16*float64(n) }
 	}
 	if c.MRAMDataBudget <= 0 {
 		c.MRAMDataBudget = 64 * 1024 * 1024
@@ -128,16 +142,77 @@ func Optimize(sizes []int, freq []float64, cfg Config) (*Placement, error) {
 	if len(freq) != n {
 		return nil, fmt.Errorf("layout: freq length %d != clusters %d", len(freq), n)
 	}
-
 	heat := blendHeat(sizes, freq, cfg.HeatWeight)
-
-	// Phase 1: partition.
-	th1 := cfg.SplitThreshold
-	if !cfg.EnableSplit {
-		th1 = math.MaxInt
-	} else if th1 <= 0 {
-		th1 = searchTh1(sizes, freq, cfg)
+	switch {
+	case !cfg.EnableSplit:
+		return place(sizes, heat, math.MaxInt, cfg)
+	case cfg.SplitThreshold > 0:
+		return place(sizes, heat, cfg.SplitThreshold, cfg)
 	}
+
+	var best *Placement
+	var bestCycles float64
+	var firstErr error
+	for i, th := range thresholds(sizes) {
+		nSlices, work := 0, 0.0
+		for c, size := range sizes {
+			if k, per := sliceCounts(size, th); k > 0 {
+				nSlices += k
+				work += freq[c] * (float64(k-1)*cfg.TaskCycles(per) + cfg.TaskCycles(size-(k-1)*per))
+			}
+		}
+		// The unsplit layout is evaluated whatever its metadata takes: there is
+		// nothing coarser to fall back to.
+		if (i > 0 && nSlices*cfg.MetaBytesPerSlice > cfg.WRAMMetaBudget) || (best != nil && work/float64(cfg.NumDPUs) >= bestCycles) {
+			break
+		}
+		pl, err := place(sizes, heat, th, cfg)
+		if err != nil { // a slice too large for any DPU: finer ones may fit
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		if cycles := pl.launchCycles(freq, cfg.TaskCycles); best == nil || cycles < bestCycles {
+			best, bestCycles = pl, cycles
+		}
+	}
+	if best == nil {
+		return nil, firstErr
+	}
+	return best, nil
+}
+
+// thresholds lists the th1 candidates of the automatic search, coarsest
+// first: the distinct ceil(largest list / k), k = 1, 2, 3, …
+func thresholds(sizes []int) []int {
+	maxSize := 1
+	for _, s := range sizes {
+		maxSize = max(maxSize, s)
+	}
+	var ths []int
+	for k := 1; k <= maxSize; k++ {
+		if th := (maxSize + k - 1) / k; len(ths) == 0 || th < ths[len(ths)-1] {
+			ths = append(ths, th)
+		}
+	}
+	return ths
+}
+
+// sliceCounts is the partition rule: a cluster above th is cut into the
+// fewest slices of at most th points, of equal capacity per (the last takes
+// the remainder); k counts the non-empty ones.
+func sliceCounts(size, th int) (k, per int) {
+	if size <= 0 {
+		return 0, 0
+	}
+	per = (size-1)/((size-1)/th+1) + 1
+	return (size-1)/per + 1, per
+}
+
+// place runs the three phases for one threshold.
+func place(sizes []int, heat []float64, th1 int, cfg Config) (*Placement, error) {
+	n := len(sizes)
 	pl := &Placement{
 		NumDPUs:     cfg.NumDPUs,
 		Th1:         th1,
@@ -147,24 +222,13 @@ func Optimize(sizes []int, freq []float64, cfg Config) (*Placement, error) {
 		ClusterHeat: heat,
 		Copies:      make([]int, n),
 	}
+	// Phase 1: partition.
 	for c, size := range sizes {
-		nSlices := 1
-		if size > th1 {
-			nSlices = (size + th1 - 1) / th1
-		}
-		per := (size + nSlices - 1) / nSlices
-		for s := 0; s < nSlices; s++ {
-			start := s * per
-			count := per
-			if start+count > size {
-				count = size - start
-			}
-			if count <= 0 {
-				continue
-			}
+		k, per := sliceCounts(size, th1)
+		for s := 0; s < k; s++ {
 			id := len(pl.Slices)
 			pl.Slices = append(pl.Slices, Slice{
-				ID: id, Cluster: int32(c), Start: start, Count: count,
+				ID: id, Cluster: int32(c), Start: s * per, Count: min(per, size-s*per),
 			})
 			pl.ByCluster[c] = append(pl.ByCluster[c], id)
 		}
@@ -193,6 +257,21 @@ func Optimize(sizes []int, freq []float64, cfg Config) (*Placement, error) {
 	return pl, nil
 }
 
+// launchCycles is the modelled length of a launch on the placement: the priced
+// load of the hottest DPU, where a slice's load — the probes its list draws
+// times the price of a task over it — is shared evenly among its copies.
+func (pl *Placement) launchCycles(freq []float64, taskCycles func(int) float64) float64 {
+	load := make([]float64, pl.NumDPUs)
+	for i := range pl.Slices {
+		s := &pl.Slices[i]
+		share := freq[s.Cluster] * taskCycles(s.Count) / float64(len(s.DPUs))
+		for _, d := range s.DPUs {
+			load[d] += share
+		}
+	}
+	return slices.Max(load)
+}
+
 // blendHeat normalizes sizes and frequencies to mean 1 and blends them.
 func blendHeat(sizes []int, freq []float64, w float64) []float64 {
 	n := len(sizes)
@@ -217,80 +296,29 @@ func blendHeat(sizes []int, freq []float64, w float64) []float64 {
 	return out
 }
 
-// th1Objective scores a candidate threshold: per-slice fixed access overhead
-// (frequency-weighted DMA setup for slice metadata and partial buffers) plus
-// an imbalance proxy — the cost of the largest single slice, which bounds
-// how well any allocation can balance.
-func th1Objective(sizes []int, freq []float64, th int, cfg Config) (cost float64, feasible bool) {
-	totalSlices := 0
-	var overhead float64
-	maxSlice := 0
-	for c, size := range sizes {
-		ns := 1
-		if size > th {
-			ns = (size + th - 1) / th
-		}
-		totalSlices += ns
-		overhead += freq[c] * float64(ns) * cfg.DMALatencyCycles
-		per := (size + ns - 1) / ns
-		if per > maxSlice {
-			maxSlice = per
-		}
-	}
-	// Metadata must fit WRAM: slices are spread across DPUs, but every DPU
-	// keeps the global slice directory for scheduling, as in the paper.
-	if totalSlices*cfg.MetaBytesPerSlice > cfg.WRAMMetaBudget {
-		return 0, false
-	}
-	var freqMean float64
-	for _, f := range freq {
-		freqMean += f
-	}
-	freqMean /= float64(len(freq))
-	imbalance := float64(maxSlice) * cfg.PointCycles * math.Max(freqMean, 1e-12)
-	return overhead + imbalance, true
+// copyQueue orders the clusters still eligible for another copy by priority
+// heat/(slices x copies), highest first, ties to the lower cluster id.
+type copyQueue struct {
+	cluster  []int
+	priority []float64
 }
 
-// searchTh1 implements the paper's iterative threshold search: start at the
-// smallest cluster size and climb with a dynamic learning rate, keeping the
-// best feasible candidate.
-func searchTh1(sizes []int, freq []float64, cfg Config) int {
-	minSize, maxSize := math.MaxInt, 0
-	for _, s := range sizes {
-		if s < minSize && s > 0 {
-			minSize = s
-		}
-		if s > maxSize {
-			maxSize = s
-		}
+func (q *copyQueue) Len() int { return len(q.cluster) }
+func (q *copyQueue) Less(i, j int) bool {
+	if q.priority[i] != q.priority[j] {
+		return q.priority[i] > q.priority[j]
 	}
-	if minSize == math.MaxInt {
-		return 1
-	}
-
-	best := -1
-	bestCost := math.Inf(1)
-	th := float64(minSize)
-	lr := 2.0
-	for iter := 0; iter < 64 && th <= float64(maxSize)*2; iter++ {
-		cand := int(math.Ceil(th))
-		cost, feasible := th1Objective(sizes, freq, cand, cfg)
-		if feasible && cost < bestCost {
-			bestCost, best = cost, cand
-			lr *= 1.25 // accelerate while improving
-		} else {
-			lr = 1 + (lr-1)/2 // decay on plateau
-			if lr < 1.05 {
-				break
-			}
-		}
-		th *= lr
-	}
-	if best < 0 {
-		// Nothing feasible under the metadata budget: fall back to unsplit.
-		return maxSize
-	}
-	return best
+	return q.cluster[i] < q.cluster[j]
+}
+func (q *copyQueue) Swap(i, j int) {
+	q.cluster[i], q.cluster[j] = q.cluster[j], q.cluster[i]
+	q.priority[i], q.priority[j] = q.priority[j], q.priority[i]
+}
+func (q *copyQueue) Push(any) {}
+func (q *copyQueue) Pop() any {
+	n := len(q.cluster) - 1
+	q.cluster, q.priority = q.cluster[:n], q.priority[:n]
+	return nil
 }
 
 // duplicate adds copies to clusters by priority heat/slices until the extra
@@ -302,27 +330,28 @@ func duplicate(pl *Placement, sizes []int, heat []float64, cfg Config) {
 	// priority heat/(slices x copies): copy counts converge to be
 	// proportional to heat and inversely proportional to the slice count,
 	// exactly the paper's th2[i] rule, bounded by the DPU count (copies must
-	// land on distinct devices).
-	for {
-		best, bestPriority := -1, 0.0
-		for c := range sizes {
-			ns := len(pl.ByCluster[c])
-			if ns == 0 || pl.Copies[c] >= cfg.NumDPUs {
-				continue
-			}
-			if sizes[c]*cfg.BytesPerPoint > budget {
-				continue
-			}
-			p := heat[c] / float64(ns) / float64(pl.Copies[c])
-			if p > bestPriority {
-				best, bestPriority = c, p
-			}
+	// land on distinct devices). The budget only shrinks and copies only grow,
+	// so a cluster that cannot take a copy now never will and leaves the queue.
+	priority := func(c int) float64 {
+		return heat[c] / float64(len(pl.ByCluster[c])) / float64(pl.Copies[c])
+	}
+	q := &copyQueue{}
+	for c := range sizes {
+		if len(pl.ByCluster[c]) > 0 && priority(c) > 0 {
+			q.cluster, q.priority = append(q.cluster, c), append(q.priority, priority(c))
 		}
-		if best < 0 {
-			return
+	}
+	heap.Init(q)
+	for q.Len() > 0 {
+		c := q.cluster[0]
+		if pl.Copies[c] >= cfg.NumDPUs || sizes[c]*cfg.BytesPerPoint > budget {
+			heap.Pop(q)
+			continue
 		}
-		pl.Copies[best]++
-		budget -= sizes[best] * cfg.BytesPerPoint
+		pl.Copies[c]++
+		budget -= sizes[c] * cfg.BytesPerPoint
+		q.priority[0] = priority(c)
+		heap.Fix(q, 0)
 	}
 }
 

@@ -1,7 +1,9 @@
 package layout
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -300,5 +302,148 @@ func TestSmallerSplitGranularityImprovesBalance(t *testing.T) {
 	if plF.HeatImbalance() > plC.HeatImbalance()+1e-9 {
 		t.Fatalf("finer split should not worsen balance: %v vs %v",
 			plF.HeatImbalance(), plC.HeatImbalance())
+	}
+}
+
+// lcPrice is a concave task price shaped like the engine's on an LC-bound
+// index: a fixed part, the distinct entries of a 256-entry codebook n points
+// read in each of 16 subspaces at 100 cycles each, and 200 cycles a point.
+func lcPrice(n int) float64 {
+	if n <= 0 {
+		return 0
+	}
+	return 3000 + 16*256*(1-math.Pow(1-1.0/256, float64(n)))*100 + 200*float64(n)
+}
+
+// benchmarkEngineLists is a deployment shaped like the benchmark engine's:
+// 512 lists of 20..175 points, probed about in proportion, 64 DPUs, WRAM/4 of metadata
+// (1024 slices), so every threshold under ~45 is infeasible.
+func benchmarkEngineLists() ([]int, []float64, Config) {
+	rng := rand.New(rand.NewSource(6))
+	sizes, freq := make([]int, 512), make([]float64, 512)
+	for c := range sizes {
+		sizes[c] = 20 + rng.Intn(90)
+		if c%32 == 0 {
+			sizes[c] = 140 + rng.Intn(36)
+		}
+		freq[c] = float64(sizes[c]) / 62 * 16 * (0.5 + rng.Float64())
+	}
+	cfg := baseConfig()
+	cfg.NumDPUs, cfg.BytesPerPoint, cfg.MRAMDataBudget = 64, 20, 60<<20
+	cfg.CopyFootprint, cfg.WRAMMetaBudget = 128<<10, 16<<10
+	return sizes, freq, cfg
+}
+
+// TestInfeasibleThresholdsDoNotEndTheSearch: the old climb started at the
+// smallest list, met five thresholds whose slices overflow the metadata budget
+// and gave up on splitting. The walk must evaluate the feasible ones: with no
+// room for copies and two lists that carry a quarter of the probes, the
+// layout it returns splits, fits the budget and beats the unsplit launch; with
+// the deployment's copy budget and an LC-bound price it keeps the lists whole.
+func TestInfeasibleThresholdsDoNotEndTheSearch(t *testing.T) {
+	sizes, freq, cfg := benchmarkEngineLists()
+	for _, th := range []int{2, 3, 4, 5, 20} {
+		slices := 0
+		for _, s := range sizes {
+			k, _ := sliceCounts(s, th)
+			slices += k
+		}
+		if slices*16 <= cfg.WRAMMetaBudget {
+			t.Fatalf("fixture: threshold %d is feasible (%d slices)", th, slices)
+		}
+	}
+	cfg.TaskCycles = lcPrice
+	pl, err := Optimize(sizes, freq, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pl.Slices) != len(sizes) {
+		t.Fatalf("LC-bound lists with room for copies were split: th1 %d, %d slices", pl.Th1, len(pl.Slices))
+	}
+
+	sizes[0], sizes[1] = 4000, 4000
+	freq[0], freq[1] = 1200, 1200
+	cfg.CopyFootprint, cfg.TaskCycles = 0, nil
+	pl, err = Optimize(sizes, freq, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := cfg
+	whole.EnableSplit = false
+	plW, err := Optimize(sizes, freq, whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.defaults()
+	got, unsplit := pl.launchCycles(freq, cfg.TaskCycles), plW.launchCycles(freq, cfg.TaskCycles)
+	if pl.Th1 >= 4000 || len(pl.Slices)*16 > cfg.WRAMMetaBudget || got >= unsplit/2 {
+		t.Fatalf("th1 %d, %d slices, launch %.0f against %.0f unsplit", pl.Th1, len(pl.Slices), got, unsplit)
+	}
+}
+
+// TestOptimizeKeepsTheBestCandidate: the placement Optimize returns is
+// modelled no slower than the one any threshold of its candidate list forces —
+// the walk's early stop included, which rests on the price being concave.
+func TestOptimizeKeepsTheBestCandidate(t *testing.T) {
+	f := func(rawSizes []uint16, seed int64, copies bool) bool {
+		if len(rawSizes) == 0 {
+			return true
+		}
+		rawSizes = rawSizes[:min(len(rawSizes), 40)]
+		rng := rand.New(rand.NewSource(seed))
+		sizes, freq := make([]int, len(rawSizes)), make([]float64, len(rawSizes))
+		for i, s := range rawSizes {
+			sizes[i] = int(s)%2000 + 1
+			freq[i] = rng.Float64() * 10
+		}
+		cfg := baseConfig()
+		cfg.TaskCycles = lcPrice
+		cfg.EnableDup = copies
+		pl, err := Optimize(sizes, freq, cfg)
+		if err != nil {
+			return false
+		}
+		best := pl.launchCycles(freq, lcPrice)
+		for _, th := range thresholds(sizes) {
+			forced := cfg
+			forced.SplitThreshold = th
+			plF, err := Optimize(sizes, freq, forced)
+			if err != nil {
+				return false
+			}
+			if len(plF.Slices)*16 <= cfg.WRAMMetaBudget && plF.launchCycles(freq, lcPrice) < best {
+				t.Logf("th1 %d (%.0f) beats the chosen %d (%.0f)", th, plF.launchCycles(freq, lcPrice), pl.Th1, best)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestForcedLayoutsUnchanged: with th1 forced or splitting off, partition,
+// duplication and allocation produce what they did before the search was
+// replaced (reference_test.go), field for field.
+func TestForcedLayoutsUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	bench, benchFreq, benchCfg := benchmarkEngineLists()
+	for trial := 0; trial < 12; trial++ {
+		sizes, freq := zipfSizes(rng, 10+rng.Intn(60), 500+rng.Intn(6000))
+		cfg := baseConfig()
+		if trial == 0 {
+			sizes, freq, cfg = bench, benchFreq, benchCfg
+		}
+		cfg.CopyFootprint = []int{0, 4 << 10, 64 << 10, 1 << 20}[trial%4]
+		for _, th := range []int{-1, 1 << 20, 700, 150, 40} {
+			cfg.EnableSplit, cfg.SplitThreshold = th > 0, max(th, 0)
+			cfg.EnableBalance = trial%5 != 4
+			got, gotErr := Optimize(sizes, freq, cfg)
+			want, wantErr := refOptimize(sizes, freq, cfg)
+			if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d th1 %d: placement differs from the reference (%v / %v)", trial, th, gotErr, wantErr)
+			}
+		}
 	}
 }
