@@ -45,8 +45,8 @@
 //
 // Modes that used to live here are answered by the benchmark's workloads,
 // with segment statistics and a wrong-answer exit code: -bench by
-// offline-ivf (and the pipelined-vs-serial ratio by BenchmarkSearchBatch /
-// BenchmarkSearchBatchSerial in core_bench_test.go), -bench -backend graph
+// offline-ivf (and the all-workers-vs-one ratio by BenchmarkSearchBatch /
+// BenchmarkSearchBatchOneWorker in core_bench_test.go), -bench -backend graph
 // by offline-graph, -serve by serve-online, -shards N / -mutate / -recovery
 // by fleet-mutate. BENCH_core.json at the repo root is the frozen diary
 // those modes wrote during PRs 1–10; no code opens it, and the meaning of

@@ -1,13 +1,11 @@
 package drimann_test
 
-// Wall-clock benchmarks of the simulator itself (not the simulated time):
-// the ISSUE-1 acceptance suite. BenchmarkSearchBatch measures end-to-end
+// Wall-clock benchmarks of the simulator itself (not the simulated time).
+// BenchmarkSearchBatch measures end-to-end
 // engine throughput on a 100k x 128d corpus with 1k queries and default
 // options; BenchmarkLocateBatch isolates the host-side cluster locating
-// stage. `go test -bench 'SearchBatch|LocateBatch' -run xxx .` measures
-// what the deleted `drim-bench -bench` mode wrote into BENCH_core.json (the
-// frozen diary of PRs 1-10), the pipelined-vs-serial ratio included; the
-// repo benchmark's offline-ivf workload is the instrument for comparing
+// stage. `go test -bench 'SearchBatch|LocateBatch' -run xxx .` runs them;
+// the repo benchmark's offline-ivf workload is the instrument for comparing
 // commits.
 
 import (
@@ -70,16 +68,14 @@ func BenchmarkSearchBatch(b *testing.B) {
 	b.ReportMetric(float64(s.Queries.N)*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 }
 
-// BenchmarkSearchBatchSerial runs the same engine with pipelining and
-// worker parallelism off — the serial reference mode whose results and
-// metrics the pipelined path must reproduce exactly. (The pre-PR engine's
-// wall-clock numbers, against which the ISSUE-1 4x acceptance criterion is
-// measured, are recorded as the first entry of BENCH_core.json.)
-func BenchmarkSearchBatchSerial(b *testing.B) {
+// BenchmarkSearchBatchOneWorker runs the same engine with Workers = 1:
+// kernels, group builds and cluster locating each on one goroutine (the CL
+// producer still runs a batch ahead), so its ratio to BenchmarkSearchBatch is
+// what the workers buy.
+func BenchmarkSearchBatchOneWorker(b *testing.B) {
 	ix, s := wallFixture(b)
 	opts := drimann.DefaultEngineOptions()
 	opts.Workers = 1
-	opts.NoPipeline = true
 	eng, err := drimann.NewEngine(ix, drimann.Vectors{}, opts)
 	if err != nil {
 		b.Fatal(err)

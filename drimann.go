@@ -22,17 +22,16 @@
 // paper's host/PIM overlap. Stage 1 (cluster locating) processes a whole
 // query batch across worker goroutines via the batched LocateBatch API;
 // stage 2 schedules the resulting tasks onto DPUs; stage 3 simulates the
-// DPU kernels in parallel and merges on the host. Unless
-// EngineOptions.NoPipeline is set, stage 1 of batch i+1 overlaps stages 2-3
-// of batch i, and all per-launch state (heaps, arenas, task buffers)
-// is pooled, so steady-state searching allocates nothing.
+// DPU kernels in parallel and merges on the host. Stage 1 of batch i+1
+// overlaps stages 2-3 of batch i, and all per-launch state (heaps, arenas,
+// task buffers) is pooled, so steady-state searching allocates nothing.
 //
 // The DPU-phase simulation does O(points) arithmetic with near-zero
 // constant factor: distances come from batch ADC kernels that evaluate an
 // exact per-subspace algebraic decomposition instead of materializing
 // per-group LUTs, simulated costs accumulate in register-resident tallies
-// flushed to the DPU counters once per launch block (the per-op reference
-// accountant survives behind EngineOptions.PerOpAccounting), and the kernel
+// flushed to the DPU counters once per launch block (a per-op reference
+// accountant in internal/core's tests checks them), and the kernel
 // it charges is a bound-forwarded staged scan (see internal/core): every
 // scheduling batch is cut into two waves, the first over each query's
 // nearest probes, whose k-th best distance the second carries as a bound —
@@ -48,13 +47,14 @@
 // one: a flat share). Metrics reports the prune rate, the codes gathered and
 // the scheduler's summed price (PriceRatio: price over simulated cycles)
 // beside the rest.
-// Results and metrics (every counter, cycle and hit rate) are bit-identical
-// across the pipelined, serial, batched-tally and per-op paths; only
+// Results and metrics (every counter, cycle and hit rate) do not depend on
+// the worker count or on the pipeline: SearchBatchProbed over the engine's
+// own probes runs every batch serially and returns the same bits; only
 // wall-clock speed differs. The repo benchmark's offline-ivf workload
 // (BENCHMARK.json, benchmark/) measures the simulator's own wall-clock
 // throughput beside the simulated one, and BenchmarkSearchBatch /
-// BenchmarkSearchBatchSerial in core_bench_test.go time the pipelined path
-// against the serial reference.
+// BenchmarkSearchBatchOneWorker in core_bench_test.go time the engine on all
+// workers and on one.
 //
 // # Backends
 //

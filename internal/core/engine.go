@@ -12,9 +12,10 @@
 // The engine itself runs as fast as the host allows, mirroring the overlap
 // the paper models: SearchBatch is a three-stage pipeline (CL -> schedule ->
 // DPU-sim/merge) in which batch i+1's cluster locating runs concurrently
-// with batch i's kernel simulation (Options.NoPipeline restores the serial
-// reference path). Within a launch, each unique (query, cluster) group's
-// residual — and, on the fallback paths, its LUT — is built exactly once,
+// with batch i's kernel simulation; SearchBatchProbed, handed the whole
+// call's probe lists, runs every batch on the calling goroutine. Within a
+// launch, each unique (query, cluster) group's residual — and, on the
+// over-budget fallback, its LUT — is built exactly once,
 // shared read-only across the DPUs that scan the cluster, while per-DPU
 // RC/LC costs are still charged as if each DPU ran the kernel privately.
 // All per-launch state (heaps, arenas, task and schedule buffers) is
@@ -31,9 +32,10 @@
 // heap-update compares and stores) are counted as accept/lock totals during
 // the scan and converted to cycles in bulk; every conversion is a uint64
 // sum or product identical to the per-op arithmetic, so the flushed phase
-// counters are bit-identical to the per-op path. The per-op reference
-// accountant is retained behind Options.PerOpAccounting, and the
-// determinism suite asserts exact metric equality between the two.
+// counters are bit-identical to charging every operation as it happens. The
+// per-op reference accountant that does so is a test kernel
+// (reference_test.go, installed through Engine.kernel), and the accounting
+// suite asserts exact metric equality between the two.
 //
 // # LUT-free distance calculation
 //
@@ -49,8 +51,9 @@
 // a point's subspaces is bit-identical to summing the same entries of a
 // materialized LUT. How the host obtains the values is independent of what
 // the simulated DPU is charged for: the charged kernels are the ones
-// described next. Fallback paths (LUT builder over budget, or the per-op
-// reference accountant) materialize shared per-group LUTs as before.
+// described next. When the builder's table would exceed its memory budget
+// (Engine.lut nil), every group's full LUT is materialized once a launch with
+// IntCodebooks.LUTInt (LUTIntMul without the SQT) and shared instead.
 //
 // # Reference-driven LUT construction
 //
@@ -64,12 +67,13 @@
 // to LC — bitmap clear and scan, the mark pass over a second code stream, a
 // DMA setup per run — and the build costs need x dsub elements instead of
 // CB x Dim; a slice covering every entry pays the dense cost plus that
-// overhead (there is no separate dense kernel). The per-op reference executes
-// the kernel literally, DC gathering from a poisoned LUT holding only the
-// marked entries, so bit-identical answers prove the sparse LUT sufficient;
-// the batched-tally path charges from per-slice, per-subspace counts cached
-// at deployment wherever every point of one slice is alive (lcdemand.go), and
-// counts the bitmap it marks otherwise.
+// overhead (there is no separate dense kernel). The engine charges from
+// per-slice, per-subspace counts cached at deployment wherever every point of
+// one slice is alive (lcdemand.go), and counts the bitmap it marks otherwise.
+// The per-op reference of the tests executes the kernel literally on the
+// fallback's LUTs, DC gathering from a poisoned LUT holding only the marked
+// entries, so bit-identical answers prove the sparse LUT sufficient — and,
+// its values coming from LUTInt, the decomposition exact.
 //
 // # Bound-forwarded staged scan
 //
@@ -159,10 +163,10 @@
 //
 // All per-DPU sqt.SQT16 tables are built with identical geometry (hot-window
 // size, operand domain), so the hot/cold classification of a diff stream is
-// the same on every DPU. The batched-tally path therefore replays a group's
-// marked rows against one shared table (stats-free ColdCountRow) and credits
-// the DPU's own table arithmetically (AddStats), leaving counters
-// bit-identical to the private replay of the per-op reference.
+// the same on every DPU. The engine therefore replays a group's marked rows
+// against one shared table (stats-free ColdCountRow) and credits the DPU's
+// own table arithmetically (AddStats), leaving counters bit-identical to the
+// private replay on each DPU's table that the per-op reference runs.
 package core
 
 import (
@@ -254,24 +258,6 @@ type Options struct {
 	Host upmem.Platform
 
 	Workers int // goroutine parallelism for the simulation itself
-
-	// NoPipeline disables the cross-batch execution pipeline: with it set,
-	// batch i+1's host-side cluster locating waits for batch i's DPU
-	// simulation instead of overlapping with it. Results and metrics are
-	// identical either way (the pipeline only changes wall-clock behavior,
-	// never the simulated SimSeconds = Σ max(host, pim+xfer) accounting);
-	// the flag exists for the serial reference path and determinism tests.
-	NoPipeline bool
-
-	// PerOpAccounting selects the retained per-operation reference
-	// accountant: every simulated instruction and DMA is charged to the
-	// upmem.DPU counters at the point it happens, per-group LUTs are
-	// materialized, and the SQT16 replay runs privately per DPU. The default
-	// batched cost-tally path produces bit-identical results and exactly
-	// equal metrics while doing near-zero accounting work per point; this
-	// flag exists so tests can verify that equivalence (and as a
-	// maximally-literal reading of the paper's kernels for auditing).
-	PerOpAccounting bool
 }
 
 // DefaultOptions returns the full DRIM-ANN configuration.
@@ -356,16 +342,13 @@ type Engine struct {
 	// the tables track per-DPU hit statistics); nil without Options.SQT16.
 	sqt16 []*sqt.SQT16
 
-	// lut is the decomposed host-side LUT builder (nil when the per-index
-	// precomputation exceeds its memory budget; the engine then falls back
-	// to direct LUTInt builds). lutScratch holds one per-worker scratch.
-	lut        *ivf.LUTBuilder
-	lutScratch []*ivf.LUTScratch
-
-	// algebraic selects the LUT-free DC path (see the package doc): true
-	// when the decomposed builder is available and the per-op reference
-	// accountant (which materializes LUTs) is off.
-	algebraic bool
+	// lut is the decomposed host-side LUT builder of the LUT-free DC path
+	// (see the package doc); nil when the per-index precomputation exceeds
+	// its memory budget, and the engine falls back to direct LUTInt builds.
+	lut *ivf.LUTBuilder
+	// kernel, when set, scans a group in place of scanGroup: the tests
+	// install the per-op reference accountant here. Nil in production.
+	kernel groupKernel
 	// lc is the static per-slice LC demand and the scheduler's price
 	// (lcdemand.go), shared with replica engines through the pointer.
 	lc  *lcDemand
@@ -391,22 +374,21 @@ type groupKey struct {
 }
 
 // groupStore is the per-launch shared LC state: every unique (query,
-// cluster) group's residual — plus, depending on the execution mode, its
-// LUT (materialized paths) or its decomposition terms (algebraic path) — is
-// built exactly once, fanned across
+// cluster) group's residual — plus its decomposition terms, or its LUT on the
+// over-budget fallback — is built exactly once, fanned across
 // workers, then read by each DPU that scans a slice of the cluster. Arenas
 // are sized for one group block at a time to bound memory.
 type groupStore struct {
 	keys []groupKey // sorted unique groups of the launch
 	res  []int16    // block arena: residuals, blockGroups x Dim
-	lut  []uint32   // block arena (materialized modes): LUTs, blockGroups x M*CB
+	lut  []uint32   // block arena (fallback): LUTs, blockGroups x M*CB
 	runs []int32    // query-run boundaries within the current block
 	// order is each group's subspaces in descending residual magnitude — the
 	// order the staged scan visits them in; blockGroups x M.
 	order []uint16
 	build []bool // per query run of the block: its gather table is to be built
 
-	// Algebraic-mode arenas (see the package doc): M per-subspace terms per
+	// LUT-free arenas (see the package doc): M per-subspace terms per
 	// group, and one qe gather table per query: qeSlot[q] is query q's slot in
 	// qe (-1 without a table), qeOwner[s] the query holding slot s (-1: free),
 	// qeBorn[s] the step that built its table; step is the one being launched.
@@ -466,8 +448,8 @@ type dpuScratch struct {
 	alive []int32
 	part  []uint32
 
-	// marks is the stage's LC mark bitmap (per-op reference, and chargeLC
-	// where cached counts do not suffice); lut the reference's sparse LUT.
+	// marks is the stage's LC mark bitmap (chargeLC where cached counts do
+	// not suffice, and the per-op reference); lut the reference's sparse LUT.
 	marks []uint64
 	lut   []uint32
 	rec   []ScanSample // this DPU's scans, kept under Engine.RecordScans
@@ -604,13 +586,9 @@ func deploy(ix *ivf.Index, profile, cal dataset.U8Set, opts Options) (*Engine, e
 		return nil, err
 	}
 
-	// Host-side execution state: the decomposed LUT builder with one scratch
-	// per worker, and the per-DPU kernel scratch reused across launches. The
-	// per-op reference accountant materializes LUTs instead of using the
-	// builder's terms directly.
+	// Host-side execution state: the decomposed LUT builder, and the per-DPU
+	// kernel scratch reused across launches.
 	e.lut = ix.NewLUTBuilder(opts.Workers)
-	e.lutScratch = newLUTScratches(e.lut, opts.Workers)
-	e.algebraic = e.lut != nil && !opts.PerOpAccounting
 	e.lc = &lcDemand{cal: cal}
 	e.scratch = make([]dpuScratch, opts.NumDPUs)
 	e.rebuildDemand()
@@ -637,19 +615,6 @@ func newSQT16Tables(opts Options) []*sqt.SQT16 {
 		t[i] = sqt.NewSQT16(hot, sqt.MaxDiff8)
 	}
 	return t
-}
-
-// newLUTScratches allocates one LUT-builder scratch per worker (nil when the
-// builder itself is unavailable).
-func newLUTScratches(lut *ivf.LUTBuilder, workers int) []*ivf.LUTScratch {
-	if lut == nil {
-		return nil
-	}
-	scratches := make([]*ivf.LUTScratch, workers)
-	for i := range scratches {
-		scratches[i] = lut.NewScratch()
-	}
-	return scratches
 }
 
 // fixedMRAM is the index-wide data every DPU holds: the integer codebooks and
@@ -770,11 +735,12 @@ func (e *Engine) Locator() *Locator { return e.loc }
 // kernels): stage 1 locates clusters for a whole query batch across the
 // engine's workers; stage 2 cuts the probe lists into waves and schedules the
 // tasks; stage 3 runs the DPU kernel simulation and host merge, one step per
-// batch (Steps; see the package doc). Unless Options.NoPipeline is set,
-// stage 1 of batch i+1 runs concurrently with stages 2-3 of batch i, so the
-// host CL cost disappears from the wall-clock critical path exactly as the
-// modeled SimSeconds = Σ max(host, pim+xfer) accounting assumes. Results and
-// metrics are bit-identical between the pipelined and serial paths.
+// batch (Steps; see the package doc). Stage 1 of batch i+1 runs concurrently
+// with stages 2-3 of batch i, so the host CL cost disappears from the
+// wall-clock critical path exactly as the modeled SimSeconds = Σ max(host,
+// pim+xfer) accounting assumes. Results and metrics are bit-identical to
+// SearchBatchProbed(queries, e.Locator().Probes(queries), true), whose
+// batches run one after another on the calling goroutine.
 func (e *Engine) SearchBatch(queries dataset.U8Set) (*Result, error) {
 	return e.searchBatch(queries, ProbeSet{}, false, true)
 }
@@ -801,7 +767,7 @@ func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeC
 	// Pipelined mode: a producer goroutine runs CL one batch ahead, so CL of
 	// batch i+1 overlaps the DPU simulation of batch i.
 	next := locate
-	if !probed && !e.opts.NoPipeline && queries.N > batch {
+	if !probed && queries.N > batch {
 		clOut := make(chan ProbeSet, 1)
 		go func() {
 			for lo := 0; lo < queries.N; lo += batch {
@@ -1095,13 +1061,12 @@ func (e *Engine) collectGroups(batch *sched.Batch) int {
 }
 
 // buildGroups fills the shared arenas for every group in keys[gLo:gHi),
-// building each exactly once: the staged scan's subspace order, and on the
-// algebraic path the per-subspace SubTerms and (per query run) the qe gather
-// table; on the materialized paths (per-op reference, or LUT builder over
-// budget) the residual and the full LUT. The residual is skipped where
-// nothing reads it (algebraic path without the SQT16 replay). Work is fanned
-// across workers per query run so per-query terms amortize over all clusters
-// the query probes; per-worker scratches keep the stage allocation-free.
+// building each exactly once: the staged scan's subspace order, and with the
+// decomposed builder the per-subspace SubTerms and (per query run) the qe
+// gather table; on the over-budget fallback the residual and the full LUT.
+// The residual is skipped where nothing reads it (the builder's path without
+// the SQT16 replay). Work is fanned across workers per query run so per-query
+// terms amortize over all clusters the query probes.
 func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 	g := &e.groups
 	ix := e.ix
@@ -1110,11 +1075,11 @@ func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 	if n <= 0 {
 		return
 	}
-	needRes := !e.algebraic || e.sqt16 != nil
+	needRes := e.lut == nil || e.sqt16 != nil
 	if needRes && cap(g.res) < n*dim {
 		g.res = make([]int16, n*dim)
 	}
-	if !e.algebraic && cap(g.lut) < n*lutLen {
+	if e.lut == nil && cap(g.lut) < n*lutLen {
 		g.lut = make([]uint32, n*lutLen)
 	}
 	if cap(g.order) < n*ix.M {
@@ -1132,7 +1097,7 @@ func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 	g.runs = append(g.runs, int32(gHi))
 	// Gather tables: a slot for every query of the block that has none yet;
 	// built below, like everything else, by the worker that gets the run.
-	if e.algebraic {
+	if e.lut != nil {
 		g.build = g.build[:0]
 		for _, lo := range g.runs[:len(g.runs)-1] {
 			q := g.keys[lo].q
@@ -1154,14 +1119,10 @@ func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 		}
 	}
 
-	parallelFor(len(g.runs)-1, e.opts.Workers, func(w, ri int) {
-		var sc *ivf.LUTScratch
-		if e.lut != nil && !e.algebraic {
-			sc = e.lutScratch[w]
-		}
+	parallelFor(len(g.runs)-1, e.opts.Workers, func(_, ri int) {
 		lo, hi := int(g.runs[ri]), int(g.runs[ri+1])
 		query := queries.Vec(int(g.keys[lo].q))
-		if e.algebraic && g.build[ri] {
+		if e.lut != nil && g.build[ri] {
 			e.lut.BuildQE(query, g.qe[int(g.qeSlot[g.keys[lo].q])*lutLen:][:lutLen])
 		}
 		for i := lo; i < hi; i++ {
@@ -1172,18 +1133,13 @@ func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 				res = g.res[bi*dim : (bi+1)*dim]
 				vecmath.SubI16(res, query, ix.CentroidU8(int(k.c)))
 			}
-			if e.algebraic {
+			switch {
+			case e.lut != nil:
 				e.lut.SubTerms(query, int(k.c), g.p[bi*ix.M:(bi+1)*ix.M])
-			} else {
-				lut := g.lut[bi*lutLen : (bi+1)*lutLen]
-				switch {
-				case e.lut != nil:
-					e.lut.Build(k.q, query, int(k.c), lut, sc)
-				case e.opts.UseSQT:
-					ix.IntCB.LUTInt(res, lut, ix.SQT)
-				default:
-					ix.IntCB.LUTIntMul(res, lut)
-				}
+			case e.opts.UseSQT:
+				ix.IntCB.LUTInt(res, g.lut[bi*lutLen:(bi+1)*lutLen], ix.SQT)
+			default:
+				ix.IntCB.LUTIntMul(res, g.lut[bi*lutLen:(bi+1)*lutLen])
 			}
 		}
 	})

@@ -212,10 +212,10 @@ type ScanSample struct {
 // between searches; engines that run side by side need a slice each.
 func (e *Engine) RecordScans(into *[]ScanSample) { e.rec = into }
 
-// recordScan is scanGroup under the recorder.
-func (e *Engine) recordScan(dpu *upmem.DPU, sc *dpuScratch, group []sched.Task, bi int, bound uint32) {
+// recordScan is a group scan under the recorder.
+func (e *Engine) recordScan(scan groupKernel, dpu *upmem.DPU, sc *dpuScratch, group []sched.Task, bi int, bound uint32) {
 	c0 := dpu.ComputeCycles() + sc.tally.ComputeCycles()
-	e.scanGroup(dpu, sc, group, bi, bound)
+	scan(e, dpu, sc, group, bi, bound)
 	s := ScanSample{Query: group[0].Query, Cluster: group[0].Cluster, Dist: group[0].Dist, Bound: bound, Cycles: float64(dpu.ComputeCycles() + sc.tally.ComputeCycles() - c0)}
 	for _, t := range group {
 		s.Price += e.lc.heat[t.Slice]

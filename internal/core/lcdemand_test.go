@@ -137,16 +137,8 @@ func TestSparseLCColocatedSlices(t *testing.T) {
 			o.SplitThreshold = 40
 			o.EnableDup = false
 			set(&o)
-			oRef := o
-			oRef.PerOpAccounting = true
-			eBat, err := New(f.ix, dataset.U8Set{}, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eRef, err := New(f.ix, dataset.U8Set{}, oRef)
-			if err != nil {
-				t.Fatal(err)
-			}
+			eBat := newEngine(t, f.ix, dataset.U8Set{}, o, false)
+			eRef := newEngine(t, f.ix, dataset.U8Set{}, o, true)
 			rBat, err := eBat.SearchBatch(f.s.Queries)
 			if err != nil {
 				t.Fatal(err)
@@ -334,16 +326,12 @@ func TestLCChargeIndependentOfPointOrder(t *testing.T) {
 			}
 		})
 	}
-	for _, perOp := range []bool{false, true} {
+	for _, ref := range []bool{false, true} {
 		o := testOptions()
 		o.EnableSplit, o.EnableDup = false, false // whole clusters: the same point sets per slice
 		o.SQT16, o.SQT16HotEntries = true, 64
-		o.PerOpAccounting = perOp
 		run := func(ix *ivf.Index) (*Engine, *Result) {
-			e, err := New(ix, dataset.U8Set{}, o)
-			if err != nil {
-				t.Fatal(err)
-			}
+			e := newEngine(t, ix, dataset.U8Set{}, o, ref)
 			res, err := e.SearchBatch(s.Queries)
 			if err != nil {
 				t.Fatal(err)
@@ -357,7 +345,7 @@ func TestLCChargeIndependentOfPointOrder(t *testing.T) {
 			t.Fatal("cached demand changed with point order")
 		}
 		if a, b := lcStats(&rA.Metrics), lcStats(&rB.Metrics); a != b {
-			t.Fatalf("perOp=%v: LC charge changed with point order: %+v vs %+v", perOp, a, b)
+			t.Fatalf("reference=%v: LC charge changed with point order: %+v vs %+v", ref, a, b)
 		}
 	}
 }

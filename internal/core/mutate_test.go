@@ -7,6 +7,7 @@ import (
 
 	"drimann/internal/dataset"
 	"drimann/internal/ivf"
+	"drimann/internal/perfmodel"
 	"drimann/internal/pq"
 )
 
@@ -49,28 +50,25 @@ func requireSameResults(t *testing.T, got, want *Result, label string) {
 // promises: between compactions the DPU path matches the (mutation-aware)
 // single-threaded integer reference for every query, and after the final
 // Compact the engine is bit-identical to a freshly deployed engine over the
-// rebuilt logical corpus. Runs on the batched-tally path and the per-op
-// reference accountant (they share the mutation scan hook but not its
-// implementation): both replay the same operation sequence, so every
-// burst's Metrics must be exactly equal between them — the tally path
-// charges LC from the cached per-slice demand Insert/Delete/Compact maintain,
-// the reference from bitmaps of the live codes — and at every check the
-// cached demand must equal a fresh recount.
+// rebuilt logical corpus. Runs on the engine and on the per-op reference
+// accountant: both replay the same operation sequence, so every burst's
+// Metrics must be exactly equal between them — the engine charges LC from
+// the cached per-slice demand Insert/Delete/Compact maintain, the reference
+// from bitmaps of the live codes — and so must the share table every Compact
+// measures again, on a replica that runs its engine's kernel. At every check
+// the cached demand must equal a fresh recount.
 func TestEngineMutateMatchesReference(t *testing.T) {
 	var burstMetrics [2][]Metrics
-	for mode, perOp := range []bool{false, true} {
+	var burstShares [2][][ShareBins]float64
+	for mode, ref := range []bool{false, true} {
 		name := "tally"
-		if perOp {
+		if ref {
 			name = "perop"
 		}
 		t.Run(name, func(t *testing.T) {
 			ix, s, base := mutFixture(t)
 			opts := testOptions()
-			opts.PerOpAccounting = perOp
-			e, err := New(ix, s.Queries, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			e := newEngine(t, ix, s.Queries, opts, ref)
 			rng := rand.New(rand.NewSource(42))
 			live := make([]int32, base)
 			for i := range live {
@@ -87,6 +85,7 @@ func TestEngineMutateMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				burstMetrics[mode] = append(burstMetrics[mode], res.Metrics)
+				burstShares[mode] = append(burstShares[mode], e.lc.share)
 				for qi := 0; qi < s.Queries.N; qi++ {
 					want := ix.SearchInt(s.Queries.Vec(qi), opts.NProbe, opts.K)
 					if !slices.Equal(res.Items[qi], want) {
@@ -125,6 +124,10 @@ func TestEngineMutateMatchesReference(t *testing.T) {
 			if err := e.Compact(); err != nil {
 				t.Fatal(err)
 			}
+			burstShares[mode] = append(burstShares[mode], e.lc.share)
+			if e.lc.share[ShareBins-1] == perfmodel.BoundedShare(ix.M) {
+				t.Fatal("the last Compact measured no share table")
+			}
 			// Fresh deployment over the same logical corpus: rebuild the index
 			// with frozen quantizers and deploy it with the same profile and
 			// options. Results must match bit for bit.
@@ -137,10 +140,7 @@ func TestEngineMutateMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fe, err := New(fresh, s.Queries, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fe := newEngine(t, fresh, s.Queries, opts, ref)
 			got, err := e.SearchBatch(s.Queries)
 			if err != nil {
 				t.Fatal(err)
@@ -158,6 +158,9 @@ func TestEngineMutateMatchesReference(t *testing.T) {
 	}
 	if len(burstMetrics[0]) == 0 || !slices.Equal(burstMetrics[0], burstMetrics[1]) {
 		t.Fatalf("tally and per-op metrics diverge under mutation:\ntally: %+v\nperop: %+v", burstMetrics[0], burstMetrics[1])
+	}
+	if !slices.Equal(burstShares[0], burstShares[1]) {
+		t.Fatalf("share tables measured under mutation diverge:\ntally: %v\nperop: %v", burstShares[0], burstShares[1])
 	}
 }
 

@@ -6,11 +6,13 @@ import (
 	"drimann/internal/dataset"
 )
 
-// TestPipelineDeterminismMatchesSerial is the ISSUE-1 determinism guarantee:
-// the pipelined, worker-parallel execution path returns byte-identical
-// results and identical metrics (every counter, every modeled second) to a
-// Workers=1, pipelining-off run. The pipeline may only change wall-clock
-// behavior, never what is computed.
+// TestPipelineDeterminismMatchesSerial is the determinism guarantee: the
+// pipelined, worker-parallel execution path — CL of the next batch on a
+// producer goroutine — returns byte-identical results and identical metrics
+// (every counter, every modeled second) to a Workers=1 engine handed the
+// whole call's probe lists, whose batches run one after another on the
+// calling goroutine. The pipeline may only change wall-clock behavior, never
+// what is computed.
 func TestPipelineDeterminismMatchesSerial(t *testing.T) {
 	f := getFixture(t)
 
@@ -18,7 +20,6 @@ func TestPipelineDeterminismMatchesSerial(t *testing.T) {
 	pip.Workers = 4 // force real concurrency in every stage
 	ser := testOptions()
 	ser.Workers = 1
-	ser.NoPipeline = true
 
 	ePip, err := New(f.ix, dataset.U8Set{}, pip)
 	if err != nil {
@@ -28,11 +29,14 @@ func TestPipelineDeterminismMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if f.s.Queries.N <= pip.BatchSize {
+		t.Fatal("one batch: the CL producer never runs")
+	}
 	rPip, err := ePip.SearchBatch(f.s.Queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rSer, err := eSer.SearchBatch(f.s.Queries)
+	rSer, err := eSer.SearchBatchProbed(f.s.Queries, eSer.Locator().Probes(f.s.Queries), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,19 +64,20 @@ func TestPipelineDeterminismMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEngineReuseAcrossSearchBatches pins the LUT-scratch invalidation: a
-// reused engine must answer a second, different query set exactly, even
-// though in-batch query ids collide with the previous call's (the per-query
-// decomposition cache must not leak across calls).
+// TestEngineReuseAcrossSearchBatches pins groupStore.resetQE: gather-table
+// slots are keyed by in-call query id, so a reused engine must forget them
+// between calls and answer a second, different query set exactly although its
+// query ids collide with the previous call's (a slot left over would hand a
+// query the table of the previous call's query with the same id).
 func TestEngineReuseAcrossSearchBatches(t *testing.T) {
 	f := getFixture(t)
 	e, err := New(f.ix, dataset.U8Set{}, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Single-query batches are the sharpest collision: both calls use query
-	// id 0 for different vectors, so a stale per-query LUT cache is hit
-	// immediately.
+	// Single-query calls are the sharpest collision: every call uses query
+	// id 0 for a different vector, and a lone query's gather table outlives
+	// its call (it never gets a bound), so a stale slot is hit immediately.
 	for qi := 0; qi < 4; qi++ {
 		one := dataset.U8Set{N: 1, D: f.s.Queries.D,
 			Data: f.s.Queries.Vec(qi)}

@@ -61,19 +61,15 @@ func (h *durableHarness) delete(ids []int32) {
 // itself carries a live overlay (written by the post-replay
 // checkpoint), exercising AdoptOverlay.
 func TestEngineRecoverBitIdentical(t *testing.T) {
-	for _, perOp := range []bool{false, true} {
+	for _, ref := range []bool{false, true} {
 		name := "tally"
-		if perOp {
+		if ref {
 			name = "perop"
 		}
 		t.Run(name, func(t *testing.T) {
 			ix, s, base := mutFixture(t)
 			opts := testOptions()
-			opts.PerOpAccounting = perOp
-			live, err := New(ix, s.Queries, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			live := newEngine(t, ix, s.Queries, opts, ref)
 			fs := durable.NewMemFS(durable.FaultPlan{})
 			st, err := live.CreateStore(durable.Options{Dir: "eng", FS: fs})
 			if err != nil {
@@ -97,6 +93,9 @@ func TestEngineRecoverBitIdentical(t *testing.T) {
 				recovered, rst, err := Recover(durable.Options{Dir: "eng", FS: fs}, s.Queries, opts)
 				if err != nil {
 					t.Fatalf("gen %d: %v", gen, err)
+				}
+				if ref {
+					reference(recovered)
 				}
 				want, err := live.SearchBatch(s.Queries)
 				if err != nil {

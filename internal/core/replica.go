@@ -33,7 +33,7 @@ func NewReplica(src *Engine) (*Engine, error) {
 		codeBytes: src.codeBytes,
 		loc:       src.loc,
 		lut:       src.lut,
-		algebraic: src.algebraic,
+		kernel:    src.kernel,
 		// Mutation state is shared too: lc is rewritten through the pointer,
 		// and freq/lcfg let Compact re-run the layout from any engine of the
 		// deployment with identical inputs.
@@ -47,7 +47,6 @@ func NewReplica(src *Engine) (*Engine, error) {
 	if err := e.accountMemory(); err != nil {
 		return nil, err
 	}
-	e.lutScratch = newLUTScratches(e.lut, e.opts.Workers)
 	e.scratch = make([]dpuScratch, e.opts.NumDPUs)
 	return e, nil
 }

@@ -12,7 +12,8 @@ import (
 
 // TestRollingWavesMatchOneBatch: cutting a call into scheduling batches — and
 // launching each batch's second wave beside the next batch's first — changes
-// no answer and no scanned point. Over the accounting and pipelining modes,
+// no answer and no scanned point. On the engine and the per-op reference,
+// pipelined and serial (SearchBatchProbed handed the call's probes), over
 // SQT16, the bitonic TS, a mutated index and an overheat threshold low enough
 // that bounded tasks are postponed and drained, a call of four batches returns
 // what the same queries return as one batch and what one heap over whole
@@ -31,17 +32,29 @@ func TestRollingWavesMatchOneBatch(t *testing.T) {
 		{"bitonic", func(o *Options) { o.UseBitonicTS = true }},
 		{"th3=1.005", func(o *Options) { o.Th3 = 1.005 }},
 	}
-	run := func(name string, o Options, deploy func(o Options) (*Engine, dataset.U8Set)) {
+	run := func(name string, o Options, serial bool, deploy func(o Options) (*Engine, dataset.U8Set)) {
 		t.Run(name, func(t *testing.T) {
+			search := func(e *Engine, q dataset.U8Set) *Result {
+				t.Helper()
+				var res *Result
+				var err error
+				if serial {
+					res, err = e.SearchBatchProbed(q, e.Locator().Probes(q), true)
+				} else {
+					res, err = e.SearchBatch(q)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
 			o.BatchSize = 16
 			e, queries := deploy(o)
-			rolled := requireOneHeapAnswers(t, e, queries, name)
+			rolled := search(e, queries)
+			requireOneHeap(t, e, queries, rolled, name)
 			o.BatchSize = queries.N
 			whole, _ := deploy(o)
-			one, err := whole.SearchBatch(queries)
-			if err != nil {
-				t.Fatal(err)
-			}
+			one := search(whole, queries)
 			requireSameResults(t, rolled, one, "rolled vs one batch")
 			m, w := &rolled.Metrics, &one.Metrics
 			if m.PointsScanned != w.PointsScanned {
@@ -61,18 +74,16 @@ func TestRollingWavesMatchOneBatch(t *testing.T) {
 			}
 
 			// Gather tables are held for a batch's two waves and no longer:
-			// the engine keeps about a batch's worth of slots, not the call's.
-			if slots := len(e.groups.qeOwner); slots > o.BatchSize+o.BatchSize/2 || (slots == 0) != o.PerOpAccounting {
+			// the engine keeps about a batch's worth of slots, not the call's
+			// (none on the fallback, which the reference runs on).
+			if slots := len(e.groups.qeOwner); slots > o.BatchSize+o.BatchSize/2 || (slots == 0) != (e.lut == nil) {
 				t.Fatalf("%d gather-table slots after %d queries in batches of %d", slots, queries.N, o.BatchSize)
 			}
 
 			// At most one batch: lead, then rest; a lone query's probes do not
 			// fill the DPUs twice over and go out together.
 			for nq, launches := range map[int]int{16: 2, 1: 1} {
-				res, err := e.SearchBatch(dataset.U8Set{N: nq, D: queries.D, Data: queries.Data[:nq*queries.D]})
-				if err != nil {
-					t.Fatal(err)
-				}
+				res := search(e, dataset.U8Set{N: nq, D: queries.D, Data: queries.Data[:nq*queries.D]})
 				if rm := &res.Metrics; rm.Batches != 1 || rm.Launches < launches || (rm.Launches > launches) != (rm.Postponed > 0) {
 					t.Fatalf("%d queries: %d launches (%d tasks postponed), want %d plus drains", nq, rm.Launches, rm.Postponed, launches)
 				}
@@ -87,14 +98,9 @@ func TestRollingWavesMatchOneBatch(t *testing.T) {
 				if v.name != "th3=1.005" {
 					o.Th3 = 0
 				}
-				o.PerOpAccounting, o.NoPipeline = perOp, serial
 				v.set(&o)
-				run(fmt.Sprintf("%s_perOp=%v_serial=%v", v.name, perOp, serial), o, func(o Options) (*Engine, dataset.U8Set) {
-					e, err := New(f.ix, dataset.U8Set{}, o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return e, f.s.Queries
+				run(fmt.Sprintf("%s_perOp=%v_serial=%v", v.name, perOp, serial), o, serial, func(o Options) (*Engine, dataset.U8Set) {
+					return newEngine(t, f.ix, dataset.U8Set{}, o, perOp), f.s.Queries
 				})
 			}
 		}
@@ -102,7 +108,7 @@ func TestRollingWavesMatchOneBatch(t *testing.T) {
 	for _, th3 := range []float64{0, 1.005} {
 		o := testOptions()
 		o.Th3 = th3
-		run(fmt.Sprintf("mutated_th3=%v", th3), o, func(o Options) (*Engine, dataset.U8Set) { return mutatedEngine(t, o) })
+		run(fmt.Sprintf("mutated_th3=%v", th3), o, false, func(o Options) (*Engine, dataset.U8Set) { return mutatedEngine(t, o) })
 	}
 
 	// No bound ever forms with K at the corpus size: tables must still go

@@ -1,6 +1,5 @@
 // The DPU kernels: the bound-forwarded staged scan of one (query, cluster)
-// group (see the package doc), in the batched-tally form the engine runs and
-// in the per-op reference form that checks it.
+// group (see the package doc), its costs batched in the DPU's tally.
 
 package core
 
@@ -43,14 +42,21 @@ func sameGroup(tasks []sched.Task) []sched.Task {
 	return tasks[:n]
 }
 
+// groupKernel scans one group on one DPU; scanGroup is the engine's.
+type groupKernel func(e *Engine, dpu *upmem.DPU, sc *dpuScratch, group []sched.Task, bi int, bound uint32)
+
 // runDPUBlock advances one DPU's kernel execution through every group in
 // [gLo, gHi), scanning each with its query's forwarded bound. The cursor in
-// the DPU scratch carries the run across blocks of the same launch. On the
-// batched-tally path every simulated cost accumulates in the scratch tally,
-// flushed to the DPU once per block.
+// the DPU scratch carries the run across blocks of the same launch. Every
+// simulated cost of scanGroup accumulates in the scratch tally, flushed to the
+// DPU once per block.
 func (e *Engine) runDPUBlock(d int, tasks []sched.Task, gLo, gHi int, bounds []uint32) {
 	sc := &e.scratch[d]
 	dpu := e.sys.DPUs[d]
+	scan := e.kernel
+	if scan == nil {
+		scan = (*Engine).scanGroup
+	}
 	for sc.taskPos < len(tasks) {
 		gi := int(sc.groupIx[sc.taskPos])
 		if gi >= gHi {
@@ -67,9 +73,9 @@ func (e *Engine) runDPUBlock(d int, tasks []sched.Task, gLo, gHi int, bounds []u
 		sc.stats.lutBuilds++
 		sc.stats.lutReuses += uint64(len(group) - 1)
 		if e.rec == nil {
-			e.scanGroup(dpu, sc, group, gi-gLo, bounds[q])
+			scan(e, dpu, sc, group, gi-gLo, bounds[q])
 		} else {
-			e.recordScan(dpu, sc, group, gi-gLo, bounds[q])
+			e.recordScan(scan, dpu, sc, group, gi-gLo, bounds[q])
 		}
 	}
 	dpu.ApplyTally(&sc.tally)
@@ -78,18 +84,46 @@ func (e *Engine) runDPUBlock(d int, tasks []sched.Task, gLo, gHi int, bounds []u
 
 // scanGroup runs the staged scan of one group on one DPU: group is the DPU's
 // co-located tasks of the (query, cluster) pair, bi its block index, bound the
-// query's forwarded bound. Up to two segments per task are scanned: the
-// slice's base points and, on the slice that starts the cluster (slicing
-// always begins at 0, so exactly one task per group carries it), the live
-// append segment. Base-list tombstones filter in the TS accept pass while the
-// physically-scanned points still charge every stage they survive.
-//
-// Options.PerOpAccounting swaps in the per-op reference kernels (the ...Ref
-// functions) on the same stage walk: every instruction and DMA is charged to
-// the DPU at the point it happens, the LC kernel runs literally and DC
-// gathers from the sparse LUT it left, point by point. The tally path must
-// reproduce the reference's results and metrics exactly.
+// query's forwarded bound. Per stage the LC kernel builds the entries the
+// survivors reference, DC gathers them into the partial sums and the prune
+// pass drops every point above the bound; TS takes the survivors of the last
+// stage. Every cost goes to the DPU's tally, which the per-op reference (a
+// test kernel on the same stage walk) must reproduce exactly.
 func (e *Engine) scanGroup(dpu *upmem.DPU, sc *dpuScratch, group []sched.Task, bi int, bound uint32) {
+	ix := e.ix
+	n, bound := e.loadGroup(sc, group, bound)
+	sc.tally.ChargeCycles(upmem.PhaseRC, e.rcCycles())
+	sc.tally.DMA(upmem.PhaseRC, uint64(ix.Dim)) // centroid bytes (uint8)
+	c := int(group[0].Cluster)
+	order := e.groups.order[bi*ix.M : (bi+1)*ix.M]
+	// Without a bound nothing can be pruned, and the values need not come
+	// stage by stage: whole distances are summed in one pass.
+	whole := bound == math.MaxUint32
+	if whole {
+		e.gather(sc, order, c, bi)
+	}
+	for lo := 0; lo < ix.M && len(sc.alive) > 0; lo += stageWidth {
+		subs := order[lo:min(lo+stageWidth, ix.M)]
+		e.chargeLC(&sc.tally, dpu, sc, group, subs, bi, len(sc.alive) == n)
+		if !whole {
+			e.gather(sc, subs, c, bi)
+		}
+		e.chargeDC(&sc.tally, sc, len(subs), lo == 0)
+		sc.prune(bound)
+	}
+	sc.stats.pruned += uint64(n - len(sc.alive))
+	e.kernelTS(&sc.tally, sc)
+}
+
+// loadGroup readies the scratch for one group's scan and returns how many
+// points it scans and the bound it scans them under. Up to two segments per
+// task are scanned: the slice's base points and, on the slice that starts the
+// cluster (slicing always begins at 0, so exactly one task per group carries
+// it), the live append segment. Base-list tombstones filter in the TS accept
+// pass while the physically-scanned points still charge every stage they
+// survive. The bound is the forwarded one, or the DPU's own heap threshold for
+// the query where that is tighter.
+func (e *Engine) loadGroup(sc *dpuScratch, group []sched.Task, bound uint32) (int, uint32) {
 	ix := e.ix
 	sc.segs = sc.segs[:0]
 	n := 0
@@ -127,42 +161,7 @@ func (e *Engine) scanGroup(dpu *upmem.DPU, sc *dpuScratch, group []sched.Task, b
 	if th, full := sc.curHeap.Threshold(); full && th < bound {
 		bound = th
 	}
-
-	perOp := e.opts.PerOpAccounting
-	if perOp {
-		dpu.ChargeCycles(upmem.PhaseRC, e.rcCycles())
-		dpu.DMA(upmem.PhaseRC, uint64(ix.Dim)) // centroid bytes (uint8)
-	} else {
-		sc.tally.ChargeCycles(upmem.PhaseRC, e.rcCycles())
-		sc.tally.DMA(upmem.PhaseRC, uint64(ix.Dim))
-	}
-	order := e.groups.order[bi*ix.M : (bi+1)*ix.M]
-	// Without a bound nothing can be pruned, and the tally path (whose values
-	// need not come stage by stage) sums whole distances in one pass.
-	whole := !perOp && bound == math.MaxUint32
-	if whole {
-		e.gather(sc, order, c, bi)
-	}
-	for lo := 0; lo < ix.M && len(sc.alive) > 0; lo += stageWidth {
-		subs := order[lo:min(lo+stageWidth, ix.M)]
-		if perOp {
-			e.chargeLCRef(dpu, sc, subs, bi)
-			e.kernelDCRef(dpu, sc, subs, lo == 0)
-		} else {
-			e.chargeLC(&sc.tally, dpu, sc, group, subs, bi, len(sc.alive) == n)
-			if !whole {
-				e.gather(sc, subs, c, bi)
-			}
-			e.chargeDC(&sc.tally, sc, len(subs), lo == 0)
-		}
-		sc.prune(bound)
-	}
-	sc.stats.pruned += uint64(n - len(sc.alive))
-	if perOp {
-		e.kernelTSRef(dpu, sc)
-	} else {
-		e.kernelTS(&sc.tally, sc)
-	}
+	return n, bound
 }
 
 // prune compacts away every point whose partial distance is strictly above
@@ -348,64 +347,10 @@ func (e *Engine) chargeLC(ta *upmem.Tally, dpu *upmem.DPU, sc *dpuScratch, group
 	ta.DMAs(upmem.PhaseLC, uint64(ref.runs), 2*elems) // marked codebook rows (int16), one DMA per run
 }
 
-// chargeLCRef is the per-op reference twin of chargeLC: it runs the stage
-// literally. Every surviving point's real codes of subspaces subs are marked,
-// segment by segment; the bitmap scan walks the marked runs, issuing one
-// codebook DMA per run and copying only marked entries from the group's full
-// LUT (the functional values) into the DPU's LUT, whose rows for the stage
-// are poisoned first — DC gathers from that LUT, so an entry the kernel
-// failed to build corrupts the answers. In SQT16 mode the marked rows' diff
-// stream replays privately against this DPU's tiered table.
-func (e *Engine) chargeLCRef(dpu *upmem.DPU, sc *dpuScratch, subs []uint16, bi int) {
-	ix := e.ix
-	lutLen := ix.M * ix.CB
-	full := e.groups.lut[bi*lutLen : (bi+1)*lutLen]
-	if sc.marks == nil {
-		sc.marks, sc.lut = e.newMarks(), make([]uint32, lutLen)
-	}
-	wordsPer := markWordsPer(ix.CB)
-	for _, s := range subs {
-		clear(e.markRow(sc.marks, int(s)))
-		row := sc.lut[int(s)*ix.CB : (int(s)+1)*ix.CB]
-		for i := range row {
-			row[i] = math.MaxUint32
-		}
-	}
-	for i := range sc.segs {
-		sg := &sc.segs[i]
-		if sg.hi == sg.lo {
-			continue
-		}
-		dpu.ChargeCycles(upmem.PhaseLC, uint64((sg.hi-sg.lo)*len(subs))*markCyclesPerCode)
-		for _, s := range subs {
-			dpu.DMA(upmem.PhaseLC, uint64(len(sg.ids))*e.codeElemBytes()) // code column, first stream
-			for _, p := range sc.alive[sg.lo:sg.hi] {
-				c := sg.codes[int(p)*ix.M+int(s)]
-				sc.marks[int(s)*wordsPer+int(c>>6)] |= 1 << (c & 63)
-			}
-		}
-	}
-	var entries, cold uint64
-	rowBytes := uint64(ix.Dim / ix.M * 2)
-	markedRuns(sc.marks, subs, ix.CB, func(m, lo, hi int) {
-		dpu.DMA(upmem.PhaseLC, uint64(hi-lo)*rowBytes) // marked codebook rows (int16)
-		copy(sc.lut[m*ix.CB+lo:m*ix.CB+hi], full[m*ix.CB+lo:m*ix.CB+hi])
-		entries += uint64(hi - lo)
-	})
-	if e.sqt16 != nil {
-		cold = e.replayCold(e.sqt16[dpu.ID].CountColdRow, e.groups.res[bi*ix.Dim:(bi+1)*ix.Dim], sc.marks, subs)
-	}
-	sc.stats.lutEntries += entries
-	cycles, mram := e.lcCosts(len(subs), entries, cold)
-	dpu.ChargeCycles(upmem.PhaseLC, cycles)
-	for _, n := range mram {
-		dpu.RandomAccess(upmem.PhaseLC, n)
-	}
-}
-
 // gather adds the LUT entries of subspaces subs to the surviving points'
-// partial distances — LUT-free on the algebraic path, from the group's
-// materialized LUT otherwise. c is the group's cluster, bi its block index.
+// partial distances — LUT-free with the decomposed builder, from the group's
+// materialized LUT on the over-budget fallback. c is the group's cluster, bi
+// its block index.
 func (e *Engine) gather(sc *dpuScratch, subs []uint16, c, bi int) {
 	ix := e.ix
 	g := &e.groups
@@ -416,7 +361,7 @@ func (e *Engine) gather(sc *dpuScratch, subs []uint16, c, bi int) {
 		if len(rows) == 0 {
 			continue
 		}
-		if e.algebraic {
+		if e.lut != nil {
 			p := g.p[bi*ix.M : (bi+1)*ix.M]
 			var base int32
 			for _, s := range subs {
@@ -451,41 +396,6 @@ func (e *Engine) chargeDC(ta *upmem.Tally, sc *dpuScratch, subspaces int, first 
 	ta.DMAs(upmem.PhaseDC, segs*w, points*w*e.codeElemBytes()) // code columns, second stream
 	if !e.opts.UseWRAM || !e.lutInWRAM {
 		ta.RandomAccess(upmem.PhaseDC, a*w) // LUT gathers hit MRAM
-	}
-}
-
-// kernelDCRef is the per-op reference twin of gather + chargeDC: per surviving
-// point, the gathers from the DPU's sparse LUT, the adds and the prune
-// compare, each charged as it is simulated.
-func (e *Engine) kernelDCRef(dpu *upmem.DPU, sc *dpuScratch, subs []uint16, first bool) {
-	ix := e.ix
-	w := uint64(len(subs))
-	for i := range sc.segs {
-		sg := &sc.segs[i]
-		if sg.hi == sg.lo {
-			continue
-		}
-		for range subs {
-			dpu.DMA(upmem.PhaseDC, uint64(len(sg.ids))*e.codeElemBytes()) // code column, second stream
-		}
-		for k := sg.lo; k < sg.hi; k++ {
-			code := sg.codes[int(sc.alive[k])*ix.M:][:ix.M]
-			for _, s := range subs {
-				sc.part[k] += sc.lut[int(s)*ix.CB+int(code[s])]
-			}
-			dpu.Charge(upmem.PhaseDC, upmem.OpLoad, w) // code element loads
-			dpu.Charge(upmem.PhaseDC, upmem.OpLoad, w) // LUT gathers
-			if first {
-				dpu.Charge(upmem.PhaseDC, upmem.OpAdd, w-1)
-			} else {
-				dpu.Charge(upmem.PhaseDC, upmem.OpAdd, w)
-			}
-			dpu.ChargeCycles(upmem.PhaseDC, pruneCyclesPerPoint)
-			sc.stats.codes += w
-		}
-	}
-	if !e.opts.UseWRAM || !e.lutInWRAM {
-		dpu.RandomAccess(upmem.PhaseDC, uint64(len(sc.alive))*w) // LUT gathers hit MRAM
 	}
 }
 
@@ -548,52 +458,4 @@ func (e *Engine) kernelTS(ta *upmem.Tally, sc *dpuScratch) {
 	ta.Charge(cost, upmem.PhaseTS, upmem.OpCmp, n) // bound comparison per point
 	segs, points := sc.liveSegments()
 	ta.DMAs(upmem.PhaseDC, segs, 4*points) // id columns
-}
-
-// kernelTSRef is the per-op reference twin of kernelTS: the top-k update per
-// surviving point with the shared-heap lock and optional lock pruning, each
-// cost charged as it is simulated.
-func (e *Engine) kernelTSRef(dpu *upmem.DPU, sc *dpuScratch) {
-	h := sc.curHeap
-	st := &sc.stats
-	logK := uint64(engine.Log2Ceil(e.opts.K))
-	for i := range sc.segs {
-		sg := &sc.segs[i]
-		if sg.hi == sg.lo {
-			continue
-		}
-		dpu.DMA(upmem.PhaseDC, uint64(4*len(sg.ids))) // id column
-		for k := sg.lo; k < sg.hi; k++ {
-			id, dist := sg.ids[sc.alive[k]], sc.part[k]
-			accept := (sg.tomb == nil || !sg.tomb[id]) && h.WouldAccept(id, dist)
-			switch {
-			case e.opts.UseBitonicTS:
-				// Lock-free network: no shared queue, costs charged in bulk
-				// below.
-			case e.opts.UseLockPruning:
-				if accept {
-					st.lockAcquired++
-					dpu.ChargeCycles(upmem.PhaseTS, e.opts.LockCycles)
-				} else {
-					st.lockSkipped++
-				}
-			default:
-				st.lockAcquired++
-				dpu.ChargeCycles(upmem.PhaseTS, e.opts.LockCycles)
-			}
-			if accept {
-				h.Push(id, dist)
-				if !e.opts.UseBitonicTS {
-					dpu.Charge(upmem.PhaseTS, upmem.OpCmp, logK)
-					dpu.Charge(upmem.PhaseTS, upmem.OpStore, logK)
-				}
-			}
-			dpu.Charge(upmem.PhaseTS, upmem.OpCmp, 1) // bound comparison per point
-		}
-	}
-	if e.opts.UseBitonicTS {
-		swaps := bitonicSwaps(len(sc.alive))
-		dpu.Charge(upmem.PhaseTS, upmem.OpCmp, swaps)
-		dpu.Charge(upmem.PhaseTS, upmem.OpStore, swaps/2)
-	}
 }

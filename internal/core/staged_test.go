@@ -46,6 +46,13 @@ func requireOneHeapAnswers(t *testing.T, e *Engine, queries dataset.U8Set, label
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireOneHeap(t, e, queries, res, label)
+	return res
+}
+
+// requireOneHeap is requireOneHeapAnswers on an answer already in hand.
+func requireOneHeap(t *testing.T, e *Engine, queries dataset.U8Set, res *Result, label string) {
+	t.Helper()
 	ps := e.loc.Probes(queries)
 	for qi := 0; qi < queries.N; qi++ {
 		want := oneHeap(e.ix, queries.Vec(qi), ps.Of(qi), e.opts.K)
@@ -63,7 +70,6 @@ func requireOneHeapAnswers(t *testing.T, e *Engine, queries dataset.U8Set, label
 			}
 		}
 	}
-	return res
 }
 
 // TestStagedScanMatchesOneHeap: bound forwarding and staged pruning never
@@ -192,12 +198,8 @@ func TestBoundTieKeepsSmallerID(t *testing.T) {
 	if last := want[o.K-1]; last.ID != twin || last.Dist != kth.Dist {
 		t.Fatalf("construction failed: k-th is %+v, want id %d at distance %d", last, twin, kth.Dist)
 	}
-	for _, perOp := range []bool{false, true} {
-		o.PerOpAccounting = perOp
-		e, err := New(ix, dataset.U8Set{}, o)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, ref := range []bool{false, true} {
+		e := newEngine(t, ix, dataset.U8Set{}, o, ref)
 		// The query rides in a batch big enough to be split into waves.
 		batch := dataset.U8Set{N: f.s.Queries.N + 1, D: ix.Dim, Data: append(slices.Clone(q), f.s.Queries.Data...)}
 		res, err := e.SearchBatch(batch)
@@ -208,10 +210,10 @@ func TestBoundTieKeepsSmallerID(t *testing.T) {
 			t.Fatalf("batch was not split: %d launches", res.Metrics.Launches)
 		}
 		if !slices.Equal(res.Items[0], want) {
-			t.Fatalf("perOp=%v: tie lost:\n got %v\nwant %v", perOp, res.Items[0], want)
+			t.Fatalf("reference=%v: tie lost:\n got %v\nwant %v", ref, res.Items[0], want)
 		}
 		if slices.Contains(res.IDs[0], holder) || res.IDs[0][o.K-1] != twin {
-			t.Fatalf("perOp=%v: the smaller id must take the k-th place: %v", perOp, res.IDs[0])
+			t.Fatalf("reference=%v: the smaller id must take the k-th place: %v", ref, res.IDs[0])
 		}
 	}
 }
@@ -222,15 +224,11 @@ func TestBoundTieKeepsSmallerID(t *testing.T) {
 // probe — and gathers every code.
 func TestUnboundedScanBuildsWholeDemand(t *testing.T) {
 	f := getFixture(t)
-	for _, perOp := range []bool{false, true} {
+	for _, ref := range []bool{false, true} {
 		o := testOptions()
 		o.EnableSplit, o.EnableDup = false, false // one task per probe: the demand is the list's
 		o.K = f.s.Base.N
-		o.PerOpAccounting = perOp
-		e, err := New(f.ix, dataset.U8Set{}, o)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := newEngine(t, f.ix, dataset.U8Set{}, o, ref)
 		res, err := e.SearchBatch(f.s.Queries)
 		if err != nil {
 			t.Fatal(err)
@@ -246,8 +244,8 @@ func TestUnboundedScanBuildsWholeDemand(t *testing.T) {
 		}
 		m := &res.Metrics
 		if m.LUTEntries != entries || m.PointsScanned != points || m.PointsPruned != 0 || m.CodesGathered != points*uint64(f.ix.M) {
-			t.Fatalf("perOp=%v: built %d entries (want %d), scanned %d (want %d), pruned %d, gathered %d codes",
-				perOp, m.LUTEntries, entries, m.PointsScanned, points, m.PointsPruned, m.CodesGathered)
+			t.Fatalf("reference=%v: built %d entries (want %d), scanned %d (want %d), pruned %d, gathered %d codes",
+				ref, m.LUTEntries, entries, m.PointsScanned, points, m.PointsPruned, m.CodesGathered)
 		}
 	}
 }
@@ -261,13 +259,9 @@ func TestUnboundedScanBuildsWholeDemand(t *testing.T) {
 // quantity (runs <= entries). On sparse bitmaps like these it falls too.
 func TestTighterBoundNeverCostsMore(t *testing.T) {
 	f := getFixture(t)
-	for _, perOp := range []bool{false, true} {
+	for _, ref := range []bool{false, true} {
 		o := testOptions()
-		o.PerOpAccounting = perOp
-		e, err := New(f.ix, dataset.U8Set{}, o)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := newEngine(t, f.ix, dataset.U8Set{}, o, ref)
 		nq := o.BatchSize
 		var reqs []sched.Request
 		exact := make([]uint32, nq)
@@ -292,11 +286,11 @@ func TestTighterBoundNeverCostsMore(t *testing.T) {
 			if prev != nil {
 				for p := upmem.Phase(0); p < upmem.NumPhases; p++ {
 					if m.PhaseComputeCycles[p] > prev.PhaseComputeCycles[p] || m.PhaseDMACount[p] > prev.PhaseDMACount[p] || m.PhaseDMABytes[p] > prev.PhaseDMABytes[p] {
-						t.Fatalf("perOp=%v step %d phase %v: cost rose under a tighter bound:\n now %+v\nwas %+v", perOp, step, p, m, *prev)
+						t.Fatalf("reference=%v step %d phase %v: cost rose under a tighter bound:\n now %+v\nwas %+v", ref, step, p, m, *prev)
 					}
 				}
 				if m.PointsScanned != prev.PointsScanned || m.PointsPruned <= prev.PointsPruned || m.CodesGathered >= prev.CodesGathered || m.LUTEntries >= prev.LUTEntries {
-					t.Fatalf("perOp=%v step %d: a tighter bound must prune more of the same points:\n now %+v\nwas %+v", perOp, step, m, *prev)
+					t.Fatalf("reference=%v step %d: a tighter bound must prune more of the same points:\n now %+v\nwas %+v", ref, step, m, *prev)
 				}
 			}
 			prev = &m

@@ -8,14 +8,15 @@ import (
 	"drimann/internal/upmem"
 )
 
-// TestBatchedTallyMatchesPerOpReference is the ISSUE-2 accounting property:
-// across the full optimization matrix (UseSQT x SQT16 x UseWRAM x
-// UseLockPruning x UseBitonicTS), the batched cost-tally path — with its
-// LUT-free DC kernels, memoized SQT16 replay and bulk TS charging — must
-// produce bit-identical results and exactly equal metrics to the retained
-// per-op reference accountant: per-phase instruction cycles, DMA transfer
-// counts and bytes (including coalesced random accesses), lock and LUT
-// counters, and SQT16 hot/cold statistics.
+// TestBatchedTallyMatchesPerOpReference is the accounting property: across
+// the full optimization matrix (UseSQT x SQT16 x UseWRAM x UseLockPruning x
+// UseBitonicTS), the engine — with its LUT-free DC kernels, memoized SQT16
+// replay and bulk TS charging — must produce bit-identical results and
+// exactly equal metrics to the per-op reference accountant: per-phase
+// instruction cycles, DMA transfer counts and bytes (including coalesced
+// random accesses), lock and LUT counters, and SQT16 hot/cold statistics.
+// The reference reads LUTInt's values, not the decomposition's, so the matrix
+// checks those too.
 func TestBatchedTallyMatchesPerOpReference(t *testing.T) {
 	f := getFixture(t)
 
@@ -47,18 +48,10 @@ func TestBatchedTallyMatchesPerOpReference(t *testing.T) {
 			o.UseWRAM = c.wram
 			o.UseLockPruning = c.prune
 			o.UseBitonicTS = c.bitonic
-			oRef := o
-			oRef.PerOpAccounting = true
 
-			eBat, err := New(f.ix, dataset.U8Set{}, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eRef, err := New(f.ix, dataset.U8Set{}, oRef)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if eBat.opts.PerOpAccounting || !eRef.opts.PerOpAccounting {
+			eBat := newEngine(t, f.ix, dataset.U8Set{}, o, false)
+			eRef := newEngine(t, f.ix, dataset.U8Set{}, o, true)
+			if eBat.kernel != nil || eBat.lut == nil || eRef.kernel == nil || eRef.lut != nil {
 				t.Fatal("accounting modes not wired through")
 			}
 			rBat, err := eBat.SearchBatch(f.s.Queries)
@@ -70,17 +63,7 @@ func TestBatchedTallyMatchesPerOpReference(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			for qi := range rBat.IDs {
-				if len(rBat.IDs[qi]) != len(rRef.IDs[qi]) {
-					t.Fatalf("query %d: %d ids vs %d reference", qi, len(rBat.IDs[qi]), len(rRef.IDs[qi]))
-				}
-				for j := range rBat.IDs[qi] {
-					if rBat.Items[qi][j] != rRef.Items[qi][j] {
-						t.Fatalf("query %d item %d: tally %+v != reference %+v",
-							qi, j, rBat.Items[qi][j], rRef.Items[qi][j])
-					}
-				}
-			}
+			requireSameResults(t, rBat, rRef, "tally vs reference")
 			// Metrics equality covers PhaseComputeCycles, PhaseDMACount,
 			// PhaseDMABytes, PhaseSeconds, lock/LUT counters and the SQT16
 			// hot/cold split elementwise (struct comparison).
@@ -113,46 +96,39 @@ func TestBatchedTallyMatchesPerOpReference(t *testing.T) {
 // TestReferenceAccountingFallbackPath pins the third functional variant:
 // with the decomposed LUT builder unavailable (budget exceeded via a huge
 // virtual NList product is impractical here, so we clear it directly), the
-// materialized-LUT fallback must still match the reference accountant.
+// engine's tally on the materialized-LUT fallback must still match the
+// reference accountant — with LUTIntMul (no SQT), with LUTInt over the SQT,
+// and with the SQT16 replay on top.
 func TestReferenceAccountingFallbackPath(t *testing.T) {
 	f := getFixture(t)
-	o := testOptions()
-	eBat, err := New(f.ix, dataset.U8Set{}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the over-budget deployment: no decomposed builder, no
-	// algebraic path, LUTs built per group via LUTInt.
-	eBat.lut = nil
-	eBat.lutScratch = nil
-	eBat.algebraic = false
-
-	oRef := o
-	oRef.PerOpAccounting = true
-	eRef, err := New(f.ix, dataset.U8Set{}, oRef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eRef.lut = nil
-	eRef.lutScratch = nil
-
-	rBat, err := eBat.SearchBatch(f.s.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rRef, err := eRef.SearchBatch(f.s.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := range rBat.IDs {
-		for j := range rBat.IDs[qi] {
-			if rBat.Items[qi][j] != rRef.Items[qi][j] {
-				t.Fatalf("query %d item %d: fallback %+v != reference %+v",
-					qi, j, rBat.Items[qi][j], rRef.Items[qi][j])
+	for _, c := range []struct {
+		name       string
+		sqt, sqt16 bool
+	}{{"mul", false, false}, {"sqt", true, false}, {"sqt16", true, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			o := testOptions()
+			o.UseSQT, o.SQT16, o.SQT16HotEntries = c.sqt, c.sqt16, 64
+			eBat := newEngine(t, f.ix, dataset.U8Set{}, o, false)
+			eBat.lut = nil // the over-budget deployment: LUTs built per group
+			eRef := newEngine(t, f.ix, dataset.U8Set{}, o, true)
+			if eBat.kernel != nil || eRef.kernel == nil || eRef.lut != nil {
+				t.Fatal("accounting modes not wired through")
 			}
-		}
-	}
-	if rBat.Metrics != rRef.Metrics {
-		t.Fatalf("fallback metrics diverge:\ntally:     %+v\nreference: %+v", rBat.Metrics, rRef.Metrics)
+			rBat, err := eBat.SearchBatch(f.s.Queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rRef, err := eRef.SearchBatch(f.s.Queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResults(t, rBat, rRef, "fallback vs reference")
+			if rBat.Metrics != rRef.Metrics {
+				t.Fatalf("fallback metrics diverge:\ntally:     %+v\nreference: %+v", rBat.Metrics, rRef.Metrics)
+			}
+			if c.sqt16 && (rBat.Metrics.SQT16Hot == 0 || rBat.Metrics.SQT16Cold == 0) {
+				t.Fatalf("SQT16 run should exercise both tiers: hot %d cold %d", rBat.Metrics.SQT16Hot, rBat.Metrics.SQT16Cold)
+			}
+		})
 	}
 }

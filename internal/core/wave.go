@@ -106,11 +106,8 @@ func NewSteps(queries dataset.U8Set, fleet [][]*Engine, tables [][]int32, loc *L
 // call keeps in bounds: the scheduler prices each task by its probe's distance
 // from its query's bound (Share) and may postpone it only if there is one.
 func (e *Engine) newLane(n int, bounds []uint32) *lane {
-	// Query ids are only unique within a call: drop any per-query terms the
-	// LUT scratches and the gather tables cached during a previous one.
-	for _, sc := range e.lutScratch {
-		sc.Invalidate()
-	}
+	// Query ids are only unique within a call: drop the gather tables cached
+	// during a previous one.
 	e.groups.resetQE(n)
 	ln := &lane{e: e}
 	ln.scfg = sched.Config{Th3: e.opts.Th3, Rebalance: e.opts.Rebalance, Cost: func(t sched.Task) (float64, bool) {

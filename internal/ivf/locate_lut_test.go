@@ -79,19 +79,21 @@ func TestTreeCLLocateBatchMatchesLocate(t *testing.T) {
 	}
 }
 
-// TestLUTBuilderBitExact: the decomposed builder must agree entry-for-entry
-// with both the SQT path and the multiplication path for every (query,
-// cluster) pair — the invariant that lets the engine swap it in without
-// perturbing a single search result.
+// TestLUTBuilderBitExact: the decomposition the engine reads must agree
+// entry-for-entry with both the SQT path and the multiplication path for
+// every (query, cluster) pair: SubTerms[m] + ClusterTerms[m*CB+e] -
+// 2*BuildQE[m*CB+e] is LUTInt's and LUTIntMul's entry (m, e) — the invariant
+// that lets the engine gather from the terms without perturbing a single
+// search result.
 func TestLUTBuilderBitExact(t *testing.T) {
 	ix, s := locateFixture(t)
 	lb := ix.NewLUTBuilder(2)
 	if lb == nil {
 		t.Fatal("builder unexpectedly over budget")
 	}
-	sc := lb.NewScratch()
 	n := ix.M * ix.CB
-	got := make([]uint32, n)
+	p := make([]int32, ix.M)
+	qe := make([]int32, n)
 	wantSQT := make([]uint32, n)
 	wantMul := make([]uint32, n)
 	res := make([]int16, ix.Dim)
@@ -101,14 +103,17 @@ func TestLUTBuilderBitExact(t *testing.T) {
 		qi := rng.Intn(s.Queries.N)
 		c := rng.Intn(ix.NList)
 		q := s.Queries.Vec(qi)
-		lb.Build(int32(qi), q, c, got, sc)
+		lb.SubTerms(q, c, p)
+		lb.BuildQE(q, qe)
+		bc := lb.ClusterTerms(c)
 		subI16(res, q, ix.CentroidU8(c))
 		ix.IntCB.LUTInt(res, wantSQT, ix.SQT)
 		ix.IntCB.LUTIntMul(res, wantMul)
-		for i := range got {
-			if got[i] != wantSQT[i] || got[i] != wantMul[i] {
-				t.Fatalf("trial %d (q=%d c=%d) entry %d: builder %d, SQT %d, mul %d",
-					trial, qi, c, i, got[i], wantSQT[i], wantMul[i])
+		for i := range wantSQT {
+			got := uint32(p[i/ix.CB] + bc[i] - 2*qe[i])
+			if got != wantSQT[i] || got != wantMul[i] {
+				t.Fatalf("trial %d (q=%d c=%d) entry %d: decomposed %d, SQT %d, mul %d",
+					trial, qi, c, i, got, wantSQT[i], wantMul[i])
 			}
 		}
 	}
@@ -121,44 +126,20 @@ func subI16(dst []int16, a []uint8, b []uint8) {
 	}
 }
 
-// TestLUTBuilderScratchReuseAcrossQueries guards the per-query caching: a
-// scratch must produce correct LUTs when alternating between queries (cache
-// invalidation on qid change).
-func TestLUTBuilderScratchReuseAcrossQueries(t *testing.T) {
-	ix, s := locateFixture(t)
-	lb := ix.NewLUTBuilder(0)
-	sc := lb.NewScratch()
-	got := make([]uint32, ix.M*ix.CB)
-	want := make([]uint32, ix.M*ix.CB)
-	res := make([]int16, ix.Dim)
-	order := []struct{ q, c int }{{0, 1}, {0, 2}, {1, 1}, {0, 1}, {1, 3}}
-	for _, oc := range order {
-		q := s.Queries.Vec(oc.q)
-		lb.Build(int32(oc.q), q, oc.c, got, sc)
-		subI16(res, q, ix.CentroidU8(oc.c))
-		ix.IntCB.LUTInt(res, want, ix.SQT)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("(q=%d c=%d) entry %d: %d != %d", oc.q, oc.c, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestDecomposedADCMatchesMaterializedLUT: the LUT-free DC decomposition
 // (per-query BuildQE gather table + static per-point ClusterADCSums + the
 // per-(query, cluster) PTerm scalar) must reproduce, bit-for-bit, the ADC
-// sums of a materialized Build LUT for every point of the cluster — the
-// identity that lets the engine skip per-group LUT materialization entirely.
+// sums of the LUTInt LUT for every point of the cluster — the identity that
+// lets the engine skip per-group LUT materialization entirely.
 func TestDecomposedADCMatchesMaterializedLUT(t *testing.T) {
 	ix, s := locateFixture(t)
 	lb := ix.NewLUTBuilder(0)
 	if lb == nil {
 		t.Fatal("builder unexpectedly over budget")
 	}
-	sc := lb.NewScratch()
 	lut := make([]uint32, ix.M*ix.CB)
 	qe := make([]int32, ix.M*ix.CB)
+	res := make([]int16, ix.Dim)
 
 	rng := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 30; trial++ {
@@ -171,7 +152,8 @@ func TestDecomposedADCMatchesMaterializedLUT(t *testing.T) {
 			continue
 		}
 
-		lb.Build(int32(qi), q, c, lut, sc)
+		subI16(res, q, ix.CentroidU8(c))
+		ix.IntCB.LUTInt(res, lut, ix.SQT)
 		want := make([]uint32, n)
 		vecmath.ADCBatchU32(want, lut, codes, ix.M, ix.CB)
 

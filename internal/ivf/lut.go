@@ -7,8 +7,9 @@ import (
 )
 
 // LUTBuilder is the wall-clock-optimized host implementation of the LC
-// kernel: it produces distance LUTs bit-identical to IntCodebooks.LUTInt /
-// LUTIntMul while doing ~6-8x less arithmetic per (query, cluster) pair.
+// kernel: its terms give every distance LUT entry bit-identical to
+// IntCodebooks.LUTInt / LUTIntMul while doing ~6-8x less arithmetic per
+// (query, cluster) pair.
 //
 // It exploits the algebraic decomposition of the squared distance between a
 // residual subvector r = q - c and a codebook entry e:
@@ -35,7 +36,7 @@ type LUTBuilder struct {
 	ix   *Index
 	dsub int
 	// b[(c*M+m)*CB+e] = Σ_j (centroid_c[m*dsub+j] + entry_{m,e}[j])², laid
-	// out so one (query, cluster) build streams it exactly like the LUT.
+	// out per cluster exactly like the LUT.
 	b []int32
 }
 
@@ -109,29 +110,6 @@ func (lb *LUTBuilder) fillCluster(c int) {
 	}
 }
 
-// LUTScratch carries the per-query terms of the decomposition. One scratch
-// serves one goroutine; reusing it across consecutive clusters of the same
-// query (matched by qid) is where the amortization comes from.
-type LUTScratch struct {
-	qid int32   // query the cached terms belong to; -1 = none
-	a   []int32 // M: Σ_j q_j² per subspace
-	qe  []int32 // M*CB: Σ_j q_j * entry_j
-}
-
-// NewScratch returns an empty per-goroutine scratch.
-func (lb *LUTBuilder) NewScratch() *LUTScratch {
-	return &LUTScratch{
-		qid: -1,
-		a:   make([]int32, lb.ix.M),
-		qe:  make([]int32, lb.ix.M*lb.ix.CB),
-	}
-}
-
-// Invalidate drops the cached per-query terms. Callers that reuse scratches
-// across searches MUST invalidate between them: qids are only unique within
-// one search, so a stale cache would silently serve another query's terms.
-func (sc *LUTScratch) Invalidate() { sc.qid = -1 }
-
 // BuildQE fills qe (length M*CB) with the per-query gather table of the
 // decomposition: qe[m*CB+e] = Σ_j q_j * entry_{m,e}[j]. Together with the
 // precomputed per-cluster point sums (ClusterADCSums) and the per-(query,
@@ -176,16 +154,11 @@ func (lb *LUTBuilder) BuildQE(query []uint8, qe []int32) {
 // PTerm returns the per-(query, cluster) scalar of the decomposition summed
 // over all M subspaces: Σ_j q_j² - 2 Σ_j q_j c_j. Adding it to a point's
 // ClusterADCSums entry minus twice its BuildQE gathers reproduces, exactly,
-// the sum over M of the LUT entries Build would materialize (all partial
-// sums stay far below int32 overflow, so the grouping of terms is free).
+// the point's distance summed over the LUT LUTInt builds for the pair (all
+// partial sums stay far below int32 overflow, so the grouping of terms is
+// free).
 func (lb *LUTBuilder) PTerm(query []uint8, cluster int) int32 {
-	return lb.PTermQQ(vecmath.DotU8I32(query, query), query, cluster)
-}
-
-// PTermQQ is PTerm with the query self-product qq = Σ_j q_j² precomputed,
-// for callers that amortize it over every cluster the query probes.
-func (lb *LUTBuilder) PTermQQ(qq int32, query []uint8, cluster int) int32 {
-	return qq - 2*vecmath.DotU8I32(query, lb.ix.CentroidU8(cluster))
+	return vecmath.DotU8I32(query, query) - 2*vecmath.DotU8I32(query, lb.ix.CentroidU8(cluster))
 }
 
 // SubTerms fills p (length M) with the per-(query, cluster) term of the
@@ -223,41 +196,5 @@ func (lb *LUTBuilder) ClusterADCSums(c int, codes []uint16, dst []int32) {
 			s += bc[mi*cb+int(e)]
 		}
 		dst[i] = s
-	}
-}
-
-// Build fills lut (length M*CB) with exactly the values LUTInt would produce
-// for residual query-centroid(cluster). qid identifies the query for scratch
-// reuse; callers must pass a stable id per distinct query vector.
-func (lb *LUTBuilder) Build(qid int32, query []uint8, cluster int, lut []uint32, sc *LUTScratch) {
-	ix, m, cb, dsub := lb.ix, lb.ix.M, lb.ix.CB, lb.dsub
-	if sc.qid != qid {
-		sc.qid = qid
-		lb.BuildQE(query, sc.qe)
-		for mi := 0; mi < m; mi++ {
-			sub := query[mi*dsub : (mi+1)*dsub]
-			var a int32
-			for _, q := range sub {
-				a += int32(q) * int32(q)
-			}
-			sc.a[mi] = a
-		}
-	}
-	cent := ix.CentroidU8(cluster)
-	bCluster := lb.b[cluster*m*cb : (cluster+1)*m*cb]
-	for mi := 0; mi < m; mi++ {
-		sub := query[mi*dsub : (mi+1)*dsub]
-		csub := cent[mi*dsub : (mi+1)*dsub]
-		var qc int32
-		for j, q := range sub {
-			qc += int32(q) * int32(csub[j])
-		}
-		p := sc.a[mi] - 2*qc
-		qe := sc.qe[mi*cb : (mi+1)*cb : (mi+1)*cb]
-		bb := bCluster[mi*cb : (mi+1)*cb : (mi+1)*cb]
-		out := lut[mi*cb : (mi+1)*cb]
-		for e := range out {
-			out[e] = uint32(p + bb[e] - 2*qe[e])
-		}
 	}
 }
