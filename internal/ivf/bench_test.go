@@ -52,6 +52,20 @@ func BenchmarkSearchFloatNprobe16(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild builds at the repo benchmark's shape: 32k SIFT-shaped
+// 128-d vectors, 512 lists, PQ M16/CB256, 4 coarse iterations and 8000
+// training points.
+func BenchmarkBuild(b *testing.B) {
+	base := dataset.SIFT(32000, 1, 1).Base
+	for b.Loop() {
+		if _, err := Build(base, BuildConfig{
+			NList: 512, PQ: pq.Config{M: 16, CB: 256}, KMeansIters: 4, TrainSample: 8000, Seed: 1,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkBuild20k(b *testing.B) {
 	_, s := benchIndex(b)
 	for i := 0; i < b.N; i++ {

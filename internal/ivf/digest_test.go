@@ -1,0 +1,83 @@
+package ivf
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+
+	"drimann/internal/dataset"
+	"drimann/internal/pq"
+)
+
+// buildDigest hashes every field Build fills: the coarse centroids on both
+// paths, the float and integer PQ codebooks, the OPQ rotation when there is
+// one, and the inverted lists with their codes. Floats hash by their bits.
+func buildDigest(ix *Index) string {
+	h := fnv.New64a()
+	ints := func(vs ...int) {
+		for _, v := range vs {
+			binary.Write(h, binary.LittleEndian, int64(v))
+		}
+	}
+	ints(ix.Dim, ix.NList, ix.M, ix.CB)
+	f32s(h, ix.Centroids)
+	h.Write(ix.CentroidsU8)
+	ints(ix.PQ.D, ix.PQ.M, ix.PQ.CB, ix.PQ.DSub)
+	f32s(h, ix.PQ.Codebooks)
+	ints(ix.IntCB.M, ix.IntCB.CB, ix.IntCB.DSub)
+	binary.Write(h, binary.LittleEndian, ix.IntCB.Data)
+	if ix.OPQ != nil {
+		ints(ix.OPQ.R.Rows, ix.OPQ.R.Cols)
+		for _, x := range ix.OPQ.R.Data {
+			binary.Write(h, binary.LittleEndian, math.Float64bits(x))
+		}
+	}
+	for c := range ix.Lists {
+		ints(c, len(ix.Lists[c]))
+		binary.Write(h, binary.LittleEndian, ix.Lists[c])
+		binary.Write(h, binary.LittleEndian, ix.Codes[c])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+func f32s(h hash.Hash, xs []float32) {
+	for _, x := range xs {
+		binary.Write(h, binary.LittleEndian, math.Float32bits(x))
+	}
+}
+
+// TestBuildDigest pins Build's output bit for bit over a fixed synthetic
+// corpus, so a change to the build's kernels, its passes or their order that
+// moves one bit of the index fails here. The shape exercises a training
+// sample smaller than the corpus, a coarse k that is not a multiple of four
+// and three-dimensional PQ subspaces. The pins are amd64's: architectures
+// that fuse `sum += d*d` into one multiply-add round differently.
+func TestBuildDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests are pinned for amd64 float arithmetic, not %s", runtime.GOARCH)
+	}
+	s := dataset.Generate(dataset.SynthConfig{
+		N: 3000, D: 24, NumQueries: 1, NumClusters: 16, Seed: 21, Noise: 10,
+	})
+	for _, tc := range []struct{ variant, want string }{
+		{"pq", "c78594bdfa7507b9"},
+		{"opq", "8ead6a49df2cc962"},
+	} {
+		t.Run(tc.variant, func(t *testing.T) {
+			ix, err := Build(s.Base, BuildConfig{
+				NList: 37, PQ: pq.Config{M: 8, CB: 32, Iters: 4},
+				Variant: tc.variant, KMeansIters: 4, TrainSample: 1200, Seed: 7,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := buildDigest(ix); got != tc.want {
+				t.Fatalf("Build digest %s, pinned %s", got, tc.want)
+			}
+		})
+	}
+}

@@ -11,6 +11,7 @@
 package ivf
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -87,8 +88,6 @@ func Build(base dataset.U8Set, cfg BuildConfig) (*Index, error) {
 	if cfg.NList <= 0 || cfg.NList > base.N {
 		return nil, fmt.Errorf("ivf: NList=%d invalid for %d vectors", cfg.NList, base.N)
 	}
-	data := base.F32().Data
-
 	// Training sample: stride-sampled so it covers the whole corpus even
 	// when vectors are stored in clustered order (taking a prefix would
 	// train the quantizers on a single region).
@@ -106,9 +105,9 @@ func Build(base dataset.U8Set, cfg BuildConfig) (*Index, error) {
 			trainIdx = append(trainIdx, i)
 		}
 	}
-	train := make([]float32, 0, len(trainIdx)*base.D)
-	for _, i := range trainIdx {
-		train = append(train, data[i*base.D:(i+1)*base.D]...)
+	train := make([]float32, len(trainIdx)*base.D)
+	for si, i := range trainIdx {
+		vecmath.U8ToF32(train[si*base.D:(si+1)*base.D], base.Vec(i))
 	}
 
 	coarse, err := kmeans.Train(train, kmeans.Config{
@@ -137,17 +136,12 @@ func Build(base dataset.U8Set, cfg BuildConfig) (*Index, error) {
 		ix.CentroidsU8[i] = uint8(v)
 	}
 
-	// Assign every vector and compute training residuals on the sample.
-	assign, err := kmeans.Assign(data, ix.Centroids, base.D, cfg.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("ivf: assignment: %w", err)
-	}
+	// Training residuals against the sample's own final assignment, which
+	// k-means computed against the returned centroids.
 	residuals := make([]float32, len(train))
-	for si, i := range trainIdx {
-		c := int(assign[i])
+	for si, c := range coarse.Assign {
 		vecmath.SubF32(residuals[si*base.D:(si+1)*base.D],
-			data[i*base.D:(i+1)*base.D],
-			ix.Centroids[c*base.D:(c+1)*base.D])
+			train[si*base.D:(si+1)*base.D], ix.Centroid(int(c)))
 	}
 
 	pcfg := cfg.PQ
@@ -174,39 +168,20 @@ func Build(base dataset.U8Set, cfg BuildConfig) (*Index, error) {
 	}
 	ix.IntCB = ix.PQ.QuantizeCodebooks()
 
-	// Encode the full corpus per-cluster, in parallel over vectors.
+	// Assign and encode every vector in one parallel pass, through the path
+	// Insert takes, then lay the lists out in ascending-id order.
+	assign := make([]int32, base.N)
+	codes := make([]uint16, base.N*ix.M)
+	forEachChunk(0, base.N, cfg.Workers, func(lo, hi int) {
+		sc := ix.NewEncodeScratch()
+		for i := lo; i < hi; i++ {
+			assign[i] = ix.AssignVec(base.Vec(i), sc)
+			ix.EncodeVec(base.Vec(i), assign[i], codes[i*ix.M:(i+1)*ix.M], sc)
+		}
+	})
 	ix.Lists = make([][]int32, cfg.NList)
 	ix.Codes = make([][]uint16, cfg.NList)
-	codes := make([]uint16, base.N*ix.M)
-	var wg sync.WaitGroup
-	chunk := (base.N + cfg.Workers - 1) / cfg.Workers
-	for w := 0; w < cfg.Workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > base.N {
-			hi = base.N
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			res := make([]float32, base.D)
-			resRot := res
-			for i := lo; i < hi; i++ {
-				c := int(assign[i])
-				vecmath.SubF32(res, data[i*base.D:(i+1)*base.D],
-					ix.Centroids[c*base.D:(c+1)*base.D])
-				if ix.OPQ != nil {
-					resRot = ix.OPQ.Rotate(res)
-				}
-				ix.PQ.Encode(resRot, codes[i*ix.M:(i+1)*ix.M])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	for i := 0; i < base.N; i++ {
-		c := int(assign[i])
+	for i, c := range assign {
 		ix.Lists[c] = append(ix.Lists[c], int32(i))
 		ix.Codes[c] = append(ix.Codes[c], codes[i*ix.M:(i+1)*ix.M]...)
 	}
@@ -282,10 +257,10 @@ func (ix *Index) locateIntInto(query []uint8, h *topk.Heap[uint32]) {
 	}
 }
 
-// forEachQueryChunk partitions the query range [lo, hi) into contiguous
-// chunks across workers goroutines (0 = GOMAXPROCS) and calls f with each
-// chunk's bounds. It is the shared scaffold of the batched CL stages.
-func forEachQueryChunk(lo, hi, workers int, f func(wlo, whi int)) {
+// forEachChunk partitions the range [lo, hi) into contiguous chunks across
+// workers goroutines (0 = GOMAXPROCS) and calls f with each chunk's bounds.
+// It is the shared scaffold of Build's encode pass and the batched searches.
+func forEachChunk(lo, hi, workers int, f func(wlo, whi int)) {
 	n := hi - lo
 	if n <= 0 {
 		return
@@ -327,7 +302,7 @@ func forEachQueryChunk(lo, hi, workers int, f func(wlo, whi int)) {
 // per-query LocateInt calls, but the batch shares one heap per worker and
 // performs no per-query allocation — this is the engine's pipelined CL stage.
 func (ix *Index) LocateBatch(queries dataset.U8Set, lo, hi, nprobe, workers int, out []topk.Item[uint32], counts []int) {
-	forEachQueryChunk(lo, hi, workers, func(wlo, whi int) {
+	forEachChunk(lo, hi, workers, func(wlo, whi int) {
 		h := topk.NewHeap[uint32](nprobe)
 		for qi := wlo; qi < whi; qi++ {
 			h.Reset()
@@ -417,66 +392,27 @@ func (ix *Index) SearchInt(query []uint8, nprobe, k int) []topk.Item[uint32] {
 
 // SearchBatch runs Search for a query set in parallel and returns id lists.
 func (ix *Index) SearchBatch(queries dataset.U8Set, nprobe, k, workers int) [][]int32 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([][]int32, queries.N)
-	var wg sync.WaitGroup
-	chunk := (queries.N + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > queries.N {
-			hi = queries.N
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for qi := lo; qi < hi; qi++ {
-				items := ix.Search(queries.Vec(qi), nprobe, k)
-				ids := make([]int32, len(items))
-				for j, it := range items {
-					ids[j] = it.ID
-				}
-				out[qi] = ids
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out
+	return searchIDs(queries, workers, func(q []uint8) []topk.Item[float32] { return ix.Search(q, nprobe, k) })
 }
 
 // SearchIntBatch runs SearchInt for a query set in parallel.
 func (ix *Index) SearchIntBatch(queries dataset.U8Set, nprobe, k, workers int) [][]int32 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	return searchIDs(queries, workers, func(q []uint8) []topk.Item[uint32] { return ix.SearchInt(q, nprobe, k) })
+}
+
+// searchIDs runs search over every query, chunked across workers, and keeps
+// the ids of each answer.
+func searchIDs[D cmp.Ordered](queries dataset.U8Set, workers int, search func([]uint8) []topk.Item[D]) [][]int32 {
 	out := make([][]int32, queries.N)
-	var wg sync.WaitGroup
-	chunk := (queries.N + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > queries.N {
-			hi = queries.N
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for qi := lo; qi < hi; qi++ {
-				items := ix.SearchInt(queries.Vec(qi), nprobe, k)
-				ids := make([]int32, len(items))
-				for j, it := range items {
-					ids[j] = it.ID
-				}
-				out[qi] = ids
+	forEachChunk(0, queries.N, workers, func(lo, hi int) {
+		for qi := lo; qi < hi; qi++ {
+			items := search(queries.Vec(qi))
+			ids := make([]int32, len(items))
+			for j, it := range items {
+				ids[j] = it.ID
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+			out[qi] = ids
+		}
+	})
 	return out
 }

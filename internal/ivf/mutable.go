@@ -67,10 +67,8 @@ func (ix *Index) ensureMut() *mutState {
 }
 
 // AssignVec returns the nearest-centroid cluster of one uint8 vector on the
-// float path — bit-identical to Build's coarse assignment, which runs
-// vecmath.ArgMinL2F32 over the float-converted corpus (uint8→float32
-// conversion is exact, so converting one vector here matches converting the
-// whole set there).
+// float path. It is Build's own assignment: Build runs every corpus vector
+// through it, so an inserted vector lands where a build would put it.
 func (ix *Index) AssignVec(vec []uint8, sc *EncodeScratch) int32 {
 	vecmath.U8ToF32(sc.f32, vec)
 	c, _ := vecmath.ArgMinL2F32(sc.f32, ix.Centroids, ix.Dim)
@@ -78,9 +76,9 @@ func (ix *Index) AssignVec(vec []uint8, sc *EncodeScratch) int32 {
 }
 
 // EncodeVec PQ-encodes one uint8 vector against cluster c's centroid with
-// the frozen quantizers, writing M code entries into code. The arithmetic
-// (SubF32 residual, optional OPQ rotation, per-subspace ArgMin encode) is
-// exactly Build's, so a vector inserted then compacted carries the same code
+// the frozen quantizers (SubF32 residual, optional OPQ rotation,
+// per-subspace ArgMin encode), writing M code entries into code. It is
+// Build's own encoder, so a vector inserted then compacted carries the code
 // a fresh Build would give it.
 func (ix *Index) EncodeVec(vec []uint8, c int32, code []uint16, sc *EncodeScratch) {
 	vecmath.U8ToF32(sc.f32, vec)

@@ -117,7 +117,7 @@ func (t *TreeCL) locateInto(ix *Index, query []uint8, sc *treeScratch) {
 // identical to per-query Locate calls; each worker reuses one descent
 // scratch, so no per-query allocation occurs.
 func (t *TreeCL) LocateBatch(ix *Index, queries dataset.U8Set, lo, hi, nprobe, beam, workers int, out []topk.Item[uint32], counts []int) {
-	forEachQueryChunk(lo, hi, workers, func(wlo, whi int) {
+	forEachChunk(lo, hi, workers, func(wlo, whi int) {
 		sc := newTreeScratch(t, nprobe, beam)
 		for qi := wlo; qi < whi; qi++ {
 			t.locateInto(ix, queries.Vec(qi), sc)

@@ -2,10 +2,17 @@
 // quantizer and the per-subspace PQ codebooks: k-means++ seeding followed by
 // Lloyd iterations with parallel assignment, optional mini-batch updates for
 // large corpora, and empty-cluster repair.
+//
+// Both parallel passes abandon distances early and stay bit for bit those of
+// a serial, full evaluation. Every distance is summed in dimension order, so
+// a completed one has the same bits; a partial sum only grows, so one
+// abandoned above a bound (the best centroid so far, a point's current D²)
+// could not have passed the strict < it was abandoned for. The D² refresh
+// runs on disjoint ranges, and the sampling sum over D² stays serial, so
+// seeding picks the same points on any number of workers.
 package kmeans
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -117,9 +124,10 @@ func seedPlusPlus(data []float32, n int, cfg Config, rng *rand.Rand) []float32 {
 	copy(centroids[:cfg.Dim], data[first*cfg.Dim:(first+1)*cfg.Dim])
 
 	d2 := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d2[i] = float64(vecmath.L2SquaredF32(data[i*cfg.Dim:(i+1)*cfg.Dim], centroids[:cfg.Dim]))
+	for i := range d2 {
+		d2[i] = math.Inf(1)
 	}
+	refreshD2(data, centroids[:cfg.Dim], d2, cfg.Workers)
 	for c := 1; c < cfg.K; c++ {
 		var total float64
 		for _, d := range d2 {
@@ -142,14 +150,47 @@ func seedPlusPlus(data []float32, n int, cfg Config, rng *rand.Rand) []float32 {
 		}
 		dst := centroids[c*cfg.Dim : (c+1)*cfg.Dim]
 		copy(dst, data[pick*cfg.Dim:(pick+1)*cfg.Dim])
-		for i := 0; i < n; i++ {
-			d := float64(vecmath.L2SquaredF32(data[i*cfg.Dim:(i+1)*cfg.Dim], dst))
-			if d < d2[i] {
-				d2[i] = d
-			}
-		}
+		refreshD2(data, dst, d2, cfg.Workers)
 	}
 	return centroids
+}
+
+// refreshD2 lowers each point's D² to its distance from the new centroid
+// where that is smaller, across workers on disjoint ranges. A point's
+// distance is abandoned once its partial sum passes the point's current D²,
+// which is a float32 distance (or +Inf), so the bound converts exactly.
+func refreshD2(data, centroid []float32, d2 []float64, workers int) {
+	dim := len(centroid)
+	forEachRange(len(d2), workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := data[i*dim : (i+1)*dim]
+			if d, _ := vecmath.L2SquaredF32Abandon(row, centroid, float32(d2[i])); float64(d) < d2[i] {
+				d2[i] = float64(d)
+			}
+		}
+	})
+}
+
+// forEachRange splits [0, count) into one contiguous range per worker and
+// runs f on each in its own goroutine; w is the worker's index.
+func forEachRange(count, workers int, f func(w, lo, hi int)) {
+	if workers > count {
+		workers = 1
+	}
+	var wg sync.WaitGroup
+	chunk := (count + workers - 1) / workers
+	for w := 0; w < workers; w++ {
+		lo, hi := w*chunk, min((w+1)*chunk, count)
+		if lo >= hi {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(w, lo, hi)
+		}()
+	}
+	wg.Wait()
 }
 
 // sampleIdx returns a mini-batch index set, or nil for a full pass.
@@ -175,39 +216,28 @@ func assignAll(data, centroids []float32, assign []int32, sample []int32, cfg Co
 		return int(sample[i])
 	}
 	count := n
+	// A mini-batch sample draws with replacement, so two workers may visit
+	// one point: each writes its own sample slot, copied over serially.
+	dst := assign
 	if sample != nil {
 		count = len(sample)
+		dst = make([]int32, count)
 	}
 
-	workers := cfg.Workers
-	if workers > count {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	partial := make([]float64, workers)
-	chunk := (count + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > count {
-			hi = count
+	partial := make([]float64, cfg.Workers)
+	forEachRange(count, cfg.Workers, func(w, lo, hi int) {
+		var acc float64
+		for i := lo; i < hi; i++ {
+			p := indexAt(i)
+			best, d := vecmath.ArgMinL2F32(data[p*cfg.Dim:(p+1)*cfg.Dim], centroids, cfg.Dim)
+			dst[i] = int32(best)
+			acc += float64(d)
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var acc float64
-			for i := lo; i < hi; i++ {
-				p := indexAt(i)
-				best, d := vecmath.ArgMinL2F32(data[p*cfg.Dim:(p+1)*cfg.Dim], centroids, cfg.Dim)
-				assign[p] = int32(best)
-				acc += float64(d)
-			}
-			partial[w] = acc
-		}(w, lo, hi)
+		partial[w] = acc
+	})
+	for i, p := range sample {
+		assign[p] = dst[i]
 	}
-	wg.Wait()
 	var inertia float64
 	for _, p := range partial {
 		inertia += p
@@ -281,17 +311,4 @@ func updateCentroids(data, centroids []float32, assign []int32, sample []int32, 
 		counts[c]++
 		counts[big]--
 	}
-}
-
-// Assign maps each row of flat data (N x dim) to its nearest centroid, in
-// parallel. It returns one cluster index per row.
-func Assign(data, centroids []float32, dim, workers int) ([]int32, error) {
-	if dim <= 0 || len(data)%dim != 0 || len(centroids)%dim != 0 {
-		return nil, errors.New("kmeans: bad shapes in Assign")
-	}
-	assign := make([]int32, len(data)/dim)
-	cfg := Config{Dim: dim, Workers: workers}
-	cfg.defaults()
-	assignAll(data, centroids, assign, nil, cfg)
-	return assign, nil
 }

@@ -177,24 +177,6 @@ func TestMiniBatchConverges(t *testing.T) {
 	}
 }
 
-func TestAssignHelper(t *testing.T) {
-	centroids := []float32{0, 0, 10, 10}
-	data := []float32{1, 1, 9, 9, 0, 0}
-	got, err := Assign(data, centroids, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int32{0, 1, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Assign[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	if _, err := Assign([]float32{1}, centroids, 2, 1); err == nil {
-		t.Fatal("expected shape error")
-	}
-}
-
 func TestInertiaDecreasesVsRandomCentroids(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	data, _ := blobs(rng, 4, 80, 8, 12)
@@ -211,5 +193,64 @@ func TestInertiaDecreasesVsRandomCentroids(t *testing.T) {
 	randInertia := assignAll(data, randCent, assign, nil, cfg)
 	if res.Inertia >= randInertia {
 		t.Fatalf("trained inertia %v not better than naive %v", res.Inertia, randInertia)
+	}
+}
+
+// TestRefreshD2MatchesSerial: the parallel, abandoning D² refresh leaves
+// every point's D² with the bits the serial full evaluation leaves, over a
+// run of centroids, at dimensions on both sides of the abandon stride and on
+// any number of workers; integer-valued points make equal distances common.
+func TestRefreshD2MatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, dim := range []int{1, 3, 8, 17, 33, 128} {
+		const n = 301
+		data := make([]float32, n*dim)
+		for i := range data {
+			data[i] = float32(rng.Intn(5))
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			want, got := make([]float64, n), make([]float64, n)
+			for i := range got {
+				got[i] = math.Inf(1)
+			}
+			for c := 0; c < 12; c++ {
+				p := rng.Intn(n)
+				cent := data[p*dim : (p+1)*dim]
+				for i := range want {
+					d := float64(vecmath.L2SquaredF32(data[i*dim:(i+1)*dim], cent))
+					if c == 0 || d < want[i] {
+						want[i] = d
+					}
+				}
+				refreshD2(data, cent, got, workers)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("dim %d workers %d centroid %d point %d: D² %v, serial %v", dim, workers, c, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSeedingSameOnAnyWorkerCount: k-means++ picks the same centroids
+// whatever the number of workers refreshing D² between two picks.
+func TestSeedingSameOnAnyWorkerCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	data, _ := blobs(rng, 6, 70, 12, 3)
+	n := len(data) / 12
+	var ref []float32
+	for _, workers := range []int{1, 2, 3, 7} {
+		cfg := Config{K: 40, Dim: 12, Workers: workers}
+		got := seedPlusPlus(data, n, cfg, rand.New(rand.NewSource(4)))
+		if ref == nil {
+			ref = got
+			continue
+		}
+		for i := range ref {
+			if math.Float32bits(got[i]) != math.Float32bits(ref[i]) {
+				t.Fatalf("workers %d: seed entry %d is %v, on one worker %v", workers, i, got[i], ref[i])
+			}
+		}
 	}
 }

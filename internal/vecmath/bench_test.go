@@ -138,16 +138,32 @@ func BenchmarkADCResidualBatchM16(b *testing.B) {
 	}
 }
 
+// BenchmarkArgMinL2F32 runs the nearest-centroid kernel at the coarse
+// quantizer's shape (128-d, 1024 lists) and at the PQ encoder's (8-d
+// subspaces, 256 entries). The query is drawn apart from the centroids: a
+// query on a centroid would make one distance 0 and let an abandoning
+// kernel skip almost everything.
 func BenchmarkArgMinL2F32(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	const k, dim = 1024, 128
-	centroids := make([]float32, k*dim)
-	for i := range centroids {
-		centroids[i] = rng.Float32()
-	}
-	query := centroids[:dim]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ArgMinL2F32(query, centroids, dim)
+	for _, sh := range []struct {
+		name   string
+		k, dim int
+	}{
+		{"coarse", 1024, 128},
+		{"encode", 256, 8},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(2))
+			centroids := make([]float32, sh.k*sh.dim)
+			for i := range centroids {
+				centroids[i] = rng.Float32()
+			}
+			query := make([]float32, sh.dim)
+			for i := range query {
+				query[i] = rng.Float32()
+			}
+			for b.Loop() {
+				ArgMinL2F32(query, centroids, sh.dim)
+			}
+		})
 	}
 }

@@ -5,6 +5,12 @@
 //
 // Vectors are flat slices with an explicit dimension so that large corpora
 // stay contiguous (one allocation for N*D elements).
+//
+// The kernels that abandon or block a distance return the bits a plain scan
+// would. Each distance keeps its own accumulator, summed in dimension order,
+// so blocking several distances into one pass changes no sum. A partial sum
+// only grows (adding a square never lowers a rounded sum, fused or not), so a
+// distance abandoned above a bound would have ended above it too.
 package vecmath
 
 import (
@@ -117,19 +123,81 @@ func SubF32(dst, a, b []float32) {
 	}
 }
 
+// abandonStride is how many dimensions the abandoning float kernels sum
+// between two checks against their bound.
+const abandonStride = 16
+
+// L2SquaredF32Abandon is the float twin of L2SquaredU8Abandon: it sums in
+// dimension order exactly as L2SquaredF32 does, so a completed scan returns
+// the same bits, and it returns (partial, false) as soon as a check finds the
+// partial sum above bound, which the true distance is then above too.
+func L2SquaredF32Abandon(a, b []float32, bound float32) (float32, bool) {
+	b = b[:len(a)]
+	var sum float32
+	for lo := 0; lo < len(a); lo += abandonStride {
+		x := a[lo:min(lo+abandonStride, len(a))]
+		y := b[lo:][:len(x)]
+		for i, xv := range x {
+			d := xv - y[i]
+			sum += d * d
+		}
+		if sum > bound {
+			return sum, false
+		}
+	}
+	return sum, true
+}
+
 // ArgMinL2F32 scans the flat centroid matrix (k rows of length dim) and
 // returns the row index with the smallest squared L2 distance to query, along
-// with that distance. It panics if centroids is not a multiple of dim or is
-// empty.
+// with that distance; the first index wins a tie. It panics if centroids is
+// not a multiple of dim or is empty.
+//
+// It scores four centroids per pass, so every distance it compares is
+// L2SquaredF32's, bit for bit. A block is abandoned once all four partial
+// sums exceed the best distance so far: none of the four could have won the
+// strict <.
 func ArgMinL2F32(query, centroids []float32, dim int) (int, float32) {
 	k := len(centroids) / dim
 	if k == 0 || len(centroids)%dim != 0 {
 		panic(fmt.Sprintf("vecmath: bad centroid matrix len=%d dim=%d", len(centroids), dim))
 	}
+	query = query[:dim]
 	best, bestDist := 0, float32(math.MaxFloat32)
-	for i := 0; i < k; i++ {
-		d := L2SquaredF32(query, centroids[i*dim:(i+1)*dim])
-		if d < bestDist {
+	i := 0
+	for ; i+4 <= k; i += 4 {
+		blk := centroids[i*dim : (i+4)*dim]
+		var s0, s1, s2, s3 float32
+		for lo := 0; lo < dim; lo += abandonStride {
+			q := query[lo:min(lo+abandonStride, dim)]
+			c0, c1 := blk[lo:][:len(q)], blk[dim+lo:][:len(q)]
+			c2, c3 := blk[2*dim+lo:][:len(q)], blk[3*dim+lo:][:len(q)]
+			for j, qv := range q {
+				d0, d1, d2, d3 := qv-c0[j], qv-c1[j], qv-c2[j], qv-c3[j]
+				s0 += d0 * d0
+				s1 += d1 * d1
+				s2 += d2 * d2
+				s3 += d3 * d3
+			}
+			if s0 > bestDist && s1 > bestDist && s2 > bestDist && s3 > bestDist {
+				break // no compare below can succeed
+			}
+		}
+		if s0 < bestDist {
+			best, bestDist = i, s0
+		}
+		if s1 < bestDist {
+			best, bestDist = i+1, s1
+		}
+		if s2 < bestDist {
+			best, bestDist = i+2, s2
+		}
+		if s3 < bestDist {
+			best, bestDist = i+3, s3
+		}
+	}
+	for ; i < k; i++ {
+		if d, _ := L2SquaredF32Abandon(query, centroids[i*dim:(i+1)*dim], bestDist); d < bestDist {
 			best, bestDist = i, d
 		}
 	}

@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -449,6 +450,102 @@ func TestADCPartialSumsToFullDistance(t *testing.T) {
 					t.Fatalf("M=%d width %d row %d: stages sum to %d, full distance %d", m, width, r, fromLUT[i], full[r])
 				}
 			}
+		}
+	}
+}
+
+// argMinNaive is the serial nearest-centroid scan: one L2SquaredF32 per
+// centroid, in index order, under a strict <.
+func argMinNaive(query, centroids []float32, dim int) (int, float32) {
+	best, bestDist := 0, float32(math.MaxFloat32)
+	for i := 0; i < len(centroids)/dim; i++ {
+		if d := L2SquaredF32(query, centroids[i*dim:(i+1)*dim]); d < bestDist {
+			best, bestDist = i, d
+		}
+	}
+	return best, bestDist
+}
+
+// TestArgMinL2F32MatchesNaive: the blocked, abandoning kernel returns the
+// naive scan's index and distance bits for every block remainder (k from 1
+// to 9), at the PQ encoder's and the coarse quantizer's sizes, and at
+// dimensions on both sides of the abandon stride. Duplicated centroids are
+// planted so the first index must win a tie, integer-valued grids make ties
+// between distinct centroids common, and queries sit on a centroid, next to
+// one, and away from all of them.
+func TestArgMinL2F32MatchesNaive(t *testing.T) {
+	for _, dim := range []int{1, 3, 8, 17, 32, 33, 128} {
+		t.Run(fmt.Sprintf("dim=%d", dim), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(dim)))
+			for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 256, 515} {
+				for _, grid := range []bool{false, true} {
+					draw := func(scale float32) float32 {
+						if grid {
+							return float32(rng.Intn(4))
+						}
+						return rng.Float32() * scale
+					}
+					centroids := make([]float32, k*dim)
+					for i := range centroids {
+						centroids[i] = draw(10)
+					}
+					for p := 0; p < k/2+1 && k > 1; p++ { // planted duplicates, later row copies an earlier one
+						a := rng.Intn(k - 1)
+						b := a + 1 + rng.Intn(k-1-a)
+						copy(centroids[b*dim:(b+1)*dim], centroids[a*dim:(a+1)*dim])
+					}
+					query := make([]float32, dim)
+					for trial := 0; trial < 24; trial++ {
+						c := rng.Intn(k)
+						switch trial % 3 {
+						case 0: // on a centroid
+							copy(query, centroids[c*dim:(c+1)*dim])
+						case 1: // next to one
+							for j := range query {
+								query[j] = centroids[c*dim+j] + draw(0.1)
+							}
+						default: // away from every centroid
+							for j := range query {
+								query[j] = 20 + draw(10)
+							}
+						}
+						wi, wd := argMinNaive(query, centroids, dim)
+						gi, gd := ArgMinL2F32(query, centroids, dim)
+						if gi != wi || math.Float32bits(gd) != math.Float32bits(wd) {
+							t.Fatalf("k=%d grid=%v trial %d: got (%d, %v), naive (%d, %v)", k, grid, trial, gi, gd, wi, wd)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestL2SquaredF32AbandonExact: a completed bounded scan returns
+// L2SquaredF32's bits, and an abandoned one only ever abandons a distance
+// strictly above the bound, with a partial sum above it.
+func TestL2SquaredF32AbandonExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(200)
+		a, b := make([]float32, n), make([]float32, n)
+		for i := range a {
+			a[i], b[i] = rng.Float32(), rng.Float32()
+		}
+		want := L2SquaredF32(a, b)
+		bound := want
+		switch rng.Intn(3) {
+		case 1:
+			bound = want / 2
+		case 2:
+			bound = rng.Float32() * float32(n) / 3
+		}
+		got, done := L2SquaredF32Abandon(a, b, bound)
+		if done && math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("trial %d: completed scan returned %v, want %v", trial, got, want)
+		}
+		if !done && (want <= bound || got <= bound) {
+			t.Fatalf("trial %d: abandoned at partial %v, distance %v, bound %v", trial, got, want, bound)
 		}
 	}
 }
