@@ -92,7 +92,10 @@
 // not within one), and models no WRAM caching of hot nodes — each is a
 // deliberate simplification that favors neither backend's phase
 // accounting but understates what a tuned real implementation of either
-// could do. `drim-bench -headtohead` prints both backends'
+// could do. Both prune arithmetic against a running bound: the graph's DC
+// charges the dimensions a distance summed before it passed the beam's
+// worst entry plus one compare per 16-dimension block, and its TS only the
+// evaluations that reach the beam. `drim-bench -headtohead` prints both backends'
 // recall-vs-simulated-QPS curves through the serving path over one corpus
 // (the benchmark's offline-graph workload holds the graph engine's single
 // operating point); the conformance suite in internal/engine pins the

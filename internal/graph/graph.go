@@ -25,8 +25,12 @@
 // full DMA setup latency each — there is no large contiguous slice to
 // stream, so the per-transfer latency the paper's buffering optimizations
 // amortize away is paid on every access). Distance arithmetic charges DC
-// compute cycles (squaring through the multiplier-free SQT table by
-// default, exactly the trick core uses); beam-pool maintenance charges TS.
+// compute cycles for the dimensions actually summed (squaring through the
+// multiplier-free SQT table by default, exactly the trick core uses) plus
+// one compare per 16-dimension block: once the beam is full, a distance
+// stops at the first block that sums strictly above the beam's worst entry,
+// which it could not enter. Beam-pool maintenance charges TS only for the
+// evaluations that reach the pool.
 // The host does no cluster locating — only the final merge/demux. Each DPU
 // holds the full graph (vectors + adjacency) in MRAM, so corpus size is
 // bounded by MRAM capacity; New reports an error when it does not fit.
@@ -326,37 +330,57 @@ func (e *Engine) addBacklink(j, from int32) {
 // ascending by (dist, id)): greedily keep the nearest candidate, then
 // discard any candidate alpha-dominated by a kept one (alpha * d(kept, c)
 // <= d(p, c)), Vamana's diversity rule that keeps a few long-range edges.
+// That test is d(kept, c) <= pruneBound(Alpha, d(p, c)), so the distance to a
+// kept point is abandoned once it passes the bound.
 func (e *Engine) robustPrune(p int32, cands []topk.Item[uint32]) []int32 {
+	const dead = math.MinInt64 // picked, pruned, or p itself
 	out := make([]int32, 0, e.opts.Degree)
-	alive := make([]bool, len(cands))
+	bound := make([]int64, len(cands))
 	for i, c := range cands {
-		alive[i] = c.ID != p
-	}
-	for len(out) < e.opts.Degree {
-		pick := -1
-		for i := range cands {
-			if alive[i] {
-				pick = i
-				break
-			}
+		bound[i] = dead
+		if c.ID != p {
+			bound[i] = pruneBound(e.opts.Alpha, c.Dist)
 		}
-		if pick < 0 {
+	}
+	// A pick prunes only candidates after it, so every candidate before the
+	// last pick is dead and the next one is searched from there.
+	for pick := 0; len(out) < e.opts.Degree; pick++ {
+		for pick < len(cands) && bound[pick] == dead {
+			pick++
+		}
+		if pick == len(cands) {
 			break
 		}
-		kept := cands[pick]
-		out = append(out, kept.ID)
-		alive[pick] = false
-		vk := e.base.Vec(int(kept.ID))
+		out = append(out, cands[pick].ID)
+		vk := e.base.Vec(int(cands[pick].ID))
 		for i := pick + 1; i < len(cands); i++ {
-			if !alive[i] {
+			if bound[i] < 0 { // dead, or no distance dominates it
 				continue
 			}
-			if e.opts.Alpha*float64(vecmath.L2SquaredU8(vk, e.base.Vec(int(cands[i].ID)))) <= float64(cands[i].Dist) {
-				alive[i] = false
+			if d, _ := vecmath.L2SquaredU8Bounded(vk, e.base.Vec(int(cands[i].ID)), uint32(bound[i])); int64(d) <= bound[i] {
+				bound[i] = dead
 			}
 		}
 	}
 	return out
+}
+
+// pruneBound returns the largest integer x with alpha*float64(x) <= float64(d),
+// or -1 when no x >= 0 satisfies it (alpha NaN or +Inf). It is derived from
+// the predicate itself: float64(x) and the product round monotonically in x,
+// so the predicate holds exactly for x <= pruneBound(alpha, d).
+func pruneBound(alpha float64, d uint32) int64 {
+	x := int64(-1)
+	if q := float64(d) / alpha; q >= 0 {
+		x = int64(q)
+	}
+	for alpha*float64(x+1) <= float64(d) {
+		x++
+	}
+	for x >= 0 && !(alpha*float64(x) <= float64(d)) {
+		x--
+	}
+	return x
 }
 
 // beamCollect runs a build-time beam search from entry and returns every
@@ -377,14 +401,23 @@ func (e *Engine) beamCollect(sc *searchScratch, q []uint8, entry int32, beam int
 
 // beamStats counts the simulated work of one traversal.
 type beamStats struct {
-	hops  int // nodes expanded (adjacency-list fetches)
-	evals int // distance evaluations (vector fetches)
+	hops   int // nodes expanded (adjacency-list fetches)
+	evals  int // distance evaluations (vector fetches)
+	dims   int // dimensions summed over all evaluations
+	checks int // partial sums compared against the beam's worst
+	probes int // evaluations that reached the pool probe
 }
 
 // beamSearch is the greedy best-first traversal: keep a pool of the `beam`
 // nearest visited nodes, repeatedly expand the nearest unexpanded one,
-// stop when the pool is fully expanded. onEval (optional) observes every
-// distance evaluation. The final pool is sorted ascending (dist, id).
+// stop when the pool is fully expanded. The final pool is sorted ascending
+// (dist, id).
+//
+// onEval, when set, observes every evaluation's exact distance. Without it,
+// once the pool holds `beam` items a distance is abandoned after the first
+// block that sums strictly above the pool's worst: insert would reject it,
+// and a tie, which the id decides, is never abandoned. The abandoned
+// candidate was still fetched and stays visited.
 func (e *Engine) beamSearch(sc *searchScratch, q []uint8, entry int32, beam int, onEval func(topk.Item[uint32])) beamStats {
 	var st beamStats
 	sc.epoch++
@@ -423,11 +456,25 @@ func (e *Engine) beamSearch(sc *searchScratch, q []uint8, entry int32, beam int,
 
 	eval := func(id int32) {
 		sc.visited[id] = sc.epoch
-		it := topk.Item[uint32]{ID: id, Dist: e.dist(q, id)}
 		st.evals++
-		if onEval != nil {
-			onEval(it)
+		it := topk.Item[uint32]{ID: id}
+		if onEval != nil || len(sc.pool) < beam {
+			it.Dist = e.dist(q, id)
+			st.dims += len(q)
+			if onEval != nil {
+				onEval(it)
+			}
+		} else {
+			bound := sc.pool[beam-1].Dist
+			var dims int
+			it.Dist, dims = vecmath.L2SquaredU8Bounded(q, e.base.Vec(int(id)), bound)
+			st.dims += dims
+			st.checks += (dims + vecmath.AbandonStride - 1) / vecmath.AbandonStride
+			if it.Dist > bound {
+				return
+			}
 		}
+		st.probes++
 		insert(it)
 	}
 	eval(entry)

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -212,5 +214,36 @@ func TestMemoryFootprintSharing(t *testing.T) {
 	}
 	if mf.SharedBytes < int64(e.Len()*e.Dim()) {
 		t.Fatalf("shared bytes %d below corpus size", mf.SharedBytes)
+	}
+}
+
+// TestPruneBound: for each slack and distances from 0 to the 128-d maximum,
+// including products of the slack that land on the rounding boundary,
+// x <= pruneBound(alpha, d) exactly when robust pruning's predicate
+// alpha*float64(x) <= float64(d) holds, on both sides of the bound. A NaN or
+// infinite slack satisfies the predicate nowhere.
+func TestPruneBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const maxD = 128 * 255 * 255
+	for _, alpha := range []float64{1, 1.2, 1.5, 2} {
+		ds := []uint32{0, 1, maxD}
+		for i := 0; i < 200; i++ {
+			ds = append(ds, uint32(rng.Intn(maxD)), uint32(math.Round(alpha*float64(rng.Intn(maxD/2)))))
+		}
+		for _, d := range ds {
+			b := pruneBound(alpha, d)
+			for x := b - 2; x <= b+2; x++ {
+				if x >= 0 && (x <= b) != (alpha*float64(x) <= float64(d)) {
+					t.Fatalf("alpha %v d %d: bound %d, but the predicate at %d is %v", alpha, d, b, x, alpha*float64(x) <= float64(d))
+				}
+			}
+		}
+	}
+	for _, alpha := range []float64{math.NaN(), math.Inf(1)} {
+		for _, d := range []uint32{0, 1, maxD} {
+			if b := pruneBound(alpha, d); b != -1 {
+				t.Fatalf("alpha %v d %d: bound %d, want -1", alpha, d, b)
+			}
+		}
 	}
 }

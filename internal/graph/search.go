@@ -2,7 +2,10 @@
 // query traversing the full graph held in its DPU's MRAM. The charging is
 // intentionally random-access-heavy — every adjacency fetch and every
 // candidate vector fetch is its own fixed-size DMA with full setup latency
-// (there is nothing contiguous to stream). The launch accounting is the
+// (there is nothing contiguous to stream). An evaluation abandoned against
+// the beam's worst entry still pays its vector's DMA, but DC charges only
+// the dimensions it summed plus one compare per block, and TS only the
+// evaluations that reach the pool. The launch accounting is the
 // one internal/core runs (engine.Metrics.AddLaunch, engine.HostMergeSeconds),
 // with SimSeconds += max(host, max(pim, xfer)) per batch.
 
@@ -103,40 +106,10 @@ func (e *Engine) runLaunch(queries dataset.U8Set, lo, hi int, res *engine.Result
 // the DPU's tally and writing final per-query results.
 func (e *Engine) runDPU(queries dataset.U8Set, lo, hi, d int, res *engine.Result) {
 	sc := &e.scratch[d]
-	cost := &e.sys.Cfg.Cost
-	beam := e.opts.SearchBeam
-	// Per-dimension distance cost: subtract, square (SQT lookup or software
-	// multiply), accumulate.
-	perDim := uint64(2) + e.opts.SQTAccessCycles
-	if !e.opts.UseSQT {
-		perDim = 2 + cost.MulCycles
-	}
-	logBeam := uint64(engine.Log2Ceil(beam))
 	for qi := lo + d; qi < hi; qi += e.opts.NumDPUs {
-		st := e.beamSearch(sc, queries.Vec(qi), e.medoid, beam, nil)
+		st := e.beamSearch(sc, queries.Vec(qi), e.medoid, e.opts.SearchBeam, nil)
 		sc.evals += uint64(st.evals)
-
-		// RC: one unbuffered DMA per hop for the node's fixed-size
-		// adjacency record (count + Degree slots), plus the visited-stamp
-		// check per scanned neighbor.
-		adjBytes := uint64((1 + e.opts.Degree) * 4)
-		for h := 0; h < st.hops; h++ {
-			sc.tally.DMA(upmem.PhaseRC, adjBytes)
-		}
-		scanned := uint64(st.hops * e.opts.Degree)
-		sc.tally.Charge(cost, upmem.PhaseRC, upmem.OpLoad, scanned)
-		sc.tally.Charge(cost, upmem.PhaseRC, upmem.OpCmp, scanned)
-
-		// DC: one unbuffered DMA per evaluated candidate for its full
-		// vector — the traversal's dominant cost — plus the arithmetic.
-		for ev := 0; ev < st.evals; ev++ {
-			sc.tally.DMA(upmem.PhaseDC, uint64(e.base.D))
-		}
-		sc.tally.ChargeCycles(upmem.PhaseDC, uint64(st.evals)*uint64(e.base.D)*perDim)
-
-		// TS: sorted-pool insertion per evaluated candidate (binary probe
-		// of the beam plus the shift/store).
-		sc.tally.ChargeCycles(upmem.PhaseTS, uint64(st.evals)*(logBeam+2))
+		e.charge(&sc.tally, st)
 
 		k := e.opts.K
 		if k > len(sc.pool) {
@@ -150,4 +123,35 @@ func (e *Engine) runDPU(queries dataset.U8Set, lo, hi, d int, res *engine.Result
 		res.IDs[qi] = ids
 		res.Items[qi] = items
 	}
+}
+
+// charge adds one query traversal's simulated DPU work to t.
+func (e *Engine) charge(t *upmem.Tally, st beamStats) {
+	cost := &e.sys.Cfg.Cost
+	// RC: one unbuffered DMA per hop for the node's fixed-size adjacency
+	// record (count + Degree slots), plus the visited-stamp check per
+	// scanned neighbor.
+	hops := uint64(st.hops)
+	t.DMAs(upmem.PhaseRC, hops, hops*uint64((1+e.opts.Degree)*4))
+	scanned := hops * uint64(e.opts.Degree)
+	t.Charge(cost, upmem.PhaseRC, upmem.OpLoad, scanned)
+	t.Charge(cost, upmem.PhaseRC, upmem.OpCmp, scanned)
+
+	// DC, the traversal's dominant phase: one unbuffered DMA per evaluated
+	// candidate for its full vector, an abandoned one included, plus the
+	// arithmetic over the dimensions summed (subtract, square by SQT lookup
+	// or software multiply, accumulate) and one compare per block checked
+	// against the beam's worst.
+	evals := uint64(st.evals)
+	t.DMAs(upmem.PhaseDC, evals, evals*uint64(e.base.D))
+	perDim := 2 + e.opts.SQTAccessCycles
+	if !e.opts.UseSQT {
+		perDim = 2 + cost.MulCycles
+	}
+	t.ChargeCycles(upmem.PhaseDC, uint64(st.dims)*perDim)
+	t.Charge(cost, upmem.PhaseDC, upmem.OpCmp, uint64(st.checks))
+
+	// TS: sorted-pool insertion per evaluation that reaches the pool
+	// (binary probe of the beam plus the shift/store).
+	t.ChargeCycles(upmem.PhaseTS, uint64(st.probes)*(uint64(engine.Log2Ceil(e.opts.SearchBeam))+2))
 }

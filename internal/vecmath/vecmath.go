@@ -44,32 +44,53 @@ func L2SquaredU8(a, b []uint8) uint32 {
 }
 
 // L2SquaredU8Abandon computes L2SquaredU8(a, b) with early abandonment: it
-// checks the running sum against bound every 16 elements and returns
-// (partial, false) as soon as the partial sum exceeds bound. Squared terms
-// only grow the sum, so a partial sum above bound proves the full distance
-// is above it too — callers that reject distances strictly greater than
-// bound get exactly the decisions a full evaluation would produce. When the
-// scan completes, the exact distance is returned with true (it may still
-// exceed bound if the final stretch crossed it).
+// returns (partial, false) as soon as the partial sum passes bound at a block
+// boundary before the end (L2SquaredU8Bounded). Squared terms only grow the
+// sum, so a partial sum above bound proves the full distance is above it too
+// — callers that reject distances strictly greater than bound get exactly the
+// decisions a full evaluation would produce. When the scan completes, the
+// exact distance is returned with true (it may still exceed bound if the
+// final stretch crossed it).
 func L2SquaredU8Abandon(a, b []uint8, bound uint32) (uint32, bool) {
-	_ = b[len(a)-1]
+	sum, dims := L2SquaredU8Bounded(a, b, bound)
+	return sum, dims == len(a)
+}
+
+// L2SquaredU8Bounded sums L2SquaredU8(a, b) in blocks of AbandonStride
+// dimensions and stops after the first block whose partial sum is strictly
+// above bound. It returns that sum and the dimensions summed: a multiple of
+// AbandonStride when it stopped early, len(a) otherwise, when the sum is the
+// exact distance (above bound only if the last block crossed it).
+func L2SquaredU8Bounded(a, b []uint8, bound uint32) (uint32, int) {
+	b = b[:len(a)]
 	var sum uint32
-	n := len(a)
-	i := 0
-	for ; i+16 <= n; i += 16 {
-		for j := i; j < i+16; j++ {
-			d := int32(a[j]) - int32(b[j])
-			sum += uint32(d * d)
-		}
+	lo := 0
+	for ; lo+AbandonStride <= len(a); lo += AbandonStride {
+		sum += l2u8Block((*[AbandonStride]uint8)(a[lo:]), (*[AbandonStride]uint8)(b[lo:]))
 		if sum > bound {
-			return sum, false
+			return sum, lo + AbandonStride
 		}
 	}
-	for ; i < n; i++ {
-		d := int32(a[i]) - int32(b[i])
+	for i, xv := range a[lo:] {
+		d := int32(xv) - int32(b[lo+i])
 		sum += uint32(d * d)
 	}
-	return sum, true
+	return sum, len(a)
+}
+
+// l2u8Block is one block of L2SquaredU8Bounded, over four accumulators (uint32
+// addition is associative, so the sum is the same).
+func l2u8Block(x, y *[AbandonStride]uint8) uint32 {
+	var s0, s1, s2, s3 uint32
+	for i := 0; i < AbandonStride; i += 4 {
+		d0, d1 := int32(x[i])-int32(y[i]), int32(x[i+1])-int32(y[i+1])
+		d2, d3 := int32(x[i+2])-int32(y[i+2]), int32(x[i+3])-int32(y[i+3])
+		s0 += uint32(d0 * d0)
+		s1 += uint32(d1 * d1)
+		s2 += uint32(d2 * d2)
+		s3 += uint32(d3 * d3)
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // L2SquaredI16 returns the squared Euclidean distance between two int16
@@ -123,9 +144,9 @@ func SubF32(dst, a, b []float32) {
 	}
 }
 
-// abandonStride is how many dimensions the abandoning float kernels sum
-// between two checks against their bound.
-const abandonStride = 16
+// AbandonStride is how many dimensions the abandoning kernels sum between two
+// checks against their bound.
+const AbandonStride = 16
 
 // L2SquaredF32Abandon is the float twin of L2SquaredU8Abandon: it sums in
 // dimension order exactly as L2SquaredF32 does, so a completed scan returns
@@ -134,8 +155,8 @@ const abandonStride = 16
 func L2SquaredF32Abandon(a, b []float32, bound float32) (float32, bool) {
 	b = b[:len(a)]
 	var sum float32
-	for lo := 0; lo < len(a); lo += abandonStride {
-		x := a[lo:min(lo+abandonStride, len(a))]
+	for lo := 0; lo < len(a); lo += AbandonStride {
+		x := a[lo:min(lo+AbandonStride, len(a))]
 		y := b[lo:][:len(x)]
 		for i, xv := range x {
 			d := xv - y[i]
@@ -168,8 +189,8 @@ func ArgMinL2F32(query, centroids []float32, dim int) (int, float32) {
 	for ; i+4 <= k; i += 4 {
 		blk := centroids[i*dim : (i+4)*dim]
 		var s0, s1, s2, s3 float32
-		for lo := 0; lo < dim; lo += abandonStride {
-			q := query[lo:min(lo+abandonStride, dim)]
+		for lo := 0; lo < dim; lo += AbandonStride {
+			q := query[lo:min(lo+AbandonStride, dim)]
 			c0, c1 := blk[lo:][:len(q)], blk[dim+lo:][:len(q)]
 			c2, c3 := blk[2*dim+lo:][:len(q)], blk[3*dim+lo:][:len(q)]
 			for j, qv := range q {

@@ -549,3 +549,40 @@ func TestL2SquaredF32AbandonExact(t *testing.T) {
 		}
 	}
 }
+
+// TestL2SquaredU8BoundedStopsAtFirstCrossing: against L2SquaredU8, at
+// lengths on and off the stride and at bounds 0, d-1, d and MaxUint32, the
+// blocked kernel returns the exact distance whenever it sums every dimension,
+// and otherwise stops after the first block whose partial sum passes the
+// bound, at a multiple of the stride, returning that partial sum.
+func TestL2SquaredU8BoundedStopsAtFirstCrossing(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, n := range []int{24, 100, 128} {
+		for trial := 0; trial < 200; trial++ {
+			a, b := make([]uint8, n), make([]uint8, n)
+			spread := 1 + rng.Intn(256)
+			for i := range a {
+				a[i], b[i] = uint8(rng.Intn(spread)), uint8(rng.Intn(spread))
+			}
+			d := L2SquaredU8(a, b)
+			for _, bound := range []uint32{0, d - 1, d, math.MaxUint32} {
+				sum, dims := L2SquaredU8Bounded(a, b, bound)
+				switch {
+				case dims == n && sum != d:
+					t.Fatalf("n=%d bound %d: full scan returned %d, distance %d", n, bound, sum, d)
+				case dims == n && bound >= d:
+				case dims == n: // only the last block may cross
+					if last := (n - 1) / AbandonStride * AbandonStride; L2SquaredU8(a[:last], b[:last]) > bound {
+						t.Fatalf("n=%d bound %d: summed past an earlier crossing", n, bound)
+					}
+				case bound >= d || dims%AbandonStride != 0 || dims > n:
+					t.Fatalf("n=%d bound %d distance %d: stopped after %d dimensions", n, bound, d, dims)
+				case sum != L2SquaredU8(a[:dims], b[:dims]) || sum <= bound:
+					t.Fatalf("n=%d bound %d: stopped at %d with sum %d", n, bound, dims, sum)
+				case dims > AbandonStride && L2SquaredU8(a[:dims-AbandonStride], b[:dims-AbandonStride]) > bound:
+					t.Fatalf("n=%d bound %d: stopped at %d, a block after the first crossing", n, bound, dims)
+				}
+			}
+		}
+	}
+}
