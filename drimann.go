@@ -144,8 +144,8 @@
 // remap table, so Cluster.SearchBatch — which routes the query batch and
 // merges the per-shard partial top-k — returns IDs and Items bit-identical
 // to a single-engine SearchBatch over the unsharded corpus (the equivalence
-// suite in internal/cluster pins this for S ∈ {1, 2, 7}, both policies,
-// TreeCL on and off). Merged Metrics are the cross-shard parallel view:
+// suite in internal/cluster pins this for S ∈ {1, 2, 7} and both
+// policies). Merged Metrics are the cross-shard parallel view:
 // counters sum, wall-like durations are max-over-shards (the fleet is as
 // slow as its slowest rank), QPS is recomputed from the merged totals.
 //
@@ -410,7 +410,7 @@ type EngineOptions = core.Options
 type Result = core.Result
 
 // Locator is the coarse-locate stage as a standalone component: the
-// centroid directory (flat or TreeCL) with its cost model. Engine.Locator
+// flat centroid-directory scan with its cost model. Engine.Locator
 // exposes an engine's locator so a front door can resolve probe lists once
 // and feed them to Engine.SearchBatchProbed, skipping per-engine CL.
 type Locator = core.Locator

@@ -117,6 +117,8 @@ type Options struct {
 	// (NewServer) exploits that to route each query to any one replica,
 	// hedge stragglers, and mask dead replicas, and the offline
 	// Cluster.SearchBatch to spread every shard's work over all of them.
+	// At most 64: the routed Server tracks a query's tried replicas in one
+	// uint64.
 	Replicas int
 	// Assignment picks the partitioning policy; default AssignHash.
 	Assignment Assignment
@@ -131,6 +133,9 @@ func (o *Options) defaults() error {
 	}
 	if o.Replicas <= 0 {
 		o.Replicas = 1
+	}
+	if o.Replicas > 64 {
+		return fmt.Errorf("cluster: %d replicas per shard, at most 64", o.Replicas)
 	}
 	switch o.Assignment {
 	case "":

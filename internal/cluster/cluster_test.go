@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"drimann/internal/cluster"
@@ -36,36 +37,47 @@ func engineOpts() core.Options {
 }
 
 // TestClusterEquivalence is the acceptance property of the sharding layer:
-// for S ∈ {1, 2, 7} shards under both assignment policies, with the flat CL
-// scan and the TreeCL descent, the merged scatter-gather top-k (IDs and
+// for S ∈ {1, 2, 7} shards under both assignment policies, in every kernel
+// configuration (UseSQT x UseWRAM), the merged scatter-gather top-k (IDs and
 // Items) is bit-identical to a single-engine SearchBatch over the unsharded
-// corpus. This holds because every shard shares the full quantizer state
-// (so the front door locates the same probe set and every shard computes
-// the same integer distances), the shards partition
-// the scanned points, the local→global ID tables are monotone
+// corpus under the same options. This holds because every shard
+// shares the full quantizer state (so the front door locates the same probe
+// set and every shard computes the same integer distances), the shards
+// partition the scanned points, the local→global ID tables are monotone
 // (order-preserving), and the global top-k of a partitioned multiset is the
 // merge of the per-part top-k lists. Both policies go through the one
 // routed path (front-door CL + SearchBatchProbed per owning shard); they
 // differ only in how many shards own a probed cluster.
 func TestClusterEquivalence(t *testing.T) {
 	ix, s := testFixture(t, 6000, 64)
-	for _, branch := range []int{0, 8} {
-		opts := engineOpts()
-		opts.TreeCLBranch = branch
-		single, err := core.New(ix, s.Queries, opts)
-		if err != nil {
-			t.Fatal(err)
+	type config struct {
+		name string
+		opts core.Options
+		ref  *core.Result
+	}
+	var configs []config
+	for _, sqt := range []bool{false, true} {
+		for _, wram := range []bool{false, true} {
+			opts := engineOpts()
+			opts.UseSQT, opts.UseWRAM = sqt, wram
+			single, err := core.New(ix, s.Queries, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := single.SearchBatch(s.Queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			configs = append(configs, config{fmt.Sprintf("sqt=%v_wram=%v", sqt, wram), opts, ref})
 		}
-		ref, err := single.SearchBatch(s.Queries)
-		if err != nil {
-			t.Fatal(err)
-		}
+	}
 
+	for _, c := range configs {
 		for _, shards := range []int{1, 2, 7} {
 			for _, assign := range []cluster.Assignment{cluster.AssignHash, cluster.AssignKMeans} {
-				t.Run(fmt.Sprintf("S=%d/%s/treecl=%d", shards, assign, branch), func(t *testing.T) {
+				t.Run(fmt.Sprintf("S=%d/%s/%s", shards, assign, c.name), func(t *testing.T) {
 					cl, err := cluster.New(ix, s.Queries, cluster.Options{
-						Shards: shards, Assignment: assign, Engine: opts,
+						Shards: shards, Assignment: assign, Engine: c.opts,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -75,22 +87,22 @@ func TestClusterEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					for qi := 0; qi < s.Queries.N; qi++ {
-						if !reflect.DeepEqual(got.IDs[qi], ref.IDs[qi]) {
+						if !reflect.DeepEqual(got.IDs[qi], c.ref.IDs[qi]) {
 							t.Fatalf("query %d IDs diverge:\n  cluster %v\n  single  %v",
-								qi, got.IDs[qi], ref.IDs[qi])
+								qi, got.IDs[qi], c.ref.IDs[qi])
 						}
-						if !reflect.DeepEqual(got.Items[qi], ref.Items[qi]) {
+						if !reflect.DeepEqual(got.Items[qi], c.ref.Items[qi]) {
 							t.Fatalf("query %d Items diverge:\n  cluster %v\n  single  %v",
-								qi, got.Items[qi], ref.Items[qi])
+								qi, got.Items[qi], c.ref.Items[qi])
 						}
 					}
 					// Cross-shard metrics view: the fleet scanned exactly the
 					// single engine's points (the shards partition the corpus),
 					// and the merged wall-clock is the slowest shard, never the
 					// sum.
-					if got.Metrics.PointsScanned != ref.Metrics.PointsScanned {
+					if got.Metrics.PointsScanned != c.ref.Metrics.PointsScanned {
 						t.Fatalf("points scanned %d != single %d",
-							got.Metrics.PointsScanned, ref.Metrics.PointsScanned)
+							got.Metrics.PointsScanned, c.ref.Metrics.PointsScanned)
 					}
 					if got.Metrics.Queries != s.Queries.N {
 						t.Fatalf("merged Queries = %d, want %d", got.Metrics.Queries, s.Queries.N)
@@ -249,5 +261,24 @@ func TestClusterDimMismatch(t *testing.T) {
 	bad := dataset.U8Set{N: 1, D: 8, Data: make([]uint8, 8)}
 	if _, err := cl.SearchBatch(bad); err == nil {
 		t.Fatal("dim mismatch should fail")
+	}
+}
+
+// TestReplicaLimit: the routed Server tracks a query's tried replicas in one
+// uint64, so a shard takes at most 64 — a 65th is refused at construction
+// instead of being a replica failover can never mark tried.
+func TestReplicaLimit(t *testing.T) {
+	ix, s := testFixture(t, 2000, 4)
+	o := engineOpts()
+	o.NumDPUs = 2
+	if _, err := cluster.New(ix, s.Queries, cluster.Options{Shards: 1, Replicas: 65, Engine: o}); err == nil || !strings.Contains(err.Error(), "at most 64") {
+		t.Fatalf("65 replicas: error %v, want one naming the limit", err)
+	}
+	cl, err := cluster.New(ix, s.Queries, cluster.Options{Shards: 1, Replicas: 64, Engine: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(cl.Shards()[0].Engines); n != 64 {
+		t.Fatalf("%d replica engines, want 64", n)
 	}
 }

@@ -18,10 +18,9 @@ import (
 // Replica is one interchangeable copy of a shard's serving stack. A
 // *serve.Server satisfies it; internal/fault wraps one with injectable
 // wedge/delay/error/kill behaviors. The contract is serve.Server's:
-// SearchOwned honors ctx, the q buffer stays frozen while the replica
+// SearchProbedOwned honors ctx, the q buffer stays frozen while the replica
 // lives, Load is the instantaneous queued+in-launch gauge routing compares.
 type Replica interface {
-	SearchOwned(ctx context.Context, q []uint8, k int) (serve.Response, error)
 	// SearchProbedOwned is the selective-scatter entry point: the front door
 	// already resolved this query's probe list (shard-local cluster IDs,
 	// ascending distance order), so the replica's engine skips its CL stage.

@@ -16,13 +16,12 @@ import (
 	"drimann/internal/topk"
 )
 
-// countingReplica interposes on a shard replica to count which entry point
-// the front door used. The counters are per shard (shared by its replicas),
-// so a test can assert exactly which shards a query's scatter touched.
+// countingReplica interposes on a shard replica to count the front door's
+// calls. The counters are per shard (shared by its replicas), so a test can
+// assert exactly which shards a query's scatter touched.
 type countingReplica struct {
 	cluster.Replica
 	probed *atomic.Int64
-	plain  *atomic.Int64
 }
 
 func (c countingReplica) SearchProbedOwned(ctx context.Context, q []uint8, k int, probes []int32, dists []uint32) (serve.Response, error) {
@@ -30,18 +29,12 @@ func (c countingReplica) SearchProbedOwned(ctx context.Context, q []uint8, k int
 	return c.Replica.SearchProbedOwned(ctx, q, k, probes, dists)
 }
 
-func (c countingReplica) SearchOwned(ctx context.Context, q []uint8, k int) (serve.Response, error) {
-	c.plain.Add(1)
-	return c.Replica.SearchOwned(ctx, q, k)
-}
-
 // TestSelectiveScatterProperty pins the routing property under both
 // placement policies: a shard is contacted for a query if and only if it
 // owns at least one of the query's probed clusters — a shard whose probe
 // list is empty never sees the query, so the fan-out is the number of
 // distinct owners of the probes — and every contacted shard is reached
-// through SearchProbedOwned (the front door already ran CL, so the plain
-// entry point must stay cold). Hedging is disabled and R=1, so each
+// through SearchProbedOwned. Hedging is disabled and R=1, so each
 // contacted shard sees exactly one replica call per query and the counter
 // deltas are exact. Under AssignKMeans some query must skip a shard; under
 // AssignHash every list is spread over all shards, so none need to.
@@ -57,13 +50,12 @@ func TestSelectiveScatterProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			probedCalls := make([]atomic.Int64, shards)
-			plainCalls := make([]atomic.Int64, shards)
 			srv, err := cluster.NewServerRouted(cl,
 				serve.Options{MaxBatch: 8, MaxWait: 100 * time.Microsecond},
 				cluster.RouteOptions{
 					DisableHedge: true,
 					WrapReplica: func(shard, replica int, r cluster.Replica) cluster.Replica {
-						return countingReplica{Replica: r, probed: &probedCalls[shard], plain: &plainCalls[shard]}
+						return countingReplica{Replica: r, probed: &probedCalls[shard]}
 					},
 				})
 			if err != nil {
@@ -110,11 +102,6 @@ func TestSelectiveScatterProperty(t *testing.T) {
 					case !expect[int32(si)] && delta != 0:
 						t.Fatalf("query %d: shard %d owns no probed cluster but saw %d calls", qi, si, delta)
 					}
-				}
-			}
-			for si := range plainCalls {
-				if n := plainCalls[si].Load(); n != 0 {
-					t.Fatalf("shard %d: %d calls through plain SearchOwned on the routed path", si, n)
 				}
 			}
 			st := srv.Stats()

@@ -26,14 +26,8 @@ var (
 	_ engine.ProbedSearcher = (*Engine)(nil)
 	_ engine.Mutable        = (*Engine)(nil)
 	_ engine.Snapshotter    = (*Engine)(nil)
-	_ engine.Replicable     = (*Engine)(nil)
-	_ engine.MemoryReporter = (*Engine)(nil)
 )
 
 // NumClusters returns the probe-ID domain of SearchBatchProbed — the
 // index's nlist (engine.ProbedSearcher).
 func (e *Engine) NumClusters() int { return e.ix.NList }
-
-// NewReplica builds a replica of this engine's deployment
-// (engine.Replicable); see the package-level NewReplica.
-func (e *Engine) NewReplica() (engine.Engine, error) { return NewReplica(e) }

@@ -158,15 +158,6 @@
 // copies keeps its lists whole. ListCycles is the other thing measured at
 // deployment: per list, the cycles its scans cost over the profile, which a
 // sharded fleet levels its split on.
-//
-// # SQT16 geometry invariant
-//
-// All per-DPU sqt.SQT16 tables are built with identical geometry (hot-window
-// size, operand domain), so the hot/cold classification of a diff stream is
-// the same on every DPU. The engine therefore replays a group's marked rows
-// against one shared table (stats-free ColdCountRow) and credits the DPU's
-// own table arithmetically (AddStats), leaving counters bit-identical to the
-// private replay on each DPU's table that the per-op reference runs.
 package core
 
 import (
@@ -183,14 +174,14 @@ import (
 	"drimann/internal/ivf"
 	"drimann/internal/layout"
 	"drimann/internal/sched"
-	"drimann/internal/sqt"
 	"drimann/internal/topk"
 	"drimann/internal/upmem"
 	"drimann/internal/vecmath"
 )
 
 // Options configures an Engine. DefaultOptions enables every optimization
-// the paper proposes; the ablation studies switch them off one at a time.
+// the paper proposes; the ablation studies switch off the SQT (UseSQT), the
+// WRAM buffer (UseWRAM) and the layout phases one at a time.
 type Options struct {
 	NumDPUs   int // default 64
 	Tasklets  int // default 16
@@ -200,25 +191,9 @@ type Options struct {
 
 	// UseSQT selects the multiplier-less LC kernel (paper §3.1 / Fig 11a).
 	UseSQT bool
-	// SQT16 simulates the 16-bit quantization mode (paper §3.1): the full
-	// squaring table exceeds WRAM, so a hot window of small magnitudes stays
-	// in the scratchpad and cold lookups pay an MRAM access. Residual
-	// magnitudes concentrate near zero, so the hot window absorbs most
-	// lookups; the engine measures the actual hit rate. Requires UseSQT.
-	SQT16 bool
-	// SQT16HotEntries sizes the WRAM-resident window; default 8192 (32 KB).
-	SQT16HotEntries int
 	// UseWRAM enables the WRAM buffer optimization: hot data (SQT, LUT,
 	// staging, metadata) resides in the scratchpad (paper §3.2 / Fig 12b).
 	UseWRAM bool
-	// UseLockPruning forwards the current top-k bound to DC so tasklets skip
-	// the shared-heap lock for most points (paper §6).
-	UseLockPruning bool
-	// UseBitonicTS replaces the shared priority queue with a per-slice
-	// bitonic sorting network (the TS alternative in the paper's Figure 1):
-	// lock-free and data-independent, but O(n log^2 n) compare-exchanges.
-	// Results are identical; only the cost profile changes.
-	UseBitonicTS bool
 
 	// Layout toggles (paper §3.2 / Fig 13, 14).
 	EnableSplit    bool
@@ -231,27 +206,10 @@ type Options struct {
 	Th3       float64 // overheat postponement threshold; default 1.3
 	Rebalance bool
 
-	// TreeCLBranch > 0 replaces the flat host-side centroid scan with a
-	// two-level k-means tree locator of that branching factor — the paper's
-	// §6 extension point for tree/graph cluster organizations. 0 keeps the
-	// flat IVF scan.
-	TreeCLBranch int
-	// TreeCLBeam is the number of upper nodes descended (0 = sqrt(branch)+1).
-	TreeCLBeam int
-
-	// LockCycles is the cost of one shared-heap lock acquisition.
-	LockCycles uint64 // default 24
-	// SQTAccessCycles is the per-lookup overhead of the squaring table
-	// beyond the load itself (address generation, load-use stalls, WRAM
-	// port pressure at 4-byte granularity) — the reason the paper's LC
-	// speedup is ~1.93x rather than the naive 32x.
-	SQTAccessCycles uint64 // default 8
-
 	// Hardware overrides (0 = upmem defaults); used by failure-injection
 	// tests and platform scaling studies.
 	WRAMBytes int
 	MRAMBytes int
-	ClockHz   float64
 	MulCycles uint64
 
 	// Host models the CPU running CL and merging (Xeon Silver 4216-like).
@@ -263,22 +221,19 @@ type Options struct {
 // DefaultOptions returns the full DRIM-ANN configuration.
 func DefaultOptions() Options {
 	return Options{
-		NumDPUs:         64,
-		Tasklets:        16,
-		K:               10,
-		NProbe:          32,
-		BatchSize:       256,
-		UseSQT:          true,
-		UseWRAM:         true,
-		UseLockPruning:  true,
-		EnableSplit:     true,
-		EnableDup:       true,
-		EnableBalance:   true,
-		CopyFootprint:   128 << 10,
-		Th3:             1.3,
-		Rebalance:       true,
-		LockCycles:      24,
-		SQTAccessCycles: 8,
+		NumDPUs:       64,
+		Tasklets:      16,
+		K:             10,
+		NProbe:        32,
+		BatchSize:     256,
+		UseSQT:        true,
+		UseWRAM:       true,
+		EnableSplit:   true,
+		EnableDup:     true,
+		EnableBalance: true,
+		CopyFootprint: 128 << 10,
+		Th3:           1.3,
+		Rebalance:     true,
 		Host: upmem.Platform{
 			Name: "host (Xeon Silver 4216)", Threads: 32, FreqGHz: 2.1, VectorWidth: 8,
 			PeakGOPs: 538, MemBWGBs: 90, MemCapGB: 256,
@@ -309,12 +264,6 @@ func (o *Options) defaults() {
 	if o.Th3 < 0 {
 		o.Th3 = 0
 	}
-	if o.LockCycles == 0 {
-		o.LockCycles = 24
-	}
-	if o.SQTAccessCycles == 0 {
-		o.SQTAccessCycles = 8
-	}
 	if o.Host.Threads == 0 {
 		o.Host = DefaultOptions().Host
 	}
@@ -335,12 +284,9 @@ type Engine struct {
 	lutBytes   int
 	metaPerDPU []int // slice-copy count per DPU (metadata footprint)
 
-	// loc is the CL stage (flat scan or TreeCL descent); shared read-only
-	// with replica engines and borrowable by sharded front doors.
+	// loc is the CL stage; shared read-only with replica engines and
+	// borrowable by sharded front doors.
 	loc *Locator
-	// sqt16 holds one tiered table per DPU (kernels run concurrently and
-	// the tables track per-DPU hit statistics); nil without Options.SQT16.
-	sqt16 []*sqt.SQT16
 
 	// lut is the decomposed host-side LUT builder of the LUT-free DC path
 	// (see the package doc); nil when the per-index precomputation exceeds
@@ -506,9 +452,6 @@ func deploy(ix *ivf.Index, profile, cal dataset.U8Set, opts Options) (*Engine, e
 	if opts.MRAMBytes > 0 {
 		cfg.MRAMBytes = opts.MRAMBytes
 	}
-	if opts.ClockHz > 0 {
-		cfg.Cost.ClockHz = opts.ClockHz
-	}
 	if opts.MulCycles > 0 {
 		cfg.Cost.MulCycles = opts.MulCycles
 	}
@@ -520,18 +463,8 @@ func deploy(ix *ivf.Index, profile, cal dataset.U8Set, opts Options) (*Engine, e
 	if ix.HasMutations() {
 		return nil, fmt.Errorf("core: index has uncompacted mutations; Compact it before deploying")
 	}
-	e := &Engine{ix: ix, sys: sys, opts: opts, codeBytes: codeBytesFor(ix.CB, ix.M)}
-	loc, err := NewLocator(ix, opts)
-	if err != nil {
-		return nil, err
-	}
-	e.loc = loc
-	if opts.SQT16 {
-		if !opts.UseSQT {
-			return nil, fmt.Errorf("core: SQT16 requires UseSQT")
-		}
-		e.sqt16 = newSQT16Tables(opts)
-	}
+	loc := NewLocator(ix, opts)
+	e := &Engine{ix: ix, sys: sys, opts: opts, codeBytes: codeBytesFor(ix.CB, ix.M), loc: loc}
 
 	// Offline heat profile: probe frequency over the profile workload.
 	sizes := make([]int, ix.NList)
@@ -540,8 +473,8 @@ func deploy(ix *ivf.Index, profile, cal dataset.U8Set, opts Options) (*Engine, e
 	}
 	freq := make([]float64, ix.NList)
 	if profile.N > 0 {
-		// The engine's own locator: the probes live queries will hit (TreeCL
-		// included), located across workers.
+		// The engine's own locator: the probes live queries will hit, located
+		// across workers.
 		for _, c := range loc.Probes(profile).Clusters {
 			freq[c]++
 		}
@@ -600,21 +533,6 @@ func codeBytesFor(cb, m int) int {
 		return m
 	}
 	return 2 * m
-}
-
-// newSQT16Tables builds one tiered 16-bit squaring table per DPU — all with
-// identical geometry, the precondition of the SQT16 geometry invariant.
-// Replica engines get their own tables (they carry per-DPU hit statistics).
-func newSQT16Tables(opts Options) []*sqt.SQT16 {
-	hot := opts.SQT16HotEntries
-	if hot <= 0 {
-		hot = 8192
-	}
-	t := make([]*sqt.SQT16, opts.NumDPUs)
-	for i := range t {
-		t[i] = sqt.NewSQT16(hot, sqt.MaxDiff8)
-	}
-	return t
 }
 
 // fixedMRAM is the index-wide data every DPU holds: the integer codebooks and
@@ -692,17 +610,6 @@ func (e *Engine) accountMemory() error {
 		}
 	}
 	return nil
-}
-
-// SQT16HitRate reports the aggregate hot-window hit rate of the tiered
-// 16-bit squaring tables, or 1 when the mode is off (the paper's claim:
-// residual magnitudes concentrate, so the WRAM tier absorbs most lookups).
-func (e *Engine) SQT16HitRate() float64 {
-	hot, cold := e.sqt16Totals()
-	if hot+cold == 0 {
-		return 1
-	}
-	return float64(hot) / float64(hot+cold)
 }
 
 // Placement exposes the optimized layout (for inspection and tests).
@@ -803,17 +710,6 @@ func (e *Engine) taskCount(reqs []sched.Request) int {
 		n += len(e.pl.ByCluster[r.Cluster])
 	}
 	return n
-}
-
-// sqt16Totals sums the hot/cold lookup counters over every DPU's tiered
-// table (both zero when the 16-bit mode is off).
-func (e *Engine) sqt16Totals() (hot, cold uint64) {
-	for _, t := range e.sqt16 {
-		s := t.Stats()
-		hot += s.Hot
-		cold += s.Cold
-	}
-	return hot, cold
 }
 
 // groupBlockBudget bounds the shared residual+LUT arena of one launch
@@ -1064,9 +960,9 @@ func (e *Engine) collectGroups(batch *sched.Batch) int {
 // building each exactly once: the staged scan's subspace order, and with the
 // decomposed builder the per-subspace SubTerms and (per query run) the qe
 // gather table; on the over-budget fallback the residual and the full LUT.
-// The residual is skipped where nothing reads it (the builder's path without
-// the SQT16 replay). Work is fanned across workers per query run so per-query
-// terms amortize over all clusters the query probes.
+// The residual is skipped where nothing reads it (the builder's path). Work is
+// fanned across workers per query run so per-query terms amortize over all
+// clusters the query probes.
 func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 	g := &e.groups
 	ix := e.ix
@@ -1075,8 +971,7 @@ func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 	if n <= 0 {
 		return
 	}
-	needRes := e.lut == nil || e.sqt16 != nil
-	if needRes && cap(g.res) < n*dim {
+	if e.lut == nil && cap(g.res) < n*dim {
 		g.res = make([]int16, n*dim)
 	}
 	if e.lut == nil && cap(g.lut) < n*lutLen {
@@ -1128,17 +1023,15 @@ func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 		for i := lo; i < hi; i++ {
 			k, bi := g.keys[i], i-gLo
 			subspaceOrder(g.order[bi*ix.M:(bi+1)*ix.M], query, ix.CentroidU8(int(k.c)))
-			var res []int16
-			if needRes {
-				res = g.res[bi*dim : (bi+1)*dim]
-				vecmath.SubI16(res, query, ix.CentroidU8(int(k.c)))
-			}
-			switch {
-			case e.lut != nil:
+			if e.lut != nil {
 				e.lut.SubTerms(query, int(k.c), g.p[bi*ix.M:(bi+1)*ix.M])
-			case e.opts.UseSQT:
+				continue
+			}
+			res := g.res[bi*dim : (bi+1)*dim]
+			vecmath.SubI16(res, query, ix.CentroidU8(int(k.c)))
+			if e.opts.UseSQT {
 				ix.IntCB.LUTInt(res, g.lut[bi*lutLen:(bi+1)*lutLen], ix.SQT)
-			default:
+			} else {
 				ix.IntCB.LUTIntMul(res, g.lut[bi*lutLen:(bi+1)*lutLen])
 			}
 		}

@@ -215,42 +215,6 @@ func TestWRAMBufferAblation(t *testing.T) {
 	}
 }
 
-func TestLockPruningAblation(t *testing.T) {
-	f := getFixture(t)
-	on := testOptions()
-	off := testOptions()
-	off.UseLockPruning = false
-
-	eOn, err := New(f.ix, dataset.U8Set{}, on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eOff, err := New(f.ix, dataset.U8Set{}, off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rOn, err := eOn.SearchBatch(f.s.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rOff, err := eOff.SearchBatch(f.s.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rOn.Metrics.LockAcquired >= rOff.Metrics.LockAcquired {
-		t.Fatalf("pruning should reduce lock acquisitions: %d vs %d",
-			rOn.Metrics.LockAcquired, rOff.Metrics.LockAcquired)
-	}
-	if rOn.Metrics.LockSkipped == 0 {
-		t.Fatal("pruning should skip some locks")
-	}
-	tsOn := rOn.Metrics.PhaseSeconds[upmem.PhaseTS]
-	tsOff := rOff.Metrics.PhaseSeconds[upmem.PhaseTS]
-	if tsOn >= tsOff {
-		t.Fatalf("pruning should shrink TS time: %v vs %v", tsOn, tsOff)
-	}
-}
-
 func TestLoadBalanceAblation(t *testing.T) {
 	f := getFixture(t)
 	on := testOptions()

@@ -184,7 +184,7 @@ func (e *Engine) modelTaskCycles(n int, need float64) float64 {
 		w := float64(min(stageWidth, ix.M-lo))
 		cycles += perStage + need*w/float64(ix.M)*perEntry + float64(n)*(w*(markCyclesPerCode+3)+pruneCyclesPerPoint)
 	}
-	return cycles + float64(n)*(1+float64(e.opts.LockCycles)/8)
+	return cycles + float64(n)*(1+float64(lockCycles)/8)
 }
 
 // optimize lays the lists of the given sizes out with the configuration New

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -52,14 +53,14 @@ func lcStats(m *Metrics) upmem.PhaseStats {
 	}
 }
 
-// lcModes is the LC kernel's mode matrix: multiply, SQT, tiered SQT16 (with a
-// hot window small enough to go cold), and SQT without the WRAM buffers.
+// lcModes is the LC kernel's mode matrix, UseSQT x UseWRAM: multiply or SQT,
+// with and without the WRAM buffers.
 func lcModes() map[string]func(*Options) {
 	return map[string]func(*Options){
-		"mul":    func(o *Options) { o.UseSQT = false },
-		"sqt":    func(o *Options) {},
-		"sqt16":  func(o *Options) { o.SQT16 = true; o.SQT16HotEntries = 64 },
-		"nowram": func(o *Options) { o.UseWRAM = false },
+		"mul":        func(o *Options) { o.UseSQT = false },
+		"sqt":        func(o *Options) {},
+		"mul_nowram": func(o *Options) { o.UseSQT, o.UseWRAM = false, false },
+		"nowram":     func(o *Options) { o.UseWRAM = false },
 	}
 }
 
@@ -164,7 +165,7 @@ func TestSparseLCColocatedSlices(t *testing.T) {
 
 // denseLC is the LC charge of the kernel this one replaced, which built all
 // M x CB entries per group: the floor a fully-referenced LUT may not beat.
-func denseLC(e *Engine, cold uint64) upmem.PhaseStats {
+func denseLC(e *Engine) upmem.PhaseStats {
 	d := *e.sys.DPUs[0]
 	d.ResetCounters()
 	elems := uint64(e.ix.CB * e.ix.Dim)
@@ -175,13 +176,8 @@ func denseLC(e *Engine, cold uint64) upmem.PhaseStats {
 	case e.opts.UseSQT:
 		d.Charge(upmem.PhaseLC, upmem.OpAdd, elems)
 		d.Charge(upmem.PhaseLC, upmem.OpLoad, elems)
-		d.ChargeCycles(upmem.PhaseLC, elems*e.opts.SQTAccessCycles)
-		if e.sqt16 != nil {
-			d.RandomAccess(upmem.PhaseLC, cold)
-			if !e.opts.UseWRAM {
-				d.RandomAccess(upmem.PhaseLC, elems-cold)
-			}
-		} else if !e.opts.UseWRAM {
+		d.ChargeCycles(upmem.PhaseLC, elems*sqtAccessCycles)
+		if !e.opts.UseWRAM {
 			d.RandomAccess(upmem.PhaseLC, elems)
 		}
 	default:
@@ -238,11 +234,7 @@ func TestFullyReferencedLUTChargedNoLessThanDense(t *testing.T) {
 			}
 			m := &res.Metrics
 			got := lcStats(m)
-			// Cold lookups replay the same full stream either way; the dense
-			// floor is charged the per-build mean, rounded down (an error
-			// under one DMA per build, far inside the run and mark-stream
-			// DMAs the kernel adds).
-			dense := denseLC(e, m.SQT16Cold/m.LUTBuilds)
+			dense := denseLC(e)
 			if got.ComputeCycles < m.LUTBuilds*dense.ComputeCycles ||
 				got.DMACount < m.LUTBuilds*dense.DMACount ||
 				got.DMABytes < m.LUTBuilds*dense.DMABytes {
@@ -261,9 +253,6 @@ func TestFullyReferencedLUTChargedNoLessThanDense(t *testing.T) {
 func TestLCChargeMonotoneInDemand(t *testing.T) {
 	f := getFixture(t)
 	for name, set := range lcModes() {
-		if name == "sqt16" {
-			continue // replays the real marked rows; covered by the engine-level tests
-		}
 		t.Run(name, func(t *testing.T) {
 			o := testOptions()
 			set(&o)
@@ -285,7 +274,7 @@ func TestLCChargeMonotoneInDemand(t *testing.T) {
 				d := e.sys.DPUs[0]
 				d.ResetCounters()
 				var ta upmem.Tally
-				e.chargeLC(&ta, d, &e.scratch[0], []sched.Task{{Slice: 0}}, subs, 0, true)
+				e.chargeLC(&ta, &e.scratch[0], []sched.Task{{Slice: 0}}, subs, true)
 				d.ApplyTally(&ta)
 				return d.Stats(upmem.PhaseLC)
 			}
@@ -308,7 +297,8 @@ func TestLCChargeMonotoneInDemand(t *testing.T) {
 
 // TestLCChargeIndependentOfPointOrder: shuffling the points inside every
 // cluster changes neither the cached demand nor one cycle or DMA of the LC
-// charge (the marked set is a set), in both accounting paths.
+// charge (the marked set is a set), in both accounting paths and every LC
+// mode.
 func TestLCChargeIndependentOfPointOrder(t *testing.T) {
 	spec := testutil.FixtureSpec{
 		N: 3000, D: 16, Queries: 24, NumClusters: 16, Seed: 9, Noise: 10,
@@ -326,58 +316,53 @@ func TestLCChargeIndependentOfPointOrder(t *testing.T) {
 			}
 		})
 	}
-	for _, ref := range []bool{false, true} {
-		o := testOptions()
-		o.EnableSplit, o.EnableDup = false, false // whole clusters: the same point sets per slice
-		o.SQT16, o.SQT16HotEntries = true, 64
-		run := func(ix *ivf.Index) (*Engine, *Result) {
-			e := newEngine(t, ix, dataset.U8Set{}, o, ref)
-			res, err := e.SearchBatch(s.Queries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e, res
-		}
-		eA, rA := run(ixA)
-		eB, rB := run(ixB)
-		requireSameResults(t, rB, rA, "shuffled clusters")
-		if !slices.Equal(eA.lc.bySlice, eB.lc.bySlice) {
-			t.Fatal("cached demand changed with point order")
-		}
-		if a, b := lcStats(&rA.Metrics), lcStats(&rB.Metrics); a != b {
-			t.Fatalf("reference=%v: LC charge changed with point order: %+v vs %+v", ref, a, b)
+	for name, set := range lcModes() {
+		for _, ref := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s_ref=%v", name, ref), func(t *testing.T) {
+				o := testOptions()
+				o.EnableSplit, o.EnableDup = false, false // whole clusters: the same point sets per slice
+				set(&o)
+				run := func(ix *ivf.Index) (*Engine, *Result) {
+					e := newEngine(t, ix, dataset.U8Set{}, o, ref)
+					res, err := e.SearchBatch(s.Queries)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return e, res
+				}
+				eA, rA := run(ixA)
+				eB, rB := run(ixB)
+				requireSameResults(t, rB, rA, "shuffled clusters")
+				if !slices.Equal(eA.lc.bySlice, eB.lc.bySlice) {
+					t.Fatal("cached demand changed with point order")
+				}
+				if a, b := lcStats(&rA.Metrics), lcStats(&rB.Metrics); a != b {
+					t.Fatalf("LC charge changed with point order: %+v vs %+v", a, b)
+				}
+			})
 		}
 	}
 }
 
 // TestHeatProfileUsesEngineLocator: New profiles cluster heat with the
-// locator live queries will hit — the tree descent when TreeCLBranch > 0 —
-// and the flat-CL profile is what the serial flat scan always produced.
+// locator live queries will hit, which is what the serial flat scan always
+// produced.
 func TestHeatProfileUsesEngineLocator(t *testing.T) {
 	f := getFixture(t)
-	for _, branch := range []int{0, 6} {
-		o := testOptions()
-		o.TreeCLBranch = branch
-		e, err := New(f.ix, f.s.Queries, o)
-		if err != nil {
-			t.Fatal(err)
+	o := testOptions()
+	e, err := New(f.ix, f.s.Queries, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, f.ix.NList)
+	for qi := 0; qi < f.s.Queries.N; qi++ {
+		for _, p := range f.ix.LocateInt(f.s.Queries.Vec(qi), o.NProbe) {
+			want[p.ID]++
 		}
-		want := make([]float64, f.ix.NList)
-		if branch == 0 {
-			for qi := 0; qi < f.s.Queries.N; qi++ {
-				for _, p := range f.ix.LocateInt(f.s.Queries.Vec(qi), o.NProbe) {
-					want[p.ID]++
-				}
-			}
-		} else {
-			for _, c := range e.loc.Probes(f.s.Queries).Clusters {
-				want[c]++
-			}
-		}
-		for c := range want {
-			if e.freq[c] != want[c] {
-				t.Fatalf("branch %d: cluster %d profiled %v times, locator hits it %v times", branch, c, e.freq[c], want[c])
-			}
+	}
+	for c := range want {
+		if e.freq[c] != want[c] {
+			t.Fatalf("cluster %d profiled %v times, locator hits it %v times", c, e.freq[c], want[c])
 		}
 	}
 }
@@ -401,7 +386,7 @@ func TestTaskCostCarriesLCTerm(t *testing.T) {
 			t.Fatalf("%d points: price %v does not grow with the slice", n, free)
 		}
 	}
-	dcts := 10 * (2*m + (m - 1) + 1 + float64(e.opts.LockCycles)/8)
+	dcts := 10 * (2*m + (m - 1) + 1 + float64(lockCycles)/8)
 	if lc := e.modelTaskCycles(10, need(10)) - dcts; lc < 5*dcts {
 		t.Fatalf("LC term %v does not dominate DC+TS %v on a 10-point slice", lc, dcts)
 	}

@@ -4,14 +4,12 @@
 // partitions the probe lists per shard, and hands each shard engine a
 // pre-resolved ProbeSet (SearchBatchProbed) instead of letting every shard
 // redundantly rerun CL. The engine itself delegates its own CL stage to an
-// embedded Locator, so both paths scan the same directory with the same
-// variant (flat scan or the TreeCL descent) and produce identical probes.
+// embedded Locator, so both paths scan the same directory and produce
+// identical probes.
 
 package core
 
 import (
-	"fmt"
-
 	"drimann/internal/dataset"
 	"drimann/internal/engine"
 	"drimann/internal/ivf"
@@ -20,39 +18,21 @@ import (
 	"drimann/internal/vecmath"
 )
 
-// Locator runs the configured CL variant over one index's centroid
-// directory and models its host cost. Construct with NewLocator (or take an
+// Locator runs the flat CL scan over one index's centroid directory and
+// models its host cost. Construct with NewLocator (or take an
 // engine's via Engine.Locator). LocateBatch is stateless per call, so one
 // Locator is safe for concurrent use by independent batches.
 type Locator struct {
 	ix      *ivf.Index
-	tree    *ivf.TreeCL // non-nil when TreeCLBranch > 0
 	nprobe  int
-	beam    int
 	workers int
 	host    upmem.Platform
 }
 
-// NewLocator builds the CL stage an engine with the same Options would use:
-// the flat centroid scan, or a two-level tree locator when TreeCLBranch > 0
-// (built with the engine's deterministic seed, so probes are identical).
-func NewLocator(ix *ivf.Index, opts Options) (*Locator, error) {
+// NewLocator builds the CL stage an engine with the same Options would use.
+func NewLocator(ix *ivf.Index, opts Options) *Locator {
 	opts.defaults()
-	l := &Locator{
-		ix:      ix,
-		nprobe:  opts.NProbe,
-		beam:    opts.TreeCLBeam,
-		workers: opts.Workers,
-		host:    opts.Host,
-	}
-	if opts.TreeCLBranch > 0 {
-		tree, err := ix.BuildTreeCL(opts.TreeCLBranch, 1)
-		if err != nil {
-			return nil, fmt.Errorf("core: tree CL: %w", err)
-		}
-		l.tree = tree
-	}
-	return l, nil
+	return &Locator{ix: ix, nprobe: opts.NProbe, workers: opts.Workers, host: opts.Host}
 }
 
 // NProbe reports the probes located per query.
@@ -63,27 +43,18 @@ func (l *Locator) NProbe() int { return l.nprobe }
 // (out holds (hi-lo)*NProbe slots; counts[i] the probe count of query lo+i,
 // in ascending distance order).
 func (l *Locator) LocateBatch(queries dataset.U8Set, lo, hi int, out []topk.Item[uint32], counts []int) {
-	if l.tree != nil {
-		l.tree.LocateBatch(l.ix, queries, lo, hi, l.nprobe, l.beam, l.workers, out, counts)
-		return
-	}
 	l.ix.LocateBatch(queries, lo, hi, l.nprobe, l.workers, out, counts)
 }
 
 // CLSeconds models the host-side cluster-locating cost for nq queries
 // (Equations 1-3 with the CPU's #PE, frequency and vector width) — exactly
-// the per-batch charge Engine.SearchBatch applies. With the tree locator,
-// only branch + beam x children centroids are scanned. Linear in nq, so a
-// front door charging CLSeconds(N) once matches an engine charging it
-// batch by batch.
+// the per-batch charge Engine.SearchBatch applies. Linear in nq, so a front
+// door charging CLSeconds(N) once matches an engine charging it batch by
+// batch.
 func (l *Locator) CLSeconds(nq int) float64 {
 	distOps := float64(3*l.ix.Dim - 1)
 	sortOps := float64(engine.Log2Ceil(l.nprobe) + 1)
-	scanned := float64(l.ix.NList)
-	if l.tree != nil {
-		scanned = float64(l.tree.CentroidsScanned(l.beam))
-	}
-	ops := float64(nq) * scanned * (distOps + sortOps)
+	ops := float64(nq) * float64(l.ix.NList) * (distOps + sortOps)
 	lanes := float64(l.host.Threads * l.host.VectorWidth)
 	return ops / (lanes * l.host.FreqGHz * 1e9)
 }

@@ -173,44 +173,39 @@ func searchPriced(e *Engine, queries dataset.U8Set, price func(t sched.Task, bou
 // one-heap reference, while the schedules really differ.
 func TestPriceNeverChangesAnswers(t *testing.T) {
 	f := getFixture(t)
-	for _, sqtMode := range [][2]bool{{false, false}, {true, false}, {true, true}} {
+	for _, sqt := range []bool{false, true} {
 		for _, wram := range []bool{false, true} {
-			for _, prune := range []bool{false, true} {
-				for _, bitonic := range []bool{false, true} {
-					o := testOptions()
-					o.BatchSize, o.Th3 = 16, 1.05
-					o.UseSQT, o.SQT16, o.SQT16HotEntries = sqtMode[0], sqtMode[1], 64
-					o.UseWRAM, o.UseLockPruning, o.UseBitonicTS = wram, prune, bitonic
-					e, err := New(f.ix, f.s.Queries, o)
-					if err != nil {
-						t.Fatal(err)
+			o := testOptions()
+			o.BatchSize, o.Th3 = 16, 1.05
+			o.UseSQT, o.UseWRAM = sqt, wram
+			e, err := New(f.ix, f.s.Queries, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			honest, err := e.SearchBatch(f.s.Queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probes := e.loc.Probes(f.s.Queries)
+			for name, price := range map[string]func(sched.Task, uint32) (float64, bool){
+				"zero": func(sched.Task, uint32) (float64, bool) { return 0, true },
+				"random": func(task sched.Task, _ uint32) (float64, bool) {
+					h := uint32(task.Query)*2654435761 ^ uint32(task.Slice)*40503
+					return float64(h % 1000), h&1024 == 0
+				},
+				"inverted": func(task sched.Task, bound uint32) (float64, bool) {
+					return 1e12 / (1 + e.lc.heat[task.Slice]*e.Share(task.Dist, bound)), bound == math.MaxUint32
+				},
+			} {
+				label := fmt.Sprintf("sqt=%v wram=%v, %s price", sqt, wram, name)
+				got := searchPriced(e, f.s.Queries, price)
+				for qi := 0; qi < f.s.Queries.N; qi++ {
+					if want := oneHeap(f.ix, f.s.Queries.Vec(qi), probes.Of(qi), o.K); !slices.Equal(got.Items[qi], want) {
+						t.Fatalf("%s: query %d:\n got %v\nwant %v", label, qi, got.Items[qi], want)
 					}
-					honest, err := e.SearchBatch(f.s.Queries)
-					if err != nil {
-						t.Fatal(err)
-					}
-					probes := e.loc.Probes(f.s.Queries)
-					for name, price := range map[string]func(sched.Task, uint32) (float64, bool){
-						"zero": func(sched.Task, uint32) (float64, bool) { return 0, true },
-						"random": func(task sched.Task, _ uint32) (float64, bool) {
-							h := uint32(task.Query)*2654435761 ^ uint32(task.Slice)*40503
-							return float64(h % 1000), h&1024 == 0
-						},
-						"inverted": func(task sched.Task, bound uint32) (float64, bool) {
-							return 1e12 / (1 + e.lc.heat[task.Slice]*e.Share(task.Dist, bound)), bound == math.MaxUint32
-						},
-					} {
-						label := fmt.Sprintf("sqt=%v sqt16=%v wram=%v prune=%v bitonic=%v, %s price", sqtMode[0], sqtMode[1], wram, prune, bitonic, name)
-						got := searchPriced(e, f.s.Queries, price)
-						for qi := 0; qi < f.s.Queries.N; qi++ {
-							if want := oneHeap(f.ix, f.s.Queries.Vec(qi), probes.Of(qi), o.K); !slices.Equal(got.Items[qi], want) {
-								t.Fatalf("%s: query %d:\n got %v\nwant %v", label, qi, got.Items[qi], want)
-							}
-						}
-						if g, h := &got.Metrics, &honest.Metrics; g.PointsScanned != h.PointsScanned || g.PricedCycles == h.PricedCycles {
-							t.Fatalf("%s: scanned %d points (honest price: %d) at a priced total of %v (%v)", label, g.PointsScanned, h.PointsScanned, g.PricedCycles, h.PricedCycles)
-						}
-					}
+				}
+				if g, h := &got.Metrics, &honest.Metrics; g.PointsScanned != h.PointsScanned || g.PricedCycles == h.PricedCycles {
+					t.Fatalf("%s: scanned %d points (honest price: %d) at a priced total of %v (%v)", label, g.PointsScanned, h.PointsScanned, g.PricedCycles, h.PricedCycles)
 				}
 			}
 		}

@@ -10,48 +10,43 @@ import (
 // TestSearchBatchProbedEquivalence pins the refactor's core contract: an
 // engine handed its own Locator's probes via SearchBatchProbed (with CL
 // charged) must be bit-identical to plain SearchBatch — IDs, Items and
-// exactly-equal Metrics — with the flat scan and the TreeCL descent alike.
+// exactly-equal Metrics.
 func TestSearchBatchProbedEquivalence(t *testing.T) {
 	f := getFixture(t)
-	for _, branch := range []int{0, 8} {
-		o := testOptions()
-		o.TreeCLBranch = branch
-		e, err := New(f.ix, f.s.Queries, o) // with a profile: the price reads the distances
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain, err := e.SearchBatch(f.s.Queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps := e.Locator().Probes(f.s.Queries)
-		if err := ps.Validate(f.s.Queries.N, f.ix.NList); err != nil {
-			t.Fatalf("branch=%d: locator probes invalid: %v", branch, err)
-		}
-		probed, err := e.SearchBatchProbed(f.s.Queries, ps, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain.IDs, probed.IDs) {
-			t.Fatalf("branch=%d: IDs differ", branch)
-		}
-		if !reflect.DeepEqual(plain.Items, probed.Items) {
-			t.Fatalf("branch=%d: Items differ", branch)
-		}
-		if !reflect.DeepEqual(plain.Metrics, probed.Metrics) {
-			t.Fatalf("branch=%d: metrics differ:\nplain:  %+v\nprobed: %+v",
-				branch, plain.Metrics, probed.Metrics)
-		}
-		// A set built by hand, without the distance column: the engine fills
-		// it at its door with what CL would have found, so the scheduler
-		// prices, places and charges exactly as above.
-		bare, err := e.SearchBatchProbed(f.s.Queries, ProbeSet{Offsets: ps.Offsets, Clusters: ps.Clusters}, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain.Items, bare.Items) || !reflect.DeepEqual(plain.Metrics, bare.Metrics) {
-			t.Fatalf("branch=%d: a probe set without distances differs:\nplain: %+v\nbare:  %+v", branch, plain.Metrics, bare.Metrics)
-		}
+	e, err := New(f.ix, f.s.Queries, testOptions()) // with a profile: the price reads the distances
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := e.SearchBatch(f.s.Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := e.Locator().Probes(f.s.Queries)
+	if err := ps.Validate(f.s.Queries.N, f.ix.NList); err != nil {
+		t.Fatalf("locator probes invalid: %v", err)
+	}
+	probed, err := e.SearchBatchProbed(f.s.Queries, ps, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain.IDs, probed.IDs) {
+		t.Fatal("IDs differ")
+	}
+	if !reflect.DeepEqual(plain.Items, probed.Items) {
+		t.Fatal("Items differ")
+	}
+	if !reflect.DeepEqual(plain.Metrics, probed.Metrics) {
+		t.Fatalf("metrics differ:\nplain:  %+v\nprobed: %+v", plain.Metrics, probed.Metrics)
+	}
+	// A set built by hand, without the distance column: the engine fills it
+	// at its door with what CL would have found, so the scheduler prices,
+	// places and charges exactly as above.
+	bare, err := e.SearchBatchProbed(f.s.Queries, ProbeSet{Offsets: ps.Offsets, Clusters: ps.Clusters}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain.Items, bare.Items) || !reflect.DeepEqual(plain.Metrics, bare.Metrics) {
+		t.Fatalf("a probe set without distances differs:\nplain: %+v\nbare:  %+v", plain.Metrics, bare.Metrics)
 	}
 }
 
@@ -123,9 +118,7 @@ func TestProbeSetValidate(t *testing.T) {
 // private, and results plus metrics stay bit-identical.
 func TestNewReplicaShares(t *testing.T) {
 	f := getFixture(t)
-	o := testOptions()
-	o.SQT16 = true
-	src, err := New(f.ix, dataset.U8Set{}, o)
+	src, err := New(f.ix, dataset.U8Set{}, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +131,6 @@ func TestNewReplicaShares(t *testing.T) {
 	}
 	if rep.sys == src.sys {
 		t.Fatal("simulated system must be private")
-	}
-	if len(rep.sqt16) == 0 || rep.sqt16[0] == src.sqt16[0] {
-		t.Fatal("SQT16 tables must be private")
 	}
 	a, err := src.SearchBatch(f.s.Queries)
 	if err != nil {

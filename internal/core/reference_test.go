@@ -15,8 +15,7 @@ import (
 // checked against. It walks the same stages as scanGroup, but every simulated
 // instruction and DMA is charged to the DPU at the point it happens, the LC
 // kernel runs literally and DC gathers from the sparse LUT it left, point by
-// point, and the SQT16 diff stream replays privately against each DPU's own
-// table. The tally must reproduce its results and metrics exactly.
+// point. The tally must reproduce its results and metrics exactly.
 
 // reference makes e the per-op reference: its group scans run scanGroupRef,
 // on the LUTs the over-budget fallback materializes with IntCodebooks.LUTInt
@@ -64,8 +63,7 @@ func (e *Engine) scanGroupRef(dpu *upmem.DPU, sc *dpuScratch, group []sched.Task
 // codebook DMA per run and copying only marked entries from the group's full
 // LUT (the fallback's LUTInt values) into the DPU's LUT, whose rows for the stage
 // are poisoned first — DC gathers from that LUT, so an entry the kernel
-// failed to build corrupts the answers. In SQT16 mode the marked rows' diff
-// stream replays privately against this DPU's tiered table.
+// failed to build corrupts the answers.
 func (e *Engine) chargeLCRef(dpu *upmem.DPU, sc *dpuScratch, subs []uint16, bi int) {
 	ix := e.ix
 	lutLen := ix.M * ix.CB
@@ -95,18 +93,15 @@ func (e *Engine) chargeLCRef(dpu *upmem.DPU, sc *dpuScratch, subs []uint16, bi i
 			}
 		}
 	}
-	var entries, cold uint64
+	var entries uint64
 	rowBytes := uint64(ix.Dim / ix.M * 2)
 	markedRuns(sc.marks, subs, ix.CB, func(m, lo, hi int) {
 		dpu.DMA(upmem.PhaseLC, uint64(hi-lo)*rowBytes) // marked codebook rows (int16)
 		copy(sc.lut[m*ix.CB+lo:m*ix.CB+hi], full[m*ix.CB+lo:m*ix.CB+hi])
 		entries += uint64(hi - lo)
 	})
-	if e.sqt16 != nil {
-		cold = e.replayCold(e.sqt16[dpu.ID].CountColdRow, e.groups.res[bi*ix.Dim:(bi+1)*ix.Dim], sc.marks, subs)
-	}
 	sc.stats.lutEntries += entries
-	cycles, mram := e.lcCosts(len(subs), entries, cold)
+	cycles, mram := e.lcCosts(len(subs), entries)
 	dpu.ChargeCycles(upmem.PhaseLC, cycles)
 	for _, n := range mram {
 		dpu.RandomAccess(upmem.PhaseLC, n)
@@ -149,8 +144,8 @@ func (e *Engine) kernelDCRef(dpu *upmem.DPU, sc *dpuScratch, subs []uint16, firs
 }
 
 // kernelTSRef is the per-op reference twin of kernelTS: the top-k update per
-// surviving point with the shared-heap lock and optional lock pruning, each
-// cost charged as it is simulated.
+// surviving point, the shared-heap lock taken only by the points the bound
+// accepts, each cost charged as it is simulated.
 func (e *Engine) kernelTSRef(dpu *upmem.DPU, sc *dpuScratch) {
 	h := sc.curHeap
 	st := &sc.stats
@@ -163,35 +158,16 @@ func (e *Engine) kernelTSRef(dpu *upmem.DPU, sc *dpuScratch) {
 		dpu.DMA(upmem.PhaseDC, uint64(4*len(sg.ids))) // id column
 		for k := sg.lo; k < sg.hi; k++ {
 			id, dist := sg.ids[sc.alive[k]], sc.part[k]
-			accept := (sg.tomb == nil || !sg.tomb[id]) && h.WouldAccept(id, dist)
-			switch {
-			case e.opts.UseBitonicTS:
-				// Lock-free network: no shared queue, costs charged in bulk
-				// below.
-			case e.opts.UseLockPruning:
-				if accept {
-					st.lockAcquired++
-					dpu.ChargeCycles(upmem.PhaseTS, e.opts.LockCycles)
-				} else {
-					st.lockSkipped++
-				}
-			default:
+			if (sg.tomb == nil || !sg.tomb[id]) && h.WouldAccept(id, dist) {
 				st.lockAcquired++
-				dpu.ChargeCycles(upmem.PhaseTS, e.opts.LockCycles)
-			}
-			if accept {
+				dpu.ChargeCycles(upmem.PhaseTS, lockCycles)
 				h.Push(id, dist)
-				if !e.opts.UseBitonicTS {
-					dpu.Charge(upmem.PhaseTS, upmem.OpCmp, logK)
-					dpu.Charge(upmem.PhaseTS, upmem.OpStore, logK)
-				}
+				dpu.Charge(upmem.PhaseTS, upmem.OpCmp, logK)
+				dpu.Charge(upmem.PhaseTS, upmem.OpStore, logK)
+			} else {
+				st.lockSkipped++
 			}
 			dpu.Charge(upmem.PhaseTS, upmem.OpCmp, 1) // bound comparison per point
 		}
-	}
-	if e.opts.UseBitonicTS {
-		swaps := bitonicSwaps(len(sc.alive))
-		dpu.Charge(upmem.PhaseTS, upmem.OpCmp, swaps)
-		dpu.Charge(upmem.PhaseTS, upmem.OpStore, swaps/2)
 	}
 }

@@ -1,13 +1,12 @@
 // Replica engines: R-way replication of one shard deployment without
 // cloning its read-only state. A replica shares the source engine's index,
 // optimized layout, Locator, decomposed LUT builder and cached LC demand —
-// everything the hot path only reads — and gets its
-// own simulated PIM system, SQT16 tables (they carry per-DPU hit
-// statistics) and per-launch scratch, the state a concurrently-running
-// engine mutates. Before this, every replica rebuilt the whole deployment
-// (including the centroid directory and PQ codebooks), multiplying the
-// dominant read-only footprint by R; MemoryFootprint reports the split so
-// the cluster layer can account shared-vs-per-replica bytes honestly.
+// everything the hot path only reads — and gets its own simulated PIM system
+// and per-launch scratch, the state a concurrently-running engine mutates.
+// Before this, every replica rebuilt the whole deployment (including the
+// centroid directory and PQ codebooks), multiplying the dominant read-only
+// footprint by R; MemoryFootprint reports the split so the cluster layer can
+// account shared-vs-per-replica bytes honestly.
 
 package core
 
@@ -41,9 +40,6 @@ func NewReplica(src *Engine) (*Engine, error) {
 		freq: src.freq,
 		lcfg: src.lcfg,
 	}
-	if src.sqt16 != nil {
-		e.sqt16 = newSQT16Tables(e.opts)
-	}
 	if err := e.accountMemory(); err != nil {
 		return nil, err
 	}
@@ -56,10 +52,9 @@ func NewReplica(src *Engine) (*Engine, error) {
 // private bytes every additional replica costs. For the IVF engine the
 // shared side is the centroid directory (float and integer), integer PQ
 // codebooks, inverted lists + codes, the LUT builder's per-cluster table
-// and the cached LC demand and scheduler heat;
-// the per-replica side is the SQT16 hot windows and the steady-state
-// per-DPU launch scratch. The type is shared across backends (see
-// internal/engine) so the cluster layer accounts fleets uniformly.
+// and the cached LC demand and scheduler heat; the per-replica side is the
+// steady-state per-DPU launch scratch. The type is shared across backends
+// (see internal/engine) so the cluster layer accounts fleets uniformly.
 type MemoryFootprint = engine.MemoryFootprint
 
 // MemoryFootprint reports the engine's shared/per-replica byte split (see
@@ -80,14 +75,6 @@ func (e *Engine) MemoryFootprint() MemoryFootprint {
 	// compacted.
 	shared += ix.MutationBytes()
 
-	var per int64
-	if e.sqt16 != nil {
-		hot := e.opts.SQT16HotEntries
-		if hot <= 0 {
-			hot = 8192
-		}
-		per += int64(e.opts.NumDPUs) * int64(hot) * 4
-	}
 	// Steady-state per-DPU scratch: K-item heaps, the survivor index and
 	// partial-distance buffers for the largest slice, and group indices for a
 	// batch's tasks.
@@ -97,7 +84,7 @@ func (e *Engine) MemoryFootprint() MemoryFootprint {
 			maxSlice = s.Count
 		}
 	}
-	per += int64(e.opts.NumDPUs) * int64(maxSlice) * 8 // alive + part
+	per := int64(e.opts.NumDPUs) * int64(maxSlice) * 8 // alive + part
 	per += int64(e.opts.NumDPUs) * int64(e.opts.K) * 16
 	return MemoryFootprint{SharedBytes: shared, PerReplicaBytes: per}
 }

@@ -14,7 +14,7 @@ import (
 // launching each batch's second wave beside the next batch's first — changes
 // no answer and no scanned point. On the engine and the per-op reference,
 // pipelined and serial (SearchBatchProbed handed the call's probes), over
-// SQT16, the bitonic TS, a mutated index and an overheat threshold low enough
+// UseSQT x UseWRAM, a mutated index and an overheat threshold low enough
 // that bounded tasks are postponed and drained, a call of four batches returns
 // what the same queries return as one batch and what one heap over whole
 // distances returns; it takes one launch more than it has batches (plus
@@ -28,8 +28,9 @@ func TestRollingWavesMatchOneBatch(t *testing.T) {
 	}
 	variants := []variant{
 		{"default", func(*Options) {}},
-		{"sqt16", func(o *Options) { o.SQT16, o.SQT16HotEntries = true, 64 }},
-		{"bitonic", func(o *Options) { o.UseBitonicTS = true }},
+		{"mul", func(o *Options) { o.UseSQT = false }},
+		{"nowram", func(o *Options) { o.UseWRAM = false }},
+		{"mul_nowram", func(o *Options) { o.UseSQT, o.UseWRAM = false, false }},
 		{"th3=1.005", func(o *Options) { o.Th3 = 1.005 }},
 	}
 	run := func(name string, o Options, serial bool, deploy func(o Options) (*Engine, dataset.U8Set)) {
@@ -108,7 +109,7 @@ func TestRollingWavesMatchOneBatch(t *testing.T) {
 	for _, th3 := range []float64{0, 1.005} {
 		o := testOptions()
 		o.Th3 = th3
-		run(fmt.Sprintf("mutated_th3=%v", th3), o, false, func(o Options) (*Engine, dataset.U8Set) { return mutatedEngine(t, o) })
+		run(fmt.Sprintf("mutated_th3=%v", th3), o, false, func(o Options) (*Engine, dataset.U8Set) { return mutatedEngine(t, o, false) })
 	}
 
 	// No bound ever forms with K at the corpus size: tables must still go

@@ -16,17 +16,10 @@ import (
 	"drimann/internal/topk"
 )
 
-// RemapIDs rewrites local IDs to global IDs in place through globalID
-// (globalID[local] = global). The table must be strictly increasing for the
-// deterministic (dist, id) order to survive the remap.
-func RemapIDs(ids []int32, globalID []int32) {
-	for i, id := range ids {
-		ids[i] = globalID[id]
-	}
-}
-
-// RemapItems rewrites the IDs of scored items in place through globalID,
-// leaving distances untouched.
+// RemapItems rewrites the IDs of scored items in place through globalID
+// (globalID[local] = global), leaving distances untouched. The table must be
+// strictly increasing for the deterministic (dist, id) order to survive the
+// remap.
 func RemapItems(items []topk.Item[uint32], globalID []int32) {
 	for i := range items {
 		items[i].ID = globalID[items[i].ID]
@@ -83,7 +76,7 @@ func MergeShardTopK(k int, parts [][]topk.Item[uint32]) ([]int32, []topk.Item[ui
 }
 
 // ValidateRemapTable checks that a local→global ID table is strictly
-// increasing — the property RemapIDs/RemapItems rely on to preserve the
+// increasing — the property RemapItems relies on to preserve the
 // deterministic order. The cluster layer asserts this at build time.
 func ValidateRemapTable(globalID []int32) error {
 	for i := 1; i < len(globalID); i++ {

@@ -16,8 +16,7 @@ import (
 
 // oneHeap is the staged scan's oracle: every live point of the given probes
 // through one heap with whole distances, nothing pruned, nothing forwarded —
-// ivf.Index.SearchInt with the probes supplied (so the TreeCL engine can be
-// checked against its own locator).
+// ivf.Index.SearchInt with the probes supplied.
 func oneHeap(ix *ivf.Index, query []uint8, probes []int32, k int) []topk.Item[uint32] {
 	res := make([]int16, ix.Dim)
 	lut := make([]uint32, ix.M*ix.CB)
@@ -56,10 +55,8 @@ func requireOneHeap(t *testing.T, e *Engine, queries dataset.U8Set, res *Result,
 	ps := e.loc.Probes(queries)
 	for qi := 0; qi < queries.N; qi++ {
 		want := oneHeap(e.ix, queries.Vec(qi), ps.Of(qi), e.opts.K)
-		if e.opts.TreeCLBranch == 0 {
-			if ref := e.ix.SearchInt(queries.Vec(qi), e.opts.NProbe, e.opts.K); !slices.Equal(ref, want) {
-				t.Fatalf("%s: query %d: oracle disagrees with SearchInt", label, qi)
-			}
+		if ref := e.ix.SearchInt(queries.Vec(qi), e.opts.NProbe, e.opts.K); !slices.Equal(ref, want) {
+			t.Fatalf("%s: query %d: oracle disagrees with SearchInt", label, qi)
 		}
 		if !slices.Equal(res.Items[qi], want) {
 			t.Fatalf("%s: query %d:\n got %v\nwant %v", label, qi, res.Items[qi], want)
@@ -73,69 +70,40 @@ func requireOneHeap(t *testing.T, e *Engine, queries dataset.U8Set, res *Result,
 }
 
 // TestStagedScanMatchesOneHeap: bound forwarding and staged pruning never
-// change an answer. Over the 24-combination option matrix, co-located split
-// and duplicated slices, the tree locator and an index carrying append
-// segments and tombstones, every query's ids and scores equal one heap over
-// whole distances — while the runs really do split into waves and prune.
+// change an answer. Over the UseSQT x UseWRAM option matrix, on whole lists,
+// co-located split and duplicated slices, the tightest bound and an index
+// carrying append segments and tombstones (whole-slice and co-located), every
+// query's ids and scores equal one heap over whole distances — while the runs
+// really do split into waves and prune.
 func TestStagedScanMatchesOneHeap(t *testing.T) {
 	f := getFixture(t)
-	check := func(name string, ix *ivf.Index, queries dataset.U8Set, o Options) {
-		t.Run(name, func(t *testing.T) {
-			e, err := New(ix, dataset.U8Set{}, o)
-			if err != nil {
-				t.Fatal(err)
+	for _, c := range kernelMatrix(testOptions()) {
+		for _, d := range deployments(f) {
+			if d.suffix == "_unbounded" {
+				continue // nothing prunes: TestUnboundedScanBuildsWholeDemand's case
 			}
-			m := &requireOneHeapAnswers(t, e, queries, name).Metrics
-			if m.Launches <= m.Batches || m.PointsPruned == 0 || m.CodesGathered >= m.PointsScanned*uint64(ix.M) {
-				t.Fatalf("run did not exercise the staged scan: %d launches over %d batches, %d of %d points pruned, %d codes gathered",
-					m.Launches, m.Batches, m.PointsPruned, m.PointsScanned, m.CodesGathered)
-			}
-		})
-	}
-	for _, sqtMode := range [][2]bool{{false, false}, {true, false}, {true, true}} {
-		for _, wram := range []bool{false, true} {
-			for _, prune := range []bool{false, true} {
-				for _, bitonic := range []bool{false, true} {
-					o := testOptions()
-					o.UseSQT, o.SQT16, o.SQT16HotEntries = sqtMode[0], sqtMode[1], 64
-					o.UseWRAM, o.UseLockPruning, o.UseBitonicTS = wram, prune, bitonic
-					check(fmt.Sprintf("sqt=%v_sqt16=%v_wram=%v_prune=%v_bitonic=%v", sqtMode[0], sqtMode[1], wram, prune, bitonic),
-						f.ix, f.s.Queries, o)
+			name := c.name + d.suffix
+			t.Run(name, func(t *testing.T) {
+				e, queries := d.deploy(t, c.o, false)
+				m := &requireOneHeapAnswers(t, e, queries, name).Metrics
+				if m.Launches <= m.Batches || m.PointsPruned == 0 || m.CodesGathered >= m.PointsScanned*uint64(e.ix.M) {
+					t.Fatalf("run did not exercise the staged scan: %d launches over %d batches, %d of %d points pruned, %d codes gathered",
+						m.Launches, m.Batches, m.PointsPruned, m.PointsScanned, m.CodesGathered)
 				}
-			}
+			})
 		}
-	}
-
-	colocated := testOptions() // few DPUs, small slices: several slices of a cluster share a DPU and a scan
-	colocated.NumDPUs, colocated.SplitThreshold = 3, 40
-	check("split+dup co-located", f.ix, f.s.Queries, colocated)
-	tree := testOptions()
-	tree.TreeCLBranch = 6
-	check("TreeCL", f.ix, f.s.Queries, tree)
-
-	// A live overlay (mutatedEngine), scanned whole-slice and co-located.
-	for name, o := range map[string]Options{"mutated": testOptions(), "mutated, co-located": colocated} {
-		t.Run(name, func(t *testing.T) {
-			e, queries := mutatedEngine(t, o)
-			m := &requireOneHeapAnswers(t, e, queries, name).Metrics
-			if m.PointsPruned == 0 || m.Launches <= m.Batches {
-				t.Fatalf("run did not exercise the staged scan: %+v", m)
-			}
-		})
 	}
 }
 
-// mutatedEngine deploys mutFixture's index and gives it a live overlay:
-// inserts into many clusters, tombstones in base lists and a
-// deleted-then-reinserted id (live in an append segment while its base copy
-// is tombstoned). It returns the engine and the fixture's queries.
-func mutatedEngine(t *testing.T, o Options) (*Engine, dataset.U8Set) {
+// mutatedEngine deploys mutFixture's index, as the per-op reference when ref
+// is set, and gives it a live overlay: inserts into many clusters, tombstones
+// in base lists and a deleted-then-reinserted id (live in an append segment
+// while its base copy is tombstoned). It returns the engine and the fixture's
+// queries.
+func mutatedEngine(t *testing.T, o Options, ref bool) (*Engine, dataset.U8Set) {
 	t.Helper()
 	ix, s, base := mutFixture(t)
-	e, err := New(ix, dataset.U8Set{}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newEngine(t, ix, dataset.U8Set{}, o, ref)
 	n := s.Base.N - base
 	ids := make([]int32, n)
 	for i := range ids {
@@ -221,31 +189,35 @@ func TestBoundTieKeepsSmallerID(t *testing.T) {
 // TestUnboundedScanBuildsWholeDemand: with K at least the points a query
 // scans no bound ever forms, and the staged kernel builds exactly the entries
 // the unstaged one did — the distinct codes of every probed list, once per
-// probe — and gathers every code.
+// probe — and gathers every code, under every kernel configuration.
 func TestUnboundedScanBuildsWholeDemand(t *testing.T) {
 	f := getFixture(t)
-	for _, ref := range []bool{false, true} {
-		o := testOptions()
-		o.EnableSplit, o.EnableDup = false, false // one task per probe: the demand is the list's
-		o.K = f.s.Base.N
-		e := newEngine(t, f.ix, dataset.U8Set{}, o, ref)
-		res, err := e.SearchBatch(f.s.Queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var entries, points uint64
-		for _, c := range e.loc.Probes(f.s.Queries).Clusters {
-			seen := map[[2]uint16]bool{}
-			for i, code := range f.ix.Codes[c] {
-				seen[[2]uint16{uint16(i % f.ix.M), code}] = true
-			}
-			entries += uint64(len(seen))
-			points += uint64(f.ix.ListLen(int(c)))
-		}
-		m := &res.Metrics
-		if m.LUTEntries != entries || m.PointsScanned != points || m.PointsPruned != 0 || m.CodesGathered != points*uint64(f.ix.M) {
-			t.Fatalf("reference=%v: built %d entries (want %d), scanned %d (want %d), pruned %d, gathered %d codes",
-				ref, m.LUTEntries, entries, m.PointsScanned, points, m.PointsPruned, m.CodesGathered)
+	base := testOptions()
+	base.EnableSplit, base.EnableDup = false, false // one task per probe: the demand is the list's
+	base.K = f.s.Base.N
+	for _, c := range kernelMatrix(base) {
+		for _, ref := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s_ref=%v", c.name, ref), func(t *testing.T) {
+				e := newEngine(t, f.ix, dataset.U8Set{}, c.o, ref)
+				res, err := e.SearchBatch(f.s.Queries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var entries, points uint64
+				for _, c := range e.loc.Probes(f.s.Queries).Clusters {
+					seen := map[[2]uint16]bool{}
+					for i, code := range f.ix.Codes[c] {
+						seen[[2]uint16{uint16(i % f.ix.M), code}] = true
+					}
+					entries += uint64(len(seen))
+					points += uint64(f.ix.ListLen(int(c)))
+				}
+				m := &res.Metrics
+				if m.LUTEntries != entries || m.PointsScanned != points || m.PointsPruned != 0 || m.CodesGathered != points*uint64(f.ix.M) {
+					t.Fatalf("built %d entries (want %d), scanned %d (want %d), pruned %d, gathered %d codes",
+						m.LUTEntries, entries, m.PointsScanned, points, m.PointsPruned, m.CodesGathered)
+				}
+			})
 		}
 	}
 }
@@ -257,43 +229,48 @@ func TestUnboundedScanBuildsWholeDemand(t *testing.T) {
 // these is not an invariant of the kernel: a smaller marked set can split one
 // codebook-row run into two, so LC's DMA count is only bounded by a monotone
 // quantity (runs <= entries). On sparse bitmaps like these it falls too.
+// Every kernel configuration, on the engine and the reference.
 func TestTighterBoundNeverCostsMore(t *testing.T) {
 	f := getFixture(t)
-	for _, ref := range []bool{false, true} {
-		o := testOptions()
-		e := newEngine(t, f.ix, dataset.U8Set{}, o, ref)
-		nq := o.BatchSize
-		var reqs []sched.Request
-		exact := make([]uint32, nq)
-		for qi := 0; qi < nq; qi++ {
-			ref := f.ix.SearchInt(f.s.Queries.Vec(qi), o.NProbe, o.K)
-			exact[qi] = ref[len(ref)-1].Dist
-			for _, p := range f.ix.LocateInt(f.s.Queries.Vec(qi), o.NProbe) {
-				reqs = append(reqs, sched.Request{Query: int32(qi), Cluster: p.ID})
-			}
-		}
-		var prev *Metrics
-		for step, scale := range []float64{math.Inf(1), 1, 0.5} {
-			bounds := make([]uint32, nq)
-			for qi := range bounds {
-				bounds[qi] = uint32(math.Min(math.MaxUint32, float64(exact[qi])*scale))
-			}
-			var sb sched.Batch
-			sched.GreedyInto(&sb, reqs, nil, e.pl, sched.Config{})
-			var m Metrics
-			e.groups.resetQE(f.s.Queries.N)
-			e.runLaunch(&sb, f.s.Queries, make([]*topk.Heap[uint32], nq), bounds, &m)
-			if prev != nil {
-				for p := upmem.Phase(0); p < upmem.NumPhases; p++ {
-					if m.PhaseComputeCycles[p] > prev.PhaseComputeCycles[p] || m.PhaseDMACount[p] > prev.PhaseDMACount[p] || m.PhaseDMABytes[p] > prev.PhaseDMABytes[p] {
-						t.Fatalf("reference=%v step %d phase %v: cost rose under a tighter bound:\n now %+v\nwas %+v", ref, step, p, m, *prev)
+	for _, c := range kernelMatrix(testOptions()) {
+		for _, ref := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s_ref=%v", c.name, ref), func(t *testing.T) {
+				o := c.o
+				e := newEngine(t, f.ix, dataset.U8Set{}, o, ref)
+				nq := o.BatchSize
+				var reqs []sched.Request
+				exact := make([]uint32, nq)
+				for qi := 0; qi < nq; qi++ {
+					ref := f.ix.SearchInt(f.s.Queries.Vec(qi), o.NProbe, o.K)
+					exact[qi] = ref[len(ref)-1].Dist
+					for _, p := range f.ix.LocateInt(f.s.Queries.Vec(qi), o.NProbe) {
+						reqs = append(reqs, sched.Request{Query: int32(qi), Cluster: p.ID})
 					}
 				}
-				if m.PointsScanned != prev.PointsScanned || m.PointsPruned <= prev.PointsPruned || m.CodesGathered >= prev.CodesGathered || m.LUTEntries >= prev.LUTEntries {
-					t.Fatalf("reference=%v step %d: a tighter bound must prune more of the same points:\n now %+v\nwas %+v", ref, step, m, *prev)
+				var prev *Metrics
+				for step, scale := range []float64{math.Inf(1), 1, 0.5} {
+					bounds := make([]uint32, nq)
+					for qi := range bounds {
+						bounds[qi] = uint32(math.Min(math.MaxUint32, float64(exact[qi])*scale))
+					}
+					var sb sched.Batch
+					sched.GreedyInto(&sb, reqs, nil, e.pl, sched.Config{})
+					var m Metrics
+					e.groups.resetQE(f.s.Queries.N)
+					e.runLaunch(&sb, f.s.Queries, make([]*topk.Heap[uint32], nq), bounds, &m)
+					if prev != nil {
+						for p := upmem.Phase(0); p < upmem.NumPhases; p++ {
+							if m.PhaseComputeCycles[p] > prev.PhaseComputeCycles[p] || m.PhaseDMACount[p] > prev.PhaseDMACount[p] || m.PhaseDMABytes[p] > prev.PhaseDMABytes[p] {
+								t.Fatalf("step %d phase %v: cost rose under a tighter bound:\n now %+v\nwas %+v", step, p, m, *prev)
+							}
+						}
+						if m.PointsScanned != prev.PointsScanned || m.PointsPruned <= prev.PointsPruned || m.CodesGathered >= prev.CodesGathered || m.LUTEntries >= prev.LUTEntries {
+							t.Fatalf("step %d: a tighter bound must prune more of the same points:\n now %+v\nwas %+v", step, m, *prev)
+						}
+					}
+					prev = &m
 				}
-			}
-			prev = &m
+			})
 		}
 	}
 }

@@ -8,88 +8,100 @@ import (
 	"drimann/internal/upmem"
 )
 
+// kernelConfig is one point of the kernel's option matrix.
+type kernelConfig struct {
+	name string
+	o    Options
+}
+
+// kernelMatrix is the kernel's option matrix, UseSQT x UseWRAM, over base.
+func kernelMatrix(base Options) []kernelConfig {
+	var cs []kernelConfig
+	for _, sqt := range []bool{false, true} {
+		for _, wram := range []bool{false, true} {
+			o := base
+			o.UseSQT, o.UseWRAM = sqt, wram
+			cs = append(cs, kernelConfig{fmt.Sprintf("sqt=%v_wram=%v", sqt, wram), o})
+		}
+	}
+	return cs
+}
+
+// deployment is one shape a kernel configuration is checked on: it deploys
+// o, as the per-op reference when ref is set, and returns the engine with the
+// queries to run on it.
+type deployment struct {
+	suffix string
+	deploy func(t *testing.T, o Options, ref bool) (*Engine, dataset.U8Set)
+}
+
+// deployments are the shapes of the matrix tests: whole lists; split and
+// duplicated slices co-located on few DPUs (several slices of a cluster share
+// a DPU and a scan); the tightest bound (K = 1); no bound at all (K at the
+// corpus size, nothing pruned); and a live overlay of append segments and
+// tombstones, whole-slice and co-located.
+func deployments(f *fixture) []deployment {
+	onFixture := func(set func(*Options)) func(*testing.T, Options, bool) (*Engine, dataset.U8Set) {
+		return func(t *testing.T, o Options, ref bool) (*Engine, dataset.U8Set) {
+			set(&o)
+			return newEngine(t, f.ix, dataset.U8Set{}, o, ref), f.s.Queries
+		}
+	}
+	colocate := func(o *Options) { o.NumDPUs, o.SplitThreshold = 3, 40 }
+	return []deployment{
+		{"", onFixture(func(*Options) {})},
+		{"_colocated", onFixture(colocate)},
+		{"_k=1", onFixture(func(o *Options) { o.K = 1 })},
+		{"_unbounded", onFixture(func(o *Options) { o.K = f.s.Base.N })},
+		{"_mutated", func(t *testing.T, o Options, ref bool) (*Engine, dataset.U8Set) {
+			return mutatedEngine(t, o, ref)
+		}},
+		{"_mutated_colocated", func(t *testing.T, o Options, ref bool) (*Engine, dataset.U8Set) {
+			colocate(&o)
+			return mutatedEngine(t, o, ref)
+		}},
+	}
+}
+
 // TestBatchedTallyMatchesPerOpReference is the accounting property: across
-// the full optimization matrix (UseSQT x SQT16 x UseWRAM x UseLockPruning x
-// UseBitonicTS), the engine — with its LUT-free DC kernels, memoized SQT16
-// replay and bulk TS charging — must produce bit-identical results and
-// exactly equal metrics to the per-op reference accountant: per-phase
-// instruction cycles, DMA transfer counts and bytes (including coalesced
-// random accesses), lock and LUT counters, and SQT16 hot/cold statistics.
-// The reference reads LUTInt's values, not the decomposition's, so the matrix
+// the optimization matrix (UseSQT x UseWRAM), on every deployment shape, the
+// engine — with its LUT-free DC kernels and bulk TS charging — must produce
+// bit-identical results and exactly equal metrics to the per-op reference
+// accountant: per-phase instruction cycles, DMA transfer counts and bytes
+// (including coalesced random accesses), and lock and LUT counters. The
+// reference reads LUTInt's values, not the decomposition's, so the matrix
 // checks those too.
 func TestBatchedTallyMatchesPerOpReference(t *testing.T) {
 	f := getFixture(t)
-
-	type combo struct {
-		sqt, sqt16, wram, prune, bitonic bool
-	}
-	var combos []combo
-	for _, sqtMode := range [][2]bool{{false, false}, {true, false}, {true, true}} {
-		for _, wram := range []bool{false, true} {
-			for _, prune := range []bool{false, true} {
-				for _, bitonic := range []bool{false, true} {
-					combos = append(combos, combo{sqtMode[0], sqtMode[1], wram, prune, bitonic})
+	for _, c := range kernelMatrix(testOptions()) {
+		for _, d := range deployments(f) {
+			t.Run(c.name+d.suffix, func(t *testing.T) {
+				eBat, queries := d.deploy(t, c.o, false)
+				eRef, _ := d.deploy(t, c.o, true)
+				if eBat.kernel != nil || eBat.lut == nil || eRef.kernel == nil || eRef.lut != nil {
+					t.Fatal("accounting modes not wired through")
 				}
-			}
+				rBat, err := eBat.SearchBatch(queries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rRef, err := eRef.SearchBatch(queries)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				requireSameResults(t, rBat, rRef, "tally vs reference")
+				// Metrics equality covers PhaseComputeCycles, PhaseDMACount,
+				// PhaseDMABytes, PhaseSeconds and the lock/LUT counters
+				// elementwise (struct comparison).
+				if rBat.Metrics != rRef.Metrics {
+					t.Fatalf("metrics diverge:\ntally:     %+v\nreference: %+v", rBat.Metrics, rRef.Metrics)
+				}
+				if rBat.Metrics.PointsScanned == 0 || rBat.Metrics.PhaseComputeCycles[upmem.PhaseDC] == 0 {
+					t.Fatalf("degenerate run: %+v", rBat.Metrics)
+				}
+			})
 		}
-	}
-
-	for _, c := range combos {
-		name := fmt.Sprintf("sqt=%v_sqt16=%v_wram=%v_prune=%v_bitonic=%v",
-			c.sqt, c.sqt16, c.wram, c.prune, c.bitonic)
-		t.Run(name, func(t *testing.T) {
-			o := testOptions()
-			o.UseSQT = c.sqt
-			o.SQT16 = c.sqt16
-			// A hot window far below the 8-bit diff domain (511) forces real
-			// cold lookups; the default 8192 covers the whole domain and
-			// would leave the memoized cold path trivially zero.
-			o.SQT16HotEntries = 64
-			o.UseWRAM = c.wram
-			o.UseLockPruning = c.prune
-			o.UseBitonicTS = c.bitonic
-
-			eBat := newEngine(t, f.ix, dataset.U8Set{}, o, false)
-			eRef := newEngine(t, f.ix, dataset.U8Set{}, o, true)
-			if eBat.kernel != nil || eBat.lut == nil || eRef.kernel == nil || eRef.lut != nil {
-				t.Fatal("accounting modes not wired through")
-			}
-			rBat, err := eBat.SearchBatch(f.s.Queries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rRef, err := eRef.SearchBatch(f.s.Queries)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			requireSameResults(t, rBat, rRef, "tally vs reference")
-			// Metrics equality covers PhaseComputeCycles, PhaseDMACount,
-			// PhaseDMABytes, PhaseSeconds, lock/LUT counters and the SQT16
-			// hot/cold split elementwise (struct comparison).
-			if rBat.Metrics != rRef.Metrics {
-				t.Fatalf("metrics diverge:\ntally:     %+v\nreference: %+v", rBat.Metrics, rRef.Metrics)
-			}
-			if got, want := eBat.SQT16HitRate(), eRef.SQT16HitRate(); got != want {
-				t.Fatalf("engine SQT16 hit rate %v != reference %v", got, want)
-			}
-			if c.sqt16 {
-				if rBat.Metrics.SQT16Hot == 0 || rBat.Metrics.SQT16Cold == 0 {
-					t.Fatalf("SQT16 run should exercise both tiers: hot %d cold %d",
-						rBat.Metrics.SQT16Hot, rBat.Metrics.SQT16Cold)
-				}
-				// Per-DPU table statistics must match, not just the sums.
-				for d := range eBat.sqt16 {
-					if eBat.sqt16[d].Stats() != eRef.sqt16[d].Stats() {
-						t.Fatalf("DPU %d tiered stats: tally %+v != reference %+v",
-							d, eBat.sqt16[d].Stats(), eRef.sqt16[d].Stats())
-					}
-				}
-			}
-			if rBat.Metrics.PointsScanned == 0 || rBat.Metrics.PhaseComputeCycles[upmem.PhaseDC] == 0 {
-				t.Fatalf("degenerate run: %+v", rBat.Metrics)
-			}
-		})
 	}
 }
 
@@ -97,17 +109,14 @@ func TestBatchedTallyMatchesPerOpReference(t *testing.T) {
 // with the decomposed LUT builder unavailable (budget exceeded via a huge
 // virtual NList product is impractical here, so we clear it directly), the
 // engine's tally on the materialized-LUT fallback must still match the
-// reference accountant — with LUTIntMul (no SQT), with LUTInt over the SQT,
-// and with the SQT16 replay on top.
+// reference accountant — with LUTIntMul (no SQT) and with LUTInt over the
+// SQT, with and without the WRAM buffers.
 func TestReferenceAccountingFallbackPath(t *testing.T) {
 	f := getFixture(t)
-	for _, c := range []struct {
-		name       string
-		sqt, sqt16 bool
-	}{{"mul", false, false}, {"sqt", true, false}, {"sqt16", true, true}} {
-		t.Run(c.name, func(t *testing.T) {
+	for name, set := range lcModes() {
+		t.Run(name, func(t *testing.T) {
 			o := testOptions()
-			o.UseSQT, o.SQT16, o.SQT16HotEntries = c.sqt, c.sqt16, 64
+			set(&o)
 			eBat := newEngine(t, f.ix, dataset.U8Set{}, o, false)
 			eBat.lut = nil // the over-budget deployment: LUTs built per group
 			eRef := newEngine(t, f.ix, dataset.U8Set{}, o, true)
@@ -125,9 +134,6 @@ func TestReferenceAccountingFallbackPath(t *testing.T) {
 			requireSameResults(t, rBat, rRef, "fallback vs reference")
 			if rBat.Metrics != rRef.Metrics {
 				t.Fatalf("fallback metrics diverge:\ntally:     %+v\nreference: %+v", rBat.Metrics, rRef.Metrics)
-			}
-			if c.sqt16 && (rBat.Metrics.SQT16Hot == 0 || rBat.Metrics.SQT16Cold == 0) {
-				t.Fatalf("SQT16 run should exercise both tiers: hot %d cold %d", rBat.Metrics.SQT16Hot, rBat.Metrics.SQT16Cold)
 			}
 		})
 	}

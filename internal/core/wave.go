@@ -22,9 +22,6 @@ type lane struct {
 	carried []sched.Task
 	sb      sched.Batch
 	scfg    sched.Config
-	// The per-DPU SQT16 counters accumulate across the engine's lifetime;
-	// the call's share is the delta from these.
-	sqtHot0, sqtCold0 uint64
 
 	// table maps the engine's point ids to the call's (a shard's local→global
 	// table); part holds a step's partial top-k by query, in the engine's ids.
@@ -114,7 +111,6 @@ func (e *Engine) newLane(n int, bounds []uint32) *lane {
 		b := bounds[t.Query]
 		return e.lc.heat[t.Slice] * e.Share(t.Dist, b), b != math.MaxUint32
 	}}
-	ln.sqtHot0, ln.sqtCold0 = e.sqt16Totals()
 	return ln
 }
 
@@ -188,8 +184,6 @@ func (st *Steps) Finish(callSec float64) *Result {
 	res := newResult(st.best)
 	m := &res.Metrics
 	for _, ln := range st.lanes {
-		hot, cold := ln.e.sqt16Totals()
-		ln.m.SQT16Hot, ln.m.SQT16Cold = hot-ln.sqtHot0, cold-ln.sqtCold0
 		m.MergeParallel(&ln.m)
 	}
 	m.Queries, m.Batches = st.queries.N, st.batches

@@ -9,9 +9,8 @@
 // The contract splits in two. Engine is the mandatory serving surface:
 // batched search plus the three shape accessors the batcher needs to clamp
 // and validate requests. Everything else a backend MAY support — CL-skipping
-// probed search, live mutation, snapshotting, cheap replication, memory
-// accounting — is an optional capability interface discovered by type
-// assertion, so the stack degrades gracefully (a mutation against a backend
+// probed search, live mutation, snapshotting — is an optional capability
+// interface discovered by type assertion, so the stack degrades gracefully (a mutation against a backend
 // without Mutable fails with a clear error instead of a compile-time weld to
 // one concrete engine type).
 package engine
@@ -75,24 +74,10 @@ type Snapshotter interface {
 	Snapshot(w io.Writer) error
 }
 
-// Replicable is the cheap-replication capability: build another engine
-// serving the same deployment bit-identically, sharing read-only state and
-// owning private mutable state (simulated system, scratch), safe to run
-// concurrently with the source.
-type Replicable interface {
-	NewReplica() (Engine, error)
-}
-
 // MemoryFootprint splits one engine's host-side memory into the read-only
 // bytes shared across all replicas of a deployment and the private bytes
 // every additional replica costs.
 type MemoryFootprint struct {
 	SharedBytes     int64
 	PerReplicaBytes int64
-}
-
-// MemoryReporter is the memory-accounting capability: the shared-vs-replica
-// byte split of one deployment.
-type MemoryReporter interface {
-	MemoryFootprint() MemoryFootprint
 }

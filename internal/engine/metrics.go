@@ -10,7 +10,7 @@ import (
 // fills the universal fields (Queries, SimSeconds, QPS, the host/PIM/xfer
 // split, launches, batches, imbalance, PointsScanned); the remaining
 // counters are backend-specific and stay zero where they don't apply (the
-// LUT and SQT16 groups are IVF-PQ's, for example). Keeping one metrics
+// LUT group is IVF-PQ's, for example). Keeping one metrics
 // type across backends is what makes head-to-head accounting possible: the
 // serving and cluster layers merge them without knowing which engine ran.
 type Metrics struct {
@@ -57,14 +57,15 @@ type Metrics struct {
 	PointsPruned  uint64
 	CodesGathered uint64
 
-	// SQT16Hot/SQT16Cold are the tiered squaring-table lookups of this call
-	// (all DPUs), split by tier; zero when the 16-bit mode is off.
+	// SQT16Hot/SQT16Cold were the lookups of a tiered 16-bit squaring table,
+	// split by tier. No backend has that mode, so both stay zero; they remain
+	// for the benchmark's upmem.sqt16_hit_rate, which reads 1.
 	SQT16Hot  uint64
 	SQT16Cold uint64
 }
 
 // SQT16HitRate returns the fraction of this call's tiered-table lookups
-// served by the WRAM-resident hot window (1 when the mode is off).
+// served by the WRAM-resident hot window (1 when there were none).
 func (m *Metrics) SQT16HitRate() float64 {
 	if m.SQT16Hot+m.SQT16Cold == 0 {
 		return 1

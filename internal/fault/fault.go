@@ -36,7 +36,6 @@ var ErrKilled = errors.New("fault: replica killed")
 // Backend is the replica contract the wrapper interposes on; *serve.Server
 // satisfies it, as does another *Replica (wrappers nest).
 type Backend interface {
-	SearchOwned(ctx context.Context, q []uint8, k int) (serve.Response, error)
 	SearchProbedOwned(ctx context.Context, q []uint8, k int, probes []int32, dists []uint32) (serve.Response, error)
 	Load() int
 	Stats() serve.Stats
@@ -149,19 +148,10 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// SearchOwned applies the injection schedule, then forwards to the backend.
-// The wrapped call keeps the serve.Server contract: it honors ctx, and a
-// q buffer handed in must stay frozen as long as the backend lives.
-func (r *Replica) SearchOwned(ctx context.Context, q []uint8, k int) (serve.Response, error) {
-	if err := r.admit(ctx); err != nil {
-		return serve.Response{}, err
-	}
-	return r.inner.SearchOwned(ctx, q, k)
-}
-
-// SearchProbedOwned applies the same injection schedule as SearchOwned (the
-// two share one call counter — the plan keys on calls, not entry points),
-// then forwards the routed probe list to the backend.
+// SearchProbedOwned applies the injection schedule, then forwards the routed
+// probe list to the backend. The wrapped call keeps the serve.Server
+// contract: it honors ctx, and the buffers handed in must stay frozen as long
+// as the backend lives.
 func (r *Replica) SearchProbedOwned(ctx context.Context, q []uint8, k int, probes []int32, dists []uint32) (serve.Response, error) {
 	if err := r.admit(ctx); err != nil {
 		return serve.Response{}, err

@@ -18,14 +18,11 @@ type stub struct {
 	calls int
 }
 
-func (s *stub) SearchOwned(ctx context.Context, q []uint8, k int) (serve.Response, error) {
+func (s *stub) SearchProbedOwned(ctx context.Context, q []uint8, k int, probes []int32, dists []uint32) (serve.Response, error) {
 	s.mu.Lock()
 	s.calls++
 	s.mu.Unlock()
 	return serve.Response{BatchSize: 1}, nil
-}
-func (s *stub) SearchProbedOwned(ctx context.Context, q []uint8, k int, probes []int32, dists []uint32) (serve.Response, error) {
-	return s.SearchOwned(ctx, q, k)
 }
 func (s *stub) Load() int          { return 0 }
 func (s *stub) Stats() serve.Stats { return serve.Stats{} }
@@ -39,7 +36,7 @@ func (s *stub) count() int {
 
 func call(t *testing.T, r *fault.Replica, ctx context.Context) error {
 	t.Helper()
-	_, err := r.SearchOwned(ctx, []uint8{1}, 1)
+	_, err := r.SearchProbedOwned(ctx, []uint8{1}, 1, nil, nil)
 	return err
 }
 

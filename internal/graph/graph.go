@@ -171,15 +171,10 @@ type searchScratch struct {
 	tally    upmem.Tally
 }
 
-// The graph engine implements the mandatory contract plus replication and
-// memory reporting. It is deliberately NOT Mutable, ProbedSearcher or
-// Snapshotter: the serving stack must degrade gracefully over a
-// search-only backend.
-var (
-	_ engine.Engine         = (*Engine)(nil)
-	_ engine.Replicable     = (*Engine)(nil)
-	_ engine.MemoryReporter = (*Engine)(nil)
-)
+// The graph engine implements the mandatory contract only. It is
+// deliberately NOT Mutable, ProbedSearcher or Snapshotter: the serving stack
+// must degrade gracefully over a search-only backend.
+var _ engine.Engine = (*Engine)(nil)
 
 // New builds the proximity graph over base and sizes the simulated PIM
 // system. The build is deterministic (no randomness, canonical orderings
@@ -528,7 +523,7 @@ func (e *Engine) System() *upmem.System { return e.sys }
 
 // NewReplica builds an engine serving the same graph bit-identically:
 // shared read-only corpus and adjacency, private simulated system and
-// scratch (engine.Replicable).
+// scratch.
 func (e *Engine) NewReplica() (engine.Engine, error) {
 	return e.withOptions(e.opts)
 }
@@ -577,7 +572,7 @@ func (e *Engine) withOptions(opts Options) (*Engine, error) {
 }
 
 // MemoryFootprint reports the host-side shared/per-replica byte split
-// (engine.MemoryReporter): the corpus and adjacency are shared read-only;
+// (engine.MemoryFootprint): the corpus and adjacency are shared read-only;
 // each replica owns per-DPU visit stamps and beam pools.
 func (e *Engine) MemoryFootprint() engine.MemoryFootprint {
 	shared := int64(len(e.base.Data)) + int64(e.edges)*4

@@ -52,33 +52,6 @@ func TestLocateBatchMatchesLocateInt(t *testing.T) {
 	}
 }
 
-// TestTreeCLLocateBatchMatchesLocate: same contract for the tree locator.
-func TestTreeCLLocateBatchMatchesLocate(t *testing.T) {
-	ix, s := locateFixture(t)
-	tree, err := ix.BuildTreeCL(8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const nprobe, beam = 10, 3
-	for _, workers := range []int{1, 4} {
-		out := make([]topk.Item[uint32], s.Queries.N*nprobe)
-		counts := make([]int, s.Queries.N)
-		tree.LocateBatch(ix, s.Queries, 0, s.Queries.N, nprobe, beam, workers, out, counts)
-		for qi := 0; qi < s.Queries.N; qi++ {
-			want := tree.Locate(ix, s.Queries.Vec(qi), nprobe, beam)
-			got := out[qi*nprobe : qi*nprobe+counts[qi]]
-			if len(got) != len(want) {
-				t.Fatalf("workers=%d query %d: %d probes, want %d", workers, qi, len(got), len(want))
-			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("workers=%d query %d probe %d: %+v != %+v", workers, qi, j, got[j], want[j])
-				}
-			}
-		}
-	}
-}
-
 // TestLUTBuilderBitExact: the decomposition the engine reads must agree
 // entry-for-entry with both the SQT path and the multiplication path for
 // every (query, cluster) pair: SubTerms[m] + ClusterTerms[m*CB+e] -

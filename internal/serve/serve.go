@@ -287,31 +287,25 @@ func (s *Server) Search(ctx context.Context, q []uint8, k int) (Response, error)
 	return s.search(ctx, q, k, true, nil, nil, false)
 }
 
-// SearchOwned is Search without the admission copy of q: the caller
-// promises q stays valid and unmutated until the request's reply has been
-// delivered. Note that this is a stronger promise than "until the call
-// returns": a call abandoned on context cancellation can return while the
-// request is still queued, and the batcher may read q when it launches the
-// batch later. Callers must therefore never mutate or recycle q after an
-// error return either — treat the buffer as frozen for as long as the
-// server lives, or use Search, which copies. The hook exists for fan-out
-// layers that already copied the query once at their own front door and
-// keep that copy alive (the sharded cluster server submits one immutable
-// copy to S per-shard servers); everything else about the serving contract
-// is identical.
-func (s *Server) SearchOwned(ctx context.Context, q []uint8, k int) (Response, error) {
-	return s.search(ctx, q, k, false, nil, nil, false)
-}
-
-// SearchProbedOwned is SearchOwned with the CL stage pre-resolved: probes
-// carries this query's cluster list in the engine's (shard-local) ID space,
-// ascending distance order, dists the CL distance of each (or nothing: the
-// engine then computes them), and the batcher launches the micro-batch
-// through Engine.SearchBatchProbed — no per-shard CL, no CL charge in this
-// server's simulated metrics (the front door that resolved the probes
-// accounts that phase once). q, probes and dists are frozen under the
-// SearchOwned contract: valid and unmutated until the reply is delivered,
-// even on an error return. An empty probe list is valid and yields an empty
+// SearchProbedOwned is Search with the CL stage pre-resolved and without the
+// admission copy of q: probes carries this query's cluster list in the
+// engine's (shard-local) ID space, ascending distance order, dists the CL
+// distance of each (or nothing: the engine then computes them), and the
+// batcher launches the micro-batch through Engine.SearchBatchProbed — no
+// per-shard CL, no CL charge in this server's simulated metrics (the front
+// door that resolved the probes accounts that phase once).
+//
+// The caller promises q, probes and dists stay valid and unmutated until the
+// request's reply has been delivered. Note that this is a stronger promise
+// than "until the call returns": a call abandoned on context cancellation can
+// return while the request is still queued, and the batcher may read the
+// buffers when it launches the batch later. Callers must therefore never
+// mutate or recycle them after an error return either — treat them as frozen
+// for as long as the server lives. The hook exists for fan-out layers that
+// already copied the query once at their own front door and keep that copy
+// alive (the sharded cluster server submits one immutable copy to S
+// per-shard servers); everything else about the serving contract is
+// identical. An empty probe list is valid and yields an empty
 // response. If a launch mixes probed and unprobed requests the batcher
 // falls back to the engine's own CL for the whole batch — results are
 // identical (the probes came from the same locator over the same shared

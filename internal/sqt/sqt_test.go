@@ -1,9 +1,6 @@
 package sqt
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestSQT8LosslessExhaustive(t *testing.T) {
 	// The multiplier-less conversion must be bit-exact over the whole domain:
@@ -25,96 +22,6 @@ func TestSQT8FitsWRAM(t *testing.T) {
 	if tab.SizeBytes() != (MaxDiff8+1)*4 {
 		t.Fatalf("unexpected table size %d", tab.SizeBytes())
 	}
-}
-
-func TestSQT16LosslessProperty(t *testing.T) {
-	tab := NewSQT16(8192, 1<<17)
-	f := func(raw int32) bool {
-		d := raw % (1 << 17)
-		got, _ := tab.Square(d)
-		if d < 0 {
-			d = -d
-		}
-		return got == uint32(d)*uint32(d)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSQT16HotColdAccounting(t *testing.T) {
-	tab := NewSQT16(16, 100)
-	tab.Square(5)   // hot
-	tab.Square(-15) // hot (|.|)
-	tab.Square(16)  // cold boundary
-	tab.Square(100) // cold
-	s := tab.Stats()
-	if s.Hot != 2 || s.Cold != 2 {
-		t.Fatalf("stats = %+v, want 2 hot / 2 cold", s)
-	}
-	if hr := tab.HitRate(); hr != 0.5 {
-		t.Fatalf("hit rate = %v, want 0.5", hr)
-	}
-	tab.ResetStats()
-	if tab.Stats() != (Stats{}) {
-		t.Fatal("ResetStats did not clear counters")
-	}
-	if tab.HitRate() != 1 {
-		t.Fatal("empty hit rate should be 1")
-	}
-}
-
-func TestSQT16HotWindowBoundary(t *testing.T) {
-	tab := NewSQT16(16, 100)
-	if _, hot := tab.Square(15); !hot {
-		t.Fatal("15 should be a hot lookup for 16 hot entries")
-	}
-	if _, hot := tab.Square(16); hot {
-		t.Fatal("16 should be a cold lookup for 16 hot entries")
-	}
-}
-
-func TestSQT16Sizes(t *testing.T) {
-	tab := NewSQT16(8192, 65535)
-	if tab.HotSizeBytes() != 8192*4 {
-		t.Fatalf("hot size = %d", tab.HotSizeBytes())
-	}
-	if tab.ColdSizeBytes() != (65536-8192)*4 {
-		t.Fatalf("cold size = %d", tab.ColdSizeBytes())
-	}
-	// Hot window must fit WRAM alongside other buffers.
-	if tab.HotSizeBytes() > 48*1024 {
-		t.Fatalf("hot window too large for WRAM: %d", tab.HotSizeBytes())
-	}
-}
-
-func TestSQT16ClampsHotEntries(t *testing.T) {
-	tab := NewSQT16(1000, 9) // domain smaller than requested hot window
-	if tab.ColdSizeBytes() != 0 {
-		t.Fatalf("fully-hot table should have no cold part, got %d", tab.ColdSizeBytes())
-	}
-	if _, hot := tab.Square(9); !hot {
-		t.Fatal("all lookups should be hot when the domain fits the window")
-	}
-}
-
-func TestSQT16PanicsOutsideDomain(t *testing.T) {
-	tab := NewSQT16(4, 10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for out-of-domain operand")
-		}
-	}()
-	tab.Square(11)
-}
-
-func TestNewSQT16PanicsOnBadHot(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for hotEntries=0")
-		}
-	}()
-	NewSQT16(0, 100)
 }
 
 func BenchmarkSQT8Square(b *testing.B) {

@@ -1,8 +1,7 @@
 // Package topk provides the bounded top-k selection structures used by both
 // the host-side cluster locating phase (float32 distances) and the DPU-side
 // top-k sorting phase (uint32 integer distances): a bounded max-heap that
-// keeps the k smallest items, and a bitonic sorting network mirroring the
-// paper's Figure 1 TS alternatives.
+// keeps the k smallest items, and the sort and merge helpers around it.
 //
 // Ordering is deterministic everywhere: ties on distance are broken by the
 // smaller ID, so independent engines (CPU reference vs PIM simulation)
@@ -11,8 +10,6 @@ package topk
 
 import (
 	"cmp"
-	"math"
-	"math/bits"
 	"slices"
 )
 
@@ -190,55 +187,6 @@ func (h *Heap[D]) siftDown(i int) {
 // SortItems sorts items in place into the deterministic ascending order.
 func SortItems[D cmp.Ordered](items []Item[D]) {
 	slices.SortFunc(items, compare[D])
-}
-
-// BitonicSort sorts items in place into the deterministic ascending order
-// using a bitonic network, the data-independent alternative the paper lists
-// for the TS phase. Inputs of non-power-of-two length are padded with
-// max-sentinel items that sort to the tail. The returned count is the number
-// of compare-exchange operations a hardware realization would execute (used
-// by the cost model).
-func BitonicSort[D cmp.Ordered](items []Item[D]) int {
-	n := len(items)
-	if n < 2 {
-		return 0
-	}
-	size := 1 << bits.Len(uint(n-1)) // next power of two >= n
-	work := items
-	if size != n {
-		work = make([]Item[D], size)
-		copy(work, items)
-		maxIt := items[0]
-		for _, it := range items[1:] {
-			if Less(maxIt, it) {
-				maxIt = it
-			}
-		}
-		pad := Item[D]{ID: math.MaxInt32, Dist: maxIt.Dist}
-		for i := n; i < size; i++ {
-			work[i] = pad
-		}
-	}
-	swaps := 0
-	for k := 2; k <= size; k <<= 1 {
-		for j := k >> 1; j > 0; j >>= 1 {
-			for i := 0; i < size; i++ {
-				partner := i ^ j
-				if partner <= i {
-					continue
-				}
-				swaps++
-				ascending := i&k == 0
-				if ascending == Less(work[partner], work[i]) {
-					work[i], work[partner] = work[partner], work[i]
-				}
-			}
-		}
-	}
-	if size != n {
-		copy(items, work[:n])
-	}
-	return swaps
 }
 
 // MergeSorted merges two ascending deterministic-order slices into a fresh

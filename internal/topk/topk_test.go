@@ -113,43 +113,6 @@ func TestNewHeapPanicsOnBadK(t *testing.T) {
 	NewHeap[uint32](0)
 }
 
-func TestBitonicSortMatchesSortProperty(t *testing.T) {
-	f := func(dists []uint32) bool {
-		items := make([]Item[uint32], len(dists))
-		for i, d := range dists {
-			items[i] = Item[uint32]{ID: int32(i), Dist: d}
-		}
-		want := make([]Item[uint32], len(items))
-		copy(want, items)
-		SortItems(want)
-		BitonicSort(items)
-		return equalItems(items, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBitonicSortSizes(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 100, 128, 1000} {
-		items := make([]Item[uint32], n)
-		for i := range items {
-			items[i] = Item[uint32]{ID: int32(i), Dist: rng.Uint32() % 64}
-		}
-		want := make([]Item[uint32], n)
-		copy(want, items)
-		SortItems(want)
-		swaps := BitonicSort(items)
-		if !equalItems(items, want) {
-			t.Fatalf("bitonic sort wrong for n=%d", n)
-		}
-		if n >= 2 && swaps <= 0 {
-			t.Fatalf("bitonic sort should report compare-exchanges for n=%d", n)
-		}
-	}
-}
-
 func TestMergeSorted(t *testing.T) {
 	a := []Item[uint32]{{ID: 1, Dist: 1}, {ID: 4, Dist: 4}}
 	b := []Item[uint32]{{ID: 2, Dist: 2}, {ID: 3, Dist: 3}, {ID: 5, Dist: 5}}
