@@ -254,14 +254,16 @@
 // section format written via temp-file + fsync + atomic rename), a
 // length-framed CRC-per-record write-ahead log of mutations, and a
 // manifest binding the {snapshot, WAL} pair so recovery can never mix
-// generations. Attach a store to a server through
-// ServerOptions.Durability: every Server.Insert/Delete then applies the
-// mutation and appends one WAL record for exactly the applied points at
-// the batch boundary — acknowledged means WAL-synced under the
-// configured SyncPolicy (per record, per batch, or off), and a batch
-// that fails part-way logs its applied prefix so the log always
-// reproduces acknowledged engine state. Server.Compact checkpoints and
-// rotates the log; Server.Checkpoint rotates without compacting.
+// generations. CreateStore attaches a store to the engine, which logs
+// its own mutations: every Engine.Insert/Delete, called directly or
+// through a Server at its batch boundary, applies the mutation and
+// appends one WAL record for exactly the applied points before it
+// returns. Acknowledged means WAL-synced under the configured SyncPolicy
+// (per record, per batch, or off), and a batch that fails part-way logs
+// its applied prefix so the log always reproduces acknowledged engine state.
+// Compact checkpoints and rotates the log; Checkpoint rotates without
+// compacting. A Server knows nothing of the store, and the caller that
+// created it closes it after the last mutation.
 //
 // Recover rebuilds an engine from a store directory: it redeploys over
 // the checkpoint's base lists exactly as NewEngine did (checkpoints are
@@ -280,7 +282,7 @@
 // per-shard engines bit-identically for any S and either assignment
 // policy. Crash-point matrices (a simulated filesystem that kills the
 // machine at every mutating operation, torn writes included) pin all of
-// this at the store, engine, serve and cluster layers, and the benchmark's
+// this at the store, engine and cluster layers, and the benchmark's
 // fleet-mutate workload measures WAL overhead and recovery wall time on
 // the real filesystem (kill, recover, compare against an oracle engine).
 //
@@ -503,9 +505,9 @@ const (
 )
 
 // CreateStore initializes a durability directory for eng, checkpointing
-// its current state as the first snapshot. Attach the returned store via
-// ServerOptions.Durability to make server mutations durable, or drive
-// it directly (Append/BatchEnd/Checkpoint) as the serving layer does.
+// its current state as the first snapshot, and attaches it: eng's
+// mutations — direct or through a Server — are logged from then on. The
+// caller closes the returned store after eng's last mutation.
 func CreateStore(eng *Engine, opt DurableOptions) (*DurableStore, error) {
 	return eng.CreateStore(opt)
 }
@@ -514,8 +516,9 @@ func CreateStore(eng *Engine, opt DurableOptions) (*DurableStore, error) {
 // checkpoint snapshot, replay the WAL tail through the normal mutation
 // path, rotate to a fresh generation. The recovered engine serves
 // bit-identical results to the never-crashed engine over the same
-// acknowledged mutations. The profile workload and opts must match the
-// original deployment's for the layout to reproduce.
+// acknowledged mutations, with the returned store attached as
+// CreateStore's is; the caller closes it. The profile workload and opts
+// must match the original deployment's for the layout to reproduce.
 func Recover(opt DurableOptions, profile Vectors, opts EngineOptions) (*Engine, *DurableStore, error) {
 	return core.Recover(opt, profile, opts)
 }

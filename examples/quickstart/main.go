@@ -256,11 +256,11 @@ func main() {
 	}
 	fmt.Printf("after insert -> delete -> compact, results identical to step 4: %v\n", identical)
 
-	// 11. Durability: attach a write-ahead-logged store, mutate through the
-	//     serving layer (applied, then logged, then synced — that's what
-	//     "acknowledged" means), kill the process, and recover from disk
-	//     alone. The recovered engine serves bit-identical results to the
-	//     engine at the moment of the kill.
+	// 11. Durability: attach a write-ahead-logged store to the engine,
+	//     mutate through the serving layer (applied, then logged, then
+	//     synced — that's what "acknowledged" means), kill the process, and
+	//     recover from disk alone. The recovered engine serves
+	//     bit-identical results to the engine at the moment of the kill.
 	dir, err := os.MkdirTemp("", "drimann-quickstart")
 	if err != nil {
 		log.Fatal(err)
@@ -270,16 +270,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dsrv, err := drimann.NewServer(eng, drimann.ServerOptions{
-		MaxBatch: 64, MaxWait: 500 * time.Microsecond, Durability: store,
-	})
+	dsrv, err := drimann.NewServer(eng, drimann.ServerOptions{MaxBatch: 64, MaxWait: 500 * time.Microsecond})
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := dsrv.Insert(newVec, []int32{newID}); err != nil {
 		log.Fatal(err)
 	}
-	if err := dsrv.Close(); err != nil { // the "kill": only the directory survives
+	if err := dsrv.Close(); err != nil {
+		log.Fatal(err)
+	}
+	if err := store.Close(); err != nil { // the "kill": only the directory survives
 		log.Fatal(err)
 	}
 	want, err := eng.SearchBatch(corpus.Queries)

@@ -1,5 +1,5 @@
 // Fleet durability: a FleetStore gives a sharded Cluster the same crash
-// contract the single-engine serving stack gets from durable.Store —
+// contract a single engine gets from the store core's CreateStore attaches —
 // every acknowledged mutation survives a kill at any instant, and
 // RecoverCluster restarts the fleet bit-identically (search results,
 // memory stats, owner maps, remap tables).
@@ -19,10 +19,11 @@
 //
 // WAL records carry GLOBAL ids: one client batch fans out across
 // shards, so Cluster.Insert/Delete log each shard's applied sub-batch
-// to that shard's WAL, in per-shard application order. Replay is then
-// purely shard-local — it runs the live path's own per-point steps
-// (applyInsert, applyDelete) on the shard the record names — and shards
-// can replay independently in any order.
+// to that shard's WAL, in per-shard application order, through the one
+// logging call the engine uses (durable.Store.Log). Replay is then
+// purely shard-local — durable.Store.Replay hands each record to the live
+// path's own per-point steps (applyInsert, applyDelete) on the shard the
+// record names — and shards can replay independently in any order.
 package cluster
 
 import (
@@ -281,31 +282,16 @@ func CreateFleetStore(cl *Cluster, opt durable.Options) (*FleetStore, error) {
 	return fst, nil
 }
 
-// logBatch appends each shard's applied sub-batch (global ids, plus the
-// raw vectors of an insert batch, in application order) to that shard's
-// WAL as one record and marks the batch durability point. A shard that
-// applied nothing logs nothing, and neither does a fleet without a store.
-// Callers hold cl.mu.
+// logBatch logs each shard's applied sub-batch (global ids, plus the raw
+// vectors of an insert batch, in application order) to that shard's WAL as
+// one record (durable.Store.Log). A shard that applied nothing logs
+// nothing, and neither does a fleet without a store. Callers hold cl.mu.
 func (cl *Cluster) logBatch(pend []durable.Mutation) error {
 	if cl.fstore == nil {
 		return nil
 	}
 	for s, m := range pend {
-		if len(m.IDs) == 0 {
-			continue
-		}
-		rec := durable.EncodeDelete(m.IDs)
-		if m.Op == durable.OpInsert {
-			var err error
-			if rec, err = durable.EncodeInsert(m.IDs, m.Dim, m.Vecs); err != nil {
-				return err
-			}
-		}
-		st := cl.fstore.stores[s]
-		if err := st.Append(rec); err != nil {
-			return err
-		}
-		if err := st.BatchEnd(); err != nil {
+		if err := cl.fstore.stores[s].Log(m); err != nil {
 			return err
 		}
 	}
@@ -373,7 +359,6 @@ func RecoverCluster(opt durable.Options, profile dataset.U8Set, copt Options) (*
 		g2l:            make([]map[int32]int32, S),
 	}
 	fst := &FleetStore{dir: opt.Dir, stores: make([]*durable.Store, S)}
-	walTails := make([][][]byte, S)
 	for s := 0; s < S; s++ {
 		st, err := durable.Open(durable.Options{Dir: shardDir(opt.Dir, s), Policy: opt.Policy, FS: opt.FS})
 		if err != nil {
@@ -424,9 +409,6 @@ func RecoverCluster(opt durable.Options, profile dataset.U8Set, copt Options) (*
 		sh := &Shard{Engine: eng, owned: owned, Points: len(m)}
 		sh.setTable(table)
 		cl.shards[s] = sh
-		if walTails[s], err = st.WALRecords(); err != nil {
-			return nil, nil, fmt.Errorf("cluster: recover shard %d WAL: %w", s, err)
-		}
 	}
 
 	// Shared front-door state: every shard sub-index carries the full
@@ -441,8 +423,8 @@ func RecoverCluster(opt durable.Options, profile dataset.U8Set, copt Options) (*
 	// grow the replica set and rotate every generation (discarding any
 	// torn tails) so the store accepts appends again.
 	for s := 0; s < S; s++ {
-		if err := cl.replayShardWAL(s, walTails[s]); err != nil {
-			return nil, nil, err
+		if err := fst.stores[s].Replay(func(m durable.Mutation) error { return cl.replayShard(s, m) }); err != nil {
+			return nil, nil, fmt.Errorf("cluster: recover shard %d: %w", s, err)
 		}
 	}
 	for s, sh := range cl.shards {
@@ -458,33 +440,24 @@ func RecoverCluster(opt durable.Options, profile dataset.U8Set, copt Options) (*
 	return cl, fst, nil
 }
 
-// replayShardWAL applies shard s's decoded WAL tail in order through the
-// live path's per-point steps: inserts re-route nothing (the record already
+// replayShard applies one of shard s's logged mutations through the live
+// path's per-point steps: inserts re-route nothing (the record already
 // names this shard), deletes resolve through the rebuilt global→local map.
-func (cl *Cluster) replayShardWAL(s int, recs [][]byte) error {
-	for i, rec := range recs {
-		m, err := durable.DecodeMutation(rec)
-		if err != nil {
-			return fmt.Errorf("cluster: shard %d WAL record %d: %w", s, i, err)
+func (cl *Cluster) replayShard(s int, m durable.Mutation) error {
+	if m.Op == durable.OpDelete {
+		for _, g := range m.IDs {
+			if err := cl.applyDelete(s, g); err != nil {
+				return err
+			}
 		}
-		switch m.Op {
-		case durable.OpInsert:
-			if m.Dim != cl.ix.Dim {
-				return fmt.Errorf("cluster: shard %d WAL record %d: dim %d != index dim %d", s, i, m.Dim, cl.ix.Dim)
-			}
-			for j, g := range m.IDs {
-				if err := cl.applyInsert(s, g, m.Vecs[j*m.Dim:(j+1)*m.Dim]); err != nil {
-					return fmt.Errorf("cluster: shard %d WAL record %d replay: %w", s, i, err)
-				}
-			}
-		case durable.OpDelete:
-			for _, g := range m.IDs {
-				if err := cl.applyDelete(s, g); err != nil {
-					return fmt.Errorf("cluster: shard %d WAL record %d replay: %w", s, i, err)
-				}
-			}
-		default:
-			return fmt.Errorf("cluster: shard %d WAL record %d: unknown op %d", s, i, m.Op)
+		return nil
+	}
+	if m.Dim != cl.ix.Dim {
+		return fmt.Errorf("dim %d != index dim %d", m.Dim, cl.ix.Dim)
+	}
+	for j, g := range m.IDs {
+		if err := cl.applyInsert(s, g, m.Vecs[j*m.Dim:(j+1)*m.Dim]); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -25,7 +25,6 @@ var (
 	_ engine.Engine         = (*Engine)(nil)
 	_ engine.ProbedSearcher = (*Engine)(nil)
 	_ engine.Mutable        = (*Engine)(nil)
-	_ engine.Snapshotter    = (*Engine)(nil)
 )
 
 // NumClusters returns the probe-ID domain of SearchBatchProbed — the

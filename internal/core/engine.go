@@ -171,6 +171,7 @@ import (
 	"sync/atomic"
 
 	"drimann/internal/dataset"
+	"drimann/internal/durable"
 	"drimann/internal/ivf"
 	"drimann/internal/layout"
 	"drimann/internal/sched"
@@ -305,6 +306,9 @@ type Engine struct {
 	// post-fold cluster sizes with identical inputs.
 	freq []float64
 	lcfg layout.Config
+	// store, attached by CreateStore or Recover, logs every applied
+	// mutation (recover.go); nil logs nothing. Replicas never hold it.
+	store *durable.Store
 
 	// Per-launch reusable state: one kernel scratch per DPU plus the shared
 	// (query, cluster) group store. Together they make the launch hot path

@@ -112,24 +112,6 @@ func countMarks(row []uint64) (r sliceRef) {
 	return r
 }
 
-// markedRuns calls f(m, lo, hi) for every maximal run [lo, hi) of marked
-// codes of every listed subspace, in ascending code order within a subspace —
-// the order the kernel's bitmap scan meets them.
-func markedRuns(bm []uint64, subs []uint16, cb int, f func(m, lo, hi int)) {
-	marked := func(row []uint64, c int) bool { return row[c>>6]>>(c&63)&1 == 1 }
-	for _, mi := range subs {
-		row := bm[int(mi)*markWordsPer(cb):]
-		for c := 0; c < cb; c++ {
-			if lo := c; marked(row, c) {
-				for c < cb && marked(row, c) {
-					c++
-				}
-				f(int(mi), lo, c)
-			}
-		}
-	}
-}
-
 // recountSlice refreshes slice si's cached demand and, from it and the
 // points a task over the slice scans, its heat; bm is scratch.
 func (e *Engine) recountSlice(bm []uint64, si int) {

@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"drimann/internal/dataset"
+	"drimann/internal/durable"
 	"drimann/internal/layout"
 )
 
@@ -28,7 +29,9 @@ import (
 // centroid (bit-identically to index build), PQ-encoded with the frozen
 // codebooks, and appended to that cluster's segment, immediately visible to
 // the next launch. Ids must be non-negative and not currently live (delete
-// first to replace).
+// first to replace). Insert stops at the first point that fails; with a
+// store attached, the points applied before it are logged before Insert
+// returns, so a nil return means every point is durable.
 func (e *Engine) Insert(vecs dataset.U8Set, ids []int32) error {
 	if vecs.N != len(ids) {
 		return fmt.Errorf("core: %d vectors for %d ids", vecs.N, len(ids))
@@ -36,33 +39,37 @@ func (e *Engine) Insert(vecs dataset.U8Set, ids []int32) error {
 	if vecs.N > 0 && vecs.D != e.ix.Dim {
 		return fmt.Errorf("core: insert dim %d, index dim %d", vecs.D, e.ix.Dim)
 	}
-	ix := e.ix
-	for i := 0; i < vecs.N; i++ {
-		c, err := ix.Insert(ids[i], vecs.Vec(i))
-		if err != nil {
-			return err
+	n := 0
+	var err error
+	for ; n < vecs.N; n++ {
+		var c int32
+		if c, err = e.ix.Insert(ids[n], vecs.Vec(n)); err != nil {
+			break
 		}
 		e.ensureReachable(c)
 		e.recountCluster(c)
 	}
-	return nil
+	return e.log(durable.Mutation{Op: durable.OpInsert, IDs: ids[:n], Dim: vecs.D, Vecs: vecs.Data[:n*vecs.D]}, err)
 }
 
 // Delete removes ids from the logical corpus: base-list points are
 // tombstoned (filtered by the TS accept pass until Compact), append-segment
-// points are removed outright.
+// points are removed outright. It stops and logs like Insert.
 func (e *Engine) Delete(ids []int32) error {
-	for _, id := range ids {
-		c, pos, err := e.ix.Delete(id)
-		if err != nil {
-			return err
+	n := 0
+	var err error
+	for ; n < len(ids); n++ {
+		var c int32
+		var pos int
+		if c, pos, err = e.ix.Delete(ids[n]); err != nil {
+			break
 		}
 		if pos < 0 {
 			continue // tombstoned base points are still scanned, and marked
 		}
 		e.recountCluster(c)
 	}
-	return nil
+	return e.log(durable.Mutation{Op: durable.OpDelete, IDs: ids[:n]}, err)
 }
 
 // ensureReachable gives cluster c a placement slice when the build-time
@@ -99,8 +106,15 @@ func (e *Engine) ensureReachable(c int32) {
 // engine over the same logical corpus. (The simulated MRAM image still
 // reflects the deployment-time allocation — compaction is modeled as a
 // host-side reorganization, and per-launch costs derive from the placement
-// and scans, not from the allocation bookkeeping.)
-func (e *Engine) Compact() error { return e.compact(nil) }
+// and scans, not from the allocation bookkeeping.) With a store attached,
+// the compacted engine becomes its new checkpoint and the WAL restarts
+// empty.
+func (e *Engine) Compact() error {
+	if err := e.compact(nil); err != nil {
+		return err
+	}
+	return e.Checkpoint()
+}
 
 // CompactRemap is Compact with a simultaneous id relabeling (live id x
 // becomes remap[x]); the sharded layer uses it to renumber shard-local ids

@@ -77,15 +77,17 @@ func TestShareTable(t *testing.T) {
 
 	// Mutations re-price slices, never the table; recovery re-measures it.
 	fs := durable.NewMemFS(durable.FaultPlan{})
-	st, err := e.CreateStore(durable.Options{Dir: "eng", FS: fs})
-	if err != nil {
+	if _, err := e.CreateStore(durable.Options{Dir: "eng", FS: fs}); err != nil {
 		t.Fatal(err)
 	}
-	h := &durableHarness{t: t, e: e, st: st, dim: s.Base.D}
 	for id := base; id < base+40; id++ {
-		h.insert(dataset.U8Set{N: 1, D: s.Base.D, Data: s.Base.Vec(id)}, []int32{int32(id)})
+		if err := e.Insert(dataset.U8Set{N: 1, D: s.Base.D, Data: s.Base.Vec(id)}, []int32{int32(id)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	h.delete([]int32{3, int32(base + 7)})
+	if err := e.Delete([]int32{3, int32(base + 7)}); err != nil {
+		t.Fatal(err)
+	}
 	if e.lc.share != share {
 		t.Fatalf("Insert/Delete moved the share table: %.3f, was %.3f", e.lc.share, share)
 	}

@@ -20,23 +20,51 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"io"
 
 	"drimann/internal/dataset"
 	"drimann/internal/durable"
 	"drimann/internal/ivf"
 )
 
-// Snapshot writes the engine's durable state — the index with its live
-// mutation overlay — in the v2 checkpoint format. It must not run
-// concurrently with mutations or searches; the serving layer calls it
-// at the same batch boundary that serializes mutations.
-func (e *Engine) Snapshot(w io.Writer) error { return e.ix.Save(w) }
-
-// CreateStore initializes a durable store for this engine in opt.Dir,
-// writing the initial checkpoint and opening a WAL for appends.
+// CreateStore initializes a durable store for this engine in opt.Dir —
+// the initial checkpoint plus an empty WAL — and attaches it: from then
+// on Insert and Delete log exactly the points they applied before they
+// return, and Compact and Checkpoint rotate the store's generation. The
+// caller closes the returned store after the engine's last mutation.
 func (e *Engine) CreateStore(opt durable.Options) (*durable.Store, error) {
-	return durable.Create(opt, e.Snapshot)
+	if e.store != nil {
+		return nil, fmt.Errorf("core: store already attached")
+	}
+	st, err := durable.Create(opt, e.ix.Save)
+	if err != nil {
+		return nil, err
+	}
+	e.store = st
+	return st, nil
+}
+
+// Checkpoint writes a fresh snapshot — the index with its live mutation
+// overlay, in the ivf v2 checkpoint format — to the attached store and
+// rotates its WAL, without compacting. No-op without a store. Like every
+// mutation it must not run concurrently with searches.
+func (e *Engine) Checkpoint() error {
+	if e.store == nil {
+		return nil
+	}
+	return e.store.Checkpoint(e.ix.Save)
+}
+
+// log writes m, the applied prefix of a mutation that stopped with
+// applyErr (nil: it applied whole), to the attached store, and returns
+// applyErr. A logging failure wins: the prefix is live in memory but not
+// acknowledged, since a crash may forget it.
+func (e *Engine) log(m durable.Mutation, applyErr error) error {
+	if e.store != nil {
+		if err := e.store.Log(m); err != nil {
+			return fmt.Errorf("core: mutation applied but not durable: %w", err)
+		}
+	}
+	return applyErr
 }
 
 // Recover rebuilds an engine from the durable state in opt.Dir: it
@@ -44,9 +72,11 @@ func (e *Engine) CreateStore(opt durable.Options) (*durable.Store, error) {
 // New did originally (profile and opts must match the original
 // deployment for bit-identity), re-adopts the snapshot's mutation
 // overlay, replays the WAL tail in order, and rotates to a fresh
-// checkpoint — discarding any torn tail — so the returned store is
-// ready for appends. Unacknowledged mutations (never WAL-synced) may be
-// lost; acknowledged ones never are.
+// checkpoint — discarding any torn tail. The store is attached only
+// then, so replay logs nothing, and the returned engine logs its
+// mutations to it as CreateStore's does; the caller closes it.
+// Unacknowledged mutations (never WAL-synced) may be lost; acknowledged
+// ones never are.
 func Recover(opt durable.Options, profile dataset.U8Set, opts Options) (*Engine, *durable.Store, error) {
 	st, err := durable.Open(opt)
 	if err != nil {
@@ -68,16 +98,20 @@ func Recover(opt durable.Options, profile dataset.U8Set, opts Options) (*Engine,
 	if err := eng.AdoptOverlay(overlay); err != nil {
 		return nil, nil, fmt.Errorf("core: recover overlay: %w", err)
 	}
-	recs, err := st.WALRecords()
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: recover WAL: %w", err)
+	// Replay is deterministic: inserts re-route and re-encode the logged
+	// raw vectors with the frozen quantizers.
+	if err := st.Replay(func(m durable.Mutation) error {
+		if m.Op == durable.OpInsert {
+			return eng.Insert(dataset.U8Set{N: len(m.IDs), D: m.Dim, Data: m.Vecs}, m.IDs)
+		}
+		return eng.Delete(m.IDs)
+	}); err != nil {
+		return nil, nil, fmt.Errorf("core: recover: %w", err)
 	}
-	if err := eng.ReplayWAL(recs); err != nil {
-		return nil, nil, err
-	}
-	if err := st.Checkpoint(eng.Snapshot); err != nil {
+	if err := st.Checkpoint(eng.ix.Save); err != nil {
 		return nil, nil, fmt.Errorf("core: recover checkpoint: %w", err)
 	}
+	eng.store = st
 	return eng, st, nil
 }
 
@@ -99,32 +133,6 @@ func (e *Engine) AdoptOverlay(log []byte) error {
 		}
 		e.ensureReachable(int32(c))
 		e.recountCluster(int32(c))
-	}
-	return nil
-}
-
-// ReplayWAL applies decoded WAL records in order through the normal
-// mutation path. Replay is deterministic: inserts re-route and
-// re-encode the logged raw vectors with the frozen quantizers.
-func (e *Engine) ReplayWAL(recs [][]byte) error {
-	for i, rec := range recs {
-		m, err := durable.DecodeMutation(rec)
-		if err != nil {
-			return fmt.Errorf("core: WAL record %d: %w", i, err)
-		}
-		switch m.Op {
-		case durable.OpInsert:
-			vecs := dataset.U8Set{N: len(m.IDs), D: m.Dim, Data: m.Vecs}
-			if err := e.Insert(vecs, m.IDs); err != nil {
-				return fmt.Errorf("core: WAL record %d replay: %w", i, err)
-			}
-		case durable.OpDelete:
-			if err := e.Delete(m.IDs); err != nil {
-				return fmt.Errorf("core: WAL record %d replay: %w", i, err)
-			}
-		default:
-			return fmt.Errorf("core: WAL record %d: unknown op %d", i, m.Op)
-		}
 	}
 	return nil
 }

@@ -13,53 +13,14 @@ import (
 	"drimann/internal/ivf"
 )
 
-// durableHarness pairs an engine with a store the way serve.Server
-// does: every mutation is applied, then logged, then synced before it
-// counts as acknowledged.
-type durableHarness struct {
-	t   *testing.T
-	e   *Engine
-	st  *durable.Store
-	dim int
-}
-
-func (h *durableHarness) insert(vecs dataset.U8Set, ids []int32) {
-	h.t.Helper()
-	if err := h.e.Insert(vecs, ids); err != nil {
-		h.t.Fatal(err)
-	}
-	rec, err := durable.EncodeInsert(ids, h.dim, vecs.Data[:vecs.N*vecs.D])
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	if err := h.st.Append(rec); err != nil {
-		h.t.Fatal(err)
-	}
-	if err := h.st.BatchEnd(); err != nil {
-		h.t.Fatal(err)
-	}
-}
-
-func (h *durableHarness) delete(ids []int32) {
-	h.t.Helper()
-	if err := h.e.Delete(ids); err != nil {
-		h.t.Fatal(err)
-	}
-	if err := h.st.Append(durable.EncodeDelete(ids)); err != nil {
-		h.t.Fatal(err)
-	}
-	if err := h.st.BatchEnd(); err != nil {
-		h.t.Fatal(err)
-	}
-}
-
 // TestEngineRecoverBitIdentical pins the engine-level recovery
 // contract across two crash/recover generations: a restart from
 // {snapshot, WAL} serves bit-identical results and reports identical
 // memory stats to the never-crashed engine over the same acknowledged
 // mutations. The second generation recovers from a snapshot that
 // itself carries a live overlay (written by the post-replay
-// checkpoint), exercising AdoptOverlay.
+// checkpoint), exercising AdoptOverlay. Every mutation goes through the
+// engine's own Insert and Delete, which log to the attached store.
 func TestEngineRecoverBitIdentical(t *testing.T) {
 	for _, ref := range []bool{false, true} {
 		name := "tally"
@@ -71,26 +32,30 @@ func TestEngineRecoverBitIdentical(t *testing.T) {
 			opts := testOptions()
 			live := newEngine(t, ix, s.Queries, opts, ref)
 			fs := durable.NewMemFS(durable.FaultPlan{})
-			st, err := live.CreateStore(durable.Options{Dir: "eng", FS: fs})
-			if err != nil {
+			if _, err := live.CreateStore(durable.Options{Dir: "eng", FS: fs}); err != nil {
 				t.Fatal(err)
 			}
-			h := &durableHarness{t: t, e: live, st: st, dim: s.Base.D}
 
 			rng := rand.New(rand.NewSource(99))
-			mutate := func(h *durableHarness, lo, hi int) {
+			mutate := func(e *Engine, lo, hi int) {
+				t.Helper()
 				// Insert pool ids [lo, hi), then delete a few of each kind.
 				for id := lo; id < hi; id++ {
-					h.insert(dataset.U8Set{N: 1, D: s.Base.D, Data: s.Base.Vec(id)}, []int32{int32(id)})
+					if err := e.Insert(dataset.U8Set{N: 1, D: s.Base.D, Data: s.Base.Vec(id)}, []int32{int32(id)}); err != nil {
+						t.Fatal(err)
+					}
 				}
-				h.delete([]int32{int32(rng.Intn(base))})       // base tombstone
-				h.delete([]int32{int32(lo + rng.Intn(hi-lo))}) // append removal
+				for _, id := range []int{rng.Intn(base), lo + rng.Intn(hi-lo)} { // base tombstone, append removal
+					if err := e.Delete([]int32{int32(id)}); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			mutate(h, base, base+40)
+			mutate(live, base, base+40)
 
 			for gen := 0; gen < 2; gen++ {
 				// Crash: drop the live engine, recover from the store.
-				recovered, rst, err := Recover(durable.Options{Dir: "eng", FS: fs}, s.Queries, opts)
+				recovered, _, err := Recover(durable.Options{Dir: "eng", FS: fs}, s.Queries, opts)
 				if err != nil {
 					t.Fatalf("gen %d: %v", gen, err)
 				}
@@ -115,11 +80,10 @@ func TestEngineRecoverBitIdentical(t *testing.T) {
 				if gm, wm := recovered.MemoryFootprint(), live.MemoryFootprint(); gm != wm {
 					t.Fatalf("gen %d: memory stats diverge: %+v vs %+v", gen, gm, wm)
 				}
-				live, st = recovered, rst
-				h = &durableHarness{t: t, e: live, st: st, dim: s.Base.D}
+				live = recovered
 				// Next generation's mutations land on a store whose
 				// snapshot already carries the replayed overlay.
-				mutate(h, base+100+gen*50, base+130+gen*50)
+				mutate(live, base+100+gen*50, base+130+gen*50)
 			}
 		})
 	}
@@ -127,8 +91,8 @@ func TestEngineRecoverBitIdentical(t *testing.T) {
 
 // engOp is one single-record step of the engine crash-matrix workload:
 // an insert or delete (applied then logged, one WAL record each), a
-// compact (engine fold + checkpoint rotation, as serve.Compact does),
-// or a bare checkpoint rotation (serve.Checkpoint).
+// compact (engine fold + checkpoint rotation), or a bare checkpoint
+// rotation.
 type engOp struct {
 	kind string // "ins", "del", "compact", "checkpoint"
 	id   int32
@@ -172,60 +136,30 @@ func TestEngineRecoverCrashMatrix(t *testing.T) {
 		{kind: "ins", id: int32(base + 3)},
 		{kind: "del", id: 40},
 	}
-	apply := func(e *Engine, st *durable.Store, op engOp) error {
+	// step runs op through the engine's own mutation path: logged when a
+	// store is attached, and a checkpoint is state-neutral without one.
+	step := func(e *Engine, op engOp) error {
 		switch op.kind {
 		case "ins":
-			one := dataset.U8Set{N: 1, D: s.Base.D, Data: s.Base.Vec(int(op.id))}
-			if err := e.Insert(one, []int32{op.id}); err != nil {
-				return err
-			}
-			rec, err := durable.EncodeInsert([]int32{op.id}, s.Base.D, one.Data)
-			if err != nil {
-				return err
-			}
-			if err := st.Append(rec); err != nil {
-				return err
-			}
-			return st.BatchEnd()
+			return e.Insert(dataset.U8Set{N: 1, D: s.Base.D, Data: s.Base.Vec(int(op.id))}, []int32{op.id})
 		case "del":
-			if err := e.Delete([]int32{op.id}); err != nil {
-				return err
-			}
-			if err := st.Append(durable.EncodeDelete([]int32{op.id})); err != nil {
-				return err
-			}
-			return st.BatchEnd()
+			return e.Delete([]int32{op.id})
 		case "compact":
-			if err := e.Compact(); err != nil {
-				return err
-			}
-			return st.Checkpoint(e.Snapshot)
+			return e.Compact()
 		default:
-			return st.Checkpoint(e.Snapshot)
+			return e.Checkpoint()
 		}
 	}
 	// refAt builds the never-crashed reference with the first k ops
-	// applied (checkpoints are state-neutral).
+	// applied.
 	refAt := func(k int) *Engine {
 		e, err := New(freshIx(), s.Queries, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, op := range workload[:k] {
-			switch op.kind {
-			case "ins":
-				one := dataset.U8Set{N: 1, D: s.Base.D, Data: s.Base.Vec(int(op.id))}
-				if err := e.Insert(one, []int32{op.id}); err != nil {
-					t.Fatal(err)
-				}
-			case "del":
-				if err := e.Delete([]int32{op.id}); err != nil {
-					t.Fatal(err)
-				}
-			case "compact":
-				if err := e.Compact(); err != nil {
-					t.Fatal(err)
-				}
+			if err := step(e, op); err != nil {
+				t.Fatal(err)
 			}
 		}
 		return e
@@ -238,20 +172,8 @@ func TestEngineRecoverCrashMatrix(t *testing.T) {
 		walk := refAt(0)
 		liveSets[0] = walk.Index().LiveIDs()
 		for k, op := range workload {
-			switch op.kind {
-			case "ins":
-				one := dataset.U8Set{N: 1, D: s.Base.D, Data: s.Base.Vec(int(op.id))}
-				if err := walk.Insert(one, []int32{op.id}); err != nil {
-					t.Fatal(err)
-				}
-			case "del":
-				if err := walk.Delete([]int32{op.id}); err != nil {
-					t.Fatal(err)
-				}
-			case "compact":
-				if err := walk.Compact(); err != nil {
-					t.Fatal(err)
-				}
+			if err := step(walk, op); err != nil {
+				t.Fatal(err)
 			}
 			liveSets[k+1] = walk.Index().LiveIDs()
 		}
@@ -264,13 +186,12 @@ func TestEngineRecoverCrashMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := e.CreateStore(durable.Options{Dir: "eng", Policy: durable.SyncEveryRecord, FS: dry})
-		if err != nil {
+		if _, err := e.CreateStore(durable.Options{Dir: "eng", Policy: durable.SyncEveryRecord, FS: dry}); err != nil {
 			t.Fatal(err)
 		}
 		setup := dry.Ops()
 		for _, op := range workload {
-			if err := apply(e, st, op); err != nil {
+			if err := step(e, op); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -282,13 +203,12 @@ func TestEngineRecoverCrashMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rst, err := run.CreateStore(durable.Options{Dir: "eng", Policy: durable.SyncEveryRecord, FS: fs})
-			if err != nil {
+			if _, err := run.CreateStore(durable.Options{Dir: "eng", Policy: durable.SyncEveryRecord, FS: fs}); err != nil {
 				t.Fatal(err)
 			}
 			acked := 0
 			for _, op := range workload {
-				if err := apply(run, rst, op); err != nil {
+				if err := step(run, op); err != nil {
 					if !errors.Is(err, durable.ErrCrashed) {
 						t.Fatalf("crash@%d: op %d: %v", crashAt, acked, err)
 					}
@@ -358,4 +278,50 @@ func TestEngineRecoverEmptyWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameResults(t, got, want, "clean recovery")
+}
+
+// TestEngineDurablePartialBatchLogsPrefix pins the applied-prefix
+// contract on the engine's own mutation path: an insert batch that fails
+// mid-way (duplicate id) and a delete batch that does (absent id) log
+// exactly the points they applied, so a recovered engine matches the live
+// engine's post-error state.
+func TestEngineDurablePartialBatchLogsPrefix(t *testing.T) {
+	ix, s, base := mutFixture(t)
+	opts := testOptions()
+	e, err := New(ix, s.Queries, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := durable.NewMemFS(durable.FaultPlan{})
+	if _, err := e.CreateStore(durable.Options{Dir: "eng", Policy: durable.SyncEveryRecord, FS: fs}); err != nil {
+		t.Fatal(err)
+	}
+	// ids[2] duplicates a base id: points 0 and 1 apply, the batch errors.
+	ids := []int32{int32(base), int32(base + 1), 7, int32(base + 3)}
+	vecs := dataset.U8Set{N: 4, D: s.Base.D, Data: s.Base.Data[base*s.Base.D : (base+4)*s.Base.D]}
+	if err := e.Insert(vecs, ids); err == nil {
+		t.Fatal("duplicate id must fail the insert batch")
+	}
+	// base+3 was never inserted: 11 is deleted, the batch errors.
+	if err := e.Delete([]int32{11, int32(base + 3), int32(base)}); err == nil {
+		t.Fatal("absent id must fail the delete batch")
+	}
+	recovered, _, err := Recover(durable.Options{Dir: "eng", FS: fs}, s.Queries, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, live := range map[int32]bool{int32(base): true, int32(base + 1): true, int32(base + 3): false, 11: false, 7: true} {
+		if _, ok := recovered.Index().WhereIs(id); ok != live {
+			t.Fatalf("id %d live after recovery: %v, want %v", id, ok, live)
+		}
+	}
+	want, err := e.SearchBatch(s.Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := recovered.SearchBatch(s.Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResults(t, got, want, "recovered after partial batches")
 }

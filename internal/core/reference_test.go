@@ -40,6 +40,24 @@ func newEngine(t testing.TB, ix *ivf.Index, profile dataset.U8Set, o Options, re
 	return e
 }
 
+// markedRuns calls f(m, lo, hi) for every maximal run [lo, hi) of marked
+// codes of every listed subspace, in ascending code order within a subspace —
+// the order the kernel's bitmap scan meets them.
+func markedRuns(bm []uint64, subs []uint16, cb int, f func(m, lo, hi int)) {
+	marked := func(row []uint64, c int) bool { return row[c>>6]>>(c&63)&1 == 1 }
+	for _, mi := range subs {
+		row := bm[int(mi)*markWordsPer(cb):]
+		for c := 0; c < cb; c++ {
+			if lo := c; marked(row, c) {
+				for c < cb && marked(row, c) {
+					c++
+				}
+				f(int(mi), lo, c)
+			}
+		}
+	}
+}
+
 // scanGroupRef is scanGroup's stage walk with the per-op kernels.
 func (e *Engine) scanGroupRef(dpu *upmem.DPU, sc *dpuScratch, group []sched.Task, bi int, bound uint32) {
 	ix := e.ix

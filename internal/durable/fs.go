@@ -4,7 +4,8 @@
 // bit-identically after dying at any instant.
 //
 // The package deliberately imports nothing from the rest of the module:
-// ivf, core, serve, and cluster all layer on top of it, so it must sit
+// core and cluster, the two layers that apply mutations, log and replay
+// them through one call each (Store.Log, Store.Replay), so it must sit
 // at the bottom of the import graph. Everything that touches storage
 // goes through the FS interface; production code uses OS, and the
 // crash-point tests use MemFS, which models the byte-level durability

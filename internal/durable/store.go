@@ -29,8 +29,8 @@ var ErrNotExists = errors.New("durable: no store in directory")
 
 // Store owns one directory of durable state: the manifest, the current
 // snapshot, and the live WAL. It is not safe for concurrent use; the
-// serving layer already serializes mutations at the batch boundary and
-// appends from there.
+// engine or fleet it is attached to logs from its own mutation path,
+// which the serving layer already serializes at the batch boundary.
 //
 // Checkpoint ordering is the heart of crash atomicity:
 //
@@ -78,8 +78,8 @@ func Create(opt Options, snapshot func(w io.Writer) error) (*Store, error) {
 }
 
 // Open reads the manifest of an existing store for recovery. The
-// returned store has no live WAL: read the snapshot and replay
-// WALRecords, then call Checkpoint — which rotates to a fresh log —
+// returned store has no live WAL: read the snapshot and Replay the
+// log, then call Checkpoint — which rotates to a fresh log —
 // before appending. (Appending to a possibly-torn tail is never done.)
 func Open(opt Options) (*Store, error) {
 	fsys := opt.fsys()
@@ -136,6 +136,46 @@ func (st *Store) BatchEnd() error {
 		return fmt.Errorf("durable: store has no live WAL (recover then Checkpoint first)")
 	}
 	return st.wal.BatchEnd()
+}
+
+// Log writes one applied mutation to the live WAL as one record and marks
+// the batch durability point, so under SyncEveryBatch or SyncEveryRecord
+// it is durable when Log returns nil. A mutation without ids logs nothing.
+func (st *Store) Log(m Mutation) error {
+	if len(m.IDs) == 0 {
+		return nil
+	}
+	rec := EncodeDelete(m.IDs)
+	if m.Op == OpInsert {
+		var err error
+		if rec, err = EncodeInsert(m.IDs, m.Dim, m.Vecs); err != nil {
+			return err
+		}
+	}
+	if err := st.Append(rec); err != nil {
+		return err
+	}
+	return st.BatchEnd()
+}
+
+// Replay decodes the current WAL's valid prefix and hands each mutation to
+// apply in log order, stopping at the first error. Vecs alias the log
+// image, which apply must not retain.
+func (st *Store) Replay(apply func(Mutation) error) error {
+	recs, err := st.WALRecords()
+	if err != nil {
+		return err
+	}
+	for i, rec := range recs {
+		m, err := DecodeMutation(rec)
+		if err != nil {
+			return fmt.Errorf("durable: WAL record %d: %w", i, err)
+		}
+		if err := apply(m); err != nil {
+			return fmt.Errorf("durable: WAL record %d replay: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // Checkpoint writes a new snapshot and rotates the WAL atomically (see

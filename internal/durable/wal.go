@@ -32,8 +32,8 @@ const (
 type SyncPolicy int
 
 const (
-	// SyncEveryBatch syncs once per BatchEnd (the serve batch
-	// boundary): every acknowledged mutation batch is durable.
+	// SyncEveryBatch syncs once per BatchEnd (one per logged
+	// mutation call): every acknowledged mutation batch is durable.
 	SyncEveryBatch SyncPolicy = iota
 	// SyncEveryRecord syncs after every single record.
 	SyncEveryRecord
@@ -56,8 +56,8 @@ func (p SyncPolicy) String() string {
 }
 
 // WAL is an append-only checksummed record log. Not safe for
-// concurrent use; callers serialize appends (serve.Server already
-// funnels mutations through one batch boundary).
+// concurrent use; callers serialize appends (Store.Log runs on the
+// attached engine's or fleet's serialized mutation path).
 type WAL struct {
 	f      File
 	policy SyncPolicy

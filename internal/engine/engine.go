@@ -9,17 +9,13 @@
 // The contract splits in two. Engine is the mandatory serving surface:
 // batched search plus the three shape accessors the batcher needs to clamp
 // and validate requests. Everything else a backend MAY support — CL-skipping
-// probed search, live mutation, snapshotting — is an optional capability
+// probed search, live mutation with its checkpoints — is an optional capability
 // interface discovered by type assertion, so the stack degrades gracefully (a mutation against a backend
 // without Mutable fails with a clear error instead of a compile-time weld to
 // one concrete engine type).
 package engine
 
-import (
-	"io"
-
-	"drimann/internal/dataset"
-)
+import "drimann/internal/dataset"
 
 // Engine is the mandatory backend contract: batched search over uint8
 // vectors plus the shape accessors the serving layer uses to validate and
@@ -61,17 +57,15 @@ type ProbedSearcher interface {
 // applied at batch boundaries, plus compaction back to the packed layout.
 // The contract matches internal/core: after Compact, results are
 // bit-identical to a freshly built engine over the same logical corpus.
+// A backend that owns a durable store logs each mutation before it returns
+// and rotates the store on Compact and Checkpoint; without one, Checkpoint
+// does nothing. The serving layer calls all four under quiescence (no
+// in-flight batches).
 type Mutable interface {
 	Insert(vecs dataset.U8Set, ids []int32) error
 	Delete(ids []int32) error
 	Compact() error
-}
-
-// Snapshotter is the durability hook: write a self-contained checkpoint
-// image of the engine's logical corpus state to w. The serving layer calls
-// it under quiescence (no in-flight batches).
-type Snapshotter interface {
-	Snapshot(w io.Writer) error
+	Checkpoint() error
 }
 
 // MemoryFootprint splits one engine's host-side memory into the read-only

@@ -82,8 +82,6 @@ type Options struct {
 	// table (DefaultOptions sets it); off, every per-dimension square pays
 	// the 32-cycle software multiply.
 	UseSQT bool
-	// SQTAccessCycles is the charged cost of one SQT lookup; default 8.
-	SQTAccessCycles uint64
 
 	// MRAMBytes overrides per-DPU MRAM capacity (default 64 MB).
 	MRAMBytes int
@@ -94,18 +92,17 @@ type Options struct {
 // DefaultOptions returns the default graph-backend configuration.
 func DefaultOptions() Options {
 	return Options{
-		K:               10,
-		Degree:          16,
-		BuildBeam:       48,
-		SearchBeam:      32,
-		Alpha:           1.2,
-		NumDPUs:         64,
-		Tasklets:        16,
-		BatchSize:       256,
-		UseSQT:          true,
-		SQTAccessCycles: 8,
-		Host:            upmem.Platform{Name: "host", Threads: 32, FreqGHz: 2.1, VectorWidth: 8},
-		Workers:         runtime.GOMAXPROCS(0),
+		K:          10,
+		Degree:     16,
+		BuildBeam:  48,
+		SearchBeam: 32,
+		Alpha:      1.2,
+		NumDPUs:    64,
+		Tasklets:   16,
+		BatchSize:  256,
+		UseSQT:     true,
+		Host:       upmem.Platform{Name: "host", Threads: 32, FreqGHz: 2.1, VectorWidth: 8},
+		Workers:    runtime.GOMAXPROCS(0),
 	}
 }
 
@@ -136,9 +133,6 @@ func (o *Options) defaults() {
 	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = 256
-	}
-	if o.SQTAccessCycles == 0 {
-		o.SQTAccessCycles = 8
 	}
 	if o.Host.Threads == 0 {
 		o.Host = DefaultOptions().Host
@@ -172,7 +166,7 @@ type searchScratch struct {
 }
 
 // The graph engine implements the mandatory contract only. It is
-// deliberately NOT Mutable, ProbedSearcher or Snapshotter: the serving stack
+// deliberately NOT Mutable or ProbedSearcher: the serving stack
 // must degrade gracefully over a search-only backend.
 var _ engine.Engine = (*Engine)(nil)
 
@@ -188,45 +182,48 @@ func New(base dataset.U8Set, opts Options) (*Engine, error) {
 	if base.D == 0 {
 		return nil, fmt.Errorf("graph: zero-dimensional vectors")
 	}
-	cfg := upmem.DefaultConfig(opts.NumDPUs)
-	cfg.Tasklets = opts.Tasklets
-	if opts.MRAMBytes > 0 {
-		cfg.MRAMBytes = opts.MRAMBytes
-	}
-	sys, err := upmem.NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
 	e := &Engine{
 		base: dataset.U8Set{N: base.N, D: base.D, Data: append([]uint8(nil), base.Data...)},
 		opts: opts,
-		sys:  sys,
 	}
 	e.medoid = medoid(e.base)
 	e.build()
 	for _, n := range e.nbrs {
 		e.edges += len(n)
 	}
-	// Every DPU holds the full graph in MRAM: vectors plus the
-	// degree-bounded adjacency in a packed (count + ids) layout.
-	mramBytes := e.base.N*e.base.D + e.base.N*(1+opts.Degree)*4
-	for _, d := range e.sys.DPUs {
-		if err := d.AllocMRAM(mramBytes); err != nil {
-			return nil, fmt.Errorf("graph: corpus does not fit per-DPU MRAM: %w", err)
-		}
+	if err := e.deploy(); err != nil {
+		return nil, err
 	}
-	e.scratch = newScratches(opts, e.base.N)
 	return e, nil
 }
 
-func newScratches(opts Options, n int) []searchScratch {
-	scr := make([]searchScratch, opts.NumDPUs)
-	for i := range scr {
-		scr[i].visited = make([]uint32, n)
-		scr[i].pool = make([]topk.Item[uint32], 0, opts.SearchBeam+1)
-		scr[i].expanded = make([]bool, 0, opts.SearchBeam+1)
+// deploy sizes the simulated PIM system and every DPU's traversal scratch
+// for e.opts. Every DPU holds the full graph in MRAM: vectors plus the
+// degree-bounded adjacency in a packed (count + ids) layout.
+func (e *Engine) deploy() error {
+	cfg := upmem.DefaultConfig(e.opts.NumDPUs)
+	cfg.Tasklets = e.opts.Tasklets
+	if e.opts.MRAMBytes > 0 {
+		cfg.MRAMBytes = e.opts.MRAMBytes
 	}
-	return scr
+	sys, err := upmem.NewSystem(cfg)
+	if err != nil {
+		return err
+	}
+	mramBytes := e.base.N*e.base.D + e.base.N*(1+e.opts.Degree)*4
+	for _, d := range sys.DPUs {
+		if err := d.AllocMRAM(mramBytes); err != nil {
+			return fmt.Errorf("graph: corpus does not fit per-DPU MRAM: %w", err)
+		}
+	}
+	e.sys = sys
+	e.scratch = make([]searchScratch, e.opts.NumDPUs)
+	for i := range e.scratch {
+		e.scratch[i].visited = make([]uint32, e.base.N)
+		e.scratch[i].pool = make([]topk.Item[uint32], 0, e.opts.SearchBeam+1)
+		e.scratch[i].expanded = make([]bool, 0, e.opts.SearchBeam+1)
+	}
+	return nil
 }
 
 // medoid returns the point closest to the corpus mean (ties: lowest id) —
@@ -544,30 +541,16 @@ func (e *Engine) WithSearchOptions(mod func(*Options)) (*Engine, error) {
 // withOptions clones the engine around the shared graph under opts: fresh
 // simulated system (re-running the MRAM fit check) and fresh scratch.
 func (e *Engine) withOptions(opts Options) (*Engine, error) {
-	cfg := upmem.DefaultConfig(opts.NumDPUs)
-	cfg.Tasklets = opts.Tasklets
-	if opts.MRAMBytes > 0 {
-		cfg.MRAMBytes = opts.MRAMBytes
-	}
-	sys, err := upmem.NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
 	r := &Engine{
 		base:   e.base,
 		nbrs:   e.nbrs,
 		edges:  e.edges,
 		medoid: e.medoid,
 		opts:   opts,
-		sys:    sys,
 	}
-	mramBytes := e.base.N*e.base.D + e.base.N*(1+e.opts.Degree)*4
-	for _, d := range sys.DPUs {
-		if err := d.AllocMRAM(mramBytes); err != nil {
-			return nil, err
-		}
+	if err := r.deploy(); err != nil {
+		return nil, err
 	}
-	r.scratch = newScratches(opts, e.base.N)
 	return r, nil
 }
 

@@ -76,7 +76,7 @@ func refCharge(e *Engine, t *upmem.Tally, hops, evals int) {
 	scanned := uint64(hops * e.opts.Degree)
 	t.Charge(cost, upmem.PhaseRC, upmem.OpLoad, scanned)
 	t.Charge(cost, upmem.PhaseRC, upmem.OpCmp, scanned)
-	perDim := 2 + e.opts.SQTAccessCycles
+	perDim := uint64(2 + sqtAccessCycles)
 	if !e.opts.UseSQT {
 		perDim = 2 + cost.MulCycles
 	}
@@ -142,7 +142,7 @@ func TestAbandoningSearchMatchesReference(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						scr := newScratches(e.opts, e.Len())
+						scr := e.scratch
 						var dc upmem.PhaseStats
 						var refCycles uint64
 						for qi := 0; qi < corpus.queries.N; qi++ {

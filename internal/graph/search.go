@@ -125,6 +125,10 @@ func (e *Engine) runDPU(queries dataset.U8Set, lo, hi, d int, res *engine.Result
 	}
 }
 
+// sqtAccessCycles is the charged cost of one squaring-table lookup, the
+// value internal/core charges.
+const sqtAccessCycles = 8
+
 // charge adds one query traversal's simulated DPU work to t.
 func (e *Engine) charge(t *upmem.Tally, st beamStats) {
 	cost := &e.sys.Cfg.Cost
@@ -144,7 +148,7 @@ func (e *Engine) charge(t *upmem.Tally, st beamStats) {
 	// against the beam's worst.
 	evals := uint64(st.evals)
 	t.DMAs(upmem.PhaseDC, evals, evals*uint64(e.base.D))
-	perDim := 2 + e.opts.SQTAccessCycles
+	perDim := uint64(2 + sqtAccessCycles)
 	if !e.opts.UseSQT {
 		perDim = 2 + cost.MulCycles
 	}

@@ -1,7 +1,6 @@
 // Package kmeans provides the clustering used to train both the IVF coarse
 // quantizer and the per-subspace PQ codebooks: k-means++ seeding followed by
-// Lloyd iterations with parallel assignment, optional mini-batch updates for
-// large corpora, and empty-cluster repair.
+// Lloyd iterations with parallel assignment and empty-cluster repair.
 //
 // Both parallel passes abandon distances early and stay bit for bit those of
 // a serial, full evaluation. Every distance is summed in dimension order, so
@@ -28,9 +27,6 @@ type Config struct {
 	Dim      int   // vector dimensionality; required
 	MaxIters int   // Lloyd iterations; default 25
 	Seed     int64 // RNG seed; default 1
-	// MiniBatch, when > 0, caps the number of points sampled per iteration.
-	// Zero uses the full dataset each iteration.
-	MiniBatch int
 	// Tol stops early when the relative inertia improvement falls below it;
 	// default 1e-4.
 	Tol float64
@@ -90,18 +86,15 @@ func Train(data []float32, cfg Config) (*Result, error) {
 
 	for it := 0; it < cfg.MaxIters; it++ {
 		iters = it + 1
-		sample := sampleIdx(n, cfg.MiniBatch, rng)
-		inertia := assignAll(data, centroids, assign, sample, cfg)
-		updateCentroids(data, centroids, assign, sample, cfg, rng)
-		if sample == nil { // exact inertia only meaningful on full passes
-			if prevInertia-inertia <= cfg.Tol*prevInertia {
-				break
-			}
-			prevInertia = inertia
+		inertia := assignAll(data, centroids, assign, cfg)
+		updateCentroids(data, centroids, assign, cfg, rng)
+		if prevInertia-inertia <= cfg.Tol*prevInertia {
+			break
 		}
+		prevInertia = inertia
 	}
-	// Final full assignment so Assign/Sizes reflect the returned centroids.
-	inertia := assignAll(data, centroids, assign, nil, cfg)
+	// Final assignment so Assign/Sizes reflect the returned centroids.
+	inertia := assignAll(data, centroids, assign, cfg)
 
 	sizes := make([]int, cfg.K)
 	for _, a := range assign {
@@ -193,51 +186,19 @@ func forEachRange(count, workers int, f func(w, lo, hi int)) {
 	wg.Wait()
 }
 
-// sampleIdx returns a mini-batch index set, or nil for a full pass.
-func sampleIdx(n, batch int, rng *rand.Rand) []int32 {
-	if batch <= 0 || batch >= n {
-		return nil
-	}
-	idx := make([]int32, batch)
-	for i := range idx {
-		idx[i] = int32(rng.Intn(n))
-	}
-	return idx
-}
-
-// assignAll assigns points (all, or just the sample) to nearest centroids in
-// parallel and returns the summed squared distance over the points visited.
-func assignAll(data, centroids []float32, assign []int32, sample []int32, cfg Config) float64 {
-	n := len(assign)
-	indexAt := func(i int) int {
-		if sample == nil {
-			return i
-		}
-		return int(sample[i])
-	}
-	count := n
-	// A mini-batch sample draws with replacement, so two workers may visit
-	// one point: each writes its own sample slot, copied over serially.
-	dst := assign
-	if sample != nil {
-		count = len(sample)
-		dst = make([]int32, count)
-	}
-
+// assignAll assigns every point to its nearest centroid in parallel and
+// returns the summed squared distance.
+func assignAll(data, centroids []float32, assign []int32, cfg Config) float64 {
 	partial := make([]float64, cfg.Workers)
-	forEachRange(count, cfg.Workers, func(w, lo, hi int) {
+	forEachRange(len(assign), cfg.Workers, func(w, lo, hi int) {
 		var acc float64
-		for i := lo; i < hi; i++ {
-			p := indexAt(i)
+		for p := lo; p < hi; p++ {
 			best, d := vecmath.ArgMinL2F32(data[p*cfg.Dim:(p+1)*cfg.Dim], centroids, cfg.Dim)
-			dst[i] = int32(best)
+			assign[p] = int32(best)
 			acc += float64(d)
 		}
 		partial[w] = acc
 	})
-	for i, p := range sample {
-		assign[p] = dst[i]
-	}
 	var inertia float64
 	for _, p := range partial {
 		inertia += p
@@ -245,29 +206,19 @@ func assignAll(data, centroids []float32, assign []int32, sample []int32, cfg Co
 	return inertia
 }
 
-// updateCentroids recomputes centroids as the mean of their members (over the
-// sample when mini-batching) and repairs empty clusters by re-seeding them on
-// the point farthest from its centroid.
-func updateCentroids(data, centroids []float32, assign []int32, sample []int32, cfg Config, rng *rand.Rand) {
+// updateCentroids recomputes centroids as the mean of their members and
+// repairs empty clusters by re-seeding them on the point farthest from its
+// centroid.
+func updateCentroids(data, centroids []float32, assign []int32, cfg Config, rng *rand.Rand) {
 	sums := make([]float64, cfg.K*cfg.Dim)
 	counts := make([]int, cfg.K)
-	visit := func(p int) {
-		c := int(assign[p])
+	for p, c := range assign {
 		row := data[p*cfg.Dim : (p+1)*cfg.Dim]
-		dst := sums[c*cfg.Dim : (c+1)*cfg.Dim]
+		dst := sums[int(c)*cfg.Dim : (int(c)+1)*cfg.Dim]
 		for j, x := range row {
 			dst[j] += float64(x)
 		}
 		counts[c]++
-	}
-	if sample == nil {
-		for p := 0; p < len(assign); p++ {
-			visit(p)
-		}
-	} else {
-		for _, p := range sample {
-			visit(int(p))
-		}
 	}
 	for c := 0; c < cfg.K; c++ {
 		if counts[c] == 0 {

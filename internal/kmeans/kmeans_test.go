@@ -148,35 +148,6 @@ func TestTrainHandlesDuplicatePoints(t *testing.T) {
 	}
 }
 
-func TestMiniBatchConverges(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	data, labels := blobs(rng, 3, 300, 8, 25)
-	res, err := Train(data, Config{K: 3, Dim: 8, Seed: 2, MiniBatch: 128, MaxIters: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mini-batch should still separate blobs cleanly at this separation.
-	mapping := map[int32]map[int32]int{}
-	for i, lab := range labels {
-		if mapping[lab] == nil {
-			mapping[lab] = map[int32]int{}
-		}
-		mapping[lab][res.Assign[i]]++
-	}
-	for lab, m := range mapping {
-		bestCount, total := 0, 0
-		for _, cnt := range m {
-			total += cnt
-			if cnt > bestCount {
-				bestCount = cnt
-			}
-		}
-		if float64(bestCount)/float64(total) < 0.95 {
-			t.Fatalf("blob %d poorly clustered by mini-batch: %v", lab, m)
-		}
-	}
-}
-
 func TestInertiaDecreasesVsRandomCentroids(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	data, _ := blobs(rng, 4, 80, 8, 12)
@@ -190,7 +161,7 @@ func TestInertiaDecreasesVsRandomCentroids(t *testing.T) {
 	assign := make([]int32, len(data)/8)
 	cfg := Config{Dim: 8, Workers: 2}
 	cfg.defaults()
-	randInertia := assignAll(data, randCent, assign, nil, cfg)
+	randInertia := assignAll(data, randCent, assign, cfg)
 	if res.Inertia >= randInertia {
 		t.Fatalf("trained inertia %v not better than naive %v", res.Inertia, randInertia)
 	}

@@ -47,10 +47,11 @@ func durableEngine(t testing.TB, n, queries int) (*core.Engine, *dataset.Synth, 
 }
 
 // TestServeDurableRecoverUnderTraffic is the recover-under-traffic
-// stress (CI repeats it with -race): a durable server absorbs
-// concurrent searches and mutations, closes cleanly, and a recovered
-// engine over the same store serves bit-identical results; the
-// recovered store then accepts further durable mutations.
+// stress (CI repeats it with -race): a server over an engine with a
+// store attached absorbs concurrent searches and mutations, closes
+// cleanly, and a recovered engine over the same store serves
+// bit-identical results; the recovered store then accepts further
+// durable mutations through the server.
 func TestServeDurableRecoverUnderTraffic(t *testing.T) {
 	eng, s, opts := durableEngine(t, 4000, 64)
 	dir := t.TempDir()
@@ -58,11 +59,7 @@ func TestServeDurableRecoverUnderTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(eng, serve.Options{
-		MaxBatch:   8,
-		MaxWait:    100 * time.Microsecond,
-		Durability: st,
-	})
+	srv, err := serve.New(eng, serve.Options{MaxBatch: 8, MaxWait: 100 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +120,16 @@ func TestServeDurableRecoverUnderTraffic(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	recovered, rst, err := core.Recover(durable.Options{Dir: dir, Policy: durable.SyncEveryBatch}, s.Queries, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsrv, err := serve.New(recovered, serve.Options{MaxBatch: 8, Durability: rst})
+	defer rst.Close()
+	rsrv, err := serve.New(recovered, serve.Options{MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,57 +151,5 @@ func TestServeDurableRecoverUnderTraffic(t *testing.T) {
 	}
 	if err := rsrv.Checkpoint(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestServeDurablePartialBatchLogsPrefix pins the applied-prefix
-// contract: an insert batch that fails mid-way (duplicate id) logs
-// exactly the applied prefix, so a recovered engine matches the live
-// engine's post-error state.
-func TestServeDurablePartialBatchLogsPrefix(t *testing.T) {
-	eng, s, opts := durableEngine(t, 4000, 16)
-	fs := durable.NewMemFS(durable.FaultPlan{})
-	st, err := eng.CreateStore(durable.Options{Dir: "srv", Policy: durable.SyncEveryRecord, FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := serve.New(eng, serve.Options{Durability: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := s.Base.N - 256
-	// ids[2] duplicates a base id: points 0 and 1 apply, the batch errors.
-	ids := []int32{int32(base), int32(base + 1), 7, int32(base + 3)}
-	vecs := dataset.U8Set{N: 4, D: s.Base.D, Data: s.Base.Data[base*s.Base.D : (base+4)*s.Base.D]}
-	if err := srv.Insert(vecs, ids); err == nil {
-		t.Fatal("duplicate id must fail the batch")
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recovered, _, err := core.Recover(durable.Options{Dir: "srv", FS: fs}, s.Queries, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []int32{int32(base), int32(base + 1)} {
-		if _, ok := recovered.Index().WhereIs(id); !ok {
-			t.Fatalf("applied-prefix id %d lost after recovery", id)
-		}
-	}
-	if _, ok := recovered.Index().WhereIs(int32(base + 3)); ok {
-		t.Fatal("unapplied suffix id resurrected after recovery")
-	}
-	want, err := eng.SearchBatch(s.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := recovered.SearchBatch(s.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := range want.IDs {
-		if !slices.Equal(got.IDs[qi], want.IDs[qi]) {
-			t.Fatalf("query %d diverges from live post-error engine", qi)
-		}
 	}
 }

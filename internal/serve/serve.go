@@ -57,14 +57,12 @@ import (
 	"time"
 
 	"drimann/internal/dataset"
-	"drimann/internal/durable"
 	"drimann/internal/engine"
 	"drimann/internal/topk"
 )
 
 // ErrUnsupported is returned when an operation needs a backend capability
-// (mutation, probed search, snapshotting) the served engine does not
-// implement.
+// (mutation, probed search) the served engine does not implement.
 var ErrUnsupported = errors.New("serve: backend does not support this operation")
 
 // ErrClosed is returned by Search once Close has stopped admission.
@@ -87,15 +85,6 @@ type Options struct {
 	// early-launch policy uses before the first real measurement. Default
 	// 1ms.
 	ServiceTimeGuess time.Duration
-	// Durability, when non-nil, write-ahead-logs every mutation at the
-	// batch boundary where mutations already serialize: Insert/Delete
-	// apply to the engine, append one record to the store's WAL, and
-	// sync per the store's policy before acknowledging — so a mutation
-	// whose call returned nil survives a crash (core.Recover replays
-	// the log). Compact additionally writes a fresh checkpoint and
-	// rotates the log. The server takes ownership of the store: Close
-	// syncs and closes it after draining.
-	Durability *durable.Store
 }
 
 func (o *Options) defaults(eng engine.Engine) {
@@ -197,7 +186,6 @@ type Server struct {
 	// when the backend doesn't implement them.
 	probed engine.ProbedSearcher
 	mut    engine.Mutable
-	snap   engine.Snapshotter
 
 	pending chan *request
 	// mutate is the Exclusive hand-off: unbuffered, so a mutation is only
@@ -245,9 +233,8 @@ type Server struct {
 // New starts a server over eng — any backend implementing engine.Engine.
 // The server becomes the engine's only driver: do not call eng.SearchBatch
 // concurrently with a live server. Optional capabilities (probed search,
-// mutation, snapshotting) are discovered by type assertion; operations
-// needing a missing one fail with ErrUnsupported. Configuring Durability
-// requires a backend that is both Mutable and a Snapshotter.
+// mutation) are discovered by type assertion; operations needing a missing
+// one fail with ErrUnsupported.
 func New(eng engine.Engine, opt Options) (*Server, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("serve: nil engine")
@@ -255,15 +242,10 @@ func New(eng engine.Engine, opt Options) (*Server, error) {
 	opt.defaults(eng)
 	probed, _ := eng.(engine.ProbedSearcher)
 	mut, _ := eng.(engine.Mutable)
-	snap, _ := eng.(engine.Snapshotter)
-	if opt.Durability != nil && (mut == nil || snap == nil) {
-		return nil, fmt.Errorf("serve: durability configured but backend %T is not mutable+snapshottable: %w", eng, ErrUnsupported)
-	}
 	s := &Server{
 		eng:      eng,
 		probed:   probed,
 		mut:      mut,
-		snap:     snap,
 		opt:      opt,
 		pending:  make(chan *request, opt.QueueLimit),
 		mutate:   make(chan *mutation),
@@ -419,119 +401,39 @@ func (s *Server) Exclusive(fn func() error) error {
 
 // Insert routes the backend's Insert through Exclusive: the new points are
 // PQ-encoded into their clusters' append segments between launches and are
-// visible to every query batched after the call returns. With durability
-// configured, the applied points are appended to the WAL and synced per
-// the store's policy before the call returns: a nil return means the
-// batch survives a crash.
+// visible to every query batched after the call returns. A backend with a
+// durable store attached has logged them by then (core.Engine.CreateStore).
 func (s *Server) Insert(vecs dataset.U8Set, ids []int32) error {
-	if s.mut == nil {
-		return fmt.Errorf("serve: insert on backend %T: %w", s.eng, ErrUnsupported)
-	}
-	if s.opt.Durability == nil {
-		return s.Exclusive(func() error { return s.mut.Insert(vecs, ids) })
-	}
-	return s.Exclusive(func() error {
-		// Apply point-by-point so a mid-batch failure (duplicate id,
-		// bad dimension) still logs exactly the applied prefix: the WAL
-		// always reproduces the engine state it acknowledges, even on
-		// an error return.
-		applied := 0
-		var applyErr error
-		for i := range ids {
-			one := dataset.U8Set{N: 1, D: vecs.D, Data: vecs.Data[i*vecs.D : (i+1)*vecs.D]}
-			if applyErr = s.mut.Insert(one, ids[i:i+1]); applyErr != nil {
-				break
-			}
-			applied++
-		}
-		if applied > 0 {
-			rec, err := durable.EncodeInsert(ids[:applied], vecs.D, vecs.Data[:applied*vecs.D])
-			if err == nil {
-				err = s.opt.Durability.Append(rec)
-			}
-			if err == nil {
-				err = s.opt.Durability.BatchEnd()
-			}
-			if err != nil {
-				// Applied but not durably logged: the mutation is NOT
-				// acknowledged (a crash may forget it).
-				return fmt.Errorf("serve: insert applied but not durable: %w", err)
-			}
-		}
-		return applyErr
-	})
+	return s.exclusiveMut("insert", func(m engine.Mutable) error { return m.Insert(vecs, ids) })
 }
 
 // Delete routes the backend's Delete through Exclusive; the ids are gone from
-// every query batched after the call returns, durably so (see Insert)
-// when a store is configured.
+// every query batched after the call returns.
 func (s *Server) Delete(ids []int32) error {
-	if s.mut == nil {
-		return fmt.Errorf("serve: delete on backend %T: %w", s.eng, ErrUnsupported)
-	}
-	if s.opt.Durability == nil {
-		return s.Exclusive(func() error { return s.mut.Delete(ids) })
-	}
-	return s.Exclusive(func() error {
-		applied := 0
-		var applyErr error
-		for i := range ids {
-			if applyErr = s.mut.Delete(ids[i : i+1]); applyErr != nil {
-				break
-			}
-			applied++
-		}
-		if applied > 0 {
-			err := s.opt.Durability.Append(durable.EncodeDelete(ids[:applied]))
-			if err == nil {
-				err = s.opt.Durability.BatchEnd()
-			}
-			if err != nil {
-				return fmt.Errorf("serve: delete applied but not durable: %w", err)
-			}
-		}
-		return applyErr
-	})
+	return s.exclusiveMut("delete", func(m engine.Mutable) error { return m.Delete(ids) })
 }
 
 // Compact routes the backend's Compact through Exclusive, folding the mutation
-// overlay back into the packed layout between launches. With durability
-// configured it then writes a fresh checkpoint and rotates the WAL —
-// the log never grows past one compaction cycle.
-func (s *Server) Compact() error {
-	if s.mut == nil {
-		return fmt.Errorf("serve: compact on backend %T: %w", s.eng, ErrUnsupported)
-	}
-	return s.Exclusive(func() error {
-		if err := s.mut.Compact(); err != nil {
-			return err
-		}
-		if s.opt.Durability != nil {
-			if err := s.opt.Durability.Checkpoint(s.snap.Snapshot); err != nil {
-				return fmt.Errorf("serve: post-compact checkpoint: %w", err)
-			}
-		}
-		return nil
-	})
-}
+// overlay back into the packed layout between launches.
+func (s *Server) Compact() error { return s.exclusiveMut("compact", engine.Mutable.Compact) }
 
-// Checkpoint writes a fresh snapshot (current overlay included) and
-// rotates the WAL, without compacting. No-op without a durability
-// store. Runs at the batch boundary like every other mutation.
-func (s *Server) Checkpoint() error {
-	if s.opt.Durability == nil {
-		return nil
+// Checkpoint routes the backend's Checkpoint through Exclusive: a fresh
+// snapshot and a rotated WAL on a backend with a durable store attached.
+func (s *Server) Checkpoint() error { return s.exclusiveMut("checkpoint", engine.Mutable.Checkpoint) }
+
+// exclusiveMut runs fn on the Mutable backend through Exclusive, or fails
+// with ErrUnsupported when the backend is not Mutable.
+func (s *Server) exclusiveMut(op string, fn func(engine.Mutable) error) error {
+	if s.mut == nil {
+		return fmt.Errorf("serve: %s on backend %T: %w", op, s.eng, ErrUnsupported)
 	}
-	return s.Exclusive(func() error {
-		return s.opt.Durability.Checkpoint(s.snap.Snapshot)
-	})
+	return s.Exclusive(func() error { return fn(s.mut) })
 }
 
 // Close seals admission, waits for every already-admitted request to be
-// answered, and stops the batcher; a configured durability store is
-// synced and closed once the batcher has stopped (no mutation can be in
-// flight then). Safe to call multiple times and concurrently; later
-// calls wait for the first to finish draining.
+// answered, and stops the batcher. Safe to call multiple times and
+// concurrently; later calls wait for the first to finish draining. A
+// durable store attached to the backend stays open: its owner closes it.
 func (s *Server) Close() error {
 	s.admission.Lock()
 	if s.closed {
@@ -545,9 +447,6 @@ func (s *Server) Close() error {
 	// admission read lock across the select), so the queue is final.
 	close(s.closeCh)
 	<-s.loopDone
-	if s.opt.Durability != nil {
-		return s.opt.Durability.Close()
-	}
 	return nil
 }
 
