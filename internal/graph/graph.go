@@ -13,7 +13,10 @@
 // order, and the search entry point is the corpus medoid. Distances are
 // exact integer L2 over the uint8 vectors — a graph index stores full
 // vectors, not PQ codes, which is the memory-for-recall trade the
-// graph-vs-IVF comparison is about.
+// graph-vs-IVF comparison is about. The build keeps only what it uses: a
+// candidate search holds the 2*BuildBeam nearest evaluations in a heap and
+// abandons a distance once it passes the heap's worst, and pruning abandons
+// one once it passes its alpha bound; neither moves an edge.
 //
 // # DPU cost profile
 //
@@ -257,9 +260,8 @@ func (e *Engine) dist(q []uint8, id int32) uint32 {
 	return vecmath.L2SquaredU8(q, e.base.Vec(int(id)))
 }
 
-// build inserts points in ascending ID order: a beam search over the
-// partial graph collects candidates, robust pruning picks the out-list,
-// and backlinks are re-pruned under the degree bound.
+// build inserts points in ascending ID order (link), then sorts every
+// adjacency list.
 func (e *Engine) build() {
 	n := e.base.N
 	e.nbrs = make([][]int32, n)
@@ -268,26 +270,10 @@ func (e *Engine) build() {
 		pool:     make([]topk.Item[uint32], 0, e.opts.BuildBeam+1),
 		expanded: make([]bool, 0, e.opts.BuildBeam+1),
 	}
+	keep := topk.NewHeap[uint32](2 * e.opts.BuildBeam)
 	var cands []topk.Item[uint32]
-	for i := 0; i < n; i++ {
-		if i == 0 {
-			continue // first node: no graph yet, no edges to make
-		}
-		// Entry: the medoid once it exists in the partial graph, node 0
-		// before that (both deterministic).
-		entry := int32(0)
-		if int(e.medoid) < i {
-			entry = e.medoid
-		}
-		q := e.base.Vec(i)
-		cands = e.beamCollect(sc, q, entry, e.opts.BuildBeam, cands[:0])
-		// Drop self-matches (a duplicate vector is a distance-0 candidate,
-		// the point itself never appears: it is not in the graph yet).
-		pruned := e.robustPrune(int32(i), cands)
-		e.nbrs[i] = append([]int32(nil), pruned...)
-		for _, j := range pruned {
-			e.addBacklink(j, int32(i))
-		}
+	for i := 1; i < n; i++ { // node 0 starts the graph, with no edges to make
+		cands = e.link(sc, keep, int32(i), cands)
 	}
 	// Canonical adjacency order: ascending node ID per list. Traversal
 	// visits every neighbor regardless of order; a fixed order makes the
@@ -295,6 +281,28 @@ func (e *Engine) build() {
 	for i := range e.nbrs {
 		sort.Slice(e.nbrs[i], func(a, b int) bool { return e.nbrs[i][a] < e.nbrs[i][b] })
 	}
+}
+
+// link inserts point i into the partial graph: a beam search over it
+// collects candidates, robust pruning picks the out-list, and backlinks are
+// re-pruned under the degree bound. It returns the collected candidates in
+// cands' storage.
+func (e *Engine) link(sc *searchScratch, keep *topk.Heap[uint32], i int32, cands []topk.Item[uint32]) []topk.Item[uint32] {
+	// Entry: the medoid once it exists in the partial graph, node 0
+	// before that (both deterministic).
+	entry := int32(0)
+	if e.medoid < i {
+		entry = e.medoid
+	}
+	cands = e.beamCollect(sc, keep, e.base.Vec(int(i)), entry, e.opts.BuildBeam, cands)
+	// A duplicate vector is a distance-0 candidate; the point itself never
+	// appears: it is not in the graph yet.
+	pruned := e.robustPrune(i, cands)
+	e.nbrs[i] = append([]int32(nil), pruned...)
+	for _, j := range pruned {
+		e.addBacklink(j, i)
+	}
+	return cands
 }
 
 // addBacklink adds `from` to j's out-list, re-pruning when the degree
@@ -375,20 +383,14 @@ func pruneBound(alpha float64, d uint32) int64 {
 	return x
 }
 
-// beamCollect runs a build-time beam search from entry and returns every
-// evaluated candidate sorted ascending — the Vamana visited set, truncated
-// to 2*beam (build cost bound; the nearest candidates are what pruning
-// uses).
-func (e *Engine) beamCollect(sc *searchScratch, q []uint8, entry int32, beam int, cands []topk.Item[uint32]) []topk.Item[uint32] {
-	cands = cands[:0]
-	e.beamSearch(sc, q, entry, beam, func(it topk.Item[uint32]) {
-		cands = append(cands, it)
-	})
-	topk.SortItems(cands)
-	if len(cands) > 2*beam {
-		cands = cands[:2*beam]
-	}
-	return cands
+// beamCollect runs a build-time beam search from entry and returns the
+// 2*beam nearest evaluated candidates sorted ascending — the Vamana visited
+// set, truncated to bound the build's cost (the nearest candidates are what
+// pruning uses). keep, a reused heap of 2*beam, holds them during the search.
+func (e *Engine) beamCollect(sc *searchScratch, keep *topk.Heap[uint32], q []uint8, entry int32, beam int, cands []topk.Item[uint32]) []topk.Item[uint32] {
+	keep.Reset()
+	e.beamSearch(sc, q, entry, beam, keep)
+	return keep.SortedInto(cands)
 }
 
 // beamStats counts the simulated work of one traversal.
@@ -405,12 +407,14 @@ type beamStats struct {
 // stop when the pool is fully expanded. The final pool is sorted ascending
 // (dist, id).
 //
-// onEval, when set, observes every evaluation's exact distance. Without it,
-// once the pool holds `beam` items a distance is abandoned after the first
+// Once the pool holds `beam` items a distance is abandoned after the first
 // block that sums strictly above the pool's worst: insert would reject it,
 // and a tie, which the id decides, is never abandoned. The abandoned
-// candidate was still fetched and stays visited.
-func (e *Engine) beamSearch(sc *searchScratch, q []uint8, entry int32, beam int, onEval func(topk.Item[uint32])) beamStats {
+// candidate was still fetched and stays visited. With keep (the build), the
+// bound is instead keep's worst once it is full, and every evaluation under
+// it is pushed there: the pool holds the beam nearest so far, all of them in
+// keep, so a candidate above keep's worst could enter neither.
+func (e *Engine) beamSearch(sc *searchScratch, q []uint8, entry int32, beam int, keep *topk.Heap[uint32]) beamStats {
 	var st beamStats
 	sc.epoch++
 	if sc.epoch == 0 { // wrapped: stamps are stale, clear once
@@ -450,14 +454,16 @@ func (e *Engine) beamSearch(sc *searchScratch, q []uint8, entry int32, beam int,
 		sc.visited[id] = sc.epoch
 		st.evals++
 		it := topk.Item[uint32]{ID: id}
-		if onEval != nil || len(sc.pool) < beam {
+		bound, bounded := uint32(0), len(sc.pool) == beam
+		if keep != nil {
+			bound, bounded = keep.Threshold()
+		} else if bounded {
+			bound = sc.pool[beam-1].Dist
+		}
+		if !bounded {
 			it.Dist = e.dist(q, id)
 			st.dims += len(q)
-			if onEval != nil {
-				onEval(it)
-			}
 		} else {
-			bound := sc.pool[beam-1].Dist
 			var dims int
 			it.Dist, dims = vecmath.L2SquaredU8Bounded(q, e.base.Vec(int(id)), bound)
 			st.dims += dims
@@ -465,6 +471,9 @@ func (e *Engine) beamSearch(sc *searchScratch, q []uint8, entry int32, beam int,
 			if it.Dist > bound {
 				return
 			}
+		}
+		if keep != nil {
+			keep.Push(id, it.Dist)
 		}
 		st.probes++
 		insert(it)

@@ -12,11 +12,12 @@ import (
 	"drimann/internal/upmem"
 )
 
-// refBeamSearch is the query traversal with full distances: every
+// refBeamSearch is the traversal from entry with full distances: every
 // evaluation sums every dimension and probes the pool. It returns the final
-// pool, the hops and the evaluations.
-func refBeamSearch(e *Engine, sc *searchScratch, q []uint8, beam int) ([]topk.Item[uint32], int, int) {
-	hops, evals := 0, 0
+// pool, every evaluation in visiting order, and the hops.
+func refBeamSearch(e *Engine, sc *searchScratch, q []uint8, entry int32, beam int) ([]topk.Item[uint32], []topk.Item[uint32], int) {
+	var evaluated []topk.Item[uint32]
+	hops := 0
 	sc.epoch++
 	if sc.epoch == 0 {
 		clear(sc.visited)
@@ -46,10 +47,11 @@ func refBeamSearch(e *Engine, sc *searchScratch, q []uint8, beam int) ([]topk.It
 	}
 	eval := func(id int32) {
 		sc.visited[id] = sc.epoch
-		evals++
-		insert(topk.Item[uint32]{ID: id, Dist: e.dist(q, id)})
+		it := topk.Item[uint32]{ID: id, Dist: e.dist(q, id)}
+		evaluated = append(evaluated, it)
+		insert(it)
 	}
-	eval(e.medoid)
+	eval(entry)
 	for {
 		next := slices.Index(sc.expanded, false)
 		if next < 0 {
@@ -63,7 +65,7 @@ func refBeamSearch(e *Engine, sc *searchScratch, q []uint8, beam int) ([]topk.It
 			}
 		}
 	}
-	return slices.Clone(sc.pool), hops, evals
+	return slices.Clone(sc.pool), evaluated, hops
 }
 
 // refCharge is the DPU charge of a full-distance traversal: every
@@ -147,7 +149,8 @@ func TestAbandoningSearchMatchesReference(t *testing.T) {
 						var refCycles uint64
 						for qi := 0; qi < corpus.queries.N; qi++ {
 							q := corpus.queries.Vec(qi)
-							want, hops, evals := refBeamSearch(e, &scr[0], q, beam)
+							want, evaluated, hops := refBeamSearch(e, &scr[0], q, e.medoid, beam)
+							evals := len(evaluated)
 							st := e.beamSearch(&scr[1], q, e.medoid, beam, nil)
 							if !slices.Equal(scr[1].pool, want) || st.hops != hops || st.evals != evals {
 								t.Fatalf("query %d: pool/hops/evals %v/%d/%d, reference %v/%d/%d", qi, scr[1].pool, st.hops, st.evals, want, hops, evals)
@@ -189,5 +192,42 @@ func TestAbandoningSearchMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBeamCollectMatchesFullSort: for every point the build inserts, on the
+// graph as it stands before that point is linked, the build's collect (a
+// heap of the 2*BuildBeam nearest, abandoning distances above its worst once
+// full) returns what collecting every evaluation's full distance, sorting
+// and cutting to 2*BuildBeam returns.
+func TestBeamCollectMatchesFullSort(t *testing.T) {
+	_, s := getEngine(t)
+	dupBase, _ := duplicateCorpus()
+	for _, tc := range []struct {
+		name string
+		base dataset.U8Set
+	}{{"fixture", s.Base}, {"duplicates", dupBase}, {"sift", dataset.SIFT(3000, 1, 5).Base}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := &Engine{base: tc.base, opts: testOptions()}
+			e.opts.defaults()
+			e.medoid = medoid(e.base)
+			n, beam := e.base.N, e.opts.BuildBeam
+			e.nbrs = make([][]int32, n)
+			sc, ref := &searchScratch{visited: make([]uint32, n)}, &searchScratch{visited: make([]uint32, n)}
+			keep := topk.NewHeap[uint32](2 * beam)
+			var cands []topk.Item[uint32]
+			for i := 1; i < n; i++ {
+				entry := int32(0)
+				if int(e.medoid) < i {
+					entry = e.medoid
+				}
+				_, want, _ := refBeamSearch(e, ref, e.base.Vec(i), entry, beam)
+				topk.SortItems(want)
+				want = want[:min(len(want), 2*beam)]
+				if cands = e.link(sc, keep, int32(i), cands); !slices.Equal(cands, want) {
+					t.Fatalf("point %d: collected %v, full sort %v", i, cands, want)
+				}
+			}
+		})
 	}
 }

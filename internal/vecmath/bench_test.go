@@ -1,6 +1,8 @@
 package vecmath
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -20,14 +22,32 @@ func benchVectors(n int) ([]uint8, []uint8, []float32, []float32) {
 	return a8, b8, af, bf
 }
 
-func BenchmarkL2SquaredU8Dim128(b *testing.B) {
-	a8, b8, _, _ := benchVectors(128)
-	b.SetBytes(128)
-	var sink uint32
-	for i := 0; i < b.N; i++ {
-		sink += L2SquaredU8(a8, b8)
+// BenchmarkL2SquaredU8 times the u8 kernel per vector pair at the graph
+// fixture's 24 dimensions, SIFT's 128 and GIST's 960: "full" sums every
+// dimension, "abandon" passes a bound the pair's first half already exceeds,
+// so it stops at the half-way block.
+func BenchmarkL2SquaredU8(b *testing.B) {
+	for _, dim := range []int{24, 128, 960} {
+		a8, b8, _, _ := benchVectors(dim)
+		half := dim / 2 / AbandonStride * AbandonStride
+		for _, tc := range []struct {
+			name  string
+			bound uint32
+		}{
+			{"full", math.MaxUint32},
+			{"abandon", L2SquaredU8(a8[:half], b8[:half]) - 1},
+		} {
+			b.Run(fmt.Sprintf("dim=%d/%s", dim, tc.name), func(b *testing.B) {
+				b.SetBytes(int64(dim))
+				var sink uint32
+				for b.Loop() {
+					s, _ := L2SquaredU8Bounded(a8, b8, tc.bound)
+					sink += s
+				}
+				_ = sink
+			})
+		}
 	}
-	_ = sink
 }
 
 func BenchmarkL2SquaredF32Dim128(b *testing.B) {

@@ -1,7 +1,7 @@
-// Package vecmath provides the scalar vector kernels shared by every layer of
-// the DRIM-ANN stack: L2 distances in float32 and in the integer domain used
-// by the PIM path, uint8 quantization of float corpora, and asymmetric
-// distance computation (ADC) over product-quantization lookup tables.
+// Package vecmath provides the vector kernels shared by every layer of the
+// DRIM-ANN stack: L2 distances in float32 and in the integer domain used by
+// the PIM path, uint8 quantization of float corpora, and asymmetric distance
+// computation (ADC) over product-quantization lookup tables.
 //
 // Vectors are flat slices with an explicit dimension so that large corpora
 // stay contiguous (one allocation for N*D elements).
@@ -11,6 +11,14 @@
 // so blocking several distances into one pass changes no sum. A partial sum
 // only grows (adding a square never lowers a rounded sum, fused or not), so a
 // distance abandoned above a bound would have ended above it too.
+//
+// On amd64 the u8 distance is one SSE2 kernel (l2u8_amd64.s; the purego
+// build tag, or any other architecture, selects the scalar l2u8_generic.go).
+// It is exact, not merely close: integer sums agree mod 2^32 in any order,
+// so its 32-bit lanes folded together equal the scalar running sum, wraps
+// included, and one 16-byte XMM block is one AbandonStride, so the bounded
+// form checks its bound where the scalar one does and reports the same
+// dimensions summed.
 package vecmath
 
 import (
@@ -21,6 +29,9 @@ import (
 // L2SquaredF32 returns the squared Euclidean distance between two float32
 // vectors of equal length.
 func L2SquaredF32(a, b []float32) float32 {
+	if len(a) == 0 {
+		return 0
+	}
 	_ = b[len(a)-1]
 	var sum float32
 	for i, av := range a {
@@ -34,12 +45,7 @@ func L2SquaredF32(a, b []float32) float32 {
 // vectors of equal length. The result is exact: for dim <= 2^16 the maximum
 // possible sum (dim * 255^2) fits in a uint32.
 func L2SquaredU8(a, b []uint8) uint32 {
-	_ = b[len(a)-1]
-	var sum uint32
-	for i, av := range a {
-		d := int32(av) - int32(b[i])
-		sum += uint32(d * d)
-	}
+	sum, _ := L2SquaredU8Bounded(a, b, math.MaxUint32)
 	return sum
 }
 
@@ -62,41 +68,20 @@ func L2SquaredU8Abandon(a, b []uint8, bound uint32) (uint32, bool) {
 // AbandonStride when it stopped early, len(a) otherwise, when the sum is the
 // exact distance (above bound only if the last block crossed it).
 func L2SquaredU8Bounded(a, b []uint8, bound uint32) (uint32, int) {
-	b = b[:len(a)]
-	var sum uint32
-	lo := 0
-	for ; lo+AbandonStride <= len(a); lo += AbandonStride {
-		sum += l2u8Block((*[AbandonStride]uint8)(a[lo:]), (*[AbandonStride]uint8)(b[lo:]))
-		if sum > bound {
-			return sum, lo + AbandonStride
-		}
+	if len(a) == 0 {
+		return 0, 0
 	}
-	for i, xv := range a[lo:] {
-		d := int32(xv) - int32(b[lo+i])
-		sum += uint32(d * d)
-	}
-	return sum, len(a)
-}
-
-// l2u8Block is one block of L2SquaredU8Bounded, over four accumulators (uint32
-// addition is associative, so the sum is the same).
-func l2u8Block(x, y *[AbandonStride]uint8) uint32 {
-	var s0, s1, s2, s3 uint32
-	for i := 0; i < AbandonStride; i += 4 {
-		d0, d1 := int32(x[i])-int32(y[i]), int32(x[i+1])-int32(y[i+1])
-		d2, d3 := int32(x[i+2])-int32(y[i+2]), int32(x[i+3])-int32(y[i+3])
-		s0 += uint32(d0 * d0)
-		s1 += uint32(d1 * d1)
-		s2 += uint32(d2 * d2)
-		s3 += uint32(d3 * d3)
-	}
-	return (s0 + s1) + (s2 + s3)
+	_ = b[len(a)-1] // a short b panics here, before the kernel reads it
+	return l2u8(a, b, bound)
 }
 
 // L2SquaredI16 returns the squared Euclidean distance between two int16
 // vectors of equal length, as used on the PIM integer path (residual vs
 // quantized codebook entry).
 func L2SquaredI16(a, b []int16) uint32 {
+	if len(a) == 0 {
+		return 0
+	}
 	_ = b[len(a)-1]
 	var sum uint32
 	for i, av := range a {
@@ -147,6 +132,9 @@ func SubF32(dst, a, b []float32) {
 // AbandonStride is how many dimensions the abandoning kernels sum between two
 // checks against their bound.
 const AbandonStride = 16
+
+// The amd64 u8 kernel checks its bound once per 16-byte XMM block.
+var _ = [1]struct{}{}[AbandonStride-16]
 
 // L2SquaredF32Abandon is the float twin of L2SquaredU8Abandon: it sums in
 // dimension order exactly as L2SquaredF32 does, so a completed scan returns

@@ -586,3 +586,127 @@ func TestL2SquaredU8BoundedStopsAtFirstCrossing(t *testing.T) {
 		}
 	}
 }
+
+// TestL2SquaredEmptyAndShort: every L2 kernel returns 0 on empty vectors
+// (the bounded ones after 0 dimensions), and panics when b is shorter than a,
+// even when a longer buffer continues past b.
+func TestL2SquaredEmptyAndShort(t *testing.T) {
+	buf8, buf32, buf16 := make([]uint8, 64), make([]float32, 64), make([]int16, 64)
+	for _, tc := range []struct {
+		name string
+		call func(n, m int) uint32 // a of length n against b of length m
+	}{
+		{"L2SquaredU8", func(n, m int) uint32 { return L2SquaredU8(buf8[:n], buf8[:m]) }},
+		{"L2SquaredF32", func(n, m int) uint32 { return uint32(L2SquaredF32(buf32[:n], buf32[:m])) }},
+		{"L2SquaredI16", func(n, m int) uint32 { return L2SquaredI16(buf16[:n], buf16[:m]) }},
+		{"L2SquaredU8Bounded", func(n, m int) uint32 {
+			s, dims := L2SquaredU8Bounded(buf8[:n], buf8[:m], 0)
+			return s + uint32(dims)
+		}},
+		{"L2SquaredU8Abandon", func(n, m int) uint32 {
+			s, done := L2SquaredU8Abandon(buf8[:n], buf8[:m], 0)
+			if !done {
+				s++
+			}
+			return s
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, m := range []int{0, 5} {
+				if got := tc.call(0, m); got != 0 {
+					t.Errorf("empty a, len(b)=%d: %d, want 0", m, got)
+				}
+			}
+			for _, n := range []int{1, 16, 17, 40} {
+				if !panics(func() { tc.call(n, n-1) }) {
+					t.Errorf("len(a)=%d, len(b)=%d: no panic", n, n-1)
+				}
+			}
+		})
+	}
+}
+
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
+}
+
+// scalarL2U8Bounded is the kernel L2SquaredU8Bounded must match to the bit,
+// one dimension at a time: the running uint32 sum wraps mod 2^32 and is
+// checked against bound at the end of every whole AbandonStride block.
+func scalarL2U8Bounded(a, b []uint8, bound uint32) (uint32, int) {
+	var sum uint32
+	for i := range a {
+		d := int32(a[i]) - int32(b[i])
+		sum += uint32(d * d)
+		if (i+1)%AbandonStride == 0 && sum > bound {
+			return sum, i + 1
+		}
+	}
+	return sum, len(a)
+}
+
+// checkU8Kernels compares L2SquaredU8, L2SquaredU8Bounded and
+// L2SquaredU8Abandon with scalarL2U8Bounded on one pair at one bound.
+func checkU8Kernels(t testing.TB, a, b []uint8, bound uint32) {
+	t.Helper()
+	full, _ := scalarL2U8Bounded(a, b, math.MaxUint32)
+	if got := L2SquaredU8(a, b); got != full {
+		t.Fatalf("n=%d: L2SquaredU8 %d, scalar %d", len(a), got, full)
+	}
+	sum, dims := L2SquaredU8Bounded(a, b, bound)
+	wantSum, wantDims := scalarL2U8Bounded(a, b, bound)
+	if sum != wantSum || dims != wantDims {
+		t.Fatalf("n=%d bound %d: L2SquaredU8Bounded (%d, %d), scalar (%d, %d)", len(a), bound, sum, dims, wantSum, wantDims)
+	}
+	if s, done := L2SquaredU8Abandon(a, b, bound); s != wantSum || done != (wantDims == len(a)) {
+		t.Fatalf("n=%d bound %d: L2SquaredU8Abandon (%d, %v), scalar (%d, %d)", len(a), bound, s, done, wantSum, wantDims)
+	}
+}
+
+// TestL2SquaredU8MatchesScalar: the u8 kernels equal the scalar copy, sum and
+// dimensions summed, at every length 0..300 (whole blocks and every tail),
+// from every start offset 0..15 of a larger buffer (unaligned loads), on
+// random and on 0-vs-255 vectors, at bounds 0, d-1, d, d+1, MaxUint32 and a
+// random one; and on a 70 000-dimension 0-vs-255 pair, whose sum wraps
+// uint32 exactly as the scalar one does.
+func TestL2SquaredU8MatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	bufA, bufB := make([]uint8, 300+16), make([]uint8, 300+16)
+	for _, extreme := range []bool{false, true} {
+		for i := range bufA {
+			bufA[i], bufB[i] = uint8(rng.Intn(256)), uint8(rng.Intn(256))
+			if extreme {
+				bufA[i], bufB[i] = 0, 255
+			}
+		}
+		for n := 0; n <= 300; n++ {
+			for off := 0; off < 16; off++ {
+				a, b := bufA[off:off+n], bufB[(off*7)%16:][:n]
+				d, _ := scalarL2U8Bounded(a, b, math.MaxUint32)
+				for _, bound := range []uint32{0, d - 1, d, d + 1, math.MaxUint32, rng.Uint32() % (d + 1)} {
+					checkU8Kernels(t, a, b, bound)
+				}
+			}
+		}
+	}
+	const wide = 70000 // 70000 * 255^2 = 4 551 750 000 > 2^32
+	a, b := make([]uint8, wide), slices.Repeat([]uint8{255}, wide)
+	d, _ := scalarL2U8Bounded(a, b, math.MaxUint32)
+	for _, bound := range []uint32{0, d - 1, d, d + 1, math.MaxUint32, rng.Uint32()} {
+		checkU8Kernels(t, a, b, bound)
+	}
+}
+
+// FuzzL2SquaredU8Bounded checks the u8 kernels against the scalar copy on
+// arbitrary pairs (cut to the shorter input) and bounds.
+func FuzzL2SquaredU8Bounded(f *testing.F) {
+	f.Add([]byte("abcdefghijklmnopqrstuvwxyz"), []byte("zyxwvutsrqponmlkjihgfedcba"), uint32(1000))
+	f.Add(make([]byte, 33), slices.Repeat([]byte{255}, 33), uint32(0))
+	f.Add([]byte{}, []byte{1}, uint32(math.MaxUint32))
+	f.Fuzz(func(t *testing.T, a, b []byte, bound uint32) {
+		n := min(len(a), len(b))
+		checkU8Kernels(t, a[:n], b[:n], bound)
+	})
+}
