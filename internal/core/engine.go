@@ -161,14 +161,8 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"math"
 	"runtime"
-	"slices"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"drimann/internal/dataset"
 	"drimann/internal/durable"
@@ -177,7 +171,6 @@ import (
 	"drimann/internal/sched"
 	"drimann/internal/topk"
 	"drimann/internal/upmem"
-	"drimann/internal/vecmath"
 )
 
 // Options configures an Engine. DefaultOptions enables every optimization
@@ -317,64 +310,6 @@ type Engine struct {
 	groups  groupStore
 }
 
-// groupKey identifies one unique (query, cluster) pair of a launch.
-type groupKey struct {
-	q int32
-	c int32
-}
-
-// groupStore is the per-launch shared LC state: every unique (query,
-// cluster) group's residual — plus its decomposition terms, or its LUT on the
-// over-budget fallback — is built exactly once, fanned across
-// workers, then read by each DPU that scans a slice of the cluster. Arenas
-// are sized for one group block at a time to bound memory.
-type groupStore struct {
-	keys []groupKey // sorted unique groups of the launch
-	res  []int16    // block arena: residuals, blockGroups x Dim
-	lut  []uint32   // block arena (fallback): LUTs, blockGroups x M*CB
-	runs []int32    // query-run boundaries within the current block
-	// order is each group's subspaces in descending residual magnitude — the
-	// order the staged scan visits them in; blockGroups x M.
-	order []uint16
-	build []bool // per query run of the block: its gather table is to be built
-
-	// LUT-free arenas (see the package doc): M per-subspace terms per
-	// group, and one qe gather table per query: qeSlot[q] is query q's slot in
-	// qe (-1 without a table), qeOwner[s] the query holding slot s (-1: free),
-	// qeBorn[s] the step that built its table; step is the one being launched.
-	// A table stays until the launch is past its query — groups run in query
-	// order — and one step beyond that while the query has no bound: its
-	// second wave reuses it (expire).
-	p       []int32 // block-relative per-group SubTerms, blockGroups x M
-	qe      []int32 // slots x M*CB
-	qeSlot  []int32
-	qeOwner []int32
-	qeBorn  []int
-	step    int
-}
-
-// resetQE forgets every query's gather table: a new call of n queries begins.
-func (g *groupStore) resetQE(n int) {
-	g.qeSlot = make([]int32, n)
-	for i := range g.qeSlot {
-		g.qeSlot[i] = -1
-	}
-	for s := range g.qeOwner {
-		g.qeOwner[s] = -1
-	}
-}
-
-// expire frees the gather tables of the queries below q — the launch is past
-// them — that carry a bound or whose table an earlier step built: they have
-// had their second wave, or were never to have one here.
-func (g *groupStore) expire(q int32, bounds []uint32) {
-	for s, owner := range g.qeOwner {
-		if owner >= 0 && owner < q && (bounds[owner] != math.MaxUint32 || g.qeBorn[s] < g.step) {
-			g.qeSlot[owner], g.qeOwner[s] = -1, -1
-		}
-	}
-}
-
 // dpuScratch is the reusable per-DPU kernel state: the top-k heap pool, the
 // (query, heap) result list, the per-task group indices, the staged-scan
 // state of the group being scanned, and the launch cursor that lets kernels
@@ -442,178 +377,6 @@ func (sc *dpuScratch) nextHeap(k int) *topk.Heap[uint32] {
 // the data layout, and checks that everything fits MRAM and WRAM.
 func New(ix *ivf.Index, profile dataset.U8Set, opts Options) (*Engine, error) {
 	return deploy(ix, profile, profile, opts)
-}
-
-// deploy is New with the sample the share table is measured on (cal; none:
-// the flat table) named apart from the heat profile.
-func deploy(ix *ivf.Index, profile, cal dataset.U8Set, opts Options) (*Engine, error) {
-	opts.defaults()
-	cfg := upmem.DefaultConfig(opts.NumDPUs)
-	cfg.Tasklets = opts.Tasklets
-	if opts.WRAMBytes > 0 {
-		cfg.WRAMBytes = opts.WRAMBytes
-	}
-	if opts.MRAMBytes > 0 {
-		cfg.MRAMBytes = opts.MRAMBytes
-	}
-	if opts.MulCycles > 0 {
-		cfg.Cost.MulCycles = opts.MulCycles
-	}
-	sys, err := upmem.NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	if ix.HasMutations() {
-		return nil, fmt.Errorf("core: index has uncompacted mutations; Compact it before deploying")
-	}
-	loc := NewLocator(ix, opts)
-	e := &Engine{ix: ix, sys: sys, opts: opts, codeBytes: codeBytesFor(ix.CB, ix.M), loc: loc}
-
-	// Offline heat profile: probe frequency over the profile workload.
-	sizes := make([]int, ix.NList)
-	for c := range sizes {
-		sizes[c] = ix.ListLen(c)
-	}
-	freq := make([]float64, ix.NList)
-	if profile.N > 0 {
-		// The engine's own locator: the probes live queries will hit, located
-		// across workers.
-		for _, c := range loc.Probes(profile).Clusters {
-			freq[c]++
-		}
-	} else {
-		for c, s := range sizes {
-			freq[c] = float64(s)
-		}
-	}
-
-	// Reserve per-DPU MRAM for index-wide data before the layout divides the
-	// remainder: integer codebooks plus the full centroid table (for
-	// simplicity every DPU keeps all centroids, as the directory is small).
-	fixed := fixedMRAM(ix)
-	dataBudget := cfg.MRAMBytes - fixed - opts.CopyFootprint
-	if dataBudget <= 0 {
-		return nil, fmt.Errorf("core: MRAM too small: %d fixed bytes vs %d bank", fixed, cfg.MRAMBytes)
-	}
-
-	lcfg := layout.Config{
-		NumDPUs:        opts.NumDPUs,
-		BytesPerPoint:  e.codeBytes + 4,
-		MRAMDataBudget: dataBudget,
-		CopyFootprint:  opts.CopyFootprint,
-		WRAMMetaBudget: cfg.WRAMBytes / 4,
-		HeatWeight:     0.5,
-		SplitThreshold: opts.SplitThreshold,
-		EnableSplit:    opts.EnableSplit,
-		EnableDup:      opts.EnableDup,
-		EnableBalance:  opts.EnableBalance,
-	}
-	e.freq, e.lcfg = freq, lcfg
-	pl, err := e.optimize(sizes)
-	if err != nil {
-		return nil, fmt.Errorf("core: layout: %w", err)
-	}
-	if err := pl.Validate(sizes); err != nil {
-		return nil, fmt.Errorf("core: layout invariants: %w", err)
-	}
-	e.pl = pl
-
-	if err := e.accountMemory(); err != nil {
-		return nil, err
-	}
-
-	// Host-side execution state: the decomposed LUT builder, and the per-DPU
-	// kernel scratch reused across launches.
-	e.lut = ix.NewLUTBuilder(opts.Workers)
-	e.lc = &lcDemand{cal: cal}
-	e.scratch = make([]dpuScratch, opts.NumDPUs)
-	e.rebuildDemand()
-	return e, nil
-}
-
-func codeBytesFor(cb, m int) int {
-	if cb <= 256 {
-		return m
-	}
-	return 2 * m
-}
-
-// fixedMRAM is the index-wide data every DPU holds: the integer codebooks and
-// the full centroid table.
-func fixedMRAM(ix *ivf.Index) int { return ix.M*ix.CB*(ix.Dim/ix.M)*2 + ix.NList*ix.Dim }
-
-// PointCapacity is how many points of ix's lists an engine deployed with opts
-// has MRAM for — per DPU, the bank less the index-wide data and the copy
-// footprint, over the bytes a point takes. A sharded deployment keeps every
-// shard's share under it (cluster.New).
-func PointCapacity(ix *ivf.Index, opts Options) int {
-	opts.defaults()
-	if opts.MRAMBytes <= 0 {
-		opts.MRAMBytes = upmem.DefaultConfig(1).MRAMBytes
-	}
-	return opts.NumDPUs * max(opts.MRAMBytes-fixedMRAM(ix)-opts.CopyFootprint, 0) / (codeBytesFor(ix.CB, ix.M) + 4)
-}
-
-// accountMemory reserves the engine's per-DPU MRAM (index-wide fixed data
-// plus every placed slice) and WRAM (staging, SQT, metadata, and the LUT
-// when it fits), recording metaPerDPU and lutInWRAM. New and NewReplica both
-// run it — each against its own fresh upmem.System, since the simulated
-// hardware is per replica even where the host-side data is shared.
-func (e *Engine) accountMemory() error {
-	ix, sys, opts := e.ix, e.sys, e.opts
-	fixed := fixedMRAM(ix)
-
-	// Account MRAM per DPU.
-	e.metaPerDPU = make([]int, opts.NumDPUs)
-	for _, d := range sys.DPUs {
-		if err := d.AllocMRAM(fixed); err != nil {
-			return fmt.Errorf("core: fixed MRAM: %w", err)
-		}
-	}
-	for _, s := range e.pl.Slices {
-		bytes := s.Count * (e.codeBytes + 4)
-		for _, d := range s.DPUs {
-			if err := sys.DPUs[d].AllocMRAM(bytes); err != nil {
-				return fmt.Errorf("core: slice data: %w", err)
-			}
-			e.metaPerDPU[d]++
-		}
-	}
-
-	// Account WRAM per DPU: staging buffers and the LC mark bitmaps (CB bits
-	// per subspace, in 32-bit words) are always needed; with the buffer
-	// optimization also the SQT, slice metadata, and (if it fits) the
-	// distance LUT.
-	e.lutBytes = ix.M * ix.CB * 4
-	stagingBytes := 4096 + ix.M*e.markWords32()*4
-	const sqtBytes = 511 * 4
-	e.lutInWRAM = false
-	if opts.UseWRAM {
-		e.lutInWRAM = true
-		for i, d := range sys.DPUs {
-			if err := d.AllocWRAM(stagingBytes + sqtBytes + e.metaPerDPU[i]*16); err != nil {
-				return fmt.Errorf("core: WRAM: %w", err)
-			}
-			if d.WRAMFree() < e.lutBytes {
-				e.lutInWRAM = false
-			}
-		}
-		if e.lutInWRAM {
-			for _, d := range sys.DPUs {
-				if err := d.AllocWRAM(e.lutBytes); err != nil {
-					return fmt.Errorf("core: WRAM LUT: %w", err)
-				}
-			}
-		}
-	} else {
-		for _, d := range sys.DPUs {
-			if err := d.AllocWRAM(stagingBytes); err != nil {
-				return fmt.Errorf("core: WRAM staging: %w", err)
-			}
-		}
-	}
-	return nil
 }
 
 // Placement exposes the optimized layout (for inspection and tests).
@@ -714,358 +477,4 @@ func (e *Engine) taskCount(reqs []sched.Request) int {
 		n += len(e.pl.ByCluster[r.Cluster])
 	}
 	return n
-}
-
-// groupBlockBudget bounds the shared residual+LUT arena of one launch
-// block; large batches are processed in several blocks so memory stays flat
-// while the per-block LUT builds still fan out across workers.
-const groupBlockBudget = 48 << 20
-
-// runLaunch executes one synchronous DPU launch — every kernel reading its
-// query's entry of bounds — and returns its wall time max(PIM, transfer) and
-// the seconds the engine's host spends merging the partial items; the merge
-// folds them into best. A query's two waves, one step apart, share its gather
-// table (groupStore.expire).
-//
-// The launch is staged for wall-clock speed without touching the simulated
-// accounting: (1) every DPU's task list is sorted in parallel; (2) the
-// launch's unique (query, cluster) groups are collected so each residual and
-// LUT is built exactly once — in parallel across workers, block by block —
-// instead of once per DPU touching the cluster; (3) DPU kernels run in
-// parallel over the shared read-only LUTs, charging the per-DPU RC/LC/DC/TS
-// costs exactly as a private build would; (4) results merge deterministically
-// from reusable per-DPU heaps.
-func (e *Engine) runLaunch(batch *sched.Batch, queries dataset.U8Set, best []*topk.Heap[uint32], bounds []uint32, m *Metrics) (launchSec, mergeSec float64) {
-	e.sys.ResetCounters()
-	e.sys.Launch()
-
-	// Stage 1: deterministic task order per DPU; reset launch cursors.
-	e.forEachDPU(batch, func(d int) {
-		e.sortTasks(batch.PerDPU[d])
-		sc := &e.scratch[d]
-		sc.results = sc.results[:0]
-		sc.nHeaps = 0
-		sc.stats = dpuRunStats{}
-		sc.tally.Reset()
-		sc.taskPos = 0
-		sc.curQ = -1
-		sc.curHeap = nil
-	})
-
-	// Stage 2: unique groups + per-task group indices + query shipments.
-	// Host -> DPU: each (query, DPU) pair ships the query vector and its
-	// bound once.
-	shipped := e.collectGroups(batch)
-	e.sys.TransferToDPUs(uint64(shipped * (queries.D + 4)))
-
-	// Stage 3: build shared residuals/LUTs one block at a time, then let
-	// every DPU consume its tasks whose groups fall inside the block.
-	g := &e.groups
-	blockGroups := groupBlockBudget / (e.ix.M*e.ix.CB*4 + e.ix.Dim*2)
-	if blockGroups < 1 {
-		blockGroups = 1
-	}
-	for gLo, gHi := 0, 0; gLo < len(g.keys); gLo = gHi {
-		gHi = min(gLo+blockGroups, len(g.keys))
-		// A block does not run on from queries that carry a bound into queries
-		// that do not: the gather tables of the former expire behind it and
-		// make room for the latter's, which stay for their second wave.
-		for i := gLo + 1; i < gHi; i++ {
-			if bounds[g.keys[i].q] == math.MaxUint32 && bounds[g.keys[i-1].q] != math.MaxUint32 {
-				gHi = i
-			}
-		}
-		g.expire(g.keys[gLo].q, bounds)
-		e.buildGroups(queries, gLo, gHi)
-		e.forEachDPU(batch, func(d int) {
-			e.runDPUBlock(d, batch.PerDPU[d], gLo, gHi, bounds)
-		})
-	}
-	g.expire(math.MaxInt32, bounds)
-
-	// Stage 4: deterministic host merge (DPU order, then query order — the
-	// per-DPU result lists are already query-sorted).
-	mergeItems := 0
-	var fromDev uint64
-	for d := 0; d < e.opts.NumDPUs; d++ {
-		if len(batch.PerDPU[d]) == 0 {
-			continue
-		}
-		sc := &e.scratch[d]
-		for _, r := range sc.results {
-			if r.h.Len() == 0 {
-				continue
-			}
-			h := best[r.q]
-			if h == nil {
-				h = topk.NewHeap[uint32](e.opts.K)
-				best[r.q] = h
-			}
-			sc.itemBuf = r.h.SortedInto(sc.itemBuf)
-			for _, it := range sc.itemBuf {
-				h.Push(it.ID, it.Dist)
-			}
-			mergeItems += len(sc.itemBuf)
-			fromDev += uint64(len(sc.itemBuf) * 8)
-		}
-		m.LockAcquired += sc.stats.lockAcquired
-		m.LockSkipped += sc.stats.lockSkipped
-		m.LUTBuilds += sc.stats.lutBuilds
-		m.LUTReuses += sc.stats.lutReuses
-		m.LUTEntries += sc.stats.lutEntries
-		m.PointsScanned += sc.stats.points
-		m.PointsPruned += sc.stats.pruned
-		m.CodesGathered += sc.stats.codes
-		m.PricedCycles += batch.Heat[d]
-		if e.rec != nil {
-			*e.rec, sc.rec = append(*e.rec, sc.rec...), sc.rec[:0]
-		}
-	}
-	e.sys.TransferFromDPUs(fromDev)
-
-	pimSec, xferSec := m.AddLaunch(e.sys)
-	return math.Max(pimSec, xferSec), e.loc.MergeSeconds(mergeItems, e.opts.K)
-}
-
-type dpuRunStats struct {
-	lockAcquired, lockSkipped uint64
-	lutBuilds, lutReuses      uint64
-	lutEntries                uint64 // LUT entries the LC kernels built
-	points, pruned            uint64 // points entering a first stage; dropped before TS
-	codes                     uint64 // code elements DC gathered
-}
-
-// forEachDPU runs f for every DPU with scheduled tasks, fanned across the
-// engine's workers. Each DPU's state is private, so invocation order cannot
-// affect results.
-func (e *Engine) forEachDPU(batch *sched.Batch, f func(d int)) {
-	parallelFor(e.opts.NumDPUs, e.opts.Workers, func(_ int, d int) {
-		if len(batch.PerDPU[d]) > 0 {
-			f(d)
-		}
-	})
-}
-
-// parallelFor runs f(worker, i) for i in [0, n) across up to workers
-// goroutines via an atomic work queue. worker identifies the executing
-// goroutine for per-worker scratch (always 0 when serial).
-func parallelFor(n, workers int, f func(worker, i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// sortTasks orders one DPU's tasks by (query, cluster, slice start) — the
-// deterministic kernel order that makes queries contiguous and groups
-// adjacent.
-func (e *Engine) sortTasks(tasks []sched.Task) {
-	slices.SortFunc(tasks, func(a, b sched.Task) int {
-		if c := cmp.Compare(a.Query, b.Query); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Cluster, b.Cluster); c != 0 {
-			return c
-		}
-		return cmp.Compare(e.pl.Slices[a.Slice].Start, e.pl.Slices[b.Slice].Start)
-	})
-}
-
-// collectGroups gathers the launch's unique (query, cluster) groups into
-// e.groups.keys (sorted), assigns every task its group index, and returns
-// the number of (query, DPU) pairs whose query vector must ship to a DPU.
-// Task lists must already be sorted; the per-DPU group sequences are then
-// ascending, so index assignment is a linear merge against the key list.
-func (e *Engine) collectGroups(batch *sched.Batch) int {
-	g := &e.groups
-	g.keys = g.keys[:0]
-	shipped := 0
-	for d := range batch.PerDPU {
-		prevQ, prevC := int32(-1), int32(-1)
-		for _, t := range batch.PerDPU[d] {
-			if t.Query != prevQ {
-				shipped++
-			}
-			if t.Query != prevQ || t.Cluster != prevC {
-				g.keys = append(g.keys, groupKey{q: t.Query, c: t.Cluster})
-				prevQ, prevC = t.Query, t.Cluster
-			}
-		}
-	}
-	slices.SortFunc(g.keys, func(a, b groupKey) int {
-		if c := cmp.Compare(a.q, b.q); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.c, b.c)
-	})
-	uniq := g.keys[:0]
-	for _, k := range g.keys {
-		if len(uniq) == 0 || k != uniq[len(uniq)-1] {
-			uniq = append(uniq, k)
-		}
-	}
-	g.keys = uniq
-
-	// Per-DPU index assignment is independent (each DPU writes only its own
-	// scratch and reads the shared key list), so fan it out. A DPU's group
-	// sequence is ascending, so each transition binary-searches only the
-	// key tail past the previous hit — O(groups_d * log(groups)) per DPU
-	// rather than a linear rescan of the full key list.
-	e.forEachDPU(batch, func(d int) {
-		tasks := batch.PerDPU[d]
-		sc := &e.scratch[d]
-		if cap(sc.groupIx) < len(tasks) {
-			sc.groupIx = make([]int32, len(tasks))
-		}
-		sc.groupIx = sc.groupIx[:len(tasks)]
-		ki := 0
-		prev := groupKey{q: -1, c: -1}
-		for i, t := range tasks {
-			k := groupKey{q: t.Query, c: t.Cluster}
-			if k != prev {
-				tail := g.keys[ki:]
-				ki += sort.Search(len(tail), func(j int) bool {
-					kj := tail[j]
-					if kj.q != k.q {
-						return kj.q >= k.q
-					}
-					return kj.c >= k.c
-				})
-				prev = k
-			}
-			sc.groupIx[i] = int32(ki)
-		}
-	})
-	return shipped
-}
-
-// buildGroups fills the shared arenas for every group in keys[gLo:gHi),
-// building each exactly once: the staged scan's subspace order, and with the
-// decomposed builder the per-subspace SubTerms and (per query run) the qe
-// gather table; on the over-budget fallback the residual and the full LUT.
-// The residual is skipped where nothing reads it (the builder's path). Work is
-// fanned across workers per query run so per-query terms amortize over all
-// clusters the query probes.
-func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
-	g := &e.groups
-	ix := e.ix
-	dim, lutLen := ix.Dim, ix.M*ix.CB
-	n := gHi - gLo
-	if n <= 0 {
-		return
-	}
-	if e.lut == nil && cap(g.res) < n*dim {
-		g.res = make([]int16, n*dim)
-	}
-	if e.lut == nil && cap(g.lut) < n*lutLen {
-		g.lut = make([]uint32, n*lutLen)
-	}
-	if cap(g.order) < n*ix.M {
-		g.order = make([]uint16, n*ix.M)
-	}
-
-	// Query runs within the block: keys are (query, cluster)-sorted, so one
-	// run is one query's clusters.
-	g.runs = g.runs[:0]
-	for i := gLo; i < gHi; i++ {
-		if i == gLo || g.keys[i].q != g.keys[i-1].q {
-			g.runs = append(g.runs, int32(i))
-		}
-	}
-	g.runs = append(g.runs, int32(gHi))
-	// Gather tables: a slot for every query of the block that has none yet;
-	// built below, like everything else, by the worker that gets the run.
-	if e.lut != nil {
-		g.build = g.build[:0]
-		for _, lo := range g.runs[:len(g.runs)-1] {
-			q := g.keys[lo].q
-			g.build = append(g.build, g.qeSlot[q] < 0)
-			if g.qeSlot[q] < 0 {
-				free := slices.Index(g.qeOwner, -1)
-				if free < 0 {
-					free, g.qeOwner, g.qeBorn = len(g.qeOwner), append(g.qeOwner, -1), append(g.qeBorn, 0)
-				}
-				g.qeSlot[q], g.qeOwner[free], g.qeBorn[free] = int32(free), q, g.step
-			}
-		}
-		if want := len(g.qeOwner) * lutLen; want > cap(g.qe) { // to the slot, not by append's factor
-			g.qe = append(make([]int32, 0, want), g.qe...)
-		}
-		g.qe = g.qe[:len(g.qeOwner)*lutLen]
-		if cap(g.p) < n*ix.M {
-			g.p = make([]int32, n*ix.M)
-		}
-	}
-
-	parallelFor(len(g.runs)-1, e.opts.Workers, func(_, ri int) {
-		lo, hi := int(g.runs[ri]), int(g.runs[ri+1])
-		query := queries.Vec(int(g.keys[lo].q))
-		if e.lut != nil && g.build[ri] {
-			e.lut.BuildQE(query, g.qe[int(g.qeSlot[g.keys[lo].q])*lutLen:][:lutLen])
-		}
-		for i := lo; i < hi; i++ {
-			k, bi := g.keys[i], i-gLo
-			subspaceOrder(g.order[bi*ix.M:(bi+1)*ix.M], query, ix.CentroidU8(int(k.c)))
-			if e.lut != nil {
-				e.lut.SubTerms(query, int(k.c), g.p[bi*ix.M:(bi+1)*ix.M])
-				continue
-			}
-			res := g.res[bi*dim : (bi+1)*dim]
-			vecmath.SubI16(res, query, ix.CentroidU8(int(k.c)))
-			if e.opts.UseSQT {
-				ix.IntCB.LUTInt(res, g.lut[bi*lutLen:(bi+1)*lutLen], ix.SQT)
-			} else {
-				ix.IntCB.LUTIntMul(res, g.lut[bi*lutLen:(bi+1)*lutLen])
-			}
-		}
-	})
-}
-
-// subspaceOrder fills order (length M) with the subspaces of the residual
-// query - centroid in descending magnitude Σ_j |q_j - c_j|, ties in ascending
-// subspace order: large residuals meet large LUT entries, so a point's
-// partial distance crosses a bound soonest this way round. (Ordering by the
-// squared energy instead builds 1% fewer LUT entries on the benchmark fixture
-// and costs the DPU D squarings a group, three times that saving.)
-func subspaceOrder(order []uint16, query, centroid []uint8) {
-	var buf [64]int32
-	mag := buf[:] // magnitudes, sorted alongside order
-	if len(order) > len(buf) {
-		mag = make([]int32, len(order))
-	}
-	dsub := len(query) / len(order)
-	for m := range order {
-		var sum int32
-		csub := centroid[m*dsub : (m+1)*dsub]
-		for j, q := range query[m*dsub : (m+1)*dsub] {
-			d := int32(q) - int32(csub[j])
-			sum += (d ^ d>>31) - d>>31 // |d|, without a branch on the sign
-		}
-		i := m
-		for ; i > 0 && mag[i-1] < sum; i-- {
-			order[i], mag[i] = order[i-1], mag[i-1]
-		}
-		order[i], mag[i] = uint16(m), sum
-	}
 }
