@@ -11,6 +11,7 @@ import (
 	"drimann/internal/core"
 	"drimann/internal/dataset"
 	"drimann/internal/durable"
+	"drimann/internal/engine"
 )
 
 func sameAnswers(t *testing.T, what string, got, want *core.Result) {
@@ -79,7 +80,7 @@ func TestFleetOfOneIsTheEngine(t *testing.T) {
 		clSim := cl.Locator().CLSeconds(nq)
 		front := g.HostSeconds - w.HostSeconds - clSim
 		// Every launch hands the front door at most K items a query.
-		if most := cl.Locator().MergeSeconds(w.Launches*opts.BatchSize*opts.K, opts.K); front <= 0 || front > most {
+		if most := engine.HostMergeSeconds(w.Launches*opts.BatchSize*opts.K, opts.K); front <= 0 || front > most {
 			t.Fatalf("front-door merges cost %.3gs, want within (0, %.3g]", front, most)
 		}
 		if late := g.SimSeconds - w.SimSeconds; late <= 0 || late > front {

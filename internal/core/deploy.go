@@ -14,15 +14,11 @@ import (
 func deploy(ix *ivf.Index, profile, cal dataset.U8Set, opts Options) (*Engine, error) {
 	opts.defaults()
 	cfg := upmem.DefaultConfig(opts.NumDPUs)
-	cfg.Tasklets = opts.Tasklets
 	if opts.WRAMBytes > 0 {
 		cfg.WRAMBytes = opts.WRAMBytes
 	}
 	if opts.MRAMBytes > 0 {
 		cfg.MRAMBytes = opts.MRAMBytes
-	}
-	if opts.MulCycles > 0 {
-		cfg.Cost.MulCycles = opts.MulCycles
 	}
 	sys, err := upmem.NewSystem(cfg)
 	if err != nil {

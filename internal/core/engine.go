@@ -178,7 +178,6 @@ import (
 // WRAM buffer (UseWRAM) and the layout phases one at a time.
 type Options struct {
 	NumDPUs   int // default 64
-	Tasklets  int // default 16
 	K         int // neighbors per query; default 10
 	NProbe    int // located clusters per query; default 32
 	BatchSize int // queries per scheduling batch; default 256
@@ -200,14 +199,10 @@ type Options struct {
 	Th3       float64 // overheat postponement threshold; default 1.3
 	Rebalance bool
 
-	// Hardware overrides (0 = upmem defaults); used by failure-injection
-	// tests and platform scaling studies.
+	// Memory overrides (0 = upmem defaults): failure-injection tests shrink
+	// them, and ListCycles scales MRAM to a fleet's.
 	WRAMBytes int
 	MRAMBytes int
-	MulCycles uint64
-
-	// Host models the CPU running CL and merging (Xeon Silver 4216-like).
-	Host upmem.Platform
 
 	Workers int // goroutine parallelism for the simulation itself
 }
@@ -216,7 +211,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		NumDPUs:       64,
-		Tasklets:      16,
 		K:             10,
 		NProbe:        32,
 		BatchSize:     256,
@@ -228,10 +222,6 @@ func DefaultOptions() Options {
 		CopyFootprint: 128 << 10,
 		Th3:           1.3,
 		Rebalance:     true,
-		Host: upmem.Platform{
-			Name: "host (Xeon Silver 4216)", Threads: 32, FreqGHz: 2.1, VectorWidth: 8,
-			PeakGOPs: 538, MemBWGBs: 90, MemCapGB: 256,
-		},
 		Workers: runtime.GOMAXPROCS(0),
 	}
 }
@@ -239,9 +229,6 @@ func DefaultOptions() Options {
 func (o *Options) defaults() {
 	if o.NumDPUs <= 0 {
 		o.NumDPUs = 64
-	}
-	if o.Tasklets <= 0 {
-		o.Tasklets = 16
 	}
 	if o.K <= 0 {
 		o.K = 10
@@ -257,9 +244,6 @@ func (o *Options) defaults() {
 	}
 	if o.Th3 < 0 {
 		o.Th3 = 0
-	}
-	if o.Host.Threads == 0 {
-		o.Host = DefaultOptions().Host
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)

@@ -6,7 +6,6 @@ import (
 	"drimann/internal/dataset"
 	"drimann/internal/ivf"
 	"drimann/internal/pq"
-	"drimann/internal/upmem"
 )
 
 func TestEngineDeterministic(t *testing.T) {
@@ -140,66 +139,5 @@ func TestEngineTransferAccounting(t *testing.T) {
 	if res.Metrics.XferSeconds > res.Metrics.PIMSeconds {
 		t.Fatalf("transfer time %v exceeds PIM time %v — not the paper's regime",
 			res.Metrics.XferSeconds, res.Metrics.PIMSeconds)
-	}
-}
-
-func TestEngineTaskletScaling(t *testing.T) {
-	// Fewer tasklets starve the pipeline and slow the engine.
-	f := getFixture(t)
-	fast := testOptions()
-	slow := testOptions()
-	slow.Tasklets = 2
-	eFast, err := New(f.ix, dataset.U8Set{}, fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eSlow, err := New(f.ix, dataset.U8Set{}, slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rFast, err := eFast.SearchBatch(f.s.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rSlow, err := eSlow.SearchBatch(f.s.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rSlow.Metrics.PIMSeconds <= rFast.Metrics.PIMSeconds {
-		t.Fatalf("2 tasklets (%v s) should be slower than 16 (%v s)",
-			rSlow.Metrics.PIMSeconds, rFast.Metrics.PIMSeconds)
-	}
-}
-
-func TestEngineMulCyclesOverride(t *testing.T) {
-	// A hypothetical DPU with a hardware multiplier (MulCycles=1) should
-	// make the non-SQT engine competitive with the SQT one — the trade-off
-	// the paper's §6 discusses for SIMD-capable PIMs.
-	f := getFixture(t)
-	noSQT := testOptions()
-	noSQT.UseSQT = false
-	noSQTFastMul := noSQT
-	noSQTFastMul.MulCycles = 1
-
-	slow, err := New(f.ix, dataset.U8Set{}, noSQT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := New(f.ix, dataset.U8Set{}, noSQTFastMul)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rSlow, err := slow.SearchBatch(f.s.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rFast, err := fast.SearchBatch(f.s.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lcSlow := rSlow.Metrics.PhaseSeconds[upmem.PhaseLC]
-	lcFast := rFast.Metrics.PhaseSeconds[upmem.PhaseLC]
-	if lcFast >= lcSlow {
-		t.Fatalf("hardware multiplier should accelerate the mul-based LC: %v vs %v", lcFast, lcSlow)
 	}
 }

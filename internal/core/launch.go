@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"drimann/internal/dataset"
+	"drimann/internal/engine"
 	"drimann/internal/sched"
 	"drimann/internal/topk"
 )
@@ -118,7 +119,7 @@ func (e *Engine) runLaunch(batch *sched.Batch, queries dataset.U8Set, best []*to
 	e.sys.TransferFromDPUs(fromDev)
 
 	pimSec, xferSec := m.AddLaunch(e.sys)
-	return math.Max(pimSec, xferSec), e.loc.MergeSeconds(mergeItems, e.opts.K)
+	return math.Max(pimSec, xferSec), engine.HostMergeSeconds(mergeItems, e.opts.K)
 }
 
 type dpuRunStats struct {

@@ -160,7 +160,7 @@ func (e *Engine) rebuildDemand() {
 func (e *Engine) modelTaskCycles(n int, need float64) float64 {
 	ix := e.ix
 	perEntry := 3 + float64(ix.Dim/ix.M)*float64(3+e.squareCycles())
-	perStage := float64(max(stageWidth, e.opts.Tasklets) * e.markWords32() * 3)
+	perStage := float64(max(stageWidth, e.sys.Cfg.Tasklets) * e.markWords32() * 3)
 	var cycles float64
 	for lo := 0; lo < ix.M && n > 0; lo += stageWidth {
 		w := float64(min(stageWidth, ix.M-lo))

@@ -26,13 +26,12 @@ type Locator struct {
 	ix      *ivf.Index
 	nprobe  int
 	workers int
-	host    upmem.Platform
 }
 
 // NewLocator builds the CL stage an engine with the same Options would use.
 func NewLocator(ix *ivf.Index, opts Options) *Locator {
 	opts.defaults()
-	return &Locator{ix: ix, nprobe: opts.NProbe, workers: opts.Workers, host: opts.Host}
+	return &Locator{ix: ix, nprobe: opts.NProbe, workers: opts.Workers}
 }
 
 // NProbe reports the probes located per query.
@@ -47,22 +46,17 @@ func (l *Locator) LocateBatch(queries dataset.U8Set, lo, hi int, out []topk.Item
 }
 
 // CLSeconds models the host-side cluster-locating cost for nq queries
-// (Equations 1-3 with the CPU's #PE, frequency and vector width) — exactly
-// the per-batch charge Engine.SearchBatch applies. Linear in nq, so a front
-// door charging CLSeconds(N) once matches an engine charging it batch by
-// batch.
+// (Equations 1-3 with upmem.PlatformHost's #PE, frequency and vector width) —
+// exactly the per-batch charge Engine.SearchBatch applies. Linear in nq, so a
+// front door charging CLSeconds(N) once matches an engine charging it batch
+// by batch.
 func (l *Locator) CLSeconds(nq int) float64 {
 	distOps := float64(3*l.ix.Dim - 1)
 	sortOps := float64(engine.Log2Ceil(l.nprobe) + 1)
 	ops := float64(nq) * float64(l.ix.NList) * (distOps + sortOps)
-	lanes := float64(l.host.Threads * l.host.VectorWidth)
-	return ops / (lanes * l.host.FreqGHz * 1e9)
-}
-
-// MergeSeconds models this host merging items partial top-k entries into
-// k-sized results: a front door's gather, on the platform that runs its CL.
-func (l *Locator) MergeSeconds(items, k int) float64 {
-	return engine.HostMergeSeconds(l.host, items, k)
+	host := upmem.PlatformHost()
+	lanes := float64(host.Threads * host.VectorWidth)
+	return ops / (lanes * host.FreqGHz * 1e9)
 }
 
 // Probes locates every query of the set and packs the results into a

@@ -260,7 +260,7 @@ func (e *Engine) lcCosts(w int, entries uint64) (cycles uint64, mram [2]uint64) 
 	if !e.lutInWRAM {
 		mram[1] = entries
 	}
-	cycles = uint64(max(w, e.opts.Tasklets)*e.markWords32())*(c.StoreCycles+c.LoadCycles+c.CmpCycles) +
+	cycles = uint64(max(w, e.sys.Cfg.Tasklets)*e.markWords32())*(c.StoreCycles+c.LoadCycles+c.CmpCycles) +
 		entries*(c.AddCycles+c.CmpCycles+c.StoreCycles) + elems*perElem
 	return cycles, mram
 }

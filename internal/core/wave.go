@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"drimann/internal/dataset"
+	"drimann/internal/engine"
 	"drimann/internal/sched"
 	"drimann/internal/topk"
 )
@@ -280,7 +281,7 @@ func (st *Steps) launch(split, last bool) {
 		shardSec = math.Max(shardSec, ln.launchSec+ln.mergeSec)
 		shardMerge = math.Max(shardMerge, ln.mergeSec)
 	}
-	frontSec := st.loc.MergeSeconds(items, k)
+	frontSec := engine.HostMergeSeconds(items, k)
 	st.host += shardMerge + frontSec
 	if st.batches*st.lanes[0].e.opts.BatchSize < st.queries.N || st.late || st.pending { // another step follows
 		st.pim += shardSec + frontSec

@@ -168,9 +168,10 @@ func (m *Metrics) AddLaunch(sys *upmem.System) (pimSec, xferSec float64) {
 	return pimSec, xferSec
 }
 
-// HostMergeSeconds models the host merging items partial top-k entries
-// returned by the DPUs into k-sized results.
-func HostMergeSeconds(host upmem.Platform, items, k int) float64 {
+// HostMergeSeconds models the host (upmem.PlatformHost) merging items
+// partial top-k entries returned by the DPUs into k-sized results.
+func HostMergeSeconds(items, k int) float64 {
+	host := upmem.PlatformHost()
 	ops := float64(items) * float64(Log2Ceil(k)+1)
 	return ops / (float64(host.Threads) * host.FreqGHz * 1e9)
 }

@@ -55,6 +55,9 @@ import (
 	"drimann/internal/vecmath"
 )
 
+// alpha is the robust-prune slack (Vamana's alpha >= 1).
+const alpha = 1.2
+
 // Options configures a graph engine; zero values select defaults.
 type Options struct {
 	// K is the neighbors returned per query; default 10.
@@ -68,13 +71,9 @@ type Options struct {
 	// default 32. Larger values trade simulated time for recall — the knob
 	// the head-to-head recall-vs-QPS curves sweep.
 	SearchBeam int
-	// Alpha is the robust-prune slack (>= 1); default 1.2.
-	Alpha float64
 
 	// NumDPUs sizes the simulated PIM system; default 64.
 	NumDPUs int
-	// Tasklets per DPU; default 16.
-	Tasklets int
 	// BatchSize is the scheduling batch (and MaxBatch); default 256.
 	BatchSize int
 	// Workers bounds goroutine parallelism of the simulation itself
@@ -88,8 +87,6 @@ type Options struct {
 
 	// MRAMBytes overrides per-DPU MRAM capacity (default 64 MB).
 	MRAMBytes int
-	// Host models the CPU running the final merge.
-	Host upmem.Platform
 }
 
 // DefaultOptions returns the default graph-backend configuration.
@@ -99,12 +96,9 @@ func DefaultOptions() Options {
 		Degree:     16,
 		BuildBeam:  48,
 		SearchBeam: 32,
-		Alpha:      1.2,
 		NumDPUs:    64,
-		Tasklets:   16,
 		BatchSize:  256,
 		UseSQT:     true,
-		Host:       upmem.Platform{Name: "host", Threads: 32, FreqGHz: 2.1, VectorWidth: 8},
 		Workers:    runtime.GOMAXPROCS(0),
 	}
 }
@@ -125,20 +119,11 @@ func (o *Options) defaults() {
 	if o.SearchBeam < o.K {
 		o.SearchBeam = o.K
 	}
-	if o.Alpha < 1 {
-		o.Alpha = 1.2
-	}
 	if o.NumDPUs <= 0 {
 		o.NumDPUs = 64
 	}
-	if o.Tasklets <= 0 {
-		o.Tasklets = 16
-	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = 256
-	}
-	if o.Host.Threads == 0 {
-		o.Host = DefaultOptions().Host
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -205,7 +190,6 @@ func New(base dataset.U8Set, opts Options) (*Engine, error) {
 // degree-bounded adjacency in a packed (count + ids) layout.
 func (e *Engine) deploy() error {
 	cfg := upmem.DefaultConfig(e.opts.NumDPUs)
-	cfg.Tasklets = e.opts.Tasklets
 	if e.opts.MRAMBytes > 0 {
 		cfg.MRAMBytes = e.opts.MRAMBytes
 	}
@@ -330,7 +314,7 @@ func (e *Engine) addBacklink(j, from int32) {
 // ascending by (dist, id)): greedily keep the nearest candidate, then
 // discard any candidate alpha-dominated by a kept one (alpha * d(kept, c)
 // <= d(p, c)), Vamana's diversity rule that keeps a few long-range edges.
-// That test is d(kept, c) <= pruneBound(Alpha, d(p, c)), so the distance to a
+// That test is d(kept, c) <= pruneBound(alpha, d(p, c)), so the distance to a
 // kept point is abandoned once it passes the bound.
 func (e *Engine) robustPrune(p int32, cands []topk.Item[uint32]) []int32 {
 	const dead = math.MinInt64 // picked, pruned, or p itself
@@ -339,7 +323,7 @@ func (e *Engine) robustPrune(p int32, cands []topk.Item[uint32]) []int32 {
 	for i, c := range cands {
 		bound[i] = dead
 		if c.ID != p {
-			bound[i] = pruneBound(e.opts.Alpha, c.Dist)
+			bound[i] = pruneBound(alpha, c.Dist)
 		}
 	}
 	// A pick prunes only candidates after it, so every candidate before the
@@ -537,13 +521,13 @@ func (e *Engine) NewReplica() (engine.Engine, error) {
 // WithSearchOptions builds an engine over the same built graph with
 // query-time options modified by mod: SearchBeam, K, BatchSize, NumDPUs,
 // Workers and the cost knobs may change; the build-time shape (Degree,
-// BuildBeam, Alpha) is pinned to the existing graph. This is what lets a
+// BuildBeam) is pinned to the existing graph. This is what lets a
 // recall-vs-QPS sweep reuse one expensive build across beam widths.
 func (e *Engine) WithSearchOptions(mod func(*Options)) (*Engine, error) {
 	opts := e.opts
 	mod(&opts)
 	opts.defaults()
-	opts.Degree, opts.BuildBeam, opts.Alpha = e.opts.Degree, e.opts.BuildBeam, e.opts.Alpha
+	opts.Degree, opts.BuildBeam = e.opts.Degree, e.opts.BuildBeam
 	return e.withOptions(opts)
 }
 

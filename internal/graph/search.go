@@ -96,7 +96,7 @@ func (e *Engine) runLaunch(queries dataset.U8Set, lo, hi int, res *engine.Result
 	m.PointsScanned += evals
 
 	pimSec, xferSec := m.AddLaunch(e.sys)
-	hostSec := engine.HostMergeSeconds(e.opts.Host, mergeItems, e.opts.K)
+	hostSec := engine.HostMergeSeconds(mergeItems, e.opts.K)
 	m.HostSeconds += hostSec
 	m.SimSeconds += math.Max(hostSec, math.Max(pimSec, xferSec))
 	m.Batches++

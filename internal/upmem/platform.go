@@ -51,6 +51,21 @@ func PlatformCPU() Platform {
 	}
 }
 
+// PlatformHost models the host beside the DPUs that runs cluster locating
+// and the final merge in every simulated engine: a Xeon Silver 4216 (16 cores
+// / 32 threads @ 2.1 GHz, AVX2).
+func PlatformHost() Platform {
+	return Platform{
+		Name:        "host (Xeon Silver 4216)",
+		PeakGOPs:    538,
+		MemBWGBs:    90,
+		MemCapGB:    256,
+		Threads:     32,
+		FreqGHz:     2.1,
+		VectorWidth: 8,
+	}
+}
+
 // PlatformGPU models an NVIDIA A100 PCIe 80 GB: ~19.5 TFLOPs fp32 and
 // ~1.94 TB/s HBM2e, but only 80 GB of memory.
 func PlatformGPU() Platform {
