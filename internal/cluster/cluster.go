@@ -80,6 +80,30 @@
 // (core.Metrics.MergeParallel) and takes PIM and transfer seconds from the
 // slowest; SimSeconds adds up, round by round, the slowest engine of each
 // round and the merges the next round had to wait for (core.Steps).
+//
+// Attribution follows the hardware: per-shard metrics carry no CL cost, and
+// the merged metrics charge the front-door CL and the gather merges to
+// HostSeconds — and to SimSeconds only where a launch had to wait for them,
+// the engine's own host/PIM overlap accounting. Stats reports the routing
+// view (per-query fan-out mean, max and histogram; front-door CL cost) and
+// replica-aware memory: replicas of a shard share read-only state (index,
+// codebooks, layout, locator), so a shard costs SharedBytes + R x
+// PerReplicaBytes, not R times everything.
+//
+// # Online serving, mutation and durability
+//
+// Server puts one internal/serve micro-batcher in front of every replica of
+// every shard behind one Search front door; Response.ShardsContacted is the
+// query's fan-out. Replicas mask the tail — power-of-two-choices routing,
+// hedging after a delay derived from the siblings' p99 (clamped by
+// RouteOptions.HedgeMin and HedgeMax), failover and a breaker (server.go) —
+// as long as any replica of each shard answers; internal/fault injects the
+// failure modes that pin this, and `drim-bench -replicas R -straggler` prints
+// hedged against unhedged tail latency over a fault-injected fleet.
+// Insert, Delete and Compact quiesce every replica batcher of every shard at a
+// launch boundary, apply the mutation through the global-ID routing
+// (mutate.go) and release the fleet; CreateFleetStore and RecoverCluster give
+// the fleet the engine's crash contract (durable.go).
 package cluster
 
 import (

@@ -158,6 +158,21 @@
 // copies keeps its lists whole. ListCycles is the other thing measured at
 // deployment: per list, the cycles its scans cost over the profile, which a
 // sharded fleet levels its split on.
+//
+// # Mutation and durability
+//
+// Insert, Delete and Compact (mutate.go) keep the index mutable after
+// deployment. The quantizers are frozen: a mutation never retrains centroids
+// or codebooks, so a heavily mutated index drifts from what a retrain would
+// build, and Compact returns results bit-identical to a fresh engine over the
+// same logical corpus. MemoryFootprint includes the live append-segment and
+// tombstone bytes, which return to zero at Compact. CreateStore and Recover
+// (recover.go) attach a durable.Store: the engine logs exactly the mutations
+// it applied, and a recovered engine serves bit-identical results and memory
+// stats to the never-crashed one over the same acknowledged mutations.
+//
+// Results and metrics — every counter and cycle — do not depend on
+// Options.Workers or on the pipeline; only wall-clock speed does.
 package core
 
 import (
@@ -222,7 +237,7 @@ func DefaultOptions() Options {
 		CopyFootprint: 128 << 10,
 		Th3:           1.3,
 		Rebalance:     true,
-		Workers: runtime.GOMAXPROCS(0),
+		Workers:       runtime.GOMAXPROCS(0),
 	}
 }
 

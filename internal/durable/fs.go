@@ -11,6 +11,21 @@
 // crash-point tests use MemFS, which models the byte-level durability
 // contract of a journaled filesystem and can kill the simulated machine
 // at any mutating operation.
+//
+// A Store owns one directory: a checkpoint snapshot in a checksummed section
+// format, written via temp file + fsync + atomic rename; a length-framed,
+// CRC-per-record write-ahead log of mutations; and a manifest binding the
+// {snapshot, WAL} pair, so recovery can never mix generations. A mutation is
+// acknowledged once its record is synced under the SyncPolicy (per record,
+// per batch, or never), and a batch that fails part-way logs its applied
+// prefix, so the log always reproduces acknowledged state. Torn or
+// bit-flipped records and snapshot sections are detected by checksum, never
+// silently served; replay stops at the first bad record and recovery rotates
+// to a fresh generation, discarding the torn tail. Crash-point matrices —
+// MemFS killing the machine at every mutating operation, torn writes
+// included — pin the contract at the store, engine and cluster layers, and
+// the benchmark's fleet-mutate workload measures WAL overhead and recovery
+// wall time on the real filesystem.
 package durable
 
 import (

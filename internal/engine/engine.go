@@ -13,6 +13,29 @@
 // interface discovered by type assertion, so the stack degrades gracefully (a mutation against a backend
 // without Mutable fails with a clear error instead of a compile-time weld to
 // one concrete engine type).
+//
+// # The two backends
+//
+// The IVF-PQ engine (internal/core) implements every optional capability —
+// probed search, mutation, snapshots — and is the only backend
+// internal/cluster shards. The graph engine (internal/graph) is search-only:
+// no mutation and no probed search, so internal/serve returns ErrUnsupported
+// from the operations it cannot serve.
+//
+// How to pick: IVF-PQ compresses the corpus ~Dim/M-fold and streams
+// contiguous lists, so it fits large corpora in per-DPU MRAM and its simulated
+// cost is dominated by sequential scans the paper's buffering optimizations
+// amortize; recall is capped by PQ quantization error. The graph backend
+// stores full vectors plus adjacency (no compression — corpus size is bounded
+// by the 64 MB per-DPU MRAM) and reaches higher recall at the same k, but
+// every traversal hop is a dependent, unbuffered MRAM access paying full DMA
+// setup latency, the access pattern PIM hardware is worst at. Both run on the
+// same simulated UPMEM system and cost model, so their SimSeconds and QPS are
+// directly comparable — that is the point; `drim-bench -headtohead` prints
+// both backends' recall-vs-simulated-QPS curves through the serving path over
+// one corpus. The conformance suite in this package pins the contract
+// behaviors (determinism, result order, empty batches, serving integration)
+// for every backend.
 package engine
 
 import "drimann/internal/dataset"

@@ -40,6 +40,13 @@
 //
 // SimSeconds follows core's accounting exactly: per launch the PIM time is
 // the slowest DPU's cycles, and a batch costs max(host, max(pim, xfer)).
+//
+// The engine is search-only (no mutation, no probed search). Its cost-model
+// simplifications against IVF-PQ — the whole graph replicated on every DPU
+// (no sharded traversal), one DPU per query (parallelism across queries, not
+// within one), and no WRAM caching of hot nodes — are deliberate: each favors
+// neither backend's phase accounting but understates what a tuned real
+// implementation of either could do.
 package graph
 
 import (

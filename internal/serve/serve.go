@@ -45,6 +45,18 @@
 // request already admitted is still launched and answered, so no response
 // is ever lost. Requests racing with Close either get admitted and served
 // or fail with ErrClosed — exactly one of the two.
+//
+// # Equivalence, mutation and durability
+//
+// Per-query results are bit-identical to a single SearchBatch over the same
+// queries, however arrivals split into micro-batches (the equivalence suite
+// pins this). Insert, Delete, Compact and Checkpoint run on the batcher
+// goroutine between launches — no hot-path locking; queries admitted before
+// the call are answered before or after the mutation, never during — and
+// return ErrUnsupported on a backend without the capability. The server knows
+// nothing of durability: over an engine with a store attached
+// (core.Engine.CreateStore, core.Recover) every mutation it applies is logged
+// by the engine, and the caller closes the store after the server.
 package serve
 
 import (
