@@ -123,7 +123,7 @@ type Engine = core.Engine
 // GraphEngine is the beam-search graph-traversal backend: a Vamana-style
 // pruned proximity graph over full uint8 vectors, searched by greedy beam
 // traversal on the same simulated PIM system. Search-only: it implements
-// SearchEngine (plus replication and memory reporting) but none of the
+// SearchEngine (plus memory reporting) but none of the
 // mutation or probed-search capabilities.
 type GraphEngine = graph.Engine
 
@@ -243,18 +243,6 @@ const (
 // profiling, as in NewEngine, and the AssignKMeans split's per-list cost.
 func NewCluster(ix *Index, profile Vectors, opt ClusterOptions) (*Cluster, error) {
 	return cluster.New(ix, profile, opt)
-}
-
-// BuildSharded trains an IVF-PQ index over the corpus and deploys it as a
-// sharded scatter-gather fleet: Build followed by NewCluster. Merged
-// Cluster.SearchBatch results are bit-identical to a single-engine
-// SearchBatch over the same index.
-func BuildSharded(base Vectors, profile Vectors, iopt IndexOptions, copt ClusterOptions) (*Cluster, error) {
-	ix, err := Build(base, iopt)
-	if err != nil {
-		return nil, err
-	}
-	return cluster.New(ix, profile, copt)
 }
 
 // ClusterServer is the sharded online serving layer: one micro-batching

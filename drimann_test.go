@@ -56,7 +56,7 @@ func TestPublicAPIVariants(t *testing.T) {
 	}
 }
 
-// TestPublicAPISharded exercises the documented sharded flow: BuildSharded
+// TestPublicAPISharded exercises the documented sharded flow: NewCluster
 // results are bit-identical to a single engine over the same index.
 func TestPublicAPISharded(t *testing.T) {
 	corpus := drimann.Generate(drimann.SynthConfig{
@@ -65,13 +65,16 @@ func TestPublicAPISharded(t *testing.T) {
 	opts := drimann.DefaultEngineOptions()
 	opts.NumDPUs = 16
 	opts.NProbe = 8
-	cl, err := drimann.BuildSharded(corpus.Base, corpus.Queries,
-		drimann.IndexOptions{NList: 32, M: 8, CB: 64, Seed: 2},
+	ix, err := drimann.Build(corpus.Base, drimann.IndexOptions{NList: 32, M: 8, CB: 64, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := drimann.NewCluster(ix, corpus.Queries,
 		drimann.ClusterOptions{Shards: 3, Assignment: drimann.AssignKMeans, Engine: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := drimann.NewEngine(cl.Index(), corpus.Queries, opts)
+	eng, err := drimann.NewEngine(ix, corpus.Queries, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 
@@ -267,25 +266,6 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// IDs returns all experiment ids in order.
-func IDs() []string {
-	var ids []string
-	for _, e := range All() {
-		ids = append(ids, e.ID)
-	}
-	return ids
-}
-
-func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
-
-func sortedKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}

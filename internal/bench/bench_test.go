@@ -51,9 +51,8 @@ func cell(t *testing.T, tab *Table, row, col int) float64 {
 }
 
 func TestRegistry(t *testing.T) {
-	ids := IDs()
-	if len(ids) != 19 {
-		t.Fatalf("expected 19 experiments, got %d", len(ids))
+	if n := len(All()); n != 19 {
+		t.Fatalf("expected 19 experiments, got %d", n)
 	}
 	if _, ok := ByID("f7"); !ok {
 		t.Fatal("ByID should be case-insensitive")

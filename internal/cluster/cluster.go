@@ -226,18 +226,6 @@ func (sh *Shard) growReplicas(replicas int) error {
 	return nil
 }
 
-// Offset returns the shard's global-ID offset — the corpus ID of its first
-// owned point (0 for an empty shard). The full GlobalIDs table handles
-// non-contiguous ownership; the offset is the derived summary callers use
-// to identify where a shard's range begins.
-func (sh *Shard) Offset() int32 {
-	t := sh.GlobalIDs()
-	if len(t) == 0 {
-		return 0
-	}
-	return t[0]
-}
-
 // Cluster is a fleet of shard engines behind one routed front door.
 type Cluster struct {
 	shards []*Shard
@@ -366,15 +354,6 @@ func (cl *Cluster) Stats() Stats {
 	cl.routeMu.Unlock()
 	return st
 }
-
-// Locator exposes the front-door CL stage (shared with shard 0's engine;
-// stateless per call, safe for concurrent use).
-func (cl *Cluster) Locator() *core.Locator { return cl.loc }
-
-// OwnerShards returns the shards owning cluster c's inverted list or append
-// segment (view into the current copy-on-write owner map, not a copy; empty
-// for an empty cluster). Safe for concurrent use with mutations.
-func (cl *Cluster) OwnerShards(c int32) []int32 { return cl.ownersView()[c] }
 
 // ownersView returns the current owner map snapshot (one atomic load; the
 // per-probe loops index into it without re-loading).
@@ -735,14 +714,6 @@ func (cl *Cluster) probesByShard(probes []int32, dists []uint32) (perShard [][]i
 
 // Shards exposes the fleet (for inspection, serving and tests).
 func (cl *Cluster) Shards() []*Shard { return cl.shards }
-
-// Replicas reports the configured replication factor R.
-func (cl *Cluster) Replicas() int { return cl.opt.Replicas }
-
-// Index returns the index carrying the fleet's shared quantizers: the
-// unsharded index New partitioned, or a quantizer-only view (empty lists)
-// after RecoverCluster.
-func (cl *Cluster) Index() *ivf.Index { return cl.ix }
 
 // K reports the per-shard engines' configured neighbors-per-query.
 func (cl *Cluster) K() int { return cl.shards[0].Engine.K() }

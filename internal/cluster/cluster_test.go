@@ -158,9 +158,6 @@ func TestClusterPartition(t *testing.T) {
 				if sh.Points != len(tbl) {
 					t.Fatalf("shard %d Points %d != table %d", si, sh.Points, len(tbl))
 				}
-				if sh.Points > 0 && sh.Offset() != tbl[0] {
-					t.Fatalf("shard %d Offset %d != first global %d", si, sh.Offset(), tbl[0])
-				}
 				for _, g := range tbl {
 					if prev, dup := seen[g]; dup {
 						t.Fatalf("point %d owned by shards %d and %d", g, prev, si)

@@ -16,7 +16,6 @@ import (
 	"drimann/internal/ivf"
 	"drimann/internal/pq"
 	"drimann/internal/serve"
-	"drimann/internal/topk"
 )
 
 // mutClusterFixture builds the index over the head of the corpus, keeping
@@ -83,7 +82,7 @@ func TestNewRejectsMutatedIndex(t *testing.T) {
 			t.Fatalf("%s: New deployed an index with uncompacted mutations", assign)
 		}
 	}
-	if _, err := ix.Compact(); err != nil {
+	if _, err := ix.CompactRemap(nil); err != nil {
 		t.Fatal(err)
 	}
 	cl, err := cluster.New(ix, s.Queries, cluster.Options{Shards: 2, Assignment: cluster.AssignKMeans, Engine: engineOpts()})
@@ -227,13 +226,10 @@ func TestClusterMutateCompactEquivalence(t *testing.T) {
 // whole probe set is empty fleet-wide — the zero-fanout case.
 func emptyProbedClusters(t *testing.T, cl *cluster.Cluster, ix *ivf.Index, q []uint8) []int32 {
 	t.Helper()
-	loc := cl.Locator()
-	probes := make([]topk.Item[uint32], loc.NProbe())
-	counts := make([]int, 1)
-	loc.LocateBatch(dataset.U8Set{N: 1, D: cl.Dim(), Data: q}, 0, 1, probes, counts)
+	probes := cl.Locator().Probes(dataset.U8Set{N: 1, D: cl.Dim(), Data: q}).Clusters
 	var victims []int32
-	for _, p := range probes[:counts[0]] {
-		victims = append(victims, ix.Lists[p.ID]...)
+	for _, c := range probes {
+		victims = append(victims, ix.Lists[c]...)
 	}
 	if len(victims) == 0 {
 		t.Fatal("fixture: probed clusters already empty")
@@ -338,16 +334,13 @@ func TestOwnerMapFollowsInsert(t *testing.T) {
 	// Empty query 0's probed clusters through the live server, so its probe
 	// set routes nowhere...
 	q := s.Queries.Vec(0)
-	loc := cl.Locator()
-	probes := make([]topk.Item[uint32], loc.NProbe())
-	counts := make([]int, 1)
-	loc.LocateBatch(dataset.U8Set{N: 1, D: cl.Dim(), Data: q}, 0, 1, probes, counts)
+	probes := cl.Locator().Probes(dataset.U8Set{N: 1, D: cl.Dim(), Data: q}).Clusters
 	var victims []int32
-	for _, p := range probes[:counts[0]] {
-		if len(cl.OwnerShards(p.ID)) == 0 {
-			t.Fatalf("probed cluster %d has no owner before deletion", p.ID)
+	for _, c := range probes {
+		if len(cl.OwnerShards(c)) == 0 {
+			t.Fatalf("probed cluster %d has no owner before deletion", c)
 		}
-		victims = append(victims, ix.Lists[p.ID]...)
+		victims = append(victims, ix.Lists[c]...)
 	}
 	if err := srv.Delete(victims); err != nil {
 		t.Fatal(err)
@@ -355,9 +348,9 @@ func TestOwnerMapFollowsInsert(t *testing.T) {
 	if err := srv.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range probes[:counts[0]] {
-		if len(cl.OwnerShards(p.ID)) != 0 {
-			t.Fatalf("emptied cluster %d still has owners", p.ID)
+	for _, c := range probes {
+		if len(cl.OwnerShards(c)) != 0 {
+			t.Fatalf("emptied cluster %d still has owners", c)
 		}
 	}
 	resp, err := srv.Search(context.Background(), q, 0)

@@ -586,9 +586,6 @@ func TestReplicatedOfflineEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl.Replicas() != 2 {
-		t.Fatalf("Replicas() = %d, want 2", cl.Replicas())
-	}
 	for si, sh := range cl.Shards() {
 		if len(sh.Engines) != 2 || sh.Engines[0] != sh.Engine {
 			t.Fatalf("shard %d replica wiring wrong: %d engines", si, len(sh.Engines))

@@ -13,7 +13,6 @@ import (
 	"drimann/internal/dataset"
 	"drimann/internal/fault"
 	"drimann/internal/serve"
-	"drimann/internal/topk"
 )
 
 // countingReplica interposes on a shard replica to count the front door's
@@ -64,17 +63,14 @@ func TestSelectiveScatterProperty(t *testing.T) {
 			defer srv.Close()
 
 			loc := cl.Locator()
-			probes := make([]topk.Item[uint32], loc.NProbe())
-			counts := make([]int, 1)
 			sawPartial := false
 			for qi := 0; qi < s.Queries.N; qi++ {
 				q := s.Queries.Vec(qi)
 				// Recompute the query's probe set independently and derive the
 				// expected contact set from the cluster→shard owner map.
-				loc.LocateBatch(dataset.U8Set{N: 1, D: cl.Dim(), Data: q}, 0, 1, probes, counts)
 				expect := make(map[int32]bool)
-				for _, p := range probes[:counts[0]] {
-					for _, sh := range cl.OwnerShards(p.ID) {
+				for _, c := range loc.Probes(dataset.U8Set{N: 1, D: cl.Dim(), Data: q}).Clusters {
+					for _, sh := range cl.OwnerShards(c) {
 						expect[sh] = true
 					}
 				}

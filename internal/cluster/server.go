@@ -617,20 +617,6 @@ func (s *Server) Delete(ids []int32) error {
 	return s.exclusiveAll(func() error { return s.cl.Delete(ids) })
 }
 
-// Compact folds every shard's mutation overlay back into its packed layout
-// (Cluster.Compact) under fleet-wide quiescence; from the next batch on,
-// merged results are bit-identical to a freshly built fleet.
-func (s *Server) Compact() error {
-	return s.exclusiveAll(func() error { return s.cl.Compact() })
-}
-
-// Checkpoint rotates every shard's durable {snapshot, WAL} generation
-// (Cluster.Checkpoint) under fleet-wide quiescence, without compacting.
-// No-op when the cluster has no fleet store attached.
-func (s *Server) Checkpoint() error {
-	return s.exclusiveAll(func() error { return s.cl.Checkpoint() })
-}
-
 // Close seals every replica server (concurrently) and waits for each to
 // drain. Safe to call multiple times and concurrently.
 func (s *Server) Close() error {
@@ -689,7 +675,3 @@ func (s *Server) Stats() ServerStats {
 	st.Agg = agg.total()
 	return st
 }
-
-// Metrics returns the cross-engine parallel view of the fleet's aggregated
-// simulated engine metrics (Stats().Agg.Sim).
-func (s *Server) Metrics() core.Metrics { return s.Stats().Agg.Sim }

@@ -381,9 +381,6 @@ func New(ix *ivf.Index, profile dataset.U8Set, opts Options) (*Engine, error) {
 // Placement exposes the optimized layout (for inspection and tests).
 func (e *Engine) Placement() *layout.Placement { return e.pl }
 
-// System exposes the simulated PIM system.
-func (e *Engine) System() *upmem.System { return e.sys }
-
 // Index returns the underlying IVF-PQ index.
 func (e *Engine) Index() *ivf.Index { return e.ix }
 

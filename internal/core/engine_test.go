@@ -366,3 +366,14 @@ func TestPostponementStillCoversAllWork(t *testing.T) {
 		}
 	}
 }
+
+// TestCodeBytes: a packed code takes one byte per sub-code when CB <= 256 and
+// two otherwise (the paper's Ba/Bp parameters).
+func TestCodeBytes(t *testing.T) {
+	if got := codeBytesFor(256, 16); got != 16 {
+		t.Fatalf("codeBytesFor(256, 16) = %d, want 16", got)
+	}
+	if got := codeBytesFor(1024, 16); got != 32 {
+		t.Fatalf("codeBytesFor(1024, 16) = %d, want 32", got)
+	}
+}

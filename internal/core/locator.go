@@ -34,9 +34,6 @@ func NewLocator(ix *ivf.Index, opts Options) *Locator {
 	return &Locator{ix: ix, nprobe: opts.NProbe, workers: opts.Workers}
 }
 
-// NProbe reports the probes located per query.
-func (l *Locator) NProbe() int { return l.nprobe }
-
 // LocateBatch computes probes for queries[lo:hi) across the locator's
 // workers, writing into the flat out/counts layout of ivf.Index.LocateBatch
 // (out holds (hi-lo)*NProbe slots; counts[i] the probe count of query lo+i,

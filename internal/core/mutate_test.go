@@ -239,7 +239,7 @@ func TestNewRejectsMutatedIndex(t *testing.T) {
 	if _, err := New(ix, s.Queries, testOptions()); err == nil {
 		t.Fatal("New must reject a mutated index")
 	}
-	if _, err := ix.Compact(); err != nil {
+	if _, err := ix.CompactRemap(nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := New(ix, s.Queries, testOptions()); err != nil {

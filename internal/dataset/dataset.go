@@ -15,7 +15,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 
 	"drimann/internal/topk"
@@ -33,24 +32,11 @@ type U8Set struct {
 // Vec returns row i as a slice view.
 func (s U8Set) Vec(i int) []uint8 { return s.Data[i*s.D : (i+1)*s.D] }
 
-// F32 widens the whole set to float32 (fresh storage).
-func (s U8Set) F32() F32Set {
-	out := F32Set{N: s.N, D: s.D, Data: make([]float32, len(s.Data))}
-	vecmath.U8ToF32(out.Data, s.Data)
-	return out
-}
-
-// Bytes reports the storage footprint of the raw vectors.
-func (s U8Set) Bytes() int { return len(s.Data) }
-
 // F32Set is a flat corpus of N float32 vectors of dimension D.
 type F32Set struct {
 	N, D int
 	Data []float32
 }
-
-// Vec returns row i as a slice view.
-func (s F32Set) Vec(i int) []float32 { return s.Data[i*s.D : (i+1)*s.D] }
 
 // Quantize maps the set onto the uint8 grid with a fitted affine quantizer,
 // mirroring the paper's "DEEP100M is quantified to uint8" step.
@@ -415,17 +401,4 @@ func Recall(gt, got [][]int32, k int) float64 {
 		}
 	}
 	return total / float64(len(gt))
-}
-
-// ClusterSizeSkew reports the ratio of the largest latent-cluster share to a
-// uniform share; tests use it to confirm the generator produces the skew the
-// load-balancing experiments rely on.
-func (s *Synth) ClusterSizeSkew() float64 {
-	counts := make([]int, s.Config.NumClusters)
-	for _, c := range s.ClusterOfBase {
-		counts[c]++
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
-	uniform := float64(s.Base.N) / float64(s.Config.NumClusters)
-	return float64(counts[0]) / uniform
 }

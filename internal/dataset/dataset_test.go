@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -251,4 +252,17 @@ func TestGroundTruthDimMismatchPanics(t *testing.T) {
 		}
 	}()
 	GroundTruth(U8Set{N: 1, D: 2, Data: []uint8{1, 2}}, U8Set{N: 1, D: 3, Data: []uint8{1, 2, 3}}, 1, 1)
+}
+
+// ClusterSizeSkew reports the ratio of the largest latent-cluster share to a
+// uniform share; tests use it to confirm the generator produces the skew the
+// load-balancing experiments rely on.
+func (s *Synth) ClusterSizeSkew() float64 {
+	counts := make([]int, s.Config.NumClusters)
+	for _, c := range s.ClusterOfBase {
+		counts[c]++
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
+	uniform := float64(s.Base.N) / float64(s.Config.NumClusters)
+	return float64(counts[0]) / uniform
 }

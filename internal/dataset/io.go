@@ -20,20 +20,6 @@ import (
 // dimensions, so 2^20 is far beyond anything legitimate.
 const MaxVecDim = 1 << 20
 
-// WriteFvecs writes a float32 set in fvecs format.
-func WriteFvecs(w io.Writer, s F32Set) error {
-	bw := bufio.NewWriter(w)
-	for i := 0; i < s.N; i++ {
-		if err := binary.Write(bw, binary.LittleEndian, int32(s.D)); err != nil {
-			return fmt.Errorf("dataset: write fvecs dim: %w", err)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, s.Vec(i)); err != nil {
-			return fmt.Errorf("dataset: write fvecs row %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
 // ReadFvecs reads an entire fvecs stream.
 func ReadFvecs(r io.Reader) (F32Set, error) {
 	br := bufio.NewReader(r)

@@ -1,8 +1,11 @@
 package dataset
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"testing"
 )
 
@@ -121,3 +124,20 @@ func FuzzReadIvecs(f *testing.F) {
 		}
 	})
 }
+
+// WriteFvecs writes a float32 set in fvecs format.
+func WriteFvecs(w io.Writer, s F32Set) error {
+	bw := bufio.NewWriter(w)
+	for i := 0; i < s.N; i++ {
+		if err := binary.Write(bw, binary.LittleEndian, int32(s.D)); err != nil {
+			return fmt.Errorf("dataset: write fvecs dim: %w", err)
+		}
+		if err := binary.Write(bw, binary.LittleEndian, s.Vec(i)); err != nil {
+			return fmt.Errorf("dataset: write fvecs row %d: %w", i, err)
+		}
+	}
+	return bw.Flush()
+}
+
+// Vec returns row i as a slice view.
+func (s F32Set) Vec(i int) []float32 { return s.Data[i*s.D : (i+1)*s.D] }

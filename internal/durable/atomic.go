@@ -9,7 +9,7 @@ import (
 // either the complete old content or the complete new content at name,
 // never a prefix: the payload is written to a temp file, synced to
 // durable storage, and only then renamed over name. This is the shared
-// helper behind snapshot checkpoints, manifest swaps, and ivf.SaveFile.
+// helper behind snapshot checkpoints and manifest swaps.
 func WriteFileAtomic(fsys FS, name string, write func(w io.Writer) error) error {
 	tmp := name + ".tmp"
 	f, err := fsys.Create(tmp)

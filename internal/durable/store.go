@@ -99,9 +99,6 @@ func (st *Store) Manifest() Manifest { return st.man }
 // Dir returns the store directory.
 func (st *Store) Dir() string { return st.dir }
 
-// Policy returns the WAL sync policy.
-func (st *Store) Policy() SyncPolicy { return st.policy }
-
 // SnapshotBytes reads the current snapshot file whole.
 func (st *Store) SnapshotBytes() ([]byte, error) {
 	return st.fs.ReadFile(filepath.Join(st.dir, st.man.Snapshot))

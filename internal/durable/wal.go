@@ -84,18 +84,6 @@ func createWAL(fsys FS, name string, policy SyncPolicy) (*WAL, error) {
 	return &WAL{f: f, policy: policy}, nil
 }
 
-// openAppendWAL reopens an existing log for appending at its end. The
-// caller is responsible for having validated (and, after a crash,
-// truncated) the tail; Store does this by rotating to a fresh log on
-// recovery instead of appending to a possibly-torn one.
-func openAppendWAL(fsys FS, name string, policy SyncPolicy) (*WAL, error) {
-	f, err := fsys.OpenAppend(name)
-	if err != nil {
-		return nil, err
-	}
-	return &WAL{f: f, policy: policy}, nil
-}
-
 // Append frames and writes one record. Under SyncEveryRecord the
 // record is durable when Append returns; under SyncEveryBatch it is
 // durable after the next BatchEnd.

@@ -49,12 +49,3 @@ func UPMEMServer(dimms float64) PowerModel {
 		ActiveWatts: 100 + 0.75*13.92*dimms,
 	}
 }
-
-// GPUServer models the A100 PCIe baseline host.
-func GPUServer() PowerModel {
-	return PowerModel{
-		Name:        "GPU server (A100 PCIe 300W + host)",
-		IdleWatts:   130,
-		ActiveWatts: 300 + 125,
-	}
-}

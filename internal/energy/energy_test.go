@@ -52,7 +52,7 @@ func TestEnergyEfficiencyFollowsSpeedup(t *testing.T) {
 }
 
 func TestModelsNamed(t *testing.T) {
-	for _, m := range []PowerModel{CPUServer(), UPMEMServer(16), GPUServer()} {
+	for _, m := range []PowerModel{CPUServer(), UPMEMServer(16)} {
 		if m.Name == "" || m.Watts(1) <= 0 {
 			t.Fatalf("bad model %+v", m)
 		}

@@ -503,27 +503,8 @@ func (e *Engine) Dim() int { return e.base.D }
 // MaxBatch returns the scheduling batch size (engine.Engine).
 func (e *Engine) MaxBatch() int { return e.opts.BatchSize }
 
-// Len returns the corpus size.
-func (e *Engine) Len() int { return e.base.N }
-
-// Medoid returns the traversal entry point.
-func (e *Engine) Medoid() int32 { return e.medoid }
-
-// Neighbors returns node i's out-list (a view; ascending node ID).
-func (e *Engine) Neighbors(i int32) []int32 { return e.nbrs[i] }
-
 // Options reports the engine's resolved configuration.
 func (e *Engine) Options() Options { return e.opts }
-
-// System exposes the simulated PIM system (inspection and tests).
-func (e *Engine) System() *upmem.System { return e.sys }
-
-// NewReplica builds an engine serving the same graph bit-identically:
-// shared read-only corpus and adjacency, private simulated system and
-// scratch.
-func (e *Engine) NewReplica() (engine.Engine, error) {
-	return e.withOptions(e.opts)
-}
 
 // WithSearchOptions builds an engine over the same built graph with
 // query-time options modified by mod: SearchBeam, K, BatchSize, NumDPUs,

@@ -44,12 +44,12 @@ func getEngine(t *testing.T) (*Engine, *dataset.Synth) {
 
 func TestGraphStructure(t *testing.T) {
 	e, s := getEngine(t)
-	if e.Len() != s.Base.N || e.Dim() != s.Base.D {
-		t.Fatalf("size mismatch: %d/%d vs %d/%d", e.Len(), e.Dim(), s.Base.N, s.Base.D)
+	if e.base.N != s.Base.N || e.Dim() != s.Base.D {
+		t.Fatalf("size mismatch: %d/%d vs %d/%d", e.base.N, e.Dim(), s.Base.N, s.Base.D)
 	}
 	deg := e.Options().Degree
-	for i := 0; i < e.Len(); i++ {
-		nb := e.Neighbors(int32(i))
+	for i := 0; i < e.base.N; i++ {
+		nb := e.nbrs[i]
 		if len(nb) > deg {
 			t.Fatalf("node %d degree %d > bound %d", i, len(nb), deg)
 		}
@@ -65,7 +65,7 @@ func TestGraphStructure(t *testing.T) {
 			}
 		}
 	}
-	if m := e.Medoid(); m < 0 || int(m) >= e.Len() {
+	if m := e.medoid; m < 0 || int(m) >= e.base.N {
 		t.Fatalf("medoid %d out of range", m)
 	}
 }
@@ -80,8 +80,8 @@ func TestBuildDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Medoid() != b.Medoid() {
-		t.Fatalf("medoids differ: %d vs %d", a.Medoid(), b.Medoid())
+	if a.medoid != b.medoid {
+		t.Fatalf("medoids differ: %d vs %d", a.medoid, b.medoid)
 	}
 	if !reflect.DeepEqual(a.nbrs, b.nbrs) {
 		t.Fatal("two builds over the same corpus produced different graphs")
@@ -147,7 +147,7 @@ func TestSearchDeterminismAndReplica(t *testing.T) {
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatal("two runs over the same engine differ")
 	}
-	rep, err := e.NewReplica()
+	rep, err := e.withOptions(e.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestMemoryFootprintSharing(t *testing.T) {
 	if mf.SharedBytes <= 0 || mf.PerReplicaBytes <= 0 {
 		t.Fatalf("degenerate footprint: %+v", mf)
 	}
-	if mf.SharedBytes < int64(e.Len()*e.Dim()) {
+	if mf.SharedBytes < int64(e.base.N*e.Dim()) {
 		t.Fatalf("shared bytes %d below corpus size", mf.SharedBytes)
 	}
 }

@@ -390,11 +390,6 @@ func (ix *Index) SearchInt(query []uint8, nprobe, k int) []topk.Item[uint32] {
 	return h.Sorted()
 }
 
-// SearchBatch runs Search for a query set in parallel and returns id lists.
-func (ix *Index) SearchBatch(queries dataset.U8Set, nprobe, k, workers int) [][]int32 {
-	return searchIDs(queries, workers, func(q []uint8) []topk.Item[float32] { return ix.Search(q, nprobe, k) })
-}
-
 // SearchIntBatch runs SearchInt for a query set in parallel.
 func (ix *Index) SearchIntBatch(queries dataset.U8Set, nprobe, k, workers int) [][]int32 {
 	return searchIDs(queries, workers, func(q []uint8) []topk.Item[uint32] { return ix.SearchInt(q, nprobe, k) })

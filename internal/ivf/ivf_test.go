@@ -5,6 +5,7 @@ import (
 
 	"drimann/internal/dataset"
 	"drimann/internal/pq"
+	"drimann/internal/topk"
 )
 
 // smallIndex builds a small but realistic index for tests.
@@ -173,4 +174,9 @@ func TestSearchIntDeterministic(t *testing.T) {
 			t.Fatal("SearchInt not deterministic")
 		}
 	}
+}
+
+// SearchBatch runs Search for a query set in parallel and returns id lists.
+func (ix *Index) SearchBatch(queries dataset.U8Set, nprobe, k, workers int) [][]int32 {
+	return searchIDs(queries, workers, func(q []uint8) []topk.Item[float32] { return ix.Search(q, nprobe, k) })
 }

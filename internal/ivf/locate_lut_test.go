@@ -128,7 +128,9 @@ func TestDecomposedADCMatchesMaterializedLUT(t *testing.T) {
 		subI16(res, q, ix.CentroidU8(c))
 		ix.IntCB.LUTInt(res, lut, ix.SQT)
 		want := make([]uint32, n)
-		vecmath.ADCBatchU32(want, lut, codes, ix.M, ix.CB)
+		for i := range want {
+			want[i] = vecmath.ADCU32(lut, codes[i*ix.M:(i+1)*ix.M], ix.CB)
+		}
 
 		lb.BuildQE(q, qe)
 		bsum := make([]int32, n)

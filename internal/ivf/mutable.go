@@ -244,21 +244,20 @@ func (ix *Index) MutationBytes() int64 {
 	return int64(ix.mut.nAppend)*int64(4+2*ix.M) + int64(ix.mut.nTomb)*4
 }
 
-// Compact folds append segments and tombstones back into the packed
+// CompactRemap folds append segments and tombstones back into the packed
 // Lists/Codes arenas and discards the overlay. Only clusters whose content
 // changed are rebuilt; within each, surviving base entries and append
 // entries merge in ascending-id order — the order Build produces — so a
 // compacted index is bit-identical to a fresh frozen-quantizer build over
 // the same logical corpus. It returns the rebuilt clusters (callers
 // invalidate per-point derived tables for exactly those).
-func (ix *Index) Compact() ([]int32, error) { return ix.CompactRemap(nil) }
-
-// CompactRemap is Compact with a simultaneous id relabeling: live id x
-// becomes remap[x] (remap must be injective over live ids, len > max live
-// id). The sharded layer uses it to renumber shard-local ids back to the
-// dense monotone space its remap tables require. When remap reorders a
-// cluster's surviving base entries (it never does under a monotone remap),
-// that cluster is re-sorted and reported dirty too.
+//
+// A non-nil remap relabels at the same time: live id x becomes remap[x]
+// (remap must be injective over live ids, len > max live id). The sharded
+// layer uses it to renumber shard-local ids back to the dense monotone space
+// its remap tables require. When remap reorders a cluster's surviving base
+// entries (it never does under a monotone remap), that cluster is re-sorted
+// and reported dirty too.
 func (ix *Index) CompactRemap(remap []int32) ([]int32, error) {
 	m := ix.mut
 	if m == nil && remap == nil {

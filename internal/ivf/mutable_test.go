@@ -89,12 +89,12 @@ func TestMutateCompactBitIdentity(t *testing.T) {
 					}
 					pool = append(pool, id)
 				case r == 9: // occasional mid-stream compaction
-					if _, err := ix.Compact(); err != nil {
+					if _, err := ix.CompactRemap(nil); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			if _, err := ix.Compact(); err != nil {
+			if _, err := ix.CompactRemap(nil); err != nil {
 				t.Fatal(err)
 			}
 			if ix.HasMutations() || ix.MutationBytes() != 0 {
@@ -177,7 +177,7 @@ func TestDeleteThenReinsert(t *testing.T) {
 	if !ix.HasMutations() {
 		t.Fatal("delete-then-reinsert must leave an overlay")
 	}
-	if _, err := ix.Compact(); err != nil {
+	if _, err := ix.CompactRemap(nil); err != nil {
 		t.Fatal(err)
 	}
 	requireSameContents(t, ix, pristine)
@@ -230,10 +230,10 @@ func TestAppendLogRoundTrip(t *testing.T) {
 	if got := ix2.EncodeAppendLog(); !slices.Equal(got, log) {
 		t.Fatal("re-encoded log differs from the original")
 	}
-	if _, err := ix.Compact(); err != nil {
+	if _, err := ix.CompactRemap(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix2.Compact(); err != nil {
+	if _, err := ix2.CompactRemap(nil); err != nil {
 		t.Fatal(err)
 	}
 	requireSameContents(t, ix2, ix)

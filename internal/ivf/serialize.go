@@ -7,9 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 
-	"drimann/internal/durable"
 	"drimann/internal/mat"
 	"drimann/internal/pq"
 	"drimann/internal/sqt"
@@ -325,22 +323,4 @@ func loadV2(br *bufio.Reader) (*Index, error) {
 		ix.mut = nil
 	}
 	return ix, nil
-}
-
-// SaveFile writes the index to path atomically: the bytes land in a
-// temp file, are fsynced, and replace path in one rename — a crash
-// mid-save leaves the previous good snapshot intact instead of a
-// truncated file.
-func (ix *Index) SaveFile(path string) error {
-	return durable.WriteFileAtomic(durable.OS{}, path, ix.Save)
-}
-
-// LoadFile reads an index from a file.
-func LoadFile(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("ivf: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
 }

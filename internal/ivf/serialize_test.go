@@ -2,11 +2,13 @@ package ivf
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
+	"drimann/internal/durable"
 	"drimann/internal/topk"
 )
 
@@ -67,17 +69,17 @@ func TestSaveLoadOPQ(t *testing.T) {
 func TestSaveLoadFile(t *testing.T) {
 	ix, _ := smallIndex(t, "pq")
 	path := filepath.Join(t.TempDir(), "index.drim")
-	if err := ix.SaveFile(path); err != nil {
+	if err := durable.WriteFileAtomic(durable.OS{}, path, ix.Save); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadFile(path)
+	loaded, err := loadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.NList != ix.NList {
 		t.Fatal("file round trip failed")
 	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing")); err == nil {
+	if _, err := loadFile(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("missing file must fail")
 	}
 }
@@ -210,7 +212,7 @@ func TestSaveFileLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "index.drim")
 	for i := 0; i < 2; i++ {
-		if err := ix.SaveFile(path); err != nil {
+		if err := durable.WriteFileAtomic(durable.OS{}, path, ix.Save); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,7 +223,7 @@ func TestSaveFileLeavesNoTemp(t *testing.T) {
 	if len(entries) != 1 || entries[0].Name() != "index.drim" {
 		t.Fatalf("unexpected directory contents: %v", entries)
 	}
-	if _, err := LoadFile(path); err != nil {
+	if _, err := loadFile(path); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -245,4 +247,14 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 	if _, err := Load(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated body must fail")
 	}
+}
+
+// loadFile reads an index from a file.
+func loadFile(path string) (*Index, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("ivf: %w", err)
+	}
+	defer f.Close()
+	return Load(f)
 }

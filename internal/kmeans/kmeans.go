@@ -59,11 +59,6 @@ type Result struct {
 	Iters     int       // Lloyd iterations actually run
 }
 
-// Centroid returns centroid i as a slice view.
-func (r *Result) Centroid(i int) []float32 {
-	return r.Centroids[i*r.Dim : (i+1)*r.Dim]
-}
-
 // Train clusters the flat data (N x cfg.Dim) into cfg.K clusters.
 func Train(data []float32, cfg Config) (*Result, error) {
 	cfg.defaults()

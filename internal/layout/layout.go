@@ -548,37 +548,3 @@ func (pl *Placement) Validate(sizes []int) error {
 	}
 	return nil
 }
-
-// ReuseScore counts pairs of same-cluster slices whose primary copies share a
-// DPU — the quantity the exchange pass maximizes.
-func (pl *Placement) ReuseScore() int {
-	score := 0
-	for _, ids := range pl.ByCluster {
-		byDPU := map[int]int{}
-		for _, si := range ids {
-			if len(pl.Slices[si].DPUs) > 0 {
-				byDPU[pl.Slices[si].DPUs[0]]++
-			}
-		}
-		for _, n := range byDPU {
-			score += n * (n - 1) / 2
-		}
-	}
-	return score
-}
-
-// HeatImbalance returns max/mean DPU heat (1 = perfect balance).
-func (pl *Placement) HeatImbalance() float64 {
-	var sum, max float64
-	for _, h := range pl.DPUHeat {
-		sum += h
-		if h > max {
-			max = h
-		}
-	}
-	mean := sum / float64(len(pl.DPUHeat))
-	if mean == 0 {
-		return 1
-	}
-	return max / mean
-}

@@ -320,19 +320,3 @@ func OrthoProcrustes(a *Dense) (*Dense, error) {
 	}
 	return Mul(u, v.T()), nil
 }
-
-// MaxAbsDiff returns the largest absolute element-wise difference between two
-// equal-shape matrices; a convenience for tests.
-func MaxAbsDiff(a, b *Dense) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("mat: MaxAbsDiff shape mismatch")
-	}
-	var max float64
-	for i, x := range a.Data {
-		d := math.Abs(x - b.Data[i])
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}

@@ -120,11 +120,3 @@ func (o *OPQ) Rotate(v []float32) []float32 {
 	applyRotation(out, v, o.R, len(v))
 	return out
 }
-
-// ReconstructionMSE reports the rotated-space reconstruction error on data.
-func (o *OPQ) ReconstructionMSE(data []float32) float64 {
-	dim := o.PQ.D
-	rotated := make([]float32, len(data))
-	applyRotation(rotated, data, o.R, dim)
-	return o.PQ.ReconstructionMSE(rotated)
-}

@@ -138,11 +138,6 @@ func (q *Quantizer) LUT(v []float32, lut []float32) {
 	}
 }
 
-// ADC returns the asymmetric distance of a code against a prepared LUT.
-func (q *Quantizer) ADC(lut []float32, code []uint16) float32 {
-	return vecmath.ADCF32(lut, code, q.CB)
-}
-
 // ReconstructionMSE reports the mean squared reconstruction error over flat
 // data, the quantity PQ training minimizes.
 func (q *Quantizer) ReconstructionMSE(data []float32) float64 {
@@ -160,15 +155,6 @@ func (q *Quantizer) ReconstructionMSE(data []float32) float64 {
 		total += float64(vecmath.L2SquaredF32(row, rec))
 	}
 	return total / float64(n)
-}
-
-// CodeBytes reports the packed bytes per vector on the PIM layout: one byte
-// per sub-code when CB <= 256, two otherwise (the paper's Ba/Bp parameters).
-func (q *Quantizer) CodeBytes() int {
-	if q.CB <= 256 {
-		return q.M
-	}
-	return 2 * q.M
 }
 
 // IntCodebooks is the residual-domain integer deployment of a quantizer for
@@ -201,22 +187,6 @@ func (q *Quantizer) QuantizeCodebooks() IntCodebooks {
 func (ic *IntCodebooks) Entry(m, c int) []int16 {
 	off := (m*ic.CB + c) * ic.DSub
 	return ic.Data[off : off+ic.DSub]
-}
-
-// EncodeInt encodes an int16 residual against the integer codebooks with
-// exact integer arithmetic (deterministic tie-break on the lower index).
-func (ic *IntCodebooks) EncodeInt(residual []int16, code []uint16) {
-	for m := 0; m < ic.M; m++ {
-		subvec := residual[m*ic.DSub : (m+1)*ic.DSub]
-		best, bestD := 0, uint32(math.MaxUint32)
-		for c := 0; c < ic.CB; c++ {
-			d := vecmath.L2SquaredI16(subvec, ic.Entry(m, c))
-			if d < bestD {
-				best, bestD = c, d
-			}
-		}
-		code[m] = uint16(best)
-	}
 }
 
 // LUTInt fills lut (length M*CB) with integer squared distances between the

@@ -99,7 +99,7 @@ func TestADCEqualsDecodedDistance(t *testing.T) {
 		q.Encode(target, code)
 		q.Decode(code, rec)
 		want := vecmath.L2SquaredF32(query, rec)
-		got := q.ADC(lut, code)
+		got := vecmath.ADCF32(lut, code, q.CB)
 		if math.Abs(float64(got-want)) > 1e-2*math.Max(1, float64(want)) {
 			t.Fatalf("ADC %v != decoded distance %v", got, want)
 		}
@@ -121,17 +121,6 @@ func TestEncodeAllShape(t *testing.T) {
 		if int(c) >= q.CB {
 			t.Fatalf("code %d out of range", c)
 		}
-	}
-}
-
-func TestCodeBytes(t *testing.T) {
-	q := &Quantizer{M: 16, CB: 256}
-	if q.CodeBytes() != 16 {
-		t.Fatalf("CodeBytes = %d, want 16", q.CodeBytes())
-	}
-	q.CB = 1024
-	if q.CodeBytes() != 32 {
-		t.Fatalf("CodeBytes = %d, want 32", q.CodeBytes())
 	}
 }
 
@@ -180,33 +169,6 @@ func TestLUTIntSQTBitExactWithMul(t *testing.T) {
 		for i := range lutA {
 			if lutA[i] != lutB[i] {
 				t.Fatalf("SQT LUT differs from mul LUT at %d: %d vs %d", i, lutA[i], lutB[i])
-			}
-		}
-	}
-}
-
-func TestEncodeIntNearest(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	data := corpus(rng, 256, 8)
-	q, err := Train(data, 8, Config{M: 2, CB: 16, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ic := q.QuantizeCodebooks()
-	code := make([]uint16, 2)
-	residual := make([]int16, 8)
-	for trial := 0; trial < 50; trial++ {
-		for j := range residual {
-			residual[j] = int16(rng.Intn(511) - 255)
-		}
-		ic.EncodeInt(residual, code)
-		for m := 0; m < 2; m++ {
-			sub := residual[m*4 : (m+1)*4]
-			got := vecmath.L2SquaredI16(sub, ic.Entry(m, int(code[m])))
-			for c := 0; c < 16; c++ {
-				if d := vecmath.L2SquaredI16(sub, ic.Entry(m, c)); d < got {
-					t.Fatalf("EncodeInt not nearest: %d < %d", d, got)
-				}
 			}
 		}
 	}
@@ -270,7 +232,7 @@ func TestOPQNotWorseThanPQOnCorrelatedData(t *testing.T) {
 		t.Fatal(err)
 	}
 	pqMSE := q.ReconstructionMSE(data)
-	opqMSE := o.ReconstructionMSE(data)
+	opqMSE := opqReconstructionMSE(o, data)
 	if opqMSE > pqMSE*1.10 {
 		t.Fatalf("OPQ MSE %v much worse than PQ MSE %v", opqMSE, pqMSE)
 	}
@@ -299,4 +261,11 @@ func TestDPQValidation(t *testing.T) {
 	if _, err := TrainDPQ([]float32{1, 2}, 2, Config{M: 3, CB: 4}, 1, 0.1); err == nil {
 		t.Fatal("expected error propagation from Train")
 	}
+}
+
+// opqReconstructionMSE is the rotated-space reconstruction error of o on data.
+func opqReconstructionMSE(o *OPQ, data []float32) float64 {
+	rotated := make([]float32, len(data))
+	applyRotation(rotated, data, o.R, o.PQ.D)
+	return o.PQ.ReconstructionMSE(rotated)
 }

@@ -72,15 +72,8 @@ type Batch struct {
 	scratch []Task // reused task-expansion buffer
 }
 
-// Greedy schedules requests (plus carried-over tasks) onto DPUs.
-func Greedy(reqs []Request, carried []Task, pl *layout.Placement, cfg Config) *Batch {
-	b := &Batch{}
-	GreedyInto(b, reqs, carried, pl, cfg)
-	return b
-}
-
-// GreedyInto is Greedy with caller-owned storage: b's slices are reset and
-// refilled in place (grown only when capacity is insufficient), so a batch
+// GreedyInto schedules requests (plus carried-over tasks) onto DPUs into
+// caller-owned storage: b's slices are reset and refilled in place (grown only when capacity is insufficient), so a batch
 // loop that reuses one Batch performs no steady-state allocation. carried
 // must not alias b.Postponed from the same Batch — copy it out first.
 func GreedyInto(b *Batch, reqs []Request, carried []Task, pl *layout.Placement, cfg Config) {
@@ -220,29 +213,4 @@ func meanHeat(heat []float64) float64 {
 		sum += h
 	}
 	return sum / float64(len(heat))
-}
-
-// MaxHeat returns the hottest DPU's predicted cycles.
-func (b *Batch) MaxHeat() float64 { return b.Heat[argmaxHeat(b.Heat)] }
-
-// TaskCount returns the number of scheduled (non-postponed) tasks.
-func (b *Batch) TaskCount() int {
-	n := 0
-	for _, ts := range b.PerDPU {
-		n += len(ts)
-	}
-	return n
-}
-
-// Profile counts how often each cluster appears in the probe lists of a
-// sample query workload — the offline heat profile that drives the layout
-// optimizer (paper: "heat profiled by random data distribution patterns").
-func Profile(probeLists [][]int32, nClusters int) []float64 {
-	freq := make([]float64, nClusters)
-	for _, probes := range probeLists {
-		for _, c := range probes {
-			freq[c]++
-		}
-	}
-	return freq
 }

@@ -207,17 +207,6 @@ func TestCustomCostFunction(t *testing.T) {
 	}
 }
 
-func TestProfileCounts(t *testing.T) {
-	probes := [][]int32{{0, 1}, {0, 2}, {0}}
-	freq := Profile(probes, 4)
-	want := []float64{3, 1, 1, 0}
-	for i := range want {
-		if freq[i] != want[i] {
-			t.Fatalf("Profile = %v, want %v", freq, want)
-		}
-	}
-}
-
 // TestPostponeKeepsUnboundedTasks: postponement sheds only the tasks the cost
 // hook calls deferrable (the engine: those whose query carries a bound). A DPU
 // over Th3 holding both kinds sheds deferrable ones, latest first, until it is
@@ -351,4 +340,23 @@ func TestPriceNeverChangesAnswers(t *testing.T) {
 			t.Fatalf("%s price: %d tasks for %d requested", name, b.TaskCount()+len(b.Postponed), want)
 		}
 	}
+}
+
+// Greedy schedules requests (plus carried-over tasks) onto DPUs.
+func Greedy(reqs []Request, carried []Task, pl *layout.Placement, cfg Config) *Batch {
+	b := &Batch{}
+	GreedyInto(b, reqs, carried, pl, cfg)
+	return b
+}
+
+// MaxHeat returns the hottest DPU's predicted cycles.
+func (b *Batch) MaxHeat() float64 { return b.Heat[argmaxHeat(b.Heat)] }
+
+// TaskCount returns the number of scheduled (non-postponed) tasks.
+func (b *Batch) TaskCount() int {
+	n := 0
+	for _, ts := range b.PerDPU {
+		n += len(ts)
+	}
+	return n
 }

@@ -50,11 +50,11 @@
 //
 // Per-query results are bit-identical to a single SearchBatch over the same
 // queries, however arrivals split into micro-batches (the equivalence suite
-// pins this). Insert, Delete, Compact and Checkpoint run on the batcher
-// goroutine between launches — no hot-path locking; queries admitted before
-// the call are answered before or after the mutation, never during — and
-// return ErrUnsupported on a backend without the capability. The server knows
-// nothing of durability: over an engine with a store attached
+// pins this). Insert, and any mutation handed to Exclusive, runs on the
+// batcher goroutine between launches — no hot-path locking; queries admitted
+// before the call are answered before or after the mutation, never during —
+// and Insert returns ErrUnsupported on a backend without the capability. The
+// server knows nothing of durability: over an engine with a store attached
 // (core.Engine.CreateStore, core.Recover) every mutation it applies is logged
 // by the engine, and the caller closes the store after the server.
 package serve
@@ -418,20 +418,6 @@ func (s *Server) Exclusive(fn func() error) error {
 func (s *Server) Insert(vecs dataset.U8Set, ids []int32) error {
 	return s.exclusiveMut("insert", func(m engine.Mutable) error { return m.Insert(vecs, ids) })
 }
-
-// Delete routes the backend's Delete through Exclusive; the ids are gone from
-// every query batched after the call returns.
-func (s *Server) Delete(ids []int32) error {
-	return s.exclusiveMut("delete", func(m engine.Mutable) error { return m.Delete(ids) })
-}
-
-// Compact routes the backend's Compact through Exclusive, folding the mutation
-// overlay back into the packed layout between launches.
-func (s *Server) Compact() error { return s.exclusiveMut("compact", engine.Mutable.Compact) }
-
-// Checkpoint routes the backend's Checkpoint through Exclusive: a fresh
-// snapshot and a rotated WAL on a backend with a durable store attached.
-func (s *Server) Checkpoint() error { return s.exclusiveMut("checkpoint", engine.Mutable.Checkpoint) }
 
 // exclusiveMut runs fn on the Mutable backend through Exclusive, or fails
 // with ErrUnsupported when the backend is not Mutable.

@@ -35,6 +35,3 @@ func (t *SQT8) Square(d int32) uint32 {
 	}
 	return t.table[d]
 }
-
-// SizeBytes reports the table footprint, which must fit WRAM.
-func (t *SQT8) SizeBytes() int { return len(t.table) * 4 }

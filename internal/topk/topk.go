@@ -55,9 +55,6 @@ func NewHeap[D cmp.Ordered](k int) *Heap[D] {
 // Len reports how many items are currently held (<= k).
 func (h *Heap[D]) Len() int { return len(h.items) }
 
-// K returns the heap capacity.
-func (h *Heap[D]) K() int { return h.k }
-
 // Full reports whether k items are held, i.e. Threshold is meaningful.
 func (h *Heap[D]) Full() bool { return len(h.items) == h.k }
 
@@ -187,29 +184,4 @@ func (h *Heap[D]) siftDown(i int) {
 // SortItems sorts items in place into the deterministic ascending order.
 func SortItems[D cmp.Ordered](items []Item[D]) {
 	slices.SortFunc(items, compare[D])
-}
-
-// MergeSorted merges two ascending deterministic-order slices into a fresh
-// ascending slice truncated to k items, used when combining per-DPU top-k
-// lists on the host.
-func MergeSorted[D cmp.Ordered](a, b []Item[D], k int) []Item[D] {
-	out := make([]Item[D], 0, min(k, len(a)+len(b)))
-	i, j := 0, 0
-	for len(out) < k && (i < len(a) || j < len(b)) {
-		switch {
-		case i >= len(a):
-			out = append(out, b[j])
-			j++
-		case j >= len(b):
-			out = append(out, a[i])
-			i++
-		case Less(a[i], b[j]):
-			out = append(out, a[i])
-			i++
-		default:
-			out = append(out, b[j])
-			j++
-		}
-	}
-	return out
 }

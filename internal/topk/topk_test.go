@@ -113,40 +113,6 @@ func TestNewHeapPanicsOnBadK(t *testing.T) {
 	NewHeap[uint32](0)
 }
 
-func TestMergeSorted(t *testing.T) {
-	a := []Item[uint32]{{ID: 1, Dist: 1}, {ID: 4, Dist: 4}}
-	b := []Item[uint32]{{ID: 2, Dist: 2}, {ID: 3, Dist: 3}, {ID: 5, Dist: 5}}
-	got := MergeSorted(a, b, 4)
-	want := []Item[uint32]{{ID: 1, Dist: 1}, {ID: 2, Dist: 2}, {ID: 3, Dist: 3}, {ID: 4, Dist: 4}}
-	if !equalItems(got, want) {
-		t.Fatalf("MergeSorted = %v", got)
-	}
-	if got := MergeSorted(nil, b, 2); len(got) != 2 || got[0].ID != 2 {
-		t.Fatalf("MergeSorted(nil,b) = %v", got)
-	}
-}
-
-func TestMergeSortedMatchesOracleProperty(t *testing.T) {
-	f := func(da, db []uint32, kRaw uint8) bool {
-		k := int(kRaw)%8 + 1
-		a := make([]Item[uint32], len(da))
-		for i, d := range da {
-			a[i] = Item[uint32]{ID: int32(i), Dist: d}
-		}
-		b := make([]Item[uint32], len(db))
-		for i, d := range db {
-			b[i] = Item[uint32]{ID: int32(1000 + i), Dist: d}
-		}
-		SortItems(a)
-		SortItems(b)
-		all := append(append([]Item[uint32]{}, a...), b...)
-		return equalItems(MergeSorted(a, b, k), oracle(all, k))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHeapFloat32(t *testing.T) {
 	h := NewHeap[float32](2)
 	h.Push(1, 0.5)

@@ -337,20 +337,8 @@ func (d *DPU) AllocMRAM(bytes int) error {
 	return nil
 }
 
-// WRAMUsed reports reserved scratchpad bytes.
-func (d *DPU) WRAMUsed() int { return d.wramUsed }
-
-// MRAMUsed reports reserved bank bytes.
-func (d *DPU) MRAMUsed() int { return d.mramUsed }
-
 // WRAMFree reports remaining scratchpad bytes.
 func (d *DPU) WRAMFree() int { return d.cfg.WRAMBytes - d.wramUsed }
-
-// MRAMFree reports remaining bank bytes.
-func (d *DPU) MRAMFree() int { return d.cfg.MRAMBytes - d.mramUsed }
-
-// ResetWRAM releases all scratchpad reservations (between batches).
-func (d *DPU) ResetWRAM() { d.wramUsed = 0 }
 
 // ResetCounters zeroes the phase statistics (between measurements).
 func (d *DPU) ResetCounters() { d.phases = [NumPhases]PhaseStats{} }
@@ -436,18 +424,12 @@ func (s *System) TransferFromDPUs(bytes uint64) { s.devToHost += bytes }
 // Launch accounts one synchronous launch of all DPUs.
 func (s *System) Launch() { s.launches++ }
 
-// Launches reports the number of synchronous launches so far.
-func (s *System) Launches() int { return s.launches }
-
 // TransferSeconds returns the time spent on host<->PIM transfers plus launch
 // overheads so far.
 func (s *System) TransferSeconds() float64 {
 	bw := s.Cfg.HostBWBytesPerSec()
 	return float64(s.hostToDev+s.devToHost)/bw + float64(s.launches)*s.Cfg.LaunchLatencySec
 }
-
-// TransferredBytes reports (to-device, from-device) totals.
-func (s *System) TransferredBytes() (uint64, uint64) { return s.hostToDev, s.devToHost }
 
 // MaxDPUCycles returns the slowest DPU's total cycles — the batch critical
 // path under synchronous launches, which is exactly what load balancing
@@ -499,11 +481,4 @@ func (s *System) ResetCounters() {
 		d.ResetCounters()
 	}
 	s.hostToDev, s.devToHost, s.launches = 0, 0, 0
-}
-
-// ResetWRAM releases WRAM reservations on all DPUs.
-func (s *System) ResetWRAM() {
-	for _, d := range s.DPUs {
-		d.ResetWRAM()
-	}
 }

@@ -113,10 +113,6 @@ func TestWRAMCapacity(t *testing.T) {
 	if d.WRAMFree() != 4*1024 {
 		t.Fatalf("WRAMFree = %d", d.WRAMFree())
 	}
-	d.ResetWRAM()
-	if d.WRAMUsed() != 0 {
-		t.Fatal("ResetWRAM failed")
-	}
 	if err := d.AllocWRAM(-1); err == nil {
 		t.Fatal("negative alloc must fail")
 	}
@@ -133,8 +129,8 @@ func TestMRAMCapacity(t *testing.T) {
 	if err := d.AllocMRAM(100); err == nil {
 		t.Fatal("expected MRAM overflow")
 	}
-	if d.MRAMFree() != 24 {
-		t.Fatalf("MRAMFree = %d", d.MRAMFree())
+	if free := d.cfg.MRAMBytes - d.mramUsed; free != 24 {
+		t.Fatalf("MRAM free = %d", free)
 	}
 }
 
@@ -154,7 +150,7 @@ func TestHostTransferModel(t *testing.T) {
 	if diff := sec - want; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("transfer seconds = %g, want %g", sec, want)
 	}
-	toDev, fromDev := s.TransferredBytes()
+	toDev, fromDev := s.hostToDev, s.devToHost
 	if toDev != 1<<20 || fromDev != 1<<20 {
 		t.Fatalf("transferred = %d/%d", toDev, fromDev)
 	}

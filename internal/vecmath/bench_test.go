@@ -89,9 +89,8 @@ func adcFixture(m, cb, n int) (lut []uint32, codes []uint16) {
 	return lut, codes
 }
 
-// The ISSUE-2 ADC micro-benchmarks: generic per-point loop vs the unrolled
-// M=16 kernel vs the batch dispatcher vs the decomposed residual batch. The
-// engine's DC phase runs one of the batch variants per cluster slice.
+// ADC micro-benchmarks: the generic per-point loop over a materialized LUT
+// against the decomposed residual batch the engine's DC phase runs.
 
 func BenchmarkADCU32GenericLoop(b *testing.B) {
 	const m, cb, n = 16, 256, 1024
@@ -104,39 +103,6 @@ func BenchmarkADCU32GenericLoop(b *testing.B) {
 		}
 	}
 	_ = sink
-}
-
-func BenchmarkADCU32M16Unrolled(b *testing.B) {
-	const m, cb, n = 16, 256, 1024
-	lut, codes := adcFixture(m, cb, n)
-	b.SetBytes(int64(n * m * 2))
-	var sink uint32
-	for i := 0; i < b.N; i++ {
-		for p := 0; p < n; p++ {
-			sink += ADCU32M16(lut, codes[p*m:(p+1)*m], cb)
-		}
-	}
-	_ = sink
-}
-
-func BenchmarkADCBatchU32M16(b *testing.B) {
-	const m, cb, n = 16, 256, 1024
-	lut, codes := adcFixture(m, cb, n)
-	dst := make([]uint32, n)
-	b.SetBytes(int64(n * m * 2))
-	for i := 0; i < b.N; i++ {
-		ADCBatchU32(dst, lut, codes, m, cb)
-	}
-}
-
-func BenchmarkADCBatchU32M8(b *testing.B) {
-	const m, cb, n = 8, 256, 1024
-	lut, codes := adcFixture(m, cb, n)
-	dst := make([]uint32, n)
-	b.SetBytes(int64(n * m * 2))
-	for i := 0; i < b.N; i++ {
-		ADCBatchU32(dst, lut, codes, m, cb)
-	}
 }
 
 func BenchmarkADCResidualBatchM16(b *testing.B) {

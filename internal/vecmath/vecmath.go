@@ -91,16 +91,6 @@ func L2SquaredI16(a, b []int16) uint32 {
 	return sum
 }
 
-// DotF32 returns the inner product of two float32 vectors of equal length.
-func DotF32(a, b []float32) float32 {
-	_ = b[len(a)-1]
-	var sum float32
-	for i, av := range a {
-		sum += av * b[i]
-	}
-	return sum
-}
-
 // NormSquaredF32 returns the squared L2 norm of v.
 func NormSquaredF32(v []float32) float32 {
 	var sum float32
@@ -254,11 +244,6 @@ func (q Quantizer) Encode(x float32) uint8 {
 	return uint8(v)
 }
 
-// Decode reconstructs the float32 value of a uint8 code.
-func (q Quantizer) Decode(c uint8) float32 {
-	return q.Bias + float32(c)*q.Scale
-}
-
 // EncodeVec quantizes src into dst (same length).
 func (q Quantizer) EncodeVec(dst []uint8, src []float32) {
 	_ = dst[len(src)-1]
@@ -267,26 +252,10 @@ func (q Quantizer) EncodeVec(dst []uint8, src []float32) {
 	}
 }
 
-// DecodeVec reconstructs src into dst (same length).
-func (q Quantizer) DecodeVec(dst []float32, src []uint8) {
-	_ = dst[len(src)-1]
-	for i, c := range src {
-		dst[i] = q.Decode(c)
-	}
-}
-
 // EncodeAll quantizes a whole flat float32 corpus into a fresh uint8 corpus.
 func (q Quantizer) EncodeAll(src []float32) []uint8 {
 	dst := make([]uint8, len(src))
 	q.EncodeVec(dst, src)
-	return dst
-}
-
-// DecodeAll reconstructs a whole flat uint8 corpus into a fresh float32
-// corpus.
-func (q Quantizer) DecodeAll(src []uint8) []float32 {
-	dst := make([]float32, len(src))
-	q.DecodeVec(dst, src)
 	return dst
 }
 
@@ -317,80 +286,6 @@ func ADCU32(lut []uint32, code []uint16, cb int) uint32 {
 		sum += lut[m*cb+int(c)]
 	}
 	return sum
-}
-
-// ADCU32M8 is ADCU32 specialized for M=8: fully unrolled with four
-// independent accumulators so the gathers overlap instead of serializing on
-// one addition chain. uint32 addition is associative mod 2^32, so the result
-// is bit-identical to ADCU32.
-func ADCU32M8(lut []uint32, code []uint16, cb int) uint32 {
-	_ = code[7]
-	s0 := lut[int(code[0])] + lut[4*cb+int(code[4])]
-	s1 := lut[cb+int(code[1])] + lut[5*cb+int(code[5])]
-	s2 := lut[2*cb+int(code[2])] + lut[6*cb+int(code[6])]
-	s3 := lut[3*cb+int(code[3])] + lut[7*cb+int(code[7])]
-	return (s0 + s1) + (s2 + s3)
-}
-
-// ADCU32M16 is ADCU32 specialized for M=16 (four 4-term accumulators).
-func ADCU32M16(lut []uint32, code []uint16, cb int) uint32 {
-	_ = code[15]
-	s0 := lut[int(code[0])] + lut[4*cb+int(code[4])] +
-		lut[8*cb+int(code[8])] + lut[12*cb+int(code[12])]
-	s1 := lut[cb+int(code[1])] + lut[5*cb+int(code[5])] +
-		lut[9*cb+int(code[9])] + lut[13*cb+int(code[13])]
-	s2 := lut[2*cb+int(code[2])] + lut[6*cb+int(code[6])] +
-		lut[10*cb+int(code[10])] + lut[14*cb+int(code[14])]
-	s3 := lut[3*cb+int(code[3])] + lut[7*cb+int(code[7])] +
-		lut[11*cb+int(code[11])] + lut[15*cb+int(code[15])]
-	return (s0 + s1) + (s2 + s3)
-}
-
-// adcU32M16CB256 is ADCU32M16 further specialized for CB=256: each row is
-// re-sliced to a provable length of 256 and indexed through a &255 mask, so
-// the compiler drops every gather bounds check. Codes must be < 256 (the
-// packing guarantees it for CB=256 indexes).
-func adcU32M16CB256(lut []uint32, code []uint16) uint32 {
-	_ = code[15]
-	_ = lut[16*256-1]
-	r0, r4 := lut[0*256:][:256], lut[4*256:][:256]
-	r8, r12 := lut[8*256:][:256], lut[12*256:][:256]
-	s0 := r0[code[0]&255] + r4[code[4]&255] + r8[code[8]&255] + r12[code[12]&255]
-	r1, r5 := lut[1*256:][:256], lut[5*256:][:256]
-	r9, r13 := lut[9*256:][:256], lut[13*256:][:256]
-	s1 := r1[code[1]&255] + r5[code[5]&255] + r9[code[9]&255] + r13[code[13]&255]
-	r2, r6 := lut[2*256:][:256], lut[6*256:][:256]
-	r10, r14 := lut[10*256:][:256], lut[14*256:][:256]
-	s2 := r2[code[2]&255] + r6[code[6]&255] + r10[code[10]&255] + r14[code[14]&255]
-	r3, r7 := lut[3*256:][:256], lut[7*256:][:256]
-	r11, r15 := lut[11*256:][:256], lut[15*256:][:256]
-	s3 := r3[code[3]&255] + r7[code[7]&255] + r11[code[11]&255] + r15[code[15]&255]
-	return (s0 + s1) + (s2 + s3)
-}
-
-// ADCBatchU32 fills dst[i] with the ADC distance of point i over the packed
-// code matrix (n rows of m entries), dispatching to the unrolled M=8/M=16
-// kernels when they apply. Results are bit-identical to calling ADCU32 per
-// row.
-func ADCBatchU32(dst []uint32, lut []uint32, codes []uint16, m, cb int) {
-	switch {
-	case m == 16 && cb == 256:
-		for i := range dst {
-			dst[i] = adcU32M16CB256(lut, codes[i*16:i*16+16])
-		}
-	case m == 8:
-		for i := range dst {
-			dst[i] = ADCU32M8(lut, codes[i*8:i*8+8], cb)
-		}
-	case m == 16:
-		for i := range dst {
-			dst[i] = ADCU32M16(lut, codes[i*16:i*16+16], cb)
-		}
-	default:
-		for i := range dst {
-			dst[i] = ADCU32(lut, codes[i*m:(i+1)*m], cb)
-		}
-	}
 }
 
 // qeSumM8 gathers the per-query decomposition term Σ_m qe[m*cb+code_m] for
@@ -427,8 +322,10 @@ func qeSum(qe []int32, code []uint16, cb int) int32 {
 	return s
 }
 
-// qeSumM16CB256 is qeSumM16 with the bounds checks dropped via the CB=256
-// masked-index trick of adcU32M16CB256.
+// qeSumM16CB256 is qeSumM16 further specialized for CB=256: each row is
+// re-sliced to a provable length of 256 and indexed through a &255 mask, so
+// the compiler drops every gather bounds check. Codes must be < 256 (the
+// packing guarantees it for CB=256 indexes).
 func qeSumM16CB256(qe []int32, code []uint16) int32 {
 	_ = code[15]
 	_ = qe[16*256-1]
@@ -448,12 +345,11 @@ func qeSumM16CB256(qe []int32, code []uint16) int32 {
 }
 
 // ADCResidualBatch fills dst[i] = uint32(base + bsum[i] - 2*Σ_m
-// qe[m*cb+code_im]) — the algebraically decomposed twin of ADCBatchU32: base
-// is the per-(query, cluster) scalar term, bsum the precomputed static
-// per-point term, and qe the per-query gather table (see ivf.LUTBuilder).
-// Every partial sum stays far below int32 overflow, so the result is
-// bit-identical to materializing the group's LUT and summing it with
-// ADCBatchU32.
+// qe[m*cb+code_im]) — the algebraically decomposed twin of ADCU32: base is
+// the per-(query, cluster) scalar term, bsum the precomputed static per-point
+// term, and qe the per-query gather table (see ivf.LUTBuilder). Every partial
+// sum stays far below int32 overflow, so the result is bit-identical to
+// materializing the group's LUT and summing it with ADCU32 per point.
 func ADCResidualBatch(dst []uint32, qe []int32, codes []uint16, bsum []int32, base int32, m, cb int) {
 	_ = bsum[len(dst)-1]
 	switch {
@@ -484,12 +380,7 @@ func ADCResidualBatch(dst []uint32, qe []int32, codes []uint16, bsum []int32, ba
 func ADCPartialU32(dst []uint32, lut []uint32, codes []uint16, rows []int32, subs []uint16, m, cb int) {
 	rows = rows[:len(dst)]
 	switch {
-	case len(subs) == m && m == 16 && cb == 256: // every subspace: the order is immaterial
-		for i, r := range rows {
-			dst[i] += adcU32M16CB256(lut, codes[int(r)*16:][:16])
-		}
-		return
-	case len(subs) == m:
+	case len(subs) == m: // every subspace: the order is immaterial
 		for i, r := range rows {
 			dst[i] += ADCU32(lut, codes[int(r)*m:][:m], cb)
 		}

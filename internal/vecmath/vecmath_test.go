@@ -75,14 +75,6 @@ func TestL2NonNegativeAndIdentity(t *testing.T) {
 	}
 }
 
-func TestDotF32(t *testing.T) {
-	a := []float32{1, 2, 3}
-	b := []float32{4, 5, 6}
-	if got := DotF32(a, b); got != 32 {
-		t.Fatalf("DotF32 = %v, want 32", got)
-	}
-}
-
 func TestNormSquaredF32(t *testing.T) {
 	if got := NormSquaredF32([]float32{3, 4}); got != 25 {
 		t.Fatalf("NormSquaredF32 = %v, want 25", got)
@@ -189,10 +181,9 @@ func TestEncodeDecodeVecAll(t *testing.T) {
 	src := []float32{0, 1, 2, 3}
 	q := FitQuantizer(src)
 	enc := q.EncodeAll(src)
-	dec := q.DecodeAll(enc)
 	for i := range src {
-		if math.Abs(float64(dec[i]-src[i])) > float64(q.Scale)/2+1e-5 {
-			t.Fatalf("EncodeAll/DecodeAll error at %d: %v vs %v", i, dec[i], src[i])
+		if dec := q.Decode(enc[i]); math.Abs(float64(dec-src[i])) > float64(q.Scale)/2+1e-5 {
+			t.Fatalf("EncodeAll/Decode error at %d: %v vs %v", i, dec, src[i])
 		}
 	}
 }
@@ -255,51 +246,51 @@ func TestQuantizerErrorBoundProperty(t *testing.T) {
 	}
 }
 
-// TestADCUnrolledVariantsMatchGeneric: the M=8/M=16 unrolled kernels, the
-// batch dispatcher, and the decomposed residual batch must all be
-// bit-identical to the scalar reference loop.
+// TestADCUnrolledVariantsMatchGeneric: the M=8/M=16 unrolled gathers of the
+// decomposed scan, and the CB=256 masked one, must be bit-identical to the
+// generic loop.
 func TestADCUnrolledVariantsMatchGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, m := range []int{4, 8, 16} {
+	for _, m := range []int{8, 16} {
 		for _, cb := range []int{16, 64, 256} {
-			lut := make([]uint32, m*cb)
-			for i := range lut {
-				// Large values exercise uint32 wraparound in the sums.
-				lut[i] = rng.Uint32()
+			qe := make([]int32, m*cb)
+			for i := range qe {
+				// Large values exercise int32 wraparound in the sums.
+				qe[i] = int32(rng.Uint32())
 			}
 			const n = 37
 			codes := make([]uint16, n*m)
 			for i := range codes {
 				codes[i] = uint16(rng.Intn(cb))
 			}
-
-			want := make([]uint32, n)
 			for i := 0; i < n; i++ {
-				want[i] = ADCU32(lut, codes[i*m:(i+1)*m], cb)
-			}
-			got := make([]uint32, n)
-			ADCBatchU32(got, lut, codes, m, cb)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("M=%d CB=%d point %d: batch %d != reference %d", m, cb, i, got[i], want[i])
+				code := codes[i*m : (i+1)*m]
+				want := qeSum(qe, code, cb)
+				got := qeSumM8
+				if m == 16 {
+					got = qeSumM16
 				}
-			}
-			switch m {
-			case 8:
-				for i := 0; i < n; i++ {
-					if v := ADCU32M8(lut, codes[i*8:i*8+8], cb); v != want[i] {
-						t.Fatalf("ADCU32M8 CB=%d point %d: %d != %d", cb, i, v, want[i])
-					}
+				if v := got(qe, code, cb); v != want {
+					t.Fatalf("M=%d CB=%d point %d: unrolled %d != generic %d", m, cb, i, v, want)
 				}
-			case 16:
-				for i := 0; i < n; i++ {
-					if v := ADCU32M16(lut, codes[i*16:i*16+16], cb); v != want[i] {
-						t.Fatalf("ADCU32M16 CB=%d point %d: %d != %d", cb, i, v, want[i])
+				if m == 16 && cb == 256 {
+					if v := qeSumM16CB256(qe, code); v != want {
+						t.Fatalf("CB=256 point %d: masked %d != generic %d", i, v, want)
 					}
 				}
 			}
 		}
 	}
+}
+
+// adcRows is the ADC distance of every row of the packed code matrix over a
+// materialized LUT: the reference the decomposed and partial kernels match.
+func adcRows(lut []uint32, codes []uint16, m, cb int) []uint32 {
+	dst := make([]uint32, len(codes)/m)
+	for i := range dst {
+		dst[i] = ADCU32(lut, codes[i*m:(i+1)*m], cb)
+	}
+	return dst
 }
 
 // TestADCResidualBatchMatchesMaterializedLUT: summing a materialized LUT
@@ -333,8 +324,7 @@ func TestADCResidualBatchMatchesMaterializedLUT(t *testing.T) {
 				bsum[i] += b[mi*cb+int(codes[i*m+mi])]
 			}
 		}
-		want := make([]uint32, n)
-		ADCBatchU32(want, lut, codes, m, cb)
+		want := adcRows(lut, codes, m, cb)
 		got := make([]uint32, n)
 		ADCResidualBatch(got, qe, codes, bsum, base, m, cb)
 		for i := range want {
@@ -418,8 +408,7 @@ func TestADCPartialSumsToFullDistance(t *testing.T) {
 		for i := range codes {
 			codes[i] = uint16(rng.Intn(cb))
 		}
-		full := make([]uint32, n)
-		ADCBatchU32(full, lut, codes, m, cb)
+		full := adcRows(lut, codes, m, cb)
 		var rows []int32
 		for i := 0; i < n; i += 1 + rng.Intn(3) {
 			rows = append(rows, int32(i))
@@ -709,4 +698,9 @@ func FuzzL2SquaredU8Bounded(f *testing.F) {
 		n := min(len(a), len(b))
 		checkU8Kernels(t, a[:n], b[:n], bound)
 	})
+}
+
+// Decode reconstructs the float32 value of a uint8 code.
+func (q Quantizer) Decode(c uint8) float32 {
+	return q.Bias + float32(c)*q.Scale
 }
