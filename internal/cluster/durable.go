@@ -148,8 +148,8 @@ func decodeAssign(data []byte) (policy Assignment, shards, nlist int, shardOfClu
 	}
 	body := data[17 : len(data)-4]
 	if policy == AssignKMeans {
-		if len(body) != nlist*4 {
-			return fail("cluster map is %d bytes, want %d", len(body), nlist*4)
+		if len(body)%4 != 0 || len(body)/4 != nlist {
+			return fail("cluster map is %d bytes, want %d entries", len(body), nlist)
 		}
 		shardOfCluster = make([]int32, nlist)
 		for c := range shardOfCluster {
@@ -189,10 +189,10 @@ func readIDSection(data []byte, what string) (ids []int32, rest []byte, err erro
 		return nil, nil, fmt.Errorf("cluster: shard snapshot: truncated %s section", what)
 	}
 	n := int(le.Uint32(data))
-	end := 4 + n*4
-	if n < 0 || len(data) < end+4 {
+	if n < 0 || n > (len(data)-8)/4 {
 		return nil, nil, fmt.Errorf("cluster: shard snapshot: %s section claims %d ids beyond file", what, n)
 	}
+	end := 4 + n*4
 	if le.Uint32(data[end:]) != crc32.ChecksumIEEE(data[:end]) {
 		return nil, nil, fmt.Errorf("cluster: shard snapshot: %s section checksum mismatch", what)
 	}
