@@ -389,6 +389,14 @@ func TestFigure12aShape(t *testing.T) {
 			}
 		}
 	}
+	// A pick below its floor is marked as missing it, and no other row is.
+	for i, row := range tab.Rows {
+		below := cell(t, tab, i, 3) < cell(t, tab, i, 1)
+		if marked := len(row) > 5 && row[5] == "NO"; marked != below {
+			t.Errorf("F12a row %d (%s floor %s, recall %s): marked infeasible %v, below the floor %v",
+				i, row[0], row[1], row[3], marked, below)
+		}
+	}
 }
 
 func TestFigure12bShape(t *testing.T) {

@@ -97,11 +97,12 @@ func Figure11b(r *Runner) (*Table, error) {
 // Figure12a regenerates the accuracy/performance trade-off: for each recall
 // constraint, the DSE picks an index configuration and we report the
 // model-predicted throughput, normalized per dataset to the strictest
-// constraint.
+// constraint. A pick that misses its floor (dse.Result.Feasible false: no
+// configuration the search evaluated met it) is marked as such.
 func Figure12a(r *Runner) (*Table, error) {
 	t := &Table{
 		ID: "F12a", Title: "Throughput vs accuracy constraint (DSE-selected configs)",
-		Columns: []string{"dataset", "recall floor", "chosen config", "recall", "normalized QPS"},
+		Columns: []string{"dataset", "recall floor", "chosen config", "recall", "normalized QPS", "meets floor"},
 	}
 	host := perfmodel.FromPlatform(upmem.PlatformCPU())
 	targets := []float64{0.65, 0.70, 0.75, 0.80}
@@ -159,11 +160,22 @@ func Figure12a(r *Runner) (*Table, error) {
 		if baseQPS == 0 {
 			baseQPS = picks[len(picks)-1].res.BestQPS
 		}
+		base := "feasible"
 		for _, p := range picks {
-			t.AddRow(name, f2(p.target), p.res.Best.String(), f3(p.res.BestRecall), f2(p.res.BestQPS/baseQPS))
+			meets := "yes"
+			if !p.res.Feasible {
+				meets = "NO"
+				if p.target == 0.80 {
+					base = "infeasible: the most accurate configuration the search saw, below the floor"
+				}
+			}
+			t.AddRow(name, f2(p.target), p.res.Best.String(), f3(p.res.BestRecall), f2(p.res.BestQPS/baseQPS), meets)
 		}
+		t.Notes = append(t.Notes, fmt.Sprintf("%s is normalized to its recall floor 0.80 row (%s)", name, base))
 	}
-	t.Notes = append(t.Notes, "paper: throughput rises as the accuracy constraint loosens, on all three datasets")
+	t.Notes = append(t.Notes,
+		"meets floor NO: no configuration the search evaluated met that floor, so the row shows the most accurate one it saw, below the floor",
+		"paper: throughput rises as the accuracy constraint loosens, on all three datasets")
 	return t, nil
 }
 
