@@ -10,13 +10,12 @@ package core
 
 import "drimann/internal/engine"
 
-// Metrics, Result, QueryResult and ProbeSet are the contract types shared
-// by every backend; see internal/engine.
+// Metrics, Result and ProbeSet are the contract types shared by every
+// backend; see internal/engine.
 type (
-	Metrics     = engine.Metrics
-	Result      = engine.Result
-	QueryResult = engine.QueryResult
-	ProbeSet    = engine.ProbeSet
+	Metrics  = engine.Metrics
+	Result   = engine.Result
+	ProbeSet = engine.ProbeSet
 )
 
 // The IVF engine implements the mandatory contract and every optional
