@@ -128,7 +128,7 @@ type Engine = core.Engine
 type GraphEngine = graph.Engine
 
 // GraphOptions configures the graph backend (degree bound, build/search
-// beam widths, pruning slack, simulated system size).
+// beam widths, simulated system size).
 type GraphOptions = graph.Options
 
 // DefaultGraphOptions returns the graph backend's default configuration.
