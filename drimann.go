@@ -13,8 +13,8 @@
 //     conversion, WRAM buffering and lock pruning;
 //   - the load-balance optimizer (cluster partition, duplication,
 //     allocation) and the greedy runtime scheduler;
-//   - the analytic performance model (Equations 1-13) and the Bayesian
-//     design space exploration;
+//   - the analytic performance model (Equations 1-13) and the design space
+//     exploration, which walks the grid in model-throughput order;
 //   - an experiment harness regenerating every table and figure of the
 //     paper's evaluation.
 //

@@ -80,7 +80,6 @@ type Scale struct {
 	NProbes    []int // sweep standing in for the paper's 32..128
 	CB         int   // codebook entries (paper: 256)
 	Seed       int64
-	DSEBudget  int // recall evaluations per DSE run
 	KMeansIter int
 }
 
@@ -90,7 +89,7 @@ func SmallScale() Scale {
 		N: 10000, Queries: 96, NumDPUs: 24, K: 10,
 		NLists:  []int{32, 64, 128, 256},
 		NProbes: []int{4, 8, 12, 16},
-		CB:      64, Seed: 42, DSEBudget: 6, KMeansIter: 6,
+		CB:      64, Seed: 42, KMeansIter: 6,
 	}
 }
 
@@ -100,7 +99,7 @@ func DefaultScale() Scale {
 		N: 60000, Queries: 512, NumDPUs: 64, K: 10,
 		NLists:  []int{128, 256, 512, 1024},
 		NProbes: []int{8, 16, 24, 32},
-		CB:      128, Seed: 42, DSEBudget: 10, KMeansIter: 10,
+		CB:      128, Seed: 42, KMeansIter: 10,
 	}
 }
 

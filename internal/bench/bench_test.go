@@ -378,12 +378,13 @@ func TestFigure12aShape(t *testing.T) {
 		t.Fatalf("F12a rows = %d, want 12 (3 datasets x 4 targets)", len(tab.Rows))
 	}
 	// Within each dataset the normalized throughput must not increase as
-	// the accuracy floor tightens.
+	// the accuracy floor tightens: a looser floor's feasible set contains
+	// the stricter one's, so tightening cannot raise the exact optimum.
 	for ds := 0; ds < 3; ds++ {
 		for i := 1; i < 4; i++ {
 			prev := cell(t, tab, ds*4+i-1, 4)
 			cur := cell(t, tab, ds*4+i, 4)
-			if cur > prev*1.01 {
+			if cur > prev {
 				t.Errorf("F12a %s: throughput rose as the constraint tightened (%v -> %v)",
 					tab.Rows[ds*4][0], prev, cur)
 			}

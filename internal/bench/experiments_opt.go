@@ -10,22 +10,6 @@ import (
 	"drimann/internal/upmem"
 )
 
-// upmemHW is the Equation-12 hardware of the simulated UPMEM slice. The
-// paper's model plugs in per-phase *profiled* frequencies F_x rather than
-// the nominal clock; effOpsPerCycle stands in for that profile — the
-// fraction of nominal instruction throughput a real DPU kernel sustains
-// once addressing, loads/stores and loop control are included (PrIM
-// measures ~0.25-0.5 for streaming integer kernels).
-func (r *Runner) upmemHW() perfmodel.Hardware {
-	const effOpsPerCycle = 0.30
-	return perfmodel.Hardware{
-		PE:      float64(r.Scale.NumDPUs),
-		FreqHz:  350e6 * effOpsPerCycle,
-		Lanes:   1,
-		BWBytes: float64(r.Scale.NumDPUs) * 0.7e9,
-	}
-}
-
 // Figure11a regenerates the multiplier-less conversion ablation.
 func Figure11a(r *Runner) (*Table, error) {
 	t := &Table{
@@ -80,7 +64,7 @@ func Figure11b(r *Runner) (*Table, error) {
 			// the model is fed the share of codes the run gathered.
 			am := &actual.Metrics
 			p.Survival = perfmodel.FitSurvival(p, float64(am.CodesGathered)/float64(am.PointsScanned*uint64(m)))
-			model, err := perfmodel.PredictQPS(p, host, r.upmemHW(), true)
+			model, err := perfmodel.PredictQPS(p, host, perfmodel.UPMEM(r.Scale.NumDPUs), true)
 			if err != nil {
 				return nil, err
 			}
@@ -98,7 +82,7 @@ func Figure11b(r *Runner) (*Table, error) {
 // constraint, the DSE picks an index configuration and we report the
 // model-predicted throughput, normalized per dataset to the strictest
 // constraint. A pick that misses its floor (dse.Result.Feasible false: no
-// configuration the search evaluated met it) is marked as such.
+// configuration in the grid meets it) is marked as such.
 func Figure12a(r *Runner) (*Table, error) {
 	t := &Table{
 		ID: "F12a", Title: "Throughput vs accuracy constraint (DSE-selected configs)",
@@ -121,15 +105,11 @@ func Figure12a(r *Runner) (*Table, error) {
 			CB:    []int{r.Scale.CB / 2, r.Scale.CB},
 		}
 		qpsFn := func(c dse.Candidate) (float64, error) {
-			avg := s.Base.N / c.NList
-			if avg < 1 {
-				avg = 1
-			}
 			p := perfmodel.Params{
 				N: int64(s.Base.N), Q: s.Queries.N, D: s.Base.D,
-				K: r.Scale.K, P: c.P, C: avg, M: c.M, CB: c.CB,
+				K: r.Scale.K, P: c.P, C: max(1, s.Base.N/c.NList), M: c.M, CB: c.CB,
 			}
-			return perfmodel.PredictQPS(p, host, r.upmemHW(), true)
+			return perfmodel.PredictQPS(p, host, perfmodel.UPMEM(r.Scale.NumDPUs), true)
 		}
 		recallFn := func(c dse.Candidate) (float64, error) {
 			ix, err := r.Index(name, c.NList, c.M, c.CB)
@@ -140,41 +120,30 @@ func Figure12a(r *Runner) (*Table, error) {
 			return dataset.Recall(gt, got, r.Scale.K), nil
 		}
 
-		var baseQPS float64
-		type picked struct {
-			res    *dse.Result
-			target float64
-		}
-		var picks []picked
-		for _, target := range targets {
-			res, err := dse.Optimize(space, qpsFn, recallFn,
-				dse.Config{AccuracyConstraint: target, Budget: r.Scale.DSEBudget})
+		picks := make([]*dse.Result, len(targets))
+		for i, target := range targets {
+			res, err := dse.Optimize(space, qpsFn, recallFn, target)
 			if err != nil {
 				return nil, err
 			}
-			picks = append(picks, picked{res, target})
-			if target == 0.80 {
-				baseQPS = res.BestQPS
-			}
+			picks[i] = res
 		}
-		if baseQPS == 0 {
-			baseQPS = picks[len(picks)-1].res.BestQPS
-		}
+		strictest := picks[len(picks)-1]
 		base := "feasible"
-		for _, p := range picks {
+		if !strictest.Feasible {
+			base = "infeasible: the most accurate configuration in the grid, below the floor"
+		}
+		for i, p := range picks {
 			meets := "yes"
-			if !p.res.Feasible {
+			if !p.Feasible {
 				meets = "NO"
-				if p.target == 0.80 {
-					base = "infeasible: the most accurate configuration the search saw, below the floor"
-				}
 			}
-			t.AddRow(name, f2(p.target), p.res.Best.String(), f3(p.res.BestRecall), f2(p.res.BestQPS/baseQPS), meets)
+			t.AddRow(name, f2(targets[i]), p.Best.String(), f3(p.BestRecall), f2(p.BestQPS/strictest.BestQPS), meets)
 		}
 		t.Notes = append(t.Notes, fmt.Sprintf("%s is normalized to its recall floor 0.80 row (%s)", name, base))
 	}
 	t.Notes = append(t.Notes,
-		"meets floor NO: no configuration the search evaluated met that floor, so the row shows the most accurate one it saw, below the floor",
+		"meets floor NO: no configuration in the grid meets that floor, so the row shows the most accurate one, below the floor",
 		"paper: throughput rises as the accuracy constraint loosens, on all three datasets")
 	return t, nil
 }

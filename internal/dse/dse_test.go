@@ -1,121 +1,17 @@
 package dse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-func TestMatern52Properties(t *testing.T) {
-	if matern52(0, 0.5) != 1 {
-		t.Fatal("kernel at r=0 must be 1")
-	}
-	prev := 1.0
-	for r := 0.1; r < 5; r += 0.1 {
-		v := matern52(r, 0.5)
-		if v <= 0 || v >= prev {
-			t.Fatalf("kernel must decay monotonically: k(%v)=%v prev=%v", r, v, prev)
-		}
-		prev = v
-	}
-}
-
-func TestGPInterpolatesTrainingPoints(t *testing.T) {
-	gp := NewGP()
-	gp.Noise = 1e-3
-	x := [][]float64{{0}, {0.25}, {0.5}, {0.75}, {1}}
-	y := make([]float64, len(x))
-	for i, xi := range x {
-		y[i] = math.Sin(3 * xi[0])
-	}
-	if err := gp.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	for i, xi := range x {
-		mu, sigma := gp.Predict(xi)
-		if math.Abs(mu-y[i]) > 0.02 {
-			t.Fatalf("GP does not interpolate: mu(%v)=%v want %v", xi, mu, y[i])
-		}
-		if sigma > 0.1 {
-			t.Fatalf("uncertainty at training point too high: %v", sigma)
-		}
-	}
-	// Far from data the posterior variance must grow.
-	_, sFar := gp.Predict([]float64{5})
-	_, sNear := gp.Predict([]float64{0.5})
-	if sFar <= sNear {
-		t.Fatalf("variance should grow away from data: %v <= %v", sFar, sNear)
-	}
-}
-
-func TestGPPredictionQuality(t *testing.T) {
-	// Fit a smooth function on a grid; check generalization between points.
-	gp := NewGP()
-	var x [][]float64
-	var y []float64
-	f := func(a, b float64) float64 { return 0.5 + 0.3*a - 0.2*b*b }
-	for a := 0.0; a <= 1.0; a += 0.25 {
-		for b := 0.0; b <= 1.0; b += 0.25 {
-			x = append(x, []float64{a, b})
-			y = append(y, f(a, b))
-		}
-	}
-	if err := gp.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		a, b := rng.Float64(), rng.Float64()
-		mu, _ := gp.Predict([]float64{a, b})
-		if math.Abs(mu-f(a, b)) > 0.1 {
-			t.Fatalf("GP generalization error too high at (%v,%v): %v vs %v", a, b, mu, f(a, b))
-		}
-	}
-}
-
-func TestGPFitValidation(t *testing.T) {
-	gp := NewGP()
-	if err := gp.Fit(nil, nil); err == nil {
-		t.Fatal("empty fit must fail")
-	}
-	if err := gp.Fit([][]float64{{1}}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch must fail")
-	}
-}
-
-func TestHV2D(t *testing.T) {
-	front := []Sample{
-		{QPS: 100, Recall: 0.85},
-		{QPS: 50, Recall: 0.95},
-	}
-	// HV over ref recall 0.8: 100*(0.85-0.8) + 50*(0.95-0.85) = 5 + 5 = 10.
-	if got := hv2d(front, 0.8); math.Abs(got-10) > 1e-12 {
-		t.Fatalf("hv2d = %v, want 10", got)
-	}
-	if hv2d(nil, 0.8) != 0 {
-		t.Fatal("empty front has zero HV")
-	}
-}
-
-func TestEHVIPrefersImprovingPoints(t *testing.T) {
-	front := []Sample{{QPS: 100, Recall: 0.85}}
-	// A candidate with much higher QPS and similar recall should beat one
-	// dominated by the front.
-	better := ehvi(500, 0.85, 0.02, front, 0.8)
-	dominated := ehvi(10, 0.82, 0.02, front, 0.8)
-	if better <= dominated {
-		t.Fatalf("EHVI should prefer improving candidates: %v vs %v", better, dominated)
-	}
-	// A candidate almost surely below the constraint contributes ~nothing.
-	infeasible := ehvi(1000, 0.5, 0.01, front, 0.8)
-	if infeasible > 1e-9 {
-		t.Fatalf("infeasible candidate should have ~0 EHVI, got %v", infeasible)
-	}
-}
-
-// synthetic design problem: recall rises with P, M, CB and falls with NList;
-// QPS the other way around. The optimum under a recall floor is interior.
-func synthProblem() (Space, func(Candidate) (float64, error), func(Candidate) (float64, error), int) {
+// synthProblem is a synthetic design problem: recall rises with P, M, CB
+// and falls with NList; QPS the other way around. The optimum under a
+// recall floor is interior.
+func synthProblem() (Space, func(Candidate) (float64, error), func(Candidate) (float64, error)) {
 	space := Space{
 		P:     []int{8, 16, 32, 64, 128},
 		NList: []int{256, 512, 1024, 2048},
@@ -134,19 +30,12 @@ func synthProblem() (Space, func(Candidate) (float64, error), func(Candidate) (f
 			float64(c.CB)*float64(c.M)*4)
 		return 1e9 / cost, nil
 	}
-	evals := 0
-	countingRecall := func(c Candidate) (float64, error) {
-		evals++
-		return recall(c)
-	}
-	_ = evals
-	return space, qps, countingRecall, len(space.All())
+	return space, qps, recall
 }
 
 func TestOptimizeFindsFeasibleNearOptimal(t *testing.T) {
-	space, qps, recall, total := synthProblem()
-	cfg := Config{AccuracyConstraint: 0.8, Budget: 24}
-	res, err := Optimize(space, qps, recall, cfg)
+	space, qps, recall := synthProblem()
+	res, err := Optimize(space, qps, recall, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,55 +45,120 @@ func TestOptimizeFindsFeasibleNearOptimal(t *testing.T) {
 	if res.BestRecall < 0.8 {
 		t.Fatalf("constraint violated: recall %v", res.BestRecall)
 	}
-	if len(res.History) > cfg.Budget {
-		t.Fatalf("budget exceeded: %d > %d", len(res.History), cfg.Budget)
-	}
-	// Exhaustive optimum for comparison.
+	// Exhaustive optimum for comparison: the walk must find it exactly.
 	bestQPS := 0.0
 	for _, c := range space.All() {
 		r, _ := recall(c)
 		if r >= 0.8 {
 			q, _ := qps(c)
-			if q > bestQPS {
-				bestQPS = q
-			}
+			bestQPS = math.Max(bestQPS, q)
 		}
 	}
-	if res.BestQPS < 0.5*bestQPS {
-		t.Fatalf("DSE result %v too far from optimum %v with %d/%d evals",
-			res.BestQPS, bestQPS, len(res.History), total)
+	if res.BestQPS != bestQPS {
+		t.Fatalf("DSE result %v, exhaustive optimum %v (%d of %d measured)",
+			res.BestQPS, bestQPS, len(res.History), len(space.All()))
 	}
 }
 
-func TestOptimizeBeatsRandomSearch(t *testing.T) {
-	space, qps, recall, _ := synthProblem()
-	cfg := Config{AccuracyConstraint: 0.8, Budget: 16}
-	res, err := Optimize(space, qps, recall, cfg)
-	if err != nil {
-		t.Fatal(err)
+// randomAxis draws 1-4 distinct increasing grid values.
+func randomAxis(rng *rand.Rand) []int {
+	seen := map[int]bool{}
+	for n := 1 + rng.Intn(4); len(seen) < n; {
+		seen[1+rng.Intn(64)] = true
 	}
-	// Random search with the same budget, averaged over a few seeds.
-	cands := space.All()
-	var randBest float64
-	const trials = 5
-	for seed := int64(0); seed < trials; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		best := 0.0
-		for i := 0; i < cfg.Budget; i++ {
-			c := cands[rng.Intn(len(cands))]
-			r, _ := recall(c)
-			if r >= 0.8 {
-				q, _ := qps(c)
-				if q > best {
-					best = q
+	var out []int
+	for v := range seen {
+		out = append(out, v)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TestOptimizeWalkProperties checks the walk against brute force on random
+// grids with random QPS (few distinct values, so ties are common), random
+// recalls and a random floor: some floors lie above every recall, some
+// equal one.
+func TestOptimizeWalkProperties(t *testing.T) {
+	var feasible, infeasible int
+	for seed := int64(1); seed <= 40; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			space := Space{P: randomAxis(rng), NList: randomAxis(rng), M: randomAxis(rng), CB: randomAxis(rng)}
+			all := space.All()
+			qps := map[Candidate]float64{}
+			recall := map[Candidate]float64{}
+			for _, c := range all {
+				qps[c] = float64(1 + rng.Intn(5))
+				recall[c] = rng.Float64()
+			}
+			floor := 1.2 * rng.Float64()
+			if seed%4 == 0 { // a recall exactly at the floor meets it
+				floor = recall[all[rng.Intn(len(all))]]
+			}
+			measured := map[Candidate]int{}
+			res, err := Optimize(space,
+				func(c Candidate) (float64, error) { return qps[c], nil },
+				func(c Candidate) (float64, error) { measured[c]++; return recall[c], nil },
+				floor)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Brute force: the first candidate in All order with the
+			// highest QPS among those meeting the floor.
+			want, wantOK := Candidate{}, false
+			for _, c := range all {
+				if recall[c] >= floor && (!wantOK || qps[c] > qps[want]) {
+					want, wantOK = c, true
 				}
 			}
-		}
-		randBest += best
+			if res.Feasible != wantOK {
+				t.Fatalf("Feasible = %v, brute force says %v", res.Feasible, wantOK)
+			}
+			if wantOK {
+				feasible++
+				if res.Best != want {
+					t.Fatalf("pick %v (QPS %v), brute force %v (QPS %v)", res.Best, res.BestQPS, want, qps[want])
+				}
+			} else {
+				infeasible++
+				maxRecall := 0.0
+				for _, c := range all {
+					maxRecall = math.Max(maxRecall, recall[c])
+				}
+				if res.BestRecall != maxRecall || recall[res.Best] != maxRecall {
+					t.Fatalf("infeasible pick %v at recall %v, most accurate in the grid %v", res.Best, res.BestRecall, maxRecall)
+				}
+				if len(res.History) != len(all) {
+					t.Fatalf("infeasible grid: %d of %d candidates measured", len(res.History), len(all))
+				}
+			}
+			if res.BestQPS != qps[res.Best] || res.BestRecall != recall[res.Best] {
+				t.Fatalf("pick %v reports QPS %v recall %v, want %v %v", res.Best, res.BestQPS, res.BestRecall, qps[res.Best], recall[res.Best])
+			}
+
+			h := res.History
+			if len(h) != len(measured) {
+				t.Fatalf("History has %d samples for %d distinct measured candidates", len(h), len(measured))
+			}
+			for i, s := range h {
+				if measured[s.Cand] != 1 || s.QPS != qps[s.Cand] || s.Recall != recall[s.Cand] {
+					t.Fatalf("History[%d] = %+v: measured %d times, want QPS %v recall %v", i, s, measured[s.Cand], qps[s.Cand], recall[s.Cand])
+				}
+				if i > 0 && s.QPS > h[i-1].QPS {
+					t.Fatalf("History not in descending QPS: %v after %v", s.QPS, h[i-1].QPS)
+				}
+				if i < len(h)-1 && s.Recall >= floor {
+					t.Fatalf("History[%d] meets the floor but the walk went on", i)
+				}
+			}
+			if wantOK && h[len(h)-1].Cand != res.Best {
+				t.Fatalf("History ends at %v, not at the pick %v", h[len(h)-1].Cand, res.Best)
+			}
+		})
 	}
-	randBest /= trials
-	if res.BestQPS < randBest*0.8 {
-		t.Fatalf("DSE (%v) much worse than random search (%v)", res.BestQPS, randBest)
+	if feasible == 0 || infeasible == 0 {
+		t.Fatalf("seeds cover %d feasible and %d infeasible grids; want both", feasible, infeasible)
 	}
 }
 
@@ -212,7 +166,7 @@ func TestOptimizeInfeasibleSpace(t *testing.T) {
 	space := Space{P: []int{1}, NList: []int{1024}, M: []int{8}, CB: []int{64}}
 	qps := func(Candidate) (float64, error) { return 100, nil }
 	recall := func(Candidate) (float64, error) { return 0.3, nil }
-	res, err := Optimize(space, qps, recall, Config{AccuracyConstraint: 0.9, Budget: 4})
+	res, err := Optimize(space, qps, recall, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,19 +179,18 @@ func TestOptimizeInfeasibleSpace(t *testing.T) {
 }
 
 func TestOptimizeEmptySpace(t *testing.T) {
-	if _, err := Optimize(Space{}, nil, nil, Config{}); err == nil {
+	if _, err := Optimize(Space{}, nil, nil, 0.8); err == nil {
 		t.Fatal("empty space must fail")
 	}
 }
 
 func TestOptimizeDeterministic(t *testing.T) {
-	space, qps, recall, _ := synthProblem()
-	cfg := Config{AccuracyConstraint: 0.8, Budget: 12}
-	a, err := Optimize(space, qps, recall, cfg)
+	space, qps, recall := synthProblem()
+	a, err := Optimize(space, qps, recall, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Optimize(space, qps, recall, cfg)
+	b, err := Optimize(space, qps, recall, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,25 +200,6 @@ func TestOptimizeDeterministic(t *testing.T) {
 	for i := range a.History {
 		if a.History[i].Cand != b.History[i].Cand {
 			t.Fatal("evaluation order not deterministic")
-		}
-	}
-}
-
-func TestParetoFront(t *testing.T) {
-	hist := []Sample{
-		{QPS: 100, Recall: 0.85},
-		{QPS: 200, Recall: 0.82}, // non-dominated
-		{QPS: 50, Recall: 0.83},  // dominated by first
-		{QPS: 80, Recall: 0.95},  // non-dominated
-		{QPS: 500, Recall: 0.5},  // infeasible
-	}
-	front := paretoFront(hist, 0.8)
-	if len(front) != 3 {
-		t.Fatalf("front size = %d, want 3: %+v", len(front), front)
-	}
-	for i := 1; i < len(front); i++ {
-		if front[i].QPS > front[i-1].QPS {
-			t.Fatal("front not sorted by descending QPS")
 		}
 	}
 }

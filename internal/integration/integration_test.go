@@ -107,7 +107,7 @@ func TestDSEToEngine(t *testing.T) {
 		return ix, err
 	}
 	host := perfmodel.FromPlatform(upmem.PlatformCPU())
-	pim := perfmodel.Hardware{PE: 16, FreqHz: 350e6 * 0.3, Lanes: 1, BWBytes: 16 * 0.7e9}
+	pim := perfmodel.UPMEM(16)
 
 	res, err := dse.Optimize(
 		dse.Space{P: []int{4, 8, 16}, NList: []int{16, 48}, M: []int{8, 16}, CB: []int{32, 64}},
@@ -126,7 +126,7 @@ func TestDSEToEngine(t *testing.T) {
 			got := ix.SearchIntBatch(s.Queries, c.P, 10, 0)
 			return dataset.Recall(gt, got, 10), nil
 		},
-		dse.Config{AccuracyConstraint: 0.7, Budget: 8})
+		0.7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,8 @@
 // Package mat implements the small dense linear algebra needed elsewhere in
-// the repository: matrix products for OPQ rotation training, Cholesky
-// factorization for Gaussian-process surrogates, and a Jacobi eigensolver
-// from which an SVD is derived. Everything is float64 and allocation-simple;
-// matrices here are at most a few hundred rows (vector dimension or number of
-// DSE samples), so clarity wins over blocking tricks.
+// the repository: matrix products for OPQ rotation training and a Jacobi
+// eigensolver from which an SVD is derived. Everything is float64 and
+// allocation-simple; matrices here are at most a few hundred rows (the
+// vector dimension), so clarity wins over blocking tricks.
 package mat
 
 import (
@@ -111,62 +110,6 @@ func MulVec(a *Dense, x []float64) []float64 {
 		out[i] = s
 	}
 	return out
-}
-
-// Cholesky computes the lower-triangular L with a = L*Lᵀ for a symmetric
-// positive-definite matrix. It returns an error if the matrix is not
-// (numerically) positive definite.
-func Cholesky(a *Dense) (*Dense, error) {
-	if a.Rows != a.Cols {
-		return nil, errors.New("mat: Cholesky requires a square matrix")
-	}
-	n := a.Rows
-	l := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if sum <= 0 {
-					return nil, fmt.Errorf("mat: matrix not positive definite at pivot %d (%g)", i, sum)
-				}
-				l.Set(i, i, math.Sqrt(sum))
-			} else {
-				l.Set(i, j, sum/l.At(j, j))
-			}
-		}
-	}
-	return l, nil
-}
-
-// SolveChol solves a*x = b given the Cholesky factor L of a, via forward and
-// back substitution.
-func SolveChol(l *Dense, b []float64) []float64 {
-	n := l.Rows
-	if len(b) != n {
-		panic("mat: SolveChol length mismatch")
-	}
-	// Forward: L*y = b.
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sum := b[i]
-		for k := 0; k < i; k++ {
-			sum -= l.At(i, k) * y[k]
-		}
-		y[i] = sum / l.At(i, i)
-	}
-	// Back: Lᵀ*x = y.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		sum := y[i]
-		for k := i + 1; k < n; k++ {
-			sum -= l.At(k, i) * x[k]
-		}
-		x[i] = sum / l.At(i, i)
-	}
-	return x
 }
 
 // SymEigen computes the eigendecomposition of a symmetric matrix using cyclic

@@ -65,58 +65,6 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestCholeskyReconstructs(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{1, 2, 5, 20} {
-		a := randSPD(rng, n)
-		l, err := Cholesky(a)
-		if err != nil {
-			t.Fatalf("Cholesky(%d): %v", n, err)
-		}
-		if d := MaxAbsDiff(Mul(l, l.T()), a); d > 1e-9 {
-			t.Fatalf("L*Lᵀ != A for n=%d, diff %g", n, d)
-		}
-		// L must be lower triangular.
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if l.At(i, j) != 0 {
-					t.Fatalf("upper part of L nonzero at (%d,%d)", i, j)
-				}
-			}
-		}
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := Cholesky(a); err == nil {
-		t.Fatal("expected error for indefinite matrix")
-	}
-	if _, err := Cholesky(NewDense(2, 3)); err == nil {
-		t.Fatal("expected error for non-square matrix")
-	}
-}
-
-func TestSolveChol(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randSPD(rng, 8)
-	want := make([]float64, 8)
-	for i := range want {
-		want[i] = rng.NormFloat64()
-	}
-	b := MulVec(a, want)
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := SolveChol(l, b)
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-8 {
-			t.Fatalf("SolveChol x[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-}
-
 func TestSymEigenDiagonal(t *testing.T) {
 	a := FromRows([][]float64{{3, 0}, {0, 1}})
 	eig, v, err := SymEigen(a)

@@ -316,6 +316,22 @@ func FromPlatform(p upmem.Platform) Hardware {
 	}
 }
 
+// UPMEM is the Equation-12 hardware of a simulated UPMEM slice of dpus
+// DPUs. The paper's model plugs in per-phase *profiled* frequencies F_x
+// rather than the nominal clock; effOpsPerCycle stands in for that profile —
+// the fraction of nominal instruction throughput a real DPU kernel sustains
+// once addressing, loads/stores and loop control are included (PrIM
+// measures ~0.25-0.5 for streaming integer kernels).
+func UPMEM(dpus int) Hardware {
+	const effOpsPerCycle = 0.30
+	return Hardware{
+		PE:      float64(dpus),
+		FreqHz:  350e6 * effOpsPerCycle,
+		Lanes:   1,
+		BWBytes: float64(dpus) * 0.7e9,
+	}
+}
+
 // PhaseTime is Equation 12: compute and memory fully overlap, so the phase
 // takes the maximum of the two.
 func PhaseTime(pc PhaseCost, hw Hardware) float64 {

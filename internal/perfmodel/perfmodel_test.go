@@ -192,6 +192,17 @@ func TestPhaseTimeMaxForm(t *testing.T) {
 	}
 }
 
+// TestUPMEMPreset pins the preset to the figures its callers spelled out
+// before it existed: 350 MHz at 0.30 ops a cycle, 0.7 GB/s a DPU.
+func TestUPMEMPreset(t *testing.T) {
+	for _, dpus := range []int{16, 64, 128} {
+		want := Hardware{PE: float64(dpus), FreqHz: 105e6, Lanes: 1, BWBytes: float64(dpus) * 700e6}
+		if got := UPMEM(dpus); got != want {
+			t.Fatalf("UPMEM(%d) = %+v, want %+v", dpus, got, want)
+		}
+	}
+}
+
 func TestBatchTimeOverlapsHostAndPIM(t *testing.T) {
 	p := params()
 	costs, err := Costs(p, 2)
