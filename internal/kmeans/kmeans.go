@@ -144,13 +144,26 @@ func seedPlusPlus(data []float32, n int, cfg Config, rng *rand.Rand) []float32 {
 }
 
 // refreshD2 lowers each point's D² to its distance from the new centroid
-// where that is smaller, across workers on disjoint ranges. A point's
-// distance is abandoned once its partial sum passes the point's current D²,
-// which is a float32 distance (or +Inf), so the bound converts exactly.
+// where that is smaller, across workers on disjoint ranges, eight points a
+// call to vecmath.L2SquaredF32x8. A distance may be abandoned above the
+// point's D², a float32 distance (or +Inf), so the bound converts exactly.
 func refreshD2(data, centroid []float32, d2 []float64, workers int) {
 	dim := len(centroid)
 	forEachRange(len(d2), workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
+		var dist, bound [8]float32
+		i := lo
+		for ; i+8 <= hi; i += 8 {
+			for r := range bound {
+				bound[r] = float32(d2[i+r])
+			}
+			vecmath.L2SquaredF32x8(&dist, data[i*dim:(i+8)*dim], centroid, &bound)
+			for r, d := range dist {
+				if float64(d) < d2[i+r] {
+					d2[i+r] = float64(d)
+				}
+			}
+		}
+		for ; i < hi; i++ {
 			row := data[i*dim : (i+1)*dim]
 			if d, _ := vecmath.L2SquaredF32Abandon(row, centroid, float32(d2[i])); float64(d) < d2[i] {
 				d2[i] = float64(d)

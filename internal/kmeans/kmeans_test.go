@@ -204,6 +204,56 @@ func TestRefreshD2MatchesSerial(t *testing.T) {
 	}
 }
 
+// TestRefreshD2OnKernelShapes: at every dimension the eight-row kernel is
+// held to (each quad remainder, both sides of the abandon stride, 96 and
+// 128), on uniform, integer-grid and overflowing (+Inf distance) points, with
+// ranges that leave remainders past the blocks of eight, the refresh leaves
+// the serial bits when a point's current D² is +Inf, 0, just under, at or
+// just over its distance to the centroid, or its distance over the first
+// stride: lanes of one block abandon while others run to the end.
+func TestRefreshD2OnKernelShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	dims := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24, 96, 128}
+	for _, dim := range dims {
+		const n = 77
+		data := make([]float32, n*dim)
+		for kind := 0; kind < 3; kind++ {
+			for i := range data {
+				switch kind {
+				case 0:
+					data[i] = rng.Float32() * 10
+				case 1:
+					data[i] = float32(rng.Intn(3))
+				default:
+					data[i] = float32(rng.Intn(3)-1) * 1e19
+				}
+			}
+			cent := data[rng.Intn(n)*dim:][:dim]
+			start, want := make([]float64, n), make([]float64, n)
+			for i := range start {
+				row := data[i*dim : (i+1)*dim]
+				d := vecmath.L2SquaredF32(row, cent)
+				head := min(dim, vecmath.AbandonStride)
+				start[i] = float64([]float32{
+					float32(math.Inf(1)), 0, d,
+					math.Nextafter32(d, 0), math.Nextafter32(d, float32(math.Inf(1))),
+					vecmath.L2SquaredF32(row[:head], cent[:head]),
+				}[rng.Intn(6)])
+				want[i] = math.Min(start[i], float64(d))
+			}
+			for _, workers := range []int{1, 3} {
+				got := append([]float64(nil), start...)
+				refreshD2(data, cent, got, workers)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("dim %d draw %d workers %d point %d from %v: D² %v, serial %v", dim, kind, workers, i, start[i], got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSeedingSameOnAnyWorkerCount: k-means++ picks the same centroids
 // whatever the number of workers refreshing D² between two picks.
 func TestSeedingSameOnAnyWorkerCount(t *testing.T) {

@@ -124,18 +124,19 @@ func BenchmarkADCResidualBatchM16(b *testing.B) {
 	}
 }
 
-// BenchmarkArgMinL2F32 runs the nearest-centroid kernel at the coarse
-// quantizer's shape (128-d, 1024 lists) and at the PQ encoder's (8-d
-// subspaces, 256 entries). The query is drawn apart from the centroids: a
-// query on a centroid would make one distance 0 and let an abandoning
-// kernel skip almost everything.
+// BenchmarkArgMinL2F32 runs the nearest-centroid kernel at the PQ encoder's
+// shapes (256 entries of 8-d subspaces at M16, of 4-d ones at M32) and at the
+// coarse quantizer's (512 lists of 128-d). The query is drawn apart from the
+// centroids: a query on a centroid would make one distance 0 and let an
+// abandoning kernel skip almost everything.
 func BenchmarkArgMinL2F32(b *testing.B) {
 	for _, sh := range []struct {
 		name   string
 		k, dim int
 	}{
-		{"coarse", 1024, 128},
-		{"encode", 256, 8},
+		{"encode-M16/d=8/k=256", 256, 8},
+		{"encode-M32/d=4/k=256", 256, 4},
+		{"coarse/d=128/k=512", 512, 128},
 	} {
 		b.Run(sh.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(2))

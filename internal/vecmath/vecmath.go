@@ -12,13 +12,16 @@
 // only grows (adding a square never lowers a rounded sum, fused or not), so a
 // distance abandoned above a bound would have ended above it too.
 //
-// On amd64 the u8 distance is one SSE2 kernel (l2u8_amd64.s; the purego
-// build tag, or any other architecture, selects the scalar l2u8_generic.go).
-// It is exact, not merely close: integer sums agree mod 2^32 in any order,
-// so its 32-bit lanes folded together equal the scalar running sum, wraps
-// included, and one 16-byte XMM block is one AbandonStride, so the bounded
-// form checks its bound where the scalar one does and reports the same
-// dimensions summed.
+// On amd64 two distances are SSE2 kernels (the purego tag, or any other
+// architecture, selects the scalar *_generic.go), both exact, not merely close:
+//   - l2u8_amd64.s, the u8 distance: integer sums agree mod 2^32 in any order,
+//     so its lanes folded together equal the scalar sum, wraps included, and
+//     one 16-byte block is one AbandonStride, so it checks its bound where the
+//     scalar kernel does and reports the same dimensions summed.
+//   - l2f32_amd64.s, eight float rows against one vector (ArgMinL2F32 and the
+//     k-means++ D² refresh): each row owns a lane that sums in dimension order
+//     with a separate subtract, multiply and add and no FMA, the operations
+//     L2SquaredF32 compiles to, so a lane that completes has its bits.
 package vecmath
 
 import (
@@ -103,6 +106,9 @@ func NormSquaredF32(v []float32) float32 {
 // SubI16 writes a-b into dst in the int16 domain, the residual operation of
 // the PIM path (operands are uint8-quantized so the difference always fits).
 func SubI16(dst []int16, a, b []uint8) {
+	if len(a) == 0 {
+		return
+	}
 	_ = b[len(a)-1]
 	_ = dst[len(a)-1]
 	for i, av := range a {
@@ -112,6 +118,9 @@ func SubI16(dst []int16, a, b []uint8) {
 
 // SubF32 writes a-b into dst.
 func SubF32(dst, a, b []float32) {
+	if len(a) == 0 {
+		return
+	}
 	_ = b[len(a)-1]
 	_ = dst[len(a)-1]
 	for i, av := range a {
@@ -123,7 +132,8 @@ func SubF32(dst, a, b []float32) {
 // checks against their bound.
 const AbandonStride = 16
 
-// The amd64 u8 kernel checks its bound once per 16-byte XMM block.
+// The amd64 kernels check their bounds every 16 dimensions: l2u8 once per
+// 16-byte XMM block, l2f32x8 once per four quads.
 var _ = [1]struct{}{}[AbandonStride-16]
 
 // L2SquaredF32Abandon is the float twin of L2SquaredU8Abandon: it sums in
@@ -147,54 +157,33 @@ func L2SquaredF32Abandon(a, b []float32, bound float32) (float32, bool) {
 	return sum, true
 }
 
+// L2SquaredF32x8 sets dist[r] to L2SquaredF32(row r, v) for the eight
+// contiguous rows of len(v) floats at the head of rows, bit for bit, except
+// that it may stop once every lane is strictly above its own bound[r]: every
+// lane then holds a partial sum above its bound, which its distance is above
+// too. It panics if rows holds fewer than 8*len(v) floats.
+func L2SquaredF32x8(dist *[8]float32, rows, v []float32, bound *[8]float32) {
+	if len(rows) < 8*len(v) {
+		panic(fmt.Sprintf("vecmath: %d floats for eight rows of %d", len(rows), len(v)))
+	}
+	l2f32x8(dist, rows, v, bound)
+}
+
 // ArgMinL2F32 scans the flat centroid matrix (k rows of length dim) and
 // returns the row index with the smallest squared L2 distance to query, along
 // with that distance; the first index wins a tie. It panics if centroids is
 // not a multiple of dim or is empty.
 //
-// It scores four centroids per pass, so every distance it compares is
-// L2SquaredF32's, bit for bit. A block is abandoned once all four partial
-// sums exceed the best distance so far: none of the four could have won the
-// strict <.
+// It scores whole blocks of centroids per pass (argMinBlocks: eight on amd64,
+// four elsewhere), then the rest one at a time, so every distance it compares
+// is L2SquaredF32's, bit for bit.
 func ArgMinL2F32(query, centroids []float32, dim int) (int, float32) {
 	k := len(centroids) / dim
 	if k == 0 || len(centroids)%dim != 0 {
 		panic(fmt.Sprintf("vecmath: bad centroid matrix len=%d dim=%d", len(centroids), dim))
 	}
 	query = query[:dim]
-	best, bestDist := 0, float32(math.MaxFloat32)
-	i := 0
-	for ; i+4 <= k; i += 4 {
-		blk := centroids[i*dim : (i+4)*dim]
-		var s0, s1, s2, s3 float32
-		for lo := 0; lo < dim; lo += AbandonStride {
-			q := query[lo:min(lo+AbandonStride, dim)]
-			c0, c1 := blk[lo:][:len(q)], blk[dim+lo:][:len(q)]
-			c2, c3 := blk[2*dim+lo:][:len(q)], blk[3*dim+lo:][:len(q)]
-			for j, qv := range q {
-				d0, d1, d2, d3 := qv-c0[j], qv-c1[j], qv-c2[j], qv-c3[j]
-				s0 += d0 * d0
-				s1 += d1 * d1
-				s2 += d2 * d2
-				s3 += d3 * d3
-			}
-			if s0 > bestDist && s1 > bestDist && s2 > bestDist && s3 > bestDist {
-				break // no compare below can succeed
-			}
-		}
-		if s0 < bestDist {
-			best, bestDist = i, s0
-		}
-		if s1 < bestDist {
-			best, bestDist = i+1, s1
-		}
-		if s2 < bestDist {
-			best, bestDist = i+2, s2
-		}
-		if s3 < bestDist {
-			best, bestDist = i+3, s3
-		}
-	}
+	i, best, bestDist := argMinBlocks(query, centroids, dim, k)
 	for ; i < k; i++ {
 		if d, _ := L2SquaredF32Abandon(query, centroids[i*dim:(i+1)*dim], bestDist); d < bestDist {
 			best, bestDist = i, d
@@ -262,6 +251,9 @@ func (q Quantizer) EncodeAll(src []float32) []uint8 {
 // U8ToF32 widens a uint8 vector to float32 without rescaling; used when the
 // corpus is already natively uint8 (e.g. SIFT).
 func U8ToF32(dst []float32, src []uint8) {
+	if len(src) == 0 {
+		return
+	}
 	_ = dst[len(src)-1]
 	for i, c := range src {
 		dst[i] = float32(c)

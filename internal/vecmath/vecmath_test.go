@@ -700,6 +700,210 @@ func FuzzL2SquaredU8Bounded(f *testing.F) {
 	})
 }
 
+// scalarL2F32x8 is the scalar copy of the SSE2 kernel: lane r sums row r's
+// squared differences in dimension order, and after every AbandonStride
+// dimensions the scan stops if every lane is strictly above its bound.
+func scalarL2F32x8(rows, v []float32, bound *[8]float32) (dist [8]float32) {
+	dim := len(v)
+	for j := range v {
+		above := true
+		for r := range dist {
+			d := rows[r*dim+j] - v[j]
+			dist[r] += d * d
+			above = above && dist[r] > bound[r]
+		}
+		if (j+1)%AbandonStride == 0 && above {
+			break
+		}
+	}
+	return dist
+}
+
+// checkF32x8 holds L2SquaredF32x8 on one block to its contract: every lane
+// has L2SquaredF32's bits, or a partial sum above its bound that the distance
+// is above too; and on amd64 to the bits of the scalar copy, partial sums
+// included.
+func checkF32x8(t testing.TB, rows, v []float32, bound *[8]float32) {
+	t.Helper()
+	var got [8]float32
+	L2SquaredF32x8(&got, rows, v, bound)
+	dim := len(v)
+	for r, g := range got {
+		want := L2SquaredF32(rows[r*dim:(r+1)*dim], v)
+		if math.Float32bits(g) != math.Float32bits(want) && !(g > bound[r] && want > bound[r]) {
+			t.Fatalf("dim %d lane %d bound %v: got %v, distance %v", dim, r, bound[r], g, want)
+		}
+	}
+	if want := scalarL2F32x8(rows, v, bound); kernelF32x8 && got != want {
+		t.Fatalf("dim %d bounds %v: kernel %v, scalar copy %v", dim, *bound, got, want)
+	}
+}
+
+// kernelDims and kernelKs are the shapes the float kernel is held to: every
+// quad remainder and both sides of the abandon stride, the fixture's 128 and
+// DEEP's 96; every block remainder, and the PQ and coarse table sizes.
+var (
+	kernelDims = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24, 96, 128}
+	kernelKs   = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 512}
+)
+
+// drawF32 fills dst from one of three draws: uniform floats, a small integer
+// grid (equal distances are common) or values near ±1e19, whose squared
+// differences overflow to +Inf.
+func drawF32(rng *rand.Rand, dst []float32, kind int) {
+	for i := range dst {
+		switch kind {
+		case 0:
+			dst[i] = rng.Float32() * 10
+		case 1:
+			dst[i] = float32(rng.Intn(4))
+		default:
+			dst[i] = float32(rng.Intn(3)-1) * 1e19
+		}
+	}
+}
+
+// TestL2SquaredF32x8MatchesScalar: on every kernel dimension, from unaligned
+// starts, on the three draws, the eight-row kernel meets its contract (and on
+// amd64 equals its scalar copy) under per-lane bounds that mix lanes which
+// abandon with lanes which cannot: 0, just under, at and just over the
+// lane's distance, half of it, just under and at its partial sum after one
+// stride, and +Inf. Rows shorter than eight times v panic, whatever their
+// capacity; empty ones do not.
+func TestL2SquaredF32x8MatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, dim := range kernelDims {
+		buf, vbuf := make([]float32, 8*dim+3), make([]float32, dim+3)
+		for trial := 0; trial < 60; trial++ {
+			kind := trial % 3
+			drawF32(rng, buf, kind)
+			drawF32(rng, vbuf, kind)
+			off := trial % 4
+			rows, v := buf[off:][:8*dim], vbuf[3-off:][:dim]
+			var exact, partial [8]float32
+			for r := range exact {
+				exact[r] = L2SquaredF32(rows[r*dim:(r+1)*dim], v)
+				partial[r] = L2SquaredF32(rows[r*dim:][:min(dim, AbandonStride)], v[:min(dim, AbandonStride)])
+			}
+			for pass := 0; pass < 8; pass++ {
+				var bound [8]float32
+				for r := range bound {
+					switch rng.Intn(8) {
+					case 0:
+						bound[r] = 0
+					case 1:
+						bound[r] = math.Nextafter32(exact[r], 0)
+					case 2:
+						bound[r] = exact[r]
+					case 3:
+						bound[r] = math.Nextafter32(exact[r], float32(math.Inf(1)))
+					case 4:
+						bound[r] = exact[r] / 2
+					case 5:
+						bound[r] = math.Nextafter32(partial[r], 0)
+					case 6:
+						bound[r] = partial[r]
+					default:
+						bound[r] = float32(math.Inf(1))
+					}
+				}
+				if pass < 4 {
+					// At the first check each half of the lanes is either
+					// just above its bounds or at them, by the bits of pass.
+					for r := range bound {
+						bound[r] = math.Nextafter32(partial[r], 0)
+						if pass>>(r/4)&1 == 1 {
+							bound[r] = partial[r]
+						}
+					}
+				}
+				checkF32x8(t, rows, v, &bound)
+			}
+		}
+	}
+	var dist, bound [8]float32
+	if !panics(func() { L2SquaredF32x8(&dist, make([]float32, 23, 64), make([]float32, 3), &bound) }) {
+		t.Error("seven rows and a bit, room for eight in the capacity: no panic")
+	}
+	dist = [8]float32{1, 2, 3}
+	if L2SquaredF32x8(&dist, nil, nil, &bound); dist != ([8]float32{}) {
+		t.Errorf("eight empty rows: %v", dist)
+	}
+}
+
+// TestArgMinL2F32OnKernelShapes: at every kernel dimension and table size, on
+// the three draws (+Inf distances included, where index 0 and MaxFloat32
+// must come back), with planted duplicates the first of which must win,
+// ArgMinL2F32 returns the naive scan's index and distance bits for queries on,
+// next to and away from the centroids.
+func TestArgMinL2F32OnKernelShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, dim := range kernelDims {
+		for _, k := range kernelKs {
+			for kind := 0; kind < 3; kind++ {
+				centroids, query := make([]float32, k*dim), make([]float32, dim)
+				drawF32(rng, centroids, kind)
+				for p := 0; p < k/2+1 && k > 1; p++ {
+					a := rng.Intn(k - 1)
+					b := a + 1 + rng.Intn(k-1-a)
+					copy(centroids[b*dim:(b+1)*dim], centroids[a*dim:(a+1)*dim])
+				}
+				for trial := 0; trial < 6; trial++ {
+					c := rng.Intn(k)
+					copy(query, centroids[c*dim:(c+1)*dim])
+					switch trial % 3 {
+					case 1:
+						query[rng.Intn(dim)] += 0.5
+					case 2:
+						drawF32(rng, query, kind)
+					}
+					wi, wd := argMinNaive(query, centroids, dim)
+					gi, gd := ArgMinL2F32(query, centroids, dim)
+					if gi != wi || math.Float32bits(gd) != math.Float32bits(wd) {
+						t.Fatalf("dim %d k %d draw %d trial %d: got (%d, %v), naive (%d, %v)", dim, k, kind, trial, gi, gd, wi, wd)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzArgMinL2F32 checks ArgMinL2F32 against the naive scan on arbitrary
+// tables: each byte is one coordinate, a small signed integer, scaled past
+// float32's square root when big is set; the first len(data) % 8 + 1 bytes
+// are the dimension's worth of query.
+func FuzzArgMinL2F32(f *testing.F) {
+	f.Add([]byte("abcdefghijklmnopqrstuvwxyz0123456789"), uint8(3), false)
+	f.Add(slices.Repeat([]byte{1, 2, 3, 4}, 40), uint8(8), false)
+	f.Add(slices.Repeat([]byte{200, 7}, 80), uint8(17), true)
+	f.Fuzz(func(t *testing.T, data []byte, dim uint8, big bool) {
+		d := 1 + int(dim)%24
+		if len(data) < 2*d {
+			return
+		}
+		vals := make([]float32, len(data)/d*d)
+		for i := range vals {
+			vals[i] = float32(int8(data[i]))
+			if big {
+				vals[i] *= 1e18
+			}
+		}
+		query, centroids := vals[:d], vals[d:]
+		wi, wd := argMinNaive(query, centroids, d)
+		gi, gd := ArgMinL2F32(query, centroids, d)
+		if gi != wi || math.Float32bits(gd) != math.Float32bits(wd) {
+			t.Fatalf("dim %d k %d: got (%d, %v), naive (%d, %v)", d, len(centroids)/d, gi, gd, wi, wd)
+		}
+	})
+}
+
+// TestSubAndWidenEmpty: the element-wise kernels are no-ops on empty input.
+func TestSubAndWidenEmpty(t *testing.T) {
+	SubF32(nil, nil, nil)
+	SubI16(nil, nil, nil)
+	U8ToF32(nil, nil)
+}
+
 // Decode reconstructs the float32 value of a uint8 code.
 func (q Quantizer) Decode(c uint8) float32 {
 	return q.Bias + float32(c)*q.Scale
