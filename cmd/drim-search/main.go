@@ -14,8 +14,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -27,58 +29,88 @@ import (
 	"drimann/internal/upmem"
 )
 
+var datasets = map[string]func(n, queries int, seed int64) *drimann.Synth{
+	"SIFT": drimann.SIFT, "DEEP": drimann.DEEP, "SPACEV": drimann.SPACEV, "T2I": drimann.T2I,
+}
+
+type config struct {
+	dataset, baseF, queryF                                       string
+	n, queries, nlist, m, cb, nprobe, k, dpus, clients, maxBatch int
+	seed                                                         int64
+	showGT                                                       bool
+	maxWait                                                      time.Duration
+}
+
+// parseArgs reads the flags and rejects any count below 1 that the search
+// would otherwise crash on, or silently replace with a default.
+func parseArgs(args []string, stderr io.Writer) (config, error) {
+	var c config
+	fs := flag.NewFlagSet("drim-search", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&c.dataset, "dataset", "SIFT", "synthetic dataset shape: SIFT, DEEP, SPACEV, T2I")
+	fs.IntVar(&c.n, "n", 100000, "synthetic corpus size")
+	fs.IntVar(&c.queries, "queries", 1000, "synthetic query count")
+	fs.StringVar(&c.baseF, "base", "", "optional .bvecs corpus file (overrides -dataset)")
+	fs.StringVar(&c.queryF, "query", "", "optional .bvecs query file (with -base)")
+	fs.IntVar(&c.nlist, "nlist", 1024, "number of coarse clusters")
+	fs.IntVar(&c.m, "m", 16, "PQ subvectors")
+	fs.IntVar(&c.cb, "cb", 256, "PQ codebook entries")
+	fs.IntVar(&c.nprobe, "nprobe", 32, "clusters probed per query")
+	fs.IntVar(&c.k, "k", 10, "neighbors per query")
+	fs.IntVar(&c.dpus, "dpus", 128, "simulated DPUs")
+	fs.Int64Var(&c.seed, "seed", 1, "RNG seed")
+	fs.BoolVar(&c.showGT, "recall", true, "compute exact ground truth and recall (brute force)")
+	fs.IntVar(&c.clients, "clients", 8, "concurrent serving clients")
+	fs.DurationVar(&c.maxWait, "maxwait", 200*time.Microsecond, "micro-batcher max wait")
+	fs.IntVar(&c.maxBatch, "maxbatch", 0, "micro-batcher max batch (0 = engine batch size)")
+	if err := fs.Parse(args); err != nil {
+		return config{}, err
+	}
+	if fs.NArg() > 0 {
+		return config{}, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"k", c.k}, {"nlist", c.nlist}, {"m", c.m}, {"cb", c.cb}, {"nprobe", c.nprobe},
+		{"dpus", c.dpus}, {"clients", c.clients}, {"queries", c.queries},
+	} {
+		if f.v < 1 {
+			return config{}, fmt.Errorf("-%s %d: must be at least 1", f.name, f.v)
+		}
+	}
+	switch {
+	case c.baseF != "" && c.queryF == "":
+		return config{}, errors.New("-query is required with -base")
+	case c.baseF == "" && datasets[c.dataset] == nil:
+		return config{}, fmt.Errorf("unknown dataset %q", c.dataset)
+	}
+	return c, nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("drim-search: ")
-	var (
-		dsName   = flag.String("dataset", "SIFT", "synthetic dataset shape: SIFT, DEEP, SPACEV, T2I")
-		n        = flag.Int("n", 100000, "synthetic corpus size")
-		queries  = flag.Int("queries", 1000, "synthetic query count")
-		baseF    = flag.String("base", "", "optional .bvecs corpus file (overrides -dataset)")
-		queryF   = flag.String("query", "", "optional .bvecs query file (with -base)")
-		nlist    = flag.Int("nlist", 1024, "number of coarse clusters")
-		m        = flag.Int("m", 16, "PQ subvectors")
-		cb       = flag.Int("cb", 256, "PQ codebook entries")
-		variant  = flag.String("variant", "pq", "quantizer variant: pq, opq, dpq")
-		nprobe   = flag.Int("nprobe", 32, "clusters probed per query")
-		k        = flag.Int("k", 10, "neighbors per query")
-		dpus     = flag.Int("dpus", 128, "simulated DPUs")
-		seed     = flag.Int64("seed", 1, "RNG seed")
-		showGT   = flag.Bool("recall", true, "compute exact ground truth and recall (brute force)")
-		clients  = flag.Int("clients", 8, "concurrent serving clients")
-		maxWait  = flag.Duration("maxwait", 200*time.Microsecond, "micro-batcher max wait")
-		maxBatch = flag.Int("maxbatch", 0, "micro-batcher max batch (0 = engine batch size)")
-	)
-	flag.Parse()
+	cfg, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "drim-search: %v\n", err)
+		os.Exit(2)
+	}
 
 	var base, qs drimann.Vectors
-	if *baseF != "" {
-		var err error
-		base, err = dataset.LoadBvecsFile(*baseF)
-		if err != nil {
+	if cfg.baseF != "" {
+		if base, err = dataset.LoadBvecsFile(cfg.baseF); err != nil {
 			log.Fatal(err)
 		}
-		if *queryF == "" {
-			log.Fatal("-query is required with -base")
-		}
-		qs, err = dataset.LoadBvecsFile(*queryF)
-		if err != nil {
+		if qs, err = dataset.LoadBvecsFile(cfg.queryF); err != nil {
 			log.Fatal(err)
 		}
 	} else {
-		var s *drimann.Synth
-		switch *dsName {
-		case "SIFT":
-			s = drimann.SIFT(*n, *queries, *seed)
-		case "DEEP":
-			s = drimann.DEEP(*n, *queries, *seed)
-		case "SPACEV":
-			s = drimann.SPACEV(*n, *queries, *seed)
-		case "T2I":
-			s = drimann.T2I(*n, *queries, *seed)
-		default:
-			log.Fatalf("unknown dataset %q", *dsName)
-		}
+		s := datasets[cfg.dataset](cfg.n, cfg.queries, cfg.seed)
 		base, qs = s.Base, s.Queries
 	}
 	fmt.Printf("corpus: %d x %d, queries: %d\n", base.N, base.D, qs.N)
@@ -87,24 +119,24 @@ func main() {
 	}
 
 	ix, err := drimann.Build(base, drimann.IndexOptions{
-		NList: *nlist, M: *m, CB: *cb, Variant: *variant, Seed: *seed,
+		NList: cfg.nlist, M: cfg.m, CB: cfg.cb, Seed: cfg.seed,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("index: nlist=%d M=%d CB=%d variant=%s (avg cluster %.0f points)\n",
-		ix.NList, ix.M, ix.CB, *variant, ix.AvgListLen())
+	fmt.Printf("index: nlist=%d M=%d CB=%d (avg cluster %.0f points)\n",
+		ix.NList, ix.M, ix.CB, ix.AvgListLen())
 
 	opts := drimann.DefaultEngineOptions()
-	opts.NumDPUs = *dpus
-	opts.NProbe = *nprobe
-	opts.K = *k
+	opts.NumDPUs = cfg.dpus
+	opts.NProbe = cfg.nprobe
+	opts.K = cfg.k
 	eng, err := drimann.NewEngine(ix, qs, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	srv, err := drimann.NewServer(eng, drimann.ServerOptions{
-		MaxBatch: *maxBatch, MaxWait: *maxWait,
+		MaxBatch: cfg.maxBatch, MaxWait: cfg.maxWait,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -116,17 +148,14 @@ func main() {
 	ids := make([][]int32, qs.N)
 	latencies := make([]time.Duration, qs.N)
 	var wg sync.WaitGroup
-	nClients := *clients
-	if nClients < 1 {
-		nClients = 1
-	}
+	nClients := cfg.clients
 	start := time.Now()
 	for c := 0; c < nClients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			for qi := c; qi < qs.N; qi += nClients {
-				resp, err := srv.Search(context.Background(), qs.Vec(qi), *k)
+				resp, err := srv.Search(context.Background(), qs.Vec(qi), cfg.k)
 				if err != nil {
 					log.Fatalf("query %d: %v", qi, err)
 				}
@@ -148,7 +177,7 @@ func main() {
 		return drimann.LatencyPercentile(latencies, p).Seconds() * 1e3
 	}
 	fmt.Printf("\nserved %d queries with %d clients in %.2fs: %.0f QPS achieved (wall), %.0f QPS simulated on %d DPUs\n",
-		qs.N, nClients, wall.Seconds(), float64(qs.N)/wall.Seconds(), m2.QPS, *dpus)
+		qs.N, nClients, wall.Seconds(), float64(qs.N)/wall.Seconds(), m2.QPS, cfg.dpus)
 	fmt.Printf("latency p50 %.3fms  p95 %.3fms  p99 %.3fms; %d launches, mean batch %.1f, imbalance %.2f, scheduler price/simulated cycles %.3f\n",
 		pct(0.50), pct(0.95), pct(0.99), st.Batches, st.MeanBatch, m2.AvgImbalance(), m2.PriceRatio())
 	fmt.Printf("phase breakdown: ")
@@ -162,9 +191,9 @@ func main() {
 	fmt.Printf("locks: %d acquired, %d pruned; LUT builds %d, reuses %d; scan pruned %.1f%% of points, gathered %.1f codes per point\n",
 		m2.LockAcquired, m2.LockSkipped, m2.LUTBuilds, m2.LUTReuses, m2.PruneRate()*100, m2.CodesPerPoint())
 
-	if *showGT {
-		gt := drimann.GroundTruth(base, qs, *k, 0)
-		fmt.Printf("recall@%d = %.4f\n", *k, drimann.Recall(gt, ids, *k))
+	if cfg.showGT {
+		gt := drimann.GroundTruth(base, qs, cfg.k, 0)
+		fmt.Printf("recall@%d = %.4f\n", cfg.k, drimann.Recall(gt, ids, cfg.k))
 	}
 	if len(ids) > 0 {
 		fmt.Printf("query 0 neighbors: %v\n", ids[0])

@@ -5,7 +5,7 @@
 //
 // The library contains the full system described by the paper:
 //
-//   - an IVF-PQ index (with OPQ and DPQ variants) over uint8 vector corpora;
+//   - an IVF-PQ index over uint8 vector corpora;
 //   - a functional UPMEM DRAM-PIM simulator with the paper's cost model
 //     (no hardware multiplier, WRAM/MRAM hierarchy, host-transfer limits);
 //   - the DRIM-ANN engine: host-side cluster locating, DPU-side residual /
@@ -92,8 +92,6 @@ type IndexOptions struct {
 	// CB is the number of codebook entries per subspace (Faiss requires
 	// 256; DRIM-ANN supports 2..65536).
 	CB int
-	// Variant selects the quantizer family: "pq" (default), "opq" or "dpq".
-	Variant string
 	// TrainSample caps the vectors used for training; 0 = all.
 	TrainSample int
 	Seed        int64
@@ -104,7 +102,6 @@ func Build(base Vectors, opt IndexOptions) (*Index, error) {
 	return ivf.Build(base, ivf.BuildConfig{
 		NList:       opt.NList,
 		PQ:          pq.Config{M: opt.M, CB: opt.CB},
-		Variant:     opt.Variant,
 		TrainSample: opt.TrainSample,
 		Seed:        opt.Seed,
 	})

@@ -43,16 +43,14 @@ func TestPublicAPIVariants(t *testing.T) {
 	corpus := drimann.Generate(drimann.SynthConfig{
 		N: 2500, D: 16, NumQueries: 8, NumClusters: 16, Seed: 7, Noise: 9,
 	})
-	for _, variant := range []string{"pq", "opq", "dpq"} {
-		ix, err := drimann.Build(corpus.Base, drimann.IndexOptions{
-			NList: 16, M: 4, CB: 32, Variant: variant, Seed: 3,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", variant, err)
-		}
-		if ix.NList != 16 {
-			t.Fatalf("%s: bad index", variant)
-		}
+	ix, err := drimann.Build(corpus.Base, drimann.IndexOptions{
+		NList: 16, M: 4, CB: 32, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.NList != 16 {
+		t.Fatal("bad index")
 	}
 }
 

@@ -204,7 +204,7 @@ func Figure15(*Runner) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"paper: UPMEM ~1.9x CPU but only ~0.16x GPU; HBM-PIM 11.3x-12.3x CPU (0.76x-1.00x GPU); AiM 30.1x-33.9x CPU (2.09x-2.67x GPU)",
-		"platform efficiency factors stand in for the paper's per-phase profiled BW_x/F_x (see DESIGN.md)")
+		"one efficiency factor a platform, calibrated to the paper's cross-platform ratios, stands in for its per-phase profiled BW_x/F_x")
 	return t, nil
 }
 

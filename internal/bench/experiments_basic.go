@@ -129,7 +129,7 @@ func Table1(r *Runner) (*Table, error) {
 			fmt.Sprintf("%s x %d vectors", stand, r.Scale.N))
 	}
 	t.Notes = append(t.Notes,
-		"original corpora are generated synthetically at reduced scale with matching dim/dtype/skew (DESIGN.md)")
+		"original corpora are generated synthetically at reduced scale with matching dim/dtype/skew (package internal/dataset)")
 	return t, nil
 }
 

@@ -388,7 +388,7 @@ func (cl *Cluster) ownPackedLists() {
 }
 
 // quantizerView returns an index sharing ix's quantizer state (centroids,
-// codebooks, rotation, SQT) by reference, with empty inverted lists.
+// codebooks, SQT) by reference, with empty inverted lists.
 func quantizerView(ix *ivf.Index) *ivf.Index {
 	return &ivf.Index{
 		Dim: ix.Dim, NList: ix.NList, M: ix.M, CB: ix.CB,
@@ -396,7 +396,6 @@ func quantizerView(ix *ivf.Index) *ivf.Index {
 		CentroidsU8: ix.CentroidsU8,
 		PQ:          ix.PQ,
 		IntCB:       ix.IntCB,
-		OPQ:         ix.OPQ,
 		SQT:         ix.SQT,
 		Lists:       make([][]int32, ix.NList),
 		Codes:       make([][]uint16, ix.NList),

@@ -271,7 +271,7 @@ func TestClusterRecoverCrashMatrix(t *testing.T) {
 			return 0, false, err
 		}
 		if _, err := cluster.CreateFleetStore(cl, durable.Options{
-			Dir: "fleet", Policy: durable.SyncEveryRecord, FS: fs,
+			Dir: "fleet", Policy: durable.SyncEveryBatch, FS: fs,
 		}); err != nil {
 			return 0, false, err
 		}
@@ -295,7 +295,7 @@ func TestClusterRecoverCrashMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := cluster.CreateFleetStore(probe, durable.Options{
-		Dir: "fleet", Policy: durable.SyncEveryRecord, FS: dry,
+		Dir: "fleet", Policy: durable.SyncEveryBatch, FS: dry,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestClusterRecoverCrashMatrix(t *testing.T) {
 		}
 		fs.Reboot()
 		rcl, _, err := cluster.RecoverCluster(durable.Options{
-			Dir: "fleet", Policy: durable.SyncEveryRecord, FS: fs,
+			Dir: "fleet", Policy: durable.SyncEveryBatch, FS: fs,
 		}, s.Queries, copt)
 		if err != nil {
 			t.Fatalf("crash@%d: recover: %v", crashAt, err)

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"drimann/internal/dataset"
-	"drimann/internal/ivf"
-	"drimann/internal/pq"
 )
 
 func TestEngineDeterministic(t *testing.T) {
@@ -62,40 +60,6 @@ func TestEngineSingleDPU(t *testing.T) {
 		for j := range want {
 			if res.Items[qi][j] != want[j] {
 				t.Fatalf("single-DPU result diverges at query %d", qi)
-			}
-		}
-	}
-}
-
-func TestEngineWithOPQIndex(t *testing.T) {
-	s := dataset.Generate(dataset.SynthConfig{
-		N: 3000, D: 16, NumQueries: 16, NumClusters: 16, Seed: 31, Noise: 9,
-	})
-	ix, err := ivf.Build(s.Base, ivf.BuildConfig{
-		NList: 16, PQ: pq.Config{M: 8, CB: 32}, Variant: "opq", Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := testOptions()
-	o.NumDPUs = 8
-	o.NProbe = 6
-	e, err := New(ix, dataset.U8Set{}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.SearchBatch(s.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The PIM integer path ignores the OPQ rotation (codes were produced in
-	// rotated space; the integer LUT path is still self-consistent), so the
-	// reference is SearchInt on the same index.
-	for qi := 0; qi < s.Queries.N; qi++ {
-		want := ix.SearchInt(s.Queries.Vec(qi), o.NProbe, o.K)
-		for j := range want {
-			if res.Items[qi][j] != want[j] {
-				t.Fatalf("OPQ-index engine diverges at query %d", qi)
 			}
 		}
 	}

@@ -186,7 +186,7 @@ func TestEngineRecoverCrashMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.CreateStore(durable.Options{Dir: "eng", Policy: durable.SyncEveryRecord, FS: dry}); err != nil {
+		if _, err := e.CreateStore(durable.Options{Dir: "eng", Policy: durable.SyncEveryBatch, FS: dry}); err != nil {
 			t.Fatal(err)
 		}
 		setup := dry.Ops()
@@ -203,7 +203,7 @@ func TestEngineRecoverCrashMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := run.CreateStore(durable.Options{Dir: "eng", Policy: durable.SyncEveryRecord, FS: fs}); err != nil {
+			if _, err := run.CreateStore(durable.Options{Dir: "eng", Policy: durable.SyncEveryBatch, FS: fs}); err != nil {
 				t.Fatal(err)
 			}
 			acked := 0
@@ -217,7 +217,7 @@ func TestEngineRecoverCrashMatrix(t *testing.T) {
 				acked++
 			}
 			fs.Reboot()
-			recovered, _, err := Recover(durable.Options{Dir: "eng", Policy: durable.SyncEveryRecord, FS: fs}, s.Queries, opts)
+			recovered, _, err := Recover(durable.Options{Dir: "eng", Policy: durable.SyncEveryBatch, FS: fs}, s.Queries, opts)
 			if err != nil {
 				t.Fatalf("crash@%d: recover: %v", crashAt, err)
 			}
@@ -293,7 +293,7 @@ func TestEngineDurablePartialBatchLogsPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := durable.NewMemFS(durable.FaultPlan{})
-	if _, err := e.CreateStore(durable.Options{Dir: "eng", Policy: durable.SyncEveryRecord, FS: fs}); err != nil {
+	if _, err := e.CreateStore(durable.Options{Dir: "eng", Policy: durable.SyncEveryBatch, FS: fs}); err != nil {
 		t.Fatal(err)
 	}
 	// ids[2] duplicates a base id: points 0 and 1 apply, the batch errors.

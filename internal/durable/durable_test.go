@@ -12,16 +12,20 @@ import (
 	"testing"
 )
 
+// mustAppend appends one record and ends its batch, so it is durable.
 func mustAppend(t *testing.T, w *WAL, payload []byte) {
 	t.Helper()
 	if err := w.Append(payload); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
+	if err := w.BatchEnd(); err != nil {
+		t.Fatalf("BatchEnd: %v", err)
+	}
 }
 
 func TestWALRoundTrip(t *testing.T) {
 	fs := NewMemFS(FaultPlan{})
-	w, err := createWAL(fs, "log", SyncEveryRecord)
+	w, err := createWAL(fs, "log", SyncEveryBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +56,7 @@ func TestWALRoundTrip(t *testing.T) {
 
 func TestWALTruncatesTornTail(t *testing.T) {
 	fs := NewMemFS(FaultPlan{})
-	w, err := createWAL(fs, "log", SyncEveryRecord)
+	w, err := createWAL(fs, "log", SyncEveryBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +163,7 @@ func TestMutationRecordRoundTrip(t *testing.T) {
 }
 
 func TestSyncPolicyString(t *testing.T) {
-	for p, want := range map[SyncPolicy]string{SyncEveryBatch: "every-batch", SyncEveryRecord: "every-record", SyncNever: "off", SyncPolicy(9): "SyncPolicy(9)"} {
+	for p, want := range map[SyncPolicy]string{SyncEveryBatch: "every-batch", SyncNever: "off", SyncPolicy(9): "SyncPolicy(9)"} {
 		if got := p.String(); got != want {
 			t.Fatalf("SyncPolicy(%d).String() = %q, want %q", int(p), got, want)
 		}
@@ -235,14 +239,20 @@ func TestStoreCrashMatrix(t *testing.T) {
 	}
 
 	// acked collects records that were durably acknowledged before the
-	// crash (Append returned nil under SyncEveryRecord).
+	// crash (Append then BatchEnd returned nil under SyncEveryBatch).
+	appendBatch := func(st *Store, r []byte) error {
+		if err := st.Append(r); err != nil {
+			return err
+		}
+		return st.BatchEnd()
+	}
 	scenario := func(fs *MemFS, acked *[][]byte) error {
-		st, err := Create(Options{Dir: "store", Policy: SyncEveryRecord, FS: fs}, writeBytes(snapA))
+		st, err := Create(Options{Dir: "store", Policy: SyncEveryBatch, FS: fs}, writeBytes(snapA))
 		if err != nil {
 			return err
 		}
 		for _, r := range gen1 {
-			if err := st.Append(r); err != nil {
+			if err := appendBatch(st, r); err != nil {
 				return err
 			}
 			*acked = append(*acked, r)
@@ -252,7 +262,7 @@ func TestStoreCrashMatrix(t *testing.T) {
 		}
 		*acked = nil // checkpoint folded gen-1 records into snapshot B
 		for _, r := range gen2 {
-			if err := st.Append(r); err != nil {
+			if err := appendBatch(st, r); err != nil {
 				return err
 			}
 			*acked = append(*acked, r)
@@ -355,22 +365,28 @@ func containsPrefix(prefixes [][][]byte, recs [][]byte) bool {
 }
 
 // TestStoreSyncFailure pins error-on-sync handling: a failed sync under
-// SyncEveryRecord surfaces from Append (the mutation must not be
+// SyncEveryBatch surfaces from BatchEnd (the mutation must not be
 // acknowledged) and the store keeps working afterwards.
 func TestStoreSyncFailure(t *testing.T) {
 	fs := NewMemFS(FaultPlan{FailSyncAt: 4}) // 1: snap temp, 2: wal header, 3: manifest temp, 4: first record
-	st, err := Create(Options{Dir: "store", Policy: SyncEveryRecord, FS: fs}, func(w io.Writer) error {
+	st, err := Create(Options{Dir: "store", Policy: SyncEveryBatch, FS: fs}, func(w io.Writer) error {
 		_, err := w.Write([]byte("snap"))
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append([]byte("doomed")); !errors.Is(err, ErrInjectedSync) {
-		t.Fatalf("Append under failing sync = %v, want ErrInjectedSync", err)
+	if err := st.Append([]byte("doomed")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.BatchEnd(); !errors.Is(err, ErrInjectedSync) {
+		t.Fatalf("BatchEnd under failing sync = %v, want ErrInjectedSync", err)
 	}
 	if err := st.Append([]byte("fine")); err != nil {
-		t.Fatalf("Append after sync recovered: %v", err)
+		t.Fatal(err)
+	}
+	if err := st.BatchEnd(); err != nil {
+		t.Fatalf("BatchEnd after sync recovered: %v", err)
 	}
 	recs, err := st.WALRecords()
 	if err != nil {

@@ -16,8 +16,8 @@
 // format, written via temp file + fsync + atomic rename; a length-framed,
 // CRC-per-record write-ahead log of mutations; and a manifest binding the
 // {snapshot, WAL} pair, so recovery can never mix generations. A mutation is
-// acknowledged once its record is synced under the SyncPolicy (per record,
-// per batch, or never), and a batch that fails part-way logs its applied
+// acknowledged once its record is synced under the SyncPolicy (per batch,
+// or never), and a batch that fails part-way logs its applied
 // prefix, so the log always reproduces acknowledged state. Torn or
 // bit-flipped records and snapshot sections are detected by checksum, never
 // silently served; replay stops at the first bad record and recovery rotates

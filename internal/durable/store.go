@@ -117,8 +117,7 @@ func (st *Store) WALRecords() ([][]byte, error) {
 }
 
 // Append writes one mutation record to the live WAL. Under
-// SyncEveryRecord it is durable on return; under SyncEveryBatch after
-// the next BatchEnd. A store obtained from Open has no live WAL until
+// SyncEveryBatch it is durable after the next BatchEnd. A store obtained from Open has no live WAL until
 // Checkpoint rotates one in.
 func (st *Store) Append(payload []byte) error {
 	if st.wal == nil {
@@ -136,8 +135,8 @@ func (st *Store) BatchEnd() error {
 }
 
 // Log writes one applied mutation to the live WAL as one record and marks
-// the batch durability point, so under SyncEveryBatch or SyncEveryRecord
-// it is durable when Log returns nil. A mutation without ids logs nothing.
+// the batch durability point, so under SyncEveryBatch it is durable when
+// Log returns nil. A mutation without ids logs nothing.
 func (st *Store) Log(m Mutation) error {
 	if len(m.IDs) == 0 {
 		return nil

@@ -35,8 +35,6 @@ const (
 	// SyncEveryBatch syncs once per BatchEnd (one per logged
 	// mutation call): every acknowledged mutation batch is durable.
 	SyncEveryBatch SyncPolicy = iota
-	// SyncEveryRecord syncs after every single record.
-	SyncEveryRecord
 	// SyncNever leaves durability to the OS; a crash may lose
 	// acknowledged mutations. For benchmarking the fsync overhead.
 	SyncNever
@@ -46,8 +44,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncEveryBatch:
 		return "every-batch"
-	case SyncEveryRecord:
-		return "every-record"
 	case SyncNever:
 		return "off"
 	default:
@@ -84,8 +80,7 @@ func createWAL(fsys FS, name string, policy SyncPolicy) (*WAL, error) {
 	return &WAL{f: f, policy: policy}, nil
 }
 
-// Append frames and writes one record. Under SyncEveryRecord the
-// record is durable when Append returns; under SyncEveryBatch it is
+// Append frames and writes one record. Under SyncEveryBatch it is
 // durable after the next BatchEnd.
 func (w *WAL) Append(payload []byte) error {
 	var frame [recFrameSize]byte
@@ -94,13 +89,8 @@ func (w *WAL) Append(payload []byte) error {
 	buf := make([]byte, 0, recFrameSize+len(payload))
 	buf = append(buf, frame[:]...)
 	buf = append(buf, payload...)
-	if _, err := w.f.Write(buf); err != nil {
-		return err
-	}
-	if w.policy == SyncEveryRecord {
-		return w.f.Sync()
-	}
-	return nil
+	_, err := w.f.Write(buf)
+	return err
 }
 
 // BatchEnd marks a durability point under SyncEveryBatch.

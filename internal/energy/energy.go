@@ -1,7 +1,7 @@
 // Package energy models the power draw of the evaluated servers so that the
 // paper's energy comparison (Figure 10) can be regenerated: the paper reads
-// Intel RAPL counters; here energy is power x latency with public
-// TDP-derived power figures (a substitution documented in DESIGN.md).
+// Intel RAPL counters; here energy is power x latency, with public
+// TDP-derived power figures standing in for the measured draw.
 package energy
 
 // PowerModel describes one server's draw under load.

@@ -45,13 +45,6 @@ func BenchmarkSearchIntNprobe16(b *testing.B) {
 	}
 }
 
-func BenchmarkSearchFloatNprobe16(b *testing.B) {
-	ix, s := benchIndex(b)
-	for i := 0; i < b.N; i++ {
-		ix.Search(s.Queries.Vec(i%s.Queries.N), 16, 10)
-	}
-}
-
 // BenchmarkBuild builds at the repo benchmark's shape: 32k SIFT-shaped
 // 128-d vectors, 512 lists, PQ M16/CB256, 4 coarse iterations and 8000
 // training points.

@@ -1,17 +1,14 @@
 // Package ivf implements the cluster-based (inverted file) index with
-// product quantization that both the CPU baseline and the DRIM-ANN PIM
-// engine consume: a coarse k-means quantizer over the corpus, per-cluster
-// inverted lists of PQ codes, and two search paths —
-//
-//   - Search: the float32 host path, structured like Faiss's IVFADC
-//     (cluster locating, residual, LUT construction, distance scan, top-k);
-//   - SearchInt: the integer path that is arithmetic-identical to the PIM
-//     kernels (uint8 centroids, int16 residuals, SQT-able LUTs, uint32
-//     accumulation), so engine results can be compared bit-for-bit.
+// product quantization that the DRIM-ANN PIM engine consumes: a coarse
+// k-means quantizer over the corpus, per-cluster inverted lists of PQ codes,
+// and one search path, SearchInt, that is arithmetic-identical to the PIM
+// kernels (uint8 centroids, int16 residuals, SQT-able LUTs, uint32
+// accumulation), so engine results can be compared bit-for-bit. The float
+// centroids and codebooks serve the build only: Build and Insert assign and
+// encode with them.
 package ivf
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -29,8 +26,6 @@ import (
 type BuildConfig struct {
 	NList int // number of coarse clusters (the paper's nlist)
 	PQ    pq.Config
-	// Variant selects the quantizer family: "pq" (default), "opq", or "dpq".
-	Variant string
 	// KMeansIters bounds coarse-quantizer training; default 20.
 	KMeansIters int
 	// TrainSample caps vectors used for training both quantizers; 0 = all.
@@ -49,9 +44,6 @@ func (c *BuildConfig) defaults() {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.Variant == "" {
-		c.Variant = "pq"
-	}
 }
 
 // Index is a built IVF-PQ index over a uint8 corpus.
@@ -59,12 +51,11 @@ type Index struct {
 	Dim, NList int
 	M, CB      int
 
-	Centroids   []float32 // NList x Dim, float path
-	CentroidsU8 []uint8   // NList x Dim, integer path (rounded)
+	Centroids   []float32 // NList x Dim, assignment at build and insert
+	CentroidsU8 []uint8   // NList x Dim, the search path's (rounded)
 
 	PQ    *pq.Quantizer
 	IntCB pq.IntCodebooks
-	OPQ   *pq.OPQ // non-nil for the "opq" variant
 
 	// Lists[c] holds the base-vector ids of cluster c; Codes[c] holds their
 	// PQ codes back-to-back (len(Lists[c]) * M entries).
@@ -148,21 +139,7 @@ func Build(base dataset.U8Set, cfg BuildConfig) (*Index, error) {
 	if pcfg.Seed == 0 {
 		pcfg.Seed = cfg.Seed + 1000
 	}
-	switch cfg.Variant {
-	case "pq":
-		ix.PQ, err = pq.Train(residuals, base.D, pcfg)
-	case "opq":
-		var o *pq.OPQ
-		o, err = pq.TrainOPQ(residuals, base.D, pcfg, 3)
-		if err == nil {
-			ix.OPQ = o
-			ix.PQ = o.PQ
-		}
-	case "dpq":
-		ix.PQ, err = pq.TrainDPQ(residuals, base.D, pcfg, 6, 0.02)
-	default:
-		return nil, fmt.Errorf("ivf: unknown variant %q", cfg.Variant)
-	}
+	ix.PQ, err = pq.Train(residuals, base.D, pcfg)
 	if err != nil {
 		return nil, fmt.Errorf("ivf: PQ training: %w", err)
 	}
@@ -204,19 +181,6 @@ func (ix *Index) AvgListLen() float64 {
 		total += len(l)
 	}
 	return float64(total) / float64(ix.NList)
-}
-
-// Locate performs the CL phase on the float path: the nprobe nearest
-// centroids to the query, in ascending distance order.
-func (ix *Index) Locate(query []float32, nprobe int) []topk.Item[float32] {
-	h := topk.NewHeap[float32](nprobe)
-	for c := 0; c < ix.NList; c++ {
-		d := vecmath.L2SquaredF32(query, ix.Centroid(c))
-		if h.WouldAccept(int32(c), d) {
-			h.Push(int32(c), d)
-		}
-	}
-	return h.Sorted()
 }
 
 // LocateInt performs the CL phase with integer arithmetic (uint8 centroids),
@@ -314,47 +278,6 @@ func (ix *Index) LocateBatch(queries dataset.U8Set, lo, hi, nprobe, workers int,
 	})
 }
 
-// Search runs the float path (Faiss-IVFADC-like) for one uint8 query.
-func (ix *Index) Search(query []uint8, nprobe, k int) []topk.Item[float32] {
-	qf := make([]float32, ix.Dim)
-	vecmath.U8ToF32(qf, query)
-	probes := ix.Locate(qf, nprobe)
-
-	res := make([]float32, ix.Dim)
-	lut := make([]float32, ix.M*ix.CB)
-	h := topk.NewHeap[float32](k)
-	for _, p := range probes {
-		c := int(p.ID)
-		vecmath.SubF32(res, qf, ix.Centroid(c)) // RC
-		lc := res
-		if ix.OPQ != nil {
-			lc = ix.OPQ.Rotate(res)
-		}
-		ix.PQ.LUT(lc, lut) // LC
-		ids := ix.Lists[c]
-		codes := ix.Codes[c]
-		tomb := ix.Tombstoned(c)
-		for i, id := range ids { // DC + TS
-			if tomb != nil && tomb[id] {
-				continue
-			}
-			d := vecmath.ADCF32(lut, codes[i*ix.M:(i+1)*ix.M], ix.CB)
-			if h.WouldAccept(id, d) {
-				h.Push(id, d)
-			}
-		}
-		aids := ix.AppendIDs(c)
-		acodes := ix.AppendCodes(c)
-		for i, id := range aids { // append segment (never tombstoned)
-			d := vecmath.ADCF32(lut, acodes[i*ix.M:(i+1)*ix.M], ix.CB)
-			if h.WouldAccept(id, d) {
-				h.Push(id, d)
-			}
-		}
-	}
-	return h.Sorted()
-}
-
 // SearchInt runs the integer path for one query: identical arithmetic to the
 // PIM kernels (CL on uint8 centroids, int16 residuals, SQT LUTs, uint32 ADC).
 func (ix *Index) SearchInt(query []uint8, nprobe, k int) []topk.Item[uint32] {
@@ -390,18 +313,13 @@ func (ix *Index) SearchInt(query []uint8, nprobe, k int) []topk.Item[uint32] {
 	return h.Sorted()
 }
 
-// SearchIntBatch runs SearchInt for a query set in parallel.
+// SearchIntBatch runs SearchInt for a query set in parallel and keeps the
+// ids of each answer.
 func (ix *Index) SearchIntBatch(queries dataset.U8Set, nprobe, k, workers int) [][]int32 {
-	return searchIDs(queries, workers, func(q []uint8) []topk.Item[uint32] { return ix.SearchInt(q, nprobe, k) })
-}
-
-// searchIDs runs search over every query, chunked across workers, and keeps
-// the ids of each answer.
-func searchIDs[D cmp.Ordered](queries dataset.U8Set, workers int, search func([]uint8) []topk.Item[D]) [][]int32 {
 	out := make([][]int32, queries.N)
 	forEachChunk(0, queries.N, workers, func(lo, hi int) {
 		for qi := lo; qi < hi; qi++ {
-			items := search(queries.Vec(qi))
+			items := ix.SearchInt(queries.Vec(qi), nprobe, k)
 			ids := make([]int32, len(items))
 			for j, it := range items {
 				ids[j] = it.ID

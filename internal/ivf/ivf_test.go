@@ -5,20 +5,18 @@ import (
 
 	"drimann/internal/dataset"
 	"drimann/internal/pq"
-	"drimann/internal/topk"
 )
 
 // smallIndex builds a small but realistic index for tests.
-func smallIndex(t *testing.T, variant string) (*Index, *dataset.Synth) {
+func smallIndex(t *testing.T) (*Index, *dataset.Synth) {
 	t.Helper()
 	s := dataset.Generate(dataset.SynthConfig{
 		N: 4000, D: 16, NumQueries: 40, NumClusters: 24, Seed: 11, Noise: 10,
 	})
 	ix, err := Build(s.Base, BuildConfig{
-		NList:   32,
-		PQ:      pq.Config{M: 16, CB: 64},
-		Variant: variant,
-		Seed:    5,
+		NList: 32,
+		PQ:    pq.Config{M: 16, CB: 64},
+		Seed:  5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +25,7 @@ func smallIndex(t *testing.T, variant string) (*Index, *dataset.Synth) {
 }
 
 func TestBuildInvariants(t *testing.T) {
-	ix, s := smallIndex(t, "pq")
+	ix, s := smallIndex(t)
 	if ix.NList != 32 || ix.Dim != 16 {
 		t.Fatalf("index shape wrong: %+v", ix)
 	}
@@ -63,18 +61,11 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(s.Base, BuildConfig{NList: 4, PQ: pq.Config{M: 3, CB: 8}}); err == nil {
 		t.Fatal("M not dividing dim must fail")
 	}
-	if _, err := Build(s.Base, BuildConfig{NList: 4, PQ: pq.Config{M: 2, CB: 8}, Variant: "nope"}); err == nil {
-		t.Fatal("unknown variant must fail")
-	}
 }
 
 func TestLocateSortedAndDistinct(t *testing.T) {
-	ix, s := smallIndex(t, "pq")
-	qf := make([]float32, 16)
-	for i, v := range s.Queries.Vec(0) {
-		qf[i] = float32(v)
-	}
-	probes := ix.Locate(qf, 8)
+	ix, s := smallIndex(t)
+	probes := ix.LocateInt(s.Queries.Vec(0), 8)
 	if len(probes) != 8 {
 		t.Fatalf("got %d probes", len(probes))
 	}
@@ -90,18 +81,8 @@ func TestLocateSortedAndDistinct(t *testing.T) {
 	}
 }
 
-func TestSearchRecall(t *testing.T) {
-	ix, s := smallIndex(t, "pq")
-	const k = 10
-	gt := dataset.GroundTruth(s.Base, s.Queries, k, 0)
-	got := ix.SearchBatch(s.Queries, 16, k, 0)
-	if r := dataset.Recall(gt, got, k); r < 0.8 {
-		t.Fatalf("float-path recall@10 = %v, want >= 0.8", r)
-	}
-}
-
 func TestSearchIntRecall(t *testing.T) {
-	ix, s := smallIndex(t, "pq")
+	ix, s := smallIndex(t)
 	const k = 10
 	gt := dataset.GroundTruth(s.Base, s.Queries, k, 0)
 	got := ix.SearchIntBatch(s.Queries, 16, k, 0)
@@ -111,11 +92,11 @@ func TestSearchIntRecall(t *testing.T) {
 }
 
 func TestRecallImprovesWithNprobe(t *testing.T) {
-	ix, s := smallIndex(t, "pq")
+	ix, s := smallIndex(t)
 	const k = 10
 	gt := dataset.GroundTruth(s.Base, s.Queries, k, 0)
-	r4 := dataset.Recall(gt, ix.SearchBatch(s.Queries, 2, k, 0), k)
-	r32 := dataset.Recall(gt, ix.SearchBatch(s.Queries, 32, k, 0), k)
+	r4 := dataset.Recall(gt, ix.SearchIntBatch(s.Queries, 2, k, 0), k)
+	r32 := dataset.Recall(gt, ix.SearchIntBatch(s.Queries, 32, k, 0), k)
 	if r32 < r4 {
 		t.Fatalf("recall should not degrade with nprobe: %v -> %v", r4, r32)
 	}
@@ -125,8 +106,8 @@ func TestRecallImprovesWithNprobe(t *testing.T) {
 }
 
 func TestSearchResultsSortedUnique(t *testing.T) {
-	ix, s := smallIndex(t, "pq")
-	items := ix.Search(s.Queries.Vec(1), 8, 10)
+	ix, s := smallIndex(t)
+	items := ix.SearchInt(s.Queries.Vec(1), 8, 10)
 	if len(items) != 10 {
 		t.Fatalf("got %d results", len(items))
 	}
@@ -142,31 +123,8 @@ func TestSearchResultsSortedUnique(t *testing.T) {
 	}
 }
 
-func TestOPQVariantBuildsAndSearches(t *testing.T) {
-	ix, s := smallIndex(t, "opq")
-	if ix.OPQ == nil {
-		t.Fatal("OPQ variant should carry a rotation")
-	}
-	const k = 10
-	gt := dataset.GroundTruth(s.Base, s.Queries, k, 0)
-	got := ix.SearchBatch(s.Queries, 16, k, 0)
-	if r := dataset.Recall(gt, got, k); r < 0.7 {
-		t.Fatalf("OPQ recall@10 = %v too low", r)
-	}
-}
-
-func TestDPQVariantBuildsAndSearches(t *testing.T) {
-	ix, s := smallIndex(t, "dpq")
-	const k = 10
-	gt := dataset.GroundTruth(s.Base, s.Queries, k, 0)
-	got := ix.SearchBatch(s.Queries, 16, k, 0)
-	if r := dataset.Recall(gt, got, k); r < 0.7 {
-		t.Fatalf("DPQ recall@10 = %v too low", r)
-	}
-}
-
 func TestSearchIntDeterministic(t *testing.T) {
-	ix, s := smallIndex(t, "pq")
+	ix, s := smallIndex(t)
 	a := ix.SearchInt(s.Queries.Vec(3), 8, 5)
 	b := ix.SearchInt(s.Queries.Vec(3), 8, 5)
 	for i := range a {
@@ -174,9 +132,4 @@ func TestSearchIntDeterministic(t *testing.T) {
 			t.Fatal("SearchInt not deterministic")
 		}
 	}
-}
-
-// SearchBatch runs Search for a query set in parallel and returns id lists.
-func (ix *Index) SearchBatch(queries dataset.U8Set, nprobe, k, workers int) [][]int32 {
-	return searchIDs(queries, workers, func(q []uint8) []topk.Item[float32] { return ix.Search(q, nprobe, k) })
 }

@@ -1,8 +1,8 @@
 // Live index mutability: per-cluster append segments plus tombstone sets
 // layered over the packed inverted lists (an LSM-flavored overlay). Inserts
-// PQ-encode against the frozen quantizers (coarse centroids, codebooks, OPQ
-// rotation are never retrained) and land in the owning cluster's append
-// segment; deletes tombstone base-list entries in place, or drop append
+// PQ-encode against the frozen quantizers (coarse centroids and codebooks
+// are never retrained) and land in the owning cluster's append segment;
+// deletes tombstone base-list entries in place, or drop append
 // entries directly. Compact folds both back into the packed Lists/Codes
 // arenas — only for clusters that actually changed — restoring the exact
 // layout Build would have produced over the same logical corpus.
@@ -66,9 +66,9 @@ func (ix *Index) ensureMut() *mutState {
 	return m
 }
 
-// AssignVec returns the nearest-centroid cluster of one uint8 vector on the
-// float path. It is Build's own assignment: Build runs every corpus vector
-// through it, so an inserted vector lands where a build would put it.
+// AssignVec returns the nearest-centroid cluster of one uint8 vector under
+// the float centroids. It is Build's own assignment: Build runs every corpus
+// vector through it, so an inserted vector lands where a build would put it.
 func (ix *Index) AssignVec(vec []uint8, sc *EncodeScratch) int32 {
 	vecmath.U8ToF32(sc.f32, vec)
 	c, _ := vecmath.ArgMinL2F32(sc.f32, ix.Centroids, ix.Dim)
@@ -76,18 +76,13 @@ func (ix *Index) AssignVec(vec []uint8, sc *EncodeScratch) int32 {
 }
 
 // EncodeVec PQ-encodes one uint8 vector against cluster c's centroid with
-// the frozen quantizers (SubF32 residual, optional OPQ rotation,
-// per-subspace ArgMin encode), writing M code entries into code. It is
-// Build's own encoder, so a vector inserted then compacted carries the code
-// a fresh Build would give it.
+// the frozen quantizers (SubF32 residual, per-subspace ArgMin encode),
+// writing M code entries into code. It is Build's own encoder, so a vector
+// inserted then compacted carries the code a fresh Build would give it.
 func (ix *Index) EncodeVec(vec []uint8, c int32, code []uint16, sc *EncodeScratch) {
 	vecmath.U8ToF32(sc.f32, vec)
 	vecmath.SubF32(sc.res, sc.f32, ix.Centroids[int(c)*ix.Dim:(int(c)+1)*ix.Dim])
-	r := sc.res
-	if ix.OPQ != nil {
-		r = ix.OPQ.Rotate(sc.res)
-	}
-	ix.PQ.Encode(r, code)
+	ix.PQ.Encode(sc.res, code)
 }
 
 // Insert adds one vector under id: assign to the nearest centroid, encode
@@ -385,7 +380,7 @@ func RebuildFrozen(ix *Index, vecs dataset.U8Set, ids []int32) (*Index, error) {
 	out := &Index{
 		Dim: ix.Dim, NList: ix.NList, M: ix.M, CB: ix.CB,
 		Centroids: ix.Centroids, CentroidsU8: ix.CentroidsU8,
-		PQ: ix.PQ, IntCB: ix.IntCB, OPQ: ix.OPQ, SQT: ix.SQT,
+		PQ: ix.PQ, IntCB: ix.IntCB, SQT: ix.SQT,
 		Lists: make([][]int32, ix.NList),
 		Codes: make([][]uint16, ix.NList),
 	}

@@ -12,14 +12,14 @@ import (
 // mutableFixture builds an index over the first base of the corpus and keeps
 // the tail as an insert pool; ids are corpus positions throughout, so
 // s.Base.Vec(id) is every id's vector.
-func mutableFixture(t testing.TB, variant string) (*Index, *dataset.Synth, int) {
+func mutableFixture(t testing.TB) (*Index, *dataset.Synth, int) {
 	t.Helper()
 	s := dataset.Generate(dataset.SynthConfig{
 		N: 4000, D: 16, NumQueries: 40, NumClusters: 24, Seed: 11, Noise: 10,
 	})
 	base := 3200
 	ix, err := Build(dataset.U8Set{N: base, D: s.Base.D, Data: s.Base.Data[:base*s.Base.D]},
-		BuildConfig{NList: 32, PQ: pq.Config{M: 16, CB: 64}, Variant: variant, Seed: 5})
+		BuildConfig{NList: 32, PQ: pq.Config{M: 16, CB: 64}, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,72 +55,69 @@ func requireSameContents(t *testing.T, got, want *Index) {
 // TestMutateCompactBitIdentity drives randomized insert/delete/compact
 // interleavings and checks the LSM overlay's central contract: after
 // Compact, the index is bit-identical to a frozen-quantizer rebuild over the
-// same logical corpus. Covers pq and opq (the rotation participates in
-// encode).
+// same logical corpus.
 func TestMutateCompactBitIdentity(t *testing.T) {
-	for _, variant := range []string{"pq", "opq"} {
-		t.Run(variant, func(t *testing.T) {
-			ix, s, base := mutableFixture(t, variant)
-			rng := rand.New(rand.NewSource(77))
-			live := make([]int32, base)
-			for i := range live {
-				live[i] = int32(i)
-			}
-			pool := make([]int32, s.Base.N-base)
-			for i := range pool {
-				pool[i] = int32(base + i)
-			}
-			for op := 0; op < 600; op++ {
-				switch r := rng.Intn(10); {
-				case r < 5 && len(pool) > 0: // insert a pool point
-					i := rng.Intn(len(pool))
-					id := pool[i]
-					pool = append(pool[:i], pool[i+1:]...)
-					if _, err := ix.Insert(id, s.Base.Vec(int(id))); err != nil {
-						t.Fatal(err)
-					}
-					live = append(live, id)
-				case r < 9 && len(live) > 0: // delete a live point (may be a fresh insert)
-					i := rng.Intn(len(live))
-					id := live[i]
-					live = append(live[:i], live[i+1:]...)
-					if _, _, err := ix.Delete(id); err != nil {
-						t.Fatal(err)
-					}
-					pool = append(pool, id)
-				case r == 9: // occasional mid-stream compaction
-					if _, err := ix.CompactRemap(nil); err != nil {
-						t.Fatal(err)
-					}
+	t.Run("pq", func(t *testing.T) {
+		ix, s, base := mutableFixture(t)
+		rng := rand.New(rand.NewSource(77))
+		live := make([]int32, base)
+		for i := range live {
+			live[i] = int32(i)
+		}
+		pool := make([]int32, s.Base.N-base)
+		for i := range pool {
+			pool[i] = int32(base + i)
+		}
+		for op := 0; op < 600; op++ {
+			switch r := rng.Intn(10); {
+			case r < 5 && len(pool) > 0: // insert a pool point
+				i := rng.Intn(len(pool))
+				id := pool[i]
+				pool = append(pool[:i], pool[i+1:]...)
+				if _, err := ix.Insert(id, s.Base.Vec(int(id))); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, id)
+			case r < 9 && len(live) > 0: // delete a live point (may be a fresh insert)
+				i := rng.Intn(len(live))
+				id := live[i]
+				live = append(live[:i], live[i+1:]...)
+				if _, _, err := ix.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+				pool = append(pool, id)
+			case r == 9: // occasional mid-stream compaction
+				if _, err := ix.CompactRemap(nil); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if _, err := ix.CompactRemap(nil); err != nil {
-				t.Fatal(err)
-			}
-			if ix.HasMutations() || ix.MutationBytes() != 0 {
-				t.Fatal("overlay must be empty after Compact")
-			}
-			vecs, ids := liveSet(ix, s)
-			want, err := RebuildFrozen(ix, vecs, ids)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameContents(t, ix, want)
-		})
-	}
+		}
+		if _, err := ix.CompactRemap(nil); err != nil {
+			t.Fatal(err)
+		}
+		if ix.HasMutations() || ix.MutationBytes() != 0 {
+			t.Fatal("overlay must be empty after Compact")
+		}
+		vecs, ids := liveSet(ix, s)
+		want, err := RebuildFrozen(ix, vecs, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameContents(t, ix, want)
+	})
 }
 
 // TestMutableSearchVisibility pins the between-compaction promise on the
-// float search path: an inserted point is findable immediately (its own
+// search path: an inserted point is findable immediately (its own
 // vector as the query ranks it), and a deleted point never surfaces, in
 // both the base list (tombstone filter) and the append segment.
 func TestMutableSearchVisibility(t *testing.T) {
-	ix, s, base := mutableFixture(t, "pq")
+	ix, s, base := mutableFixture(t)
 	const nprobe, k = 32, 10
 	id := int32(base)
 	vec := s.Base.Vec(int(id))
 	found := func(id int32, vec []uint8) bool {
-		for _, it := range ix.Search(vec, nprobe, k) {
+		for _, it := range ix.SearchInt(vec, nprobe, k) {
 			if it.ID == id {
 				return true
 			}
@@ -160,7 +157,7 @@ func TestMutableSearchVisibility(t *testing.T) {
 // and reinserting the same id (same vector) serves from the append segment
 // between compactions, and compacts back to exactly the never-mutated index.
 func TestDeleteThenReinsert(t *testing.T) {
-	ix, s, _ := mutableFixture(t, "pq")
+	ix, s, _ := mutableFixture(t)
 	vecs, ids := liveSet(ix, s)
 	pristine, err := RebuildFrozen(ix, vecs, ids)
 	if err != nil {
@@ -184,7 +181,7 @@ func TestDeleteThenReinsert(t *testing.T) {
 }
 
 func TestMutationValidation(t *testing.T) {
-	ix, s, base := mutableFixture(t, "pq")
+	ix, s, base := mutableFixture(t)
 	if _, err := ix.Insert(int32(base), s.Base.Vec(0)[:8]); err == nil {
 		t.Fatal("dim mismatch must fail")
 	}
@@ -211,8 +208,8 @@ func TestMutationValidation(t *testing.T) {
 // TestAppendLogRoundTrip serializes a live overlay and replays it onto a
 // fresh build of the same base; both compact to identical contents.
 func TestAppendLogRoundTrip(t *testing.T) {
-	ix, s, base := mutableFixture(t, "pq")
-	ix2, _, _ := mutableFixture(t, "pq")
+	ix, s, base := mutableFixture(t)
+	ix2, _, _ := mutableFixture(t)
 	for i := 0; i < 50; i++ {
 		if _, err := ix.Insert(int32(base+i), s.Base.Vec(base+i)); err != nil {
 			t.Fatal(err)
@@ -240,7 +237,7 @@ func TestAppendLogRoundTrip(t *testing.T) {
 }
 
 func TestAppendLogRejectsCorruption(t *testing.T) {
-	ix, s, base := mutableFixture(t, "pq")
+	ix, s, base := mutableFixture(t)
 	if _, err := ix.Insert(int32(base), s.Base.Vec(base)); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +263,7 @@ func TestAppendLogRejectsCorruption(t *testing.T) {
 // never panic or over-allocate, and any log it accepts must re-encode to a
 // decodable log.
 func FuzzAppendLog(f *testing.F) {
-	ix, s, base := mutableFixture(f, "pq")
+	ix, s, base := mutableFixture(f)
 	for i := 0; i < 30; i++ {
 		if _, err := ix.Insert(int32(base+i), s.Base.Vec(base+i)); err != nil {
 			f.Fatal(err)

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+	"slices"
 
-	"drimann/internal/mat"
 	"drimann/internal/pq"
 	"drimann/internal/sqt"
 )
@@ -23,8 +25,8 @@ import (
 // sections, each framed as len u32 | payload | crc u32 (IEEE CRC32 of
 // the payload):
 //
-//	head    dim, nlist, m, cb, hasOPQ (5 × i32)
-//	quant   centroids f32* | centroidsU8 u8* | codebooks f32* | [rotation f64*]
+//	head    dim, nlist, m, cb, opq (5 × i32)
+//	quant   centroids f32* | centroidsU8 u8* | codebooks f32*
 //	lists   per cluster: n i32 | ids i32* | codes u16*
 //	overlay the mutation append log (EncodeAppendLog; zero-record when clean)
 //
@@ -32,6 +34,15 @@ import (
 // garbage, and the overlay section makes Save/Load lossless for a live
 // mutated index — insert → save → load → search serves the inserted
 // points.
+//
+// The opq word is always 0. Older builds wrote 1, and a D×D float64
+// rotation after the codebooks, for an OPQ index; Load rejects such an
+// image in either version, because the engine's integer path never applied
+// the rotation.
+//
+// Load allocates nothing from a count it has not checked: the header's
+// products are taken in int64 and capped, and every block is read into a
+// buffer that grows only as its bytes arrive.
 const (
 	indexMagic     = 0x44524d41 // "DRMA"
 	indexVersion1  = 1
@@ -53,6 +64,17 @@ func writeSection(w io.Writer, payload []byte) error {
 	return err
 }
 
+// readFull reads exactly n bytes. CopyN grows the buffer only as bytes
+// actually arrive, so a corrupt huge count on a short stream fails at EOF
+// instead of attempting a giant upfront allocation.
+func readFull(r io.Reader, n int64) ([]byte, error) {
+	var b bytes.Buffer
+	if _, err := io.CopyN(&b, r, n); err != nil {
+		return nil, err
+	}
+	return b.Bytes(), nil
+}
+
 func readSection(r io.Reader, name string) ([]byte, error) {
 	var frame [4]byte
 	if _, err := io.ReadFull(r, frame[:]); err != nil {
@@ -62,14 +84,10 @@ func readSection(r io.Reader, name string) ([]byte, error) {
 	if uint64(n) >= maxSectionSize {
 		return nil, fmt.Errorf("ivf: %s section claims %d bytes", name, n)
 	}
-	// CopyN grows the buffer only as bytes actually arrive, so a
-	// corrupt huge length on a short stream fails at EOF instead of
-	// attempting a giant upfront allocation.
-	var pb bytes.Buffer
-	if _, err := io.CopyN(&pb, r, int64(n)); err != nil {
+	payload, err := readFull(r, int64(n))
+	if err != nil {
 		return nil, fmt.Errorf("ivf: load %s section: %w", name, err)
 	}
-	payload := pb.Bytes()
 	if _, err := io.ReadFull(r, frame[:]); err != nil {
 		return nil, fmt.Errorf("ivf: load %s section crc: %w", name, err)
 	}
@@ -87,13 +105,9 @@ func (ix *Index) Save(w io.Writer) error {
 		return fmt.Errorf("ivf: save header: %w", err)
 	}
 
-	hasOPQ := int32(0)
-	if ix.OPQ != nil {
-		hasOPQ = 1
-	}
 	var buf bytes.Buffer
 	if err := binary.Write(&buf, binary.LittleEndian, []int32{
-		int32(ix.Dim), int32(ix.NList), int32(ix.M), int32(ix.CB), hasOPQ,
+		int32(ix.Dim), int32(ix.NList), int32(ix.M), int32(ix.CB), 0,
 	}); err != nil {
 		return fmt.Errorf("ivf: save head: %w", err)
 	}
@@ -108,11 +122,6 @@ func (ix *Index) Save(w io.Writer) error {
 	buf.Write(ix.CentroidsU8)
 	if err := binary.Write(&buf, binary.LittleEndian, ix.PQ.Codebooks); err != nil {
 		return fmt.Errorf("ivf: save codebooks: %w", err)
-	}
-	if ix.OPQ != nil {
-		if err := binary.Write(&buf, binary.LittleEndian, ix.OPQ.R.Data); err != nil {
-			return fmt.Errorf("ivf: save rotation: %w", err)
-		}
 	}
 	if err := writeSection(bw, buf.Bytes()); err != nil {
 		return fmt.Errorf("ivf: save quant section: %w", err)
@@ -160,54 +169,77 @@ func Load(r io.Reader) (*Index, error) {
 	}
 }
 
-// newLoadShell validates the shape parameters shared by both versions
-// and allocates an index with empty lists.
-func newLoadShell(dim, nlist, m, cb int) (*Index, error) {
+// newLoadShell validates the five header words both versions share (dim,
+// nlist, m, cb, opq) and returns an index carrying the shape, with the
+// byte length of its quant block. It allocates nothing from the counts.
+func newLoadShell(h []int32) (*Index, int64, error) {
+	dim, nlist, m, cb := int64(h[0]), int64(h[1]), int64(h[2]), int64(h[3])
 	if dim <= 0 || nlist <= 0 || m <= 0 || cb <= 0 || dim%m != 0 {
-		return nil, fmt.Errorf("ivf: corrupt header dim=%d nlist=%d m=%d cb=%d", dim, nlist, m, cb)
+		return nil, 0, fmt.Errorf("ivf: corrupt header dim=%d nlist=%d m=%d cb=%d", dim, nlist, m, cb)
 	}
-	return &Index{
-		Dim: dim, NList: nlist, M: m, CB: cb,
-		Centroids:   make([]float32, nlist*dim),
-		CentroidsU8: make([]uint8, nlist*dim),
-		PQ:          &pq.Quantizer{D: dim, M: m, CB: cb, DSub: dim / m, Codebooks: make([]float32, m*cb*(dim/m))},
-		SQT:         sqt.NewSQT8(),
-	}, nil
+	if h[4] == 1 {
+		return nil, 0, errors.New("ivf: image holds an OPQ index, which this package cannot load; rebuild it as PQ")
+	}
+	if h[4] != 0 {
+		return nil, 0, fmt.Errorf("ivf: corrupt OPQ flag %d", h[4])
+	}
+	// Each product of two positive int32s fits an int64, and under the cap
+	// so does the quant block: centroids f32 + u8, codebooks CB × dim f32.
+	nd, cd := nlist*dim, cb*dim
+	if nd >= maxSectionSize || cd >= maxSectionSize || 5*nd+4*cd >= maxSectionSize {
+		return nil, 0, fmt.Errorf("ivf: corrupt header dim=%d nlist=%d cb=%d: centroids and codebooks exceed %d bytes", dim, nlist, cb, int64(maxSectionSize))
+	}
+	return &Index{Dim: int(dim), NList: int(nlist), M: int(m), CB: int(cb), SQT: sqt.NewSQT8()}, 5*nd + 4*cd, nil
 }
 
-func loadV1(br *bufio.Reader) (*Index, error) {
-	dims := make([]int32, 4)
-	if err := binary.Read(br, binary.LittleEndian, dims); err != nil {
-		return nil, fmt.Errorf("ivf: load header: %w", err)
-	}
-	ix, err := newLoadShell(int(dims[0]), int(dims[1]), int(dims[2]), int(dims[3]))
-	if err != nil {
-		return nil, err
-	}
-	var hasOPQ int32
-	if err := binary.Read(br, binary.LittleEndian, &hasOPQ); err != nil {
-		return nil, fmt.Errorf("ivf: load flags: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, ix.Centroids); err != nil {
-		return nil, fmt.Errorf("ivf: load centroids: %w", err)
-	}
-	if _, err := io.ReadFull(br, ix.CentroidsU8); err != nil {
-		return nil, fmt.Errorf("ivf: load u8 centroids: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, ix.PQ.Codebooks); err != nil {
-		return nil, fmt.Errorf("ivf: load codebooks: %w", err)
-	}
-	if hasOPQ == 1 {
-		rot := make([]float64, ix.Dim*ix.Dim)
-		if err := binary.Read(br, binary.LittleEndian, rot); err != nil {
-			return nil, fmt.Errorf("ivf: load rotation: %w", err)
-		}
-		ix.OPQ = &pq.OPQ{R: &mat.Dense{Rows: ix.Dim, Cols: ix.Dim, Data: rot}, PQ: ix.PQ}
-	}
+// setQuant fills the centroids and codebooks from a quant block whose
+// length newLoadShell computed, and makes the empty inverted lists.
+func (ix *Index) setQuant(b []byte) {
+	nd := ix.NList * ix.Dim
+	ix.Centroids = f32sOf(b[:4*nd])
+	ix.CentroidsU8 = slices.Clone(b[4*nd : 5*nd])
+	ix.PQ = &pq.Quantizer{D: ix.Dim, M: ix.M, CB: ix.CB, DSub: ix.Dim / ix.M, Codebooks: f32sOf(b[5*nd:])}
 	ix.IntCB = ix.PQ.QuantizeCodebooks()
 	ix.Lists = make([][]int32, ix.NList)
 	ix.Codes = make([][]uint16, ix.NList)
-	for c := 0; c < ix.NList; c++ {
+}
+
+func f32sOf(b []byte) []float32 {
+	out := make([]float32, len(b)/4)
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return out
+}
+
+// readList decodes one inverted list, n ids then n*m codes, from lr.
+func readList(lr *logReader, n, m int) ([]int32, []uint16) {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(lr.u32())
+	}
+	codes := make([]uint16, n*m)
+	for i := range codes {
+		codes[i] = lr.u16()
+	}
+	return ids, codes
+}
+
+func loadV1(br *bufio.Reader) (*Index, error) {
+	h := make([]int32, 5)
+	if err := binary.Read(br, binary.LittleEndian, h); err != nil {
+		return nil, fmt.Errorf("ivf: load header: %w", err)
+	}
+	ix, quantLen, err := newLoadShell(h)
+	if err != nil {
+		return nil, err
+	}
+	quant, err := readFull(br, quantLen)
+	if err != nil {
+		return nil, fmt.Errorf("ivf: load centroids and codebooks: %w", err)
+	}
+	ix.setQuant(quant)
+	for c := range ix.Lists {
 		var n int32
 		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
 			return nil, fmt.Errorf("ivf: load list %d len: %w", c, err)
@@ -215,14 +247,12 @@ func loadV1(br *bufio.Reader) (*Index, error) {
 		if n < 0 {
 			return nil, fmt.Errorf("ivf: corrupt list length %d", n)
 		}
-		ix.Lists[c] = make([]int32, n)
-		if err := binary.Read(br, binary.LittleEndian, ix.Lists[c]); err != nil {
-			return nil, fmt.Errorf("ivf: load list %d ids: %w", c, err)
+		// M ≤ dim < 2^31/5 (the quant cap), so this stays below 2^61.
+		b, err := readFull(br, int64(n)*int64(4+2*ix.M))
+		if err != nil {
+			return nil, fmt.Errorf("ivf: load list %d: %w", c, err)
 		}
-		ix.Codes[c] = make([]uint16, int(n)*ix.M)
-		if err := binary.Read(br, binary.LittleEndian, ix.Codes[c]); err != nil {
-			return nil, fmt.Errorf("ivf: load list %d codes: %w", c, err)
-		}
+		ix.Lists[c], ix.Codes[c] = readList(&logReader{data: b}, int(n), ix.M)
 	}
 	return ix, nil
 }
@@ -239,53 +269,26 @@ func loadV2(br *bufio.Reader) (*Index, error) {
 	if err := binary.Read(bytes.NewReader(headSec), binary.LittleEndian, h); err != nil {
 		return nil, err
 	}
-	ix, err := newLoadShell(int(h[0]), int(h[1]), int(h[2]), int(h[3]))
+	ix, quantLen, err := newLoadShell(h)
 	if err != nil {
 		return nil, err
-	}
-	hasOPQ := h[4]
-	if hasOPQ != 0 && hasOPQ != 1 {
-		return nil, fmt.Errorf("ivf: corrupt OPQ flag %d", hasOPQ)
 	}
 
 	quantSec, err := readSection(br, "quant")
 	if err != nil {
 		return nil, err
 	}
-	wantQuant := 4*len(ix.Centroids) + len(ix.CentroidsU8) + 4*len(ix.PQ.Codebooks)
-	if hasOPQ == 1 {
-		wantQuant += 8 * ix.Dim * ix.Dim
+	if int64(len(quantSec)) != quantLen {
+		return nil, fmt.Errorf("ivf: quant section is %d bytes, want %d", len(quantSec), quantLen)
 	}
-	if len(quantSec) != wantQuant {
-		return nil, fmt.Errorf("ivf: quant section is %d bytes, want %d", len(quantSec), wantQuant)
-	}
-	qr := bytes.NewReader(quantSec)
-	if err := binary.Read(qr, binary.LittleEndian, ix.Centroids); err != nil {
-		return nil, fmt.Errorf("ivf: load centroids: %w", err)
-	}
-	if _, err := io.ReadFull(qr, ix.CentroidsU8); err != nil {
-		return nil, fmt.Errorf("ivf: load u8 centroids: %w", err)
-	}
-	if err := binary.Read(qr, binary.LittleEndian, ix.PQ.Codebooks); err != nil {
-		return nil, fmt.Errorf("ivf: load codebooks: %w", err)
-	}
-	if hasOPQ == 1 {
-		rot := make([]float64, ix.Dim*ix.Dim)
-		if err := binary.Read(qr, binary.LittleEndian, rot); err != nil {
-			return nil, fmt.Errorf("ivf: load rotation: %w", err)
-		}
-		ix.OPQ = &pq.OPQ{R: &mat.Dense{Rows: ix.Dim, Cols: ix.Dim, Data: rot}, PQ: ix.PQ}
-	}
-	ix.IntCB = ix.PQ.QuantizeCodebooks()
+	ix.setQuant(quantSec)
 
 	listsSec, err := readSection(br, "lists")
 	if err != nil {
 		return nil, err
 	}
 	lr := logReader{data: listsSec}
-	ix.Lists = make([][]int32, ix.NList)
-	ix.Codes = make([][]uint16, ix.NList)
-	for c := 0; c < ix.NList; c++ {
+	for c := range ix.Lists {
 		n := int(int32(lr.u32()))
 		if lr.err != nil {
 			return nil, fmt.Errorf("ivf: load list %d len: %w", c, lr.err)
@@ -293,17 +296,7 @@ func loadV2(br *bufio.Reader) (*Index, error) {
 		if n < 0 || int64(n)*int64(4+2*ix.M) > int64(lr.remaining()) {
 			return nil, fmt.Errorf("ivf: corrupt list %d length %d", c, n)
 		}
-		ix.Lists[c] = make([]int32, n)
-		for i := range ix.Lists[c] {
-			ix.Lists[c][i] = int32(lr.u32())
-		}
-		ix.Codes[c] = make([]uint16, n*ix.M)
-		for i := range ix.Codes[c] {
-			ix.Codes[c][i] = lr.u16()
-		}
-		if lr.err != nil {
-			return nil, fmt.Errorf("ivf: load list %d: %w", c, lr.err)
-		}
+		ix.Lists[c], ix.Codes[c] = readList(&lr, n, ix.M)
 	}
 	if lr.remaining() != 0 {
 		return nil, fmt.Errorf("ivf: %d trailing bytes in lists section", lr.remaining())

@@ -1,11 +1,6 @@
-// Package pq implements product quantization and the variants DRIM-ANN
-// supports: plain PQ (Jégou et al.), OPQ (optimized PQ with a learned
-// orthogonal rotation, Ge et al.) and a DPQ-style learned refinement (after
-// Klein & Wolf's end-to-end supervised PQ; here an unsupervised SGD
-// refinement of the codebooks, see DESIGN.md for the substitution note).
-//
-// The float32 path mirrors what Faiss does on the host. The integer path
-// (IntCodebooks + LUTInt) mirrors the PIM deployment: codebook entries are
+// Package pq implements product quantization (Jégou et al.) in the form
+// the DRIM-ANN engine runs: float codebooks trained by per-subspace k-means,
+// and their integer deployment (IntCodebooks + LUTInt). Codebook entries are
 // rounded to int16 residual-domain values so that LUT construction can use
 // the squaring lookup table (SQT) and stay bit-exact with multiplication.
 package pq
@@ -94,12 +89,6 @@ func Train(data []float32, dim int, cfg Config) (*Quantizer, error) {
 	return q, nil
 }
 
-// Entry returns codebook entry c of subspace m as a slice view.
-func (q *Quantizer) Entry(m, c int) []float32 {
-	off := (m*q.CB + c) * q.DSub
-	return q.Codebooks[off : off+q.DSub]
-}
-
 // Encode writes the code of vec (length D) into code (length M).
 func (q *Quantizer) Encode(vec []float32, code []uint16) {
 	for m := 0; m < q.M; m++ {
@@ -118,43 +107,6 @@ func (q *Quantizer) EncodeAll(data []float32) []uint16 {
 		q.Encode(data[i*q.D:(i+1)*q.D], codes[i*q.M:(i+1)*q.M])
 	}
 	return codes
-}
-
-// Decode reconstructs the vector of a code into out (length D).
-func (q *Quantizer) Decode(code []uint16, out []float32) {
-	for m := 0; m < q.M; m++ {
-		copy(out[m*q.DSub:(m+1)*q.DSub], q.Entry(m, int(code[m])))
-	}
-}
-
-// LUT fills lut (length M*CB) with squared L2 distances between each subvector
-// of v and every codebook entry — the LC phase in float32.
-func (q *Quantizer) LUT(v []float32, lut []float32) {
-	for m := 0; m < q.M; m++ {
-		subvec := v[m*q.DSub : (m+1)*q.DSub]
-		for c := 0; c < q.CB; c++ {
-			lut[m*q.CB+c] = vecmath.L2SquaredF32(subvec, q.Entry(m, c))
-		}
-	}
-}
-
-// ReconstructionMSE reports the mean squared reconstruction error over flat
-// data, the quantity PQ training minimizes.
-func (q *Quantizer) ReconstructionMSE(data []float32) float64 {
-	n := len(data) / q.D
-	if n == 0 {
-		return 0
-	}
-	code := make([]uint16, q.M)
-	rec := make([]float32, q.D)
-	var total float64
-	for i := 0; i < n; i++ {
-		row := data[i*q.D : (i+1)*q.D]
-		q.Encode(row, code)
-		q.Decode(code, rec)
-		total += float64(vecmath.L2SquaredF32(row, rec))
-	}
-	return total / float64(n)
 }
 
 // IntCodebooks is the residual-domain integer deployment of a quantizer for

@@ -82,26 +82,32 @@ func TestEncodeIsNearestEntry(t *testing.T) {
 }
 
 func TestADCEqualsDecodedDistance(t *testing.T) {
-	// ADC with a LUT must equal the exact distance to the decoded vector.
+	// ADC over an integer LUT must equal the exact integer distance from the
+	// residual to the code's integer codebook entries.
 	rng := rand.New(rand.NewSource(4))
 	data := corpus(rng, 256, 12)
 	q, err := Train(data, 12, Config{M: 3, CB: 16, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lut := make([]float32, q.M*q.CB)
+	ic := q.QuantizeCodebooks()
+	tab := sqt.NewSQT8()
+	lut := make([]uint32, q.M*q.CB)
 	code := make([]uint16, q.M)
-	rec := make([]float32, q.D)
+	residual := make([]int16, q.D)
+	rec := make([]int16, q.D)
 	for i := 0; i < 20; i++ {
-		query := data[i*12 : (i+1)*12]
-		q.LUT(query, lut)
-		target := data[(i+100)*12 : (i+101)*12]
-		q.Encode(target, code)
-		q.Decode(code, rec)
-		want := vecmath.L2SquaredF32(query, rec)
-		got := vecmath.ADCF32(lut, code, q.CB)
-		if math.Abs(float64(got-want)) > 1e-2*math.Max(1, float64(want)) {
-			t.Fatalf("ADC %v != decoded distance %v", got, want)
+		for j, x := range data[i*12 : (i+1)*12] {
+			residual[j] = int16(math.Round(float64(x)))
+		}
+		ic.LUTInt(residual, lut, tab)
+		q.Encode(data[(i+100)*12:(i+101)*12], code)
+		for m, c := range code {
+			copy(rec[m*q.DSub:], ic.Entry(m, int(c)))
+		}
+		want := vecmath.L2SquaredI16(residual, rec)
+		if got := vecmath.ADCU32(lut, code, q.CB); got != want {
+			t.Fatalf("ADC %d != decoded distance %d", got, want)
 		}
 	}
 }
@@ -191,81 +197,34 @@ func TestADCU32MatchesLUTSumProperty(t *testing.T) {
 	}
 }
 
-func TestOPQRotationOrthogonal(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	data := corpus(rng, 300, 8)
-	o, err := TrainOPQ(data, 8, Config{M: 2, CB: 16, Seed: 10}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// R must be orthogonal: rotating preserves norms.
-	for i := 0; i < 10; i++ {
-		v := data[i*8 : (i+1)*8]
-		rv := o.Rotate(v)
-		n1 := vecmath.NormSquaredF32(v)
-		n2 := vecmath.NormSquaredF32(rv)
-		if math.Abs(float64(n1-n2)) > 1e-2*math.Max(1, float64(n1)) {
-			t.Fatalf("rotation does not preserve norm: %v vs %v", n1, n2)
-		}
+// Entry returns codebook entry c of subspace m as a slice view.
+func (q *Quantizer) Entry(m, c int) []float32 {
+	off := (m*q.CB + c) * q.DSub
+	return q.Codebooks[off : off+q.DSub]
+}
+
+// Decode reconstructs the vector of a code into out (length D).
+func (q *Quantizer) Decode(code []uint16, out []float32) {
+	for m := 0; m < q.M; m++ {
+		copy(out[m*q.DSub:(m+1)*q.DSub], q.Entry(m, int(code[m])))
 	}
 }
 
-func TestOPQNotWorseThanPQOnCorrelatedData(t *testing.T) {
-	// Strongly correlated dimensions: OPQ's rotation should help (or at least
-	// not hurt) versus axis-aligned PQ.
-	rng := rand.New(rand.NewSource(10))
-	n, dim := 600, 8
-	data := make([]float32, n*dim)
+// ReconstructionMSE reports the mean squared reconstruction error over flat
+// data, the quantity PQ training minimizes.
+func (q *Quantizer) ReconstructionMSE(data []float32) float64 {
+	n := len(data) / q.D
+	if n == 0 {
+		return 0
+	}
+	code := make([]uint16, q.M)
+	rec := make([]float32, q.D)
+	var total float64
 	for i := 0; i < n; i++ {
-		base := rng.NormFloat64() * 20
-		for j := 0; j < dim; j++ {
-			data[i*dim+j] = float32(base + rng.NormFloat64()*1)
-		}
+		row := data[i*q.D : (i+1)*q.D]
+		q.Encode(row, code)
+		q.Decode(code, rec)
+		total += float64(vecmath.L2SquaredF32(row, rec))
 	}
-	cfg := Config{M: 4, CB: 16, Seed: 11}
-	q, err := Train(data, dim, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := TrainOPQ(data, dim, cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pqMSE := q.ReconstructionMSE(data)
-	opqMSE := opqReconstructionMSE(o, data)
-	if opqMSE > pqMSE*1.10 {
-		t.Fatalf("OPQ MSE %v much worse than PQ MSE %v", opqMSE, pqMSE)
-	}
-}
-
-func TestDPQRefinementNotWorse(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	data := corpus(rng, 512, 8)
-	cfg := Config{M: 2, CB: 16, Seed: 13}
-	q, err := Train(data, 8, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := TrainDPQ(data, 8, cfg, 8, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := q.ReconstructionMSE(data)
-	refined := d.ReconstructionMSE(data)
-	if refined > base*1.05 {
-		t.Fatalf("DPQ refinement regressed MSE: %v vs %v", refined, base)
-	}
-}
-
-func TestDPQValidation(t *testing.T) {
-	if _, err := TrainDPQ([]float32{1, 2}, 2, Config{M: 3, CB: 4}, 1, 0.1); err == nil {
-		t.Fatal("expected error propagation from Train")
-	}
-}
-
-// opqReconstructionMSE is the rotated-space reconstruction error of o on data.
-func opqReconstructionMSE(o *OPQ, data []float32) float64 {
-	rotated := make([]float32, len(data))
-	applyRotation(rotated, data, o.R, o.PQ.D)
-	return o.PQ.ReconstructionMSE(rotated)
+	return total / float64(n)
 }

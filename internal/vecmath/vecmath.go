@@ -260,18 +260,9 @@ func U8ToF32(dst []float32, src []uint8) {
 	}
 }
 
-// ADCF32 accumulates an asymmetric PQ distance from a float32 lookup table.
+// ADCU32 accumulates an asymmetric PQ distance from an integer lookup table.
 // lut holds M contiguous rows of cb entries; code holds M entries indexing
 // into the corresponding row.
-func ADCF32(lut []float32, code []uint16, cb int) float32 {
-	var sum float32
-	for m, c := range code {
-		sum += lut[m*cb+int(c)]
-	}
-	return sum
-}
-
-// ADCU32 is the integer-domain twin of ADCF32 used on the PIM path.
 func ADCU32(lut []uint32, code []uint16, cb int) uint32 {
 	var sum uint32
 	for m, c := range code {

@@ -198,19 +198,14 @@ func TestU8ToF32(t *testing.T) {
 
 func TestADCAccumulators(t *testing.T) {
 	const m, cb = 3, 4
-	lutF := make([]float32, m*cb)
-	lutU := make([]uint32, m*cb)
-	for i := range lutF {
-		lutF[i] = float32(i)
-		lutU[i] = uint32(i)
+	lut := make([]uint32, m*cb)
+	for i := range lut {
+		lut[i] = uint32(i)
 	}
 	code := []uint16{1, 3, 0}
-	wantF := lutF[0*cb+1] + lutF[1*cb+3] + lutF[2*cb+0]
-	if got := ADCF32(lutF, code, cb); got != wantF {
-		t.Fatalf("ADCF32 = %v, want %v", got, wantF)
-	}
-	if got := ADCU32(lutU, code, cb); got != uint32(wantF) {
-		t.Fatalf("ADCU32 = %v, want %v", got, uint32(wantF))
+	want := lut[0*cb+1] + lut[1*cb+3] + lut[2*cb+0]
+	if got := ADCU32(lut, code, cb); got != want {
+		t.Fatalf("ADCU32 = %v, want %v", got, want)
 	}
 }
 
