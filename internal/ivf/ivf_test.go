@@ -81,6 +81,32 @@ func TestLocateSortedAndDistinct(t *testing.T) {
 	}
 }
 
+// The one-query path reaches the recall the deleted float path was held to,
+// and answers each query as the batch path does.
+func TestSearchRecall(t *testing.T) {
+	ix, s := smallIndex(t)
+	const k = 10
+	gt := dataset.GroundTruth(s.Base, s.Queries, k, 0)
+	batch := ix.SearchIntBatch(s.Queries, 16, k, 0)
+	got := make([][]int32, s.Queries.N)
+	for q := range got {
+		for _, it := range ix.SearchInt(s.Queries.Vec(q), 16, k) {
+			got[q] = append(got[q], it.ID)
+		}
+		if len(got[q]) != len(batch[q]) {
+			t.Fatalf("query %d: %d answers one at a time, %d in a batch", q, len(got[q]), len(batch[q]))
+		}
+		for i := range got[q] {
+			if got[q][i] != batch[q][i] {
+				t.Fatalf("query %d rank %d: id %d one at a time, %d in a batch", q, i, got[q][i], batch[q][i])
+			}
+		}
+	}
+	if r := dataset.Recall(gt, got, k); r < 0.8 {
+		t.Fatalf("recall@10 = %v, want >= 0.8", r)
+	}
+}
+
 func TestSearchIntRecall(t *testing.T) {
 	ix, s := smallIndex(t)
 	const k = 10
