@@ -230,8 +230,8 @@ func Table3(*Runner) (*Table, error) {
 	upmemAt := func(dpus int) perfmodel.Hardware {
 		return perfmodel.Hardware{
 			PE:     float64(dpus) * 0.10, // same calibration as Figure 15
-			FreqHz: 350e6, Lanes: 1,
-			BWBytes: float64(dpus) * 0.7e9 * 0.10,
+			FreqHz: upmem.ClockHz, Lanes: 1,
+			BWBytes: float64(dpus) * upmem.StreamBytesPerSec * 0.10,
 		}
 	}
 	host := perfmodel.FromPlatform(upmem.PlatformCPU())

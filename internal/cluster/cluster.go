@@ -95,8 +95,8 @@
 // Server puts one internal/serve micro-batcher in front of every replica of
 // every shard behind one Search front door; Response.ShardsContacted is the
 // query's fan-out. Replicas mask the tail — power-of-two-choices routing,
-// hedging after a delay derived from the siblings' p99 (clamped by
-// RouteOptions.HedgeMin and HedgeMax), failover and a breaker (server.go) —
+// hedging after a delay derived from the siblings' p99 (clamped to 250 µs …
+// 100 ms), failover and a breaker (server.go) —
 // as long as any replica of each shard answers; internal/fault injects the
 // failure modes that pin this, and `drim-bench -replicas R -straggler` prints
 // hedged against unhedged tail latency over a fault-injected fleet.

@@ -5,6 +5,10 @@ import (
 	"drimann/internal/ivf"
 )
 
+// BreakerCooldown is how long an ejected replica sits out before the router
+// lets one probe through.
+const BreakerCooldown = breakerCooldown
+
 // Locator exposes the front-door CL stage (shared with shard 0's engine;
 // stateless per call, safe for concurrent use).
 func (cl *Cluster) Locator() *core.Locator { return cl.loc }

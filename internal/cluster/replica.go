@@ -42,19 +42,6 @@ type RouteOptions struct {
 	// replica no matter how slow it is (the breaker still ejects replicas
 	// that fail outright).
 	DisableHedge bool
-	// HedgeMin / HedgeMax clamp the p99-derived hedge delay. Defaults
-	// 250µs / 100ms.
-	HedgeMin time.Duration
-	HedgeMax time.Duration
-	// HedgeGuess seeds the hedge delay while a replica's latency digest is
-	// still empty. Default 2ms.
-	HedgeGuess time.Duration
-	// BreakerFailures is the consecutive-failure count that ejects a
-	// replica. Default 3.
-	BreakerFailures int
-	// BreakerCooldown is how long an ejected replica sits out before the
-	// router lets one probe request through (half-open). Default 250ms.
-	BreakerCooldown time.Duration
 	// Seed feeds the deterministic power-of-two-choices pick stream.
 	Seed uint64
 	// WrapReplica, when set, interposes on each replica as the server is
@@ -64,28 +51,26 @@ type RouteOptions struct {
 }
 
 func (o *RouteOptions) defaults() {
-	if o.HedgeMin <= 0 {
-		o.HedgeMin = 250 * time.Microsecond
-	}
-	if o.HedgeMax <= 0 {
-		o.HedgeMax = 100 * time.Millisecond
-	}
-	if o.HedgeMax < o.HedgeMin {
-		o.HedgeMax = o.HedgeMin
-	}
-	if o.HedgeGuess <= 0 {
-		o.HedgeGuess = 2 * time.Millisecond
-	}
-	if o.BreakerFailures <= 0 {
-		o.BreakerFailures = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 250 * time.Millisecond
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
 }
+
+// The hedge timer and the breaker.
+const (
+	// hedgeMin and hedgeMax clamp the p99-derived hedge delay.
+	hedgeMin = 250 * time.Microsecond
+	hedgeMax = 100 * time.Millisecond
+	// hedgeGuess seeds the hedge delay while a replica's latency digest is
+	// still empty.
+	hedgeGuess = 2 * time.Millisecond
+	// breakerFailures is the consecutive-failure count that ejects a
+	// replica.
+	breakerFailures = 3
+	// breakerCooldown is how long an ejected replica sits out before the
+	// router lets one probe request through (half-open).
+	breakerCooldown = 250 * time.Millisecond
+)
 
 // digestWindow is the per-replica latency sample window. Small enough that
 // the p99 estimate tracks regime changes (a replica that turns slow) within
@@ -152,13 +137,13 @@ func (b *breaker) closed() bool {
 // admitted per window no matter what becomes of it — an abandoned probe (its
 // query's context died before the attempt resolved) simply lets the next
 // window probe again instead of wedging the breaker half-open forever.
-func (b *breaker) tryProbe(now time.Time, cooldown time.Duration) bool {
+func (b *breaker) tryProbe(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.openUntil.IsZero() || now.Before(b.openUntil) {
 		return false
 	}
-	b.openUntil = now.Add(cooldown)
+	b.openUntil = now.Add(breakerCooldown)
 	return true
 }
 
@@ -169,20 +154,20 @@ func (b *breaker) success() {
 	b.mu.Unlock()
 }
 
-// fail records a genuine replica failure; crossing the threshold (or
-// failing a probe) re-opens the breaker for cooldown. Reports whether this
-// call newly ejected the replica.
-func (b *breaker) fail(threshold int, cooldown time.Duration, now time.Time) bool {
+// fail records a genuine replica failure; crossing breakerFailures (or
+// failing a probe) re-opens the breaker for breakerCooldown. Reports whether
+// this call newly ejected the replica.
+func (b *breaker) fail(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.fails++
-	if b.fails >= threshold && b.openUntil.IsZero() {
-		b.openUntil = now.Add(cooldown)
+	if b.fails >= breakerFailures && b.openUntil.IsZero() {
+		b.openUntil = now.Add(breakerCooldown)
 		return true
 	}
 	if !b.openUntil.IsZero() {
 		// Already open (a failed probe): push the cooldown out again.
-		b.openUntil = now.Add(cooldown)
+		b.openUntil = now.Add(breakerCooldown)
 	}
 	return false
 }

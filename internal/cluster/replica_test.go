@@ -130,10 +130,10 @@ func TestReplicaFaultMasking(t *testing.T) {
 		{
 			name:  "healthy fleet: hedge does not fire",
 			plan:  nil,
-			route: cluster.RouteOptions{HedgeMin: 30 * time.Second, HedgeMax: 30 * time.Second, HedgeGuess: 30 * time.Second},
+			route: cluster.RouteOptions{DisableHedge: true},
 			check: func(t *testing.T, st cluster.ServerStats) {
 				if st.Hedged != 0 {
-					t.Errorf("%d hedges fired in a healthy fleet under a 30s timer", st.Hedged)
+					t.Errorf("%d hedges fired with hedging off", st.Hedged)
 				}
 				if st.Failovers != 0 || st.BreakerEjections != 0 {
 					t.Errorf("failovers=%d ejections=%d in a healthy fleet", st.Failovers, st.BreakerEjections)
@@ -206,10 +206,8 @@ func TestReplicaFaultMasking(t *testing.T) {
 func TestBreakerEjectProbeBack(t *testing.T) {
 	cl, ref, vec, _ := faultFleet(t, 3000, 16)
 	w := &wrapper{}
-	const cooldown = time.Second
+	cooldown := cluster.BreakerCooldown
 	route := cluster.RouteOptions{
-		BreakerFailures: 3,
-		BreakerCooldown: cooldown,
 		WrapReplica: w.hook(func(shard, replica int) *fault.Plan {
 			if replica == 1 {
 				return &fault.Plan{}
@@ -454,7 +452,6 @@ func TestReplicaChaos(t *testing.T) {
 	cl, ref, vec, nq := faultFleet(t, 4000, 48)
 	w := &wrapper{}
 	route := cluster.RouteOptions{
-		BreakerCooldown: 10 * time.Millisecond,
 		WrapReplica: w.hook(func(shard, replica int) *fault.Plan {
 			if replica == 1 {
 				return &fault.Plan{}

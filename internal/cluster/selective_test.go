@@ -136,7 +136,6 @@ func TestRoutedScatterStress(t *testing.T) {
 	srv, err := cluster.NewServerRouted(cl,
 		serve.Options{MaxBatch: 8, MaxWait: 200 * time.Microsecond},
 		cluster.RouteOptions{
-			HedgeMin: 100 * time.Microsecond,
 			WrapReplica: func(shard, replica int, r cluster.Replica) cluster.Replica {
 				if shard == 1 && replica == 1 {
 					return fault.Wrap(r, fault.Plan{

@@ -272,7 +272,7 @@ func (s *Server) pick(g []*replicaHandle, tried uint64, lastResort bool) (int, b
 		}
 		if g[i].brk.closed() {
 			cand = append(cand, i)
-		} else if g[i].brk.tryProbe(now, s.opt.BreakerCooldown) {
+		} else if g[i].brk.tryProbe(now) {
 			return i, true
 		}
 	}
@@ -315,8 +315,8 @@ func (s *Server) pick(g []*replicaHandle, tried uint64, lastResort bool) (int, b
 // hedgeDelay derives the hedge timer for a query routed to g[primary]: the
 // smallest p99 estimate among the sibling replicas the hedge could go to
 // (if a sibling is likely to answer within d, waiting longer than d on a
-// silent primary is wasted tail), clamped to [HedgeMin, HedgeMax], with
-// HedgeGuess standing in while the digests are empty.
+// silent primary is wasted tail), clamped to [hedgeMin, hedgeMax], with
+// hedgeGuess standing in while the digests are empty.
 func (s *Server) hedgeDelay(g []*replicaHandle, primary int) time.Duration {
 	best := time.Duration(0)
 	for i, h := range g {
@@ -328,15 +328,9 @@ func (s *Server) hedgeDelay(g []*replicaHandle, primary int) time.Duration {
 		}
 	}
 	if best == 0 {
-		best = s.opt.HedgeGuess
+		best = hedgeGuess
 	}
-	if best < s.opt.HedgeMin {
-		best = s.opt.HedgeMin
-	}
-	if best > s.opt.HedgeMax {
-		best = s.opt.HedgeMax
-	}
-	return best
+	return min(max(best, hedgeMin), hedgeMax)
 }
 
 // attemptResult is one replica attempt's outcome.
@@ -417,7 +411,7 @@ func (s *Server) searchShard(qctx context.Context, g []*replicaHandle, q []uint8
 			}
 			// Genuine replica failure: charge the breaker and fail over to
 			// an untried replica immediately.
-			if g[r.idx].brk.fail(s.opt.BreakerFailures, s.opt.BreakerCooldown, time.Now()) {
+			if g[r.idx].brk.fail(time.Now()) {
 				s.ejections.Add(1)
 			}
 			lastErr = r.err

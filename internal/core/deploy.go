@@ -153,7 +153,7 @@ func (e *Engine) accountMemory() error {
 	if opts.UseWRAM {
 		e.lutInWRAM = true
 		for i, d := range sys.DPUs {
-			if err := d.AllocWRAM(stagingBytes + sqtBytes + e.metaPerDPU[i]*16); err != nil {
+			if err := d.AllocWRAM(stagingBytes + sqtBytes + e.metaPerDPU[i]*layout.MetaBytesPerSlice); err != nil {
 				return fmt.Errorf("core: WRAM: %w", err)
 			}
 			if d.WRAMFree() < e.lutBytes {

@@ -214,11 +214,10 @@ func (sc *dpuScratch) liveSegments() (segs, points uint64) {
 // squareCycles is the cost of squaring one difference: with UseSQT |d| plus
 // one table load, without it a multiply.
 func (e *Engine) squareCycles() uint64 {
-	c := &e.sys.Cfg.Cost
 	if e.opts.UseSQT {
-		return c.AddCycles + c.LoadCycles + sqtAccessCycles
+		return upmem.AddCycles + upmem.LoadCycles + sqtAccessCycles
 	}
-	return c.MulCycles
+	return upmem.MulCycles
 }
 
 // rcCycles prices the residual-calculation kernel (paper Equations 4-5) plus
@@ -228,10 +227,9 @@ func (e *Engine) squareCycles() uint64 {
 // group in buildGroups; every DPU running the group is still charged as if it
 // ran the kernel privately, as the hardware would.
 func (e *Engine) rcCycles() uint64 {
-	c := &e.sys.Cfg.Cost
 	n, m := uint64(e.ix.Dim), uint64(e.ix.M)
-	return n*(2*c.LoadCycles+c.AddCycles+c.StoreCycles) + n*(c.LoadCycles+2*c.AddCycles) +
-		m*uint64(engine.Log2Ceil(e.ix.M))*(c.CmpCycles+c.StoreCycles)
+	return n*(2*upmem.LoadCycles+upmem.AddCycles+upmem.StoreCycles) + n*(upmem.LoadCycles+2*upmem.AddCycles) +
+		m*uint64(engine.Log2Ceil(e.ix.M))*(upmem.CmpCycles+upmem.StoreCycles)
 }
 
 // markWords32 is the size of one subspace's WRAM mark bitmap row in the
@@ -251,17 +249,16 @@ func (e *Engine) codeElemBytes() uint64 { return uint64(e.codeBytes / e.ix.M) }
 // subtract, square, accumulate — and stored. The SQT without the WRAM buffer
 // hits MRAM, as does the LUT when it does not fit WRAM.
 func (e *Engine) lcCosts(w int, entries uint64) (cycles uint64, mram [2]uint64) {
-	c := &e.sys.Cfg.Cost
 	elems := entries * uint64(e.ix.Dim/e.ix.M)
-	perElem := 2*c.AddCycles + c.LoadCycles + e.squareCycles() // subtract, accumulate, codebook element load
+	perElem := 2*upmem.AddCycles + upmem.LoadCycles + e.squareCycles() // subtract, accumulate, codebook element load
 	if e.opts.UseSQT && !e.opts.UseWRAM {
 		mram[0] = elems
 	}
 	if !e.lutInWRAM {
 		mram[1] = entries
 	}
-	cycles = uint64(max(w, e.sys.Cfg.Tasklets)*e.markWords32())*(c.StoreCycles+c.LoadCycles+c.CmpCycles) +
-		entries*(c.AddCycles+c.CmpCycles+c.StoreCycles) + elems*perElem
+	cycles = uint64(max(w, upmem.Tasklets)*e.markWords32())*(upmem.StoreCycles+upmem.LoadCycles+upmem.CmpCycles) +
+		entries*(upmem.AddCycles+upmem.CmpCycles+upmem.StoreCycles) + elems*perElem
 	return cycles, mram
 }
 
@@ -363,7 +360,6 @@ func (e *Engine) gather(sc *dpuScratch, subs []uint16, c, bi int) {
 // saves one add per point), the second stream of the code columns, and the
 // prune pass that follows.
 func (e *Engine) chargeDC(ta *upmem.Tally, sc *dpuScratch, subspaces int, first bool) {
-	cost := &e.sys.Cfg.Cost
 	a, w := uint64(len(sc.alive)), uint64(subspaces)
 	segs, points := sc.liveSegments()
 	sc.stats.codes += a * w
@@ -371,9 +367,9 @@ func (e *Engine) chargeDC(ta *upmem.Tally, sc *dpuScratch, subspaces int, first 
 	if first {
 		adds -= a
 	}
-	ta.Charge(cost, upmem.PhaseDC, upmem.OpLoad, a*w) // code element loads
-	ta.Charge(cost, upmem.PhaseDC, upmem.OpLoad, a*w) // LUT gathers
-	ta.Charge(cost, upmem.PhaseDC, upmem.OpAdd, adds)
+	ta.Charge(upmem.PhaseDC, upmem.OpLoad, a*w) // code element loads
+	ta.Charge(upmem.PhaseDC, upmem.OpLoad, a*w) // LUT gathers
+	ta.Charge(upmem.PhaseDC, upmem.OpAdd, adds)
 	ta.ChargeCycles(upmem.PhaseDC, a*pruneCyclesPerPoint)
 	ta.DMAs(upmem.PhaseDC, segs*w, points*w*e.codeElemBytes()) // code columns, second stream
 	if !e.opts.UseWRAM || !e.lutInWRAM {
@@ -405,15 +401,14 @@ func (e *Engine) kernelTS(ta *upmem.Tally, sc *dpuScratch) {
 		}
 	}
 
-	cost := &e.sys.Cfg.Cost
 	n := uint64(len(sc.alive))
 	logK := uint64(engine.Log2Ceil(e.opts.K))
 	sc.stats.lockAcquired += accepts
 	sc.stats.lockSkipped += n - accepts
 	ta.ChargeCycles(upmem.PhaseTS, accepts*lockCycles)
-	ta.Charge(cost, upmem.PhaseTS, upmem.OpCmp, accepts*logK)
-	ta.Charge(cost, upmem.PhaseTS, upmem.OpStore, accepts*logK)
-	ta.Charge(cost, upmem.PhaseTS, upmem.OpCmp, n) // bound comparison per point
+	ta.Charge(upmem.PhaseTS, upmem.OpCmp, accepts*logK)
+	ta.Charge(upmem.PhaseTS, upmem.OpStore, accepts*logK)
+	ta.Charge(upmem.PhaseTS, upmem.OpCmp, n) // bound comparison per point
 	segs, points := sc.liveSegments()
 	ta.DMAs(upmem.PhaseDC, segs, 4*points) // id columns
 }

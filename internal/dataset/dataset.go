@@ -73,6 +73,9 @@ type SynthConfig struct {
 }
 
 func (c *SynthConfig) defaults() {
+	if c.N < 0 {
+		panic(fmt.Sprintf("dataset: Generate with N = %d: a corpus cannot have a negative size", c.N))
+	}
 	if c.NumClusters <= 0 {
 		c.NumClusters = c.N / 2000
 		if c.NumClusters < 16 {
@@ -119,7 +122,8 @@ type Synth struct {
 // law (rank-popularity), points are Gaussian around uniformly placed centers,
 // and queries preferentially target popular clusters (QuerySkew of the query
 // mass goes to clusters proportional to popularity²  — a heavier skew than
-// the base distribution, as real query logs exhibit).
+// the base distribution, as real query logs exhibit). It panics on a
+// negative N.
 func Generate(cfg SynthConfig) *Synth {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))

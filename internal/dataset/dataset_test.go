@@ -2,9 +2,12 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestGenerateShapes(t *testing.T) {
@@ -22,6 +25,25 @@ func TestGenerateShapes(t *testing.T) {
 		if c < 0 || int(c) >= 8 {
 			t.Fatalf("cluster label out of range: %d", c)
 		}
+	}
+}
+
+// TestGenerateRejectsNegativeN: a negative corpus size panics with a message
+// naming N instead of looping in the size apportionment. The call runs under
+// a deadline, so a generator that spins fails the test rather than hanging it.
+func TestGenerateRejectsNegativeN(t *testing.T) {
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		Generate(SynthConfig{N: -5, D: 8, NumQueries: 4})
+	}()
+	select {
+	case r := <-done:
+		if msg := fmt.Sprint(r); r == nil || !strings.Contains(msg, "N = -5") {
+			t.Fatalf("Generate(N = -5) = panic %v, want a panic naming N", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Generate(N = -5) did not return within 5s")
 	}
 }
 

@@ -24,10 +24,10 @@ type Metrics struct {
 	PhaseSeconds [upmem.NumPhases]float64 // per-phase critical path
 
 	// Aggregate per-phase counters summed over every DPU and launch: raw
-	// instruction cycles (pre pipeline scaling), DMA transfers issued
-	// (including coalesced random accesses) and bytes moved. They make the
-	// accounting auditable at full precision — the batched cost-tally path
-	// and the per-op reference accountant must agree on every element.
+	// instruction cycles, DMA transfers issued (including coalesced random
+	// accesses) and bytes moved. They make the accounting auditable at full
+	// precision — the batched cost-tally path and the per-op reference
+	// accountant must agree on every element.
 	PhaseComputeCycles [upmem.NumPhases]uint64
 	PhaseDMACount      [upmem.NumPhases]uint64
 	PhaseDMABytes      [upmem.NumPhases]uint64
@@ -148,10 +148,10 @@ func (m *Metrics) PhaseShare() [upmem.NumPhases]float64 {
 // DMA traffic roll up over all DPUs. It returns the launch's PIM and transfer
 // seconds for the caller's host/PIM overlap.
 func (m *Metrics) AddLaunch(sys *upmem.System) (pimSec, xferSec float64) {
-	pimSec = sys.Cfg.Seconds(sys.MaxDPUCycles())
+	pimSec = upmem.Seconds(sys.MaxDPUCycles())
 	xferSec = sys.TransferSeconds()
 	for p := upmem.Phase(0); p < upmem.NumPhases; p++ {
-		m.PhaseSeconds[p] += sys.Cfg.Seconds(sys.PhaseCyclesMax(p))
+		m.PhaseSeconds[p] += upmem.Seconds(sys.PhaseCyclesMax(p))
 	}
 	for _, d := range sys.DPUs {
 		for p := upmem.Phase(0); p < upmem.NumPhases; p++ {

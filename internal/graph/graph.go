@@ -29,7 +29,7 @@
 // stream, so the per-transfer latency the paper's buffering optimizations
 // amortize away is paid on every access). Distance arithmetic charges DC
 // compute cycles for the dimensions actually summed (squaring through the
-// multiplier-free SQT table by default, exactly the trick core uses) plus
+// multiplier-free SQT table, exactly the trick core uses) plus
 // one compare per 16-dimension block: once the beam is full, a distance
 // stops at the first block that sums strictly above the beam's worst entry,
 // which it could not enter. Beam-pool maintenance charges TS only for the
@@ -87,27 +87,17 @@ type Options struct {
 	// (results are identical for any value); default GOMAXPROCS.
 	Workers int
 
-	// UseSQT charges squaring through the multiplier-free square-lookup
-	// table (DefaultOptions sets it); off, every per-dimension square pays
-	// the 32-cycle software multiply.
-	UseSQT bool
-
-	// MRAMBytes overrides per-DPU MRAM capacity (default 64 MB).
-	MRAMBytes int
+	// mramBytes overrides per-DPU MRAM capacity (default 64 MB); the MRAM
+	// overflow test shrinks it.
+	mramBytes int
 }
 
-// DefaultOptions returns the default graph-backend configuration.
+// DefaultOptions returns the default graph-backend configuration: the zero
+// Options with its defaults filled in.
 func DefaultOptions() Options {
-	return Options{
-		K:          10,
-		Degree:     16,
-		BuildBeam:  48,
-		SearchBeam: 32,
-		NumDPUs:    64,
-		BatchSize:  256,
-		UseSQT:     true,
-		Workers:    runtime.GOMAXPROCS(0),
-	}
+	var o Options
+	o.defaults()
+	return o
 }
 
 func (o *Options) defaults() {
@@ -197,8 +187,8 @@ func New(base dataset.U8Set, opts Options) (*Engine, error) {
 // degree-bounded adjacency in a packed (count + ids) layout.
 func (e *Engine) deploy() error {
 	cfg := upmem.DefaultConfig(e.opts.NumDPUs)
-	if e.opts.MRAMBytes > 0 {
-		cfg.MRAMBytes = e.opts.MRAMBytes
+	if e.opts.mramBytes > 0 {
+		cfg.MRAMBytes = e.opts.mramBytes
 	}
 	sys, err := upmem.NewSystem(cfg)
 	if err != nil {

@@ -200,9 +200,39 @@ func TestSmallCorpus(t *testing.T) {
 func TestMRAMOverflowRejected(t *testing.T) {
 	_, s := getEngine(t)
 	o := testOptions()
-	o.MRAMBytes = 16 * 1024 // far below corpus size
+	o.mramBytes = 16 * 1024 // far below corpus size
 	if _, err := New(s.Base, o); err == nil {
 		t.Fatal("oversized corpus not rejected by MRAM accounting")
+	}
+}
+
+// TestZeroOptionsAreTheDefaults: zero values select defaults, so an engine
+// built from Options{} answers and charges exactly as one built from
+// DefaultOptions() — the SQT squaring included.
+func TestZeroOptionsAreTheDefaults(t *testing.T) {
+	s := testutil.Synth(testSpec(1000, 40))
+	zero, err := New(s.Base, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := New(s.Base, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := zero.SearchBatch(s.Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := def.SearchBatch(s.Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.IDs, want.IDs) {
+		t.Fatal("Options{} answers differ from DefaultOptions()")
+	}
+	if got.Metrics != want.Metrics {
+		t.Fatalf("Options{}: SimSeconds %v, phase cycles %v; DefaultOptions(): %v, %v",
+			got.Metrics.SimSeconds, got.Metrics.PhaseComputeCycles, want.Metrics.SimSeconds, want.Metrics.PhaseComputeCycles)
 	}
 }
 

@@ -71,21 +71,16 @@ func refBeamSearch(e *Engine, sc *searchScratch, q []uint8, entry int32, beam in
 // refCharge is the DPU charge of a full-distance traversal: every
 // evaluation pays every dimension and a pool probe.
 func refCharge(e *Engine, t *upmem.Tally, hops, evals int) {
-	cost := &e.sys.Cfg.Cost
 	for h := 0; h < hops; h++ {
 		t.DMA(upmem.PhaseRC, uint64((1+e.opts.Degree)*4))
 	}
 	scanned := uint64(hops * e.opts.Degree)
-	t.Charge(cost, upmem.PhaseRC, upmem.OpLoad, scanned)
-	t.Charge(cost, upmem.PhaseRC, upmem.OpCmp, scanned)
-	perDim := uint64(2 + sqtAccessCycles)
-	if !e.opts.UseSQT {
-		perDim = 2 + cost.MulCycles
-	}
+	t.Charge(upmem.PhaseRC, upmem.OpLoad, scanned)
+	t.Charge(upmem.PhaseRC, upmem.OpCmp, scanned)
 	for ev := 0; ev < evals; ev++ {
 		t.DMA(upmem.PhaseDC, uint64(e.base.D))
 	}
-	t.ChargeCycles(upmem.PhaseDC, uint64(evals)*uint64(e.base.D)*perDim)
+	t.ChargeCycles(upmem.PhaseDC, uint64(evals)*uint64(e.base.D)*(2+sqtAccessCycles))
 	t.ChargeCycles(upmem.PhaseTS, uint64(evals)*(uint64(engine.Log2Ceil(e.opts.SearchBeam))+2))
 }
 
@@ -134,62 +129,61 @@ func TestAbandoningSearchMatchesReference(t *testing.T) {
 	}{{"fixture", fixture, s.Queries}, {"duplicates", dup, dupQueries}} {
 		for _, k := range []int{1, 10} {
 			for _, beam := range []int{k, 32, 64} {
-				for _, sqt := range []bool{true, false} {
-					t.Run(fmt.Sprintf("%s/K=%d/beam=%d/sqt=%v", corpus.name, k, beam, sqt), func(t *testing.T) {
-						e, err := corpus.e.WithSearchOptions(func(o *Options) { o.K, o.SearchBeam, o.UseSQT = k, beam, sqt })
-						if err != nil {
-							t.Fatal(err)
+				// The graph always squares through the SQT (sqt=true).
+				t.Run(fmt.Sprintf("%s/K=%d/beam=%d/sqt=true", corpus.name, k, beam), func(t *testing.T) {
+					e, err := corpus.e.WithSearchOptions(func(o *Options) { o.K, o.SearchBeam = k, beam })
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := e.SearchBatch(corpus.queries)
+					if err != nil {
+						t.Fatal(err)
+					}
+					scr := e.scratch
+					var dc upmem.PhaseStats
+					var refCycles uint64
+					for qi := 0; qi < corpus.queries.N; qi++ {
+						q := corpus.queries.Vec(qi)
+						want, evaluated, hops := refBeamSearch(e, &scr[0], q, e.medoid, beam)
+						evals := len(evaluated)
+						st := e.beamSearch(&scr[1], q, e.medoid, beam, nil)
+						if !slices.Equal(scr[1].pool, want) || st.hops != hops || st.evals != evals {
+							t.Fatalf("query %d: pool/hops/evals %v/%d/%d, reference %v/%d/%d", qi, scr[1].pool, st.hops, st.evals, want, hops, evals)
 						}
-						res, err := e.SearchBatch(corpus.queries)
-						if err != nil {
-							t.Fatal(err)
+						want = want[:min(k, len(want))]
+						ids := make([]int32, len(want))
+						for j, it := range want {
+							ids[j] = it.ID
 						}
-						scr := e.scratch
-						var dc upmem.PhaseStats
-						var refCycles uint64
-						for qi := 0; qi < corpus.queries.N; qi++ {
-							q := corpus.queries.Vec(qi)
-							want, evaluated, hops := refBeamSearch(e, &scr[0], q, e.medoid, beam)
-							evals := len(evaluated)
-							st := e.beamSearch(&scr[1], q, e.medoid, beam, nil)
-							if !slices.Equal(scr[1].pool, want) || st.hops != hops || st.evals != evals {
-								t.Fatalf("query %d: pool/hops/evals %v/%d/%d, reference %v/%d/%d", qi, scr[1].pool, st.hops, st.evals, want, hops, evals)
-							}
-							want = want[:min(k, len(want))]
-							ids := make([]int32, len(want))
-							for j, it := range want {
-								ids[j] = it.ID
-							}
-							if !slices.Equal(res.Items[qi], want) || !slices.Equal(res.IDs[qi], ids) {
-								t.Fatalf("query %d: answer %v, reference %v", qi, res.Items[qi], want)
-							}
-							var got, ref upmem.Tally
-							e.charge(&got, st)
-							refCharge(e, &ref, hops, evals)
-							// A query whose bounded evaluations all complete pays
-							// its compares on top of the reference; the arithmetic
-							// never exceeds it.
-							g, r := stats(&got, upmem.PhaseDC), stats(&ref, upmem.PhaseDC)
-							compares := e.sys.Cfg.Cost.Cycles(upmem.OpCmp, uint64(st.checks))
-							if g.DMACount != r.DMACount || g.DMABytes != r.DMABytes || g.ComputeCycles-compares > r.ComputeCycles {
-								t.Fatalf("query %d: DC %+v (%d compare cycles), reference %+v", qi, g, compares, r)
-							}
-							if g, r := stats(&got, upmem.PhaseRC), stats(&ref, upmem.PhaseRC); g != r {
-								t.Fatalf("query %d: RC %+v, reference %+v", qi, g, r)
-							}
-							if g, r := stats(&got, upmem.PhaseTS), stats(&ref, upmem.PhaseTS); g.ComputeCycles > r.ComputeCycles {
-								t.Fatalf("query %d: TS %+v, reference %+v", qi, g, r)
-							}
-							dc.ComputeCycles, dc.DMACount, dc.DMABytes = dc.ComputeCycles+g.ComputeCycles, dc.DMACount+g.DMACount, dc.DMABytes+g.DMABytes
-							refCycles += r.ComputeCycles
+						if !slices.Equal(res.Items[qi], want) || !slices.Equal(res.IDs[qi], ids) {
+							t.Fatalf("query %d: answer %v, reference %v", qi, res.Items[qi], want)
 						}
-						m := res.Metrics
-						batch := upmem.PhaseStats{ComputeCycles: m.PhaseComputeCycles[upmem.PhaseDC], DMACount: m.PhaseDMACount[upmem.PhaseDC], DMABytes: m.PhaseDMABytes[upmem.PhaseDC]}
-						if batch != dc || dc.ComputeCycles >= refCycles {
-							t.Fatalf("batch DC %+v, per-query sum %+v, reference cycles %d", batch, dc, refCycles)
+						var got, ref upmem.Tally
+						e.charge(&got, st)
+						refCharge(e, &ref, hops, evals)
+						// A query whose bounded evaluations all complete pays
+						// its compares on top of the reference; the arithmetic
+						// never exceeds it.
+						g, r := stats(&got, upmem.PhaseDC), stats(&ref, upmem.PhaseDC)
+						compares := upmem.CmpCycles * uint64(st.checks)
+						if g.DMACount != r.DMACount || g.DMABytes != r.DMABytes || g.ComputeCycles-compares > r.ComputeCycles {
+							t.Fatalf("query %d: DC %+v (%d compare cycles), reference %+v", qi, g, compares, r)
 						}
-					})
-				}
+						if g, r := stats(&got, upmem.PhaseRC), stats(&ref, upmem.PhaseRC); g != r {
+							t.Fatalf("query %d: RC %+v, reference %+v", qi, g, r)
+						}
+						if g, r := stats(&got, upmem.PhaseTS), stats(&ref, upmem.PhaseTS); g.ComputeCycles > r.ComputeCycles {
+							t.Fatalf("query %d: TS %+v, reference %+v", qi, g, r)
+						}
+						dc.ComputeCycles, dc.DMACount, dc.DMABytes = dc.ComputeCycles+g.ComputeCycles, dc.DMACount+g.DMACount, dc.DMABytes+g.DMABytes
+						refCycles += r.ComputeCycles
+					}
+					m := res.Metrics
+					batch := upmem.PhaseStats{ComputeCycles: m.PhaseComputeCycles[upmem.PhaseDC], DMACount: m.PhaseDMACount[upmem.PhaseDC], DMABytes: m.PhaseDMABytes[upmem.PhaseDC]}
+					if batch != dc || dc.ComputeCycles >= refCycles {
+						t.Fatalf("batch DC %+v, per-query sum %+v, reference cycles %d", batch, dc, refCycles)
+					}
+				})
 			}
 		}
 	}

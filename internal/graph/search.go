@@ -131,29 +131,23 @@ const sqtAccessCycles = 8
 
 // charge adds one query traversal's simulated DPU work to t.
 func (e *Engine) charge(t *upmem.Tally, st beamStats) {
-	cost := &e.sys.Cfg.Cost
 	// RC: one unbuffered DMA per hop for the node's fixed-size adjacency
 	// record (count + Degree slots), plus the visited-stamp check per
 	// scanned neighbor.
 	hops := uint64(st.hops)
 	t.DMAs(upmem.PhaseRC, hops, hops*uint64((1+e.opts.Degree)*4))
 	scanned := hops * uint64(e.opts.Degree)
-	t.Charge(cost, upmem.PhaseRC, upmem.OpLoad, scanned)
-	t.Charge(cost, upmem.PhaseRC, upmem.OpCmp, scanned)
+	t.Charge(upmem.PhaseRC, upmem.OpLoad, scanned)
+	t.Charge(upmem.PhaseRC, upmem.OpCmp, scanned)
 
 	// DC, the traversal's dominant phase: one unbuffered DMA per evaluated
 	// candidate for its full vector, an abandoned one included, plus the
-	// arithmetic over the dimensions summed (subtract, square by SQT lookup
-	// or software multiply, accumulate) and one compare per block checked
-	// against the beam's worst.
+	// arithmetic over the dimensions summed (subtract, square by SQT lookup,
+	// accumulate) and one compare per block checked against the beam's worst.
 	evals := uint64(st.evals)
 	t.DMAs(upmem.PhaseDC, evals, evals*uint64(e.base.D))
-	perDim := uint64(2 + sqtAccessCycles)
-	if !e.opts.UseSQT {
-		perDim = 2 + cost.MulCycles
-	}
-	t.ChargeCycles(upmem.PhaseDC, uint64(st.dims)*perDim)
-	t.Charge(cost, upmem.PhaseDC, upmem.OpCmp, uint64(st.checks))
+	t.ChargeCycles(upmem.PhaseDC, uint64(st.dims)*(2+sqtAccessCycles))
+	t.Charge(upmem.PhaseDC, upmem.OpCmp, uint64(st.checks))
 
 	// TS: sorted-pool insertion per evaluation that reaches the pool
 	// (binary probe of the beam plus the shift/store).

@@ -21,15 +21,16 @@ import (
 	"drimann/internal/vecmath"
 )
 
+// tol stops the Lloyd iterations early once the relative inertia improvement
+// falls to it.
+const tol = 1e-4
+
 // Config controls training.
 type Config struct {
 	K        int   // number of centroids; required
 	Dim      int   // vector dimensionality; required
 	MaxIters int   // Lloyd iterations; default 25
 	Seed     int64 // RNG seed; default 1
-	// Tol stops early when the relative inertia improvement falls below it;
-	// default 1e-4.
-	Tol float64
 	// Workers bounds assignment parallelism; default runtime.GOMAXPROCS(0).
 	Workers int
 }
@@ -40,9 +41,6 @@ func (c *Config) defaults() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Tol <= 0 {
-		c.Tol = 1e-4
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -83,7 +81,7 @@ func Train(data []float32, cfg Config) (*Result, error) {
 		iters = it + 1
 		inertia := assignAll(data, centroids, assign, cfg)
 		updateCentroids(data, centroids, assign, cfg, rng)
-		if prevInertia-inertia <= cfg.Tol*prevInertia {
+		if prevInertia-inertia <= tol*prevInertia {
 			break
 		}
 		prevInertia = inertia

@@ -38,7 +38,12 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"drimann/internal/upmem"
 )
+
+// MetaBytesPerSlice is the WRAM metadata footprint of one slice.
+const MetaBytesPerSlice = 16
 
 // Config controls the optimizer.
 type Config struct {
@@ -53,8 +58,6 @@ type Config struct {
 
 	// WRAMMetaBudget bounds per-DPU slice metadata (constrains th1).
 	WRAMMetaBudget int
-	// MetaBytesPerSlice is the metadata footprint of one slice; default 16.
-	MetaBytesPerSlice int
 
 	// HeatWeight w blends cluster size and profiled frequency into heat:
 	// heat = w*sizeNorm + (1-w)*freqNorm. Default 0.5.
@@ -81,9 +84,6 @@ func (c *Config) defaults() error {
 	if c.BytesPerPoint <= 0 {
 		return fmt.Errorf("layout: BytesPerPoint must be positive")
 	}
-	if c.MetaBytesPerSlice <= 0 {
-		c.MetaBytesPerSlice = 16
-	}
 	if c.WRAMMetaBudget <= 0 {
 		c.WRAMMetaBudget = 16 * 1024
 	}
@@ -91,7 +91,7 @@ func (c *Config) defaults() error {
 		c.HeatWeight = 0.5
 	}
 	if c.TaskCycles == nil {
-		c.TaskCycles = func(n int) float64 { return 77 + 16*float64(n) }
+		c.TaskCycles = func(n int) float64 { return upmem.DMALatencyCycles + 16*float64(n) }
 	}
 	if c.MRAMDataBudget <= 0 {
 		c.MRAMDataBudget = 64 * 1024 * 1024
@@ -163,7 +163,7 @@ func Optimize(sizes []int, freq []float64, cfg Config) (*Placement, error) {
 		}
 		// The unsplit layout is evaluated whatever its metadata takes: there is
 		// nothing coarser to fall back to.
-		if (i > 0 && nSlices*cfg.MetaBytesPerSlice > cfg.WRAMMetaBudget) || (best != nil && work/float64(cfg.NumDPUs) >= bestCycles) {
+		if (i > 0 && nSlices*MetaBytesPerSlice > cfg.WRAMMetaBudget) || (best != nil && work/float64(cfg.NumDPUs) >= bestCycles) {
 			break
 		}
 		pl, err := place(sizes, heat, th, cfg)

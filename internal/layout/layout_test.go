@@ -106,10 +106,7 @@ func TestForcedSplitThreshold(t *testing.T) {
 
 func TestAutoTh1FeasibleUnderMetadataBudget(t *testing.T) {
 	cfg := baseConfig()
-	cfg.WRAMMetaBudget = 64 * cfg.MetaBytesPerSlice // tiny: at most 64 slices
-	if cfg.MetaBytesPerSlice == 0 {
-		cfg.WRAMMetaBudget = 64 * 16
-	}
+	cfg.WRAMMetaBudget = 64 * MetaBytesPerSlice // tiny: at most 64 slices
 	rng := rand.New(rand.NewSource(2))
 	sizes, freq := zipfSizes(rng, 30, 3000)
 	pl, err := Optimize(sizes, freq, cfg)

@@ -68,7 +68,7 @@ func TestLCClosedFormMatchesSimulator(t *testing.T) {
 		K: o.K, P: nprobe, C: int(math.Round(float64(m.PointsScanned) / float64(m.LUTBuilds))),
 		M: ix.M, CB: ix.CB,
 	}
-	costs, err := perfmodel.Costs(p, float64(upmem.DefaultCostModel().MulCycles)+1)
+	costs, err := perfmodel.Costs(p, upmem.MulCycles+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestStagedClosedFormMatchesSimulator(t *testing.T) {
 	if math.Abs(assumed-gathered) > 0.10 {
 		t.Fatalf("the a-priori profile gathers %.3f of the codes, the run %.3f: more than 0.10 apart", assumed, gathered)
 	}
-	costs, err := perfmodel.Costs(p, float64(upmem.DefaultCostModel().MulCycles)+1)
+	costs, err := perfmodel.Costs(p, upmem.MulCycles+1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,18 @@ import (
 	"drimann/internal/upmem"
 )
 
-// Params carries the notation of the paper's Table 2. Byte widths replace
-// the paper's bit widths (the ratio is what matters; bandwidths are in
-// bytes/s throughout this repository).
+// The element widths of the paper's Table 2, in bytes (the ratio is what
+// matters; bandwidths are in bytes/s throughout this repository). A point's
+// sub-code width follows CB (Params.bytesP).
+const (
+	bytesC  = 1 // centroid element (uint8)
+	bytesQ  = 1 // query element
+	bytesCB = 2 // codebook element (int16)
+	bytesL  = 4 // LUT entry (uint32)
+	bytesA  = 4 // address
+)
+
+// Params carries the notation of the paper's Table 2.
 type Params struct {
 	N int64 // total vectors
 	Q int   // queries per batch
@@ -29,13 +38,6 @@ type Params struct {
 	M  int // subvectors per vector
 	CB int // codebook entries per subspace
 
-	BytesC  float64 // centroid element width (default 1, uint8)
-	BytesQ  float64 // query element width (default 1)
-	BytesP  float64 // encoded point sub-code width (default 1; 2 if CB > 256)
-	BytesCB float64 // codebook element width (default 2, int16)
-	BytesL  float64 // LUT entry width (default 4, uint32)
-	BytesA  float64 // address width (default 4)
-
 	// Survival is the per-stage survival profile of a staged, pruning scan
 	// (the engine's bound-forwarded one): with S+1 entries the scan sums its
 	// M subspaces in S equal stages, Survival[s] is the fraction of the P x C
@@ -46,34 +48,21 @@ type Params struct {
 	Survival []float64
 }
 
+// bytesP is the width of one encoded point sub-code: two bytes past 256
+// codebook entries.
+func (p *Params) bytesP() float64 {
+	if p.CB > 256 {
+		return 2
+	}
+	return 1
+}
+
 func (p *Params) defaults() error {
 	if p.N <= 0 || p.Q <= 0 || p.D <= 0 || p.K <= 0 || p.P <= 0 || p.C <= 0 || p.M <= 0 || p.CB <= 0 {
 		return fmt.Errorf("perfmodel: all of N,Q,D,K,P,C,M,CB must be positive: %+v", *p)
 	}
 	if p.D%p.M != 0 {
 		return fmt.Errorf("perfmodel: M=%d must divide D=%d", p.M, p.D)
-	}
-	if p.BytesC == 0 {
-		p.BytesC = 1
-	}
-	if p.BytesQ == 0 {
-		p.BytesQ = 1
-	}
-	if p.BytesP == 0 {
-		if p.CB > 256 {
-			p.BytesP = 2
-		} else {
-			p.BytesP = 1
-		}
-	}
-	if p.BytesCB == 0 {
-		p.BytesCB = 2
-	}
-	if p.BytesL == 0 {
-		p.BytesL = 4
-	}
-	if p.BytesA == 0 {
-		p.BytesA = 4
 	}
 	if p.Survival == nil {
 		p.Survival = []float64{1, 1}
@@ -257,12 +246,12 @@ func Costs(p Params, mulCost float64) ([upmem.NumPhases]PhaseCost, error) {
 	// Equation 1 & 3: cluster locating.
 	out[upmem.PhaseCL] = PhaseCost{
 		Compute: q * nlist * (Dist(p.D, mulCost) + log2(p.P) - 1),
-		IO:      q * nlist * ((p.BytesC+p.BytesQ)*d + (p.BytesL+p.BytesA)*(log2(p.P)+1)),
+		IO:      q * nlist * ((bytesC+bytesQ)*d + (bytesL+bytesA)*(log2(p.P)+1)),
 	}
 	// Equations 4-5: residual calculation.
 	out[upmem.PhaseRC] = PhaseCost{
 		Compute: q * pp * d,
-		IO:      (p.BytesC + p.BytesQ) * q * pp * d,
+		IO:      (bytesC + bytesQ) * q * pp * d,
 	}
 	// Equations 6-9 stage by stage. occ is the mean LUT size per subspace:
 	// each stage builds the entries its surviving points reference instead of
@@ -276,17 +265,17 @@ func Costs(p Params, mulCost float64) ([upmem.NumPhases]PhaseCost, error) {
 	}
 	out[upmem.PhaseLC] = PhaseCost{
 		Compute: q * pp * occ * Dist(p.D/p.M, mulCost) * m,
-		IO:      q * pp * occ * ((p.BytesCB+p.BytesQ)*d + p.BytesL*m),
+		IO:      q * pp * occ * ((bytesCB+bytesQ)*d + bytesL*m),
 	}
 	out[upmem.PhaseDC] = PhaseCost{
 		Compute: q * pp * c * (gathered*m - 1),
-		IO:      q * pp * c * ((p.BytesA+p.BytesL)*gathered*m + p.BytesL),
+		IO:      q * pp * c * ((bytesA+bytesL)*gathered*m + bytesL),
 	}
 	// Equations 10-11: top-k sorting, over the points that reach it.
 	ts := q * pp * c * p.Survival[stages]
 	out[upmem.PhaseTS] = PhaseCost{
 		Compute: ts * (log2(p.K) - 1),
-		IO:      (p.BytesL + p.BytesA) * ts * (log2(p.K) + 1),
+		IO:      (bytesL + bytesA) * ts * (log2(p.K) + 1),
 	}
 	return out, nil
 }
@@ -326,9 +315,9 @@ func UPMEM(dpus int) Hardware {
 	const effOpsPerCycle = 0.30
 	return Hardware{
 		PE:      float64(dpus),
-		FreqHz:  350e6 * effOpsPerCycle,
+		FreqHz:  upmem.ClockHz * effOpsPerCycle,
 		Lanes:   1,
-		BWBytes: float64(dpus) * 0.7e9,
+		BWBytes: float64(dpus) * upmem.StreamBytesPerSec,
 	}
 }
 
@@ -459,7 +448,7 @@ func DatasetBytes(p Params) float64 {
 	if err := p.defaults(); err != nil {
 		return 0
 	}
-	raw := float64(p.N) * float64(p.D) * p.BytesQ
-	codes := float64(p.N) * float64(p.M) * p.BytesP
+	raw := float64(p.N) * float64(p.D) * bytesQ
+	codes := float64(p.N) * float64(p.M) * p.bytesP()
 	return raw + codes
 }

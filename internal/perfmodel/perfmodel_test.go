@@ -304,14 +304,16 @@ func TestDatasetBytes(t *testing.T) {
 	}
 }
 
+// TestCodeBytesDefaultFollowsCB: a point's sub-code takes one byte up to 256
+// codebook entries and two past it.
 func TestCodeBytesDefaultFollowsCB(t *testing.T) {
 	p := params()
-	p.CB = 1024
-	if _, err := Costs(p, 1); err != nil {
-		t.Fatal(err)
-	}
-	if p.BytesP != 0 {
-		t.Fatal("Costs must not mutate the caller's copy")
+	for _, tc := range []struct{ cb, bytes int }{{256, 1}, {257, 2}, {1024, 2}} {
+		p.CB = tc.cb
+		want := float64(p.N)*128 + float64(p.N)*16*float64(tc.bytes)
+		if got := DatasetBytes(p); got != want {
+			t.Fatalf("CB=%d: DatasetBytes = %v, want %v", tc.cb, got, want)
+		}
 	}
 }
 

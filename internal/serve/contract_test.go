@@ -29,9 +29,9 @@ func TestServeMaxBatchClamp(t *testing.T) {
 	if got := srv.Options().MaxBatch; got != eng.MaxBatch() {
 		t.Fatalf("resolved MaxBatch = %d, want engine batch size %d", got, eng.MaxBatch())
 	}
-	// QueueLimit defaults off the clamped value.
-	if got := srv.Options().QueueLimit; got != 4*eng.MaxBatch() {
-		t.Fatalf("resolved QueueLimit = %d, want %d", got, 4*eng.MaxBatch())
+	// The queue bound derives from the clamped value.
+	if got := srv.QueueLimit(); got != 4*eng.MaxBatch() {
+		t.Fatalf("queue bound = %d, want %d", got, 4*eng.MaxBatch())
 	}
 	// A legal explicit value still wins.
 	srv2, err := serve.New(eng, serve.Options{MaxBatch: 3})
@@ -41,6 +41,9 @@ func TestServeMaxBatchClamp(t *testing.T) {
 	defer srv2.Close()
 	if got := srv2.Options().MaxBatch; got != 3 {
 		t.Fatalf("resolved MaxBatch = %d, want 3", got)
+	}
+	if got := srv2.QueueLimit(); got != 12 {
+		t.Fatalf("queue bound = %d, want 12", got)
 	}
 }
 

@@ -15,3 +15,7 @@ func (s *Server) Compact() error { return s.exclusiveMut("compact", engine.Mutab
 // Checkpoint routes the backend's Checkpoint through Exclusive: a fresh
 // snapshot and a rotated WAL on a backend with a durable store attached.
 func (s *Server) Checkpoint() error { return s.exclusiveMut("checkpoint", engine.Mutable.Checkpoint) }
+
+// QueueLimit is the bound of the arrival queue: Search blocks once it holds
+// that many requests.
+func (s *Server) QueueLimit() int { return cap(s.pending) }

@@ -38,7 +38,7 @@
 //
 // # Backpressure and shutdown
 //
-// The arrival queue is bounded (Options.QueueLimit). When it is full,
+// The arrival queue holds 4 × MaxBatch requests. When it is full,
 // Search blocks — honoring its context — so overload turns into caller-side
 // latency instead of unbounded memory growth. Close stops admission
 // (subsequent Search calls fail fast with ErrClosed), then drains: every
@@ -90,14 +90,11 @@ type Options struct {
 	// before the batch launches anyway. 0 launches immediately with
 	// whatever is queued at that instant (pure dynamic batching).
 	MaxWait time.Duration
-	// QueueLimit bounds the pending-request queue; a full queue blocks
-	// Search (backpressure). Default 4*MaxBatch.
-	QueueLimit int
-	// ServiceTimeGuess seeds the launch-duration EWMA the deadline-aware
-	// early-launch policy uses before the first real measurement. Default
-	// 1ms.
-	ServiceTimeGuess time.Duration
 }
+
+// initialServiceTime seeds the launch-duration EWMA the deadline-aware
+// early-launch policy uses before the first real measurement.
+const initialServiceTime = time.Millisecond
 
 func (o *Options) defaults(eng engine.Engine) {
 	// Clamp to the engine's scheduling batch size: a larger MaxBatch would
@@ -109,12 +106,6 @@ func (o *Options) defaults(eng engine.Engine) {
 	}
 	if o.MaxWait < 0 {
 		o.MaxWait = 0
-	}
-	if o.QueueLimit <= 0 {
-		o.QueueLimit = 4 * o.MaxBatch
-	}
-	if o.ServiceTimeGuess <= 0 {
-		o.ServiceTimeGuess = time.Millisecond
 	}
 }
 
@@ -259,11 +250,11 @@ func New(eng engine.Engine, opt Options) (*Server, error) {
 		probed:   probed,
 		mut:      mut,
 		opt:      opt,
-		pending:  make(chan *request, opt.QueueLimit),
+		pending:  make(chan *request, 4*opt.MaxBatch), // a full queue blocks Search (backpressure)
 		mutate:   make(chan *mutation),
 		closeCh:  make(chan struct{}),
 		loopDone: make(chan struct{}),
-		est:      opt.ServiceTimeGuess,
+		est:      initialServiceTime,
 	}
 	go s.loop()
 	return s, nil

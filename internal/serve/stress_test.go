@@ -29,9 +29,8 @@ func TestServeStress(t *testing.T) {
 	}
 
 	srv, err := serve.New(eng, serve.Options{
-		MaxBatch:   8,
-		MaxWait:    100 * time.Microsecond,
-		QueueLimit: 16, // small bound so backpressure blocking is exercised
+		MaxBatch: 4, // a 16-request queue, small so backpressure blocking is exercised
+		MaxWait:  100 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

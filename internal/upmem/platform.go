@@ -81,18 +81,19 @@ func PlatformGPU() Platform {
 }
 
 // PlatformUPMEM models a UPMEM deployment with the given number of DIMMs
-// (the paper's server: ~2543 DPUs over 32 DIMMs, i.e. ~80 DPUs/DIMM at
-// 350 MHz). Compute, bandwidth and capacity all scale linearly with DIMMs —
-// the adaptive-scalability property Figure 2 highlights.
+// (the paper's server: ~2543 DPUs over 32 DIMMs, i.e. ~80 DPUs/DIMM) at the
+// simulator's clock and stream rate. Compute, bandwidth and capacity all
+// scale linearly with DIMMs — the adaptive-scalability property Figure 2
+// highlights. Capacity is in decimal GB, 0.064 a DPU.
 func PlatformUPMEM(dimms int) Platform {
 	dpus := float64(dimms) * 80
 	return Platform{
 		Name:        "UPMEM",
-		PeakGOPs:    dpus * 0.35, // 1 instr/cycle/DPU at 350 MHz
-		MemBWGBs:    dpus * 0.70, // ~700 MB/s streaming per DPU
+		PeakGOPs:    dpus * (ClockHz / 1e9), // 1 instr/cycle/DPU
+		MemBWGBs:    dpus * (StreamBytesPerSec / 1e9),
 		MemCapGB:    dpus * 0.064,
 		Threads:     int(dpus),
-		FreqGHz:     0.35,
+		FreqGHz:     ClockHz / 1e9,
 		VectorWidth: 1,
 	}
 }

@@ -8,10 +8,10 @@ func TestRandomAccessCostsMoreThanStreaming(t *testing.T) {
 
 	// 1000 random 8-byte accesses vs one streamed 8000-byte DMA.
 	d.RandomAccess(PhaseDC, 1000)
-	random := d.Stats(PhaseDC).IOCycles(&s.Cfg.Cost)
+	random := d.Stats(PhaseDC).IOCycles()
 	d.ResetCounters()
 	d.DMA(PhaseDC, 8000)
-	streamed := d.Stats(PhaseDC).IOCycles(&s.Cfg.Cost)
+	streamed := d.Stats(PhaseDC).IOCycles()
 
 	if random <= streamed {
 		t.Fatalf("random access (%d cy) must cost more than streaming (%d cy)", random, streamed)

@@ -22,9 +22,9 @@ func TestTallyMatchesPerOpCharging(t *testing.T) {
 			n := uint64(rng.Intn(1000))
 			switch rng.Intn(5) {
 			case 0:
-				op := Op(rng.Intn(6))
+				op := Op(rng.Intn(int(OpMul) + 1))
 				direct.Charge(p, op, n)
-				tally.Charge(&cfg.Cost, p, op, n)
+				tally.Charge(p, op, n)
 			case 1:
 				direct.ChargeCycles(p, n)
 				tally.ChargeCycles(p, n)

@@ -3,19 +3,22 @@
 //
 // The simulator is functional-plus-analytic: kernels are ordinary Go code
 // that computes real answers while charging simulated costs to the DPU they
-// run on. The cost model captures exactly the properties the paper's design
-// reacts to:
+// run on. It models one platform, the paper's UPMEM PIM-DIMMs, and the
+// constants below write that platform down once; every other package that
+// prices a DPU reads them. The cost model captures exactly the properties the
+// paper's design reacts to:
 //
-//   - each DPU is an in-order multithreaded pipeline that reaches ~1
-//     instruction/cycle only with >= PipelineDepth tasklets (PrIM
-//     characterization), at 350-450 MHz;
-//   - there is no hardware multiplier: a 32-bit multiply costs ~32
-//     add-equivalent cycles, a division ~64;
+//   - each DPU is an in-order multithreaded pipeline at 350 MHz that issues
+//     one instruction a cycle once at least 11 tasklets run (PrIM
+//     characterization); it runs Tasklets (16), so instruction cycles are
+//     wall cycles;
+//   - there is no hardware multiplier: a 32-bit multiply costs 32
+//     add-equivalent cycles;
 //   - each DPU owns 64 MB of MRAM (DRAM bank) and a 64 KB WRAM scratchpad;
 //     WRAM accesses are pipeline-absorbed, MRAM is reachable only via DMA
-//     with a fixed setup latency plus a per-byte cost;
+//     with a fixed setup latency plus a per-byte cost (~0.7 GB/s streaming);
 //   - DPUs cannot talk to each other, and host<->DPU transfers share a
-//     bandwidth of roughly 0.75 % of the aggregate internal bandwidth.
+//     bandwidth of 0.75 % of the aggregate internal bandwidth.
 //
 // Computation and DMA overlap within a phase (the paper's Equation 12), so a
 // phase's wall time is max(compute, IO).
@@ -40,162 +43,97 @@ const (
 	NumPhases
 )
 
+var phaseNames = [NumPhases]string{"CL", "RC", "LC", "DC", "TS", "Others"}
+
 // String returns the paper's abbreviation for the phase.
 func (p Phase) String() string {
-	switch p {
-	case PhaseCL:
-		return "CL"
-	case PhaseRC:
-		return "RC"
-	case PhaseLC:
-		return "LC"
-	case PhaseDC:
-		return "DC"
-	case PhaseTS:
-		return "TS"
-	case PhaseOther:
-		return "Others"
+	if p >= 0 && p < NumPhases {
+		return phaseNames[p]
 	}
 	return fmt.Sprintf("Phase(%d)", int(p))
 }
 
+// The UPMEM PIM-DIMM of the paper's experiments.
+const (
+	ClockHz = 350e6 // DPU clock
+	// Tasklets is the software threads a DPU runs, at least the 11 its
+	// pipeline needs to issue one instruction a cycle.
+	Tasklets = 16
+
+	// Cycles per instruction class.
+	AddCycles   = 1  // add/sub/abs/shift
+	CmpCycles   = 1  // compare/branch
+	LoadCycles  = 1  // WRAM load (pipeline-absorbed)
+	StoreCycles = 1  // WRAM store
+	MulCycles   = 32 // the paper's "32x more expensive than addition"
+
+	DMALatencyCycles = 77  // fixed setup per MRAM<->WRAM DMA
+	DMACyclesPerByte = 0.5 // streaming cost a byte
+
+	// StreamBytesPerSec is a DPU's MRAM streaming bandwidth (~0.7 GB/s).
+	StreamBytesPerSec = ClockHz / DMACyclesPerByte
+
+	// hostXferFraction is host<->PIM bandwidth as a fraction of aggregate
+	// internal bandwidth (the paper's 0.75 %).
+	hostXferFraction = 0.0075
+	// launchLatencySec is the fixed host-side cost of one synchronous DPU
+	// launch (rank broadcast + barrier).
+	launchLatencySec = 20e-6
+)
+
 // Op is an instruction class with a distinct cycle cost.
 type Op int
 
-// Instruction classes. OpMul/OpDiv are the expensive software-emulated ones.
+// Instruction classes. OpMul is the expensive software-emulated one.
 const (
-	OpAdd   Op = iota // add/sub/abs/shift: 1 cycle
-	OpCmp             // compare/branch: 1 cycle
-	OpLoad            // WRAM load: 1 cycle (pipeline-absorbed)
-	OpStore           // WRAM store: 1 cycle
-	OpMul             // 32x32 multiply: no hardware unit, ~32 cycles
-	OpDiv             // division: ~64 cycles
+	OpAdd Op = iota
+	OpCmp
+	OpLoad
+	OpStore
+	OpMul
 )
 
-// CostModel holds the per-class cycle costs and DMA/transfer parameters.
-type CostModel struct {
-	ClockHz          float64 // DPU clock (350 MHz on the paper's DIMMs)
-	PipelineDepth    int     // tasklets needed for 1 instr/cycle (11 per PrIM)
-	AddCycles        uint64
-	CmpCycles        uint64
-	LoadCycles       uint64
-	StoreCycles      uint64
-	MulCycles        uint64 // the paper's "32x more expensive than addition"
-	DivCycles        uint64
-	DMALatencyCycles uint64  // fixed setup per MRAM<->WRAM DMA
-	DMACyclesPerByte float64 // streaming cost; ~0.5 cy/B = ~700 MB/s at 350 MHz
-	// WRAMSpeedup is the bandwidth advantage of WRAM-resident data over
-	// MRAM streaming; the paper measures ~4.72x peak.
-	WRAMSpeedup float64
-}
-
-// DefaultCostModel returns the UPMEM PIM-DIMM parameters used throughout the
-// paper's experiments.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		ClockHz:          350e6,
-		PipelineDepth:    11,
-		AddCycles:        1,
-		CmpCycles:        1,
-		LoadCycles:       1,
-		StoreCycles:      1,
-		MulCycles:        32,
-		DivCycles:        64,
-		DMALatencyCycles: 77,
-		DMACyclesPerByte: 0.5,
-		WRAMSpeedup:      4.72,
-	}
-}
-
-// Cycles returns the cost of n instructions of class op.
-func (c *CostModel) Cycles(op Op, n uint64) uint64 {
-	switch op {
-	case OpAdd:
-		return c.AddCycles * n
-	case OpCmp:
-		return c.CmpCycles * n
-	case OpLoad:
-		return c.LoadCycles * n
-	case OpStore:
-		return c.StoreCycles * n
-	case OpMul:
-		return c.MulCycles * n
-	case OpDiv:
-		return c.DivCycles * n
-	}
-	panic(fmt.Sprintf("upmem: unknown op %d", int(op)))
-}
+// opCycles is the cost of one instruction of each class.
+var opCycles = [...]uint64{OpAdd: AddCycles, OpCmp: CmpCycles, OpLoad: LoadCycles, OpStore: StoreCycles, OpMul: MulCycles}
 
 // Config describes a PIM system instance.
 type Config struct {
 	NumDPUs   int
-	Tasklets  int // per-DPU software threads; default 16
 	WRAMBytes int // default 64 KB
 	MRAMBytes int // default 64 MB
-	Cost      CostModel
-	// HostXferFraction is host<->PIM bandwidth as a fraction of aggregate
-	// internal bandwidth (the paper's 0.75 %).
-	HostXferFraction float64
-	// LaunchLatencySec is the fixed host-side cost of one synchronous DPU
-	// launch (rank broadcast + barrier).
-	LaunchLatencySec float64
 }
 
 // DefaultConfig returns a paper-like system scaled to numDPUs.
 func DefaultConfig(numDPUs int) Config {
-	return Config{
-		NumDPUs:          numDPUs,
-		Tasklets:         16,
-		WRAMBytes:        64 * 1024,
-		MRAMBytes:        64 * 1024 * 1024,
-		Cost:             DefaultCostModel(),
-		HostXferFraction: 0.0075,
-		LaunchLatencySec: 20e-6,
-	}
+	c := Config{NumDPUs: numDPUs}
+	c.defaults()
+	return c
 }
 
 func (c *Config) defaults() {
-	if c.Tasklets <= 0 {
-		c.Tasklets = 16
-	}
 	if c.WRAMBytes <= 0 {
 		c.WRAMBytes = 64 * 1024
 	}
 	if c.MRAMBytes <= 0 {
 		c.MRAMBytes = 64 * 1024 * 1024
 	}
-	if c.Cost.ClockHz == 0 {
-		c.Cost = DefaultCostModel()
-	}
-	if c.HostXferFraction <= 0 {
-		c.HostXferFraction = 0.0075
-	}
-	if c.LaunchLatencySec <= 0 {
-		c.LaunchLatencySec = 20e-6
-	}
-}
-
-// InternalBWBytesPerSec returns the per-DPU MRAM streaming bandwidth implied
-// by the DMA cost model.
-func (c *Config) InternalBWBytesPerSec() float64 {
-	return c.Cost.ClockHz / c.Cost.DMACyclesPerByte
 }
 
 // HostBWBytesPerSec returns the aggregate host<->PIM bandwidth.
 func (c *Config) HostBWBytesPerSec() float64 {
-	return c.HostXferFraction * float64(c.NumDPUs) * c.InternalBWBytesPerSec()
+	return hostXferFraction * float64(c.NumDPUs) * StreamBytesPerSec
 }
 
 // PhaseStats accumulates the cost of one phase on one DPU.
 type PhaseStats struct {
-	ComputeCycles uint64 // instruction cycles (pre pipeline scaling)
+	ComputeCycles uint64 // instruction cycles
 	DMACount      uint64 // MRAM<->WRAM transfers issued
 	DMABytes      uint64 // bytes moved by those transfers
 }
 
 // IOCycles returns the DMA-side cycles of the phase.
-func (s PhaseStats) IOCycles(cost *CostModel) uint64 {
-	return s.DMACount*cost.DMALatencyCycles + uint64(float64(s.DMABytes)*cost.DMACyclesPerByte)
+func (s PhaseStats) IOCycles() uint64 {
+	return s.DMACount*DMALatencyCycles + uint64(float64(s.DMABytes)*DMACyclesPerByte)
 }
 
 // DPU models a single data processing unit: cost counters plus WRAM/MRAM
@@ -213,7 +151,7 @@ type DPU struct {
 
 // Charge accounts n instructions of class op against phase p.
 func (d *DPU) Charge(p Phase, op Op, n uint64) {
-	d.phases[p].ComputeCycles += d.cfg.Cost.Cycles(op, n)
+	d.phases[p].ComputeCycles += opCycles[op] * n
 }
 
 // ChargeCycles accounts raw cycles against phase p.
@@ -257,9 +195,9 @@ type Tally struct {
 }
 
 // Charge accounts n instructions of class op against phase p (the Tally twin
-// of DPU.Charge; cost supplies the per-class cycle weights).
-func (t *Tally) Charge(cost *CostModel, p Phase, op Op, n uint64) {
-	t.compute[p] += cost.Cycles(op, n)
+// of DPU.Charge).
+func (t *Tally) Charge(p Phase, op Op, n uint64) {
+	t.compute[p] += opCycles[op] * n
 }
 
 // ChargeCycles accounts raw cycles against phase p.
@@ -346,8 +284,7 @@ func (d *DPU) ResetCounters() { d.phases = [NumPhases]PhaseStats{} }
 // Stats returns the accumulated statistics for phase p.
 func (d *DPU) Stats(p Phase) PhaseStats { return d.phases[p] }
 
-// ComputeCycles is the instruction cycles charged so far, over all phases
-// (pre pipeline scaling).
+// ComputeCycles is the instruction cycles charged so far, over all phases.
 func (d *DPU) ComputeCycles() (n uint64) {
 	for _, s := range d.phases {
 		n += s.ComputeCycles
@@ -355,16 +292,12 @@ func (d *DPU) ComputeCycles() (n uint64) {
 	return n
 }
 
-// PhaseCycles returns the wall cycles of phase p: compute scaled by pipeline
-// occupancy, overlapped with DMA (Equation 12's max form).
+// PhaseCycles returns the wall cycles of phase p: compute overlapped with
+// DMA (Equation 12's max form). With Tasklets filling the pipeline, an
+// instruction cycle is a wall cycle.
 func (d *DPU) PhaseCycles(p Phase) uint64 {
 	s := d.phases[p]
-	compute := d.scalePipeline(s.ComputeCycles)
-	io := s.IOCycles(&d.cfg.Cost)
-	if io > compute {
-		return io
-	}
-	return compute
+	return max(s.ComputeCycles, s.IOCycles())
 }
 
 // TotalCycles returns the summed wall cycles across phases.
@@ -376,20 +309,9 @@ func (d *DPU) TotalCycles() uint64 {
 	return total
 }
 
-// scalePipeline converts instruction cycles to wall cycles given the tasklet
-// count: throughput is min(T, depth)/depth instructions per cycle.
-func (d *DPU) scalePipeline(cycles uint64) uint64 {
-	t := d.cfg.Tasklets
-	depth := d.cfg.Cost.PipelineDepth
-	if t >= depth {
-		return cycles
-	}
-	return cycles * uint64(depth) / uint64(t)
-}
-
-// Seconds converts cycles to seconds at the configured clock.
-func (c *Config) Seconds(cycles uint64) float64 {
-	return float64(cycles) / c.Cost.ClockHz
+// Seconds converts cycles to seconds at the DPU clock.
+func Seconds(cycles uint64) float64 {
+	return float64(cycles) / ClockHz
 }
 
 // System is a collection of DPUs plus host-transfer accounting.
@@ -428,7 +350,7 @@ func (s *System) Launch() { s.launches++ }
 // overheads so far.
 func (s *System) TransferSeconds() float64 {
 	bw := s.Cfg.HostBWBytesPerSec()
-	return float64(s.hostToDev+s.devToHost)/bw + float64(s.launches)*s.Cfg.LaunchLatencySec
+	return float64(s.hostToDev+s.devToHost)/bw + float64(s.launches)*launchLatencySec
 }
 
 // MaxDPUCycles returns the slowest DPU's total cycles — the batch critical
