@@ -49,15 +49,15 @@
 // Cluster.SearchBatch and the online Server.Search both work this way and
 // record into one RouteStats.
 //
-// Each shard's engine runs in a compact local ID space (0..n_s-1): its
-// sub-index lists the shard's points under local IDs, and the layer keeps a
-// strictly increasing local→global table per shard (plus the per-shard
-// global-ID offset of its first point, for the common contiguous prefix).
-// Because the table is monotone, the deterministic (dist, id) order of a
-// shard's results is preserved by the remap, and because the shards
-// partition the corpus and share every quantizer table, the merged global
-// top-k is bit-identical to a single unsharded engine's SearchBatch — the
-// equivalence suite pins this for S ∈ {1, 2, 7} under both policies.
+// Every shard's sub-index lists its points under their corpus-global ids, as
+// each DPU slice of the paper keeps its points' vector ids beside their codes:
+// a shard answers in the corpus's own ids and deterministic (dist, id) order,
+// and the front door merges the partial lists by those ids with nothing to
+// translate. Because the shards partition the corpus and share every
+// quantizer table, the merged global top-k is bit-identical to a single
+// unsharded engine's SearchBatch — the equivalence suite pins this for
+// S ∈ {1, 2, 7} under both policies, and for a mutated fleet against an
+// engine that lived through the same mutations.
 //
 // # One staged scan, fleet-wide
 //
@@ -172,7 +172,7 @@ func (o *Options) defaults() error {
 }
 
 // Shard is one partition: its replica engines over the shard's slice of
-// the corpus plus the monotone local→global ID table.
+// the corpus.
 type Shard struct {
 	// Engine is replica 0: the engine whose state (live counts, modelled
 	// probe cost) speaks for the shard, and the one batches too small to
@@ -182,15 +182,6 @@ type Shard struct {
 	// are built from the same deployment with the same options, so they are
 	// interchangeable: any replica's answer is the shard's answer.
 	Engines []*core.Engine
-	// table maps shard-local point IDs to corpus-global IDs. It is
-	// copy-on-write behind an atomic pointer: the routed front door remaps
-	// merged results on caller goroutines concurrently with live mutations,
-	// and a reader holding the previous table stays self-consistent (results
-	// it merges were produced under that table). Strictly increasing at
-	// build time and after every Compact; between compactions appends may
-	// break monotonicity, which only the bit-identity guarantee (not
-	// findability) depends on.
-	table atomic.Pointer[[]int32]
 	// owned lists, ascending, the clusters this shard holds points of — or
 	// has held since the last Compact: a live insert marks its cluster owned
 	// even if the point is later deleted, which index contents alone cannot
@@ -200,12 +191,6 @@ type Shard struct {
 	// Points is the number of corpus points this shard owns.
 	Points int
 }
-
-// GlobalIDs returns the shard's current local→global ID table (an immutable
-// snapshot — mutations install a fresh table rather than editing this one).
-func (sh *Shard) GlobalIDs() []int32 { return *sh.table.Load() }
-
-func (sh *Shard) setTable(t []int32) { sh.table.Store(&t) }
 
 // IVF returns the shard's replica-0 engine (inspection and tests).
 func (sh *Shard) IVF() *core.Engine { return sh.Engine }
@@ -258,10 +243,10 @@ type Cluster struct {
 	// AssignKMeans (nil under AssignHash): inserts into cluster c land on
 	// shardOfCluster[c] even when the cluster is currently empty.
 	shardOfCluster []int32
-	// g2l[s] maps global id → shard-local id for shard s, built lazily at
-	// the first mutation (O(N) once) to route deletes and reject duplicate
-	// inserts.
-	g2l []map[int32]int32
+	// shardOf maps every live global id to the shard holding it, built
+	// lazily at the first mutation (O(N) once) to route deletes and reject
+	// duplicate inserts.
+	shardOf map[int32]int32
 	// esc is the encode scratch for front-door insert assignment; guarded
 	// by mu.
 	esc *ivf.EncodeScratch
@@ -649,39 +634,27 @@ func NewWeighted(ix *ivf.Index, profile dataset.U8Set, opt Options, weight []flo
 	}
 	owner, shardOfCluster := shardOfPoints(ix, nPoints, weight, opt)
 
-	// Local ID spaces: enumerate each shard's points in ascending global ID
-	// order, so the local→global table is strictly increasing and the remap
-	// preserves the deterministic (dist, id) order.
-	localOf := make([]int32, nPoints)
-	tables := make([][]int32, opt.Shards)
-	for id := 0; id < nPoints; id++ {
-		s := owner[id]
-		localOf[id] = int32(len(tables[s]))
-		tables[s] = append(tables[s], int32(id))
-	}
-
 	cl := &Cluster{opt: opt, ix: ix, shards: make([]*Shard, opt.Shards), shardOfCluster: shardOfCluster}
 	for s := 0; s < opt.Shards; s++ {
-		sub := quantizerView(ix)
+		// Each list keeps its order and its codes: the shard's sub-list is
+		// the index's list with the other shards' points left out.
+		sub, points := quantizerView(ix), 0
 		for c, list := range ix.Lists {
 			codes := ix.Codes[c]
 			for pos, id := range list {
 				if owner[id] != int32(s) {
 					continue
 				}
-				sub.Lists[c] = append(sub.Lists[c], localOf[id])
+				sub.Lists[c] = append(sub.Lists[c], id)
 				sub.Codes[c] = append(sub.Codes[c], codes[pos*ix.M:(pos+1)*ix.M]...)
+				points++
 			}
-		}
-		if err := core.ValidateRemapTable(tables[s]); err != nil {
-			return nil, err
 		}
 		eng, err := core.New(sub, profile, opt.Engine)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d engine: %w", s, err)
 		}
-		sh := &Shard{Engine: eng, Points: len(tables[s])}
-		sh.setTable(tables[s])
+		sh := &Shard{Engine: eng, Points: points}
 		if err := sh.growReplicas(opt.Replicas); err != nil {
 			return nil, fmt.Errorf("cluster: shard %d %w", s, err)
 		}
@@ -729,14 +702,14 @@ func (cl *Cluster) Dim() int { return cl.ix.Dim }
 // every shard. A round is a step: it scatters a batch's first wave to the
 // shards owning those probes together with the second wave of the batch
 // before, under the bounds the last barrier merged, and at the barrier that
-// ends it the shards' partial top-k — remapped to global ids — fold into one
-// heap and one bound per query. So no shard repeats a query's unbounded first
-// wave, every shard prunes against the k-th distance found anywhere, and a
-// call of B batches takes B + 1 rounds, plus drain rounds while tasks stay
-// postponed; every round spreads a shard's requests over all its replicas (a
-// batch too small to split runs on replica 0, whatever shares its round) at
-// the scheduler's own task price: the probes carry their CL distances, so a
-// request costs what its list's distance from the query's bound lets survive
+// ends it the shards' partial top-k fold into one heap and one bound per
+// query. So no shard repeats a query's unbounded first wave, every shard
+// prunes against the k-th distance found anywhere, and a call of B batches
+// takes B + 1 rounds, plus drain rounds while tasks stay postponed; every
+// round spreads a shard's requests over all its replicas (a batch too small
+// to split runs on replica 0, whatever shares its round) at the scheduler's
+// own task price: the probes carry their CL distances, so a request costs
+// what its list's distance from the query's bound lets survive
 // (core.Engine.ProbeCycles).
 //
 // Answers are bit-identical to a single engine's SearchBatch over the
@@ -758,12 +731,12 @@ func (cl *Cluster) SearchBatch(queries dataset.U8Set) (*core.Result, error) {
 	ps := cl.loc.Probes(queries)
 	clWall := time.Since(start).Seconds()
 
-	S, batch := len(cl.shards), cl.shards[0].Engine.MaxBatch()
-	fleet, tables := make([][]*core.Engine, S), make([][]int32, S)
+	batch := cl.shards[0].Engine.MaxBatch()
+	fleet := make([][]*core.Engine, len(cl.shards))
 	for s, sh := range cl.shards {
-		fleet[s], tables[s] = sh.Engines, sh.GlobalIDs()
+		fleet[s] = sh.Engines
 	}
-	st := core.NewSteps(queries, fleet, tables, cl.loc)
+	st := core.NewSteps(queries, fleet, cl.loc)
 	owners := cl.ownersView()
 	ownersOf := func(c int32) []int32 { return owners[c] }
 

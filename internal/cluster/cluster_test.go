@@ -43,9 +43,8 @@ func engineOpts() core.Options {
 // corpus under the same options. This holds because every shard
 // shares the full quantizer state (so the front door locates the same probe
 // set and every shard computes the same integer distances), the shards
-// partition the scanned points, the local→global ID tables are monotone
-// (order-preserving), and the global top-k of a partitioned multiset is the
-// merge of the per-part top-k lists. Both policies go through the one
+// partition the scanned points under their global ids, and the global top-k
+// of a partitioned multiset is the merge of the per-part top-k lists. Both policies go through the one
 // routed path (front-door CL + SearchBatchProbed per owning shard); they
 // differ only in how many shards own a probed cluster.
 func TestClusterEquivalence(t *testing.T) {
@@ -136,8 +135,8 @@ func TestClusterEquivalence(t *testing.T) {
 }
 
 // TestClusterPartition pins the partition invariants: every corpus point is
-// owned by exactly one shard, local→global tables are strictly increasing,
-// and kmeans assignment keeps whole coarse clusters on one shard.
+// owned by exactly one shard, under its global id, and kmeans assignment keeps
+// whole coarse clusters on one shard.
 func TestClusterPartition(t *testing.T) {
 	ix, s := testFixture(t, 4000, 16)
 	for _, assign := range []cluster.Assignment{cluster.AssignHash, cluster.AssignKMeans} {
@@ -151,14 +150,11 @@ func TestClusterPartition(t *testing.T) {
 			seen := make(map[int32]int)
 			total := 0
 			for si, sh := range cl.Shards() {
-				tbl := sh.GlobalIDs()
-				if err := core.ValidateRemapTable(tbl); err != nil {
-					t.Fatalf("shard %d: %v", si, err)
+				ids := sh.IVF().Index().LiveIDs()
+				if sh.Points != len(ids) {
+					t.Fatalf("shard %d Points %d != %d live ids", si, sh.Points, len(ids))
 				}
-				if sh.Points != len(tbl) {
-					t.Fatalf("shard %d Points %d != table %d", si, sh.Points, len(tbl))
-				}
-				for _, g := range tbl {
+				for _, g := range ids {
 					if prev, dup := seen[g]; dup {
 						t.Fatalf("point %d owned by shards %d and %d", g, prev, si)
 					}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"testing"
 )
@@ -13,7 +14,7 @@ func withCRC(b []byte) []byte {
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-// craftedSnapshot is a shard snapshot whose table section claims 0x40000001
+// craftedSnapshot is a shard snapshot whose owners section claims 0x40000001
 // ids but holds one: 12 bytes whose CRC matches. On a 32-bit int the count
 // times four wraps to 4, which is exactly the bytes present.
 func craftedSnapshot() []byte {
@@ -42,11 +43,23 @@ func craftedSidecar() []byte {
 // is an error, never an allocation of that count — on a 32-bit int too, where
 // the count times four wraps to the length the section really has.
 func TestDecodersRejectCountsPastTheBytes(t *testing.T) {
-	if _, _, _, err := parseShardSnapshot(craftedSnapshot()); err == nil {
+	if _, _, err := parseShardSnapshot(craftedSnapshot()); err == nil {
 		t.Fatal("shard snapshot with an oversized id count decoded")
 	}
 	if _, _, _, _, err := decodeAssign(craftedSidecar()); err == nil {
 		t.Fatal("assignment sidecar with an oversized list count decoded")
+	}
+}
+
+// TestShardSnapshotV1IsRefused: a version 1 shard snapshot (shard-local ids
+// behind an id table) is refused with its own error, whatever follows the
+// header.
+func TestShardSnapshotV1IsRefused(t *testing.T) {
+	le := binary.LittleEndian
+	img := le.AppendUint32(le.AppendUint32(nil, shardSnapMagic), 1)
+	img = append(img, withCRC(le.AppendUint32(le.AppendUint32(nil, 1), 7))...)
+	if _, _, err := parseShardSnapshot(img); !errors.Is(err, ErrShardSnapshotV1) {
+		t.Fatalf("v1 snapshot: error %v, want ErrShardSnapshotV1", err)
 	}
 }
 
@@ -56,10 +69,7 @@ func FuzzShardSnapshot(f *testing.F) {
 	var valid bytes.Buffer
 	le := binary.LittleEndian
 	valid.Write(le.AppendUint32(le.AppendUint32(nil, shardSnapMagic), shardSnapVersion))
-	if err := writeIDSection(&valid, []int32{3, 5, 8}); err != nil {
-		f.Fatal(err)
-	}
-	if err := writeIDSection(&valid, []int32{1}); err != nil {
+	if err := writeIDSection(&valid, []int32{1, 4}); err != nil {
 		f.Fatal(err)
 	}
 	valid.WriteString("index")
@@ -67,15 +77,12 @@ func FuzzShardSnapshot(f *testing.F) {
 	f.Add(craftedSnapshot())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, img []byte) {
-		table, owned, rest, err := parseShardSnapshot(img)
+		owned, rest, err := parseShardSnapshot(img)
 		if err != nil {
 			return
 		}
 		var again bytes.Buffer
 		again.Write(img[:8])
-		if err := writeIDSection(&again, table); err != nil {
-			t.Fatal(err)
-		}
 		if err := writeIDSection(&again, owned); err != nil {
 			t.Fatal(err)
 		}

@@ -2,28 +2,27 @@
 // contract a single engine gets from the store core's CreateStore attaches —
 // every acknowledged mutation survives a kill at any instant, and
 // RecoverCluster restarts the fleet bit-identically (search results,
-// memory stats, owner maps, remap tables).
+// memory stats, owner maps).
 //
 // Layout: one fleet directory holding an immutable ASSIGN sidecar plus
 // one durable.Store per shard under shard-%03d/. The sidecar freezes
 // the partitioning decision — assignment policy, shard count, and the
 // cluster→shard map under AssignKMeans — because the map was computed
 // from the original full index and profile heat, which no longer exist
-// at recovery time. Each shard's snapshot carries its local→global ID
-// table (stale entries for deleted points and all — replay computes
-// local ids as table length, so the table must round-trip exactly), the
-// shard's owned-cluster list (Shard.owned; index contents alone cannot
-// reproduce it), and last the shard sub-index in the ivf v2
-// checkpoint format (last because ivf.Load buffers past what it
-// consumes).
+// at recovery time. Each shard's snapshot (version 2) carries the shard's
+// owned-cluster list (Shard.owned; index contents alone cannot reproduce
+// it) and then the shard sub-index, its points under their global ids, in
+// the ivf v2 checkpoint format (last because ivf.Load buffers past what it
+// consumes). A version 1 snapshot, whose sub-index held shard-local ids
+// behind an id table, is refused with ErrShardSnapshotV1.
 //
-// WAL records carry GLOBAL ids: one client batch fans out across
-// shards, so Cluster.Insert/Delete log each shard's applied sub-batch
-// to that shard's WAL, in per-shard application order, through the one
-// logging call the engine uses (durable.Store.Log). Replay is then
-// purely shard-local — durable.Store.Replay hands each record to the live
-// path's own per-point steps (applyInsert, applyDelete) on the shard the
-// record names — and shards can replay independently in any order.
+// WAL records carry global ids, as the shard sub-indexes do: one client
+// batch fans out across shards, so Cluster.Insert/Delete log each shard's
+// applied sub-batch to that shard's WAL, in per-shard application order,
+// through the one logging call the engine uses (durable.Store.Log). Replay
+// is then purely shard-local — durable.Store.Replay hands each record to the
+// live path's own per-point steps (applyInsert, applyDelete) on the shard
+// the record names — and shards can replay independently in any order.
 package cluster
 
 import (
@@ -50,8 +49,13 @@ const (
 	assignVersion = 1
 
 	shardSnapMagic   = 0x44525348 // "DRSH"
-	shardSnapVersion = 1
+	shardSnapVersion = 2
 )
+
+// ErrShardSnapshotV1 is RecoverCluster's error for a shard snapshot of
+// version 1, written when shard sub-indexes held shard-local ids: there is
+// no reader for it, so such a fleet store is rebuilt from its index.
+var ErrShardSnapshotV1 = errors.New("cluster: shard snapshot version 1 (shard-local ids) is not readable")
 
 // FleetStore is the durable state of one sharded fleet: a durable.Store
 // per shard plus the assignment sidecar. Not safe for concurrent use on
@@ -86,6 +90,15 @@ func (fst *FleetStore) Close() error {
 		errs[s] = st.Close()
 	}
 	return errors.Join(errs...)
+}
+
+// closeIfFailed closes the shard stores opened so far when the fleet store
+// being set up failed (*err != nil): the error that stopped it is the one
+// reported.
+func (fst *FleetStore) closeIfFailed(err *error) {
+	if *err != nil {
+		fst.Close()
+	}
 }
 
 // encodeAssign freezes the partitioning decision: policy, shard count,
@@ -183,18 +196,18 @@ func writeIDSection(w io.Writer, ids []int32) error {
 	return err
 }
 
-func readIDSection(data []byte, what string) (ids []int32, rest []byte, err error) {
+func readIDSection(data []byte) (ids []int32, rest []byte, err error) {
 	le := binary.LittleEndian
 	if len(data) < 8 {
-		return nil, nil, fmt.Errorf("cluster: shard snapshot: truncated %s section", what)
+		return nil, nil, fmt.Errorf("cluster: shard snapshot: truncated owners section")
 	}
 	n := int(le.Uint32(data))
 	if n < 0 || n > (len(data)-8)/4 {
-		return nil, nil, fmt.Errorf("cluster: shard snapshot: %s section claims %d ids beyond file", what, n)
+		return nil, nil, fmt.Errorf("cluster: shard snapshot: owners section claims %d ids beyond file", n)
 	}
 	end := 4 + n*4
 	if le.Uint32(data[end:]) != crc32.ChecksumIEEE(data[:end]) {
-		return nil, nil, fmt.Errorf("cluster: shard snapshot: %s section checksum mismatch", what)
+		return nil, nil, fmt.Errorf("cluster: shard snapshot: owners section checksum mismatch")
 	}
 	ids = make([]int32, n)
 	for i := range ids {
@@ -203,10 +216,9 @@ func readIDSection(data []byte, what string) (ids []int32, rest []byte, err erro
 	return ids, data[end+4:], nil
 }
 
-// shardSnapshot returns shard s's checkpoint writer: header, the
-// local→global table, the shard's owned clusters, then the sub-index with
-// its live overlay in ivf v2 format. Callers hold cl.mu (or are the only
-// goroutine, during create and recovery).
+// shardSnapshot returns shard s's checkpoint writer: header, the shard's
+// owned clusters, then the sub-index with its live overlay in ivf v2 format.
+// Callers hold cl.mu (or are the only goroutine, during create and recovery).
 func (cl *Cluster) shardSnapshot(s int) func(w io.Writer) error {
 	return func(w io.Writer) error {
 		le := binary.LittleEndian
@@ -217,9 +229,6 @@ func (cl *Cluster) shardSnapshot(s int) func(w io.Writer) error {
 			return err
 		}
 		sh := cl.shards[s]
-		if err := writeIDSection(w, sh.GlobalIDs()); err != nil {
-			return err
-		}
 		if err := writeIDSection(w, sh.owned); err != nil {
 			return err
 		}
@@ -227,22 +236,19 @@ func (cl *Cluster) shardSnapshot(s int) func(w io.Writer) error {
 	}
 }
 
-func parseShardSnapshot(img []byte) (table, owned []int32, ixBytes []byte, err error) {
+func parseShardSnapshot(img []byte) (owned []int32, ixBytes []byte, err error) {
 	le := binary.LittleEndian
 	if len(img) < 8 || le.Uint32(img[0:4]) != shardSnapMagic {
-		return nil, nil, nil, fmt.Errorf("cluster: shard snapshot: bad magic")
+		return nil, nil, fmt.Errorf("cluster: shard snapshot: bad magic")
 	}
-	if v := le.Uint32(img[4:8]); v != shardSnapVersion {
-		return nil, nil, nil, fmt.Errorf("cluster: shard snapshot: unsupported version %d", v)
+	switch v := le.Uint32(img[4:8]); v {
+	case shardSnapVersion:
+	case 1:
+		return nil, nil, ErrShardSnapshotV1
+	default:
+		return nil, nil, fmt.Errorf("cluster: shard snapshot: unsupported version %d", v)
 	}
-	rest := img[8:]
-	if table, rest, err = readIDSection(rest, "table"); err != nil {
-		return nil, nil, nil, err
-	}
-	if owned, rest, err = readIDSection(rest, "owners"); err != nil {
-		return nil, nil, nil, err
-	}
-	return table, owned, rest, nil
+	return readIDSection(img[8:])
 }
 
 // CreateFleetStore initializes durable state for cl under opt.Dir — the
@@ -251,8 +257,9 @@ func parseShardSnapshot(img []byte) (table, owned []int32, ixBytes []byte, err e
 // Delete logs its applied sub-batches to the owning shards' WALs before
 // acknowledging, and Compact checkpoints every shard. The caller closes
 // the returned store after the fleet's last mutation (the routed Server
-// does not own it).
-func CreateFleetStore(cl *Cluster, opt durable.Options) (*FleetStore, error) {
+// does not own it). If a shard's store cannot be created, the stores of the
+// shards before it are closed again.
+func CreateFleetStore(cl *Cluster, opt durable.Options) (_ *FleetStore, err error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.fstore != nil {
@@ -269,14 +276,15 @@ func CreateFleetStore(cl *Cluster, opt durable.Options) (*FleetStore, error) {
 	}); err != nil {
 		return nil, err
 	}
-	fst := &FleetStore{dir: opt.Dir, stores: make([]*durable.Store, len(cl.shards))}
+	fst := &FleetStore{dir: opt.Dir}
+	defer fst.closeIfFailed(&err)
 	for s := range cl.shards {
 		st, err := durable.Create(durable.Options{Dir: shardDir(opt.Dir, s), Policy: opt.Policy, FS: opt.FS},
 			cl.shardSnapshot(s))
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d store: %w", s, err)
 		}
-		fst.stores[s] = st
+		fst.stores = append(fst.stores, st)
 	}
 	cl.fstore = fst
 	return fst, nil
@@ -331,8 +339,9 @@ func (cl *Cluster) Checkpoint() error {
 // generation. profile and copt must match the original deployment for
 // bit-identity, exactly as in core.Recover. The returned cluster has
 // the store attached and ready for appends; unacknowledged mutations
-// (never WAL-synced) may be lost, acknowledged ones never are.
-func RecoverCluster(opt durable.Options, profile dataset.U8Set, copt Options) (*Cluster, *FleetStore, error) {
+// (never WAL-synced) may be lost, acknowledged ones never are. A failed
+// recovery closes every shard store it opened.
+func RecoverCluster(opt durable.Options, profile dataset.U8Set, copt Options) (_ *Cluster, _ *FleetStore, err error) {
 	if err := copt.defaults(); err != nil {
 		return nil, nil, err
 	}
@@ -352,24 +361,20 @@ func RecoverCluster(opt durable.Options, profile dataset.U8Set, copt Options) (*
 		return nil, nil, fmt.Errorf("cluster: recover: store has %d shards, options say %d", S, copt.Shards)
 	}
 
-	cl := &Cluster{
-		opt:            copt,
-		shards:         make([]*Shard, S),
-		shardOfCluster: shardOfCluster,
-		g2l:            make([]map[int32]int32, S),
-	}
-	fst := &FleetStore{dir: opt.Dir, stores: make([]*durable.Store, S)}
+	cl := &Cluster{opt: copt, shards: make([]*Shard, S), shardOfCluster: shardOfCluster}
+	fst := &FleetStore{dir: opt.Dir}
+	defer fst.closeIfFailed(&err)
 	for s := 0; s < S; s++ {
 		st, err := durable.Open(durable.Options{Dir: shardDir(opt.Dir, s), Policy: opt.Policy, FS: opt.FS})
 		if err != nil {
 			return nil, nil, fmt.Errorf("cluster: recover shard %d: %w", s, err)
 		}
-		fst.stores[s] = st
+		fst.stores = append(fst.stores, st)
 		img, err := st.SnapshotBytes()
 		if err != nil {
 			return nil, nil, fmt.Errorf("cluster: recover shard %d snapshot: %w", s, err)
 		}
-		table, owned, ixBytes, err := parseShardSnapshot(img)
+		owned, ixBytes, err := parseShardSnapshot(img)
 		if err != nil {
 			return nil, nil, fmt.Errorf("cluster: recover shard %d: %w", s, err)
 		}
@@ -393,22 +398,7 @@ func RecoverCluster(opt durable.Options, profile dataset.U8Set, copt Options) (*
 		if err := eng.AdoptOverlay(overlay); err != nil {
 			return nil, nil, fmt.Errorf("cluster: recover shard %d overlay: %w", s, err)
 		}
-		// Live point set: the table keeps stale entries for deleted
-		// points (only Compact prunes it), so the global→local map and
-		// Points come from the engine's live local ids, exactly the
-		// state the live fleet's lazy g2l held at checkpoint time.
-		locals := sub.LiveIDs()
-		m := make(map[int32]int32, len(locals))
-		for _, l := range locals {
-			if int(l) >= len(table) {
-				return nil, nil, fmt.Errorf("cluster: recover shard %d: live local id %d beyond table (%d)", s, l, len(table))
-			}
-			m[table[l]] = l
-		}
-		cl.g2l[s] = m
-		sh := &Shard{Engine: eng, owned: owned, Points: len(m)}
-		sh.setTable(table)
-		cl.shards[s] = sh
+		cl.shards[s] = &Shard{Engine: eng, owned: owned, Points: len(sub.LiveIDs())}
 	}
 
 	// Shared front-door state: every shard sub-index carries the full
@@ -416,7 +406,7 @@ func RecoverCluster(opt durable.Options, profile dataset.U8Set, copt Options) (*
 	// original unsharded index — post-build the cluster only uses its
 	// quantizers (AssignVec, Centroid, scratch), never its lists.
 	cl.ix = quantizerView(cl.shards[0].Engine.Index())
-	cl.esc = cl.ix.NewEncodeScratch()
+	cl.ensureShardOf()
 	cl.deriveOwners()
 
 	// Replay each shard's WAL tail through the live mutation path, then
@@ -441,8 +431,8 @@ func RecoverCluster(opt durable.Options, profile dataset.U8Set, copt Options) (*
 }
 
 // replayShard applies one of shard s's logged mutations through the live
-// path's per-point steps: inserts re-route nothing (the record already
-// names this shard), deletes resolve through the rebuilt global→local map.
+// path's per-point steps: neither re-routes (the record already names this
+// shard).
 func (cl *Cluster) replayShard(s int, m durable.Mutation) error {
 	if m.Op == durable.OpDelete {
 		for _, g := range m.IDs {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"drimann/internal/cluster"
@@ -38,7 +39,7 @@ func durableFixture(t testing.TB, n, queries, reserve int) (*ivf.Index, *dataset
 }
 
 // requireFleetEqual asserts two fleets are bit-identical: search results,
-// per-shard local→global tables, points, memory stats, and owner maps.
+// per-shard live ids, points, memory stats, and owner maps.
 func requireFleetEqual(t *testing.T, got, want *cluster.Cluster, queries dataset.U8Set, what string) {
 	t.Helper()
 	wr, err := want.SearchBatch(queries)
@@ -59,8 +60,8 @@ func requireFleetEqual(t *testing.T, got, want *cluster.Cluster, queries dataset
 		t.Fatalf("%s: %d shards, want %d", what, len(gs), len(ws))
 	}
 	for s := range gs {
-		if !reflect.DeepEqual(gs[s].GlobalIDs(), ws[s].GlobalIDs()) {
-			t.Fatalf("%s: shard %d table diverges", what, s)
+		if !reflect.DeepEqual(gs[s].IVF().Index().LiveIDs(), ws[s].IVF().Index().LiveIDs()) {
+			t.Fatalf("%s: shard %d live ids diverge", what, s)
 		}
 		if gs[s].Points != ws[s].Points {
 			t.Fatalf("%s: shard %d points %d, want %d", what, s, gs[s].Points, ws[s].Points)
@@ -183,6 +184,79 @@ func TestClusterRecoverRejectsMismatchedOptions(t *testing.T) {
 	}
 }
 
+// countingFS is a MemFS that counts the files it opens for writing and the
+// closes of those files, and refuses to open any file under failDir.
+type countingFS struct {
+	*durable.MemFS
+	failDir        string
+	opened, closed int
+}
+
+type countedFile struct {
+	durable.File
+	fs *countingFS
+}
+
+func (f countedFile) Close() error {
+	f.fs.closed++
+	return f.File.Close()
+}
+
+func (fs *countingFS) open(name string, open func(string) (durable.File, error)) (durable.File, error) {
+	if fs.failDir != "" && strings.Contains(name, fs.failDir) {
+		return nil, fmt.Errorf("open %s: injected failure", name)
+	}
+	f, err := open(name)
+	if err != nil {
+		return nil, err
+	}
+	fs.opened++
+	return countedFile{File: f, fs: fs}, nil
+}
+
+func (fs *countingFS) Create(name string) (durable.File, error) {
+	return fs.open(name, fs.MemFS.Create)
+}
+
+func (fs *countingFS) OpenAppend(name string) (durable.File, error) {
+	return fs.open(name, fs.MemFS.OpenAppend)
+}
+
+// TestFleetStoreFailureClosesShardStores: when a later shard's store cannot
+// be created (CreateFleetStore) or rotated (RecoverCluster), the stores of
+// the shards before it are closed, not left holding an open WAL.
+func TestFleetStoreFailureClosesShardStores(t *testing.T) {
+	ix, s, _ := durableFixture(t, 2000, 8, 100)
+	copt := cluster.Options{Shards: 3, Assignment: cluster.AssignKMeans, Engine: engineOpts()}
+	cl, err := cluster.New(ix, s.Queries, copt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := &countingFS{MemFS: durable.NewMemFS(durable.FaultPlan{}), failDir: "shard-001"}
+	if _, err := cluster.CreateFleetStore(cl, durable.Options{Dir: "bad", FS: fs}); err == nil {
+		t.Fatal("CreateFleetStore succeeded with shard 1's directory refusing files")
+	}
+	if fs.opened == 0 || fs.opened != fs.closed {
+		t.Fatalf("failed CreateFleetStore opened %d files and closed %d", fs.opened, fs.closed)
+	}
+
+	fs.failDir = ""
+	fst, err := cluster.CreateFleetStore(cl, durable.Options{Dir: "fleet", FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fst.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fs.failDir, fs.opened, fs.closed = "shard-001", 0, 0
+	if _, _, err := cluster.RecoverCluster(durable.Options{Dir: "fleet", FS: fs}, s.Queries, copt); err == nil {
+		t.Fatal("RecoverCluster succeeded with shard 1's directory refusing files")
+	}
+	if fs.opened == 0 || fs.opened != fs.closed {
+		t.Fatalf("failed RecoverCluster opened %d files and closed %d", fs.opened, fs.closed)
+	}
+}
+
 // matrixOp is one single-point step of the crash-matrix workload.
 // Single-point mutations touch exactly one shard, so "acknowledged"
 // has no cross-shard partial case: the op is durable or it is not.
@@ -207,9 +281,8 @@ func applyMatrixOp(cl *cluster.Cluster, s *dataset.Synth, op matrixOp) error {
 func corpusSet(cl *cluster.Cluster) map[int32]bool {
 	out := make(map[int32]bool)
 	for _, sh := range cl.Shards() {
-		tbl := sh.GlobalIDs()
-		for _, l := range sh.IVF().Index().LiveIDs() {
-			out[tbl[l]] = true
+		for _, id := range sh.IVF().Index().LiveIDs() {
+			out[id] = true
 		}
 	}
 	return out
@@ -220,11 +293,10 @@ func corpusSet(cl *cluster.Cluster) map[int32]bool {
 // and recovers: the recovered corpus must be exactly the acknowledged
 // state or the acknowledged state plus the one in-flight mutation —
 // never a torn hybrid — and the recovered fleet must serve bit-identical
-// results to a never-crashed reference over that same op prefix. The
-// workload's fresh ids ascend past every base id, so per-shard tables
-// stay monotone and bit-identity holds even when a crash inside the
-// Compact rotation leaves some shards recovered from the compacted
-// snapshot and others replaying their pre-compact overlay.
+// results to a never-crashed reference over that same op prefix — even
+// when a crash inside the Compact rotation leaves some shards recovered
+// from the compacted snapshot and others replaying their pre-compact
+// overlay.
 func TestClusterRecoverCrashMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash matrix is slow")

@@ -1,18 +1,16 @@
 // Live mutability across the fleet: Insert places each new point on a shard
 // through the same assignment the build used (the retained cluster→shard map
 // under AssignKMeans, the point-ID hash under AssignHash), Delete routes by
-// the global→local table, and Compact renumbers every shard's local ID space
-// back to the dense monotone layout a fresh partitioning would produce, so
-// post-compaction results are bit-identical to a freshly built fleet over
-// the same logical corpus.
+// the fleet's id→shard map, and Compact folds every shard's overlay back into
+// its packed lists. Every shard indexes its points under their global ids, so
+// a mutated fleet answers exactly like one engine that lived through the same
+// mutations — between compactions as well as after them — and a compacted
+// fleet like a freshly built one over the same logical corpus.
 //
-// Between compactions the layer promises findability, not bit-identity: an
-// inserted point's shard-local id is appended to the end of the ID table, so
-// the table can lose monotonicity until Compact restores it. The owner map
-// and the per-shard tables are copy-on-write (see Cluster/Shard), which is
-// what lets the routed server keep serving concurrently — provided every
-// shard engine is quiesced around the actual engine mutation, which
-// cluster.Server does at batch boundaries.
+// The owner map is copy-on-write (see Cluster), which is what lets the routed
+// server keep serving concurrently — provided every shard engine is quiesced
+// around the actual engine mutation, which cluster.Server does at batch
+// boundaries.
 
 package cluster
 
@@ -25,54 +23,40 @@ import (
 	"drimann/internal/durable"
 )
 
-// ensureG2L lazily builds the per-shard global→local maps (O(N) once) and
-// the front-door encode scratch. Callers hold cl.mu.
-func (cl *Cluster) ensureG2L() {
-	if cl.g2l != nil {
+// ensureShardOf lazily builds the fleet's id→shard map (O(N) once) and the
+// front-door encode scratch. Callers hold cl.mu.
+func (cl *Cluster) ensureShardOf() {
+	if cl.shardOf != nil {
 		return
 	}
-	cl.g2l = make([]map[int32]int32, len(cl.shards))
+	n := 0
+	for _, sh := range cl.shards {
+		n += sh.Points
+	}
+	cl.shardOf = make(map[int32]int32, n)
 	for s, sh := range cl.shards {
-		tbl := sh.GlobalIDs()
-		m := make(map[int32]int32, len(tbl))
-		for local, g := range tbl {
-			m[g] = int32(local)
+		for _, id := range sh.Engine.Index().LiveIDs() {
+			cl.shardOf[id] = int32(s)
 		}
-		cl.g2l[s] = m
 	}
 	cl.esc = cl.ix.NewEncodeScratch()
 }
 
-// findShard returns the shard owning live global id, or -1. Callers hold
-// cl.mu and have run ensureG2L.
-func (cl *Cluster) findShard(id int32) int {
-	for s := range cl.g2l {
-		if _, ok := cl.g2l[s][id]; ok {
-			return s
-		}
-	}
-	return -1
-}
-
 // applyInsert adds one point to shard s under global id g — the single
 // per-point insert step, shared by the live path and WAL replay so the two
-// cannot drift: the point takes the next shard-local id (the table's
-// length), the table grows copy-on-write, and the shard becomes an owner of
-// the cluster the engine placed the point in. Callers hold cl.mu (or are the
-// only goroutine) and have g2l built.
+// cannot drift: the shard becomes an owner of the cluster the engine placed
+// the point in. Callers hold cl.mu (or are the only goroutine) and have run
+// ensureShardOf.
 func (cl *Cluster) applyInsert(s int, g int32, vec []uint8) error {
 	sh := cl.shards[s]
-	tbl := sh.GlobalIDs()
-	local := int32(len(tbl))
-	if err := sh.Engine.Insert(dataset.U8Set{N: 1, D: len(vec), Data: vec}, []int32{local}); err != nil {
+	if err := sh.Engine.Insert(dataset.U8Set{N: 1, D: len(vec), Data: vec}, []int32{g}); err != nil {
 		return err
 	}
-	sh.setTable(append(slices.Clip(tbl), g)) // Clip: readers keep the old table
 	sh.Points++
-	cl.g2l[s][g] = local
-	c, ok := sh.Engine.Index().WhereIs(local)
+	cl.shardOf[g] = int32(s)
+	c, ok := sh.Engine.Index().WhereIs(g)
 	if !ok {
-		return fmt.Errorf("lost inserted local id %d", local)
+		return fmt.Errorf("lost inserted id %d", g)
 	}
 	if i, found := slices.BinarySearch(sh.owned, c); !found {
 		sh.owned = slices.Insert(sh.owned, i, c)
@@ -86,14 +70,10 @@ func (cl *Cluster) applyInsert(s int, g int32, vec []uint8) error {
 // the point's cluster until Compact (routing to a shard whose list became
 // all-tombstones is harmless, just not minimal).
 func (cl *Cluster) applyDelete(s int, g int32) error {
-	local, ok := cl.g2l[s][g]
-	if !ok {
-		return fmt.Errorf("id %d not present", g)
-	}
-	if err := cl.shards[s].Engine.Delete([]int32{local}); err != nil {
+	if err := cl.shards[s].Engine.Delete([]int32{g}); err != nil {
 		return err
 	}
-	delete(cl.g2l[s], g)
+	delete(cl.shardOf, g)
 	cl.shards[s].Points--
 	return nil
 }
@@ -118,7 +98,7 @@ func (cl *Cluster) Insert(vecs dataset.U8Set, ids []int32) error {
 	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	cl.ensureG2L()
+	cl.ensureShardOf()
 	// pend[s] accumulates shard s's applied sub-batch — the WAL record a
 	// durable fleet writes once the batch finishes (or fails part-way: the
 	// applied prefix is still logged, so the WAL always reproduces
@@ -131,7 +111,7 @@ func (cl *Cluster) Insert(vecs dataset.U8Set, ids []int32) error {
 			applyErr = fmt.Errorf("cluster: insert id %d negative", id)
 			break
 		}
-		if s := cl.findShard(id); s >= 0 {
+		if s, ok := cl.shardOf[id]; ok {
 			applyErr = fmt.Errorf("cluster: id %d already present on shard %d (delete it first)", id, s)
 			break
 		}
@@ -162,16 +142,16 @@ func (cl *Cluster) Insert(vecs dataset.U8Set, ids []int32) error {
 func (cl *Cluster) Delete(ids []int32) error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	cl.ensureG2L()
+	cl.ensureShardOf()
 	pend := make([]durable.Mutation, len(cl.shards))
 	var applyErr error
 	for _, id := range ids {
-		s := cl.findShard(id)
-		if s < 0 {
+		s, ok := cl.shardOf[id]
+		if !ok {
 			applyErr = fmt.Errorf("cluster: id %d not present", id)
 			break
 		}
-		if err := cl.applyDelete(s, id); err != nil {
+		if err := cl.applyDelete(int(s), id); err != nil {
 			applyErr = fmt.Errorf("cluster: shard %d: %w", s, err)
 			break
 		}
@@ -185,57 +165,28 @@ func (cl *Cluster) Delete(ids []int32) error {
 }
 
 // Compact folds every shard's append segments and tombstones into its
-// packed layout and renumbers shard-local IDs into the dense ascending
-// order of the surviving global IDs — restoring the strictly-increasing
-// remap tables that make merged results bit-identical to a freshly built
-// fleet (and to a single engine) over the same logical corpus. The owner
-// map is rebuilt exactly. Shards share nothing a compaction writes, so they
-// compact — and re-measure their share tables — side by side; the tables of
-// those that succeeded are installed after the last has finished, and the
-// lowest failing shard's error is returned.
+// packed layout — from the next batch on, the fleet is bit-identical to a
+// freshly built one over the same logical corpus — and rebuilds the owner map
+// exactly. Shards share nothing a compaction writes, so they compact — and
+// re-measure their share tables — side by side; the lowest failing shard's
+// error is returned.
 func (cl *Cluster) Compact() error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	cl.ensureG2L()
-	globals, errs := make([][]int32, len(cl.shards)), make([]error, len(cl.shards))
+	errs := make([]error, len(cl.shards))
 	var wg sync.WaitGroup
 	for s, sh := range cl.shards {
-		m, oldTbl := cl.g2l[s], sh.GlobalIDs()
-		if !sh.Engine.Index().HasMutations() && len(m) == len(oldTbl) {
-			continue // untouched shard: table already dense and monotone
-		}
 		wg.Add(1)
-		go func(s int, sh *Shard) {
+		go func() {
 			defer wg.Done()
-			ids := make([]int32, 0, len(m))
-			for g := range m {
-				ids = append(ids, g)
-			}
-			slices.Sort(ids)
-			remap := make([]int32, len(oldTbl))
-			for newLocal, g := range ids {
-				remap[m[g]] = int32(newLocal)
-			}
-			globals[s], errs[s] = ids, sh.Engine.CompactRemap(remap)
-		}(s, sh)
+			errs[s] = sh.Engine.Compact()
+		}()
 	}
 	wg.Wait()
-	var firstErr error
-	for s, sh := range cl.shards {
-		if errs[s] != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: shard %d compact: %w", s, errs[s])
+	for s, err := range errs {
+		if err != nil {
+			return fmt.Errorf("cluster: shard %d compact: %w", s, err)
 		}
-		if errs[s] != nil || globals[s] == nil {
-			continue
-		}
-		sh.setTable(globals[s])
-		sh.Points = len(globals[s])
-		for newLocal, g := range globals[s] {
-			cl.g2l[s][g] = int32(newLocal)
-		}
-	}
-	if firstErr != nil {
-		return firstErr
 	}
 	cl.ownPackedLists()
 	if cl.fstore != nil {

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -82,9 +83,7 @@ func TestNewRejectsMutatedIndex(t *testing.T) {
 			t.Fatalf("%s: New deployed an index with uncompacted mutations", assign)
 		}
 	}
-	if _, err := ix.CompactRemap(nil); err != nil {
-		t.Fatal(err)
-	}
+	ix.Compact()
 	cl, err := cluster.New(ix, s.Queries, cluster.Options{Shards: 2, Assignment: cluster.AssignKMeans, Engine: engineOpts()})
 	if err != nil {
 		t.Fatal(err)
@@ -548,5 +547,125 @@ func TestMutateUnderRoutedTraffic(t *testing.T) {
 	// Post-close mutations must refuse, not wedge.
 	if err := srv.Compact(); err == nil {
 		t.Fatal("Compact after Close must fail")
+	}
+}
+
+// TestMutatedFleetMatchesEngine: between compactions a mutated fleet answers
+// exactly like one engine that lived through the same mutations — offline
+// SearchBatch and the routed Server.Search alike, IDs and Items, ties
+// included. Two scripts run on both: ids 10…0 deleted and re-inserted one by
+// one with point 100's vector (twelve tied points, the re-inserted ids
+// arriving in descending order), then random inserts, deletes and
+// re-inserts, each re-insert carrying another point's vector so ties recur.
+func TestMutatedFleetMatchesEngine(t *testing.T) {
+	const n, base = 4600, 4200
+	ix, s := mutClusterFixture(t, n, base, 24)
+	var img bytes.Buffer
+	if err := ix.Save(&img); err != nil {
+		t.Fatal(err)
+	}
+	d := s.Base.D
+	queries := dataset.U8Set{N: 1 + s.Queries.N, D: d, Data: append(slices.Clone(s.Base.Vec(100)), s.Queries.Data...)}
+	opts := engineOpts()
+	for _, shards := range []int{2, 7} {
+		for _, assign := range []cluster.Assignment{cluster.AssignHash, cluster.AssignKMeans} {
+			t.Run(fmt.Sprintf("S=%d/%s", shards, assign), func(t *testing.T) {
+				cl, err := cluster.New(ix, s.Queries, cluster.Options{Shards: shards, Assignment: assign, Engine: opts})
+				if err != nil {
+					t.Fatal(err)
+				}
+				own, err := ivf.Load(bytes.NewReader(img.Bytes()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng, err := core.New(own, s.Queries, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				insert := func(id int32, vec []uint8) {
+					t.Helper()
+					one := dataset.U8Set{N: 1, D: d, Data: vec}
+					if err := cl.Insert(one, []int32{id}); err != nil {
+						t.Fatal(err)
+					}
+					if err := eng.Insert(one, []int32{id}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				del := func(id int32) {
+					t.Helper()
+					if err := cl.Delete([]int32{id}); err != nil {
+						t.Fatal(err)
+					}
+					if err := eng.Delete([]int32{id}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				compare := func(what string) {
+					t.Helper()
+					want, err := eng.SearchBatch(queries)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := cl.SearchBatch(queries)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for qi := 0; qi < queries.N; qi++ {
+						if !slices.Equal(got.IDs[qi], want.IDs[qi]) || !slices.Equal(got.Items[qi], want.Items[qi]) {
+							t.Fatalf("%s: offline query %d:\n fleet  %v\n engine %v", what, qi, got.IDs[qi], want.IDs[qi])
+						}
+					}
+					srv, err := cluster.NewServer(cl, serve.Options{MaxBatch: 8, MaxWait: 50 * time.Microsecond})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer srv.Close()
+					for qi := 0; qi < queries.N; qi++ {
+						resp, err := srv.Search(context.Background(), queries.Vec(qi), 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(resp.IDs, want.IDs[qi]) || !slices.Equal(resp.Items, want.Items[qi]) {
+							t.Fatalf("%s: online query %d:\n fleet  %v\n engine %v", what, qi, resp.IDs, want.IDs[qi])
+						}
+					}
+				}
+
+				for id := int32(10); id >= 0; id-- {
+					del(id)
+					insert(id, s.Base.Vec(100))
+				}
+				compare("ties")
+
+				rng := rand.New(rand.NewSource(int64(shards)*13 + int64(len(assign))))
+				live := make([]int32, base)
+				for i := range live {
+					live[i] = int32(i)
+				}
+				var gone []int32
+				next := int32(base)
+				for op := 0; op < 160; op++ {
+					switch r := rng.Intn(3); {
+					case r == 0 && next < n:
+						insert(next, s.Base.Vec(int(next)))
+						live, next = append(live, next), next+1
+					case r == 1 && len(gone) > 0:
+						i := rng.Intn(len(gone))
+						id := gone[i]
+						gone = append(gone[:i], gone[i+1:]...)
+						insert(id, s.Base.Vec(rng.Intn(n)))
+						live = append(live, id)
+					default:
+						i := rng.Intn(len(live))
+						id := live[i]
+						live = append(live[:i], live[i+1:]...)
+						del(id)
+						gone = append(gone, id)
+					}
+				}
+				compare("random script")
+			})
+		}
 	}
 }

@@ -22,8 +22,8 @@ import (
 // lives, Load is the instantaneous queued+in-launch gauge routing compares.
 type Replica interface {
 	// SearchProbedOwned is the selective-scatter entry point: the front door
-	// already resolved this query's probe list (shard-local cluster IDs,
-	// ascending distance order), so the replica's engine skips its CL stage.
+	// already resolved this query's probe list (cluster IDs, ascending
+	// distance order), so the replica's engine skips its CL stage.
 	// dists holds the probes' CL distances; both are frozen under the same
 	// contract as q.
 	SearchProbedOwned(ctx context.Context, q []uint8, k int, probes []int32, dists []uint32) (serve.Response, error)

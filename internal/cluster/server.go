@@ -493,16 +493,14 @@ func (s *Server) Search(ctx context.Context, q []uint8, k int) (Response, error)
 		}(si, g)
 	}
 
-	// Gather: remap each reply into global IDs as it arrives. The merge
-	// orders by (dist, id) and ids are unique across shards, so arrival
-	// order does not matter.
+	// Gather: every shard answers in global ids, sorted by (dist, id), and
+	// ids are unique across shards, so the merge needs no arrival order.
 	parts := make([][]topk.Item[uint32], 0, contacted)
 	maxBatch := 0
 	hedgedAny := false
 	for i := 0; i < contacted; i++ {
 		r := <-results
 		if r.err == nil {
-			core.RemapItems(r.resp.Items, s.cl.shards[r.shard].GlobalIDs())
 			parts = append(parts, r.resp.Items)
 			maxBatch = max(maxBatch, r.resp.BatchSize)
 			hedgedAny = hedgedAny || r.hedged

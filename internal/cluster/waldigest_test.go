@@ -53,7 +53,7 @@ func TestWALDigest(t *testing.T) {
 			st, err := e.CreateStore(durable.Options{Dir: "eng", FS: fs})
 			return e, []*durable.Store{st}, err
 		}},
-		{"fleet", "b7c38c543b8f4721", func(fs *durable.MemFS) (engine.Mutable, []*durable.Store, error) {
+		{"fleet", "4c8bc1c5d5d62c0d", func(fs *durable.MemFS) (engine.Mutable, []*durable.Store, error) {
 			cl, err := cluster.New(fresh(), s.Queries, cluster.Options{Shards: 2, Assignment: cluster.AssignKMeans, Engine: engineOpts()})
 			if err != nil {
 				return nil, nil, err

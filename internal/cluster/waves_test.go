@@ -308,7 +308,7 @@ func TestFleetBoundTieKeepsSmallerID(t *testing.T) {
 }
 
 func shardHolds(cl *cluster.Cluster, shard int, id int32) bool {
-	_, ok := slices.BinarySearch(cl.Shards()[shard].GlobalIDs(), id)
+	_, ok := cl.Shards()[shard].IVF().Index().WhereIs(id)
 	return ok
 }
 

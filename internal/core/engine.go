@@ -425,7 +425,7 @@ func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeC
 	if queries.D != e.ix.Dim {
 		return nil, fmt.Errorf("core: query dim %d != index dim %d", queries.D, e.ix.Dim)
 	}
-	st := NewSteps(queries, [][]*Engine{{e}}, nil, e.loc)
+	st := NewSteps(queries, [][]*Engine{{e}}, nil)
 	batch := e.opts.BatchSize
 
 	// CL stage: the probe lists of the batch starting at query lo, located

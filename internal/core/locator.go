@@ -15,7 +15,6 @@ import (
 	"drimann/internal/ivf"
 	"drimann/internal/topk"
 	"drimann/internal/upmem"
-	"drimann/internal/vecmath"
 )
 
 // Locator runs the flat CL scan over one index's centroid directory and
@@ -81,15 +80,4 @@ func (l *Locator) Probes(queries dataset.U8Set) ProbeSet {
 		}
 	}
 	return ps
-}
-
-// dists is the CL distance column of a probe set that came without one.
-func (l *Locator) dists(queries dataset.U8Set, ps ProbeSet) []uint32 {
-	out := make([]uint32, len(ps.Clusters))
-	for qi := 0; qi < queries.N; qi++ {
-		for i := ps.Offsets[qi]; i < ps.Offsets[qi+1]; i++ {
-			out[i] = vecmath.L2SquaredU8(queries.Vec(qi), l.ix.CentroidU8(int(ps.Clusters[i])))
-		}
-	}
-	return out
 }

@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"drimann/internal/dataset"
 	"drimann/internal/durable"
@@ -110,24 +111,18 @@ func (e *Engine) ensureReachable(c int32) {
 // the compacted engine becomes its new checkpoint and the WAL restarts
 // empty.
 func (e *Engine) Compact() error {
-	if err := e.compact(nil); err != nil {
+	if err := e.compact(); err != nil {
 		return err
 	}
 	return e.Checkpoint()
 }
 
-// CompactRemap is Compact with a simultaneous id relabeling (live id x
-// becomes remap[x]); the sharded layer uses it to renumber shard-local ids
-// back into the dense monotone space its global-id remap tables require.
-func (e *Engine) CompactRemap(remap []int32) error { return e.compact(remap) }
-
-func (e *Engine) compact(remap []int32) error {
+func (e *Engine) compact() error {
 	ix := e.ix
-	dirty, err := ix.CompactRemap(remap)
-	if err != nil {
-		return err
-	}
-	if len(dirty) == 0 && remap == nil {
+	// A slice ensureReachable injected, the only kind that covers no base
+	// point, goes with a new layout even when no list changed: a point
+	// inserted into a build-time-empty cluster and deleted again leaves it.
+	if len(ix.Compact()) == 0 && !slices.ContainsFunc(e.pl.Slices, func(sl layout.Slice) bool { return sl.Count == 0 }) {
 		return nil
 	}
 	sizes := make([]int, ix.NList)

@@ -226,6 +226,17 @@ func TestEngineEmptyClusterRoundTrip(t *testing.T) {
 	if !slices.Contains(res.IDs[0], newID) {
 		t.Fatalf("point inserted into emptied cluster not findable: %v", res.IDs[0])
 	}
+	// Deleted again and compacted, no list changed, yet the injected slice
+	// goes: the placement is the one a fresh engine lays out.
+	if err := e.Delete([]int32{newID}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.pl.ByCluster[victim]) != 0 {
+		t.Fatalf("compaction kept the slice injected into empty cluster %d", victim)
+	}
 }
 
 // TestNewRejectsMutatedIndex pins the deployment guard: an index carrying
@@ -239,9 +250,7 @@ func TestNewRejectsMutatedIndex(t *testing.T) {
 	if _, err := New(ix, s.Queries, testOptions()); err == nil {
 		t.Fatal("New must reject a mutated index")
 	}
-	if _, err := ix.CompactRemap(nil); err != nil {
-		t.Fatal(err)
-	}
+	ix.Compact()
 	if _, err := New(ix, s.Queries, testOptions()); err != nil {
 		t.Fatalf("New must accept the index once compacted: %v", err)
 	}

@@ -156,7 +156,7 @@ func TestMeasuredShareLevelsLaunches(t *testing.T) {
 
 // searchPriced is Engine.SearchBatch with the scheduler's price hook replaced.
 func searchPriced(e *Engine, queries dataset.U8Set, price func(t sched.Task, bound uint32) (float64, bool)) *Result {
-	st := NewSteps(queries, [][]*Engine{{e}}, nil, e.loc)
+	st := NewSteps(queries, [][]*Engine{{e}}, nil)
 	st.lanes[0].scfg.Cost = func(t sched.Task) (float64, bool) { return price(t, st.bounds[t.Query]) }
 	ps := e.loc.Probes(queries)
 	for lo := 0; lo < queries.N; lo += e.opts.BatchSize {

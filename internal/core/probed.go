@@ -10,11 +10,11 @@ package core
 import "drimann/internal/dataset"
 
 // SearchBatchProbed is SearchBatch with the CL stage pre-resolved: probes
-// carries each query's cluster list (shard-local IDs, ascending distance
-// order) and the engine skips cluster locating entirely — scheduling, DPU
-// kernel simulation and the host merge run unchanged on the same pipelined,
-// allocation-free path. An empty probe list yields an empty result for that
-// query.
+// carries each query's cluster list, in ascending distance order with the CL
+// distance beside every probe (the scheduler prices tasks by it), and the
+// engine skips cluster locating entirely — scheduling, DPU kernel simulation
+// and the host merge run unchanged on the same pipelined, allocation-free
+// path. An empty probe list yields an empty result for that query.
 //
 // chargeCL controls the metrics attribution of the skipped stage: with it
 // set, every batch is charged the engine's own Locator.CLSeconds exactly as
@@ -25,9 +25,6 @@ import "drimann/internal/dataset"
 func (e *Engine) SearchBatchProbed(queries dataset.U8Set, probes ProbeSet, chargeCL bool) (*Result, error) {
 	if err := probes.Validate(queries.N, e.ix.NList); err != nil {
 		return nil, err
-	}
-	if len(probes.Dists) == 0 { // a hand-built set: price it like a located one
-		probes.Dists = e.loc.dists(queries, probes)
 	}
 	return e.searchBatch(queries, probes, true, chargeCL)
 }

@@ -38,15 +38,10 @@ func TestSearchBatchProbedEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(plain.Metrics, probed.Metrics) {
 		t.Fatalf("metrics differ:\nplain:  %+v\nprobed: %+v", plain.Metrics, probed.Metrics)
 	}
-	// A set built by hand, without the distance column: the engine fills it
-	// at its door with what CL would have found, so the scheduler prices,
-	// places and charges exactly as above.
-	bare, err := e.SearchBatchProbed(f.s.Queries, ProbeSet{Offsets: ps.Offsets, Clusters: ps.Clusters}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain.Items, bare.Items) || !reflect.DeepEqual(plain.Metrics, bare.Metrics) {
-		t.Fatalf("a probe set without distances differs:\nplain: %+v\nbare:  %+v", plain.Metrics, bare.Metrics)
+	// A set without the distance column is refused: the scheduler prices
+	// every task by its probe's CL distance.
+	if _, err := e.SearchBatchProbed(f.s.Queries, ProbeSet{Offsets: ps.Offsets, Clusters: ps.Clusters}, true); err == nil {
+		t.Fatal("a probe set without distances was searched")
 	}
 }
 
@@ -92,14 +87,14 @@ func TestProbeSetValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"empty", ProbeSet{Offsets: []int32{0}}, 0, true},
-		{"good", ProbeSet{Offsets: []int32{0, 2, 2, 3}, Clusters: []int32{1, 0, 4}}, 3, true},
+		{"good", ProbeSet{Offsets: []int32{0, 2, 2, 3}, Clusters: []int32{1, 0, 4}, Dists: []uint32{7, 9, 3}}, 3, true},
 		{"missing sentinel", ProbeSet{Offsets: []int32{0, 2}, Clusters: []int32{1, 0}}, 2, false},
 		{"bad start", ProbeSet{Offsets: []int32{1, 2}, Clusters: []int32{0, 0}}, 1, false},
 		{"bad end", ProbeSet{Offsets: []int32{0, 1}, Clusters: []int32{0, 0}}, 1, false},
 		{"non-monotone", ProbeSet{Offsets: []int32{0, 2, 1, 3}, Clusters: []int32{0, 0, 0}}, 3, false},
-		{"cluster out of range", ProbeSet{Offsets: []int32{0, 1}, Clusters: []int32{5}}, 1, false},
-		{"cluster negative", ProbeSet{Offsets: []int32{0, 1}, Clusters: []int32{-1}}, 1, false},
-		{"with distances", ProbeSet{Offsets: []int32{0, 2, 2, 3}, Clusters: []int32{1, 0, 4}, Dists: []uint32{7, 9, 3}}, 3, true},
+		{"cluster out of range", ProbeSet{Offsets: []int32{0, 1}, Clusters: []int32{5}, Dists: []uint32{1}}, 1, false},
+		{"cluster negative", ProbeSet{Offsets: []int32{0, 1}, Clusters: []int32{-1}, Dists: []uint32{1}}, 1, false},
+		{"no distances", ProbeSet{Offsets: []int32{0, 2, 2, 3}, Clusters: []int32{1, 0, 4}}, 3, false},
 		{"a distance short", ProbeSet{Offsets: []int32{0, 2, 2, 3}, Clusters: []int32{1, 0, 4}, Dists: []uint32{7, 9}}, 3, false},
 	}
 	for _, c := range cases {

@@ -186,8 +186,8 @@ func TestMixedLaunchPricesEachTask(t *testing.T) {
 }
 
 // TestSecondWaveWaitsForItsBound watches the steps of a call on a one-shard
-// fleet of two replicas (the engine and a replica of it, under an identity id
-// table, so the front-door merge runs): in the step that brings a batch in,
+// fleet of two replicas (the engine and a replica of it, behind a front door,
+// so the front-door merge runs): in the step that brings a batch in,
 // only its queries' leading probes launch, and without a bound; every other
 // task of the step — the batch before's remaining probes, postponed tasks —
 // launches under the finite bound the last barrier merged. No probe is
@@ -208,12 +208,8 @@ func TestSecondWaveWaitsForItsBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ident := make([]int32, f.s.Base.N)
-	for i := range ident {
-		ident[i] = int32(i)
-	}
 	ps := e.loc.Probes(f.s.Queries)
-	st := NewSteps(f.s.Queries, [][]*Engine{{e, rep}}, [][]int32{ident}, e.loc)
+	st := NewSteps(f.s.Queries, [][]*Engine{{e, rep}}, e.loc)
 	type scan struct{ q, c int32 }
 	scanned := map[scan]int{} // tasks launched per (query, cluster)
 	bounded, postponed := 0, 0
@@ -280,12 +276,8 @@ func TestPostponedTasksOutliveUnsplitSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ident := make([]int32, f.s.Base.N)
-	for i := range ident {
-		ident[i] = int32(i)
-	}
 	ps := e.loc.Probes(queries)
-	st := NewSteps(queries, [][]*Engine{{e, rep}}, [][]int32{ident}, e.loc)
+	st := NewSteps(queries, [][]*Engine{{e, rep}}, e.loc)
 	for i, b := range [][2]int{{0, 16}, {16, 17}, {17, 18}} {
 		for qi := b[0]; qi < b[1]; qi++ {
 			st.Cut(qi, ps.Of(qi), ps.DistsOf(qi), func(int32) []int32 { return []int32{0} })

@@ -1,30 +1,13 @@
-// Sharding support: the helpers the scatter-gather cluster layer
-// (internal/cluster) uses to stitch per-shard engine results back into one
-// global view. A shard engine runs in a compact local ID space (0..n_s-1
-// over the points the shard owns); the cluster layer remaps local IDs to
-// corpus-global IDs through a monotone table and merges per-shard partial
-// top-k lists. Monotonicity is what makes the remap order-preserving: the
-// deterministic (dist, id) total order of a shard's results is unchanged by
-// a strictly increasing ID substitution, so the merged global top-k is
-// bit-identical to a single unsharded engine's answer.
+// Sharding support: the gather half of the scatter-gather cluster layer
+// (internal/cluster). Every shard engine indexes its points under their
+// corpus-global ids, as each DPU slice of the paper keeps its points' vector
+// ids beside their codes, so a shard's results are already in the
+// deterministic (dist, id) order of the whole corpus and the front door
+// merges the per-shard partial top-k lists by those ids alone.
 
 package core
 
-import (
-	"fmt"
-
-	"drimann/internal/topk"
-)
-
-// RemapItems rewrites the IDs of scored items in place through globalID
-// (globalID[local] = global), leaving distances untouched. The table must be
-// strictly increasing for the deterministic (dist, id) order to survive the
-// remap.
-func RemapItems(items []topk.Item[uint32], globalID []int32) {
-	for i := range items {
-		items[i].ID = globalID[items[i].ID]
-	}
-}
+import "drimann/internal/topk"
 
 // MergeShardTopK merges per-shard sorted partial top-k lists (already in
 // global ID space) into the global top-k under the deterministic (dist, id)
@@ -73,17 +56,4 @@ func MergeShardTopK(k int, parts [][]topk.Item[uint32]) ([]int32, []topk.Item[ui
 		items = nil
 	}
 	return ids, items
-}
-
-// ValidateRemapTable checks that a local→global ID table is strictly
-// increasing — the property RemapItems relies on to preserve the
-// deterministic order. The cluster layer asserts this at build time.
-func ValidateRemapTable(globalID []int32) error {
-	for i := 1; i < len(globalID); i++ {
-		if globalID[i] <= globalID[i-1] {
-			return fmt.Errorf("core: remap table not strictly increasing at %d: %d <= %d",
-				i, globalID[i], globalID[i-1])
-		}
-	}
-	return nil
 }

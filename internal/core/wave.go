@@ -24,12 +24,10 @@ type lane struct {
 	sb      sched.Batch
 	scfg    sched.Config
 
-	// table maps the engine's point ids to the call's (a shard's local→global
-	// table); part holds a step's partial top-k by query, in the engine's ids.
-	// A nil table: the ids are the call's own, part is the call's merge heaps
-	// and a launch folds its results straight into them.
-	table []int32
-	part  []*topk.Heap[uint32]
+	// part holds a step's partial top-k by query. Behind a front door it is
+	// the lane's own, folded into the call's heaps at the barrier; an engine
+	// answering alone folds a launch's results straight into the call's.
+	part []*topk.Heap[uint32]
 
 	// One step: the requests in; out, the launch's seconds max(PIM, transfer)
 	// and the seconds the engine's host spent merging its DPUs' partials.
@@ -43,7 +41,7 @@ type lane struct {
 // answers. Query ids are positions in the call's query set.
 type Steps struct {
 	queries dataset.U8Set
-	loc     *Locator  // the front door: its host merges what the lanes return
+	loc     *Locator  // the front door, whose host merges what the lanes return; nil for one engine
 	shards  [][]*lane // by shard, then replica
 	lanes   []*lane
 	active  []*lane // the lanes of the step being launched
@@ -72,10 +70,10 @@ type Steps struct {
 }
 
 // NewSteps starts a search call over queries on fleet, one row of replica
-// engines per shard. tables[s] maps shard s's point ids to the call's; nil
-// tables is one engine answering in its own ids. loc is the front door's
-// locator: its host is charged for merging what the lanes return.
-func NewSteps(queries dataset.U8Set, fleet [][]*Engine, tables [][]int32, loc *Locator) *Steps {
+// engines per shard; every engine answers in the call's point ids. loc is the
+// front door's locator: its host is charged for merging what the lanes
+// return. A nil loc is one engine answering alone, its own host merging.
+func NewSteps(queries dataset.U8Set, fleet [][]*Engine, loc *Locator) *Steps {
 	st := &Steps{
 		queries: queries, loc: loc,
 		best:   make([]*topk.Heap[uint32], queries.N),
@@ -86,12 +84,12 @@ func NewSteps(queries dataset.U8Set, fleet [][]*Engine, tables [][]int32, loc *L
 	for i := range st.bounds {
 		st.bounds[i] = math.MaxUint32
 	}
-	for s, engines := range fleet {
+	for _, engines := range fleet {
 		for _, e := range engines {
 			ln := e.newLane(queries.N, st.bounds)
 			ln.part = st.best
-			if tables != nil {
-				ln.table, ln.part = tables[s], make([]*topk.Heap[uint32], queries.N)
+			if loc != nil {
+				ln.part = make([]*topk.Heap[uint32], queries.N)
 			}
 			st.lanes = append(st.lanes, ln)
 		}
@@ -259,13 +257,13 @@ func (st *Steps) launch(split, last bool) {
 			if i > 0 && q == ln.e.groups.keys[i-1].q {
 				continue
 			}
-			if h := ln.part[q]; ln.table != nil && h != nil && h.Len() > 0 {
+			if h := ln.part[q]; st.loc != nil && h != nil && h.Len() > 0 {
 				if st.best[q] == nil {
 					st.best[q] = topk.NewHeap[uint32](k)
 				}
 				st.buf = h.SortedInto(st.buf)
 				for _, it := range st.buf {
-					st.best[q].Push(ln.table[it.ID], it.Dist)
+					st.best[q].Push(it.ID, it.Dist)
 				}
 				items += len(st.buf)
 				h.Reset()

@@ -14,8 +14,7 @@ type ProbeSet struct {
 	// Clusters concatenates every query's probed cluster IDs.
 	Clusters []int32
 	// Dists holds beside every probe its CL distance (query to centroid,
-	// squared), which the scheduler prices the probe's tasks with. A set built
-	// by hand may leave it nil: the engine computes the column at its door.
+	// squared), which the scheduler prices the probe's tasks with.
 	Dists []uint32
 }
 
@@ -50,7 +49,7 @@ func (p ProbeSet) Validate(queries, nlist int) error {
 			return fmt.Errorf("engine: probe set offsets not monotone at query %d", i-1)
 		}
 	}
-	if len(p.Dists) != 0 && len(p.Dists) != len(p.Clusters) {
+	if len(p.Dists) != len(p.Clusters) {
 		return fmt.Errorf("engine: probe set has %d distances for %d probes", len(p.Dists), len(p.Clusters))
 	}
 	for _, c := range p.Clusters {

@@ -239,75 +239,32 @@ func (ix *Index) MutationBytes() int64 {
 	return int64(ix.mut.nAppend)*int64(4+2*ix.M) + int64(ix.mut.nTomb)*4
 }
 
-// CompactRemap folds append segments and tombstones back into the packed
+// Compact folds append segments and tombstones back into the packed
 // Lists/Codes arenas and discards the overlay. Only clusters whose content
 // changed are rebuilt; within each, surviving base entries and append
 // entries merge in ascending-id order — the order Build produces — so a
 // compacted index is bit-identical to a fresh frozen-quantizer build over
-// the same logical corpus. It returns the rebuilt clusters (callers
-// invalidate per-point derived tables for exactly those).
-//
-// A non-nil remap relabels at the same time: live id x becomes remap[x]
-// (remap must be injective over live ids, len > max live id). The sharded
-// layer uses it to renumber shard-local ids back to the dense monotone space
-// its remap tables require. When remap reorders a cluster's surviving base
-// entries (it never does under a monotone remap), that cluster is re-sorted
-// and reported dirty too.
-func (ix *Index) CompactRemap(remap []int32) ([]int32, error) {
+// the same logical corpus. It returns the rebuilt clusters, ascending
+// (callers invalidate per-point derived tables for exactly those).
+func (ix *Index) Compact() []int32 {
 	m := ix.mut
-	if m == nil && remap == nil {
-		return nil, nil
+	if m == nil {
+		return nil
 	}
 	var dirty []int32
-	if m != nil {
-		for c := 0; c < ix.NList; c++ {
-			if len(m.appendIDs[c]) > 0 || len(m.tomb[c]) > 0 {
-				dirty = append(dirty, int32(c))
-			}
-		}
-	}
-	if remap != nil {
-		for _, id := range ix.LiveIDs() {
-			if int(id) >= len(remap) {
-				return nil, fmt.Errorf("ivf: remap table len %d does not cover live id %d", len(remap), id)
-			}
-		}
-	}
-	isDirty := make(map[int32]bool, len(dirty))
-	for _, c := range dirty {
-		isDirty[c] = true
-	}
 	for c := 0; c < ix.NList; c++ {
-		if isDirty[int32(c)] {
-			ix.rebuildCluster(c, remap)
-			continue
-		}
-		if remap == nil {
-			continue
-		}
-		list := ix.Lists[c]
-		sorted := true
-		for i := range list {
-			list[i] = remap[list[i]]
-			if i > 0 && list[i] <= list[i-1] {
-				sorted = false
-			}
-		}
-		if !sorted {
-			// Non-monotone relabeling: restore ascending-id order and report
-			// the cluster dirty so derived per-point tables get rebuilt.
-			ix.sortCluster(c)
+		if len(m.appendIDs[c]) > 0 || len(m.tomb[c]) > 0 {
+			ix.rebuildCluster(c)
 			dirty = append(dirty, int32(c))
 		}
 	}
 	ix.mut = nil
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
-	return dirty, nil
+	return dirty
 }
 
-// rebuildCluster folds cluster c's survivors and appends, relabeled through
-// remap (nil = identity), into fresh ascending-id Lists/Codes arenas.
-func (ix *Index) rebuildCluster(c int, remap []int32) {
+// rebuildCluster folds cluster c's survivors and appends into fresh
+// ascending-id Lists/Codes arenas.
+func (ix *Index) rebuildCluster(c int) {
 	m := ix.mut
 	tomb := m.tomb[c]
 	n := len(ix.Lists[c]) - len(tomb) + len(m.appendIDs[c])
@@ -317,19 +274,11 @@ func (ix *Index) rebuildCluster(c int, remap []int32) {
 		if tomb[id] {
 			continue
 		}
-		if remap != nil {
-			id = remap[id]
-		}
 		ids = append(ids, id)
 		codes = append(codes, ix.Codes[c][i*ix.M:(i+1)*ix.M]...)
 	}
-	for i, id := range m.appendIDs[c] {
-		if remap != nil {
-			id = remap[id]
-		}
-		ids = append(ids, id)
-		codes = append(codes, m.appendCodes[c][i*ix.M:(i+1)*ix.M]...)
-	}
+	ids = append(ids, m.appendIDs[c]...)
+	codes = append(codes, m.appendCodes[c]...)
 	ix.Lists[c], ix.Codes[c] = ids, codes
 	ix.sortCluster(c)
 }

@@ -87,14 +87,10 @@ func TestMutateCompactBitIdentity(t *testing.T) {
 				}
 				pool = append(pool, id)
 			case r == 9: // occasional mid-stream compaction
-				if _, err := ix.CompactRemap(nil); err != nil {
-					t.Fatal(err)
-				}
+				ix.Compact()
 			}
 		}
-		if _, err := ix.CompactRemap(nil); err != nil {
-			t.Fatal(err)
-		}
+		ix.Compact()
 		if ix.HasMutations() || ix.MutationBytes() != 0 {
 			t.Fatal("overlay must be empty after Compact")
 		}
@@ -174,9 +170,7 @@ func TestDeleteThenReinsert(t *testing.T) {
 	if !ix.HasMutations() {
 		t.Fatal("delete-then-reinsert must leave an overlay")
 	}
-	if _, err := ix.CompactRemap(nil); err != nil {
-		t.Fatal(err)
-	}
+	ix.Compact()
 	requireSameContents(t, ix, pristine)
 }
 
@@ -227,12 +221,8 @@ func TestAppendLogRoundTrip(t *testing.T) {
 	if got := ix2.EncodeAppendLog(); !slices.Equal(got, log) {
 		t.Fatal("re-encoded log differs from the original")
 	}
-	if _, err := ix.CompactRemap(nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix2.CompactRemap(nil); err != nil {
-		t.Fatal(err)
-	}
+	ix.Compact()
+	ix2.Compact()
 	requireSameContents(t, ix2, ix)
 }
 

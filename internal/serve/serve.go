@@ -168,11 +168,10 @@ type request struct {
 	enq   time.Time
 	reply chan reply // buffered(1): delivery never blocks the batcher
 
-	// probed requests carry a pre-resolved probe list (shard-local cluster
-	// IDs, ascending distance order) from a sharded front door; the batcher
-	// then skips the engine's CL stage (SearchBatchProbed); dists holds the
-	// probes' CL distances, or nothing. Both are frozen under the same
-	// contract as q.
+	// probed requests carry a pre-resolved probe list (cluster IDs,
+	// ascending distance order) from a sharded front door; the batcher then
+	// skips the engine's CL stage (SearchBatchProbed); dists holds the
+	// probes' CL distances. Both are frozen under the same contract as q.
 	probes []int32
 	dists  []uint32
 	probed bool
@@ -274,9 +273,8 @@ func (s *Server) Search(ctx context.Context, q []uint8, k int) (Response, error)
 
 // SearchProbedOwned is Search with the CL stage pre-resolved and without the
 // admission copy of q: probes carries this query's cluster list in the
-// engine's (shard-local) ID space, ascending distance order, dists the CL
-// distance of each (or nothing: the engine then computes them), and the
-// batcher launches the micro-batch through Engine.SearchBatchProbed — no
+// engine's ID space, ascending distance order, dists the CL distance of
+// each, and the batcher launches the micro-batch through Engine.SearchBatchProbed — no
 // per-shard CL, no CL charge in this server's simulated metrics (the front
 // door that resolved the probes accounts that phase once).
 //
@@ -300,7 +298,7 @@ func (s *Server) SearchProbedOwned(ctx context.Context, q []uint8, k int, probes
 		s.rejected.Add(1)
 		return Response{}, fmt.Errorf("serve: probed search on backend %T: %w", s.eng, ErrUnsupported)
 	}
-	if len(dists) != 0 && len(dists) != len(probes) {
+	if len(dists) != len(probes) {
 		s.rejected.Add(1)
 		return Response{}, fmt.Errorf("serve: %d probe distances for %d probes", len(dists), len(probes))
 	}
@@ -650,9 +648,6 @@ func (s *Server) launch(batch []*request) {
 			s.psOff = append(s.psOff, int32(len(s.psClu)))
 		}
 		ps := engine.ProbeSet{Offsets: s.psOff, Clusters: s.psClu, Dists: s.psDist}
-		if len(ps.Dists) != len(ps.Clusters) { // some member came without: the engine fills the column
-			ps.Dists = nil
-		}
 		res, err = s.probed.SearchBatchProbed(qs, ps, false)
 	} else {
 		res, err = s.eng.SearchBatch(qs)
