@@ -1,19 +1,28 @@
 package graph
 
 import (
+	"fmt"
 	"testing"
 
 	"drimann/internal/dataset"
 )
 
 // BenchmarkBuild times the graph build, the host-clock cost of the
-// offline-graph workload's set-up, on a 128-d SIFT-shaped corpus.
+// offline-graph workload's set-up, on a 128-d SIFT-shaped corpus: 5000
+// points, and the workload's own 20000-point corpus (corpus seed 1).
 func BenchmarkBuild(b *testing.B) {
-	base := dataset.SIFT(5000, 1, 3).Base
-	for b.Loop() {
-		if _, err := New(base, DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		n    int
+		seed int64
+	}{{5000, 3}, {20000, 1}} {
+		base := dataset.SIFT(c.n, 1, c.seed).Base
+		b.Run(fmt.Sprintf("n=%d", c.n), func(b *testing.B) {
+			for b.Loop() {
+				if _, err := New(base, DefaultOptions()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -8,7 +8,7 @@
 // Build constructs a Vamana-style pruned proximity graph (greedy beam
 // search for candidates, alpha-slack robust pruning to a bounded
 // out-degree, symmetric backlinks re-pruned under the same bound), with
-// every step deterministic: insertion order is ascending point ID, all
+// every step deterministic: points are inserted in ascending ID order, all
 // orderings are the repository's canonical ascending (distance, id) total
 // order, and the search entry point is the corpus medoid. Distances are
 // exact integer L2 over the uint8 vectors — a graph index stores full
@@ -17,6 +17,14 @@
 // candidate search holds the 2*BuildBeam nearest evaluations in a heap and
 // abandons a distance once it passes the heap's worst, and pruning abandons
 // one once it passes its alpha bound; neither moves an edge.
+//
+// An insertion runs in two pipelined stages: stage A (the calling goroutine)
+// searches point i's candidates and goes on to i+1, while stage B (one
+// goroutine, insertions in order) prunes i's list and adds its backlinks.
+// Stage B writes only the lists of i and its candidates; stage A raises a
+// gate on each before handing i over, stage B lowers each once that list is
+// final, and a search reads a list only with its gate down. So every list
+// stage A reads is the serial build's, and so is the graph, bit for bit.
 //
 // # DPU cost profile
 //
@@ -53,7 +61,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
+	"sync/atomic"
 
 	"drimann/internal/dataset"
 	"drimann/internal/engine"
@@ -83,8 +92,9 @@ type Options struct {
 	NumDPUs int
 	// BatchSize is the scheduling batch (and MaxBatch); default 256.
 	BatchSize int
-	// Workers bounds goroutine parallelism of the simulation itself
-	// (results are identical for any value); default GOMAXPROCS.
+	// Workers bounds goroutine parallelism of the query simulation
+	// (results are identical for any value); default GOMAXPROCS. The build
+	// always runs its two stages, which interleave on one core.
 	Workers int
 
 	// mramBytes overrides per-DPU MRAM capacity (default 64 MB); the MRAM
@@ -167,6 +177,9 @@ func New(base dataset.U8Set, opts Options) (*Engine, error) {
 	if base.D == 0 {
 		return nil, fmt.Errorf("graph: zero-dimensional vectors")
 	}
+	if len(base.Data) != base.N*base.D {
+		return nil, fmt.Errorf("graph: %d bytes of vectors for %d x %d", len(base.Data), base.N, base.D)
+	}
 	e := &Engine{
 		base: dataset.U8Set{N: base.N, D: base.D, Data: append([]uint8(nil), base.Data...)},
 		opts: opts,
@@ -241,82 +254,127 @@ func (e *Engine) dist(q []uint8, id int32) uint32 {
 	return vecmath.L2SquaredU8(q, e.base.Vec(int(id)))
 }
 
-// build inserts points in ascending ID order (link), then sorts every
-// adjacency list.
+// pruner is stage B's scratch, reused by every prune: the candidates' alpha
+// bounds and a backlinked node's candidates.
+type pruner struct {
+	bound []int64
+	cands []topk.Item[uint32]
+}
+
+// build inserts points in ascending ID order, stage A (the candidate search)
+// here and stage B (link) on a goroutine of its own, then sorts every list.
 func (e *Engine) build() {
 	n := e.base.N
 	e.nbrs = make([][]int32, n)
+	gate := make([]atomic.Int32, n)
+	// The gates keep stage A in step; the queue only lets it run on while
+	// stage B links, and free holds every buffer, so a return never blocks.
+	jobs := make(chan []topk.Item[uint32], 64)
+	free := make(chan []topk.Item[uint32], cap(jobs)+2)
+	go func() {
+		defer close(free)
+		var pr pruner
+		for i := int32(1); ; {
+			select {
+			case cands, ok := <-jobs:
+				if !ok {
+					return
+				}
+				e.link(&pr, gate, i, cands)
+				free <- cands
+				i++
+			default: // polling: a parked stage B wakes tens of µs after a hand-off
+				runtime.Gosched()
+			}
+		}
+	}()
 	sc := &searchScratch{
 		visited:  make([]uint32, n),
 		pool:     make([]topk.Item[uint32], 0, e.opts.BuildBeam+1),
 		expanded: make([]bool, 0, e.opts.BuildBeam+1),
 	}
 	keep := topk.NewHeap[uint32](2 * e.opts.BuildBeam)
-	var cands []topk.Item[uint32]
-	for i := 1; i < n; i++ { // node 0 starts the graph, with no edges to make
-		cands = e.link(sc, keep, int32(i), cands)
+	for i := int32(1); i < int32(n); i++ { // node 0 starts the graph, with no edges to make
+		entry := int32(0) // the medoid once it is in the graph, node 0 before
+		if e.medoid < i {
+			entry = e.medoid
+		}
+		var cands []topk.Item[uint32]
+		select {
+		case cands = <-free:
+		default:
+		}
+		cands = e.beamCollect(sc, keep, gate, e.base.Vec(int(i)), entry, e.opts.BuildBeam, cands)
+		for _, c := range cands {
+			gate[c.ID].Add(1)
+		}
+		gate[i].Add(1)
+		jobs <- cands
+	}
+	close(jobs)
+	for range free { // until stage B is done
 	}
 	// Canonical adjacency order: ascending node ID per list. Traversal
 	// visits every neighbor regardless of order; a fixed order makes the
 	// structure (and every downstream result) reproducible byte-for-byte.
-	for i := range e.nbrs {
-		sort.Slice(e.nbrs[i], func(a, b int) bool { return e.nbrs[i][a] < e.nbrs[i][b] })
+	for _, nb := range e.nbrs {
+		slices.Sort(nb)
 	}
 }
 
-// link inserts point i into the partial graph: a beam search over it
-// collects candidates, robust pruning picks the out-list, and backlinks are
-// re-pruned under the degree bound. It returns the collected candidates in
-// cands' storage.
-func (e *Engine) link(sc *searchScratch, keep *topk.Heap[uint32], i int32, cands []topk.Item[uint32]) []topk.Item[uint32] {
-	// Entry: the medoid once it exists in the partial graph, node 0
-	// before that (both deterministic).
-	entry := int32(0)
-	if e.medoid < i {
-		entry = e.medoid
-	}
-	cands = e.beamCollect(sc, keep, e.base.Vec(int(i)), entry, e.opts.BuildBeam, cands)
+// link is stage B for point i: robust pruning picks i's out-list from its
+// candidates, and backlinks are re-pruned under the degree bound. A gate is
+// lowered once its list is final: an unpicked candidate's at once, i's once
+// its list is written, a picked node's after its backlink.
+func (e *Engine) link(pr *pruner, gate []atomic.Int32, i int32, cands []topk.Item[uint32]) {
 	// A duplicate vector is a distance-0 candidate; the point itself never
-	// appears: it is not in the graph yet.
-	pruned := e.robustPrune(i, cands)
-	e.nbrs[i] = append([]int32(nil), pruned...)
-	for _, j := range pruned {
-		e.addBacklink(j, i)
+	// appears: it is not in the graph yet. The list has room for a backlink.
+	e.nbrs[i] = e.robustPrune(pr, i, cands, make([]int32, 0, e.opts.Degree+1))
+	picked, p := e.nbrs[i], 0
+	for _, c := range cands { // the picks are a subsequence of cands
+		if p < len(picked) && c.ID == picked[p] {
+			p++
+			continue
+		}
+		gate[c.ID].Add(-1)
 	}
-	return cands
+	gate[i].Add(-1)
+	for _, j := range picked {
+		e.addBacklink(pr, j, i)
+		gate[j].Add(-1)
+	}
 }
 
 // addBacklink adds `from` to j's out-list, re-pruning when the degree
 // bound overflows.
-func (e *Engine) addBacklink(j, from int32) {
-	for _, x := range e.nbrs[j] {
-		if x == from {
-			return
-		}
+func (e *Engine) addBacklink(pr *pruner, j, from int32) {
+	if slices.Contains(e.nbrs[j], from) {
+		return
 	}
 	e.nbrs[j] = append(e.nbrs[j], from)
 	if len(e.nbrs[j]) <= e.opts.Degree {
 		return
 	}
 	qj := e.base.Vec(int(j))
-	cands := make([]topk.Item[uint32], 0, len(e.nbrs[j]))
+	pr.cands = pr.cands[:0]
 	for _, x := range e.nbrs[j] {
-		cands = append(cands, topk.Item[uint32]{ID: x, Dist: e.dist(qj, x)})
+		pr.cands = append(pr.cands, topk.Item[uint32]{ID: x, Dist: e.dist(qj, x)})
 	}
-	topk.SortItems(cands)
-	e.nbrs[j] = e.robustPrune(j, cands)
+	topk.SortItems(pr.cands)
+	e.nbrs[j] = e.robustPrune(pr, j, pr.cands, e.nbrs[j][:0])
 }
 
-// robustPrune selects up to Degree neighbors for p from cands (sorted
+// robustPrune appends to out up to Degree neighbors for p from cands (sorted
 // ascending by (dist, id)): greedily keep the nearest candidate, then
 // discard any candidate alpha-dominated by a kept one (alpha * d(kept, c)
 // <= d(p, c)), Vamana's diversity rule that keeps a few long-range edges.
 // That test is d(kept, c) <= pruneBound(alpha, d(p, c)), so the distance to a
-// kept point is abandoned once it passes the bound.
-func (e *Engine) robustPrune(p int32, cands []topk.Item[uint32]) []int32 {
+// kept point is abandoned once it passes the bound. out may share storage
+// with the list cands was read from.
+func (e *Engine) robustPrune(pr *pruner, p int32, cands []topk.Item[uint32], out []int32) []int32 {
 	const dead = math.MinInt64 // picked, pruned, or p itself
-	out := make([]int32, 0, e.opts.Degree)
-	bound := make([]int64, len(cands))
+	bound := slices.Grow(pr.bound[:0], len(cands))[:len(cands)]
+	pr.bound = bound
 	for i, c := range cands {
 		bound[i] = dead
 		if c.ID != p {
@@ -367,10 +425,11 @@ func pruneBound(alpha float64, d uint32) int64 {
 // beamCollect runs a build-time beam search from entry and returns the
 // 2*beam nearest evaluated candidates sorted ascending — the Vamana visited
 // set, truncated to bound the build's cost (the nearest candidates are what
-// pruning uses). keep, a reused heap of 2*beam, holds them during the search.
-func (e *Engine) beamCollect(sc *searchScratch, keep *topk.Heap[uint32], q []uint8, entry int32, beam int, cands []topk.Item[uint32]) []topk.Item[uint32] {
+// pruning uses). keep, a reused heap of 2*beam, holds them during the search;
+// gate is the build's, or nil when no link is pending.
+func (e *Engine) beamCollect(sc *searchScratch, keep *topk.Heap[uint32], gate []atomic.Int32, q []uint8, entry int32, beam int, cands []topk.Item[uint32]) []topk.Item[uint32] {
 	keep.Reset()
-	e.beamSearch(sc, q, entry, beam, keep)
+	e.beamSearch(sc, q, entry, beam, keep, gate)
 	return keep.SortedInto(cands)
 }
 
@@ -394,8 +453,9 @@ type beamStats struct {
 // candidate was still fetched and stays visited. With keep (the build), the
 // bound is instead keep's worst once it is full, and every evaluation under
 // it is pushed there: the pool holds the beam nearest so far, all of them in
-// keep, so a candidate above keep's worst could enter neither.
-func (e *Engine) beamSearch(sc *searchScratch, q []uint8, entry int32, beam int, keep *topk.Heap[uint32]) beamStats {
+// keep, so a candidate above keep's worst could enter neither. With gate
+// (the build), a list is read only once no pending link writes it.
+func (e *Engine) beamSearch(sc *searchScratch, q []uint8, entry int32, beam int, keep *topk.Heap[uint32], gate []atomic.Int32) beamStats {
 	var st beamStats
 	sc.epoch++
 	if sc.epoch == 0 { // wrapped: stamps are stale, clear once
@@ -474,6 +534,9 @@ func (e *Engine) beamSearch(sc *searchScratch, q []uint8, entry int32, beam int,
 		sc.expanded[next] = true
 		node := sc.pool[next].ID
 		st.hops++
+		for gate != nil && gate[node].Load() != 0 {
+			runtime.Gosched()
+		}
 		for _, nb := range e.nbrs[node] {
 			if sc.visited[nb] == sc.epoch {
 				continue
@@ -497,9 +560,9 @@ func (e *Engine) MaxBatch() int { return e.opts.BatchSize }
 func (e *Engine) Options() Options { return e.opts }
 
 // WithSearchOptions builds an engine over the same built graph with
-// query-time options modified by mod: SearchBeam, K, BatchSize, NumDPUs,
-// Workers and the cost knobs may change; the build-time shape (Degree,
-// BuildBeam) is pinned to the existing graph. This is what lets a
+// query-time options modified by mod: SearchBeam, K, BatchSize, NumDPUs
+// and Workers may change; the build-time shape (Degree, BuildBeam)
+// is pinned to the existing graph. This is what lets a
 // recall-vs-QPS sweep reuse one expensive build across beam widths.
 func (e *Engine) WithSearchOptions(mod func(*Options)) (*Engine, error) {
 	opts := e.opts

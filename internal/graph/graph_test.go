@@ -197,6 +197,16 @@ func TestSmallCorpus(t *testing.T) {
 	}
 }
 
+// TestNewRejectsMismatchedData: a corpus whose bytes are not N*D vectors is
+// an error, not a slice panic.
+func TestNewRejectsMismatchedData(t *testing.T) {
+	for _, bytes := range []int{12, 44} {
+		if _, err := New(dataset.U8Set{N: 10, D: 4, Data: make([]uint8, bytes)}, testOptions()); err == nil {
+			t.Fatalf("10 x 4 corpus with %d bytes built", bytes)
+		}
+	}
+}
+
 func TestMRAMOverflowRejected(t *testing.T) {
 	_, s := getEngine(t)
 	o := testOptions()

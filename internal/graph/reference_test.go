@@ -84,6 +84,48 @@ func refCharge(e *Engine, t *upmem.Tally, hops, evals int) {
 	t.ChargeCycles(upmem.PhaseTS, uint64(evals)*(uint64(engine.Log2Ceil(e.opts.SearchBeam))+2))
 }
 
+// refBuild is the serial build, the oracle the pipelined build is held to:
+// each point's candidate search, pruning and backlinks run to completion
+// before the next point's search starts.
+func refBuild(e *Engine) {
+	n := e.base.N
+	e.nbrs = make([][]int32, n)
+	sc := &searchScratch{visited: make([]uint32, n)}
+	keep := topk.NewHeap[uint32](2 * e.opts.BuildBeam)
+	var pr pruner
+	var cands []topk.Item[uint32]
+	for i := 1; i < n; i++ {
+		cands = refLink(e, sc, keep, &pr, int32(i), cands)
+	}
+	for _, nb := range e.nbrs {
+		slices.Sort(nb)
+	}
+}
+
+// refLink inserts point i into the partial graph and returns the candidates
+// its search collected, in cands' storage.
+func refLink(e *Engine, sc *searchScratch, keep *topk.Heap[uint32], pr *pruner, i int32, cands []topk.Item[uint32]) []topk.Item[uint32] {
+	entry := int32(0)
+	if e.medoid < i {
+		entry = e.medoid
+	}
+	cands = e.beamCollect(sc, keep, nil, e.base.Vec(int(i)), entry, e.opts.BuildBeam, cands)
+	e.nbrs[i] = e.robustPrune(pr, i, cands, nil)
+	for _, j := range e.nbrs[i] {
+		e.addBacklink(pr, j, i)
+	}
+	return cands
+}
+
+// refEngine is an engine over base whose graph the serial build made.
+func refEngine(base dataset.U8Set, opts Options) *Engine {
+	e := &Engine{base: base, opts: opts}
+	e.opts.defaults()
+	e.medoid = medoid(e.base)
+	refBuild(e)
+	return e
+}
+
 // duplicateCorpus is a small fixture in which every third point copies an
 // earlier one and every query sits on a corpus point, so equal distances
 // meet at the beam's worst entry, where a tie must not be abandoned.
@@ -146,7 +188,7 @@ func TestAbandoningSearchMatchesReference(t *testing.T) {
 						q := corpus.queries.Vec(qi)
 						want, evaluated, hops := refBeamSearch(e, &scr[0], q, e.medoid, beam)
 						evals := len(evaluated)
-						st := e.beamSearch(&scr[1], q, e.medoid, beam, nil)
+						st := e.beamSearch(&scr[1], q, e.medoid, beam, nil, nil)
 						if !slices.Equal(scr[1].pool, want) || st.hops != hops || st.evals != evals {
 							t.Fatalf("query %d: pool/hops/evals %v/%d/%d, reference %v/%d/%d", qi, scr[1].pool, st.hops, st.evals, want, hops, evals)
 						}
@@ -209,6 +251,7 @@ func TestBeamCollectMatchesFullSort(t *testing.T) {
 			e.nbrs = make([][]int32, n)
 			sc, ref := &searchScratch{visited: make([]uint32, n)}, &searchScratch{visited: make([]uint32, n)}
 			keep := topk.NewHeap[uint32](2 * beam)
+			var pr pruner
 			var cands []topk.Item[uint32]
 			for i := 1; i < n; i++ {
 				entry := int32(0)
@@ -218,10 +261,70 @@ func TestBeamCollectMatchesFullSort(t *testing.T) {
 				_, want, _ := refBeamSearch(e, ref, e.base.Vec(i), entry, beam)
 				topk.SortItems(want)
 				want = want[:min(len(want), 2*beam)]
-				if cands = e.link(sc, keep, int32(i), cands); !slices.Equal(cands, want) {
+				if cands = refLink(e, sc, keep, &pr, int32(i), cands); !slices.Equal(cands, want) {
 					t.Fatalf("point %d: collected %v, full sort %v", i, cands, want)
 				}
 			}
 		})
+	}
+}
+
+// medoidCorpus is a 600-point fixture whose point 7, set to the corpus mean, is
+// the medoid: point 8's search enters at the point linked just before it.
+func medoidCorpus() dataset.U8Set {
+	base := testutil.Synth(testSpec(600, 1)).Base
+	base.Data = slices.Clone(base.Data)
+	d := base.D
+	for j := 0; j < d; j++ {
+		sum := 0
+		for i := 0; i < base.N; i++ {
+			sum += int(base.Data[i*d+j])
+		}
+		base.Data[7*d+j] = uint8((sum + base.N/2) / base.N)
+	}
+	return base
+}
+
+// TestPipelinedBuildMatchesSerial: the two-stage build makes the serial
+// build's graph, every adjacency list and the medoid, on corpora with
+// duplicates, a medoid inside the insertion order and one to five points,
+// at a narrow and the default degree and beam. Run it under -cpu 1,2: on one
+// core the stages interleave, on two they overlap.
+func TestPipelinedBuildMatchesSerial(t *testing.T) {
+	_, s := getEngine(t)
+	dupBase, _ := duplicateCorpus()
+	type corpus struct {
+		name string
+		base dataset.U8Set
+	}
+	corpora := []corpus{
+		{"fixture", s.Base}, {"duplicates", dupBase}, {"sift", dataset.SIFT(3000, 1, 5).Base}, {"medoid=7", medoidCorpus()},
+	}
+	for _, n := range []int{1, 2, 5} {
+		corpora = append(corpora, corpus{fmt.Sprintf("N=%d", n), dataset.U8Set{N: n, D: s.Base.D, Data: s.Base.Data[:n*s.Base.D]}})
+	}
+	for _, shape := range [][2]int{{4, 8}, {16, 48}} {
+		for _, c := range corpora {
+			t.Run(fmt.Sprintf("%s/R=%d/L=%d", c.name, shape[0], shape[1]), func(t *testing.T) {
+				opts := testOptions()
+				opts.Degree, opts.BuildBeam = shape[0], shape[1]
+				got, err := New(c.base, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := refEngine(c.base, opts)
+				if c.name == "medoid=7" && want.medoid != 7 {
+					t.Fatalf("medoid %d, want 7", want.medoid)
+				}
+				if got.medoid != want.medoid {
+					t.Fatalf("medoid %d, serial %d", got.medoid, want.medoid)
+				}
+				for i := range want.nbrs {
+					if !slices.Equal(got.nbrs[i], want.nbrs[i]) {
+						t.Fatalf("node %d: list %v, serial %v", i, got.nbrs[i], want.nbrs[i])
+					}
+				}
+			})
+		}
 	}
 }

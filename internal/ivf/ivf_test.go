@@ -63,6 +63,17 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsMismatchedData: a corpus whose bytes are not N*D vectors
+// is an error, not a slice panic.
+func TestBuildRejectsMismatchedData(t *testing.T) {
+	cfg := BuildConfig{NList: 2, PQ: pq.Config{M: 2, CB: 8}}
+	for _, bytes := range []int{12, 44} {
+		if _, err := Build(dataset.U8Set{N: 10, D: 4, Data: make([]uint8, bytes)}, cfg); err == nil {
+			t.Fatalf("10 x 4 corpus with %d bytes built", bytes)
+		}
+	}
+}
+
 func TestLocateSortedAndDistinct(t *testing.T) {
 	ix, s := smallIndex(t)
 	probes := ix.LocateInt(s.Queries.Vec(0), 8)
