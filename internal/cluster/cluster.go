@@ -102,8 +102,13 @@
 // hedged against unhedged tail latency over a fault-injected fleet.
 // Insert, Delete and Compact quiesce every replica batcher of every shard at a
 // launch boundary, apply the mutation through the global-ID routing
-// (mutate.go) and release the fleet; CreateFleetStore and RecoverCluster give
-// the fleet the engine's crash contract (durable.go).
+// (mutate.go) and release the fleet. A batch is validated whole first, and
+// every shard applies its part of the valid prefix in one call of its engine,
+// so the shard engines keep the fleet's durability: CreateFleetStore gives
+// each its own store beside one sidecar that freezes the partitioning, and
+// RecoverCluster runs the engine's recovery once per shard (durable.go). Which
+// shards a query contacts is read off the shard engines' placements, so a
+// recovered fleet routes as the one that crashed.
 package cluster
 
 import (
@@ -182,12 +187,6 @@ type Shard struct {
 	// are built from the same deployment with the same options, so they are
 	// interchangeable: any replica's answer is the shard's answer.
 	Engines []*core.Engine
-	// owned lists, ascending, the clusters this shard holds points of — or
-	// has held since the last Compact: a live insert marks its cluster owned
-	// even if the point is later deleted, which index contents alone cannot
-	// reproduce, so checkpoints carry the list. The fleet's owner map is
-	// derived from these (deriveOwners). Guarded by Cluster.mu.
-	owned []int32
 	// Points is the number of corpus points this shard owns.
 	Points int
 }
@@ -223,12 +222,11 @@ type Cluster struct {
 	// loc is the front-door CL stage (borrowed from shard 0's engine — all
 	// shard engines share the full centroid directory and the same options,
 	// so their locators produce identical probes). owners[c] lists, ascending,
-	// the shards that own cluster c (see Shard.owned): exactly one shard
-	// under AssignKMeans, potentially all under AssignHash. Together they
-	// route every query. The owner map is copy-on-write behind an atomic
+	// the shards whose engine places cluster c (deriveOwners): exactly one
+	// shard under AssignKMeans, potentially all under AssignHash. Together
+	// they route every query. The owner map is copy-on-write behind an atomic
 	// pointer: the front door reads it per probe on caller goroutines,
-	// concurrently with mutations that make previously-empty clusters
-	// non-empty.
+	// concurrently with mutations that change which shards hold a cluster.
 	loc    *core.Locator
 	owners atomic.Pointer[[][]int32]
 
@@ -250,11 +248,6 @@ type Cluster struct {
 	// esc is the encode scratch for front-door insert assignment; guarded
 	// by mu.
 	esc *ivf.EncodeScratch
-	// fstore, when attached (CreateFleetStore / RecoverCluster), makes
-	// every mutation durable: Insert/Delete log applied sub-batches to
-	// the owning shards' WALs before acknowledging, Compact checkpoints
-	// every shard. Guarded by mu.
-	fstore *FleetStore
 }
 
 // RouteStats aggregates the routing behavior of every front-door batch
@@ -344,32 +337,23 @@ func (cl *Cluster) Stats() Stats {
 // per-probe loops index into it without re-loading).
 func (cl *Cluster) ownersView() [][]int32 { return *cl.owners.Load() }
 
-// deriveOwners derives the cluster→shards owner map from every shard's owned
-// list and installs it (a fresh map each time, so readers of the previous
-// one are undisturbed). Callers hold cl.mu or are the only goroutine.
+// deriveOwners derives the cluster→shards owner map from the shard engines'
+// placements — a shard owns cluster c while its engine has a slice of c,
+// which it has exactly while c holds one of its points or base-list
+// tombstones — and installs it (a fresh map each time, so readers of the
+// previous one are undisturbed). A recovered engine redeploys the same
+// placement, so the map needs no record of its own. Callers hold cl.mu or
+// are the only goroutine.
 func (cl *Cluster) deriveOwners() {
 	owners := make([][]int32, cl.ix.NList)
 	for s, sh := range cl.shards {
-		for _, c := range sh.owned {
-			owners[c] = append(owners[c], int32(s)) // shard-ascending: rows stay sorted
-		}
-	}
-	cl.owners.Store(&owners)
-}
-
-// ownPackedLists resets every shard's owned list to its non-empty packed
-// inverted lists — exact when no engine has a mutation overlay, i.e. after
-// the build and after Compact — and rederives the owner map.
-func (cl *Cluster) ownPackedLists() {
-	for _, sh := range cl.shards {
-		sh.owned = nil
-		for c, list := range sh.Engine.Index().Lists {
-			if len(list) > 0 {
-				sh.owned = append(sh.owned, int32(c))
+		for c, sl := range sh.Engine.Placement().ByCluster {
+			if len(sl) > 0 {
+				owners[c] = append(owners[c], int32(s)) // shard-ascending: rows stay sorted
 			}
 		}
 	}
-	cl.deriveOwners()
+	cl.owners.Store(&owners)
 }
 
 // quantizerView returns an index sharing ix's quantizer state (centroids,
@@ -660,7 +644,7 @@ func NewWeighted(ix *ivf.Index, profile dataset.U8Set, opt Options, weight []flo
 		}
 		cl.shards[s] = sh
 	}
-	cl.ownPackedLists()
+	cl.deriveOwners()
 	cl.loc = cl.shards[0].Engine.Locator()
 	return cl, nil
 }
@@ -724,8 +708,8 @@ func (cl *Cluster) Dim() int { return cl.ix.Dim }
 // charged once for the whole call and — exactly as the engine's own pipeline
 // model treats its CL stage — overlapped with the scattered work.
 func (cl *Cluster) SearchBatch(queries dataset.U8Set) (*core.Result, error) {
-	if queries.D != cl.Dim() {
-		return nil, fmt.Errorf("cluster: query dim %d != index dim %d", queries.D, cl.Dim())
+	if err := queries.Check(cl.Dim()); err != nil {
+		return nil, fmt.Errorf("cluster: queries: %w", err)
 	}
 	start := time.Now()
 	ps := cl.loc.Probes(queries)

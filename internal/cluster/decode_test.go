@@ -3,27 +3,14 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"hash/crc32"
+	"strings"
 	"testing"
 )
 
-// withCRC appends the little-endian CRC32 of b, as every framed section and
-// the sidecar end.
+// withCRC appends the little-endian CRC32 of b, as the sidecar ends.
 func withCRC(b []byte) []byte {
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-}
-
-// craftedSnapshot is a shard snapshot whose owners section claims 0x40000001
-// ids but holds one: 12 bytes whose CRC matches. On a 32-bit int the count
-// times four wraps to 4, which is exactly the bytes present.
-func craftedSnapshot() []byte {
-	le := binary.LittleEndian
-	img := le.AppendUint32(nil, shardSnapMagic)
-	img = le.AppendUint32(img, shardSnapVersion)
-	section := le.AppendUint32(nil, 0x40000001)
-	section = le.AppendUint32(section, 7)
-	return append(img, withCRC(section)...)
 }
 
 // craftedSidecar is a 25-byte k-means sidecar claiming 0x40000001 lists over
@@ -43,54 +30,21 @@ func craftedSidecar() []byte {
 // is an error, never an allocation of that count — on a 32-bit int too, where
 // the count times four wraps to the length the section really has.
 func TestDecodersRejectCountsPastTheBytes(t *testing.T) {
-	if _, _, err := parseShardSnapshot(craftedSnapshot()); err == nil {
-		t.Fatal("shard snapshot with an oversized id count decoded")
-	}
 	if _, _, _, _, err := decodeAssign(craftedSidecar()); err == nil {
 		t.Fatal("assignment sidecar with an oversized list count decoded")
 	}
 }
 
-// TestShardSnapshotV1IsRefused: a version 1 shard snapshot (shard-local ids
-// behind an id table) is refused with its own error, whatever follows the
-// header.
-func TestShardSnapshotV1IsRefused(t *testing.T) {
-	le := binary.LittleEndian
-	img := le.AppendUint32(le.AppendUint32(nil, shardSnapMagic), 1)
-	img = append(img, withCRC(le.AppendUint32(le.AppendUint32(nil, 1), 7))...)
-	if _, _, err := parseShardSnapshot(img); !errors.Is(err, ErrShardSnapshotV1) {
-		t.Fatalf("v1 snapshot: error %v, want ErrShardSnapshotV1", err)
+// TestAssignSidecarV1IsRefused: a version 1 sidecar, from a fleet whose
+// shard stores wrapped their snapshots in a format of their own, is refused
+// however sound the rest of it is.
+func TestAssignSidecarV1IsRefused(t *testing.T) {
+	side := encodeAssign(AssignKMeans, 2, 4, []int32{0, 1, 1, 0})
+	binary.LittleEndian.PutUint32(side[4:8], 1)
+	side = withCRC(side[:len(side)-4])
+	if _, _, _, _, err := decodeAssign(side); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("v1 sidecar: error %v, want an unsupported version 1", err)
 	}
-}
-
-// FuzzShardSnapshot: corrupt or truncated shard snapshots must error, never
-// panic; one that parses re-frames to the same bytes.
-func FuzzShardSnapshot(f *testing.F) {
-	var valid bytes.Buffer
-	le := binary.LittleEndian
-	valid.Write(le.AppendUint32(le.AppendUint32(nil, shardSnapMagic), shardSnapVersion))
-	if err := writeIDSection(&valid, []int32{1, 4}); err != nil {
-		f.Fatal(err)
-	}
-	valid.WriteString("index")
-	f.Add(valid.Bytes())
-	f.Add(craftedSnapshot())
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, img []byte) {
-		owned, rest, err := parseShardSnapshot(img)
-		if err != nil {
-			return
-		}
-		var again bytes.Buffer
-		again.Write(img[:8])
-		if err := writeIDSection(&again, owned); err != nil {
-			t.Fatal(err)
-		}
-		again.Write(rest)
-		if !bytes.Equal(again.Bytes(), img) {
-			t.Fatal("a parsed snapshot does not re-frame to its bytes")
-		}
-	})
 }
 
 // FuzzAssignSidecar: corrupt or truncated assignment sidecars must error,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,8 +39,9 @@ func durableFixture(t testing.TB, n, queries, reserve int) (*ivf.Index, *dataset
 	return ix, s, base
 }
 
-// requireFleetEqual asserts two fleets are bit-identical: search results,
-// per-shard live ids, points, memory stats, and owner maps.
+// requireFleetEqual asserts two fleets are bit-identical: search results and
+// their simulated metrics, per-shard live ids, points, memory stats, and
+// owner maps.
 func requireFleetEqual(t *testing.T, got, want *cluster.Cluster, queries dataset.U8Set, what string) {
 	t.Helper()
 	wr, err := want.SearchBatch(queries)
@@ -54,6 +56,9 @@ func requireFleetEqual(t *testing.T, got, want *cluster.Cluster, queries dataset
 		if !reflect.DeepEqual(gr.IDs[qi], wr.IDs[qi]) || !reflect.DeepEqual(gr.Items[qi], wr.Items[qi]) {
 			t.Fatalf("%s: query %d diverges:\n got %v\nwant %v", what, qi, gr.IDs[qi], wr.IDs[qi])
 		}
+	}
+	if gr.Metrics != wr.Metrics {
+		t.Fatalf("%s: simulated metrics diverge:\n got %+v\nwant %+v", what, gr.Metrics, wr.Metrics)
 	}
 	gs, ws := got.Shards(), want.Shards()
 	if len(gs) != len(ws) {
@@ -155,6 +160,69 @@ func TestClusterRecoverBitIdentical(t *testing.T) {
 				requireFleetEqual(t, rcl2, rcl, s.Queries, "gen 2")
 			})
 		}
+	}
+}
+
+// TestClusterRecoverEmptiedCluster: a fleet that empties a cluster and
+// compacts, inserts one point at the cluster's centroid, deletes it and
+// checkpoints recovers to the fleet that never crashed — answers, simulated
+// metrics, memory stats and owner rows — under both assignment policies. The
+// shard that took the point routes no query to the cluster once it is gone,
+// as the recovered shard, which never saw the point, does not.
+func TestClusterRecoverEmptiedCluster(t *testing.T) {
+	ix, s, _ := durableFixture(t, 4000, 48, 300)
+	victim := -1
+	for c, list := range ix.Lists {
+		if len(list) > 0 && (victim < 0 || len(list) < len(ix.Lists[victim])) {
+			victim = c
+		}
+	}
+	cu8 := ix.CentroidsU8[victim*ix.Dim : (victim+1)*ix.Dim]
+	if got := ix.AssignVec(cu8, ix.NewEncodeScratch()); got != int32(victim) {
+		t.Skipf("centroid u8 rounding assigns to %d, not %d", got, victim)
+	}
+	queries := dataset.U8Set{N: s.Queries.N + 1, D: ix.Dim, Data: append(slices.Clone(s.Queries.Data), cu8...)}
+	for _, assign := range []cluster.Assignment{cluster.AssignHash, cluster.AssignKMeans} {
+		t.Run(string(assign), func(t *testing.T) {
+			copt := cluster.Options{Shards: 2, Assignment: assign, Engine: engineOpts()}
+			cl, err := cluster.New(ix, s.Queries, copt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs := durable.NewMemFS(durable.FaultPlan{})
+			fst, err := cluster.CreateFleetStore(cl, durable.Options{Dir: "fleet", FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Delete(slices.Clone(ix.Lists[victim])); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			id := int32(s.Base.N)
+			if err := cl.Insert(dataset.U8Set{N: 1, D: ix.Dim, Data: cu8}, []int32{id}); err != nil {
+				t.Fatal(err)
+			}
+			if len(cl.OwnerShards(int32(victim))) != 1 {
+				t.Fatalf("cluster %d owned by shards %v after one insert", victim, cl.OwnerShards(int32(victim)))
+			}
+			if err := cl.Delete([]int32{id}); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := fst.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rcl, rfst, err := cluster.RecoverCluster(durable.Options{Dir: "fleet", FS: fs}, s.Queries, copt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rfst.Close()
+			requireFleetEqual(t, rcl, cl, queries, "recovered fleet")
+		})
 	}
 }
 

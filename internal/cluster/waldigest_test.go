@@ -21,10 +21,11 @@ import (
 // hashes each store's manifest, snapshot and WAL, and the filesystem's
 // operation count. The script has multi-point batches, batches that fail
 // part-way (only the applied prefix is logged), a bare checkpoint and a
-// compaction. Both layers log through durable.Store.Log and rotate through
-// their own Checkpoint, so the pins hold the bytes and the write and sync
-// sequence of that one path. The pins are amd64's, like TestBuildDigest's:
-// the snapshots carry the trained centroids.
+// compaction. A fleet's shard engines log and rotate their own stores, so
+// both pins hold the bytes and the write and sync sequence of the engine's
+// one path; the fleet's also holds the order its shards take their parts of
+// a batch and their checkpoints in. The pins are amd64's, like
+// TestBuildDigest's: the snapshots carry the trained centroids.
 func TestWALDigest(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests are pinned for amd64 float arithmetic, not %s", runtime.GOARCH)
@@ -53,7 +54,7 @@ func TestWALDigest(t *testing.T) {
 			st, err := e.CreateStore(durable.Options{Dir: "eng", FS: fs})
 			return e, []*durable.Store{st}, err
 		}},
-		{"fleet", "4c8bc1c5d5d62c0d", func(fs *durable.MemFS) (engine.Mutable, []*durable.Store, error) {
+		{"fleet", "7abcb158758d224d", func(fs *durable.MemFS) (engine.Mutable, []*durable.Store, error) {
 			cl, err := cluster.New(fresh(), s.Queries, cluster.Options{Shards: 2, Assignment: cluster.AssignKMeans, Engine: engineOpts()})
 			if err != nil {
 				return nil, nil, err

@@ -422,8 +422,8 @@ func (e *Engine) SearchBatch(queries dataset.U8Set) (*Result, error) {
 // when ps came from this engine's Locator.
 // chargeCL controls whether each batch's host CL cost enters the metrics.
 func (e *Engine) searchBatch(queries dataset.U8Set, ps ProbeSet, probed, chargeCL bool) (*Result, error) {
-	if queries.D != e.ix.Dim {
-		return nil, fmt.Errorf("core: query dim %d != index dim %d", queries.D, e.ix.Dim)
+	if err := queries.Check(e.ix.Dim); err != nil {
+		return nil, fmt.Errorf("core: queries: %w", err)
 	}
 	st := NewSteps(queries, [][]*Engine{{e}}, nil)
 	batch := e.opts.BatchSize

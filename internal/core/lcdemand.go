@@ -221,6 +221,7 @@ func (e *Engine) calibrate() {
 	var scans []ScanSample
 	sample := e.lc.cal
 	if sample.N = min(sample.N, e.opts.BatchSize); sample.N > 0 {
+		sample.Data = sample.Data[:sample.N*sample.D]
 		if rep, err := NewReplica(e); err == nil {
 			rep.rec = &scans
 			if _, err := rep.SearchBatch(sample); err != nil {

@@ -37,8 +37,8 @@ func (e *Engine) Insert(vecs dataset.U8Set, ids []int32) error {
 	if vecs.N != len(ids) {
 		return fmt.Errorf("core: %d vectors for %d ids", vecs.N, len(ids))
 	}
-	if vecs.N > 0 && vecs.D != e.ix.Dim {
-		return fmt.Errorf("core: insert dim %d, index dim %d", vecs.D, e.ix.Dim)
+	if err := vecs.Check(e.ix.Dim); err != nil {
+		return fmt.Errorf("core: insert: %w", err)
 	}
 	n := 0
 	var err error
@@ -68,6 +68,7 @@ func (e *Engine) Delete(ids []int32) error {
 		if pos < 0 {
 			continue // tombstoned base points are still scanned, and marked
 		}
+		e.dropReachable(c)
 		e.recountCluster(c)
 	}
 	return e.log(durable.Mutation{Op: durable.OpDelete, IDs: ids[:n]}, err)
@@ -79,7 +80,8 @@ func (e *Engine) Delete(ids []int32) error {
 // probed cluster generates no task and its append segment would be silently
 // unscannable. The injected slice covers zero base points (the append
 // segment rides on any Start==0 slice) and is placed on the least-loaded
-// DPU; Compact discards it with the rest of the placement.
+// DPU. It leaves with its append segment's last point (dropReachable), so
+// the placement is always the one a snapshot of the index redeploys.
 func (e *Engine) ensureReachable(c int32) {
 	pl := e.pl
 	if len(pl.ByCluster[c]) > 0 {
@@ -100,6 +102,25 @@ func (e *Engine) ensureReachable(c int32) {
 	e.lc.heat = append(e.lc.heat, 0)
 }
 
+// dropReachable removes the slice ensureReachable gave cluster c, with its
+// demand and heat, once c holds no point. Injected slices are the placement's
+// tail, each its cluster's only one, so those after it move down one place.
+func (e *Engine) dropReachable(c int32) {
+	pl := e.pl
+	if len(e.ix.Lists[c]) > 0 || e.ix.AppendLen(int(c)) > 0 {
+		return
+	}
+	id, m := pl.ByCluster[c][0], e.ix.M
+	pl.ByCluster[c] = nil
+	pl.Slices = slices.Delete(pl.Slices, id, id+1)
+	for i := id; i < len(pl.Slices); i++ {
+		pl.Slices[i].ID = i
+		pl.ByCluster[pl.Slices[i].Cluster][0] = i
+	}
+	e.lc.bySlice = slices.Delete(e.lc.bySlice, id*m, (id+1)*m)
+	e.lc.heat = slices.Delete(e.lc.heat, id, id+1)
+}
+
 // Compact folds append segments and tombstones back into the packed
 // inverted lists and re-optimizes the data layout over the post-fold
 // cluster sizes with the exact heat profile and configuration New resolved.
@@ -111,18 +132,17 @@ func (e *Engine) ensureReachable(c int32) {
 // the compacted engine becomes its new checkpoint and the WAL restarts
 // empty.
 func (e *Engine) Compact() error {
-	if err := e.compact(); err != nil {
+	if err := e.Fold(); err != nil {
 		return err
 	}
 	return e.Checkpoint()
 }
 
-func (e *Engine) compact() error {
+// Fold is Compact without the checkpoint: a fleet folds its shards side by
+// side, then checkpoints them in shard order (one filesystem op order).
+func (e *Engine) Fold() error {
 	ix := e.ix
-	// A slice ensureReachable injected, the only kind that covers no base
-	// point, goes with a new layout even when no list changed: a point
-	// inserted into a build-time-empty cluster and deleted again leaves it.
-	if len(ix.Compact()) == 0 && !slices.ContainsFunc(e.pl.Slices, func(sl layout.Slice) bool { return sl.Count == 0 }) {
+	if len(ix.Compact()) == 0 {
 		return nil
 	}
 	sizes := make([]int, ix.NList)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -164,18 +165,13 @@ func TestEngineMutateMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEngineEmptyClusterRoundTrip empties a whole cluster (delete + compact
-// leaves it with no placement slices), then inserts a point that assigns to
-// it: ensureReachable must inject a virtual slice so the append segment is
-// scannable, and the point must be findable by querying its own vector.
-func TestEngineEmptyClusterRoundTrip(t *testing.T) {
-	ix, s, _ := mutFixture(t)
-	opts := testOptions()
-	e, err := New(ix, s.Queries, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Empty the smallest non-empty cluster.
+// emptyCluster deletes the smallest non-empty cluster's points and compacts,
+// which leaves it with no placement slices, and returns the cluster and its
+// centroid as a vector, which assigns to it (the test is skipped where u8
+// rounding moves it elsewhere).
+func emptyCluster(t *testing.T, e *Engine) (int, []uint8) {
+	t.Helper()
+	ix := e.ix
 	victim := -1
 	for c, list := range ix.Lists {
 		if len(list) == 0 {
@@ -197,13 +193,26 @@ func TestEngineEmptyClusterRoundTrip(t *testing.T) {
 	if len(e.pl.ByCluster[victim]) != 0 {
 		t.Fatalf("empty cluster %d still has placement slices", victim)
 	}
-	// A query equal to the victim's centroid assigns to it (it is its own
-	// nearest centroid by construction).
 	cu8 := ix.CentroidsU8[victim*ix.Dim : (victim+1)*ix.Dim]
-	sc := ix.NewEncodeScratch()
-	if got := ix.AssignVec(cu8, sc); got != int32(victim) {
+	if got := ix.AssignVec(cu8, ix.NewEncodeScratch()); got != int32(victim) {
 		t.Skipf("centroid u8 rounding assigns to %d, not %d", got, victim)
 	}
+	return victim, cu8
+}
+
+// TestEngineEmptyClusterRoundTrip empties a whole cluster, then inserts a
+// point that assigns to it: ensureReachable must inject a virtual slice so
+// the append segment is scannable, and the point must be findable by
+// querying its own vector. Deleting the point takes the slice away again at
+// once, before any Compact.
+func TestEngineEmptyClusterRoundTrip(t *testing.T) {
+	ix, s, _ := mutFixture(t)
+	e, err := New(ix, s.Queries, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, cu8 := emptyCluster(t, e)
+	slicesBefore := slices.Clone(e.pl.Slices)
 	newID := int32(s.Base.N)
 	if err := e.Insert(dataset.U8Set{N: 1, D: ix.Dim, Data: cu8}, []int32{newID}); err != nil {
 		t.Fatal(err)
@@ -226,16 +235,24 @@ func TestEngineEmptyClusterRoundTrip(t *testing.T) {
 	if !slices.Contains(res.IDs[0], newID) {
 		t.Fatalf("point inserted into emptied cluster not findable: %v", res.IDs[0])
 	}
-	// Deleted again and compacted, no list changed, yet the injected slice
-	// goes: the placement is the one a fresh engine lays out.
+	// Deleted again, the injected slice goes with its last point: the
+	// placement, demand and heat are the ones before the insert, which is
+	// what a snapshot of the index deploys.
 	if err := e.Delete([]int32{newID}); err != nil {
 		t.Fatal(err)
 	}
+	if len(e.pl.ByCluster[victim]) != 0 {
+		t.Fatalf("deleting the only point of cluster %d kept its injected slice", victim)
+	}
+	if !reflect.DeepEqual(e.pl.Slices, slicesBefore) || len(e.lc.heat) != len(slicesBefore) || len(e.lc.bySlice) != len(slicesBefore)*ix.M {
+		t.Fatal("the placement after the delete is not the one before the insert")
+	}
+	requireFreshDemand(t, e, "after deleting the emptied cluster's only point")
 	if err := e.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if len(e.pl.ByCluster[victim]) != 0 {
-		t.Fatalf("compaction kept the slice injected into empty cluster %d", victim)
+		t.Fatalf("compaction gave empty cluster %d a slice", victim)
 	}
 }
 

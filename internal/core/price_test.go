@@ -48,6 +48,7 @@ func TestShareTable(t *testing.T) {
 	rep.RecordScans(&scans)
 	sample := s.Queries
 	sample.N = min(sample.N, opts.BatchSize)
+	sample.Data = sample.Data[:sample.N*sample.D]
 	if _, err := rep.SearchBatch(sample); err != nil {
 		t.Fatal(err)
 	}

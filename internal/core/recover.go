@@ -54,6 +54,14 @@ func (e *Engine) Checkpoint() error {
 	return e.store.Checkpoint(e.ix.Save)
 }
 
+// CloseStore closes and detaches the attached store, if any.
+func (e *Engine) CloseStore() (err error) {
+	if e.store != nil {
+		err, e.store = e.store.Close(), nil
+	}
+	return err
+}
+
 // log writes m, the applied prefix of a mutation that stopped with
 // applyErr (nil: it applied whole), to the attached store, and returns
 // applyErr. A logging failure wins: the prefix is live in memory but not

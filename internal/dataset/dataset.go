@@ -32,6 +32,20 @@ type U8Set struct {
 // Vec returns row i as a slice view.
 func (s U8Set) Vec(i int) []uint8 { return s.Data[i*s.D : (i+1)*s.D] }
 
+// Check reports whether the set is N vectors of dimension dim: Data holds
+// exactly N*D bytes and, unless the set is empty, D is dim. Every entry
+// point that slices Data by N and D checks it first, so a short set is an
+// error, not a panic.
+func (s U8Set) Check(dim int) error {
+	if s.N < 0 || s.D < 0 || len(s.Data) != s.N*s.D {
+		return fmt.Errorf("%d bytes of vectors for %d x %d", len(s.Data), s.N, s.D)
+	}
+	if s.N > 0 && s.D != dim {
+		return fmt.Errorf("vector dim %d, index dim %d", s.D, dim)
+	}
+	return nil
+}
+
 // F32Set is a flat corpus of N float32 vectors of dimension D.
 type F32Set struct {
 	N, D int

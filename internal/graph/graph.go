@@ -177,8 +177,8 @@ func New(base dataset.U8Set, opts Options) (*Engine, error) {
 	if base.D == 0 {
 		return nil, fmt.Errorf("graph: zero-dimensional vectors")
 	}
-	if len(base.Data) != base.N*base.D {
-		return nil, fmt.Errorf("graph: %d bytes of vectors for %d x %d", len(base.Data), base.N, base.D)
+	if err := base.Check(base.D); err != nil {
+		return nil, fmt.Errorf("graph: %w", err)
 	}
 	e := &Engine{
 		base: dataset.U8Set{N: base.N, D: base.D, Data: append([]uint8(nil), base.Data...)},

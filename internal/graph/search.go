@@ -26,8 +26,8 @@ import (
 // (engine.Engine). Results are deterministic: the traversal itself is
 // sequential per query, and queries are statically assigned to DPUs.
 func (e *Engine) SearchBatch(queries dataset.U8Set) (*engine.Result, error) {
-	if queries.N > 0 && queries.D != e.base.D {
-		return nil, fmt.Errorf("graph: query dim %d != index dim %d", queries.D, e.base.D)
+	if err := queries.Check(e.base.D); err != nil {
+		return nil, fmt.Errorf("graph: queries: %w", err)
 	}
 	res := &engine.Result{
 		IDs:   make([][]int32, queries.N),

@@ -76,8 +76,8 @@ func Build(base dataset.U8Set, cfg BuildConfig) (*Index, error) {
 	if base.N == 0 {
 		return nil, fmt.Errorf("ivf: empty corpus")
 	}
-	if len(base.Data) != base.N*base.D {
-		return nil, fmt.Errorf("ivf: %d bytes of vectors for %d x %d", len(base.Data), base.N, base.D)
+	if err := base.Check(base.D); err != nil {
+		return nil, fmt.Errorf("ivf: %w", err)
 	}
 	if cfg.NList <= 0 || cfg.NList > base.N {
 		return nil, fmt.Errorf("ivf: NList=%d invalid for %d vectors", cfg.NList, base.N)
