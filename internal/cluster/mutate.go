@@ -71,17 +71,29 @@ func (cl *Cluster) validPrefix(ids []int32, insert bool) (int, error) {
 
 // apply hands every shard its part of a validated prefix — parts[s] holds
 // the batch positions shard s takes, in client order — through do, which
-// makes the one engine call, then re-derives the owner map. The prefix was
-// validated, so an engine applies all of its part, and an error is its
-// store's: the part is live but not durable, and the shards after it are not
-// called. Callers hold cl.mu.
+// makes the one engine call, then re-derives the owner map. Shards share
+// nothing an engine mutation writes, so the calls run side by side and their
+// WAL syncs overlap; each shard still logs its part as one record, and shards
+// replay independently. The prefix was validated, so every engine applies all
+// of its part, and an error is a store's: that part is live but not durable.
+// The lowest failing shard's error is returned. do may write only shard s's
+// state. Callers hold cl.mu.
 func (cl *Cluster) apply(parts [][]int, do func(s int, part []int) error) error {
 	defer cl.deriveOwners()
+	errs := make([]error, len(parts))
+	var wg sync.WaitGroup
 	for s, part := range parts {
-		if len(part) == 0 {
-			continue
+		if len(part) > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[s] = do(s, part)
+			}()
 		}
-		if err := do(s, part); err != nil {
+	}
+	wg.Wait()
+	for s, err := range errs {
+		if err != nil {
 			return fmt.Errorf("cluster: shard %d: %w", s, err)
 		}
 	}
@@ -119,6 +131,7 @@ func (cl *Cluster) Insert(vecs dataset.U8Set, ids []int32) error {
 			s = int(splitmix64(uint64(ids[i])) % uint64(len(cl.shards)))
 		}
 		parts[s] = append(parts[s], i)
+		cl.shardOf[ids[i]] = int32(s)
 	}
 	err := cl.apply(parts, func(s int, part []int) error {
 		sub := dataset.U8Set{N: len(part), D: vecs.D, Data: make([]uint8, 0, len(part)*vecs.D)}
@@ -126,7 +139,6 @@ func (cl *Cluster) Insert(vecs dataset.U8Set, ids []int32) error {
 		for j, i := range part {
 			sub.Data = append(sub.Data, vecs.Vec(i)...)
 			subIDs[j] = ids[i]
-			cl.shardOf[ids[i]] = int32(s)
 		}
 		cl.shards[s].Points += len(part)
 		return cl.shards[s].Engine.Insert(sub, subIDs)
@@ -145,12 +157,12 @@ func (cl *Cluster) Delete(ids []int32) error {
 	for i := range n {
 		s := cl.shardOf[ids[i]]
 		parts[s] = append(parts[s], i)
+		delete(cl.shardOf, ids[i])
 	}
 	err := cl.apply(parts, func(s int, part []int) error {
 		subIDs := make([]int32, len(part))
 		for j, i := range part {
 			subIDs[j] = ids[i]
-			delete(cl.shardOf, ids[i])
 		}
 		cl.shards[s].Points -= len(part)
 		return cl.shards[s].Engine.Delete(subIDs)

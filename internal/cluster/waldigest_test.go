@@ -23,8 +23,8 @@ import (
 // part-way (only the applied prefix is logged), a bare checkpoint and a
 // compaction. A fleet's shard engines log and rotate their own stores, so
 // both pins hold the bytes and the write and sync sequence of the engine's
-// one path; the fleet's also holds the order its shards take their parts of
-// a batch and their checkpoints in. The pins are amd64's, like
+// one path; the fleet's also holds how a batch splits into one record per
+// shard (the shards take their parts side by side). The pins are amd64's, like
 // TestBuildDigest's: the snapshots carry the trained centroids.
 func TestWALDigest(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
