@@ -69,4 +69,22 @@ func TestBuildDigest(t *testing.T) {
 			t.Fatalf("Build digest %s, pinned %s", got, want)
 		}
 	})
+	// The benchmark's PQ shape: 8-dimensional subspaces of 256 entries, where
+	// encoding and PQ k-means take the dimension-major kernel, and a training
+	// sample that divides N, whose points keep k-means' coarse assignment.
+	t.Run("pq-m16-cb256", func(t *testing.T) {
+		s := dataset.Generate(dataset.SynthConfig{
+			N: 4000, D: 128, NumQueries: 1, NumClusters: 16, Seed: 22, Noise: 10,
+		})
+		ix, err := Build(s.Base, BuildConfig{
+			NList: 40, PQ: pq.Config{M: 16, CB: 256, Iters: 4},
+			KMeansIters: 4, TrainSample: 1000, Seed: 9,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := buildDigest(ix), "c2b99c350dfe8520"; got != want {
+			t.Fatalf("Build digest %s, pinned %s", got, want)
+		}
+	})
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"drimann/internal/dataset"
@@ -31,7 +32,10 @@ type BuildConfig struct {
 	// TrainSample caps vectors used for training both quantizers; 0 = all.
 	TrainSample int
 	Seed        int64
-	Workers     int
+	// Workers bounds the build's goroutines: k-means assignment, how many
+	// PQ subspaces train at once, and the assign-and-encode pass; default
+	// runtime.GOMAXPROCS(0).
+	Workers int
 }
 
 func (c *BuildConfig) defaults() {
@@ -149,13 +153,20 @@ func Build(base dataset.U8Set, cfg BuildConfig) (*Index, error) {
 	ix.IntCB = ix.PQ.QuantizeCodebooks()
 
 	// Assign and encode every vector in one parallel pass, through the path
-	// Insert takes, then lay the lists out in ascending-id order.
-	assign := make([]int32, base.N)
+	// Insert takes, then lay the lists out in ascending-id order. A sample
+	// point keeps its k-means assignment: AssignVec's scan of the same row
+	// against the same centroids.
+	assign := slices.Repeat([]int32{-1}, base.N)
+	for si, i := range trainIdx {
+		assign[i] = coarse.Assign[si]
+	}
 	codes := make([]uint16, base.N*ix.M)
 	forEachChunk(0, base.N, cfg.Workers, func(lo, hi int) {
 		sc := ix.NewEncodeScratch()
 		for i := lo; i < hi; i++ {
-			assign[i] = ix.AssignVec(base.Vec(i), sc)
+			if assign[i] < 0 {
+				assign[i] = ix.AssignVec(base.Vec(i), sc)
+			}
 			ix.EncodeVec(base.Vec(i), assign[i], codes[i*ix.M:(i+1)*ix.M], sc)
 		}
 	})

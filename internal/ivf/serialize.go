@@ -198,7 +198,7 @@ func (ix *Index) setQuant(b []byte) {
 	nd := ix.NList * ix.Dim
 	ix.Centroids = f32sOf(b[:4*nd])
 	ix.CentroidsU8 = slices.Clone(b[4*nd : 5*nd])
-	ix.PQ = &pq.Quantizer{D: ix.Dim, M: ix.M, CB: ix.CB, DSub: ix.Dim / ix.M, Codebooks: f32sOf(b[5*nd:])}
+	ix.PQ = pq.New(ix.Dim, ix.M, ix.CB, f32sOf(b[5*nd:]))
 	ix.IntCB = ix.PQ.QuantizeCodebooks()
 	ix.Lists = make([][]int32, ix.NList)
 	ix.Codes = make([][]uint16, ix.NList)

@@ -38,6 +38,18 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("query %d: loaded index diverges: %v vs %v", qi, got, want)
 		}
 	}
+	// The loaded quantizer, made from the image's codebooks alone, encodes
+	// every point to the code Build stored.
+	sc := loaded.NewEncodeScratch()
+	code := make([]uint16, ix.M)
+	for c, ids := range ix.Lists {
+		for i, id := range ids {
+			loaded.EncodeVec(s.Base.Vec(int(id)), int32(c), code, sc)
+			if want := ix.Codes[c][i*ix.M : (i+1)*ix.M]; !slices.Equal(code, want) {
+				t.Fatalf("point %d: loaded quantizer encodes %v, Build stored %v", id, code, want)
+			}
+		}
+	}
 }
 
 func TestSaveLoadFile(t *testing.T) {

@@ -2,13 +2,13 @@
 // quantizer and the per-subspace PQ codebooks: k-means++ seeding followed by
 // Lloyd iterations with parallel assignment and empty-cluster repair.
 //
-// Both parallel passes abandon distances early and stay bit for bit those of
-// a serial, full evaluation. Every distance is summed in dimension order, so
-// a completed one has the same bits; a partial sum only grows, so one
-// abandoned above a bound (the best centroid so far, a point's current D²)
-// could not have passed the strict < it was abandoned for. The D² refresh
-// runs on disjoint ranges, and the sampling sum over D² stays serial, so
-// seeding picks the same points on any number of workers.
+// Both parallel passes stay bit for bit those of a serial, full evaluation,
+// though they may abandon distances. Every distance is summed in dimension
+// order, so a completed one has the same bits; a partial sum only grows, so
+// one abandoned above a bound (the best centroid so far, a point's current
+// D²) could not have passed the strict < it was abandoned for. The D²
+// refresh runs on disjoint ranges, and the sampling sum over D² stays
+// serial, so seeding picks the same points on any number of workers.
 package kmeans
 
 import (
@@ -193,13 +193,19 @@ func forEachRange(count, workers int, f func(w, lo, hi int)) {
 }
 
 // assignAll assigns every point to its nearest centroid in parallel and
-// returns the summed squared distance.
+// returns the summed squared distance. Up to vecmath.TransposedMaxDim it
+// scans a transposed copy of the centroids when K is whole blocks of eight.
 func assignAll(data, centroids []float32, assign []int32, cfg Config) float64 {
+	argMin := func(q []float32) (int, float32) { return vecmath.ArgMinL2F32(q, centroids, cfg.Dim) }
+	if cfg.Dim <= vecmath.TransposedMaxDim && len(centroids)%(8*cfg.Dim) == 0 {
+		ct := vecmath.Transpose8(centroids, cfg.Dim)
+		argMin = func(q []float32) (int, float32) { return vecmath.ArgMinL2F32T(q, ct, cfg.Dim) }
+	}
 	partial := make([]float64, cfg.Workers)
 	forEachRange(len(assign), cfg.Workers, func(w, lo, hi int) {
 		var acc float64
 		for p := lo; p < hi; p++ {
-			best, d := vecmath.ArgMinL2F32(data[p*cfg.Dim:(p+1)*cfg.Dim], centroids, cfg.Dim)
+			best, d := argMin(data[p*cfg.Dim : (p+1)*cfg.Dim])
 			assign[p] = int32(best)
 			acc += float64(d)
 		}

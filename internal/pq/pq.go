@@ -1,14 +1,17 @@
 // Package pq implements product quantization (Jégou et al.) in the form
 // the DRIM-ANN engine runs: float codebooks trained by per-subspace k-means,
-// and their integer deployment (IntCodebooks + LUTInt). Codebook entries are
-// rounded to int16 residual-domain values so that LUT construction can use
-// the squaring lookup table (SQT) and stay bit-exact with multiplication.
+// the subspaces side by side, and their integer deployment (IntCodebooks +
+// LUTInt). Codebook entries are rounded to int16 residual-domain values so
+// that LUT construction can use the squaring lookup table (SQT) and stay
+// bit-exact with multiplication.
 package pq
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"drimann/internal/kmeans"
 	"drimann/internal/sqt"
@@ -24,16 +27,32 @@ type Config struct {
 	// TrainSample caps the number of vectors used for training; 0 = all.
 	TrainSample int
 	Seed        int64
-	Workers     int
+	// Workers bounds how many subspaces train at once, each k-means on one
+	// goroutine; default runtime.GOMAXPROCS(0).
+	Workers int
 }
 
-// Quantizer is a trained product quantizer over D-dimensional float vectors.
+// Quantizer is a trained product quantizer over D-dimensional float vectors,
+// made by Train or New; its codebooks do not change after.
 type Quantizer struct {
 	D, M, CB int
 	DSub     int
 	// Codebooks is flat M x CB x DSub: entry c of subspace m starts at
 	// ((m*CB)+c)*DSub.
 	Codebooks []float32
+	// t is Codebooks as vecmath.Transpose8 lays them out, for Encode, where
+	// New could make it; never serialized.
+	t []float32
+}
+
+// New returns the quantizer of d-dimensional vectors with m codebooks of cb
+// entries, flat in codebooks.
+func New(d, m, cb int, codebooks []float32) *Quantizer {
+	q := &Quantizer{D: d, M: m, CB: cb, DSub: d / m, Codebooks: codebooks}
+	if cb%8 == 0 && q.DSub <= vecmath.TransposedMaxDim {
+		q.t = vecmath.Transpose8(codebooks, q.DSub)
+	}
+	return q
 }
 
 // Train learns a product quantizer from flat training data (N x dim rows).
@@ -68,45 +87,54 @@ func Train(data []float32, dim int, cfg Config) (*Quantizer, error) {
 		n = cfg.TrainSample
 	}
 
+	// One k-means a worker, subspaces w, w+workers, ...: k-means gives the
+	// same centroids on any worker count, so this is the serial training.
 	dsub := dim / cfg.M
-	q := &Quantizer{D: dim, M: cfg.M, CB: cfg.CB, DSub: dsub,
-		Codebooks: make([]float32, cfg.M*cfg.CB*dsub)}
-
-	sub := make([]float32, n*dsub)
-	for m := 0; m < cfg.M; m++ {
-		for i := 0; i < n; i++ {
-			copy(sub[i*dsub:(i+1)*dsub], sample[i*dim+m*dsub:i*dim+(m+1)*dsub])
-		}
-		res, err := kmeans.Train(sub, kmeans.Config{
-			K: cfg.CB, Dim: dsub, MaxIters: cfg.Iters,
-			Seed: cfg.Seed + int64(m), Workers: cfg.Workers,
-		})
+	codebooks := make([]float32, cfg.M*cfg.CB*dsub)
+	errs := make([]error, cfg.M)
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var wg sync.WaitGroup
+	for w := range min(workers, cfg.M) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sub := make([]float32, n*dsub)
+			for m := w; m < cfg.M; m += workers {
+				for i := 0; i < n; i++ {
+					copy(sub[i*dsub:(i+1)*dsub], sample[i*dim+m*dsub:i*dim+(m+1)*dsub])
+				}
+				res, err := kmeans.Train(sub, kmeans.Config{
+					K: cfg.CB, Dim: dsub, MaxIters: cfg.Iters, Seed: cfg.Seed + int64(m), Workers: 1,
+				})
+				if errs[m] = err; err == nil {
+					copy(codebooks[m*cfg.CB*dsub:(m+1)*cfg.CB*dsub], res.Centroids)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for m, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("pq: subspace %d: %w", m, err)
 		}
-		copy(q.Codebooks[m*cfg.CB*dsub:(m+1)*cfg.CB*dsub], res.Centroids)
 	}
-	return q, nil
+	return New(dim, cfg.M, cfg.CB, codebooks), nil
 }
 
-// Encode writes the code of vec (length D) into code (length M).
+// Encode writes the code of vec (length D) into code (length M): in each
+// subspace the first nearest codebook entry, by ArgMinL2F32's distance bits.
 func (q *Quantizer) Encode(vec []float32, code []uint16) {
+	argMin, cbs := vecmath.ArgMinL2F32, q.Codebooks
+	if q.t != nil {
+		argMin, cbs = vecmath.ArgMinL2F32T, q.t
+	}
 	for m := 0; m < q.M; m++ {
-		subvec := vec[m*q.DSub : (m+1)*q.DSub]
-		cb := q.Codebooks[m*q.CB*q.DSub : (m+1)*q.CB*q.DSub]
-		best, _ := vecmath.ArgMinL2F32(subvec, cb, q.DSub)
+		best, _ := argMin(vec[m*q.DSub:(m+1)*q.DSub], cbs[m*q.CB*q.DSub:(m+1)*q.CB*q.DSub], q.DSub)
 		code[m] = uint16(best)
 	}
-}
-
-// EncodeAll encodes flat data (N x D) into a fresh flat code array (N x M).
-func (q *Quantizer) EncodeAll(data []float32) []uint16 {
-	n := len(data) / q.D
-	codes := make([]uint16, n*q.M)
-	for i := 0; i < n; i++ {
-		q.Encode(data[i*q.D:(i+1)*q.D], codes[i*q.M:(i+1)*q.M])
-	}
-	return codes
 }
 
 // IntCodebooks is the residual-domain integer deployment of a quantizer for

@@ -3,6 +3,7 @@ package pq
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -119,13 +120,63 @@ func TestEncodeAllShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codes := q.EncodeAll(data)
-	if len(codes) != 128*4 {
-		t.Fatalf("EncodeAll length %d", len(codes))
+	code := make([]uint16, q.M+1)
+	for i := 0; i < 128; i++ {
+		code[q.M] = 0xffff
+		q.Encode(data[i*8:(i+1)*8], code[:q.M])
+		for _, c := range code[:q.M] {
+			if int(c) >= q.CB {
+				t.Fatalf("code %d out of range", c)
+			}
+		}
+		if code[q.M] != 0xffff {
+			t.Fatal("Encode wrote past M codes")
+		}
 	}
-	for _, c := range codes {
-		if int(c) >= q.CB {
-			t.Fatalf("code %d out of range", c)
+}
+
+// TestEncodeMatchesArgMin: Encode returns each subspace's ArgMinL2F32 over
+// its codebook, on the transposed kernel (CB 256 and 32, 8-d and 4-d
+// subspaces), on the row kernel (CB 20, not whole blocks of eight, and 64-d
+// subspaces, above vecmath.TransposedMaxDim), and for a quantizer New makes
+// from the codebooks alone, as ivf.Load does, here with entry 3 of each
+// subspace a copy of entry 1: a query on it must get code 1.
+func TestEncodeMatchesArgMin(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, sh := range []struct{ dim, m, cb int }{{128, 16, 256}, {16, 4, 32}, {16, 2, 20}, {128, 2, 32}} {
+		q, err := Train(corpus(rng, 2*sh.cb, sh.dim), sh.dim, Config{M: sh.m, CB: sh.cb, Iters: 2, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dup := slices.Clone(q.Codebooks)
+		for m := 0; m < q.M; m++ {
+			copy(dup[(m*q.CB+3)*q.DSub:], q.Entry(m, 1))
+		}
+		loaded := New(q.D, q.M, q.CB, dup)
+		vec, code := make([]float32, q.D), make([]uint16, q.M)
+		for trial := 0; trial < 40; trial++ {
+			for m := 0; m < q.M; m++ {
+				sub := vec[m*q.DSub : (m+1)*q.DSub]
+				switch trial % 3 {
+				case 0:
+					copy(sub, q.Entry(m, 1))
+				case 1:
+					copy(sub, q.Entry(m, rng.Intn(q.CB)))
+				default:
+					for j := range sub {
+						sub[j] = float32(rng.NormFloat64() * 40)
+					}
+				}
+			}
+			for _, qq := range []*Quantizer{q, loaded} {
+				qq.Encode(vec, code)
+				for m, c := range code {
+					want, _ := vecmath.ArgMinL2F32(vec[m*q.DSub:(m+1)*q.DSub], qq.Codebooks[m*q.CB*q.DSub:(m+1)*q.CB*q.DSub], q.DSub)
+					if int(c) != want || trial%3 == 0 && c != 1 {
+						t.Fatalf("dim %d M %d CB %d trial %d subspace %d: code %d, ArgMinL2F32 %d", sh.dim, sh.m, sh.cb, trial, m, c, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -112,3 +112,73 @@ done:
 	MOVUPS X12, (AX)
 	MOVUPS X13, 16(AX)
 	RET
+
+// LANES keeps in each lane of min the smaller of it and sum under a strict <
+// (a tie or a NaN keeps the earlier block) and, where sum is kept, sets that
+// lane of idx to this block's number, X9. X4 and X5 are scratch.
+#define LANES(sum, min, idx) \
+	MOVAPS X9, X5; \
+	MOVAPS sum, X4; \
+	CMPPS  min, X4, $1; \
+	MINPS  min, sum; \
+	MOVAPS sum, min; \
+	PAND   X4, X5; \
+	PANDN  idx, X4; \
+	POR    X5, X4; \
+	MOVAPS X4, idx
+
+// func argMin8T(dist *[8]float32, blk *[8]int32, ct, q []float32)
+//
+// The SSE2 body of ArgMinL2F32T over blocks of eight rows of len(q) > 0
+// floats, dimension-major. Lane r sums row r's squared differences from zero
+// in dimension order with separate SUBPS, MULPS and ADDPS, as L2SquaredF32
+// does; dist and blk carry each lane's minimum and its block in and out.
+TEXT ·argMin8T(SB), NOSPLIT, $0-64
+	MOVQ    dist+0(FP), AX
+	MOVQ    blk+8(FP), BX
+	MOVQ    ct_base+16(FP), SI
+	MOVQ    ct_len+24(FP), DX
+	MOVQ    q_base+40(FP), DI
+	MOVQ    q_len+48(FP), CX
+	MOVUPS  (AX), X10      // minimum, lanes 0-3
+	MOVUPS  16(AX), X11    // lanes 4-7
+	MOVUPS  (BX), X12      // its block, lanes 0-3
+	MOVUPS  16(BX), X13    // lanes 4-7
+	LEAQ    (SI)(DX*4), DX // end of ct
+	PXOR    X9, X9         // this block, every lane
+	PCMPEQL X15, X15       // -1, every lane
+
+block:
+	CMPQ  SI, DX
+	JGE   out
+	XORPS X0, X0
+	XORPS X1, X1
+	XORQ  R9, R9
+
+dim:
+	MOVSS  (DI)(R9*4), X8
+	SHUFPS $0, X8, X8
+	MOVUPS (SI), X2
+	MOVUPS 16(SI), X3
+	SUBPS  X8, X2
+	SUBPS  X8, X3
+	MULPS  X2, X2
+	MULPS  X3, X3
+	ADDPS  X2, X0
+	ADDPS  X3, X1
+	ADDQ   $32, SI
+	INCQ   R9
+	CMPQ   R9, CX
+	JLT    dim
+
+	LANES(X0, X10, X12)
+	LANES(X1, X11, X13)
+	PSUBL X15, X9
+	JMP   block
+
+out:
+	MOVUPS X10, (AX)
+	MOVUPS X11, 16(AX)
+	MOVUPS X12, (BX)
+	MOVUPS X13, 16(BX)
+	RET

@@ -863,8 +863,66 @@ func TestArgMinL2F32OnKernelShapes(t *testing.T) {
 	}
 }
 
+// TestArgMinL2F32TMatchesArgMin: over Transpose8's layout, ArgMinL2F32T
+// returns ArgMinL2F32's index and distance bits at every dimension from 1 to
+// 17 and at one block, two, the PQ table's 256 and 1024 rows, on the three
+// draws (+Inf distances included, where index 0 and MaxFloat32 must come
+// back; on the first, a NaN coordinate whose row must never win) and on
+// zeros: planted duplicate rows, the first of which must win, a zero row, an
+// all-zero table, and queries on a row, next to one, away from all and at
+// zero. A table that is not whole blocks of eight panics.
+func TestArgMinL2F32TMatchesArgMin(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for dim := 1; dim <= 17; dim++ {
+		for _, k := range []int{8, 16, 256, 1024} {
+			for kind := 0; kind < 4; kind++ {
+				centroids, query := make([]float32, k*dim), make([]float32, dim)
+				if kind < 3 { // kind 3 leaves every row zero
+					drawF32(rng, centroids, kind)
+					clear(centroids[rng.Intn(k)*dim:][:dim])
+				}
+				if kind == 0 {
+					centroids[rng.Intn(k*dim)] = float32(math.NaN())
+				}
+				for p := 0; p < k/2; p++ {
+					a := rng.Intn(k - 1)
+					b := a + 1 + rng.Intn(k-1-a)
+					copy(centroids[b*dim:(b+1)*dim], centroids[a*dim:(a+1)*dim])
+				}
+				ct := Transpose8(centroids, dim)
+				for trial := 0; trial < 8; trial++ {
+					copy(query, centroids[rng.Intn(k)*dim:][:dim])
+					switch trial % 4 {
+					case 1:
+						query[rng.Intn(dim)] += 0.5
+					case 2:
+						drawF32(rng, query, kind%3)
+					case 3:
+						clear(query)
+					}
+					wi, wd := ArgMinL2F32(query, centroids, dim)
+					gi, gd := ArgMinL2F32T(query, ct, dim)
+					if gi != wi || math.Float32bits(gd) != math.Float32bits(wd) {
+						t.Fatalf("dim %d k %d draw %d trial %d: got (%d, %v), ArgMinL2F32 (%d, %v)", dim, k, kind, trial, gi, gd, wi, wd)
+					}
+				}
+			}
+		}
+	}
+	for _, f := range []func(){
+		func() { Transpose8(make([]float32, 7*3), 3) },
+		func() { ArgMinL2F32T(make([]float32, 3), make([]float32, 9*3), 3) },
+		func() { ArgMinL2F32T(nil, nil, 3) },
+	} {
+		if !panics(f) {
+			t.Error("a table that is not whole blocks of eight rows: no panic")
+		}
+	}
+}
+
 // FuzzArgMinL2F32 checks ArgMinL2F32 against the naive scan on arbitrary
-// tables: each byte is one coordinate, a small signed integer, scaled past
+// tables, and ArgMinL2F32T against both when the table is whole blocks of
+// eight: each byte is one coordinate, a small signed integer, scaled past
 // float32's square root when big is set; the first len(data) % 8 + 1 bytes
 // are the dimension's worth of query.
 func FuzzArgMinL2F32(f *testing.F) {
@@ -888,6 +946,11 @@ func FuzzArgMinL2F32(f *testing.F) {
 		gi, gd := ArgMinL2F32(query, centroids, d)
 		if gi != wi || math.Float32bits(gd) != math.Float32bits(wd) {
 			t.Fatalf("dim %d k %d: got (%d, %v), naive (%d, %v)", d, len(centroids)/d, gi, gd, wi, wd)
+		}
+		if len(centroids)%(8*d) == 0 {
+			if ti, td := ArgMinL2F32T(query, Transpose8(centroids, d), d); ti != wi || math.Float32bits(td) != math.Float32bits(wd) {
+				t.Fatalf("dim %d k %d: transposed (%d, %v), naive (%d, %v)", d, len(centroids)/d, ti, td, wi, wd)
+			}
 		}
 	})
 }
