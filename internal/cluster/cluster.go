@@ -287,7 +287,10 @@ func (r *RouteStats) MeanFanout() float64 {
 }
 
 // ShardMemStats is one shard's memory accounting: the read-only deployment
-// bytes shared by all its replicas plus each replica's private bytes.
+// bytes shared by all its replicas plus each replica's private bytes. Shards
+// built by one New also share the LUT term table, and each shard's
+// SharedBytes counts it, so summing TotalBytes over shards counts it once per
+// shard.
 type ShardMemStats struct {
 	Points          int
 	Replicas        int
@@ -431,15 +434,16 @@ func shardOfPoints(ix *ivf.Index, nPoints int, weight []float64, opt Options) ([
 // the kmeans assignment balances across shards. With a profile workload it is
 // measured: one throwaway engine over the whole index, a shard's DPUs with the
 // fleet's MRAM, answers the profile, and a list weighs the simulated cycles
-// its scans cost (core.ListCycles). A scan builds LUT entries, which grow
+// its scans cost (core.ListCycles, on the probes and LUT term table New
+// prepared once for the fleet). A scan builds LUT entries, which grow
 // slower than the list, and a bound prunes far probes harder than near ones, so
 // no closed form of size and probe count tracks what a lane will spend. Memory
 // follows the cost split, as it did under size x (1 + probes) — bounded by what
 // a shard's engine can hold (assignClustersKMeans), not levelled. Without a
 // profile every cluster weighs its list size: memory balance.
-func listWeights(ix *ivf.Index, profile dataset.U8Set, opt Options) ([]float64, error) {
+func listWeights(ix *ivf.Index, profile dataset.U8Set, ps core.ProbeSet, lut *ivf.LUTBuilder, opt Options) ([]float64, error) {
 	if profile.N > 0 && opt.Assignment == AssignKMeans {
-		return core.ListCycles(ix, profile, opt.Engine, opt.Shards)
+		return core.ListCycles(ix, profile, ps, lut, opt.Engine, opt.Shards)
 	}
 	weight := make([]float64, ix.NList)
 	for c := range weight {
@@ -581,10 +585,14 @@ func assignClustersKMeans(ix *ivf.Index, shards int, heat []float64, pointCap in
 // and under AssignKMeans also weights the shard assignment itself (see
 // listWeights): shards balance measured query-time work, not just points.
 // The shared quantizer state (centroids, codebooks, SQT) is referenced, not
-// copied; only the inverted lists and codes are split. Like core.New, it
-// refuses an index with uncompacted mutations: only the packed lists are
-// partitioned, so live inserts would be dropped and tombstoned points
-// resurrected.
+// copied; only the inverted lists and codes are split. What depends on the
+// quantizer alone is computed once for the fleet (core.Prepare): the profile
+// is located once, and one LUT term table serves the ListCycles engine and
+// every shard. The shards then deploy side by side; if any fails, New returns
+// the lowest-numbered failing shard's error. Like core.New, it refuses an
+// index with uncompacted mutations or a profile that does not match it: only
+// the packed lists are partitioned, so live inserts would be dropped and
+// tombstoned points resurrected.
 func New(ix *ivf.Index, profile dataset.U8Set, opt Options) (*Cluster, error) {
 	return NewWeighted(ix, profile, opt, nil)
 }
@@ -600,13 +608,17 @@ func NewWeighted(ix *ivf.Index, profile dataset.U8Set, opt Options, weight []flo
 	if ix.HasMutations() {
 		return nil, fmt.Errorf("cluster: index has uncompacted mutations; Compact it before deploying")
 	}
+	if weight != nil && len(weight) != ix.NList {
+		return nil, fmt.Errorf("cluster: %d weights for %d clusters", len(weight), ix.NList)
+	}
+	ps, lut, err := core.Prepare(ix, profile, opt.Engine)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
 	if weight == nil {
-		var err error
-		if weight, err = listWeights(ix, profile, opt); err != nil {
+		if weight, err = listWeights(ix, profile, ps, lut, opt); err != nil {
 			return nil, fmt.Errorf("cluster: measuring list cost: %w", err)
 		}
-	} else if len(weight) != ix.NList {
-		return nil, fmt.Errorf("cluster: %d weights for %d clusters", len(weight), ix.NList)
 	}
 	nPoints := 0
 	for _, list := range ix.Lists {
@@ -619,34 +631,49 @@ func NewWeighted(ix *ivf.Index, profile dataset.U8Set, opt Options, weight []flo
 	owner, shardOfCluster := shardOfPoints(ix, nPoints, weight, opt)
 
 	cl := &Cluster{opt: opt, ix: ix, shards: make([]*Shard, opt.Shards), shardOfCluster: shardOfCluster}
-	for s := 0; s < opt.Shards; s++ {
-		// Each list keeps its order and its codes: the shard's sub-list is
-		// the index's list with the other shards' points left out.
-		sub, points := quantizerView(ix), 0
-		for c, list := range ix.Lists {
-			codes := ix.Codes[c]
-			for pos, id := range list {
-				if owner[id] != int32(s) {
-					continue
-				}
-				sub.Lists[c] = append(sub.Lists[c], id)
-				sub.Codes[c] = append(sub.Codes[c], codes[pos*ix.M:(pos+1)*ix.M]...)
-				points++
-			}
-		}
-		eng, err := core.New(sub, profile, opt.Engine)
+	errs := make([]error, opt.Shards)
+	var wg sync.WaitGroup
+	for s := range cl.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl.shards[s], errs[s] = deployShard(ix, owner, int32(s), profile, ps, lut, opt)
+		}()
+	}
+	wg.Wait()
+	for s, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("cluster: shard %d engine: %w", s, err)
-		}
-		sh := &Shard{Engine: eng, Points: points}
-		if err := sh.growReplicas(opt.Replicas); err != nil {
 			return nil, fmt.Errorf("cluster: shard %d %w", s, err)
 		}
-		cl.shards[s] = sh
 	}
 	cl.deriveOwners()
 	cl.loc = cl.shards[0].Engine.Locator()
 	return cl, nil
+}
+
+// deployShard deploys shard s of a fleet, its replicas included, over the
+// points owner gives it, from the fleet's one Prepare (ps, lut).
+func deployShard(ix *ivf.Index, owner []int32, s int32, profile dataset.U8Set, ps core.ProbeSet, lut *ivf.LUTBuilder, opt Options) (*Shard, error) {
+	// Each list keeps its order and its codes: the shard's sub-list is the
+	// index's list with the other shards' points left out.
+	sub, points := quantizerView(ix), 0
+	for c, list := range ix.Lists {
+		codes := ix.Codes[c]
+		for pos, id := range list {
+			if owner[id] != s {
+				continue
+			}
+			sub.Lists[c] = append(sub.Lists[c], id)
+			sub.Codes[c] = append(sub.Codes[c], codes[pos*ix.M:(pos+1)*ix.M]...)
+			points++
+		}
+	}
+	eng, err := core.Deploy(sub, profile, ps, lut, opt.Engine)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	sh := &Shard{Engine: eng, Points: points}
+	return sh, sh.growReplicas(opt.Replicas)
 }
 
 // probesByShard splits one query's probe list, and the CL distances beside

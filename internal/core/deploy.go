@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"drimann/internal/dataset"
 	"drimann/internal/ivf"
@@ -9,9 +10,28 @@ import (
 	"drimann/internal/upmem"
 )
 
-// deploy is New with the sample the share table is measured on (cal; none:
-// the flat table) named apart from the heat profile.
-func deploy(ix *ivf.Index, profile, cal dataset.U8Set, opts Options) (*Engine, error) {
+// Prepare is the quantizer-side state New derives from its profile before it
+// lays anything out: the profile, checked against ix, located, and ix's LUT
+// term table (nil over its memory budget). Both depend only on the quantizer
+// and opts' NProbe, so engines over indexes that share ix's quantizer — a
+// fleet's shards — all Deploy from one Prepare.
+func Prepare(ix *ivf.Index, profile dataset.U8Set, opts Options) (ProbeSet, *ivf.LUTBuilder, error) {
+	if err := profile.Check(ix.Dim); err != nil {
+		return ProbeSet{}, nil, fmt.Errorf("core: profile: %w", err)
+	}
+	opts.defaults()
+	return NewLocator(ix, opts).Probes(profile), ix.NewLUTBuilder(opts.Workers), nil
+}
+
+// Deploy is New over what Prepare returned for profile on an index sharing
+// ix's quantizer, with the same NProbe.
+func Deploy(ix *ivf.Index, profile dataset.U8Set, ps ProbeSet, lut *ivf.LUTBuilder, opts Options) (*Engine, error) {
+	return deploy(ix, profile, ps, lut, true, opts)
+}
+
+// deploy is Deploy that measures the share table only when calibrate is set
+// (otherwise every bin keeps the flat share).
+func deploy(ix *ivf.Index, profile dataset.U8Set, ps ProbeSet, lut *ivf.LUTBuilder, calibrate bool, opts Options) (*Engine, error) {
 	opts.defaults()
 	cfg := upmem.DefaultConfig(opts.NumDPUs)
 	if opts.WRAMBytes > 0 {
@@ -28,8 +48,7 @@ func deploy(ix *ivf.Index, profile, cal dataset.U8Set, opts Options) (*Engine, e
 	if ix.HasMutations() {
 		return nil, fmt.Errorf("core: index has uncompacted mutations; Compact it before deploying")
 	}
-	loc := NewLocator(ix, opts)
-	e := &Engine{ix: ix, sys: sys, opts: opts, codeBytes: codeBytesFor(ix.CB, ix.M), loc: loc}
+	e := &Engine{ix: ix, sys: sys, opts: opts, codeBytes: codeBytesFor(ix.CB, ix.M), loc: NewLocator(ix, opts), lut: lut}
 
 	// Offline heat profile: probe frequency over the profile workload.
 	sizes := make([]int, ix.NList)
@@ -38,9 +57,7 @@ func deploy(ix *ivf.Index, profile, cal dataset.U8Set, opts Options) (*Engine, e
 	}
 	freq := make([]float64, ix.NList)
 	if profile.N > 0 {
-		// The engine's own locator: the probes live queries will hit, located
-		// across workers.
-		for _, c := range loc.Probes(profile).Clusters {
+		for _, c := range ps.Clusters {
 			freq[c]++
 		}
 	} else {
@@ -84,10 +101,14 @@ func deploy(ix *ivf.Index, profile, cal dataset.U8Set, opts Options) (*Engine, e
 		return nil, err
 	}
 
-	// Host-side execution state: the decomposed LUT builder, and the per-DPU
-	// kernel scratch reused across launches.
-	e.lut = ix.NewLUTBuilder(opts.Workers)
-	e.lc = &lcDemand{cal: cal}
+	// The share table is measured on the profile's first scheduling batch,
+	// whose probes are a prefix of ps; the engine keeps just that prefix.
+	e.lc = &lcDemand{}
+	if n := min(profile.N, opts.BatchSize); calibrate && n > 0 {
+		end := ps.Offsets[n]
+		e.lc.cal = dataset.U8Set{N: n, D: profile.D, Data: profile.Data[:n*profile.D]}
+		e.lc.calProbes = ProbeSet{Offsets: slices.Clone(ps.Offsets[:n+1]), Clusters: slices.Clone(ps.Clusters[:end]), Dists: slices.Clone(ps.Dists[:end])}
+	}
 	e.scratch = make([]dpuScratch, opts.NumDPUs)
 	e.rebuildDemand()
 	return e, nil

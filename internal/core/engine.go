@@ -139,11 +139,13 @@
 // points cross the bound. Both are squared distances in the corpus's units and
 // the host owns both before the launch — CL produced d (ProbeSet.Dists,
 // sched.Request.Dist), the last barrier B — so the price is a look-up in a
-// table over bins of ρ, which New measures: one scheduling batch of its
-// profile on a throwaway replica, a recorder on the group scan, per bin
-// simulated cycles over no-prune price. Replicas share the table, Compact
-// measures it again, Insert and Delete re-price slices only, and a recovered
-// engine — New over the same lists and profile — measures the same one;
+// table over bins of ρ, which New measures: the first scheduling batch of its
+// profile on a throwaway replica, on the probes the profile was located to
+// once at deployment (Prepare; the engine keeps that batch's prefix of them),
+// a recorder on the group scan, per bin simulated cycles over no-prune price.
+// Replicas share the table, Compact measures it again on the kept prefix,
+// Insert and Delete re-price slices only, and a recovered engine — New over
+// the same lists and profile — measures the same one;
 // without a profile every bin is perfmodel's flat prior. Steps.spread levels a
 // shard's replicas with the same price. Only tasks with a bound may be
 // postponed (a first-wave task is its query's bound), and a price decides
@@ -157,7 +159,9 @@
 // entries each slice builds again, and an LC-bound deployment with MRAM for
 // copies keeps its lists whole. ListCycles is the other thing measured at
 // deployment: per list, the cycles its scans cost over the profile, which a
-// sharded fleet levels its split on.
+// sharded fleet levels its split on. The profile is located once for it and
+// for every shard (Prepare), and one LUT term table serves them all: both
+// depend on the quantizer alone, which the shards share.
 //
 // # Mutation and durability
 //
@@ -373,9 +377,14 @@ func (sc *dpuScratch) nextHeap(k int) *topk.Heap[uint32] {
 
 // New builds an engine: it sizes the PIM system, profiles cluster heat on
 // the provided profile queries (or falls back to cluster sizes), optimizes
-// the data layout, and checks that everything fits MRAM and WRAM.
+// the data layout, and checks that everything fits MRAM and WRAM. It is
+// Prepare, then Deploy.
 func New(ix *ivf.Index, profile dataset.U8Set, opts Options) (*Engine, error) {
-	return deploy(ix, profile, profile, opts)
+	ps, lut, err := Prepare(ix, profile, opts)
+	if err != nil {
+		return nil, err
+	}
+	return Deploy(ix, profile, ps, lut, opts)
 }
 
 // Placement exposes the optimized layout (for inspection and tests).

@@ -38,7 +38,10 @@ type lcDemand struct {
 	// a bound B and whose cluster lies at CL distance d, b = ShareBin(d, B).
 	heat  []float64
 	share [ShareBins]float64
-	cal   dataset.U8Set // the deployment's profile, which share is measured on (calibrate)
+	// cal is the first scheduling batch of the deployment's profile, which
+	// share is measured on (calibrate), and calProbes its probes.
+	cal       dataset.U8Set
+	calProbes ProbeSet
 }
 
 // The share table bins ρ = dist ÷ bound in steps of 1/ShareBinsPerUnit; the
@@ -139,7 +142,7 @@ func (e *Engine) recountCluster(c int32) {
 // measures the share table on it.
 func (e *Engine) rebuildDemand() {
 	n := len(e.pl.Slices)
-	*e.lc = lcDemand{bySlice: make([]sliceRef, n*e.ix.M), heat: make([]float64, n), cal: e.lc.cal}
+	*e.lc = lcDemand{bySlice: make([]sliceRef, n*e.ix.M), heat: make([]float64, n), cal: e.lc.cal, calProbes: e.lc.calProbes}
 	bms := make([][]uint64, e.opts.Workers)
 	parallelFor(n, e.opts.Workers, func(w, si int) {
 		if bms[w] == nil {
@@ -206,12 +209,12 @@ func (e *Engine) recordScan(scan groupKernel, dpu *upmem.DPU, sc *dpuScratch, gr
 }
 
 // calibrate measures the share table (see the package doc): a throwaway
-// replica answers the first scheduling batch of the deployment's profile under
-// the recorder, and perfmodel.FitShares turns the bounded scans' simulated
-// cycles and no-prune prices, summed per bin, into the table. Without a
-// profile or a bounded scan in it every bin keeps perfmodel's flat share — as
-// it does should the replica fail: a price is not worth refusing a deployment
-// or a compaction for.
+// replica answers the first scheduling batch of the deployment's profile on
+// the probes located at deployment, under the recorder, and
+// perfmodel.FitShares turns the bounded scans' simulated cycles and no-prune
+// prices, summed per bin, into the table. Without a profile or a bounded scan
+// in it every bin keeps perfmodel's flat share — as it does should the replica
+// fail: a price is not worth refusing a deployment or a compaction for.
 func (e *Engine) calibrate() {
 	var cycles, price [ShareBins]float64
 	fit := func() {
@@ -219,12 +222,10 @@ func (e *Engine) calibrate() {
 	}
 	fit() // nothing measured yet: the flat share, which schedules the measuring run
 	var scans []ScanSample
-	sample := e.lc.cal
-	if sample.N = min(sample.N, e.opts.BatchSize); sample.N > 0 {
-		sample.Data = sample.Data[:sample.N*sample.D]
+	if e.lc.cal.N > 0 {
 		if rep, err := NewReplica(e); err == nil {
 			rep.rec = &scans
-			if _, err := rep.SearchBatch(sample); err != nil {
+			if _, err := rep.searchBatch(e.lc.cal, e.lc.calProbes, true, true); err != nil {
 				return
 			}
 		}
@@ -238,26 +239,27 @@ func (e *Engine) calibrate() {
 	fit()
 }
 
-// ListCycles deploys ix as New does on one engine with the MRAM of a fleet of
-// that many — an index the fleet can hold fits it, and its layout levels over
-// as many DPUs as a shard's will — short of measuring a share table (the flat
-// one schedules), answers the profile under the scan recorder and returns the
-// simulated cycles the scans of each inverted list cost in total: the per-list
-// cost a sharded deployment levels its split on (cluster.New). WRAM is not
-// scaled (it decides where the LUT lives), so a DPU's slice directory covers
-// that many shards' lists.
-func ListCycles(ix *ivf.Index, profile dataset.U8Set, opts Options, shards int) ([]float64, error) {
+// ListCycles deploys ix as Deploy does on one engine with the MRAM of a fleet
+// of that many — an index the fleet can hold fits it, and its layout levels
+// over as many DPUs as a shard's will — short of measuring a share table (the
+// flat one schedules), answers the profile on ps, the probes Prepare located
+// once for the whole fleet, under the scan recorder and returns the simulated
+// cycles the scans of each inverted list cost in total: the per-list cost a
+// sharded deployment levels its split on (cluster.New). WRAM is not scaled (it
+// decides where the LUT lives), so a DPU's slice directory covers that many
+// shards' lists.
+func ListCycles(ix *ivf.Index, profile dataset.U8Set, ps ProbeSet, lut *ivf.LUTBuilder, opts Options, shards int) ([]float64, error) {
 	if opts.MRAMBytes <= 0 {
 		opts.MRAMBytes = upmem.DefaultConfig(1).MRAMBytes
 	}
 	opts.MRAMBytes *= shards
-	e, err := deploy(ix, profile, dataset.U8Set{}, opts)
+	e, err := deploy(ix, profile, ps, lut, false, opts)
 	if err != nil {
 		return nil, err
 	}
 	var scans []ScanSample
 	e.rec = &scans
-	if _, err := e.SearchBatch(profile); err != nil {
+	if _, err := e.searchBatch(profile, ps, true, true); err != nil {
 		return nil, err
 	}
 	cycles := make([]float64, ix.NList)

@@ -7,6 +7,7 @@ import (
 	"drimann/internal/dataset"
 	"drimann/internal/engine"
 	"drimann/internal/ivf"
+	"drimann/internal/perfmodel"
 	"drimann/internal/sched"
 	"drimann/internal/upmem"
 )
@@ -188,4 +189,63 @@ func (e *Engine) kernelTSRef(dpu *upmem.DPU, sc *dpuScratch) {
 			dpu.Charge(upmem.PhaseTS, upmem.OpCmp, 1) // bound comparison per point
 		}
 	}
+}
+
+// The deploy-time measurements as they ran before the profile was located
+// once (Prepare): each located the queries it answered where it answered
+// them. Deploy and ListCycles, handed the probes Prepare located, must
+// reproduce both bit for bit.
+
+// refShares is the share table calibrate measured on e's deployment: the flat
+// table schedules a replica that locates the profile's first scheduling batch
+// itself and answers it under the recorder. e's own table is left as it was.
+func refShares(t testing.TB, e *Engine, profile dataset.U8Set) [ShareBins]float64 {
+	t.Helper()
+	kept := e.lc.share
+	defer func() { e.lc.share = kept }()
+	var cycles, price [ShareBins]float64
+	copy(e.lc.share[:], perfmodel.FitShares(cycles[:], price[:], perfmodel.BoundedShare(e.ix.M)))
+	n := min(profile.N, e.opts.BatchSize)
+	rep, err := NewReplica(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scans []ScanSample
+	rep.RecordScans(&scans)
+	if _, err := rep.SearchBatch(dataset.U8Set{N: n, D: profile.D, Data: profile.Data[:n*profile.D]}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range scans {
+		if s.Bound != math.MaxUint32 {
+			b := ShareBin(s.Dist, s.Bound)
+			cycles[b], price[b] = cycles[b]+s.Cycles, price[b]+s.Price
+		}
+	}
+	var out [ShareBins]float64
+	copy(out[:], perfmodel.FitShares(cycles[:], price[:], perfmodel.BoundedShare(e.ix.M)))
+	return out
+}
+
+// refListCycles is ListCycles answering the profile on the pipelined path,
+// which locates it again batch by batch.
+func refListCycles(t testing.TB, ix *ivf.Index, profile dataset.U8Set, opts Options, shards int) []float64 {
+	t.Helper()
+	if opts.MRAMBytes <= 0 {
+		opts.MRAMBytes = upmem.DefaultConfig(1).MRAMBytes
+	}
+	opts.MRAMBytes *= shards
+	e, err := deploy(ix, profile, NewLocator(ix, opts).Probes(profile), ix.NewLUTBuilder(1), false, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scans []ScanSample
+	e.RecordScans(&scans)
+	if _, err := e.SearchBatch(profile); err != nil {
+		t.Fatal(err)
+	}
+	cycles := make([]float64, ix.NList)
+	for _, s := range scans {
+		cycles[s.Cluster] += s.Cycles
+	}
+	return cycles
 }
