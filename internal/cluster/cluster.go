@@ -106,9 +106,10 @@
 // every shard applies its part of the valid prefix in one call of its engine,
 // so the shard engines keep the fleet's durability: CreateFleetStore gives
 // each its own store beside one sidecar that freezes the partitioning, and
-// RecoverCluster runs the engine's recovery once per shard (durable.go). Which
-// shards a query contacts is read off the shard engines' placements, so a
-// recovered fleet routes as the one that crashed.
+// RecoverCluster deploys the shards as New does — one Prepare, side by side —
+// then resumes each from its own store (durable.go). Which shards a query
+// contacts is read off the shard engines' placements, so a recovered fleet
+// routes as the one that crashed.
 package cluster
 
 import (
@@ -194,29 +195,12 @@ type Shard struct {
 // IVF returns the shard's replica-0 engine (inspection and tests).
 func (sh *Shard) IVF() *core.Engine { return sh.Engine }
 
-// growReplicas builds the shard's replica set around Engine: further
-// replicas share replica 0's deployment (layout, decomposition terms,
-// locator) read-only and only add private simulated hardware and scratch,
-// instead of cloning the deployment R times.
-func (sh *Shard) growReplicas(replicas int) error {
-	sh.Engines = []*core.Engine{sh.Engine}
-	for r := 1; r < replicas; r++ {
-		rep, err := core.NewReplica(sh.Engine)
-		if err != nil {
-			return fmt.Errorf("replica %d engine: %w", r, err)
-		}
-		sh.Engines = append(sh.Engines, rep)
-	}
-	return nil
-}
-
 // Cluster is a fleet of shard engines behind one routed front door.
 type Cluster struct {
 	shards []*Shard
 	opt    Options
-	// ix carries the shared quantizers (the unsharded index New was given,
-	// or a quantizer-only view after recovery); its lists are never read
-	// after the build.
+	// ix is a quantizer-only view (empty lists) of the quantizer every shard
+	// holds.
 	ix *ivf.Index
 
 	// loc is the front-door CL stage (borrowed from shard 0's engine — all
@@ -359,21 +343,6 @@ func (cl *Cluster) deriveOwners() {
 	cl.owners.Store(&owners)
 }
 
-// quantizerView returns an index sharing ix's quantizer state (centroids,
-// codebooks, SQT) by reference, with empty inverted lists.
-func quantizerView(ix *ivf.Index) *ivf.Index {
-	return &ivf.Index{
-		Dim: ix.Dim, NList: ix.NList, M: ix.M, CB: ix.CB,
-		Centroids:   ix.Centroids,
-		CentroidsU8: ix.CentroidsU8,
-		PQ:          ix.PQ,
-		IntCB:       ix.IntCB,
-		SQT:         ix.SQT,
-		Lists:       make([][]int32, ix.NList),
-		Codes:       make([][]uint16, ix.NList),
-	}
-}
-
 // recordRoute folds one front-door batch into the cluster's RouteStats.
 // fanouts[i] is query i's shards-contacted count, leads[i] how many of them
 // its unbounded first wave reached; wall is the real time the front-door CL
@@ -407,29 +376,6 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// shardOfPoints computes each corpus point's shard under the configured
-// assignment. nPoints is the corpus size (max list ID + 1); weight is the
-// per-cluster weight the kmeans balance levels (see listWeights). It also
-// returns the cluster→shard map under AssignKMeans (nil under AssignHash) —
-// the routing live inserts follow, including into clusters that own no points
-// yet.
-func shardOfPoints(ix *ivf.Index, nPoints int, weight []float64, opt Options) ([]int32, []int32) {
-	owner := make([]int32, nPoints)
-	if opt.Assignment == AssignHash {
-		for i := range owner {
-			owner[i] = int32(splitmix64(uint64(i)) % uint64(opt.Shards))
-		}
-		return owner, nil
-	}
-	shardOfCluster := assignClustersKMeans(ix, opt.Shards, weight, core.PointCapacity(ix, opt.Engine))
-	for c, list := range ix.Lists {
-		for _, id := range list {
-			owner[id] = shardOfCluster[c]
-		}
-	}
-	return owner, shardOfCluster
-}
-
 // listWeights is each coarse cluster's expected query-time work — the weight
 // the kmeans assignment balances across shards. With a profile workload it is
 // measured: one throwaway engine over the whole index, a shard's DPUs with the
@@ -442,7 +388,7 @@ func shardOfPoints(ix *ivf.Index, nPoints int, weight []float64, opt Options) ([
 // a shard's engine can hold (assignClustersKMeans), not levelled. Without a
 // profile every cluster weighs its list size: memory balance.
 func listWeights(ix *ivf.Index, profile dataset.U8Set, ps core.ProbeSet, lut *ivf.LUTBuilder, opt Options) ([]float64, error) {
-	if profile.N > 0 && opt.Assignment == AssignKMeans {
+	if profile.N > 0 {
 		return core.ListCycles(ix, profile, ps, lut, opt.Engine, opt.Shards)
 	}
 	weight := make([]float64, ix.NList)
@@ -615,29 +561,70 @@ func NewWeighted(ix *ivf.Index, profile dataset.U8Set, opt Options, weight []flo
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	if weight == nil {
-		if weight, err = listWeights(ix, profile, ps, lut, opt); err != nil {
-			return nil, fmt.Errorf("cluster: measuring list cost: %w", err)
+	// A point's shard: its id's hash, or under AssignKMeans its cluster's.
+	var shardOfCluster []int32
+	shardOf := func(_ int, id int32) int { return int(splitmix64(uint64(id)) % uint64(opt.Shards)) }
+	if opt.Assignment == AssignKMeans {
+		if weight == nil {
+			if weight, err = listWeights(ix, profile, ps, lut, opt); err != nil {
+				return nil, fmt.Errorf("cluster: measuring list cost: %w", err)
+			}
 		}
+		shardOfCluster = assignClustersKMeans(ix, opt.Shards, weight, core.PointCapacity(ix, opt.Engine))
+		shardOf = func(c int, _ int32) int { return int(shardOfCluster[c]) }
 	}
-	nPoints := 0
-	for _, list := range ix.Lists {
-		for _, id := range list {
-			if int(id) >= nPoints {
-				nPoints = int(id) + 1
+	shards, err := deployShards(opt, func(s int) (*core.Engine, error) {
+		return core.Deploy(shardIndex(ix, s, shardOf), profile, ps, lut, opt.Engine)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return newCluster(opt, ix, shards, shardOfCluster), nil
+}
+
+// shardIndex is shard s's sub-index: ix's quantizer, and each of its lists
+// with only the points shardOf gives shard s, in order, codes and all.
+func shardIndex(ix *ivf.Index, s int, shardOf func(c int, id int32) int) *ivf.Index {
+	sub := ix.QuantizerView()
+	for c, list := range ix.Lists {
+		codes := ix.Codes[c]
+		for pos, id := range list {
+			if shardOf(c, id) == s {
+				sub.Lists[c] = append(sub.Lists[c], id)
+				sub.Codes[c] = append(sub.Codes[c], codes[pos*ix.M:(pos+1)*ix.M]...)
 			}
 		}
 	}
-	owner, shardOfCluster := shardOfPoints(ix, nPoints, weight, opt)
+	return sub
+}
 
-	cl := &Cluster{opt: opt, ix: ix, shards: make([]*Shard, opt.Shards), shardOfCluster: shardOfCluster}
-	errs := make([]error, opt.Shards)
+// deployShards deploys a fleet's shards side by side — deploy(s) returns
+// shard s's engine — and grows each one's replicas around it: they share its
+// deployment (layout, decomposition terms, locator) read-only and add only
+// private simulated hardware and scratch. New and RecoverCluster both deploy
+// through it. Every deploy has ended when it returns; if any failed, the error
+// is the lowest-numbered failing shard's.
+func deployShards(opt Options, deploy func(s int) (*core.Engine, error)) ([]*Shard, error) {
+	shards, errs := make([]*Shard, opt.Shards), make([]error, opt.Shards)
 	var wg sync.WaitGroup
-	for s := range cl.shards {
+	for s := range shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl.shards[s], errs[s] = deployShard(ix, owner, int32(s), profile, ps, lut, opt)
+			eng, err := deploy(s)
+			if err != nil {
+				errs[s] = fmt.Errorf("engine: %w", err)
+				return
+			}
+			shards[s] = &Shard{Engine: eng, Engines: []*core.Engine{eng}}
+			for r := 1; r < opt.Replicas; r++ {
+				rep, err := core.NewReplica(eng)
+				if err != nil {
+					errs[s] = fmt.Errorf("replica %d engine: %w", r, err)
+					return
+				}
+				shards[s].Engines = append(shards[s].Engines, rep)
+			}
 		}()
 	}
 	wg.Wait()
@@ -646,34 +633,19 @@ func NewWeighted(ix *ivf.Index, profile dataset.U8Set, opt Options, weight []flo
 			return nil, fmt.Errorf("cluster: shard %d %w", s, err)
 		}
 	}
-	cl.deriveOwners()
-	cl.loc = cl.shards[0].Engine.Locator()
-	return cl, nil
+	return shards, nil
 }
 
-// deployShard deploys shard s of a fleet, its replicas included, over the
-// points owner gives it, from the fleet's one Prepare (ps, lut).
-func deployShard(ix *ivf.Index, owner []int32, s int32, profile dataset.U8Set, ps core.ProbeSet, lut *ivf.LUTBuilder, opt Options) (*Shard, error) {
-	// Each list keeps its order and its codes: the shard's sub-list is the
-	// index's list with the other shards' points left out.
-	sub, points := quantizerView(ix), 0
-	for c, list := range ix.Lists {
-		codes := ix.Codes[c]
-		for pos, id := range list {
-			if owner[id] != s {
-				continue
-			}
-			sub.Lists[c] = append(sub.Lists[c], id)
-			sub.Codes[c] = append(sub.Codes[c], codes[pos*ix.M:(pos+1)*ix.M]...)
-			points++
-		}
+// newCluster puts the front door before deployed shards: a quantizer-only
+// view of q (every shard holds the same quantizer), shard 0's locator, each
+// shard's live point count and the owner map, all read off the shard engines.
+func newCluster(opt Options, q *ivf.Index, shards []*Shard, shardOfCluster []int32) *Cluster {
+	cl := &Cluster{opt: opt, ix: q.QuantizerView(), shards: shards, shardOfCluster: shardOfCluster, loc: shards[0].Engine.Locator()}
+	for _, sh := range shards {
+		sh.Points = len(sh.Engine.Index().LiveIDs())
 	}
-	eng, err := core.Deploy(sub, profile, ps, lut, opt.Engine)
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	sh := &Shard{Engine: eng, Points: points}
-	return sh, sh.growReplicas(opt.Replicas)
+	cl.deriveOwners()
+	return cl
 }
 
 // probesByShard splits one query's probe list, and the CL distances beside

@@ -1,10 +1,13 @@
 // Fleet durability: a sharded Cluster has the crash contract of the engines
 // it is made of. Every shard engine owns a durable.Store (core's CreateStore
-// and Recover): its Insert and Delete log exactly the points they applied,
+// and Resume): its Insert and Delete log exactly the points they applied,
 // its Checkpoint rotates the store, and its recovery replays the WAL through
 // its own mutation path. Every acknowledged mutation survives a kill at any
 // instant, and RecoverCluster restarts the fleet bit-identically (search
-// results, simulated metrics, memory stats, owner maps).
+// results, simulated metrics, memory stats, owner maps). It recovers the way
+// New deploys: every shard snapshot holds the fleet's quantizer in full, so
+// recovery checks that they hold one (ErrMixedQuantizers), prepares once and
+// deploys the shards side by side, then resumes them in shard order.
 //
 // Layout: one fleet directory holding an immutable ASSIGN sidecar plus one
 // engine store per shard under shard-%03d/, whose snapshot is the shard
@@ -35,6 +38,7 @@ import (
 	"drimann/internal/core"
 	"drimann/internal/dataset"
 	"drimann/internal/durable"
+	"drimann/internal/ivf"
 )
 
 // AssignName is the fleet assignment sidecar file, written once at
@@ -218,12 +222,19 @@ func (cl *Cluster) checkpoint() error {
 	return nil
 }
 
-// RecoverCluster rebuilds a fleet from the durable state in opt.Dir: the
-// assignment sidecar fixes the partitioning, and every shard engine recovers
-// from its own store (core.Recover: redeploy from the checkpoint, re-adopt
-// its overlay, replay its WAL tail, rotate to a fresh generation). profile
-// and copt must match the original deployment for bit-identity, exactly as
-// in core.Recover. The returned cluster logs to the returned store;
+// ErrMixedQuantizers refuses a fleet directory whose shard checkpoints do not
+// all hold shard 0's quantizer (a shard store copied in from another build):
+// the shards deploy from one located profile and one LUT term table.
+var ErrMixedQuantizers = errors.New("cluster: shard quantizers differ")
+
+// RecoverCluster rebuilds a fleet from the durable state in opt.Dir the way
+// New deploys one. The assignment sidecar fixes the partitioning; every shard
+// checkpoint is loaded (core.LoadCheckpoint) and must hold shard 0's quantizer
+// bit for bit; one core.Prepare serves the shards, which deploy side by side
+// and then resume in shard order (core.Engine.Resume: re-adopt the overlay,
+// replay the WAL tail, rotate to a fresh generation). profile and copt must
+// match the original deployment for bit-identity, exactly as in
+// core.Recover. The returned cluster logs to the returned store;
 // unacknowledged mutations (never WAL-synced) may be lost, acknowledged ones
 // never are. A failed recovery closes every shard store it opened.
 func RecoverCluster(opt durable.Options, profile dataset.U8Set, copt Options) (_ *Cluster, _ *FleetStore, err error) {
@@ -245,34 +256,41 @@ func RecoverCluster(opt durable.Options, profile dataset.U8Set, copt Options) (_
 		return nil, nil, fmt.Errorf("cluster: recover: store has %d shards, options say %d", S, copt.Shards)
 	}
 
-	cl := &Cluster{opt: copt, shards: make([]*Shard, S), shardOfCluster: shardOfCluster}
 	fst := &FleetStore{dir: opt.Dir}
 	defer func() {
 		if err != nil {
 			fst.Close()
 		}
 	}()
-	for s := range cl.shards {
-		eng, st, err := core.Recover(shardStore(opt, s), profile, copt.Engine)
+	ixs, overlays := make([]*ivf.Index, S), make([][]byte, S)
+	for s := range S {
+		st, ix, overlay, err := core.LoadCheckpoint(shardStore(opt, s))
 		if err != nil {
 			return nil, nil, fmt.Errorf("cluster: recover shard %d: %w", s, err)
 		}
-		fst.stores = append(fst.stores, st)
-		if eng.Index().NList != nlist {
-			return nil, nil, fmt.Errorf("cluster: recover shard %d: index nlist %d != sidecar %d", s, eng.Index().NList, nlist)
+		fst.stores, ixs[s], overlays[s] = append(fst.stores, st), ix, overlay
+		if ix.NList != nlist {
+			return nil, nil, fmt.Errorf("cluster: recover shard %d: index nlist %d != sidecar %d", s, ix.NList, nlist)
 		}
-		sh := &Shard{Engine: eng, Points: len(eng.Index().LiveIDs())}
-		if err := sh.growReplicas(copt.Replicas); err != nil {
-			return nil, nil, fmt.Errorf("cluster: recover shard %d %w", s, err)
+		if !ix.SameQuantizer(ixs[0]) {
+			return nil, nil, fmt.Errorf("cluster: recover shard %d: %w", s, ErrMixedQuantizers)
 		}
-		cl.shards[s] = sh
 	}
-	// Shared front-door state: every shard sub-index carries the full
-	// (identical) quantizer tables, so shard 0's stand in for the
-	// original unsharded index — post-build the cluster only uses its
-	// quantizers (AssignVec, Centroid, scratch), never its lists.
-	cl.ix = quantizerView(cl.shards[0].Engine.Index())
-	cl.loc = cl.shards[0].Engine.Locator()
-	cl.deriveOwners()
-	return cl, fst, nil
+	ps, lut, err := core.Prepare(ixs[0], profile, copt.Engine)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cluster: recover: %w", err)
+	}
+	shards, err := deployShards(copt, func(s int) (*core.Engine, error) {
+		return core.Deploy(ixs[s], profile, ps, lut, copt.Engine)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	// One shard after another, so the checkpoints keep one filesystem op order.
+	for s, sh := range shards {
+		if err := sh.Engine.Resume(fst.stores[s], overlays[s]); err != nil {
+			return nil, nil, fmt.Errorf("cluster: recover shard %d: %w", s, err)
+		}
+	}
+	return newCluster(copt, ixs[0], shards, shardOfCluster), fst, nil
 }

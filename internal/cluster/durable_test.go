@@ -520,3 +520,116 @@ func TestClusterRecoverCrashMatrix(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveredFleetHoldsOneDeployState: a recovered fleet, like one New
+// deploys, locates its profile once and builds one LUT term table, which
+// every replica of every shard reads — and still serves exactly what the
+// live fleet serves, for S ∈ {1, 2, 7} under both assignment policies.
+func TestRecoveredFleetHoldsOneDeployState(t *testing.T) {
+	ix, s, base := durableFixture(t, 4000, 48, 300)
+	for _, shards := range []int{1, 2, 7} {
+		for _, assign := range []cluster.Assignment{cluster.AssignHash, cluster.AssignKMeans} {
+			t.Run(fmt.Sprintf("S=%d/%s", shards, assign), func(t *testing.T) {
+				copt := cluster.Options{Shards: shards, Replicas: 2, Assignment: assign, Engine: engineOpts()}
+				cl, err := cluster.New(ix, s.Queries, copt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs := durable.NewMemFS(durable.FaultPlan{})
+				fst, err := cluster.CreateFleetStore(cl, durable.Options{Dir: "fleet", FS: fs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids := []int32{int32(base), int32(base + 1), int32(base + 2)}
+				if err := cl.Insert(dataset.U8Set{N: 3, D: s.Base.D, Data: s.Base.Data[base*s.Base.D : (base+3)*s.Base.D]}, ids); err != nil {
+					t.Fatal(err)
+				}
+				if err := cl.Delete([]int32{5, int32(base + 1)}); err != nil {
+					t.Fatal(err)
+				}
+				if err := fst.Close(); err != nil {
+					t.Fatal(err)
+				}
+				rcl, rfst, err := cluster.RecoverCluster(durable.Options{Dir: "fleet", FS: fs}, s.Queries, copt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rfst.Close()
+				lut := cluster.LUTOf(rcl.Shards()[0].Engine)
+				if lut == nil {
+					t.Fatal("recovered shard 0 reads no LUT term table")
+				}
+				for si, sh := range rcl.Shards() {
+					if len(sh.Engines) != 2 {
+						t.Fatalf("shard %d: %d replicas, want 2", si, len(sh.Engines))
+					}
+					for r, eng := range sh.Engines {
+						if cluster.LUTOf(eng) != lut {
+							t.Fatalf("shard %d replica %d reads a LUT term table of its own", si, r)
+						}
+					}
+				}
+				requireFleetEqual(t, rcl, cl, s.Queries, "recovered fleet")
+			})
+		}
+	}
+}
+
+// TestRecoverRefusesMixedQuantizers: a fleet directory whose shards were cut
+// from indexes with different quantizers — here two builds of one corpus,
+// equal in every shape, with different seeds, one shard's store swapped in
+// from the other fleet — is refused with ErrMixedQuantizers, and the failed
+// recovery leaves no file open. Sharing one located profile and one LUT term
+// table is only sound for shards that share the quantizer.
+func TestRecoverRefusesMixedQuantizers(t *testing.T) {
+	ix7, s, base := durableFixture(t, 2000, 8, 100)
+	ix8, err := ivf.Build(dataset.U8Set{N: base, D: s.Base.D, Data: s.Base.Data[:base*s.Base.D]},
+		ivf.BuildConfig{NList: 64, PQ: pq.Config{M: 16, CB: 256}, KMeansIters: 6, TrainSample: 3000, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	copt := cluster.Options{Shards: 2, Assignment: cluster.AssignHash, Engine: engineOpts()}
+	fs := &countingFS{MemFS: durable.NewMemFS(durable.FaultPlan{})}
+	var swapped durable.Manifest
+	for _, f := range []struct {
+		ix  *ivf.Index
+		dir string
+	}{{ix7, "fleet"}, {ix8, "other"}} {
+		cl, err := cluster.New(f.ix, s.Queries, copt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fst, err := cluster.CreateFleetStore(cl, durable.Options{Dir: f.dir, FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		swapped = fst.Shard(1).Manifest()
+		if err := fst.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{durable.ManifestName, swapped.Snapshot, swapped.WAL} {
+		data, err := fs.ReadFile("other/shard-001/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := fs.Create("fleet/shard-001/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.opened, fs.closed = 0, 0
+	_, _, err = cluster.RecoverCluster(durable.Options{Dir: "fleet", FS: fs}, s.Queries, copt)
+	if !errors.Is(err, cluster.ErrMixedQuantizers) {
+		t.Fatalf("recovering a fleet with shard 1 swapped in from another build: %v, want ErrMixedQuantizers", err)
+	}
+	if fs.opened != fs.closed {
+		t.Fatalf("failed RecoverCluster opened %d files and closed %d", fs.opened, fs.closed)
+	}
+}

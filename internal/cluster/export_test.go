@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"reflect"
+
 	"drimann/internal/core"
 	"drimann/internal/ivf"
 )
@@ -18,9 +20,8 @@ func (cl *Cluster) Locator() *core.Locator { return cl.loc }
 // for an empty cluster). Safe for concurrent use with mutations.
 func (cl *Cluster) OwnerShards(c int32) []int32 { return cl.ownersView()[c] }
 
-// Index returns the index carrying the fleet's shared quantizers: the
-// unsharded index New partitioned, or a quantizer-only view (empty lists)
-// after RecoverCluster.
+// Index returns the index carrying the fleet's shared quantizers, a
+// quantizer-only view with empty lists.
 func (cl *Cluster) Index() *ivf.Index { return cl.ix }
 
 // Compact folds every shard's mutation overlay back into its packed layout
@@ -28,4 +29,11 @@ func (cl *Cluster) Index() *ivf.Index { return cl.ix }
 // merged results are bit-identical to a freshly built fleet.
 func (s *Server) Compact() error {
 	return s.exclusiveAll(func() error { return s.cl.Compact() })
+}
+
+// LUTOf returns the LUT term table engine e reads (nil without one). The
+// engine keeps it unexported; the tests that check a fleet builds one table
+// for all its shards read the field by reflection.
+func LUTOf(e *core.Engine) *ivf.LUTBuilder {
+	return (*ivf.LUTBuilder)(reflect.ValueOf(e).Elem().FieldByName("lut").UnsafePointer())
 }

@@ -185,6 +185,27 @@ func (ix *Index) Centroid(c int) []float32 { return ix.Centroids[c*ix.Dim : (c+1
 // CentroidU8 returns the integer-path centroid c.
 func (ix *Index) CentroidU8(c int) []uint8 { return ix.CentroidsU8[c*ix.Dim : (c+1)*ix.Dim] }
 
+// QuantizerView returns an index sharing ix's quantizer state (centroids,
+// codebooks, SQT) by reference, with empty inverted lists.
+func (ix *Index) QuantizerView() *Index {
+	return &Index{
+		Dim: ix.Dim, NList: ix.NList, M: ix.M, CB: ix.CB,
+		Centroids: ix.Centroids, CentroidsU8: ix.CentroidsU8,
+		PQ: ix.PQ, IntCB: ix.IntCB, SQT: ix.SQT,
+		Lists: make([][]int32, ix.NList),
+		Codes: make([][]uint16, ix.NList),
+	}
+}
+
+// SameQuantizer reports whether ix and o hold one quantizer bit for bit: the
+// coarse directory, float and rounded, and the PQ codebooks, from which the
+// integer codebooks and the LUT term table derive.
+func (ix *Index) SameQuantizer(o *Index) bool {
+	bits := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
+	return ix.Dim == o.Dim && ix.M == o.M && ix.CB == o.CB && slices.Equal(ix.CentroidsU8, o.CentroidsU8) &&
+		slices.EqualFunc(ix.Centroids, o.Centroids, bits) && slices.EqualFunc(ix.PQ.Codebooks, o.PQ.Codebooks, bits)
+}
+
 // ListLen returns the population of cluster c.
 func (ix *Index) ListLen(c int) int { return len(ix.Lists[c]) }
 

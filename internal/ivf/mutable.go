@@ -326,13 +326,7 @@ func RebuildFrozen(ix *Index, vecs dataset.U8Set, ids []int32) (*Index, error) {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return ids[order[a]] < ids[order[b]] })
-	out := &Index{
-		Dim: ix.Dim, NList: ix.NList, M: ix.M, CB: ix.CB,
-		Centroids: ix.Centroids, CentroidsU8: ix.CentroidsU8,
-		PQ: ix.PQ, IntCB: ix.IntCB, SQT: ix.SQT,
-		Lists: make([][]int32, ix.NList),
-		Codes: make([][]uint16, ix.NList),
-	}
+	out := ix.QuantizerView()
 	sc := ix.NewEncodeScratch()
 	code := make([]uint16, ix.M)
 	for _, i := range order {

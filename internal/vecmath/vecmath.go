@@ -99,15 +99,6 @@ func L2SquaredI16(a, b []int16) uint32 {
 	return sum
 }
 
-// NormSquaredF32 returns the squared L2 norm of v.
-func NormSquaredF32(v []float32) float32 {
-	var sum float32
-	for _, x := range v {
-		sum += x * x
-	}
-	return sum
-}
-
 // SubI16 writes a-b into dst in the int16 domain, the residual operation of
 // the PIM path (operands are uint8-quantized so the difference always fits).
 func SubI16(dst []int16, a, b []uint8) {

@@ -75,12 +75,6 @@ func TestL2NonNegativeAndIdentity(t *testing.T) {
 	}
 }
 
-func TestNormSquaredF32(t *testing.T) {
-	if got := NormSquaredF32([]float32{3, 4}); got != 25 {
-		t.Fatalf("NormSquaredF32 = %v, want 25", got)
-	}
-}
-
 func TestSubI16(t *testing.T) {
 	a := []uint8{10, 0, 255}
 	b := []uint8{20, 0, 0}
