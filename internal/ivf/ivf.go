@@ -57,6 +57,9 @@ type Index struct {
 
 	Centroids   []float32 // NList x Dim, assignment at build and insert
 	CentroidsU8 []uint8   // NList x Dim, the search path's (rounded)
+	// centroidsT is Centroids as vecmath.Transpose8 lays them out, which
+	// AssignVec scans; derived at Build and Load, never serialized.
+	centroidsT []float32
 
 	PQ    *pq.Quantizer
 	IntCB pq.IntCodebooks
@@ -119,8 +122,9 @@ func Build(base dataset.U8Set, cfg BuildConfig) (*Index, error) {
 	ix := &Index{
 		Dim: base.D, NList: cfg.NList,
 		M: cfg.PQ.M, CB: cfg.PQ.CB,
-		Centroids: coarse.Centroids,
-		SQT:       sqt.NewSQT8(),
+		Centroids:  coarse.Centroids,
+		centroidsT: vecmath.Transpose8(coarse.Centroids, base.D),
+		SQT:        sqt.NewSQT8(),
 	}
 	ix.CentroidsU8 = make([]uint8, len(coarse.Centroids))
 	for i, x := range coarse.Centroids {
@@ -190,7 +194,7 @@ func (ix *Index) CentroidU8(c int) []uint8 { return ix.CentroidsU8[c*ix.Dim : (c
 func (ix *Index) QuantizerView() *Index {
 	return &Index{
 		Dim: ix.Dim, NList: ix.NList, M: ix.M, CB: ix.CB,
-		Centroids: ix.Centroids, CentroidsU8: ix.CentroidsU8,
+		Centroids: ix.Centroids, CentroidsU8: ix.CentroidsU8, centroidsT: ix.centroidsT,
 		PQ: ix.PQ, IntCB: ix.IntCB, SQT: ix.SQT,
 		Lists: make([][]int32, ix.NList),
 		Codes: make([][]uint16, ix.NList),

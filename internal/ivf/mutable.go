@@ -71,7 +71,7 @@ func (ix *Index) ensureMut() *mutState {
 // vector through it, so an inserted vector lands where a build would put it.
 func (ix *Index) AssignVec(vec []uint8, sc *EncodeScratch) int32 {
 	vecmath.U8ToF32(sc.f32, vec)
-	c, _ := vecmath.ArgMinL2F32(sc.f32, ix.Centroids, ix.Dim)
+	c, _ := vecmath.ArgMinL2F32T(sc.f32, ix.centroidsT, ix.Dim)
 	return int32(c)
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"drimann/internal/pq"
 	"drimann/internal/sqt"
+	"drimann/internal/vecmath"
 )
 
 // Binary index format, little-endian throughout.
@@ -197,6 +198,7 @@ func newLoadShell(h []int32) (*Index, int64, error) {
 func (ix *Index) setQuant(b []byte) {
 	nd := ix.NList * ix.Dim
 	ix.Centroids = f32sOf(b[:4*nd])
+	ix.centroidsT = vecmath.Transpose8(ix.Centroids, ix.Dim)
 	ix.CentroidsU8 = slices.Clone(b[4*nd : 5*nd])
 	ix.PQ = pq.New(ix.Dim, ix.M, ix.CB, f32sOf(b[5*nd:]))
 	ix.IntCB = ix.PQ.QuantizeCodebooks()

@@ -16,6 +16,8 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 
 	"drimann/internal/vecmath"
@@ -103,70 +105,45 @@ func Train(data []float32, cfg Config) (*Result, error) {
 	}, nil
 }
 
-// seedPlusPlus picks initial centroids with the k-means++ D² weighting.
+// seedPlusPlus picks initial centroids with the k-means++ D² weighting. D²
+// stays float32, every entry a float32 distance or +Inf, over the points
+// transposed; the serial total pass fills float64 prefix sums, which never
+// decrease, so the first one at or above the draw is the linear scan's pick.
 func seedPlusPlus(data []float32, n int, cfg Config, rng *rand.Rand) []float32 {
 	centroids := make([]float32, cfg.K*cfg.Dim)
 	first := rng.Intn(n)
 	copy(centroids[:cfg.Dim], data[first*cfg.Dim:(first+1)*cfg.Dim])
 
-	d2 := make([]float64, n)
-	for i := range d2 {
-		d2[i] = math.Inf(1)
-	}
-	refreshD2(data, centroids[:cfg.Dim], d2, cfg.Workers)
+	pt := vecmath.Transpose8(data, cfg.Dim)
+	d2 := slices.Repeat([]float32{float32(math.Inf(1))}, len(pt)/cfg.Dim)
+	refreshD2(pt, centroids[:cfg.Dim], d2, cfg.Workers)
+	prefix := make([]float64, n)
 	for c := 1; c < cfg.K; c++ {
 		var total float64
-		for _, d := range d2 {
-			total += d
+		for i, d := range d2[:n] {
+			total += float64(d)
+			prefix[i] = total
 		}
 		var pick int
 		if total <= 0 {
 			pick = rng.Intn(n) // all points coincide with a centroid
 		} else {
-			r := rng.Float64() * total
-			acc := 0.0
-			pick = n - 1
-			for i, d := range d2 {
-				acc += d
-				if acc >= r {
-					pick = i
-					break
-				}
-			}
+			pick = min(sort.SearchFloat64s(prefix, rng.Float64()*total), n-1)
 		}
 		dst := centroids[c*cfg.Dim : (c+1)*cfg.Dim]
 		copy(dst, data[pick*cfg.Dim:(pick+1)*cfg.Dim])
-		refreshD2(data, dst, d2, cfg.Workers)
+		refreshD2(pt, dst, d2, cfg.Workers)
 	}
 	return centroids
 }
 
 // refreshD2 lowers each point's D² to its distance from the new centroid
-// where that is smaller, across workers on disjoint ranges, eight points a
-// call to vecmath.L2SquaredF32x8. A distance may be abandoned above the
-// point's D², a float32 distance (or +Inf), so the bound converts exactly.
-func refreshD2(data, centroid []float32, d2 []float64, workers int) {
+// where that is smaller, across workers on disjoint ranges of whole pairs of
+// blocks of pt, the points as vecmath.Transpose8 lays them out.
+func refreshD2(pt, centroid, d2 []float32, workers int) {
 	dim := len(centroid)
-	forEachRange(len(d2), workers, func(_, lo, hi int) {
-		var dist, bound [8]float32
-		i := lo
-		for ; i+8 <= hi; i += 8 {
-			for r := range bound {
-				bound[r] = float32(d2[i+r])
-			}
-			vecmath.L2SquaredF32x8(&dist, data[i*dim:(i+8)*dim], centroid, &bound)
-			for r, d := range dist {
-				if float64(d) < d2[i+r] {
-					d2[i+r] = float64(d)
-				}
-			}
-		}
-		for ; i < hi; i++ {
-			row := data[i*dim : (i+1)*dim]
-			if d, _ := vecmath.L2SquaredF32Abandon(row, centroid, float32(d2[i])); float64(d) < d2[i] {
-				d2[i] = float64(d)
-			}
-		}
+	forEachRange(len(d2)/16, workers, func(_, lo, hi int) {
+		vecmath.MinL2F32T(d2[lo*16:hi*16], pt[lo*16*dim:hi*16*dim], centroid)
 	})
 }
 
@@ -192,20 +169,15 @@ func forEachRange(count, workers int, f func(w, lo, hi int)) {
 	wg.Wait()
 }
 
-// assignAll assigns every point to its nearest centroid in parallel and
-// returns the summed squared distance. Up to vecmath.TransposedMaxDim it
-// scans a transposed copy of the centroids when K is whole blocks of eight.
+// assignAll assigns every point to its nearest centroid in parallel, over a
+// transposed copy of the centroids, and returns the summed squared distance.
 func assignAll(data, centroids []float32, assign []int32, cfg Config) float64 {
-	argMin := func(q []float32) (int, float32) { return vecmath.ArgMinL2F32(q, centroids, cfg.Dim) }
-	if cfg.Dim <= vecmath.TransposedMaxDim && len(centroids)%(8*cfg.Dim) == 0 {
-		ct := vecmath.Transpose8(centroids, cfg.Dim)
-		argMin = func(q []float32) (int, float32) { return vecmath.ArgMinL2F32T(q, ct, cfg.Dim) }
-	}
+	ct := vecmath.Transpose8(centroids, cfg.Dim)
 	partial := make([]float64, cfg.Workers)
 	forEachRange(len(assign), cfg.Workers, func(w, lo, hi int) {
 		var acc float64
 		for p := lo; p < hi; p++ {
-			best, d := argMin(data[p*cfg.Dim : (p+1)*cfg.Dim])
+			best, d := vecmath.ArgMinL2F32T(data[p*cfg.Dim:(p+1)*cfg.Dim], ct, cfg.Dim)
 			assign[p] = int32(best)
 			acc += float64(d)
 		}

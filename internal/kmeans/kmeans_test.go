@@ -3,6 +3,7 @@ package kmeans
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"drimann/internal/vecmath"
@@ -94,7 +95,12 @@ func TestTrainAssignsNearestCentroid(t *testing.T) {
 	}
 	for i := 0; i < len(res.Assign); i++ {
 		vec := data[i*6 : (i+1)*6]
-		best, _ := vecmath.ArgMinL2F32(vec, res.Centroids, 6)
+		best, bestDist := 0, float32(math.MaxFloat32)
+		for c := range 3 {
+			if d := vecmath.L2SquaredF32(vec, res.Centroids[c*6:(c+1)*6]); d < bestDist {
+				best, bestDist = c, d
+			}
+		}
 		if int32(best) != res.Assign[i] {
 			t.Fatalf("point %d assigned to %d but nearest centroid is %d", i, res.Assign[i], best)
 		}
@@ -179,23 +185,21 @@ func TestRefreshD2MatchesSerial(t *testing.T) {
 		for i := range data {
 			data[i] = float32(rng.Intn(5))
 		}
+		pt := vecmath.Transpose8(data, dim)
 		for _, workers := range []int{1, 2, 3, 8} {
-			want, got := make([]float64, n), make([]float64, n)
-			for i := range got {
-				got[i] = math.Inf(1)
-			}
+			want := make([]float32, n)
+			got := slices.Repeat([]float32{float32(math.Inf(1))}, len(pt)/dim)
 			for c := 0; c < 12; c++ {
 				p := rng.Intn(n)
 				cent := data[p*dim : (p+1)*dim]
 				for i := range want {
-					d := float64(vecmath.L2SquaredF32(data[i*dim:(i+1)*dim], cent))
-					if c == 0 || d < want[i] {
+					if d := vecmath.L2SquaredF32(data[i*dim:(i+1)*dim], cent); c == 0 || d < want[i] {
 						want[i] = d
 					}
 				}
-				refreshD2(data, cent, got, workers)
+				refreshD2(pt, cent, got, workers)
 				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 						t.Fatalf("dim %d workers %d centroid %d point %d: D² %v, serial %v", dim, workers, c, i, got[i], want[i])
 					}
 				}
@@ -204,16 +208,16 @@ func TestRefreshD2MatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRefreshD2OnKernelShapes: at every dimension the eight-row kernel is
-// held to (each quad remainder, both sides of the abandon stride, 96 and
+// TestRefreshD2OnKernelShapes: at every dimension the D² kernel is held to
+// (both sides of a block's eight lanes and of the abandon stride, 96 and
 // 128), on uniform, integer-grid and overflowing (+Inf distance) points, with
-// ranges that leave remainders past the blocks of eight, the refresh leaves
-// the serial bits when a point's current D² is +Inf, 0, just under, at or
-// just over its distance to the centroid, or its distance over the first
-// stride: lanes of one block abandon while others run to the end.
+// point counts that leave padding past the last pair of blocks, the refresh
+// leaves the serial bits when a point's current D² is +Inf, 0, just under, at
+// or just over its distance to the centroid, or its distance over the first
+// stride: lanes of one pass abandon while others run to the end.
 func TestRefreshD2OnKernelShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	dims := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24, 96, 128}
+	dims := []int{1, 2, 7, 8, 9, 15, 16, 17, 24, 31, 33, 96, 128}
 	for _, dim := range dims {
 		const n = 77
 		data := make([]float32, n*dim)
@@ -228,27 +232,98 @@ func TestRefreshD2OnKernelShapes(t *testing.T) {
 					data[i] = float32(rng.Intn(3)-1) * 1e19
 				}
 			}
+			pt := vecmath.Transpose8(data, dim)
 			cent := data[rng.Intn(n)*dim:][:dim]
-			start, want := make([]float64, n), make([]float64, n)
-			for i := range start {
+			start := slices.Repeat([]float32{float32(math.Inf(1))}, len(pt)/dim)
+			want := slices.Clone(start)
+			for i := range n {
 				row := data[i*dim : (i+1)*dim]
 				d := vecmath.L2SquaredF32(row, cent)
 				head := min(dim, vecmath.AbandonStride)
-				start[i] = float64([]float32{
+				start[i] = []float32{
 					float32(math.Inf(1)), 0, d,
 					math.Nextafter32(d, 0), math.Nextafter32(d, float32(math.Inf(1))),
 					vecmath.L2SquaredF32(row[:head], cent[:head]),
-				}[rng.Intn(6)])
-				want[i] = math.Min(start[i], float64(d))
+				}[rng.Intn(6)]
+				want[i] = min(start[i], d)
 			}
 			for _, workers := range []int{1, 3} {
-				got := append([]float64(nil), start...)
-				refreshD2(data, cent, got, workers)
+				got := slices.Clone(start)
+				refreshD2(pt, cent, got, workers)
 				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 						t.Fatalf("dim %d draw %d workers %d point %d from %v: D² %v, serial %v", dim, kind, workers, i, start[i], got[i], want[i])
 					}
 				}
+			}
+		}
+	}
+}
+
+// refSeedPlusPlus is the k-means++ seeding the index was built with before
+// D² moved to float32 and the pick to a binary search: float64 D², refreshed
+// by a full serial L2SquaredF32 a point, summed serially, and the pick the
+// first point whose running sum reaches the draw, found by a linear scan.
+func refSeedPlusPlus(data []float32, n int, cfg Config, rng *rand.Rand) []float32 {
+	centroids := make([]float32, cfg.K*cfg.Dim)
+	first := rng.Intn(n)
+	copy(centroids[:cfg.Dim], data[first*cfg.Dim:(first+1)*cfg.Dim])
+	d2 := slices.Repeat([]float64{math.Inf(1)}, n)
+	refresh := func(cent []float32) {
+		for i := range d2 {
+			d2[i] = math.Min(d2[i], float64(vecmath.L2SquaredF32(data[i*cfg.Dim:(i+1)*cfg.Dim], cent)))
+		}
+	}
+	refresh(centroids[:cfg.Dim])
+	for c := 1; c < cfg.K; c++ {
+		var total float64
+		for _, d := range d2 {
+			total += d
+		}
+		var pick int
+		if total <= 0 {
+			pick = rng.Intn(n)
+		} else {
+			r := rng.Float64() * total
+			acc := 0.0
+			pick = n - 1
+			for i, d := range d2 {
+				acc += d
+				if acc >= r {
+					pick = i
+					break
+				}
+			}
+		}
+		dst := centroids[c*cfg.Dim : (c+1)*cfg.Dim]
+		copy(dst, data[pick*cfg.Dim:(pick+1)*cfg.Dim])
+		refresh(dst)
+	}
+	return centroids
+}
+
+// TestSeedingMatchesLinearScan: the float32 D² and the binary-search pick
+// choose refSeedPlusPlus's centroids, bit for bit, at the PQ subspace's 8
+// and the coarse quantizer's 128 dimensions, on point counts that fill whole
+// pairs of blocks and that leave padding, on one worker and two; and on a
+// corpus of one repeated point, whose D² total is 0 after the first pick.
+func TestSeedingMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, sh := range []struct{ n, dim, k int }{{8000, 8, 256}, {8003, 8, 256}, {8000, 128, 48}, {8003, 128, 48}, {301, 8, 40}} {
+		data := make([]float32, sh.n*sh.dim)
+		for i := range data {
+			data[i] = float32(rng.Intn(64))
+		}
+		if sh.n == 301 { // every point the same: D² sums to 0
+			for i := range data {
+				data[i] = data[i%sh.dim]
+			}
+		}
+		want := refSeedPlusPlus(data, sh.n, Config{K: sh.k, Dim: sh.dim}, rand.New(rand.NewSource(3)))
+		for _, workers := range []int{1, 2} {
+			got := seedPlusPlus(data, sh.n, Config{K: sh.k, Dim: sh.dim, Workers: workers}, rand.New(rand.NewSource(3)))
+			if !slices.EqualFunc(got, want, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+				t.Fatalf("n %d dim %d workers %d: seeds differ from the linear scan's", sh.n, sh.dim, workers)
 			}
 		}
 	}

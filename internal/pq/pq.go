@@ -33,15 +33,16 @@ type Config struct {
 }
 
 // Quantizer is a trained product quantizer over D-dimensional float vectors,
-// made by Train or New; its codebooks do not change after.
+// made by Train or New (Encode reads what New derives); its codebooks do not
+// change after.
 type Quantizer struct {
 	D, M, CB int
 	DSub     int
 	// Codebooks is flat M x CB x DSub: entry c of subspace m starts at
 	// ((m*CB)+c)*DSub.
 	Codebooks []float32
-	// t is Codebooks as vecmath.Transpose8 lays them out, for Encode, where
-	// New could make it; never serialized.
+	// t is each subspace's codebook as vecmath.Transpose8 lays it out, one
+	// after another, for Encode; never serialized.
 	t []float32
 }
 
@@ -49,8 +50,8 @@ type Quantizer struct {
 // entries, flat in codebooks.
 func New(d, m, cb int, codebooks []float32) *Quantizer {
 	q := &Quantizer{D: d, M: m, CB: cb, DSub: d / m, Codebooks: codebooks}
-	if cb%8 == 0 && q.DSub <= vecmath.TransposedMaxDim {
-		q.t = vecmath.Transpose8(codebooks, q.DSub)
+	for sub := range m {
+		q.t = append(q.t, vecmath.Transpose8(codebooks[sub*cb*q.DSub:(sub+1)*cb*q.DSub], q.DSub)...)
 	}
 	return q
 }
@@ -125,14 +126,11 @@ func Train(data []float32, dim int, cfg Config) (*Quantizer, error) {
 }
 
 // Encode writes the code of vec (length D) into code (length M): in each
-// subspace the first nearest codebook entry, by ArgMinL2F32's distance bits.
+// subspace the first nearest codebook entry, by L2SquaredF32's distance bits.
 func (q *Quantizer) Encode(vec []float32, code []uint16) {
-	argMin, cbs := vecmath.ArgMinL2F32, q.Codebooks
-	if q.t != nil {
-		argMin, cbs = vecmath.ArgMinL2F32T, q.t
-	}
+	stride := len(q.t) / q.M
 	for m := 0; m < q.M; m++ {
-		best, _ := argMin(vec[m*q.DSub:(m+1)*q.DSub], cbs[m*q.CB*q.DSub:(m+1)*q.CB*q.DSub], q.DSub)
+		best, _ := vecmath.ArgMinL2F32T(vec[m*q.DSub:(m+1)*q.DSub], q.t[m*stride:(m+1)*stride], q.DSub)
 		code[m] = uint16(best)
 	}
 }

@@ -124,9 +124,10 @@ func BenchmarkADCResidualBatchM16(b *testing.B) {
 	}
 }
 
-// BenchmarkArgMinL2F32 runs the nearest-centroid kernel at the PQ encoder's
-// shapes (256 entries of 8-d subspaces at M16, of 4-d ones at M32) and at the
-// coarse quantizer's (512 lists of 128-d). The query is drawn apart from the
+// BenchmarkArgMinL2F32 runs the nearest centroid, ArgMinL2F32T over a
+// transposed table, at the PQ encoder's shapes (256 entries of 8-d subspaces
+// at M16, of 4-d ones at M32) and at the coarse quantizer's (512 lists of
+// 128-d). The query is drawn apart from the
 // centroids: a query on a centroid would make one distance 0 and let an
 // abandoning kernel skip almost everything.
 func BenchmarkArgMinL2F32(b *testing.B) {
@@ -144,12 +145,12 @@ func BenchmarkArgMinL2F32(b *testing.B) {
 			for i := range centroids {
 				centroids[i] = rng.Float32()
 			}
-			query := make([]float32, sh.dim)
+			query, ct := make([]float32, sh.dim), Transpose8(centroids, sh.dim)
 			for i := range query {
 				query[i] = rng.Float32()
 			}
 			for b.Loop() {
-				ArgMinL2F32(query, centroids, sh.dim)
+				ArgMinL2F32T(query, ct, sh.dim)
 			}
 		})
 	}

@@ -2,183 +2,180 @@
 
 #include "textflag.h"
 
-// QUAD adds dimensions j..j+3 of the four rows at base (row stride R8, three
-// strides R9) to the lanes of acc; v[j:j+4] is in X8. Each row's differences
-// are squared in its own register, then the squares are transposed 4x4 so
-// that X0, X2, X4 and X5 hold dimensions j to j+3, added in that order.
-#define QUAD(base, acc) \
-	MOVUPS   (base), X0; \
-	MOVUPS   (base)(R8*1), X1; \
-	MOVUPS   (base)(R8*2), X2; \
-	MOVUPS   (base)(R9*1), X3; \
-	SUBPS    X8, X0; \
-	SUBPS    X8, X1; \
-	SUBPS    X8, X2; \
-	SUBPS    X8, X3; \
-	MULPS    X0, X0; \
-	MULPS    X1, X1; \
-	MULPS    X2, X2; \
-	MULPS    X3, X3; \
-	MOVAPS   X0, X4; \
-	UNPCKLPS X1, X0; \
-	UNPCKHPS X1, X4; \
-	MOVAPS   X2, X5; \
-	UNPCKLPS X3, X2; \
-	UNPCKHPS X3, X5; \
-	MOVAPS   X0, X1; \
-	MOVLHPS  X2, X0; \
-	MOVHLPS  X1, X2; \
-	MOVAPS   X4, X3; \
-	MOVLHPS  X5, X4; \
-	MOVHLPS  X3, X5; \
-	ADDPS    X0, acc; \
-	ADDPS    X2, acc; \
-	ADDPS    X4, acc; \
-	ADDPS    X5, acc
-
-// ONE adds dimension j of the four rows at base to the lanes of acc; v[j]
-// is broadcast in X8.
-#define ONE(base, acc) \
-	MOVSS    (base), X0; \
-	MOVSS    (base)(R8*1), X1; \
-	MOVSS    (base)(R8*2), X2; \
-	MOVSS    (base)(R9*1), X3; \
-	UNPCKLPS X1, X0; \
-	UNPCKLPS X3, X2; \
-	MOVLHPS  X2, X0; \
-	SUBPS    X8, X0; \
-	MULPS    X0, X0; \
-	ADDPS    X0, acc
-
-// func l2f32x8(dist *[8]float32, rows, v []float32, bound *[8]float32)
+// func hasAVX2() bool
 //
-// The SSE2 body of L2SquaredF32x8; rows holds at least 8*len(v) floats.
-// Lane r sums row r's squared differences in dimension order with separate
-// SUBPS, MULPS and ADDPS, as L2SquaredF32 does. After every AbandonStride
-// dimensions the scan stops if every lane is strictly above its bound. The
-// len(v)%4 tail is gathered one dimension at a time and never checked.
-TEXT ·l2f32x8(SB), NOSPLIT, $0-64
-	MOVQ rows_base+8(FP), SI
-	MOVQ v_base+32(FP), DI
-	MOVQ v_len+40(FP), CX
-	MOVQ bound+56(FP), DX
-	MOVQ CX, R8
-	SHLQ $2, R8            // row stride in bytes
-	LEAQ (R8)(R8*2), R9    // three strides
-	LEAQ (SI)(R8*4), R10   // row 4
-	XORPS X12, X12         // lanes 0-3
-	XORPS X13, X13         // lanes 4-7
-	XORQ BX, BX            // dimensions summed
-	MOVQ CX, R11
-	ANDQ $~3, R11          // dimensions in whole quads
-	JZ   tail
+// CPUID leaf 1 must report AVX and OSXSAVE, XGETBV the XMM and YMM state
+// enabled, and leaf 7 AVX2.
+TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+	MOVB  $0, ret+0(FP)
+	XORL  AX, AX
+	CPUID
+	CMPL  AX, $7
+	JLT   no
+	MOVL  $1, AX
+	CPUID
+	ANDL  $0x18000000, CX
+	CMPL  CX, $0x18000000
+	JNE   no
+	XORL  CX, CX
+	XGETBV
+	ANDL  $6, AX
+	CMPL  AX, $6
+	JNE   no
+	MOVL  $7, AX
+	XORL  CX, CX
+	CPUID
+	SHRL  $5, BX
+	ANDL  $1, BX
+	MOVB  BX, ret+0(FP)
 
-quad:
-	MOVUPS (DI)(BX*4), X8
-	QUAD(SI, X12)
-	QUAD(R10, X13)
-	ADDQ   $16, SI
-	ADDQ   $16, R10
-	ADDQ   $4, BX
-	TESTQ  $15, BX
-	JNZ    next
-	MOVUPS (DX), X6
-	MOVUPS 16(DX), X7
-	CMPPS  X12, X6, $1     // bound < sum, lanes 0-3
-	CMPPS  X13, X7, $1
-	ANDPS  X7, X6
-	MOVMSKPS X6, AX
-	CMPL   AX, $15
-	JEQ    done
-
-next:
-	CMPQ BX, R11
-	JLT  quad
-
-tail:
-	CMPQ   BX, CX
-	JGE    done
-	MOVSS  (DI)(BX*4), X8
-	SHUFPS $0, X8, X8
-	ONE(SI, X12)
-	ONE(R10, X13)
-	ADDQ   $4, SI
-	ADDQ   $4, R10
-	INCQ   BX
-	JMP    tail
-
-done:
-	MOVQ   dist+0(FP), AX
-	MOVUPS X12, (AX)
-	MOVUPS X13, 16(AX)
+no:
 	RET
 
-// LANES keeps in each lane of min the smaller of it and sum under a strict <
-// (a tie or a NaN keeps the earlier block) and, where sum is kept, sets that
-// lane of idx to this block's number, X9. X4 and X5 are scratch.
-#define LANES(sum, min, idx) \
-	MOVAPS X9, X5; \
-	MOVAPS sum, X4; \
-	CMPPS  min, X4, $1; \
-	MINPS  min, sum; \
-	MOVAPS sum, min; \
-	PAND   X4, X5; \
-	PANDN  idx, X4; \
-	POR    X5, X4; \
-	MOVAPS X4, idx
+// PAIR adds dimension R9 of the vector at DI to the lanes of the pair of
+// blocks at SI and SI+R8, Y0 and Y1, with a separate subtract, multiply and
+// add, then steps SI and R9 to the next dimension.
+#define PAIR \
+	VBROADCASTSS (DI)(R9*4), Y8; \
+	VSUBPS       (SI), Y8, Y2; \
+	VSUBPS       (SI)(R8*1), Y8, Y3; \
+	VMULPS       Y2, Y2, Y2; \
+	VMULPS       Y3, Y3, Y3; \
+	VADDPS       Y2, Y0, Y0; \
+	VADDPS       Y3, Y1, Y1; \
+	ADDQ         $32, SI; \
+	INCQ         R9
 
-// func argMin8T(dist *[8]float32, blk *[8]int32, ct, q []float32)
+// UNDER sets R11 to the mask of lanes of Y0 at or under b0 and of Y1 at or
+// under b1, NaN lanes excluded.
+#define UNDER(b0, b1) \
+	VCMPPS    $2, b0, Y0, Y4; \
+	VCMPPS    $2, b1, Y1, Y5; \
+	VORPS     Y5, Y4, Y4; \
+	VMOVMSKPS Y4, R11
+
+// KEEP keeps in each lane of Y10 the smaller of it and sum under a strict <,
+// setting that lane of Y11 to the block number in Y9 where sum is kept.
+#define KEEP(sum) \
+	VCMPPS    $1, Y10, sum, Y4; \
+	VMINPS    Y10, sum, Y10; \
+	VBLENDVPS Y4, Y9, Y11, Y11
+
+// LEAST sets every lane of Y12 to the least lane of Y10.
+#define LEAST \
+	VPERM2F128 $1, Y10, Y10, Y12; \
+	VMINPS     Y12, Y10, Y12; \
+	VPERMILPS  $0x4e, Y12, Y13; \
+	VMINPS     Y13, Y12, Y12; \
+	VPERMILPS  $0xb1, Y12, Y13; \
+	VMINPS     Y13, Y12, Y12
+
+// func argMin8TAVX2(dist *[8]float32, blk *[8]int32, ct, q []float32)
 //
-// The SSE2 body of ArgMinL2F32T over blocks of eight rows of len(q) > 0
-// floats, dimension-major. Lane r sums row r's squared differences from zero
-// in dimension order with separate SUBPS, MULPS and ADDPS, as L2SquaredF32
-// does; dist and blk carry each lane's minimum and its block in and out.
-TEXT ·argMin8T(SB), NOSPLIT, $0-64
-	MOVQ    dist+0(FP), AX
-	MOVQ    blk+8(FP), BX
-	MOVQ    ct_base+16(FP), SI
-	MOVQ    ct_len+24(FP), DX
-	MOVQ    q_base+40(FP), DI
-	MOVQ    q_len+48(FP), CX
-	MOVUPS  (AX), X10      // minimum, lanes 0-3
-	MOVUPS  16(AX), X11    // lanes 4-7
-	MOVUPS  (BX), X12      // its block, lanes 0-3
-	MOVUPS  16(BX), X13    // lanes 4-7
-	LEAQ    (SI)(DX*4), DX // end of ct
-	PXOR    X9, X9         // this block, every lane
-	PCMPEQL X15, X15       // -1, every lane
+// The AVX2 body of ArgMinL2F32T over ct's whole pairs of blocks of len(q) > 0
+// dimensions. dist and blk carry each lane's minimum and its block in and
+// out. After every AbandonStride dimensions but the last, a pass stops if no
+// lane is at or under the least of the lanes' minima; a pass summed to the
+// end keeps its first block's lanes, then its second's.
+TEXT ·argMin8TAVX2(SB), NOSPLIT, $0-64
+	MOVQ     dist+0(FP), AX
+	MOVQ     blk+8(FP), BX
+	MOVQ     ct_base+16(FP), SI
+	MOVQ     ct_len+24(FP), DX
+	MOVQ     q_base+40(FP), DI
+	MOVQ     q_len+48(FP), CX
+	VMOVUPS  (AX), Y10         // each lane's minimum
+	VMOVDQU  (BX), Y11         // and its block
+	LEAQ     (SI)(DX*4), DX    // end of ct
+	MOVQ     CX, R8
+	SHLQ     $5, R8            // bytes in a block
+	VPXOR    Y9, Y9, Y9        // the pass's first block, every lane
+	VPCMPEQD Y15, Y15, Y15     // -1, every lane
+	LEAST
 
-block:
-	CMPQ  SI, DX
-	JGE   out
-	XORPS X0, X0
-	XORPS X1, X1
-	XORQ  R9, R9
+pass:
+	CMPQ   SI, DX
+	JGE    out
+	MOVQ   SI, R10
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	XORQ   R9, R9
 
 dim:
-	MOVSS  (DI)(R9*4), X8
-	SHUFPS $0, X8, X8
-	MOVUPS (SI), X2
-	MOVUPS 16(SI), X3
-	SUBPS  X8, X2
-	SUBPS  X8, X3
-	MULPS  X2, X2
-	MULPS  X3, X3
-	ADDPS  X2, X0
-	ADDPS  X3, X1
-	ADDQ   $32, SI
-	INCQ   R9
-	CMPQ   R9, CX
-	JLT    dim
+	PAIR
+	CMPQ  R9, CX
+	JEQ   keep
+	TESTQ $15, R9
+	JNZ   dim
+	UNDER(Y12, Y12)
+	TESTL R11, R11
+	JNZ   dim
+	VPSUBD Y15, Y9, Y9
+	JMP   next
 
-	LANES(X0, X10, X12)
-	LANES(X1, X11, X13)
-	PSUBL X15, X9
-	JMP   block
+keep:
+	KEEP(Y0)
+	VPSUBD Y15, Y9, Y9
+	KEEP(Y1)
+	LEAST
+
+next:
+	VPSUBD Y15, Y9, Y9
+	LEAQ   (R10)(R8*2), SI
+	JMP    pass
 
 out:
-	MOVUPS X10, (AX)
-	MOVUPS X11, 16(AX)
-	MOVUPS X12, (BX)
-	MOVUPS X13, 16(BX)
+	VMOVUPS Y10, (AX)
+	VMOVDQU Y11, (BX)
+	VZEROUPPER
+	RET
+
+// func minL2F32TAVX2(d2, pt, v []float32)
+//
+// The AVX2 body of MinL2F32T over pt's whole pairs of blocks of len(v) > 0
+// dimensions, each lane bounded by its own d2 entry. After every
+// AbandonStride dimensions but the last, a pass stops if no lane is at or
+// under its bound; either way each d2 entry keeps the smaller of it and its
+// lane under a strict <, and a stopped lane is above it.
+TEXT ·minL2F32TAVX2(SB), NOSPLIT, $0-72
+	MOVQ d2_base+0(FP), AX
+	MOVQ pt_base+24(FP), SI
+	MOVQ pt_len+32(FP), DX
+	MOVQ v_base+48(FP), DI
+	MOVQ v_len+56(FP), CX
+	LEAQ (SI)(DX*4), DX // end of pt
+	MOVQ CX, R8
+	SHLQ $5, R8         // bytes in a block
+
+pass:
+	CMPQ    SI, DX
+	JGE     out
+	MOVQ    SI, R10
+	VMOVUPS (AX), Y12
+	VMOVUPS 32(AX), Y13
+	VXORPS  Y0, Y0, Y0
+	VXORPS  Y1, Y1, Y1
+	XORQ    R9, R9
+
+dim:
+	PAIR
+	CMPQ  R9, CX
+	JEQ   keep
+	TESTQ $15, R9
+	JNZ   dim
+	UNDER(Y12, Y13)
+	TESTL R11, R11
+	JNZ   dim
+
+keep:
+	VMINPS  Y12, Y0, Y12
+	VMINPS  Y13, Y1, Y13
+	VMOVUPS Y12, (AX)
+	VMOVUPS Y13, 32(AX)
+	ADDQ    $64, AX
+	LEAQ    (R10)(R8*2), SI
+	JMP     pass
+
+out:
+	VZEROUPPER
 	RET

@@ -2,6 +2,23 @@
 
 package vecmath
 
-// kernelF32x8 says l2f32x8 is the SSE2 kernel, whose partial sums equal
-// scalarL2F32x8's bit for bit.
-const kernelF32x8 = true
+import "testing"
+
+// TestAVX2OffFollowsGODEBUG: the settings that turn AVX2 off for the Go
+// runtime turn the AVX2 kernels off, the last one to name AVX2 winning.
+func TestAVX2OffFollowsGODEBUG(t *testing.T) {
+	for godebug, off := range map[string]bool{
+		"":                         false,
+		"cpu.avx2=off":             true,
+		"cpu.all=off":              true,
+		"gctrace=1,cpu.avx2=off":   true,
+		"cpu.avx2=off,cpu.avx2=on": false,
+		"cpu.all=off,cpu.avx2=on":  false,
+		"cpu.avx=off":              false,
+		"cpu.avx2=offish":          false,
+	} {
+		if got := avx2Off(godebug); got != off {
+			t.Errorf("GODEBUG=%q: off %v, want %v", godebug, got, off)
+		}
+	}
+}

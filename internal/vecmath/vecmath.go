@@ -12,27 +12,32 @@
 // only grows (adding a square never lowers a rounded sum, fused or not), so a
 // distance abandoned above a bound would have ended above it too.
 //
-// On amd64 three kernels are SSE2 (the purego tag, or any other
-// architecture, selects the scalar *_generic.go), all exact, not merely close:
+// On amd64 the u8 distance is SSE2 and the float distances are AVX2; the
+// purego tag, any other architecture, or an amd64 CPU without AVX2 runs the
+// scalar Go twins. Every kernel is exact, not merely close:
 //   - l2u8_amd64.s, the u8 distance: integer sums agree mod 2^32 in any order,
 //     so its lanes folded together equal the scalar sum, wraps included, and
 //     one 16-byte block is one AbandonStride, so it checks its bound where the
 //     scalar kernel does and reports the same dimensions summed.
-//   - l2f32_amd64.s, eight float rows against one vector (ArgMinL2F32 and the
-//     k-means++ D² refresh): each row owns a lane that sums in dimension order
-//     with a separate subtract, multiply and add and no FMA, the operations
-//     L2SquaredF32 compiles to, so a lane that completes has its bits.
-//   - l2f32_amd64.s, the dimension-major nearest centroid (ArgMinL2F32T, PQ
-//     encoding and small-dimension k-means): one lane a centroid again, summed
-//     from zero in dimension order with the same three operations, so every
-//     lane holds L2SquaredF32's bits; a lane keeps only strictly smaller sums
-//     and the lanes' minimum goes to its first index, ArgMinL2F32's tie rule.
+//   - l2f32_amd64.s, the float distances over Transpose8's layout, eight rows
+//     a block, dimension-major, two blocks a pass: ArgMinL2F32T, the nearest
+//     centroid (PQ encoding, the coarse assignment, every k-means
+//     assignment), and MinL2F32T, the k-means++ D² refresh. Each row owns a
+//     lane that sums from zero in dimension order with a separate subtract,
+//     multiply and add and no FMA, the operations L2SquaredF32 compiles to,
+//     so a lane that completes has its bits. A pass stops at a checkpoint,
+//     every AbandonStride dimensions, once all sixteen lanes are above their
+//     bounds. The scalar twins (l2f32.go) take the same steps, checkpoints
+//     included, so either side leaves the same bits in every lane.
+//
+// The AVX2 kernels are picked once, when the package starts: CPUID must
+// report AVX2 and XGETBV the YMM state enabled, and GODEBUG must not turn
+// AVX2 off for Go (cpu.avx2=off, as it does for the runtime). go vet's
+// asmdecl pass checks every assembly frame (hasAVX2, argMin8TAVX2,
+// minL2F32TAVX2, l2u8) against its Go declaration.
 package vecmath
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // L2SquaredF32 returns the squared Euclidean distance between two float32
 // vectors of equal length.
@@ -129,116 +134,8 @@ func SubF32(dst, a, b []float32) {
 const AbandonStride = 16
 
 // The amd64 kernels check their bounds every 16 dimensions: l2u8 once per
-// 16-byte XMM block, l2f32x8 once per four quads.
+// 16-byte XMM block, the float kernels once per sixteen dimension steps.
 var _ = [1]struct{}{}[AbandonStride-16]
-
-// L2SquaredF32Abandon is the float twin of L2SquaredU8Abandon: it sums in
-// dimension order exactly as L2SquaredF32 does, so a completed scan returns
-// the same bits, and it returns (partial, false) as soon as a check finds the
-// partial sum above bound, which the true distance is then above too.
-func L2SquaredF32Abandon(a, b []float32, bound float32) (float32, bool) {
-	b = b[:len(a)]
-	var sum float32
-	for lo := 0; lo < len(a); lo += AbandonStride {
-		x := a[lo:min(lo+AbandonStride, len(a))]
-		y := b[lo:][:len(x)]
-		for i, xv := range x {
-			d := xv - y[i]
-			sum += d * d
-		}
-		if sum > bound {
-			return sum, false
-		}
-	}
-	return sum, true
-}
-
-// L2SquaredF32x8 sets dist[r] to L2SquaredF32(row r, v) for the eight
-// contiguous rows of len(v) floats at the head of rows, bit for bit, except
-// that it may stop once every lane is strictly above its own bound[r]: every
-// lane then holds a partial sum above its bound, which its distance is above
-// too. It panics if rows holds fewer than 8*len(v) floats.
-func L2SquaredF32x8(dist *[8]float32, rows, v []float32, bound *[8]float32) {
-	if len(rows) < 8*len(v) {
-		panic(fmt.Sprintf("vecmath: %d floats for eight rows of %d", len(rows), len(v)))
-	}
-	l2f32x8(dist, rows, v, bound)
-}
-
-// ArgMinL2F32 scans the flat centroid matrix (k rows of length dim) and
-// returns the row index with the smallest squared L2 distance to query, along
-// with that distance; the first index wins a tie. It panics if centroids is
-// not a multiple of dim or is empty.
-//
-// It scores eight centroids a call to l2f32x8, each lane bounded by the best
-// distance so far, which only falls, and compares the lanes in index order
-// under a strict <; then the rest one at a time. So every distance it
-// compares is L2SquaredF32's, bit for bit.
-func ArgMinL2F32(query, centroids []float32, dim int) (int, float32) {
-	k := len(centroids) / dim
-	if k == 0 || len(centroids)%dim != 0 {
-		panic(fmt.Sprintf("vecmath: bad centroid matrix len=%d dim=%d", len(centroids), dim))
-	}
-	query = query[:dim]
-	i, best, bestDist := 0, 0, float32(math.MaxFloat32)
-	var dist, bound [8]float32
-	for ; i+8 <= k; i += 8 {
-		bound = [8]float32{bestDist, bestDist, bestDist, bestDist, bestDist, bestDist, bestDist, bestDist}
-		l2f32x8(&dist, centroids[i*dim:(i+8)*dim], query, &bound)
-		for r, d := range dist {
-			if d < bestDist {
-				best, bestDist = i+r, d
-			}
-		}
-	}
-	for ; i < k; i++ {
-		if d, _ := L2SquaredF32Abandon(query, centroids[i*dim:(i+1)*dim], bestDist); d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best, bestDist
-}
-
-// TransposedMaxDim is the largest dimension at which ArgMinL2F32T, which sums
-// every distance to the end, beats ArgMinL2F32, which abandons them: against
-// 256 k-means centroids of SIFT-shaped rows it took a third to a half of the
-// time at 8 and 16 dimensions, 2/3 at 32, and broke even from 64.
-const TransposedMaxDim = 32
-
-// Transpose8 lays k rows of dim floats out for ArgMinL2F32T, k a multiple of
-// eight: block b holds rows 8b to 8b+7 dimension-major, dimension j of row
-// 8b+r at (b*dim+j)*8+r.
-func Transpose8(rows []float32, dim int) []float32 {
-	if dim <= 0 || len(rows)%(8*dim) != 0 {
-		panic(fmt.Sprintf("vecmath: %d floats are not blocks of eight rows of %d", len(rows), dim))
-	}
-	t := make([]float32, len(rows))
-	for i, x := range rows {
-		row, j := i/dim, i%dim
-		t[(row/8*dim+j)*8+row%8] = x
-	}
-	return t
-}
-
-// ArgMinL2F32T is ArgMinL2F32(query, centroids, dim), index and distance
-// bits, over ct = Transpose8(centroids, dim): eight centroids a step, one a
-// lane, each lane keeping its strictly smaller distances, whose minimum goes
-// to its first index. It panics if ct is empty or not whole blocks.
-func ArgMinL2F32T(query, ct []float32, dim int) (int, float32) {
-	if dim <= 0 || len(ct) == 0 || len(ct)%(8*dim) != 0 {
-		panic(fmt.Sprintf("vecmath: bad transposed centroid matrix len=%d dim=%d", len(ct), dim))
-	}
-	const m = math.MaxFloat32
-	dist, blk := [8]float32{m, m, m, m, m, m, m, m}, [8]int32{}
-	argMin8T(&dist, &blk, ct, query[:dim])
-	best, bestDist := 0, float32(m)
-	for r, d := range dist {
-		if i := int(blk[r])*8 + r; d < bestDist || d == bestDist && i < best {
-			best, bestDist = i, d
-		}
-	}
-	return best, bestDist
-}
 
 // Quantizer maps float32 vectors onto the uint8 grid used by the PIM path.
 // Quantization is affine: q = round((x - Bias) / Scale), clamped to [0,255].
@@ -485,25 +382,4 @@ func DotU8I32(a, b []uint8) int32 {
 		s += int32(av) * int32(b[i])
 	}
 	return s
-}
-
-// MeanVec computes the per-dimension mean of a flat corpus with n rows of
-// length dim into a fresh vector.
-func MeanVec(data []float32, dim int) []float32 {
-	n := len(data) / dim
-	mean := make([]float32, dim)
-	if n == 0 {
-		return mean
-	}
-	for i := 0; i < n; i++ {
-		row := data[i*dim : (i+1)*dim]
-		for j, x := range row {
-			mean[j] += x
-		}
-	}
-	inv := 1 / float32(n)
-	for j := range mean {
-		mean[j] *= inv
-	}
-	return mean
 }

@@ -102,7 +102,7 @@ func TestArgMinL2F32(t *testing.T) {
 		10, 10,
 		3, 4,
 	}
-	idx, d := ArgMinL2F32([]float32{3, 3}, centroids, 2)
+	idx, d := ArgMinL2F32T([]float32{3, 3}, Transpose8(centroids, 2), 2)
 	if idx != 2 {
 		t.Fatalf("ArgMinL2F32 idx = %d, want 2", idx)
 	}
@@ -111,13 +111,23 @@ func TestArgMinL2F32(t *testing.T) {
 	}
 }
 
+// TestArgMinPanicsOnBadShape: a ragged row matrix, a transposed one that is
+// not whole pairs of blocks, an empty one, and D² that is not one entry a
+// transposed row all panic.
 func TestArgMinPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on ragged centroid matrix")
+	for _, f := range []func(){
+		func() { Transpose8([]float32{1, 2, 3}, 2) },
+		func() { Transpose8(nil, 0) },
+		func() { ArgMinL2F32T([]float32{1, 2}, make([]float32, 8*2), 2) },
+		func() { ArgMinL2F32T([]float32{1, 2}, nil, 2) },
+		func() { MinL2F32T(make([]float32, 15), make([]float32, 16*2), []float32{1, 2}) },
+		func() { MinL2F32T(make([]float32, 8), make([]float32, 8*2), []float32{1, 2}) },
+		func() { MinL2F32T(nil, nil, nil) },
+	} {
+		if !panics(f) {
+			t.Error("a bad shape: no panic")
 		}
-	}()
-	ArgMinL2F32([]float32{1, 2}, []float32{1, 2, 3}, 2)
+	}
 }
 
 func TestQuantizerRoundTripGrid(t *testing.T) {
@@ -200,18 +210,6 @@ func TestADCAccumulators(t *testing.T) {
 	want := lut[0*cb+1] + lut[1*cb+3] + lut[2*cb+0]
 	if got := ADCU32(lut, code, cb); got != want {
 		t.Fatalf("ADCU32 = %v, want %v", got, want)
-	}
-}
-
-func TestMeanVec(t *testing.T) {
-	data := []float32{0, 2, 4, 6}
-	mean := MeanVec(data, 2)
-	if mean[0] != 2 || mean[1] != 4 {
-		t.Fatalf("MeanVec = %v", mean)
-	}
-	empty := MeanVec(nil, 2)
-	if empty[0] != 0 || empty[1] != 0 {
-		t.Fatalf("MeanVec(nil) = %v", empty)
 	}
 }
 
@@ -432,8 +430,8 @@ func TestADCPartialSumsToFullDistance(t *testing.T) {
 	}
 }
 
-// argMinNaive is the serial nearest-centroid scan: one L2SquaredF32 per
-// centroid, in index order, under a strict <.
+// argMinNaive is the serial nearest-centroid scan over row-major centroids:
+// one L2SquaredF32 per centroid, in index order, under a strict <.
 func argMinNaive(query, centroids []float32, dim int) (int, float32) {
 	best, bestDist := 0, float32(math.MaxFloat32)
 	for i := 0; i < len(centroids)/dim; i++ {
@@ -444,10 +442,10 @@ func argMinNaive(query, centroids []float32, dim int) (int, float32) {
 	return best, bestDist
 }
 
-// TestArgMinL2F32MatchesNaive: the blocked, abandoning kernel returns the
-// naive scan's index and distance bits for every block remainder (k from 1
-// to 9), at the PQ encoder's and the coarse quantizer's sizes, and at
-// dimensions on both sides of the abandon stride. Duplicated centroids are
+// TestArgMinL2F32MatchesNaive: the blocked, abandoning nearest centroid,
+// AVX2 and scalar, returns the naive scan's index and distance bits for
+// every block remainder (k from 1 to 9), at the PQ encoder's and the coarse
+// quantizer's sizes, and at dimensions on both sides of the abandon stride. Duplicated centroids are
 // planted so the first index must win a tie, integer-valued grids make ties
 // between distinct centroids common, and queries sit on a centroid, next to
 // one, and away from all of them.
@@ -472,7 +470,7 @@ func TestArgMinL2F32MatchesNaive(t *testing.T) {
 						b := a + 1 + rng.Intn(k-1-a)
 						copy(centroids[b*dim:(b+1)*dim], centroids[a*dim:(a+1)*dim])
 					}
-					query := make([]float32, dim)
+					query, ct := make([]float32, dim), Transpose8(centroids, dim)
 					for trial := 0; trial < 24; trial++ {
 						c := rng.Intn(k)
 						switch trial % 3 {
@@ -488,43 +486,16 @@ func TestArgMinL2F32MatchesNaive(t *testing.T) {
 							}
 						}
 						wi, wd := argMinNaive(query, centroids, dim)
-						gi, gd := ArgMinL2F32(query, centroids, dim)
-						if gi != wi || math.Float32bits(gd) != math.Float32bits(wd) {
-							t.Fatalf("k=%d grid=%v trial %d: got (%d, %v), naive (%d, %v)", k, grid, trial, gi, gd, wi, wd)
-						}
+						kernels(func(kernel string) {
+							gi, gd := ArgMinL2F32T(query, ct, dim)
+							if gi != wi || math.Float32bits(gd) != math.Float32bits(wd) {
+								t.Fatalf("%s k=%d grid=%v trial %d: got (%d, %v), naive (%d, %v)", kernel, k, grid, trial, gi, gd, wi, wd)
+							}
+						})
 					}
 				}
 			}
 		})
-	}
-}
-
-// TestL2SquaredF32AbandonExact: a completed bounded scan returns
-// L2SquaredF32's bits, and an abandoned one only ever abandons a distance
-// strictly above the bound, with a partial sum above it.
-func TestL2SquaredF32AbandonExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 500; trial++ {
-		n := 1 + rng.Intn(200)
-		a, b := make([]float32, n), make([]float32, n)
-		for i := range a {
-			a[i], b[i] = rng.Float32(), rng.Float32()
-		}
-		want := L2SquaredF32(a, b)
-		bound := want
-		switch rng.Intn(3) {
-		case 1:
-			bound = want / 2
-		case 2:
-			bound = rng.Float32() * float32(n) / 3
-		}
-		got, done := L2SquaredF32Abandon(a, b, bound)
-		if done && math.Float32bits(got) != math.Float32bits(want) {
-			t.Fatalf("trial %d: completed scan returned %v, want %v", trial, got, want)
-		}
-		if !done && (want <= bound || got <= bound) {
-			t.Fatalf("trial %d: abandoned at partial %v, distance %v, bound %v", trial, got, want, bound)
-		}
 	}
 }
 
@@ -689,51 +660,25 @@ func FuzzL2SquaredU8Bounded(f *testing.F) {
 	})
 }
 
-// scalarL2F32x8 is the scalar copy of the SSE2 kernel: lane r sums row r's
-// squared differences in dimension order, and after every AbandonStride
-// dimensions the scan stops if every lane is strictly above its bound.
-func scalarL2F32x8(rows, v []float32, bound *[8]float32) (dist [8]float32) {
-	dim := len(v)
-	for j := range v {
-		above := true
-		for r := range dist {
-			d := rows[r*dim+j] - v[j]
-			dist[r] += d * d
-			above = above && dist[r] > bound[r]
-		}
-		if (j+1)%AbandonStride == 0 && above {
-			break
-		}
+// kernels calls f on every float kernel this build runs: the AVX2 one where
+// the CPU has it, then the scalar twin, with useAVX2 cleared for the call.
+func kernels(f func(kernel string)) {
+	saved := useAVX2
+	defer func() { useAVX2 = saved }()
+	if saved {
+		f("avx2")
 	}
-	return dist
+	useAVX2 = false
+	f("scalar")
 }
 
-// checkF32x8 holds L2SquaredF32x8 on one block to its contract: every lane
-// has L2SquaredF32's bits, or a partial sum above its bound that the distance
-// is above too; and on amd64 to the bits of the scalar copy, partial sums
-// included.
-func checkF32x8(t testing.TB, rows, v []float32, bound *[8]float32) {
-	t.Helper()
-	var got [8]float32
-	L2SquaredF32x8(&got, rows, v, bound)
-	dim := len(v)
-	for r, g := range got {
-		want := L2SquaredF32(rows[r*dim:(r+1)*dim], v)
-		if math.Float32bits(g) != math.Float32bits(want) && !(g > bound[r] && want > bound[r]) {
-			t.Fatalf("dim %d lane %d bound %v: got %v, distance %v", dim, r, bound[r], g, want)
-		}
-	}
-	if want := scalarL2F32x8(rows, v, bound); kernelF32x8 && got != want {
-		t.Fatalf("dim %d bounds %v: kernel %v, scalar copy %v", dim, *bound, got, want)
-	}
-}
-
-// kernelDims and kernelKs are the shapes the float kernel is held to: every
-// quad remainder and both sides of the abandon stride, the fixture's 128 and
-// DEEP's 96; every block remainder, and the PQ and coarse table sizes.
+// kernelDims and kernelKs are the shapes the float kernels are held to: both
+// sides of a block's eight lanes and of the abandon stride, two strides and
+// more, the fixture's 128; whole pairs of blocks, one block, three, the PQ
+// and coarse table sizes, and tables that are not whole blocks.
 var (
-	kernelDims = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24, 96, 128}
-	kernelKs   = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 512}
+	kernelDims = []int{1, 2, 7, 8, 9, 15, 16, 17, 31, 33, 128}
+	kernelKs   = []int{1, 5, 8, 13, 16, 24, 255, 256, 512, 515}
 )
 
 // drawF32 fills dst from one of three draws: uniform floats, a small integer
@@ -752,79 +697,12 @@ func drawF32(rng *rand.Rand, dst []float32, kind int) {
 	}
 }
 
-// TestL2SquaredF32x8MatchesScalar: on every kernel dimension, from unaligned
-// starts, on the three draws, the eight-row kernel meets its contract (and on
-// amd64 equals its scalar copy) under per-lane bounds that mix lanes which
-// abandon with lanes which cannot: 0, just under, at and just over the
-// lane's distance, half of it, just under and at its partial sum after one
-// stride, and +Inf. Rows shorter than eight times v panic, whatever their
-// capacity; empty ones do not.
-func TestL2SquaredF32x8MatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for _, dim := range kernelDims {
-		buf, vbuf := make([]float32, 8*dim+3), make([]float32, dim+3)
-		for trial := 0; trial < 60; trial++ {
-			kind := trial % 3
-			drawF32(rng, buf, kind)
-			drawF32(rng, vbuf, kind)
-			off := trial % 4
-			rows, v := buf[off:][:8*dim], vbuf[3-off:][:dim]
-			var exact, partial [8]float32
-			for r := range exact {
-				exact[r] = L2SquaredF32(rows[r*dim:(r+1)*dim], v)
-				partial[r] = L2SquaredF32(rows[r*dim:][:min(dim, AbandonStride)], v[:min(dim, AbandonStride)])
-			}
-			for pass := 0; pass < 8; pass++ {
-				var bound [8]float32
-				for r := range bound {
-					switch rng.Intn(8) {
-					case 0:
-						bound[r] = 0
-					case 1:
-						bound[r] = math.Nextafter32(exact[r], 0)
-					case 2:
-						bound[r] = exact[r]
-					case 3:
-						bound[r] = math.Nextafter32(exact[r], float32(math.Inf(1)))
-					case 4:
-						bound[r] = exact[r] / 2
-					case 5:
-						bound[r] = math.Nextafter32(partial[r], 0)
-					case 6:
-						bound[r] = partial[r]
-					default:
-						bound[r] = float32(math.Inf(1))
-					}
-				}
-				if pass < 4 {
-					// At the first check each half of the lanes is either
-					// just above its bounds or at them, by the bits of pass.
-					for r := range bound {
-						bound[r] = math.Nextafter32(partial[r], 0)
-						if pass>>(r/4)&1 == 1 {
-							bound[r] = partial[r]
-						}
-					}
-				}
-				checkF32x8(t, rows, v, &bound)
-			}
-		}
-	}
-	var dist, bound [8]float32
-	if !panics(func() { L2SquaredF32x8(&dist, make([]float32, 23, 64), make([]float32, 3), &bound) }) {
-		t.Error("seven rows and a bit, room for eight in the capacity: no panic")
-	}
-	dist = [8]float32{1, 2, 3}
-	if L2SquaredF32x8(&dist, nil, nil, &bound); dist != ([8]float32{}) {
-		t.Errorf("eight empty rows: %v", dist)
-	}
-}
-
 // TestArgMinL2F32OnKernelShapes: at every kernel dimension and table size, on
 // the three draws (+Inf distances included, where index 0 and MaxFloat32
-// must come back), with planted duplicates the first of which must win,
-// ArgMinL2F32 returns the naive scan's index and distance bits for queries on,
-// next to and away from the centroids.
+// must come back), with planted duplicate rows the first of which must win,
+// the AVX2 kernel leaves each lane's minimum and block as its scalar twin
+// does, and ArgMinL2F32T returns the naive scan's index and distance bits
+// for queries on, next to and away from the centroids.
 func TestArgMinL2F32OnKernelShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for _, dim := range kernelDims {
@@ -837,6 +715,7 @@ func TestArgMinL2F32OnKernelShapes(t *testing.T) {
 					b := a + 1 + rng.Intn(k-1-a)
 					copy(centroids[b*dim:(b+1)*dim], centroids[a*dim:(a+1)*dim])
 				}
+				ct := Transpose8(centroids, dim)
 				for trial := 0; trial < 6; trial++ {
 					c := rng.Intn(k)
 					copy(query, centroids[c*dim:(c+1)*dim])
@@ -847,9 +726,18 @@ func TestArgMinL2F32OnKernelShapes(t *testing.T) {
 						drawF32(rng, query, kind)
 					}
 					wi, wd := argMinNaive(query, centroids, dim)
-					gi, gd := ArgMinL2F32(query, centroids, dim)
-					if gi != wi || math.Float32bits(gd) != math.Float32bits(wd) {
-						t.Fatalf("dim %d k %d draw %d trial %d: got (%d, %v), naive (%d, %v)", dim, k, kind, trial, gi, gd, wi, wd)
+					var lanes []string
+					kernels(func(kernel string) {
+						const m = math.MaxFloat32
+						dist, blk := [8]float32{m, m, m, m, m, m, m, m}, [8]int32{}
+						argMin8T(&dist, &blk, ct, query)
+						lanes = append(lanes, fmt.Sprint(dist, blk))
+						if gi, gd := ArgMinL2F32T(query, ct, dim); gi != wi || math.Float32bits(gd) != math.Float32bits(wd) {
+							t.Fatalf("%s dim %d k %d draw %d trial %d: got (%d, %v), naive (%d, %v)", kernel, dim, k, kind, trial, gi, gd, wi, wd)
+						}
+					})
+					if lanes[0] != lanes[len(lanes)-1] {
+						t.Fatalf("dim %d k %d draw %d trial %d: AVX2 lanes %s, scalar twin %s", dim, k, kind, trial, lanes[0], lanes[1])
 					}
 				}
 			}
@@ -857,18 +745,17 @@ func TestArgMinL2F32OnKernelShapes(t *testing.T) {
 	}
 }
 
-// TestArgMinL2F32TMatchesArgMin: over Transpose8's layout, ArgMinL2F32T
-// returns ArgMinL2F32's index and distance bits at every dimension from 1 to
-// 17 and at one block, two, the PQ table's 256 and 1024 rows, on the three
-// draws (+Inf distances included, where index 0 and MaxFloat32 must come
-// back; on the first, a NaN coordinate whose row must never win) and on
-// zeros: planted duplicate rows, the first of which must win, a zero row, an
-// all-zero table, and queries on a row, next to one, away from all and at
-// zero. A table that is not whole blocks of eight panics.
+// TestArgMinL2F32TMatchesArgMin: ArgMinL2F32T, AVX2 and scalar, returns the
+// row scan's index and distance bits at every dimension from 1 to 17, at one
+// block, two, three, the PQ table's 256 and 1024 rows, on the three draws
+// (+Inf distances included; on the first, a NaN coordinate whose row must
+// never win) and on zeros: planted duplicate rows, the first of which must
+// win, a zero row, an all-zero table, and queries on a row, next to one,
+// away from all and at zero.
 func TestArgMinL2F32TMatchesArgMin(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for dim := 1; dim <= 17; dim++ {
-		for _, k := range []int{8, 16, 256, 1024} {
+		for _, k := range []int{8, 16, 24, 256, 1024} {
 			for kind := 0; kind < 4; kind++ {
 				centroids, query := make([]float32, k*dim), make([]float32, dim)
 				if kind < 3 { // kind 3 leaves every row zero
@@ -894,37 +781,87 @@ func TestArgMinL2F32TMatchesArgMin(t *testing.T) {
 					case 3:
 						clear(query)
 					}
-					wi, wd := ArgMinL2F32(query, centroids, dim)
-					gi, gd := ArgMinL2F32T(query, ct, dim)
-					if gi != wi || math.Float32bits(gd) != math.Float32bits(wd) {
-						t.Fatalf("dim %d k %d draw %d trial %d: got (%d, %v), ArgMinL2F32 (%d, %v)", dim, k, kind, trial, gi, gd, wi, wd)
-					}
+					wi, wd := argMinNaive(query, centroids, dim)
+					kernels(func(kernel string) {
+						if gi, gd := ArgMinL2F32T(query, ct, dim); gi != wi || math.Float32bits(gd) != math.Float32bits(wd) {
+							t.Fatalf("%s dim %d k %d draw %d trial %d: got (%d, %v), row scan (%d, %v)", kernel, dim, k, kind, trial, gi, gd, wi, wd)
+						}
+					})
 				}
 			}
 		}
 	}
-	for _, f := range []func(){
-		func() { Transpose8(make([]float32, 7*3), 3) },
-		func() { ArgMinL2F32T(make([]float32, 3), make([]float32, 9*3), 3) },
-		func() { ArgMinL2F32T(nil, nil, 3) },
-	} {
-		if !panics(f) {
-			t.Error("a table that is not whole blocks of eight rows: no panic")
+}
+
+// TestMinL2F32TMatchesScalar: on every kernel dimension, from unaligned
+// starts, on the three draws, over point counts that fill one pair of
+// blocks, several, and leave padding, the D² kernel, AVX2 and scalar, leaves
+// each entry the smaller of its bound and the point's L2SquaredF32 under a
+// strict <, bit for bit, under per-lane bounds that mix lanes which abandon
+// with lanes which cannot: 0, just under, at and just over the lane's
+// distance, half of it, just under and at its partial sum after one stride,
+// and +Inf; and passes in which half the lanes of a pair sit just above
+// their bounds at the first checkpoint and the other half at them.
+func TestMinL2F32TMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, dim := range kernelDims {
+		for _, n := range []int{16, 48, 37} {
+			buf, vbuf := make([]float32, n*dim+3), make([]float32, dim+3)
+			for trial := 0; trial < 12; trial++ {
+				kind := trial % 3
+				drawF32(rng, buf, kind)
+				drawF32(rng, vbuf, kind)
+				off := trial % 4
+				points, v := buf[off:][:n*dim], vbuf[3-off:][:dim]
+				ptBuf := Transpose8(points, dim)
+				pt := append(make([]float32, off, off+len(ptBuf)), ptBuf...)[off:]
+				head := min(dim, AbandonStride)
+				for pass := 0; pass < 8; pass++ {
+					bound := slices.Repeat([]float32{float32(math.Inf(1))}, len(pt)/dim)
+					want := slices.Clone(bound)
+					for i := range n {
+						row := points[i*dim : (i+1)*dim]
+						exact, partial := L2SquaredF32(row, v), L2SquaredF32(row[:head], v[:head])
+						bound[i] = []float32{
+							0, math.Nextafter32(exact, 0), exact, math.Nextafter32(exact, float32(math.Inf(1))),
+							exact / 2, math.Nextafter32(partial, 0), partial, float32(math.Inf(1)),
+						}[rng.Intn(8)]
+						if pass < 4 { // just above or at the bound at the first check, by the bits of pass
+							bound[i] = math.Nextafter32(partial, 0)
+							if pass>>(i%16/8)&1 == 1 {
+								bound[i] = partial
+							}
+						}
+						want[i] = bound[i]
+						if exact < bound[i] {
+							want[i] = exact
+						}
+					}
+					kernels(func(kernel string) {
+						got := slices.Clone(bound)
+						MinL2F32T(got, pt, v)
+						for i := range got {
+							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+								t.Fatalf("%s dim %d n %d draw %d pass %d point %d from %v: %v, want %v", kernel, dim, n, kind, pass, i, bound[i], got[i], want[i])
+							}
+						}
+					})
+				}
+			}
 		}
 	}
 }
 
-// FuzzArgMinL2F32 checks ArgMinL2F32 against the naive scan on arbitrary
-// tables, and ArgMinL2F32T against both when the table is whole blocks of
-// eight: each byte is one coordinate, a small signed integer, scaled past
-// float32's square root when big is set; the first len(data) % 8 + 1 bytes
-// are the dimension's worth of query.
+// FuzzArgMinL2F32 checks ArgMinL2F32T, AVX2 and scalar, against the naive
+// scan on arbitrary tables: each byte is one coordinate, a small signed
+// integer, scaled past float32's square root when big is set; the first
+// dimension's worth is the query.
 func FuzzArgMinL2F32(f *testing.F) {
 	f.Add([]byte("abcdefghijklmnopqrstuvwxyz0123456789"), uint8(3), false)
 	f.Add(slices.Repeat([]byte{1, 2, 3, 4}, 40), uint8(8), false)
 	f.Add(slices.Repeat([]byte{200, 7}, 80), uint8(17), true)
 	f.Fuzz(func(t *testing.T, data []byte, dim uint8, big bool) {
-		d := 1 + int(dim)%24
+		d := 1 + int(dim)%40
 		if len(data) < 2*d {
 			return
 		}
@@ -937,15 +874,12 @@ func FuzzArgMinL2F32(f *testing.F) {
 		}
 		query, centroids := vals[:d], vals[d:]
 		wi, wd := argMinNaive(query, centroids, d)
-		gi, gd := ArgMinL2F32(query, centroids, d)
-		if gi != wi || math.Float32bits(gd) != math.Float32bits(wd) {
-			t.Fatalf("dim %d k %d: got (%d, %v), naive (%d, %v)", d, len(centroids)/d, gi, gd, wi, wd)
-		}
-		if len(centroids)%(8*d) == 0 {
-			if ti, td := ArgMinL2F32T(query, Transpose8(centroids, d), d); ti != wi || math.Float32bits(td) != math.Float32bits(wd) {
-				t.Fatalf("dim %d k %d: transposed (%d, %v), naive (%d, %v)", d, len(centroids)/d, ti, td, wi, wd)
+		ct := Transpose8(centroids, d)
+		kernels(func(kernel string) {
+			if gi, gd := ArgMinL2F32T(query, ct, d); gi != wi || math.Float32bits(gd) != math.Float32bits(wd) {
+				t.Fatalf("%s dim %d k %d: got (%d, %v), naive (%d, %v)", kernel, d, len(centroids)/d, gi, gd, wi, wd)
 			}
-		}
+		})
 	})
 }
 
