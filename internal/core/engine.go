@@ -46,10 +46,11 @@
 //	lut[m][e] = p_m(q, c) + b_c[m][e] - 2 qe_q[m][e]
 //
 // where b_c (the static per-cluster term) is precomputed once at deployment,
-// qe_q (the per-query gather table) once per query for its two waves, and
-// p_m once per group — all int32-exact, so every partial sum over a subset of
-// a point's subspaces is bit-identical to summing the same entries of a
-// materialized LUT. How the host obtains the values is independent of what
+// qe_q (the per-query gather table) once per launch block that holds the
+// query — a block keeps a bounded number of them, and a query's second wave
+// builds its table again — and p_m once per group. All are int32-exact, so
+// every partial sum over a subset of a point's subspaces is bit-identical to
+// summing the same entries of a materialized LUT. How the host obtains the values is independent of what
 // the simulated DPU is charged for: the charged kernels are the ones
 // described next. When the builder's table would exceed its memory budget
 // (Engine.lut nil), every group's full LUT is materialized once a launch with
@@ -329,9 +330,11 @@ type dpuScratch struct {
 	// once per launch block.
 	tally upmem.Tally
 
-	// The group being scanned: its segments, and the points still alive with
-	// their partial distances, compacted together after every stage. alive[k]
-	// indexes into the segment whose [lo, hi) range holds k.
+	// The group being scanned: its query's gather table (the decomposed
+	// builder's, in the block's arena), its segments, and the points still
+	// alive with their partial distances, compacted together after every
+	// stage. alive[k] indexes into the segment whose [lo, hi) range holds k.
+	qe    []int32
 	segs  []scanSegment
 	alive []int32
 	part  []uint32

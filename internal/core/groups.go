@@ -19,9 +19,9 @@ type groupKey struct {
 
 // groupStore is the per-launch shared LC state: every unique (query,
 // cluster) group's residual — plus its decomposition terms, or its LUT on the
-// over-budget fallback — is built exactly once, fanned across
-// workers, then read by each DPU that scans a slice of the cluster. Arenas
-// are sized for one group block at a time to bound memory.
+// over-budget fallback — is built exactly once, fanned across workers, then
+// read by each DPU that scans a slice of the cluster. Arenas hold one launch
+// block at a time (blockCap), so memory stays flat however large the batch.
 type groupStore struct {
 	keys []groupKey // sorted unique groups of the launch
 	res  []int16    // block arena: residuals, blockGroups x Dim
@@ -30,43 +30,28 @@ type groupStore struct {
 	// order is each group's subspaces in descending residual magnitude — the
 	// order the staged scan visits them in; blockGroups x M.
 	order []uint16
-	build []bool // per query run of the block: its gather table is to be built
 
-	// LUT-free arenas (see the package doc): M per-subspace terms per
-	// group, and one qe gather table per query: qeSlot[q] is query q's slot in
-	// qe (-1 without a table), qeOwner[s] the query holding slot s (-1: free),
-	// qeBorn[s] the step that built its table; step is the one being launched.
-	// A table stays until the launch is past its query — groups run in query
-	// order — and one step beyond that while the query has no bound: its
-	// second wave reuses it (expire).
-	p       []int32 // block-relative per-group SubTerms, blockGroups x M
-	qe      []int32 // slots x M*CB
-	qeSlot  []int32
-	qeOwner []int32
-	qeBorn  []int
-	step    int
+	// LUT-free arenas (see the package doc): M per-subspace terms per group,
+	// and one qe gather table per query run of the block, qe[r*M*CB:] run
+	// r's. A block builds each of its queries' tables and drops them when it
+	// ends; a query's next block, or its second wave, builds its table again.
+	p  []int32 // block-relative per-group SubTerms, blockGroups x M
+	qe []int32 // blockQueries x M*CB
 }
 
-// resetQE forgets every query's gather table: a new call of n queries begins.
-func (g *groupStore) resetQE(n int) {
-	g.qeSlot = make([]int32, n)
-	for i := range g.qeSlot {
-		g.qeSlot[i] = -1
+// blockCap returns how many groups, and the gather tables of how many
+// queries, one launch block holds: the groups whose residual and LUT fit
+// groupBlockBudget and, with the decomposed builder, the queries whose tables
+// fit qeBlockBudget — never fewer than one of either — and no more groups
+// than those queries probe.
+func (e *Engine) blockCap() (groups, queries int) {
+	lutLen := e.ix.M * e.ix.CB
+	groups = max(groupBlockBudget/(lutLen*4+e.ix.Dim*2), 1)
+	if e.lut == nil {
+		return groups, math.MaxInt
 	}
-	for s := range g.qeOwner {
-		g.qeOwner[s] = -1
-	}
-}
-
-// expire frees the gather tables of the queries below q — the launch is past
-// them — that carry a bound or whose table an earlier step built: they have
-// had their second wave, or were never to have one here.
-func (g *groupStore) expire(q int32, bounds []uint32) {
-	for s, owner := range g.qeOwner {
-		if owner >= 0 && owner < q && (bounds[owner] != math.MaxUint32 || g.qeBorn[s] < g.step) {
-			g.qeSlot[owner], g.qeOwner[s] = -1, -1
-		}
-	}
+	queries = max(qeBlockBudget/(lutLen*4), 1)
+	return min(groups, queries*e.opts.NProbe), queries
 }
 
 // sortTasks orders one DPU's tasks by (query, cluster, slice start) — the
@@ -152,21 +137,35 @@ func (e *Engine) collectGroups(batch *sched.Batch) int {
 	return shipped
 }
 
-// buildGroups fills the shared arenas for every group in keys[gLo:gHi),
-// building each exactly once: the staged scan's subspace order, and with the
+// buildGroups fills the shared arenas for the launch block that begins at
+// group gLo and returns where it ends: as many groups as blockCap allows,
+// building each exactly once — the staged scan's subspace order, and with the
 // decomposed builder the per-subspace SubTerms and (per query run) the qe
 // gather table; on the over-budget fallback the residual and the full LUT.
 // The residual is skipped where nothing reads it (the builder's path). Work is
 // fanned across workers per query run so per-query terms amortize over all
 // clusters the query probes.
-func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
+func (e *Engine) buildGroups(queries dataset.U8Set, gLo int) (gHi int) {
 	g := &e.groups
 	ix := e.ix
 	dim, lutLen := ix.Dim, ix.M*ix.CB
-	n := gHi - gLo
-	if n <= 0 {
-		return
+	maxGroups, maxQueries := e.blockCap()
+
+	// Query runs within the block: keys are (query, cluster)-sorted, so one
+	// run is one query's clusters.
+	gHi = min(gLo+maxGroups, len(g.keys))
+	g.runs = g.runs[:0]
+	for i := gLo; i < gHi; i++ {
+		if i == gLo || g.keys[i].q != g.keys[i-1].q {
+			if len(g.runs) == maxQueries {
+				gHi = i
+				break
+			}
+			g.runs = append(g.runs, int32(i))
+		}
 	}
+	g.runs = append(g.runs, int32(gHi))
+	n, nq := gHi-gLo, len(g.runs)-1
 	if e.lut == nil && cap(g.res) < n*dim {
 		g.res = make([]int16, n*dim)
 	}
@@ -176,45 +175,18 @@ func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 	if cap(g.order) < n*ix.M {
 		g.order = make([]uint16, n*ix.M)
 	}
-
-	// Query runs within the block: keys are (query, cluster)-sorted, so one
-	// run is one query's clusters.
-	g.runs = g.runs[:0]
-	for i := gLo; i < gHi; i++ {
-		if i == gLo || g.keys[i].q != g.keys[i-1].q {
-			g.runs = append(g.runs, int32(i))
-		}
+	if e.lut != nil && cap(g.p) < n*ix.M {
+		g.p = make([]int32, n*ix.M)
 	}
-	g.runs = append(g.runs, int32(gHi))
-	// Gather tables: a slot for every query of the block that has none yet;
-	// built below, like everything else, by the worker that gets the run.
-	if e.lut != nil {
-		g.build = g.build[:0]
-		for _, lo := range g.runs[:len(g.runs)-1] {
-			q := g.keys[lo].q
-			g.build = append(g.build, g.qeSlot[q] < 0)
-			if g.qeSlot[q] < 0 {
-				free := slices.Index(g.qeOwner, -1)
-				if free < 0 {
-					free, g.qeOwner, g.qeBorn = len(g.qeOwner), append(g.qeOwner, -1), append(g.qeBorn, 0)
-				}
-				g.qeSlot[q], g.qeOwner[free], g.qeBorn[free] = int32(free), q, g.step
-			}
-		}
-		if want := len(g.qeOwner) * lutLen; want > cap(g.qe) { // to the slot, not by append's factor
-			g.qe = append(make([]int32, 0, want), g.qe...)
-		}
-		g.qe = g.qe[:len(g.qeOwner)*lutLen]
-		if cap(g.p) < n*ix.M {
-			g.p = make([]int32, n*ix.M)
-		}
+	if e.lut != nil && cap(g.qe) < nq*lutLen {
+		g.qe = make([]int32, nq*lutLen)
 	}
 
-	parallelFor(len(g.runs)-1, e.opts.Workers, func(_, ri int) {
+	parallelFor(nq, e.opts.Workers, func(_, ri int) {
 		lo, hi := int(g.runs[ri]), int(g.runs[ri+1])
 		query := queries.Vec(int(g.keys[lo].q))
-		if e.lut != nil && g.build[ri] {
-			e.lut.BuildQE(query, g.qe[int(g.qeSlot[g.keys[lo].q])*lutLen:][:lutLen])
+		if e.lut != nil {
+			e.lut.BuildQE(query, g.qe[ri*lutLen:(ri+1)*lutLen])
 		}
 		for i := lo; i < hi; i++ {
 			k, bi := g.keys[i], i-gLo
@@ -232,6 +204,7 @@ func (e *Engine) buildGroups(queries dataset.U8Set, gLo, gHi int) {
 			}
 		}
 	})
+	return gHi
 }
 
 // subspaceOrder fills order (length M) with the subspaces of the residual

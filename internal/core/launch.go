@@ -12,15 +12,19 @@ import (
 )
 
 // groupBlockBudget bounds the shared residual+LUT arena of one launch
-// block; large batches are processed in several blocks so memory stays flat
-// while the per-block LUT builds still fan out across workers.
-const groupBlockBudget = 48 << 20
+// block, and qeBlockBudget its gather tables (16 KiB a query at M16/CB256,
+// 32 at M32): large batches are processed in several blocks so memory stays
+// flat while the per-block builds still fan out across workers.
+const (
+	groupBlockBudget = 48 << 20
+	qeBlockBudget    = 512 << 10
+)
 
 // runLaunch executes one synchronous DPU launch — every kernel reading its
 // query's entry of bounds — and returns its wall time max(PIM, transfer) and
 // the seconds the engine's host spends merging the partial items; the merge
-// folds them into best. A query's two waves, one step apart, share its gather
-// table (groupStore.expire).
+// folds them into best. A query's gather table lives for one launch block,
+// so its second wave, a step later, builds it again.
 //
 // The launch is staged for wall-clock speed without touching the simulated
 // accounting: (1) every DPU's task list is sorted in parallel; (2) the
@@ -55,28 +59,12 @@ func (e *Engine) runLaunch(batch *sched.Batch, queries dataset.U8Set, best []*to
 
 	// Stage 3: build shared residuals/LUTs one block at a time, then let
 	// every DPU consume its tasks whose groups fall inside the block.
-	g := &e.groups
-	blockGroups := groupBlockBudget / (e.ix.M*e.ix.CB*4 + e.ix.Dim*2)
-	if blockGroups < 1 {
-		blockGroups = 1
-	}
-	for gLo, gHi := 0, 0; gLo < len(g.keys); gLo = gHi {
-		gHi = min(gLo+blockGroups, len(g.keys))
-		// A block does not run on from queries that carry a bound into queries
-		// that do not: the gather tables of the former expire behind it and
-		// make room for the latter's, which stay for their second wave.
-		for i := gLo + 1; i < gHi; i++ {
-			if bounds[g.keys[i].q] == math.MaxUint32 && bounds[g.keys[i-1].q] != math.MaxUint32 {
-				gHi = i
-			}
-		}
-		g.expire(g.keys[gLo].q, bounds)
-		e.buildGroups(queries, gLo, gHi)
+	for gLo, gHi := 0, 0; gLo < len(e.groups.keys); gLo = gHi {
+		gHi = e.buildGroups(queries, gLo)
 		e.forEachDPU(batch, func(d int) {
 			e.runDPUBlock(d, batch.PerDPU[d], gLo, gHi, bounds)
 		})
 	}
-	g.expire(math.MaxInt32, bounds)
 
 	// Stage 4: deterministic host merge (DPU order, then query order — the
 	// per-DPU result lists are already query-sorted).

@@ -394,7 +394,7 @@ func TestTaskCostCarriesLCTerm(t *testing.T) {
 	// a query without a bound, the table's share of it at the probe's ρ for
 	// one with, and only the latter may be postponed.
 	const bound = 12345
-	cost := e.newLane(2, []uint32{math.MaxUint32, bound}).scfg.Cost
+	cost := e.newLane([]uint32{math.MaxUint32, bound}).scfg.Cost
 	for si := range e.pl.Slices {
 		for _, dist := range []uint32{0, bound / 2, bound, 2 * bound, 100 * bound} {
 			c, deferrable := cost(sched.Task{Query: 0, Slice: si, Dist: dist})

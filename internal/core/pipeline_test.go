@@ -64,11 +64,11 @@ func TestPipelineDeterminismMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEngineReuseAcrossSearchBatches pins groupStore.resetQE: gather-table
-// slots are keyed by in-call query id, so a reused engine must forget them
-// between calls and answer a second, different query set exactly although its
-// query ids collide with the previous call's (a slot left over would hand a
-// query the table of the previous call's query with the same id).
+// TestEngineReuseAcrossSearchBatches: a reused engine keeps its arenas from
+// call to call, so it must answer a second, different query set exactly
+// although its query ids collide with the previous call's (a gather table
+// left over from an earlier launch would hand a query the table of the
+// previous call's query with the same id).
 func TestEngineReuseAcrossSearchBatches(t *testing.T) {
 	f := getFixture(t)
 	e, err := New(f.ix, dataset.U8Set{}, testOptions())
@@ -76,8 +76,7 @@ func TestEngineReuseAcrossSearchBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Single-query calls are the sharpest collision: every call uses query
-	// id 0 for a different vector, and a lone query's gather table outlives
-	// its call (it never gets a bound), so a stale slot is hit immediately.
+	// id 0 for a different vector in the arena's first slot.
 	for qi := 0; qi < 4; qi++ {
 		one := dataset.U8Set{N: 1, D: f.s.Queries.D,
 			Data: f.s.Queries.Vec(qi)}

@@ -109,7 +109,7 @@ func TestShareTable(t *testing.T) {
 			t.Fatalf("no profile: share table %.3f, want %.3f in every bin", bare.lc.share, perfmodel.BoundedShare(bare.ix.M))
 		}
 	}
-	if c, _ := bare.newLane(1, []uint32{1000}).scfg.Cost(sched.Task{Dist: 1}); c != bare.lc.heat[0]*perfmodel.BoundedShare(bare.ix.M) {
+	if c, _ := bare.newLane([]uint32{1000}).scfg.Cost(sched.Task{Dist: 1}); c != bare.lc.heat[0]*perfmodel.BoundedShare(bare.ix.M) {
 		t.Fatalf("no profile: a bounded task over slice 0 costs %v of its no-prune %v", c, bare.lc.heat[0])
 	}
 }

@@ -53,8 +53,9 @@ func NewReplica(src *Engine) (*Engine, error) {
 // shared side is the centroid directory (float and integer), integer PQ
 // codebooks, inverted lists + codes, the LUT builder's per-cluster table
 // and the cached LC demand and scheduler heat; the per-replica side is the
-// steady-state per-DPU launch scratch. The type is shared across backends
-// (see internal/engine) so the cluster layer accounts fleets uniformly.
+// steady-state per-DPU launch scratch and one launch block's arenas. The type
+// is shared across backends (see internal/engine) so the cluster layer
+// accounts fleets uniformly.
 type MemoryFootprint = engine.MemoryFootprint
 
 // MemoryFootprint reports the engine's shared/per-replica byte split (see
@@ -86,5 +87,13 @@ func (e *Engine) MemoryFootprint() MemoryFootprint {
 	}
 	per := int64(e.opts.NumDPUs) * int64(maxSlice) * 8 // alive + part
 	per += int64(e.opts.NumDPUs) * int64(e.opts.K) * 16
+	// One launch block's arenas at their bound: the groups' subspace orders
+	// and SubTerms and the block's gather tables, or on the fallback the
+	// groups' orders, residuals and LUTs.
+	if groups, queries := e.blockCap(); e.lut != nil {
+		per += int64(groups*ix.M)*6 + int64(queries*ix.M*ix.CB)*4
+	} else {
+		per += int64(groups) * int64(ix.M*2+ix.M*ix.CB*4+ix.Dim*2)
+	}
 	return MemoryFootprint{SharedBytes: shared, PerReplicaBytes: per}
 }

@@ -8,6 +8,7 @@ import (
 
 	"drimann/internal/dataset"
 	"drimann/internal/sched"
+	"drimann/internal/testutil"
 )
 
 // TestRollingWavesMatchOneBatch: cutting a call into scheduling batches — and
@@ -74,11 +75,11 @@ func TestRollingWavesMatchOneBatch(t *testing.T) {
 				t.Fatalf("%d launches over %d batches (%d postponed), %d for one batch", m.Launches, m.Batches, m.Postponed, w.Launches)
 			}
 
-			// Gather tables are held for a batch's two waves and no longer:
-			// the engine keeps about a batch's worth of slots, not the call's
-			// (none on the fallback, which the reference runs on).
-			if slots := len(e.groups.qeOwner); slots > o.BatchSize+o.BatchSize/2 || (slots == 0) != (e.lut == nil) {
-				t.Fatalf("%d gather-table slots after %d queries in batches of %d", slots, queries.N, o.BatchSize)
+			// Gather tables live for one launch block: the engine keeps at
+			// most a block's worth, not the call's (none on the fallback,
+			// which the reference runs on).
+			if tables, perBlock := gatherTables(e); tables > perBlock || (tables == 0) != (e.lut == nil) {
+				t.Fatalf("%d gather tables after %d queries in batches of %d, %d a block", tables, queries.N, o.BatchSize, perBlock)
 			}
 
 			// At most one batch: lead, then rest; a lone query's probes do not
@@ -112,8 +113,8 @@ func TestRollingWavesMatchOneBatch(t *testing.T) {
 		run(fmt.Sprintf("mutated_th3=%v", th3), o, false, func(o Options) (*Engine, dataset.U8Set) { return mutatedEngine(t, o, false) })
 	}
 
-	// No bound ever forms with K at the corpus size: tables must still go
-	// once their query's second wave has launched.
+	// No bound ever forms with K at the corpus size: the arena still holds
+	// one block's tables.
 	o := testOptions()
 	o.BatchSize, o.K = 8, f.s.Base.N
 	e, err := New(f.ix, dataset.U8Set{}, o)
@@ -124,8 +125,54 @@ func TestRollingWavesMatchOneBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if slots := len(e.groups.qeOwner); res.Metrics.PointsPruned != 0 || res.Metrics.Batches != 8 || slots > 2*o.BatchSize {
-		t.Fatalf("unbounded call: %d points pruned, %d batches, %d gather-table slots", res.Metrics.PointsPruned, res.Metrics.Batches, slots)
+	if tables, perBlock := gatherTables(e); res.Metrics.PointsPruned != 0 || res.Metrics.Batches != 8 || tables > perBlock {
+		t.Fatalf("unbounded call: %d points pruned, %d batches, %d gather tables, %d a block", res.Metrics.PointsPruned, res.Metrics.Batches, tables, perBlock)
+	}
+}
+
+// gatherTables returns how many gather tables e's arena holds and how many one
+// launch block may.
+func gatherTables(e *Engine) (tables, perBlock int) {
+	_, perBlock = e.blockCap()
+	return len(e.groups.qe) / (e.ix.M * e.ix.CB), perBlock
+}
+
+// TestGatherArenaHoldsOneBlock: at the benchmark's table shapes, M16 and M32
+// at CB256, a launch block holds the gather tables of qeBlockBudget's worth of
+// queries, 32 and 16, so a call of several batches of 64 queries cuts every
+// launch into blocks by query, and the arena ends the call one block's tables
+// long. The cut changes nothing: answers and every metric equal the per-op
+// reference's, whose fallback arenas are cut by groups alone.
+func TestGatherArenaHoldsOneBlock(t *testing.T) {
+	for _, m := range []int{16, 32} {
+		t.Run(fmt.Sprintf("M%d", m), func(t *testing.T) {
+			ix, s := testutil.Fixture(t, testutil.FixtureSpec{
+				N: 4000, D: 128, Queries: 200, NumClusters: 24, Seed: 5, Noise: 10,
+				NList: 32, M: m, CB: 256, BuildSeed: 3,
+			})
+			o := testOptions()
+			o.BatchSize = 64
+			e := newEngine(t, ix, dataset.U8Set{}, o, false)
+			res, err := e.SearchBatch(s.Queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := newEngine(t, ix, dataset.U8Set{}, o, true).SearchBatch(s.Queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResults(t, res, ref, "blocks vs reference")
+			if res.Metrics != ref.Metrics {
+				t.Fatalf("metrics diverge:\nblocks:    %+v\nreference: %+v", res.Metrics, ref.Metrics)
+			}
+			tables, perBlock := gatherTables(e)
+			if want := 512 << 10 / (m * 256 * 4); perBlock != want || res.Metrics.Batches < 3 {
+				t.Fatalf("%d tables a block over %d batches, want %d over several", perBlock, res.Metrics.Batches, want)
+			}
+			if tables != perBlock {
+				t.Fatalf("%d gather tables after the call, one block holds %d", tables, perBlock)
+			}
+		})
 	}
 }
 
@@ -154,7 +201,7 @@ func TestMixedLaunchPricesEachTask(t *testing.T) {
 			reqs = append(reqs, sched.Request{Query: int32(qi), Cluster: p.ID, Dist: p.Dist})
 		}
 	}
-	ln := e.newLane(nq, bounds)
+	ln := e.newLane(bounds)
 	sched.GreedyInto(&ln.sb, reqs, nil, e.pl, ln.scfg)
 
 	var mixed, flat float64

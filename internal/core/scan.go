@@ -64,10 +64,17 @@ func (e *Engine) runDPUBlock(d int, tasks []sched.Task, gLo, gHi int, bounds []u
 	if scan == nil {
 		scan = (*Engine).scanGroup
 	}
-	for sc.taskPos < len(tasks) {
+	g, lutLen := &e.groups, e.ix.M*e.ix.CB
+	for ri := 0; sc.taskPos < len(tasks); {
 		gi := int(sc.groupIx[sc.taskPos])
 		if gi >= gHi {
 			break
+		}
+		if e.lut != nil { // the gather table of gi's query run
+			for int(g.runs[ri+1]) <= gi {
+				ri++
+			}
+			sc.qe = g.qe[ri*lutLen : (ri+1)*lutLen]
 		}
 		group := sameGroup(tasks[sc.taskPos:])
 		sc.taskPos += len(group)
@@ -346,8 +353,7 @@ func (e *Engine) gather(sc *dpuScratch, subs []uint16, c, bi int) {
 			for _, s := range subs {
 				base += p[s]
 			}
-			qe := g.qe[int(g.qeSlot[sc.curQ])*lutLen:][:lutLen]
-			vecmath.ADCResidualPartial(part, qe, e.lut.ClusterTerms(c), sg.codes, rows, subs, base, ix.M, ix.CB)
+			vecmath.ADCResidualPartial(part, sc.qe, e.lut.ClusterTerms(c), sg.codes, rows, subs, base, ix.M, ix.CB)
 		} else {
 			vecmath.ADCPartialU32(part, g.lut[bi*lutLen:(bi+1)*lutLen], sg.codes, rows, subs, ix.M, ix.CB)
 		}

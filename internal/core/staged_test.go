@@ -256,7 +256,6 @@ func TestTighterBoundNeverCostsMore(t *testing.T) {
 					var sb sched.Batch
 					sched.GreedyInto(&sb, reqs, nil, e.pl, sched.Config{})
 					var m Metrics
-					e.groups.resetQE(f.s.Queries.N)
 					e.runLaunch(&sb, f.s.Queries, make([]*topk.Heap[uint32], nq), bounds, &m)
 					if prev != nil {
 						for p := upmem.Phase(0); p < upmem.NumPhases; p++ {

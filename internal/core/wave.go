@@ -86,7 +86,7 @@ func NewSteps(queries dataset.U8Set, fleet [][]*Engine, loc *Locator) *Steps {
 	}
 	for _, engines := range fleet {
 		for _, e := range engines {
-			ln := e.newLane(queries.N, st.bounds)
+			ln := e.newLane(st.bounds)
 			ln.part = st.best
 			if loc != nil {
 				ln.part = make([]*topk.Heap[uint32], queries.N)
@@ -98,13 +98,10 @@ func NewSteps(queries dataset.U8Set, fleet [][]*Engine, loc *Locator) *Steps {
 	return st
 }
 
-// newLane starts this engine's side of a call over n queries whose bounds the
-// call keeps in bounds: the scheduler prices each task by its probe's distance
+// newLane starts this engine's side of a call that keeps its queries' bounds
+// in bounds: the scheduler prices each task by its probe's distance
 // from its query's bound (Share) and may postpone it only if there is one.
-func (e *Engine) newLane(n int, bounds []uint32) *lane {
-	// Query ids are only unique within a call: drop the gather tables cached
-	// during a previous one.
-	e.groups.resetQE(n)
+func (e *Engine) newLane(bounds []uint32) *lane {
 	ln := &lane{e: e}
 	ln.scfg = sched.Config{Th3: e.opts.Th3, Rebalance: e.opts.Rebalance, Cost: func(t sched.Task) (float64, bool) {
 		b := bounds[t.Query]
@@ -238,7 +235,6 @@ func (st *Steps) launch(split, last bool) {
 	// step the overheat threshold doubles, so postponing stops.
 	parallelFor(len(st.active), len(st.active), func(_, i int) {
 		ln := st.active[i]
-		ln.e.groups.step = st.t
 		if drain {
 			ln.scfg.Th3 *= 2
 		}
@@ -296,8 +292,8 @@ func (st *Steps) launch(split, last bool) {
 // shard's replicas: contiguous query ranges of near-equal load at the
 // scheduler's own price (ProbeCycles), so a query's tasks of the wave stay on
 // one engine. A step's two waves are spread one by one: every replica gets its
-// share of each kind, and most of a query's second wave lands where its first
-// left the gather table.
+// share of each kind, and most of a query's second wave lands on the replica
+// that scanned its first.
 func (st *Steps) spread(lanes []*lane, reqs []sched.Request) {
 	if len(lanes) == 1 {
 		lanes[0].reqs = append(lanes[0].reqs, reqs...)

@@ -92,6 +92,36 @@ func TestLUTBuilderBitExact(t *testing.T) {
 	}
 }
 
+// TestBuildQEMatchesNaive holds the gather table to its definition, qe[m*CB+e]
+// = Σ_j q_j * entry_{m,e}[j], summed by a triple loop: on an index of 4
+// dimensions a subspace (the scalar loop) and one of 8 (vecmath.DotRows8, at
+// AVX2 width where the build has it).
+func TestBuildQEMatchesNaive(t *testing.T) {
+	for _, d := range []int{32, 64} {
+		s := dataset.Generate(dataset.SynthConfig{N: 3000, D: d, NumQueries: 20, NumClusters: 16, Seed: 4, Noise: 12})
+		ix, err := Build(s.Base, BuildConfig{NList: 16, PQ: pq.Config{M: 8, CB: 64}, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb, dsub := ix.NewLUTBuilder(1), d/ix.M
+		qe := make([]int32, ix.M*ix.CB)
+		for qi := 0; qi < s.Queries.N; qi++ {
+			q := s.Queries.Vec(qi)
+			lb.BuildQE(q, qe)
+			for i := range qe {
+				m, row := i/ix.CB, ix.IntCB.Data[i*dsub:(i+1)*dsub]
+				var want int32
+				for j, v := range row {
+					want += int32(q[m*dsub+j]) * int32(v)
+				}
+				if qe[i] != want {
+					t.Fatalf("dsub %d, query %d, entry %d: %d, want %d", dsub, qi, i, qe[i], want)
+				}
+			}
+		}
+	}
+}
+
 // subI16 mirrors vecmath.SubI16 locally to keep the test self-describing.
 func subI16(dst []int16, a []uint8, b []uint8) {
 	for i := range dst {

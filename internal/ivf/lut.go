@@ -55,29 +55,16 @@ func (ix *Index) NewLUTBuilder(workers int) *LUTBuilder {
 		return nil
 	}
 	lb := &LUTBuilder{ix: ix, dsub: dsub, b: make([]int32, entries)}
-	if workers <= 1 {
-		for c := 0; c < ix.NList; c++ {
-			lb.fillCluster(c)
-		}
-		return lb
-	}
 	var wg sync.WaitGroup
-	chunk := (ix.NList + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > ix.NList {
-			hi = ix.NList
-		}
-		if lo >= hi {
-			continue
-		}
+	chunk := (ix.NList + max(workers, 1) - 1) / max(workers, 1)
+	for lo := 0; lo < ix.NList; lo += chunk {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			for c := lo; c < hi; c++ {
+			for c := lo; c < min(lo+chunk, ix.NList); c++ {
 				lb.fillCluster(c)
 			}
-		}(lo, hi)
+		}()
 	}
 	wg.Wait()
 	return lb
@@ -122,22 +109,8 @@ func (lb *LUTBuilder) BuildQE(query []uint8, qe []int32) {
 		sub := query[mi*dsub : (mi+1)*dsub]
 		rows := ix.IntCB.Data[mi*cb*dsub : (mi+1)*cb*dsub]
 		out := qe[mi*cb : (mi+1)*cb]
-		if dsub == 8 {
-			// Dominant shape (e.g. 128d / M=16): hoist the query subvector
-			// into registers and unroll the dot product; int32 addition is
-			// associative, so the result is unchanged.
-			q0, q1 := int32(sub[0]), int32(sub[1])
-			q2, q3 := int32(sub[2]), int32(sub[3])
-			q4, q5 := int32(sub[4]), int32(sub[5])
-			q6, q7 := int32(sub[6]), int32(sub[7])
-			for e := range out {
-				row := rows[e*8 : e*8+8 : e*8+8]
-				s01 := q0*int32(row[0]) + q1*int32(row[1])
-				s23 := q2*int32(row[2]) + q3*int32(row[3])
-				s45 := q4*int32(row[4]) + q5*int32(row[5])
-				s67 := q6*int32(row[6]) + q7*int32(row[7])
-				out[e] = (s01 + s23) + (s45 + s67)
-			}
+		if dsub == 8 { // the dominant shape (e.g. 128d / M=16), at SIMD width
+			vecmath.DotRows8(out, rows, (*[8]uint8)(sub))
 			continue
 		}
 		for e := range out {

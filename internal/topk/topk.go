@@ -30,9 +30,21 @@ func compare[D cmp.Ordered](a, b Item[D]) int {
 	return cmp.Compare(a.ID, b.ID)
 }
 
-// Less reports whether a precedes b in the deterministic total order.
+// Less reports whether a precedes b in the deterministic total order. It
+// open-codes compare(a, b) < 0 (NaN first, NaN equal to NaN, ±0 equal) so that
+// it inlines into every heap; TestLessMatchesCompare pins the equivalence.
 func Less[D cmp.Ordered](a, b Item[D]) bool {
-	return compare(a, b) < 0
+	if a.Dist < b.Dist {
+		return true
+	}
+	if a.Dist > b.Dist {
+		return false
+	}
+	if a.Dist == b.Dist {
+		return a.ID < b.ID
+	}
+	// At least one NaN (x != x): it comes first, and two tie.
+	return a.Dist != a.Dist && (b.Dist == b.Dist || a.ID < b.ID)
 }
 
 // Heap is a bounded max-heap holding the k smallest items pushed so far.
@@ -99,18 +111,9 @@ func (h *Heap[D]) Bound() Bound[D] {
 }
 
 // Accepts reports whether a Push of (id, dist) would change the heap the
-// bound was captured from — exactly WouldAccept at capture time. The body
-// open-codes Less((id, dist), worst) because this is a per-candidate call
-// in simulation kernels and the delegated form falls out of the compiler's
-// inlining budget; TestBoundMatchesWouldAccept pins the equivalence.
+// bound was captured from — exactly WouldAccept at capture time.
 func (b *Bound[D]) Accepts(id int32, dist D) bool {
-	if !b.full {
-		return true
-	}
-	if dist != b.worst.Dist {
-		return dist < b.worst.Dist
-	}
-	return id < b.worst.ID
+	return !b.full || Less(Item[D]{ID: id, Dist: dist}, b.worst)
 }
 
 // Push offers an item; it returns true if the item was retained.

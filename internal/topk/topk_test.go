@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -177,24 +178,60 @@ func TestSortedInto(t *testing.T) {
 
 // TestBoundMatchesWouldAccept: the cached-threshold fast path must agree
 // with WouldAccept at every step of a randomized push sequence, provided the
-// bound is re-captured after each push.
+// bound is re-captured after each push — over uint32 distances in a narrow
+// range (ties) and over float32 ones that include NaN, ±0 and +Inf.
 func TestBoundMatchesWouldAccept(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
+	checkBound(t, rng, func() uint32 { return uint32(rng.Intn(16)) })
+	floats := []float32{float32(math.NaN()), float32(math.Copysign(0, -1)), 0, 1, 2, float32(math.Inf(1))}
+	checkBound(t, rng, func() float32 { return floats[rng.Intn(len(floats))] })
+}
+
+func checkBound[D float32 | uint32](t *testing.T, rng *rand.Rand, draw func() D) {
+	t.Helper()
 	for trial := 0; trial < 50; trial++ {
 		k := 1 + rng.Intn(8)
-		h := NewHeap[uint32](k)
+		h := NewHeap[D](k)
 		bound := h.Bound()
 		for i := 0; i < 200; i++ {
-			id := int32(rng.Intn(64))
-			dist := uint32(rng.Intn(16)) // narrow range to force distance ties
+			id, dist := int32(rng.Intn(64)), draw()
 			want := h.WouldAccept(id, dist)
 			if got := bound.Accepts(id, dist); got != want {
-				t.Fatalf("trial %d step %d: Accepts(%d, %d) = %v, WouldAccept = %v (heap %+v)",
+				t.Fatalf("trial %d step %d: Accepts(%d, %v) = %v, WouldAccept = %v (heap %+v)",
 					trial, i, id, dist, got, want, h.items)
 			}
 			if want {
 				h.Push(id, dist)
 				bound = h.Bound()
+			}
+		}
+	}
+}
+
+// TestLessMatchesCompare holds the open-coded Less to compare(a, b) < 0, the
+// order SortItems sorts by, over every pair of a set of items that share
+// distances and ids: uint32 at 0, 1 and MaxUint32, and float32 at NaN, ±Inf,
+// ±0 and finite values, each distance under two ids.
+func TestLessMatchesCompare(t *testing.T) {
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	checkLess(t, []uint32{0, 1, 7, math.MaxUint32})
+	checkLess(t, []float32{nan, -inf, -1.5, negZero, 0, 1e-30, 2, inf, float32(math.NaN())})
+}
+
+func checkLess[D float32 | uint32](t *testing.T, dists []D) {
+	t.Helper()
+	var items []Item[D]
+	for _, d := range dists {
+		for _, id := range []int32{-1, 3} {
+			items = append(items, Item[D]{ID: id, Dist: d})
+		}
+	}
+	for _, a := range items {
+		for _, b := range items {
+			if got, want := Less(a, b), compare(a, b) < 0; got != want {
+				t.Fatalf("Less(%v, %v) = %v, compare says %v", a, b, got, want)
 			}
 		}
 	}

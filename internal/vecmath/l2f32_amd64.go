@@ -7,9 +7,9 @@ import (
 	"strings"
 )
 
-// useAVX2 selects the AVX2 kernels of l2f32_amd64.s, once: the CPU and OS
-// support AVX2 (hasAVX2) and GODEBUG does not turn it off. Tests clear it to
-// run the scalar twins on an AVX2 host.
+// useAVX2 selects the AVX2 kernels of l2f32_amd64.s and dot8_amd64.s, once:
+// the CPU and OS support AVX2 (hasAVX2) and GODEBUG does not turn it off.
+// Tests clear it to run the scalar twins on an AVX2 host.
 var useAVX2 = hasAVX2() && !avx2Off(os.Getenv("GODEBUG"))
 
 // avx2Off reports whether GODEBUG turns AVX2 off for Go, its last say
@@ -55,3 +55,8 @@ func argMin8TAVX2(dist *[8]float32, blk *[8]int32, ct, q []float32)
 //
 //go:noescape
 func minL2F32TAVX2(d2, pt, v []float32)
+
+// dotRows8AVX2 is DotRows8's AVX2 kernel (dot8_amd64.s).
+//
+//go:noescape
+func dotRows8AVX2(out []int32, rows []int16, q *[8]uint8)

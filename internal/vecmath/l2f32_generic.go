@@ -8,3 +8,5 @@ var useAVX2 = false
 func argMin8T(dist *[8]float32, blk *[8]int32, ct, q []float32) { argMin8TGo(dist, blk, ct, q) }
 
 func minL2F32T(d2, pt, v []float32) { minL2F32TGo(d2, pt, v) }
+
+func dotRows8AVX2(out []int32, rows []int16, q *[8]uint8) { panic("vecmath: no AVX2 kernels") }

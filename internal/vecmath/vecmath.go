@@ -12,9 +12,10 @@
 // only grows (adding a square never lowers a rounded sum, fused or not), so a
 // distance abandoned above a bound would have ended above it too.
 //
-// On amd64 the u8 distance is SSE2 and the float distances are AVX2; the
-// purego tag, any other architecture, or an amd64 CPU without AVX2 runs the
-// scalar Go twins. Every kernel is exact, not merely close:
+// On amd64 the u8 distance is SSE2, the float distances and the gather
+// table's dot products AVX2; the purego tag, any other architecture, or an
+// amd64 CPU without AVX2 runs the scalar Go twins. Every kernel is exact, not
+// merely close:
 //   - l2u8_amd64.s, the u8 distance: integer sums agree mod 2^32 in any order,
 //     so its lanes folded together equal the scalar sum, wraps included, and
 //     one 16-byte block is one AbandonStride, so it checks its bound where the
@@ -29,12 +30,16 @@
 //     every AbandonStride dimensions, once all sixteen lanes are above their
 //     bounds. The scalar twins (l2f32.go) take the same steps, checkpoints
 //     included, so either side leaves the same bits in every lane.
+//   - dot8_amd64.s, DotRows8, the gather table of a query's eight-byte
+//     subvectors against int16 codebook rows: VPMADDWD pairs the products,
+//     two VPHADDD rounds sum them, eight rows a pass. Its scalar loop pairs and
+//     sums the same way, and int32 sums agree in any order anyway.
 //
 // The AVX2 kernels are picked once, when the package starts: CPUID must
 // report AVX2 and XGETBV the YMM state enabled, and GODEBUG must not turn
 // AVX2 off for Go (cpu.avx2=off, as it does for the runtime). go vet's
 // asmdecl pass checks every assembly frame (hasAVX2, argMin8TAVX2,
-// minL2F32TAVX2, l2u8) against its Go declaration.
+// minL2F32TAVX2, dotRows8AVX2, l2u8) against its Go declaration.
 package vecmath
 
 import "math"
@@ -382,4 +387,29 @@ func DotU8I32(a, b []uint8) int32 {
 		s += int32(av) * int32(b[i])
 	}
 	return s
+}
+
+// DotRows8 fills out with the inner products of a query's eight-byte
+// subvector q and rows, a table of int16 rows of eight: out[e] = Σ_j q[j] *
+// rows[8e+j]. It is ivf.LUTBuilder.BuildQE's gather table, one subspace at
+// eight dimensions. Whole blocks of eight rows run dotRows8AVX2 where useAVX2
+// is set; the scalar loop pairs each row's products as VPMADDWD pairs them and
+// sums the pairs as its two VPHADDD rounds do (int32 sums agree in any order
+// anyway, wraps included).
+func DotRows8(out []int32, rows []int16, q *[8]uint8) {
+	rows = rows[:8*len(out)]
+	if useAVX2 && len(out) > 0 && len(out)%8 == 0 {
+		dotRows8AVX2(out, rows, q)
+		return
+	}
+	q0, q1, q2, q3 := int32(q[0]), int32(q[1]), int32(q[2]), int32(q[3])
+	q4, q5, q6, q7 := int32(q[4]), int32(q[5]), int32(q[6]), int32(q[7])
+	for e := range out {
+		row := rows[e*8 : e*8+8 : e*8+8]
+		s01 := q0*int32(row[0]) + q1*int32(row[1])
+		s23 := q2*int32(row[2]) + q3*int32(row[3])
+		s45 := q4*int32(row[4]) + q5*int32(row[5])
+		s67 := q6*int32(row[6]) + q7*int32(row[7])
+		out[e] = (s01 + s23) + (s45 + s67)
+	}
 }

@@ -331,6 +331,53 @@ func TestDotU8I32(t *testing.T) {
 	}
 }
 
+// TestDotRows8MatchesNaive holds DotRows8, on the AVX2 kernel and on its
+// scalar loop, to the double loop over rows and dimensions: tables of 16, 64
+// and 256 rows (whole blocks of eight, the kernel's) and of 4 and 12 (the
+// scalar loop's alone), rows at ±255 and drawn from it, query bytes at 0, at
+// 255 and drawn.
+func TestDotRows8MatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	draw := func(kind int, lo, hi int) int {
+		switch kind {
+		case 0:
+			return lo
+		case 1:
+			return hi
+		}
+		return lo + rng.Intn(hi-lo+1)
+	}
+	for _, cb := range []int{4, 12, 16, 64, 256} {
+		for rk := 0; rk < 3; rk++ {
+			for qk := 0; qk < 3; qk++ {
+				rows, q := make([]int16, cb*8), new([8]uint8)
+				for i := range rows {
+					rows[i] = int16(draw(rk, -255, 255))
+				}
+				for i := range q {
+					q[i] = uint8(draw(qk, 0, 255))
+				}
+				want := make([]int32, cb)
+				for e := range want {
+					for j, v := range q {
+						want[e] += int32(v) * int32(rows[e*8+j])
+					}
+				}
+				kernels(func(kernel string) {
+					got := make([]int32, cb)
+					DotRows8(got, rows, q)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s, %d rows, rows %d, query %d: %v, want %v", kernel, cb, rk, qk, got, want)
+					}
+				})
+			}
+		}
+	}
+	if !panics(func() { DotRows8(make([]int32, 16), make([]int16, 127), new([8]uint8)) }) {
+		t.Fatal("DotRows8 took rows that do not fill the table")
+	}
+}
+
 // TestL2SquaredU8AbandonExact: whenever the bounded scan completes, the
 // distance equals the full evaluation; whenever it abandons, the true
 // distance is strictly above the bound (so a caller rejecting > bound makes
