@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"drimann/internal/testutil"
 	"drimann/internal/topk"
 	"drimann/internal/upmem"
+	"drimann/internal/vecmath"
 )
 
 // refBeamSearch is the traversal from entry with full distances: every
@@ -84,37 +86,171 @@ func refCharge(e *Engine, t *upmem.Tally, hops, evals int) {
 	t.ChargeCycles(upmem.PhaseTS, uint64(evals)*(uint64(engine.Log2Ceil(e.opts.SearchBeam))+2))
 }
 
-// refBuild is the serial build, the oracle the pipelined build is held to:
-// each point's candidate search, pruning and backlinks run to completion
-// before the next point's search starts.
+// refTraverse is the traversal one distance at a time, as beamSearch ran
+// before the eight-row pass: each unvisited neighbour, in list order, is
+// L2SquaredU8Bounded at the bound that stands at its turn (keep's worst in
+// the build, the pool's in a query, none while either is short).
+func refTraverse(e *Engine, sc *searchScratch, q []uint8, entry int32, beam int, keep *topk.Heap[uint32]) beamStats {
+	var st beamStats
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.visited)
+		sc.epoch = 1
+	}
+	sc.pool = sc.pool[:0]
+	sc.expanded = sc.expanded[:0]
+	insert := func(it topk.Item[uint32]) {
+		lo, hi := 0, len(sc.pool)
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if topk.Less(sc.pool[mid], it) {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo >= beam {
+			return
+		}
+		sc.pool = slices.Insert(sc.pool, lo, it)
+		sc.expanded = slices.Insert(sc.expanded, lo, false)
+		if len(sc.pool) > beam {
+			sc.pool = sc.pool[:beam]
+			sc.expanded = sc.expanded[:beam]
+		}
+	}
+	eval := func(id int32) {
+		sc.visited[id] = sc.epoch
+		st.evals++
+		it := topk.Item[uint32]{ID: id}
+		bound, bounded := uint32(0), len(sc.pool) == beam
+		if keep != nil {
+			bound, bounded = keep.Threshold()
+		} else if bounded {
+			bound = sc.pool[beam-1].Dist
+		}
+		if !bounded {
+			it.Dist = vecmath.L2SquaredU8(q, e.base.Vec(int(id)))
+			st.dims += len(q)
+		} else {
+			var dims int
+			it.Dist, dims = vecmath.L2SquaredU8Bounded(q, e.base.Vec(int(id)), bound)
+			st.dims += dims
+			st.checks += (dims + vecmath.AbandonStride - 1) / vecmath.AbandonStride
+			if it.Dist > bound {
+				return
+			}
+		}
+		if keep != nil {
+			keep.Push(id, it.Dist)
+		}
+		st.probes++
+		insert(it)
+	}
+	eval(entry)
+	for {
+		next := slices.Index(sc.expanded, false)
+		if next < 0 {
+			break
+		}
+		sc.expanded[next] = true
+		st.hops++
+		for _, nb := range e.nbrs[sc.pool[next].ID] {
+			if sc.visited[nb] != sc.epoch {
+				eval(nb)
+			}
+		}
+	}
+	return st
+}
+
+// refPrune is robustPrune one distance at a time: after each pick, every
+// live candidate after it is L2SquaredU8Bounded under its own alpha bound.
+func refPrune(e *Engine, p int32, cands []topk.Item[uint32], out []int32) []int32 {
+	const dead = math.MinInt64
+	bound := make([]int64, len(cands))
+	for i, c := range cands {
+		bound[i] = dead
+		if c.ID != p {
+			bound[i] = pruneBound(alpha, c.Dist)
+		}
+	}
+	for pick := 0; len(out) < e.opts.Degree; pick++ {
+		for pick < len(cands) && bound[pick] == dead {
+			pick++
+		}
+		if pick == len(cands) {
+			break
+		}
+		out = append(out, cands[pick].ID)
+		vk := e.base.Vec(int(cands[pick].ID))
+		for i := pick + 1; i < len(cands); i++ {
+			if bound[i] < 0 {
+				continue
+			}
+			if d, _ := vecmath.L2SquaredU8Bounded(vk, e.base.Vec(int(cands[i].ID)), uint32(bound[i])); int64(d) <= bound[i] {
+				bound[i] = dead
+			}
+		}
+	}
+	return out
+}
+
+// refBacklink is addBacklink one distance at a time.
+func refBacklink(e *Engine, j, from int32) {
+	if slices.Contains(e.nbrs[j], from) {
+		return
+	}
+	e.nbrs[j] = append(e.nbrs[j], from)
+	if len(e.nbrs[j]) <= e.opts.Degree {
+		return
+	}
+	qj := e.base.Vec(int(j))
+	cands := make([]topk.Item[uint32], 0, len(e.nbrs[j]))
+	for _, x := range e.nbrs[j] {
+		cands = append(cands, topk.Item[uint32]{ID: x, Dist: vecmath.L2SquaredU8(qj, e.base.Vec(int(x)))})
+	}
+	topk.SortItems(cands)
+	e.nbrs[j] = refPrune(e, j, cands, e.nbrs[j][:0])
+}
+
+// refBuild is the serial build one distance at a time, the oracle the
+// pipelined build is held to: each point's candidate search (refTraverse),
+// pruning and backlinks run to completion before the next point's search
+// starts.
 func refBuild(e *Engine) {
 	n := e.base.N
 	e.nbrs = make([][]int32, n)
 	sc := &searchScratch{visited: make([]uint32, n)}
 	keep := topk.NewHeap[uint32](2 * e.opts.BuildBeam)
-	var pr pruner
 	var cands []topk.Item[uint32]
-	for i := 1; i < n; i++ {
-		cands = refLink(e, sc, keep, &pr, int32(i), cands)
+	for i := int32(1); i < int32(n); i++ {
+		keep.Reset()
+		refTraverse(e, sc, e.base.Vec(int(i)), refEntry(e, i), e.opts.BuildBeam, keep)
+		cands = keep.SortedInto(cands)
+		refLink(e, i, cands)
 	}
 	for _, nb := range e.nbrs {
 		slices.Sort(nb)
 	}
 }
 
-// refLink inserts point i into the partial graph and returns the candidates
-// its search collected, in cands' storage.
-func refLink(e *Engine, sc *searchScratch, keep *topk.Heap[uint32], pr *pruner, i int32, cands []topk.Item[uint32]) []topk.Item[uint32] {
-	entry := int32(0)
+// refEntry is point i's search entry: the medoid once it is in the graph,
+// node 0 before.
+func refEntry(e *Engine, i int32) int32 {
 	if e.medoid < i {
-		entry = e.medoid
+		return e.medoid
 	}
-	cands = e.beamCollect(sc, keep, nil, e.base.Vec(int(i)), entry, e.opts.BuildBeam, cands)
-	e.nbrs[i] = e.robustPrune(pr, i, cands, nil)
+	return 0
+}
+
+// refLink prunes point i's list from its candidates and adds its backlinks,
+// one distance at a time.
+func refLink(e *Engine, i int32, cands []topk.Item[uint32]) {
+	e.nbrs[i] = refPrune(e, i, cands, nil)
 	for _, j := range e.nbrs[i] {
-		e.addBacklink(pr, j, i)
+		refBacklink(e, j, i)
 	}
-	return cands
 }
 
 // refEngine is an engine over base whose graph the serial build made.
@@ -251,19 +387,16 @@ func TestBeamCollectMatchesFullSort(t *testing.T) {
 			e.nbrs = make([][]int32, n)
 			sc, ref := &searchScratch{visited: make([]uint32, n)}, &searchScratch{visited: make([]uint32, n)}
 			keep := topk.NewHeap[uint32](2 * beam)
-			var pr pruner
 			var cands []topk.Item[uint32]
-			for i := 1; i < n; i++ {
-				entry := int32(0)
-				if int(e.medoid) < i {
-					entry = e.medoid
-				}
-				_, want, _ := refBeamSearch(e, ref, e.base.Vec(i), entry, beam)
+			for i := int32(1); i < int32(n); i++ {
+				q := e.base.Vec(int(i))
+				_, want, _ := refBeamSearch(e, ref, q, refEntry(e, i), beam)
 				topk.SortItems(want)
 				want = want[:min(len(want), 2*beam)]
-				if cands = refLink(e, sc, keep, &pr, int32(i), cands); !slices.Equal(cands, want) {
+				if cands = e.beamCollect(sc, keep, nil, q, refEntry(e, i), beam, cands); !slices.Equal(cands, want) {
 					t.Fatalf("point %d: collected %v, full sort %v", i, cands, want)
 				}
+				refLink(e, i, cands)
 			}
 		})
 	}
@@ -286,8 +419,10 @@ func medoidCorpus() dataset.U8Set {
 }
 
 // TestPipelinedBuildMatchesSerial: the two-stage build makes the serial
-// build's graph, every adjacency list and the medoid, on corpora with
-// duplicates, a medoid inside the insertion order and one to five points,
+// build's graph, one distance at a time, every adjacency list and the medoid,
+// on corpora with duplicates, at 128 dimensions and at 130 (a tail after the
+// last whole block), with a medoid inside the insertion order and one to five
+// points,
 // at a narrow and the default degree and beam. Run it under -cpu 1,2: on one
 // core the stages interleave, on two they overlap.
 func TestPipelinedBuildMatchesSerial(t *testing.T) {
@@ -298,7 +433,8 @@ func TestPipelinedBuildMatchesSerial(t *testing.T) {
 		base dataset.U8Set
 	}
 	corpora := []corpus{
-		{"fixture", s.Base}, {"duplicates", dupBase}, {"sift", dataset.SIFT(3000, 1, 5).Base}, {"medoid=7", medoidCorpus()},
+		{"fixture", s.Base}, {"duplicates", dupBase}, {"sift", dataset.SIFT(3000, 1, 5).Base}, {"d=130", tailCorpus().Base},
+		{"medoid=7", medoidCorpus()},
 	}
 	for _, n := range []int{1, 2, 5} {
 		corpora = append(corpora, corpus{fmt.Sprintf("N=%d", n), dataset.U8Set{N: n, D: s.Base.D, Data: s.Base.Data[:n*s.Base.D]}})
@@ -325,6 +461,65 @@ func TestPipelinedBuildMatchesSerial(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// tailCorpus is a 130-dimensional fixture: eight whole blocks and a tail.
+func tailCorpus() *dataset.Synth {
+	spec := testSpec(2000, 48)
+	spec.D = 130
+	return testutil.Synth(spec)
+}
+
+// TestTraversalMatchesReference: query by query, the eight-row traversal ends
+// on refTraverse's pool, hops, evaluations, dimensions summed, checks and
+// probes, at a pool as narrow as K and wider; in the build's mode too, with
+// keep's worst as the bound, ending on the same keep.
+func TestTraversalMatchesReference(t *testing.T) {
+	fixture, s := getEngine(t)
+	dupBase, dupQueries := duplicateCorpus()
+	sift, tail := dataset.SIFT(3000, 64, 5), tailCorpus()
+	for _, c := range []struct {
+		name          string
+		base, queries dataset.U8Set
+	}{
+		{"fixture", s.Base, s.Queries}, {"duplicates", dupBase, dupQueries},
+		{"sift", sift.Base, sift.Queries}, {"d=130", tail.Base, tail.Queries},
+	} {
+		e := fixture
+		if c.name != "fixture" {
+			var err error
+			if e, err = New(c.base, testOptions()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n := e.base.N
+		for _, beam := range []int{10, 32, 64} {
+			for _, build := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/beam=%d/build=%v", c.name, beam, build), func(t *testing.T) {
+					sc, ref := &searchScratch{visited: make([]uint32, n)}, &searchScratch{visited: make([]uint32, n)}
+					var keep, refKeep *topk.Heap[uint32]
+					if build {
+						keep, refKeep = topk.NewHeap[uint32](2*beam), topk.NewHeap[uint32](2*beam)
+					}
+					for qi := 0; qi < c.queries.N; qi++ {
+						q := c.queries.Vec(qi)
+						if build {
+							keep.Reset()
+							refKeep.Reset()
+						}
+						st := e.beamSearch(sc, q, e.medoid, beam, keep, nil)
+						want := refTraverse(e, ref, q, e.medoid, beam, refKeep)
+						if st != want || !slices.Equal(sc.pool, ref.pool) {
+							t.Fatalf("query %d: %+v pool %v, reference %+v pool %v", qi, st, sc.pool, want, ref.pool)
+						}
+						if build && !slices.Equal(keep.Sorted(), refKeep.Sorted()) {
+							t.Fatalf("query %d: keep %v, reference %v", qi, keep.Sorted(), refKeep.Sorted())
+						}
+					}
+				})
+			}
 		}
 	}
 }
