@@ -50,6 +50,38 @@ func BenchmarkL2SquaredU8(b *testing.B) {
 	}
 }
 
+// BenchmarkL2U8Rows times one L2U8Rows pass over eight rows at the graph
+// fixture's 24 dimensions and SIFT's 128, unbounded and at bounds every row's
+// first half already exceeds; bytes are the eight rows', so MB/s compares
+// with BenchmarkL2SquaredU8's.
+func BenchmarkL2U8Rows(b *testing.B) {
+	for _, dim := range []int{24, 128} {
+		q, _, _, _ := benchVectors(dim)
+		base, _, _, _ := benchVectors(8 * dim)
+		rows := []int32{0, 1, 2, 3, 4, 5, 6, 7}
+		half := dim / 2 / AbandonStride * AbandonStride
+		var abandon [8]uint32
+		for r := range abandon {
+			abandon[r] = L2SquaredU8(q[:half], base[r*dim:][:half]) - 1
+		}
+		for _, tc := range []struct {
+			name  string
+			bound [8]uint32
+		}{
+			{"full", [8]uint32{math.MaxUint32, math.MaxUint32, math.MaxUint32, math.MaxUint32, math.MaxUint32, math.MaxUint32, math.MaxUint32, math.MaxUint32}},
+			{"abandon", abandon},
+		} {
+			b.Run(fmt.Sprintf("dim=%d/%s", dim, tc.name), func(b *testing.B) {
+				b.SetBytes(int64(8 * dim))
+				var p L2U8Rows
+				for b.Loop() {
+					p.Run(q, base, rows, &tc.bound)
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkL2SquaredF32Dim128(b *testing.B) {
 	_, _, af, bf := benchVectors(128)
 	b.SetBytes(128 * 4)

@@ -60,3 +60,8 @@ func minL2F32TAVX2(d2, pt, v []float32)
 //
 //go:noescape
 func dotRows8AVX2(out []int32, rows []int16, q *[8]uint8)
+
+// l2u8RowsAVX2 is L2U8Rows.Run's AVX2 kernel over whole blocks (l2u8_amd64.s).
+//
+//go:noescape
+func l2u8RowsAVX2(sums []uint32, q, base []uint8, off *[8]int, bound, first *[8]uint32) (blocks int)

@@ -12,14 +12,18 @@
 // only grows (adding a square never lowers a rounded sum, fused or not), so a
 // distance abandoned above a bound would have ended above it too.
 //
-// On amd64 the u8 distance is SSE2, the float distances and the gather
-// table's dot products AVX2; the purego tag, any other architecture, or an
-// amd64 CPU without AVX2 runs the scalar Go twins. Every kernel is exact, not
-// merely close:
-//   - l2u8_amd64.s, the u8 distance: integer sums agree mod 2^32 in any order,
-//     so its lanes folded together equal the scalar sum, wraps included, and
-//     one 16-byte block is one AbandonStride, so it checks its bound where the
-//     scalar kernel does and reports the same dimensions summed.
+// On amd64 the one-row u8 distance is SSE2, the eight-row one, the float
+// distances and the gather table's dot products AVX2; the purego tag, any
+// other architecture, or an amd64 CPU without AVX2 runs the scalar Go twins.
+// Every kernel is exact, not merely close:
+//   - l2u8_amd64.s, the u8 distances: integer sums agree mod 2^32 in any order,
+//     so lanes folded together equal the scalar sum, wraps included, and one
+//     16-byte block is one AbandonStride, so a sum is checked where the scalar
+//     kernel checks it. L2U8Rows runs eight rows of a flat corpus a pass, a
+//     lane a row sharing the query's widened block, one VPHADDD tree and the
+//     stop, which waits for the last lane; each lane keeps its running sum
+//     per block and counts its blocks before its own bound, so a pass answers
+//     L2SquaredU8Bounded for every row at any bound up to its own.
 //   - l2f32_amd64.s, the float distances over Transpose8's layout, eight rows
 //     a block, dimension-major, two blocks a pass: ArgMinL2F32T, the nearest
 //     centroid (PQ encoding, the coarse assignment, every k-means
@@ -39,10 +43,13 @@
 // report AVX2 and XGETBV the YMM state enabled, and GODEBUG must not turn
 // AVX2 off for Go (cpu.avx2=off, as it does for the runtime). go vet's
 // asmdecl pass checks every assembly frame (hasAVX2, argMin8TAVX2,
-// minL2F32TAVX2, dotRows8AVX2, l2u8) against its Go declaration.
+// minL2F32TAVX2, dotRows8AVX2, l2u8, l2u8RowsAVX2) against its Go declaration.
 package vecmath
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // L2SquaredF32 returns the squared Euclidean distance between two float32
 // vectors of equal length.
@@ -91,6 +98,93 @@ func L2SquaredU8Bounded(a, b []uint8, bound uint32) (uint32, int) {
 	}
 	_ = b[len(a)-1] // a short b panics here, before the kernel reads it
 	return l2u8(a, b, bound)
+}
+
+// L2U8Rows is one pass of the u8 distance over up to eight rows of a flat
+// corpus, a row a lane (Run), read per lane as L2SquaredU8Bounded (At).
+type L2U8Rows struct {
+	sums   []uint32  // sums[8k+r]: lane r's running sum after block k-1, zero at k = 0
+	bound  [8]uint32 // each lane's bound
+	first  [8]uint32 // whole blocks before each lane first passed its bound
+	blocks int       // blocks summed
+	dim    int
+}
+
+// Run sums the squared distances from q to rows (one to eight) of base, rows
+// of len(q) bytes, lane r under bound[r]: each lane's running sum is kept
+// after every AbandonStride block, the tail in the last, and the pass stops
+// after the first whole block but the last by which every lane has passed
+// its bound. Lanes past len(rows) repeat the last row and bound: no stop moves.
+func (p *L2U8Rows) Run(q, base []uint8, rows []int32, bound *[8]uint32) {
+	dim, whole := len(q), len(q)/AbandonStride
+	var off [8]int
+	for r := range off {
+		i := min(r, len(rows)-1)
+		off[r], p.bound[r] = int(rows[i])*dim, bound[i]
+		_ = base[off[r]:][:dim] // a row past base panics here, before the kernel reads it
+	}
+	p.sums = slices.Grow(p.sums[:0], 8*whole+16)[:8*whole+16] // sums[:8] are never written
+	p.dim, p.blocks, p.first = dim, 0, [8]uint32{}
+	if whole > 0 && useAVX2 {
+		p.blocks = l2u8RowsAVX2(p.sums[8:], q, base, &off, &p.bound, &p.first)
+	} else if whole > 0 {
+		p.blocks = l2u8RowsGo(p.sums[8:], q, base, &off, &p.bound, &p.first)
+	}
+	if t := whole * AbandonStride; p.blocks == whole && (t < dim || dim == 0) {
+		for r := range rows { // the tail, or the empty vector's zero
+			p.sums[8*whole+8+r] = p.sums[8*whole+r] + L2SquaredU8(q[t:], base[off[r]+t:][:dim-t])
+		}
+		p.blocks++
+	}
+}
+
+// At returns L2SquaredU8Bounded(q, row, b) for lane r's row of the last Run,
+// at any b up to the bound that lane ran under: the sum after the first whole
+// block strictly above b, or the whole distance, and its dimensions.
+func (p *L2U8Rows) At(r int, b uint32) (uint32, int) {
+	k := min(int(p.first[r]), p.blocks-1)
+	if b < p.bound[r] { // b is passed at or before the lane's bound is
+		k = 0
+		for k+1 < p.blocks && p.sums[8*k+8+r] <= b {
+			k++
+		}
+	}
+	return p.sums[8*k+8+r], min((k+1)*AbandonStride, p.dim)
+}
+
+// l2u8RowsGo is l2u8RowsAVX2's scalar twin, step for step; first is zero on entry.
+func l2u8RowsGo(sums []uint32, q, base []uint8, off *[8]int, bound, first *[8]uint32) int {
+	whole := len(q) / AbandonStride
+	var acc [8]uint32
+	for k := range whole {
+		lo, under := k*AbandonStride, false
+		for r := range acc {
+			acc[r] += l2u8Block((*[AbandonStride]uint8)(q[lo:]), (*[AbandonStride]uint8)(base[off[r]+lo:]))
+			if first[r] == uint32(k) && acc[r] <= bound[r] {
+				first[r], under = first[r]+1, true
+			}
+		}
+		copy(sums[8*k:], acc[:])
+		if !under && k+1 < whole {
+			return k + 1
+		}
+	}
+	return whole
+}
+
+// l2u8Block is one block of the u8 distance, over four accumulators (uint32
+// addition is associative, so the sum is the same).
+func l2u8Block(x, y *[AbandonStride]uint8) uint32 {
+	var s0, s1, s2, s3 uint32
+	for i := 0; i < AbandonStride; i += 4 {
+		d0, d1 := int32(x[i])-int32(y[i]), int32(x[i+1])-int32(y[i+1])
+		d2, d3 := int32(x[i+2])-int32(y[i+2]), int32(x[i+3])-int32(y[i+3])
+		s0 += uint32(d0 * d0)
+		s1 += uint32(d1 * d1)
+		s2 += uint32(d2 * d2)
+		s3 += uint32(d3 * d3)
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // L2SquaredI16 returns the squared Euclidean distance between two int16

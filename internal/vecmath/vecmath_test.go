@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -704,6 +705,118 @@ func FuzzL2SquaredU8Bounded(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b []byte, bound uint32) {
 		n := min(len(a), len(b))
 		checkU8Kernels(t, a[:n], b[:n], bound)
+	})
+}
+
+// checkU8Rows runs L2U8Rows over rows of base and holds it to per-row
+// L2SquaredU8Bounded: every block's running sum of every lane, the block it
+// stops after (the first whole one, the last excepted, by which every lane has
+// passed its bound), and each lane's lookup at its own bound and below.
+func checkU8Rows(t testing.TB, q, base []uint8, rows []int32, bound *[8]uint32) {
+	t.Helper()
+	var p L2U8Rows
+	p.Run(q, base, rows, bound)
+	dim, whole := len(q), len(q)/AbandonStride
+	blocks, last := max((dim+AbandonStride-1)/AbandonStride, 1), 0 // the block by which every lane has passed
+	for r, id := range rows {
+		k := 0
+		for k < whole && L2SquaredU8(q[:(k+1)*AbandonStride], base[int(id)*dim:][:(k+1)*AbandonStride]) <= bound[r] {
+			k++
+		}
+		last = max(last, k)
+	}
+	if last+1 < whole {
+		blocks = last + 1
+	}
+	if p.blocks != blocks {
+		t.Fatalf("dim %d, %d rows, bounds %v: %d blocks, want %d", dim, len(rows), bound, p.blocks, blocks)
+	}
+	for r, id := range rows {
+		row := base[int(id)*dim:][:dim]
+		for k := range blocks {
+			end := min((k+1)*AbandonStride, dim)
+			if want := L2SquaredU8(q[:end], row[:end]); p.sums[8*k+8+r] != want {
+				t.Fatalf("dim %d, %d rows, lane %d: block %d sum %d, want %d", dim, len(rows), r, k, p.sums[8*k+8+r], want)
+			}
+		}
+		for _, b := range []uint32{bound[r], bound[r] / 2, 0} {
+			s, d := p.At(r, b)
+			if ws, wd := L2SquaredU8Bounded(q, row, b); s != ws || d != wd {
+				t.Fatalf("dim %d, %d rows, lane %d at %d (bound %d): (%d, %d), want (%d, %d)", dim, len(rows), r, b, bound[r], s, d, ws, wd)
+			}
+		}
+	}
+}
+
+// TestL2U8RowsMatchesBounded holds L2U8Rows, the AVX2 kernel and its twin, to
+// per-row L2SquaredU8Bounded at dimensions on both sides of a block and of
+// two, the fixture's 24, SIFT's 128 and 130 (a tail after whole blocks); one
+// to eight rows of a flat corpus, in any order; bounds 0, MaxUint32, drawn
+// per lane, and each lane's own distance and one either side of it; rows
+// drawn, equal to the query and 255 from it.
+func TestL2U8RowsMatchesBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for _, dim := range []int{1, 8, 15, 16, 17, 24, 32, 128, 130} {
+		for kind := range 3 {
+			q, base := make([]uint8, dim), make([]uint8, 10*dim)
+			for i := range q {
+				q[i] = uint8(rng.Intn(256))
+			}
+			for i := range base {
+				switch kind {
+				case 0:
+					base[i] = uint8(rng.Intn(256))
+				case 1:
+					base[i] = q[i%dim]
+				default:
+					q[i%dim], base[i] = 0, 255
+				}
+			}
+			for n := 1; n <= 8; n++ {
+				rows := make([]int32, n)
+				for r, i := range rng.Perm(10)[:n] {
+					rows[r] = int32(i)
+				}
+				for bk := range 6 {
+					var bound [8]uint32
+					for r := range bound {
+						d := L2SquaredU8(q, base[int(rows[min(r, n-1)])*dim:][:dim])
+						bound[r] = [6]uint32{0, math.MaxUint32, rng.Uint32() % (d + 1), d - 1, d, d + 1}[bk]
+						if bk == 2 && r%2 == 1 {
+							bound[r] = math.MaxUint32
+						}
+					}
+					kernels(func(kernel string) {
+						checkU8Rows(t, q, base, rows, &bound)
+					})
+				}
+			}
+		}
+	}
+}
+
+// FuzzL2U8Rows holds L2U8Rows, on both kernels, to per-row L2SquaredU8Bounded
+// on arbitrary corpora cut into rows of dim bytes, lanes drawn from the rows
+// and bounds drawn per lane below each lane's distance.
+func FuzzL2U8Rows(f *testing.F) {
+	f.Add(bytes.Repeat([]byte("abcdefghijklmnopqrstuvwxyz"), 12), uint8(24), uint8(5), int64(1))
+	f.Add(slices.Repeat([]byte{0, 255}, 200), uint8(130), uint8(8), int64(2))
+	f.Fuzz(func(t *testing.T, data []byte, dim, n uint8, seed int64) {
+		d := 1 + int(dim)%140
+		if len(data) < 2*d {
+			return
+		}
+		q, base := data[:d], data[d:len(data)/d*d]
+		rng := rand.New(rand.NewSource(seed))
+		rows, bound := make([]int32, 1+int(n)%8), [8]uint32{}
+		for r := range rows {
+			rows[r] = int32(rng.Intn(len(base) / d))
+			bound[r] = rng.Uint32() % (L2SquaredU8(q, base[int(rows[r])*d:][:d]) + 2)
+		}
+		bound[len(rows)-1] = math.MaxUint32 >> rng.Intn(33)
+		kernels(func(kernel string) {
+			checkU8Rows(t, q, base, rows, &bound)
+		})
 	})
 }
 
