@@ -14,9 +14,10 @@
 // exact integer L2 over the uint8 vectors — a graph index stores full
 // vectors, not PQ codes, which is the memory-for-recall trade the
 // graph-vs-IVF comparison is about. The build keeps only what it uses: a
-// candidate search holds the 2*BuildBeam nearest evaluations in a heap and
-// abandons a distance once it passes the heap's worst, and pruning abandons
-// one once it passes its alpha bound; neither moves an edge.
+// candidate search holds the 2*BuildBeam nearest evaluations in its pool and
+// abandons a distance once it passes the pool's worst, and pruning abandons
+// one once it passes its alpha bound; neither moves an edge. Distances run
+// eight rows a pass (vecmath.L2U8Rows): a hop's, a pick's or a backlink's.
 //
 // An insertion runs in two pipelined stages: stage A (the calling goroutine)
 // searches point i's candidates and goes on to i+1, while stage B (one
@@ -40,8 +41,9 @@
 // multiplier-free SQT table, exactly the trick core uses) plus
 // one compare per 16-dimension block: once the beam is full, a distance
 // stops at the first block that sums strictly above the beam's worst entry,
-// which it could not enter. Beam-pool maintenance charges TS only for the
-// evaluations that reach the pool.
+// which it could not enter; its dimensions are read from its pass's block
+// sums at the bound of its turn. Beam-pool maintenance charges TS only for
+// the evaluations that reach the pool.
 // The host does no cluster locating — only the final merge/demux. Each DPU
 // holds the full graph (vectors + adjacency) in MRAM, so corpus size is
 // bounded by MRAM capacity; New reports an error when it does not fit.
@@ -156,6 +158,8 @@ type searchScratch struct {
 	expanded []bool
 	visited  []uint32 // per-node visit stamps (epoch trick: no per-query clear)
 	epoch    uint32
+	hop      []int32 // the expanded node's unvisited neighbours, in list order
+	pass     vecmath.L2U8Rows
 	evals    uint64 // distance evaluations since the last flush
 	tally    upmem.Tally
 }
@@ -250,15 +254,12 @@ func medoid(base dataset.U8Set) int32 {
 	return best
 }
 
-func (e *Engine) dist(q []uint8, id int32) uint32 {
-	return vecmath.L2SquaredU8(q, e.base.Vec(int(id)))
-}
-
 // pruner is stage B's scratch, reused by every prune: the candidates' alpha
-// bounds and a backlinked node's candidates.
+// bounds, a backlinked node's candidates and the distance pass.
 type pruner struct {
 	bound []int64
 	cands []topk.Item[uint32]
+	pass  vecmath.L2U8Rows
 }
 
 // build inserts points in ascending ID order, stage A (the candidate search)
@@ -290,10 +291,9 @@ func (e *Engine) build() {
 	}()
 	sc := &searchScratch{
 		visited:  make([]uint32, n),
-		pool:     make([]topk.Item[uint32], 0, e.opts.BuildBeam+1),
-		expanded: make([]bool, 0, e.opts.BuildBeam+1),
+		pool:     make([]topk.Item[uint32], 0, 2*e.opts.BuildBeam+1),
+		expanded: make([]bool, 0, 2*e.opts.BuildBeam+1),
 	}
-	keep := topk.NewHeap[uint32](2 * e.opts.BuildBeam)
 	for i := int32(1); i < int32(n); i++ { // node 0 starts the graph, with no edges to make
 		entry := int32(0) // the medoid once it is in the graph, node 0 before
 		if e.medoid < i {
@@ -304,7 +304,10 @@ func (e *Engine) build() {
 		case cands = <-free:
 		default:
 		}
-		cands = e.beamCollect(sc, keep, gate, e.base.Vec(int(i)), entry, e.opts.BuildBeam, cands)
+		// The candidates: the 2*BuildBeam nearest evaluated, sorted ascending —
+		// the Vamana visited set, cut to what pruning uses.
+		e.beamSearch(sc, e.base.Vec(int(i)), entry, e.opts.BuildBeam, 2*e.opts.BuildBeam, gate)
+		cands = append(cands[:0], sc.pool...)
 		for _, c := range cands {
 			gate[c.ID].Add(1)
 		}
@@ -355,10 +358,14 @@ func (e *Engine) addBacklink(pr *pruner, j, from int32) {
 	if len(e.nbrs[j]) <= e.opts.Degree {
 		return
 	}
-	qj := e.base.Vec(int(j))
+	qj, nb, m := e.base.Vec(int(j)), e.nbrs[j], uint32(math.MaxUint32)
 	pr.cands = pr.cands[:0]
-	for _, x := range e.nbrs[j] {
-		pr.cands = append(pr.cands, topk.Item[uint32]{ID: x, Dist: e.dist(qj, x)})
+	for lo := 0; lo < len(nb); lo += 8 {
+		pr.pass.Run(qj, e.base.Data, nb[lo:min(lo+8, len(nb))], &[8]uint32{m, m, m, m, m, m, m, m})
+		for r, x := range nb[lo:min(lo+8, len(nb))] {
+			d, _ := pr.pass.At(r, m)
+			pr.cands = append(pr.cands, topk.Item[uint32]{ID: x, Dist: d})
+		}
 	}
 	topk.SortItems(pr.cands)
 	e.nbrs[j] = e.robustPrune(pr, j, pr.cands, e.nbrs[j][:0])
@@ -368,9 +375,10 @@ func (e *Engine) addBacklink(pr *pruner, j, from int32) {
 // ascending by (dist, id)): greedily keep the nearest candidate, then
 // discard any candidate alpha-dominated by a kept one (alpha * d(kept, c)
 // <= d(p, c)), Vamana's diversity rule that keeps a few long-range edges.
-// That test is d(kept, c) <= pruneBound(alpha, d(p, c)), so the distance to a
-// kept point is abandoned once it passes the bound. out may share storage
-// with the list cands was read from.
+// That test is d(kept, c) <= pruneBound(alpha, d(p, c)), so after each pick
+// the live candidates after it run eight a pass, each abandoned once it
+// passes its own bound. out may share storage with the list cands was read
+// from.
 func (e *Engine) robustPrune(pr *pruner, p int32, cands []topk.Item[uint32], out []int32) []int32 {
 	const dead = math.MinInt64 // picked, pruned, or p itself
 	bound := slices.Grow(pr.bound[:0], len(cands))[:len(cands)]
@@ -392,12 +400,22 @@ func (e *Engine) robustPrune(pr *pruner, p int32, cands []topk.Item[uint32], out
 		}
 		out = append(out, cands[pick].ID)
 		vk := e.base.Vec(int(cands[pick].ID))
-		for i := pick + 1; i < len(cands); i++ {
-			if bound[i] < 0 { // dead, or no distance dominates it
-				continue
+		for i := pick + 1; i < len(cands); {
+			ids, at, b, n := [8]int32{}, [8]int{}, [8]uint32{}, 0
+			for ; i < len(cands) && n < 8; i++ {
+				if bound[i] >= 0 { // neither dead nor beyond every distance
+					ids[n], at[n], b[n] = cands[i].ID, i, uint32(bound[i])
+					n++
+				}
 			}
-			if d, _ := vecmath.L2SquaredU8Bounded(vk, e.base.Vec(int(cands[i].ID)), uint32(bound[i])); int64(d) <= bound[i] {
-				bound[i] = dead
+			if n == 0 {
+				break
+			}
+			pr.pass.Run(vk, e.base.Data, ids[:n], &b)
+			for r, i := range at[:n] {
+				if d, _ := pr.pass.At(r, b[r]); int64(d) <= bound[i] {
+					bound[i] = dead
+				}
 			}
 		}
 	}
@@ -422,17 +440,6 @@ func pruneBound(alpha float64, d uint32) int64 {
 	return x
 }
 
-// beamCollect runs a build-time beam search from entry and returns the
-// 2*beam nearest evaluated candidates sorted ascending — the Vamana visited
-// set, truncated to bound the build's cost (the nearest candidates are what
-// pruning uses). keep, a reused heap of 2*beam, holds them during the search;
-// gate is the build's, or nil when no link is pending.
-func (e *Engine) beamCollect(sc *searchScratch, keep *topk.Heap[uint32], gate []atomic.Int32, q []uint8, entry int32, beam int, cands []topk.Item[uint32]) []topk.Item[uint32] {
-	keep.Reset()
-	e.beamSearch(sc, q, entry, beam, keep, gate)
-	return keep.SortedInto(cands)
-}
-
 // beamStats counts the simulated work of one traversal.
 type beamStats struct {
 	hops   int // nodes expanded (adjacency-list fetches)
@@ -442,20 +449,22 @@ type beamStats struct {
 	probes int // evaluations that reached the pool probe
 }
 
-// beamSearch is the greedy best-first traversal: keep a pool of the `beam`
-// nearest visited nodes, repeatedly expand the nearest unexpanded one,
-// stop when the pool is fully expanded. The final pool is sorted ascending
-// (dist, id).
+// beamSearch is the greedy best-first traversal: keep a pool of the `width`
+// nearest visited nodes, repeatedly expand the nearest unexpanded one of its
+// first `beam`, stop when those are all expanded. The final pool is sorted
+// ascending (dist, id). A query's pool is its beam; the build's is twice
+// that, the candidates it collects, whose first `beam` are the beam: an item
+// leaves the beam only for a nearer one, so it never comes back.
 //
-// Once the pool holds `beam` items a distance is abandoned after the first
-// block that sums strictly above the pool's worst: insert would reject it,
-// and a tie, which the id decides, is never abandoned. The abandoned
-// candidate was still fetched and stays visited. With keep (the build), the
-// bound is instead keep's worst once it is full, and every evaluation under
-// it is pushed there: the pool holds the beam nearest so far, all of them in
-// keep, so a candidate above keep's worst could enter neither. With gate
-// (the build), a list is read only once no pending link writes it.
-func (e *Engine) beamSearch(sc *searchScratch, q []uint8, entry int32, beam int, keep *topk.Heap[uint32], gate []atomic.Int32) beamStats {
+// A hop's unvisited neighbours run eight a pass at the bound that stands when
+// the pass starts, then each is read at the bound of its turn, in list order:
+// once the pool is full, a distance is abandoned after the first block that
+// sums strictly above the pool's worst, which insert would reject; a tie,
+// which the id decides, is never abandoned. The bound only falls, so every
+// turn's answer is in the pass's block sums. The abandoned candidate was
+// still fetched and stays visited. With gate (the build), a list is read only
+// once no pending link writes it.
+func (e *Engine) beamSearch(sc *searchScratch, q []uint8, entry int32, beam, width int, gate []atomic.Int32) beamStats {
 	var st beamStats
 	sc.epoch++
 	if sc.epoch == 0 { // wrapped: stamps are stale, clear once
@@ -476,7 +485,7 @@ func (e *Engine) beamSearch(sc *searchScratch, q []uint8, entry int32, beam int,
 				hi = mid
 			}
 		}
-		if lo >= beam {
+		if lo >= width {
 			return
 		}
 		sc.pool = append(sc.pool, topk.Item[uint32]{})
@@ -485,49 +494,43 @@ func (e *Engine) beamSearch(sc *searchScratch, q []uint8, entry int32, beam int,
 		copy(sc.expanded[lo+1:], sc.expanded[lo:])
 		sc.pool[lo] = it
 		sc.expanded[lo] = false
-		if len(sc.pool) > beam {
-			sc.pool = sc.pool[:beam]
-			sc.expanded = sc.expanded[:beam]
+		if len(sc.pool) > width {
+			sc.pool = sc.pool[:width]
+			sc.expanded = sc.expanded[:width]
 		}
 	}
-
-	eval := func(id int32) {
-		sc.visited[id] = sc.epoch
-		st.evals++
-		it := topk.Item[uint32]{ID: id}
-		bound, bounded := uint32(0), len(sc.pool) == beam
-		if keep != nil {
-			bound, bounded = keep.Threshold()
-		} else if bounded {
-			bound = sc.pool[beam-1].Dist
+	// limit is the pool's worst once it is full, MaxUint32 before.
+	limit := func() (uint32, bool) {
+		if len(sc.pool) < width {
+			return math.MaxUint32, false
 		}
-		if !bounded {
-			it.Dist = e.dist(q, id)
-			st.dims += len(q)
-		} else {
-			var dims int
-			it.Dist, dims = vecmath.L2SquaredU8Bounded(q, e.base.Vec(int(id)), bound)
-			st.dims += dims
-			st.checks += (dims + vecmath.AbandonStride - 1) / vecmath.AbandonStride
-			if it.Dist > bound {
-				return
-			}
-		}
-		if keep != nil {
-			keep.Push(id, it.Dist)
-		}
-		st.probes++
-		insert(it)
+		return sc.pool[width-1].Dist, true
 	}
-	eval(entry)
+	sc.visited[entry] = sc.epoch
+	sc.hop = append(sc.hop[:0], entry)
 	for {
-		next := -1
-		for i := range sc.pool {
-			if !sc.expanded[i] {
-				next = i
-				break
+		for lo := 0; lo < len(sc.hop); lo += 8 {
+			ids := sc.hop[lo:min(lo+8, len(sc.hop))]
+			b, _ := limit()
+			sc.pass.Run(q, e.base.Data, ids, &[8]uint32{b, b, b, b, b, b, b, b})
+			for r, id := range ids {
+				st.evals++
+				bound, bounded := limit()
+				it := topk.Item[uint32]{ID: id}
+				var dims int
+				it.Dist, dims = sc.pass.At(r, bound)
+				st.dims += dims
+				if bounded {
+					st.checks += (dims + vecmath.AbandonStride - 1) / vecmath.AbandonStride
+					if it.Dist > bound {
+						continue
+					}
+				}
+				st.probes++
+				insert(it)
 			}
 		}
+		next := slices.Index(sc.expanded[:min(beam, len(sc.expanded))], false)
 		if next < 0 {
 			break
 		}
@@ -537,11 +540,12 @@ func (e *Engine) beamSearch(sc *searchScratch, q []uint8, entry int32, beam int,
 		for gate != nil && gate[node].Load() != 0 {
 			runtime.Gosched()
 		}
+		sc.hop = sc.hop[:0]
 		for _, nb := range e.nbrs[node] {
-			if sc.visited[nb] == sc.epoch {
-				continue
+			if sc.visited[nb] != sc.epoch {
+				sc.visited[nb] = sc.epoch
+				sc.hop = append(sc.hop, nb)
 			}
-			eval(nb)
 		}
 	}
 	return st

@@ -49,7 +49,7 @@ func refBeamSearch(e *Engine, sc *searchScratch, q []uint8, entry int32, beam in
 	}
 	eval := func(id int32) {
 		sc.visited[id] = sc.epoch
-		it := topk.Item[uint32]{ID: id, Dist: e.dist(q, id)}
+		it := topk.Item[uint32]{ID: id, Dist: vecmath.L2SquaredU8(q, e.base.Vec(int(id)))}
 		evaluated = append(evaluated, it)
 		insert(it)
 	}
@@ -324,7 +324,7 @@ func TestAbandoningSearchMatchesReference(t *testing.T) {
 						q := corpus.queries.Vec(qi)
 						want, evaluated, hops := refBeamSearch(e, &scr[0], q, e.medoid, beam)
 						evals := len(evaluated)
-						st := e.beamSearch(&scr[1], q, e.medoid, beam, nil, nil)
+						st := e.beamSearch(&scr[1], q, e.medoid, beam, beam, nil)
 						if !slices.Equal(scr[1].pool, want) || st.hops != hops || st.evals != evals {
 							t.Fatalf("query %d: pool/hops/evals %v/%d/%d, reference %v/%d/%d", qi, scr[1].pool, st.hops, st.evals, want, hops, evals)
 						}
@@ -369,9 +369,10 @@ func TestAbandoningSearchMatchesReference(t *testing.T) {
 
 // TestBeamCollectMatchesFullSort: for every point the build inserts, on the
 // graph as it stands before that point is linked, the build's collect (a
-// heap of the 2*BuildBeam nearest, abandoning distances above its worst once
-// full) returns what collecting every evaluation's full distance, sorting
-// and cutting to 2*BuildBeam returns.
+// pool of the 2*BuildBeam nearest whose first BuildBeam are the beam,
+// abandoning distances above its worst once full) returns what collecting
+// every evaluation's full distance, sorting and cutting to 2*BuildBeam
+// returns.
 func TestBeamCollectMatchesFullSort(t *testing.T) {
 	_, s := getEngine(t)
 	dupBase, _ := duplicateCorpus()
@@ -386,17 +387,15 @@ func TestBeamCollectMatchesFullSort(t *testing.T) {
 			n, beam := e.base.N, e.opts.BuildBeam
 			e.nbrs = make([][]int32, n)
 			sc, ref := &searchScratch{visited: make([]uint32, n)}, &searchScratch{visited: make([]uint32, n)}
-			keep := topk.NewHeap[uint32](2 * beam)
-			var cands []topk.Item[uint32]
 			for i := int32(1); i < int32(n); i++ {
 				q := e.base.Vec(int(i))
 				_, want, _ := refBeamSearch(e, ref, q, refEntry(e, i), beam)
 				topk.SortItems(want)
 				want = want[:min(len(want), 2*beam)]
-				if cands = e.beamCollect(sc, keep, nil, q, refEntry(e, i), beam, cands); !slices.Equal(cands, want) {
-					t.Fatalf("point %d: collected %v, full sort %v", i, cands, want)
+				if e.beamSearch(sc, q, refEntry(e, i), beam, 2*beam, nil); !slices.Equal(sc.pool, want) {
+					t.Fatalf("point %d: collected %v, full sort %v", i, sc.pool, want)
 				}
-				refLink(e, i, cands)
+				refLink(e, i, slices.Clone(sc.pool))
 			}
 		})
 	}
@@ -474,8 +473,8 @@ func tailCorpus() *dataset.Synth {
 
 // TestTraversalMatchesReference: query by query, the eight-row traversal ends
 // on refTraverse's pool, hops, evaluations, dimensions summed, checks and
-// probes, at a pool as narrow as K and wider; in the build's mode too, with
-// keep's worst as the bound, ending on the same keep.
+// probes, at a pool as narrow as K and wider; in the build's mode too, where
+// a pool of twice the beam ends on the reference's keep.
 func TestTraversalMatchesReference(t *testing.T) {
 	fixture, s := getEngine(t)
 	dupBase, dupQueries := duplicateCorpus()
@@ -499,23 +498,24 @@ func TestTraversalMatchesReference(t *testing.T) {
 			for _, build := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/beam=%d/build=%v", c.name, beam, build), func(t *testing.T) {
 					sc, ref := &searchScratch{visited: make([]uint32, n)}, &searchScratch{visited: make([]uint32, n)}
-					var keep, refKeep *topk.Heap[uint32]
+					var refKeep *topk.Heap[uint32]
+					width := beam
 					if build {
-						keep, refKeep = topk.NewHeap[uint32](2*beam), topk.NewHeap[uint32](2*beam)
+						refKeep, width = topk.NewHeap[uint32](2*beam), 2*beam
 					}
 					for qi := 0; qi < c.queries.N; qi++ {
 						q := c.queries.Vec(qi)
 						if build {
-							keep.Reset()
 							refKeep.Reset()
 						}
-						st := e.beamSearch(sc, q, e.medoid, beam, keep, nil)
+						st := e.beamSearch(sc, q, e.medoid, beam, width, nil)
 						want := refTraverse(e, ref, q, e.medoid, beam, refKeep)
-						if st != want || !slices.Equal(sc.pool, ref.pool) {
-							t.Fatalf("query %d: %+v pool %v, reference %+v pool %v", qi, st, sc.pool, want, ref.pool)
+						pool := ref.pool
+						if build {
+							pool = refKeep.Sorted()
 						}
-						if build && !slices.Equal(keep.Sorted(), refKeep.Sorted()) {
-							t.Fatalf("query %d: keep %v, reference %v", qi, keep.Sorted(), refKeep.Sorted())
+						if st != want || !slices.Equal(sc.pool, pool) {
+							t.Fatalf("query %d: %+v pool %v, reference %+v pool %v", qi, st, sc.pool, want, pool)
 						}
 					}
 				})

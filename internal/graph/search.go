@@ -107,7 +107,7 @@ func (e *Engine) runLaunch(queries dataset.U8Set, lo, hi int, res *engine.Result
 func (e *Engine) runDPU(queries dataset.U8Set, lo, hi, d int, res *engine.Result) {
 	sc := &e.scratch[d]
 	for qi := lo + d; qi < hi; qi += e.opts.NumDPUs {
-		st := e.beamSearch(sc, queries.Vec(qi), e.medoid, e.opts.SearchBeam, nil, nil)
+		st := e.beamSearch(sc, queries.Vec(qi), e.medoid, e.opts.SearchBeam, e.opts.SearchBeam, nil)
 		sc.evals += uint64(st.evals)
 		e.charge(&sc.tally, st)
 
