@@ -102,17 +102,11 @@ func minL2F32TGo(d2, pt, v []float32) {
 func sumPair(sum *[16]float32, pair, v []float32, bound *[16]float32) bool {
 	*sum = [16]float32{}
 	dim := len(v)
-	for j, x := range v {
-		lo, hi := pair[j*8:][:8], pair[(dim+j)*8:][:8]
-		for r := range 8 {
-			d, e := x-lo[r], x-hi[r]
-			sum[r] += d * d
-			sum[8+r] += e * e
-		}
-		if j+1 == dim || (j+1)%AbandonStride != 0 {
-			continue
-		}
-		above := true
+	for j := 0; j < dim; j += AbandonStride {
+		end := min(j+AbandonStride, dim)
+		sum8((*[8]float32)(sum[:8]), pair[8*j:8*end], v[j:end])
+		sum8((*[8]float32)(sum[8:]), pair[8*(dim+j):8*(dim+end)], v[j:end])
+		above := end < dim
 		for r, s := range sum {
 			above = above && !(s <= bound[r])
 		}
@@ -121,4 +115,17 @@ func sumPair(sum *[16]float32, pair, v []float32, bound *[16]float32) bool {
 		}
 	}
 	return true
+}
+
+// sum8 adds to lane r of s, in dimension order, the squared differences from
+// v of lane r of one block, dimension j at rows[8j+r], its sums in registers.
+func sum8(s *[8]float32, rows, v []float32) {
+	s0, s1, s2, s3, s4, s5, s6, s7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+	for j, x := range v {
+		r := (*[8]float32)(rows[8*j:])
+		d0, d1, d2, d3, d4, d5, d6, d7 := x-r[0], x-r[1], x-r[2], x-r[3], x-r[4], x-r[5], x-r[6], x-r[7]
+		s0, s1, s2, s3 = s0+d0*d0, s1+d1*d1, s2+d2*d2, s3+d3*d3
+		s4, s5, s6, s7 = s4+d4*d4, s5+d5*d5, s6+d6*d6, s7+d7*d7
+	}
+	*s = [8]float32{s0, s1, s2, s3, s4, s5, s6, s7}
 }
