@@ -86,8 +86,8 @@ func refCharge(e *Engine, t *upmem.Tally, hops, evals int) {
 	t.ChargeCycles(upmem.PhaseTS, uint64(evals)*(uint64(engine.Log2Ceil(e.opts.SearchBeam))+2))
 }
 
-// refTraverse is the traversal one distance at a time, as beamSearch ran
-// before the eight-row pass: each unvisited neighbour, in list order, is
+// refTraverse is beamSearch one distance at a time, the oracle for its
+// eight-row passes: each unvisited neighbour, in list order, is
 // L2SquaredU8Bounded at the bound that stands at its turn (keep's worst in
 // the build, the pool's in a query, none while either is short).
 func refTraverse(e *Engine, sc *searchScratch, q []uint8, entry int32, beam int, keep *topk.Heap[uint32]) beamStats {
