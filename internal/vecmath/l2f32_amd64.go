@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// useAVX2 selects the AVX2 kernels of l2f32_amd64.s and dot8_amd64.s, once:
+// useAVX2 selects the AVX2 kernels of the three assembly files, once:
 // the CPU and OS support AVX2 (hasAVX2) and GODEBUG does not turn it off.
 // Tests clear it to run the scalar twins on an AVX2 host.
 var useAVX2 = hasAVX2() && !avx2Off(os.Getenv("GODEBUG"))

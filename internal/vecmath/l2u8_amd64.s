@@ -2,68 +2,6 @@
 
 #include "textflag.h"
 
-// func l2u8(a, b []uint8, bound uint32) (sum uint32, dims int)
-//
-// The SSE2 body of L2SquaredU8Bounded; b is at least as long as a. Each
-// 16-byte block (one AbandonStride) widens both vectors to 16-bit lanes,
-// subtracts, and squares and pairs the differences into four 32-bit lanes
-// with PMADDWL; the lanes are folded into the running sum after every block,
-// which stops the scan once it is strictly above bound. The len(a)%16 tail
-// is summed a byte at a time and never checked.
-TEXT ·l2u8(SB), NOSPLIT, $0-72
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b_base+24(FP), DI
-	MOVL bound+48(FP), DX
-	XORL AX, AX // running sum
-	XORL BX, BX // dimensions summed
-	PXOR X0, X0
-	MOVQ CX, R9
-	ANDQ $~15, R9 // dimensions in whole blocks
-	JZ   tail
-
-block:
-	MOVOU     (SI)(BX*1), X1
-	MOVOU     (DI)(BX*1), X3
-	MOVO      X1, X2
-	MOVO      X3, X4
-	PUNPCKLBW X0, X1
-	PUNPCKHBW X0, X2
-	PUNPCKLBW X0, X3
-	PUNPCKHBW X0, X4
-	PSUBW     X3, X1
-	PSUBW     X4, X2
-	PMADDWL   X1, X1
-	PMADDWL   X2, X2
-	PADDL     X2, X1
-	PSHUFD    $0x4e, X1, X2
-	PADDL     X2, X1
-	PSHUFD    $0xb1, X1, X2
-	PADDL     X2, X1
-	MOVL      X1, R8
-	ADDL      R8, AX
-	ADDQ      $16, BX
-	CMPL      AX, DX
-	JHI       done
-	CMPQ      BX, R9
-	JLT       block
-
-tail:
-	CMPQ    BX, CX
-	JGE     done
-	MOVBLZX (SI)(BX*1), R8
-	MOVBLZX (DI)(BX*1), R10
-	SUBL    R10, R8
-	IMULL   R8, R8
-	ADDL    R8, AX
-	INCQ    BX
-	JMP     tail
-
-done:
-	MOVL AX, sum+56(FP)
-	MOVQ BX, dims+64(FP)
-	RET
-
 // ROW squares and pairs the differences of q's block, Y8, from the block of
 // the row at base, into Y.
 #define ROW(base, Y) \
@@ -71,14 +9,31 @@ done:
 	VPSUBW    Y, Y8, Y; \
 	VPMADDWD  Y, Y, Y
 
+// TAILROW is ROW on the words the mask Y9 keeps.
+#define TAILROW(base, Y) \
+	VPMOVZXBW (base)(BX*1), Y; \
+	VPSUBW    Y, Y8, Y; \
+	VPAND     Y9, Y, Y; \
+	VPMADDWD  Y, Y, Y
+
+// tailMask<>+2n masks a tail of n bytes summed as the last 16: the first
+// 16-n words, summed in the block before, are zero.
+DATA  tailMask<>+32(SB)/8, $-1
+DATA  tailMask<>+40(SB)/8, $-1
+DATA  tailMask<>+48(SB)/8, $-1
+DATA  tailMask<>+56(SB)/8, $-1
+GLOBL tailMask<>(SB), RODATA|NOPTR, $64
+
 // func l2u8RowsAVX2(sums []uint32, q, base []uint8, off *[8]int, bound, first *[8]uint32) (blocks int)
 //
-// The whole blocks of L2U8Rows.Run, eight rows a pass, row r at base+off[r];
+// The blocks of L2U8Rows.Run, eight rows a pass, row r at base+off[r];
 // len(q) >= 16. Each lane's squared differences are paired by VPMADDWD, one
 // VPHADDD tree sums all eight lanes' blocks, and the running sums are stored
-// after every block. first counts, per lane, the blocks before its sum first
-// passes its bound (unsigned: at or under while max(sum, bound) == bound);
-// the pass stops, the last block excepted, once every lane has passed.
+// after every block. A len(q)%16 tail is one more block, the last 16 bytes
+// masked to the words the whole blocks left, so no row is read past its end.
+// first counts, per lane, the blocks before its sum first passes its bound
+// (unsigned: at or under while max(sum, bound) == bound); the pass stops, the
+// last whole block and the tail excepted, once every lane has passed.
 TEXT ·l2u8RowsAVX2(SB), NOSPLIT, $0-104
 	MOVQ     sums_base+0(FP), DI
 	MOVQ     q_base+24(FP), SI
@@ -119,6 +74,8 @@ block:
 	ROW(R11, Y5)
 	ROW(R12, Y6)
 	ROW(R13, Y7)
+
+sum:
 	VPHADDD    Y1, Y0, Y0 // rows 0 1, quarter sums
 	VPHADDD    Y3, Y2, Y2
 	VPHADDD    Y5, Y4, Y4
@@ -137,13 +94,35 @@ block:
 	ADDQ       $32, DI
 	ADDQ       $16, BX
 	CMPQ       BX, CX
-	JEQ        done
+	JEQ        tail
 	VPTEST     Y13, Y13
 	JNZ        block
+	JMP        done
+
+tail:
+	MOVQ      q_len+32(FP), BX
+	CMPQ      BX, CX
+	JEQ       done               // no tail, or the tail summed
+	SUBQ      CX, BX             // the tail's bytes
+	LEAQ      tailMask<>(SB), CX
+	VMOVDQU   (CX)(BX*2), Y9
+	MOVQ      q_len+32(FP), CX
+	LEAQ      -16(CX), BX        // the last 16 bytes
+	VPMOVZXBW (SI)(BX*1), Y8
+	TAILROW(AX, Y0)
+	TAILROW(DX, Y1)
+	TAILROW(R8, Y2)
+	TAILROW(R9, Y3)
+	TAILROW(R10, Y4)
+	TAILROW(R11, Y5)
+	TAILROW(R12, Y6)
+	TAILROW(R13, Y7)
+	JMP       sum
 
 done:
 	MOVQ    first+88(FP), DI
 	VMOVDQU Y12, (DI)
+	ADDQ    $15, BX
 	SHRQ    $4, BX
 	MOVQ    BX, blocks+96(FP)
 	VZEROUPPER

@@ -12,18 +12,19 @@
 // only grows (adding a square never lowers a rounded sum, fused or not), so a
 // distance abandoned above a bound would have ended above it too.
 //
-// On amd64 the one-row u8 distance is SSE2, the eight-row one, the float
-// distances and the gather table's dot products AVX2; the purego tag, any
-// other architecture, or an amd64 CPU without AVX2 runs the scalar Go twins.
-// Every kernel is exact, not merely close:
-//   - l2u8_amd64.s, the u8 distances: integer sums agree mod 2^32 in any order,
-//     so lanes folded together equal the scalar sum, wraps included, and one
+// On amd64 the u8 distance, the float distances and the gather table's dot
+// products are AVX2; the purego tag, any other architecture, or an amd64 CPU
+// without AVX2 runs the scalar Go twins. Every kernel is exact, not merely
+// close:
+//   - l2u8_amd64.s, L2U8Rows, the one u8 distance kernel (CL's centroid scan,
+//     the ground truth, every graph distance): eight rows of a flat corpus a
+//     pass, a lane a row sharing the query's widened block, one VPHADDD tree
+//     and the stop, which waits for the last lane. Integer sums agree mod 2^32
+//     in any order, so a lane equals the scalar sum, wraps included, and one
 //     16-byte block is one AbandonStride, so a sum is checked where the scalar
-//     kernel checks it. L2U8Rows runs eight rows of a flat corpus a pass, a
-//     lane a row sharing the query's widened block, one VPHADDD tree and the
-//     stop, which waits for the last lane; each lane keeps its running sum
-//     per block and counts its blocks before its own bound, so a pass answers
-//     L2SquaredU8Bounded for every row at any bound up to its own.
+//     loop checks it. Each lane keeps its running sum per block and counts its
+//     blocks before its own bound, so a pass answers L2SquaredU8Bounded, the
+//     scalar loop it is held to, for every row at any bound up to its own.
 //   - l2f32_amd64.s, the float distances over Transpose8's layout, eight rows
 //     a block, dimension-major, two blocks a pass: ArgMinL2F32T, the nearest
 //     centroid (PQ encoding, the coarse assignment, every k-means
@@ -43,7 +44,7 @@
 // report AVX2 and XGETBV the YMM state enabled, and GODEBUG must not turn
 // AVX2 off for Go (cpu.avx2=off, as it does for the runtime). go vet's
 // asmdecl pass checks every assembly frame (hasAVX2, argMin8TAVX2,
-// minL2F32TAVX2, dotRows8AVX2, l2u8, l2u8RowsAVX2) against its Go declaration.
+// minL2F32TAVX2, dotRows8AVX2, l2u8RowsAVX2) against its Go declaration.
 package vecmath
 
 import (
@@ -91,13 +92,26 @@ func L2SquaredU8Abandon(a, b []uint8, bound uint32) (uint32, bool) {
 // dimensions and stops after the first block whose partial sum is strictly
 // above bound. It returns that sum and the dimensions summed: a multiple of
 // AbandonStride when it stopped early, len(a) otherwise, when the sum is the
-// exact distance (above bound only if the last block crossed it).
+// exact distance (above bound only if the last block crossed it). It is the
+// scalar reference L2U8Rows is held to; distances in the engine run the pass.
 func L2SquaredU8Bounded(a, b []uint8, bound uint32) (uint32, int) {
 	if len(a) == 0 {
 		return 0, 0
 	}
-	_ = b[len(a)-1] // a short b panics here, before the kernel reads it
-	return l2u8(a, b, bound)
+	_ = b[len(a)-1] // a short b panics, even where its capacity runs on
+	var sum uint32
+	lo := 0
+	for ; lo+AbandonStride <= len(a); lo += AbandonStride {
+		sum += l2u8Block((*[AbandonStride]uint8)(a[lo:]), (*[AbandonStride]uint8)(b[lo:]))
+		if sum > bound {
+			return sum, lo + AbandonStride
+		}
+	}
+	for i, x := range a[lo:] {
+		d := int32(x) - int32(b[lo+i])
+		sum += uint32(d * d)
+	}
+	return sum, len(a)
 }
 
 // L2U8Rows is one pass of the u8 distance over up to eight rows of a flat
@@ -105,7 +119,7 @@ func L2SquaredU8Bounded(a, b []uint8, bound uint32) (uint32, int) {
 type L2U8Rows struct {
 	sums   []uint32  // sums[8k+r]: lane r's running sum after block k-1, zero at k = 0
 	bound  [8]uint32 // each lane's bound
-	first  [8]uint32 // whole blocks before each lane first passed its bound
+	first  [8]uint32 // blocks before each lane first passed its bound
 	blocks int       // blocks summed
 	dim    int
 }
@@ -124,17 +138,11 @@ func (p *L2U8Rows) Run(q, base []uint8, rows []int32, bound *[8]uint32) {
 		_ = base[off[r]:][:dim] // a row past base panics here, before the kernel reads it
 	}
 	p.sums = slices.Grow(p.sums[:0], 8*whole+16)[:8*whole+16] // sums[:8] are never written
-	p.dim, p.blocks, p.first = dim, 0, [8]uint32{}
+	p.dim, p.first = dim, [8]uint32{}
 	if whole > 0 && useAVX2 {
 		p.blocks = l2u8RowsAVX2(p.sums[8:], q, base, &off, &p.bound, &p.first)
-	} else if whole > 0 {
+	} else {
 		p.blocks = l2u8RowsGo(p.sums[8:], q, base, &off, &p.bound, &p.first)
-	}
-	if t := whole * AbandonStride; p.blocks == whole && (t < dim || dim == 0) {
-		for r := range rows { // the tail, or the empty vector's zero
-			p.sums[8*whole+8+r] = p.sums[8*whole+r] + L2SquaredU8(q[t:], base[off[r]+t:][:dim-t])
-		}
-		p.blocks++
 	}
 }
 
@@ -152,14 +160,22 @@ func (p *L2U8Rows) At(r int, b uint32) (uint32, int) {
 	return p.sums[8*k+8+r], min((k+1)*AbandonStride, p.dim)
 }
 
-// l2u8RowsGo is l2u8RowsAVX2's scalar twin, step for step; first is zero on entry.
+// l2u8RowsGo is l2u8RowsAVX2's scalar twin, step for step, and the pass over
+// a vector shorter than a block, all tail; first is zero on entry.
 func l2u8RowsGo(sums []uint32, q, base []uint8, off *[8]int, bound, first *[8]uint32) int {
-	whole := len(q) / AbandonStride
+	whole, blocks := len(q)/AbandonStride, max((len(q)+AbandonStride-1)/AbandonStride, 1)
 	var acc [8]uint32
-	for k := range whole {
+	for k := range blocks {
 		lo, under := k*AbandonStride, false
 		for r := range acc {
-			acc[r] += l2u8Block((*[AbandonStride]uint8)(q[lo:]), (*[AbandonStride]uint8)(base[off[r]+lo:]))
+			if k < whole {
+				acc[r] += l2u8Block((*[AbandonStride]uint8)(q[lo:]), (*[AbandonStride]uint8)(base[off[r]+lo:]))
+			} else { // the tail
+				for i, x := range q[lo:] {
+					d := int32(x) - int32(base[off[r]+lo+i])
+					acc[r] += uint32(d * d)
+				}
+			}
 			if first[r] == uint32(k) && acc[r] <= bound[r] {
 				first[r], under = first[r]+1, true
 			}
@@ -169,7 +185,7 @@ func l2u8RowsGo(sums []uint32, q, base []uint8, off *[8]int, bound, first *[8]ui
 			return k + 1
 		}
 	}
-	return whole
+	return blocks
 }
 
 // l2u8Block is one block of the u8 distance, over four accumulators (uint32
@@ -232,8 +248,8 @@ func SubF32(dst, a, b []float32) {
 // checks against their bound.
 const AbandonStride = 16
 
-// The amd64 kernels check their bounds every 16 dimensions: l2u8 once per
-// 16-byte XMM block, the float kernels once per sixteen dimension steps.
+// The amd64 kernels check their bounds every 16 dimensions: l2u8RowsAVX2 once
+// per 16-byte block, the float kernels once per sixteen dimension steps.
 var _ = [1]struct{}{}[AbandonStride-16]
 
 // Quantizer maps float32 vectors onto the uint8 grid used by the PIM path.
