@@ -352,26 +352,15 @@ func GroundTruth(base, queries U8Set, k, workers int) [][]int32 {
 	out := make([][]int32, queries.N)
 	var wg sync.WaitGroup
 	chunk := (queries.N + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > queries.N {
-			hi = queries.N
-		}
-		if lo >= hi {
-			continue
-		}
+	for lo := 0; lo < queries.N; lo += chunk {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(hi int) {
 			defer wg.Done()
+			h := topk.NewHeap[uint32](k)
+			var pass vecmath.L2U8Rows
 			for qi := lo; qi < hi; qi++ {
-				q := queries.Vec(qi)
-				h := topk.NewHeap[uint32](k)
-				for i := 0; i < base.N; i++ {
-					d := vecmath.L2SquaredU8(q, base.Vec(i))
-					if h.WouldAccept(int32(i), d) {
-						h.Push(int32(i), d)
-					}
-				}
+				h.Reset()
+				NearestInto(h, &pass, queries.Vec(qi), base.Data, base.N)
 				items := h.Sorted()
 				ids := make([]int32, len(items))
 				for j, it := range items {
@@ -379,10 +368,37 @@ func GroundTruth(base, queries U8Set, k, workers int) [][]int32 {
 				}
 				out[qi] = ids
 			}
-		}(lo, hi)
+		}(min(lo+chunk, queries.N))
 	}
 	wg.Wait()
 	return out
+}
+
+// NearestInto pushes rows [0, n) of the flat corpus base, rows of len(q)
+// bytes, into h under the integer L2 from q, eight rows a pass. Each row's
+// distance is read at the heap's threshold at its turn (MaxUint32 until h is
+// full): a row abandoned above it would have been refused at its full
+// distance too, so h ends as it would after pushing every full distance.
+func NearestInto(h *topk.Heap[uint32], pass *vecmath.L2U8Rows, q, base []uint8, n int) {
+	threshold := func() uint32 {
+		if t, full := h.Threshold(); full {
+			return t
+		}
+		return math.MaxUint32
+	}
+	var rows [8]int32
+	for lo := 0; lo < n; lo += 8 {
+		m := min(8, n-lo)
+		for r := range m {
+			rows[r] = int32(lo + r)
+		}
+		b := threshold()
+		pass.Run(q, base, rows[:m], &[8]uint32{b, b, b, b, b, b, b, b})
+		for r := range m {
+			d, _ := pass.At(r, threshold())
+			h.Push(int32(lo+r), d)
+		}
+	}
 }
 
 // Recall computes mean recall@k: the fraction of the true top-k found in the

@@ -3,6 +3,8 @@ package dataset
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -126,6 +128,61 @@ func TestGroundTruthSelfQuery(t *testing.T) {
 	if d0 != 0 || d42 != 0 {
 		t.Fatalf("self query should find an exact match, got id=%d d=%d", gt[0][0], d0)
 	}
+}
+
+// TestGroundTruthMatchesBruteForce holds GroundTruth to sorting every
+// distance, a tie to the smaller id: at 8 dimensions (below one block), 128
+// (whole blocks), 24 and 130 (a tail after them); over 203 rows, not whole
+// passes of eight, of which the last 103 repeat earlier ones, so equal
+// distances fall in different passes, with a query on a repeated row; with
+// values from the whole byte range and from 0..3 (many equal distances
+// between distinct rows); at k from 1 to past the corpus, on one worker and
+// on three.
+func TestGroundTruthMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	const n, distinct, nq = 203, 100, 7
+	for _, dim := range []int{8, 24, 128, 130} {
+		for _, span := range []int{256, 4} {
+			base := U8Set{N: n, D: dim, Data: make([]uint8, n*dim)}
+			for i := range distinct * dim {
+				base.Data[i] = uint8(rng.Intn(span))
+			}
+			for i := distinct; i < n; i++ {
+				copy(base.Vec(i), base.Vec(i*37%distinct)) // row 119 repeats row 3
+			}
+			queries := U8Set{N: nq, D: dim, Data: make([]uint8, nq*dim)}
+			for i := range queries.Data {
+				queries.Data[i] = uint8(rng.Intn(span))
+			}
+			copy(queries.Vec(0), base.Vec(3))
+			for _, k := range []int{1, 10, n, n + 5} {
+				want := make([][]int32, nq)
+				for qi := range want {
+					want[qi] = bruteForce(base, queries.Vec(qi), k)
+				}
+				for _, workers := range []int{1, 3} {
+					got := GroundTruth(base, queries, k, workers)
+					for qi := range want {
+						if !slices.Equal(got[qi], want[qi]) {
+							t.Fatalf("dim %d, values 0..%d, k %d, %d workers, query %d:\n got %v\nwant %v",
+								dim, span-1, k, workers, qi, got[qi], want[qi])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// bruteForce returns the ids of the k rows of base nearest q: every distance
+// sorted, a tie to the smaller id.
+func bruteForce(base U8Set, q []uint8, k int) []int32 {
+	dist, ids := make([]int, base.N), make([]int32, base.N)
+	for i := range ids {
+		dist[i], ids[i] = l2(q, base.Vec(i)), int32(i)
+	}
+	sort.SliceStable(ids, func(a, b int) bool { return dist[ids[a]] < dist[ids[b]] })
+	return ids[:min(k, base.N)]
 }
 
 func l2(a, b []uint8) int {

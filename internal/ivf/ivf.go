@@ -226,38 +226,9 @@ func (ix *Index) AvgListLen() float64 {
 // matching the PIM engine's host-side CL.
 func (ix *Index) LocateInt(query []uint8, nprobe int) []topk.Item[uint32] {
 	h := topk.NewHeap[uint32](nprobe)
-	ix.locateIntInto(query, h)
+	var pass vecmath.L2U8Rows
+	dataset.NearestInto(h, &pass, query, ix.CentroidsU8, ix.NList)
 	return h.Sorted()
-}
-
-// locateIntInto fills h (which must be empty) with the h.K() nearest
-// centroids to query under the integer metric.
-func (ix *Index) locateIntInto(query []uint8, h *topk.Heap[uint32]) {
-	// Once the heap is full, centroids whose partial distance already
-	// exceeds the current threshold are abandoned mid-scan. Squared sums
-	// only grow, so an abandoned centroid's true distance is strictly above
-	// the threshold and would have been rejected anyway (ties keep the
-	// incumbent of larger distance out regardless of ID, because only
-	// strictly greater sums abandon) — the probe set is exactly that of the
-	// full scan.
-	for c := 0; c < ix.NList; c++ {
-		cent := ix.CentroidU8(c)
-		thr, full := h.Threshold()
-		if full {
-			d, done := vecmath.L2SquaredU8Abandon(query, cent, thr)
-			if !done {
-				continue
-			}
-			if h.WouldAccept(int32(c), d) {
-				h.Push(int32(c), d)
-			}
-			continue
-		}
-		d := vecmath.L2SquaredU8(query, cent)
-		if h.WouldAccept(int32(c), d) {
-			h.Push(int32(c), d)
-		}
-	}
 }
 
 // forEachChunk partitions the range [lo, hi) into contiguous chunks across
@@ -302,14 +273,16 @@ func forEachChunk(lo, hi, workers int, f func(wlo, whi int)) {
 // written, in ascending distance order, into
 // out[(qi-lo)*nprobe : (qi-lo)*nprobe+counts[qi-lo]], so out must hold
 // (hi-lo)*nprobe items and counts hi-lo entries. Results are identical to
-// per-query LocateInt calls, but the batch shares one heap per worker and
-// performs no per-query allocation — this is the engine's pipelined CL stage.
+// per-query LocateInt calls, but the batch shares one heap and one distance
+// pass per worker and performs no per-query allocation — this is the
+// engine's pipelined CL stage.
 func (ix *Index) LocateBatch(queries dataset.U8Set, lo, hi, nprobe, workers int, out []topk.Item[uint32], counts []int) {
 	forEachChunk(lo, hi, workers, func(wlo, whi int) {
 		h := topk.NewHeap[uint32](nprobe)
+		var pass vecmath.L2U8Rows
 		for qi := wlo; qi < whi; qi++ {
 			h.Reset()
-			ix.locateIntInto(queries.Vec(qi), h)
+			dataset.NearestInto(h, &pass, queries.Vec(qi), ix.CentroidsU8, ix.NList)
 			base := (qi - lo) * nprobe
 			dst := out[base : base : base+nprobe]
 			counts[qi-lo] = len(h.SortedInto(dst))

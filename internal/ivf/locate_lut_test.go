@@ -11,12 +11,21 @@ import (
 )
 
 func locateFixture(t *testing.T) (*Index, *dataset.Synth) {
+	return locateFixtureShape(t, 32, 40)
+}
+
+// locateShapes are the CL tests' (dimension, nlist): 32-d centroids, whole
+// distance blocks in whole passes of eight, and 24-d ones, a tail after a
+// block and a last pass of five.
+var locateShapes = [][2]int{{32, 40}, {24, 37}}
+
+func locateFixtureShape(t *testing.T, dim, nlist int) (*Index, *dataset.Synth) {
 	t.Helper()
 	s := dataset.Generate(dataset.SynthConfig{
-		N: 4000, D: 32, NumQueries: 70, NumClusters: 24, Seed: 11, Noise: 10,
+		N: 4000, D: dim, NumQueries: 70, NumClusters: 24, Seed: 11, Noise: 10,
 	})
 	ix, err := Build(s.Base, BuildConfig{
-		NList: 40, PQ: pq.Config{M: 8, CB: 32}, Seed: 5,
+		NList: nlist, PQ: pq.Config{M: 8, CB: 32}, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -26,29 +35,50 @@ func locateFixture(t *testing.T) (*Index, *dataset.Synth) {
 
 // TestLocateBatchMatchesLocateInt: the batched, worker-parallel CL stage
 // must reproduce per-query LocateInt exactly, for any worker count and any
-// subrange.
+// subrange, at both shapes.
 func TestLocateBatchMatchesLocateInt(t *testing.T) {
-	ix, s := locateFixture(t)
-	const nprobe = 12
-	for _, workers := range []int{0, 1, 3} {
-		for _, span := range [][2]int{{0, s.Queries.N}, {5, 29}, {63, 70}} {
-			lo, hi := span[0], span[1]
-			out := make([]topk.Item[uint32], (hi-lo)*nprobe)
-			counts := make([]int, hi-lo)
-			ix.LocateBatch(s.Queries, lo, hi, nprobe, workers, out, counts)
-			for qi := lo; qi < hi; qi++ {
-				want := ix.LocateInt(s.Queries.Vec(qi), nprobe)
-				got := out[(qi-lo)*nprobe : (qi-lo)*nprobe+counts[qi-lo]]
-				if len(got) != len(want) {
-					t.Fatalf("workers=%d query %d: %d probes, want %d", workers, qi, len(got), len(want))
-				}
-				for j := range want {
-					if got[j] != want[j] {
-						t.Fatalf("workers=%d query %d probe %d: %+v != %+v", workers, qi, j, got[j], want[j])
+	for _, shape := range locateShapes {
+		dim := shape[0]
+		ix, s := locateFixtureShape(t, dim, shape[1])
+		const nprobe = 12
+		for _, workers := range []int{0, 1, 3} {
+			for _, span := range [][2]int{{0, s.Queries.N}, {5, 29}, {63, 70}} {
+				lo, hi := span[0], span[1]
+				out := make([]topk.Item[uint32], (hi-lo)*nprobe)
+				counts := make([]int, hi-lo)
+				ix.LocateBatch(s.Queries, lo, hi, nprobe, workers, out, counts)
+				for qi := lo; qi < hi; qi++ {
+					want := ix.LocateInt(s.Queries.Vec(qi), nprobe)
+					got := out[(qi-lo)*nprobe : (qi-lo)*nprobe+counts[qi-lo]]
+					if len(got) != len(want) {
+						t.Fatalf("%d-d, workers=%d query %d: %d probes, want %d", dim, workers, qi, len(got), len(want))
+					}
+					for j := range want {
+						if got[j] != want[j] {
+							t.Fatalf("%d-d, workers=%d query %d probe %d: %+v != %+v", dim, workers, qi, j, got[j], want[j])
+						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestLocateBatchAllocatesNothingPerQuery: a worker's heap and distance pass
+// serve every query of its chunk, so a batch of 70 queries allocates no more
+// than a batch of one.
+func TestLocateBatchAllocatesNothingPerQuery(t *testing.T) {
+	ix, s := locateFixture(t)
+	const nprobe = 12
+	out := make([]topk.Item[uint32], s.Queries.N*nprobe)
+	counts := make([]int, s.Queries.N)
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			ix.LocateBatch(s.Queries, 0, n, nprobe, 1, out, counts)
+		})
+	}
+	if one, all := allocs(1), allocs(s.Queries.N); all != one {
+		t.Fatalf("LocateBatch allocates %v times for one query, %v for %d", one, all, s.Queries.N)
 	}
 }
 
@@ -179,25 +209,28 @@ func TestDecomposedADCMatchesMaterializedLUT(t *testing.T) {
 
 // TestLocateIntMatchesFullScanReference: the early-abandoning centroid scan
 // must select exactly the probes (IDs, distances, order) of a naive full
-// evaluation — LocateInt and LocateBatch share the abandoning scan, so this
-// pins it against an independent reference.
+// evaluation, at both shapes — LocateInt and LocateBatch share the
+// abandoning scan, so this pins it against an independent reference.
 func TestLocateIntMatchesFullScanReference(t *testing.T) {
-	ix, s := locateFixture(t)
-	const nprobe = 12
-	for qi := 0; qi < s.Queries.N; qi++ {
-		q := s.Queries.Vec(qi)
-		h := topk.NewHeap[uint32](nprobe)
-		for c := 0; c < ix.NList; c++ {
-			h.Push(int32(c), vecmath.L2SquaredU8(q, ix.CentroidU8(c)))
-		}
-		want := h.Sorted()
-		got := ix.LocateInt(q, nprobe)
-		if len(got) != len(want) {
-			t.Fatalf("query %d: %d probes, want %d", qi, len(got), len(want))
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("query %d probe %d: %+v != full-scan %+v", qi, j, got[j], want[j])
+	for _, shape := range locateShapes {
+		dim := shape[0]
+		ix, s := locateFixtureShape(t, dim, shape[1])
+		const nprobe = 12
+		for qi := 0; qi < s.Queries.N; qi++ {
+			q := s.Queries.Vec(qi)
+			h := topk.NewHeap[uint32](nprobe)
+			for c := 0; c < ix.NList; c++ {
+				h.Push(int32(c), vecmath.L2SquaredU8(q, ix.CentroidU8(c)))
+			}
+			want := h.Sorted()
+			got := ix.LocateInt(q, nprobe)
+			if len(got) != len(want) {
+				t.Fatalf("%d-d, query %d: %d probes, want %d", dim, qi, len(got), len(want))
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("%d-d, query %d probe %d: %+v != full-scan %+v", dim, qi, j, got[j], want[j])
+				}
 			}
 		}
 	}
